@@ -81,6 +81,9 @@ fn stress(kind: BackendKind) {
     let generations: Arc<Mutex<Vec<Arc<ConfigGeneration>>>> =
         Arc::new(Mutex::new(vec![ctrl.current_generation()]));
     let stop = Arc::new(AtomicBool::new(false));
+    // Rendezvous between reconfigurer and observer: on a starved box the
+    // observer may otherwise not be scheduled once during the whole run.
+    let (audit_tx, audit_rx) = std::sync::mpsc::sync_channel::<()>(0);
 
     let admitters: Vec<_> = (0..ADMITTERS)
         .map(|t| {
@@ -125,6 +128,9 @@ fn stress(kind: BackendKind) {
                 let alpha = if i % 2 == 0 { 0.16 } else { 0.32 };
                 ctrl.reconfigure(build_generation(alpha, kind));
                 generations.lock().unwrap().push(ctrl.current_generation());
+                // Returns once the observer begins a pass that covers
+                // this generation (at once, with Err, if it panicked).
+                let _ = audit_tx.send(());
                 ctrl.drain();
             }
         })
@@ -136,6 +142,7 @@ fn stress(kind: BackendKind) {
         std::thread::spawn(move || {
             let mut checks = 0u64;
             while !stop.load(Ordering::Relaxed) {
+                let _ = audit_rx.try_recv();
                 let gens = generations.lock().unwrap().clone();
                 assert_budget_invariant(&gens);
                 checks += 1;
@@ -157,7 +164,10 @@ fn stress(kind: BackendKind) {
 
     assert!(total_admits > 0, "workload never admitted");
     assert!(total_rejects > 0, "workload never saturated");
-    assert!(checks > 0, "observer never ran");
+    assert!(
+        checks >= RECONFIGURES as u64,
+        "observer audited only {checks} times"
+    );
 
     // Everything released: every generation ever installed balances to
     // zero on every cell and holds no pinned flows.

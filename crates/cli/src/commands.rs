@@ -197,6 +197,13 @@ fn cmd_maximize_multiclass(sc: &Scenario, threads: usize) -> Result<String, Scen
 /// `simulate`: SP routes, greedy fill to the class-0 budget, adversarial
 /// sources, packet simulation against the analytic bound.
 pub fn cmd_simulate(sc: &Scenario, horizon: f64) -> Result<String, ScenarioError> {
+    // `"inf"` and `"nan"` parse as f64: an infinite horizon would emit
+    // packets until memory runs out, NaN would emit none and "pass".
+    if !(horizon.is_finite() && horizon >= 0.0) {
+        return Err(ScenarioError(format!(
+            "horizon must be a finite, non-negative number of seconds, got {horizon}"
+        )));
+    }
     if sc.classes.len() != 1 {
         return Err(ScenarioError(
             "simulate handles single-class scenarios".into(),
@@ -1021,6 +1028,14 @@ mod tests {
             "headroom_delta_bps",
         ] {
             assert_eq!(num(k), num2(k), "field {k}: {out} vs {out2}");
+        }
+    }
+
+    #[test]
+    fn simulate_rejects_a_bad_horizon() {
+        for bad in [f64::INFINITY, f64::NAN, -0.1] {
+            let err = cmd_simulate(&ring_scenario(), bad).unwrap_err();
+            assert!(err.to_string().contains("horizon"), "{bad}: {err}");
         }
     }
 

@@ -121,7 +121,14 @@ fn main() {
             threads,
         ),
         "simulate" => {
-            let horizon = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.3);
+            let horizon = match args.get(2) {
+                None => 0.3,
+                Some(raw) => raw.parse().unwrap_or_else(|_| {
+                    fail(format!(
+                        "simulate expects a horizon in seconds, got '{raw}'"
+                    ))
+                }),
+            };
             cmd_simulate(&scenario, horizon)
         }
         "metrics" => cmd_metrics(&scenario, json),

@@ -1043,32 +1043,6 @@ mod tests {
     }
 
     #[test]
-    fn solves_record_iteration_and_divergence_metrics() {
-        // Metrics are process-global; assert on deltas.
-        let m = crate::metrics::solver();
-        let (solves0, div0) = (m.iterations.count(), m.divergence.get());
-        let (_, servers, routes) = line_setup(4);
-        let ok = solve_two_class(
-            &servers,
-            &voip(),
-            0.3,
-            &routes,
-            &SolveConfig::default(),
-            None,
-        );
-        assert_eq!(ok.outcome, Outcome::Safe);
-        let capped = SolveConfig {
-            max_iters: 1,
-            ..Default::default()
-        };
-        solve_two_class(&servers, &voip(), 0.3, &routes, &capped, None);
-        assert_eq!(m.iterations.count() - solves0, 2);
-        assert_eq!(m.divergence.get() - div0, 1);
-        assert!(m.seconds.count() >= 2);
-        assert!(m.residual.count() >= 2);
-    }
-
-    #[test]
     fn sweep_economy_counters_recorded() {
         let m = crate::metrics::solver();
         let touched0 = m.servers_touched.get();

@@ -3,13 +3,28 @@
 //! Stations = real link servers plus one virtual access shaper per
 //! (ingress router, first server) pair. Each station is a non-preemptive
 //! class-based static-priority queue (FIFO within a class) — the paper's
-//! packet forwarding module. Events are processed in (time, sequence)
-//! order, so runs are bit-for-bit deterministic.
+//! packet forwarding module.
+//!
+//! **Ordering contract.** Events are processed in `(time, seq)` order,
+//! so runs are bit-for-bit deterministic. The `E` policed source
+//! emissions are numbered first (`seq = 1..=E`, flow-major); every event
+//! created while the run is in progress — completions, next-hop
+//! arrivals, the reconfiguration marker — gets `seq > E`. An emission
+//! therefore sorts before any dynamic event of the same instant, and the
+//! schedulers' FIFO / finish-tag tie-breaks read that same `seq`.
+//!
+//! The loop draws from two sources that together realize that order: the
+//! emissions, materialized once into a block of their exact size and
+//! sorted in place by `(time, seq)`, consumed through a cursor; and a
+//! small binary heap holding only the dynamic events in flight, payload
+//! inline. Each step takes whichever head is earlier, the emission on a
+//! tie.
 
+use crate::metrics::{sim, SimMetrics};
 use crate::report::{SimReport, StatsAccumulator};
 use crate::sched::{Discipline, SchedJob, Scheduler};
 use crate::source::SourceModel;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
 
 /// One flow to simulate.
@@ -92,12 +107,21 @@ pub struct SimProgress {
 #[derive(Clone, Copy, Debug)]
 struct Job {
     flow: u32,
-    hop: u16,
+    /// Where the packet is: an index into the run's `hops`. It entered
+    /// at the start of whichever of its flow's routes was in force and
+    /// walks that route for life.
+    at: u32,
+    /// Hops still ahead of `at`.
+    remaining: u16,
     /// Measurement start (ns): arrival at the first real server.
     t0: u64,
-    /// True when the packet entered the network after the mid-run
-    /// reconfiguration and follows the flow's new route.
-    rerouted: bool,
+}
+
+/// One hop of a sim-route: the station, and how long it serves one of
+/// the owning flow's packets.
+struct Hop {
+    station: u32,
+    service_ns: u64,
 }
 
 enum Event {
@@ -107,6 +131,34 @@ enum Event {
     },
     /// The mid-run route swap (pushed once, at the configured time).
     Reconfigure,
+}
+
+/// A dynamic event in flight. Ordered by `(t, seq)` alone — `seq` is
+/// unique, so the payload never takes part in a comparison.
+struct Pending {
+    t: u64,
+    seq: u64,
+    event: Event,
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Pending {}
+
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.t, self.seq).cmp(&(other.t, other.seq))
+    }
 }
 
 struct Station {
@@ -143,7 +195,7 @@ pub fn simulate_with(
     cfg: &SimConfig,
     discipline: &Discipline,
 ) -> SimReport {
-    run(capacities, flows, cfg, discipline, None, None)
+    run(capacities, flows, cfg, discipline, None, None, sim())
 }
 
 /// Like [`simulate_with`], but invokes `observer` every `every` sim
@@ -166,10 +218,7 @@ pub fn simulate_observed(
     every: f64,
     observer: &mut dyn FnMut(SimProgress),
 ) -> SimReport {
-    assert!(
-        every > 0.0 && every.is_finite(),
-        "observation interval must be positive"
-    );
+    validate_every(every);
     run(
         capacities,
         flows,
@@ -177,6 +226,7 @@ pub fn simulate_observed(
         discipline,
         None,
         Some((every, observer)),
+        sim(),
     )
 }
 
@@ -196,21 +246,16 @@ pub fn simulate_reconfigured(
     discipline: &Discipline,
     reconfig: &Reconfiguration,
 ) -> SimReport {
-    assert!(
-        reconfig.at.is_finite() && reconfig.at >= 0.0,
-        "reconfiguration time must be finite and non-negative"
-    );
-    for (fi, route) in &reconfig.reroutes {
-        assert!(*fi < flows.len(), "reroute flow index out of range");
-        assert!(!route.is_empty(), "reroute must be non-empty");
-        for &k in route {
-            assert!(
-                (k as usize) < capacities.len(),
-                "reroute server out of range"
-            );
-        }
-    }
-    run(capacities, flows, cfg, discipline, Some(reconfig), None)
+    validate_reconfig(capacities, flows, reconfig);
+    run(
+        capacities,
+        flows,
+        cfg,
+        discipline,
+        Some(reconfig),
+        None,
+        sim(),
+    )
 }
 
 /// [`simulate_reconfigured`] with the observation/incremental-publish
@@ -226,10 +271,27 @@ pub fn simulate_reconfigured_observed(
     every: f64,
     observer: &mut dyn FnMut(SimProgress),
 ) -> SimReport {
+    validate_every(every);
+    validate_reconfig(capacities, flows, reconfig);
+    run(
+        capacities,
+        flows,
+        cfg,
+        discipline,
+        Some(reconfig),
+        Some((every, observer)),
+        sim(),
+    )
+}
+
+fn validate_every(every: f64) {
     assert!(
         every > 0.0 && every.is_finite(),
         "observation interval must be positive"
     );
+}
+
+fn validate_reconfig(capacities: &[f64], flows: &[FlowSpec], reconfig: &Reconfiguration) {
     assert!(
         reconfig.at.is_finite() && reconfig.at >= 0.0,
         "reconfiguration time must be finite and non-negative"
@@ -244,14 +306,14 @@ pub fn simulate_reconfigured_observed(
             );
         }
     }
-    run(
-        capacities,
-        flows,
-        cfg,
-        discipline,
-        Some(reconfig),
-        Some((every, observer)),
-    )
+}
+
+/// Publishes the locally counted `sim.queue_depth` samples
+/// (`counts[d]` enqueues that left a backlog of `d`) and zeroes them.
+fn flush_queue_depths(histogram: &uba_obs::Histogram, counts: &mut [u64]) {
+    for (depth, n) in counts.iter_mut().enumerate() {
+        histogram.record_n(depth as f64, std::mem::take(n));
+    }
 }
 
 fn run(
@@ -261,11 +323,15 @@ fn run(
     discipline: &Discipline,
     reconfig: Option<&Reconfiguration>,
     observe: Option<(f64, &mut dyn FnMut(SimProgress))>,
+    metrics: &SimMetrics,
 ) -> SimReport {
     let t_run = uba_obs::Stopwatch::start();
-    let metrics = crate::metrics::sim();
     let classes = cfg.deadlines.len();
     assert!(classes > 0, "need at least one class deadline");
+    assert!(
+        cfg.horizon.is_finite() && cfg.horizon >= 0.0,
+        "horizon must be finite and non-negative"
+    );
     for f in flows {
         assert!(!f.route.is_empty(), "flow route must be non-empty");
         assert!(f.class < classes, "flow class out of range");
@@ -274,71 +340,63 @@ fn run(
         }
     }
 
-    // Build stations: real servers first, then shapers.
+    // Stations: real servers first, then one access shaper per (ingress,
+    // first server) pair, created when a route first needs it.
     let mut stations: Vec<Station> = capacities
         .iter()
         .map(|&c| Station::new(c, classes, discipline))
         .collect();
     let mut shaper_of: HashMap<(u32, u32), u32> = HashMap::new();
-    // Sim-route per flow: shaper followed by the real route.
-    let mut sim_routes: Vec<Vec<u32>> = Vec::with_capacity(flows.len());
-    for f in flows {
-        let key = (f.ingress, f.route[0]);
-        let station = *shaper_of.entry(key).or_insert_with(|| {
-            let id = stations.len() as u32;
-            let cap = capacities[f.route[0] as usize];
+    // Every sim-route — the shaper, then the real route — laid end to
+    // end; a route is named by `(index of its shaper hop, hops after it)`.
+    let mut hops: Vec<Hop> = Vec::new();
+    let mut lay_route = |f: &FlowSpec, route: &[u32]| -> (u32, u16) {
+        let shaper = *shaper_of.entry((f.ingress, route[0])).or_insert_with(|| {
+            let cap = capacities[route[0] as usize];
             stations.push(Station::new(cap, classes, discipline));
-            id
+            stations.len() as u32 - 1
         });
-        let mut r = Vec::with_capacity(f.route.len() + 1);
-        r.push(station);
-        r.extend_from_slice(&f.route);
-        sim_routes.push(r);
-    }
-
-    // Post-swap sim-routes: identical except for rerouted flows, which
-    // get (creating if needed) the shaper for their new first server.
-    let mut sim_routes_b = sim_routes.clone();
-    if let Some(rc) = reconfig {
-        for (fi, new_route) in &rc.reroutes {
-            let key = (flows[*fi].ingress, new_route[0]);
-            let station = *shaper_of.entry(key).or_insert_with(|| {
-                let id = stations.len() as u32;
-                let cap = capacities[new_route[0] as usize];
-                stations.push(Station::new(cap, classes, discipline));
-                id
+        let start = hops.len() as u32;
+        let bits = f.source.packet_bits() as f64;
+        for station in std::iter::once(shaper).chain(route.iter().copied()) {
+            let dur = (bits / stations[station as usize].capacity * NS).round() as u64;
+            hops.push(Hop {
+                station,
+                service_ns: dur.max(1),
             });
-            let mut r = Vec::with_capacity(new_route.len() + 1);
-            r.push(station);
-            r.extend_from_slice(new_route);
-            sim_routes_b[*fi] = r;
         }
-    }
-
-    // Event heap ordered by (time, seq).
-    let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut payloads: HashMap<u64, Event> = HashMap::new();
-    let mut seq: u64 = 0;
-    let push = |heap: &mut BinaryHeap<Reverse<(u64, u64)>>,
-                payloads: &mut HashMap<u64, Event>,
-                seq: &mut u64,
-                t: u64,
-                e: Event| {
-        *seq += 1;
-        heap.push(Reverse((t, *seq)));
-        payloads.insert(*seq, e);
+        (start, route.len() as u16)
     };
+    // `routes[0]` until the swap, `routes[1]` after it: identical except
+    // for the rerouted flows.
+    let before: Vec<(u32, u16)> = flows.iter().map(|f| lay_route(f, &f.route)).collect();
+    let mut after = before.clone();
+    for (fi, new_route) in reconfig.iter().flat_map(|rc| &rc.reroutes) {
+        after[*fi] = lay_route(&flows[*fi], new_route);
+    }
+    let routes = [before, after];
 
-    // Source emissions, through the per-flow ingress policer when
-    // configured: a token bucket that silently drops non-conforming
-    // packets (edge-router policing, Section 3).
+    // Source emissions `(t_ns, seq, flow)`, through the per-flow ingress
+    // policer when configured: a token bucket that silently drops
+    // non-conforming packets (edge-router policing, Section 3).
+    //
+    // This is the run's one large block, so it is allocated once at its
+    // final size (a counting pass over the sources, ~1 % of a run) and
+    // sorted in place: grown by doubling, whether a step extended the
+    // block or copied it to fresh pages hung on a few bytes of heap
+    // layout, and the peak footprint moved by the block's size with it.
+    let emitted: usize = flows
+        .iter()
+        .map(|f| f.source.emissions(cfg.horizon).len())
+        .sum();
+    let mut arrivals: Vec<(u64, u64, u32)> = Vec::with_capacity(emitted);
+    let mut seq: u64 = 0;
     let mut policed_drops = vec![0u64; classes];
     for (fi, f) in flows.iter().enumerate() {
         let bits = f.source.packet_bits() as f64;
-        let mut tokens;
         let mut last_t = 0.0f64;
         let policer = cfg.policers.as_ref().map(|p| p[f.class]);
-        tokens = policer.map(|(burst, _)| burst).unwrap_or(0.0);
+        let mut tokens = policer.map(|(burst, _)| burst).unwrap_or(0.0);
         for t in f.source.emissions(cfg.horizon) {
             if let Some((burst, rate)) = policer {
                 tokens = (tokens + rate * (t - last_t)).min(burst);
@@ -349,29 +407,43 @@ fn run(
                 }
                 tokens -= bits;
             }
-            let tns = (t * NS).round() as u64;
-            push(
-                &mut heap,
-                &mut payloads,
-                &mut seq,
-                tns,
-                Event::Arrive(Job {
-                    flow: fi as u32,
-                    hop: 0,
-                    t0: tns,
-                    rerouted: false,
-                }),
-            );
+            seq += 1;
+            arrivals.push(((t * NS).round() as u64, seq, fi as u32));
         }
     }
+    // `seq` is unique, so the tuple order is `(t, seq)`: same-instant
+    // emissions keep their flow-major order, and no scratch buffer.
+    arrivals.sort_unstable();
 
-    // The swap event is pushed after every emission, so it carries a
-    // higher sequence number: arrivals at exactly `at` sort before it and
-    // still use the old routes.
+    // Dynamic events in flight, ordered by (time, seq). Their numbers
+    // continue after the emissions', per the module's ordering contract.
+    let mut heap: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
+    let push = |heap: &mut BinaryHeap<Reverse<Pending>>, seq: &mut u64, t: u64, event: Event| {
+        *seq += 1;
+        heap.push(Reverse(Pending {
+            t,
+            seq: *seq,
+            event,
+        }));
+    };
+
+    // Arrivals at exactly `at` sort before the swap event and still use
+    // the old routes.
     if let Some(rc) = reconfig {
         let tns = (rc.at * NS).round() as u64;
-        push(&mut heap, &mut payloads, &mut seq, tns, Event::Reconfigure);
+        push(&mut heap, &mut seq, tns, Event::Reconfigure);
     }
+
+    // Puts the station's next queued packet, if any, into service.
+    let start_next = |st: &mut Station, st_id: usize, t: u64, heap: &mut _, seq: &mut u64| {
+        if let Some(next) = st.sched.dequeue().map(|j| j.payload) {
+            st.current = Some(next);
+            let done = Event::Complete {
+                station: st_id as u32,
+            };
+            push(heap, seq, t + hops[next.at as usize].service_ns, done);
+        }
+    };
 
     let mut acc: Vec<StatsAccumulator> = vec![StatsAccumulator::default(); classes];
     let mut histograms = vec![crate::report::DelayHistogram::default(); classes];
@@ -388,25 +460,39 @@ fn run(
     let mut published_packets = 0u64;
     let mut published_misses = 0u64;
     let mut last_t = 0u64;
+    // `sim.queue_depth` samples, counted per backlog value and published
+    // in bulk (end of run, and before each observer call).
+    let mut depth_counts: Vec<u64> = Vec::new();
+    let mut next_arrival = 0usize;
 
-    while let Some(Reverse((t, s))) = heap.pop() {
+    loop {
+        let (t, s, ev) = match (arrivals.get(next_arrival), heap.peek()) {
+            // On a tie the emission goes first: its seq is the lower.
+            (Some(&(t, s, flow)), dynamic) if dynamic.is_none_or(|Reverse(d)| t <= d.t) => {
+                next_arrival += 1;
+                // Entering the network: the packet commits to the
+                // routes in force right now.
+                let (at, remaining) = routes[reconfigured as usize][flow as usize];
+                let job = Job {
+                    flow,
+                    at,
+                    remaining,
+                    t0: t,
+                };
+                (t, s, Event::Arrive(job))
+            }
+            (_, Some(_)) => {
+                let Reverse(pending) = heap.pop().expect("peeked above");
+                (pending.t, pending.seq, pending.event)
+            }
+            (_, None) => break,
+        };
         events += 1;
         last_t = t;
-        let ev = payloads.remove(&s).expect("payload for event");
         match ev {
-            Event::Arrive(mut job) => {
-                if job.hop == 0 {
-                    // Entering the network: the packet commits to the
-                    // routes in force right now and keeps them for life.
-                    job.rerouted = reconfigured;
-                }
-                let routes = if job.rerouted {
-                    &sim_routes_b
-                } else {
-                    &sim_routes
-                };
+            Event::Arrive(job) => {
                 let f = &flows[job.flow as usize];
-                let st_id = routes[job.flow as usize][job.hop as usize] as usize;
+                let st_id = hops[job.at as usize].station as usize;
                 let st = &mut stations[st_id];
                 st.sched.enqueue(
                     f.class,
@@ -429,21 +515,12 @@ fn run(
                         t as f64 / NS,
                     );
                 }
-                metrics.queue_depth.record(st.backlog as f64);
+                if st.backlog >= depth_counts.len() {
+                    depth_counts.resize(st.backlog + 1, 0);
+                }
+                depth_counts[st.backlog] += 1;
                 if st.current.is_none() {
-                    let next = st.sched.dequeue().unwrap().payload;
-                    let bits = flows[next.flow as usize].source.packet_bits();
-                    let dur = (bits as f64 / st.capacity * NS).round() as u64;
-                    st.current = Some(next);
-                    push(
-                        &mut heap,
-                        &mut payloads,
-                        &mut seq,
-                        t + dur.max(1),
-                        Event::Complete {
-                            station: st_id as u32,
-                        },
-                    );
+                    start_next(st, st_id, t, &mut heap, &mut seq);
                 }
             }
             Event::Complete { station } => {
@@ -454,19 +531,15 @@ fn run(
                     st.current.take().expect("completion without job")
                 };
                 let f = &flows[job.flow as usize];
-                let route = if job.rerouted {
-                    &sim_routes_b[job.flow as usize]
-                } else {
-                    &sim_routes[job.flow as usize]
-                };
-                if job.hop == 0 {
-                    // Leaving the access shaper: the guarantee clock
-                    // starts now.
+                if st_id >= capacities.len() {
+                    // Leaving the access shaper (the stations past the
+                    // real servers): the guarantee clock starts now.
                     job.t0 = t;
                 }
-                if (job.hop as usize) + 1 < route.len() {
-                    job.hop += 1;
-                    push(&mut heap, &mut payloads, &mut seq, t, Event::Arrive(job));
+                if job.remaining > 0 {
+                    job.at += 1;
+                    job.remaining -= 1;
+                    push(&mut heap, &mut seq, t, Event::Arrive(job));
                 } else {
                     let delay = (t - job.t0) as f64 / NS;
                     let deadline = cfg.deadlines[f.class];
@@ -498,6 +571,7 @@ fn run(
                             metrics.deadline_misses.add(total_misses - published_misses);
                             published_packets = total_packets;
                             published_misses = total_misses;
+                            flush_queue_depths(&metrics.queue_depth, &mut depth_counts);
                             obs(SimProgress {
                                 t: t_secs,
                                 packets: total_packets,
@@ -507,22 +581,9 @@ fn run(
                         }
                     }
                 }
-                // Start the next queued packet, if any.
-                let st = &mut stations[st_id];
-                if let Some(next) = st.sched.dequeue().map(|j| j.payload) {
-                    let bits = flows[next.flow as usize].source.packet_bits();
-                    let dur = (bits as f64 / st.capacity * NS).round() as u64;
-                    st.current = Some(next);
-                    push(
-                        &mut heap,
-                        &mut payloads,
-                        &mut seq,
-                        t + dur.max(1),
-                        Event::Complete {
-                            station: st_id as u32,
-                        },
-                    );
-                }
+                // After the forwarded packet's arrival, so that event
+                // keeps the lower seq.
+                start_next(&mut stations[st_id], st_id, t, &mut heap, &mut seq);
             }
             Event::Reconfigure => {
                 reconfigured = true;
@@ -558,6 +619,7 @@ fn run(
     metrics.packets.add(total_packets - published_packets);
     metrics.deadline_misses.add(total_misses - published_misses);
     metrics.policed_drops.add(policed_drops.iter().sum());
+    flush_queue_depths(&metrics.queue_depth, &mut depth_counts);
     metrics.run_seconds.record(elapsed);
     if elapsed > 0.0 {
         metrics.events_per_sec.set(events as f64 / elapsed);
@@ -987,16 +1049,22 @@ mod tests {
         assert!(policed.classes[0].policed_drops > 0);
     }
 
+    /// `run` against metrics in a private registry: exact counts, immune
+    /// to the sibling tests that bump the process-global ones.
+    fn run_metered(
+        capacities: &[f64],
+        flows: &[FlowSpec],
+        cfg: &SimConfig,
+        observe: Option<(f64, &mut dyn FnMut(SimProgress))>,
+    ) -> (SimReport, SimMetrics) {
+        let m = SimMetrics::register(&uba_obs::Registry::new());
+        let d = Discipline::StaticPriority;
+        let r = run(capacities, flows, cfg, &d, None, observe, &m);
+        (r, m)
+    }
+
     #[test]
     fn runs_record_metrics() {
-        // Metrics are process-global; assert on deltas.
-        let m = crate::metrics::sim();
-        let (runs0, events0, packets0, misses0) = (
-            m.runs.get(),
-            m.events.get(),
-            m.packets.get(),
-            m.deadline_misses.get(),
-        );
         let flows = vec![FlowSpec {
             class: 0,
             ingress: 0,
@@ -1008,12 +1076,14 @@ mod tests {
             deadlines: vec![1e-12],
             policers: None,
         };
-        let r = simulate(&[C], &flows, &tight);
-        assert_eq!(m.runs.get() - runs0, 1);
-        assert_eq!(m.events.get() - events0, r.events);
-        assert_eq!(m.packets.get() - packets0, r.total_packets);
-        assert_eq!(m.deadline_misses.get() - misses0, r.total_packets);
-        assert!(m.queue_depth.count() > 0);
+        let (r, m) = run_metered(&[C], &flows, &tight, None);
+        assert_eq!(m.runs.get(), 1);
+        assert_eq!(m.events.get(), r.events);
+        assert_eq!(m.packets.get(), r.total_packets);
+        assert_eq!(m.deadline_misses.get(), r.total_packets);
+        // One sample per enqueue: the shaper plus one real hop.
+        assert_eq!(m.queue_depth.count(), 2 * r.total_packets);
+        assert_eq!(m.queue_depth.max(), r.peak_backlog as f64);
         assert!(m.peak_backlog.get() >= 1.0);
     }
 
@@ -1149,8 +1219,6 @@ mod tests {
 
     #[test]
     fn observed_run_reports_monotone_progress_and_exact_totals() {
-        let m = crate::metrics::sim();
-        let (packets0, misses0) = (m.packets.get(), m.deadline_misses.get());
         let flows = vec![FlowSpec {
             class: 0,
             ingress: 0,
@@ -1163,14 +1231,7 @@ mod tests {
             policers: None,
         };
         let mut seen: Vec<SimProgress> = Vec::new();
-        let r = simulate_observed(
-            &[C],
-            &flows,
-            &tight,
-            &Discipline::StaticPriority,
-            0.02,
-            &mut |p| seen.push(p),
-        );
+        let (r, m) = run_metered(&[C], &flows, &tight, Some((0.02, &mut |p| seen.push(p))));
         assert!(seen.len() >= 3, "only {} observations", seen.len());
         for w in seen.windows(2) {
             assert!(w[1].t >= w[0].t);
@@ -1186,8 +1247,8 @@ mod tests {
         assert!(seen[0].packets < r.total_packets);
         // Incremental publishing left the lifetime counters exactly
         // where an unobserved run would have.
-        assert_eq!(m.packets.get() - packets0, r.total_packets);
-        assert_eq!(m.deadline_misses.get() - misses0, r.total_misses());
+        assert_eq!(m.packets.get(), r.total_packets);
+        assert_eq!(m.deadline_misses.get(), r.total_misses());
     }
 
     #[test]
@@ -1206,18 +1267,36 @@ mod tests {
                 source: SourceModel::voip_greedy(0.0),
             },
         ];
-        let plain = simulate(&[C, C], &flows, &cfg(1));
-        let observed = simulate_observed(
+        let (plain, plain_m) = run_metered(&[C, C], &flows, &cfg(1), None);
+        // The observer reads the histogram through a second handle to
+        // the same registry entry.
+        let registry = uba_obs::Registry::new();
+        let m = SimMetrics::register(&registry);
+        let depth = registry.histogram("sim.queue_depth", 1.0);
+        let mut mid_run = 0;
+        let observed = run(
             &[C, C],
             &flows,
             &cfg(1),
             &Discipline::StaticPriority,
-            0.01,
-            &mut |_| {},
+            None,
+            Some((0.01, &mut |p: SimProgress| {
+                // Buffered samples are flushed before the observer runs:
+                // every delivered packet was enqueued at three stations.
+                assert!(depth.count() >= 3 * p.packets);
+                mid_run += usize::from(!p.done && p.packets > 0);
+            })),
+            &m,
         );
+        assert!(mid_run > 0);
         assert_eq!(observed.total_packets, plain.total_packets);
         assert_eq!(observed.events, plain.events);
         assert_eq!(observed.classes[0].max_delay, plain.classes[0].max_delay);
+        // One sample per enqueue (shaper + two real hops) on both paths.
+        assert_eq!(plain_m.queue_depth.count(), 3 * plain.total_packets);
+        assert_eq!(m.queue_depth.count(), 3 * observed.total_packets);
+        assert_eq!(m.queue_depth.max(), plain_m.queue_depth.max());
+        assert_eq!(m.queue_depth.mean(), plain_m.queue_depth.mean());
     }
 
     #[test]
@@ -1334,6 +1413,18 @@ mod tests {
             reroutes: vec![(0, vec![9])],
         };
         simulate_reconfigured(&[C], &flows, &cfg(1), &Discipline::StaticPriority, &rc);
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon must be finite")]
+    fn non_finite_horizon_rejected() {
+        let flows = vec![FlowSpec {
+            class: 0,
+            ingress: 0,
+            route: vec![0],
+            source: SourceModel::voip_cbr(0.0),
+        }];
+        simulate(&[C], &flows, &SimConfig::new(f64::INFINITY, vec![0.1]));
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Simulator instrumentation.
 //!
-//! Counters are bumped once per completed run (from the final tallies
-//! the engine already keeps); only the queue-depth histogram records
-//! inside the event loop, at three relaxed atomic ops per enqueue.
+//! Nothing in the event loop touches an atomic. Counters are bumped once
+//! per completed run, from the final tallies the engine already keeps;
+//! `sim.queue_depth` samples are counted per backlog value in a local
+//! array and published with `Histogram::record_n` at the end of the run
+//! (same count, sum and max as one `record` per enqueue).
 //! Exception: *observed* runs ([`crate::simulate_observed`] /
-//! [`crate::simulate_reconfigured_observed`]) publish `sim.packets` and
-//! `sim.deadline_misses` incrementally at each observation point (the
-//! end-of-run publish then adds only the remainder), so windowed
-//! consumers such as the SLO engine see misses as they happen. Lifetime
-//! totals are identical either way.
+//! [`crate::simulate_reconfigured_observed`]) publish `sim.packets`,
+//! `sim.deadline_misses` and the buffered `sim.queue_depth` samples
+//! incrementally, just before each observer call (the end-of-run publish
+//! then adds only the remainder), so windowed consumers such as the SLO
+//! engine see misses as they happen. Lifetime totals are identical
+//! either way.
 //!
 //! Metric names:
 //!
@@ -25,7 +28,7 @@
 //! | `sim.peak_backlog` | gauge | peak station backlog of the latest run |
 
 use std::sync::{Arc, OnceLock};
-use uba_obs::{Counter, Gauge, Histogram};
+use uba_obs::{Counter, Gauge, Histogram, Registry};
 
 /// Handles to the simulator metrics.
 #[derive(Debug)]
@@ -50,12 +53,12 @@ pub struct SimMetrics {
     pub peak_backlog: Arc<Gauge>,
 }
 
-/// The process-global simulator metrics (registered on first use).
-pub fn sim() -> &'static SimMetrics {
-    static METRICS: OnceLock<SimMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = uba_obs::global();
-        SimMetrics {
+impl SimMetrics {
+    /// Registers the simulator metrics in `r`. The engine's tests pass a
+    /// private registry so their exact counts are immune to sibling
+    /// tests' runs; everything else goes through [`sim`].
+    pub(crate) fn register(r: &Registry) -> Self {
+        Self {
             runs: r.counter("sim.runs"),
             events: r.counter("sim.events"),
             packets: r.counter("sim.packets"),
@@ -66,7 +69,13 @@ pub fn sim() -> &'static SimMetrics {
             events_per_sec: r.gauge("sim.events_per_sec"),
             peak_backlog: r.gauge("sim.peak_backlog"),
         }
-    })
+    }
+}
+
+/// The process-global simulator metrics (registered on first use).
+pub fn sim() -> &'static SimMetrics {
+    static METRICS: OnceLock<SimMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| SimMetrics::register(uba_obs::global()))
 }
 
 #[cfg(test)]

@@ -98,10 +98,14 @@ impl SourceModel {
         }
     }
 
-    /// Emission times (seconds) of every packet up to `horizon`.
+    /// Emission times (seconds) of every packet up to `horizon`, in
+    /// non-decreasing order.
     ///
-    /// Used by the engine to pre-materialize the arrival process; counts
-    /// are modest for the durations the validation runs use.
+    /// The engine materializes every flow's emissions up front (calling
+    /// this once to size the block and once to fill it) and sorts them
+    /// into one arrival stream, so memory is linear in the packet count
+    /// and `horizon` must be finite (the engine asserts it; an infinite
+    /// one would never return from here).
     pub fn emissions(&self, horizon: f64) -> Vec<f64> {
         let mut out = Vec::new();
         match *self {

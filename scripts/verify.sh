@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --offline --release (hermetic build)"
 cargo build --offline --release --workspace
 
+echo "==> benchmark build (the frozen public surface benchmark/ compiles against; build only, no run)"
+cargo build --offline --release --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo fmt --check (formatting gate)"
 cargo fmt --check
 
