@@ -30,10 +30,9 @@
 //! `admission.generations.retired_pinned` gauge) should treat the new
 //! budgets as fully in force only once retired generations empty.
 
-use crate::backend::CellDemand;
 use crate::generation::{BackendKind, ConfigGeneration};
 use crate::metrics::AdmissionMetrics;
-use crate::state::{to_millibits, SCALE};
+use crate::state::{to_millibits, CellDemand, SCALE};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
 use crate::table::RoutingTable;
@@ -238,7 +237,7 @@ pub struct FlowHandle {
 impl AdmissionController {
     /// Builds a controller from the configured routing table, the class
     /// set, per-server capacities, and the verified utilization
-    /// assignment, on the default [`AtomicBackend`](crate::AtomicBackend).
+    /// assignment.
     ///
     /// The controller records admission metrics into the process-global
     /// [`uba_obs`] registry (see [`AdmissionMetrics`] for the names).
@@ -248,7 +247,13 @@ impl AdmissionController {
         capacities: &[f64],
         alphas: &[f64],
     ) -> Self {
-        Self::with_backend(table, classes, capacities, alphas, BackendKind::Atomic)
+        Self::from_generation(ConfigGeneration::new(
+            table,
+            classes,
+            capacities,
+            alphas,
+            BackendKind::Atomic,
+        ))
     }
 
     /// Like [`new`](Self::new) but with no instrumentation at all — the
@@ -265,19 +270,6 @@ impl AdmissionController {
         )
     }
 
-    /// Like [`new`](Self::new) with an explicit reservation backend.
-    pub fn with_backend(
-        table: RoutingTable,
-        classes: &ClassSet,
-        capacities: &[f64],
-        alphas: &[f64],
-        kind: BackendKind,
-    ) -> Self {
-        Self::from_generation(ConfigGeneration::new(
-            table, classes, capacities, alphas, kind,
-        ))
-    }
-
     /// Adopts an already-built generation (e.g. from
     /// `uba_routing::Configuration::apply`) as the initial configuration,
     /// with metrics.
@@ -289,7 +281,7 @@ impl AdmissionController {
     /// [`from_generation`](Self::from_generation) without
     /// instrumentation — the generation-adopting counterpart of
     /// [`new_unmetered`](Self::new_unmetered), for callers that need a
-    /// non-default policy chain (or backend) but not the metrics.
+    /// non-default policy chain but not the metrics.
     pub fn from_generation_unmetered(generation: ConfigGeneration) -> Self {
         Self::from_generation_with_metrics(generation, None)
     }
@@ -473,7 +465,7 @@ impl AdmissionController {
                     if cas_retries > 0 {
                         m.cas_retries.add(cas_retries as u64);
                     }
-                    m.record_retries(generation.kind(), cas_retries);
+                    m.record_retries(cas_retries);
                     m.record_admit_ns(timer);
                 }
                 tr.emit(
@@ -510,11 +502,11 @@ impl AdmissionController {
                     if reject.retries > 0 {
                         m.cas_retries.add(reject.retries as u64);
                     }
-                    m.record_retries(generation.kind(), reject.retries);
+                    m.record_retries(reject.retries);
                     m.record_admit_ns(timer);
                 }
                 let server = reject.server;
-                let reserved_bps = backend.snapshot(server as usize, class.index());
+                let reserved_bps = backend.reserved(server as usize, class.index());
                 let budget_bps = backend.budget(server as usize, class.index());
                 tr.emit(
                     EventKind::RejectLinkFull,
@@ -543,7 +535,7 @@ impl AdmissionController {
     /// the slice's demand is pre-aggregated per touched (server, class)
     /// cell (identical (class, src, dst) triples share one route lookup)
     /// and reserved with one CAS per cell via
-    /// [`try_reserve_batch`](crate::AdmissionBackend::try_reserve_batch).
+    /// [`try_reserve_batch`](crate::UtilizationState::try_reserve_batch).
     /// If the aggregate fits, every routed flow is admitted together
     /// (`fast_path`); if not, the batch falls back to the sequential
     /// path flow-by-flow in slice order, yielding exactly the decisions
@@ -750,9 +742,9 @@ impl AdmissionController {
                     if cas_retries > 0 {
                         m.cas_retries.add(u64::from(cas_retries));
                     }
-                    // One batched decision = one entry in the per-backend
-                    // retry histogram (total retries across the batch).
-                    m.record_retries(generation.kind(), cas_retries);
+                    // One batched decision = one entry in the retry
+                    // histogram (total retries across the batch).
+                    m.record_retries(cas_retries);
                     m.batches.inc();
                     m.record_admit_ns(timer);
                 }
@@ -888,7 +880,7 @@ impl AdmissionController {
     pub fn reserved(&self, server: usize, class: ClassId) -> f64 {
         self.current_generation()
             .backend()
-            .snapshot(server, class.index())
+            .reserved(server, class.index())
     }
 
     /// Fraction of the class budget in use on a server (current
@@ -933,15 +925,10 @@ impl AdmissionController {
             let mut total_bps = 0.0f64;
             for server in 0..backend.servers() {
                 max_share = max_share.max(backend.occupancy(server, class));
-                total_bps += backend.snapshot(server, class);
+                total_bps += backend.reserved(server, class);
             }
             m.class_max_share[class].set(max_share);
             m.class_reserved_bps[class].set(total_bps);
-        }
-        if let Some(c) = backend.contention() {
-            m.sharded_borrows.set(c.borrows as f64);
-            m.sharded_steals.set(c.steals as f64);
-            m.sharded_spurious_rejects.set(c.spurious_rejects as f64);
         }
         self.drain();
     }
@@ -1025,14 +1012,10 @@ mod tests {
     }
 
     fn setup(alpha: f64) -> (AdmissionController, usize) {
-        setup_on(alpha, BackendKind::Atomic)
-    }
-
-    fn setup_on(alpha: f64, kind: BackendKind) -> (AdmissionController, usize) {
         let (table, shared, edges) = topology();
         let classes = ClassSet::single(TrafficClass::voip());
         let caps = vec![1e6; edges];
-        let ctrl = AdmissionController::with_backend(table, &classes, &caps, &[alpha], kind);
+        let ctrl = AdmissionController::new(table, &classes, &caps, &[alpha]);
         (ctrl, shared)
     }
 
@@ -1049,33 +1032,31 @@ mod tests {
 
     #[test]
     fn admits_until_shared_link_full() {
-        for kind in [BackendKind::Atomic, BackendKind::Sharded(4)] {
-            // alpha 0.32 on 1 Mb/s => 10 voip flows on the shared link.
-            let (ctrl, shared) = setup_on(0.32, kind);
-            let mut handles = Vec::new();
-            for i in 0..10 {
-                let h = ctrl
-                    .try_admit(ClassId(0), NodeId(0), NodeId(2))
-                    .unwrap_or_else(|e| panic!("flow {i} rejected: {e:?}"));
-                handles.push(h);
-            }
-            let r = ctrl.try_admit(ClassId(0), NodeId(1), NodeId(2));
-            match r {
-                Err(Reject::LinkFull {
-                    server,
-                    class,
-                    reserved_bps,
-                    budget_bps,
-                }) => {
-                    assert_eq!(server, shared as u32);
-                    assert_eq!(class, ClassId(0));
-                    assert_eq!(reserved_bps, 320_000.0);
-                    assert_eq!(budget_bps, 320_000.0);
-                }
-                other => panic!("expected LinkFull, got {other:?}"),
-            }
-            assert_eq!(ctrl.per_link_flow_capacity(shared, ClassId(0)), 10);
+        // alpha 0.32 on 1 Mb/s => 10 voip flows on the shared link.
+        let (ctrl, shared) = setup(0.32);
+        let mut handles = Vec::new();
+        for i in 0..10 {
+            let h = ctrl
+                .try_admit(ClassId(0), NodeId(0), NodeId(2))
+                .unwrap_or_else(|e| panic!("flow {i} rejected: {e:?}"));
+            handles.push(h);
         }
+        let r = ctrl.try_admit(ClassId(0), NodeId(1), NodeId(2));
+        match r {
+            Err(Reject::LinkFull {
+                server,
+                class,
+                reserved_bps,
+                budget_bps,
+            }) => {
+                assert_eq!(server, shared as u32);
+                assert_eq!(class, ClassId(0));
+                assert_eq!(reserved_bps, 320_000.0);
+                assert_eq!(budget_bps, 320_000.0);
+            }
+            other => panic!("expected LinkFull, got {other:?}"),
+        }
+        assert_eq!(ctrl.per_link_flow_capacity(shared, ClassId(0)), 10);
     }
 
     #[test]
@@ -1164,30 +1145,27 @@ mod tests {
 
     #[test]
     fn concurrent_admission_respects_budget() {
-        for kind in [BackendKind::Atomic, BackendKind::Sharded(4)] {
-            let (ctrl, shared) = setup_on(0.32, kind);
-            let mut threads = Vec::new();
-            for _ in 0..8 {
-                let ctrl = ctrl.clone();
-                threads.push(std::thread::spawn(move || {
-                    let mut held = Vec::new();
-                    for _ in 0..5 {
-                        if let Ok(h) = ctrl.try_admit(ClassId(0), NodeId(0), NodeId(2)) {
-                            held.push(h);
-                        }
+        let (ctrl, shared) = setup(0.32);
+        let mut threads = Vec::new();
+        for _ in 0..8 {
+            let ctrl = ctrl.clone();
+            threads.push(std::thread::spawn(move || {
+                let mut held = Vec::new();
+                for _ in 0..5 {
+                    if let Ok(h) = ctrl.try_admit(ClassId(0), NodeId(0), NodeId(2)) {
+                        held.push(h);
                     }
-                    // Keep the handles alive until the main thread has counted
-                    // them, so freed capacity cannot be re-admitted mid-test.
-                    held
-                }));
-            }
-            let all: Vec<Vec<FlowHandle>> =
-                threads.into_iter().map(|t| t.join().unwrap()).collect();
-            let admitted: usize = all.iter().map(Vec::len).sum();
-            assert_eq!(admitted, 10, "exactly the link capacity must be admitted");
-            drop(all);
-            assert_eq!(ctrl.reserved(shared, ClassId(0)), 0.0);
+                }
+                // Keep the handles alive until the main thread has counted
+                // them, so freed capacity cannot be re-admitted mid-test.
+                held
+            }));
         }
+        let all: Vec<Vec<FlowHandle>> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        let admitted: usize = all.iter().map(Vec::len).sum();
+        assert_eq!(admitted, 10, "exactly the link capacity must be admitted");
+        drop(all);
+        assert_eq!(ctrl.reserved(shared, ClassId(0)), 0.0);
     }
 
     #[test]
@@ -1266,67 +1244,63 @@ mod tests {
             .unwrap();
         assert_eq!(h.generation(), g0.id());
         assert_eq!(g0.pinned(), 1);
-        assert_eq!(g0.backend().snapshot(2, 0), 32_000.0);
+        assert_eq!(g0.backend().reserved(2, 0), 32_000.0);
         assert_eq!(ctrl.reserved(2, ClassId(0)), 0.0, "current gen untouched");
         drop(h);
         assert_eq!(g0.pinned(), 0);
-        assert_eq!(g0.backend().snapshot(2, 0), 0.0);
+        assert_eq!(g0.backend().reserved(2, 0), 0.0);
     }
 
     #[test]
     fn batch_fast_path_admits_everything_that_fits() {
-        for kind in [BackendKind::Atomic, BackendKind::Sharded(4)] {
-            let (ctrl, shared) = setup_on(0.32, kind);
-            let specs = vec![
-                FlowSpec {
-                    class: ClassId(0),
-                    src: NodeId(0),
-                    dst: NodeId(2),
-                };
-                10
-            ];
-            let out = ctrl.try_admit_batch(&specs);
-            assert!(out.fast_path, "{kind:?}");
-            assert_eq!(out.admitted(), 10, "{kind:?}");
-            assert_eq!(ctrl.occupancy(shared, ClassId(0)), 1.0);
-            assert_eq!(ctrl.current_generation().pinned(), 10);
-            let handles = out.into_handles();
-            assert_eq!(handles[0].route().len(), 2);
-            drop(handles);
-            assert_eq!(ctrl.reserved(shared, ClassId(0)), 0.0);
-            assert_eq!(ctrl.current_generation().pinned(), 0);
-        }
+        let (ctrl, shared) = setup(0.32);
+        let specs = vec![
+            FlowSpec {
+                class: ClassId(0),
+                src: NodeId(0),
+                dst: NodeId(2),
+            };
+            10
+        ];
+        let out = ctrl.try_admit_batch(&specs);
+        assert!(out.fast_path);
+        assert_eq!(out.admitted(), 10);
+        assert_eq!(ctrl.occupancy(shared, ClassId(0)), 1.0);
+        assert_eq!(ctrl.current_generation().pinned(), 10);
+        let handles = out.into_handles();
+        assert_eq!(handles[0].route().len(), 2);
+        drop(handles);
+        assert_eq!(ctrl.reserved(shared, ClassId(0)), 0.0);
+        assert_eq!(ctrl.current_generation().pinned(), 0);
     }
 
     #[test]
     fn batch_fallback_matches_sequential_decisions() {
-        for kind in [BackendKind::Atomic, BackendKind::Sharded(4)] {
-            // 12 flows against a 10-flow link: the aggregate cannot fit,
-            // so the batch falls back and admits exactly the prefix the
-            // sequential path would.
-            let (ctrl, shared) = setup_on(0.32, kind);
-            let specs = vec![
-                FlowSpec {
-                    class: ClassId(0),
-                    src: NodeId(1),
-                    dst: NodeId(2),
-                };
-                12
-            ];
-            let out = ctrl.try_admit_batch(&specs);
-            assert!(!out.fast_path, "{kind:?}");
-            assert_eq!(out.admitted(), 10, "{kind:?}");
-            assert_eq!(out.rejected(), 2);
-            // Request order is preserved: the prefix admits, the tail
-            // rejects with full link diagnostics.
-            assert!(out.flows[..10].iter().all(Result::is_ok));
-            for r in &out.flows[10..] {
-                match r {
-                    Err(Reject::LinkFull { server, .. }) => {
-                        assert_eq!(*server, shared as u32)
-                    }
-                    other => panic!("expected LinkFull, got {other:?}"),
+        // 12 flows against a 10-flow link: the aggregate cannot fit,
+        // so the batch falls back and admits exactly the prefix the
+        // sequential path would.
+        let (ctrl, shared) = setup(0.32);
+        let specs = vec![
+            FlowSpec {
+                class: ClassId(0),
+                src: NodeId(1),
+                dst: NodeId(2),
+            };
+            12
+        ];
+        let out = ctrl.try_admit_batch(&specs);
+        assert!(!out.fast_path);
+        assert_eq!(out.admitted(), 10);
+        assert_eq!(out.rejected(), 2);
+        // Request order is preserved: the prefix admits, the tail
+        // rejects with full link diagnostics.
+        assert!(out.flows[..10].iter().all(Result::is_ok));
+        for r in &out.flows[10..] {
+            match r {
+                Err(Reject::LinkFull { server, .. }) => {
+                    assert_eq!(*server, shared as u32)
                 }
+                other => panic!("expected LinkFull, got {other:?}"),
             }
         }
     }
@@ -1369,11 +1343,11 @@ mod tests {
         );
         assert!(out.fast_path);
         assert_eq!(g0.pinned(), 3);
-        assert_eq!(g0.backend().snapshot(2, 0), 3.0 * 32_000.0);
+        assert_eq!(g0.backend().reserved(2, 0), 3.0 * 32_000.0);
         assert_eq!(ctrl.reserved(2, ClassId(0)), 0.0, "current gen untouched");
         drop(out);
         assert_eq!(g0.pinned(), 0);
-        assert_eq!(g0.backend().snapshot(2, 0), 0.0);
+        assert_eq!(g0.backend().reserved(2, 0), 0.0);
     }
 
     fn policy_ctrl(alpha: f64, cfg: PolicyConfig) -> AdmissionController {

@@ -6,7 +6,7 @@
 //! tried, the first link that cannot fit the flow, and the
 //! observed-vs-budget utilization and headroom on that link. The dry run
 //! uses the same exact integer-millibit predicate as the real admission
-//! test ([`AdmissionBackend::would_fit`](crate::AdmissionBackend)), so
+//! test ([`UtilizationState::would_fit`](crate::UtilizationState::would_fit)), so
 //! against an unchanged state the diagnosis can never disagree with what
 //! [`try_admit`](crate::AdmissionController::try_admit) would do —
 //! the explainability contract SDN delay-guarantee controllers expose as
@@ -253,11 +253,11 @@ impl AdmissionController {
                 if !state.would_fit(s, c, rate) {
                     ex.verdict = ExplainVerdict::LinkFull;
                     ex.link = Some(server);
-                    ex.reserved_bps = state.snapshot(s, c);
+                    ex.reserved_bps = state.reserved(s, c);
                     ex.budget_bps = state.budget(s, c);
                     break;
                 }
-                let headroom = state.budget(s, c) - state.snapshot(s, c);
+                let headroom = state.budget(s, c) - state.reserved(s, c);
                 if tightest.is_none_or(|(_, h)| headroom < h) {
                     tightest = Some((server, headroom));
                 }
@@ -265,7 +265,7 @@ impl AdmissionController {
             if ex.verdict == ExplainVerdict::Admissible {
                 if let Some((server, _)) = tightest {
                     ex.link = Some(server);
-                    ex.reserved_bps = state.snapshot(server as usize, c);
+                    ex.reserved_bps = state.reserved(server as usize, c);
                     ex.budget_bps = state.budget(server as usize, c);
                 }
             }

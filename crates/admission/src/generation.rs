@@ -4,7 +4,7 @@
 //! utilization assignment) and a run-time half (admit against it). A
 //! [`ConfigGeneration`] is one *installable unit* of config-time output:
 //! the routing table, the per-class utilization shares, and the budgets
-//! they induce, frozen together with a fresh reservation backend. The
+//! they induce, frozen together with a fresh reservation state. The
 //! controller swaps an `Arc<ConfigGeneration>` behind an epoch pointer
 //! (see [`AdmissionController::reconfigure`]), so a generation is never
 //! mutated after installation — in-flight flows admitted under it keep
@@ -13,22 +13,23 @@
 //!
 //! [`AdmissionController::reconfigure`]: crate::AdmissionController::reconfigure
 
-use crate::backend::{AdmissionBackend, AtomicBackend, ShardedBackend};
 use crate::policy::PolicyChain;
+use crate::state::UtilizationState;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::table::RoutingTable;
 use uba_traffic::ClassSet;
 
-/// Which reservation backend a generation allocates.
+/// Vestigial: there is one reservation state ([`UtilizationState`]) and
+/// nothing left to select. The enum and the ignored `kind` parameter of
+/// [`ConfigGeneration::new`] / [`ConfigGeneration::with_policy`] /
+/// `Configuration::apply` survive only because the frozen `benchmark/`
+/// sources name `BackendKind::Atomic`; the next PR that may edit the
+/// benchmark drops both (DESIGN.md §8).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// One CAS counter per (server, class) — [`AtomicBackend`].
+    /// One CAS counter per (server, class) — the only reservation state.
     #[default]
     Atomic,
-    /// Budgets striped across shards with neighbor borrowing —
-    /// [`ShardedBackend`] (shard count clamped to
-    /// `1..=`[`MAX_SHARDS`](crate::backend::MAX_SHARDS)).
-    Sharded(usize),
 }
 
 /// Generation ids are unique across the whole process (not per
@@ -37,7 +38,7 @@ pub enum BackendKind {
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// One immutable (routing table, alphas, budgets) snapshot plus its
-/// reservation backend.
+/// reservation state.
 #[derive(Debug)]
 pub struct ConfigGeneration {
     id: u64,
@@ -46,8 +47,7 @@ pub struct ConfigGeneration {
     rates: Vec<f64>,
     /// Per-class utilization share `α_i` this generation was verified at.
     alphas: Vec<f64>,
-    kind: BackendKind,
-    backend: Box<dyn AdmissionBackend>,
+    backend: UtilizationState,
     /// Shaping stages evaluated before the backend reservation (see
     /// [`PolicyChain`]). Frozen with the generation: a reconfigure
     /// installs fresh policy state alongside the fresh budgets.
@@ -60,7 +60,8 @@ pub struct ConfigGeneration {
 impl ConfigGeneration {
     /// Freezes a configuration: the committed routing table, the class
     /// set (for per-flow rates), per-server capacities, and the verified
-    /// utilization assignment, with a fresh backend of the given kind.
+    /// utilization assignment, with fresh (all-zero) reservation state.
+    /// `kind` is ignored (see [`BackendKind`]).
     pub fn new(
         table: RoutingTable,
         classes: &ClassSet,
@@ -87,30 +88,19 @@ impl ConfigGeneration {
         classes: &ClassSet,
         capacities: &[f64],
         alphas: &[f64],
-        kind: BackendKind,
+        _kind: BackendKind,
         policy: PolicyChain,
     ) -> Self {
         assert_eq!(alphas.len(), classes.len(), "one alpha per class");
-        let backend: Box<dyn AdmissionBackend> = match kind {
-            BackendKind::Atomic => Box::new(AtomicBackend::new(capacities, alphas)),
-            BackendKind::Sharded(n) => Box::new(ShardedBackend::new(capacities, alphas, n)),
-        };
         Self {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             table,
             rates: classes.iter().map(|(_, c)| c.bucket.rate).collect(),
             alphas: alphas.to_vec(),
-            kind,
-            backend,
+            backend: UtilizationState::new(capacities, alphas),
             policy,
             pinned: AtomicU64::new(0),
         }
-    }
-
-    /// Which backend kind this generation allocated (the per-backend
-    /// telemetry split keys on this).
-    pub fn kind(&self) -> BackendKind {
-        self.kind
     }
 
     /// Process-unique generation id (monotone in creation order).
@@ -133,9 +123,9 @@ impl ConfigGeneration {
         &self.alphas
     }
 
-    /// The reservation backend holding this generation's budgets.
-    pub fn backend(&self) -> &dyn AdmissionBackend {
-        &*self.backend
+    /// The reservation state holding this generation's budgets.
+    pub fn backend(&self) -> &UtilizationState {
+        &self.backend
     }
 
     /// The shaping stages evaluated before the backend reservation. A
@@ -185,40 +175,35 @@ mod tests {
     use super::*;
     use uba_traffic::TrafficClass;
 
-    fn generation(kind: BackendKind) -> ConfigGeneration {
+    fn generation() -> ConfigGeneration {
         ConfigGeneration::new(
             RoutingTable::new(),
             &ClassSet::single(TrafficClass::voip()),
             &[1e6, 1e6],
             &[0.5],
-            kind,
+            BackendKind::Atomic,
         )
     }
 
     #[test]
     fn ids_are_unique_and_monotone() {
-        let a = generation(BackendKind::Atomic);
-        let b = generation(BackendKind::Sharded(4));
+        let a = generation();
+        let b = generation();
         assert!(b.id() > a.id());
     }
 
     #[test]
-    fn backend_kind_selects_implementation() {
-        let a = generation(BackendKind::Atomic);
-        let s = generation(BackendKind::Sharded(4));
-        // Both enforce the same budgets.
-        assert_eq!(a.backend().budget(0, 0), 500_000.0);
-        assert_eq!(s.backend().budget(0, 0), 500_000.0);
-        assert_eq!(a.rates(), &[32_000.0]);
-        assert_eq!(a.alphas(), &[0.5]);
-        assert!(format!("{:?}", s.backend()).contains("ShardedBackend"));
-        assert_eq!(a.kind(), BackendKind::Atomic);
-        assert_eq!(s.kind(), BackendKind::Sharded(4));
+    fn freezes_budgets_rates_and_alphas() {
+        let g = generation();
+        assert_eq!(g.backend().budget(0, 0), 500_000.0);
+        assert_eq!(g.backend().reserved(0, 0), 0.0);
+        assert_eq!(g.rates(), &[32_000.0]);
+        assert_eq!(g.alphas(), &[0.5]);
     }
 
     #[test]
     fn pin_counting() {
-        let g = generation(BackendKind::Atomic);
+        let g = generation();
         assert_eq!(g.pinned(), 0);
         g.pin();
         g.pin();

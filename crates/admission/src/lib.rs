@@ -7,17 +7,14 @@
 //! configurations change under load — *versioned*:
 //!
 //! * [`state`] — per-(server, class) reserved-rate counters as lock-free
-//!   atomics with CAS reservation; the class budget is never exceeded,
-//!   even under concurrent admissions.
-//! * [`backend`] — the pluggable reservation-state contract
-//!   ([`AdmissionBackend`]): the CAS counters above as [`AtomicBackend`],
-//!   plus a budget-striping [`ShardedBackend`] that spreads hot-link CAS
-//!   contention across cache-padded shards with a two-phase
-//!   reserve-then-borrow protocol (a reject always carries a
-//!   genuine-exhaustion witness — no spurious double-rejects).
+//!   atomics with CAS reservation ([`UtilizationState`]): all-or-nothing
+//!   path and batch reservations, one CAS per cell, and the class budget
+//!   is never exceeded even under concurrent admissions. This is the one
+//!   reservation state of a generation (DESIGN.md §8 records the
+//!   striped second implementation that was tried and deleted).
 //! * [`generation`] — immutable [`ConfigGeneration`] snapshots (routing
-//!   table + alphas + budgets + fresh backend), the installable unit of
-//!   config-time output.
+//!   table + alphas + budgets + fresh reservation state), the
+//!   installable unit of config-time output.
 //! * [`table`] — the configured routing table mapping (src, dst, class)
 //!   to the committed route.
 //! * [`controller`] — the utilization-based admission controller with
@@ -58,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod arrival;
-pub mod backend;
 pub mod baseline;
 pub mod churn;
 pub mod controller;
@@ -71,7 +67,6 @@ pub(crate) mod sync;
 pub mod table;
 
 pub use arrival::{ArrivalEstimator, ArrivalMonitor, OveruseDetector, OveruseState, RateAction};
-pub use backend::{AdmissionBackend, AtomicBackend, CellDemand, PathReject, ShardedBackend};
 pub use baseline::PerFlowAdmission;
 pub use churn::{
     run_churn, run_churn_bursts, run_churn_bursty, run_churn_with, ChurnConfig, ChurnStats, Policy,
@@ -86,5 +81,5 @@ pub use policy::{
     AimdParams, AimdStage, ChainKind, PolicyChain, PolicyConfig, PolicyStage, TokenBucketStage,
     STAGE_NAMES,
 };
-pub use state::UtilizationState;
+pub use state::{CellDemand, PathReject, UtilizationState};
 pub use table::RoutingTable;

@@ -18,7 +18,6 @@
 //! pays for them.
 
 use crate::arrival::ArrivalMonitor;
-use crate::generation::BackendKind;
 use crate::policy::STAGE_NAMES;
 use crate::sync::CachePadded;
 use std::cell::{Cell, RefCell};
@@ -130,8 +129,7 @@ struct HotHandles {
     releases: Arc<Counter>,
     path_hops: Arc<Histogram>,
     admit_ns: Arc<Histogram>,
-    retries_atomic: Arc<Histogram>,
-    retries_sharded: Arc<Histogram>,
+    retries_per_op: Arc<Histogram>,
     arrival: Arc<ArrivalSink>,
 }
 
@@ -146,11 +144,8 @@ struct Pending {
     /// Per-class offered-arrival counts (admits + link-full rejects)
     /// awaiting one [`ArrivalSink::observe`] call at flush.
     arrivals: [Cell<u32>; ARRIVAL_SLOTS],
-    /// Per-decision CAS retry counts, one slot per retry count, split by
-    /// backend kind (a thread can drive both kinds via different
-    /// generations).
-    retries_atomic: [Cell<u32>; RETRY_SLOTS],
-    retries_sharded: [Cell<u32>; RETRY_SLOTS],
+    /// Per-decision CAS retry counts, one slot per retry count.
+    retries: [Cell<u32>; RETRY_SLOTS],
     /// Sampled decision latencies (ns) awaiting flush.
     lat: [Cell<f64>; LAT_SLOTS],
     lat_len: Cell<usize>,
@@ -169,8 +164,7 @@ impl Pending {
             releases: Cell::new(0),
             hops: [const { Cell::new(0) }; HOP_SLOTS],
             arrivals: [const { Cell::new(0) }; ARRIVAL_SLOTS],
-            retries_atomic: [const { Cell::new(0) }; RETRY_SLOTS],
-            retries_sharded: [const { Cell::new(0) }; RETRY_SLOTS],
+            retries: [const { Cell::new(0) }; RETRY_SLOTS],
             lat: [const { Cell::new(0.0) }; LAT_SLOTS],
             lat_len: Cell::new(0),
             lat_countdown: Cell::new(0),
@@ -199,15 +193,10 @@ impl Pending {
                 h.path_hops.record_n(i as f64, n as u64);
             }
         }
-        for (hist, slots) in [
-            (&h.retries_atomic, &self.retries_atomic),
-            (&h.retries_sharded, &self.retries_sharded),
-        ] {
-            for (i, c) in slots.iter().enumerate() {
-                let n = c.replace(0);
-                if n > 0 {
-                    hist.record_n(i as f64, n as u64);
-                }
+        for (i, c) in self.retries.iter().enumerate() {
+            let n = c.replace(0);
+            if n > 0 {
+                h.retries_per_op.record_n(i as f64, n as u64);
             }
         }
         let lat_len = self.lat_len.replace(0);
@@ -233,8 +222,7 @@ impl Pending {
             releases: Arc::clone(&m.releases),
             path_hops: Arc::clone(&m.path_hops),
             admit_ns: Arc::clone(&m.admit_ns),
-            retries_atomic: Arc::clone(&m.retries_atomic),
-            retries_sharded: Arc::clone(&m.retries_sharded),
+            retries_per_op: Arc::clone(&m.retries_per_op),
             arrival: Arc::clone(&m.arrival),
         });
     }
@@ -287,11 +275,7 @@ thread_local! {
 /// | `admission.reconfigures` | counter | generation swaps applied |
 /// | `admission.reconfigure_ns` | histogram | swap latency (pointer install), ns |
 /// | `admission.admit_ns` | histogram | sampled per-decision latency, ns (1 in [`LATENCY_SAMPLE_EVERY`]) |
-/// | `admission.retries_per_op.atomic` | histogram | CAS retries per decision, atomic backend |
-/// | `admission.retries_per_op.sharded` | histogram | CAS retries per decision, sharded backend |
-/// | `admission.sharded.borrows` | gauge | cross-shard borrows (home shard partial) |
-/// | `admission.sharded.steals` | gauge | cross-shard steals (home shard empty) |
-/// | `admission.sharded.spurious_rejects` | gauge | contention-induced rejects (structurally 0 under the two-phase protocol; a tripwire) |
+/// | `admission.retries_per_op` | histogram | CAS retries per decision (mean = retry rate) |
 /// | `admission.batches` | counter | batched admission decisions ([`try_admit_batch`](crate::AdmissionController::try_admit_batch)) |
 /// | `admission.batch_fallbacks` | counter | batches whose aggregate did not fit (re-tried flow-by-flow) |
 /// | `admission.arrival.class<i>.rate` | gauge | EWMA offered-arrival rate of class i (admits + link-full rejects)/s |
@@ -333,21 +317,9 @@ pub struct AdmissionMetrics {
     /// Sampled admission-decision latency, nanoseconds (one decision in
     /// [`LATENCY_SAMPLE_EVERY`] is timed; see the module docs).
     pub admit_ns: Arc<Histogram>,
-    /// CAS retries per decision on [`BackendKind::Atomic`] generations
-    /// (zero-retry decisions are recorded too, so the histogram's mean
-    /// is the retry *rate*).
-    pub retries_atomic: Arc<Histogram>,
-    /// CAS retries per decision on [`BackendKind::Sharded`] generations.
-    pub retries_sharded: Arc<Histogram>,
-    /// Cross-shard borrows of the current sharded backend (refreshed by
-    /// `refresh_gauges`; 0 on atomic generations).
-    pub sharded_borrows: Arc<Gauge>,
-    /// Cross-shard steals of the current sharded backend.
-    pub sharded_steals: Arc<Gauge>,
-    /// Spurious (contention-induced) rejects of the current sharded
-    /// backend. Structurally zero under the two-phase borrow protocol;
-    /// kept as a regression tripwire (the scaling bench gates on it).
-    pub sharded_spurious_rejects: Arc<Gauge>,
+    /// CAS retries per decision (zero-retry decisions are recorded too,
+    /// so the histogram's mean is the retry *rate*).
+    pub retries_per_op: Arc<Histogram>,
     /// Batched admission decisions
     /// ([`try_admit_batch`](crate::AdmissionController::try_admit_batch)
     /// calls, fast path or fallback).
@@ -390,11 +362,7 @@ impl AdmissionMetrics {
             reconfigures: registry.counter("admission.reconfigures"),
             reconfigure_ns: registry.histogram("admission.reconfigure_ns", 2.0),
             admit_ns: registry.histogram("admission.admit_ns", 2.0),
-            retries_atomic: registry.histogram("admission.retries_per_op.atomic", 1.0),
-            retries_sharded: registry.histogram("admission.retries_per_op.sharded", 1.0),
-            sharded_borrows: registry.gauge("admission.sharded.borrows"),
-            sharded_steals: registry.gauge("admission.sharded.steals"),
-            sharded_spurious_rejects: registry.gauge("admission.sharded.spurious_rejects"),
+            retries_per_op: registry.histogram("admission.retries_per_op", 1.0),
             batches: registry.counter("admission.batches"),
             batch_fallbacks: registry.counter("admission.batch_fallbacks"),
             arrival: Arc::new(ArrivalSink::new(registry, classes)),
@@ -496,22 +464,17 @@ impl AdmissionMetrics {
     }
 
     /// Records the CAS retry count of one decision (admit or link-full
-    /// reject) against the backend kind that served it, into this
-    /// thread's buffer. Zero-retry decisions count too: the histogram
-    /// mean is then retries-per-operation, the scaling benchmark's
-    /// contention figure.
+    /// reject) into this thread's buffer. Zero-retry decisions count
+    /// too: the histogram mean is then retries-per-operation, the
+    /// scaling benchmark's contention figure.
     #[inline]
-    pub fn record_retries(&self, kind: BackendKind, retries: u32) {
+    pub fn record_retries(&self, retries: u32) {
         PENDING.with(|p| {
             if p.owner.get() != Arc::as_ptr(&self.admits) {
                 p.adopt(self);
             }
-            let slots = match kind {
-                BackendKind::Atomic => &p.retries_atomic,
-                BackendKind::Sharded(_) => &p.retries_sharded,
-            };
-            let slot = (retries as usize).min(RETRY_SLOTS - 1);
-            slots[slot].set(slots[slot].get() + 1);
+            let slot = &p.retries[(retries as usize).min(RETRY_SLOTS - 1)];
+            slot.set(slot.get() + 1);
             p.bump();
         });
     }
@@ -633,24 +596,22 @@ mod tests {
     }
 
     #[test]
-    fn record_retries_splits_by_backend_and_clamps() {
+    fn record_retries_counts_every_decision_and_clamps() {
         let r = Registry::new();
         let m = AdmissionMetrics::register(&r, 1);
         m.flush();
         for _ in 0..3 {
-            m.record_retries(BackendKind::Atomic, 0);
+            m.record_retries(0);
         }
-        m.record_retries(BackendKind::Atomic, 100); // clamps to the last slot
-        m.record_retries(BackendKind::Sharded(4), 2);
-        m.record_retries(BackendKind::Sharded(4), 2);
+        m.record_retries(100); // clamps to the last slot
+        m.record_retries(2);
         m.flush();
-        assert_eq!(m.retries_atomic.count(), 4);
-        assert_eq!(m.retries_atomic.max(), (RETRY_SLOTS - 1) as f64);
-        assert_eq!(m.retries_sharded.count(), 2);
-        assert_eq!(m.retries_sharded.max(), 2.0);
+        assert_eq!(m.retries_per_op.count(), 5);
+        assert_eq!(m.retries_per_op.max(), (RETRY_SLOTS - 1) as f64);
         // Zero-retry decisions are part of the population, so the mean
         // is retries-per-operation.
-        assert_eq!(m.retries_sharded.mean(), Some(2.0));
+        let mean = (RETRY_SLOTS - 1 + 2) as f64 / 5.0;
+        assert_eq!(m.retries_per_op.mean(), Some(mean));
     }
 
     #[test]

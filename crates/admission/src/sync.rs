@@ -1,6 +1,6 @@
 //! Sync primitives for the lock-free admission core.
 //!
-//! The shimmed modules (`state`, `backend`, `generation`, `controller`)
+//! The shimmed modules (`state`, `generation`, `controller`, `policy`)
 //! import their atomics, `Arc`, and `Mutex` from here instead of
 //! `std::sync` directly (the `xtask check` shim-purity rule enforces
 //! it). A normal build re-exports `std` wholesale — the shim compiles
@@ -18,7 +18,7 @@ pub(crate) use std::sync::{Arc, Mutex};
 /// loom` swaps in the model checker's versions.
 #[cfg(not(loom))]
 pub(crate) mod atomic {
-    pub use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    pub use std::sync::atomic::{AtomicU64, Ordering};
 }
 
 #[cfg(loom)]
@@ -28,9 +28,6 @@ pub(crate) use uba_loom::sync::{Arc, Mutex};
 /// loom` swaps in the model checker's versions.
 #[cfg(loom)]
 pub(crate) mod atomic {
-    // `AtomicUsize` is only used by the sharded backend's home-shard
-    // counter, which is `cfg(not(loom))` (the model uses the scheduler's
-    // deterministic thread index instead), so it is not re-exported here.
     pub use uba_loom::sync::atomic::{AtomicU64, Ordering};
 }
 
@@ -38,9 +35,8 @@ pub(crate) mod atomic {
 /// array never share a line. 128 bytes, not 64: Intel's spatial
 /// prefetcher pulls line pairs, and aarch64 big cores have 128-byte
 /// lines — padding to the pair kills both destructive-interference
-/// modes. Used for the sharded backend's per-shard slots (the whole
-/// point of striping a budget is that each stripe gets its own line;
-/// see DESIGN.md §11 for the padding audit).
+/// modes. Used for the policy stages' per-class slots and the
+/// per-thread metric buffer (see DESIGN.md §11 for the padding audit).
 #[cfg(not(loom))]
 #[repr(align(128))]
 #[derive(Debug, Default)]

@@ -19,12 +19,10 @@
 //! What is being proven (within bounds — see the `uba-loom` crate docs
 //! for what the checker does and does not model):
 //!
-//! 1. The class budget is never exceeded by concurrent reservations, on
-//!    both backends, and concurrent release republishes headroom exactly.
-//!    On the sharded backend the two-phase reserve-then-borrow protocol
-//!    additionally guarantees *no spurious rejects*: whenever aggregate
-//!    demand fits the budget, every contender is admitted (PR 5's model
-//!    documented the old lock-free borrow failing exactly this).
+//! 1. The class budget is never exceeded by concurrent reservations,
+//!    concurrent release republishes headroom exactly, and a multi-hop
+//!    path reservation that loses a later hop rolls its prefix back
+//!    without residue.
 //! 2. An admit racing a reconfigure lands on exactly one generation —
 //!    never lost, never double-counted.
 //! 3. A pinned `FlowHandle` always releases against the generation that
@@ -41,11 +39,12 @@
 
 #![cfg(loom)]
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use uba_admission::{
-    AdmissionBackend, AdmissionController, AtomicBackend, BackendKind, ConfigGeneration, FlowSpec,
-    PolicyStage, RoutingTable, ShardedBackend, TokenBucketStage,
+    AdmissionController, BackendKind, ConfigGeneration, FlowSpec, PolicyStage, RoutingTable,
+    TokenBucketStage, UtilizationState,
 };
 use uba_graph::{Digraph, NodeId, Path};
 use uba_loom::{Builder, Exploration};
@@ -89,82 +88,74 @@ fn flagship() -> Builder {
     b
 }
 
-// --- Model 1: budget safety on both backends -------------------------
+// --- Model 1: budget safety of the reservation state ------------------
 
 /// Two concurrent reservations against a budget that fits only one:
-/// never may both win, and every loser leaves no residue. `must_admit`
-/// additionally requires that *some* flow wins — true for **both**
-/// backends now: the atomic backend because the first CAS to execute
-/// succeeds, and the sharded one because phase 2's locked sweep rejects
-/// only on a no-progress pass over every shard (PR 5's model found the
-/// old lock-free borrow double-rejecting here — each thread drained its
-/// home shard, saw the neighbor empty, and rolled back; the two-phase
-/// protocol makes that schedule impossible).
-fn budget_never_admits_two<B, F>(make: F, must_admit: bool)
-where
-    B: AdmissionBackend + 'static,
-    F: Fn() -> B + Send + Sync + 'static,
-{
+/// never may both win, the loser leaves no residue, and *some* flow wins
+/// (the first CAS to execute succeeds).
+#[test]
+fn budget_admits_exactly_one_of_two() {
     // Budget 1000 bits/s; each flow wants 600 — one fits, two never do.
-    assert_complete(bounds().check(move || {
-        let b = Arc::new(make());
+    assert_complete(bounds().check(|| {
+        let b = Arc::new(UtilizationState::new(&[1000.0], &[1.0]));
         let b2 = Arc::clone(&b);
         let rival = uba_loom::thread::spawn(move || b2.try_reserve_path(&[0], 0, 600.0).is_ok());
         let mine = b.try_reserve_path(&[0], 0, 600.0).is_ok();
         let theirs = rival.join().unwrap();
         assert!(!(mine && theirs), "budget 1000 admitted two flows of 600");
-        if must_admit {
-            assert!(mine || theirs, "budget 1000 admitted 0 flows of 600");
-        }
-        let expected = if mine || theirs { 600.0 } else { 0.0 };
-        assert_eq!(b.snapshot(0, 0), expected, "loser left residue");
-        assert!(b.snapshot(0, 0) <= b.budget(0, 0));
+        assert!(mine || theirs, "budget 1000 admitted 0 flows of 600");
+        assert_eq!(b.reserved(0, 0), 600.0, "loser left residue");
     }));
 }
 
+/// Two-hop reservations over the same two cells in opposite hop order,
+/// each cell budgeted for one flow: at most one path is admitted, and a
+/// path that wins its first hop but loses the second rolls the first
+/// back — both cells end holding exactly the winner's rate, or nothing
+/// when the two prefixes blocked each other. The tally proves the
+/// exploration reaches that double-rollback schedule.
 #[test]
-fn atomic_backend_budget_admits_exactly_one_of_two() {
-    budget_never_admits_two(|| AtomicBackend::new(&[1000.0], &[1.0]), true);
-}
-
-#[test]
-fn sharded_backend_budget_admits_exactly_one_of_two() {
-    budget_never_admits_two(|| ShardedBackend::new(&[1000.0], &[1.0], 2), true);
-}
-
-/// The no-spurious-reject guarantee head-on: 300 + 600 against a 1000
-/// budget striped 500/500. The old lock-free borrow had schedules where
-/// both threads held partial grabs, each saw the rest missing, and both
-/// rolled back — rejecting 900 of demand against 1000 of budget. Under
-/// the two-phase protocol every schedule admits both.
-#[test]
-fn sharded_two_phase_admits_all_when_total_headroom_suffices() {
-    assert_complete(flagship().check(|| {
-        let b = Arc::new(ShardedBackend::new(&[1000.0], &[1.0], 2));
+fn crossing_paths_admit_at_most_one_and_roll_back_cleanly() {
+    let both_lost = Arc::new(AtomicUsize::new(0));
+    let tally = Arc::clone(&both_lost);
+    assert_complete(bounds().check(move || {
+        let b = Arc::new(UtilizationState::new(&[1000.0, 1000.0], &[1.0]));
         let b2 = Arc::clone(&b);
-        let rival = uba_loom::thread::spawn(move || b2.try_reserve_path(&[0], 0, 600.0).is_ok());
-        let mine = b.try_reserve_path(&[0], 0, 300.0).is_ok();
+        let rival = uba_loom::thread::spawn(move || b2.try_reserve_path(&[1, 0], 0, 600.0).is_ok());
+        let mine = b.try_reserve_path(&[0, 1], 0, 600.0).is_ok();
         let theirs = rival.join().unwrap();
-        assert!(
-            mine && theirs,
-            "900 of demand against 1000 of budget must always fully admit \
-             (spurious reject: mine={mine} theirs={theirs})"
+        assert!(!(mine && theirs), "two 600 flows share a 1000 cell");
+        let expected = if mine || theirs {
+            600.0
+        } else {
+            tally.fetch_add(1, Ordering::Relaxed);
+            0.0
+        };
+        assert_eq!(
+            b.reserved(0, 0),
+            expected,
+            "rollback left residue on cell 0"
         );
-        assert_eq!(b.snapshot(0, 0), 900.0);
+        assert_eq!(
+            b.reserved(1, 0),
+            expected,
+            "rollback left residue on cell 1"
+        );
     }));
+    assert!(
+        both_lost.load(Ordering::Relaxed) > 0,
+        "no schedule had both prefixes block each other"
+    );
 }
 
 /// Concurrent reserve/release churn: whatever interleaving happens, all
 /// successfully reserved headroom is returned exactly — the cell
 /// balances to zero and never exceeds its budget in between (the
-/// backends' own debug asserts fire inside the model on any overshoot).
-fn reserve_release_balances<B, F>(make: F)
-where
-    B: AdmissionBackend + 'static,
-    F: Fn() -> B + Send + Sync + 'static,
-{
-    assert_complete(bounds().check(move || {
-        let b = Arc::new(make());
+/// state's own over-release assert fires inside the model otherwise).
+#[test]
+fn reserve_release_balances_to_zero() {
+    assert_complete(bounds().check(|| {
+        let b = Arc::new(UtilizationState::new(&[1000.0], &[1.0]));
         let b2 = Arc::clone(&b);
         let peer = uba_loom::thread::spawn(move || {
             if b2.try_reserve_path(&[0], 0, 600.0).is_ok() {
@@ -175,18 +166,8 @@ where
             b.release_path(&[0], 0, 600.0);
         }
         peer.join().unwrap();
-        assert_eq!(b.snapshot(0, 0), 0.0, "released headroom must all return");
+        assert_eq!(b.reserved(0, 0), 0.0, "released headroom must all return");
     }));
-}
-
-#[test]
-fn atomic_backend_reserve_release_balances_to_zero() {
-    reserve_release_balances(|| AtomicBackend::new(&[1000.0], &[1.0]));
-}
-
-#[test]
-fn sharded_backend_reserve_release_balances_to_zero() {
-    reserve_release_balances(|| ShardedBackend::new(&[1000.0], &[1.0], 2));
 }
 
 // --- Models 2 and 3: generation swap integrity -----------------------
@@ -235,8 +216,8 @@ fn admit_racing_reconfigure_is_never_lost_or_double_counted() {
         assert_eq!(gen2.id(), report.generation);
 
         let rate = handle.rate();
-        let on1 = gen1.backend().snapshot(0, 0);
-        let on2 = gen2.backend().snapshot(0, 0);
+        let on1 = gen1.backend().reserved(0, 0);
+        let on2 = gen2.backend().reserved(0, 0);
         if handle.generation() == gen1.id() {
             assert_eq!((on1, on2), (rate, 0.0), "admit must land on gen1 only");
         } else {
@@ -249,8 +230,8 @@ fn admit_racing_reconfigure_is_never_lost_or_double_counted() {
         }
 
         drop(handle);
-        assert_eq!(gen1.backend().snapshot(0, 0), 0.0);
-        assert_eq!(gen2.backend().snapshot(0, 0), 0.0);
+        assert_eq!(gen1.backend().reserved(0, 0), 0.0);
+        assert_eq!(gen2.backend().reserved(0, 0), 0.0);
         assert_eq!(gen1.pinned() + gen2.pinned(), 0);
         assert!(ctrl.drain().is_drained());
     }));
@@ -279,9 +260,9 @@ fn pinned_handle_releases_against_its_admitting_generation() {
         assert_eq!(report.previous, gen1.id());
         assert!(report.pinned_previous <= 1);
         assert_eq!(gen1.pinned(), 0, "drop must unpin the admitting generation");
-        assert_eq!(gen1.backend().snapshot(0, 0), 0.0, "release went to gen1");
+        assert_eq!(gen1.backend().reserved(0, 0), 0.0, "release went to gen1");
         let gen2 = ctrl.current_generation();
-        assert_eq!(gen2.backend().snapshot(0, 0), 0.0, "gen2 was never touched");
+        assert_eq!(gen2.backend().reserved(0, 0), 0.0, "gen2 was never touched");
         assert!(ctrl.drain().is_drained());
     }));
 }
@@ -322,7 +303,7 @@ fn batch_admit_racing_reconfigure_strands_nothing() {
             "a batch must land on exactly one generation"
         );
         let batch_rate = 2.0 * handles[0].rate();
-        let (on1, on2) = (gen1.backend().snapshot(0, 0), gen2.backend().snapshot(0, 0));
+        let (on1, on2) = (gen1.backend().reserved(0, 0), gen2.backend().reserved(0, 0));
         if admitted_on == gen1.id() {
             assert_eq!(
                 (on1, on2),
@@ -340,12 +321,12 @@ fn batch_admit_racing_reconfigure_strands_nothing() {
 
         drop(handles);
         assert_eq!(
-            gen1.backend().snapshot(0, 0),
+            gen1.backend().reserved(0, 0),
             0.0,
             "reservation stranded on gen1"
         );
         assert_eq!(
-            gen2.backend().snapshot(0, 0),
+            gen2.backend().reserved(0, 0),
             0.0,
             "reservation stranded on gen2"
         );

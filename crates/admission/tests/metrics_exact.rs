@@ -8,7 +8,7 @@
 //! the deltas are exact.
 
 use uba_admission::metrics::LATENCY_SAMPLE_EVERY;
-use uba_admission::{AdmissionController, AdmissionMetrics, BackendKind, Reject, RoutingTable};
+use uba_admission::{AdmissionController, AdmissionMetrics, Reject, RoutingTable};
 use uba_graph::{Digraph, NodeId, Path};
 use uba_traffic::{ClassId, ClassSet, TrafficClass};
 
@@ -24,14 +24,14 @@ fn topology() -> (RoutingTable, Vec<f64>) {
     (table, vec![1e6; g.edge_count()])
 }
 
-fn metered(kind: BackendKind) -> AdmissionController {
+fn metered() -> AdmissionController {
     let (table, caps) = topology();
     let classes = ClassSet::single(TrafficClass::voip());
-    AdmissionController::with_backend(table, &classes, &caps, &[0.32], kind)
+    AdmissionController::new(table, &classes, &caps, &[0.32])
 }
 
 fn metrics_track_admits_rejects_and_releases() {
-    let ctrl = metered(BackendKind::Atomic);
+    let ctrl = metered();
     let m = AdmissionMetrics::global(1);
     let (admits0, nr0, lf0, rel0) = (
         m.admits.get(),
@@ -62,10 +62,10 @@ fn metrics_track_admits_rejects_and_releases() {
 }
 
 fn decision_telemetry_feeds_latency_and_retry_histograms() {
-    let ctrl = metered(BackendKind::Sharded(4));
+    let ctrl = metered();
     let m = AdmissionMetrics::global(1);
     ctrl.refresh_gauges();
-    let (lat0, retry0) = (m.admit_ns.count(), m.retries_sharded.count());
+    let (lat0, retry0) = (m.admit_ns.count(), m.retries_per_op.count());
     // Enough decisions (admits + link-full + no-route) to guarantee
     // at least one latency sample on this thread.
     let mut held = Vec::new();
@@ -79,19 +79,12 @@ fn decision_telemetry_feeds_latency_and_retry_histograms() {
     assert!(ctrl.try_admit(ClassId(0), NodeId(2), NodeId(0)).is_err());
     ctrl.refresh_gauges();
     assert!(m.admit_ns.count() > lat0, "latency sampling must fire");
-    // Every decision on a sharded generation lands in the sharded
-    // retry histogram (no-route decisions never reach the backend).
+    // Every decision that reaches the reservation state lands in the
+    // retry histogram (no-route decisions never get that far).
     assert_eq!(
-        m.retries_sharded.count() - retry0,
+        m.retries_per_op.count() - retry0,
         2 * u64::from(LATENCY_SAMPLE_EVERY)
     );
-    // Single-threaded saturation of striped shards forces cross-shard
-    // borrowing; refresh_gauges published the backend's counters.
-    assert!(
-        m.sharded_borrows.get() + m.sharded_steals.get() > 0.0,
-        "saturating a 4-shard cell must cross shards"
-    );
-    assert_eq!(m.sharded_spurious_rejects.get(), 0.0, "no contention here");
 }
 
 fn unmetered_controller_admits_identically() {

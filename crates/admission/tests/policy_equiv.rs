@@ -6,7 +6,7 @@
 //! safety bar (ISSUE 9, ROADMAP item 2) is that the empty chain is a
 //! true no-op: a controller built through the policy-aware constructor
 //! with `PolicyChain::static_only()` is decision-for-decision identical
-//! to the default constructor — per-flow and batched, on both backends,
+//! to the default constructor — per-flow and batched,
 //! over real topologies, through saturation churn — and leaves bitwise
 //! identical reservation state behind. A `Static` chain also never
 //! reads any clock, so the `_at` variants with arbitrary timestamps
@@ -27,12 +27,7 @@ use uba_traffic::{ClassId, ClassSet, TrafficClass};
 
 const ALPHA: f64 = 0.2;
 
-fn generation(
-    g: &Digraph,
-    pairs: &[Pair],
-    kind: BackendKind,
-    chain: PolicyChain,
-) -> ConfigGeneration {
+fn generation(g: &Digraph, pairs: &[Pair], chain: PolicyChain) -> ConfigGeneration {
     let paths = sp_selection(g, pairs).expect("topology is connected");
     let mut table = RoutingTable::new();
     for p in &paths {
@@ -40,11 +35,11 @@ fn generation(
     }
     let classes = ClassSet::single(TrafficClass::voip());
     let caps = vec![1e6; g.edge_count()];
-    ConfigGeneration::with_policy(table, &classes, &caps, &[ALPHA], kind, chain)
+    ConfigGeneration::with_policy(table, &classes, &caps, &[ALPHA], BackendKind::Atomic, chain)
 }
 
 /// The pre-refactor construction path: no mention of policy anywhere.
-fn prerefactor(g: &Digraph, pairs: &[Pair], kind: BackendKind) -> AdmissionController {
+fn prerefactor(g: &Digraph, pairs: &[Pair]) -> AdmissionController {
     let paths = sp_selection(g, pairs).expect("topology is connected");
     let mut table = RoutingTable::new();
     for p in &paths {
@@ -52,11 +47,11 @@ fn prerefactor(g: &Digraph, pairs: &[Pair], kind: BackendKind) -> AdmissionContr
     }
     let classes = ClassSet::single(TrafficClass::voip());
     let caps = vec![1e6; g.edge_count()];
-    AdmissionController::with_backend(table, &classes, &caps, &[ALPHA], kind)
+    AdmissionController::new(table, &classes, &caps, &[ALPHA])
 }
 
-fn static_chain(g: &Digraph, pairs: &[Pair], kind: BackendKind) -> AdmissionController {
-    AdmissionController::from_generation(generation(g, pairs, kind, PolicyChain::static_only()))
+fn static_chain(g: &Digraph, pairs: &[Pair]) -> AdmissionController {
+    AdmissionController::from_generation(generation(g, pairs, PolicyChain::static_only()))
 }
 
 /// Seeded saturation churn via a caller-chosen admit function; returns
@@ -150,39 +145,29 @@ fn topologies() -> Vec<(Digraph, &'static str)> {
     ]
 }
 
-const BACKENDS: [BackendKind; 2] = [BackendKind::Atomic, BackendKind::Sharded(4)];
-
 /// Per-flow: the `Static` chain is decision-identical to the
 /// pre-refactor controller and leaves identical occupancy behind.
 #[test]
 fn static_chain_matches_prerefactor_per_flow() {
     for (g, name) in topologies() {
         let pairs = all_ordered_pairs(&g);
-        for kind in BACKENDS {
-            for seed in [7, 42] {
-                let old = prerefactor(&g, &pairs, kind);
-                let new = static_chain(&g, &pairs, kind);
-                let a = drive(&old, &pairs, seed, 2_000, |c, cl, s, d, _| {
-                    c.try_admit(cl, s, d)
-                });
-                let b = drive(&new, &pairs, seed, 2_000, |c, cl, s, d, _| {
-                    c.try_admit(cl, s, d)
-                });
-                assert!(
-                    a.iter().any(|&d| d),
-                    "{name}/{kind:?}/{seed}: no admissions"
-                );
-                assert!(
-                    a.iter().any(|&d| !d),
-                    "{name}/{kind:?}/{seed}: no rejections"
-                );
-                assert_eq!(a, b, "{name}/{kind:?}/{seed}: static chain diverged");
-                assert_eq!(
-                    old.occupancy_snapshot(ClassId(0)),
-                    new.occupancy_snapshot(ClassId(0)),
-                    "{name}/{kind:?}/{seed}: residual occupancy diverged"
-                );
-            }
+        for seed in [7, 42] {
+            let old = prerefactor(&g, &pairs);
+            let new = static_chain(&g, &pairs);
+            let a = drive(&old, &pairs, seed, 2_000, |c, cl, s, d, _| {
+                c.try_admit(cl, s, d)
+            });
+            let b = drive(&new, &pairs, seed, 2_000, |c, cl, s, d, _| {
+                c.try_admit(cl, s, d)
+            });
+            assert!(a.iter().any(|&d| d), "{name}/{seed}: no admissions");
+            assert!(a.iter().any(|&d| !d), "{name}/{seed}: no rejections");
+            assert_eq!(a, b, "{name}/{seed}: static chain diverged");
+            assert_eq!(
+                old.occupancy_snapshot(ClassId(0)),
+                new.occupancy_snapshot(ClassId(0)),
+                "{name}/{seed}: residual occupancy diverged"
+            );
         }
     }
 }
@@ -193,22 +178,17 @@ fn static_chain_matches_prerefactor_per_flow() {
 fn static_chain_matches_prerefactor_batched() {
     for (g, name) in topologies() {
         let pairs = all_ordered_pairs(&g);
-        for kind in BACKENDS {
-            let old = prerefactor(&g, &pairs, kind);
-            let new = static_chain(&g, &pairs, kind);
-            let a = drive_batched(&old, &pairs, 99, 2_000, None);
-            let b = drive_batched(&new, &pairs, 99, 2_000, None);
-            assert!(
-                a.iter().any(|&d| !d),
-                "{name}/{kind:?}: workload must saturate"
-            );
-            assert_eq!(a, b, "{name}/{kind:?}: static chain diverged on batches");
-            assert_eq!(
-                old.occupancy_snapshot(ClassId(0)),
-                new.occupancy_snapshot(ClassId(0)),
-                "{name}/{kind:?}: residual occupancy diverged"
-            );
-        }
+        let old = prerefactor(&g, &pairs);
+        let new = static_chain(&g, &pairs);
+        let a = drive_batched(&old, &pairs, 99, 2_000, None);
+        let b = drive_batched(&new, &pairs, 99, 2_000, None);
+        assert!(a.iter().any(|&d| !d), "{name}: workload must saturate");
+        assert_eq!(a, b, "{name}: static chain diverged on batches");
+        assert_eq!(
+            old.occupancy_snapshot(ClassId(0)),
+            new.occupancy_snapshot(ClassId(0)),
+            "{name}: residual occupancy diverged"
+        );
     }
 }
 
@@ -220,7 +200,7 @@ fn static_chain_ignores_the_decision_clock() {
     let g = uba_topology::ring(8);
     let pairs = all_ordered_pairs(&g);
     let reference = {
-        let ctrl = static_chain(&g, &pairs, BackendKind::Atomic);
+        let ctrl = static_chain(&g, &pairs);
         drive(&ctrl, &pairs, 7, 1_500, |c, cl, s, d, _| {
             c.try_admit(cl, s, d)
         })
@@ -228,7 +208,7 @@ fn static_chain_ignores_the_decision_clock() {
     // Timestamps that would wreck any stage actually reading them:
     // alternating between a huge future and far past per call.
     let hostile = {
-        let ctrl = static_chain(&g, &pairs, BackendKind::Atomic);
+        let ctrl = static_chain(&g, &pairs);
         drive(&ctrl, &pairs, 7, 1_500, |c, cl, s, d, step| {
             let t = if step % 2 == 0 { 1e12 } else { -1e12 };
             c.try_admit_at(cl, s, d, t)
@@ -237,11 +217,11 @@ fn static_chain_ignores_the_decision_clock() {
     assert_eq!(reference, hostile, "static chain read the clock");
 
     let batch_ref = {
-        let ctrl = static_chain(&g, &pairs, BackendKind::Atomic);
+        let ctrl = static_chain(&g, &pairs);
         drive_batched(&ctrl, &pairs, 99, 1_500, None)
     };
     let batch_at = {
-        let ctrl = static_chain(&g, &pairs, BackendKind::Atomic);
+        let ctrl = static_chain(&g, &pairs);
         drive_batched(&ctrl, &pairs, 99, 1_500, Some(1e12))
     };
     assert_eq!(batch_ref, batch_at, "static batch path read the clock");
@@ -255,7 +235,7 @@ fn shaped_chain_actually_diverges() {
     let g = uba_topology::ring(8);
     let pairs = all_ordered_pairs(&g);
     let reference = {
-        let ctrl = static_chain(&g, &pairs, BackendKind::Atomic);
+        let ctrl = static_chain(&g, &pairs);
         drive(&ctrl, &pairs, 7, 1_000, |c, cl, s, d, _| {
             c.try_admit(cl, s, d)
         })
@@ -266,12 +246,7 @@ fn shaped_chain_actually_diverges() {
     let mut chain = PolicyChain::static_only();
     chain.push(Box::new(TokenBucketStage::new(0.0, rate, &[rate])));
     let shaped = {
-        let ctrl = AdmissionController::from_generation(generation(
-            &g,
-            &pairs,
-            BackendKind::Atomic,
-            chain,
-        ));
+        let ctrl = AdmissionController::from_generation(generation(&g, &pairs, chain));
         drive(&ctrl, &pairs, 7, 1_000, |c, cl, s, d, _| {
             c.try_admit_at(cl, s, d, 0.0)
         })

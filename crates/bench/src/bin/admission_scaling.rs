@@ -3,19 +3,17 @@
 //! The paper's run-time claim is that admission is a constant-time
 //! utilization test per link, so throughput should scale with cores
 //! instead of collapsing on a global lock. This harness sweeps worker
-//! threads × reservation backend ({`Atomic`, `Sharded(8)`}) over the MCI
-//! backbone, an 8×8 torus, and a deliberately bottlenecked `hotlink`
-//! star (every pair crosses one shared 10 Mb/s link, so the contention
-//! counters cannot stay dark), measuring per cell:
+//! threads over the MCI backbone, an 8×8 torus, and a deliberately
+//! bottlenecked `hotlink` star (every pair crosses one shared 10 Mb/s
+//! link, so the contention counters cannot stay dark), measuring per
+//! cell:
 //!
 //! * admit+release throughput (ops/sec, wall clock),
 //! * sampled decision latency p50/p99 (`admission.admit_ns`, windowed
 //!   via [`Snapshot::delta_since`] so each cell reads only its own
 //!   samples),
-//! * CAS retries per operation (`admission.retries_per_op.*` interval
-//!   mean — the direct contention signal),
-//! * the sharded backend's cross-shard borrow/steal/spurious-reject
-//!   counters.
+//! * CAS retries per operation (`admission.retries_per_op` interval
+//!   mean — the direct contention signal).
 //!
 //! A second sweep drives the batched admission fast path: bursts of
 //! `batch ∈ {1, 8, 32}` same-pair arrivals through `try_admit_batch`,
@@ -30,17 +28,10 @@
 //!   sweep must at least not collapse under oversubscription (the
 //!   bottlenecked `hotlink` topology is exempt: it serializes on one
 //!   budget cell *by design*);
-//! * backends: at the top thread count the sharded backend stays within
-//!   a floor factor of atomic (and is expected to lead once per-link
-//!   contention dominates on ≥4 cores);
-//! * batching: `ops(batch=32) ≥ 1.5 · ops(batch=1)` per backend — the
-//!   aggregated reserve + amortized pin/trace/metrics must actually pay;
-//! * correctness tripwires: `spurious_rejects == 0` in every sharded
-//!   cell (the two-phase borrow protocol makes them structurally
-//!   impossible), the sharded hotlink cells must record cross-shard
-//!   borrows (the contended workload exercises phase 2), and on hosts
-//!   with ≥4 real cores the contended hotlink cells must observe CAS
-//!   retries;
+//! * batching: `ops(batch=32) ≥ 1.5 · ops(batch=1)` — the aggregated
+//!   reserve + amortized pin/trace/metrics must actually pay;
+//! * contention: on hosts with ≥4 real cores the contended hotlink
+//!   cells must observe CAS retries;
 //! * telemetry: every cell must observe latency samples and retry
 //!   counts — the observatory cannot be silently dark.
 //!
@@ -55,7 +46,7 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::time::Instant;
-use uba::admission::{AdmissionController, BackendKind, FlowHandle, FlowSpec, RoutingTable};
+use uba::admission::{AdmissionController, FlowHandle, FlowSpec, RoutingTable};
 use uba::obs::SnapshotValue;
 use uba::prelude::*;
 use uba_bench::PaperSetting;
@@ -67,22 +58,18 @@ const WINDOW: usize = 32;
 /// One measured sweep cell.
 struct Cell {
     topology: &'static str,
-    backend: &'static str,
     threads: usize,
     /// Burst size through `try_admit_batch`; `0` means the per-flow
     /// `try_admit` path.
     batch: usize,
     ops_per_sec: f64,
-    /// Throughput relative to the 1-thread cell of the same
-    /// (topology, backend) column.
+    /// Throughput relative to the 1-thread cell of the same topology
+    /// (batch cells: relative to `batch = 1`).
     scaling: f64,
     p50_admit_ns: f64,
     p99_admit_ns: f64,
     latency_samples: u64,
     retries_per_op: f64,
-    borrows: f64,
-    steals: f64,
-    spurious_rejects: f64,
 }
 
 /// Builds a metered controller over SP routes for `pairs` on `g`.
@@ -92,26 +79,20 @@ fn controller(
     voip: &TrafficClass,
     pairs: &[Pair],
     alpha: f64,
-    kind: BackendKind,
 ) -> AdmissionController {
     let paths = sp_selection(g, pairs).expect("topology must be connected");
     let mut table = RoutingTable::new();
     table.insert_all(ClassId(0), paths.iter());
     let classes = ClassSet::single(voip.clone());
     let caps: Vec<f64> = (0..servers.len()).map(|k| servers.capacity_at(k)).collect();
-    AdmissionController::with_backend(table, &classes, &caps, &[alpha], kind)
+    AdmissionController::new(table, &classes, &caps, &[alpha])
 }
 
 /// Runs one cell: `threads` workers, each admitting over a disjoint
 /// stride of `pairs` with a rotating window of held flows. Returns
-/// (ops/sec, total decisions) — workers flush their metric buffers at
-/// thread exit, so the caller's registry delta sees everything.
-fn run_cell(
-    ctrl: &AdmissionController,
-    pairs: &[Pair],
-    threads: usize,
-    iters: usize,
-) -> (f64, u64) {
+/// ops/sec — workers flush their metric buffers at thread exit, so the
+/// caller's registry delta sees everything.
+fn run_cell(ctrl: &AdmissionController, pairs: &[Pair], threads: usize, iters: usize) -> f64 {
     let t0 = Instant::now();
     let mut admitted_total = 0u64;
     std::thread::scope(|s| {
@@ -152,16 +133,14 @@ fn run_cell(
     });
     let dt = t0.elapsed().as_secs_f64();
     assert!(admitted_total > 0, "workload must admit flows");
-    let ops = (threads * iters) as f64;
-    (ops / dt.max(1e-9), ops as u64)
+    (threads * iters) as f64 / dt.max(1e-9)
 }
 
 /// Star-through-a-bottleneck: `sources` leaf routers feed one hub, and
 /// every (leaf → sink) pair crosses the single hub→sink link. At 10 Mb/s
 /// and α = 0.3 that link budgets ≈93 voip flows — less than the workers'
 /// combined held windows — so admissions genuinely contend for one
-/// budget cell and the CAS-retry / cross-shard-borrow telemetry has to
-/// fire.
+/// budget cell and the CAS-retry telemetry has to fire.
 fn hotlink(sources: usize) -> (Digraph, Vec<Pair>) {
     let hub = NodeId(sources as u32);
     let sink = NodeId(sources as u32 + 1);
@@ -238,10 +217,44 @@ fn hist(d: &uba::obs::Snapshot, name: &str) -> (u64, f64, f64, f64) {
     }
 }
 
-fn gauge(d: &uba::obs::Snapshot, name: &str) -> f64 {
-    match d.get(name) {
-        Some(SnapshotValue::Gauge(v)) => *v,
-        _ => 0.0,
+/// Measures one cell: runs `work` (which returns ops/sec) inside a
+/// registry delta window, so the cell reads only its own latency and
+/// retry samples, and asserts that telemetry is not dark. `base_ops` is
+/// the column's first cell (`None` for that cell itself).
+fn measure(
+    ctrl: &AdmissionController,
+    topology: &'static str,
+    threads: usize,
+    batch: usize,
+    base_ops: Option<f64>,
+    work: impl FnOnce() -> f64,
+) -> Cell {
+    let registry = uba::obs::global();
+    ctrl.refresh_gauges();
+    let before = registry.snapshot();
+    let ops_per_sec = work();
+    ctrl.refresh_gauges();
+    let d = registry.snapshot().delta_since(&before);
+    let (latency_samples, p50_admit_ns, p99_admit_ns, _) = hist(&d, "admission.admit_ns");
+    let (retry_n, _, _, retries_per_op) = hist(&d, "admission.retries_per_op");
+    assert!(
+        latency_samples > 0,
+        "{topology} T={threads} B={batch}: latency sampling must fire in every cell"
+    );
+    assert!(
+        retry_n > 0,
+        "{topology} T={threads} B={batch}: retry telemetry must cover every decision"
+    );
+    Cell {
+        topology,
+        threads,
+        batch,
+        ops_per_sec,
+        scaling: ops_per_sec / base_ops.unwrap_or(ops_per_sec),
+        p50_admit_ns,
+        p99_admit_ns,
+        latency_samples,
+        retries_per_op,
     }
 }
 
@@ -263,7 +276,6 @@ fn main() {
             (0.45 * threads.min(cores) as f64).max(0.5)
         }
     };
-    let backend_floor = if smoke || cores < 4 { 0.4 } else { 0.8 };
 
     let setting = PaperSetting::new();
     let torus = uba::topology::torus(8, 8);
@@ -284,10 +296,6 @@ fn main() {
     // The contended star runs in both lanes: its gates are about
     // telemetry liveness, not throughput, so the smoke lane covers them.
     topologies.push(("hotlink", &hot_g, &hot_servers, hot_pairs.as_slice()));
-    let backends: [(&'static str, BackendKind); 2] = [
-        ("atomic", BackendKind::Atomic),
-        ("sharded8", BackendKind::Sharded(8)),
-    ];
 
     println!(
         "admission_scaling{}: {} core(s), threads {:?}, {} iters/thread",
@@ -297,129 +305,60 @@ fn main() {
         iters
     );
 
-    let registry = uba::obs::global();
     let mut cells: Vec<Cell> = Vec::new();
     for (topo_name, g, servers, pairs) in &topologies {
-        for (backend_name, kind) in backends {
-            let ctrl = controller(g, servers, &setting.voip, pairs, 0.3, kind);
-            // Warm-up: fault in routes and metric handles outside the
-            // measured window.
-            run_cell(&ctrl, pairs, 1, iters / 10);
-            let mut base_ops = 0.0f64;
-            for &threads in &thread_counts {
-                ctrl.refresh_gauges();
-                let before = registry.snapshot();
-                let (ops_per_sec, _decisions) = run_cell(&ctrl, pairs, threads, iters);
-                ctrl.refresh_gauges();
-                let d = registry.snapshot().delta_since(&before);
-
-                let (lat_n, p50, p99, _) = hist(&d, "admission.admit_ns");
-                let retry_name = match kind {
-                    BackendKind::Atomic => "admission.retries_per_op.atomic",
-                    BackendKind::Sharded(_) => "admission.retries_per_op.sharded",
-                };
-                let (retry_n, _, _, retries_per_op) = hist(&d, retry_name);
-                if threads == thread_counts[0] {
-                    base_ops = ops_per_sec;
-                }
-                let cell = Cell {
-                    topology: topo_name,
-                    backend: backend_name,
-                    threads,
-                    batch: 0,
-                    ops_per_sec,
-                    scaling: ops_per_sec / base_ops,
-                    p50_admit_ns: p50,
-                    p99_admit_ns: p99,
-                    latency_samples: lat_n,
-                    retries_per_op,
-                    // Lifetime counters of this cell's backend (gauges
-                    // refreshed above), not interval deltas.
-                    borrows: gauge(&registry.snapshot(), "admission.sharded.borrows"),
-                    steals: gauge(&registry.snapshot(), "admission.sharded.steals"),
-                    spurious_rejects: gauge(
-                        &registry.snapshot(),
-                        "admission.sharded.spurious_rejects",
-                    ),
-                };
-                println!(
-                    "{:>8} {:>8} T={}: {:>10.0} ops/s (x{:.2}), admit p50 {:>6.0} ns p99 \
-                     {:>7.0} ns ({} samples), {:.4} retries/op",
-                    cell.topology,
-                    cell.backend,
-                    cell.threads,
-                    cell.ops_per_sec,
-                    cell.scaling,
-                    cell.p50_admit_ns,
-                    cell.p99_admit_ns,
-                    cell.latency_samples,
-                    cell.retries_per_op,
-                );
-                assert!(lat_n > 0, "latency sampling must fire in every cell");
-                assert!(retry_n > 0, "retry telemetry must cover every decision");
-                cells.push(cell);
-            }
+        let ctrl = controller(g, servers, &setting.voip, pairs, 0.3);
+        // Warm-up: fault in routes and metric handles outside the
+        // measured window.
+        run_cell(&ctrl, pairs, 1, iters / 10);
+        let mut base_ops = None;
+        for &threads in &thread_counts {
+            let cell = measure(&ctrl, topo_name, threads, 0, base_ops, || {
+                run_cell(&ctrl, pairs, threads, iters)
+            });
+            base_ops.get_or_insert(cell.ops_per_sec);
+            println!(
+                "{:>8} T={}: {:>10.0} ops/s (x{:.2}), admit p50 {:>6.0} ns p99 {:>7.0} ns \
+                 ({} samples), {:.4} retries/op",
+                cell.topology,
+                cell.threads,
+                cell.ops_per_sec,
+                cell.scaling,
+                cell.p50_admit_ns,
+                cell.p99_admit_ns,
+                cell.latency_samples,
+                cell.retries_per_op,
+            );
+            cells.push(cell);
         }
     }
 
     // ---- Batched admission sweep (single-threaded bursts on MCI). ----
     let batch_sizes: [usize; 3] = [1, 8, 32];
-    for (backend_name, kind) in backends {
-        let ctrl = controller(
-            &setting.g,
-            &setting.servers,
-            &setting.voip,
-            &setting.pairs,
-            0.3,
-            kind,
+    let ctrl = controller(
+        &setting.g,
+        &setting.servers,
+        &setting.voip,
+        &setting.pairs,
+        0.3,
+    );
+    run_batch_cell(&ctrl, &setting.pairs, 1, iters / 10);
+    let mut base_ops = None;
+    for &batch in &batch_sizes {
+        let cell = measure(&ctrl, "mci", 1, batch, base_ops, || {
+            run_batch_cell(&ctrl, &setting.pairs, batch, iters)
+        });
+        base_ops.get_or_insert(cell.ops_per_sec);
+        println!(
+            "{:>8} B={}: {:>10.0} flows/s (x{:.2} vs B=1), admit p50 {:>6.0} ns ({} samples)",
+            cell.topology,
+            cell.batch,
+            cell.ops_per_sec,
+            cell.scaling,
+            cell.p50_admit_ns,
+            cell.latency_samples,
         );
-        run_batch_cell(&ctrl, &setting.pairs, 1, iters / 10);
-        let mut base_ops = 0.0f64;
-        for &batch in &batch_sizes {
-            ctrl.refresh_gauges();
-            let before = registry.snapshot();
-            let ops_per_sec = run_batch_cell(&ctrl, &setting.pairs, batch, iters);
-            ctrl.refresh_gauges();
-            let d = registry.snapshot().delta_since(&before);
-            let (lat_n, p50, p99, _) = hist(&d, "admission.admit_ns");
-            let retry_name = match kind {
-                BackendKind::Atomic => "admission.retries_per_op.atomic",
-                BackendKind::Sharded(_) => "admission.retries_per_op.sharded",
-            };
-            let (retry_n, _, _, retries_per_op) = hist(&d, retry_name);
-            if batch == batch_sizes[0] {
-                base_ops = ops_per_sec;
-            }
-            let cell = Cell {
-                topology: "mci",
-                backend: backend_name,
-                threads: 1,
-                batch,
-                ops_per_sec,
-                scaling: ops_per_sec / base_ops,
-                p50_admit_ns: p50,
-                p99_admit_ns: p99,
-                latency_samples: lat_n,
-                retries_per_op,
-                borrows: gauge(&registry.snapshot(), "admission.sharded.borrows"),
-                steals: gauge(&registry.snapshot(), "admission.sharded.steals"),
-                spurious_rejects: gauge(&registry.snapshot(), "admission.sharded.spurious_rejects"),
-            };
-            println!(
-                "{:>8} {:>8} B={}: {:>10.0} flows/s (x{:.2} vs B=1), admit p50 {:>6.0} ns \
-                 ({} samples)",
-                cell.topology,
-                cell.backend,
-                cell.batch,
-                cell.ops_per_sec,
-                cell.scaling,
-                cell.p50_admit_ns,
-                cell.latency_samples,
-            );
-            assert!(lat_n > 0, "latency sampling must fire in every batch cell");
-            assert!(retry_n > 0, "retry telemetry must cover every batch");
-            cells.push(cell);
-        }
+        cells.push(cell);
     }
 
     // ---- Relative gates. ----
@@ -432,75 +371,29 @@ fn main() {
         let floor = scale_floor(cell.threads);
         assert!(
             cell.scaling >= floor,
-            "{}/{} at {} threads scaled x{:.2}, floor x{floor:.2}",
+            "{} at {} threads scaled x{:.2}, floor x{floor:.2}",
             cell.topology,
-            cell.backend,
             cell.threads,
             cell.scaling
-        );
-    }
-    let top = *thread_counts.last().unwrap();
-    for (topo_name, ..) in &topologies {
-        if *topo_name == "hotlink" {
-            continue;
-        }
-        let ops_of = |backend: &str| {
-            cells
-                .iter()
-                .find(|c| {
-                    c.topology == *topo_name
-                        && c.backend == backend
-                        && c.threads == top
-                        && c.batch == 0
-                })
-                .map(|c| c.ops_per_sec)
-                .unwrap()
-        };
-        let (atomic, sharded) = (ops_of("atomic"), ops_of("sharded8"));
-        assert!(
-            sharded >= backend_floor * atomic,
-            "{topo_name}: sharded {sharded:.0} ops/s below {backend_floor} x atomic \
-             {atomic:.0} ops/s at {top} threads"
         );
     }
 
     // Batching must amortize: one pinned generation, one aggregated
     // reserve per touched link, one tracepoint per burst.
     const BATCH_FLOOR: f64 = 1.5;
-    for (backend_name, _) in backends {
-        let ops_at = |batch: usize| {
-            cells
-                .iter()
-                .find(|c| c.backend == backend_name && c.batch == batch)
-                .map(|c| c.ops_per_sec)
-                .unwrap()
-        };
-        let (b1, b32) = (ops_at(1), ops_at(32));
-        assert!(
-            b32 >= BATCH_FLOOR * b1,
-            "{backend_name}: batch=32 {b32:.0} flows/s below {BATCH_FLOOR} x batch=1 {b1:.0}"
-        );
-    }
-
-    // Two-phase tripwires: spurious rejects are structurally impossible,
-    // and the contended star must actually exercise cross-shard borrows.
-    for c in cells.iter().filter(|c| c.backend == "sharded8") {
-        assert!(
-            c.spurious_rejects == 0.0,
-            "{}/{} T={} B={}: {} spurious rejects (two-phase borrow must eliminate them)",
-            c.topology,
-            c.backend,
-            c.threads,
-            c.batch,
-            c.spurious_rejects
-        );
-    }
-    assert!(
+    let ops_at = |batch: usize| {
         cells
             .iter()
-            .any(|c| c.topology == "hotlink" && c.backend == "sharded8" && c.borrows > 0.0),
-        "hotlink never exercised cross-shard borrowing"
+            .find(|c| c.batch == batch)
+            .map(|c| c.ops_per_sec)
+            .unwrap()
+    };
+    let (b1, b32) = (ops_at(1), ops_at(32));
+    assert!(
+        b32 >= BATCH_FLOOR * b1,
+        "batch=32 {b32:.0} flows/s below {BATCH_FLOOR} x batch=1 {b1:.0}"
     );
+
     // CAS retries need true parallelism: on a single core a
     // compare-exchange only fails if preemption lands inside the
     // ~10 ns load→CAS window, which a short run may never observe.
@@ -517,10 +410,8 @@ fn main() {
     }
     println!();
     println!(
-        "scaling gate: every non-hotlink cell >= its adaptive floor ({} core(s)); sharded >= \
-         {backend_floor}x atomic at {top} threads; batch=32 >= {BATCH_FLOOR}x batch=1; \
-         spurious_rejects == 0 in every sharded cell  ✓",
-        cores
+        "scaling gate: every non-hotlink cell >= its adaptive floor ({cores} core(s)); \
+         batch=32 >= {BATCH_FLOOR}x batch=1  ✓"
     );
 
     if smoke {
@@ -533,12 +424,10 @@ fn main() {
     for (i, c) in cells.iter().enumerate() {
         let _ = writeln!(
             body,
-            "    {{\"topology\": \"{}\", \"backend\": \"{}\", \"threads\": {}, \"batch\": {}, \
+            "    {{\"topology\": \"{}\", \"threads\": {}, \"batch\": {}, \
              \"ops_per_sec\": {:.0}, \"scaling\": {:.3}, \"p50_admit_ns\": {:.0}, \
-             \"p99_admit_ns\": {:.0}, \"latency_samples\": {}, \"retries_per_op\": {:.5}, \
-             \"borrows\": {:.0}, \"steals\": {:.0}, \"spurious_rejects\": {:.0}}}{}",
+             \"p99_admit_ns\": {:.0}, \"latency_samples\": {}, \"retries_per_op\": {:.5}}}{}",
             c.topology,
-            c.backend,
             c.threads,
             c.batch,
             c.ops_per_sec,
@@ -547,9 +436,6 @@ fn main() {
             c.p99_admit_ns,
             c.latency_samples,
             c.retries_per_op,
-            c.borrows,
-            c.steals,
-            c.spurious_rejects,
             if i + 1 < cells.len() { "," } else { "" },
         );
     }
@@ -560,12 +446,11 @@ fn main() {
             "  \"cores\": {},\n",
             "  \"threads\": {:?},\n",
             "  \"iters_per_thread\": {},\n",
-            "  \"backend_floor\": {},\n",
             "  \"batch_floor\": {},\n",
             "  \"cells\": [\n{}  ]\n",
             "}}\n"
         ),
-        cores, thread_counts, iters, backend_floor, BATCH_FLOOR, body,
+        cores, thread_counts, iters, BATCH_FLOOR, body,
     );
     uba::obs::json::parse(&json).expect("trajectory JSON must parse");
     std::fs::write("BENCH_admission.json", &json).expect("write BENCH_admission.json");

@@ -30,11 +30,11 @@
 //! adaptive chain must strictly reduce the mean deadline-miss ratio
 //! versus utilization-only.
 //!
-//! Writes `BENCH_burst.json` (validated by the `uba-obs` JSON parser)
-//! in both modes. Run with:
+//! The full run writes `BENCH_burst.json` (validated by the `uba-obs`
+//! JSON parser). Run with:
 //! `cargo run -p uba-bench --release --bin policy_burst`
-//! (`policy_burst smoke` runs fewer seeds over a shorter window — the
-//! `scripts/verify.sh` configuration.)
+//! (`policy_burst smoke` runs fewer seeds over a shorter window and
+//! skips the JSON write — the `scripts/verify.sh` configuration.)
 
 use std::fmt::Write as _;
 use uba::admission::{
@@ -316,7 +316,12 @@ fn main() {
     );
     println!("burst gate: adaptive {m_adaptive:.4} < util {m_util:.4} mean miss ratio  ✓");
 
-    // ---- Trajectory point (written in both lanes). ----
+    if smoke {
+        println!("smoke mode: skipping BENCH_burst.json write");
+        return;
+    }
+
+    // ---- Trajectory point. ----
     let mut body = String::new();
     for (i, c) in cells.iter().enumerate() {
         let _ = writeln!(
@@ -339,7 +344,6 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"policy_burst\",\n",
-            "  \"smoke\": {},\n",
             "  \"seeds\": {:?},\n",
             "  \"arrival_window_s\": {},\n",
             "  \"mean_miss_ratio_always\": {:.5},\n",
@@ -350,7 +354,6 @@ fn main() {
             "  \"cells\": [\n{}  ]\n",
             "}}\n"
         ),
-        smoke,
         seeds,
         window,
         m_always,

@@ -966,17 +966,14 @@ impl Exploration {
         self.executions
     }
 
-    /// One-line JSON object with every telemetry field.
+    /// One-line JSON object with every telemetry field the model alone
+    /// determines. `wall_ms` is left out so the `BENCH_loom.json` lane
+    /// rewrites a byte-identical file when no model changed.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"complete\":{},\"executions\":{},\"pruned\":{},\"max_depth\":{},\
-             \"stale_reads\":{},\"wall_ms\":{}}}",
-            self.complete,
-            self.executions,
-            self.pruned,
-            self.max_depth,
-            self.stale_reads,
-            self.wall_ms
+             \"stale_reads\":{}}}",
+            self.complete, self.executions, self.pruned, self.max_depth, self.stale_reads
         )
     }
 }

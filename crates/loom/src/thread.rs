@@ -55,14 +55,3 @@ where
 pub fn yield_now() {
     scheduler::yield_point();
 }
-
-/// The calling thread's 0-based index within the current execution
-/// (0 = the model closure's root thread), or 0 outside a model.
-///
-/// Replaces identity sources that would break schedule replay — e.g.
-/// `ShardedBackend`'s home-shard assignment uses a process-global
-/// counter in production but must be a deterministic function of the
-/// model thread under `--cfg loom`.
-pub fn current_index() -> usize {
-    scheduler::current().map(|(_, idx)| idx).unwrap_or(0)
-}

@@ -215,35 +215,6 @@ fn iteration_cap_truncates() {
     assert_eq!(explored.executions, 3, "{explored:?}");
 }
 
-/// `thread::current_index` is stable per thread within an execution and
-/// distinct across threads — the property ShardedBackend's loom home
-/// shard assignment relies on.
-#[test]
-fn current_index_is_per_thread_deterministic() {
-    model(|| {
-        assert_eq!(thread::current_index(), 0, "root thread is index 0");
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let seen = Arc::clone(&seen);
-                thread::spawn(move || {
-                    let a = thread::current_index();
-                    thread::yield_now();
-                    let b = thread::current_index();
-                    assert_eq!(a, b, "index stable across preemptions");
-                    seen.lock().unwrap().push(a);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut ids = seen.lock().unwrap().clone();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2], "children get distinct nonzero indices");
-    });
-}
-
 /// Model primitives degrade to plain std behavior outside `model()`, so
 /// shimmed code keeps working in ordinary unit tests compiled with
 /// `--cfg loom`.
@@ -255,7 +226,6 @@ fn primitives_work_outside_a_model() {
     let m = Mutex::new(5u64);
     *m.lock().unwrap() += 1;
     assert_eq!(*m.lock().unwrap(), 6);
-    assert_eq!(thread::current_index(), 0);
 }
 
 /// Failing schedules replay deterministically: the same seeded bug is
@@ -308,7 +278,7 @@ fn publication(store_ord: Ordering) -> impl Fn() + Send + Sync + 'static {
 
 /// Release/Acquire publication is exhaustively correct: observing the
 /// flag implies observing the data (regression pin for the epoch
-/// pointer and `ShardedState::publish` idiom).
+/// pointer idiom).
 #[test]
 fn release_acquire_publication_is_exhaustively_correct() {
     let explored = model(publication(Ordering::Release));

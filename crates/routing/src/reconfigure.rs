@@ -271,6 +271,7 @@ impl Configuration {
     /// backend is fresh — hand the result to
     /// `AdmissionController::reconfigure` to swap it live, or to
     /// `AdmissionController::from_generation` to start a controller.
+    /// `kind` is ignored (see [`BackendKind`]).
     pub fn apply(&self, kind: BackendKind) -> ConfigGeneration {
         let mut table = RoutingTable::new();
         for p in &self.paths {
@@ -437,7 +438,7 @@ mod tests {
         // Fail a core link, recompute routes, and install the result
         // live — the very gap this module used to leave open.
         c.fail_link(NodeId(0), NodeId(3)).expect("reroutable");
-        let report = ctrl.reconfigure(c.apply(BackendKind::Sharded(4)));
+        let report = ctrl.reconfigure(c.apply(BackendKind::Atomic));
         assert_eq!(report.pinned_previous as usize, held.len());
         // New admissions route around the failure.
         for p in c.pairs() {

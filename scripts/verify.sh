@@ -7,6 +7,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The committed BENCH_*.json files are the perf ledger: only a full bench
+# run may rewrite one. Every lane below is a smoke lane, so the ledger
+# must come out of this script byte-identical (checked at the end).
+ledger_before="$(cksum BENCH_*.json)"
+
 echo "==> cargo build --offline --release (hermetic build)"
 cargo build --offline --release --workspace
 
@@ -54,7 +59,7 @@ echo "==> loom bounded models (weak-memory concurrency smoke: admission + obs un
 RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
   cargo test --offline -q -p uba-admission -p uba-obs --test loom_models
 
-echo "==> loom DPOR reduction gate (exhaustive DFS of the flagship models -> BENCH_loom.json)"
+echo "==> loom DPOR reduction gate (exhaustive DFS of the flagship model -> BENCH_loom.json, schedule counts only)"
 RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
   cargo test --offline -q -p uba-admission --test loom_bench
 
@@ -63,6 +68,13 @@ if [[ "${UBA_LOOM_EXHAUSTIVE:-0}" == "1" ]]; then
   RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
     cargo test --offline -q -p uba-admission -p uba-obs --test loom_models \
       --features uba-admission/prop-tests
+fi
+
+echo "==> ledger check (no smoke lane may rewrite a committed BENCH_*.json)"
+changed="$({ diff <(echo "$ledger_before") <(cksum BENCH_*.json) || true; } | awk '/^[<>]/ {print $4}' | sort -u)"
+if [[ -n "$changed" ]]; then
+  echo "verify.sh: smoke lanes changed the perf ledger:" $changed >&2
+  exit 1
 fi
 
 echo "==> verify.sh: all checks passed"

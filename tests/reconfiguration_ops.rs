@@ -120,7 +120,7 @@ fn live_reconfigure_follows_link_failure_without_dropping_calls() {
 
     live.fail_link(NodeId(1), NodeId(4)).expect("recoverable");
     assert!(live.verify());
-    let report = ctrl.reconfigure(live.apply(BackendKind::Sharded(4)));
+    let report = ctrl.reconfigure(live.apply(BackendKind::Atomic));
     assert_eq!(report.previous, g1);
     assert_eq!(report.pinned_previous, held.len() as u64);
 
