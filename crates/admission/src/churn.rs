@@ -3,9 +3,10 @@
 //! Generates a reproducible arrival/departure process (Poisson arrivals,
 //! exponential holding times, uniform pair choice) and drives any
 //! admission policy through it, recording acceptance statistics and
-//! decision latency. Used by experiment S-AC to compare the
-//! utilization-based controller against the per-flow baseline under
-//! identical request sequences.
+//! decision latency: `uba-cli metrics` and the `voip_network` example
+//! offer single arrivals ([`run_churn`]), `uba-cli serve`'s background
+//! load offers bursts ([`run_churn_bursty`]). Both are one loop
+//! (`churn`); `tests/churn_equiv.rs` pins what each draws and counts.
 
 use uba_graph::NodeId;
 use uba_obs::{SplitMix64, Stopwatch};
@@ -107,8 +108,8 @@ pub struct ChurnStats {
     /// Mean admit() latency in nanoseconds.
     pub mean_admit_ns: f64,
     /// Bursts offered. Zero for the one-at-a-time driver
-    /// ([`run_churn`]); the burst drivers count every tick's slug here,
-    /// including bursts of one.
+    /// ([`run_churn`]); [`run_churn_bursty`] counts every tick's slug
+    /// here, including bursts of one.
     pub bursts: usize,
     /// Bursts admitted in full.
     pub bursts_clean: usize,
@@ -147,157 +148,31 @@ impl ChurnStats {
 /// pairs.
 ///
 /// Time is measured in "arrival ticks": each arrival picks a uniform
-/// pair, attempts admission, and an admitted flow departs after an
-/// exponential number of ticks with mean `mean_active` (so the steady
-/// state offers roughly `mean_active` concurrent flows).
+/// pair, attempts admission through [`Policy::admit`], and an admitted
+/// flow departs after an exponential number of ticks with mean
+/// `mean_active` (so the steady state offers roughly `mean_active`
+/// concurrent flows).
 pub fn run_churn<P: Policy>(
     policy: &mut P,
     pairs: &[(NodeId, NodeId)],
     class: ClassId,
     cfg: &ChurnConfig,
 ) -> ChurnStats {
-    run_churn_with(policy, pairs, class, cfg, |_, _| {})
+    churn(policy, pairs, class, cfg, None)
 }
 
-/// Like [`run_churn`], with a per-tick hook called after departures and
-/// before the tick's arrival — the place to inject control-plane actions
-/// (e.g. an `AdmissionController::reconfigure` mid-churn) at a
-/// deterministic point in the request sequence.
-pub fn run_churn_with<P: Policy>(
-    policy: &mut P,
-    pairs: &[(NodeId, NodeId)],
-    class: ClassId,
-    cfg: &ChurnConfig,
-    mut on_tick: impl FnMut(u64, &mut P),
-) -> ChurnStats {
-    assert!(!pairs.is_empty(), "need candidate pairs");
-    assert!(cfg.mean_active > 0.0, "mean_active must be positive");
-    let mut rng = SplitMix64::new(cfg.seed);
-    // Departure queue keyed by tick.
-    let mut departures: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>> =
-        std::collections::BinaryHeap::new();
-    let mut held: Vec<Option<P::Handle>> = Vec::new();
-    let mut stats = ChurnStats::default();
-    let mut active = 0usize;
-
-    for tick in 0..cfg.arrivals as u64 {
-        // Process due departures.
-        while let Some(&std::cmp::Reverse((due, slot))) = departures.peek() {
-            if due > tick {
-                break;
-            }
-            departures.pop();
-            if let Some(h) = held[slot].take() {
-                policy.release(h);
-                active -= 1;
-            }
-        }
-        on_tick(tick, policy);
-        // One arrival.
-        let (src, dst) = pairs[rng.index(pairs.len())];
-        stats.offered += 1;
-        let t0 = Stopwatch::start();
-        let admitted = policy.admit(class, src, dst);
-        stats.admit_ns += t0.elapsed_ns() as u128;
-        if let Some(h) = admitted {
-            stats.accepted += 1;
-            active += 1;
-            stats.peak_active = stats.peak_active.max(active);
-            // Exponential holding time in ticks (inverse transform).
-            let u: f64 = rng.range_f64(1e-12, 1.0);
-            let hold = (-cfg.mean_active * u.ln()).ceil() as u64;
-            let slot = held.len();
-            held.push(Some(h));
-            departures.push(std::cmp::Reverse((tick + hold.max(1), slot)));
-        }
-    }
-    // Tear everything down.
-    for h in held.into_iter().flatten() {
-        policy.release(h);
-    }
-    stats.mean_admit_ns = if stats.offered > 0 {
-        stats.admit_ns as f64 / stats.offered as f64
-    } else {
-        0.0
-    };
-    stats
-}
-
-/// Like [`run_churn`], but arrivals come in bursts: each tick offers
-/// `burst` simultaneous requests for one uniformly chosen pair (a
+/// Like [`run_churn`], but arrivals come in bursts: each tick offers a
+/// slug of simultaneous requests for one uniformly chosen pair (a
 /// "conference call" arrival) admitted through [`Policy::admit_burst`]
-/// — for the utilization controller, the batched fast path. With
-/// `burst == 1` the request sequence is identical to [`run_churn`]'s.
-pub fn run_churn_bursts<P: Policy>(
-    policy: &mut P,
-    pairs: &[(NodeId, NodeId)],
-    class: ClassId,
-    cfg: &ChurnConfig,
-    burst: usize,
-) -> ChurnStats {
-    assert!(!pairs.is_empty(), "need candidate pairs");
-    assert!(burst >= 1, "burst must be at least 1");
-    assert!(cfg.mean_active > 0.0, "mean_active must be positive");
-    let mut rng = SplitMix64::new(cfg.seed);
-    let mut departures: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>> =
-        std::collections::BinaryHeap::new();
-    let mut held: Vec<Option<P::Handle>> = Vec::new();
-    let mut stats = ChurnStats::default();
-    let mut active = 0usize;
-    let mut reqs: Vec<(NodeId, NodeId)> = Vec::with_capacity(burst);
-
-    let mut tick = 0u64;
-    while stats.offered < cfg.arrivals {
-        while let Some(&std::cmp::Reverse((due, slot))) = departures.peek() {
-            if due > tick {
-                break;
-            }
-            departures.pop();
-            if let Some(h) = held[slot].take() {
-                policy.release(h);
-                active -= 1;
-            }
-        }
-        let n = burst.min(cfg.arrivals - stats.offered);
-        let (src, dst) = pairs[rng.index(pairs.len())];
-        reqs.clear();
-        reqs.resize(n, (src, dst));
-        stats.offered += n;
-        let t0 = Stopwatch::start();
-        let admitted = policy.admit_burst(class, &reqs);
-        stats.admit_ns += t0.elapsed_ns() as u128;
-        stats.tally_burst(n, admitted.iter().filter(|h| h.is_some()).count());
-        for h in admitted.into_iter().flatten() {
-            stats.accepted += 1;
-            active += 1;
-            stats.peak_active = stats.peak_active.max(active);
-            let u: f64 = rng.range_f64(1e-12, 1.0);
-            let hold = (-cfg.mean_active * u.ln()).ceil() as u64;
-            let slot = held.len();
-            held.push(Some(h));
-            departures.push(std::cmp::Reverse((tick + hold.max(1), slot)));
-        }
-        tick += 1;
-    }
-    for h in held.into_iter().flatten() {
-        policy.release(h);
-    }
-    stats.mean_admit_ns = if stats.offered > 0 {
-        stats.admit_ns as f64 / stats.offered as f64
-    } else {
-        0.0
-    };
-    stats
-}
-
-/// Like [`run_churn_bursts`], but each tick's burst size is drawn from
-/// a [`BurstModel`] — mostly single requests with occasional large
-/// slugs — instead of being constant. At the same mean offered rate
-/// this produces the high inter-arrival-CV workload the admission
-/// path's arrival telemetry ([`crate::arrival`]) is designed to flag;
-/// the serve loop's background churn uses it so burst gauges and
-/// overuse transitions are visible out of the box. Deterministic for a
-/// fixed seed, as always.
+/// — for the utilization controller, the batched fast path — and
+/// tallied per burst. The slug's size is drawn from a [`BurstModel`]:
+/// mostly single requests with occasional large slugs, or, at `cv = 0`,
+/// a constant (`BurstModel::with_mean_cv(n, 0.0)` offers `n` every
+/// tick). At the same mean offered rate a high-CV model produces the
+/// workload the admission path's arrival telemetry ([`crate::arrival`])
+/// is designed to flag; the serve loop's background churn uses it so
+/// burst gauges and overuse transitions are visible out of the box.
+/// Deterministic for a fixed seed, as always.
 pub fn run_churn_bursty<P: Policy>(
     policy: &mut P,
     pairs: &[(NodeId, NodeId)],
@@ -305,9 +180,25 @@ pub fn run_churn_bursty<P: Policy>(
     cfg: &ChurnConfig,
     model: &BurstModel,
 ) -> ChurnStats {
+    churn(policy, pairs, class, cfg, Some(model))
+}
+
+/// The one loop behind both drivers. Per tick: due departures, burst
+/// size, pair, admission, tally, holding times — the RNG is drawn in
+/// that order and only where a driver needs the value (`bursts = None`
+/// draws no size, offers one request through [`Policy::admit`] and
+/// leaves the burst tallies at zero).
+fn churn<P: Policy>(
+    policy: &mut P,
+    pairs: &[(NodeId, NodeId)],
+    class: ClassId,
+    cfg: &ChurnConfig,
+    bursts: Option<&BurstModel>,
+) -> ChurnStats {
     assert!(!pairs.is_empty(), "need candidate pairs");
     assert!(cfg.mean_active > 0.0, "mean_active must be positive");
     let mut rng = SplitMix64::new(cfg.seed);
+    // Departure queue keyed by tick.
     let mut departures: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>> =
         std::collections::BinaryHeap::new();
     let mut held: Vec<Option<P::Handle>> = Vec::new();
@@ -327,20 +218,34 @@ pub fn run_churn_bursty<P: Policy>(
                 active -= 1;
             }
         }
-        let drawn = model.sample(rng.range_f64(0.0, 1.0)) as usize;
-        let n = drawn.min(cfg.arrivals - stats.offered).max(1);
+        let n = match bursts {
+            Some(model) => {
+                let drawn = model.sample(rng.range_f64(0.0, 1.0)) as usize;
+                drawn.min(cfg.arrivals - stats.offered).max(1)
+            }
+            None => 1,
+        };
         let (src, dst) = pairs[rng.index(pairs.len())];
-        reqs.clear();
-        reqs.resize(n, (src, dst));
         stats.offered += n;
-        let t0 = Stopwatch::start();
-        let admitted = policy.admit_burst(class, &reqs);
-        stats.admit_ns += t0.elapsed_ns() as u128;
-        stats.tally_burst(n, admitted.iter().filter(|h| h.is_some()).count());
+        let admitted = if bursts.is_some() {
+            reqs.clear();
+            reqs.resize(n, (src, dst));
+            let t0 = Stopwatch::start();
+            let admitted = policy.admit_burst(class, &reqs);
+            stats.admit_ns += t0.elapsed_ns() as u128;
+            stats.tally_burst(n, admitted.iter().filter(|h| h.is_some()).count());
+            admitted
+        } else {
+            let t0 = Stopwatch::start();
+            let admitted = policy.admit(class, src, dst);
+            stats.admit_ns += t0.elapsed_ns() as u128;
+            vec![admitted]
+        };
         for h in admitted.into_iter().flatten() {
             stats.accepted += 1;
             active += 1;
             stats.peak_active = stats.peak_active.max(active);
+            // Exponential holding time in ticks (inverse transform).
             let u: f64 = rng.range_f64(1e-12, 1.0);
             let hold = (-cfg.mean_active * u.ln()).ceil() as u64;
             let slot = held.len();
@@ -349,6 +254,7 @@ pub fn run_churn_bursty<P: Policy>(
         }
         tick += 1;
     }
+    // Tear everything down.
     for h in held.into_iter().flatten() {
         policy.release(h);
     }
@@ -429,26 +335,25 @@ mod tests {
     }
 
     #[test]
-    fn burst_of_one_matches_run_churn() {
+    fn single_arrivals_leave_burst_tallies_empty() {
         let cfg = ChurnConfig {
             arrivals: 400,
             mean_active: 20.0,
             seed: 11,
         };
-        let (mut one_by_one, pairs) = controller(0.2);
-        let (mut bursty, _) = controller(0.2);
-        let a = run_churn(&mut one_by_one, &pairs, ClassId(0), &cfg);
-        let b = run_churn_bursts(&mut bursty, &pairs, ClassId(0), &cfg, 1);
-        assert_eq!(a.offered, b.offered);
-        assert_eq!(a.accepted, b.accepted);
-        assert_eq!(a.peak_active, b.peak_active);
-        // One-at-a-time driver leaves burst tallies empty; bursts of one
-        // can only be clean or dropped.
-        assert_eq!(a.bursts, 0);
-        assert_eq!(b.bursts, b.offered);
-        assert_eq!(b.bursts_clipped, 0);
-        assert_eq!(b.bursts_clean, b.accepted);
-        assert_eq!(b.bursts_dropped, b.offered - b.accepted);
+        let (mut ctrl, pairs) = controller(0.2);
+        let stats = run_churn(&mut ctrl, &pairs, ClassId(0), &cfg);
+        assert_eq!(stats.offered, 400);
+        assert!(stats.accepted > 0 && stats.accepted < stats.offered);
+        assert_eq!(
+            (
+                stats.bursts,
+                stats.bursts_clean,
+                stats.bursts_clipped,
+                stats.bursts_dropped
+            ),
+            (0, 0, 0, 0)
+        );
     }
 
     #[test]
@@ -459,7 +364,8 @@ mod tests {
             mean_active: 50.0,
             seed: 5,
         };
-        let stats = run_churn_bursts(&mut ctrl, &pairs, ClassId(0), &cfg, 8);
+        let eights = BurstModel::with_mean_cv(8.0, 0.0);
+        let stats = run_churn_bursty(&mut ctrl, &pairs, ClassId(0), &cfg, &eights);
         assert_eq!(stats.offered, 480);
         assert!(stats.accepted > 0);
         assert!(stats.blocking() > 0.0);

@@ -555,17 +555,6 @@ impl AdmissionController {
         self.batch_inner(&generation, specs, Some(t))
     }
 
-    /// Like [`try_admit_batch`](Self::try_admit_batch) but against an
-    /// explicitly pinned generation (the batched counterpart of
-    /// [`try_admit_on`](Self::try_admit_on)).
-    pub fn try_admit_batch_on(
-        &self,
-        generation: &Arc<ConfigGeneration>,
-        specs: &[FlowSpec],
-    ) -> BatchOutcome {
-        self.batch_inner(generation, specs, None)
-    }
-
     fn batch_inner(
         &self,
         generation: &Arc<ConfigGeneration>,
@@ -1326,28 +1315,6 @@ mod tests {
         let out = ctrl.try_admit_batch(&[]);
         assert!(out.fast_path);
         assert_eq!(out.flows.len(), 0);
-    }
-
-    #[test]
-    fn batch_on_pinned_generation_survives_reconfigure() {
-        let (ctrl, _) = setup(0.32);
-        let g0 = ctrl.current_generation();
-        ctrl.reconfigure(fresh_generation(0.32));
-        let out = ctrl.try_admit_batch_on(
-            &g0,
-            &[FlowSpec {
-                class: ClassId(0),
-                src: NodeId(0),
-                dst: NodeId(2),
-            }; 3],
-        );
-        assert!(out.fast_path);
-        assert_eq!(g0.pinned(), 3);
-        assert_eq!(g0.backend().reserved(2, 0), 3.0 * 32_000.0);
-        assert_eq!(ctrl.reserved(2, ClassId(0)), 0.0, "current gen untouched");
-        drop(out);
-        assert_eq!(g0.pinned(), 0);
-        assert_eq!(g0.backend().reserved(2, 0), 0.0);
     }
 
     fn policy_ctrl(alpha: f64, cfg: PolicyConfig) -> AdmissionController {

@@ -29,9 +29,10 @@
 //!   every admission: the O(flows) cost the paper's design eliminates
 //!   (experiment S-AC).
 //! * [`churn`] — a deterministic flow-churn workload driver for
-//!   benchmarking both policies under identical request sequences,
-//!   including a bursty (high-CV) mode built on
-//!   [`uba_traffic::BurstModel`].
+//!   exercising a policy under a reproducible request sequence: one
+//!   loop behind [`run_churn`] (single arrivals) and
+//!   [`run_churn_bursty`] (slugs sized by a
+//!   [`uba_traffic::BurstModel`], through the batched path).
 //! * [`arrival`] — observe-only burst/overuse telemetry: per-class EWMA
 //!   arrival-rate and inter-arrival-CV estimators plus a GCC-style
 //!   overuse detector, fed from the buffered metrics path and published
@@ -68,9 +69,7 @@ pub mod table;
 
 pub use arrival::{ArrivalEstimator, ArrivalMonitor, OveruseDetector, OveruseState, RateAction};
 pub use baseline::PerFlowAdmission;
-pub use churn::{
-    run_churn, run_churn_bursts, run_churn_bursty, run_churn_with, ChurnConfig, ChurnStats, Policy,
-};
+pub use churn::{run_churn, run_churn_bursty, ChurnConfig, ChurnStats, Policy};
 pub use controller::{
     AdmissionController, BatchOutcome, DrainStatus, FlowHandle, FlowSpec, ReconfigReport, Reject,
 };

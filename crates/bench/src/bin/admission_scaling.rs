@@ -10,7 +10,7 @@
 //!
 //! * admit+release throughput (ops/sec, wall clock),
 //! * sampled decision latency p50/p99 (`admission.admit_ns`, windowed
-//!   via [`Snapshot::delta_since`] so each cell reads only its own
+//!   via [`uba::obs::Snapshot::delta_since`] so each cell reads only its own
 //!   samples),
 //! * CAS retries per operation (`admission.retries_per_op` interval
 //!   mean — the direct contention signal).

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run -p uba-bench --release --bin nonuniform`
 
-use uba::delay::fixed_point::{solve_two_class_nonuniform, SolveConfig};
+use uba::delay::fixed_point::{solve_two_class_with, SolveConfig, SolveScratch};
 use uba::delay::routeset::{Route, RouteSet};
 use uba::prelude::*;
 
@@ -35,10 +35,20 @@ fn main() {
 
     let cfg = SolveConfig::default();
     let mut alphas = vec![base_alpha; servers.len()];
-    let check = |alphas: &[f64]| {
-        solve_two_class_nonuniform(&servers, &voip, alphas, &routes, &cfg, None)
-            .outcome
-            .is_safe()
+    let mut scratch = SolveScratch::new();
+    let mut check = |alphas: &[f64]| {
+        solve_two_class_with(
+            &servers,
+            &voip,
+            alphas,
+            &routes,
+            None,
+            &cfg,
+            None,
+            &mut scratch,
+        )
+        .outcome
+        .is_safe()
     };
     assert!(check(&alphas), "uniform baseline must verify");
 

@@ -15,78 +15,21 @@
 //! (`obs_overhead smoke` runs a shorter loop with a looser bound — the
 //! `scripts/verify.sh` configuration.)
 
-use std::time::Instant;
-use uba::admission::AdmissionController;
 use uba::prelude::*;
-use uba_bench::PaperSetting;
-
-/// One measured batch: round-robin admit+release over the pair set.
-/// Low alpha keeps a couple of flows per link admissible, so the loop
-/// exercises the full reserve/rollback/release CAS machinery without
-/// saturating into the pure-reject path.
-fn batch(ctrl: &AdmissionController, pairs: &[Pair], iters: usize) -> f64 {
-    let t0 = Instant::now();
-    let mut admitted = 0usize;
-    for i in 0..iters {
-        let p = pairs[i % pairs.len()];
-        if let Ok(handle) = ctrl.try_admit(ClassId(0), p.src, p.dst) {
-            admitted += 1;
-            drop(handle);
-        }
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    assert!(admitted > 0, "workload must exercise the admit path");
-    std::hint::black_box(admitted);
-    dt
-}
+use uba_bench::{admit_release_batch, overhead_gate, PaperSetting};
 
 fn main() {
-    let smoke = std::env::args().nth(1).as_deref() == Some("smoke");
-    let (rounds, iters, bound_pct) = if smoke {
-        (7, 20_000, 50.0)
-    } else {
-        (15, 200_000, 5.0)
-    };
-
     let setting = PaperSetting::new();
     let (metered, unmetered) = setting.controller_pair(0.3);
     let pairs = &setting.pairs;
-
-    // Warm-up: fault in routes, branch predictors, and the metric handles.
-    batch(&metered, pairs, iters / 4);
-    batch(&unmetered, pairs, iters / 4);
-
-    let mut ratios = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        // Alternate which subject goes first within the round.
-        let (t_metered, t_plain) = if round % 2 == 0 {
-            let m = batch(&metered, pairs, iters);
-            let u = batch(&unmetered, pairs, iters);
-            (m, u)
-        } else {
-            let u = batch(&unmetered, pairs, iters);
-            let m = batch(&metered, pairs, iters);
-            (m, u)
-        };
-        let pct = (t_metered / t_plain - 1.0) * 100.0;
-        ratios.push(pct);
-        println!(
-            "round {round:>2}: metered {:>8.3} ms, unmetered {:>8.3} ms, overhead {pct:+6.2}%",
-            t_metered * 1e3,
-            t_plain * 1e3,
-        );
-    }
-
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let median = ratios[ratios.len() / 2];
-    println!();
-    println!(
-        "median instrumentation overhead: {median:+.2}% over {rounds} rounds of {iters} admits \
-         (bound {bound_pct}%)"
+    let batch = |ctrl: &uba::admission::AdmissionController, iters: usize| {
+        admit_release_batch(pairs, iters, |p| ctrl.try_admit(ClassId(0), p.src, p.dst))
+    };
+    overhead_gate(
+        "instrumentation",
+        (15, 200_000, 5.0),
+        (7, 20_000, 50.0),
+        ("metered", |iters| batch(&metered, iters)),
+        ("unmetered", |iters| batch(&unmetered, iters)),
     );
-    assert!(
-        median < bound_pct,
-        "instrumented admit path {median:.2}% over baseline, bound {bound_pct}%"
-    );
-    println!("overhead check: median < {bound_pct}%  ✓");
 }

@@ -18,104 +18,32 @@
 //! (`reconfig_overhead smoke` runs a shorter loop with a looser bound —
 //! the `scripts/verify.sh` configuration.)
 
-use std::sync::Arc;
-use std::time::Instant;
-use uba::admission::{AdmissionController, ConfigGeneration};
 use uba::prelude::*;
-use uba_bench::PaperSetting;
-
-/// One measured batch through the versioned path: every admission
-/// resolves the current generation before reserving.
-fn batch_current(ctrl: &AdmissionController, pairs: &[Pair], iters: usize) -> f64 {
-    let t0 = Instant::now();
-    let mut admitted = 0usize;
-    for i in 0..iters {
-        let p = pairs[i % pairs.len()];
-        if let Ok(handle) = ctrl.try_admit(ClassId(0), p.src, p.dst) {
-            admitted += 1;
-            drop(handle);
-        }
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    assert!(admitted > 0, "workload must exercise the admit path");
-    std::hint::black_box(admitted);
-    dt
-}
-
-/// The same batch against an explicitly pinned generation — no epoch
-/// load, no cache check: what the admit path cost before configurations
-/// were versioned.
-fn batch_pinned(
-    ctrl: &AdmissionController,
-    generation: &Arc<ConfigGeneration>,
-    pairs: &[Pair],
-    iters: usize,
-) -> f64 {
-    let t0 = Instant::now();
-    let mut admitted = 0usize;
-    for i in 0..iters {
-        let p = pairs[i % pairs.len()];
-        if let Ok(handle) = ctrl.try_admit_on(generation, ClassId(0), p.src, p.dst) {
-            admitted += 1;
-            drop(handle);
-        }
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    assert!(admitted > 0, "workload must exercise the admit path");
-    std::hint::black_box(admitted);
-    dt
-}
+use uba_bench::{admit_release_batch, overhead_gate, PaperSetting};
 
 fn main() {
-    let smoke = std::env::args().nth(1).as_deref() == Some("smoke");
-    let (rounds, iters, bound_pct) = if smoke {
-        (7, 20_000, 50.0)
-    } else {
-        (15, 200_000, 5.0)
-    };
-
     let setting = PaperSetting::new();
     // Unmetered, so the measured delta is exactly the generation-pointer
     // machinery — not instrumentation (obs_overhead covers that).
     let (_, ctrl) = setting.controller_pair(0.3);
     let generation = ctrl.current_generation();
     let pairs = &setting.pairs;
-
-    // Warm-up: fault in routes, branch predictors, and the cache slot.
-    batch_current(&ctrl, pairs, iters / 4);
-    batch_pinned(&ctrl, &generation, pairs, iters / 4);
-
-    let mut ratios = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        // Alternate which subject goes first within the round.
-        let (t_current, t_pinned) = if round % 2 == 0 {
-            let c = batch_current(&ctrl, pairs, iters);
-            let p = batch_pinned(&ctrl, &generation, pairs, iters);
-            (c, p)
-        } else {
-            let p = batch_pinned(&ctrl, &generation, pairs, iters);
-            let c = batch_current(&ctrl, pairs, iters);
-            (c, p)
-        };
-        let pct = (t_current / t_pinned - 1.0) * 100.0;
-        ratios.push(pct);
-        println!(
-            "round {round:>2}: versioned {:>8.3} ms, pinned {:>8.3} ms, overhead {pct:+6.2}%",
-            t_current * 1e3,
-            t_pinned * 1e3,
-        );
-    }
-
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let median = ratios[ratios.len() / 2];
-    println!();
-    println!(
-        "median generation-pointer overhead: {median:+.2}% over {rounds} rounds of {iters} \
-         admits (bound {bound_pct}%)"
+    overhead_gate(
+        "generation-pointer",
+        (15, 200_000, 5.0),
+        (7, 20_000, 50.0),
+        // Every admission resolves the current generation before
+        // reserving...
+        ("versioned", |iters| {
+            admit_release_batch(pairs, iters, |p| ctrl.try_admit(ClassId(0), p.src, p.dst))
+        }),
+        // ...vs an explicitly pinned generation — no epoch load, no
+        // cache check: what the admit path cost before configurations
+        // were versioned.
+        ("pinned", |iters| {
+            admit_release_batch(pairs, iters, |p| {
+                ctrl.try_admit_on(&generation, ClassId(0), p.src, p.dst)
+            })
+        }),
     );
-    assert!(
-        median < bound_pct,
-        "versioned admit path {median:.2}% over pinned baseline, bound {bound_pct}%"
-    );
-    println!("overhead check: median < {bound_pct}%  ✓");
 }

@@ -91,7 +91,14 @@ fn main() {
     );
     for (name, d) in disciplines {
         let t0 = Instant::now();
-        let r = simulate_with(&vec![capacity; g.edge_count()], &flows, &cfg, &d);
+        let r = simulate_with(
+            &vec![capacity; g.edge_count()],
+            &flows,
+            &cfg,
+            &d,
+            None,
+            None,
+        );
         let wall = t0.elapsed();
         let q = |p: f64| r.histograms[0].quantile(p).unwrap_or(0.0) * 1e3;
         println!(

@@ -26,35 +26,15 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-use uba::admission::AdmissionController;
 use uba::obs::{standard_rules, SloConfig, SloEngine};
 use uba::prelude::*;
-use uba_bench::PaperSetting;
-
-/// One measured batch: round-robin admit+release over the pair set
-/// (identical to the `obs_overhead` workload).
-fn batch(ctrl: &AdmissionController, pairs: &[Pair], iters: usize) -> f64 {
-    let t0 = Instant::now();
-    let mut admitted = 0usize;
-    for i in 0..iters {
-        let p = pairs[i % pairs.len()];
-        if let Ok(handle) = ctrl.try_admit(ClassId(0), p.src, p.dst) {
-            admitted += 1;
-            drop(handle);
-        }
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    assert!(admitted > 0, "workload must exercise the admit path");
-    std::hint::black_box(admitted);
-    dt
-}
+use uba_bench::{admit_release_batch, overhead_gate, PaperSetting};
 
 /// Runs `batch` while an evaluator thread snapshots the global registry
 /// and closes an SLO window every 2 ms. The batch only starts once
 /// the evaluator has anchored and closed its first window, so every
 /// measured admit overlaps live evaluation.
-fn batch_under_evaluation(ctrl: &AdmissionController, pairs: &[Pair], iters: usize) -> f64 {
+fn under_evaluation(batch: impl FnOnce() -> f64) -> f64 {
     let stop = Arc::new(AtomicBool::new(false));
     let started = Arc::new(AtomicBool::new(false));
     let evaluator = {
@@ -77,7 +57,7 @@ fn batch_under_evaluation(ctrl: &AdmissionController, pairs: &[Pair], iters: usi
     while !started.load(Ordering::Relaxed) {
         std::thread::yield_now();
     }
-    let dt = batch(ctrl, pairs, iters);
+    let dt = batch();
     stop.store(true, Ordering::Relaxed);
     let windows = evaluator.join().expect("evaluator thread");
     assert!(windows > 0, "the evaluator must close at least one window");
@@ -85,53 +65,19 @@ fn batch_under_evaluation(ctrl: &AdmissionController, pairs: &[Pair], iters: usi
 }
 
 fn main() {
-    let smoke = std::env::args().nth(1).as_deref() == Some("smoke");
-    let (rounds, iters, bound_pct) = if smoke {
-        (7, 20_000, 50.0)
-    } else {
-        (15, 200_000, 5.0)
-    };
-
     let setting = PaperSetting::new();
     let (metered, _) = setting.controller_pair(0.3);
     let pairs = &setting.pairs;
-
-    // Warm-up: fault in routes, branch predictors, metric handles, and
-    // the slo.* gauge registrations.
-    batch(&metered, pairs, iters / 4);
-    batch_under_evaluation(&metered, pairs, iters / 4);
-
-    let mut ratios = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        // Alternate which subject goes first within the round.
-        let (t_evaluated, t_quiet) = if round % 2 == 0 {
-            let e = batch_under_evaluation(&metered, pairs, iters);
-            let q = batch(&metered, pairs, iters);
-            (e, q)
-        } else {
-            let q = batch(&metered, pairs, iters);
-            let e = batch_under_evaluation(&metered, pairs, iters);
-            (e, q)
-        };
-        let pct = (t_evaluated / t_quiet - 1.0) * 100.0;
-        ratios.push(pct);
-        println!(
-            "round {round:>2}: evaluated {:>8.3} ms, quiet {:>8.3} ms, overhead {pct:+6.2}%",
-            t_evaluated * 1e3,
-            t_quiet * 1e3,
-        );
-    }
-
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let median = ratios[ratios.len() / 2];
-    println!();
-    println!(
-        "median SLO-evaluation overhead: {median:+.2}% over {rounds} rounds of {iters} admits \
-         (bound {bound_pct}%)"
+    let batch = |iters: usize| {
+        admit_release_batch(pairs, iters, |p| {
+            metered.try_admit(ClassId(0), p.src, p.dst)
+        })
+    };
+    overhead_gate(
+        "SLO-evaluation",
+        (15, 200_000, 5.0),
+        (7, 20_000, 50.0),
+        ("evaluated", |iters| under_evaluation(|| batch(iters))),
+        ("quiet", batch),
     );
-    assert!(
-        median < bound_pct,
-        "admit path under SLO evaluation {median:.2}% over quiet baseline, bound {bound_pct}%"
-    );
-    println!("overhead check: median < {bound_pct}%  ✓");
 }

@@ -26,101 +26,43 @@
 //! (`trace_overhead smoke` runs a shorter loop with a looser bound — the
 //! `scripts/verify.sh` configuration.)
 
-use std::time::Instant;
-use uba::admission::AdmissionController;
 use uba::obs::trace;
 use uba::prelude::*;
-use uba_bench::PaperSetting;
-
-/// One measured batch: round-robin admit+release over the pair set.
-/// Low alpha keeps a couple of flows per link admissible, so tracing
-/// sees the full admit/reject/release event mix.
-fn batch(ctrl: &AdmissionController, pairs: &[Pair], iters: usize) -> f64 {
-    let t0 = Instant::now();
-    let mut admitted = 0usize;
-    for i in 0..iters {
-        let p = pairs[i % pairs.len()];
-        if let Ok(handle) = ctrl.try_admit(ClassId(0), p.src, p.dst) {
-            admitted += 1;
-            drop(handle);
-        }
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    assert!(admitted > 0, "workload must exercise the admit path");
-    std::hint::black_box(admitted);
-    dt
-}
+use uba_bench::{admit_release_batch, overhead_gate, PaperSetting};
 
 fn main() {
-    let smoke = std::env::args().nth(1).as_deref() == Some("smoke");
-    let (rounds, iters, bound_pct) = if smoke {
-        (7, 20_000, 60.0)
-    } else {
-        (15, 200_000, 45.0)
-    };
-
     let setting = PaperSetting::new();
     let (metered, _) = setting.controller_pair(0.3);
     let pairs = &setting.pairs;
     let tracer = trace::global();
-
-    // Warm-up both configurations: fault in routes, the thread-local
-    // trace buffer, and the metric handles.
-    tracer.set_enabled(true);
-    batch(&metered, pairs, iters / 4);
-    tracer.set_enabled(false);
-    batch(&metered, pairs, iters / 4);
-
-    let mut ratios = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        // Alternate which subject goes first within the round. The ring
-        // is drained between batches so enabled rounds pay steady-state
-        // overwrite cost, not an ever-deeper queue.
-        let run = |on: bool| -> f64 {
-            tracer.set_enabled(on);
-            let t = batch(&metered, pairs, iters);
-            tracer.set_enabled(false);
-            tracer.drain();
-            t
-        };
-        let (t_traced, t_plain) = if round % 2 == 0 {
-            let t = run(true);
-            let p = run(false);
-            (t, p)
-        } else {
-            let p = run(false);
-            let t = run(true);
-            (t, p)
-        };
-        let pct = (t_traced / t_plain - 1.0) * 100.0;
-        ratios.push(pct);
-        println!(
-            "round {round:>2}: traced {:>8.3} ms, untraced {:>8.3} ms, overhead {pct:+6.2}%",
-            t_traced * 1e3,
-            t_plain * 1e3,
-        );
-    }
+    // The ring is drained between batches so enabled rounds pay
+    // steady-state overwrite cost, not an ever-deeper queue.
+    let run = |on: bool, iters: usize| -> f64 {
+        tracer.set_enabled(on);
+        let t = admit_release_batch(pairs, iters, |p| {
+            metered.try_admit(ClassId(0), p.src, p.dst)
+        });
+        tracer.set_enabled(false);
+        tracer.drain();
+        t
+    };
+    overhead_gate(
+        "tracing",
+        (15, 200_000, 45.0),
+        (7, 20_000, 60.0),
+        ("traced", |iters| run(true, iters)),
+        ("untraced", |iters| run(false, iters)),
+    );
 
     // Sanity: the enabled rounds really recorded decisions.
     tracer.set_enabled(true);
-    batch(&metered, pairs, pairs.len());
+    admit_release_batch(pairs, pairs.len(), |p| {
+        metered.try_admit(ClassId(0), p.src, p.dst)
+    });
     tracer.set_enabled(false);
     let drained = tracer.drain();
     assert!(
         !drained.events.is_empty(),
         "flight recorder captured nothing"
     );
-
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let median = ratios[ratios.len() / 2];
-    println!();
-    println!(
-        "median tracing overhead: {median:+.2}% over {rounds} rounds of {iters} admits \
-         (bound {bound_pct}%)"
-    );
-    assert!(
-        median < bound_pct,
-        "traced admit path {median:.2}% over baseline, bound {bound_pct}%"
-    );
-    println!("overhead check: median < {bound_pct}%  ✓");
 }

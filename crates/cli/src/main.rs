@@ -105,13 +105,13 @@ fn main() {
         usage();
     }
     let command = args[0].as_str();
-    let scenario = match Scenario::from_path(&args[1]) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("scenario error: {e}");
-            std::process::exit(1);
-        }
+    // A scenario file that cannot be read, parsed or built is bad input
+    // to the command line (exit 2), like an unparsable flag; exit 1 is
+    // for a command that fails on a well-formed scenario.
+    let load = |path: &str| {
+        Scenario::from_path(path).unwrap_or_else(|e| fail(format!("scenario error: {e}")))
     };
+    let scenario = load(&args[1]);
     let result = match command {
         "bounds" => cmd_bounds(&scenario),
         "verify" => cmd_verify(&scenario),
@@ -138,13 +138,7 @@ fn main() {
                 eprintln!("reconfigure requires <old.toml> <new.toml>");
                 std::process::exit(2);
             };
-            match Scenario::from_path(new_path) {
-                Ok(new_sc) => cmd_reconfigure(&scenario, &new_sc, json),
-                Err(e) => {
-                    eprintln!("scenario error: {e}");
-                    std::process::exit(1);
-                }
-            }
+            cmd_reconfigure(&scenario, &load(new_path), json)
         }
         "serve" => {
             let Some(port) = port else {

@@ -70,35 +70,88 @@ fn string_or<'a>(t: &'a Table, key: &str, default: &'a str) -> Result<&'a str, S
     }
 }
 
+/// The constructors behind a scenario assert positive, finite
+/// parameters; a file that breaks that is an error, not a panic.
+fn positive(key: &str, v: f64) -> Result<f64, ScenarioError> {
+    if v > 0.0 && v.is_finite() {
+        Ok(v)
+    } else {
+        Err(bad(format!("{key} must be positive and finite, got {v}")))
+    }
+}
+
+/// Largest topology a scenario may ask for. Configuration is at least
+/// quadratic in routers (all-pairs demand, Yen candidates per pair), so
+/// a size beyond this is a typo, not a workload.
+const MAX_ROUTERS: usize = 1024;
+
+/// A topology size from the scenario file: an integer in
+/// `[min, MAX_ROUTERS]`. The generators assert their preconditions, so
+/// everything that reaches them is checked here first.
+fn size(t: &Table, key: &str, default: usize, min: usize) -> Result<usize, ScenarioError> {
+    let v = num_or(t, key, default as f64)?;
+    if v.fract() != 0.0 || v < min as f64 || v > MAX_ROUTERS as f64 {
+        // (NaN and the infinities fail the `fract` test.)
+        return Err(bad(format!(
+            "topology.{key} must be an integer in [{min}, {MAX_ROUTERS}], got {v}"
+        )));
+    }
+    Ok(v as usize)
+}
+
 fn build_topology(t: &Table) -> Result<Digraph, ScenarioError> {
     let kind = string_or(t, "kind", "mci")?;
-    let n = num_or(t, "n", 8.0)? as usize;
+    let routers = |count: usize| -> Result<(), ScenarioError> {
+        if !(2..=MAX_ROUTERS).contains(&count) {
+            return Err(bad(format!(
+                "topology kind '{kind}' with these sizes has {count} routers; \
+                 supported range is [2, {MAX_ROUTERS}]"
+            )));
+        }
+        Ok(())
+    };
     Ok(match kind {
         "mci" => uba::topology::mci(),
         "nsfnet" => uba::topology::nsfnet(),
-        "ring" => uba::topology::ring(n),
-        "line" => uba::topology::line(n),
-        "star" => uba::topology::star(n),
-        "mesh" => uba::topology::full_mesh(n),
-        "grid" => uba::topology::grid(num_or(t, "w", 4.0)? as usize, num_or(t, "h", 4.0)? as usize),
-        "torus" => {
-            uba::topology::torus(num_or(t, "w", 4.0)? as usize, num_or(t, "h", 4.0)? as usize)
+        "ring" => uba::topology::ring(size(t, "n", 8, 3)?),
+        "line" => uba::topology::line(size(t, "n", 8, 2)?),
+        "star" => uba::topology::star(size(t, "n", 8, 1)?),
+        "mesh" => uba::topology::full_mesh(size(t, "n", 8, 2)?),
+        "grid" => {
+            let (w, h) = (size(t, "w", 4, 1)?, size(t, "h", 4, 1)?);
+            routers(w * h)?;
+            uba::topology::grid(w, h)
         }
-        "waxman" => uba::topology::waxman(
-            n,
-            num_or(t, "alpha", 0.4)?,
-            num_or(t, "beta", 0.5)?,
-            num_or(t, "seed", 1.0)? as u64,
-        ),
-        "dumbbell" => uba::topology::dumbbell(
-            num_or(t, "leaves", 3.0)? as usize,
-            num_or(t, "bottleneck", 1.0)? as usize,
-        ),
-        "fat_tree" => uba::topology::fat_tree(
-            num_or(t, "cores", 2.0)? as usize,
-            num_or(t, "pods", 3.0)? as usize,
-            num_or(t, "hosts", 2.0)? as usize,
-        ),
+        "torus" => {
+            let (w, h) = (size(t, "w", 4, 3)?, size(t, "h", 4, 3)?);
+            routers(w * h)?;
+            uba::topology::torus(w, h)
+        }
+        "waxman" => {
+            let (alpha, beta) = (num_or(t, "alpha", 0.4)?, num_or(t, "beta", 0.5)?);
+            let seed = num_or(t, "seed", 1.0)?;
+            if !(alpha > 0.0 && alpha.is_finite()) {
+                return Err(bad("topology.alpha must be positive"));
+            }
+            if !(beta > 0.0 && beta <= 1.0) {
+                return Err(bad("topology.beta must be in (0, 1]"));
+            }
+            if !(seed >= 0.0 && seed.fract() == 0.0) {
+                return Err(bad("topology.seed must be a non-negative integer"));
+            }
+            uba::topology::waxman(size(t, "n", 8, 2)?, alpha, beta, seed as u64)
+        }
+        "dumbbell" => {
+            let (leaves, hops) = (size(t, "leaves", 3, 1)?, size(t, "bottleneck", 1, 1)?);
+            routers(1 + hops + 2 * leaves)?;
+            uba::topology::dumbbell(leaves, hops)
+        }
+        "fat_tree" => {
+            let (cores, pods) = (size(t, "cores", 2, 1)?, size(t, "pods", 3, 2)?);
+            let hosts = size(t, "hosts", 2, 0)?;
+            routers(cores + pods + pods * hosts)?;
+            uba::topology::fat_tree(cores, pods, hosts)
+        }
         other => return Err(bad(format!("unknown topology kind '{other}'"))),
     })
 }
@@ -137,13 +190,6 @@ fn parse_policy(t: Option<&Table>) -> Result<PolicyConfig, ScenarioError> {
     let chain = ChainKind::parse(string_or(t, "chain", d.chain.as_str())?).ok_or_else(|| {
         bad("policy.chain must be one of \"static\", \"token_bucket\", \"adaptive\"")
     })?;
-    let positive = |key: &str, v: f64| -> Result<f64, ScenarioError> {
-        if v > 0.0 && v.is_finite() {
-            Ok(v)
-        } else {
-            Err(bad(format!("policy.{key} must be positive")))
-        }
-    };
     let decrease = num_or(t, "aimd_decrease", d.aimd.decrease)?;
     if decrease <= 0.0 || decrease >= 1.0 || decrease.is_nan() {
         return Err(bad("policy.aimd_decrease must be in (0, 1)"));
@@ -151,25 +197,25 @@ fn parse_policy(t: Option<&Table>) -> Result<PolicyConfig, ScenarioError> {
     Ok(PolicyConfig {
         chain,
         bucket_rate_bps: positive(
-            "bucket_rate_bps",
+            "policy.bucket_rate_bps",
             num_or(t, "bucket_rate_bps", d.bucket_rate_bps)?,
         )?,
         bucket_burst_bits: positive(
-            "bucket_burst_bits",
+            "policy.bucket_burst_bits",
             num_or(t, "bucket_burst_bits", d.bucket_burst_bits)?,
         )?,
         aimd: AimdParams {
             min_rate_bps: positive(
-                "aimd_min_rate_bps",
+                "policy.aimd_min_rate_bps",
                 num_or(t, "aimd_min_rate_bps", d.aimd.min_rate_bps)?,
             )?,
             max_rate_bps: positive(
-                "aimd_max_rate_bps",
+                "policy.aimd_max_rate_bps",
                 num_or(t, "aimd_max_rate_bps", d.aimd.max_rate_bps)?,
             )?,
             decrease,
             increase_bps: positive(
-                "aimd_increase_bps",
+                "policy.aimd_increase_bps",
                 num_or(t, "aimd_increase_bps", d.aimd.increase_bps)?,
             )?,
         },
@@ -186,7 +232,7 @@ impl Scenario {
         let graph = build_topology(&topo_table)?;
 
         let net = doc.table("network").cloned().unwrap_or_default();
-        let capacity = num_or(&net, "capacity", 100e6)?;
+        let capacity = positive("network.capacity", num_or(&net, "capacity", 100e6)?)?;
         let fan_in = num_or(&net, "fan_in", 0.0)? as usize;
         let servers = if fan_in == 0 {
             Servers::uniform(&graph, capacity, graph.max_in_degree().max(1))
@@ -203,9 +249,9 @@ impl Scenario {
         } else {
             for ct in class_tables {
                 let name = string_or(ct, "name", "class")?.to_string();
-                let burst = num(ct, "burst")?;
-                let rate = num(ct, "rate")?;
-                let deadline = num(ct, "deadline")?;
+                let burst = positive("class.burst", num(ct, "burst")?)?;
+                let rate = positive("class.rate", num(ct, "rate")?)?;
+                let deadline = positive("class.deadline", num(ct, "deadline")?)?;
                 classes.push(TrafficClass::new(
                     name,
                     LeakyBucket::new(burst, rate),
@@ -419,6 +465,75 @@ mod tests {
         ] {
             let e = Scenario::from_str(&format!("[policy]\n{toml}")).unwrap_err();
             assert!(e.0.contains(needle), "{toml}: {e}");
+        }
+    }
+
+    #[test]
+    fn degenerate_topology_sizes_are_errors_not_panics() {
+        for (toml, needle) in [
+            ("kind = \"ring\"\nn = 0", "topology.n"),
+            ("kind = \"ring\"\nn = 2", "topology.n"),
+            ("kind = \"line\"\nn = 1", "topology.n"),
+            ("kind = \"line\"\nn = 1e12", "topology.n"),
+            ("kind = \"line\"\nn = -4", "topology.n"),
+            ("kind = \"line\"\nn = 4.5", "topology.n"),
+            ("kind = \"line\"\nn = inf", "topology.n"),
+            ("kind = \"line\"\nn = nan", "topology.n"),
+            ("kind = \"star\"\nn = 0", "topology.n"),
+            ("kind = \"mesh\"\nn = 1", "topology.n"),
+            ("kind = \"grid\"\nw = 1\nh = 1", "1 routers"),
+            ("kind = \"grid\"\nw = 0", "topology.w"),
+            ("kind = \"grid\"\nw = 1000\nh = 1000", "1000000 routers"),
+            ("kind = \"torus\"\nw = 2\nh = 5", "topology.w"),
+            ("kind = \"torus\"\nw = 5\nh = 2", "topology.h"),
+            ("kind = \"waxman\"\nn = 1", "topology.n"),
+            ("kind = \"waxman\"\nalpha = 0", "topology.alpha"),
+            ("kind = \"waxman\"\nbeta = 1.5", "topology.beta"),
+            ("kind = \"waxman\"\nseed = -1", "topology.seed"),
+            ("kind = \"dumbbell\"\nleaves = 0", "topology.leaves"),
+            ("kind = \"dumbbell\"\nbottleneck = 0", "topology.bottleneck"),
+            ("kind = \"dumbbell\"\nleaves = 600", "routers"),
+            ("kind = \"fat_tree\"\ncores = 0", "topology.cores"),
+            ("kind = \"fat_tree\"\npods = 1", "topology.pods"),
+            ("kind = \"fat_tree\"\nhosts = -1", "topology.hosts"),
+            ("kind = \"fat_tree\"\npods = 100\nhosts = 100", "routers"),
+        ] {
+            let e = Scenario::from_str(&format!("[topology]\n{toml}")).unwrap_err();
+            assert!(e.0.contains(needle), "{toml}: {e}");
+        }
+        for (toml, needle) in [
+            ("[network]\ncapacity = 0", "network.capacity"),
+            ("[network]\ncapacity = inf", "network.capacity"),
+            (
+                "[[class]]\nburst = 0\nrate = 32000\ndeadline = 0.1",
+                "class.burst",
+            ),
+            (
+                "[[class]]\nburst = 640\nrate = -1\ndeadline = 0.1",
+                "class.rate",
+            ),
+            (
+                "[[class]]\nburst = 640\nrate = 32000\ndeadline = nan",
+                "class.deadline",
+            ),
+        ] {
+            let e = Scenario::from_str(toml).unwrap_err();
+            assert!(e.0.contains(needle), "{toml}: {e}");
+        }
+        // The smallest instance of every family still builds.
+        for (toml, nodes) in [
+            ("kind = \"ring\"\nn = 3", 3),
+            ("kind = \"line\"\nn = 2", 2),
+            ("kind = \"star\"\nn = 1", 2),
+            ("kind = \"mesh\"\nn = 2", 2),
+            ("kind = \"grid\"\nw = 1\nh = 2", 2),
+            ("kind = \"torus\"\nw = 3\nh = 3", 9),
+            ("kind = \"waxman\"\nn = 2", 2),
+            ("kind = \"dumbbell\"\nleaves = 1\nbottleneck = 1", 4),
+            ("kind = \"fat_tree\"\ncores = 1\npods = 2\nhosts = 0", 3),
+        ] {
+            let s = Scenario::from_str(&format!("[topology]\n{toml}")).unwrap();
+            assert_eq!(s.graph.node_count(), nodes, "{toml}");
         }
     }
 

@@ -599,6 +599,48 @@ mod tests {
     }
 
     #[test]
+    fn bad_reload_file_is_refused_and_the_old_generation_keeps_serving() {
+        const GOOD: &str = "[topology]\nkind = \"ring\"\nn = 6\n[network]\ncapacity = 1e6\n";
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/tmp");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("serve_bad_reload_{}.toml", std::process::id()));
+        let path = path.to_str().unwrap().to_string();
+        std::fs::write(&path, GOOD).unwrap();
+        let sc = Scenario::from_path(&path).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let reload = path.clone();
+        let server = std::thread::spawn(move || serve(&sc, listener, Some(4), Some(&reload)));
+
+        use uba::obs::json::JsonValue;
+        let generation = || {
+            let (head, body) = get(addr, "/healthz");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            let v = uba::obs::json::parse(body.trim()).unwrap_or_else(|e| panic!("{e}: {body}"));
+            v.get("generation").and_then(JsonValue::as_number).unwrap()
+        };
+        let before = generation();
+
+        // A ring of two routers is below the generator's precondition:
+        // the reload must come back as an error response, not take the
+        // accept thread down.
+        std::fs::write(&path, GOOD.replace("n = 6", "n = 2")).unwrap();
+        let (head, body) = request(addr, "POST", "/reconfigure");
+        assert!(head.starts_with("HTTP/1.1 500"), "{head}");
+        assert!(body.starts_with("reconfigure failed: "), "{body}");
+        assert!(body.contains("topology.n"), "{body}");
+        assert_eq!(generation(), before, "a refused reload must not swap");
+
+        // And the endpoint still reloads once the file is fixed.
+        std::fs::write(&path, GOOD).unwrap();
+        let (head, _) = request(addr, "POST", "/reconfigure");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+
+        server.join().unwrap().unwrap();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn watch_frame_renders_one_line_per_rule() {
         let snapshot = "{\"name\":\"snapshot.window_secs\",\"value\":1.5}\n\
                         {\"name\":\"admission.admits.per_sec\",\"value\":123.4}\n";

@@ -18,26 +18,26 @@
 //!
 //! # Incremental sweeps
 //!
-//! Two sweep strategies share these stopping rules (selected by
-//! [`SolveConfig::incremental`]):
+//! The solver is a worklist sweep. `d_k` depends only on `Y_k`, and `Y_k`
+//! only on the delays of servers upstream of `k` on routes through `k`
+//! (tracked by the [`RouteSet`]'s inverted index). Because iterates are
+//! non-decreasing, a route whose servers' delays did not change
+//! contributes the same prefixes, so only *dirty* routes (those
+//! containing a just-changed server) are re-swept, folding their prefixes
+//! into the persistent `Y` by max-merge, and only servers whose `Y_k`
+//! actually moved are re-evaluated. If a warm start ever violates the
+//! monotone (shrink-to-grow) discipline, the first observed decrease
+//! triggers a full rebuild of `Y`.
 //!
-//! * **Dense (reference)** — every iteration rebuilds every `Y_k` from
-//!   scratch and re-evaluates Theorem 3 at every server, exactly as the
-//!   math is written.
-//! * **Incremental (default)** — a worklist sweep. `d_k` depends only on
-//!   `Y_k`, and `Y_k` only on the delays of servers upstream of `k` on
-//!   routes through `k` (tracked by the [`RouteSet`]'s inverted index).
-//!   Because iterates are non-decreasing, a route whose servers' delays
-//!   did not change contributes the same prefixes, so only *dirty* routes
-//!   (those containing a just-changed server) are re-swept, folding their
-//!   prefixes into the persistent `Y` by max-merge, and only servers whose
-//!   `Y_k` actually moved are re-evaluated. The iterates are bitwise
-//!   identical to the dense sweep; if a warm start ever violates the
-//!   monotone (shrink-to-grow) discipline, the first observed decrease
-//!   triggers a dense rebuild of `Y`, preserving equivalence.
+//! The math as written — every iteration rebuilds every `Y_k` from
+//! scratch and re-evaluates Theorem 3 at every server — is kept as
+//! [`solve_two_class_dense`], the executable specification: the worklist
+//! sweep's outcome, iteration count and delay vectors are bitwise
+//! identical to it (`tests/incremental.rs`). Nothing outside the tests
+//! calls it.
 //!
-//! The incremental path also supports a borrowed *tentative* route — the
-//! §5.2 candidate-evaluation loop appends a candidate to the committed set
+//! The solver also supports a borrowed *tentative* route — the §5.2
+//! candidate-evaluation loop appends a candidate to the committed set
 //! without cloning it — and all per-iteration buffers live in a
 //! caller-owned [`SolveScratch`] arena, so steady-state solving allocates
 //! only for the returned [`SolveResult`].
@@ -57,16 +57,12 @@ pub struct SolveConfig {
     pub max_iters: usize,
     /// Worker threads for the per-iteration sweeps (1 = serial).
     pub threads: usize,
-    /// Minimum per-iteration worklist size before the Theorem 3 updates
-    /// fan out across `threads` workers; below it the sweep stays serial
-    /// (thread spawn/join would dominate).
-    pub par_threshold: usize,
-    /// Use the incremental worklist sweep (`true`, default) or the dense
-    /// reference sweep (`false`). Both produce identical iterates; the
-    /// dense path is retained as the executable specification and perf
-    /// baseline.
-    pub incremental: bool,
 }
+
+/// Minimum per-iteration worklist size before the Theorem 3 updates fan
+/// out across [`SolveConfig::threads`] workers; below it the sweep stays
+/// serial (thread spawn/join would dominate).
+const PAR_THRESHOLD: usize = 256;
 
 impl Default for SolveConfig {
     fn default() -> Self {
@@ -74,8 +70,6 @@ impl Default for SolveConfig {
             tol: 1e-12,
             max_iters: 20_000,
             threads: 1,
-            par_threshold: 256,
-            incremental: true,
         }
     }
 }
@@ -125,9 +119,7 @@ const DEADLINE_SLACK: f64 = 1e-12;
 /// Holds every per-iteration buffer (`d`, `Y`, route delays, worklists),
 /// so a caller running many solves — the §5.2 candidate-evaluation loop,
 /// the §5.3 binary search — pays no per-iteration and (after warm-up) no
-/// per-solve allocations. After a solve returns, [`SolveScratch::delays`]
-/// and [`SolveScratch::route_delays`] expose the final state without
-/// copying.
+/// per-solve allocations.
 #[derive(Clone, Debug, Default)]
 pub struct SolveScratch {
     d: Vec<f64>,
@@ -150,16 +142,6 @@ impl SolveScratch {
     /// An empty arena; buffers grow to fit on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Per-server delays of the most recent solve.
-    pub fn delays(&self) -> &[f64] {
-        &self.d
-    }
-
-    /// Per-route end-to-end delays of the most recent solve.
-    pub fn route_delays(&self) -> &[f64] {
-        &self.route_delays
     }
 }
 
@@ -193,12 +175,27 @@ pub fn solve_two_class(
     cfg: &SolveConfig,
     warm: Option<&[f64]>,
 ) -> SolveResult {
-    with_thread_scratch(|sc| {
-        solve_two_class_with(servers, class, alpha, routes, None, cfg, warm, sc)
-    })
+    solve_uniform(servers, class, alpha, routes, cfg, warm, Sweep::Worklist)
 }
 
-/// [`solve_two_class`] with full control: an optional borrowed
+/// [`solve_two_class`] by the dense sweep — the math as written, kept as
+/// the oracle the worklist sweep is tested against (identical
+/// [`Outcome`], iteration count and bitwise delays).
+pub fn solve_two_class_dense(
+    servers: &Servers,
+    class: &TrafficClass,
+    alpha: f64,
+    routes: &RouteSet,
+    cfg: &SolveConfig,
+    warm: Option<&[f64]>,
+) -> SolveResult {
+    solve_uniform(servers, class, alpha, routes, cfg, warm, Sweep::Dense)
+}
+
+/// [`solve_two_class`] in full generality: a *per-server* utilization
+/// assignment (the run-time admission test is per-link anyway, so
+/// nothing forces every link to the same `α`; only the `α_k` of servers
+/// that actually carry routes are validated), an optional borrowed
 /// *tentative* route evaluated as if appended to `routes` (zero-clone
 /// candidate evaluation — its end-to-end delay is the last entry of
 /// [`SolveResult::route_delays`]), and a caller-owned scratch arena.
@@ -206,38 +203,50 @@ pub fn solve_two_class(
 pub fn solve_two_class_with(
     servers: &Servers,
     class: &TrafficClass,
-    alpha: f64,
+    alphas: &[f64],
     routes: &RouteSet,
     tentative: Option<&Route>,
     cfg: &SolveConfig,
     warm: Option<&[f64]>,
     scratch: &mut SolveScratch,
 ) -> SolveResult {
-    let mut alphas = std::mem::take(&mut scratch.alphas);
-    alphas.clear();
-    alphas.resize(servers.len(), alpha);
-    let r = solve_instrumented(
-        servers, class, &alphas, routes, tentative, cfg, warm, scratch,
-    );
-    scratch.alphas = alphas;
-    r
+    solve_instrumented(
+        servers,
+        class,
+        alphas,
+        routes,
+        tentative,
+        cfg,
+        warm,
+        Sweep::Worklist,
+        scratch,
+    )
 }
 
-/// [`solve_two_class`] with a *per-server* utilization assignment — the
-/// general form of the paper's "utilization assignment": the run-time
-/// admission test is per-link anyway, so nothing forces every link to the
-/// same `α`. Only the `α_k` of servers that actually carry routes are
-/// validated; unused entries may be anything.
-pub fn solve_two_class_nonuniform(
+/// Which sweep [`solve_core`] runs after its shared set-up.
+#[derive(Clone, Copy)]
+enum Sweep {
+    Worklist,
+    Dense,
+}
+
+/// One `alpha` on every server, on the thread's scratch arena.
+fn solve_uniform(
     servers: &Servers,
     class: &TrafficClass,
-    alphas: &[f64],
+    alpha: f64,
     routes: &RouteSet,
     cfg: &SolveConfig,
     warm: Option<&[f64]>,
+    sweep: Sweep,
 ) -> SolveResult {
     with_thread_scratch(|sc| {
-        solve_instrumented(servers, class, alphas, routes, None, cfg, warm, sc)
+        let mut alphas = std::mem::take(&mut sc.alphas);
+        alphas.clear();
+        alphas.resize(servers.len(), alpha);
+        let r = solve_instrumented(servers, class, &alphas, routes, None, cfg, warm, sweep, sc);
+        sc.alphas = alphas;
+        r
     })
 }
 
@@ -265,6 +274,7 @@ fn solve_instrumented(
     tentative: Option<&Route>,
     cfg: &SolveConfig,
     warm: Option<&[f64]>,
+    sweep: Sweep,
     scratch: &mut SolveScratch,
 ) -> SolveResult {
     let tr = uba_obs::trace::global();
@@ -278,7 +288,7 @@ fn solve_instrumented(
     );
     let t0 = uba_obs::Stopwatch::start();
     let (outcome, iterations, residual, stats) = solve_core(
-        servers, class, alphas, routes, tentative, cfg, warm, scratch,
+        servers, class, alphas, routes, tentative, cfg, warm, sweep, scratch,
     );
     let m = crate::metrics::solver();
     m.seconds.record(t0.elapsed_secs());
@@ -377,6 +387,7 @@ fn solve_core(
     tentative: Option<&Route>,
     cfg: &SolveConfig,
     warm: Option<&[f64]>,
+    sweep: Sweep,
     scratch: &mut SolveScratch,
 ) -> (Outcome, usize, f64, SweepStats) {
     let s = servers.len();
@@ -495,7 +506,7 @@ fn solve_core(
     let mut residual = 0.0f64;
     let mut stats = SweepStats::default();
 
-    if !cfg.incremental {
+    if let Sweep::Dense = sweep {
         // ---- Dense reference sweep: the math as written. ----
         loop {
             iterations += 1;
@@ -523,12 +534,8 @@ fn solve_core(
                 }
                 theorem3_delay(alphas[k], class.bucket, servers.fan_in_at(k), y[k])
             };
-            if cfg.threads > 1 && s > cfg.par_threshold {
-                *vals = par_map(s, cfg.threads, step);
-            } else {
-                vals.clear();
-                vals.extend((0..s).map(step));
-            }
+            vals.clear();
+            vals.extend((0..s).map(step));
             let mut max_diff: f64 = 0.0;
             for k in 0..s {
                 match vals[k] {
@@ -617,7 +624,7 @@ fn solve_core(
             }
             theorem3_delay(alphas[k], class.bucket, servers.fan_in_at(k), y[k])
         };
-        if cfg.threads > 1 && worklist.len() > cfg.par_threshold {
+        if cfg.threads > 1 && worklist.len() > PAR_THRESHOLD {
             *vals = par_map(worklist.len(), cfg.threads, step);
         } else {
             vals.clear();
@@ -771,13 +778,6 @@ mod tests {
             servers: back,
         });
         (g, servers, routes)
-    }
-
-    fn dense_cfg() -> SolveConfig {
-        SolveConfig {
-            incremental: false,
-            ..Default::default()
-        }
     }
 
     #[test]
@@ -934,15 +934,28 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        let (_, servers, routes) = line_setup(4);
+        // A 9x9 torus has 324 link servers; shortest paths between a
+        // spread of pairs use more than `PAR_THRESHOLD` of them, so the
+        // full sweeps of the parallel solve really fan out.
+        let g = uba_topology::torus(9, 9);
+        let servers = Servers::uniform(&g, 100e6, 4);
+        let mut routes = RouteSet::new(g.edge_count());
+        let n = g.node_count() as u32;
+        for src in 0..n {
+            for dst in (0..n).filter(|dst| (src + dst) % 5 == 0 && *dst != src) {
+                let path = &uba_graph::k_shortest_paths(&g, NodeId(src), NodeId(dst), 1)[0];
+                routes.push(Route::from_path(ClassId(0), path));
+            }
+        }
+        let used = routes.used_servers(ClassId(0));
+        assert!(used.iter().filter(|&&u| u).count() > PAR_THRESHOLD);
         let cls = voip();
-        let serial = solve_two_class(&servers, &cls, 0.35, &routes, &SolveConfig::default(), None);
+        let serial = solve_two_class(&servers, &cls, 0.1, &routes, &SolveConfig::default(), None);
         let par_cfg = SolveConfig {
             threads: 4,
-            par_threshold: 0,
             ..Default::default()
         };
-        let parallel = solve_two_class(&servers, &cls, 0.35, &routes, &par_cfg, None);
+        let parallel = solve_two_class(&servers, &cls, 0.1, &routes, &par_cfg, None);
         assert_eq!(serial.outcome, parallel.outcome);
         for (a, b) in serial.delays.iter().zip(&parallel.delays) {
             assert!((a - b).abs() < 1e-12);
@@ -997,7 +1010,14 @@ mod tests {
                 &SolveConfig::default(),
                 None,
             );
-            let dense = solve_two_class(&servers, &cls, alpha, &routes, &dense_cfg(), None);
+            let dense = solve_two_class_dense(
+                &servers,
+                &cls,
+                alpha,
+                &routes,
+                &SolveConfig::default(),
+                None,
+            );
             assert_eq!(inc.outcome, dense.outcome, "alpha {alpha}");
             assert_eq!(inc.iterations, dense.iterations, "alpha {alpha}");
             for (a, b) in inc.delays.iter().zip(&dense.delays) {
@@ -1023,7 +1043,7 @@ mod tests {
         let tent = solve_two_class_with(
             &servers,
             &cls,
-            0.3,
+            &vec![0.3; servers.len()],
             &routes,
             Some(&extra),
             &cfg,
@@ -1037,9 +1057,6 @@ mod tests {
         assert_eq!(tent.iterations, committed.iterations);
         assert_eq!(tent.delays, committed.delays);
         assert_eq!(tent.route_delays, committed.route_delays);
-        // The scratch exposes the same state without copying.
-        assert_eq!(scratch.delays(), committed.delays.as_slice());
-        assert_eq!(scratch.route_delays(), committed.route_delays.as_slice());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   Eq. 24): exact given the current flow set, usable only at run time;
 //!   serves as the intserv-style baseline and as the reference the
 //!   configuration-time bounds are property-tested against.
-//! * [`verify`] — the Figure 2 procedure: verification of a safe
+//! * [`mod@verify`] — the Figure 2 procedure: verification of a safe
 //!   utilization assignment, producing a detailed report.
 //! * [`metrics`] — solver instrumentation (iteration/residual/wall-time
 //!   histograms, divergence and verification counters) recorded into the
@@ -45,8 +45,8 @@ pub mod verify;
 
 pub use bound::theorem3_delay;
 pub use fixed_point::{
-    solve_two_class, solve_two_class_nonuniform, solve_two_class_with, with_thread_scratch,
-    Outcome, SolveConfig, SolveResult, SolveScratch,
+    solve_two_class, solve_two_class_with, with_thread_scratch, Outcome, SolveConfig, SolveResult,
+    SolveScratch,
 };
 pub use routeset::{Route, RouteIndex, RouteSet};
 pub use servers::Servers;

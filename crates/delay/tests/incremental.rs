@@ -1,7 +1,7 @@
 //! Incremental-vs-dense solver equivalence.
 //!
-//! The worklist solver (`SolveConfig::incremental = true`, the default)
-//! must be indistinguishable from the dense reference across topologies,
+//! The worklist solver (`solve_two_class`) must be indistinguishable from
+//! the dense reference (`solve_two_class_dense`) across topologies,
 //! utilizations, warm starts (valid *and* invalid), push/pop sequences,
 //! and tentative-route evaluation. The contract asserted here is the
 //! strong one the implementation guarantees: identical `Outcome`,
@@ -11,7 +11,8 @@
 //! `cargo test -p uba-delay --features prop-tests`.
 
 use uba_delay::fixed_point::{
-    solve_two_class, solve_two_class_with, Outcome, SolveConfig, SolveScratch,
+    solve_two_class, solve_two_class_dense, solve_two_class_with, Outcome, SolveConfig,
+    SolveScratch,
 };
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
@@ -19,13 +20,6 @@ use uba_graph::{k_shortest_paths, Digraph, NodeId};
 use uba_obs::SplitMix64;
 use uba_topology::{line, mci, ring};
 use uba_traffic::{ClassId, TrafficClass};
-
-fn dense() -> SolveConfig {
-    SolveConfig {
-        incremental: false,
-        ..Default::default()
-    }
-}
 
 /// Solves with both sweep strategies and asserts they are identical.
 fn assert_equiv(
@@ -37,7 +31,7 @@ fn assert_equiv(
     ctx: &str,
 ) -> (Outcome, Vec<f64>) {
     let inc = solve_two_class(servers, class, alpha, routes, &SolveConfig::default(), warm);
-    let den = solve_two_class(servers, class, alpha, routes, &dense(), warm);
+    let den = solve_two_class_dense(servers, class, alpha, routes, &SolveConfig::default(), warm);
     assert_eq!(inc.outcome, den.outcome, "{ctx}: outcome");
     assert_eq!(inc.iterations, den.iterations, "{ctx}: iterations");
     assert_eq!(inc.delays, den.delays, "{ctx}: delays (bitwise)");
@@ -210,7 +204,7 @@ fn tentative_matches_committed_across_seeds() {
         let tentative = solve_two_class_with(
             &servers,
             &voip,
-            0.35,
+            &vec![0.35; servers.len()],
             &routes,
             Some(&candidate),
             &SolveConfig::default(),

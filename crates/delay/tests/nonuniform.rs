@@ -1,10 +1,33 @@
 //! Per-server (non-uniform) utilization assignments.
 
-use uba_delay::fixed_point::{solve_two_class, solve_two_class_nonuniform, Outcome, SolveConfig};
+use uba_delay::fixed_point::{
+    solve_two_class, solve_two_class_with, Outcome, SolveConfig, SolveResult, SolveScratch,
+};
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
 use uba_graph::{Digraph, NodeId};
 use uba_traffic::{ClassId, TrafficClass};
+
+/// A cold solve under a per-server assignment, no tentative route.
+fn solve_nonuniform(
+    servers: &Servers,
+    class: &TrafficClass,
+    alphas: &[f64],
+    routes: &RouteSet,
+    cfg: &SolveConfig,
+) -> SolveResult {
+    let mut scratch = SolveScratch::new();
+    solve_two_class_with(
+        servers,
+        class,
+        alphas,
+        routes,
+        None,
+        cfg,
+        None,
+        &mut scratch,
+    )
+}
 
 fn cross_setup() -> (Servers, RouteSet) {
     // Two 2-hop routes crossing at a shared middle link:
@@ -32,14 +55,7 @@ fn uniform_wrapper_matches_nonuniform_splat() {
     let voip = TrafficClass::voip();
     let cfg = SolveConfig::default();
     let a = solve_two_class(&servers, &voip, 0.4, &routes, &cfg, None);
-    let b = solve_two_class_nonuniform(
-        &servers,
-        &voip,
-        &vec![0.4; servers.len()],
-        &routes,
-        &cfg,
-        None,
-    );
+    let b = solve_nonuniform(&servers, &voip, &vec![0.4; servers.len()], &routes, &cfg);
     assert_eq!(a.outcome, b.outcome);
     assert_eq!(a.delays, b.delays);
 }
@@ -54,7 +70,7 @@ fn lowering_hot_link_alpha_reduces_its_delay() {
     // Server 1 (the shared link) gets less; ingress links get more.
     let mut alphas = vec![0.5; servers.len()];
     alphas[1] = 0.2;
-    let shaped = solve_two_class_nonuniform(&servers, &voip, &alphas, &routes, &cfg, None);
+    let shaped = solve_nonuniform(&servers, &voip, &alphas, &routes, &cfg);
     assert_eq!(shaped.outcome, Outcome::Safe);
     assert!(shaped.delays[1] < uniform.delays[1]);
 }
@@ -71,7 +87,7 @@ fn unused_server_alpha_ignored() {
     // All three edges are used; instead verify invalid alpha on a used
     // server is caught.
     alphas[1] = 1.5;
-    let r = solve_two_class_nonuniform(&servers, &voip, &alphas, &routes, &cfg, None);
+    let r = solve_nonuniform(&servers, &voip, &alphas, &routes, &cfg);
     assert_eq!(r.outcome, Outcome::InvalidParams);
 }
 
@@ -107,7 +123,7 @@ fn nonuniform_can_rescue_an_unsafe_uniform_assignment() {
     for &mid in &[2u32, 4, 3, 5] {
         alphas[mid as usize] = 0.3;
     }
-    let shaped = solve_two_class_nonuniform(&servers, &voip, &alphas, &routes, &cfg, None);
+    let shaped = solve_nonuniform(&servers, &voip, &alphas, &routes, &cfg);
     assert!(
         shaped.outcome.is_safe(),
         "shaped failed: {:?}",

@@ -7,7 +7,7 @@
 //!
 //! * [`Digraph`] — a compact adjacency-list directed multigraph whose edges
 //!   double as link-server identities ([`EdgeId`]).
-//! * [`dijkstra`] — weighted single-source shortest paths with path
+//! * [`mod@dijkstra`] — weighted single-source shortest paths with path
 //!   reconstruction and node/edge filtering (needed by Yen's algorithm).
 //! * [`bfs`] — unweighted hop distances, eccentricities and the network
 //!   diameter `L` used by Theorem 4.

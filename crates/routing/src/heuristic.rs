@@ -22,9 +22,7 @@
 
 use crate::pairs::{order_pairs_by_distance, Pair};
 use std::collections::HashMap;
-use uba_delay::fixed_point::{
-    solve_two_class, solve_two_class_with, with_thread_scratch, SolveConfig,
-};
+use uba_delay::fixed_point::{solve_two_class_with, with_thread_scratch, SolveConfig};
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
 use uba_graph::par::par_map;
@@ -58,11 +56,6 @@ pub struct HeuristicConfig {
     pub solver: SolveConfig,
     /// Threads for parallel candidate verification.
     pub threads: usize,
-    /// Evaluate candidates as zero-clone *tentative* overlays against the
-    /// committed route set (default). `false` retains the pre-optimization
-    /// clone-and-push reference path — kept for the `config_speed` perf
-    /// gate and the equivalence tests.
-    pub tentative_eval: bool,
 }
 
 impl Default for HeuristicConfig {
@@ -74,7 +67,6 @@ impl Default for HeuristicConfig {
             min_delay_choice: true,
             solver: SolveConfig::default(),
             threads: 1,
-            tentative_eval: true,
         }
     }
 }
@@ -166,37 +158,25 @@ pub(crate) fn choose_route(
     };
 
     // Verify candidates (in parallel when configured); each evaluation is
-    // a warm-started fixed-point solve with the candidate appended.
+    // a warm-started fixed-point solve with the candidate appended — as a
+    // borrowed tentative route, so the committed set is never cloned, and
+    // on the thread's scratch arena.
+    let alphas = vec![alpha; servers.len()];
     let evaluate = |pi: usize| -> Option<CandidateFit> {
         let ci = pool[pi];
         let tentative = Route::from_path(ClassId(0), &candidates[ci]);
-        let r = if cfg.tentative_eval {
-            // Zero-clone: the candidate rides along as a borrowed overlay
-            // and all iteration buffers come from the thread's arena.
-            with_thread_scratch(|sc| {
-                solve_two_class_with(
-                    servers,
-                    class,
-                    alpha,
-                    routes,
-                    Some(&tentative),
-                    &cfg.solver,
-                    Some(base_delays),
-                    sc,
-                )
-            })
-        } else {
-            let mut trial = routes.clone();
-            trial.push(tentative);
-            solve_two_class(
+        let r = with_thread_scratch(|sc| {
+            solve_two_class_with(
                 servers,
                 class,
-                alpha,
-                &trial,
+                &alphas,
+                routes,
+                Some(&tentative),
                 &cfg.solver,
                 Some(base_delays),
+                sc,
             )
-        };
+        });
         if r.outcome.is_safe() {
             let own = *r.route_delays.last().unwrap();
             Some((own, r.delays, r.route_delays))
@@ -443,36 +423,6 @@ mod tests {
         // k=1 without min-delay is exactly shortest-path routing.
         for path in &sel.paths {
             assert!(path.len() <= 4);
-        }
-    }
-
-    #[test]
-    fn tentative_eval_matches_clone_reference() {
-        let (g, servers) = mci_setup();
-        let pairs: Vec<Pair> = all_ordered_pairs(&g).into_iter().step_by(8).collect();
-        for &alpha in &[0.2, 0.35, 0.5] {
-            let fast = select_routes(
-                &g,
-                &servers,
-                &voip(),
-                alpha,
-                &pairs,
-                &HeuristicConfig::default(),
-            );
-            let reference_cfg = HeuristicConfig {
-                tentative_eval: false,
-                ..Default::default()
-            };
-            let reference = select_routes(&g, &servers, &voip(), alpha, &pairs, &reference_cfg);
-            match (fast, reference) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.paths, b.paths, "alpha {alpha}");
-                    assert_eq!(a.delays, b.delays, "alpha {alpha}");
-                    assert_eq!(a.route_delays, b.route_delays, "alpha {alpha}");
-                }
-                (Err(ea), Err(eb)) => assert_eq!(ea, eb),
-                (a, b) => panic!("outcomes diverge at alpha {alpha}: {a:?} vs {b:?}"),
-            }
         }
     }
 

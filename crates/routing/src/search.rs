@@ -8,7 +8,7 @@
 //! Probes share work where soundness allows:
 //!
 //! * **Yen candidates** (heuristic selector) are α-independent, so one
-//!   [`CandidateCache`] spans all probes of a search.
+//!   candidate cache spans all probes of a search.
 //! * **SP warm starts** — the shortest-path selector's routes are fixed,
 //!   and bisection only probes `mid > lo` where `lo` is the last feasible
 //!   α. Raising α only grows `Z`, so the feasible fixed point at `lo` is

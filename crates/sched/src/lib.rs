@@ -4,8 +4,8 @@
 //! > "A variety of WCAU's for different settings have been found, e.g.,
 //! > 69% and 100% for preemptive scheduling of periodic tasks on a single
 //! > server using rate-monotonic and earliest-deadline-first scheduling,
-//! > respectively [2], or 33% bandwidth utilization for scheduling
-//! > synchronous traffic over FDDI networks [3]."
+//! > respectively \[2\], or 33% bandwidth utilization for scheduling
+//! > synchronous traffic over FDDI networks \[3\]."
 //!
 //! The crate implements those single-server tests — the Liu & Layland
 //! rate-monotonic bound, the EDF bound, the (tighter) hyperbolic bound,

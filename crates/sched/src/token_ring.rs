@@ -12,7 +12,7 @@
 //! where `τ` is the ring's total latency (token walk time) and `TTRT` the
 //! target token rotation time — the "33% bandwidth utilization for
 //! scheduling synchronous traffic over FDDI networks" the paper cites as
-//! prior WCAU art (reference [3]).
+//! prior WCAU art (reference \[3\]).
 
 /// The timed-token WCAU for synchronous traffic under normalized
 /// proportional allocation.

@@ -68,7 +68,7 @@ impl SimConfig {
 }
 
 /// A mid-run routing reconfiguration for
-/// [`simulate_reconfigured`]: at sim time `at` the listed flows switch
+/// [`simulate_with`]: at sim time `at` the listed flows switch
 /// to their new routes. Packets already inside the network finish on the
 /// route they entered with (exactly the live-swap semantics of
 /// `AdmissionController::reconfigure`: in-flight work drains against the
@@ -84,8 +84,8 @@ pub struct Reconfiguration {
 const NS: f64 = 1e9;
 
 /// Cumulative progress of a running simulation, handed to the observer
-/// of [`simulate_observed`] / [`simulate_reconfigured_observed`] at
-/// each observation interval and once more at the end of the run.
+/// of [`simulate_with`] at each observation interval and once more at
+/// the end of the run.
 ///
 /// By the time the observer runs, the engine has already published the
 /// covered packet/miss deltas into the global `sim.packets` /
@@ -180,108 +180,56 @@ impl Station {
 }
 
 /// Runs the simulation under the paper's class-based static-priority
-/// forwarding. See [`simulate_with`] to choose another discipline.
+/// forwarding. See [`simulate_with`] to choose another discipline, swap
+/// routes mid-run or observe progress.
 ///
 /// `capacities[k]` is the capacity of real link server `k`; flows' routes
 /// index into it. Every flow must have a non-empty route.
 pub fn simulate(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig) -> SimReport {
-    simulate_with(capacities, flows, cfg, &Discipline::StaticPriority)
+    simulate_with(
+        capacities,
+        flows,
+        cfg,
+        &Discipline::StaticPriority,
+        None,
+        None,
+    )
 }
 
-/// Runs the simulation under an arbitrary scheduling discipline.
+/// Runs the simulation under an arbitrary scheduling discipline, with an
+/// optional mid-run routing reconfiguration and an optional observer.
+///
+/// **`reconfig`.** Until `reconfig.at` the run is identical to one
+/// without it; from then on, packets entering the network from a
+/// rerouted flow follow the flow's new route, while packets already in
+/// flight drain along the old one. Emissions at exactly `reconfig.at`
+/// still use the old routes (the swap is processed after same-instant
+/// arrivals), keeping runs bit-for-bit deterministic. A
+/// `ReconfigApplied` trace event marks the swap (`a` = swap time in
+/// seconds, `b` = number of rerouted flows).
+///
+/// **`observe = (every, observer)`.** `observer` is invoked every
+/// `every` sim seconds (measured on packet deliveries) and once at the
+/// end of the run, with cumulative delivery/miss tallies. Observed runs
+/// also publish `sim.packets` / `sim.deadline_misses` *incrementally* —
+/// the delta covered by each observation is added just before the
+/// observer runs, with the remainder published at the end — so windowed
+/// consumers ([`uba_obs::Snapshot::delta_since`], the SLO engine) see
+/// deadline misses as they happen instead of one end-of-run burst (and,
+/// with `reconfig`, watch them change across a route swap: see the
+/// `slo_sees_misses_across_a_route_swap` test). Lifetime totals are
+/// unchanged, the [`SimReport`] is the unobserved run's, and observation
+/// points are derived from deterministic sim time, so runs stay
+/// bit-for-bit reproducible.
 pub fn simulate_with(
     capacities: &[f64],
     flows: &[FlowSpec],
     cfg: &SimConfig,
     discipline: &Discipline,
+    reconfig: Option<&Reconfiguration>,
+    observe: Option<(f64, &mut dyn FnMut(SimProgress))>,
 ) -> SimReport {
-    run(capacities, flows, cfg, discipline, None, None, sim())
-}
-
-/// Like [`simulate_with`], but invokes `observer` every `every` sim
-/// seconds (measured on packet deliveries) and once at the end of the
-/// run, with cumulative delivery/miss tallies.
-///
-/// Observed runs also publish `sim.packets` / `sim.deadline_misses`
-/// *incrementally* — the delta covered by each observation is added
-/// just before the observer runs, with the remainder published at the
-/// end — so windowed consumers ([`uba_obs::Snapshot::delta_since`],
-/// the SLO engine) see deadline misses as they happen instead of one
-/// end-of-run burst. Lifetime totals are unchanged. Observation points
-/// are derived from deterministic sim time, so runs stay bit-for-bit
-/// reproducible.
-pub fn simulate_observed(
-    capacities: &[f64],
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    discipline: &Discipline,
-    every: f64,
-    observer: &mut dyn FnMut(SimProgress),
-) -> SimReport {
-    validate_every(every);
-    run(
-        capacities,
-        flows,
-        cfg,
-        discipline,
-        None,
-        Some((every, observer)),
-        sim(),
-    )
-}
-
-/// Runs the simulation with a mid-run routing reconfiguration.
-///
-/// Until `reconfig.at` the run is identical to [`simulate_with`]; from
-/// then on, packets entering the network from a rerouted flow follow the
-/// flow's new route, while packets already in flight drain along the old
-/// one. Emissions at exactly `reconfig.at` still use the old routes (the
-/// swap is processed after same-instant arrivals), keeping runs
-/// bit-for-bit deterministic. A `ReconfigApplied` trace event marks the
-/// swap (`a` = swap time in seconds, `b` = number of rerouted flows).
-pub fn simulate_reconfigured(
-    capacities: &[f64],
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    discipline: &Discipline,
-    reconfig: &Reconfiguration,
-) -> SimReport {
-    validate_reconfig(capacities, flows, reconfig);
-    run(
-        capacities,
-        flows,
-        cfg,
-        discipline,
-        Some(reconfig),
-        None,
-        sim(),
-    )
-}
-
-/// [`simulate_reconfigured`] with the observation/incremental-publish
-/// behavior of [`simulate_observed`] — the combination that lets an SLO
-/// engine watch deadline-miss behavior change across a mid-run route
-/// swap (see the `slo_sees_misses_across_a_route_swap` test).
-pub fn simulate_reconfigured_observed(
-    capacities: &[f64],
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    discipline: &Discipline,
-    reconfig: &Reconfiguration,
-    every: f64,
-    observer: &mut dyn FnMut(SimProgress),
-) -> SimReport {
-    validate_every(every);
-    validate_reconfig(capacities, flows, reconfig);
-    run(
-        capacities,
-        flows,
-        cfg,
-        discipline,
-        Some(reconfig),
-        Some((every, observer)),
-        sim(),
-    )
+    run(capacities, flows, cfg, discipline, reconfig, observe, sim())
 }
 
 fn validate_every(every: f64) {
@@ -338,6 +286,12 @@ fn run(
         for &k in &f.route {
             assert!((k as usize) < capacities.len(), "route server out of range");
         }
+    }
+    if let Some(rc) = reconfig {
+        validate_reconfig(capacities, flows, rc);
+    }
+    if let Some((every, _)) = &observe {
+        validate_every(*every);
     }
 
     // Stations: real servers first, then one access shaper per (ingress,
@@ -862,7 +816,7 @@ mod tests {
             });
         }
         let pri = simulate(&[C], &flows, &cfg(2));
-        let fifo = simulate_with(&[C], &flows, &cfg(2), &Discipline::Fifo);
+        let fifo = simulate_with(&[C], &flows, &cfg(2), &Discipline::Fifo, None, None);
         assert!(
             fifo.classes[0].max_delay > 3.0 * pri.classes[0].max_delay,
             "FIFO {} vs priority {}",
@@ -892,7 +846,7 @@ mod tests {
                 },
             },
         ];
-        let fifo = simulate_with(&[C], &flows, &cfg(2), &Discipline::Fifo);
+        let fifo = simulate_with(&[C], &flows, &cfg(2), &Discipline::Fifo, None, None);
         let wfq = simulate_with(
             &[C],
             &flows,
@@ -900,6 +854,8 @@ mod tests {
             &Discipline::Wfq {
                 weights: vec![1.0, 1.0],
             },
+            None,
+            None,
         );
         assert!(wfq.classes[0].max_delay < fifo.classes[0].max_delay);
     }
@@ -932,6 +888,8 @@ mod tests {
             &Discipline::VirtualClock {
                 rates: vec![0.1 * C, 0.9 * C],
             },
+            None,
+            None,
         );
         // Voice is light against its clock; it never waits for more than
         // a couple of bulk packets.
@@ -967,7 +925,7 @@ mod tests {
         ];
         let reference = simulate(&[C, C], &flows, &cfg(2)).total_packets;
         for d in disciplines {
-            let r = simulate_with(&[C, C], &flows, &cfg(2), &d);
+            let r = simulate_with(&[C, C], &flows, &cfg(2), &d, None, None);
             assert_eq!(r.total_packets, reference, "discipline {d:?}");
         }
     }
@@ -1051,6 +1009,17 @@ mod tests {
 
     /// `run` against metrics in a private registry: exact counts, immune
     /// to the sibling tests that bump the process-global ones.
+    /// The route-swap tests' run: static priority, no observer.
+    fn swapped(
+        capacities: &[f64],
+        flows: &[FlowSpec],
+        cfg: &SimConfig,
+        rc: &Reconfiguration,
+    ) -> SimReport {
+        let d = Discipline::StaticPriority;
+        simulate_with(capacities, flows, cfg, &d, Some(rc), None)
+    }
+
     fn run_metered(
         capacities: &[f64],
         flows: &[FlowSpec],
@@ -1110,13 +1079,7 @@ mod tests {
             at: 0.1,
             reroutes: vec![(0, vec![2])],
         };
-        let rec = simulate_reconfigured(
-            &[C, C, C],
-            &flows,
-            &cfg(1),
-            &Discipline::StaticPriority,
-            &rc,
-        );
+        let rec = swapped(&[C, C, C], &flows, &cfg(1), &rc);
         assert_eq!(rec.total_packets, plain.total_packets);
     }
 
@@ -1143,7 +1106,7 @@ mod tests {
             at: 0.1,
             reroutes: vec![(0, vec![0, 1])],
         };
-        let rec = simulate_reconfigured(&[C, C], &flows, &cfg(1), &Discipline::StaticPriority, &rc);
+        let rec = swapped(&[C, C], &flows, &cfg(1), &rc);
         assert_eq!(rec.total_packets, plain.total_packets);
         assert_eq!(rec.classes[0].max_delay, plain.classes[0].max_delay);
         assert_eq!(rec.total_misses(), plain.total_misses());
@@ -1170,8 +1133,8 @@ mod tests {
             at: 0.07,
             reroutes: vec![(1, vec![1])],
         };
-        let a = simulate_reconfigured(&[C, C], &flows, &cfg(1), &Discipline::StaticPriority, &rc);
-        let b = simulate_reconfigured(&[C, C], &flows, &cfg(1), &Discipline::StaticPriority, &rc);
+        let a = swapped(&[C, C], &flows, &cfg(1), &rc);
+        let b = swapped(&[C, C], &flows, &cfg(1), &rc);
         assert_eq!(a.total_packets, b.total_packets);
         assert_eq!(a.classes[0].max_delay, b.classes[0].max_delay);
         assert_eq!(a.events, b.events);
@@ -1206,7 +1169,7 @@ mod tests {
             at: 0.05,
             reroutes: vec![(1, vec![1])],
         };
-        let rec = simulate_reconfigured(&[C, C], &flows, &c, &Discipline::StaticPriority, &rc);
+        let rec = swapped(&[C, C], &flows, &c, &rc);
         assert_eq!(rec.total_packets, plain.total_packets);
         assert!(plain.total_misses() > 0);
         assert!(
@@ -1352,20 +1315,19 @@ mod tests {
         engine.evaluate(registry.snapshot()); // anchor
         let mut states: Vec<RuleState> = Vec::new();
         let mut prev = (0u64, 0u64);
-        let r = simulate_reconfigured_observed(
+        let r = simulate_with(
             &[C, C, C],
             &flows,
             &c,
             &Discipline::StaticPriority,
-            &rc,
-            0.01,
-            &mut |p| {
+            Some(&rc),
+            Some((0.01, &mut |p| {
                 packets.add(p.packets - prev.0);
                 misses.add(p.misses - prev.1);
                 prev = (p.packets, p.misses);
                 engine.evaluate(registry.snapshot());
                 states.push(engine.state_of("deadline_miss_ratio").unwrap());
-            },
+            })),
         );
         assert!(r.total_misses() > 0, "the congested phase must miss");
         assert!(
@@ -1396,7 +1358,7 @@ mod tests {
             at: 0.1,
             reroutes: vec![(3, vec![0])],
         };
-        simulate_reconfigured(&[C], &flows, &cfg(1), &Discipline::StaticPriority, &rc);
+        swapped(&[C], &flows, &cfg(1), &rc);
     }
 
     #[test]
@@ -1412,7 +1374,7 @@ mod tests {
             at: 0.1,
             reroutes: vec![(0, vec![9])],
         };
-        simulate_reconfigured(&[C], &flows, &cfg(1), &Discipline::StaticPriority, &rc);
+        swapped(&[C], &flows, &cfg(1), &rc);
     }
 
     #[test]

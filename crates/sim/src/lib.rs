@@ -22,6 +22,11 @@
 //!   most a few packet transmission times per hop (non-preemption), which
 //!   is orders of magnitude below the bounds for the paper's parameters.
 //!   The validation tests allow exactly that slack.
+//!
+//! Two entry points: [`simulate`] (static priority, the paper's
+//! forwarding) and [`simulate_with`], which also takes the discipline, an
+//! optional mid-run [`Reconfiguration`] and an optional progress
+//! observer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,10 +37,7 @@ pub mod report;
 pub mod sched;
 pub mod source;
 
-pub use engine::{
-    simulate, simulate_observed, simulate_reconfigured, simulate_reconfigured_observed,
-    simulate_with, FlowSpec, Reconfiguration, SimConfig, SimProgress,
-};
+pub use engine::{simulate, simulate_with, FlowSpec, Reconfiguration, SimConfig, SimProgress};
 pub use report::{ClassStats, DelayHistogram, SimReport};
 pub use sched::Discipline;
 pub use source::SourceModel;

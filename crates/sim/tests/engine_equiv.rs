@@ -13,8 +13,7 @@
 
 use uba_obs::SplitMix64;
 use uba_sim::{
-    simulate_observed, simulate_reconfigured, simulate_reconfigured_observed, simulate_with,
-    Discipline, FlowSpec, Reconfiguration, SimConfig, SimReport, SourceModel,
+    simulate_with, Discipline, FlowSpec, Reconfiguration, SimConfig, SimReport, SourceModel,
 };
 
 const RANDOM_CASES: usize = 40;
@@ -226,22 +225,28 @@ fn digests_of(case: &Case) -> [u64; 8] {
     } = case;
     let mut row = [0u64; 8];
     for (d, discipline) in disciplines().iter().enumerate() {
-        let plain = simulate_with(capacities, flows, cfg, discipline);
-        let swapped = simulate_reconfigured(capacities, flows, cfg, discipline, reconfig);
+        let plain = simulate_with(capacities, flows, cfg, discipline, None, None);
+        let swapped = simulate_with(capacities, flows, cfg, discipline, Some(reconfig), None);
         row[d] = digest(&plain);
         row[4 + d] = digest(&swapped);
         // Observation must not perturb the report.
         let every = cfg.horizon / 7.0;
-        let observed = simulate_observed(capacities, flows, cfg, discipline, every, &mut |_| {});
-        assert_eq!(digest(&observed), row[d], "observed run diverged");
-        let observed = simulate_reconfigured_observed(
+        let observed = simulate_with(
             capacities,
             flows,
             cfg,
             discipline,
-            reconfig,
-            every,
-            &mut |_| {},
+            None,
+            Some((every, &mut |_| {})),
+        );
+        assert_eq!(digest(&observed), row[d], "observed run diverged");
+        let observed = simulate_with(
+            capacities,
+            flows,
+            cfg,
+            discipline,
+            Some(reconfig),
+            Some((every, &mut |_| {})),
         );
         assert_eq!(digest(&observed), row[4 + d], "observed swap diverged");
     }
@@ -287,13 +292,27 @@ fn the_cases_exercise_ties_drops_and_queueing() {
     // Guards the generator, not the engine: a digest table over cases
     // that never queue or never tie would pin nothing.
     let tie = tie_case();
-    let r = simulate_with(&tie.capacities, &tie.flows, &tie.cfg, &Discipline::Fifo);
+    let r = simulate_with(
+        &tie.capacities,
+        &tie.flows,
+        &tie.cfg,
+        &Discipline::Fifo,
+        None,
+        None,
+    );
     assert!(r.peak_backlog >= 20, "tie case must pile up on server 0");
     let mut dropped = 0;
     let mut queued = 0;
     for i in 0..RANDOM_CASES {
         let c = random_case(i);
-        let r = simulate_with(&c.capacities, &c.flows, &c.cfg, &Discipline::StaticPriority);
+        let r = simulate_with(
+            &c.capacities,
+            &c.flows,
+            &c.cfg,
+            &Discipline::StaticPriority,
+            None,
+            None,
+        );
         dropped += r.classes.iter().map(|s| s.policed_drops).sum::<u64>();
         queued += usize::from(r.peak_backlog > 2);
         assert_eq!(c.cfg.policers.is_some(), i.is_multiple_of(3));

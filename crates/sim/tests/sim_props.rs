@@ -70,7 +70,7 @@ proptest! {
             Discipline::Wfq { weights: vec![1.0, 1.0] },
             Discipline::VirtualClock { rates: vec![0.5 * C, 0.5 * C] },
         ] {
-            let r = simulate_with(&[C, C, C], &flows, &cfg(), &d);
+            let r = simulate_with(&[C, C, C], &flows, &cfg(), &d, None, None);
             prop_assert_eq!(r.total_packets, emitted, "discipline {:?}", d);
         }
     }
@@ -94,7 +94,7 @@ proptest! {
     fn priority_at_least_as_good_as_fifo_for_class0(flows in arb_flows()) {
         prop_assume!(flows.iter().any(|f| f.class == 0));
         let pri = simulate(&[C, C, C], &flows, &cfg());
-        let fifo = simulate_with(&[C, C, C], &flows, &cfg(), &Discipline::Fifo);
+        let fifo = simulate_with(&[C, C, C], &flows, &cfg(), &Discipline::Fifo, None, None);
         prop_assert!(pri.classes[0].max_delay <= fifo.classes[0].max_delay + 1e-9);
     }
 

@@ -1,6 +1,6 @@
 //! Network topologies for the `uba` workspace.
 //!
-//! * [`mci`] — a 19-router approximation of the MCI ISP backbone used in
+//! * [`mod@mci`] — a 19-router approximation of the MCI ISP backbone used in
 //!   the paper's Section 6 experiment (Figure 4), constructed to match the
 //!   figure's stated invariants exactly: diameter `L = 4` and maximum
 //!   router degree `N = 6`. See `DESIGN.md` §3 for the substitution note.
@@ -8,7 +8,7 @@
 //!   full mesh, Waxman-style random) for tests, ablations, and scaling
 //!   benches.
 //!
-//! All generators return router-level [`Digraph`]s whose directed edges
+//! All generators return router-level [`uba_graph::Digraph`]s whose directed edges
 //! are the link servers; every physical link is bidirectional and has unit
 //! weight (hop-count routing, as in the paper).
 

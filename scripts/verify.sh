@@ -27,14 +27,14 @@ cargo run --offline -q -p xtask -- check
 echo "==> cargo clippy --workspace -- -D warnings (lint gate)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings (rustdoc gate: no dangling or ambiguous intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> cargo test --offline -q (workspace test suite)"
 cargo test --offline --workspace -q
 
 echo "==> obs_overhead smoke (instrumented admit path vs uninstrumented)"
 cargo run --offline --release -p uba-bench --bin obs_overhead -- smoke
-
-echo "==> config_speed smoke (incremental solver vs dense/cloning reference)"
-cargo run --offline --release -p uba-bench --bin config_speed -- smoke
 
 echo "==> trace_overhead smoke (flight recorder on vs off on the admit path)"
 cargo run --offline --release -p uba-bench --bin trace_overhead -- smoke

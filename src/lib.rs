@@ -52,10 +52,7 @@ pub use uba_traffic as traffic;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use uba_delay::fixed_point::{
-        solve_two_class, solve_two_class_with, with_thread_scratch, Outcome, SolveConfig,
-        SolveScratch,
-    };
+    pub use uba_delay::fixed_point::{solve_two_class, Outcome, SolveConfig};
     pub use uba_delay::routeset::{Route, RouteSet};
     pub use uba_delay::servers::Servers;
     pub use uba_delay::verify::{verify, VerifyReport};
