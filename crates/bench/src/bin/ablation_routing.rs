@@ -22,7 +22,6 @@ fn run(
 }
 
 fn main() {
-    let threads = uba::graph::par::default_threads();
     let g = uba::topology::mci();
     let servers = Servers::uniform(&g, 100e6, 6);
     let voip = TrafficClass::voip();
@@ -41,7 +40,6 @@ fn main() {
                     order_by_distance: order,
                     prefer_acyclic: acyclic,
                     min_delay_choice: mindelay,
-                    threads,
                     ..Default::default()
                 };
                 let alpha = run(&g, &servers, &voip, &pairs, cfg);
@@ -58,7 +56,6 @@ fn main() {
     for k in [1usize, 2, 4, 8, 16] {
         let cfg = HeuristicConfig {
             k_candidates: k,
-            threads,
             ..Default::default()
         };
         let alpha = run(&g, &servers, &voip, &pairs, cfg);

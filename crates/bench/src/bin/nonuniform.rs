@@ -37,18 +37,9 @@ fn main() {
     let mut alphas = vec![base_alpha; servers.len()];
     let mut scratch = SolveScratch::new();
     let mut check = |alphas: &[f64]| {
-        solve_two_class_with(
-            &servers,
-            &voip,
-            alphas,
-            &routes,
-            None,
-            &cfg,
-            None,
-            &mut scratch,
-        )
-        .outcome
-        .is_safe()
+        solve_two_class_with(&servers, &voip, alphas, &routes, &cfg, None, &mut scratch)
+            .outcome
+            .is_safe()
     };
     assert!(check(&alphas), "uniform baseline must verify");
 

@@ -14,21 +14,15 @@ use std::time::Instant;
 use uba::prelude::*;
 
 fn main() {
-    let threads: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(uba::graph::par::default_threads);
-
     let g = uba::topology::mci();
     let servers = Servers::uniform(&g, 100e6, 6);
     let voip = TrafficClass::voip();
     let pairs = all_ordered_pairs(&g);
     println!(
-        "MCI backbone: {} routers, {} link servers, {} ordered pairs, {} threads",
+        "MCI backbone: {} routers, {} link servers, {} ordered pairs",
         g.node_count(),
         g.edge_count(),
-        pairs.len(),
-        threads
+        pairs.len()
     );
 
     let (lb, ub) = utilization_bounds(6, 4, &voip);
@@ -37,10 +31,7 @@ fn main() {
     let sp = max_utilization(&g, &servers, &voip, &pairs, &Selector::ShortestPath, 0.005);
     let sp_time = t.elapsed();
 
-    let cfg = HeuristicConfig {
-        threads,
-        ..Default::default()
-    };
+    let cfg = HeuristicConfig::default();
     let t = Instant::now();
     let heur = max_utilization(
         &g,

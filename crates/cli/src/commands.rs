@@ -95,7 +95,7 @@ pub fn cmd_verify(sc: &Scenario) -> Result<String, ScenarioError> {
 
 /// `maximize`: Section 5.3 binary search; multi-class scenarios use the
 /// §5.4 trade-off ray (scenario alphas as the weight vector). `threads`
-/// fans out candidate verification and the solver sweeps (1 = serial).
+/// is handed to the selector's [`SolveConfig::threads`].
 pub fn cmd_maximize(
     sc: &Scenario,
     selector_name: &str,
@@ -109,7 +109,6 @@ pub fn cmd_maximize(
     }
     let (_, class) = sc.classes.iter().next().unwrap();
     let heuristic_cfg = HeuristicConfig {
-        threads,
         solver: SolveConfig {
             threads,
             ..Default::default()
@@ -165,7 +164,6 @@ fn cmd_maximize_multiclass(sc: &Scenario, threads: usize) -> Result<String, Scen
         .flat_map(|(ci, _)| sc.pairs.iter().map(move |&pair| Demand { class: ci, pair }))
         .collect();
     let cfg = HeuristicConfig {
-        threads,
         solver: SolveConfig {
             threads,
             ..Default::default()
@@ -290,7 +288,8 @@ pub fn cmd_simulate(sc: &Scenario, horizon: f64) -> Result<String, ScenarioError
 }
 
 /// `metrics`: exercise every instrumented layer on the scenario —
-/// Figure 2 verification (delay solver), an admission churn workload
+/// Figure 2 verification (delay solver), one §5.2 heuristic selection at
+/// the scenario's `α` (single-class scenarios), an admission churn workload
 /// plus saturation to the first link-full rejection (admission
 /// controller), a short packet simulation, and one SLO evaluation
 /// window over the scenario's `[slo]` rules — then dump the metrics
@@ -333,6 +332,34 @@ pub fn cmd_metrics(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
         solver_metrics.servers_touched.get() - touched0,
     )
     .unwrap();
+
+    // 1b. Route selection: the §5.2 heuristic at the scenario's own α
+    // (single-class scenarios only, like the simulation below).
+    if sc.classes.len() == 1 {
+        let (_, class) = sc.classes.iter().next().unwrap();
+        let m = uba::routing::metrics::select();
+        let (candidates0, checks0) = (m.candidates.get(), m.cycle_checks.get());
+        let selected = select_routes(
+            &sc.graph,
+            &sc.servers,
+            class,
+            sc.alphas[0],
+            &sc.pairs,
+            &HeuristicConfig::default(),
+        );
+        writeln!(
+            out,
+            "route selection: {} ({} candidates evaluated, {} cycle checks)",
+            if selected.is_ok() {
+                "SUCCESS"
+            } else {
+                "FAILURE"
+            },
+            m.candidates.get() - candidates0,
+            m.cycle_checks.get() - checks0,
+        )
+        .unwrap();
+    }
 
     // 2. Admission: churn workload, then saturate until a link fills —
     // through the scenario's policy chain, like `explain` and `serve`.
@@ -839,6 +866,9 @@ mod tests {
         assert!(out.contains("solver sweep economy"), "{out}");
         assert!(out.contains("delay.solve.sweeps_skipped"), "{out}");
         assert!(out.contains("delay.solve.servers_touched"), "{out}");
+        // So is the configuration side: one heuristic selection.
+        assert!(out.contains("route selection: SUCCESS"), "{out}");
+        assert!(out.contains("routing.select.candidates"), "{out}");
         // The registry dump includes all three instrumented layers.
         assert!(out.contains("admission.admits"), "{out}");
         assert!(out.contains("delay.solve.iterations"), "{out}");

@@ -29,7 +29,8 @@ fn usage() -> ! {
          bounds      — Theorem 4 utilization window for each class\n\
          verify      — Figure 2 verification of the scenario's alphas on SP routes\n\
          maximize    — Section 5.3 binary search; optional selector sp|heuristic (default heuristic)\n\
-         \x20             --threads N fans candidate verification and solver sweeps across N workers\n\
+         \x20             --threads N sets SolveConfig::threads, the general fixed-point solver's\n\
+         \x20             sweep fan-out above 256 servers; candidates are evaluated one at a time\n\
          simulate    — packet-level validation; optional horizon in seconds (default 0.3)\n\
          metrics     — exercise every instrumented layer, then dump the metrics registry\n\
          explain     — replay admissions to saturation and diagnose every rejection\n\

@@ -1,0 +1,515 @@
+//! Candidate evaluation against one persistent committed fixed point.
+//!
+//! The §5.2 greedy asks the same question thousands of times: *with this
+//! one route appended to the committed set, does every route still meet
+//! its deadline, and what is the new route's own delay?* Theorem 3's
+//! `d_k` depends on `α`, `N` and `Y_k` only — never on how many routes
+//! cross `k` — so a candidate can move nothing except through the `Y` of
+//! its own servers. [`CommittedState`] therefore keeps the committed
+//! routes' `d`, `Y`, route delays and server→routes lists across
+//! candidates, sweeps only the candidate's hops, re-evaluates only the
+//! servers whose `Y` moved, re-sweeps only the routes through servers
+//! whose `d` moved, journals every write and undoes them on reject.
+//!
+//! # Invariant
+//!
+//! Between calls, `Y_k` is the max-merge of every committed route's
+//! prefix sums at the current `d` (exact, because `d` only grows and
+//! floating-point addition is monotone), route delays are the sums at
+//! the current `d`, and `d_k = f(Y_k)` bit for bit at every used server
+//! *except* those in the stale list: the servers whose `Y` moved in the
+//! last commit's closing refresh, after their `d` was last evaluated.
+//! That list is empty when the commit converged exactly (no dependency
+//! cycle reaches it) and non-empty when it only converged to `tol`.
+//!
+//! # Same iterates as the general solver
+//!
+//! The results are those of "clone the route set, push the candidate,
+//! [`solve_two_class`](crate::fixed_point::solve_two_class) warm from the
+//! committed delays", bit for bit. That solve's first iteration rebuilds
+//! `Y` and re-evaluates `f(Y_k)` at *every* used server; here the rebuild
+//! is the invariant, and the re-evaluation can only differ from `d_k` at
+//! a stale server, so it is computed once per committed state and shared
+//! by all of a pair's candidates — shared, not skipped: skipping it drifts
+//! route delays by ~1e-12 on route sets with dependency cycles. From the
+//! second iteration on both solvers re-evaluate exactly the servers whose
+//! `Y` moved. A decreasing iterate (a warm start above the least fixed
+//! point) takes the general solver's remedy, a from-scratch `Y` rebuild.
+
+use crate::bound::theorem3_delay;
+use crate::fixed_point::{SolveConfig, DEADLINE_SLACK};
+use crate::metrics::{record_solve, SolveRecord};
+use crate::routeset::{Route, RouteSet};
+use crate::servers::Servers;
+use uba_traffic::{ClassId, TrafficClass};
+
+/// The committed routes of a two-class configuration at one `α`, with
+/// their fixed point, ready to evaluate tentative routes against.
+#[derive(Debug)]
+pub struct CommittedState<'a> {
+    servers: &'a Servers,
+    class: &'a TrafficClass,
+    alpha: f64,
+    cfg: SolveConfig,
+    routes: RouteSet,
+    /// Append-only: the routes crossing each server, once per visit.
+    through: Vec<Vec<u32>>,
+    d: Vec<f64>,
+    y: Vec<f64>,
+    used: Vec<bool>,
+    route_delays: Vec<f64>,
+    prop: Vec<f64>,
+    /// Servers whose `Y` moved after `d` was last evaluated there.
+    stale: Vec<u32>,
+    /// `(k, f(Y_k))` for the stale servers where that differs from
+    /// `d_k`: the shared part of every candidate's first iteration.
+    pending: Vec<(u32, f64)>,
+    pending_ready: bool,
+    /// No candidate can verify: a committed route already misses its
+    /// deadline, or a stale server is outside Theorem 3's domain.
+    blocked: bool,
+    // Undo journal of the staged candidate: `(index, old value)`.
+    log_d: Vec<(u32, f64)>,
+    log_y: Vec<(u32, f64)>,
+    log_rd: Vec<(u32, f64)>,
+    log_used: Vec<u32>,
+    violated: bool,
+    // Worklists.
+    touched: Vec<u32>,
+    touched_mark: Vec<bool>,
+    changed: Vec<u32>,
+    dirty: Vec<u32>,
+    dirty_mark: Vec<bool>,
+}
+
+/// Walks one route, max-merging its prefix sums into `y` (journalled)
+/// and recording the servers whose `Y` moved; returns the queueing sum.
+#[inline]
+fn sweep_tracked(
+    hops: &[u32],
+    d: &[f64],
+    y: &mut [f64],
+    log_y: &mut Vec<(u32, f64)>,
+    touched_mark: &mut [bool],
+    touched: &mut Vec<u32>,
+) -> f64 {
+    let mut prefix = 0.0;
+    for &sv in hops {
+        let k = sv as usize;
+        if prefix > y[k] {
+            log_y.push((sv, y[k]));
+            y[k] = prefix;
+            if !touched_mark[k] {
+                touched_mark[k] = true;
+                touched.push(sv);
+            }
+        }
+        prefix += d[k];
+    }
+    prefix
+}
+
+impl<'a> CommittedState<'a> {
+    /// No routes committed yet. Of `cfg`, `tol` and `max_iters` apply;
+    /// evaluation is sequential, so `threads` does not.
+    pub fn new(
+        servers: &'a Servers,
+        class: &'a TrafficClass,
+        alpha: f64,
+        cfg: &SolveConfig,
+    ) -> Self {
+        let s = servers.len();
+        Self::from_fixed_point(servers, class, alpha, cfg, RouteSet::new(s), vec![0.0; s])
+    }
+
+    /// Adopts `routes` with `delays`, a warm start for them in the sense
+    /// of [`solve_two_class`](crate::fixed_point::solve_two_class) —
+    /// normally their own fixed point. `Y` and the route delays are
+    /// rebuilt from it (one pass over every hop); every server counts as
+    /// stale until the first evaluation has looked at it.
+    pub fn from_fixed_point(
+        servers: &'a Servers,
+        class: &'a TrafficClass,
+        alpha: f64,
+        cfg: &SolveConfig,
+        routes: RouteSet,
+        delays: Vec<f64>,
+    ) -> Self {
+        let s = servers.len();
+        assert_eq!(routes.server_count(), s, "route set / servers mismatch");
+        assert_eq!(delays.len(), s, "warm start length mismatch");
+        debug_assert!(
+            routes.routes().iter().all(|r| r.class == ClassId(0)),
+            "CommittedState expects single-class routes"
+        );
+        let n = routes.len();
+        let mut st = Self {
+            servers,
+            class,
+            alpha,
+            cfg: *cfg,
+            routes,
+            through: vec![Vec::new(); s],
+            d: delays,
+            y: vec![0.0; s],
+            used: vec![false; s],
+            route_delays: Vec::with_capacity(n + 1),
+            prop: Vec::with_capacity(n + 1),
+            stale: Vec::new(),
+            pending: Vec::new(),
+            pending_ready: false,
+            blocked: false,
+            log_d: Vec::new(),
+            log_y: Vec::new(),
+            log_rd: Vec::new(),
+            log_used: Vec::new(),
+            violated: false,
+            touched: Vec::new(),
+            touched_mark: vec![false; s],
+            changed: Vec::new(),
+            dirty: Vec::new(),
+            dirty_mark: vec![false; n + 1],
+        };
+        for (ri, r) in st.routes.routes().iter().enumerate() {
+            let mut prefix = 0.0;
+            for &sv in &r.servers {
+                let k = sv as usize;
+                st.through[k].push(ri as u32);
+                st.used[k] = true;
+                if prefix > st.y[k] {
+                    st.y[k] = prefix;
+                }
+                prefix += st.d[k];
+            }
+            let p = servers.route_const_delay(&r.servers);
+            st.prop.push(p);
+            st.route_delays.push(prefix + p);
+        }
+        st.blocked = st
+            .route_delays
+            .iter()
+            .any(|&rd| rd > class.deadline + DEADLINE_SLACK);
+        st.stale = (0..s as u32)
+            .filter(|&k| st.used[k as usize] || st.d[k as usize] != 0.0)
+            .collect();
+        st
+    }
+
+    /// The committed routes.
+    pub fn routes(&self) -> &RouteSet {
+        &self.routes
+    }
+
+    /// Per-server delay bounds at the committed fixed point.
+    pub fn delays(&self) -> &[f64] {
+        &self.d
+    }
+
+    /// Per-route end-to-end delays at the committed fixed point.
+    pub fn route_delays(&self) -> &[f64] {
+        &self.route_delays
+    }
+
+    /// Hands back `(routes, delays, route_delays)`.
+    pub fn into_parts(self) -> (RouteSet, Vec<f64>, Vec<f64>) {
+        (self.routes, self.d, self.route_delays)
+    }
+
+    /// Evaluates `route` as if appended to the committed set: `Some(own
+    /// end-to-end delay)` if every route then verifies safe, else `None`.
+    /// The committed state is unchanged either way.
+    pub fn try_route(&mut self, route: &Route) -> Option<f64> {
+        let safe = self.evaluate(&route.servers);
+        let own = safe.then(|| self.route_delays[self.routes.len()]);
+        self.rollback(&route.servers);
+        own
+    }
+
+    /// Appends `route` if it verifies safe (leaving the new fixed point
+    /// committed) and says whether it did; the state is unchanged if not.
+    pub fn commit(&mut self, route: Route) -> bool {
+        if !self.evaluate(&route.servers) {
+            self.rollback(&route.servers);
+            return false;
+        }
+        // The closing refresh's moved-`Y` list is the next stale list.
+        for &k in &self.touched {
+            self.touched_mark[k as usize] = false;
+        }
+        std::mem::swap(&mut self.stale, &mut self.touched);
+        self.touched.clear();
+        self.pending_ready = false;
+        self.clear_journal();
+        self.routes.push(route);
+        true
+    }
+
+    /// Theorem 3 at server `k`'s current `Y` (an unused server that a
+    /// warm start seeded is zeroed, as the general solver does).
+    #[inline]
+    fn eval(&self, k: usize) -> Option<f64> {
+        if !self.used[k] {
+            return Some(0.0);
+        }
+        theorem3_delay(
+            self.alpha,
+            self.class.bucket,
+            self.servers.fan_in_at(k),
+            self.y[k],
+        )
+    }
+
+    /// The shared first-iteration step: `f(Y_k)` at every stale server.
+    fn ensure_pending(&mut self) {
+        if self.pending_ready {
+            return;
+        }
+        self.pending.clear();
+        for i in 0..self.stale.len() {
+            let k = self.stale[i];
+            match self.eval(k as usize) {
+                Some(v) if v != self.d[k as usize] => self.pending.push((k, v)),
+                Some(_) => {}
+                None => self.blocked = true,
+            }
+        }
+        crate::metrics::solver()
+            .servers_touched
+            .add(self.stale.len() as u64);
+        self.pending_ready = true;
+    }
+
+    /// Instrumented [`Self::iterate`]: one record per evaluated candidate
+    /// in the `delay.solve.*` series, like any other warm solve.
+    fn evaluate(&mut self, cand: &[u32]) -> bool {
+        let (servers, routes) = (self.d.len(), self.routes.len() + 1);
+        record_solve(servers, routes, true, || {
+            let mut rec = SolveRecord::default();
+            let safe = self.iterate(cand, &mut rec);
+            (safe, rec)
+        })
+    }
+
+    /// Stages `cand` as route `n` and iterates to the new fixed point,
+    /// leaving every write journalled for [`Self::rollback`]; `true` iff
+    /// every route then verifies safe.
+    fn iterate(&mut self, cand: &[u32], rec: &mut SolveRecord) -> bool {
+        let n = self.routes.len();
+        for &sv in cand {
+            assert!(
+                (sv as usize) < self.d.len(),
+                "tentative route references unknown server {sv}"
+            );
+        }
+        // Stage the candidate as one more route.
+        self.prop.push(self.servers.route_const_delay(cand));
+        self.route_delays.push(0.0);
+        self.dirty_mark.resize(n + 1, false);
+        for &sv in cand {
+            self.through[sv as usize].push(n as u32);
+        }
+
+        let domain_ok = self.alpha > 0.0 && self.alpha < 1.0 && self.alpha.is_finite();
+        if !domain_ok && (!cand.is_empty() || self.used.contains(&true)) {
+            return false;
+        }
+        self.ensure_pending();
+        rec.iterations = 1;
+        if self.blocked {
+            return false;
+        }
+
+        // Iteration 1: the committed routes' sweep is the invariant; only
+        // the candidate's hops are new.
+        self.clear_touched();
+        for &sv in cand {
+            let k = sv as usize;
+            if !self.used[k] {
+                self.used[k] = true;
+                self.log_used.push(sv);
+                self.touched_mark[k] = true;
+                self.touched.push(sv);
+            }
+        }
+        rec.sweeps_skipped += n as u64;
+        let own = sweep_tracked(
+            cand,
+            &self.d,
+            &mut self.y,
+            &mut self.log_y,
+            &mut self.touched_mark,
+            &mut self.touched,
+        ) + self.prop[n];
+        self.route_delays[n] = own;
+        if own > self.class.deadline + DEADLINE_SLACK {
+            return false;
+        }
+        let Some((mut max_diff, mut decreased)) = self.reevaluate(true, rec) else {
+            return false;
+        };
+
+        loop {
+            rec.residual = max_diff;
+            rec.decreased |= decreased;
+            let converged = max_diff <= self.cfg.tol;
+            if !converged {
+                if rec.iterations >= self.cfg.max_iters {
+                    rec.iteration_limit = true;
+                    return false;
+                }
+                rec.iterations += 1;
+            }
+            // Carry the changed delays into `Y` and the route delays: the
+            // next iteration's sweep, or the closing refresh.
+            self.clear_touched();
+            if decreased {
+                self.resweep_all(cand);
+            } else {
+                self.mark_dirty();
+                rec.sweeps_skipped += (n + 1 - self.dirty.len()) as u64;
+                for i in 0..self.dirty.len() {
+                    self.resweep(self.dirty[i] as usize, cand);
+                }
+            }
+            if self.violated {
+                return false;
+            }
+            if converged {
+                return true;
+            }
+            match self.reevaluate(false, rec) {
+                Some(step) => (max_diff, decreased) = step,
+                None => return false,
+            }
+        }
+    }
+
+    /// Re-evaluates Theorem 3 at the touched servers (plus, in the first
+    /// iteration, the shared pending values at the untouched ones) and
+    /// applies the changes; returns `(sup-norm change, any decrease)`, or
+    /// `None` outside the theorem's domain.
+    fn reevaluate(&mut self, first: bool, rec: &mut SolveRecord) -> Option<(f64, bool)> {
+        let mut max_diff: f64 = 0.0;
+        let mut decreased = false;
+        self.changed.clear();
+        let mut apply = |st: &mut Self, k: u32, v: f64| {
+            let old = st.d[k as usize];
+            max_diff = max_diff.max((v - old).abs());
+            decreased |= v < old;
+            st.log_d.push((k, old));
+            st.d[k as usize] = v;
+            st.changed.push(k);
+        };
+        if first {
+            for i in 0..self.pending.len() {
+                let (k, v) = self.pending[i];
+                if !self.touched_mark[k as usize] {
+                    apply(self, k, v);
+                }
+            }
+        }
+        rec.servers_touched += self.touched.len() as u64;
+        for i in 0..self.touched.len() {
+            let k = self.touched[i];
+            let v = self.eval(k as usize)?;
+            if v != self.d[k as usize] {
+                apply(self, k, v);
+            }
+        }
+        Some((max_diff, decreased))
+    }
+
+    fn clear_touched(&mut self) {
+        for &k in &self.touched {
+            self.touched_mark[k as usize] = false;
+        }
+        self.touched.clear();
+    }
+
+    /// The routes (staged candidate included) through a changed server.
+    fn mark_dirty(&mut self) {
+        for &ri in &self.dirty {
+            self.dirty_mark[ri as usize] = false;
+        }
+        self.dirty.clear();
+        for &k in &self.changed {
+            for &ri in &self.through[k as usize] {
+                if !self.dirty_mark[ri as usize] {
+                    self.dirty_mark[ri as usize] = true;
+                    self.dirty.push(ri);
+                }
+            }
+        }
+    }
+
+    /// Re-sweeps route `ri` at the current `d`.
+    fn resweep(&mut self, ri: usize, cand: &[u32]) {
+        let hops = match self.routes.routes().get(ri) {
+            Some(r) => r.servers.as_slice(),
+            None => cand,
+        };
+        let rd = sweep_tracked(
+            hops,
+            &self.d,
+            &mut self.y,
+            &mut self.log_y,
+            &mut self.touched_mark,
+            &mut self.touched,
+        ) + self.prop[ri];
+        if rd != self.route_delays[ri] {
+            self.log_rd.push((ri as u32, self.route_delays[ri]));
+            self.route_delays[ri] = rd;
+        }
+        self.violated |= rd > self.class.deadline + DEADLINE_SLACK;
+    }
+
+    /// A delay decreased, so max-merging is no longer exact: rebuild `Y`
+    /// from zero over every route and re-evaluate every server.
+    fn resweep_all(&mut self, cand: &[u32]) {
+        for k in 0..self.y.len() {
+            if self.y[k] != 0.0 {
+                self.log_y.push((k as u32, self.y[k]));
+                self.y[k] = 0.0;
+            }
+        }
+        for ri in 0..=self.routes.len() {
+            self.resweep(ri, cand);
+        }
+        for k in 0..self.d.len() {
+            if (self.used[k] || self.d[k] != 0.0) && !self.touched_mark[k] {
+                self.touched_mark[k] = true;
+                self.touched.push(k as u32);
+            }
+        }
+    }
+
+    /// Undoes the staged candidate.
+    fn rollback(&mut self, cand: &[u32]) {
+        for &(k, old) in self.log_d.iter().rev() {
+            self.d[k as usize] = old;
+        }
+        for &(k, old) in self.log_y.iter().rev() {
+            self.y[k as usize] = old;
+        }
+        for &(ri, old) in self.log_rd.iter().rev() {
+            self.route_delays[ri as usize] = old;
+        }
+        for &k in &self.log_used {
+            self.used[k as usize] = false;
+        }
+        for &sv in cand {
+            self.through[sv as usize].pop();
+        }
+        self.prop.pop();
+        self.route_delays.pop();
+        self.clear_journal();
+    }
+
+    fn clear_journal(&mut self) {
+        self.log_d.clear();
+        self.log_y.clear();
+        self.log_rd.clear();
+        self.log_used.clear();
+        self.violated = false;
+    }
+}

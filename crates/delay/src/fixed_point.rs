@@ -36,13 +36,15 @@
 //! identical to it (`tests/incremental.rs`). Nothing outside the tests
 //! calls it.
 //!
-//! The solver also supports a borrowed *tentative* route — the §5.2
-//! candidate-evaluation loop appends a candidate to the committed set
-//! without cloning it — and all per-iteration buffers live in a
-//! caller-owned [`SolveScratch`] arena, so steady-state solving allocates
-//! only for the returned [`SolveResult`].
+//! All per-iteration buffers live in a caller-owned [`SolveScratch`]
+//! arena, so steady-state solving allocates only for the returned
+//! [`SolveResult`]. The §5.2 candidate-evaluation loop does not come
+//! through here: it asks one question thousands of times against a
+//! slowly growing route set, and [`crate::committed::CommittedState`]
+//! answers it from persistent state with these iterates, bit for bit.
 
 use crate::bound::theorem3_delay;
+use crate::metrics::SolveRecord;
 use crate::routeset::{Route, RouteSet};
 use crate::servers::Servers;
 use uba_graph::par::par_map;
@@ -105,21 +107,20 @@ pub struct SolveResult {
     /// Per-server delay bounds at the last iterate (the least fixed point
     /// when `outcome` is `Safe`).
     pub delays: Vec<f64>,
-    /// Per-route end-to-end delays at the last iterate (the tentative
-    /// route's entry is last when one was supplied).
+    /// Per-route end-to-end delays at the last iterate.
     pub route_delays: Vec<f64>,
     /// Iterations performed.
     pub iterations: usize,
 }
 
-const DEADLINE_SLACK: f64 = 1e-12;
+pub(crate) const DEADLINE_SLACK: f64 = 1e-12;
 
 /// Caller-owned scratch arena for the fixed-point solver.
 ///
 /// Holds every per-iteration buffer (`d`, `Y`, route delays, worklists),
-/// so a caller running many solves — the §5.2 candidate-evaluation loop,
-/// the §5.3 binary search — pays no per-iteration and (after warm-up) no
-/// per-solve allocations.
+/// so a caller running many solves — the §5.3 binary search over fixed
+/// routes — pays no per-iteration and (after warm-up) no per-solve
+/// allocations.
 #[derive(Clone, Debug, Default)]
 pub struct SolveScratch {
     d: Vec<f64>,
@@ -134,7 +135,6 @@ pub struct SolveScratch {
     touched_mark: Vec<bool>,
     touched: Vec<u32>,
     changed: Vec<u32>,
-    tentative_mark: Vec<bool>,
     alphas: Vec<f64>,
 }
 
@@ -195,17 +195,13 @@ pub fn solve_two_class_dense(
 /// [`solve_two_class`] in full generality: a *per-server* utilization
 /// assignment (the run-time admission test is per-link anyway, so
 /// nothing forces every link to the same `α`; only the `α_k` of servers
-/// that actually carry routes are validated), an optional borrowed
-/// *tentative* route evaluated as if appended to `routes` (zero-clone
-/// candidate evaluation — its end-to-end delay is the last entry of
-/// [`SolveResult::route_delays`]), and a caller-owned scratch arena.
-#[allow(clippy::too_many_arguments)]
+/// that actually carry routes are validated) and a caller-owned scratch
+/// arena.
 pub fn solve_two_class_with(
     servers: &Servers,
     class: &TrafficClass,
     alphas: &[f64],
     routes: &RouteSet,
-    tentative: Option<&Route>,
     cfg: &SolveConfig,
     warm: Option<&[f64]>,
     scratch: &mut SolveScratch,
@@ -215,7 +211,6 @@ pub fn solve_two_class_with(
         class,
         alphas,
         routes,
-        tentative,
         cfg,
         warm,
         Sweep::Worklist,
@@ -244,7 +239,7 @@ fn solve_uniform(
         let mut alphas = std::mem::take(&mut sc.alphas);
         alphas.clear();
         alphas.resize(servers.len(), alpha);
-        let r = solve_instrumented(servers, class, &alphas, routes, None, cfg, warm, sweep, sc);
+        let r = solve_instrumented(servers, class, &alphas, routes, cfg, warm, sweep, sc);
         sc.alphas = alphas;
         r
     })
@@ -271,56 +266,25 @@ fn solve_instrumented(
     class: &TrafficClass,
     alphas: &[f64],
     routes: &RouteSet,
-    tentative: Option<&Route>,
     cfg: &SolveConfig,
     warm: Option<&[f64]>,
     sweep: Sweep,
     scratch: &mut SolveScratch,
 ) -> SolveResult {
-    let tr = uba_obs::trace::global();
-    tr.emit(
-        uba_obs::EventKind::SolveBegin,
-        0,
-        0,
-        servers.len() as u32,
-        routes.len() as f64,
-        if warm.is_some() { 1.0 } else { 0.0 },
-    );
-    let t0 = uba_obs::Stopwatch::start();
-    let (outcome, iterations, residual, stats) = solve_core(
-        servers, class, alphas, routes, tentative, cfg, warm, sweep, scratch,
-    );
-    let m = crate::metrics::solver();
-    m.seconds.record(t0.elapsed_secs());
-    m.iterations.record(iterations as f64);
-    m.residual.record(residual);
-    if outcome == Outcome::IterationLimit {
-        m.divergence.inc();
-    }
-    m.sweeps_skipped.add(stats.sweeps_skipped);
-    m.servers_touched.add(stats.servers_touched);
-    tr.emit(
-        uba_obs::EventKind::SolveEnd,
-        0,
-        0,
-        servers.len() as u32,
-        residual,
-        iterations as f64,
-    );
-    if warm.is_some() {
-        tr.emit(
-            if stats.warm_fallback {
-                uba_obs::EventKind::WarmStartFallback
-            } else {
-                uba_obs::EventKind::WarmStartAccept
-            },
-            0,
-            0,
-            servers.len() as u32,
-            iterations as f64,
-            0.0,
-        );
-    }
+    let (outcome, iterations) =
+        crate::metrics::record_solve(servers.len(), routes.len(), warm.is_some(), || {
+            let (outcome, iterations, residual, stats) =
+                solve_core(servers, class, alphas, routes, cfg, warm, sweep, scratch);
+            let record = SolveRecord {
+                iterations,
+                residual,
+                iteration_limit: outcome == Outcome::IterationLimit,
+                sweeps_skipped: stats.sweeps_skipped,
+                servers_touched: stats.servers_touched,
+                decreased: stats.warm_fallback,
+            };
+            ((outcome, iterations), record)
+        });
     SolveResult {
         outcome,
         delays: scratch.d.clone(),
@@ -384,7 +348,6 @@ fn solve_core(
     class: &TrafficClass,
     alphas: &[f64],
     routes: &RouteSet,
-    tentative: Option<&Route>,
     cfg: &SolveConfig,
     warm: Option<&[f64]>,
     sweep: Sweep,
@@ -395,30 +358,11 @@ fn solve_core(
     assert_eq!(alphas.len(), s, "one alpha per server");
     let class0 = ClassId(0);
     debug_assert!(
-        routes
-            .routes()
-            .iter()
-            .chain(tentative)
-            .all(|r| r.class == class0),
+        routes.routes().iter().all(|r| r.class == class0),
         "solve_two_class expects single-class routes"
     );
-    if let Some(t) = tentative {
-        for &sv in &t.servers {
-            assert!(
-                (sv as usize) < s,
-                "tentative route references unknown server {sv}"
-            );
-        }
-    }
     let committed = routes.routes();
-    let n_routes = committed.len() + tentative.is_some() as usize;
-    let route_at = |ri: usize| -> &Route {
-        if ri < committed.len() {
-            &committed[ri]
-        } else {
-            tentative.unwrap()
-        }
-    };
+    let n_routes = committed.len();
 
     // Destructure so closures can borrow individual buffers.
     let SolveScratch {
@@ -434,7 +378,6 @@ fn solve_core(
         touched_mark,
         touched,
         changed,
-        tentative_mark,
         ..
     } = scratch;
     d.clear();
@@ -454,15 +397,12 @@ fn solve_core(
     touched_mark.resize(s, false);
     touched.clear();
     changed.clear();
-    tentative_mark.clear();
-    tentative_mark.resize(s, false);
 
     // Used-server mask, constant (propagation) delay per route. The
     // propagation term consumes deadline budget but adds no jitter, so it
     // enters the checks, never `Y_k`.
     let mut n_class_routes = 0usize;
-    for ri in 0..n_routes {
-        let r = route_at(ri);
+    for r in committed {
         prop.push(servers.route_const_delay(&r.servers));
         if r.class == class0 {
             n_class_routes += 1;
@@ -481,15 +421,10 @@ fn solve_core(
         assert_eq!(w.len(), s, "warm start length mismatch");
         d.copy_from_slice(w);
     }
-    if let Some(t) = tentative {
-        for &sv in &t.servers {
-            tentative_mark[sv as usize] = true;
-        }
-    }
     // Routes of other classes never move in the two-class solve; their
     // delay is the constant term alone (dense parity: 0 queueing + prop).
-    for ri in 0..n_routes {
-        if route_at(ri).class != class0 {
+    for (ri, r) in committed.iter().enumerate() {
+        if r.class != class0 {
             route_delays[ri] = prop[ri];
         }
     }
@@ -511,8 +446,7 @@ fn solve_core(
         loop {
             iterations += 1;
             y.fill(0.0);
-            for ri in 0..n_routes {
-                let r = route_at(ri);
+            for (ri, r) in committed.iter().enumerate() {
                 if r.class != class0 {
                     continue;
                 }
@@ -555,8 +489,7 @@ fn solve_core(
                 // Converged: one final pass for route delays at the fixed
                 // point.
                 y.fill(0.0);
-                for ri in 0..n_routes {
-                    let r = route_at(ri);
+                for (ri, r) in committed.iter().enumerate() {
                     if r.class != class0 {
                         continue;
                     }
@@ -586,8 +519,7 @@ fn solve_core(
 
         if full_sweep {
             y.fill(0.0);
-            for ri in 0..n_routes {
-                let r = route_at(ri);
+            for (ri, r) in committed.iter().enumerate() {
                 if r.class != class0 {
                     continue;
                 }
@@ -598,7 +530,7 @@ fn solve_core(
             for &ri in dirty_routes.iter() {
                 let ri = ri as usize;
                 route_delays[ri] =
-                    sweep_route_tracked(route_at(ri), d, y, touched_mark, touched) + prop[ri];
+                    sweep_route_tracked(&committed[ri], d, y, touched_mark, touched) + prop[ri];
             }
         }
         if let Some(ri) = first_violation(route_delays, class.deadline) {
@@ -662,8 +594,7 @@ fn solve_core(
             // routes fed by a just-changed server can move.
             if decreased {
                 y.fill(0.0);
-                for ri in 0..n_routes {
-                    let r = route_at(ri);
+                for (ri, r) in committed.iter().enumerate() {
                     if r.class != class0 {
                         continue;
                     }
@@ -683,19 +614,12 @@ fn solve_core(
                             dirty_routes.push(ri);
                         }
                     }
-                    if tentative_mark[k] {
-                        let ti = committed.len();
-                        if !route_dirty[ti] {
-                            route_dirty[ti] = true;
-                            dirty_routes.push(ti as u32);
-                        }
-                    }
                 }
                 dirty_routes.sort_unstable();
                 stats.sweeps_skipped += (n_class_routes - dirty_routes.len()) as u64;
                 for &ri in dirty_routes.iter() {
                     let ri = ri as usize;
-                    route_delays[ri] = sweep_route(route_at(ri), d, y) + prop[ri];
+                    route_delays[ri] = sweep_route(&committed[ri], d, y) + prop[ri];
                 }
             }
             let outcome = match first_violation(route_delays, class.deadline) {
@@ -731,13 +655,6 @@ fn solve_core(
                     if !route_dirty[riu] && committed[riu].class == class0 {
                         route_dirty[riu] = true;
                         dirty_routes.push(ri);
-                    }
-                }
-                if tentative_mark[k] {
-                    let ti = committed.len();
-                    if !route_dirty[ti] {
-                        route_dirty[ti] = true;
-                        dirty_routes.push(ti as u32);
                     }
                 }
             }
@@ -1027,36 +944,6 @@ mod tests {
                 assert_eq!(a, b, "route delays diverge at alpha {alpha}");
             }
         }
-    }
-
-    #[test]
-    fn tentative_route_matches_committed_push() {
-        let (_, servers, mut routes) = line_setup(5);
-        let cls = voip();
-        let cfg = SolveConfig::default();
-        let extra = routes.pop().unwrap();
-        let base = solve_two_class(&servers, &cls, 0.3, &routes, &cfg, None);
-        assert_eq!(base.outcome, Outcome::Safe);
-
-        // Evaluate `extra` as a tentative overlay (no clone, no push)...
-        let mut scratch = SolveScratch::new();
-        let tent = solve_two_class_with(
-            &servers,
-            &cls,
-            &vec![0.3; servers.len()],
-            &routes,
-            Some(&extra),
-            &cfg,
-            Some(&base.delays),
-            &mut scratch,
-        );
-        // ... and as an actually committed route.
-        routes.push(extra);
-        let committed = solve_two_class(&servers, &cls, 0.3, &routes, &cfg, Some(&base.delays));
-        assert_eq!(tent.outcome, committed.outcome);
-        assert_eq!(tent.iterations, committed.iterations);
-        assert_eq!(tent.delays, committed.delays);
-        assert_eq!(tent.route_delays, committed.route_delays);
     }
 
     #[test]

@@ -10,9 +10,13 @@
 //!   (Eq. 10).
 //! * [`fixed_point`] — the iterative solution of the vector equation
 //!   `d = Z(d)` (Eq. 11–14) for the two-class system, with warm starting,
-//!   sound early divergence detection, an incremental worklist sweep
-//!   driven by the route set's inverted index, and zero-clone tentative
-//!   route evaluation over a caller-owned scratch arena.
+//!   sound early divergence detection and an incremental worklist sweep
+//!   driven by the route set's inverted index, over a caller-owned
+//!   scratch arena.
+//! * [`committed`] — the §5.2 candidate loop's evaluator: one persistent
+//!   committed fixed point, a tentative route evaluated by touching only
+//!   what it can move, journalled and undone on reject — the general
+//!   solver's iterates, bit for bit.
 //! * [`multiclass`] — the Theorem 5 extension to ≥3 classes (Section 5.4).
 //! * [`general`] — the *flow-aware* general delay formula (Eq. 2–3 and
 //!   Eq. 24): exact given the current flow set, usable only at run time;
@@ -35,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod bound;
+pub mod committed;
 pub mod fixed_point;
 pub mod general;
 pub mod metrics;
@@ -44,6 +49,7 @@ pub mod servers;
 pub mod verify;
 
 pub use bound::theorem3_delay;
+pub use committed::CommittedState;
 pub use fixed_point::{
     solve_two_class, solve_two_class_with, with_thread_scratch, Outcome, SolveConfig, SolveResult,
     SolveScratch,

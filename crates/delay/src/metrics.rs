@@ -64,6 +64,68 @@ pub fn solver() -> &'static SolverMetrics {
     })
 }
 
+/// What one fixed-point solve did, for [`record_solve`].
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct SolveRecord {
+    pub iterations: usize,
+    /// Final sup-norm residual (0 when no sweep completed).
+    pub residual: f64,
+    /// Ended on the iteration cap.
+    pub iteration_limit: bool,
+    /// Route `Y`-sweeps avoided vs. the dense reference.
+    pub sweeps_skipped: u64,
+    /// Per-server Theorem 3 evaluations performed.
+    pub servers_touched: u64,
+    /// Some iterate decreased a delay — on a warm-started solve, the
+    /// monotonicity break that forces a from-scratch `Y` rebuild.
+    pub decreased: bool,
+}
+
+/// Runs one solve between its `SolveBegin` / `SolveEnd` tracepoints and
+/// records it in the `delay.solve.*` series: every solve — general or
+/// candidate evaluation — is one record.
+pub(crate) fn record_solve<T>(
+    servers: usize,
+    routes: usize,
+    warm: bool,
+    solve: impl FnOnce() -> (T, SolveRecord),
+) -> T {
+    use uba_obs::EventKind;
+    let tr = uba_obs::trace::global();
+    let servers = servers as u32;
+    let warm_flag = if warm { 1.0 } else { 0.0 };
+    tr.emit(
+        EventKind::SolveBegin,
+        0,
+        0,
+        servers,
+        routes as f64,
+        warm_flag,
+    );
+    let t0 = uba_obs::Stopwatch::start();
+    let (out, rec) = solve();
+    let m = solver();
+    m.seconds.record(t0.elapsed_secs());
+    m.iterations.record(rec.iterations as f64);
+    m.residual.record(rec.residual);
+    if rec.iteration_limit {
+        m.divergence.inc();
+    }
+    m.sweeps_skipped.add(rec.sweeps_skipped);
+    m.servers_touched.add(rec.servers_touched);
+    let iterations = rec.iterations as f64;
+    tr.emit(EventKind::SolveEnd, 0, 0, servers, rec.residual, iterations);
+    if warm {
+        let kind = if rec.decreased {
+            EventKind::WarmStartFallback
+        } else {
+            EventKind::WarmStartAccept
+        };
+        tr.emit(kind, 0, 0, servers, iterations, 0.0);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,0 +1,268 @@
+//! `CommittedState` vs the literal reading of §5.2's candidate check.
+//!
+//! Oracle: clone the committed `RouteSet`, push the candidate,
+//! `solve_two_class` warm from the committed delays. The evaluator must
+//! give the same verdict and the same own delay for every candidate,
+//! leave its state untouched by a rejected or merely tried one, and after
+//! a commit hold the oracle's `delays` and `route_delays` bit for bit —
+//! on random route sets over MCI, a torus and a ring, most of which have
+//! dependency cycles (so the committed point is only `tol`-converged and
+//! the shared first-iteration step does real work).
+
+use uba_delay::committed::CommittedState;
+use uba_delay::fixed_point::{solve_two_class, SolveConfig};
+use uba_delay::routeset::{Route, RouteSet};
+use uba_delay::servers::Servers;
+use uba_graph::{k_shortest_paths, Digraph, DynDigraph, NodeId};
+use uba_obs::SplitMix64;
+use uba_topology::{mci, ring, torus};
+use uba_traffic::{ClassId, TrafficClass};
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// What a caller can see of the evaluator's state.
+fn digest(st: &CommittedState<'_>) -> (usize, Vec<u64>, Vec<u64>) {
+    (
+        st.routes().len(),
+        bits(st.delays()),
+        bits(st.route_delays()),
+    )
+}
+
+fn random_route(g: &Digraph, rng: &mut SplitMix64) -> Route {
+    loop {
+        let src = NodeId(rng.index(g.node_count()) as u32);
+        let dst = NodeId(rng.index(g.node_count()) as u32);
+        let paths = k_shortest_paths(g, src, dst, 4);
+        if !paths.is_empty() {
+            return Route::from_path(ClassId(0), &paths[rng.index(paths.len())]);
+        }
+    }
+}
+
+/// Pushes `cand` onto a clone of `routes` and solves warm from `delays`.
+fn oracle(
+    servers: &Servers,
+    class: &TrafficClass,
+    alpha: f64,
+    routes: &RouteSet,
+    delays: &[f64],
+    cand: &Route,
+) -> (RouteSet, uba_delay::SolveResult) {
+    let mut trial = routes.clone();
+    trial.push(cand.clone());
+    let r = solve_two_class(
+        servers,
+        class,
+        alpha,
+        &trial,
+        &SolveConfig::default(),
+        Some(delays),
+    );
+    (trial, r)
+}
+
+/// One random walk of tries, rejects and commits; returns how many
+/// candidates were unsafe, committed, and whether the set went cyclic.
+fn walk(
+    g: &Digraph,
+    fan_in: usize,
+    alpha: f64,
+    steps: usize,
+    seed: u64,
+    ctx: &str,
+) -> (usize, usize, bool) {
+    let voip = TrafficClass::voip();
+    let servers = Servers::uniform(g, 100e6, fan_in);
+    let cfg = SolveConfig::default();
+    let mut rng = SplitMix64::new(seed);
+    let mut state = CommittedState::new(&servers, &voip, alpha, &cfg);
+    let mut routes = RouteSet::new(g.edge_count());
+    let mut delays = vec![0.0; g.edge_count()];
+    let mut overlay = DynDigraph::new(g.edge_count());
+    let (mut unsafe_seen, mut committed) = (0, 0);
+    for step in 0..steps {
+        let ctx = format!("{ctx} seed {seed} step {step}");
+        let cand = random_route(g, &mut rng);
+        let (trial, want) = oracle(&servers, &voip, alpha, &routes, &delays, &cand);
+        let before = digest(&state);
+        let got = state.try_route(&cand);
+        assert_eq!(got.is_some(), want.outcome.is_safe(), "{ctx}: verdict");
+        assert_eq!(digest(&state), before, "{ctx}: a tried route left a trace");
+        let Some(own) = got else {
+            unsafe_seen += 1;
+            assert!(!state.commit(cand), "{ctx}: unsafe route committed");
+            assert_eq!(
+                digest(&state),
+                before,
+                "{ctx}: a rejected commit left a trace"
+            );
+            continue;
+        };
+        assert_eq!(
+            own.to_bits(),
+            want.route_delays.last().unwrap().to_bits(),
+            "{ctx}: own delay"
+        );
+        // Reject about a third of the safe candidates, like a pair's
+        // losing candidates.
+        if rng.index(3) == 0 {
+            continue;
+        }
+        let chain: Vec<usize> = cand.servers.iter().map(|&s| s as usize).collect();
+        overlay.add_chain(&chain);
+        assert!(state.commit(cand), "{ctx}: safe route refused");
+        assert_eq!(bits(state.delays()), bits(&want.delays), "{ctx}: delays");
+        assert_eq!(
+            bits(state.route_delays()),
+            bits(&want.route_delays),
+            "{ctx}: route delays"
+        );
+        routes = trial;
+        delays = want.delays;
+        committed += 1;
+    }
+    assert_eq!(state.routes().routes(), routes.routes(), "{ctx}: route set");
+    (unsafe_seen, committed, overlay.has_cycle())
+}
+
+#[test]
+fn evaluator_matches_push_and_solve_on_random_route_sets() {
+    let cases: [(&str, Digraph, usize, f64); 4] = [
+        ("mci", mci(), 6, 0.45),
+        ("torus5x5", torus(5, 5), 4, 0.3),
+        ("ring8", ring(8), 2, 0.25),
+        ("ring8 past the edge", ring(8), 2, 0.6),
+    ];
+    for (name, g, fan_in, alpha) in &cases {
+        let (mut unsafe_seen, mut committed, mut cyclic) = (0, 0, 0);
+        for seed in 0..6u64 {
+            let (u, c, cyc) = walk(g, *fan_in, *alpha, 70, 0x5EED ^ (seed * 977), name);
+            unsafe_seen += u;
+            committed += c;
+            cyclic += cyc as usize;
+        }
+        assert!(committed > 60, "{name}: only {committed} commits");
+        // Most walks must go cyclic, and the one past the feasible edge
+        // must reach the unsafe verdict, or those paths are untested.
+        if *alpha > 0.5 {
+            assert!(unsafe_seen > 100, "{name}: only {unsafe_seen} unsafe");
+        } else {
+            assert!(cyclic >= 4, "{name}: only {cyclic}/6 walks went cyclic");
+        }
+    }
+}
+
+#[test]
+fn evaluator_matches_from_an_adopted_fixed_point() {
+    // `Configuration::add_pair` / `fail_link`: the evaluator is built
+    // from routes and delays somebody else solved — cold, so only
+    // `tol`-converged on this cyclic set.
+    let voip = TrafficClass::voip();
+    let g = torus(5, 5);
+    let servers = Servers::uniform(&g, 100e6, 4);
+    let cfg = SolveConfig::default();
+    let mut rng = SplitMix64::new(0xAD0B7);
+    let mut routes = RouteSet::new(g.edge_count());
+    for _ in 0..60 {
+        routes.push(random_route(&g, &mut rng));
+    }
+    let base = solve_two_class(&servers, &voip, 0.25, &routes, &cfg, None);
+    assert!(base.outcome.is_safe());
+    let mut state = CommittedState::from_fixed_point(
+        &servers,
+        &voip,
+        0.25,
+        &cfg,
+        routes.clone(),
+        base.delays.clone(),
+    );
+    assert_eq!(bits(state.route_delays()), bits(&base.route_delays));
+    let mut delays = base.delays;
+    for step in 0..25 {
+        let cand = random_route(&g, &mut rng);
+        let (trial, want) = oracle(&servers, &voip, 0.25, &routes, &delays, &cand);
+        assert_eq!(
+            state.try_route(&cand).map(f64::to_bits),
+            want.outcome
+                .is_safe()
+                .then(|| want.route_delays.last().unwrap().to_bits()),
+            "step {step}"
+        );
+        if want.outcome.is_safe() {
+            assert!(state.commit(cand));
+            assert_eq!(bits(state.delays()), bits(&want.delays), "step {step}");
+            assert_eq!(
+                bits(state.route_delays()),
+                bits(&want.route_delays),
+                "step {step}"
+            );
+            routes = trial;
+            delays = want.delays;
+        }
+    }
+}
+
+#[test]
+fn evaluator_matches_on_warm_starts_above_the_fixed_point() {
+    // Inflated delays break monotonicity: the first re-evaluation
+    // *decreases* delays, and both solvers must fall back to rebuilding
+    // `Y` from zero. Junk on unused servers must be zeroed by both.
+    let voip = TrafficClass::voip();
+    let g = mci();
+    let servers = Servers::uniform(&g, 100e6, 6);
+    let cfg = SolveConfig::default();
+    let mut rng = SplitMix64::new(0xBAD5EED);
+    let mut routes = RouteSet::new(g.edge_count());
+    for _ in 0..30 {
+        routes.push(random_route(&g, &mut rng));
+    }
+    let base = solve_two_class(&servers, &voip, 0.3, &routes, &cfg, None);
+    assert!(base.outcome.is_safe());
+    for scale in [1.2, 2.0] {
+        let mut warm: Vec<f64> = base.delays.iter().map(|d| d * scale).collect();
+        for (k, d) in warm.iter_mut().enumerate() {
+            if *d == 0.0 && k % 3 == 0 {
+                *d = 1e-3;
+            }
+        }
+        let mut state = CommittedState::from_fixed_point(
+            &servers,
+            &voip,
+            0.3,
+            &cfg,
+            routes.clone(),
+            warm.clone(),
+        );
+        let cand = random_route(&g, &mut rng);
+        let (_, want) = oracle(&servers, &voip, 0.3, &routes, &warm, &cand);
+        // x1.2 recovers; x2 already misses a deadline at the first sweep.
+        assert_eq!(want.outcome.is_safe(), scale < 2.0, "x{scale}");
+        let before = digest(&state);
+        assert_eq!(
+            state.try_route(&cand).map(f64::to_bits),
+            want.outcome
+                .is_safe()
+                .then(|| want.route_delays.last().unwrap().to_bits()),
+            "x{scale}"
+        );
+        assert_eq!(
+            digest(&state),
+            before,
+            "x{scale}: rollback of a full rebuild"
+        );
+        if !want.outcome.is_safe() {
+            assert!(!state.commit(cand));
+            continue;
+        }
+        assert!(state.commit(cand));
+        assert_eq!(bits(state.delays()), bits(&want.delays), "x{scale}");
+        assert_eq!(
+            bits(state.route_delays()),
+            bits(&want.route_delays),
+            "x{scale}"
+        );
+    }
+}

@@ -2,18 +2,18 @@
 //!
 //! The worklist solver (`solve_two_class`) must be indistinguishable from
 //! the dense reference (`solve_two_class_dense`) across topologies,
-//! utilizations, warm starts (valid *and* invalid), push/pop sequences,
-//! and tentative-route evaluation. The contract asserted here is the
-//! strong one the implementation guarantees: identical `Outcome`,
-//! identical iteration count, and bitwise-identical delay vectors.
+//! utilizations, warm starts (valid *and* invalid) and push/pop sequences;
+//! the tentative-route evaluator (`CommittedState`) must be
+//! indistinguishable from pushing the route and solving warm. The
+//! contract asserted here is the strong one the implementation
+//! guarantees: identical `Outcome`, identical iteration count, and
+//! bitwise-identical delay vectors.
 //!
 //! A broader seeded sweep runs behind the `prop-tests` feature:
 //! `cargo test -p uba-delay --features prop-tests`.
 
-use uba_delay::fixed_point::{
-    solve_two_class, solve_two_class_dense, solve_two_class_with, Outcome, SolveConfig,
-    SolveScratch,
-};
+use uba_delay::committed::CommittedState;
+use uba_delay::fixed_point::{solve_two_class, solve_two_class_dense, Outcome, SolveConfig};
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
 use uba_graph::{k_shortest_paths, Digraph, NodeId};
@@ -183,50 +183,48 @@ fn equivalence_with_invalid_warm_starts() {
 
 #[test]
 fn tentative_matches_committed_across_seeds() {
+    // The §5.2 loop's question — "with this route appended, still safe,
+    // and what is its own delay?" — answered by `CommittedState` against
+    // the literal reading: push the candidate, solve warm. The randomized
+    // differential (cyclic route sets, interleaved rejects and commits)
+    // is `tests/committed_equiv.rs`.
     let voip = TrafficClass::voip();
     let g = mci();
     let servers = Servers::uniform(&g, 100e6, 6);
+    let cfg = SolveConfig::default();
     for seed in 0..5u64 {
         let mut rng = SplitMix64::new(0xABCD + seed);
         let mut routes = random_routes(&g, 25, &mut rng);
         let candidate = routes.pop().unwrap();
-        let base = solve_two_class(
-            &servers,
-            &voip,
-            0.35,
-            &routes,
-            &SolveConfig::default(),
-            None,
-        );
-        let warm = (base.outcome == Outcome::Safe).then_some(base.delays);
+        let base = solve_two_class(&servers, &voip, 0.35, &routes, &cfg, None);
+        let warm = if base.outcome == Outcome::Safe {
+            base.delays
+        } else {
+            vec![0.0; servers.len()]
+        };
 
-        let mut scratch = SolveScratch::new();
-        let tentative = solve_two_class_with(
-            &servers,
-            &voip,
-            &vec![0.35; servers.len()],
-            &routes,
-            Some(&candidate),
-            &SolveConfig::default(),
-            warm.as_deref(),
-            &mut scratch,
-        );
-        routes.push(candidate);
-        let committed = solve_two_class(
+        let mut state = CommittedState::from_fixed_point(
             &servers,
             &voip,
             0.35,
-            &routes,
-            &SolveConfig::default(),
-            warm.as_deref(),
+            &cfg,
+            routes.clone(),
+            warm.clone(),
         );
-        assert_eq!(tentative.outcome, committed.outcome, "seed {seed}");
-        assert_eq!(tentative.iterations, committed.iterations, "seed {seed}");
-        assert_eq!(tentative.delays, committed.delays, "seed {seed}");
+        let tentative = state.try_route(&candidate);
+        routes.push(candidate.clone());
+        let committed = solve_two_class(&servers, &voip, 0.35, &routes, &cfg, Some(&warm));
         assert_eq!(
-            tentative.route_delays, committed.route_delays,
+            tentative.is_some(),
+            committed.outcome.is_safe(),
             "seed {seed}"
         );
+        if let Some(own) = tentative {
+            assert_eq!(own, *committed.route_delays.last().unwrap(), "seed {seed}");
+            assert!(state.commit(candidate));
+            assert_eq!(state.delays(), committed.delays, "seed {seed}");
+            assert_eq!(state.route_delays(), committed.route_delays, "seed {seed}");
+        }
     }
 }
 

@@ -17,16 +17,7 @@ fn solve_nonuniform(
     cfg: &SolveConfig,
 ) -> SolveResult {
     let mut scratch = SolveScratch::new();
-    solve_two_class_with(
-        servers,
-        class,
-        alphas,
-        routes,
-        None,
-        cfg,
-        None,
-        &mut scratch,
-    )
+    solve_two_class_with(servers, class, alphas, routes, cfg, None, &mut scratch)
 }
 
 fn cross_setup() -> (Servers, RouteSet) {

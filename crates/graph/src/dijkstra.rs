@@ -63,9 +63,9 @@ impl ShortestPaths {
 /// Min-heap entry ordered by distance; ties broken by node id for
 /// determinism across runs.
 #[derive(PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
+pub(crate) struct HeapEntry {
+    pub(crate) dist: f64,
+    pub(crate) node: NodeId,
 }
 
 impl Eq for HeapEntry {}

@@ -12,10 +12,13 @@
 //! * [`bfs`] — unweighted hop distances, eccentricities and the network
 //!   diameter `L` used by Theorem 4.
 //! * [`yen`] — Yen's k-shortest loopless paths, the candidate-route
-//!   generator of the Section 5.2 heuristic.
+//!   generator of the Section 5.2 heuristic; every spur search of a call
+//!   runs on one reusable scratch and stops when the target settles.
 //! * [`cycle`] — a dynamic overlay digraph with reference-counted edges and
 //!   cycle queries, used to prefer candidate routes that keep the
-//!   route-dependency graph acyclic (heuristic (2) of Section 5.2).
+//!   route-dependency graph acyclic (heuristic (2) of Section 5.2): flat
+//!   adjacency, a stamped depth-first search from the queried chain, and
+//!   a latched answer once the graph is cyclic.
 //! * [`apsp`] — all-pairs shortest paths, serial and parallel.
 //! * [`par`] — a small scoped-thread chunked parallel map used by the
 //!   parallel solvers.

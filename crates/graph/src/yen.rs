@@ -5,8 +5,8 @@
 //! We generate those candidates as the k shortest simple paths by weight.
 
 use crate::digraph::{Digraph, EdgeId, NodeId, Path};
-use crate::dijkstra::dijkstra_filtered;
-use std::collections::HashSet;
+use crate::dijkstra::HeapEntry;
+use std::collections::BinaryHeap;
 
 /// Computes up to `k` shortest loopless paths from `src` to `dst`, in
 /// non-decreasing order of total weight.
@@ -32,6 +32,93 @@ pub fn k_shortest_paths(g: &Digraph, src: NodeId, dst: NodeId, k: usize) -> Vec<
     k_shortest_paths_filtered(g, src, dst, k, |_| true)
 }
 
+/// One call's worth of spur-search state: Dijkstra's arrays, its heap and
+/// the two ban masks, allocated once and reused by every spur search.
+///
+/// A search is [`dijkstra_filtered`](crate::dijkstra::dijkstra_filtered)
+/// step for step — same heap entries, same strict relaxation — except that it stops when the target settles: by then the
+/// target's predecessor chain runs through settled nodes only and can no
+/// longer change, so the path is the one the full search would return.
+struct SpurSearch {
+    dist: Vec<f64>,
+    prev_edge: Vec<Option<EdgeId>>,
+    settled: Vec<bool>,
+    heap: BinaryHeap<HeapEntry>,
+    node_banned: Vec<bool>,
+    edge_banned: Vec<bool>,
+}
+
+impl SpurSearch {
+    fn new(g: &Digraph) -> Self {
+        Self {
+            dist: vec![f64::INFINITY; g.node_count()],
+            prev_edge: vec![None; g.node_count()],
+            settled: vec![false; g.node_count()],
+            heap: BinaryHeap::new(),
+            node_banned: vec![false; g.node_count()],
+            edge_banned: vec![false; g.edge_count()],
+        }
+    }
+
+    /// Appends the edges of the shortest `from → to` path over the
+    /// unbanned subgraph to `out`; `false` (and `out` untouched) if there
+    /// is none. `from` is expanded even when banned.
+    fn extend_with_path(
+        &mut self,
+        g: &Digraph,
+        from: NodeId,
+        to: NodeId,
+        edge_ok: &impl Fn(EdgeId) -> bool,
+        out: &mut Vec<EdgeId>,
+    ) -> bool {
+        self.dist.fill(f64::INFINITY);
+        self.prev_edge.fill(None);
+        self.settled.fill(false);
+        self.heap.clear();
+        self.dist[from.index()] = 0.0;
+        self.heap.push(HeapEntry {
+            dist: 0.0,
+            node: from,
+        });
+        while let Some(HeapEntry { dist: d, node: u }) = self.heap.pop() {
+            if self.settled[u.index()] {
+                continue;
+            }
+            if u == to {
+                break;
+            }
+            self.settled[u.index()] = true;
+            for &e in g.out_edges(u) {
+                if self.edge_banned[e.index()] || !edge_ok(e) {
+                    continue;
+                }
+                let v = g.dst(e);
+                if self.node_banned[v.index()] || self.settled[v.index()] {
+                    continue;
+                }
+                let nd = d + g.weight(e);
+                if nd < self.dist[v.index()] {
+                    self.dist[v.index()] = nd;
+                    self.prev_edge[v.index()] = Some(e);
+                    self.heap.push(HeapEntry { dist: nd, node: v });
+                }
+            }
+        }
+        if !self.dist[to.index()].is_finite() {
+            return false;
+        }
+        let start = out.len();
+        let mut cur = to;
+        while let Some(e) = self.prev_edge[cur.index()] {
+            out.push(e);
+            cur = g.src(e);
+        }
+        debug_assert_eq!(cur, from);
+        out[start..].reverse();
+        true
+    }
+}
+
 /// [`k_shortest_paths`] restricted to edges accepted by `edge_ok` —
 /// used to route around failed links without renumbering edge ids.
 pub fn k_shortest_paths_filtered(
@@ -44,50 +131,53 @@ pub fn k_shortest_paths_filtered(
     if k == 0 || src == dst {
         return Vec::new();
     }
-    let first = match dijkstra_filtered(g, src, |_| true, &edge_ok).path_to(g, dst) {
-        Some(p) => p,
-        None => return Vec::new(),
-    };
-    let mut accepted: Vec<Path> = vec![first];
-    // Candidate pool; kept sorted on demand. Small k makes this cheap.
+    let mut search = SpurSearch::new(g);
+    let mut edges = Vec::new();
+    if !search.extend_with_path(g, src, dst, &edge_ok, &mut edges) {
+        return Vec::new();
+    }
+    let mut accepted: Vec<Path> = vec![Path::from_edges(g, edges)];
+    // Candidate pool: every spur path found and not yet accepted. Small k
+    // keeps it small, so membership and the minimum are linear scans.
     let mut candidates: Vec<(f64, Path)> = Vec::new();
-    let mut seen: HashSet<Vec<EdgeId>> = HashSet::new();
-    seen.insert(accepted[0].edges.clone());
+    let mut edges = Vec::new();
 
     while accepted.len() < k {
-        let prev = accepted.last().unwrap().clone();
-        for i in 0..prev.len() {
-            let spur_node = prev.nodes[i];
-            let root_nodes = &prev.nodes[..=i];
-            let root_edges = &prev.edges[..i];
-
+        let prev = accepted.len() - 1;
+        for i in 0..accepted[prev].len() {
+            let spur_node = accepted[prev].nodes[i];
             // Ban the next edge of every accepted path that shares this
             // exact root (edge-wise — node-wise comparison would over-ban
-            // on multigraphs), so the spur path must deviate here.
-            let mut banned_edges: HashSet<EdgeId> = HashSet::new();
+            // on multigraphs), so the spur path must deviate here; ban the
+            // root's nodes (except the spur node) to keep paths simple.
             for p in &accepted {
-                if p.len() > i && p.edges[..i] == *root_edges {
-                    banned_edges.insert(p.edges[i]);
+                if p.len() > i && p.edges[..i] == accepted[prev].edges[..i] {
+                    search.edge_banned[p.edges[i].index()] = true;
                 }
             }
-            // Ban root nodes (except the spur node) to keep paths simple.
-            let banned_nodes: HashSet<NodeId> = root_nodes[..i].iter().copied().collect();
+            for n in &accepted[prev].nodes[..i] {
+                search.node_banned[n.index()] = true;
+            }
 
-            let sp = dijkstra_filtered(
-                g,
-                spur_node,
-                |n| !banned_nodes.contains(&n),
-                |e| edge_ok(e) && !banned_edges.contains(&e),
-            );
-            if let Some(spur) = sp.path_to(g, dst) {
-                let mut edges = root_edges.to_vec();
-                edges.extend_from_slice(&spur.edges);
-                if seen.insert(edges.clone()) {
-                    let total = Path::from_edges(g, edges);
-                    debug_assert!(total.is_simple());
-                    let w = total.weight(g);
-                    candidates.push((w, total));
+            edges.clear();
+            edges.extend_from_slice(&accepted[prev].edges[..i]);
+            let found = search.extend_with_path(g, spur_node, dst, &edge_ok, &mut edges);
+
+            for p in &accepted {
+                if p.len() > i {
+                    search.edge_banned[p.edges[i].index()] = false;
                 }
+            }
+            for n in &accepted[prev].nodes[..i] {
+                search.node_banned[n.index()] = false;
+            }
+
+            let seen = |p: &Path| p.edges == edges;
+            if found && !accepted.iter().any(seen) && !candidates.iter().any(|(_, p)| seen(p)) {
+                let total = Path::from_edges(g, edges.clone());
+                debug_assert!(total.is_simple());
+                let w = total.weight(g);
+                candidates.push((w, total));
             }
         }
         if candidates.is_empty() {
@@ -112,6 +202,7 @@ pub fn k_shortest_paths_filtered(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     /// Classic Yen example-style graph:
     ///

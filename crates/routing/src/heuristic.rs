@@ -15,17 +15,19 @@
 //! FAILURE outcome) — safe route selection is NP-hard, so this heuristic
 //! is deliberately greedy.
 //!
-//! Every sub-heuristic can be disabled independently (experiment A-RS),
-//! and candidate verification fans out across threads: each candidate's
-//! fixed-point solve is independent, warm-started from the committed
-//! routes' fixed point (sound: adding a route only grows `Z`).
+//! Every sub-heuristic can be disabled independently (experiment A-RS).
+//! Candidates are verified one after another against a
+//! [`CommittedState`]: the committed routes' fixed point persists across
+//! candidates and pairs, and a candidate costs what it can move — its own
+//! hops, the servers whose `Y_k` it raises, the routes through them —
+//! not a solve over the whole route set.
 
 use crate::pairs::{order_pairs_by_distance, Pair};
 use std::collections::HashMap;
-use uba_delay::fixed_point::{solve_two_class_with, with_thread_scratch, SolveConfig};
+use uba_delay::committed::CommittedState;
+use uba_delay::fixed_point::SolveConfig;
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
-use uba_graph::par::par_map;
 use uba_graph::{k_shortest_paths_filtered, Digraph, DynDigraph, EdgeId, Path};
 use uba_traffic::{ClassId, TrafficClass};
 
@@ -34,10 +36,6 @@ use uba_traffic::{ClassId, TrafficClass};
 /// re-running selection (the §5.3 binary search) computes them once and
 /// shares them across probes. Only valid with an unrestricted `edge_ok`.
 pub(crate) type CandidateCache = HashMap<(u32, u32), Vec<Path>>;
-
-/// A verified candidate outcome: (own route delay, per-server delays,
-/// per-route delays).
-type CandidateFit = (f64, Vec<f64>, Vec<f64>);
 
 /// Tunables for the safe-route-selection heuristic.
 #[derive(Clone, Debug)]
@@ -54,8 +52,6 @@ pub struct HeuristicConfig {
     pub min_delay_choice: bool,
     /// Fixed-point solver settings.
     pub solver: SolveConfig,
-    /// Threads for parallel candidate verification.
-    pub threads: usize,
 }
 
 impl Default for HeuristicConfig {
@@ -66,7 +62,6 @@ impl Default for HeuristicConfig {
             prefer_acyclic: true,
             min_delay_choice: true,
             solver: SolveConfig::default(),
-            threads: 1,
         }
     }
 }
@@ -105,29 +100,23 @@ impl Selection {
     }
 }
 
-/// Chooses one pair's route against the committed state, per the three
-/// sub-heuristics; on success returns the chosen path together with the
-/// resulting per-server delays and per-route delays (the new fixed
-/// point). Shared by bulk selection and incremental reconfiguration.
+/// Chooses one pair's route per the three sub-heuristics and commits it
+/// to `state` (the new fixed point) and `overlay`; returns the chosen
+/// path. Both are untouched on `Err`. Shared by bulk selection and
+/// incremental reconfiguration.
 ///
-/// `edge_ok` restricts candidate routes (used to avoid failed links);
-/// the overlay is only *read* (cycle queries), never committed.
+/// `edge_ok` restricts candidate routes (used to avoid failed links).
 /// `precomputed` supplies the pair's Yen candidates when the caller has
 /// cached them (they must have been computed with the same `edge_ok`).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn choose_route(
     g: &Digraph,
-    servers: &Servers,
-    class: &TrafficClass,
-    alpha: f64,
-    routes: &RouteSet,
+    state: &mut CommittedState<'_>,
     overlay: &mut DynDigraph,
-    base_delays: &[f64],
     pair: Pair,
     cfg: &HeuristicConfig,
-    edge_ok: &(dyn Fn(EdgeId) -> bool + Sync),
+    edge_ok: &dyn Fn(EdgeId) -> bool,
     precomputed: Option<&[Path]>,
-) -> Result<(Path, Vec<f64>, Vec<f64>), SelectionError> {
+) -> Result<Path, SelectionError> {
     let computed;
     let candidates: &[Path] = match precomputed {
         Some(c) => c,
@@ -139,73 +128,60 @@ pub(crate) fn choose_route(
     if candidates.is_empty() {
         return Err(SelectionError::NoRoute(pair));
     }
+    let chain = |p: &Path| -> Vec<usize> { p.edges.iter().map(|e| e.index()).collect() };
     // Heuristic (2): keep only feedback-free candidates when possible.
-    let chains: Vec<Vec<usize>> = candidates
-        .iter()
-        .map(|p| p.edges.iter().map(|e| e.index()).collect())
-        .collect();
-    let pool: Vec<usize> = if cfg.prefer_acyclic {
-        let acyclic: Vec<usize> = (0..candidates.len())
-            .filter(|&i| !overlay.chain_would_create_cycle(&chains[i]))
-            .collect();
-        if acyclic.is_empty() {
-            (0..candidates.len()).collect()
-        } else {
-            acyclic
-        }
-    } else {
-        (0..candidates.len()).collect()
-    };
+    let mut pool: Vec<usize> = Vec::new();
+    if cfg.prefer_acyclic {
+        pool.extend(
+            (0..candidates.len())
+                .filter(|&i| !overlay.chain_would_create_cycle(&chain(&candidates[i]))),
+        );
+        crate::metrics::select()
+            .cycle_checks
+            .add(candidates.len() as u64);
+    }
+    if pool.is_empty() {
+        pool.extend(0..candidates.len());
+    }
 
-    // Verify candidates (in parallel when configured); each evaluation is
-    // a warm-started fixed-point solve with the candidate appended — as a
-    // borrowed tentative route, so the committed set is never cloned, and
-    // on the thread's scratch arena.
-    let alphas = vec![alpha; servers.len()];
-    let evaluate = |pi: usize| -> Option<CandidateFit> {
-        let ci = pool[pi];
-        let tentative = Route::from_path(ClassId(0), &candidates[ci]);
-        let r = with_thread_scratch(|sc| {
-            solve_two_class_with(
-                servers,
-                class,
-                &alphas,
-                routes,
-                Some(&tentative),
-                &cfg.solver,
-                Some(base_delays),
-                sc,
-            )
-        });
-        if r.outcome.is_safe() {
-            let own = *r.route_delays.last().unwrap();
-            Some((own, r.delays, r.route_delays))
-        } else {
-            None
+    // Heuristic (3): the safe candidate with the least own delay, the
+    // earlier (shorter) one on a tie — or simply the first safe one.
+    let mut best: Option<(Route, usize, f64)> = None;
+    let mut evaluated = 0u64;
+    for &ci in &pool {
+        let route = Route::from_path(ClassId(0), &candidates[ci]);
+        evaluated += 1;
+        let Some(own) = state.try_route(&route) else {
+            continue;
+        };
+        let better = match &best {
+            Some((_, _, least)) => own.total_cmp(least).is_lt(),
+            None => true,
+        };
+        if better {
+            best = Some((route, ci, own));
         }
-    };
-    let results: Vec<Option<CandidateFit>> = if cfg.threads > 1 {
-        par_map(pool.len(), cfg.threads.min(pool.len()), evaluate)
-    } else {
-        (0..pool.len()).map(evaluate).collect()
-    };
-
-    let chosen = if cfg.min_delay_choice {
-        results
-            .iter()
-            .enumerate()
-            .filter_map(|(pi, r)| r.as_ref().map(|r| (pi, r.0)))
-            .min_by(|(ia, da), (ib, db)| da.total_cmp(db).then_with(|| ia.cmp(ib)))
-            .map(|(pi, _)| pi)
-    } else {
-        results.iter().position(Option::is_some)
-    };
-    let Some(pi) = chosen else {
+        if !cfg.min_delay_choice {
+            break;
+        }
+    }
+    crate::metrics::select().candidates.add(evaluated);
+    let Some((route, ci, _)) = best else {
         return Err(SelectionError::NoSafeRoute(pair));
     };
-    let ci = pool[pi];
-    let (_, delays, route_delays) = results[pi].clone().unwrap();
-    Ok((candidates[ci].clone(), delays, route_delays))
+    let committed = state.commit(route);
+    assert!(committed, "a route that just verified safe still does");
+    overlay.add_chain(&chain(&candidates[ci]));
+    Ok(candidates[ci].clone())
+}
+
+/// The order selection visits `pairs` in under `cfg`.
+pub(crate) fn visit_order(g: &Digraph, pairs: &[Pair], cfg: &HeuristicConfig) -> Vec<Pair> {
+    if cfg.order_by_distance {
+        order_pairs_by_distance(g, pairs)
+    } else {
+        pairs.to_vec()
+    }
 }
 
 /// Runs safe route selection for the two-class system at utilization
@@ -218,35 +194,28 @@ pub fn select_routes(
     pairs: &[Pair],
     cfg: &HeuristicConfig,
 ) -> Result<Selection, SelectionError> {
-    select_routes_cached(g, servers, class, alpha, pairs, cfg, None)
+    let ordered = visit_order(g, pairs, cfg);
+    select_in_order(g, servers, class, alpha, &ordered, cfg, None)
 }
 
-/// [`select_routes`] with an optional cross-call Yen candidate cache —
-/// the §5.3 binary search re-runs selection per probe, and the candidates
-/// are α-independent.
-pub(crate) fn select_routes_cached(
+/// [`select_routes`] over pairs already in [`visit_order`], with an
+/// optional cross-call Yen candidate cache — the §5.3 binary search
+/// re-runs selection per probe, and neither the order nor the candidates
+/// depend on `α`.
+pub(crate) fn select_in_order(
     g: &Digraph,
     servers: &Servers,
     class: &TrafficClass,
     alpha: f64,
-    pairs: &[Pair],
+    ordered: &[Pair],
     cfg: &HeuristicConfig,
     mut cache: Option<&mut CandidateCache>,
 ) -> Result<Selection, SelectionError> {
-    let ordered: Vec<Pair> = if cfg.order_by_distance {
-        order_pairs_by_distance(g, pairs)
-    } else {
-        pairs.to_vec()
-    };
-
-    let mut routes = RouteSet::new(g.edge_count());
+    let mut state = CommittedState::new(servers, class, alpha, &cfg.solver);
     let mut overlay = DynDigraph::new(g.edge_count());
-    let mut base_delays = vec![0.0f64; g.edge_count()];
-    let mut base_route_delays: Vec<f64> = Vec::new();
-    let mut out_pairs = Vec::with_capacity(ordered.len());
     let mut out_paths = Vec::with_capacity(ordered.len());
 
-    for pair in ordered {
+    for &pair in ordered {
         let precomputed: Option<&[Path]> = match cache.as_deref_mut() {
             Some(c) => Some(
                 c.entry((pair.src.0, pair.dst.0))
@@ -257,34 +226,24 @@ pub(crate) fn select_routes_cached(
             ),
             None => None,
         };
-        let (path, delays, route_delays) = choose_route(
+        out_paths.push(choose_route(
             g,
-            servers,
-            class,
-            alpha,
-            &routes,
+            &mut state,
             &mut overlay,
-            &base_delays,
             pair,
             cfg,
             &|_| true,
             precomputed,
-        )?;
-        routes.push(Route::from_path(ClassId(0), &path));
-        let chain: Vec<usize> = path.edges.iter().map(|e| e.index()).collect();
-        overlay.add_chain(&chain);
-        base_delays = delays;
-        base_route_delays = route_delays;
-        out_pairs.push(pair);
-        out_paths.push(path);
+        )?);
     }
 
+    let (routes, delays, route_delays) = state.into_parts();
     Ok(Selection {
-        pairs: out_pairs,
+        pairs: ordered.to_vec(),
         paths: out_paths,
         routes,
-        delays: base_delays,
-        route_delays: base_route_delays,
+        delays,
+        route_delays,
     })
 }
 
@@ -361,28 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        let (g, servers) = mci_setup();
-        // A manageable subset of pairs.
-        let pairs: Vec<Pair> = all_ordered_pairs(&g).into_iter().step_by(9).collect();
-        let serial = select_routes(
-            &g,
-            &servers,
-            &voip(),
-            0.3,
-            &pairs,
-            &HeuristicConfig::default(),
-        )
-        .unwrap();
-        let cfg = HeuristicConfig {
-            threads: 4,
-            ..Default::default()
-        };
-        let parallel = select_routes(&g, &servers, &voip(), 0.3, &pairs, &cfg).unwrap();
-        assert_eq!(serial.paths, parallel.paths);
-    }
-
-    #[test]
     fn deterministic() {
         let (g, servers) = mci_setup();
         let pairs: Vec<Pair> = all_ordered_pairs(&g).into_iter().step_by(7).collect();
@@ -434,13 +371,12 @@ mod tests {
         let plain = select_routes(&g, &servers, &voip(), 0.3, &pairs, &cfg).unwrap();
         let mut cache = CandidateCache::new();
         // Two runs through the same cache: second run hits every entry.
+        let ordered = visit_order(&g, &pairs, &cfg);
         let first =
-            select_routes_cached(&g, &servers, &voip(), 0.3, &pairs, &cfg, Some(&mut cache))
-                .unwrap();
+            select_in_order(&g, &servers, &voip(), 0.3, &ordered, &cfg, Some(&mut cache)).unwrap();
         assert_eq!(cache.len(), pairs.len());
         let second =
-            select_routes_cached(&g, &servers, &voip(), 0.3, &pairs, &cfg, Some(&mut cache))
-                .unwrap();
+            select_in_order(&g, &servers, &voip(), 0.3, &ordered, &cfg, Some(&mut cache)).unwrap();
         assert_eq!(plain.paths, first.paths);
         assert_eq!(plain.paths, second.paths);
         assert_eq!(plain.route_delays, first.route_delays);

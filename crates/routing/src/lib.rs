@@ -10,7 +10,10 @@
 //! * [`heuristic`] — the safe route selection heuristic: candidate routes
 //!   from Yen's algorithm, acyclicity preference on the route-dependency
 //!   graph, minimum-delay choice, no backtracking. Every sub-heuristic is
-//!   individually switchable for the ablation experiment A-RS.
+//!   individually switchable for the ablation experiment A-RS. Candidates
+//!   are verified against one persistent committed fixed point
+//!   ([`uba_delay::committed::CommittedState`]), not by a solve each.
+//! * [`metrics`] — `routing.select.{candidates, cycle_checks}`.
 //! * [`search`] — the Section 5.3 binary search for the maximum safe
 //!   utilization, seeded with the Theorem 4 bounds.
 
@@ -20,6 +23,7 @@
 pub mod bounds;
 pub mod census;
 pub mod heuristic;
+pub mod metrics;
 pub mod multiclass;
 pub mod pairs;
 pub mod reconfigure;

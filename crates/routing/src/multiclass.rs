@@ -17,7 +17,6 @@ use crate::pairs::{order_pairs_by_distance, Pair};
 use uba_delay::multiclass::solve_multiclass;
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
-use uba_graph::par::par_map;
 use uba_graph::{k_shortest_paths, Digraph, DynDigraph, Path};
 use uba_traffic::{ClassId, ClassSet};
 
@@ -134,11 +133,7 @@ pub fn select_routes_multiclass(
                 None
             }
         };
-        let results: Vec<Option<MultiCandidateFit>> = if cfg.threads > 1 {
-            par_map(pool.len(), cfg.threads.min(pool.len()), evaluate)
-        } else {
-            (0..pool.len()).map(evaluate).collect()
-        };
+        let results: Vec<Option<MultiCandidateFit>> = (0..pool.len()).map(evaluate).collect();
 
         let chosen = if cfg.min_delay_choice {
             results

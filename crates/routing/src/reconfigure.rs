@@ -22,6 +22,7 @@ use crate::heuristic::{choose_route, HeuristicConfig, Selection, SelectionError}
 use crate::pairs::Pair;
 use std::collections::HashSet;
 use uba_admission::{BackendKind, ConfigGeneration, RoutingTable};
+use uba_delay::committed::CommittedState;
 use uba_delay::fixed_point::{solve_two_class, SolveConfig};
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
@@ -108,35 +109,40 @@ impl Configuration {
     /// Routes one additional pair; the committed configuration is
     /// untouched on failure.
     pub fn add_pair(&mut self, pair: Pair) -> Result<(), SelectionError> {
-        let edge_ok = {
-            let failed = self.failed.clone();
-            move |e: EdgeId| !failed.contains(&e)
-        };
-        let (path, delays, route_delays) = choose_route(
-            &self.g,
+        self.route_pairs(&[pair])
+    }
+
+    /// Routes `pairs` in order on top of the committed routes, around
+    /// the failed links, through the same safety oracle as initial
+    /// selection — one [`CommittedState`] built from the committed fixed
+    /// point serves them all. Stops at the first pair that cannot be
+    /// routed, keeping the ones before it.
+    fn route_pairs(&mut self, pairs: &[Pair]) -> Result<(), SelectionError> {
+        let mut state = CommittedState::from_fixed_point(
             &self.servers,
             &self.class,
             self.alpha,
-            &self.routes,
-            &mut self.overlay,
-            &self.delays,
-            pair,
-            &self.cfg,
-            &edge_ok,
-            None,
-        )?;
-        self.commit(pair, path, delays, route_delays);
-        Ok(())
-    }
-
-    fn commit(&mut self, pair: Pair, path: Path, delays: Vec<f64>, route_delays: Vec<f64>) {
-        self.routes.push(Route::from_path(ClassId(0), &path));
-        let chain: Vec<usize> = path.edges.iter().map(|e| e.index()).collect();
-        self.overlay.add_chain(&chain);
-        self.pairs.push(pair);
-        self.paths.push(path);
-        self.delays = delays;
-        self.route_delays = route_delays;
+            &self.cfg.solver,
+            std::mem::take(&mut self.routes),
+            std::mem::take(&mut self.delays),
+        );
+        let failed = &self.failed;
+        let outcome = pairs.iter().try_for_each(|&pair| {
+            let path = choose_route(
+                &self.g,
+                &mut state,
+                &mut self.overlay,
+                pair,
+                &self.cfg,
+                &|e| !failed.contains(&e),
+                None,
+            )?;
+            self.pairs.push(pair);
+            self.paths.push(path);
+            Ok(())
+        });
+        (self.routes, self.delays, self.route_delays) = state.into_parts();
+        outcome
     }
 
     /// Retires every committed route of `pair` (there is normally one).
@@ -221,30 +227,9 @@ impl Configuration {
 
         // Re-route, longest pairs first (same ordering heuristic).
         let ordered = crate::pairs::order_pairs_by_distance(&self.g, &affected);
-        let mut rerouted = Vec::with_capacity(ordered.len());
-        for pair in ordered {
-            let edge_ok = {
-                let failed = self.failed.clone();
-                move |e: EdgeId| !failed.contains(&e)
-            };
-            let (path, delays, route_delays) = choose_route(
-                &self.g,
-                &self.servers,
-                &self.class,
-                self.alpha,
-                &self.routes,
-                &mut self.overlay,
-                &self.delays,
-                pair,
-                &self.cfg,
-                &edge_ok,
-                None,
-            )?;
-            self.commit(pair, path, delays, route_delays);
-            rerouted.push(pair);
-        }
+        self.route_pairs(&ordered)?;
         Ok(FailureReport {
-            rerouted,
+            rerouted: ordered,
             worst_route_delay: self.route_delays.iter().cloned().fold(0.0, f64::max),
         })
     }

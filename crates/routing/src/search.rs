@@ -7,15 +7,16 @@
 //!
 //! Probes share work where soundness allows:
 //!
-//! * **Yen candidates** (heuristic selector) are α-independent, so one
-//!   candidate cache spans all probes of a search.
+//! * **Yen candidates and the visiting order** (heuristic selector) are
+//!   α-independent, so one candidate cache and one ordering of the pairs
+//!   span all probes of a search.
 //! * **SP warm starts** — the shortest-path selector's routes are fixed,
 //!   and bisection only probes `mid > lo` where `lo` is the last feasible
 //!   α. Raising α only grows `Z`, so the feasible fixed point at `lo` is
 //!   below the least fixed point at `mid` and is a sound warm start.
 
 use crate::bounds::utilization_bounds;
-use crate::heuristic::{select_routes_cached, CandidateCache, HeuristicConfig, Selection};
+use crate::heuristic::{select_in_order, visit_order, CandidateCache, HeuristicConfig, Selection};
 use crate::pairs::Pair;
 use crate::sp::sp_selection;
 use uba_delay::fixed_point::{solve_two_class, SolveConfig};
@@ -79,9 +80,13 @@ pub fn max_utilization(
     };
 
     let mut probes = Vec::new();
-    // Shared across probes: Yen candidates (α-independent) and, for the
-    // fixed SP routes, the last *feasible* probe's fixed point as a warm
-    // start for the next, higher probe.
+    // Shared across probes: the visiting order and Yen candidates
+    // (α-independent) and, for the fixed SP routes, the last *feasible*
+    // probe's fixed point as a warm start for the next, higher probe.
+    let ordered = match selector {
+        Selector::Heuristic(cfg) => visit_order(g, pairs, cfg),
+        Selector::ShortestPath => Vec::new(),
+    };
     let mut candidate_cache = CandidateCache::new();
     let mut sp_warm: Option<Vec<f64>> = None;
     let mut probe = |alpha: f64| -> Option<Selection> {
@@ -110,12 +115,12 @@ pub fn max_utilization(
                     route_delays: r.route_delays,
                 })
             }
-            Selector::Heuristic(cfg) => select_routes_cached(
+            Selector::Heuristic(cfg) => select_in_order(
                 g,
                 servers,
                 class,
                 alpha,
-                pairs,
+                &ordered,
                 cfg,
                 Some(&mut candidate_cache),
             )

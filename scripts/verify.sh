@@ -18,6 +18,10 @@ cargo build --offline --release --workspace
 echo "==> benchmark build (the frozen public surface benchmark/ compiles against; build only, no run)"
 cargo build --offline --release --manifest-path benchmark/Cargo.toml
 
+echo "==> config_mci smoke (the frozen configuration workload's own check: every pass verified, alpha* inside Theorem 4's window and repeating bit for bit)"
+cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload config_mci --seed 1 --seconds 2 --trace 0 > /dev/null
+
 echo "==> cargo fmt --check (formatting gate)"
 cargo fmt --check
 
