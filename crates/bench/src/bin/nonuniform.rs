@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run -p uba-bench --release --bin nonuniform`
 
-use uba::delay::fixed_point::{solve_two_class_with, SolveConfig, SolveScratch};
+use uba::delay::fixed_point::{solve_two_class_with, SolveConfig};
 use uba::delay::routeset::{Route, RouteSet};
 use uba::prelude::*;
 
@@ -35,9 +35,8 @@ fn main() {
 
     let cfg = SolveConfig::default();
     let mut alphas = vec![base_alpha; servers.len()];
-    let mut scratch = SolveScratch::new();
-    let mut check = |alphas: &[f64]| {
-        solve_two_class_with(&servers, &voip, alphas, &routes, &cfg, None, &mut scratch)
+    let check = |alphas: &[f64]| {
+        solve_two_class_with(&servers, &voip, alphas, &routes, &cfg, None)
             .outcome
             .is_safe()
     };

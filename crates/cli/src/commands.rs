@@ -94,30 +94,15 @@ pub fn cmd_verify(sc: &Scenario) -> Result<String, ScenarioError> {
 }
 
 /// `maximize`: Section 5.3 binary search; multi-class scenarios use the
-/// §5.4 trade-off ray (scenario alphas as the weight vector). `threads`
-/// is handed to the selector's [`SolveConfig::threads`].
-pub fn cmd_maximize(
-    sc: &Scenario,
-    selector_name: &str,
-    threads: usize,
-) -> Result<String, ScenarioError> {
-    if threads == 0 {
-        return Err(ScenarioError("--threads must be at least 1".into()));
-    }
+/// §5.4 trade-off ray (scenario alphas as the weight vector).
+pub fn cmd_maximize(sc: &Scenario, selector_name: &str) -> Result<String, ScenarioError> {
     if sc.classes.len() != 1 {
-        return cmd_maximize_multiclass(sc, threads);
+        return cmd_maximize_multiclass(sc);
     }
     let (_, class) = sc.classes.iter().next().unwrap();
-    let heuristic_cfg = HeuristicConfig {
-        solver: SolveConfig {
-            threads,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
     let selector = match selector_name {
         "sp" => Selector::ShortestPath,
-        "heuristic" => Selector::Heuristic(heuristic_cfg),
+        "heuristic" => Selector::Heuristic(HeuristicConfig::default()),
         other => {
             return Err(ScenarioError(format!(
                 "unknown selector '{other}' (use sp|heuristic)"
@@ -156,27 +141,20 @@ pub fn cmd_maximize(
 
 /// Multi-class maximize: scale the scenario's alphas as a ray until the
 /// Theorem 5 verification stops succeeding.
-fn cmd_maximize_multiclass(sc: &Scenario, threads: usize) -> Result<String, ScenarioError> {
+fn cmd_maximize_multiclass(sc: &Scenario) -> Result<String, ScenarioError> {
     use uba::routing::{max_utilization_ray, Demand};
     let demands: Vec<Demand> = sc
         .classes
         .iter()
         .flat_map(|(ci, _)| sc.pairs.iter().map(move |&pair| Demand { class: ci, pair }))
         .collect();
-    let cfg = HeuristicConfig {
-        solver: SolveConfig {
-            threads,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
     let r = max_utilization_ray(
         &sc.graph,
         &sc.servers,
         &sc.classes,
         &sc.alphas,
         &demands,
-        &cfg,
+        &HeuristicConfig::default(),
         0.01,
     );
     let mut out = String::new();
@@ -801,19 +779,10 @@ mod tests {
     fn maximize_both_selectors() {
         let sc = ring_scenario();
         for sel in ["sp", "heuristic"] {
-            let out = cmd_maximize(&sc, sel, 1).unwrap();
+            let out = cmd_maximize(&sc, sel).unwrap();
             assert!(out.contains("maximum safe utilization"), "{out}");
         }
-        assert!(cmd_maximize(&sc, "magic", 1).is_err());
-        assert!(cmd_maximize(&sc, "sp", 0).is_err());
-    }
-
-    #[test]
-    fn maximize_threaded_matches_serial() {
-        let sc = ring_scenario();
-        let serial = cmd_maximize(&sc, "heuristic", 1).unwrap();
-        let threaded = cmd_maximize(&sc, "heuristic", 4).unwrap();
-        assert_eq!(serial, threaded);
+        assert!(cmd_maximize(&sc, "magic").is_err());
     }
 
     #[test]
@@ -843,7 +812,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let out = cmd_maximize(&sc, "heuristic", 1).unwrap();
+        let out = cmd_maximize(&sc, "heuristic").unwrap();
         assert!(out.contains("maximum safe scale"), "{out}");
         assert!(out.contains("class voip"));
         assert!(out.contains("class video"));

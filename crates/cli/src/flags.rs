@@ -1,10 +1,11 @@
 //! Minimal command-line flag extraction.
 //!
-//! The binary's flags (`--metrics`, `--json`, `--threads N`, `--port N`,
-//! `--bind ADDR`) may appear anywhere on the command line; each helper
-//! removes what it consumed from the argument vector, so positional
-//! arguments can be read by index afterwards. Errors are returned as
-//! user-facing strings — the binary prints them and exits 2.
+//! The binary's flags (`--metrics`, `--json`, `--port N`, `--bind ADDR`,
+//! `--interval-ms MS`, `--iterations K`) may appear anywhere on the
+//! command line; each helper removes what it consumed from the argument
+//! vector, so positional arguments can be read by index afterwards and a
+//! `--` argument still there is a flag nobody knows. Errors are returned
+//! as user-facing strings — the binary prints them and exits 2.
 
 use std::str::FromStr;
 
@@ -108,9 +109,9 @@ mod tests {
 
     #[test]
     fn parsed_value_validated() {
-        let mut args = argv(&["--threads", "4", "x"]);
+        let mut args = argv(&["--iterations", "4", "x"]);
         let n: Option<usize> =
-            take_parsed(&mut args, "--threads", "a positive integer", |&n| n >= 1).unwrap();
+            take_parsed(&mut args, "--iterations", "a positive integer", |&n| n >= 1).unwrap();
         assert_eq!(n, Some(4));
         assert_eq!(args, argv(&["x"]));
     }
@@ -118,9 +119,9 @@ mod tests {
     #[test]
     fn parsed_rejects_garbage_and_out_of_range() {
         for bad in ["zero", "-3", "0"] {
-            let mut args = argv(&["--threads", bad]);
+            let mut args = argv(&["--iterations", bad]);
             let err =
-                take_parsed::<usize>(&mut args, "--threads", "a positive integer", |&n| n >= 1)
+                take_parsed::<usize>(&mut args, "--iterations", "a positive integer", |&n| n >= 1)
                     .unwrap_err();
             assert!(err.contains("a positive integer"), "{err}");
             assert!(err.contains(bad), "{err}");

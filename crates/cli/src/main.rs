@@ -3,7 +3,7 @@
 //! ```text
 //! uba-cli bounds      <scenario.toml>
 //! uba-cli verify      <scenario.toml>
-//! uba-cli maximize    <scenario.toml> [sp|heuristic] [--threads N]
+//! uba-cli maximize    <scenario.toml> [sp|heuristic]
 //! uba-cli simulate    <scenario.toml> [horizon_seconds]
 //! uba-cli metrics     <scenario.toml> [--json]
 //! uba-cli explain     <scenario.toml> [--json]
@@ -13,7 +13,8 @@
 //! ```
 //!
 //! Any command also accepts `--metrics` to append a dump of the
-//! process-global metrics registry after its normal output.
+//! process-global metrics registry after its normal output. A flag not
+//! listed here is a usage error (exit 2), never silently ignored.
 
 use uba_cli::commands::{
     cmd_bounds, cmd_explain, cmd_maximize, cmd_metrics, cmd_reconfigure, cmd_simulate, cmd_verify,
@@ -29,8 +30,6 @@ fn usage() -> ! {
          bounds      — Theorem 4 utilization window for each class\n\
          verify      — Figure 2 verification of the scenario's alphas on SP routes\n\
          maximize    — Section 5.3 binary search; optional selector sp|heuristic (default heuristic)\n\
-         \x20             --threads N sets SolveConfig::threads, the general fixed-point solver's\n\
-         \x20             sweep fan-out above 256 servers; candidates are evaluated one at a time\n\
          simulate    — packet-level validation; optional horizon in seconds (default 0.3)\n\
          metrics     — exercise every instrumented layer, then dump the metrics registry\n\
          explain     — replay admissions to saturation and diagnose every rejection\n\
@@ -62,14 +61,6 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let dump_metrics = take_flag(&mut args, "--metrics");
     let json = take_flag(&mut args, "--json");
-    let threads = take_parsed(
-        &mut args,
-        "--threads",
-        "a positive integer",
-        |&n: &usize| n >= 1,
-    )
-    .unwrap_or_else(|e| fail(e))
-    .unwrap_or(1);
     let port: Option<u16> = take_parsed(&mut args, "--port", "a port number", |&p: &u16| p >= 1)
         .unwrap_or_else(|e| fail(e));
     let bind = take_value(&mut args, "--bind")
@@ -90,6 +81,9 @@ fn main() {
         |&n: &usize| n >= 1,
     )
     .unwrap_or_else(|e| fail(e));
+    if let Some(unknown) = args.iter().find(|a| a.starts_with("--")) {
+        fail(format!("unknown flag '{unknown}'"));
+    }
     // `watch` talks to a running server: no scenario file to load.
     if args.first().map(String::as_str) == Some("watch") {
         let Some(port) = port else {
@@ -119,7 +113,6 @@ fn main() {
         "maximize" => cmd_maximize(
             &scenario,
             args.get(2).map(String::as_str).unwrap_or("heuristic"),
-            threads,
         ),
         "simulate" => {
             let horizon = match args.get(2) {

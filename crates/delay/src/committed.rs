@@ -32,9 +32,11 @@
 //! a stale server, so it is computed once per committed state and shared
 //! by all of a pair's candidates — shared, not skipped: skipping it drifts
 //! route delays by ~1e-12 on route sets with dependency cycles. From the
-//! second iteration on both solvers re-evaluate exactly the servers whose
-//! `Y` moved. A decreasing iterate (a warm start above the least fixed
-//! point) takes the general solver's remedy, a from-scratch `Y` rebuild.
+//! second iteration on the general solver re-evaluates every server and
+//! this one only those whose `Y` moved: `f` reads `Y_k` alone, so the rest
+//! repeat their value. A decreasing iterate (a warm start above the least
+//! fixed point) voids the max-merge; the remedy is what the general
+//! solver does every iteration, a from-scratch `Y` rebuild.
 
 use crate::bound::theorem3_delay;
 use crate::fixed_point::{SolveConfig, DEADLINE_SLACK};
@@ -110,8 +112,7 @@ fn sweep_tracked(
 }
 
 impl<'a> CommittedState<'a> {
-    /// No routes committed yet. Of `cfg`, `tol` and `max_iters` apply;
-    /// evaluation is sequential, so `threads` does not.
+    /// No routes committed yet.
     pub fn new(
         servers: &'a Servers,
         class: &'a TrafficClass,

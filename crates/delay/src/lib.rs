@@ -9,10 +9,9 @@
 //!   jittered envelope `H_k`, Lemma 1/2's `τ`, and Theorem 3's closed form
 //!   (Eq. 10).
 //! * [`fixed_point`] — the iterative solution of the vector equation
-//!   `d = Z(d)` (Eq. 11–14) for the two-class system, with warm starting,
-//!   sound early divergence detection and an incremental worklist sweep
-//!   driven by the route set's inverted index, over a caller-owned
-//!   scratch arena.
+//!   `d = Z(d)` (Eq. 11–14) for the two-class system — the general
+//!   solver, the math as written — with warm starting and sound early
+//!   divergence detection.
 //! * [`committed`] — the §5.2 candidate loop's evaluator: one persistent
 //!   committed fixed point, a tentative route evaluated by touching only
 //!   what it can move, journalled and undone on reject — the general
@@ -50,10 +49,7 @@ pub mod verify;
 
 pub use bound::theorem3_delay;
 pub use committed::CommittedState;
-pub use fixed_point::{
-    solve_two_class, solve_two_class_with, with_thread_scratch, Outcome, SolveConfig, SolveResult,
-    SolveScratch,
-};
-pub use routeset::{Route, RouteIndex, RouteSet};
+pub use fixed_point::{solve_two_class, solve_two_class_with, Outcome, SolveConfig, SolveResult};
+pub use routeset::{Route, RouteSet};
 pub use servers::Servers;
 pub use verify::{verify, VerifyReport};

@@ -12,7 +12,7 @@
 //! | `delay.solve.residual` | histogram | final sup-norm residual (s) |
 //! | `delay.solve.seconds` | histogram | wall time per solve |
 //! | `delay.solve.divergence` | counter | solves that hit the iteration cap |
-//! | `delay.solve.sweeps_skipped` | counter | route `Y`-sweeps the worklist solver avoided vs. dense |
+//! | `delay.solve.sweeps_skipped` | counter | route `Y`-sweeps candidate evaluation avoided vs. a full rebuild |
 //! | `delay.solve.servers_touched` | counter | per-server Theorem 3 evaluations performed |
 //! | `delay.verify.seconds` | histogram | wall time per Figure-2 verification |
 //! | `delay.verify.safe` | counter | verifications that returned SUCCESS |
@@ -32,8 +32,9 @@ pub struct SolverMetrics {
     pub seconds: Arc<Histogram>,
     /// Solves that hit the iteration cap (treated as unsafe).
     pub divergence: Arc<Counter>,
-    /// Route `Y`-sweeps the incremental worklist avoided relative to the
-    /// dense reference (per-iteration routes-not-reswept).
+    /// Route `Y`-sweeps avoided relative to rebuilding every `Y_k`
+    /// (per-iteration routes-not-reswept). Candidate evaluation only:
+    /// the general solver rebuilds all of them and adds 0.
     pub sweeps_skipped: Arc<Counter>,
     /// Per-server Theorem 3 evaluations actually performed.
     pub servers_touched: Arc<Counter>,
@@ -72,7 +73,8 @@ pub(crate) struct SolveRecord {
     pub residual: f64,
     /// Ended on the iteration cap.
     pub iteration_limit: bool,
-    /// Route `Y`-sweeps avoided vs. the dense reference.
+    /// Route `Y`-sweeps avoided vs. a full rebuild (0 from the general
+    /// solver).
     pub sweeps_skipped: u64,
     /// Per-server Theorem 3 evaluations performed.
     pub servers_touched: u64,

@@ -17,7 +17,7 @@
 //! With a single class this degenerates *exactly* to Theorem 3, which the
 //! tests enforce.
 
-use crate::fixed_point::{Outcome, SolveConfig};
+use crate::fixed_point::{Outcome, SolveConfig, DEADLINE_SLACK};
 use crate::routeset::RouteSet;
 use crate::servers::Servers;
 use uba_traffic::{ClassId, ClassSet, LeakyBucket};
@@ -77,8 +77,6 @@ pub struct MulticlassResult {
     /// Iterations performed.
     pub iterations: usize,
 }
-
-const DEADLINE_SLACK: f64 = 1e-12;
 
 /// Solves the multi-class system `d_{i,k} = Z_{i,k}(d)` by monotone
 /// iteration from zero (or a warm start with the same shrink-to-grow

@@ -6,7 +6,6 @@
 //! `[s_1, ..., s_m]` and every position `p`, the prefix sum
 //! `d_{s_1} + ... + d_{s_{p-1}}` is a candidate for `Y_{s_p}`.
 
-use std::sync::OnceLock;
 use uba_graph::Path;
 use uba_traffic::ClassId;
 
@@ -40,75 +39,13 @@ impl Route {
     }
 }
 
-/// CSR-layout inverted route index: for each server `k`, the list of
-/// `(route, prefix_position)` pairs whose `Y_k` candidate it contributes
-/// (i.e. route `r` traverses `k` as its `pos`-th hop).
-///
-/// Built lazily by [`RouteSet::index`] and shared by every solve against
-/// the same committed set; the incremental fixed-point sweep uses it to
-/// find which routes a changed server feeds.
-#[derive(Clone, Debug, Default)]
-pub struct RouteIndex {
-    /// `entries[starts[k]..starts[k + 1]]` belong to server `k`.
-    starts: Vec<u32>,
-    /// `(route index, hop position)` pairs, grouped by server.
-    entries: Vec<(u32, u32)>,
-}
-
-impl RouteIndex {
-    fn build(server_count: usize, routes: &[Route]) -> Self {
-        let mut starts = vec![0u32; server_count + 1];
-        for r in routes {
-            for &s in &r.servers {
-                starts[s as usize + 1] += 1;
-            }
-        }
-        for k in 0..server_count {
-            starts[k + 1] += starts[k];
-        }
-        let mut cursor: Vec<u32> = starts[..server_count].to_vec();
-        let mut entries = vec![(0u32, 0u32); starts[server_count] as usize];
-        for (ri, r) in routes.iter().enumerate() {
-            for (pos, &s) in r.servers.iter().enumerate() {
-                let c = &mut cursor[s as usize];
-                entries[*c as usize] = (ri as u32, pos as u32);
-                *c += 1;
-            }
-        }
-        Self { starts, entries }
-    }
-
-    /// The `(route, position)` pairs traversing server `k`, in route order.
-    pub fn entries(&self, k: usize) -> &[(u32, u32)] {
-        &self.entries[self.starts[k] as usize..self.starts[k + 1] as usize]
-    }
-}
-
 /// The set of routes committed so far during configuration.
 ///
-/// Supports cheap tentative extension (push/pop) for the Section 5.2
-/// candidate-evaluation loop, and lazily maintains a CSR inverted index
-/// (server → routes through it) for the incremental solver.
-#[derive(Debug, Default)]
+/// Supports cheap tentative extension (push/pop).
+#[derive(Clone, Debug, Default)]
 pub struct RouteSet {
     server_count: usize,
     routes: Vec<Route>,
-    /// Lazily built inverted index; invalidated by push/pop.
-    index: OnceLock<RouteIndex>,
-}
-
-impl Clone for RouteSet {
-    fn clone(&self) -> Self {
-        let index = OnceLock::new();
-        if let Some(i) = self.index.get() {
-            let _ = index.set(i.clone());
-        }
-        Self {
-            server_count: self.server_count,
-            routes: self.routes.clone(),
-            index,
-        }
-    }
 }
 
 impl RouteSet {
@@ -117,7 +54,6 @@ impl RouteSet {
         Self {
             server_count,
             routes: Vec::new(),
-            index: OnceLock::new(),
         }
     }
 
@@ -153,40 +89,12 @@ impl RouteSet {
             );
         }
         self.routes.push(route);
-        self.index.take();
         self.routes.len() - 1
     }
 
     /// Removes and returns the most recently committed route.
     pub fn pop(&mut self) -> Option<Route> {
-        self.index.take();
         self.routes.pop()
-    }
-
-    /// The inverted route index, built on first use (O(total hops)) and
-    /// cached until the next push/pop.
-    pub fn index(&self) -> &RouteIndex {
-        self.index
-            .get_or_init(|| RouteIndex::build(self.server_count, &self.routes))
-    }
-
-    /// The `(route, position)` pairs traversing server `k` (empty for
-    /// out-of-range `k`).
-    pub fn routes_through(&self, k: usize) -> &[(u32, u32)] {
-        if k >= self.server_count {
-            return &[];
-        }
-        self.index().entries(k)
-    }
-
-    /// True if any route of class `class` traverses server `k`.
-    ///
-    /// An O(routes through `k`) lookup against the inverted index, not a
-    /// scan of every hop of every route.
-    pub fn server_used_by_class(&self, k: usize, class: ClassId) -> bool {
-        self.routes_through(k)
-            .iter()
-            .any(|&(r, _)| self.routes[r as usize].class == class)
     }
 
     /// Marks which servers carry traffic of `class` (dense mask).
@@ -325,8 +233,6 @@ mod tests {
         let set = rs(4, &[(&[0, 1], C0), (&[2], C1)]);
         assert_eq!(set.used_servers(C0), vec![true, true, false, false]);
         assert_eq!(set.used_servers(C1), vec![false, false, true, false]);
-        assert!(set.server_used_by_class(0, C0));
-        assert!(!set.server_used_by_class(0, C1));
     }
 
     #[test]
@@ -345,50 +251,6 @@ mod tests {
         let delays = vec![vec![1.0, 2.0, 4.0], vec![10.0, 20.0, 40.0]];
         let rd = set.route_delays(&delays);
         assert_eq!(rd, vec![3.0, 60.0]);
-    }
-
-    #[test]
-    fn inverted_index_matches_brute_force() {
-        let set = rs(5, &[(&[2, 3], C0), (&[0, 1, 2], C0), (&[1, 4], C1)]);
-        for k in 0..5 {
-            let mut expect: Vec<(u32, u32)> = Vec::new();
-            for (ri, r) in set.routes().iter().enumerate() {
-                for (pos, &s) in r.servers.iter().enumerate() {
-                    if s as usize == k {
-                        expect.push((ri as u32, pos as u32));
-                    }
-                }
-            }
-            assert_eq!(set.routes_through(k), expect.as_slice(), "server {k}");
-        }
-        // Out-of-range lookups are empty, not panics.
-        assert!(set.routes_through(99).is_empty());
-        assert!(!set.server_used_by_class(99, C0));
-    }
-
-    #[test]
-    fn index_invalidated_by_push_and_pop() {
-        let mut set = rs(3, &[(&[0, 1], C0)]);
-        assert_eq!(set.routes_through(2), &[]);
-        set.push(Route {
-            class: C0,
-            servers: vec![2, 0],
-        });
-        assert_eq!(set.routes_through(2), &[(1, 0)]);
-        assert_eq!(set.routes_through(0), &[(0, 0), (1, 1)]);
-        set.pop();
-        assert_eq!(set.routes_through(2), &[]);
-        assert_eq!(set.routes_through(0), &[(0, 0)]);
-    }
-
-    #[test]
-    fn clone_preserves_index_contents() {
-        let set = rs(4, &[(&[0, 1], C0), (&[1, 2, 3], C1)]);
-        set.index(); // force the build
-        let copy = set.clone();
-        for k in 0..4 {
-            assert_eq!(set.routes_through(k), copy.routes_through(k));
-        }
     }
 
     #[test]

@@ -101,12 +101,6 @@ impl Servers {
         self.const_delay[e.index()] = d;
     }
 
-    /// A server's constant delay in seconds (0 unless configured).
-    #[inline]
-    pub fn const_delay_at(&self, k: usize) -> f64 {
-        self.const_delay[k]
-    }
-
     /// Sum of constant delays along a route (raw server indices).
     pub fn route_const_delay(&self, servers: &[u32]) -> f64 {
         servers.iter().map(|&s| self.const_delay[s as usize]).sum()

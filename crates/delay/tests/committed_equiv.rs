@@ -206,6 +206,52 @@ fn evaluator_matches_from_an_adopted_fixed_point() {
 }
 
 #[test]
+fn tentative_matches_committed_across_seeds() {
+    // One candidate against 24 routes solved cold: when that solve is
+    // unsafe at this α, evaluator and oracle both start from zero.
+    let voip = TrafficClass::voip();
+    let g = mci();
+    let servers = Servers::uniform(&g, 100e6, 6);
+    let cfg = SolveConfig::default();
+    for seed in 0..5u64 {
+        let mut rng = SplitMix64::new(0xABCD + seed);
+        let mut routes = RouteSet::new(g.edge_count());
+        for _ in 0..24 {
+            routes.push(random_route(&g, &mut rng));
+        }
+        let candidate = random_route(&g, &mut rng);
+        let base = solve_two_class(&servers, &voip, 0.35, &routes, &cfg, None);
+        let warm = if base.outcome.is_safe() {
+            base.delays
+        } else {
+            vec![0.0; servers.len()]
+        };
+
+        let mut state = CommittedState::from_fixed_point(
+            &servers,
+            &voip,
+            0.35,
+            &cfg,
+            routes.clone(),
+            warm.clone(),
+        );
+        let tentative = state.try_route(&candidate);
+        let (_, committed) = oracle(&servers, &voip, 0.35, &routes, &warm, &candidate);
+        assert_eq!(
+            tentative.is_some(),
+            committed.outcome.is_safe(),
+            "seed {seed}"
+        );
+        if let Some(own) = tentative {
+            assert_eq!(own, *committed.route_delays.last().unwrap(), "seed {seed}");
+            assert!(state.commit(candidate));
+            assert_eq!(state.delays(), committed.delays, "seed {seed}");
+            assert_eq!(state.route_delays(), committed.route_delays, "seed {seed}");
+        }
+    }
+}
+
+#[test]
 fn evaluator_matches_on_warm_starts_above_the_fixed_point() {
     // Inflated delays break monotonicity: the first re-evaluation
     // *decreases* delays, and both solvers must fall back to rebuilding

@@ -8,6 +8,7 @@
 use uba_delay::fixed_point::{solve_two_class, Outcome, SolveConfig};
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
+use uba_obs::EventKind;
 use uba_topology::line;
 use uba_traffic::{ClassId, TrafficClass};
 
@@ -15,6 +16,7 @@ use uba_traffic::{ClassId, TrafficClass};
 fn solves_record_iteration_and_divergence_metrics() {
     let m = uba_delay::metrics::solver();
     let (solves0, div0) = (m.iterations.count(), m.divergence.get());
+    let (touched0, skipped0) = (m.servers_touched.get(), m.sweeps_skipped.get());
     // A 5-router line with one route along it in each direction
     // (forward edges are the even indices).
     let g = line(5);
@@ -38,4 +40,36 @@ fn solves_record_iteration_and_divergence_metrics() {
     assert_eq!(m.divergence.get() - div0, 1);
     assert!(m.seconds.count() >= 2);
     assert!(m.residual.count() >= 2);
+
+    // Forward route only: 4 of the 8 servers carry it. A warm start at
+    // twice the two-route fixed point is above this one's, so the first
+    // iterate falls; from where that solve ends, none does.
+    routes.pop();
+    let tr = uba_obs::trace::global();
+    tr.set_enabled(true);
+    let above: Vec<f64> = ok.delays.iter().map(|d| d * 2.0).collect();
+    let cfg = SolveConfig::default();
+    let fell = solve_two_class(&servers, &voip, 0.3, &routes, &cfg, Some(&above));
+    assert_eq!(fell.outcome, Outcome::Safe);
+    let kept = solve_two_class(&servers, &voip, 0.3, &routes, &cfg, Some(&fell.delays));
+    tr.set_enabled(false);
+    let warm_events: Vec<EventKind> = tr
+        .drain()
+        .events
+        .iter()
+        .map(|e| e.kind)
+        .filter(|k| matches!(k, EventKind::WarmStartFallback | EventKind::WarmStartAccept))
+        .collect();
+    assert_eq!(
+        warm_events,
+        [EventKind::WarmStartFallback, EventKind::WarmStartAccept]
+    );
+
+    // The general solver evaluates Theorem 3 at every *used* server once
+    // per iteration and rebuilds every `Y_k`: it skips no sweep.
+    assert_eq!(
+        m.servers_touched.get() - touched0,
+        (8 * (ok.iterations + 1) + 4 * (fell.iterations + kept.iterations)) as u64
+    );
+    assert_eq!(m.sweeps_skipped.get() - skipped0, 0);
 }

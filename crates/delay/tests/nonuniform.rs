@@ -1,7 +1,7 @@
 //! Per-server (non-uniform) utilization assignments.
 
 use uba_delay::fixed_point::{
-    solve_two_class, solve_two_class_with, Outcome, SolveConfig, SolveResult, SolveScratch,
+    solve_two_class, solve_two_class_with, Outcome, SolveConfig, SolveResult,
 };
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
@@ -16,8 +16,7 @@ fn solve_nonuniform(
     routes: &RouteSet,
     cfg: &SolveConfig,
 ) -> SolveResult {
-    let mut scratch = SolveScratch::new();
-    solve_two_class_with(servers, class, alphas, routes, cfg, None, &mut scratch)
+    solve_two_class_with(servers, class, alphas, routes, cfg, None)
 }
 
 fn cross_setup() -> (Servers, RouteSet) {

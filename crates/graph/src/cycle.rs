@@ -50,11 +50,6 @@ impl DynDigraph {
         }
     }
 
-    /// Number of vertices.
-    pub fn vertex_count(&self) -> usize {
-        self.n
-    }
-
     /// Multiplicity of edge `(u, v)`.
     pub fn multiplicity(&self, u: usize, v: usize) -> usize {
         self.out[u]
@@ -107,29 +102,6 @@ impl DynDigraph {
         if self.cyclic {
             self.cyclic = self.search_for_cycle(&[], 0..self.n);
         }
-    }
-
-    /// True if a directed path from `from` to `to` exists (iterative DFS).
-    pub fn has_path(&self, from: usize, to: usize) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut visited = vec![false; self.n];
-        let mut stack = vec![from];
-        visited[from] = true;
-        while let Some(u) = stack.pop() {
-            for &(v, _) in &self.out[u] {
-                let v = v as usize;
-                if v == to {
-                    return true;
-                }
-                if !visited[v] {
-                    visited[v] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        false
     }
 
     /// True if the graph currently contains a directed cycle (self-loops
@@ -224,8 +196,6 @@ mod tests {
         let mut g = DynDigraph::new(4);
         g.add_chain(&[0, 1, 2, 3]);
         assert!(!g.has_cycle());
-        assert!(g.has_path(0, 3));
-        assert!(!g.has_path(3, 0));
     }
 
     #[test]
@@ -329,7 +299,6 @@ mod tests {
         let mut g = DynDigraph::new(5);
         g.add_chain(&[0, 1, 2, 3, 4]);
         g.remove_chain(&[0, 1, 2, 3, 4]);
-        assert!(!g.has_path(0, 4));
         for u in 0..5 {
             for v in 0..5 {
                 assert_eq!(g.multiplicity(u, v), 0);

@@ -19,9 +19,6 @@
 //!   route-dependency graph acyclic (heuristic (2) of Section 5.2): flat
 //!   adjacency, a stamped depth-first search from the queried chain, and
 //!   a latched answer once the graph is cyclic.
-//! * [`apsp`] — all-pairs shortest paths, serial and parallel.
-//! * [`par`] — a small scoped-thread chunked parallel map used by the
-//!   parallel solvers.
 //!
 //! Everything is implemented from scratch on `std`; no external crates
 //! are used.
@@ -29,12 +26,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod apsp;
 pub mod bfs;
 pub mod cycle;
 pub mod digraph;
 pub mod dijkstra;
-pub mod par;
 pub mod yen;
 
 pub use cycle::DynDigraph;
