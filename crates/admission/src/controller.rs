@@ -32,10 +32,10 @@
 
 use crate::generation::{BackendKind, ConfigGeneration};
 use crate::metrics::AdmissionMetrics;
-use crate::state::{to_millibits, CellDemand, SCALE};
+use crate::state::{to_millibits, CellDemand, PathGrant};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
-use crate::table::RoutingTable;
+use crate::table::{RouteRef, RoutingTable};
 use std::cell::RefCell;
 use uba_graph::NodeId;
 use uba_obs::trace::{self, EventKind};
@@ -129,8 +129,9 @@ pub struct BatchOutcome {
     pub flows: Vec<Result<FlowHandle, Reject>>,
     /// `true` when one aggregated reservation decided the whole batch
     /// (every routed flow admitted together, one CAS per touched cell);
-    /// `false` when the aggregate did not fit and each flow was re-tried
-    /// one by one (partial admission, per-flow reject detail).
+    /// `false` when the aggregate did not fit and each run of identical
+    /// flows was decided on its own (partial admission, per-flow reject
+    /// detail).
     pub fast_path: bool,
 }
 
@@ -219,6 +220,29 @@ thread_local! {
     static GEN_CACHE: RefCell<Option<Arc<ConfigGeneration>>> = const { RefCell::new(None) };
 }
 
+/// A maximal run of consecutive identical specs in a batch.
+struct Run {
+    spec: FlowSpec,
+    /// The configured route, `None` when there is none.
+    route: Option<RouteRef>,
+    len: u64,
+}
+
+/// What deciding a batch needs besides its result vector, kept per
+/// thread so that a batch allocates nothing else.
+#[derive(Default)]
+struct BatchScratch {
+    runs: Vec<Run>,
+    /// The aggregate: one demand per touched (server, class) cell.
+    cells: Vec<CellDemand>,
+    /// Routed flows per class, for the chain's aggregate grab.
+    classes: Vec<(usize, u64)>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::default());
+}
+
 /// An admitted flow. Dropping the handle releases its bandwidth on every
 /// link of its route (RAII teardown = the paper's flow tear-down
 /// message) — against the generation it was admitted under, even if the
@@ -229,7 +253,9 @@ pub struct FlowHandle {
     generation: Arc<ConfigGeneration>,
     class: usize,
     rate: f64,
-    servers: Box<[u32]>,
+    /// The route, by its place in `generation`'s immutable routing
+    /// table: the handle keeps the table alive, so it need not copy it.
+    route: RouteRef,
     /// Audit-trail id (0 when tracing was disabled at admit time).
     flow: u64,
 }
@@ -410,7 +436,7 @@ impl AdmissionController {
         } else {
             0
         };
-        let Some(route) = generation.table().route(src, dst, class) else {
+        let Some(route_ref) = generation.table().lookup(src, dst, class) else {
             if let Some(m) = &inner.metrics {
                 m.rejects_no_route.inc();
                 m.record_admit_ns(timer);
@@ -425,6 +451,7 @@ impl AdmissionController {
             );
             return Err(Reject::NoRoute);
         };
+        let route = generation.table().servers(route_ref);
         // Policy chain: shaping stages run after the route lookup (a
         // routeless flow is a config error, not demand) and before the
         // reservation walk. The `Static` chain skips everything —
@@ -433,7 +460,8 @@ impl AdmissionController {
         let chain = generation.policy();
         if !chain.is_static() {
             let t = now.unwrap_or_else(uba_obs::process_secs);
-            if let Err(stage) = chain.admit_n(class.index(), 1, t) {
+            if let Err(at) = chain.admit_n(class.index(), 1, t) {
+                let stage = chain.stages()[at].name();
                 if let Some(m) = &inner.metrics {
                     m.record_policy_reject(stage, 1);
                     // Offered load includes policy rejects: the burst
@@ -441,17 +469,12 @@ impl AdmissionController {
                     m.record_arrival(class.index());
                     m.record_admit_ns(timer);
                 }
-                let stage_idx = chain
-                    .stages()
-                    .iter()
-                    .position(|s| s.name() == stage)
-                    .map_or(-1.0, |i| i as f64);
                 tr.emit(
                     EventKind::RejectPolicy,
                     class.index(),
                     flow,
                     u32::MAX,
-                    stage_idx,
+                    at as f64,
                     1.0,
                 );
                 return Err(Reject::Policy { stage, class });
@@ -482,7 +505,7 @@ impl AdmissionController {
                     generation: Arc::clone(generation),
                     class: class.index(),
                     rate,
-                    servers: route.into(),
+                    route: route_ref,
                     flow,
                 })
             }
@@ -529,19 +552,41 @@ impl AdmissionController {
     /// Admits a whole slice of flows as one batched decision against the
     /// current generation.
     ///
-    /// The fixed per-decision overheads of [`try_admit`](Self::try_admit)
-    /// — the generation epoch load, the pin RMW, the tracepoint publish,
-    /// one CAS round-trip per link per flow — are paid once per *batch*:
-    /// the slice's demand is pre-aggregated per touched (server, class)
-    /// cell (identical (class, src, dst) triples share one route lookup)
-    /// and reserved with one CAS per cell via
-    /// [`try_reserve_batch`](crate::UtilizationState::try_reserve_batch).
-    /// If the aggregate fits, every routed flow is admitted together
-    /// (`fast_path`); if not, the batch falls back to the sequential
-    /// path flow-by-flow in slice order, yielding exactly the decisions
-    /// and reject diagnostics a non-batched caller would have seen.
+    /// The slice is read as **runs** of consecutive identical specs — a
+    /// burst of calls to one destination is one run — and the fixed
+    /// per-decision overheads of [`try_admit`](Self::try_admit) (the
+    /// generation epoch load, the route lookup, the policy consult, the
+    /// pin RMW, the tracepoint publish, one CAS round-trip per link) are
+    /// paid per run or per batch, never per flow:
+    ///
+    /// * First the whole slice is tried as one reservation: the runs'
+    ///   demand is summed per touched (server, class) cell in exact
+    ///   millibits, the policy chain is asked for each class's routed
+    ///   flow count, and the cells are reserved all-or-nothing with one
+    ///   CAS each
+    ///   ([`try_reserve_batch`](crate::UtilizationState::try_reserve_batch)).
+    ///   If that fits, every routed flow is admitted together
+    ///   (`fast_path`).
+    /// * If it does not, what the chain took is returned and each run is
+    ///   decided on its own, in slice order, in one step: the chain
+    ///   grants as many of the run's flows as it can afford, the links as
+    ///   many of those as every cell of the route has room for
+    ///   ([`try_reserve_path_up_to`](crate::UtilizationState::try_reserve_path_up_to)),
+    ///   that prefix is admitted and the rest of the run receives the one
+    ///   `Reject` each of its flows would have met. The decisions, the
+    ///   reject diagnostics and the state left in the links and the chain
+    ///   are exactly those of putting the flows to
+    ///   [`try_admit`](Self::try_admit) one by one at that point
+    ///   (`tests/burst_equiv.rs` pins them). The one thing a one-by-one
+    ///   caller never does is the first bullet's consult of the chain: a
+    ///   stage that estimates offered load has seen the batch once
+    ///   already when the runs come to it.
+    ///
     /// Flows with no configured route are rejected either way and never
-    /// block the rest of the batch.
+    /// block the rest of the batch. A non-`Static` chain is consulted on
+    /// the process clock, read once for the aggregate and once per run
+    /// decided on its own — not once per flow — so the flows of a run
+    /// share one decision time, as they share one arrival.
     pub fn try_admit_batch(&self, specs: &[FlowSpec]) -> BatchOutcome {
         let generation = self.current_generation();
         self.batch_inner(&generation, specs, None)
@@ -567,217 +612,347 @@ impl AdmissionController {
                 fast_path: true,
             };
         }
+        // Taken out rather than borrowed, so nothing is held across the
+        // calls into the chain's stages; a batch that somehow starts
+        // inside another just finds it empty.
+        let mut scratch = SCRATCH.take();
+        let outcome = self.decide_batch(generation, specs, now, &mut scratch);
+        SCRATCH.set(scratch);
+        outcome
+    }
+
+    /// [`batch_inner`](Self::batch_inner) on this thread's scratch.
+    fn decide_batch(
+        &self,
+        generation: &Arc<ConfigGeneration>,
+        specs: &[FlowSpec],
+        now: Option<f64>,
+        scratch: &mut BatchScratch,
+    ) -> BatchOutcome {
+        let BatchScratch {
+            runs,
+            cells,
+            classes,
+        } = scratch;
         let inner = &self.inner;
         let backend = generation.backend();
+        let table = generation.table();
         let timer = inner
             .metrics
             .as_ref()
             .and_then(AdmissionMetrics::admit_timer);
         let tr = trace::global();
-        // Dedupe identical (class, src, dst) triples: one route lookup
-        // and one demand contribution per unique triple. `uniq_of[i]` is
-        // flow i's index into `uniq`.
-        let mut uniq: Vec<(FlowSpec, Option<&[u32]>, u64)> = Vec::new();
-        let mut uniq_of: Vec<usize> = Vec::with_capacity(specs.len());
+        // Split the slice into runs of consecutive identical specs: one
+        // route lookup per run, and one decision per run if the
+        // aggregate below does not fit.
+        runs.clear();
         for spec in specs {
-            match uniq.iter().position(|(s, _, _)| s == spec) {
-                Some(j) => {
-                    uniq[j].2 += 1;
-                    uniq_of.push(j);
-                }
-                None => {
-                    uniq_of.push(uniq.len());
-                    uniq.push((
-                        *spec,
-                        generation.table().route(spec.src, spec.dst, spec.class),
-                        1,
-                    ));
-                }
+            match runs.last_mut() {
+                Some(run) if run.spec == *spec => run.len += 1,
+                _ => runs.push(Run {
+                    spec: *spec,
+                    route: table.lookup(spec.src, spec.dst, spec.class),
+                    len: 1,
+                }),
             }
         }
         // Aggregate per-(server, class) demand in exact millibits — the
         // batched reservation asks for precisely the sum of the per-flow
         // grants, so batch admission can never out-admit (or under-admit)
         // the same flows reserved one by one.
-        let mut entries: Vec<(u64, u64)> = Vec::new();
-        for (spec, route, count) in &uniq {
-            if let Some(r) = route {
-                let rate_mb = to_millibits(generation.rates()[spec.class.index()]);
-                for &server in *r {
-                    entries.push((
-                        (u64::from(server) << 32) | spec.class.index() as u64,
-                        count * rate_mb,
-                    ));
-                }
-            }
+        cells.clear();
+        let mut no_route = 0;
+        for run in runs.iter() {
+            let Some(route) = run.route else {
+                no_route += run.len;
+                continue;
+            };
+            let class = run.spec.class.index();
+            let millibits = run.len * to_millibits(generation.rates()[class]);
+            cells.extend(table.servers(route).iter().map(|&server| CellDemand {
+                server,
+                class: class as u32,
+                millibits,
+            }));
         }
-        entries.sort_unstable_by_key(|&(key, _)| key);
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(entries.len());
-        for (key, mb) in entries {
-            match merged.last_mut() {
-                Some((k, acc)) if *k == key => *acc += mb,
-                _ => merged.push((key, mb)),
+        // Runs of one pair apart, or of pairs sharing a link, meet in a
+        // cell: one demand, and so one CAS, per cell.
+        cells.sort_unstable_by_key(|d| (d.server, d.class));
+        cells.dedup_by(|later, kept| {
+            let same = (later.server, later.class) == (kept.server, kept.class);
+            if same {
+                kept.millibits += later.millibits;
             }
-        }
-        let demands: Vec<CellDemand> = merged
-            .iter()
-            .map(|&(key, mb)| CellDemand {
-                server: (key >> 32) as u32,
-                class: (key & u64::from(u32::MAX)) as u32,
-                // Exact round-trip: aggregated millibit totals stay far
-                // below the 2^53 integrality guard, so the backend's
-                // `to_millibits(rate)` recovers `mb` bit-for-bit.
-                rate: mb as f64 / SCALE,
-            })
-            .collect();
-        let no_route = uniq_of.iter().filter(|&&j| uniq[j].1.is_none()).count();
-        let routed = specs.len() - no_route;
+            same
+        });
+        let routed = specs.len() as u64 - no_route;
         // Policy chain over the batch: one aggregate grab per class (its
-        // routed flow count), so the fast path pays one chain walk per
-        // class, not per flow. If any class's aggregate is clipped, the
-        // whole batch falls back to the per-flow path, where each flow
-        // re-consults the chain individually — a partially affordable
-        // burst admits exactly the prefix the sequential path would
-        // (burst-clipped, not burst-dropped).
+        // routed flow count), so a batch that fits pays one chain walk
+        // per class, not per flow. `classes[..consumed]` hold theirs.
         let chain = generation.policy();
-        let mut policy_consumed: Vec<(usize, u64)> = Vec::new();
+        let mut consumed = 0;
+        let mut fits = true;
         if !chain.is_static() && routed > 0 {
             let t = now.unwrap_or_else(uba_obs::process_secs);
-            let mut class_counts: Vec<(usize, u64)> = Vec::new();
-            for (spec, route, count) in &uniq {
-                if route.is_some() {
-                    let c = spec.class.index();
-                    match class_counts.iter_mut().find(|(k, _)| *k == c) {
-                        Some((_, n)) => *n += count,
-                        None => class_counts.push((c, *count)),
-                    }
+            classes.clear();
+            for run in runs.iter().filter(|run| run.route.is_some()) {
+                let c = run.spec.class.index();
+                match classes.iter_mut().find(|(k, _)| *k == c) {
+                    Some((_, n)) => *n += run.len,
+                    None => classes.push((c, run.len)),
                 }
             }
-            let mut clipped = false;
-            for &(c, n) in &class_counts {
-                match chain.admit_n(c, n, t) {
-                    Ok(()) => policy_consumed.push((c, n)),
-                    Err(_) => {
-                        clipped = true;
-                        break;
-                    }
+            for &(c, n) in classes.iter() {
+                if chain.admit_n(c, n, t).is_err() {
+                    fits = false;
+                    break;
                 }
-            }
-            if clipped {
-                for &(c, n) in &policy_consumed {
-                    chain.refund_n(c, n);
-                }
-                if let Some(m) = &inner.metrics {
-                    m.batches.inc();
-                    m.batch_fallbacks.inc();
-                    m.record_admit_ns(timer);
-                }
-                let flows = specs
-                    .iter()
-                    .map(|s| self.admit_inner(generation, s.class, s.src, s.dst, now))
-                    .collect();
-                return BatchOutcome {
-                    flows,
-                    fast_path: false,
-                };
+                consumed += 1;
             }
         }
-        match backend.try_reserve_batch(&demands) {
-            Ok(cas_retries) => {
-                // Audit-trail flow ids: one contiguous block per batch
-                // (a single RMW), so each flow's release stays
-                // individually attributable in the trace.
-                let flow_base = if tr.enabled() {
-                    inner
-                        .flow_seq
-                        .fetch_add(specs.len() as u64, Ordering::Relaxed)
-                        + 1
-                } else {
-                    0
-                };
-                generation.pin_n(routed as u64);
-                let flows: Vec<Result<FlowHandle, Reject>> = uniq_of
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &j)| {
-                        let (spec, route, _) = &uniq[j];
-                        match route {
-                            Some(route) => Ok(FlowHandle {
-                                inner: Arc::clone(inner),
-                                generation: Arc::clone(generation),
-                                class: spec.class.index(),
-                                rate: generation.rates()[spec.class.index()],
-                                servers: (*route).into(),
-                                flow: if flow_base == 0 {
-                                    0
-                                } else {
-                                    flow_base + i as u64
-                                },
-                            }),
-                            None => Err(Reject::NoRoute),
-                        }
-                    })
-                    .collect();
-                if let Some(m) = &inner.metrics {
-                    for &j in &uniq_of {
-                        if let Some(route) = uniq[j].1 {
-                            m.record_admit(route.len());
-                            m.record_arrival(uniq[j].0.class.index());
-                        }
-                    }
-                    if no_route > 0 {
-                        m.rejects_no_route.add(no_route as u64);
-                    }
-                    if cas_retries > 0 {
-                        m.cas_retries.add(u64::from(cas_retries));
-                    }
-                    // One batched decision = one entry in the retry
-                    // histogram (total retries across the batch).
-                    m.record_retries(cas_retries);
-                    m.batches.inc();
-                    m.record_admit_ns(timer);
+        let reserved = fits.then(|| backend.try_reserve_batch(cells).ok());
+        let mut flows = Vec::with_capacity(specs.len());
+        let Some(cas_retries) = reserved.flatten() else {
+            // The aggregate does not fit — a class's grab was clipped by
+            // the chain, or some cell is short. What the chain took is
+            // returned first, so the runs consult it from the shaping
+            // state a one-by-one caller would see; then each run is
+            // decided on its own, in slice order: exactly the decisions
+            // and reject detail of admitting the flows one by one. The
+            // timer sample here covers aggregation plus the failed
+            // aggregate; each run samples its own latency.
+            for &(c, n) in &classes[..consumed] {
+                chain.refund_n(c, n);
+            }
+            if let Some(m) = &inner.metrics {
+                m.batches.inc();
+                m.batch_fallbacks.inc();
+                m.record_admit_ns(timer);
+            }
+            for run in runs.iter() {
+                self.admit_run(generation, run, now, &mut flows);
+            }
+            return BatchOutcome {
+                flows,
+                fast_path: false,
+            };
+        };
+        // Audit-trail flow ids: one contiguous block per batch (a single
+        // RMW), so each flow's release stays individually attributable
+        // in the trace.
+        let traced = tr.enabled();
+        let mut next_id = if traced {
+            inner
+                .flow_seq
+                .fetch_add(specs.len() as u64, Ordering::Relaxed)
+                + 1
+        } else {
+            0
+        };
+        let first_id = next_id;
+        generation.pin_n(routed);
+        for run in runs.iter() {
+            let Some(route) = run.route else {
+                flows.extend((0..run.len).map(|_| Err(Reject::NoRoute)));
+                next_id += run.len;
+                continue;
+            };
+            let class = run.spec.class.index();
+            let rate = generation.rates()[class];
+            for _ in 0..run.len {
+                flows.push(Ok(FlowHandle {
+                    inner: Arc::clone(inner),
+                    generation: Arc::clone(generation),
+                    class,
+                    rate,
+                    route,
+                    flow: if traced { next_id } else { 0 },
+                }));
+                next_id += 1;
+            }
+            if let Some(m) = &inner.metrics {
+                m.record_run(class, table.servers(route).len(), run.len, run.len, 0, 0);
+            }
+        }
+        if let Some(m) = &inner.metrics {
+            if no_route > 0 {
+                m.rejects_no_route.add(no_route);
+            }
+            if cas_retries > 0 {
+                m.cas_retries.add(u64::from(cas_retries));
+            }
+            // One batched decision = one entry in the retry histogram
+            // (total retries across the batch).
+            m.record_retries(cas_retries);
+            m.batches.inc();
+            m.record_admit_ns(timer);
+        }
+        // One coalesced tracepoint for the whole slice.
+        tr.emit(
+            EventKind::AdmitBatch,
+            0,
+            first_id,
+            u32::MAX,
+            routed as f64,
+            no_route as f64,
+        );
+        BatchOutcome {
+            flows,
+            fast_path: true,
+        }
+    }
+
+    /// Decides one run of a batch whose aggregate did not fit: `run.len`
+    /// identical flows, in one step. The chain grants what it can
+    /// afford, the links what they have room for, the admitted prefix is
+    /// minted under one pin, one flow-id block and one `admit_batch`
+    /// tracepoint, and the rest of the run gets the one `Reject` each of
+    /// its flows would have met (see [`PolicyChain::admit_up_to`] for
+    /// why it is the same for all of them).
+    fn admit_run(
+        &self,
+        generation: &Arc<ConfigGeneration>,
+        run: &Run,
+        now: Option<f64>,
+        flows: &mut Vec<Result<FlowHandle, Reject>>,
+    ) {
+        let inner = &self.inner;
+        let (class, n) = (run.spec.class, run.len);
+        let timer = inner
+            .metrics
+            .as_ref()
+            .and_then(AdmissionMetrics::admit_timer);
+        let tr = trace::global();
+        let traced = tr.enabled();
+        // Flow `i` of the run keeps the id the one-by-one walk gave it.
+        let first_id = if traced {
+            inner.flow_seq.fetch_add(n, Ordering::Relaxed) + 1
+        } else {
+            0
+        };
+        let Some(route) = run.route else {
+            if let Some(m) = &inner.metrics {
+                m.rejects_no_route.add(n);
+                m.record_admit_ns(timer);
+            }
+            if traced {
+                for id in first_id..first_id + n {
+                    tr.emit(
+                        EventKind::RejectNoRoute,
+                        class.index(),
+                        id,
+                        u32::MAX,
+                        run.spec.src.0 as f64,
+                        run.spec.dst.0 as f64,
+                    );
                 }
-                // One coalesced tracepoint for the whole slice.
+            }
+            flows.extend((0..n).map(|_| Err(Reject::NoRoute)));
+            return;
+        };
+        let servers = generation.table().servers(route);
+        let backend = generation.backend();
+        let rate = generation.rates()[class.index()];
+        let chain = generation.policy();
+        // As everywhere, a `Static` chain never reads the clock.
+        let t = match now {
+            Some(t) => t,
+            None if chain.is_static() => 0.0,
+            None => uba_obs::process_secs(),
+        };
+        // Stays empty when the chain grants nothing to place.
+        let mut links = PathGrant::default();
+        let (admitted, stage) = chain.admit_up_to(class.index(), n, t, |granted| {
+            links = backend.try_reserve_path_up_to(servers, class.index(), rate, granted);
+            links.flows
+        });
+        let id = |i: u64| if traced { first_id + i } else { 0 };
+        if admitted > 0 {
+            generation.pin_n(admitted);
+            tr.emit(
+                EventKind::AdmitBatch,
+                class.index(),
+                id(0),
+                servers.first().copied().unwrap_or(u32::MAX),
+                admitted as f64,
+                0.0,
+            );
+            flows.extend((0..admitted).map(|i| {
+                Ok(FlowHandle {
+                    inner: Arc::clone(inner),
+                    generation: Arc::clone(generation),
+                    class: class.index(),
+                    rate,
+                    route,
+                    flow: id(i),
+                })
+            }));
+        }
+        // The rest of the run: one `Reject`, the same for every flow.
+        let turned_away = n - admitted;
+        let mut link_rejects = 0;
+        if turned_away > 0 {
+            let reject = if let Some(at) = stage {
+                let stage = chain.stages()[at].name();
+                if let Some(m) = &inner.metrics {
+                    m.record_policy_reject(stage, turned_away);
+                }
+                // The kind has a count slot: one event for the whole tail.
                 tr.emit(
-                    EventKind::AdmitBatch,
-                    0,
-                    flow_base,
+                    EventKind::RejectPolicy,
+                    class.index(),
+                    id(admitted),
                     u32::MAX,
-                    routed as f64,
-                    no_route as f64,
+                    at as f64,
+                    turned_away as f64,
                 );
-                BatchOutcome {
-                    flows,
-                    fast_path: true,
-                }
-            }
-            Err(_) => {
-                // Aggregate does not fit: per-flow fallback in slice
-                // order — decision-for-decision the sequential path
-                // (partial admission, per-flow tracepoints and reject
-                // detail). The chain's aggregate grab is returned first
-                // so the fallback's per-flow consults start from the
-                // same shaping state the sequential path would see. The
-                // timer sample here covers aggregation plus the failed
-                // batch reserve; each fallback admit samples its own
-                // latency as usual.
-                for &(c, n) in &policy_consumed {
-                    chain.refund_n(c, n);
-                }
+                Reject::Policy { stage, class }
+            } else {
+                let server = links
+                    .full
+                    .expect("links that place fewer flows than asked name the full server");
+                let reserved_bps = backend.reserved(server as usize, class.index());
+                let budget_bps = backend.budget(server as usize, class.index());
+                link_rejects = turned_away;
                 if let Some(m) = &inner.metrics {
-                    m.batches.inc();
-                    m.batch_fallbacks.inc();
-                    m.record_admit_ns(timer);
+                    m.rejects_link_full.add(turned_away);
+                    m.rejects_link_full_class[class.index()].add(turned_away);
                 }
-                let flows = specs
-                    .iter()
-                    .map(|s| self.admit_inner(generation, s.class, s.src, s.dst, now))
-                    .collect();
-                BatchOutcome {
-                    flows,
-                    fast_path: false,
+                // This kind has none: one event per flow, under its own id.
+                if traced {
+                    for i in admitted..n {
+                        tr.emit(
+                            EventKind::RejectLinkFull,
+                            class.index(),
+                            id(i),
+                            server,
+                            reserved_bps,
+                            budget_bps,
+                        );
+                    }
                 }
+                Reject::LinkFull {
+                    server,
+                    class,
+                    reserved_bps,
+                    budget_bps,
+                }
+            };
+            flows.extend((0..turned_away).map(|_| Err(reject)));
+        }
+        if let Some(m) = &inner.metrics {
+            if links.retries > 0 {
+                m.cas_retries.add(u64::from(links.retries));
             }
+            m.record_run(
+                class.index(),
+                servers.len(),
+                admitted,
+                n,
+                admitted + link_rejects,
+                links.retries,
+            );
+            m.record_admit_ns(timer);
         }
     }
 
@@ -947,7 +1122,7 @@ impl AdmissionController {
 impl FlowHandle {
     /// The route the flow was admitted on (raw server indices).
     pub fn route(&self) -> &[u32] {
-        &self.servers
+        self.generation.table().servers(self.route)
     }
 
     /// The flow's reserved rate in bits/s.
@@ -964,9 +1139,10 @@ impl FlowHandle {
 
 impl Drop for FlowHandle {
     fn drop(&mut self) {
+        let servers = self.generation.table().servers(self.route);
         self.generation
             .backend()
-            .release_path(&self.servers, self.class, self.rate);
+            .release_path(servers, self.class, self.rate);
         self.generation.unpin();
         if let Some(m) = &self.inner.metrics {
             m.record_release();
@@ -975,9 +1151,9 @@ impl Drop for FlowHandle {
             EventKind::Release,
             self.class,
             self.flow,
-            self.servers.first().copied().unwrap_or(u32::MAX),
+            servers.first().copied().unwrap_or(u32::MAX),
             self.rate,
-            self.servers.len() as f64,
+            servers.len() as f64,
         );
     }
 }

@@ -229,13 +229,29 @@ impl Pending {
 
     #[inline]
     fn bump(&self) {
-        let ops = self.ops.get() + 1;
+        self.bump_n(1);
+    }
+
+    /// Counts `n` buffered events towards the next flush.
+    #[inline]
+    fn bump_n(&self, n: u32) {
+        let ops = self.ops.get().saturating_add(n);
         if ops >= FLUSH_EVERY {
             self.flush();
         } else {
             self.ops.set(ops);
         }
     }
+}
+
+/// Adds `n` to a buffer cell. A run far longer than any batch that fits
+/// in memory saturates the cell instead of wrapping it.
+#[inline]
+fn add(cell: &Cell<u32>, n: u64) {
+    cell.set(
+        cell.get()
+            .saturating_add(u32::try_from(n).unwrap_or(u32::MAX)),
+    );
 }
 
 impl Drop for Pending {
@@ -277,7 +293,7 @@ thread_local! {
 /// | `admission.admit_ns` | histogram | sampled per-decision latency, ns (1 in [`LATENCY_SAMPLE_EVERY`]) |
 /// | `admission.retries_per_op` | histogram | CAS retries per decision (mean = retry rate) |
 /// | `admission.batches` | counter | batched admission decisions ([`try_admit_batch`](crate::AdmissionController::try_admit_batch)) |
-/// | `admission.batch_fallbacks` | counter | batches whose aggregate did not fit (re-tried flow-by-flow) |
+/// | `admission.batch_fallbacks` | counter | batches whose aggregate did not fit (decided run by run) |
 /// | `admission.arrival.class<i>.rate` | gauge | EWMA offered-arrival rate of class i (admits + link-full rejects)/s |
 /// | `admission.arrival.class<i>.cv` | gauge | inter-arrival CV estimate of class i (burstiness) |
 /// | `admission.overuse_state` | gauge | GCC-style overuse detector, worst class: 1 overuse / 0 normal / −1 underuse |
@@ -324,8 +340,8 @@ pub struct AdmissionMetrics {
     /// ([`try_admit_batch`](crate::AdmissionController::try_admit_batch)
     /// calls, fast path or fallback).
     pub batches: Arc<Counter>,
-    /// Batches whose aggregate demand did not fit and were re-tried
-    /// flow-by-flow.
+    /// Batches whose aggregate demand did not fit and were decided run
+    /// by run.
     pub batch_fallbacks: Arc<Counter>,
     /// Burst/overuse telemetry endpoint: per-class arrival estimators
     /// and the overuse detector, fed from the thread buffers at flush
@@ -416,6 +432,39 @@ impl AdmissionMetrics {
             let slot = class.min(ARRIVAL_SLOTS - 1);
             p.arrivals[slot].set(p.arrivals[slot].get() + 1);
             p.bump();
+        });
+    }
+
+    /// Records a run of identical flows decided in one step, in one
+    /// buffer update: what [`record_admit`](Self::record_admit),
+    /// [`record_arrival`](Self::record_arrival) and
+    /// [`record_retries`](Self::record_retries) would have recorded
+    /// flow by flow. `admits` of the run's `arrivals` offered flows of
+    /// `class` were admitted on a `hops`-hop route; `decisions` of them
+    /// reached the reservation state (the admits plus the link-full
+    /// rejects), which spent `retries` CAS retries between them — booked
+    /// on one decision, the others count as retry-free.
+    pub fn record_run(
+        &self,
+        class: usize,
+        hops: usize,
+        admits: u64,
+        arrivals: u64,
+        decisions: u64,
+        retries: u32,
+    ) {
+        PENDING.with(|p| {
+            if p.owner.get() != Arc::as_ptr(&self.admits) {
+                p.adopt(self);
+            }
+            p.admits.set(p.admits.get() + admits);
+            add(&p.hops[hops.min(HOP_SLOTS - 1)], admits);
+            add(&p.arrivals[class.min(ARRIVAL_SLOTS - 1)], arrivals);
+            if decisions > 0 {
+                add(&p.retries[(retries as usize).min(RETRY_SLOTS - 1)], 1);
+                add(&p.retries[0], decisions - 1);
+            }
+            p.bump_n(u32::try_from(admits + arrivals + decisions).unwrap_or(u32::MAX));
         });
     }
 
@@ -612,6 +661,38 @@ mod tests {
         // is retries-per-operation.
         let mean = (RETRY_SLOTS - 1 + 2) as f64 / 5.0;
         assert_eq!(m.retries_per_op.mean(), Some(mean));
+    }
+
+    #[test]
+    fn record_run_books_what_the_per_flow_recorders_would() {
+        let flow_by_flow = AdmissionMetrics::register(&Registry::new(), 1);
+        let at_once = AdmissionMetrics::register(&Registry::new(), 1);
+        // A 12-flow run on a 3-hop route: 7 admitted, 3 link-full, 2
+        // turned away by the chain; the reservation retried twice.
+        for _ in 0..7 {
+            flow_by_flow.record_admit(3);
+        }
+        for i in 0..12 {
+            flow_by_flow.record_arrival(0);
+            if i < 10 {
+                flow_by_flow.record_retries(if i == 0 { 2 } else { 0 });
+            }
+        }
+        flow_by_flow.flush();
+        at_once.record_run(0, 3, 7, 12, 10, 2);
+        at_once.flush();
+        for (a, b) in [
+            (&flow_by_flow.path_hops, &at_once.path_hops),
+            (&flow_by_flow.retries_per_op, &at_once.retries_per_op),
+        ] {
+            assert_eq!(
+                (a.count(), a.max(), a.mean()),
+                (b.count(), b.max(), b.mean())
+            );
+        }
+        assert_eq!(flow_by_flow.admits.get(), at_once.admits.get());
+        assert_eq!(at_once.admits.get(), 7);
+        assert_eq!(at_once.retries_per_op.count(), 10);
     }
 
     #[test]

@@ -32,6 +32,16 @@
 //! that already consumed, so a rejected flow leaves no residue in the
 //! chain.
 //!
+//! A run of identical flows arriving together is put through the chain
+//! in one step — each stage grants up to what it is handed
+//! ([`PolicyStage::admit_up_to`]), the links place what they can, the
+//! excess is refunded — with the outcome and the stage state of the
+//! one-by-one walk. That walk fixes who turns the rest of the run away
+//! (the first stage, in chain order, with no budget for one more flow;
+//! the links only if every stage could afford one) and which stages see
+//! it (a stage hears of a flow only if every earlier stage passes it);
+//! DESIGN.md §13.1 has both rules in full.
+//!
 //! Time is always an explicit `t` parameter (seconds on the caller's
 //! clock); this module never reads a wall clock (xtask rule 5).
 
@@ -64,6 +74,19 @@ pub trait PolicyStage: fmt::Debug + Send + Sync {
     /// `t` (seconds). Returns `false` — consuming nothing — when the
     /// budget cannot cover the whole grab.
     fn admit_n(&self, class: usize, n: u64, t: f64) -> bool;
+
+    /// Consults the stage for each of `n` flows of `class` arriving
+    /// together at time `t` and returns how many it admits, their
+    /// budget consumed. The provided body is the definition — one
+    /// [`admit_n`](Self::admit_n) of a single flow per arrival, turned
+    /// away ones included, so a stage that watches offered load sees all
+    /// `n` — and an override must leave the stage in exactly the state
+    /// that loop would: this is what lets the controller decide a run of
+    /// identical flows in one step ([`PolicyChain`] holds the rule for
+    /// the flows a later stage or the links then turn away).
+    fn admit_up_to(&self, class: usize, n: u64, t: f64) -> u64 {
+        (0..n).filter(|_| self.admit_n(class, 1, t)).count() as u64
+    }
 
     /// Returns a previously consumed `n`-flow grab (a later stage or
     /// the backend rejected the admission).
@@ -107,15 +130,16 @@ impl PolicyChain {
 
     /// Runs `n` flows of `class` through every stage in order,
     /// consuming each stage's budget. On the first stage that rejects,
-    /// every earlier stage is refunded and the rejecting stage's name
-    /// is returned — the chain is all-or-nothing.
-    pub fn admit_n(&self, class: usize, n: u64, t: f64) -> Result<(), &'static str> {
+    /// every earlier stage is refunded and the rejecting stage's index
+    /// in [`stages`](Self::stages) is returned — the chain is
+    /// all-or-nothing.
+    pub fn admit_n(&self, class: usize, n: u64, t: f64) -> Result<(), usize> {
         for (i, stage) in self.stages.iter().enumerate() {
             if !stage.admit_n(class, n, t) {
                 for held in &self.stages[..i] {
                     held.refund_n(class, n);
                 }
-                return Err(stage.name());
+                return Err(i);
             }
         }
         Ok(())
@@ -127,6 +151,81 @@ impl PolicyChain {
         for stage in &self.stages {
             stage.refund_n(class, n);
         }
+    }
+
+    /// Decides a run of `n` identical flows of `class` arriving together
+    /// at `t`: each stage grants what it can of what the stages before
+    /// it passed on ([`PolicyStage::admit_up_to`]), `reserve` is then
+    /// asked to place that many flows on the links and answers how many
+    /// it placed, and every stage is left holding budget for exactly
+    /// those. Returns the number admitted and, when the chain rather
+    /// than the links turned the rest away, the index of the stage that
+    /// did.
+    ///
+    /// The result and every stage's state are those of the one-by-one
+    /// walk ([`admit_n`](Self::admit_n) of one flow, then the
+    /// reservation, then [`refund_n`](Self::refund_n) if it failed, `n`
+    /// times over), which fixes two things about the flows turned away:
+    ///
+    /// * **Who rejects them.** All of them meet the same fate: the first
+    ///   stage, in chain order, left with no budget for one more flow;
+    ///   the links only if every stage could still afford one.
+    /// * **Who observes them.** A stage is consulted for a flow only if
+    ///   every stage before it passes the flow. So a stage that was
+    ///   handed fewer than `n` flows because an earlier one clipped the
+    ///   run hears of the remainder after all when the run is clipped
+    ///   *further* downstream — the earlier stage gets that budget back
+    ///   and would have passed them. They are put to it as a second
+    ///   consult whose grant is refunded at once: no net consumption,
+    ///   but a stage that estimates offered load has seen them.
+    pub(crate) fn admit_up_to(
+        &self,
+        class: usize,
+        n: u64,
+        t: f64,
+        reserve: impl FnOnce(u64) -> u64,
+    ) -> (u64, Option<usize>) {
+        let mut granted = n;
+        let mut limiter = None;
+        // `stages[..heard]` have been consulted for all `n` flows, the
+        // consulted ones after them for `granted`.
+        let mut heard = 0;
+        let mut consulted = 0;
+        let hear_rest = |stages: &[Box<dyn PolicyStage>], granted: u64| {
+            for stage in stages {
+                let extra = stage.admit_up_to(class, n - granted, t);
+                stage.refund_n(class, extra);
+            }
+        };
+        for (i, stage) in self.stages.iter().enumerate() {
+            if granted == 0 {
+                break;
+            }
+            consulted = i + 1;
+            let got = stage.admit_up_to(class, granted, t);
+            if got < granted {
+                for held in &self.stages[..i] {
+                    held.refund_n(class, granted - got);
+                }
+                if granted < n {
+                    hear_rest(&self.stages[heard..=i], granted);
+                }
+                heard = i + 1;
+                granted = got;
+                limiter = Some(i);
+            }
+        }
+        let placed = if granted > 0 { reserve(granted) } else { 0 };
+        if placed < granted {
+            for held in &self.stages[..consulted] {
+                held.refund_n(class, granted - placed);
+            }
+            if granted < n {
+                hear_rest(&self.stages[heard..consulted], granted);
+            }
+            limiter = None;
+        }
+        (placed, limiter)
     }
 
     /// Dry-runs every stage independently (no consumption, no
@@ -406,6 +505,36 @@ impl PolicyStage for TokenBucketStage {
         false
     }
 
+    fn admit_up_to(&self, class: usize, n: u64, t: f64) -> u64 {
+        let cost = self.want(class, 1);
+        if cost == 0 || n == 0 {
+            return n;
+        }
+        let Some(bucket) = self.buckets.get(class) else {
+            return n;
+        };
+        self.refill(bucket, t);
+        let mut cur = bucket.tokens.load(Ordering::Relaxed);
+        loop {
+            let got = (cur / cost).min(n);
+            if got == 0 {
+                return 0;
+            }
+            // ordering: AcqRel — the same consuming CAS as `admit_n`,
+            // for as many whole flows as the observed tokens cover, so
+            // concurrent grabs can never jointly overdraw the bucket.
+            match bucket.tokens.compare_exchange_weak(
+                cur,
+                cur - got * cost,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return got,
+                Err(actual) => cur = actual,
+            }
+        }
+    }
+
     fn refund_n(&self, class: usize, n: u64) {
         let want = self.want(class, n);
         if want == 0 {
@@ -587,6 +716,34 @@ impl PolicyStage for AimdStage {
         }
     }
 
+    fn admit_up_to(&self, class: usize, n: u64, t: f64) -> u64 {
+        let Some(slot) = self.classes.get(class) else {
+            return n;
+        };
+        if n == 0 {
+            return 0;
+        }
+        let mut st = slot.lock().unwrap();
+        // The first consult at `t` does the work; every later one at the
+        // same `t` only adds its flow to the estimator's carry (no time
+        // has passed for the cap adjustment or the refill to act on).
+        // The detector is the exception: its first update moves the
+        // baseline, so the second compares against a different one and
+        // may read the excursion differently; from the third on nothing
+        // changes. Two calls therefore stand for any `n ≥ 2`.
+        self.advance(&mut st, t, 1);
+        if n > 1 {
+            self.advance(&mut st, t, n - 1);
+        }
+        let cost = self.want(class, 1);
+        if cost == 0 {
+            return n;
+        }
+        let got = (st.tokens_mb / cost).min(n);
+        st.tokens_mb -= got * cost;
+        got
+    }
+
     fn refund_n(&self, class: usize, n: u64) {
         let want = self.want(class, n);
         if want == 0 {
@@ -763,7 +920,8 @@ mod tests {
         let mut chain = PolicyChain::static_only();
         chain.push(Box::new(bucket(VOIP, 2.0 * VOIP)));
         chain.push(Box::new(Wall));
-        assert_eq!(chain.admit_n(0, 1, 0.0), Err("aimd"));
+        assert_eq!(chain.admit_n(0, 1, 0.0), Err(1));
+        assert_eq!(chain.stages()[1].name(), "aimd");
         // The token bucket was refunded: its full depth is intact.
         let verdicts = chain.dry_run(0, 2, 0.0);
         assert_eq!(verdicts[0], ("token_bucket", true));
@@ -778,6 +936,89 @@ mod tests {
         assert!(!chain.stages()[0].would_admit(0, 1, 0.0));
         chain.refund_n(0, 1);
         assert!(chain.stages()[0].would_admit(0, 1, 0.0));
+    }
+
+    /// A chain small enough that every stage and the links all get to
+    /// clip: a 60-flow bucket refilling 3 000 flows/s, an AIMD ceiling
+    /// between 1 000 and 8 000 flows/s.
+    fn tight_chain() -> PolicyChain {
+        let cfg = PolicyConfig {
+            chain: ChainKind::Adaptive,
+            bucket_rate_bps: 3_000.0 * VOIP,
+            bucket_burst_bits: 60.0 * VOIP,
+            aimd: AimdParams {
+                min_rate_bps: 1_000.0 * VOIP,
+                max_rate_bps: 8_000.0 * VOIP,
+                decrease: 0.7,
+                increase_bps: 500.0 * VOIP,
+            },
+        };
+        PolicyChain::from_config(&cfg, &[VOIP])
+    }
+
+    /// The closed forms against their definition: seeded runs of 1–120
+    /// flows, the links taking a random share, decided in one step on one
+    /// chain and flow by flow (`admit_n` of one, reserve, `refund_n` on
+    /// failure) on its twin. Same admitted count, same rejecting stage,
+    /// and after every run the same state in every stage down to the
+    /// estimator's carry — compared through `Debug`, which prints all of
+    /// it. The tallies show each way of clipping a run was met,
+    /// including the one where a stage hears of flows it was not handed.
+    #[test]
+    fn a_run_decided_at_once_leaves_the_chain_as_the_one_by_one_walk_does() {
+        let (at_once, walked) = (tight_chain(), tight_chain());
+        let mut rng = uba_obs::SplitMix64::new(18);
+        let mut t = 0.0;
+        // Clipped by: nothing, the bucket, AIMD, the links; and runs the
+        // bucket clipped that were clipped again further down.
+        let mut met = [0usize; 5];
+        for step in 0..20_000 {
+            // Three quarters of each 4 000 steps are heavy (the onset
+            // latches the overuse detector, so the AIMD ceiling comes
+            // down and binds), the last quarter a trickle.
+            let busy = step % 4_000 < 3_000;
+            t += [0.0, 0.001, 0.001, 0.02][rng.index(4)];
+            let n = 1 + rng.index(if busy { 120 } else { 3 }) as u64;
+            let room = rng.index(150) as u64;
+            let mut asked_of_links = 0;
+            let (admitted, stage) = at_once.admit_up_to(0, n, t, |granted| {
+                asked_of_links = granted;
+                granted.min(room)
+            });
+
+            let mut placed = 0;
+            // Who turned each of the other flows away (`None`: the links).
+            let mut turned_away_by = Vec::new();
+            for _ in 0..n {
+                match walked.admit_n(0, 1, t) {
+                    Err(at) => turned_away_by.push(Some(at)),
+                    Ok(()) if placed < room => placed += 1,
+                    Ok(()) => {
+                        walked.refund_n(0, 1);
+                        turned_away_by.push(None);
+                    }
+                }
+            }
+            assert_eq!(admitted, placed, "step {step}: {n} flows, room {room}");
+            assert!(
+                turned_away_by.iter().all(|&by| by == stage),
+                "step {step}: {stage:?} vs {turned_away_by:?}"
+            );
+            assert_eq!(
+                format!("{at_once:?}"),
+                format!("{walked:?}"),
+                "step {step}: {n} flows at {t}, room {room}"
+            );
+            met[match stage {
+                _ if admitted == n => 0,
+                Some(at) => 1 + at,
+                None => 3,
+            }] += 1;
+            if asked_of_links < n && admitted < asked_of_links {
+                met[4] += 1;
+            }
+        }
+        assert!(met.iter().all(|&n| n > 50), "{met:?}");
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //! The controller reserves whole routes ([`try_reserve_path`]) and whole
 //! batches ([`try_reserve_batch`]) against this table; both are
 //! all-or-nothing over per-cell CASes, rolling the reserved prefix back
-//! when a later cell is full.
+//! when a later cell is full. A run of identical flows is reserved in
+//! one walk that grants as many of them as every cell of the route has
+//! room for ([`try_reserve_path_up_to`]).
 //!
 //! [`try_reserve_path`]: UtilizationState::try_reserve_path
 //! [`try_reserve_batch`]: UtilizationState::try_reserve_batch
+//! [`try_reserve_path_up_to`]: UtilizationState::try_reserve_path_up_to
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
@@ -48,20 +51,36 @@ pub struct PathReject {
     pub retries: u32,
 }
 
+/// What [`UtilizationState::try_reserve_path_up_to`] granted.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PathGrant {
+    /// Flows now reserved on every server of the route.
+    pub flows: u64,
+    /// When fewer flows than asked were granted: the first server along
+    /// the route with no room for one more — the server a further
+    /// [`try_reserve_path`](UtilizationState::try_reserve_path) would be
+    /// turned away at.
+    pub full: Option<u32>,
+    /// CAS retries spent (contention signal).
+    pub retries: u32,
+}
+
 /// One aggregated (server, class) demand of an admission batch: the
 /// summed rate of every batched flow whose route crosses that cell. The
 /// controller pre-aggregates a slice of flows into these so the state
 /// pays one reservation per *touched cell* instead of one per
 /// (flow × hop) — see
 /// [`AdmissionController::try_admit_batch`](crate::AdmissionController::try_admit_batch).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CellDemand {
     /// Raw link-server index.
     pub server: u32,
     /// Traffic-class index.
     pub class: u32,
-    /// Aggregate rate to reserve, bits/s.
-    pub rate: f64,
+    /// Aggregate rate to reserve, in the state's own exact unit:
+    /// millibits/s, the sum of the flows' rates each rounded as a single
+    /// reservation rounds it.
+    pub millibits: u64,
 }
 
 /// Reserved-rate counters for every (server, class) pair: the
@@ -200,6 +219,85 @@ impl UtilizationState {
         self.reserve_all(route.iter().map(|&server| (server, class, want)))
     }
 
+    /// Reserves `rate` bits/s of `class` on every server of `route` for
+    /// as many of `flows` identical flows as fit: the grant
+    /// [`try_reserve_path`](Self::try_reserve_path) would have reached
+    /// called `flows` times in a row, in one CAS per cell. Each cell
+    /// takes `min(still wanted, headroom / rate)` flows; a cell with
+    /// less room than the cells before it lowers the grant and the
+    /// difference is released on those earlier cells at once, so the
+    /// call leaves exactly [`PathGrant::flows`] flows on every cell.
+    /// Until that release a concurrent caller can be turned away by
+    /// headroom this call will not keep — as it can by a
+    /// [`try_reserve_path`](Self::try_reserve_path) about to roll back.
+    pub fn try_reserve_path_up_to(
+        &self,
+        route: &[u32],
+        class: usize,
+        rate: f64,
+        flows: u64,
+    ) -> PathGrant {
+        let want = to_millibits(rate);
+        let mut grant = PathGrant {
+            flows,
+            ..PathGrant::default()
+        };
+        for (i, &server) in route.iter().enumerate() {
+            if grant.flows == 0 {
+                break;
+            }
+            let (got, retries) = self.reserve_cell_up_to(server as usize, class, want, grant.flows);
+            grant.retries += retries;
+            if got < grant.flows {
+                for &held in &route[..i] {
+                    self.release_cell(held as usize, class, (grant.flows - got) * want);
+                }
+                grant.flows = got;
+                grant.full = Some(server);
+            }
+        }
+        grant
+    }
+
+    /// The per-cell CAS loop of
+    /// [`try_reserve_path_up_to`](Self::try_reserve_path_up_to): takes
+    /// as many multiples of `want` millibits/s, up to `flows`, as the
+    /// budget has room for. Returns the multiple taken and the CAS
+    /// retries spent; a full cell is read, not written.
+    fn reserve_cell_up_to(&self, server: usize, class: usize, want: u64, flows: u64) -> (u64, u32) {
+        let i = self.idx(server, class);
+        let budget = self.budgets[i];
+        let cell = &self.reserved[i];
+        let mut cur = cell.load(Ordering::Relaxed);
+        let mut retries = 0u32;
+        loop {
+            let got = match budget.saturating_sub(cur).checked_div(want) {
+                Some(room) => room.min(flows),
+                // A zero-rate flow fits any number of times.
+                None => flows,
+            };
+            if got == 0 {
+                return (0, retries);
+            }
+            // ordering: AcqRel — the same edge as `reserve_cell`: the
+            // success CAS orders this reserve after the release
+            // fetch_sub that freed the headroom it consumes; failure
+            // reloads need no edge.
+            match cell.compare_exchange_weak(
+                cur,
+                cur + got * want,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return (got, retries),
+                Err(actual) => {
+                    cur = actual;
+                    retries += 1;
+                }
+            }
+        }
+    }
+
     /// Releases a previously successful path reservation.
     pub fn release_path(&self, route: &[u32], class: usize, rate: f64) {
         let amount = to_millibits(rate);
@@ -218,7 +316,7 @@ impl UtilizationState {
         self.reserve_all(
             demands
                 .iter()
-                .map(|d| (d.server, d.class as usize, to_millibits(d.rate))),
+                .map(|d| (d.server, d.class as usize, d.millibits)),
         )
     }
 
@@ -412,12 +510,54 @@ mod tests {
     }
 
     #[test]
+    fn path_up_to_grants_what_sequential_reserves_would() {
+        // Budget 500 kb/s = 15 voip flows per cell; cell 1 starts with 5
+        // and cell 2 with 12 taken.
+        let rate = 32_000.0;
+        let seeded = || {
+            let s = UtilizationState::new(&[1e6, 1e6, 1e6], &[0.5]);
+            assert!(s.try_reserve(1, 0, 5.0 * rate) && s.try_reserve(2, 0, 12.0 * rate));
+            s
+        };
+        for (route, asked) in [
+            (&[0u32, 1, 2][..], 20u64),
+            (&[2, 1, 0][..], 20),
+            (&[0, 1][..], 10),
+            (&[0, 1][..], 4),
+            (&[2][..], 3),
+            (&[0][..], 0),
+        ] {
+            let (closed, walked) = (seeded(), seeded());
+            let grant = closed.try_reserve_path_up_to(route, 0, rate, asked);
+            let mut flows = 0;
+            let mut full = None;
+            for _ in 0..asked {
+                match walked.try_reserve_path(route, 0, rate) {
+                    Ok(_) => flows += 1,
+                    Err(reject) => full = Some(reject.server),
+                }
+            }
+            assert_eq!(
+                (grant.flows, grant.full),
+                (flows, full),
+                "{route:?} × {asked}"
+            );
+            for server in 0..3 {
+                assert_eq!(closed.reserved(server, 0), walked.reserved(server, 0));
+            }
+        }
+        // A zero-rate flow fits any number of times, as it does one by one.
+        let grant = seeded().try_reserve_path_up_to(&[2], 0, 0.0, 7);
+        assert_eq!((grant.flows, grant.full), (7, None));
+    }
+
+    #[test]
     fn batch_reserve_is_all_or_nothing() {
         let s = state();
         let demand = |server, rate| CellDemand {
             server,
             class: 0,
-            rate,
+            millibits: to_millibits(rate),
         };
         // 300k + 150k on server 0, 150k on server 1: fits.
         let ok = s.try_reserve_batch(&[demand(0, 450_000.0), demand(1, 150_000.0)]);

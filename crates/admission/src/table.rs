@@ -1,17 +1,32 @@
 //! The configured routing table.
 //!
 //! Configuration (Section 5) fixes one route per (source, destination,
-//! class); run-time admission only ever looks routes up. Routes are stored
-//! as boxed server-index slices to keep the hot lookup path allocation-free.
+//! class); run-time admission only ever looks routes up. Every route's
+//! server indices sit end to end in one array the table owns, and the
+//! lookup yields a `RouteRef` — the route's place in that array — so
+//! whoever holds the table (an admitted flow holds its generation, and
+//! with it the table) can name a route in eight bytes instead of copying
+//! it: neither the lookup nor an admission allocates.
 
 use std::collections::HashMap;
 use uba_graph::{NodeId, Path};
 use uba_traffic::ClassId;
 
+/// A route's place in the table that handed it out; resolved by
+/// `RoutingTable::servers` on that same table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RouteRef {
+    start: u32,
+    len: u32,
+}
+
 /// Immutable route lookup built at configuration time.
 #[derive(Clone, Debug, Default)]
 pub struct RoutingTable {
-    routes: HashMap<(NodeId, NodeId, ClassId), Box<[u32]>>,
+    routes: HashMap<(NodeId, NodeId, ClassId), RouteRef>,
+    /// Every installed route's server indices, end to end. A replaced
+    /// route's stay behind unreferenced: tables are built once.
+    servers: Vec<u32>,
 }
 
 impl RoutingTable {
@@ -36,8 +51,14 @@ impl RoutingTable {
         let src = path.source().expect("route must be non-empty");
         let dst = path.target().expect("route must be non-empty");
         assert_ne!(src, dst, "route must connect distinct routers");
-        let servers: Box<[u32]> = path.edges.iter().map(|e| e.0).collect();
-        self.routes.insert((src, dst, class), servers)
+        let route = RouteRef {
+            start: u32::try_from(self.servers.len()).expect("routing table exceeds 2^32 hops"),
+            len: u32::try_from(path.edges.len()).expect("route exceeds 2^32 hops"),
+        };
+        self.servers.extend(path.edges.iter().map(|e| e.0));
+        self.routes
+            .insert((src, dst, class), route)
+            .map(|old| self.servers(old).into())
     }
 
     /// Installs routes for many `(pair, path)` results of a selection.
@@ -47,9 +68,19 @@ impl RoutingTable {
         }
     }
 
+    /// The configured route for `(src, dst, class)`, by reference.
+    pub(crate) fn lookup(&self, src: NodeId, dst: NodeId, class: ClassId) -> Option<RouteRef> {
+        self.routes.get(&(src, dst, class)).copied()
+    }
+
+    /// The server indices of a route this table handed out.
+    pub(crate) fn servers(&self, route: RouteRef) -> &[u32] {
+        &self.servers[route.start as usize..][..route.len as usize]
+    }
+
     /// The configured route for `(src, dst, class)`, as server indices.
     pub fn route(&self, src: NodeId, dst: NodeId, class: ClassId) -> Option<&[u32]> {
-        self.routes.get(&(src, dst, class)).map(|b| &b[..])
+        self.lookup(src, dst, class).map(|r| self.servers(r))
     }
 }
 

@@ -36,6 +36,12 @@
 //!    racing each other (and racing the CAS-claimed refill interval)
 //!    can never jointly draw more than the burst depth, and a refunded
 //!    grab restores the balance exactly.
+//! 7. Reserve-up-to-`n` over crossing routes shares a budget without
+//!    ever exceeding it: each call leaves exactly the flows it reports on
+//!    every cell of its route, however its clip-and-roll-back interleaves
+//!    with the other's, and the cells balance to zero on release.
+//! 8. The token bucket's grant-up-to-`n` racing the refill claim and a
+//!    second grant hands out exactly what one interval's credit covers.
 
 #![cfg(loom)]
 
@@ -167,6 +173,49 @@ fn reserve_release_balances_to_zero() {
         }
         peer.join().unwrap();
         assert_eq!(b.reserved(0, 0), 0.0, "released headroom must all return");
+    }));
+}
+
+// --- Model 7: reserve up to n ------------------------------------------
+
+/// Two runs of two 300 b/s flows each, over the same two cells in
+/// opposite hop order, each cell budgeted for three flows. Whatever one
+/// call takes on its first hop and gives back after its second clipped
+/// it, no cell is ever read above its budget, the two grants fit the
+/// budget together, each call leaves exactly its grant on both cells (so
+/// the cells read the sum), a clipped call names the full cell, and
+/// releasing both grants returns every cell to zero.
+#[test]
+fn crossing_up_to_reservations_share_the_budget_and_leave_exact_grants() {
+    const RATE: f64 = 300.0;
+    assert_complete(flagship().check(|| {
+        let b = Arc::new(UtilizationState::new(&[1000.0, 1000.0], &[1.0]));
+        let b2 = Arc::clone(&b);
+        let rival = uba_loom::thread::spawn(move || b2.try_reserve_path_up_to(&[1, 0], 0, RATE, 2));
+        let mine = b.try_reserve_path_up_to(&[0, 1], 0, RATE, 2);
+        // Races the rival's walk, transient over-reach included.
+        for cell in 0..2 {
+            assert!(b.reserved(cell, 0) <= 1000.0, "cell {cell} above budget");
+        }
+        let theirs = rival.join().unwrap();
+        let total = mine.flows + theirs.flows;
+        assert!(total <= 3, "{total} flows of 300 in a 1000 budget");
+        assert!(total >= 2, "three flows fit; the runs blocked each other");
+        for grant in [mine, theirs] {
+            assert_eq!(grant.full.is_some(), grant.flows < 2, "{grant:?}");
+        }
+        for cell in 0..2 {
+            assert_eq!(
+                b.reserved(cell, 0),
+                total as f64 * RATE,
+                "cell {cell} holds something other than the two grants"
+            );
+        }
+        b.release_path(&[0, 1], 0, mine.flows as f64 * RATE);
+        b.release_path(&[1, 0], 0, theirs.flows as f64 * RATE);
+        for cell in 0..2 {
+            assert_eq!(b.reserved(cell, 0), 0.0, "residue on cell {cell}");
+        }
     }));
 }
 
@@ -402,6 +451,44 @@ fn token_bucket_refill_survives_stale_visibility() {
         explored.stale_reads > 0,
         "weak-memory mode must exercise stale loads: {explored:?}"
     );
+}
+
+// --- Model 8: token bucket grants up to n -----------------------------
+
+/// Two runs of two 250-bit flows each racing for one refill interval.
+/// The bucket is drained at `t = 0`; at `t = 1` the interval `[0, 1]` is
+/// worth 600 bits — two flows, not four. Whichever call claims the
+/// interval, and whether the other reads the tokens before or after the
+/// credit lands, the grants sum to exactly two, the bucket keeps the
+/// 100-bit remainder, and refunding both restores the credit exactly.
+#[test]
+fn token_bucket_up_to_grants_share_one_interval_exactly() {
+    assert_complete(flagship().check(|| {
+        let tb = Arc::new(TokenBucketStage::new(600.0, 1000.0, &[250.0]));
+        assert_eq!(tb.admit_up_to(0, 9, 0.0), 4, "depth 1000 holds 4×250");
+        assert_eq!(tb.tokens_bits(0), 0.0, "pre-drain must empty the bucket");
+        let tb2 = Arc::clone(&tb);
+        let rival = uba_loom::thread::spawn(move || tb2.admit_up_to(0, 2, 1.0));
+        let mine = tb.admit_up_to(0, 2, 1.0);
+        let theirs = rival.join().unwrap();
+        assert_eq!(
+            mine + theirs,
+            2,
+            "one 600-bit interval covers exactly two 250-bit flows ({mine} + {theirs})"
+        );
+        let left = tb.tokens_bits(0);
+        assert!(
+            (left - 100.0).abs() < 1e-9,
+            "600 − 2×250 leaves 100, got {left}"
+        );
+        tb.refund_n(0, mine);
+        tb.refund_n(0, theirs);
+        let back = tb.tokens_bits(0);
+        assert!(
+            (back - 600.0).abs() < 1e-9,
+            "refunds must restore 600, got {back}"
+        );
+    }));
 }
 
 // --- Model 4: trace ring integrity -----------------------------------

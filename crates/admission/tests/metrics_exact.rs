@@ -8,8 +8,12 @@
 //! the deltas are exact.
 
 use uba_admission::metrics::LATENCY_SAMPLE_EVERY;
-use uba_admission::{AdmissionController, AdmissionMetrics, Reject, RoutingTable};
+use uba_admission::{
+    AdmissionController, AdmissionMetrics, BackendKind, ConfigGeneration, FlowSpec, PolicyChain,
+    Reject, RoutingTable, TokenBucketStage,
+};
 use uba_graph::{Digraph, NodeId, Path};
+use uba_obs::trace::{self, EventKind};
 use uba_traffic::{ClassId, ClassSet, TrafficClass};
 
 /// 0 -> 1 -> 2 with routes (0,2) and (1,2); link 1->2 is shared. At
@@ -102,9 +106,105 @@ fn unmetered_controller_admits_identically() {
     assert_eq!(m.admits.get(), admits0, "unmetered must not record");
 }
 
+/// What one burst moved: admits, link-full rejects (all classes, class
+/// 0), policy rejects by the bucket and by AIMD, releases, `path_hops`
+/// and `retries_per_op` sample counts, batches, batch fallbacks.
+fn burst_counts(m: &AdmissionMetrics) -> [u64; 10] {
+    [
+        m.admits.get(),
+        m.rejects_link_full.get(),
+        m.rejects_link_full_class[0].get(),
+        m.rejects_policy[0].get(),
+        m.rejects_policy[1].get(),
+        m.releases.get(),
+        m.path_hops.count(),
+        m.retries_per_op.count(),
+        m.batches.get(),
+        m.batch_fallbacks.get(),
+    ]
+}
+
+/// A burst decided in one step books what its flows would have booked
+/// one by one. Two 12-flow bursts onto the 10-flow shared link, behind a
+/// 17-flow bucket that never refills: the first is clipped by the link
+/// (the bucket affords all 12; 10 in, 2 link-full), the second, after
+/// release, by the bucket (7 tokens left; 7 in, 5 turned away by it).
+/// The expected deltas are the ones the per-flow fallback recorded for
+/// the same bursts. The trace is coalesced where its schema has a count
+/// slot: the admitted prefix is one `admit_batch`, the bucket's tail one
+/// `reject_policy`, the link's tail one `reject_link_full` per flow —
+/// and every flow keeps the id of its place in the burst, so each
+/// `release` still finds its admission.
+fn clipped_bursts_book_exact_counts() {
+    let (table, caps) = topology();
+    let classes = ClassSet::single(TrafficClass::voip());
+    let rate = TrafficClass::voip().bucket.rate;
+    let mut chain = PolicyChain::static_only();
+    chain.push(Box::new(TokenBucketStage::new(0.0, 17.0 * rate, &[rate])));
+    let ctrl = AdmissionController::from_generation(ConfigGeneration::with_policy(
+        table,
+        &classes,
+        &caps,
+        &[0.32],
+        BackendKind::Atomic,
+        chain,
+    ));
+    let m = AdmissionMetrics::global(1);
+    let burst = vec![
+        FlowSpec {
+            class: ClassId(0),
+            src: NodeId(1),
+            dst: NodeId(2),
+        };
+        12
+    ];
+    let tracer = trace::global();
+    tracer.set_enabled(true);
+    tracer.drain();
+    for (what, admitted, expected) in [
+        (
+            "clipped by the link",
+            10,
+            [10, 2, 2, 0, 0, 10, 10, 12, 1, 1],
+        ),
+        ("clipped by the bucket", 7, [7, 0, 0, 5, 0, 7, 7, 7, 1, 1]),
+    ] {
+        ctrl.refresh_gauges();
+        let before = burst_counts(&m);
+        let out = ctrl.try_admit_batch_at(&burst, 0.0);
+        assert!(!out.fast_path, "{what}");
+        assert_eq!(out.admitted(), admitted, "{what}");
+        drop(out);
+        ctrl.refresh_gauges();
+        let after = burst_counts(&m);
+        let moved: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+        assert_eq!(moved, expected, "{what}");
+    }
+    tracer.set_enabled(false);
+    let events: Vec<(EventKind, u64, f64, f64)> = tracer
+        .drain()
+        .events
+        .iter()
+        .map(|e| (e.kind, e.flow, e.a, e.b))
+        .collect();
+    // Flows 1–12 are the first burst, 13–24 the second; the shared link
+    // has a 320 kb/s budget; the bucket is stage 0.
+    let mut expected = vec![
+        (EventKind::AdmitBatch, 1, 10.0, 0.0),
+        (EventKind::RejectLinkFull, 11, 320_000.0, 320_000.0),
+        (EventKind::RejectLinkFull, 12, 320_000.0, 320_000.0),
+    ];
+    expected.extend((1..=10).map(|id| (EventKind::Release, id, rate, 1.0)));
+    expected.push((EventKind::AdmitBatch, 13, 7.0, 0.0));
+    expected.push((EventKind::RejectPolicy, 20, 0.0, 5.0));
+    expected.extend((13..=19).map(|id| (EventKind::Release, id, rate, 1.0)));
+    assert_eq!(events, expected);
+}
+
 #[test]
 fn global_metric_deltas_are_exact() {
     metrics_track_admits_rejects_and_releases();
     decision_telemetry_feeds_latency_and_retry_histograms();
     unmetered_controller_admits_identically();
+    clipped_bursts_book_exact_counts();
 }

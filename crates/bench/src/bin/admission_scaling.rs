@@ -20,6 +20,11 @@
 //! single-threaded on MCI (cells carry `batch ≥ 1`; the per-flow
 //! `try_admit` cells carry `batch = 0`).
 //!
+//! The batching gate then runs the 32-flow bursts against themselves:
+//! through `try_admit_batch`, and with every flow of the burst put to
+//! `try_admit` on its own — the same flows in the same loop, which is
+//! what batching has to beat.
+//!
 //! Contract (machine-independent, *relative* gates only — absolute
 //! ops/sec depend on the host):
 //!
@@ -28,8 +33,12 @@
 //!   sweep must at least not collapse under oversubscription (the
 //!   bottlenecked `hotlink` topology is exempt: it serializes on one
 //!   budget cell *by design*);
-//! * batching: `ops(batch=32) ≥ 1.5 · ops(batch=1)` — the aggregated
-//!   reserve + amortized pin/trace/metrics must actually pay;
+//! * batching: `ops(batch=32) ≥ 1.5 · ops(the same bursts one by one)`,
+//!   median of five alternating pairs — the aggregated reserve +
+//!   amortized pin/trace/metrics must actually pay. The ratio to the
+//!   `batch=1` cell is printed beside it but not gated: it divides by a
+//!   cell that gets faster whenever a batch of one does, so it can fall
+//!   while both cells improve;
 //! * contention: on hosts with ≥4 real cores the contended hotlink
 //!   cells must observe CAS retries;
 //! * telemetry: every cell must observe latency samples and retry
@@ -159,10 +168,17 @@ fn hotlink(sources: usize) -> (Digraph, Vec<Pair>) {
 }
 
 /// Runs one batched cell: a single worker admitting `iters` flows in
-/// bursts of `batch` same-pair arrivals through `try_admit_batch`, with
-/// the same rotating held window as [`run_cell`]. Returns flow-decisions
+/// bursts of `batch` same-pair arrivals through `try_admit_batch` — or,
+/// `one_by_one`, each flow of the burst through `try_admit` — with the
+/// same rotating held window as [`run_cell`]. Returns flow-decisions
 /// per second (comparable with the per-flow cells).
-fn run_batch_cell(ctrl: &AdmissionController, pairs: &[Pair], batch: usize, iters: usize) -> f64 {
+fn run_batch_cell(
+    ctrl: &AdmissionController,
+    pairs: &[Pair],
+    batch: usize,
+    one_by_one: bool,
+    iters: usize,
+) -> f64 {
     let t0 = Instant::now();
     let mut held: VecDeque<FlowHandle> = VecDeque::with_capacity(WINDOW + batch);
     let mut specs: Vec<FlowSpec> = Vec::with_capacity(batch);
@@ -182,7 +198,15 @@ fn run_batch_cell(ctrl: &AdmissionController, pairs: &[Pair], batch: usize, iter
                 dst: p.dst,
             },
         );
-        for h in ctrl.try_admit_batch(&specs).flows.into_iter().flatten() {
+        let flows = if one_by_one {
+            specs
+                .iter()
+                .map(|s| ctrl.try_admit(s.class, s.src, s.dst))
+                .collect()
+        } else {
+            ctrl.try_admit_batch(&specs).flows
+        };
+        for h in flows.into_iter().flatten() {
             admitted += 1;
             held.push_back(h);
         }
@@ -342,11 +366,11 @@ fn main() {
         &setting.pairs,
         0.3,
     );
-    run_batch_cell(&ctrl, &setting.pairs, 1, iters / 10);
+    run_batch_cell(&ctrl, &setting.pairs, 1, false, iters / 10);
     let mut base_ops = None;
     for &batch in &batch_sizes {
         let cell = measure(&ctrl, "mci", 1, batch, base_ops, || {
-            run_batch_cell(&ctrl, &setting.pairs, batch, iters)
+            run_batch_cell(&ctrl, &setting.pairs, batch, false, iters)
         });
         base_ops.get_or_insert(cell.ops_per_sec);
         println!(
@@ -379,8 +403,20 @@ fn main() {
     }
 
     // Batching must amortize: one pinned generation, one aggregated
-    // reserve per touched link, one tracepoint per burst.
+    // reserve per touched link, one tracepoint per burst — measured
+    // against the same 32-flow bursts decided one flow at a time. Five
+    // alternating pairs at ten times a sweep cell's flows, median ratio:
+    // the true ratio sits within a fifth of the floor (release stays per
+    // flow), and single pairs on a shared 2-vCPU host read 1.3–2.1.
     const BATCH_FLOOR: f64 = 1.5;
+    let mut ratios: Vec<f64> = (0..5)
+        .map(|_| {
+            let batched = run_batch_cell(&ctrl, &setting.pairs, 32, false, 10 * iters);
+            let singly = run_batch_cell(&ctrl, &setting.pairs, 32, true, 10 * iters);
+            batched / singly
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
     let ops_at = |batch: usize| {
         cells
             .iter()
@@ -388,10 +424,16 @@ fn main() {
             .map(|c| c.ops_per_sec)
             .unwrap()
     };
-    let (b1, b32) = (ops_at(1), ops_at(32));
+    println!(
+        "batching: batch=32 x{:.2} vs the same bursts one by one (gated; pairs {ratios:.2?}), \
+         x{:.2} vs batch=1",
+        ratios[2],
+        ops_at(32) / ops_at(1)
+    );
     assert!(
-        b32 >= BATCH_FLOOR * b1,
-        "batch=32 {b32:.0} flows/s below {BATCH_FLOOR} x batch=1 {b1:.0}"
+        ratios[2] >= BATCH_FLOOR,
+        "batch=32 only x{:.2} the same bursts one by one, floor x{BATCH_FLOOR}",
+        ratios[2]
     );
 
     // CAS retries need true parallelism: on a single core a
@@ -411,7 +453,7 @@ fn main() {
     println!();
     println!(
         "scaling gate: every non-hotlink cell >= its adaptive floor ({cores} core(s)); \
-         batch=32 >= {BATCH_FLOOR}x batch=1  ✓"
+         batch=32 >= {BATCH_FLOOR}x the same bursts one by one  ✓"
     );
 
     if smoke {

@@ -82,7 +82,10 @@ pub enum EventKind {
     /// reservation (`flow` = first flow id of the slice, `a` = flows
     /// admitted, `b` = flows rejected for lack of a route). Per-flow
     /// admit tracepoints are coalesced into this one event on the batch
-    /// fast path; releases still trace per flow.
+    /// fast path; releases still trace per flow. A batch whose aggregate
+    /// did not fit emits one per run of identical flows instead, for the
+    /// run's admitted prefix (`class` / `server` = the run's class and
+    /// first hop, `b` = 0).
     AdmitBatch,
     /// SLO engine: a rule crossed into firing after breaching for its
     /// `for` hysteresis count of consecutive windows (`flow` = rule
@@ -94,7 +97,8 @@ pub enum EventKind {
     AlertResolve,
     /// Admission: rejected by a policy stage before the backend
     /// reservation was attempted (`a` = stage index in the generation's
-    /// chain, `b` = flows turned away by this decision).
+    /// chain, `b` = flows turned away by this decision, `flow` = the
+    /// first of them; their ids are contiguous).
     RejectPolicy,
 }
 
