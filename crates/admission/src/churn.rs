@@ -20,8 +20,8 @@ pub trait Policy {
     /// Attempts to admit one flow.
     fn admit(&mut self, class: ClassId, src: NodeId, dst: NodeId) -> Option<Self::Handle>;
     /// Attempts to admit a burst of simultaneous requests; the default
-    /// admits them one by one. Policies with a batched fast path (the
-    /// utilization controller) override this.
+    /// admits them one by one. Policies that decide a run of identical
+    /// requests in one step (the utilization controller) override this.
     fn admit_burst(
         &mut self,
         class: ClassId,
@@ -164,8 +164,9 @@ pub fn run_churn<P: Policy>(
 /// Like [`run_churn`], but arrivals come in bursts: each tick offers a
 /// slug of simultaneous requests for one uniformly chosen pair (a
 /// "conference call" arrival) admitted through [`Policy::admit_burst`]
-/// — for the utilization controller, the batched fast path — and
-/// tallied per burst. The slug's size is drawn from a [`BurstModel`]:
+/// — for the utilization controller, `try_admit_batch`, one decision
+/// per slug — and tallied per burst. The slug's size is drawn from a
+/// [`BurstModel`]:
 /// mostly single requests with occasional large slugs, or, at `cv = 0`,
 /// a constant (`BurstModel::with_mean_cv(n, 0.0)` offers `n` every
 /// tick). At the same mean offered rate a high-CV model produces the

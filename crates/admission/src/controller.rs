@@ -32,7 +32,7 @@
 
 use crate::generation::{BackendKind, ConfigGeneration};
 use crate::metrics::AdmissionMetrics;
-use crate::state::{to_millibits, CellDemand, PathGrant};
+use crate::state::PathGrant;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
 use crate::table::{RouteRef, RoutingTable};
@@ -127,11 +127,11 @@ pub struct BatchOutcome {
     /// Per-flow results, in request order. Dropping an `Ok` handle
     /// releases that flow exactly as if it had been admitted alone.
     pub flows: Vec<Result<FlowHandle, Reject>>,
-    /// `true` when one aggregated reservation decided the whole batch
-    /// (every routed flow admitted together, one CAS per touched cell);
-    /// `false` when the aggregate did not fit and each run of identical
-    /// flows was decided on its own (partial admission, per-flow reject
-    /// detail).
+    /// `true` when every flow with a configured route was admitted —
+    /// each run cost one reservation per link and nothing was turned
+    /// away by a link or by the policy chain; `false` when some run was
+    /// clipped (its tail carries the per-flow reject detail). Flows
+    /// without a route never clear it.
     pub fast_path: bool,
 }
 
@@ -218,29 +218,6 @@ thread_local! {
     /// an id match against the owning controller's epoch can never be a
     /// false positive.
     static GEN_CACHE: RefCell<Option<Arc<ConfigGeneration>>> = const { RefCell::new(None) };
-}
-
-/// A maximal run of consecutive identical specs in a batch.
-struct Run {
-    spec: FlowSpec,
-    /// The configured route, `None` when there is none.
-    route: Option<RouteRef>,
-    len: u64,
-}
-
-/// What deciding a batch needs besides its result vector, kept per
-/// thread so that a batch allocates nothing else.
-#[derive(Default)]
-struct BatchScratch {
-    runs: Vec<Run>,
-    /// The aggregate: one demand per touched (server, class) cell.
-    cells: Vec<CellDemand>,
-    /// Routed flows per class, for the chain's aggregate grab.
-    classes: Vec<(usize, u64)>,
-}
-
-thread_local! {
-    static SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::default());
 }
 
 /// An admitted flow. Dropping the handle releases its bandwidth on every
@@ -549,44 +526,31 @@ impl AdmissionController {
         }
     }
 
-    /// Admits a whole slice of flows as one batched decision against the
-    /// current generation.
+    /// Admits a whole slice of flows against the current generation: the
+    /// flows of the slice, in slice order.
     ///
     /// The slice is read as **runs** of consecutive identical specs — a
-    /// burst of calls to one destination is one run — and the fixed
-    /// per-decision overheads of [`try_admit`](Self::try_admit) (the
-    /// generation epoch load, the route lookup, the policy consult, the
-    /// pin RMW, the tracepoint publish, one CAS round-trip per link) are
-    /// paid per run or per batch, never per flow:
+    /// burst of calls to one destination is one run, `[A, A, B, A]` is
+    /// three — and each run is decided in one step: one route lookup,
+    /// the chain grants as many of the run's flows as it can afford, the
+    /// links as many of those as every cell of the route has room for
+    /// ([`try_reserve_path_up_to`](crate::UtilizationState::try_reserve_path_up_to)),
+    /// that prefix is admitted and the rest of the run receives the one
+    /// `Reject` each of its flows would have met. The fixed per-decision
+    /// overheads of [`try_admit`](Self::try_admit) (the generation epoch
+    /// load, the route lookup, the policy consult, the pin RMW, the
+    /// tracepoint publish, one CAS round-trip per link) are thus paid
+    /// per run or per batch, never per flow. The decisions, the reject
+    /// diagnostics and the state left in the links and the chain are
+    /// exactly those of putting the flows to
+    /// [`try_admit`](Self::try_admit) one by one, under every chain
+    /// (`tests/burst_equiv.rs` pins them).
     ///
-    /// * First the whole slice is tried as one reservation: the runs'
-    ///   demand is summed per touched (server, class) cell in exact
-    ///   millibits, the policy chain is asked for each class's routed
-    ///   flow count, and the cells are reserved all-or-nothing with one
-    ///   CAS each
-    ///   ([`try_reserve_batch`](crate::UtilizationState::try_reserve_batch)).
-    ///   If that fits, every routed flow is admitted together
-    ///   (`fast_path`).
-    /// * If it does not, what the chain took is returned and each run is
-    ///   decided on its own, in slice order, in one step: the chain
-    ///   grants as many of the run's flows as it can afford, the links as
-    ///   many of those as every cell of the route has room for
-    ///   ([`try_reserve_path_up_to`](crate::UtilizationState::try_reserve_path_up_to)),
-    ///   that prefix is admitted and the rest of the run receives the one
-    ///   `Reject` each of its flows would have met. The decisions, the
-    ///   reject diagnostics and the state left in the links and the chain
-    ///   are exactly those of putting the flows to
-    ///   [`try_admit`](Self::try_admit) one by one at that point
-    ///   (`tests/burst_equiv.rs` pins them). The one thing a one-by-one
-    ///   caller never does is the first bullet's consult of the chain: a
-    ///   stage that estimates offered load has seen the batch once
-    ///   already when the runs come to it.
-    ///
-    /// Flows with no configured route are rejected either way and never
-    /// block the rest of the batch. A non-`Static` chain is consulted on
-    /// the process clock, read once for the aggregate and once per run
-    /// decided on its own — not once per flow — so the flows of a run
-    /// share one decision time, as they share one arrival.
+    /// Flows with no configured route are rejected and never block the
+    /// rest of the batch. A non-`Static` chain is consulted on the
+    /// process clock, read once per run — not once per flow — so the
+    /// flows of a run share one decision time, as they share one
+    /// arrival.
     pub fn try_admit_batch(&self, specs: &[FlowSpec]) -> BatchOutcome {
         let generation = self.current_generation();
         self.batch_inner(&generation, specs, None)
@@ -606,218 +570,42 @@ impl AdmissionController {
         specs: &[FlowSpec],
         now: Option<f64>,
     ) -> BatchOutcome {
-        if specs.is_empty() {
-            return BatchOutcome {
-                flows: Vec::new(),
-                fast_path: true,
-            };
-        }
-        // Taken out rather than borrowed, so nothing is held across the
-        // calls into the chain's stages; a batch that somehow starts
-        // inside another just finds it empty.
-        let mut scratch = SCRATCH.take();
-        let outcome = self.decide_batch(generation, specs, now, &mut scratch);
-        SCRATCH.set(scratch);
-        outcome
-    }
-
-    /// [`batch_inner`](Self::batch_inner) on this thread's scratch.
-    fn decide_batch(
-        &self,
-        generation: &Arc<ConfigGeneration>,
-        specs: &[FlowSpec],
-        now: Option<f64>,
-        scratch: &mut BatchScratch,
-    ) -> BatchOutcome {
-        let BatchScratch {
-            runs,
-            cells,
-            classes,
-        } = scratch;
-        let inner = &self.inner;
-        let backend = generation.backend();
-        let table = generation.table();
-        let timer = inner
-            .metrics
-            .as_ref()
-            .and_then(AdmissionMetrics::admit_timer);
-        let tr = trace::global();
-        // Split the slice into runs of consecutive identical specs: one
-        // route lookup per run, and one decision per run if the
-        // aggregate below does not fit.
-        runs.clear();
-        for spec in specs {
-            match runs.last_mut() {
-                Some(run) if run.spec == *spec => run.len += 1,
-                _ => runs.push(Run {
-                    spec: *spec,
-                    route: table.lookup(spec.src, spec.dst, spec.class),
-                    len: 1,
-                }),
-            }
-        }
-        // Aggregate per-(server, class) demand in exact millibits — the
-        // batched reservation asks for precisely the sum of the per-flow
-        // grants, so batch admission can never out-admit (or under-admit)
-        // the same flows reserved one by one.
-        cells.clear();
-        let mut no_route = 0;
-        for run in runs.iter() {
-            let Some(route) = run.route else {
-                no_route += run.len;
-                continue;
-            };
-            let class = run.spec.class.index();
-            let millibits = run.len * to_millibits(generation.rates()[class]);
-            cells.extend(table.servers(route).iter().map(|&server| CellDemand {
-                server,
-                class: class as u32,
-                millibits,
-            }));
-        }
-        // Runs of one pair apart, or of pairs sharing a link, meet in a
-        // cell: one demand, and so one CAS, per cell.
-        cells.sort_unstable_by_key(|d| (d.server, d.class));
-        cells.dedup_by(|later, kept| {
-            let same = (later.server, later.class) == (kept.server, kept.class);
-            if same {
-                kept.millibits += later.millibits;
-            }
-            same
-        });
-        let routed = specs.len() as u64 - no_route;
-        // Policy chain over the batch: one aggregate grab per class (its
-        // routed flow count), so a batch that fits pays one chain walk
-        // per class, not per flow. `classes[..consumed]` hold theirs.
-        let chain = generation.policy();
-        let mut consumed = 0;
-        let mut fits = true;
-        if !chain.is_static() && routed > 0 {
-            let t = now.unwrap_or_else(uba_obs::process_secs);
-            classes.clear();
-            for run in runs.iter().filter(|run| run.route.is_some()) {
-                let c = run.spec.class.index();
-                match classes.iter_mut().find(|(k, _)| *k == c) {
-                    Some((_, n)) => *n += run.len,
-                    None => classes.push((c, run.len)),
-                }
-            }
-            for &(c, n) in classes.iter() {
-                if chain.admit_n(c, n, t).is_err() {
-                    fits = false;
-                    break;
-                }
-                consumed += 1;
-            }
-        }
-        let reserved = fits.then(|| backend.try_reserve_batch(cells).ok());
         let mut flows = Vec::with_capacity(specs.len());
-        let Some(cas_retries) = reserved.flatten() else {
-            // The aggregate does not fit — a class's grab was clipped by
-            // the chain, or some cell is short. What the chain took is
-            // returned first, so the runs consult it from the shaping
-            // state a one-by-one caller would see; then each run is
-            // decided on its own, in slice order: exactly the decisions
-            // and reject detail of admitting the flows one by one. The
-            // timer sample here covers aggregation plus the failed
-            // aggregate; each run samples its own latency.
-            for &(c, n) in &classes[..consumed] {
-                chain.refund_n(c, n);
-            }
-            if let Some(m) = &inner.metrics {
-                m.batches.inc();
-                m.batch_fallbacks.inc();
-                m.record_admit_ns(timer);
-            }
-            for run in runs.iter() {
-                self.admit_run(generation, run, now, &mut flows);
-            }
-            return BatchOutcome {
-                flows,
-                fast_path: false,
-            };
-        };
-        // Audit-trail flow ids: one contiguous block per batch (a single
-        // RMW), so each flow's release stays individually attributable
-        // in the trace.
-        let traced = tr.enabled();
-        let mut next_id = if traced {
-            inner
-                .flow_seq
-                .fetch_add(specs.len() as u64, Ordering::Relaxed)
-                + 1
-        } else {
-            0
-        };
-        let first_id = next_id;
-        generation.pin_n(routed);
-        for run in runs.iter() {
-            let Some(route) = run.route else {
-                flows.extend((0..run.len).map(|_| Err(Reject::NoRoute)));
-                next_id += run.len;
-                continue;
-            };
-            let class = run.spec.class.index();
-            let rate = generation.rates()[class];
-            for _ in 0..run.len {
-                flows.push(Ok(FlowHandle {
-                    inner: Arc::clone(inner),
-                    generation: Arc::clone(generation),
-                    class,
-                    rate,
-                    route,
-                    flow: if traced { next_id } else { 0 },
-                }));
-                next_id += 1;
-            }
-            if let Some(m) = &inner.metrics {
-                m.record_run(class, table.servers(route).len(), run.len, run.len, 0, 0);
-            }
+        let mut fast_path = true;
+        let mut rest = specs;
+        while let Some(&spec) = rest.first() {
+            let len = rest.iter().take_while(|next| **next == spec).count();
+            fast_path &= self.admit_run(generation, spec, len as u64, now, &mut flows);
+            rest = &rest[len..];
         }
-        if let Some(m) = &inner.metrics {
-            if no_route > 0 {
-                m.rejects_no_route.add(no_route);
-            }
-            if cas_retries > 0 {
-                m.cas_retries.add(u64::from(cas_retries));
-            }
-            // One batched decision = one entry in the retry histogram
-            // (total retries across the batch).
-            m.record_retries(cas_retries);
+        if let Some(m) = &self.inner.metrics {
             m.batches.inc();
-            m.record_admit_ns(timer);
+            if !fast_path {
+                m.batch_fallbacks.inc();
+            }
         }
-        // One coalesced tracepoint for the whole slice.
-        tr.emit(
-            EventKind::AdmitBatch,
-            0,
-            first_id,
-            u32::MAX,
-            routed as f64,
-            no_route as f64,
-        );
-        BatchOutcome {
-            flows,
-            fast_path: true,
-        }
+        BatchOutcome { flows, fast_path }
     }
 
-    /// Decides one run of a batch whose aggregate did not fit: `run.len`
-    /// identical flows, in one step. The chain grants what it can
-    /// afford, the links what they have room for, the admitted prefix is
-    /// minted under one pin, one flow-id block and one `admit_batch`
-    /// tracepoint, and the rest of the run gets the one `Reject` each of
-    /// its flows would have met (see [`PolicyChain::admit_up_to`] for
-    /// why it is the same for all of them).
+    /// Decides one run of a batch — `n` flows of `spec` — in one step,
+    /// exactly as `n` calls of [`try_admit`](Self::try_admit) would: one
+    /// route lookup, the chain grants what it can afford, the links what
+    /// they have room for, the admitted prefix is minted under one pin,
+    /// one flow-id block and one `admit_batch` tracepoint, and the rest
+    /// of the run gets the one `Reject` each of its flows would have met
+    /// (see [`PolicyChain::admit_up_to`] for why it is the same for all
+    /// of them). Returns whether every flow that had a route was
+    /// admitted.
     fn admit_run(
         &self,
         generation: &Arc<ConfigGeneration>,
-        run: &Run,
+        spec: FlowSpec,
+        n: u64,
         now: Option<f64>,
         flows: &mut Vec<Result<FlowHandle, Reject>>,
-    ) {
+    ) -> bool {
         let inner = &self.inner;
-        let (class, n) = (run.spec.class, run.len);
+        let class = spec.class;
         let timer = inner
             .metrics
             .as_ref()
@@ -830,7 +618,7 @@ impl AdmissionController {
         } else {
             0
         };
-        let Some(route) = run.route else {
+        let Some(route) = generation.table().lookup(spec.src, spec.dst, class) else {
             if let Some(m) = &inner.metrics {
                 m.rejects_no_route.add(n);
                 m.record_admit_ns(timer);
@@ -842,13 +630,13 @@ impl AdmissionController {
                         class.index(),
                         id,
                         u32::MAX,
-                        run.spec.src.0 as f64,
-                        run.spec.dst.0 as f64,
+                        spec.src.0 as f64,
+                        spec.dst.0 as f64,
                     );
                 }
             }
             flows.extend((0..n).map(|_| Err(Reject::NoRoute)));
-            return;
+            return true;
         };
         let servers = generation.table().servers(route);
         let backend = generation.backend();
@@ -954,6 +742,7 @@ impl AdmissionController {
             );
             m.record_admit_ns(timer);
         }
+        turned_away == 0
     }
 
     /// Installs `next` as the current generation without pausing

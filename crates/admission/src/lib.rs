@@ -8,7 +8,7 @@
 //!
 //! * [`state`] — per-(server, class) reserved-rate counters as lock-free
 //!   atomics with CAS reservation ([`UtilizationState`]): all-or-nothing
-//!   path and batch reservations and up-to-`n` reservations of a run of
+//!   path reservations and up-to-`n` reservations of a run of
 //!   identical flows, one CAS per cell, and the class budget is never
 //!   exceeded even under concurrent admissions. This is the one
 //!   reservation state of a generation (DESIGN.md §8 records the
@@ -20,10 +20,9 @@
 //!   to the committed route.
 //! * [`controller`] — the utilization-based admission controller with
 //!   RAII flow handles (dropping a handle releases its bandwidth),
-//!   batched admission ([`AdmissionController::try_admit_batch`]:
-//!   per-slice demand aggregation, one reservation per touched cell,
-//!   and one closed-form decision per run of identical flows when the
-//!   slice does not fit whole) and
+//!   batched admission ([`AdmissionController::try_admit_batch`]: a
+//!   slice is its flows in order, one closed-form decision per run of
+//!   identical flows) and
 //!   live reconfiguration: generations swap behind an epoch pointer
 //!   without pausing admission, and in-flight flows drain against the
 //!   generation they were admitted under.
@@ -83,5 +82,5 @@ pub use policy::{
     AimdParams, AimdStage, ChainKind, PolicyChain, PolicyConfig, PolicyStage, TokenBucketStage,
     STAGE_NAMES,
 };
-pub use state::{CellDemand, PathGrant, PathReject, UtilizationState};
+pub use state::{PathGrant, PathReject, UtilizationState};
 pub use table::RoutingTable;

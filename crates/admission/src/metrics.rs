@@ -293,7 +293,7 @@ thread_local! {
 /// | `admission.admit_ns` | histogram | sampled per-decision latency, ns (1 in [`LATENCY_SAMPLE_EVERY`]) |
 /// | `admission.retries_per_op` | histogram | CAS retries per decision (mean = retry rate) |
 /// | `admission.batches` | counter | batched admission decisions ([`try_admit_batch`](crate::AdmissionController::try_admit_batch)) |
-/// | `admission.batch_fallbacks` | counter | batches whose aggregate did not fit (decided run by run) |
+/// | `admission.batch_fallbacks` | counter | batches that turned a routed flow away (some run clipped by a link or the chain) |
 /// | `admission.arrival.class<i>.rate` | gauge | EWMA offered-arrival rate of class i (admits + link-full rejects)/s |
 /// | `admission.arrival.class<i>.cv` | gauge | inter-arrival CV estimate of class i (burstiness) |
 /// | `admission.overuse_state` | gauge | GCC-style overuse detector, worst class: 1 overuse / 0 normal / −1 underuse |
@@ -338,10 +338,10 @@ pub struct AdmissionMetrics {
     pub retries_per_op: Arc<Histogram>,
     /// Batched admission decisions
     /// ([`try_admit_batch`](crate::AdmissionController::try_admit_batch)
-    /// calls, fast path or fallback).
+    /// calls).
     pub batches: Arc<Counter>,
-    /// Batches whose aggregate demand did not fit and were decided run
-    /// by run.
+    /// Batches that turned a routed flow away: some run was clipped by
+    /// a link or by the policy chain (`fast_path` false).
     pub batch_fallbacks: Arc<Counter>,
     /// Burst/overuse telemetry endpoint: per-class arrival estimators
     /// and the overuse detector, fed from the thread buffers at flush

@@ -7,15 +7,13 @@
 //! without locks, and the budget check is exact (rates are accounted in
 //! integer millibits/second, so no floating-point drift can accumulate).
 //!
-//! The controller reserves whole routes ([`try_reserve_path`]) and whole
-//! batches ([`try_reserve_batch`]) against this table; both are
-//! all-or-nothing over per-cell CASes, rolling the reserved prefix back
-//! when a later cell is full. A run of identical flows is reserved in
-//! one walk that grants as many of them as every cell of the route has
-//! room for ([`try_reserve_path_up_to`]).
+//! The controller reserves whole routes ([`try_reserve_path`]) against
+//! this table, all-or-nothing over per-cell CASes, rolling the reserved
+//! prefix back when a later cell is full. A run of identical flows is
+//! reserved in one walk that grants as many of them as every cell of the
+//! route has room for ([`try_reserve_path_up_to`]).
 //!
 //! [`try_reserve_path`]: UtilizationState::try_reserve_path
-//! [`try_reserve_batch`]: UtilizationState::try_reserve_batch
 //! [`try_reserve_path_up_to`]: UtilizationState::try_reserve_path_up_to
 
 use crate::sync::atomic::{AtomicU64, Ordering};
@@ -63,24 +61,6 @@ pub struct PathGrant {
     pub full: Option<u32>,
     /// CAS retries spent (contention signal).
     pub retries: u32,
-}
-
-/// One aggregated (server, class) demand of an admission batch: the
-/// summed rate of every batched flow whose route crosses that cell. The
-/// controller pre-aggregates a slice of flows into these so the state
-/// pays one reservation per *touched cell* instead of one per
-/// (flow × hop) — see
-/// [`AdmissionController::try_admit_batch`](crate::AdmissionController::try_admit_batch).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CellDemand {
-    /// Raw link-server index.
-    pub server: u32,
-    /// Traffic-class index.
-    pub class: u32,
-    /// Aggregate rate to reserve, in the state's own exact unit:
-    /// millibits/s, the sum of the flows' rates each rounded as a single
-    /// reservation rounds it.
-    pub millibits: u64,
 }
 
 /// Reserved-rate counters for every (server, class) pair: the
@@ -181,30 +161,6 @@ impl UtilizationState {
         }
     }
 
-    /// Reserves every `(server, class, millibits)` cell in order; at the
-    /// first full cell releases the prefix already taken and reports
-    /// that server. Returns total CAS retries on success.
-    fn reserve_all<I>(&self, cells: I) -> Result<u32, PathReject>
-    where
-        I: Iterator<Item = (u32, usize, u64)> + Clone,
-    {
-        let mut cas_retries = 0u32;
-        for (i, (server, class, want)) in cells.clone().enumerate() {
-            let (ok, retries) = self.reserve_cell(server as usize, class, want);
-            cas_retries += retries;
-            if !ok {
-                for (held, class, want) in cells.take(i) {
-                    self.release_cell(held as usize, class, want);
-                }
-                return Err(PathReject {
-                    server,
-                    retries: cas_retries,
-                });
-            }
-        }
-        Ok(cas_retries)
-    }
-
     /// Reserves `rate` bits/s of `class` on every server of `route`, one
     /// CAS per cell; rolls the reserved prefix back and reports the
     /// failing server if any cell is full, so a failed path reservation
@@ -216,7 +172,21 @@ impl UtilizationState {
         rate: f64,
     ) -> Result<u32, PathReject> {
         let want = to_millibits(rate);
-        self.reserve_all(route.iter().map(|&server| (server, class, want)))
+        let mut cas_retries = 0u32;
+        for (i, &server) in route.iter().enumerate() {
+            let (ok, retries) = self.reserve_cell(server as usize, class, want);
+            cas_retries += retries;
+            if !ok {
+                for &held in route.iter().take(i) {
+                    self.release_cell(held as usize, class, want);
+                }
+                return Err(PathReject {
+                    server,
+                    retries: cas_retries,
+                });
+            }
+        }
+        Ok(cas_retries)
     }
 
     /// Reserves `rate` bits/s of `class` on every server of `route` for
@@ -304,20 +274,6 @@ impl UtilizationState {
         for &server in route {
             self.release_cell(server as usize, class, amount);
         }
-    }
-
-    /// Reserves every aggregated cell demand of a batch, all-or-nothing
-    /// across the whole set: one CAS per *touched cell* instead of one
-    /// per (flow × hop). On failure nothing stays reserved and the first
-    /// failing server is reported. `demands` must not repeat a
-    /// (server, class) pair — aggregate before calling. Returns total
-    /// CAS retries on success.
-    pub fn try_reserve_batch(&self, demands: &[CellDemand]) -> Result<u32, PathReject> {
-        self.reserve_all(
-            demands
-                .iter()
-                .map(|d| (d.server, d.class as usize, d.millibits)),
-        )
     }
 
     /// Whether reserving `rate` bits/s of `class` on `server` would
@@ -549,26 +505,6 @@ mod tests {
         // A zero-rate flow fits any number of times, as it does one by one.
         let grant = seeded().try_reserve_path_up_to(&[2], 0, 0.0, 7);
         assert_eq!((grant.flows, grant.full), (7, None));
-    }
-
-    #[test]
-    fn batch_reserve_is_all_or_nothing() {
-        let s = state();
-        let demand = |server, rate| CellDemand {
-            server,
-            class: 0,
-            millibits: to_millibits(rate),
-        };
-        // 300k + 150k on server 0, 150k on server 1: fits.
-        let ok = s.try_reserve_batch(&[demand(0, 450_000.0), demand(1, 150_000.0)]);
-        assert!(ok.is_ok());
-        assert_eq!(s.reserved(0, 0), 450_000.0);
-        // Second batch: server 1 fits, server 0 does not — nothing of
-        // the batch may remain reserved.
-        let err = s.try_reserve_batch(&[demand(1, 100_000.0), demand(0, 100_000.0)]);
-        assert_eq!(err.unwrap_err().server, 0);
-        assert_eq!(s.reserved(1, 0), 150_000.0);
-        assert_eq!(s.reserved(0, 0), 450_000.0);
     }
 
     #[test]

@@ -22,12 +22,15 @@
 //! provided method's default body, so the second run doubles as the
 //! reference for stage-specific overrides.
 //!
-//! Beside the digests, an always-on differential: under the `static`
-//! and `token_bucket` chains the same sequences through `try_admit_at`
-//! one flow at a time agree decision for decision, payloads included
-//! (exact by construction). Under `adaptive` the aggregate consult that
-//! precedes a fallback feeds the AIMD estimator, which the one-by-one
-//! walk never does, so there the pinned digest is the contract.
+//! Beside the digests, an always-on differential: under all three
+//! chains the same sequences through `try_admit_at` one flow at a time
+//! agree decision for decision, payloads included, and leave the links
+//! and the chain in the same state. A seventh shape the table does not
+//! index, `reloads`, puts `serve`'s traffic through that differential
+//! for 48 000 ticks with a fresh generation installed after every
+//! 8 000th, as `serve` and the benchmark reload: the long run is where
+//! the AIMD stage comes to reject, and so where a batch that consults
+//! the chain in any way the one-by-one walk does not shows.
 //!
 //! The table is not edited: a mismatch prints the computed table, and a
 //! change that moves it has changed a decision.
@@ -165,19 +168,12 @@ fn net() -> Net {
     Net { g, pairs, paths }
 }
 
-fn controller(net: &Net, chain: PolicyChain) -> AdmissionController {
+fn generation(net: &Net, chain: PolicyChain) -> ConfigGeneration {
     let mut table = RoutingTable::new();
     table.insert_all(ClassId(0), net.paths.iter());
     let classes = ClassSet::single(TrafficClass::voip());
     let caps = vec![CAPACITY; net.g.edge_count()];
-    AdmissionController::from_generation_unmetered(ConfigGeneration::with_policy(
-        table,
-        &classes,
-        &caps,
-        &[ALPHA],
-        BackendKind::Atomic,
-        chain,
-    ))
+    ConfigGeneration::with_policy(table, &classes, &caps, &[ALPHA], BackendKind::Atomic, chain)
 }
 
 /// One per-flow outcome, payload included.
@@ -335,14 +331,27 @@ fn exp_hold(rng: &mut SplitMix64, mean: f64) -> u64 {
 /// `serve`'s traffic: every 1 ms tick a `BurstModel` slug of copies of
 /// one pair, exponential holds.
 fn serve(run: &mut Run, net: &Net, seed: u64) {
+    serve_for(run, net, seed, 2_000, |_, _| {});
+}
+
+/// [`serve`] for `ticks` ticks, with `after_tick(controller, tick)`
+/// called once each tick's burst is decided.
+fn serve_for(
+    run: &mut Run,
+    net: &Net,
+    seed: u64,
+    ticks: u64,
+    mut after_tick: impl FnMut(&AdmissionController, u64),
+) {
     let model = BurstModel::with_mean_cv(8.0, 2.5);
     let mut rng = SplitMix64::new(seed);
-    for tick in 0..2_000u64 {
+    for tick in 0..ticks {
         let n = model.sample(rng.range_f64(0.0, 1.0)).max(1) as usize;
         let pair = net.pairs[rng.index(net.pairs.len())];
         let specs = vec![spec(pair); n];
         let holds: Vec<u64> = (0..n).map(|_| exp_hold(&mut rng, 64.0)).collect();
         run.offer(tick, &specs, |i| tick + holds[i]);
+        after_tick(run.ctrl, tick);
     }
 }
 
@@ -468,10 +477,10 @@ struct Case {
     ladder: Vec<u64>,
 }
 
-fn run_case(net: &Net, chain: PolicyChain, shape: usize, seed: u64, via: Via) -> Case {
-    let ctrl = controller(net, chain);
+fn run_case(net: &Net, chain: PolicyChain, via: Via, drive: impl FnOnce(&mut Run)) -> Case {
+    let ctrl = AdmissionController::from_generation_unmetered(generation(net, chain));
     let mut run = Run::new(&ctrl, via);
-    DRIVERS[shape](&mut run, net, seed);
+    drive(&mut run);
     let t_end = run.last_t;
     let generation = ctrl.current_generation();
     let reserved_bits = (0..net.g.edge_count())
@@ -502,6 +511,22 @@ fn digest(case: &Case, stages: &Stages) -> u64 {
     h.0
 }
 
+/// The differential: `batched` and the same sequence put to
+/// `try_admit_at` one flow at a time must agree flow for flow, on the
+/// links and on the chain.
+fn assert_same_as_one_by_one(what: &str, batched: &Case, single: &Case) {
+    if let Some(i) =
+        (0..batched.outcomes.len()).find(|&i| batched.outcomes[i] != single.outcomes[i])
+    {
+        panic!(
+            "{what}: flow {i} batched {:?}, one by one {:?}",
+            batched.outcomes[i], single.outcomes[i]
+        );
+    }
+    assert_eq!(batched.reserved_bits, single.reserved_bits, "{what}: links");
+    assert_eq!(batched.ladder, single.ladder, "{what}: chain state");
+}
+
 #[test]
 fn bursts_decide_as_pinned_and_as_one_by_one() {
     let net = net();
@@ -514,10 +539,11 @@ fn bursts_decide_as_pinned_and_as_one_by_one() {
         for shape in 0..SHAPES.len() {
             for (s, &seed) in SEEDS.iter().enumerate() {
                 let what = format!("{}/{}/seed {seed}", kind.as_str(), SHAPES[shape]);
+                let drive = |run: &mut Run| DRIVERS[shape](run, &net, seed);
                 let built = PolicyChain::from_config(&cfg, &rates);
-                let real = run_case(&net, built, shape, seed, Via::Batch);
+                let real = run_case(&net, built, Via::Batch, drive);
                 let (chain, stages) = shared_chain(&cfg, &rates);
-                let shared = run_case(&net, chain, shape, seed, Via::Batch);
+                let shared = run_case(&net, chain, Via::Batch, drive);
                 assert!(
                     real.outcomes == shared.outcomes,
                     "{what}: built chain and forwarding chain decided differently"
@@ -539,20 +565,9 @@ fn bursts_decide_as_pinned_and_as_one_by_one() {
                     }] += 1;
                 }
 
-                if kind != ChainKind::Adaptive {
-                    let built = PolicyChain::from_config(&cfg, &rates);
-                    let single = run_case(&net, built, shape, seed, Via::OneByOne);
-                    if let Some(i) =
-                        (0..real.outcomes.len()).find(|&i| real.outcomes[i] != single.outcomes[i])
-                    {
-                        panic!(
-                            "{what}: flow {i} batched {:?}, one by one {:?}",
-                            real.outcomes[i], single.outcomes[i]
-                        );
-                    }
-                    assert_eq!(real.reserved_bits, single.reserved_bits, "{what}: links");
-                    assert_eq!(real.ladder, single.ladder, "{what}: chain state");
-                }
+                let built = PolicyChain::from_config(&cfg, &rates);
+                let single = run_case(&net, built, Via::OneByOne, drive);
+                assert_same_as_one_by_one(&what, &real, &single);
             }
         }
     }
@@ -572,4 +587,35 @@ fn bursts_decide_as_pinned_and_as_one_by_one() {
         }
         panic!("burst digests moved; computed table:\n{text}");
     }
+}
+
+/// `serve`'s traffic under the adaptive chain, long enough for the AIMD
+/// stage to reject, with a fresh generation (same gains) after every
+/// 8 000th tick: batch and one by one, flow for flow.
+#[test]
+fn reloads_decide_as_one_by_one() {
+    let net = net();
+    let rates = [TrafficClass::voip().bucket.rate];
+    let cfg = policy(ChainKind::Adaptive);
+    let case = |via| {
+        run_case(&net, PolicyChain::from_config(&cfg, &rates), via, |run| {
+            serve_for(run, &net, 1, 48_000, |ctrl, tick| {
+                if tick % 8_000 == 7_999 {
+                    ctrl.reconfigure(generation(&net, PolicyChain::from_config(&cfg, &rates)));
+                }
+            })
+        })
+    };
+    let (batched, single) = (case(Via::Batch), case(Via::OneByOne));
+    let by_aimd = |case: &Case| {
+        let aimd = Outcome::Policy { stage: "aimd" };
+        case.outcomes.iter().filter(|o| **o == aimd).count()
+    };
+    assert!(
+        by_aimd(&single) > 1_000,
+        "the shape must bring the AIMD stage to reject: {} times one by one, {} batched",
+        by_aimd(&single),
+        by_aimd(&batched)
+    );
+    assert_same_as_one_by_one("adaptive/reloads/seed 1", &batched, &single);
 }

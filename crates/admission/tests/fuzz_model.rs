@@ -1,16 +1,11 @@
 //! Model-based fuzzing of the lock-free admission controller: random
 //! admit/release sequences must agree decision-for-decision with a
-//! straightforward single-threaded reference model.
+//! straightforward single-threaded reference model (`uba_obs::check`:
+//! 64 seeded sequences, the same every run).
 
-// Gated behind the non-default `prop-tests` feature: the `proptest`
-// dev-dependency is not declared so the default build stays hermetic
-// (offline, no registry). To run: re-add `proptest = "1"` under
-// [dev-dependencies] and `cargo test --features prop-tests`.
-#![cfg(feature = "prop-tests")]
-
-use proptest::prelude::*;
 use uba_admission::{AdmissionController, RoutingTable};
 use uba_graph::{Digraph, NodeId, Path};
+use uba_obs::{check, ensure};
 use uba_traffic::{ClassId, ClassSet, TrafficClass};
 
 /// Reference: plain per-link accounting with f64s.
@@ -78,15 +73,14 @@ fn setup(alpha: f64) -> (AdmissionController, Reference, Vec<(NodeId, NodeId)>) 
     (ctrl, reference, endpoints)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// ops: (route 0..3, action admit/release-oldest).
-    #[test]
-    fn controller_agrees_with_reference(
-        alpha in 0.05f64..0.6,
-        ops in proptest::collection::vec((0usize..3, any::<bool>()), 1..200),
-    ) {
+/// ops: (route 0..3, action admit/release-oldest).
+#[test]
+fn controller_agrees_with_reference() {
+    check("controller_agrees_with_reference", 64, |rng| {
+        let alpha = rng.range_f64(0.05, 0.6);
+        let ops: Vec<(usize, bool)> = (0..1 + rng.index(199))
+            .map(|_| (rng.index(3), rng.next_u64() & 1 == 1))
+            .collect();
         let (ctrl, mut reference, endpoints) = setup(alpha);
         // Held flows per route, parallel in both systems.
         let mut held: Vec<Vec<uba_admission::FlowHandle>> = vec![vec![], vec![], vec![]];
@@ -99,10 +93,8 @@ proptest! {
                     true
                 });
                 let expect = reference.admit(route);
-                prop_assert_eq!(got, expect, "divergence on admit route {}", route);
-                if !expect {
-                    // Keep the parallel count exact.
-                } else {
+                ensure!(got == expect, "divergence on admit route {route}");
+                if expect {
                     held_ref[route] += 1;
                 }
             } else if held_ref[route] > 0 {
@@ -114,13 +106,17 @@ proptest! {
         // Final per-link accounting matches.
         for k in 0..reference.reserved.len() {
             let got = ctrl.reserved(k, ClassId(0));
-            prop_assert!((got - reference.reserved[k]).abs() < 1e-6,
-                "link {k}: {got} vs {}", reference.reserved[k]);
+            ensure!(
+                (got - reference.reserved[k]).abs() < 1e-6,
+                "link {k}: {got} vs {}",
+                reference.reserved[k]
+            );
         }
         // Teardown drains everything.
         drop(held);
         for k in 0..reference.reserved.len() {
-            prop_assert_eq!(ctrl.reserved(k, ClassId(0)), 0.0);
+            ensure!(ctrl.reserved(k, ClassId(0)) == 0.0);
         }
-    }
+        Ok(())
+    });
 }

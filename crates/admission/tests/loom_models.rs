@@ -13,8 +13,8 @@
 //! The default run is the CI smoke pass: CHESS-style preemption bound of
 //! 2 (most interleaving bugs need at most two forced context switches),
 //! which keeps the whole file comfortably inside the verify.sh time
-//! budget. Building with `--features prop-tests` lifts the bound and
-//! explores the full interleaving space of each model.
+//! budget. `UBA_LOOM_EXHAUSTIVE=1` in the environment lifts the bound
+//! and explores the full interleaving space of each model.
 //!
 //! What is being proven (within bounds — see the `uba-loom` crate docs
 //! for what the checker does and does not model):
@@ -58,10 +58,10 @@ use uba_obs::{EventKind, Tracer};
 use uba_traffic::{ClassId, ClassSet, TrafficClass};
 
 /// The exploration bounds for this run: exhaustive under
-/// `--features prop-tests`, preemption-bounded smoke otherwise.
+/// `UBA_LOOM_EXHAUSTIVE=1`, preemption-bounded smoke otherwise.
 fn bounds() -> Builder {
     let mut b = Builder::new();
-    if cfg!(feature = "prop-tests") {
+    if std::env::var_os("UBA_LOOM_EXHAUSTIVE").is_some_and(|v| v == "1") {
         b.preemption_bound = None;
         b.max_iterations = 500_000;
     } else {

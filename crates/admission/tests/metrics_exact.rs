@@ -201,10 +201,67 @@ fn clipped_bursts_book_exact_counts() {
     assert_eq!(events, expected);
 }
 
+/// A slice of several runs that all fit, `[A, A, nowhere, B]`, books and
+/// traces run by run what its flows would have one by one: an
+/// `admit_batch` per admitted run, the routeless flow's own
+/// `reject_no_route`, one retry-histogram entry per decided flow, ids in
+/// slice order — and no fallback, since no routed flow was turned away.
+fn fitting_multi_run_slice_books_per_run() {
+    let ctrl = metered();
+    let m = AdmissionMetrics::global(1);
+    let spec = |src, dst| FlowSpec {
+        class: ClassId(0),
+        src: NodeId(src),
+        dst: NodeId(dst),
+    };
+    let (a, nowhere, b) = (spec(0, 2), spec(2, 0), spec(1, 2));
+    let generation = ctrl.current_generation();
+    let first_hop = |s: FlowSpec| generation.table().route(s.src, s.dst, s.class).unwrap()[0];
+    let tracer = trace::global();
+    tracer.set_enabled(true);
+    tracer.drain();
+    ctrl.refresh_gauges();
+    let counts = |m: &AdmissionMetrics| {
+        [
+            m.admits.get(),
+            m.rejects_no_route.get(),
+            m.batches.get(),
+            m.batch_fallbacks.get(),
+            m.retries_per_op.count(),
+            m.path_hops.count(),
+        ]
+    };
+    let before = counts(&m);
+    let out = ctrl.try_admit_batch(&[a, a, nowhere, b]);
+    assert!(out.fast_path);
+    assert_eq!(out.admitted(), 3);
+    ctrl.refresh_gauges();
+    let moved: Vec<u64> = counts(&m).iter().zip(&before).map(|(a, b)| a - b).collect();
+    assert_eq!(moved, [3, 1, 1, 0, 3, 3]);
+    tracer.set_enabled(false);
+    let events: Vec<_> = tracer
+        .drain()
+        .events
+        .iter()
+        .map(|e| (e.kind, e.class, e.flow, e.server, e.a, e.b))
+        .collect();
+    // Flow ids are per controller: this slice holds 1–4. The routeless
+    // flow's payload is its (src, dst).
+    assert_eq!(
+        events,
+        [
+            (EventKind::AdmitBatch, 0, 1, first_hop(a), 2.0, 0.0),
+            (EventKind::RejectNoRoute, 0, 3, u32::MAX, 2.0, 0.0),
+            (EventKind::AdmitBatch, 0, 4, first_hop(b), 1.0, 0.0),
+        ]
+    );
+}
+
 #[test]
 fn global_metric_deltas_are_exact() {
     metrics_track_admits_rejects_and_releases();
     decision_telemetry_feeds_latency_and_retry_histograms();
     unmetered_controller_admits_identically();
     clipped_bursts_book_exact_counts();
+    fitting_multi_run_slice_books_per_run();
 }

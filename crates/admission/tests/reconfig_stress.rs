@@ -9,8 +9,9 @@
 //! balances back to exactly zero (releases always land on the admitting
 //! generation).
 //!
-//! The default run is sized for CI; build with `--features prop-tests`
-//! for a heavier soak (more threads, more arrivals, more swaps).
+//! The default run is sized for CI; `UBA_LOOM_EXHAUSTIVE=1` in the
+//! environment (the variable that also lifts the loom models' bound)
+//! makes it a heavier soak: more threads, more arrivals, more swaps.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -19,20 +20,14 @@ use uba_graph::{Digraph, NodeId, Path};
 use uba_obs::SplitMix64;
 use uba_traffic::{ClassId, ClassSet, TrafficClass};
 
-#[cfg(not(feature = "prop-tests"))]
-const ADMITTERS: usize = 4;
-#[cfg(feature = "prop-tests")]
-const ADMITTERS: usize = 8;
-
-#[cfg(not(feature = "prop-tests"))]
-const ARRIVALS_PER_THREAD: usize = 4_000;
-#[cfg(feature = "prop-tests")]
-const ARRIVALS_PER_THREAD: usize = 40_000;
-
-#[cfg(not(feature = "prop-tests"))]
-const RECONFIGURES: usize = 12;
-#[cfg(feature = "prop-tests")]
-const RECONFIGURES: usize = 100;
+/// `(admitter threads, arrivals per thread, reconfigures)` of this run.
+fn sizes() -> (usize, usize, usize) {
+    if std::env::var_os("UBA_LOOM_EXHAUSTIVE").is_some_and(|v| v == "1") {
+        (8, 40_000, 100)
+    } else {
+        (4, 4_000, 12)
+    }
+}
 
 /// 0 -> 1 -> 2 with routes (0,2) and (1,2); link 1->2 is shared, so the
 /// two pairs contend for the same budget.
@@ -74,6 +69,7 @@ fn assert_budget_invariant(generations: &[Arc<ConfigGeneration>]) {
 
 #[test]
 fn concurrent_reconfigure_never_violates_budgets() {
+    let (admitters, arrivals_per_thread, reconfigures) = sizes();
     let ctrl = AdmissionController::from_generation(build_generation(0.32));
     // Every generation ever installed, for invariant checks and the
     // final balance audit.
@@ -84,14 +80,14 @@ fn concurrent_reconfigure_never_violates_budgets() {
     // observer may otherwise not be scheduled once during the whole run.
     let (audit_tx, audit_rx) = std::sync::mpsc::sync_channel::<()>(0);
 
-    let admitters: Vec<_> = (0..ADMITTERS)
+    let admitters: Vec<_> = (0..admitters)
         .map(|t| {
             let ctrl = ctrl.clone();
             std::thread::spawn(move || {
                 let mut rng = SplitMix64::new(0xA11CE + t as u64);
                 let mut held = Vec::new();
                 let (mut admits, mut rejects) = (0u64, 0u64);
-                for _ in 0..ARRIVALS_PER_THREAD {
+                for _ in 0..arrivals_per_thread {
                     if !held.is_empty() && rng.next_u64().is_multiple_of(3) {
                         let i = (rng.next_u64() as usize) % held.len();
                         held.swap_remove(i);
@@ -120,7 +116,7 @@ fn concurrent_reconfigure_never_violates_budgets() {
         let ctrl = ctrl.clone();
         let generations = Arc::clone(&generations);
         std::thread::spawn(move || {
-            for i in 0..RECONFIGURES {
+            for i in 0..reconfigures {
                 std::thread::sleep(std::time::Duration::from_micros(300));
                 // Alternate budgets so swaps really change the decision
                 // function mid-flight.
@@ -164,14 +160,14 @@ fn concurrent_reconfigure_never_violates_budgets() {
     assert!(total_admits > 0, "workload never admitted");
     assert!(total_rejects > 0, "workload never saturated");
     assert!(
-        checks >= RECONFIGURES as u64,
+        checks >= reconfigures as u64,
         "observer audited only {checks} times"
     );
 
     // Everything released: every generation ever installed balances to
     // zero on every cell and holds no pinned flows.
     let gens = generations.lock().unwrap();
-    assert_eq!(gens.len(), RECONFIGURES + 1);
+    assert_eq!(gens.len(), reconfigures + 1);
     for g in gens.iter() {
         let backend = g.backend();
         for server in 0..backend.servers() {

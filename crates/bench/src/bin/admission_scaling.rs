@@ -15,7 +15,7 @@
 //! * CAS retries per operation (`admission.retries_per_op` interval
 //!   mean — the direct contention signal).
 //!
-//! A second sweep drives the batched admission fast path: bursts of
+//! A second sweep drives batched admission: bursts of
 //! `batch ∈ {1, 8, 32}` same-pair arrivals through `try_admit_batch`,
 //! single-threaded on MCI (cells carry `batch ≥ 1`; the per-flow
 //! `try_admit` cells carry `batch = 0`).
@@ -34,8 +34,8 @@
 //!   bottlenecked `hotlink` topology is exempt: it serializes on one
 //!   budget cell *by design*);
 //! * batching: `ops(batch=32) ≥ 1.5 · ops(the same bursts one by one)`,
-//!   median of five alternating pairs — the aggregated reserve +
-//!   amortized pin/trace/metrics must actually pay. The ratio to the
+//!   median of five alternating pairs — one reserve per link for the
+//!   run + amortized pin/trace/metrics must actually pay. The ratio to the
 //!   `batch=1` cell is printed beside it but not gated: it divides by a
 //!   cell that gets faster whenever a batch of one does, so it can fall
 //!   while both cells improve;
@@ -402,8 +402,8 @@ fn main() {
         );
     }
 
-    // Batching must amortize: one pinned generation, one aggregated
-    // reserve per touched link, one tracepoint per burst — measured
+    // Batching must amortize: one pinned generation, one reserve per
+    // link of the run's route, one tracepoint per burst — measured
     // against the same 32-flow bursts decided one flow at a time. Five
     // alternating pairs at ten times a sweep cell's flows, median ratio:
     // the true ratio sits within a fifth of the floor (release stays per

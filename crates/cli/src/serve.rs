@@ -38,16 +38,21 @@
 //! The HTTP surface is deliberately minimal — request-line parsing only,
 //! `Connection: close` on every response — because the workspace builds
 //! offline with zero external dependencies; this is an exposition
-//! endpoint, not a web framework.
+//! endpoint, not a web framework. Requests are served one at a time on
+//! the accept thread, so every client is on a clock: the request head
+//! must arrive within `IO_TIMEOUT` (`408` otherwise), in lines of at
+//! most `MAX_LINE` bytes and at most `MAX_HEADERS` headers (`431`), and
+//! a response write that blocks longer than the timeout is dropped.
 
 use crate::commands::{scenario_controller, scenario_generation};
 use crate::scenario::{Scenario, ScenarioError};
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use uba::admission::{run_churn_bursty, ChurnConfig};
-use uba::obs::{standard_rules, SloEngine};
+use uba::obs::{standard_rules, SloEngine, Stopwatch};
 use uba::prelude::*;
 use uba::traffic::BurstModel;
 
@@ -57,15 +62,27 @@ use uba::traffic::BurstModel;
 const BATCH_ARRIVALS: usize = 500;
 
 /// Mean per-tick batch size of the background churn's burst model.
-/// Bursts go through the controller's batched fast path, so `/metrics`
-/// exports live `admission.batches` data alongside the per-flow
-/// counters.
+/// Bursts go through the controller's `try_admit_batch` (each burst is
+/// one run, decided in one step), so `/metrics` exports live
+/// `admission.batches` data alongside the per-flow counters.
 const BURST_MEAN: f64 = 8.0;
 
 /// Coefficient of variation of the churn batch sizes: high enough that
 /// the arrival estimators read a clearly bursty workload
 /// (`admission.arrival.class0.cv` well above 1).
 const BURST_CV: f64 = 2.5;
+
+/// How long a client has to deliver its whole request head, and how
+/// long one write of the response may block. Requests are handled on
+/// the accept thread, so this is the longest one silent, trickling or
+/// unread peer can keep every other client waiting.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Longest request line or header line accepted, bytes.
+const MAX_LINE: usize = 8 * 1024;
+
+/// Most header lines drained before the request is refused.
+const MAX_HEADERS: usize = 64;
 
 /// Runs the exposition server on an already-bound listener.
 ///
@@ -161,28 +178,83 @@ fn query_param<T: std::str::FromStr>(query: &str, key: &str) -> Option<T> {
         .and_then(|(_, v)| v.parse().ok())
 }
 
+/// A socket read against one deadline for the whole request head: each
+/// read may block only for what is left of it, so bytes trickled in one
+/// at a time cannot stretch the wait the way a per-read timeout lets
+/// them.
+struct UntilDeadline<'a> {
+    stream: &'a TcpStream,
+    /// Running since the head's first read; [`IO_TIMEOUT`] in all.
+    waited: Stopwatch,
+}
+
+impl Read for UntilDeadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let waited = Duration::from_secs_f64(self.waited.elapsed_secs());
+        let left = IO_TIMEOUT.saturating_sub(waited);
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Reads the request line and drains the headers (closing the socket
+/// with unread input pending can RST the connection and discard our
+/// response), every line through a `take` of [`MAX_LINE`] so nothing a
+/// client sends is buffered beyond it. Returns the request line, or the
+/// status to refuse the request with.
+fn read_head(stream: &TcpStream) -> Result<String, &'static str> {
+    let mut reader = BufReader::new(UntilDeadline {
+        stream,
+        waited: Stopwatch::start(),
+    });
+    let mut request_line = String::new();
+    let mut line = String::new();
+    for read in 0..=MAX_HEADERS {
+        line.clear();
+        match reader.by_ref().take(MAX_LINE as u64).read_line(&mut line) {
+            Ok(_) if line.len() == MAX_LINE && !line.ends_with('\n') => break,
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Err("408 Request Timeout");
+            }
+            // Not UTF-8, or the peer went away.
+            Err(_) => return Err("400 Bad Request"),
+        }
+        if read == 0 {
+            request_line = std::mem::take(&mut line);
+        } else if matches!(line.as_str(), "" | "\r\n" | "\n") {
+            return Ok(request_line);
+        }
+    }
+    Err("431 Request Header Fields Too Large")
+}
+
 fn handle(
-    stream: TcpStream,
+    mut stream: TcpStream,
     sc: &Scenario,
     ctrl: &uba::admission::AdmissionController,
     reload_path: Option<&str>,
     last_snapshot: &Mutex<uba::obs::Snapshot>,
     slo: &Mutex<SloEngine>,
 ) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain the request headers: closing the socket with unread input
-    // pending can RST the connection and discard our response.
-    let mut header = String::new();
-    while reader.read_line(&mut header)? > 0 && header != "\r\n" && header != "\n" {
-        header.clear();
-    }
-    // "GET /path HTTP/1.1" — anything else is a 400.
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    let refuse = |stream: &mut TcpStream, status: &str| {
+        respond(stream, status, "text/plain", &format!("{status}\n"))
+    };
+    let request_line = match read_head(&stream) {
+        Ok(line) => line,
+        Err(status) => return refuse(&mut stream, status),
+    };
+    // "GET /path HTTP/1.1" — anything without a method and a target is
+    // a 400.
     let mut parts = request_line.split_whitespace();
-    let (method, target) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
+        return refuse(&mut stream, "400 Bad Request");
+    };
     let (path, query) = target.split_once('?').unwrap_or((target, ""));
-    let mut stream = reader.into_inner();
     match (method, path) {
         ("GET", "/metrics") => {
             let body = uba::obs::global().snapshot().render_prometheus();
@@ -410,7 +482,7 @@ fn respond(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read as _;
+    use std::time::Instant;
 
     fn ring_scenario() -> Scenario {
         Scenario::from_str(
@@ -638,6 +710,111 @@ mod tests {
 
         server.join().unwrap().unwrap();
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Everything the server sends until it closes — or resets: a refused
+    /// request can leave unread input behind, and what arrived before the
+    /// reset is still delivered.
+    fn read_all(stream: &mut TcpStream) -> String {
+        let mut response = Vec::new();
+        let _ = stream.read_to_end(&mut response);
+        String::from_utf8_lossy(&response).into_owned()
+    }
+
+    /// Client-side patience: the server's own timeout plus a margin, so
+    /// a server that never answers fails the test instead of hanging it.
+    const PATIENCE: Duration = Duration::from_secs(5);
+
+    #[test]
+    fn silent_client_does_not_stall_the_endpoint() {
+        let sc = ring_scenario();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || serve(&sc, listener, Some(2), None));
+
+        // Connects first, sends nothing, stays open.
+        let mut silent = TcpStream::connect(addr).unwrap();
+        let t0 = Instant::now();
+        let mut second = TcpStream::connect(addr).unwrap();
+        second.set_read_timeout(Some(PATIENCE)).unwrap();
+        write!(second, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let response = read_all(&mut second);
+        assert!(
+            response.starts_with("HTTP/1.1 200"),
+            "no answer behind a silent client after {:?}: {response:?}",
+            t0.elapsed()
+        );
+        assert!(t0.elapsed() < PATIENCE, "{:?}", t0.elapsed());
+        // The silent client was told why it was dropped.
+        silent.set_read_timeout(Some(PATIENCE)).unwrap();
+        let response = read_all(&mut silent);
+        assert!(response.starts_with("HTTP/1.1 408"), "{response:?}");
+        server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn oversized_heads_are_refused_and_the_next_request_served() {
+        let sc = ring_scenario();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || serve(&sc, listener, Some(4), None));
+
+        let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(8 * MAX_LINE));
+        let many_headers = format!(
+            "GET /healthz HTTP/1.1\r\n{}\r\n",
+            "X-Pad: y\r\n".repeat(2 * MAX_HEADERS)
+        );
+        for head in [long_line, many_headers] {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(PATIENCE)).unwrap();
+            // The server stops reading at its bound, so the tail of the
+            // write may fail.
+            let _ = stream.write_all(head.as_bytes());
+            let response = read_all(&mut stream);
+            assert!(response.starts_with("HTTP/1.1 431"), "{response:?}");
+            let (head, _) = get(addr, "/healthz");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        }
+        server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn request_cut_off_mid_line_times_out_without_killing_the_loop() {
+        let sc = ring_scenario();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || serve(&sc, listener, Some(3), None));
+
+        // A request line that never ends, one byte every 300 ms: each
+        // byte would restart a per-read timeout, so the 408 arriving
+        // while the client is still sending shows the deadline covers
+        // the whole head.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(300)))
+            .unwrap();
+        write!(stream, "GET /hea").unwrap();
+        let mut response = Vec::new();
+        for _ in 0..20 {
+            let _ = stream.write_all(b"l");
+            match stream.read_to_end(&mut response) {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                _ => break,
+            }
+        }
+        let response = String::from_utf8_lossy(&response);
+        assert!(response.starts_with("HTTP/1.1 408"), "{response:?}");
+
+        // A client that hangs up mid-line is answered for what it sent.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write!(stream, "GET /hea").unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let response = read_all(&mut stream);
+        assert!(response.starts_with("HTTP/1.1 404"), "{response:?}");
+
+        let (head, _) = get(addr, "/healthz");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        server.join().unwrap().unwrap();
     }
 
     #[test]

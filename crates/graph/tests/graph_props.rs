@@ -1,37 +1,29 @@
 //! Property tests pinning the graph algorithms against brute-force
-//! references on small random graphs.
+//! references on small random graphs (`uba_obs::check`: 64 seeded cases
+//! per property, the same every run).
 
-// Gated behind the non-default `prop-tests` feature: the `proptest`
-// dev-dependency is not declared so the default build stays hermetic
-// (offline, no registry). To run: re-add `proptest = "1"` under
-// [dev-dependencies] and `cargo test --features prop-tests`.
-#![cfg(feature = "prop-tests")]
-
-use proptest::prelude::*;
 use std::collections::HashSet;
 use uba_graph::{bfs, dijkstra, k_shortest_paths, Digraph, EdgeId, NodeId, Path};
+use uba_obs::{check, ensure, SplitMix64};
+
+const CASES: u64 = 64;
 
 /// Random connected-ish undirected graph on up to 7 nodes.
-fn arb_graph() -> impl Strategy<Value = Digraph> {
-    (
-        2usize..7,
-        proptest::collection::vec((0usize..7, 0usize..7, 1u32..10), 4..16),
-    )
-        .prop_map(|(n, raw_edges)| {
-            let mut g = Digraph::with_nodes(n);
-            // Spanning chain guarantees connectivity.
-            for i in 0..n - 1 {
-                g.add_link(NodeId(i as u32), NodeId(i as u32 + 1), 1.0);
-            }
-            let mut seen = HashSet::new();
-            for (a, b, w) in raw_edges {
-                let (a, b) = (a % n, b % n);
-                if a != b && seen.insert((a.min(b), a.max(b))) {
-                    g.add_link(NodeId(a as u32), NodeId(b as u32), w as f64);
-                }
-            }
-            g
-        })
+fn arb_graph(rng: &mut SplitMix64) -> Digraph {
+    let n = 2 + rng.index(5);
+    let mut g = Digraph::with_nodes(n);
+    // Spanning chain guarantees connectivity.
+    for i in 0..n - 1 {
+        g.add_link(NodeId(i as u32), NodeId(i as u32 + 1), 1.0);
+    }
+    let mut seen = HashSet::new();
+    for _ in 0..4 + rng.index(12) {
+        let (a, b, w) = (rng.index(7) % n, rng.index(7) % n, 1 + rng.index(9));
+        if a != b && seen.insert((a.min(b), a.max(b))) {
+            g.add_link(NodeId(a as u32), NodeId(b as u32), w as f64);
+        }
+    }
+    g
 }
 
 /// All simple paths from src to dst by exhaustive DFS.
@@ -89,62 +81,100 @@ fn floyd_warshall(g: &Digraph) -> Vec<Vec<f64>> {
     d
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn dijkstra_matches_floyd_warshall(g in arb_graph()) {
+#[test]
+fn dijkstra_matches_floyd_warshall() {
+    check("dijkstra_matches_floyd_warshall", CASES, |rng| {
+        let g = arb_graph(rng);
         let fw = floyd_warshall(&g);
         for s in g.nodes() {
             let sp = dijkstra::dijkstra(&g, s);
             for t in g.nodes() {
                 let a = sp.dist(t);
                 let b = fw[s.index()][t.index()];
-                prop_assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()),
-                    "dist({s:?},{t:?}): dijkstra {a}, fw {b}");
+                ensure!(
+                    (a - b).abs() <= 1e-9 * (1.0 + b.abs()),
+                    "dist({s:?},{t:?}): dijkstra {a}, fw {b}"
+                );
             }
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn yen_matches_brute_force(g in arb_graph(), k in 1usize..12) {
-        let (src, dst) = (NodeId(0), NodeId((g.node_count() - 1) as u32));
-        let yen = k_shortest_paths(&g, src, dst, k);
-        let mut brute = brute_force_paths(&g, src, dst);
-        brute.sort_by(|a, b| a.weight(&g).total_cmp(&b.weight(&g)));
-        prop_assert_eq!(yen.len(), brute.len().min(k));
-        // Weights agree position by position (paths may tie arbitrarily).
-        for (y, b) in yen.iter().zip(&brute) {
-            prop_assert!((y.weight(&g) - b.weight(&g)).abs() <= 1e-9,
-                "weights diverge: {} vs {}", y.weight(&g), b.weight(&g));
-        }
-        // Yen's paths are simple, distinct, and genuinely in the graph.
-        let mut seen = HashSet::new();
-        for p in &yen {
-            prop_assert!(p.is_simple());
-            prop_assert!(seen.insert(p.edges.clone()));
-        }
+/// Yen's first `k` paths from the first to the last node against every
+/// simple path, sorted by weight.
+fn yen_agrees_with_brute_force(g: &Digraph, k: usize) -> Result<(), String> {
+    let (src, dst) = (NodeId(0), NodeId((g.node_count() - 1) as u32));
+    let yen = k_shortest_paths(g, src, dst, k);
+    let mut brute = brute_force_paths(g, src, dst);
+    brute.sort_by(|a, b| a.weight(g).total_cmp(&b.weight(g)));
+    ensure!(yen.len() == brute.len().min(k));
+    // Weights agree position by position (paths may tie arbitrarily).
+    for (y, b) in yen.iter().zip(&brute) {
+        ensure!(
+            (y.weight(g) - b.weight(g)).abs() <= 1e-9,
+            "weights diverge: {} vs {}",
+            y.weight(g),
+            b.weight(g)
+        );
     }
+    // Yen's paths are simple, distinct, and genuinely in the graph.
+    let mut seen = HashSet::new();
+    for p in &yen {
+        ensure!(p.is_simple());
+        ensure!(seen.insert(p.edges.clone()));
+    }
+    Ok(())
+}
 
-    #[test]
-    fn undirected_hop_distances_symmetric(g in arb_graph()) {
+#[test]
+fn yen_matches_brute_force() {
+    check("yen_matches_brute_force", CASES, |rng| {
+        let g = arb_graph(rng);
+        let k = 1 + rng.index(11);
+        yen_agrees_with_brute_force(&g, k)
+    });
+}
+
+/// The one failure this suite's recorded-regressions file held when it
+/// ran on an external property-testing crate, kept as a plain case: a
+/// 3-node chain whose two links are both doubled (parallel edges in
+/// both directions), `k = 4`.
+#[test]
+fn yen_matches_brute_force_on_doubled_links() {
+    let mut g = Digraph::with_nodes(3);
+    for (a, b) in [(0, 1), (1, 2), (2, 1), (0, 1)] {
+        g.add_link(NodeId(a), NodeId(b), 1.0);
+    }
+    yen_agrees_with_brute_force(&g, 4).unwrap();
+}
+
+#[test]
+fn undirected_hop_distances_symmetric() {
+    check("undirected_hop_distances_symmetric", CASES, |rng| {
+        let g = arb_graph(rng);
         for a in g.nodes() {
             let da = bfs::hop_distances(&g, a);
             for b in g.nodes() {
                 let db = bfs::hop_distances(&g, b);
-                prop_assert_eq!(da[b.index()], db[a.index()]);
+                ensure!(da[b.index()] == db[a.index()]);
             }
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn diameter_is_max_of_eccentricities(g in arb_graph()) {
+#[test]
+fn diameter_is_max_of_eccentricities() {
+    check("diameter_is_max_of_eccentricities", CASES, |rng| {
+        let g = arb_graph(rng);
         let diam = bfs::diameter(&g).expect("connected by construction");
         let max_ecc = g
             .nodes()
             .map(|n| bfs::eccentricity(&g, n).unwrap())
             .max()
             .unwrap();
-        prop_assert_eq!(diam, max_ecc);
-    }
+        ensure!(diam == max_ecc, "{diam} vs {max_ecc}");
+        Ok(())
+    });
 }

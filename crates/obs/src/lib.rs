@@ -26,7 +26,8 @@
 //! * [`json`] — a minimal JSON parser so snapshots can be round-tripped
 //!   in tests and consumed by scripts.
 //! * [`rng`] — the workspace's deterministic SplitMix64 PRNG (in-tree
-//!   replacement for the `rand` crate; the build is fully offline).
+//!   replacement for the `rand` crate; the build is fully offline) and
+//!   [`check`], the seeded randomized-test harness on top of it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +45,7 @@ pub mod trace;
 pub use histogram::Histogram;
 pub use metrics::{Counter, Gauge};
 pub use registry::{global, process_secs, Registry, Snapshot, SnapshotValue};
-pub use rng::SplitMix64;
+pub use rng::{check, SplitMix64};
 pub use slo::{standard_rules, Alert, Cmp, RuleState, SloConfig, SloEngine, SloRule, SloSignal};
 pub use span::{Span, Stopwatch};
 pub use trace::{Event, EventKind, Tracer};

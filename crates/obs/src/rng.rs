@@ -4,7 +4,8 @@
 //! add-xorshift-multiply round per draw, passes BigCrush, and is fully
 //! reproducible from a seed — everything the topology generators, churn
 //! driver, and Monte Carlo code need. An in-tree replacement for the
-//! `rand` crate so the workspace builds with no external dependencies.
+//! `rand` crate so the workspace builds with no external dependencies;
+//! [`check`] is the randomized-test harness built on it.
 //!
 //! Not cryptographic. Do not use for anything security-relevant.
 
@@ -59,9 +60,90 @@ impl SplitMix64 {
     }
 }
 
+/// Runs `property` on `cases` seeded generators — the workspace's
+/// randomized-test harness, in place of an external property-testing
+/// crate. The seed of case `i` is derived from `name` and `i` alone, so
+/// every run of a test draws the same inputs and a failure repeats by
+/// re-running the test; no environment variable selects anything and
+/// nothing is shrunk. A property draws its inputs from the generator it
+/// is handed and returns `Err` with what went wrong ([`ensure!`](crate::ensure)
+/// keeps that short).
+///
+/// # Panics
+/// On the first failing case, naming the property, the case and its
+/// seed (`SplitMix64::new(seed)` reproduces the inputs).
+pub fn check(
+    name: &str,
+    cases: u64,
+    mut property: impl FnMut(&mut SplitMix64) -> Result<(), String>,
+) {
+    // FNV-1a of the name, so properties do not share input streams.
+    let base = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    for case in 0..cases {
+        let seed = SplitMix64::new(base.wrapping_add(case)).next_u64();
+        if let Err(why) = property(&mut SplitMix64::new(seed)) {
+            panic!("property `{name}` failed at case {case} of {cases} (seed {seed:#018x}): {why}");
+        }
+    }
+}
+
+/// Inside a [`check`] property: returns `Err` — the formatted message,
+/// or the condition's text and place — unless the condition holds.
+#[macro_export]
+macro_rules! ensure {
+    ($cond:expr $(,)?) => {
+        if !$cond {
+            return Err(format!(
+                "{} does not hold ({}:{})",
+                stringify!($cond),
+                file!(),
+                line!()
+            ));
+        }
+    };
+    ($cond:expr, $($why:tt)+) => {
+        if !$cond {
+            return Err(format!($($why)+));
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn check_draws_the_same_cases_every_run_and_names_the_failing_one() {
+        let draws = |name: &str| {
+            let mut seen = Vec::new();
+            check(name, 8, |rng| {
+                seen.push(rng.next_u64());
+                Ok(())
+            });
+            seen
+        };
+        assert_eq!(draws("a"), draws("a"));
+        assert_ne!(draws("a"), draws("b"));
+        assert_ne!(draws("a")[0], draws("a")[1]);
+
+        let failure = std::panic::catch_unwind(|| {
+            let mut case = 0;
+            check("third_case_fails", 8, |rng| {
+                case += 1;
+                let x = rng.index(10);
+                ensure!(case < 3, "drew {x}");
+                Ok(())
+            })
+        });
+        let msg = *failure.unwrap_err().downcast::<String>().unwrap();
+        assert!(
+            msg.contains("`third_case_fails` failed at case 2 of 8 (seed 0x"),
+            "{msg}"
+        );
+        assert!(msg.contains("): drew "), "{msg}");
+    }
 
     #[test]
     fn deterministic_for_equal_seeds() {

@@ -78,14 +78,12 @@ pub enum EventKind {
     /// Admission: a retired configuration generation fully drained
     /// (`flow` = generation id).
     GenerationRetired,
-    /// Admission: a batched slice of flows was decided in one aggregated
-    /// reservation (`flow` = first flow id of the slice, `a` = flows
-    /// admitted, `b` = flows rejected for lack of a route). Per-flow
-    /// admit tracepoints are coalesced into this one event on the batch
-    /// fast path; releases still trace per flow. A batch whose aggregate
-    /// did not fit emits one per run of identical flows instead, for the
-    /// run's admitted prefix (`class` / `server` = the run's class and
-    /// first hop, `b` = 0).
+    /// Admission: the admitted prefix of one run of identical flows in a
+    /// batch (`class` / `server` = the run's class and first hop,
+    /// `flow` = first flow id of the prefix, ids contiguous, `a` = flows
+    /// admitted, `b` = 0). The per-flow admit tracepoints of a run are
+    /// coalesced into this one event; rejects and releases still trace
+    /// under each flow's own id.
     AdmitBatch,
     /// SLO engine: a rule crossed into firing after breaching for its
     /// `for` hysteresis count of consecutive windows (`flow` = rule

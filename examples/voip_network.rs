@@ -68,9 +68,10 @@ fn main() {
             stats.mean_admit_ns,
         );
     }
-    // A signalling gateway delivering a burst of setups uses the batched
-    // fast path: one generation pin, demand aggregated per link, one
-    // reservation per touched link, one coalesced tracepoint.
+    // A signalling gateway delivering a burst of setups admits it as one
+    // slice: the flows in order, each run of identical setups decided in
+    // one step (one route lookup, one reservation per link, one pin, one
+    // coalesced tracepoint). These eight pairs are eight runs of one.
     let burst: Vec<FlowSpec> = pairs
         .iter()
         .take(8)
@@ -82,13 +83,13 @@ fn main() {
         .collect();
     let outcome = ctrl.try_admit_batch(&burst);
     println!(
-        "burst of {}: admitted {} via the {} path",
+        "burst of {}: admitted {}, {}",
         burst.len(),
         outcome.admitted(),
         if outcome.fast_path {
-            "aggregated fast"
+            "every routed call fit"
         } else {
-            "per-flow fallback"
+            "some run was clipped"
         },
     );
     println!("every accepted call is deadline-guaranteed by the offline verification.");

@@ -1,14 +1,25 @@
-//! Property tests of the paper's theorems at network scale.
-//!
-//! The plain `#[test]` below always runs. The proptest-based properties
-//! are gated behind the non-default `prop-tests` feature so the default
-//! build stays hermetic (offline, no registry); to run them, re-add
-//! `proptest = "1"` under [dev-dependencies] and pass
-//! `--features prop-tests`.
+//! Property tests of the paper's theorems at network scale: one sweep
+//! over fixed seeds, and two `uba_obs::check` properties over 24 seeded
+//! random topologies each (the same every run).
 
 use uba::delay::fixed_point::{solve_two_class, SolveConfig};
+use uba::delay::general::{analyze_flows, Flow, GeneralOutcome};
 use uba::delay::routeset::{Route, RouteSet};
+use uba::obs::{check, ensure};
 use uba::prelude::*;
+
+const CASES: u64 = 24;
+
+/// SP routes for every ordered pair of `g`.
+fn sp_routes(g: &Digraph) -> (Vec<Path>, RouteSet) {
+    let pairs = all_ordered_pairs(g);
+    let paths = sp_selection(g, &pairs).expect("connected");
+    let mut routes = RouteSet::new(g.edge_count());
+    for p in &paths {
+        routes.push(Route::from_path(ClassId(0), p));
+    }
+    (paths, routes)
+}
 
 /// Theorem 4 lower-bound claim: for *any* (random) topology, shortest-path
 /// routing at alpha slightly below the bound verifies safe.
@@ -28,12 +39,7 @@ fn theorem4_lower_bound_safe_on_random_topologies() {
         if alpha <= 0.0 {
             continue;
         }
-        let pairs = all_ordered_pairs(&g);
-        let paths = sp_selection(&g, &pairs).expect("connected");
-        let mut routes = RouteSet::new(g.edge_count());
-        for p in &paths {
-            routes.push(Route::from_path(ClassId(0), p));
-        }
+        let (_, routes) = sp_routes(&g);
         let r = solve_two_class(
             &servers,
             &voip,
@@ -50,90 +56,109 @@ fn theorem4_lower_bound_safe_on_random_topologies() {
     }
 }
 
-#[cfg(feature = "prop-tests")]
-mod props {
-    use super::*;
-    use proptest::prelude::*;
-    use uba::delay::general::{analyze_flows, Flow, GeneralOutcome};
+/// Network-level domination: for random admissible flow placements on
+/// a random topology, the exact flow-aware analysis never exceeds the
+/// configuration-time per-route bounds.
+#[test]
+fn general_analysis_dominated_by_config_bound() {
+    let mut reached = 0;
+    check("general_analysis_dominated_by_config_bound", CASES, |rng| {
+        let seed = rng.index(500) as u64;
+        let alpha = rng.range_f64(0.05, 0.35);
+        let g = uba::topology::waxman(10, 0.4, 0.5, seed);
+        let capacity = 1e6;
+        let servers = Servers::from_topology(&g, capacity);
+        let voip = TrafficClass::voip();
+        let (paths, routes) = sp_routes(&g);
+        let cfg = solve_two_class(
+            &servers,
+            &voip,
+            alpha,
+            &routes,
+            &SolveConfig::default(),
+            None,
+        );
+        if !cfg.outcome.is_safe() {
+            return Ok(());
+        }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Network-level domination: for random admissible flow placements on
-        /// a random topology, the exact flow-aware analysis never exceeds the
-        /// configuration-time per-route bounds.
-        #[test]
-        fn general_analysis_dominated_by_config_bound(seed in 0u64..500, alpha in 0.05f64..0.35) {
-            let g = uba::topology::waxman(10, 0.4, 0.5, seed);
-            let capacity = 1e6;
-            let servers = Servers::from_topology(&g, capacity);
-            let voip = TrafficClass::voip();
-            let pairs = all_ordered_pairs(&g);
-            let paths = sp_selection(&g, &pairs).expect("connected");
-            let mut routes = RouteSet::new(g.edge_count());
+        // Greedy admissible fill (respects per-link alpha budget).
+        let mut reserved = vec![0.0f64; servers.len()];
+        let mut flows = Vec::new();
+        let mut progress = true;
+        while progress {
+            progress = false;
             for p in &paths {
-                routes.push(Route::from_path(ClassId(0), p));
-            }
-            let cfg = solve_two_class(&servers, &voip, alpha, &routes, &SolveConfig::default(), None);
-            prop_assume!(cfg.outcome.is_safe());
-
-            // Greedy admissible fill (respects per-link alpha budget).
-            let mut reserved = vec![0.0f64; servers.len()];
-            let mut flows = Vec::new();
-            let mut progress = true;
-            while progress {
-                progress = false;
-                for p in &paths {
-                    let fits = p.edges.iter().all(|e| {
-                        reserved[e.index()] + voip.bucket.rate <= alpha * capacity + 1e-9
-                    });
-                    if fits {
-                        for e in &p.edges {
-                            reserved[e.index()] += voip.bucket.rate;
-                        }
-                        flows.push(Flow {
-                            bucket: voip.bucket,
-                            deadline: voip.deadline,
-                            servers: p.edges.iter().map(|e| e.0).collect(),
-                        });
-                        progress = true;
+                let fits = p
+                    .edges
+                    .iter()
+                    .all(|e| reserved[e.index()] + voip.bucket.rate <= alpha * capacity + 1e-9);
+                if fits {
+                    for e in &p.edges {
+                        reserved[e.index()] += voip.bucket.rate;
                     }
+                    flows.push(Flow {
+                        bucket: voip.bucket,
+                        deadline: voip.deadline,
+                        servers: p.edges.iter().map(|e| e.0).collect(),
+                    });
+                    progress = true;
                 }
             }
-            prop_assume!(!flows.is_empty());
-            let exact = analyze_flows(&servers, &flows, 1e-9, 5000);
-            prop_assert_eq!(exact.outcome, GeneralOutcome::Feasible);
-            // Per-server: exact delay <= configured bound.
-            for k in 0..servers.len() {
-                prop_assert!(
-                    exact.delays[k] <= cfg.delays[k] + 1e-9,
-                    "server {k}: exact {} > bound {}",
-                    exact.delays[k],
-                    cfg.delays[k]
-                );
-            }
         }
+        if flows.is_empty() {
+            return Ok(());
+        }
+        reached += 1;
+        let exact = analyze_flows(&servers, &flows, 1e-9, 5000);
+        ensure!(
+            exact.outcome == GeneralOutcome::Feasible,
+            "{:?}",
+            exact.outcome
+        );
+        // Per-server: exact delay <= configured bound.
+        for k in 0..servers.len() {
+            ensure!(
+                exact.delays[k] <= cfg.delays[k] + 1e-9,
+                "server {k}: exact {} > bound {}",
+                exact.delays[k],
+                cfg.delays[k]
+            );
+        }
+        Ok(())
+    });
+    // An unsafe alpha or an empty fill is discarded, not passed.
+    assert!(
+        reached >= CASES * 3 / 4,
+        "only {reached} of {CASES} cases compared"
+    );
+}
 
-        /// Monotonicity of the verified fixed point in alpha, at network
-        /// scale.
-        #[test]
-        fn fixed_point_monotone_in_alpha(seed in 0u64..200) {
-            let g = uba::topology::waxman(10, 0.4, 0.5, seed);
-            let servers = Servers::uniform(&g, 100e6, g.max_in_degree().max(2));
-            let voip = TrafficClass::voip();
-            let pairs = all_ordered_pairs(&g);
-            let paths = sp_selection(&g, &pairs).expect("connected");
-            let mut routes = RouteSet::new(g.edge_count());
-            for p in &paths {
-                routes.push(Route::from_path(ClassId(0), p));
-            }
-            let scfg = SolveConfig::default();
-            let lo = solve_two_class(&servers, &voip, 0.10, &routes, &scfg, None);
-            let hi = solve_two_class(&servers, &voip, 0.15, &routes, &scfg, None);
-            prop_assume!(lo.outcome.is_safe() && hi.outcome.is_safe());
-            for (a, b) in lo.delays.iter().zip(&hi.delays) {
-                prop_assert!(a <= b);
-            }
+/// Monotonicity of the verified fixed point in alpha, at network
+/// scale.
+#[test]
+fn fixed_point_monotone_in_alpha() {
+    let mut reached = 0;
+    check("fixed_point_monotone_in_alpha", CASES, |rng| {
+        let seed = rng.index(200) as u64;
+        let g = uba::topology::waxman(10, 0.4, 0.5, seed);
+        let servers = Servers::uniform(&g, 100e6, g.max_in_degree().max(2));
+        let voip = TrafficClass::voip();
+        let (_, routes) = sp_routes(&g);
+        let scfg = SolveConfig::default();
+        let lo = solve_two_class(&servers, &voip, 0.10, &routes, &scfg, None);
+        let hi = solve_two_class(&servers, &voip, 0.15, &routes, &scfg, None);
+        if !(lo.outcome.is_safe() && hi.outcome.is_safe()) {
+            return Ok(());
         }
-    }
+        reached += 1;
+        for (a, b) in lo.delays.iter().zip(&hi.delays) {
+            ensure!(a <= b, "{a} > {b}");
+        }
+        Ok(())
+    });
+    assert!(
+        reached >= CASES * 3 / 4,
+        "only {reached} of {CASES} cases compared"
+    );
 }
