@@ -316,7 +316,8 @@ pub fn cmd_metrics(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
     if sc.classes.len() == 1 {
         let (_, class) = sc.classes.iter().next().unwrap();
         let m = uba::routing::metrics::select();
-        let (candidates0, checks0) = (m.candidates.get(), m.cycle_checks.get());
+        let (candidates0, pruned0, checks0) =
+            (m.candidates.get(), m.pruned.get(), m.cycle_checks.get());
         let selected = select_routes(
             &sc.graph,
             &sc.servers,
@@ -327,13 +328,14 @@ pub fn cmd_metrics(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
         );
         writeln!(
             out,
-            "route selection: {} ({} candidates evaluated, {} cycle checks)",
+            "route selection: {} ({} candidates, {} pruned unsolved, {} cycle checks)",
             if selected.is_ok() {
                 "SUCCESS"
             } else {
                 "FAILURE"
             },
             m.candidates.get() - candidates0,
+            m.pruned.get() - pruned0,
             m.cycle_checks.get() - checks0,
         )
         .unwrap();
@@ -837,7 +839,9 @@ mod tests {
         assert!(out.contains("delay.solve.servers_touched"), "{out}");
         // So is the configuration side: one heuristic selection.
         assert!(out.contains("route selection: SUCCESS"), "{out}");
+        assert!(out.contains(" pruned unsolved, "), "{out}");
         assert!(out.contains("routing.select.candidates"), "{out}");
+        assert!(out.contains("routing.select.pruned"), "{out}");
         // The registry dump includes all three instrumented layers.
         assert!(out.contains("admission.admits"), "{out}");
         assert!(out.contains("delay.solve.iterations"), "{out}");

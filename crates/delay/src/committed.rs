@@ -37,6 +37,15 @@
 //! repeat their value. A decreasing iterate (a warm start above the least
 //! fixed point) voids the max-merge; the remedy is what the general
 //! solver does every iteration, a from-scratch `Y` rebuild.
+//!
+//! # A floor before any of it
+//!
+//! Because delays only grow while a route is added, the candidate's delay
+//! summed over the *committed* `d` — its first sweep, no staging — bounds
+//! from below what evaluating it would return. [`CommittedState::delay_floor`]
+//! hands that out so a caller comparing candidates can drop one that has
+//! already lost; it declines (`None`) in the one situation where an
+//! iterate can fall, which the shared first-iteration step reveals.
 
 use crate::bound::theorem3_delay;
 use crate::fixed_point::{SolveConfig, DEADLINE_SLACK};
@@ -67,6 +76,9 @@ pub struct CommittedState<'a> {
     /// `d_k`: the shared part of every candidate's first iteration.
     pending: Vec<(u32, f64)>,
     pending_ready: bool,
+    /// Some pending value is below its `d_k`: the committed delays sit
+    /// above what their own `Y` supports, so iterates may fall.
+    pending_lowers: bool,
     /// No candidate can verify: a committed route already misses its
     /// deadline, or a stale server is outside Theorem 3's domain.
     blocked: bool,
@@ -159,6 +171,7 @@ impl<'a> CommittedState<'a> {
             stale: Vec::new(),
             pending: Vec::new(),
             pending_ready: false,
+            pending_lowers: false,
             blocked: false,
             log_d: Vec::new(),
             log_y: Vec::new(),
@@ -216,6 +229,26 @@ impl<'a> CommittedState<'a> {
         (self.routes, self.d, self.route_delays)
     }
 
+    /// `route`'s own end-to-end delay at the committed delays — the value
+    /// the first sweep of [`Self::try_route`] computes, without staging
+    /// anything. It is a floor on what `try_route` would return: while a
+    /// route is added every `Y_k`, hence every `d_k`, only grows, and
+    /// floating-point addition is monotone. `None` when that premise
+    /// fails — the shared first-iteration step would lower some delay,
+    /// which only a warm start above the least fixed point (or one seeding
+    /// an unused server) brings about.
+    pub fn delay_floor(&mut self, route: &Route) -> Option<f64> {
+        self.ensure_pending();
+        if self.pending_lowers {
+            return None;
+        }
+        let queueing = route
+            .servers
+            .iter()
+            .fold(0.0, |prefix, &sv| prefix + self.d[sv as usize]);
+        Some(queueing + self.servers.route_const_delay(&route.servers))
+    }
+
     /// Evaluates `route` as if appended to the committed set: `Some(own
     /// end-to-end delay)` if every route then verifies safe, else `None`.
     /// The committed state is unchanged either way.
@@ -266,10 +299,14 @@ impl<'a> CommittedState<'a> {
             return;
         }
         self.pending.clear();
+        self.pending_lowers = false;
         for i in 0..self.stale.len() {
             let k = self.stale[i];
             match self.eval(k as usize) {
-                Some(v) if v != self.d[k as usize] => self.pending.push((k, v)),
+                Some(v) if v != self.d[k as usize] => {
+                    self.pending_lowers |= v < self.d[k as usize];
+                    self.pending.push((k, v));
+                }
                 Some(_) => {}
                 None => self.blocked = true,
             }
@@ -352,6 +389,10 @@ impl<'a> CommittedState<'a> {
         loop {
             rec.residual = max_diff;
             rec.decreased |= decreased;
+            debug_assert!(
+                !decreased || self.pending_lowers,
+                "an iterate fell below a delay `delay_floor` vouched for"
+            );
             let converged = max_diff <= self.cfg.tol;
             if !converged {
                 if rec.iterations >= self.cfg.max_iters {

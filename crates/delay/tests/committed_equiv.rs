@@ -7,7 +7,9 @@
 //! a commit hold the oracle's `delays` and `route_delays` bit for bit —
 //! on random route sets over MCI, a torus and a ring, most of which have
 //! dependency cycles (so the committed point is only `tol`-converged and
-//! the shared first-iteration step does real work).
+//! the shared first-iteration step does real work). Before every try the
+//! evaluator is also asked for the candidate's delay floor: asking leaves
+//! no trace, and the floor never exceeds the delay the try then returns.
 
 use uba_delay::committed::CommittedState;
 use uba_delay::fixed_point::{solve_two_class, SolveConfig};
@@ -88,6 +90,11 @@ fn walk(
         let cand = random_route(g, &mut rng);
         let (trial, want) = oracle(&servers, &voip, alpha, &routes, &delays, &cand);
         let before = digest(&state);
+        // Grown from nothing, delays have only ever risen.
+        let floor = state
+            .delay_floor(&cand)
+            .unwrap_or_else(|| panic!("{ctx}: no floor"));
+        assert_eq!(digest(&state), before, "{ctx}: asking left a trace");
         let got = state.try_route(&cand);
         assert_eq!(got.is_some(), want.outcome.is_safe(), "{ctx}: verdict");
         assert_eq!(digest(&state), before, "{ctx}: a tried route left a trace");
@@ -106,13 +113,13 @@ fn walk(
             want.route_delays.last().unwrap().to_bits(),
             "{ctx}: own delay"
         );
+        assert!(floor <= own, "{ctx}: floor {floor} above own delay {own}");
         // Reject about a third of the safe candidates, like a pair's
         // losing candidates.
         if rng.index(3) == 0 {
             continue;
         }
-        let chain: Vec<usize> = cand.servers.iter().map(|&s| s as usize).collect();
-        overlay.add_chain(&chain);
+        overlay.add_chain(&cand.servers);
         assert!(state.commit(cand), "{ctx}: safe route refused");
         assert_eq!(bits(state.delays()), bits(&want.delays), "{ctx}: delays");
         assert_eq!(
@@ -184,13 +191,19 @@ fn evaluator_matches_from_an_adopted_fixed_point() {
     for step in 0..25 {
         let cand = random_route(&g, &mut rng);
         let (trial, want) = oracle(&servers, &voip, 0.25, &routes, &delays, &cand);
+        // A cold solve stops below its fixed point: a floor exists.
+        let floor = state.delay_floor(&cand).expect("floor");
+        let got = state.try_route(&cand);
         assert_eq!(
-            state.try_route(&cand).map(f64::to_bits),
+            got.map(f64::to_bits),
             want.outcome
                 .is_safe()
                 .then(|| want.route_delays.last().unwrap().to_bits()),
             "step {step}"
         );
+        if let Some(own) = got {
+            assert!(floor <= own, "step {step}");
+        }
         if want.outcome.is_safe() {
             assert!(state.commit(cand));
             assert_eq!(bits(state.delays()), bits(&want.delays), "step {step}");
@@ -287,6 +300,10 @@ fn evaluator_matches_on_warm_starts_above_the_fixed_point() {
         // x1.2 recovers; x2 already misses a deadline at the first sweep.
         assert_eq!(want.outcome.is_safe(), scale < 2.0, "x{scale}");
         let before = digest(&state);
+        // The candidate's delay at these inflated delays is no floor:
+        // the solve brings them down, x1.2's own delay with them.
+        assert_eq!(state.delay_floor(&cand), None, "x{scale}");
+        assert_eq!(digest(&state), before, "x{scale}: asking left a trace");
         assert_eq!(
             state.try_route(&cand).map(f64::to_bits),
             want.outcome
@@ -311,4 +328,32 @@ fn evaluator_matches_on_warm_starts_above_the_fixed_point() {
             "x{scale}"
         );
     }
+}
+
+#[test]
+fn no_floor_when_only_an_unused_server_is_seeded() {
+    // The routes' own fixed point, plus a delay at one server no route
+    // crosses: the first evaluation zeroes it, so an iterate can fall and
+    // a candidate through that server would be over-estimated.
+    let voip = TrafficClass::voip();
+    let g = mci();
+    let servers = Servers::uniform(&g, 100e6, 6);
+    let cfg = SolveConfig::default();
+    let mut rng = SplitMix64::new(0x5EEDED);
+    let mut routes = RouteSet::new(g.edge_count());
+    for _ in 0..10 {
+        routes.push(random_route(&g, &mut rng));
+    }
+    let base = solve_two_class(&servers, &voip, 0.3, &routes, &cfg, None);
+    assert!(base.outcome.is_safe());
+    let cand = random_route(&g, &mut rng);
+    let adopt = |delays: Vec<f64>| {
+        CommittedState::from_fixed_point(&servers, &voip, 0.3, &cfg, routes.clone(), delays)
+    };
+    assert!(adopt(base.delays.clone()).delay_floor(&cand).is_some());
+    let unused = routes.used_servers(ClassId(0));
+    let unused = unused.iter().position(|&u| !u).expect("an unused server");
+    let mut seeded = base.delays;
+    seeded[unused] = 1e-3;
+    assert_eq!(adopt(seeded).delay_floor(&cand), None);
 }

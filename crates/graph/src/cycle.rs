@@ -9,57 +9,75 @@
 //! would-adding-these-edges-create-a-cycle query.
 //!
 //! The query runs once per candidate route — thousands of times per
-//! selection — so adjacency is flat `Vec`s, the search is a depth-first
-//! walk from the chain's own vertices on epoch-stamped scratch (no
-//! allocation, nothing to clear), and whether the graph *is* cyclic is a
-//! flag kept current by every mutation: once a cyclic route has been
-//! committed every query answers `true` without looking.
+//! selection — and must cost the candidate's hops, not a walk of the
+//! graph. So the graph keeps its transitive closure, one bit row per
+//! vertex, and answers from it: with `G` acyclic, `G` + chain `c_0 … c_m`
+//! has a cycle ⇔ some `c_i` is reachable-or-equal from a later `c_j`.
+//! (⇐: the chain leads from `c_i` to `c_j` and `G` leads back. ⇒: a cycle
+//! uses chain edges, `G` being acyclic; between two of them in a row it
+//! runs in `G` from `c_{p+1}` to the next edge's tail `c_q`, and if no
+//! later position reaches an earlier-or-equal one then `q > p` every time
+//! — positions cannot increase all the way round.) Whether the graph *is*
+//! cyclic is a flag kept current by every mutation: once a cyclic route
+//! has been committed every query answers `true` without looking.
 
-/// A dynamic directed graph over `usize` vertices with edge multiplicities.
+/// A dynamic directed graph over `u32` vertices with edge multiplicities
+/// and a maintained transitive closure.
+///
+/// The closure is `n²` bits (`n` rows of `⌈n/64⌉` words: 58 words for
+/// MCI's 58 link servers, 8 KiB for the 8×8 torus' 256). A query is one
+/// row AND per chain vertex; inserting a *new* edge is one pass over the
+/// rows; raising a multiplicity is free. Removal is the dear direction:
+/// a closure cannot forget, so once an edge's last instance goes the rows
+/// are rebuilt from the distinct edges left (`edges × n` row visits) — at
+/// the next query or insertion, however many removals came between.
 #[derive(Clone, Debug, Default)]
 pub struct DynDigraph {
     n: usize,
+    /// Words per closure row, `⌈n/64⌉`.
+    words: usize,
     /// `out[u]` lists `(v, multiplicity of edge (u, v))`, multiplicity ≥ 1.
     out: Vec<Vec<(u32, u32)>>,
     /// The graph currently contains a directed cycle.
     cyclic: bool,
-    // Scratch of the stamped depth-first search: a vertex is visited,
-    // finished, or on the chain under test iff its entry equals `stamp`.
-    stamp: u32,
-    visited: Vec<u32>,
-    finished: Vec<u32>,
-    on_chain: Vec<u32>,
-    /// `(vertex, next successor slot)`; slots past the vertex's out-list
-    /// index into the chain under test.
-    stack: Vec<(u32, u32)>,
+    /// Row `u` (`words` words from `u * words`): bit `v` set iff `v == u`
+    /// or a path leads from `u` to `v`.
+    reach: Vec<u64>,
+    /// An edge has left the graph since `reach` was built.
+    stale: bool,
+    /// One row of scratch: the chain vertices a query has walked past,
+    /// or the row an insertion is spreading.
+    scratch: Vec<u64>,
 }
 
 impl DynDigraph {
     /// Creates a graph with `n` vertices and no edges.
     pub fn new(n: usize) -> Self {
         assert!(n < u32::MAX as usize, "too many vertices");
-        Self {
+        let words = n.div_ceil(64);
+        let mut g = Self {
             n,
+            words,
             out: vec![Vec::new(); n],
             cyclic: false,
-            stamp: 0,
-            visited: vec![0; n],
-            finished: vec![0; n],
-            on_chain: vec![0; n],
-            stack: Vec::new(),
-        }
+            reach: vec![0; n * words],
+            stale: false,
+            scratch: vec![0; words],
+        };
+        g.reset_closure();
+        g
     }
 
     /// Multiplicity of edge `(u, v)`.
-    pub fn multiplicity(&self, u: usize, v: usize) -> usize {
-        self.out[u]
+    pub fn multiplicity(&self, u: u32, v: u32) -> usize {
+        self.out[u as usize]
             .iter()
-            .find(|&&(w, _)| w as usize == v)
+            .find(|&&(w, _)| w == v)
             .map_or(0, |&(_, m)| m as usize)
     }
 
     /// Adds one instance of edge `(u, v)`.
-    pub fn add_edge(&mut self, u: usize, v: usize) {
+    pub fn add_edge(&mut self, u: u32, v: u32) {
         self.add_chain(&[u, v]);
     }
 
@@ -67,18 +85,21 @@ impl DynDigraph {
     ///
     /// # Panics
     /// Panics if the edge is not present.
-    pub fn remove_edge(&mut self, u: usize, v: usize) {
+    pub fn remove_edge(&mut self, u: u32, v: u32) {
         self.remove_chain(&[u, v]);
     }
 
     /// Adds the consecutive-pair edges of a vertex sequence (a route).
-    pub fn add_chain(&mut self, chain: &[usize]) {
-        // Latch: after this the answer to every query is known.
-        self.cyclic = self.chain_would_create_cycle(chain);
+    pub fn add_chain(&mut self, chain: &[u32]) {
+        self.assert_in_range(chain);
+        self.refresh();
         for w in chain.windows(2) {
-            match self.out[w[0]].iter_mut().find(|e| e.0 as usize == w[1]) {
+            match self.out[w[0] as usize].iter_mut().find(|e| e.0 == w[1]) {
                 Some(e) => e.1 += 1,
-                None => self.out[w[0]].push((w[1] as u32, 1)),
+                None => {
+                    self.out[w[0] as usize].push((w[1], 1));
+                    self.close_over(w[0] as usize, w[1] as usize);
+                }
             }
         }
     }
@@ -87,20 +108,23 @@ impl DynDigraph {
     ///
     /// # Panics
     /// Panics if one of the edges is not present.
-    pub fn remove_chain(&mut self, chain: &[usize]) {
+    pub fn remove_chain(&mut self, chain: &[u32]) {
         for w in chain.windows(2) {
-            let at = self.out[w[0]]
+            let out = &mut self.out[w[0] as usize];
+            let at = out
                 .iter()
-                .position(|e| e.0 as usize == w[1])
+                .position(|e| e.0 == w[1])
                 .expect("removing edge that is not present");
-            self.out[w[0]][at].1 -= 1;
-            if self.out[w[0]][at].1 == 0 {
-                self.out[w[0]].swap_remove(at);
+            out[at].1 -= 1;
+            if out[at].1 == 0 {
+                out.swap_remove(at);
+                self.stale = true;
             }
         }
-        // Removal is the one mutation that can clear the latch.
+        // Removal is the one mutation that can clear the latch, and
+        // `has_cycle` reads it without `&mut`: re-derive it now.
         if self.cyclic {
-            self.cyclic = self.search_for_cycle(&[], 0..self.n);
+            self.refresh();
         }
     }
 
@@ -114,70 +138,76 @@ impl DynDigraph {
     /// would contain a directed cycle — so always `true` once the graph
     /// itself is cyclic, which a caller that has fallen back to cyclic
     /// routes keeps asking and gets answered at once. The graph is not
-    /// modified (`&mut` is for the search scratch).
-    pub fn chain_would_create_cycle(&mut self, chain: &[usize]) -> bool {
-        for &v in chain {
-            assert!(v < self.n, "vertex out of range");
+    /// modified (`&mut` is for the scratch row and a pending rebuild).
+    pub fn chain_would_create_cycle(&mut self, chain: &[u32]) -> bool {
+        self.assert_in_range(chain);
+        self.refresh();
+        if self.cyclic {
+            return true;
         }
-        self.cyclic || self.search_for_cycle(chain, chain.iter().copied())
+        let seen = &mut self.scratch;
+        seen.fill(0);
+        for &v in chain {
+            let v = v as usize;
+            let row = &self.reach[v * self.words..][..self.words];
+            if row.iter().zip(seen.iter()).any(|(r, s)| r & s != 0) {
+                return true;
+            }
+            seen[v / 64] |= 1 << (v % 64);
+        }
+        false
     }
 
-    /// Three-colour depth-first search from `roots` for a cycle in the
-    /// graph plus `chain`'s edges. While the graph itself is acyclic every
-    /// cycle passes through a chain vertex, so the chain's vertices are
-    /// roots enough; a search of the bare graph roots at every vertex.
-    fn search_for_cycle(&mut self, chain: &[usize], roots: impl Iterator<Item = usize>) -> bool {
-        if self.stamp == u32::MAX {
-            self.stamp = 0;
-            self.visited.fill(0);
-            self.finished.fill(0);
-            self.on_chain.fill(0);
-        }
-        self.stamp += 1;
-        let stamp = self.stamp;
+    fn assert_in_range(&self, chain: &[u32]) {
         for &v in chain {
-            self.on_chain[v] = stamp;
+            assert!((v as usize) < self.n, "vertex out of range");
         }
-        for root in roots {
-            if self.visited[root] == stamp {
-                continue;
+    }
+
+    /// Every row back to "reaches itself", the latch down.
+    fn reset_closure(&mut self) {
+        self.reach.fill(0);
+        for u in 0..self.n {
+            self.reach[u * self.words + u / 64] |= 1 << (u % 64);
+        }
+        self.cyclic = false;
+        self.stale = false;
+    }
+
+    /// Rebuilds the closure and the latch after removals: the distinct
+    /// edges left, inserted into an empty graph.
+    fn refresh(&mut self) {
+        if !self.stale {
+            return;
+        }
+        self.reset_closure();
+        for a in 0..self.n {
+            for i in 0..self.out[a].len() {
+                self.close_over(a, self.out[a][i].0 as usize);
             }
-            self.visited[root] = stamp;
-            self.stack.push((root as u32, 0));
-            while let Some(&mut (u, ref mut slot)) = self.stack.last_mut() {
-                let u = u as usize;
-                let degree = self.out[u].len();
-                let next = if (*slot as usize) < degree {
-                    *slot += 1;
-                    Some(self.out[u][*slot as usize - 1].0 as usize)
-                } else if self.on_chain[u] == stamp {
-                    // The chain's own successors of `u`, one per visit.
-                    let from = *slot as usize - degree;
-                    let hit = (from..chain.len().saturating_sub(1)).find(|&p| chain[p] == u);
-                    *slot = (degree + hit.map_or(chain.len(), |p| p + 1)) as u32;
-                    hit.map(|p| chain[p + 1])
-                } else {
-                    None
-                };
-                match next {
-                    None => {
-                        self.finished[u] = stamp;
-                        self.stack.pop();
-                    }
-                    Some(v) if self.visited[v] != stamp => {
-                        self.visited[v] = stamp;
-                        self.stack.push((v as u32, 0));
-                    }
-                    // Visited and unfinished: `v` is on the stack.
-                    Some(v) if self.finished[v] != stamp => {
-                        self.stack.clear();
-                        return true;
-                    }
-                    Some(_) => {}
+        }
+    }
+
+    /// Accounts for a new edge `a → b`: whatever reaches `a` now reaches
+    /// everything `b` does. The edge closes a cycle iff `b` reached `a`.
+    fn close_over(&mut self, a: usize, b: usize) {
+        let w = self.words;
+        let has = |row: &[u64], v: usize| row[v / 64] >> (v % 64) & 1 != 0;
+        self.cyclic |= has(&self.reach[b * w..][..w], a);
+        // `a` reaching `b` already means every such row holds `b`'s.
+        if has(&self.reach[a * w..][..w], b) {
+            return;
+        }
+        // In a cyclic graph `b`'s row may be one of those updated: spread
+        // a copy.
+        self.scratch.copy_from_slice(&self.reach[b * w..][..w]);
+        for row in self.reach.chunks_exact_mut(w) {
+            if has(row, a) {
+                for (r, f) in row.iter_mut().zip(&self.scratch) {
+                    *r |= f;
                 }
             }
         }
-        false
     }
 }
 

@@ -17,8 +17,9 @@
 //! * [`cycle`] — a dynamic overlay digraph with reference-counted edges and
 //!   cycle queries, used to prefer candidate routes that keep the
 //!   route-dependency graph acyclic (heuristic (2) of Section 5.2): flat
-//!   adjacency, a stamped depth-first search from the queried chain, and
-//!   a latched answer once the graph is cyclic.
+//!   adjacency, a maintained transitive closure (one bit row per vertex)
+//!   that answers a query in one AND per chain vertex, and a latched
+//!   answer once the graph is cyclic.
 //!
 //! Everything is implemented from scratch on `std`; no external crates
 //! are used.

@@ -893,16 +893,17 @@ mod tests {
         h.window(0, 100);
         let drained = tracer.drain();
         tracer.set_enabled(false);
+        // A sibling test's harness may fire the same threshold while the
+        // tracer is on; ours is the one that saw 90 of 100.
         let fire = drained
             .events
             .iter()
-            .find(|e| e.kind == EventKind::AlertFire && e.b == 0.1);
+            .find(|e| e.kind == EventKind::AlertFire && e.b == 0.1 && (e.a - 0.9).abs() < 1e-12);
         let resolve = drained
             .events
             .iter()
             .find(|e| e.kind == EventKind::AlertResolve && e.b == 0.1);
         assert!(fire.is_some(), "missing alert_fire: {drained:?}");
-        assert!((fire.unwrap().a - 0.9).abs() < 1e-12);
         assert!(resolve.is_some(), "missing alert_resolve: {drained:?}");
     }
 }

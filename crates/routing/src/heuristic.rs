@@ -31,11 +31,21 @@ use uba_delay::servers::Servers;
 use uba_graph::{k_shortest_paths_filtered, Digraph, DynDigraph, EdgeId, Path};
 use uba_traffic::{ClassId, TrafficClass};
 
+/// One pooled candidate: a topology path and the same hops as the delay
+/// layer's class-0 [`Route`], whose server ids are also the chain the
+/// overlay is asked about — prepared once, so that checking, trying and
+/// committing a candidate convert nothing.
+#[derive(Debug)]
+pub(crate) struct Candidate {
+    pub(crate) path: Path,
+    pub(crate) route: Route,
+}
+
 /// Per-pair Yen candidate cache. Candidates depend only on the topology
 /// and the pair — not on `α` or the committed routes — so a caller
-/// re-running selection (the §5.3 binary search) computes them once and
+/// re-running selection (the §5.3 binary search) prepares them once and
 /// shares them across probes. Only valid with an unrestricted `edge_ok`.
-pub(crate) type CandidateCache = HashMap<(u32, u32), Vec<Path>>;
+pub(crate) type CandidateCache = HashMap<(u32, u32), Vec<Candidate>>;
 
 /// Tunables for the safe-route-selection heuristic.
 #[derive(Clone, Debug)]
@@ -100,41 +110,43 @@ impl Selection {
     }
 }
 
-/// Chooses one pair's route per the three sub-heuristics and commits it
-/// to `state` (the new fixed point) and `overlay`; returns the chosen
-/// path. Both are untouched on `Err`. Shared by bulk selection and
-/// incremental reconfiguration.
-///
-/// `edge_ok` restricts candidate routes (used to avoid failed links).
-/// `precomputed` supplies the pair's Yen candidates when the caller has
-/// cached them (they must have been computed with the same `edge_ok`).
-pub(crate) fn choose_route(
+/// `pair`'s Yen candidates over the edges `edge_ok` admits (used to avoid
+/// failed links), shortest first.
+pub(crate) fn candidates_for(
     g: &Digraph,
+    pair: Pair,
+    cfg: &HeuristicConfig,
+    edge_ok: impl Fn(EdgeId) -> bool,
+) -> Vec<Candidate> {
+    k_shortest_paths_filtered(g, pair.src, pair.dst, cfg.k_candidates, edge_ok)
+        .into_iter()
+        .map(|path| Candidate {
+            route: Route::from_path(ClassId(0), &path),
+            path,
+        })
+        .collect()
+}
+
+/// Chooses one pair's route among `candidates` per the three
+/// sub-heuristics and commits it to `state` (the new fixed point) and
+/// `overlay`; returns the chosen path. Both are untouched on `Err`.
+/// Shared by bulk selection and incremental reconfiguration.
+pub(crate) fn choose_route(
     state: &mut CommittedState<'_>,
     overlay: &mut DynDigraph,
     pair: Pair,
     cfg: &HeuristicConfig,
-    edge_ok: &dyn Fn(EdgeId) -> bool,
-    precomputed: Option<&[Path]>,
+    candidates: &[Candidate],
 ) -> Result<Path, SelectionError> {
-    let computed;
-    let candidates: &[Path] = match precomputed {
-        Some(c) => c,
-        None => {
-            computed = k_shortest_paths_filtered(g, pair.src, pair.dst, cfg.k_candidates, edge_ok);
-            &computed
-        }
-    };
     if candidates.is_empty() {
         return Err(SelectionError::NoRoute(pair));
     }
-    let chain = |p: &Path| -> Vec<usize> { p.edges.iter().map(|e| e.index()).collect() };
     // Heuristic (2): keep only feedback-free candidates when possible.
     let mut pool: Vec<usize> = Vec::new();
     if cfg.prefer_acyclic {
         pool.extend(
             (0..candidates.len())
-                .filter(|&i| !overlay.chain_would_create_cycle(&chain(&candidates[i]))),
+                .filter(|&i| !overlay.chain_would_create_cycle(&candidates[i].route.servers)),
         );
         crate::metrics::select()
             .cycle_checks
@@ -146,33 +158,45 @@ pub(crate) fn choose_route(
 
     // Heuristic (3): the safe candidate with the least own delay, the
     // earlier (shorter) one on a tie — or simply the first safe one.
-    let mut best: Option<(Route, usize, f64)> = None;
-    let mut evaluated = 0u64;
+    let mut best: Option<(usize, f64)> = None;
+    let (mut evaluated, mut pruned) = (0u64, 0u64);
     for &ci in &pool {
-        let route = Route::from_path(ClassId(0), &candidates[ci]);
+        let route = &candidates[ci].route;
         evaluated += 1;
-        let Some(own) = state.try_route(&route) else {
+        // Adding a route only raises delays, so a candidate whose delay at
+        // the committed point is already no better than the incumbent's
+        // would lose the comparison below, ties included: skip the solve.
+        if let Some((_, least)) = best {
+            if state.delay_floor(route).is_some_and(|floor| floor >= least) {
+                pruned += 1;
+                continue;
+            }
+        }
+        let Some(own) = state.try_route(route) else {
             continue;
         };
-        let better = match &best {
-            Some((_, _, least)) => own.total_cmp(least).is_lt(),
+        let better = match best {
+            Some((_, least)) => own.total_cmp(&least).is_lt(),
             None => true,
         };
         if better {
-            best = Some((route, ci, own));
+            best = Some((ci, own));
         }
         if !cfg.min_delay_choice {
             break;
         }
     }
-    crate::metrics::select().candidates.add(evaluated);
-    let Some((route, ci, _)) = best else {
+    let metrics = crate::metrics::select();
+    metrics.candidates.add(evaluated);
+    metrics.pruned.add(pruned);
+    let Some((ci, _)) = best else {
         return Err(SelectionError::NoSafeRoute(pair));
     };
-    let committed = state.commit(route);
+    let Candidate { path, route } = &candidates[ci];
+    let committed = state.commit(route.clone());
     assert!(committed, "a route that just verified safe still does");
-    overlay.add_chain(&chain(&candidates[ci]));
-    Ok(candidates[ci].clone())
+    overlay.add_chain(&route.servers);
+    Ok(path.clone())
 }
 
 /// The order selection visits `pairs` in under `cfg`.
@@ -216,24 +240,22 @@ pub(crate) fn select_in_order(
     let mut out_paths = Vec::with_capacity(ordered.len());
 
     for &pair in ordered {
-        let precomputed: Option<&[Path]> = match cache.as_deref_mut() {
-            Some(c) => Some(
-                c.entry((pair.src.0, pair.dst.0))
-                    .or_insert_with(|| {
-                        k_shortest_paths_filtered(g, pair.src, pair.dst, cfg.k_candidates, |_| true)
-                    })
-                    .as_slice(),
-            ),
-            None => None,
+        let computed;
+        let candidates: &[Candidate] = match cache.as_deref_mut() {
+            Some(c) => c
+                .entry((pair.src.0, pair.dst.0))
+                .or_insert_with(|| candidates_for(g, pair, cfg, |_| true)),
+            None => {
+                computed = candidates_for(g, pair, cfg, |_| true);
+                &computed
+            }
         };
         out_paths.push(choose_route(
-            g,
             &mut state,
             &mut overlay,
             pair,
             cfg,
-            &|_| true,
-            precomputed,
+            candidates,
         )?);
     }
 

@@ -13,7 +13,7 @@
 //!   individually switchable for the ablation experiment A-RS. Candidates
 //!   are verified against one persistent committed fixed point
 //!   ([`uba_delay::committed::CommittedState`]), not by a solve each.
-//! * [`metrics`] — `routing.select.{candidates, cycle_checks}`.
+//! * [`metrics`] — `routing.select.{candidates, pruned, cycle_checks}`.
 //! * [`search`] — the Section 5.3 binary search for the maximum safe
 //!   utilization, seeded with the Theorem 4 bounds.
 

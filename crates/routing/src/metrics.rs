@@ -1,11 +1,12 @@
 //! Route-selection instrumentation.
 //!
-//! Two counters in the process-global [`uba_obs`] registry, added to once
+//! Three counters in the process-global [`uba_obs`] registry, added to once
 //! per routed pair (nothing per candidate):
 //!
 //! | name | meaning |
 //! |---|---|
-//! | `routing.select.candidates` | tentative routes evaluated against the committed fixed point |
+//! | `routing.select.candidates` | pooled candidate routes looked at, solved or pruned |
+//! | `routing.select.pruned` | of those, cut before any solve: their delay at the committed fixed point already matched or exceeded the incumbent's |
 //! | `routing.select.cycle_checks` | would-this-chain-close-a-cycle queries put to the route-dependency overlay |
 
 use std::sync::{Arc, OnceLock};
@@ -14,8 +15,10 @@ use uba_obs::Counter;
 /// Handles to the route-selection counters.
 #[derive(Debug)]
 pub struct SelectMetrics {
-    /// Tentative routes evaluated.
+    /// Pooled candidates looked at.
     pub candidates: Arc<Counter>,
+    /// Candidates cut by the delay floor, never solved.
+    pub pruned: Arc<Counter>,
     /// Overlay cycle queries made.
     pub cycle_checks: Arc<Counter>,
 }
@@ -27,6 +30,7 @@ pub fn select() -> &'static SelectMetrics {
         let r = uba_obs::global();
         SelectMetrics {
             candidates: r.counter("routing.select.candidates"),
+            pruned: r.counter("routing.select.pruned"),
             cycle_checks: r.counter("routing.select.cycle_checks"),
         }
     })

@@ -97,13 +97,13 @@ pub fn select_routes_multiclass(
         if candidates.is_empty() {
             return Err(SelectionError::NoRoute(demand.pair));
         }
-        let chains: Vec<Vec<usize>> = candidates
+        let pooled: Vec<Route> = candidates
             .iter()
-            .map(|p| p.edges.iter().map(|e| e.index()).collect())
+            .map(|p| Route::from_path(demand.class, p))
             .collect();
         let pool: Vec<usize> = if cfg.prefer_acyclic {
             let acyclic: Vec<usize> = (0..candidates.len())
-                .filter(|&i| !overlay.chain_would_create_cycle(&chains[i]))
+                .filter(|&i| !overlay.chain_would_create_cycle(&pooled[i].servers))
                 .collect();
             if acyclic.is_empty() {
                 (0..candidates.len()).collect()
@@ -117,7 +117,7 @@ pub fn select_routes_multiclass(
         let evaluate = |pi: usize| -> Option<MultiCandidateFit> {
             let ci = pool[pi];
             let mut trial = routes.clone();
-            trial.push(Route::from_path(demand.class, &candidates[ci]));
+            trial.push(pooled[ci].clone());
             let r = solve_multiclass(
                 servers,
                 classes,
@@ -150,8 +150,8 @@ pub fn select_routes_multiclass(
         };
         let ci = pool[pi];
         let (_, delays, route_delays) = results[pi].clone().unwrap();
-        routes.push(Route::from_path(demand.class, &candidates[ci]));
-        overlay.add_chain(&chains[ci]);
+        overlay.add_chain(&pooled[ci].servers);
+        routes.push(pooled[ci].clone());
         base_delays = delays;
         final_route_delays = route_delays;
         out_demands.push(demand);
@@ -214,6 +214,10 @@ pub fn max_utilization_ray(
     let mut best: Option<(f64, MultiSelection)> = None;
     while hi - lo > tol {
         let mid = 0.5 * (lo + hi);
+        // As in `max_utilization`: no float left between the two.
+        if !(lo < mid && mid < hi) {
+            break;
+        }
         match probe(mid) {
             Some(sel) => {
                 lo = mid;
@@ -351,6 +355,20 @@ mod tests {
         assert!((r.alphas[1] / r.alphas[0] - 2.0).abs() < 1e-9);
         // And the sum stays admissible.
         assert!(r.alphas.iter().sum::<f64>() <= 1.0);
+    }
+
+    #[test]
+    fn ray_search_terminates_on_a_tolerance_below_float_spacing() {
+        let g = ring(6);
+        let servers = Servers::uniform(&g, 100e6, 4);
+        let classes = two_classes();
+        let demands = demands_for(&g, 2, 2);
+        let cfg = HeuristicConfig::default();
+        let search =
+            |tol| max_utilization_ray(&g, &servers, &classes, &[1.0, 2.0], &demands, &cfg, tol);
+        let (coarse, exact) = (search(0.01), search(f64::MIN_POSITIVE));
+        assert!(exact.probes.len() <= 64, "{} probes", exact.probes.len());
+        assert!((exact.t - coarse.t).abs() <= 0.01);
     }
 
     #[test]

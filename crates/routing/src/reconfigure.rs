@@ -18,13 +18,13 @@
 //! expressed as an avoid-set, keeping `Servers`, route sets, and the
 //! admission controller's counters stable.
 
-use crate::heuristic::{choose_route, HeuristicConfig, Selection, SelectionError};
+use crate::heuristic::{candidates_for, choose_route, HeuristicConfig, Selection, SelectionError};
 use crate::pairs::Pair;
 use std::collections::HashSet;
 use uba_admission::{BackendKind, ConfigGeneration, RoutingTable};
 use uba_delay::committed::CommittedState;
 use uba_delay::fixed_point::{solve_two_class, SolveConfig};
-use uba_delay::routeset::{Route, RouteSet};
+use uba_delay::routeset::RouteSet;
 use uba_delay::servers::Servers;
 use uba_graph::{Digraph, DynDigraph, EdgeId, NodeId, Path};
 use uba_traffic::{ClassId, ClassSet, TrafficClass};
@@ -66,9 +66,8 @@ impl Configuration {
         sel: Selection,
     ) -> Self {
         let mut overlay = DynDigraph::new(g.edge_count());
-        for p in &sel.paths {
-            let chain: Vec<usize> = p.edges.iter().map(|e| e.index()).collect();
-            overlay.add_chain(&chain);
+        for r in sel.routes.routes() {
+            overlay.add_chain(&r.servers);
         }
         Self {
             g,
@@ -128,15 +127,8 @@ impl Configuration {
         );
         let failed = &self.failed;
         let outcome = pairs.iter().try_for_each(|&pair| {
-            let path = choose_route(
-                &self.g,
-                &mut state,
-                &mut self.overlay,
-                pair,
-                &self.cfg,
-                &|e| !failed.contains(&e),
-                None,
-            )?;
+            let candidates = candidates_for(&self.g, pair, &self.cfg, |e| !failed.contains(&e));
+            let path = choose_route(&mut state, &mut self.overlay, pair, &self.cfg, &candidates)?;
             self.pairs.push(pair);
             self.paths.push(path);
             Ok(())
@@ -150,31 +142,39 @@ impl Configuration {
     /// scratch (the fixed point shrinks, so the old vector would be an
     /// over-estimate, not a warm start).
     pub fn remove_pair(&mut self, pair: Pair) -> usize {
-        let mut removed = 0;
-        let mut i = 0;
-        while i < self.pairs.len() {
-            if self.pairs[i] == pair {
-                let path = self.paths.remove(i);
-                self.pairs.remove(i);
-                let chain: Vec<usize> = path.edges.iter().map(|e| e.index()).collect();
-                self.overlay.remove_chain(&chain);
-                removed += 1;
-            } else {
-                i += 1;
-            }
+        let gone: Vec<bool> = self.pairs.iter().map(|&p| p == pair).collect();
+        if !gone.contains(&true) {
+            return 0;
         }
-        if removed > 0 {
-            self.rebuild_routes_and_solve();
-        }
+        let removed = self.detach(&gone).len();
+        self.solve();
         removed
     }
 
-    fn rebuild_routes_and_solve(&mut self) {
-        let mut routes = RouteSet::new(self.g.edge_count());
-        for p in &self.paths {
-            routes.push(Route::from_path(ClassId(0), p));
+    /// Takes the committed routes marked in `gone` (one flag per route)
+    /// out of the pairs, the paths, the route set and the overlay, and
+    /// returns their pairs. `delays` and `route_delays` are out of date
+    /// until [`Self::solve`].
+    fn detach(&mut self, gone: &[bool]) -> Vec<Pair> {
+        let pairs = std::mem::take(&mut self.pairs);
+        let paths = std::mem::take(&mut self.paths);
+        let routes = std::mem::replace(&mut self.routes, RouteSet::new(self.g.edge_count()));
+        let mut detached = Vec::new();
+        for (i, (pair, path)) in pairs.into_iter().zip(paths).enumerate() {
+            let route = &routes.routes()[i];
+            if gone[i] {
+                self.overlay.remove_chain(&route.servers);
+                detached.push(pair);
+            } else {
+                self.pairs.push(pair);
+                self.paths.push(path);
+                self.routes.push(route.clone());
+            }
         }
-        self.routes = routes;
+        detached
+    }
+
+    fn solve(&mut self) {
         let r = solve_two_class(
             &self.servers,
             &self.class,
@@ -211,19 +211,13 @@ impl Configuration {
         }
 
         // Detach affected pairs.
-        let mut affected: Vec<Pair> = Vec::new();
-        let mut i = 0;
-        while i < self.paths.len() {
-            if self.paths[i].edges.iter().any(|e| self.failed.contains(e)) {
-                let path = self.paths.remove(i);
-                affected.push(self.pairs.remove(i));
-                let chain: Vec<usize> = path.edges.iter().map(|e| e.index()).collect();
-                self.overlay.remove_chain(&chain);
-            } else {
-                i += 1;
-            }
-        }
-        self.rebuild_routes_and_solve();
+        let gone: Vec<bool> = self
+            .paths
+            .iter()
+            .map(|p| p.edges.iter().any(|e| self.failed.contains(e)))
+            .collect();
+        let affected = self.detach(&gone);
+        self.solve();
 
         // Re-route, longest pairs first (same ordering heuristic).
         let ordered = crate::pairs::order_pairs_by_distance(&self.g, &affected);

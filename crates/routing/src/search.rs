@@ -49,7 +49,8 @@ pub struct MaxUtilResult {
 }
 
 /// Runs the Section 5.3 binary search to tolerance `tol` (the paper's
-/// experiment reports two decimals; `tol = 0.005` reproduces that).
+/// experiment reports two decimals; `tol = 0.005` reproduces that), or
+/// until the bracket holds no `f64` to probe, whichever comes first.
 pub fn max_utilization(
     g: &Digraph,
     servers: &Servers,
@@ -154,6 +155,11 @@ pub fn max_utilization(
     }
     while hi - lo > tol {
         let mid = 0.5 * (lo + hi);
+        // Adjacent floats: the midpoint rounds onto an end, and a `tol`
+        // below their spacing would have the loop probe it forever.
+        if !(lo < mid && mid < hi) {
+            break;
+        }
         match probe(mid) {
             Some(sel) => {
                 lo = mid;
@@ -248,6 +254,31 @@ mod tests {
             } else {
                 assert!(a > r.alpha);
             }
+        }
+    }
+
+    #[test]
+    fn a_tolerance_below_float_spacing_still_terminates() {
+        // Once `lo` and `hi` are adjacent floats no midpoint lies between
+        // them; the search must stop there, within the 64 halvings an
+        // `f64` bracket allows, on the α the usual tolerance brackets.
+        let g = mci();
+        let servers = Servers::uniform(&g, 100e6, 6);
+        let all = all_ordered_pairs(&g);
+        let sixth: Vec<Pair> = all.iter().copied().step_by(6).collect();
+        let heuristic = Selector::Heuristic(HeuristicConfig::default());
+        for (pairs, selector) in [(&all, Selector::ShortestPath), (&sixth, heuristic)] {
+            let coarse = max_utilization(&g, &servers, &voip(), pairs, &selector, 0.005);
+            let exact = max_utilization(&g, &servers, &voip(), pairs, &selector, f64::MIN_POSITIVE);
+            assert!(exact.probes.len() <= 64, "{} probes", exact.probes.len());
+            assert!(exact.probes.len() > coarse.probes.len());
+            assert!(
+                (exact.alpha - coarse.alpha).abs() <= 0.005,
+                "{} vs {}",
+                exact.alpha,
+                coarse.alpha
+            );
+            assert!(exact.selection.is_some());
         }
     }
 
