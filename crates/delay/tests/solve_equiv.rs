@@ -13,18 +13,23 @@
 //! moved by one ulp, an iteration more or a different first offending
 //! route changes at least one digest.
 //!
+//! The `MULTICLASS` rows are `solve_multiclass`'s answers from the commit
+//! before ISSUE 21, when it still ran an iteration of its own: the one
+//! loop that replaced it must return them bit for bit.
+//!
 //! Re-pinning is only legitimate for an intended behaviour change: the
 //! failure message prints the freshly computed tables.
 
 use uba_delay::fixed_point::{
     solve_two_class, solve_two_class_with, Outcome, SolveConfig, SolveResult,
 };
+use uba_delay::multiclass::{solve_multiclass, MulticlassResult};
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
 use uba_graph::{k_shortest_paths, Digraph, NodeId};
 use uba_obs::SplitMix64;
 use uba_topology::{line, mci, ring};
-use uba_traffic::{ClassId, TrafficClass};
+use uba_traffic::{ClassId, ClassSet, LeakyBucket, TrafficClass};
 
 /// Safe, deadline-violating and divergent regimes, then the four
 /// out-of-domain values (`InvalidParams`).
@@ -272,5 +277,165 @@ fn general_solver_matches_the_pinned_digests() {
          PER_SERVER: {per_server:#018x?}",
         mismatches.len(),
         mismatches.join("\n")
+    );
+}
+
+/// Theorem 5 through `solve_multiclass`: 45 random routes on MCI dealt to
+/// three classes, 16 on ring9 dealt to two. A cell folds four solves:
+/// cold, warm from half the cold iterate, warm from 1.5 times it, and warm
+/// from the cold iterate of the same routes at half the utilizations.
+const MULTICLASS_CASES: [(&str, &[f64]); 8] = [
+    ("mci low", &[0.02, 0.06, 0.06]),
+    ("mci high", &[0.09, 0.27, 0.27]),
+    ("mci past a deadline", &[0.1, 0.3, 0.3]),
+    ("mci oversubscribed", &[0.3, 0.4, 0.4]),
+    ("mci negative share", &[0.1, -0.1, 0.1]),
+    ("ring9 low", &[0.05, 0.05]),
+    ("ring9 high", &[0.15, 0.1]),
+    ("ring9 past a deadline", &[0.3, 0.2]),
+];
+
+const MULTICLASS: [u64; 8] = [
+    0xe631_8ee1_6b58_cfbd,
+    0x3ead_905c_fa6c_61a0,
+    0x3d27_4343_30bb_41ab,
+    0x45bf_33e3_6307_6225,
+    0x45bf_33e3_6307_6225,
+    0x9a3c_b657_8b5d_576b,
+    0x10ab_6cc8_2e04_0866,
+    0x7072_eddf_6ea7_ce01,
+];
+
+/// `mci high` again under `max_iters = 3`: `IterationLimit`.
+const MULTICLASS_CAPPED: u64 = 0x9f08_8f8d_6bd2_29e9;
+
+fn fold_multi(mut h: u64, r: &MulticlassResult) -> u64 {
+    let (tag, route) = match r.outcome {
+        Outcome::Safe => (0, 0),
+        Outcome::DeadlineExceeded { route } => (1, route as u64),
+        Outcome::IterationLimit => (2, 0),
+        Outcome::InvalidParams => (3, 0),
+    };
+    for word in [tag, route, r.iterations as u64, r.delays.len() as u64] {
+        h = fnv(h, word);
+    }
+    for x in r.delays.iter().flatten().chain(&r.route_delays) {
+        h = fnv(h, x.to_bits());
+    }
+    h
+}
+
+fn three_classes() -> ClassSet {
+    let mut set = ClassSet::new();
+    set.push(TrafficClass::voip());
+    set.push(TrafficClass::new(
+        "video",
+        LeakyBucket::new(64_000.0, 2_000_000.0),
+        0.3,
+    ));
+    set.push(TrafficClass::new(
+        "bulk-rt",
+        LeakyBucket::new(256_000.0, 5_000_000.0),
+        1.0,
+    ));
+    set
+}
+
+/// `random_routes`, class `i mod nc` on the `i`-th.
+fn dealt_routes(g: &Digraph, n_routes: usize, nc: usize, seed: u64) -> RouteSet {
+    let plain = random_routes(g, n_routes, &mut SplitMix64::new(seed));
+    let mut routes = RouteSet::new(g.edge_count());
+    for (i, r) in plain.routes().iter().enumerate() {
+        routes.push(Route {
+            class: ClassId(i % nc),
+            servers: r.servers.clone(),
+        });
+    }
+    routes
+}
+
+fn multiclass() -> (Vec<u64>, u64, Vec<Outcome>) {
+    let (mci, ring9) = (mci(), ring(9));
+    let mci_servers = Servers::uniform(&mci, 100e6, 6);
+    let ring_servers = Servers::uniform(&ring9, 100e6, 6);
+    let mci_routes = dealt_routes(&mci, 45, 3, 0x5C1A55);
+    let ring_routes = dealt_routes(&ring9, 16, 2, 0x2C1A55);
+    let three = three_classes();
+    let mut two = ClassSet::new();
+    for (_, class) in three.iter().take(2) {
+        two.push(class.clone());
+    }
+    let cfg = SolveConfig::default();
+    let mut outcomes = Vec::new();
+    let digests = MULTICLASS_CASES
+        .iter()
+        .map(|(_, alphas)| {
+            let (servers, classes, routes) = match alphas.len() {
+                3 => (&mci_servers, &three, &mci_routes),
+                _ => (&ring_servers, &two, &ring_routes),
+            };
+            let solve = |alphas: &[f64], warm: Option<&[Vec<f64>]>| {
+                solve_multiclass(servers, classes, alphas, routes, &cfg, warm)
+            };
+            let scaled = |d: &[Vec<f64>], f: f64| -> Vec<Vec<f64>> {
+                d.iter()
+                    .map(|row| row.iter().map(|x| x * f).collect())
+                    .collect()
+            };
+            let cold = solve(alphas, None);
+            outcomes.push(cold.outcome);
+            let halved: Vec<f64> = alphas.iter().map(|a| a * 0.5).collect();
+            let smaller = solve(&halved, None);
+            let mut h = fold_multi(FNV_OFFSET, &cold);
+            h = fold_multi(h, &solve(alphas, Some(&scaled(&cold.delays, 0.5))));
+            h = fold_multi(h, &solve(alphas, Some(&scaled(&cold.delays, 1.5))));
+            fold_multi(h, &solve(alphas, Some(&smaller.delays)))
+        })
+        .collect();
+    let capped = SolveConfig {
+        max_iters: 3,
+        ..cfg
+    };
+    let limit = solve_multiclass(
+        &mci_servers,
+        &three,
+        MULTICLASS_CASES[1].1,
+        &mci_routes,
+        &capped,
+        None,
+    );
+    outcomes.push(limit.outcome);
+    (digests, fold_multi(FNV_OFFSET, &limit), outcomes)
+}
+
+#[test]
+fn multiclass_solver_matches_the_pinned_digests() {
+    let (digests, capped, outcomes) = multiclass();
+    // The regimes the rows are named for.
+    use Outcome::{DeadlineExceeded, InvalidParams, IterationLimit, Safe};
+    assert!(
+        matches!(
+            outcomes[..],
+            [
+                Safe,
+                Safe,
+                DeadlineExceeded { .. },
+                InvalidParams,
+                InvalidParams,
+                Safe,
+                Safe,
+                DeadlineExceeded { .. },
+                IterationLimit
+            ]
+        ),
+        "{outcomes:?}"
+    );
+    let diverged: Vec<&str> = (0..MULTICLASS.len())
+        .filter(|&i| digests[i] != MULTICLASS[i])
+        .map(|i| MULTICLASS_CASES[i].0)
+        .collect();
+    assert!(
+        diverged.is_empty() && capped == MULTICLASS_CAPPED,
+        "diverged: {diverged:?}\nMULTICLASS: {digests:#018x?}\nMULTICLASS_CAPPED: {capped:#018x}"
     );
 }
