@@ -96,10 +96,6 @@ pub fn cmd_verify(sc: &Scenario) -> Result<String, ScenarioError> {
 /// `maximize`: Section 5.3 binary search; multi-class scenarios use the
 /// §5.4 trade-off ray (scenario alphas as the weight vector).
 pub fn cmd_maximize(sc: &Scenario, selector_name: &str) -> Result<String, ScenarioError> {
-    if sc.classes.len() != 1 {
-        return cmd_maximize_multiclass(sc);
-    }
-    let (_, class) = sc.classes.iter().next().unwrap();
     let selector = match selector_name {
         "sp" => Selector::ShortestPath,
         "heuristic" => Selector::Heuristic(HeuristicConfig::default()),
@@ -109,6 +105,16 @@ pub fn cmd_maximize(sc: &Scenario, selector_name: &str) -> Result<String, Scenar
             )))
         }
     };
+    if sc.classes.len() != 1 {
+        let Selector::Heuristic(cfg) = selector else {
+            return Err(ScenarioError(format!(
+                "selector '{selector_name}' handles single-class scenarios; \
+                 a multi-class scenario is maximized with 'heuristic'"
+            )));
+        };
+        return cmd_maximize_multiclass(sc, &cfg);
+    }
+    let (_, class) = sc.classes.iter().next().unwrap();
     let r = max_utilization(&sc.graph, &sc.servers, class, &sc.pairs, &selector, 0.005);
     let mut out = String::new();
     writeln!(
@@ -141,8 +147,18 @@ pub fn cmd_maximize(sc: &Scenario, selector_name: &str) -> Result<String, Scenar
 
 /// Multi-class maximize: scale the scenario's alphas as a ray until the
 /// Theorem 5 verification stops succeeding.
-fn cmd_maximize_multiclass(sc: &Scenario) -> Result<String, ScenarioError> {
+fn cmd_maximize_multiclass(sc: &Scenario, cfg: &HeuristicConfig) -> Result<String, ScenarioError> {
     use uba::routing::{max_utilization_ray, Demand};
+    // The ray needs a direction: finite, non-negative, not all zero (and
+    // not so large that the weights' sum overflows).
+    let total: f64 = sc.alphas.iter().sum();
+    if !(sc.alphas.iter().all(|&w| w.is_finite() && w >= 0.0) && total.is_finite() && total > 0.0) {
+        return Err(ScenarioError(format!(
+            "class alphas {:?} are the trade-off ray's weights: each must be finite and \
+             non-negative, with a finite positive sum",
+            sc.alphas
+        )));
+    }
     let demands: Vec<Demand> = sc
         .classes
         .iter()
@@ -154,7 +170,7 @@ fn cmd_maximize_multiclass(sc: &Scenario) -> Result<String, ScenarioError> {
         &sc.classes,
         &sc.alphas,
         &demands,
-        &HeuristicConfig::default(),
+        cfg,
         0.01,
     );
     let mut out = String::new();
@@ -784,7 +800,8 @@ mod tests {
             let out = cmd_maximize(&sc, sel).unwrap();
             assert!(out.contains("maximum safe utilization"), "{out}");
         }
-        assert!(cmd_maximize(&sc, "magic").is_err());
+        let unknown = cmd_maximize(&sc, "magic").unwrap_err();
+        assert!(unknown.0.contains("unknown selector"), "{unknown:?}");
     }
 
     #[test]
@@ -818,6 +835,12 @@ mod tests {
         assert!(out.contains("maximum safe scale"), "{out}");
         assert!(out.contains("class voip"));
         assert!(out.contains("class video"));
+        // The selector is validated before the class count is looked at,
+        // and the ray search has only the heuristic.
+        let unknown = cmd_maximize(&sc, "magic").unwrap_err();
+        assert!(unknown.0.contains("unknown selector"), "{unknown:?}");
+        let sp = cmd_maximize(&sc, "sp").unwrap_err();
+        assert!(sp.0.contains("'heuristic'"), "{sp:?}");
     }
 
     #[test]

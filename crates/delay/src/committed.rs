@@ -2,14 +2,18 @@
 //!
 //! The §5.2 greedy asks the same question thousands of times: *with this
 //! one route appended to the committed set, does every route still meet
-//! its deadline, and what is the new route's own delay?* Theorem 3's
-//! `d_k` depends on `α`, `N` and `Y_k` only — never on how many routes
-//! cross `k` — so a candidate can move nothing except through the `Y` of
-//! its own servers. [`CommittedState`] therefore keeps the committed
-//! routes' `d`, `Y`, route delays and server→routes lists across
-//! candidates, sweeps only the candidate's hops, re-evaluates only the
-//! servers whose `Y` moved, re-sweeps only the routes through servers
-//! whose `d` moved, journals every write and undoes them on reject.
+//! its deadline, and what is the new route's own delay?* The delay rule's
+//! `d_{i,k}` depends on the shares, `N` and the server's `Y_{l,k}`, `l ≤ i`,
+//! only — never on how many routes cross `k` — so a candidate can move
+//! nothing except through the `Y` of its own hops. [`CommittedState`]
+//! therefore keeps the committed routes' `d`, `Y`, route delays and
+//! cell→routes lists across candidates, sweeps only the candidate's hops,
+//! re-evaluates only the cells that read a `Y` that moved (under Theorem 3
+//! the cell itself; under Theorem 5 the server's classes at or below the
+//! one whose `Y` moved), re-sweeps only the routes through cells whose `d`
+//! moved, journals every write and undoes them on reject. State is one
+//! entry per cell of [`crate::rule`]'s layout; with one class a cell is a
+//! server, which is how the text below speaks.
 //!
 //! # Invariant
 //!
@@ -25,8 +29,8 @@
 //! # Same iterates as the general solver
 //!
 //! The results are those of "clone the route set, push the candidate,
-//! [`solve_two_class`](crate::fixed_point::solve_two_class) warm from the
-//! committed delays", bit for bit. That solve's first iteration rebuilds
+//! [`solve_rule`](crate::fixed_point::solve_rule) warm from the committed
+//! delays", bit for bit. That solve's first iteration rebuilds
 //! `Y` and re-evaluates `f(Y_k)` at *every* used server; here the rebuild
 //! is the invariant, and the re-evaluation can only differ from `d_k` at
 //! a stale server, so it is computed once per committed state and shared
@@ -45,25 +49,29 @@
 //! from below what evaluating it would return. [`CommittedState::delay_floor`]
 //! hands that out so a caller comparing candidates can drop one that has
 //! already lost; it declines (`None`) in the one situation where an
-//! iterate can fall, which the shared first-iteration step reveals.
+//! iterate can fall, which the shared first-iteration step reveals. Under
+//! Theorem 5 a delay can also round an ulp down; the rebuild keeps this
+//! evaluator on the general solver's iterates, and the floor is lowered by
+//! [`DelayRule::ROUNDING_MARGIN`], so a candidate that ties the incumbent
+//! to within rounding is evaluated, never cut.
 
-use crate::bound::theorem3_delay;
 use crate::fixed_point::{SolveConfig, DEADLINE_SLACK};
 use crate::metrics::{record_solve, SolveRecord};
 use crate::routeset::{Route, RouteSet};
+use crate::rule::{DelayRule, Theorem3};
 use crate::servers::Servers;
-use uba_traffic::{ClassId, TrafficClass};
+use uba_traffic::TrafficClass;
 
-/// The committed routes of a two-class configuration at one `α`, with
-/// their fixed point, ready to evaluate tentative routes against.
+/// The committed routes of a configuration at one utilization assignment
+/// (`rule`), with their fixed point, ready to evaluate tentative routes
+/// against.
 #[derive(Debug)]
-pub struct CommittedState<'a> {
+pub struct CommittedState<'a, R = Theorem3> {
     servers: &'a Servers,
-    class: &'a TrafficClass,
-    alpha: f64,
+    rule: R,
     cfg: SolveConfig,
     routes: RouteSet,
-    /// Append-only: the routes crossing each server, once per visit.
+    /// Append-only: the routes crossing each cell, once per visit.
     through: Vec<Vec<u32>>,
     d: Vec<f64>,
     y: Vec<f64>,
@@ -80,7 +88,7 @@ pub struct CommittedState<'a> {
     /// above what their own `Y` supports, so iterates may fall.
     pending_lowers: bool,
     /// No candidate can verify: a committed route already misses its
-    /// deadline, or a stale server is outside Theorem 3's domain.
+    /// deadline, or a stale server is outside the rule's domain.
     blocked: bool,
     // Undo journal of the staged candidate: `(index, old value)`.
     log_d: Vec<(u32, f64)>,
@@ -96,41 +104,44 @@ pub struct CommittedState<'a> {
     dirty_mark: Vec<bool>,
 }
 
-/// Walks one route, max-merging its prefix sums into `y` (journalled)
-/// and recording the servers whose `Y` moved; returns the queueing sum.
-#[inline]
+/// Walks one route, max-merging its prefix sums into `y` (journalled) and
+/// recording the cells that read a `Y` that moved — the route's class and
+/// the lower-priority ones at that server; returns the queueing sum. Always
+/// inlined: `nc` is the caller's rule's constant, one class reads one cell.
+#[inline(always)]
 fn sweep_tracked(
-    hops: &[u32],
+    route: &Route,
+    nc: usize,
     d: &[f64],
     y: &mut [f64],
     log_y: &mut Vec<(u32, f64)>,
     touched_mark: &mut [bool],
     touched: &mut Vec<u32>,
 ) -> f64 {
+    let class = route.class.index();
+    assert!(class < nc, "a route outside the state's classes");
     let mut prefix = 0.0;
-    for &sv in hops {
-        let k = sv as usize;
-        if prefix > y[k] {
-            log_y.push((sv, y[k]));
-            y[k] = prefix;
-            if !touched_mark[k] {
-                touched_mark[k] = true;
-                touched.push(sv);
+    for &sv in &route.servers {
+        let cell = sv as usize * nc + class;
+        if prefix > y[cell] {
+            log_y.push((cell as u32, y[cell]));
+            y[cell] = prefix;
+            let readers = cell..(sv as usize + 1) * nc;
+            for (mark, reader) in touched_mark[readers.clone()].iter_mut().zip(readers) {
+                if !*mark {
+                    *mark = true;
+                    touched.push(reader as u32);
+                }
             }
         }
-        prefix += d[k];
+        prefix += d[cell];
     }
     prefix
 }
 
 impl<'a> CommittedState<'a> {
-    /// No routes committed yet.
-    pub fn new(
-        servers: &'a Servers,
-        class: &'a TrafficClass,
-        alpha: f64,
-        cfg: &SolveConfig,
-    ) -> Self {
+    /// No routes committed yet; one real-time class at `alpha` everywhere.
+    pub fn new(servers: &'a Servers, class: &TrafficClass, alpha: f64, cfg: &SolveConfig) -> Self {
         let s = servers.len();
         Self::from_fixed_point(servers, class, alpha, cfg, RouteSet::new(s), vec![0.0; s])
     }
@@ -142,24 +153,44 @@ impl<'a> CommittedState<'a> {
     /// stale until the first evaluation has looked at it.
     pub fn from_fixed_point(
         servers: &'a Servers,
-        class: &'a TrafficClass,
+        class: &TrafficClass,
         alpha: f64,
         cfg: &SolveConfig,
         routes: RouteSet,
         delays: Vec<f64>,
     ) -> Self {
-        let s = servers.len();
-        assert_eq!(routes.server_count(), s, "route set / servers mismatch");
+        let rule = Theorem3::new(class, vec![alpha; servers.len()]);
+        Self::with_rule(servers, rule, cfg, routes, delays)
+    }
+}
+
+impl<'a, R: DelayRule> CommittedState<'a, R> {
+    /// No routes committed yet, under `rule`.
+    pub fn empty(servers: &'a Servers, rule: R, cfg: &SolveConfig) -> Self {
+        let (routes, cells) = (RouteSet::new(servers.len()), servers.len() * rule.classes());
+        Self::with_rule(servers, rule, cfg, routes, vec![0.0; cells])
+    }
+
+    /// [`CommittedState::from_fixed_point`] under any rule, `delays` by cell.
+    fn with_rule(
+        servers: &'a Servers,
+        rule: R,
+        cfg: &SolveConfig,
+        routes: RouteSet,
+        delays: Vec<f64>,
+    ) -> Self {
+        let (nc, links) = (rule.classes(), servers.len());
+        let s = links * nc;
+        assert_eq!(routes.server_count(), links, "route set / servers mismatch");
         assert_eq!(delays.len(), s, "warm start length mismatch");
-        debug_assert!(
-            routes.routes().iter().all(|r| r.class == ClassId(0)),
-            "CommittedState expects single-class routes"
+        assert!(
+            routes.routes().iter().all(|r| r.class.index() < nc),
+            "a route of a class the delay rule does not cover"
         );
         let n = routes.len();
         let mut st = Self {
             servers,
-            class,
-            alpha,
+            rule,
             cfg: *cfg,
             routes,
             through: vec![Vec::new(); s],
@@ -187,7 +218,7 @@ impl<'a> CommittedState<'a> {
         for (ri, r) in st.routes.routes().iter().enumerate() {
             let mut prefix = 0.0;
             for &sv in &r.servers {
-                let k = sv as usize;
+                let k = sv as usize * nc + r.class.index();
                 st.through[k].push(ri as u32);
                 st.used[k] = true;
                 if prefix > st.y[k] {
@@ -199,14 +230,18 @@ impl<'a> CommittedState<'a> {
             st.prop.push(p);
             st.route_delays.push(prefix + p);
         }
-        st.blocked = st
-            .route_delays
-            .iter()
-            .any(|&rd| rd > class.deadline + DEADLINE_SLACK);
+        st.blocked = (st.routes.routes().iter())
+            .zip(&st.route_delays)
+            .any(|(r, &rd)| rd > st.rule.deadline(r.class) + DEADLINE_SLACK);
         st.stale = (0..s as u32)
             .filter(|&k| st.used[k as usize] || st.d[k as usize] != 0.0)
             .collect();
         st
+    }
+
+    /// Classes of the delay rule: cells per server.
+    pub fn classes(&self) -> usize {
+        self.rule.classes()
     }
 
     /// The committed routes.
@@ -214,7 +249,7 @@ impl<'a> CommittedState<'a> {
         &self.routes
     }
 
-    /// Per-server delay bounds at the committed fixed point.
+    /// Delay bounds at the committed fixed point, one per cell.
     pub fn delays(&self) -> &[f64] {
         &self.d
     }
@@ -233,37 +268,41 @@ impl<'a> CommittedState<'a> {
     /// the first sweep of [`Self::try_route`] computes, without staging
     /// anything. It is a floor on what `try_route` would return: while a
     /// route is added every `Y_k`, hence every `d_k`, only grows, and
-    /// floating-point addition is monotone. `None` when that premise
-    /// fails — the shared first-iteration step would lower some delay,
-    /// which only a warm start above the least fixed point (or one seeding
-    /// an unused server) brings about.
+    /// floating-point addition is monotone (less the rule's
+    /// [`DelayRule::ROUNDING_MARGIN`]). `None` when that premise fails —
+    /// the shared first-iteration step would lower some delay, which only
+    /// a warm start above the least fixed point (or one seeding an unused
+    /// server) brings about.
     pub fn delay_floor(&mut self, route: &Route) -> Option<f64> {
         self.ensure_pending();
         if self.pending_lowers {
             return None;
         }
+        let (nc, class) = (self.rule.classes(), route.class.index());
+        assert!(class < nc, "a route outside the state's classes");
         let queueing = route
             .servers
             .iter()
-            .fold(0.0, |prefix, &sv| prefix + self.d[sv as usize]);
-        Some(queueing + self.servers.route_const_delay(&route.servers))
+            .fold(0.0, |prefix, &sv| prefix + self.d[sv as usize * nc + class]);
+        let at_committed = queueing + self.servers.route_const_delay(&route.servers);
+        Some(at_committed * (1.0 - R::ROUNDING_MARGIN))
     }
 
     /// Evaluates `route` as if appended to the committed set: `Some(own
     /// end-to-end delay)` if every route then verifies safe, else `None`.
     /// The committed state is unchanged either way.
     pub fn try_route(&mut self, route: &Route) -> Option<f64> {
-        let safe = self.evaluate(&route.servers);
+        let safe = self.evaluate(route);
         let own = safe.then(|| self.route_delays[self.routes.len()]);
-        self.rollback(&route.servers);
+        self.rollback(route);
         own
     }
 
     /// Appends `route` if it verifies safe (leaving the new fixed point
     /// committed) and says whether it did; the state is unchanged if not.
     pub fn commit(&mut self, route: Route) -> bool {
-        if !self.evaluate(&route.servers) {
-            self.rollback(&route.servers);
+        if !self.evaluate(&route) {
+            self.rollback(&route);
             return false;
         }
         // The closing refresh's moved-`Y` list is the next stale list.
@@ -278,19 +317,17 @@ impl<'a> CommittedState<'a> {
         true
     }
 
-    /// Theorem 3 at server `k`'s current `Y` (an unused server that a
-    /// warm start seeded is zeroed, as the general solver does).
-    #[inline]
-    fn eval(&self, k: usize) -> Option<f64> {
-        if !self.used[k] {
+    /// The rule at `cell`'s current `Y` row (an unused cell that a warm
+    /// start seeded is zeroed, as the general solver does).
+    #[inline(always)]
+    fn eval(&self, cell: usize) -> Option<f64> {
+        if !self.used[cell] {
             return Some(0.0);
         }
-        theorem3_delay(
-            self.alpha,
-            self.class.bucket,
-            self.servers.fan_in_at(k),
-            self.y[k],
-        )
+        let nc = self.rule.classes();
+        let (k, class) = (cell / nc, cell % nc);
+        let row = &self.y[cell - class..][..nc];
+        self.rule.delay(class, k, self.servers.fan_in_at(k), row)
     }
 
     /// The shared first-iteration step: `f(Y_k)` at every stale server.
@@ -319,8 +356,8 @@ impl<'a> CommittedState<'a> {
 
     /// Instrumented [`Self::iterate`]: one record per evaluated candidate
     /// in the `delay.solve.*` series, like any other warm solve.
-    fn evaluate(&mut self, cand: &[u32]) -> bool {
-        let (servers, routes) = (self.d.len(), self.routes.len() + 1);
+    fn evaluate(&mut self, cand: &Route) -> bool {
+        let (servers, routes) = (self.servers.len(), self.routes.len() + 1);
         record_solve(servers, routes, true, || {
             let mut rec = SolveRecord::default();
             let safe = self.iterate(cand, &mut rec);
@@ -331,27 +368,41 @@ impl<'a> CommittedState<'a> {
     /// Stages `cand` as route `n` and iterates to the new fixed point,
     /// leaving every write journalled for [`Self::rollback`]; `true` iff
     /// every route then verifies safe.
-    fn iterate(&mut self, cand: &[u32], rec: &mut SolveRecord) -> bool {
+    fn iterate(&mut self, cand: &Route, rec: &mut SolveRecord) -> bool {
         let n = self.routes.len();
-        for &sv in cand {
+        let (nc, class) = (self.rule.classes(), cand.class.index());
+        assert!(class < nc, "tentative route of unknown class {class}");
+        for &sv in &cand.servers {
             assert!(
-                (sv as usize) < self.d.len(),
+                (sv as usize) < self.servers.len(),
                 "tentative route references unknown server {sv}"
             );
         }
         // Stage the candidate as one more route.
-        self.prop.push(self.servers.route_const_delay(cand));
+        self.prop
+            .push(self.servers.route_const_delay(&cand.servers));
         self.route_delays.push(0.0);
         self.dirty_mark.resize(n + 1, false);
-        for &sv in cand {
-            self.through[sv as usize].push(n as u32);
+        for &sv in &cand.servers {
+            self.through[sv as usize * nc + class].push(n as u32);
         }
 
-        let domain_ok = self.alpha > 0.0 && self.alpha < 1.0 && self.alpha.is_finite();
-        if !domain_ok && (!cand.is_empty() || self.used.contains(&true)) {
+        // The shared step reads the committed routes' cells only: before
+        // the candidate marks its own.
+        self.ensure_pending();
+        self.clear_touched();
+        for &sv in &cand.servers {
+            let k = sv as usize * nc + class;
+            if !self.used[k] {
+                self.used[k] = true;
+                self.log_used.push(k as u32);
+                self.touched_mark[k] = true;
+                self.touched.push(k as u32);
+            }
+        }
+        if !self.rule.in_domain(&self.used) {
             return false;
         }
-        self.ensure_pending();
         rec.iterations = 1;
         if self.blocked {
             return false;
@@ -359,19 +410,10 @@ impl<'a> CommittedState<'a> {
 
         // Iteration 1: the committed routes' sweep is the invariant; only
         // the candidate's hops are new.
-        self.clear_touched();
-        for &sv in cand {
-            let k = sv as usize;
-            if !self.used[k] {
-                self.used[k] = true;
-                self.log_used.push(sv);
-                self.touched_mark[k] = true;
-                self.touched.push(sv);
-            }
-        }
         rec.sweeps_skipped += n as u64;
         let own = sweep_tracked(
             cand,
+            nc,
             &self.d,
             &mut self.y,
             &mut self.log_y,
@@ -379,7 +421,7 @@ impl<'a> CommittedState<'a> {
             &mut self.touched,
         ) + self.prop[n];
         self.route_delays[n] = own;
-        if own > self.class.deadline + DEADLINE_SLACK {
+        if own > self.rule.deadline(cand.class) + DEADLINE_SLACK {
             return false;
         }
         let Some((mut max_diff, mut decreased)) = self.reevaluate(true, rec) else {
@@ -390,7 +432,7 @@ impl<'a> CommittedState<'a> {
             rec.residual = max_diff;
             rec.decreased |= decreased;
             debug_assert!(
-                !decreased || self.pending_lowers,
+                R::ROUNDING_MARGIN > 0.0 || !decreased || self.pending_lowers,
                 "an iterate fell below a delay `delay_floor` vouched for"
             );
             let converged = max_diff <= self.cfg.tol;
@@ -426,7 +468,7 @@ impl<'a> CommittedState<'a> {
         }
     }
 
-    /// Re-evaluates Theorem 3 at the touched servers (plus, in the first
+    /// Re-evaluates the rule at the touched servers (plus, in the first
     /// iteration, the shared pending values at the untouched ones) and
     /// applies the changes; returns `(sup-norm change, any decrease)`, or
     /// `None` outside the theorem's domain.
@@ -485,13 +527,11 @@ impl<'a> CommittedState<'a> {
     }
 
     /// Re-sweeps route `ri` at the current `d`.
-    fn resweep(&mut self, ri: usize, cand: &[u32]) {
-        let hops = match self.routes.routes().get(ri) {
-            Some(r) => r.servers.as_slice(),
-            None => cand,
-        };
+    fn resweep(&mut self, ri: usize, cand: &Route) {
+        let route = self.routes.routes().get(ri).unwrap_or(cand);
         let rd = sweep_tracked(
-            hops,
+            route,
+            self.rule.classes(),
             &self.d,
             &mut self.y,
             &mut self.log_y,
@@ -502,12 +542,12 @@ impl<'a> CommittedState<'a> {
             self.log_rd.push((ri as u32, self.route_delays[ri]));
             self.route_delays[ri] = rd;
         }
-        self.violated |= rd > self.class.deadline + DEADLINE_SLACK;
+        self.violated |= rd > self.rule.deadline(route.class) + DEADLINE_SLACK;
     }
 
     /// A delay decreased, so max-merging is no longer exact: rebuild `Y`
     /// from zero over every route and re-evaluate every server.
-    fn resweep_all(&mut self, cand: &[u32]) {
+    fn resweep_all(&mut self, cand: &Route) {
         for k in 0..self.y.len() {
             if self.y[k] != 0.0 {
                 self.log_y.push((k as u32, self.y[k]));
@@ -526,7 +566,7 @@ impl<'a> CommittedState<'a> {
     }
 
     /// Undoes the staged candidate.
-    fn rollback(&mut self, cand: &[u32]) {
+    fn rollback(&mut self, cand: &Route) {
         for &(k, old) in self.log_d.iter().rev() {
             self.d[k as usize] = old;
         }
@@ -539,8 +579,9 @@ impl<'a> CommittedState<'a> {
         for &k in &self.log_used {
             self.used[k as usize] = false;
         }
-        for &sv in cand {
-            self.through[sv as usize].pop();
+        let (nc, class) = (self.rule.classes(), cand.class.index());
+        for &sv in &cand.servers {
+            self.through[sv as usize * nc + class].pop();
         }
         self.prop.pop();
         self.route_delays.pop();

@@ -17,19 +17,21 @@
 //! * **Iteration cap** — treated as unsafe (conservative).
 //!
 //! The loop is the math as written: every iteration rebuilds every `Y_k`
-//! from the route prefixes (Eq. 6) and re-evaluates Theorem 3 at every
-//! used server. The §5.2 candidate-evaluation loop does not come through
+//! from the route prefixes (Eq. 6) and re-evaluates the delay rule
+//! ([`crate::rule`]: Theorem 3 for the entry points here, Theorem 5 for
+//! [`crate::multiclass::solve_multiclass`]) at every used server.
+//! The §5.2 candidate-evaluation loop does not come through
 //! here: it asks one question thousands of times against a slowly
 //! growing route set, and [`crate::committed::CommittedState`] answers it
 //! from persistent state with these iterates, bit for bit
 //! (`tests/committed_equiv.rs`; `tests/solve_equiv.rs` pins this solver's
 //! own answers).
 
-use crate::bound::theorem3_delay;
 use crate::metrics::SolveRecord;
 use crate::routeset::{Route, RouteSet};
+use crate::rule::{DelayRule, Theorem3};
 use crate::servers::Servers;
-use uba_traffic::{ClassId, TrafficClass};
+use uba_traffic::TrafficClass;
 
 /// Tunables for the fixed-point iteration.
 #[derive(Clone, Copy, Debug)]
@@ -89,7 +91,7 @@ pub struct SolveResult {
 pub(crate) const DEADLINE_SLACK: f64 = 1e-12;
 
 /// Solves the two-class system (one real-time class + implicit best
-/// effort): all routes in `routes` must carry [`ClassId`]`(0)`.
+/// effort): all routes in `routes` must carry `ClassId(0)`.
 ///
 /// `warm` may carry the least fixed point of a *smaller* problem (fewer
 /// routes, or lower `alpha`, with everything else equal): `Z` only grows
@@ -120,75 +122,106 @@ pub fn solve_two_class_with(
     cfg: &SolveConfig,
     warm: Option<&[f64]>,
 ) -> SolveResult {
+    assert_eq!(alphas.len(), servers.len(), "one alpha per server");
+    let rule = Theorem3::new(class, alphas.to_vec());
+    solve_rule(servers, &rule, routes, cfg, warm)
+}
+
+/// The solver behind every entry point: iterates `d ← Z(d)` under `rule`
+/// to `cfg.tol`, one record in the `delay.solve.*` series. `warm` and the
+/// result's `delays` are in the cell layout of [`crate::rule`].
+pub fn solve_rule<R: DelayRule>(
+    servers: &Servers,
+    rule: &R,
+    routes: &RouteSet,
+    cfg: &SolveConfig,
+    warm: Option<&[f64]>,
+) -> SolveResult {
     crate::metrics::record_solve(servers.len(), routes.len(), warm.is_some(), || {
-        solve_core(servers, class, alphas, routes, cfg, warm)
+        solve_core(servers, rule, routes, cfg, warm)
     })
 }
 
 /// Walks one route, max-merging its prefix sums into `y`; returns the
 /// route's total queueing delay (Eq. 6 contribution + end-to-end sum).
-#[inline]
-fn sweep_route(r: &Route, d: &[f64], y: &mut [f64]) -> f64 {
+#[inline(always)]
+fn sweep_route(r: &Route, nc: usize, d: &[f64], y: &mut [f64]) -> f64 {
+    let class = r.class.index();
     let mut prefix = 0.0;
     for &sv in &r.servers {
-        let k = sv as usize;
-        if prefix > y[k] {
-            y[k] = prefix;
+        let cell = sv as usize * nc + class;
+        if prefix > y[cell] {
+            y[cell] = prefix;
         }
-        prefix += d[k];
+        prefix += d[cell];
     }
     prefix
 }
 
-/// Eq. (6) over the whole set: rebuilds every `Y_k` from the class-0
-/// route prefixes under `d`, and each such route's end-to-end delay.
-fn sweep_all(routes: &[Route], prop: &[f64], d: &[f64], y: &mut [f64], route_delays: &mut [f64]) {
+/// Eq. (6) over the whole set: rebuilds every `Y` from the route
+/// prefixes under `d`, and each route's end-to-end delay. Inlined with
+/// [`sweep_route`] so that `nc` is the rule's constant in the hop loop.
+#[inline(always)]
+fn sweep_all(
+    routes: &[Route],
+    nc: usize,
+    prop: &[f64],
+    d: &[f64],
+    y: &mut [f64],
+    route_delays: &mut [f64],
+) {
     y.fill(0.0);
     for (ri, r) in routes.iter().enumerate() {
-        if r.class != ClassId(0) {
-            continue;
-        }
-        route_delays[ri] = sweep_route(r, d, y) + prop[ri];
+        route_delays[ri] = sweep_route(r, nc, d, y) + prop[ri];
     }
 }
 
 #[inline]
-fn first_violation(route_delays: &[f64], deadline: f64) -> Option<usize> {
-    route_delays
+fn first_violation<R: DelayRule>(
+    rule: &R,
+    routes: &[Route],
+    route_delays: &[f64],
+) -> Option<usize> {
+    routes
         .iter()
-        .position(|&rd| rd > deadline + DEADLINE_SLACK)
+        .zip(route_delays)
+        .position(|(r, &rd)| rd > rule.deadline(r.class) + DEADLINE_SLACK)
 }
 
 /// The uninstrumented solver body: the result, and what
 /// [`crate::metrics::record_solve`] publishes about it (the residual is
 /// 0 when the loop never completed a sweep).
-fn solve_core(
+fn solve_core<R: DelayRule>(
     servers: &Servers,
-    class: &TrafficClass,
-    alphas: &[f64],
+    rule: &R,
     routes: &RouteSet,
     cfg: &SolveConfig,
     warm: Option<&[f64]>,
 ) -> (SolveResult, SolveRecord) {
     let s = servers.len();
+    let nc = rule.classes();
     assert_eq!(routes.server_count(), s, "route set / servers mismatch");
-    assert_eq!(alphas.len(), s, "one alpha per server");
-    let class0 = ClassId(0);
-    debug_assert!(
-        routes.routes().iter().all(|r| r.class == class0),
-        "solve_two_class expects single-class routes"
-    );
     let committed = routes.routes();
+    assert!(
+        committed.iter().all(|r| r.class.index() < nc),
+        "a route of a class the delay rule does not cover"
+    );
 
-    let mut d = vec![0.0; s];
-    let mut y = vec![0.0; s];
+    let cells = s * nc;
+    let mut d = vec![0.0; cells];
+    let mut y = vec![0.0; cells];
     let mut route_delays = vec![0.0; committed.len()];
     let mut record = SolveRecord::default();
 
-    // Used-server mask, constant (propagation) delay per route. The
+    // Used-cell mask, constant (propagation) delay per route. The
     // propagation term consumes deadline budget but adds no jitter, so it
-    // enters the checks, never `Y_k`.
-    let used = routes.used_servers(class0);
+    // enters the checks, never `Y`.
+    let mut used = vec![false; cells];
+    for r in committed {
+        for &sv in &r.servers {
+            used[sv as usize * nc + r.class.index()] = true;
+        }
+    }
     let prop: Vec<f64> = committed
         .iter()
         .map(|r| servers.route_const_delay(&r.servers))
@@ -196,53 +229,44 @@ fn solve_core(
     let n_used = used.iter().filter(|&&u| u).count() as u64;
 
     let mut iterate = || -> Outcome {
-        // Static domain check on the servers that matter.
-        if (0..s).any(|k| used[k] && !(alphas[k] > 0.0 && alphas[k] < 1.0 && alphas[k].is_finite()))
-        {
+        if !rule.in_domain(&used) {
             return Outcome::InvalidParams;
         }
-
         if let Some(w) = warm {
-            assert_eq!(w.len(), s, "warm start length mismatch");
+            assert_eq!(w.len(), cells, "warm start length mismatch");
             d.copy_from_slice(w);
-        }
-        // Routes of other classes never move in the two-class solve; their
-        // delay is the constant term alone.
-        for (ri, r) in committed.iter().enumerate() {
-            if r.class != class0 {
-                route_delays[ri] = prop[ri];
-            }
         }
 
         loop {
             record.iterations += 1;
-            sweep_all(committed, &prop, &d, &mut y, &mut route_delays);
-            if let Some(ri) = first_violation(&route_delays, class.deadline) {
+            sweep_all(committed, nc, &prop, &d, &mut y, &mut route_delays);
+            if let Some(ri) = first_violation(rule, committed, &route_delays) {
                 return Outcome::DeadlineExceeded { route: ri };
             }
 
-            // Theorem 3 at every used server; an unused one (a warm start
+            // The rule at every used cell; an unused one (a warm start
             // may have seeded it) carries no delay.
             record.servers_touched += n_used;
             let mut max_diff: f64 = 0.0;
-            for k in 0..s {
-                let v = if used[k] {
-                    theorem3_delay(alphas[k], class.bucket, servers.fan_in_at(k), y[k])
+            for cell in 0..cells {
+                let (k, class) = (cell / nc, cell % nc);
+                let v = if used[cell] {
+                    rule.delay(class, k, servers.fan_in_at(k), &y[cell - class..][..nc])
                 } else {
                     Some(0.0)
                 };
                 match v {
                     Some(v) => {
-                        let diff = (v - d[k]).abs();
+                        let diff = (v - d[cell]).abs();
                         if diff > max_diff {
                             max_diff = diff;
                         }
                         // Iterates from below only grow: a fall means the
                         // warm start was above the least fixed point.
-                        if v < d[k] {
+                        if v < d[cell] {
                             record.decreased = true;
                         }
-                        d[k] = v;
+                        d[cell] = v;
                     }
                     None => return Outcome::InvalidParams,
                 }
@@ -252,8 +276,8 @@ fn solve_core(
             if max_diff <= cfg.tol {
                 // Converged: one final pass for route delays at the fixed
                 // point.
-                sweep_all(committed, &prop, &d, &mut y, &mut route_delays);
-                return match first_violation(&route_delays, class.deadline) {
+                sweep_all(committed, nc, &prop, &d, &mut y, &mut route_delays);
+                return match first_violation(rule, committed, &route_delays) {
                     Some(ri) => Outcome::DeadlineExceeded { route: ri },
                     None => Outcome::Safe,
                 };
@@ -279,7 +303,7 @@ mod tests {
     use super::*;
     use crate::routeset::Route;
     use uba_graph::{Digraph, NodeId};
-    use uba_traffic::TrafficClass;
+    use uba_traffic::{ClassId, TrafficClass};
 
     fn voip() -> TrafficClass {
         TrafficClass::voip()
@@ -306,6 +330,30 @@ mod tests {
             servers: back,
         });
         (g, servers, routes)
+    }
+
+    #[test]
+    fn sweep_takes_the_max_prefix_per_class() {
+        // Eq. (6) on the cell layout, two classes over four servers: two
+        // class-0 routes share server 2 (one arrives fresh, one after
+        // servers 0 and 1), a class-1 route revisits server 0.
+        let mut routes = RouteSet::new(4);
+        for (class, servers) in [(0, vec![2, 3]), (0, vec![0, 1, 2]), (1, vec![0, 1, 0])] {
+            let class = ClassId(class);
+            routes.push(Route { class, servers });
+        }
+        let d = [vec![0.010, 0.020, 0.005, 0.001], vec![0.25, 0.5, 0.0, 0.0]];
+        let d = crate::rule::to_cells(&d, 4);
+        let (mut y, mut rd) = (vec![f64::NAN; 8], [0.0; 3]);
+        sweep_all(routes.routes(), 2, &[0.0, 0.0, 0.5], &d, &mut y, &mut rd);
+        let y = crate::rule::by_class(&y, 2);
+        // Server 2 sees max(0 from the first route's first hop, 0.030).
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-15;
+        assert!(y[0][0] == 0.0 && close(y[0][1], 0.010));
+        assert!(close(y[0][2], 0.030) && close(y[0][3], 0.005));
+        // The second visit's prefix; class 0's delays play no part.
+        assert_eq!(y[1], [0.75, 0.25, 0.0, 0.0]);
+        assert!(close(rd[0], 0.006) && close(rd[1], 0.035) && rd[2] == 1.5);
     }
 
     #[test]

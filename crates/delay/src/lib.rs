@@ -9,14 +9,17 @@
 //!   jittered envelope `H_k`, Lemma 1/2's `τ`, and Theorem 3's closed form
 //!   (Eq. 10).
 //! * [`fixed_point`] — the iterative solution of the vector equation
-//!   `d = Z(d)` (Eq. 11–14) for the two-class system — the general
-//!   solver, the math as written — with warm starting and sound early
-//!   divergence detection.
+//!   `d = Z(d)` (Eq. 11–14) — the general solver, the math as written,
+//!   one loop for any number of classes — with warm starting and sound
+//!   early divergence detection.
 //! * [`committed`] — the §5.2 candidate loop's evaluator: one persistent
 //!   committed fixed point, a tentative route evaluated by touching only
 //!   what it can move, journalled and undone on reject — the general
 //!   solver's iterates, bit for bit.
-//! * [`multiclass`] — the Theorem 5 extension to ≥3 classes (Section 5.4).
+//! * [`rule`] — the per-server delay rule both of those are generic over,
+//!   with its two instances: Theorem 3 and Theorem 5 as written.
+//! * [`multiclass`] — the Theorem 5 formula (Section 5.4) and the
+//!   multi-class entry point onto the solver.
 //! * [`general`] — the *flow-aware* general delay formula (Eq. 2–3 and
 //!   Eq. 24): exact given the current flow set, usable only at run time;
 //!   serves as the intserv-style baseline and as the reference the
@@ -44,6 +47,7 @@ pub mod general;
 pub mod metrics;
 pub mod multiclass;
 pub mod routeset;
+pub mod rule;
 pub mod servers;
 pub mod verify;
 

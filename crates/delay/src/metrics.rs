@@ -13,7 +13,7 @@
 //! | `delay.solve.seconds` | histogram | wall time per solve |
 //! | `delay.solve.divergence` | counter | solves that hit the iteration cap |
 //! | `delay.solve.sweeps_skipped` | counter | route `Y`-sweeps candidate evaluation avoided vs. a full rebuild |
-//! | `delay.solve.servers_touched` | counter | per-server Theorem 3 evaluations performed |
+//! | `delay.solve.servers_touched` | counter | delay-rule evaluations performed, one per `(class, server)` cell |
 //! | `delay.verify.seconds` | histogram | wall time per Figure-2 verification |
 //! | `delay.verify.safe` | counter | verifications that returned SUCCESS |
 //! | `delay.verify.unsafe` | counter | verifications that returned FAILURE |
@@ -36,7 +36,7 @@ pub struct SolverMetrics {
     /// (per-iteration routes-not-reswept). Candidate evaluation only:
     /// the general solver rebuilds all of them and adds 0.
     pub sweeps_skipped: Arc<Counter>,
-    /// Per-server Theorem 3 evaluations actually performed.
+    /// Delay-rule evaluations actually performed, one per `(class, server)` cell.
     pub servers_touched: Arc<Counter>,
     /// Wall time per verification, seconds.
     pub verify_seconds: Arc<Histogram>,
@@ -76,7 +76,7 @@ pub(crate) struct SolveRecord {
     /// Route `Y`-sweeps avoided vs. a full rebuild (0 from the general
     /// solver).
     pub sweeps_skipped: u64,
-    /// Per-server Theorem 3 evaluations performed.
+    /// Delay-rule evaluations performed.
     pub servers_touched: u64,
     /// Some iterate decreased a delay — on a warm-started solve, the
     /// monotonicity break that forces a from-scratch `Y` rebuild.

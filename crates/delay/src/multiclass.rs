@@ -17,10 +17,11 @@
 //! With a single class this degenerates *exactly* to Theorem 3, which the
 //! tests enforce.
 
-use crate::fixed_point::{Outcome, SolveConfig, DEADLINE_SLACK};
+use crate::fixed_point::{solve_rule, Outcome, SolveConfig};
 use crate::routeset::RouteSet;
+use crate::rule::{by_class, to_cells, Theorem5};
 use crate::servers::Servers;
-use uba_traffic::{ClassId, ClassSet, LeakyBucket};
+use uba_traffic::{ClassSet, LeakyBucket};
 
 /// Per-class configuration handed to the Theorem 5 formula: utilization
 /// share and bucket, in priority order.
@@ -80,7 +81,8 @@ pub struct MulticlassResult {
 
 /// Solves the multi-class system `d_{i,k} = Z_{i,k}(d)` by monotone
 /// iteration from zero (or a warm start with the same shrink-to-grow
-/// discipline as [`crate::fixed_point::solve_two_class`]).
+/// discipline as [`crate::fixed_point::solve_two_class`]): the one solver
+/// loop, [`solve_rule`], under [`Theorem5`].
 pub fn solve_multiclass(
     servers: &Servers,
     classes: &ClassSet,
@@ -89,131 +91,18 @@ pub fn solve_multiclass(
     cfg: &SolveConfig,
     warm: Option<&[Vec<f64>]>,
 ) -> MulticlassResult {
-    let s = servers.len();
     let nc = classes.len();
-    assert_eq!(alphas.len(), nc, "one alpha per class");
-    assert_eq!(routes.server_count(), s, "route set / servers mismatch");
-
-    let specs: Vec<ClassSpec> = classes
-        .iter()
-        .zip(alphas)
-        .map(|((_, c), &alpha)| ClassSpec {
-            alpha,
-            bucket: c.bucket,
-        })
-        .collect();
-
-    // Static domain check (also catches Σα > 1 up front).
-    let total: f64 = alphas.iter().sum();
-    if total > 1.0 + 1e-12 || alphas.iter().any(|&a| !(a > 0.0 && a < 1.0)) {
-        return MulticlassResult {
-            outcome: Outcome::InvalidParams,
-            delays: vec![vec![0.0; s]; nc],
-            route_delays: vec![0.0; routes.len()],
-            iterations: 0,
-        };
-    }
-
-    // Constant (propagation) delay per route: deadline budget only.
-    let prop: Vec<f64> = routes
-        .routes()
-        .iter()
-        .map(|r| servers.route_const_delay(&r.servers))
-        .collect();
-
-    let used: Vec<Vec<bool>> = (0..nc).map(|i| routes.used_servers(ClassId(i))).collect();
-    let mut d: Vec<Vec<f64>> = match warm {
-        Some(w) => {
-            assert_eq!(w.len(), nc, "warm start class count mismatch");
-            w.to_vec()
-        }
-        None => vec![vec![0.0; s]; nc],
-    };
-    let mut y = vec![vec![0.0; s]; nc];
-
-    let mut iterations = 0;
-    loop {
-        iterations += 1;
-        // Per-class upstream maxima and route delays.
-        let mut route_delays = prop.clone();
-        for i in 0..nc {
-            let rd = routes.upstream_max_and_route_delays(ClassId(i), &d[i], &mut y[i]);
-            for (ri, &v) in rd.iter().enumerate() {
-                if v != 0.0 {
-                    route_delays[ri] += v;
-                }
-            }
-        }
-        // Early deadline exit (sound: iterates are monotone increasing).
-        for (ri, r) in routes.routes().iter().enumerate() {
-            let deadline = classes.get(r.class).deadline;
-            if route_delays[ri] > deadline + DEADLINE_SLACK {
-                return MulticlassResult {
-                    outcome: Outcome::DeadlineExceeded { route: ri },
-                    delays: d,
-                    route_delays,
-                    iterations,
-                };
-            }
-        }
-
-        let mut max_diff: f64 = 0.0;
-        for i in 0..nc {
-            for k in 0..s {
-                if !used[i][k] {
-                    continue;
-                }
-                let yk: Vec<f64> = (0..nc).map(|l| y[l][k]).collect();
-                match theorem5_delay(&specs, i, servers.fan_in_at(k), &yk) {
-                    Some(v) => {
-                        max_diff = max_diff.max((v - d[i][k]).abs());
-                        d[i][k] = v;
-                    }
-                    None => {
-                        return MulticlassResult {
-                            outcome: Outcome::InvalidParams,
-                            delays: d,
-                            route_delays,
-                            iterations,
-                        }
-                    }
-                }
-            }
-        }
-
-        if max_diff <= cfg.tol {
-            let mut route_delays = prop.clone();
-            for i in 0..nc {
-                let rd = routes.upstream_max_and_route_delays(ClassId(i), &d[i], &mut y[i]);
-                for (ri, &v) in rd.iter().enumerate() {
-                    if v != 0.0 {
-                        route_delays[ri] += v;
-                    }
-                }
-            }
-            let violation =
-                routes.routes().iter().enumerate().find(|(ri, r)| {
-                    route_delays[*ri] > classes.get(r.class).deadline + DEADLINE_SLACK
-                });
-            let outcome = match violation {
-                Some((ri, _)) => Outcome::DeadlineExceeded { route: ri },
-                None => Outcome::Safe,
-            };
-            return MulticlassResult {
-                outcome,
-                delays: d,
-                route_delays,
-                iterations,
-            };
-        }
-        if iterations >= cfg.max_iters {
-            return MulticlassResult {
-                outcome: Outcome::IterationLimit,
-                delays: d,
-                route_delays,
-                iterations,
-            };
-        }
+    let warm = warm.map(|w| {
+        assert_eq!(w.len(), nc, "warm start class count mismatch");
+        to_cells(w, servers.len())
+    });
+    let rule = Theorem5::new(classes, alphas);
+    let r = solve_rule(servers, &rule, routes, cfg, warm.as_deref());
+    MulticlassResult {
+        outcome: r.outcome,
+        delays: by_class(&r.delays, nc),
+        route_delays: r.route_delays,
+        iterations: r.iterations,
     }
 }
 
@@ -224,7 +113,7 @@ mod tests {
     use crate::fixed_point::solve_two_class;
     use crate::routeset::Route;
     use uba_graph::{Digraph, NodeId};
-    use uba_traffic::TrafficClass;
+    use uba_traffic::{ClassId, TrafficClass};
 
     fn voip_spec(alpha: f64) -> ClassSpec {
         ClassSpec {

@@ -10,22 +10,27 @@
 //! the shared first-iteration step does real work). Before every try the
 //! evaluator is also asked for the candidate's delay floor: asking leaves
 //! no trace, and the floor never exceeds the delay the try then returns.
+//! The same walks run under Theorem 5 with two and three classes (oracle:
+//! `solve_rule`, the one dense loop, warm from the committed cells).
 
 use uba_delay::committed::CommittedState;
-use uba_delay::fixed_point::{solve_two_class, SolveConfig};
+use uba_delay::fixed_point::{solve_rule, solve_two_class, SolveConfig};
 use uba_delay::routeset::{Route, RouteSet};
+use uba_delay::rule::Theorem5;
 use uba_delay::servers::Servers;
 use uba_graph::{k_shortest_paths, Digraph, DynDigraph, NodeId};
 use uba_obs::SplitMix64;
 use uba_topology::{mci, ring, torus};
-use uba_traffic::{ClassId, TrafficClass};
+use uba_traffic::{ClassId, ClassSet, LeakyBucket, TrafficClass};
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// What a caller can see of the evaluator's state.
-fn digest(st: &CommittedState<'_>) -> (usize, Vec<u64>, Vec<u64>) {
+fn digest<R: uba_delay::rule::DelayRule>(
+    st: &CommittedState<'_, R>,
+) -> (usize, Vec<u64>, Vec<u64>) {
     (
         st.routes().len(),
         bits(st.delays()),
@@ -356,4 +361,133 @@ fn no_floor_when_only_an_unused_server_is_seeded() {
     let mut seeded = base.delays;
     seeded[unused] = 1e-3;
     assert_eq!(adopt(seeded).delay_floor(&cand), None);
+}
+
+/// voip, video, bulk-rt: the first `n` of them.
+fn classes(n: usize) -> ClassSet {
+    let mut set = ClassSet::new();
+    set.push(TrafficClass::voip());
+    set.push(TrafficClass::new(
+        "video",
+        LeakyBucket::new(64_000.0, 2_000_000.0),
+        0.3,
+    ));
+    set.push(TrafficClass::new(
+        "bulk-rt",
+        LeakyBucket::new(256_000.0, 5_000_000.0),
+        1.0,
+    ));
+    let mut first = ClassSet::new();
+    for (_, class) in set.iter().take(n) {
+        first.push(class.clone());
+    }
+    first
+}
+
+/// [`walk`] under Theorem 5: candidates of a random class, the oracle the
+/// dense loop over the cloned set warm from the committed cells. Also
+/// returns how many candidates were given a floor.
+fn walk_classes(
+    g: &Digraph,
+    fan_in: usize,
+    alphas: &[f64],
+    steps: usize,
+    seed: u64,
+    ctx: &str,
+) -> (usize, usize, usize, bool) {
+    let classes = classes(alphas.len());
+    let servers = Servers::uniform(g, 100e6, fan_in);
+    let cfg = SolveConfig::default();
+    let rule = || Theorem5::new(&classes, alphas);
+    let mut rng = SplitMix64::new(seed);
+    let cells = g.edge_count() * alphas.len();
+    let mut routes = RouteSet::new(g.edge_count());
+    let mut delays = vec![0.0; cells];
+    let mut state = CommittedState::empty(&servers, rule(), &cfg);
+    let mut overlay = DynDigraph::new(g.edge_count());
+    let (mut unsafe_seen, mut committed, mut floors) = (0, 0, 0);
+    for step in 0..steps {
+        let ctx = format!("{ctx} seed {seed} step {step}");
+        let mut cand = random_route(g, &mut rng);
+        cand.class = ClassId(rng.index(alphas.len()));
+        let mut trial = routes.clone();
+        trial.push(cand.clone());
+        let want = solve_rule(&servers, &rule(), &trial, &cfg, Some(&delays));
+        let before = digest(&state);
+        // The literal Theorem 5 is monotone only up to rounding: when the
+        // shared step would take a committed delay down an ulp, the
+        // evaluator declines to name a floor.
+        let floor = state.delay_floor(&cand);
+        floors += floor.is_some() as usize;
+        assert_eq!(digest(&state), before, "{ctx}: asking left a trace");
+        let got = state.try_route(&cand);
+        assert_eq!(got.is_some(), want.outcome.is_safe(), "{ctx}: verdict");
+        assert_eq!(digest(&state), before, "{ctx}: a tried route left a trace");
+        let Some(own) = got else {
+            unsafe_seen += 1;
+            assert!(!state.commit(cand), "{ctx}: unsafe route committed");
+            assert_eq!(
+                digest(&state),
+                before,
+                "{ctx}: a rejected commit left a trace"
+            );
+            continue;
+        };
+        assert_eq!(
+            own.to_bits(),
+            want.route_delays.last().unwrap().to_bits(),
+            "{ctx}: own delay"
+        );
+        // Strictly: Theorem 5's floor concedes its rounding margin even
+        // when the candidate moves nothing.
+        if let Some(floor) = floor {
+            assert!(floor < own, "{ctx}: floor {floor} not below {own}");
+        }
+        if rng.index(3) == 0 {
+            continue;
+        }
+        overlay.add_chain(&cand.servers);
+        assert!(state.commit(cand), "{ctx}: safe route refused");
+        assert_eq!(bits(state.delays()), bits(&want.delays), "{ctx}: delays");
+        assert_eq!(
+            bits(state.route_delays()),
+            bits(&want.route_delays),
+            "{ctx}: route delays"
+        );
+        routes = trial;
+        delays = want.delays;
+        committed += 1;
+    }
+    assert_eq!(state.routes().routes(), routes.routes(), "{ctx}: route set");
+    (unsafe_seen, committed, floors, overlay.has_cycle())
+}
+
+#[test]
+fn evaluator_matches_push_and_solve_with_two_and_three_classes() {
+    let cases: [(&str, Digraph, usize, &[f64]); 5] = [
+        ("mci x2", mci(), 6, &[0.4, 0.2]),
+        ("mci x3", mci(), 6, &[0.09, 0.27, 0.27]),
+        ("torus5x5 x3", torus(5, 5), 4, &[0.05, 0.15, 0.15]),
+        ("ring8 x2", ring(8), 2, &[0.15, 0.1]),
+        ("ring8 x2 past the edge", ring(8), 2, &[0.4, 0.3]),
+    ];
+    for (name, g, fan_in, alphas) in &cases {
+        let (mut unsafe_seen, mut committed, mut floors, mut cyclic) = (0, 0, 0, 0);
+        for seed in 0..6u64 {
+            let (u, c, f, cyc) = walk_classes(g, *fan_in, alphas, 70, 0xC1A55 ^ (seed * 977), name);
+            unsafe_seen += u;
+            committed += c;
+            floors += f;
+            cyclic += cyc as usize;
+        }
+        assert!(committed > 60, "{name}: only {committed} commits");
+        // Declined on a tol-converged cyclic set whose next shared step
+        // rounds a delay down; most candidates still get one.
+        assert!(floors > 210, "{name}: only {floors}/420 floors");
+        if name.ends_with("past the edge") {
+            assert!(unsafe_seen > 100, "{name}: only {unsafe_seen} unsafe");
+        } else {
+            assert!(cyclic >= 4, "{name}: only {cyclic}/6 walks went cyclic");
+        }
+    }
 }

@@ -10,7 +10,7 @@ use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
 use uba_obs::EventKind;
 use uba_topology::line;
-use uba_traffic::{ClassId, TrafficClass};
+use uba_traffic::{ClassId, ClassSet, LeakyBucket, TrafficClass};
 
 #[test]
 fn solves_record_iteration_and_divergence_metrics() {
@@ -70,6 +70,37 @@ fn solves_record_iteration_and_divergence_metrics() {
     assert_eq!(
         m.servers_touched.get() - touched0,
         (8 * (ok.iterations + 1) + 4 * (fell.iterations + kept.iterations)) as u64
+    );
+    assert_eq!(m.sweeps_skipped.get() - skipped0, 0);
+
+    // A multi-class verification is one solve like any other: the forward
+    // route in three classes, the backward one in the lowest only — 16 of
+    // the 24 (class, server) cells carry a route.
+    let mut classes = ClassSet::single(voip);
+    for (name, burst, rate, deadline) in [("video", 16e3, 1e6, 0.4), ("bulk", 64e3, 2e6, 1.5)] {
+        classes.push(TrafficClass::new(
+            name,
+            LeakyBucket::new(burst, rate),
+            deadline,
+        ));
+    }
+    for class in [1, 2] {
+        routes.push(Route {
+            class: ClassId(class),
+            servers: vec![0, 2, 4, 6],
+        });
+    }
+    routes.push(Route {
+        class: ClassId(2),
+        servers: vec![7, 5, 3, 1],
+    });
+    let (solves1, touched1) = (m.iterations.count(), m.servers_touched.get());
+    let report = uba_delay::verify(&servers, &classes, &[0.1, 0.2, 0.2], &routes, &cfg);
+    assert!(report.safe);
+    assert_eq!(m.iterations.count() - solves1, 1);
+    assert_eq!(
+        m.servers_touched.get() - touched1,
+        16 * report.iterations as u64
     );
     assert_eq!(m.sweeps_skipped.get() - skipped0, 0);
 }

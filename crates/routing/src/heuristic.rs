@@ -21,31 +21,34 @@
 //! candidates and pairs, and a candidate costs what it can move — its own
 //! hops, the servers whose `Y_k` it raises, the routes through them —
 //! not a solve over the whole route set.
+//! The greedy routes *demands* (a pair in a class) under either delay rule:
+//! [`select_routes`], [`crate::multiclass::select_routes_multiclass`].
 
-use crate::pairs::{order_pairs_by_distance, Pair};
+use crate::pairs::{order_by_distance, Demand, Pair};
 use std::collections::HashMap;
 use uba_delay::committed::CommittedState;
 use uba_delay::fixed_point::SolveConfig;
 use uba_delay::routeset::{Route, RouteSet};
+use uba_delay::rule::{by_class, DelayRule};
 use uba_delay::servers::Servers;
 use uba_graph::{k_shortest_paths_filtered, Digraph, DynDigraph, EdgeId, Path};
 use uba_traffic::{ClassId, TrafficClass};
 
 /// One pooled candidate: a topology path and the same hops as the delay
-/// layer's class-0 [`Route`], whose server ids are also the chain the
-/// overlay is asked about — prepared once, so that checking, trying and
-/// committing a candidate convert nothing.
+/// layer's [`Route`] in the demand's class, whose server ids are also the
+/// chain the overlay is asked about — prepared once, so that checking,
+/// trying and committing a candidate convert nothing.
 #[derive(Debug)]
 pub(crate) struct Candidate {
     pub(crate) path: Path,
     pub(crate) route: Route,
 }
 
-/// Per-pair Yen candidate cache. Candidates depend only on the topology
-/// and the pair — not on `α` or the committed routes — so a caller
+/// Per-demand Yen candidate cache. Candidates depend only on the topology
+/// and the demand — not on `α` or the committed routes — so a caller
 /// re-running selection (the §5.3 binary search) prepares them once and
 /// shares them across probes. Only valid with an unrestricted `edge_ok`.
-pub(crate) type CandidateCache = HashMap<(u32, u32), Vec<Candidate>>;
+pub(crate) type CandidateCache = HashMap<Demand, Vec<Candidate>>;
 
 /// Tunables for the safe-route-selection heuristic.
 #[derive(Clone, Debug)]
@@ -108,20 +111,54 @@ impl Selection {
             .map(|&rd| deadline - rd)
             .fold(f64::INFINITY, f64::min)
     }
+
+    /// The one-class view of what the greedy returns.
+    pub(crate) fn one_class(mut sel: MultiSelection) -> Self {
+        assert_eq!(sel.delays.len(), 1, "a selection of one class");
+        Self {
+            pairs: sel.demands.iter().map(|d| d.pair).collect(),
+            paths: sel.paths,
+            routes: sel.routes,
+            delays: sel.delays.remove(0),
+            route_delays: sel.route_delays,
+        }
+    }
 }
 
-/// `pair`'s Yen candidates over the edges `edge_ok` admits (used to avoid
-/// failed links), shortest first.
+/// What the greedy returns: a selection over any number of classes.
+#[derive(Clone, Debug)]
+pub struct MultiSelection {
+    /// Demands in the order they were routed.
+    pub demands: Vec<Demand>,
+    /// Chosen route per demand.
+    pub paths: Vec<Path>,
+    /// The committed route set.
+    pub routes: RouteSet,
+    /// `delays[class][server]` at the final fixed point.
+    pub delays: Vec<Vec<f64>>,
+    /// Per-route end-to-end delays at the final fixed point.
+    pub route_delays: Vec<f64>,
+}
+
+/// `pairs` as demands of the single real-time class.
+pub(crate) fn class0_demands(pairs: &[Pair]) -> Vec<Demand> {
+    let class = ClassId(0);
+    pairs.iter().map(|&pair| Demand { class, pair }).collect()
+}
+
+/// `demand`'s Yen candidates over the edges `edge_ok` admits (used to
+/// avoid failed links), shortest first.
 pub(crate) fn candidates_for(
     g: &Digraph,
-    pair: Pair,
+    demand: Demand,
     cfg: &HeuristicConfig,
     edge_ok: impl Fn(EdgeId) -> bool,
 ) -> Vec<Candidate> {
-    k_shortest_paths_filtered(g, pair.src, pair.dst, cfg.k_candidates, edge_ok)
+    let Pair { src, dst } = demand.pair;
+    k_shortest_paths_filtered(g, src, dst, cfg.k_candidates, edge_ok)
         .into_iter()
         .map(|path| Candidate {
-            route: Route::from_path(ClassId(0), &path),
+            route: Route::from_path(demand.class, &path),
             path,
         })
         .collect()
@@ -131,8 +168,8 @@ pub(crate) fn candidates_for(
 /// sub-heuristics and commits it to `state` (the new fixed point) and
 /// `overlay`; returns the chosen path. Both are untouched on `Err`.
 /// Shared by bulk selection and incremental reconfiguration.
-pub(crate) fn choose_route(
-    state: &mut CommittedState<'_>,
+pub(crate) fn choose_route<R: DelayRule>(
+    state: &mut CommittedState<'_, R>,
     overlay: &mut DynDigraph,
     pair: Pair,
     cfg: &HeuristicConfig,
@@ -199,13 +236,17 @@ pub(crate) fn choose_route(
     Ok(path.clone())
 }
 
-/// The order selection visits `pairs` in under `cfg`.
-pub(crate) fn visit_order(g: &Digraph, pairs: &[Pair], cfg: &HeuristicConfig) -> Vec<Pair> {
+/// The order selection visits `demands` in under `cfg`: decreasing pair
+/// distance, and at one pair the higher-priority class first — its route
+/// constrains everyone below it.
+pub(crate) fn visit_order(g: &Digraph, demands: &[Demand], cfg: &HeuristicConfig) -> Vec<Demand> {
+    let mut ordered = demands.to_vec();
     if cfg.order_by_distance {
-        order_pairs_by_distance(g, pairs)
-    } else {
-        pairs.to_vec()
+        // Two stable sorts: the second keeps the first's order on ties.
+        ordered.sort_by_key(|d| d.class);
+        ordered = order_by_distance(g, &ordered, |d| d.pair);
     }
+    ordered
 }
 
 /// Runs safe route selection for the two-class system at utilization
@@ -218,53 +259,53 @@ pub fn select_routes(
     pairs: &[Pair],
     cfg: &HeuristicConfig,
 ) -> Result<Selection, SelectionError> {
-    let ordered = visit_order(g, pairs, cfg);
-    select_in_order(g, servers, class, alpha, &ordered, cfg, None)
+    let ordered = visit_order(g, &class0_demands(pairs), cfg);
+    let state = CommittedState::new(servers, class, alpha, &cfg.solver);
+    select_in_order(g, state, &ordered, cfg, None).map(Selection::one_class)
 }
 
-/// [`select_routes`] over pairs already in [`visit_order`], with an
-/// optional cross-call Yen candidate cache — the §5.3 binary search
-/// re-runs selection per probe, and neither the order nor the candidates
-/// depend on `α`.
-pub(crate) fn select_in_order(
+/// The §5.2 greedy over demands already in [`visit_order`], committing
+/// onto `state` (empty, at the utilizations to verify), with an optional
+/// cross-call Yen candidate cache — the §5.3 binary search re-runs
+/// selection per probe, and neither the order nor the candidates depend
+/// on `α`.
+pub(crate) fn select_in_order<R: DelayRule>(
     g: &Digraph,
-    servers: &Servers,
-    class: &TrafficClass,
-    alpha: f64,
-    ordered: &[Pair],
+    mut state: CommittedState<'_, R>,
+    ordered: &[Demand],
     cfg: &HeuristicConfig,
     mut cache: Option<&mut CandidateCache>,
-) -> Result<Selection, SelectionError> {
-    let mut state = CommittedState::new(servers, class, alpha, &cfg.solver);
+) -> Result<MultiSelection, SelectionError> {
     let mut overlay = DynDigraph::new(g.edge_count());
     let mut out_paths = Vec::with_capacity(ordered.len());
 
-    for &pair in ordered {
+    for &demand in ordered {
         let computed;
         let candidates: &[Candidate] = match cache.as_deref_mut() {
             Some(c) => c
-                .entry((pair.src.0, pair.dst.0))
-                .or_insert_with(|| candidates_for(g, pair, cfg, |_| true)),
+                .entry(demand)
+                .or_insert_with(|| candidates_for(g, demand, cfg, |_| true)),
             None => {
-                computed = candidates_for(g, pair, cfg, |_| true);
+                computed = candidates_for(g, demand, cfg, |_| true);
                 &computed
             }
         };
         out_paths.push(choose_route(
             &mut state,
             &mut overlay,
-            pair,
+            demand.pair,
             cfg,
             candidates,
         )?);
     }
 
+    let classes = state.classes();
     let (routes, delays, route_delays) = state.into_parts();
-    Ok(Selection {
-        pairs: ordered.to_vec(),
+    Ok(MultiSelection {
+        demands: ordered.to_vec(),
         paths: out_paths,
         routes,
-        delays,
+        delays: by_class(&delays, classes),
         route_delays,
     })
 }
@@ -393,12 +434,13 @@ mod tests {
         let plain = select_routes(&g, &servers, &voip(), 0.3, &pairs, &cfg).unwrap();
         let mut cache = CandidateCache::new();
         // Two runs through the same cache: second run hits every entry.
-        let ordered = visit_order(&g, &pairs, &cfg);
-        let first =
-            select_in_order(&g, &servers, &voip(), 0.3, &ordered, &cfg, Some(&mut cache)).unwrap();
+        let ordered = visit_order(&g, &class0_demands(&pairs), &cfg);
+        let mut cached = || {
+            let state = CommittedState::new(&servers, &voip(), 0.3, &cfg.solver);
+            select_in_order(&g, state, &ordered, &cfg, Some(&mut cache)).unwrap()
+        };
+        let (first, second) = (cached(), cached());
         assert_eq!(cache.len(), pairs.len());
-        let second =
-            select_in_order(&g, &servers, &voip(), 0.3, &ordered, &cfg, Some(&mut cache)).unwrap();
         assert_eq!(plain.paths, first.paths);
         assert_eq!(plain.paths, second.paths);
         assert_eq!(plain.route_delays, first.route_delays);

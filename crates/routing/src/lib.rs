@@ -16,6 +16,8 @@
 //! * [`metrics`] — `routing.select.{candidates, pruned, cycle_checks}`.
 //! * [`search`] — the Section 5.3 binary search for the maximum safe
 //!   utilization, seeded with the Theorem 4 bounds.
+//! * [`multiclass`] — Section 5.4's "variations": the same greedy and the
+//!   same bisection under the Theorem 5 oracle, along a ray `α = t·w`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

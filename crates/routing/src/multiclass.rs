@@ -4,49 +4,26 @@
 //! maximize utilization assignments or trade-off utilization assignments
 //! of classes against each other").
 //!
-//! * [`select_routes_multiclass`] — the Section 5.2 greedy, with the
-//!   Theorem 5 multi-class fixed point as the safety oracle.
-//! * [`max_utilization_ray`] — the Section 5.3 binary search generalized
-//!   to a *ray* in utilization space: `α = t·w` for a weight vector `w`;
-//!   maximizing `t` traces one point of the Pareto trade-off between
-//!   classes per ray. Sweeping rays yields the trade-off curve the paper
-//!   alludes to.
+//! * [`select_routes_multiclass`] — the Section 5.2 greedy
+//!   ([`crate::heuristic`]'s, the same loop) with the Theorem 5
+//!   multi-class fixed point as the safety oracle.
+//! * [`max_utilization_ray`] — the Section 5.3 binary search
+//!   ([`crate::search`]'s, the same loop) along a *ray* in utilization
+//!   space: `α = t·w` for a weight vector `w`; maximizing `t` traces one
+//!   point of the Pareto trade-off between classes per ray. Sweeping rays
+//!   yields the trade-off curve the paper alludes to.
 
-use crate::heuristic::{HeuristicConfig, SelectionError};
-use crate::pairs::{order_pairs_by_distance, Pair};
-use uba_delay::multiclass::solve_multiclass;
-use uba_delay::routeset::{Route, RouteSet};
+pub use crate::heuristic::MultiSelection;
+use crate::heuristic::{
+    select_in_order, visit_order, CandidateCache, HeuristicConfig, SelectionError,
+};
+pub use crate::pairs::Demand;
+use crate::search::bisect;
+use uba_delay::committed::CommittedState;
+use uba_delay::rule::Theorem5;
 use uba_delay::servers::Servers;
-use uba_graph::{k_shortest_paths, Digraph, DynDigraph, Path};
-use uba_traffic::{ClassId, ClassSet};
-
-/// A verified candidate outcome: (own route delay, per-class per-server
-/// delays, per-route delays).
-type MultiCandidateFit = (f64, Vec<Vec<f64>>, Vec<f64>);
-
-/// One routed demand: a class and a router pair.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Demand {
-    /// Traffic class of the demand.
-    pub class: ClassId,
-    /// Source/destination pair.
-    pub pair: Pair,
-}
-
-/// A successful multi-class selection.
-#[derive(Clone, Debug)]
-pub struct MultiSelection {
-    /// Demands in the order they were routed.
-    pub demands: Vec<Demand>,
-    /// Chosen route per demand.
-    pub paths: Vec<Path>,
-    /// The committed route set.
-    pub routes: RouteSet,
-    /// `delays[class][server]` at the final fixed point.
-    pub delays: Vec<Vec<f64>>,
-    /// Per-route end-to-end delays at the final fixed point.
-    pub route_delays: Vec<f64>,
-}
+use uba_graph::Digraph;
+use uba_traffic::ClassSet;
 
 /// Runs greedy safe route selection for a multi-class system.
 ///
@@ -61,110 +38,9 @@ pub fn select_routes_multiclass(
     demands: &[Demand],
     cfg: &HeuristicConfig,
 ) -> Result<MultiSelection, SelectionError> {
-    assert_eq!(alphas.len(), classes.len(), "one alpha per class");
-    let ordered: Vec<Demand> = if cfg.order_by_distance {
-        let pairs: Vec<Pair> = demands.iter().map(|d| d.pair).collect();
-        let by_distance = order_pairs_by_distance(g, &pairs);
-        // Stable expansion: for each pair in distance order, emit its
-        // demands in class-priority order.
-        let mut out = Vec::with_capacity(demands.len());
-        let mut used = vec![false; demands.len()];
-        for p in by_distance {
-            let mut here: Vec<usize> = (0..demands.len())
-                .filter(|&i| !used[i] && demands[i].pair == p)
-                .collect();
-            here.sort_by_key(|&i| demands[i].class);
-            for i in here.drain(..) {
-                used[i] = true;
-                out.push(demands[i]);
-            }
-        }
-        out
-    } else {
-        demands.to_vec()
-    };
-
-    let nc = classes.len();
-    let mut routes = RouteSet::new(g.edge_count());
-    let mut overlay = DynDigraph::new(g.edge_count());
-    let mut base_delays: Vec<Vec<f64>> = vec![vec![0.0; g.edge_count()]; nc];
-    let mut out_demands = Vec::with_capacity(ordered.len());
-    let mut out_paths = Vec::with_capacity(ordered.len());
-    let mut final_route_delays: Vec<f64> = Vec::new();
-
-    for demand in ordered {
-        let candidates = k_shortest_paths(g, demand.pair.src, demand.pair.dst, cfg.k_candidates);
-        if candidates.is_empty() {
-            return Err(SelectionError::NoRoute(demand.pair));
-        }
-        let pooled: Vec<Route> = candidates
-            .iter()
-            .map(|p| Route::from_path(demand.class, p))
-            .collect();
-        let pool: Vec<usize> = if cfg.prefer_acyclic {
-            let acyclic: Vec<usize> = (0..candidates.len())
-                .filter(|&i| !overlay.chain_would_create_cycle(&pooled[i].servers))
-                .collect();
-            if acyclic.is_empty() {
-                (0..candidates.len()).collect()
-            } else {
-                acyclic
-            }
-        } else {
-            (0..candidates.len()).collect()
-        };
-
-        let evaluate = |pi: usize| -> Option<MultiCandidateFit> {
-            let ci = pool[pi];
-            let mut trial = routes.clone();
-            trial.push(pooled[ci].clone());
-            let r = solve_multiclass(
-                servers,
-                classes,
-                alphas,
-                &trial,
-                &cfg.solver,
-                Some(&base_delays),
-            );
-            if r.outcome.is_safe() {
-                let own = *r.route_delays.last().unwrap();
-                Some((own, r.delays, r.route_delays))
-            } else {
-                None
-            }
-        };
-        let results: Vec<Option<MultiCandidateFit>> = (0..pool.len()).map(evaluate).collect();
-
-        let chosen = if cfg.min_delay_choice {
-            results
-                .iter()
-                .enumerate()
-                .filter_map(|(pi, r)| r.as_ref().map(|r| (pi, r.0)))
-                .min_by(|(ia, da), (ib, db)| da.total_cmp(db).then_with(|| ia.cmp(ib)))
-                .map(|(pi, _)| pi)
-        } else {
-            results.iter().position(Option::is_some)
-        };
-        let Some(pi) = chosen else {
-            return Err(SelectionError::NoSafeRoute(demand.pair));
-        };
-        let ci = pool[pi];
-        let (_, delays, route_delays) = results[pi].clone().unwrap();
-        overlay.add_chain(&pooled[ci].servers);
-        routes.push(pooled[ci].clone());
-        base_delays = delays;
-        final_route_delays = route_delays;
-        out_demands.push(demand);
-        out_paths.push(candidates[ci].clone());
-    }
-
-    Ok(MultiSelection {
-        demands: out_demands,
-        paths: out_paths,
-        routes,
-        delays: base_delays,
-        route_delays: final_route_delays,
-    })
+    let ordered = visit_order(g, demands, cfg);
+    let state = CommittedState::empty(servers, Theorem5::new(classes, alphas), &cfg.solver);
+    select_in_order(g, state, &ordered, cfg, None)
 }
 
 /// Result of a ray search in utilization space.
@@ -201,53 +77,29 @@ pub fn max_utilization_ray(
     // Keep every alpha in (0,1) and the sum <= 1.
     let t_cap = (1.0 - 1e-9) / wmax.max(wsum);
 
-    let mut probes = Vec::new();
-    let mut probe = |t: f64| -> Option<MultiSelection> {
+    // Neither the visiting order nor the Yen candidates depend on `t`.
+    let ordered = visit_order(g, demands, cfg);
+    let mut cache = CandidateCache::new();
+    let probe = |t: f64| -> Option<MultiSelection> {
         let alphas: Vec<f64> = weights.iter().map(|&w| (w * t).max(1e-9)).collect();
-        let r = select_routes_multiclass(g, servers, classes, &alphas, demands, cfg).ok();
-        probes.push((t, r.is_some()));
-        r
+        let state = CommittedState::empty(servers, Theorem5::new(classes, &alphas), &cfg.solver);
+        select_in_order(g, state, &ordered, cfg, Some(&mut cache)).ok()
     };
-
-    let mut lo = 0.0;
-    let mut hi = t_cap;
-    let mut best: Option<(f64, MultiSelection)> = None;
-    while hi - lo > tol {
-        let mid = 0.5 * (lo + hi);
-        // As in `max_utilization`: no float left between the two.
-        if !(lo < mid && mid < hi) {
-            break;
-        }
-        match probe(mid) {
-            Some(sel) => {
-                lo = mid;
-                best = Some((mid, sel));
-            }
-            None => hi = mid,
-        }
-    }
-    match best {
-        Some((t, selection)) => RaySearchResult {
-            alphas: weights.iter().map(|&w| w * t).collect(),
-            t,
-            selection: Some(selection),
-            probes,
-        },
-        None => RaySearchResult {
-            t: 0.0,
-            alphas: vec![0.0; weights.len()],
-            selection: None,
-            probes,
-        },
+    let found = bisect(None, t_cap, tol, probe);
+    RaySearchResult {
+        alphas: weights.iter().map(|&w| w * found.best).collect(),
+        t: found.best,
+        selection: found.selection,
+        probes: found.probes,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pairs::all_ordered_pairs;
+    use crate::pairs::{all_ordered_pairs, Pair};
     use uba_topology::{mci, ring};
-    use uba_traffic::{LeakyBucket, TrafficClass};
+    use uba_traffic::{ClassId, LeakyBucket, TrafficClass};
 
     fn two_classes() -> ClassSet {
         let mut cs = ClassSet::new();

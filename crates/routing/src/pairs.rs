@@ -6,6 +6,7 @@
 //! first pick of the route space.
 
 use uba_graph::{bfs, Digraph, NodeId};
+use uba_traffic::ClassId;
 
 /// A source/destination router pair requesting connectivity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -14,6 +15,15 @@ pub struct Pair {
     pub src: NodeId,
     /// Destination router.
     pub dst: NodeId,
+}
+
+/// One routed demand: a class and a router pair.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Demand {
+    /// Traffic class of the demand.
+    pub class: ClassId,
+    /// Source/destination pair.
+    pub pair: Pair,
 }
 
 /// Every ordered pair of distinct routers ("flows can be established
@@ -34,16 +44,27 @@ pub fn all_ordered_pairs(g: &Digraph) -> Vec<Pair> {
 /// `(src, dst)` for determinism. Unreachable pairs sort first (so the
 /// selector fails fast on them).
 pub fn order_pairs_by_distance(g: &Digraph, pairs: &[Pair]) -> Vec<Pair> {
+    order_by_distance(g, pairs, |&p| p)
+}
+
+/// [`order_pairs_by_distance`] over anything that has a pair; the sort is
+/// stable, so items of one pair keep their order.
+pub(crate) fn order_by_distance<T: Copy>(
+    g: &Digraph,
+    items: &[T],
+    pair: impl Fn(&T) -> Pair,
+) -> Vec<T> {
     // One BFS per distinct source.
     let mut dist_by_src: Vec<Option<Vec<usize>>> = vec![None; g.node_count()];
-    for p in pairs {
+    for p in items.iter().map(&pair) {
         let slot = &mut dist_by_src[p.src.index()];
         if slot.is_none() {
             *slot = Some(bfs::hop_distances(g, p.src));
         }
     }
-    let mut ordered = pairs.to_vec();
+    let mut ordered = items.to_vec();
     ordered.sort_by(|a, b| {
+        let (a, b) = (pair(a), pair(b));
         let da = dist_by_src[a.src.index()].as_ref().unwrap()[a.dst.index()];
         let db = dist_by_src[b.src.index()].as_ref().unwrap()[b.dst.index()];
         db.cmp(&da)

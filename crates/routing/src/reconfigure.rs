@@ -19,7 +19,7 @@
 //! admission controller's counters stable.
 
 use crate::heuristic::{candidates_for, choose_route, HeuristicConfig, Selection, SelectionError};
-use crate::pairs::Pair;
+use crate::pairs::{Demand, Pair};
 use std::collections::HashSet;
 use uba_admission::{BackendKind, ConfigGeneration, RoutingTable};
 use uba_delay::committed::CommittedState;
@@ -127,7 +127,11 @@ impl Configuration {
         );
         let failed = &self.failed;
         let outcome = pairs.iter().try_for_each(|&pair| {
-            let candidates = candidates_for(&self.g, pair, &self.cfg, |e| !failed.contains(&e));
+            let demand = Demand {
+                class: ClassId(0),
+                pair,
+            };
+            let candidates = candidates_for(&self.g, demand, &self.cfg, |e| !failed.contains(&e));
             let path = choose_route(&mut state, &mut self.overlay, pair, &self.cfg, &candidates)?;
             self.pairs.push(pair);
             self.paths.push(path);

@@ -16,9 +16,12 @@
 //!   below the least fixed point at `mid` and is a sound warm start.
 
 use crate::bounds::utilization_bounds;
-use crate::heuristic::{select_in_order, visit_order, CandidateCache, HeuristicConfig, Selection};
+use crate::heuristic::{
+    class0_demands, select_in_order, visit_order, CandidateCache, HeuristicConfig, Selection,
+};
 use crate::pairs::Pair;
 use crate::sp::sp_selection;
+use uba_delay::committed::CommittedState;
 use uba_delay::fixed_point::{solve_two_class, SolveConfig};
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
@@ -59,7 +62,6 @@ pub fn max_utilization(
     selector: &Selector,
     tol: f64,
 ) -> MaxUtilResult {
-    assert!(tol > 0.0, "tolerance must be positive");
     let diameter = bfs::diameter(g).expect("topology must be strongly connected");
     let fan_in = (0..servers.len())
         .map(|k| servers.fan_in_at(k))
@@ -80,18 +82,17 @@ pub fn max_utilization(
         Selector::Heuristic(_) => None,
     };
 
-    let mut probes = Vec::new();
     // Shared across probes: the visiting order and Yen candidates
     // (α-independent) and, for the fixed SP routes, the last *feasible*
     // probe's fixed point as a warm start for the next, higher probe.
     let ordered = match selector {
-        Selector::Heuristic(cfg) => visit_order(g, pairs, cfg),
+        Selector::Heuristic(cfg) => visit_order(g, &class0_demands(pairs), cfg),
         Selector::ShortestPath => Vec::new(),
     };
     let mut candidate_cache = CandidateCache::new();
     let mut sp_warm: Option<Vec<f64>> = None;
-    let mut probe = |alpha: f64| -> Option<Selection> {
-        let result = match selector {
+    let probe = |alpha: f64| -> Option<Selection> {
+        match selector {
             Selector::ShortestPath => {
                 let r = {
                     let (_, rs) = sp_fixed.as_ref().unwrap();
@@ -116,42 +117,71 @@ pub fn max_utilization(
                     route_delays: r.route_delays,
                 })
             }
-            Selector::Heuristic(cfg) => select_in_order(
-                g,
-                servers,
-                class,
-                alpha,
-                &ordered,
-                cfg,
-                Some(&mut candidate_cache),
-            )
-            .ok(),
-        };
+            Selector::Heuristic(cfg) => {
+                let state = CommittedState::new(servers, class, alpha, &cfg.solver);
+                select_in_order(g, state, &ordered, cfg, Some(&mut candidate_cache))
+                    .ok()
+                    .map(Selection::one_class)
+            }
+        }
+    };
+
+    // Theorem 4's lower bound first: a safe one brackets the answer from
+    // below, an unsafe one from above.
+    let hi_cap = ub.min(1.0 - 1e-9);
+    let found = bisect(Some(lb.min(hi_cap)), hi_cap, tol, probe);
+    MaxUtilResult {
+        alpha: found.best,
+        selection: found.selection,
+        bounds: (lb, ub),
+        probes: found.probes,
+    }
+}
+
+/// What [`bisect`] found.
+pub(crate) struct Bisection<S> {
+    /// The largest feasible point probed; `0` if none was.
+    pub(crate) best: f64,
+    /// What `probe` returned there.
+    pub(crate) selection: Option<S>,
+    /// Every probe as `(x, feasible)`, in order.
+    pub(crate) probes: Vec<(f64, bool)>,
+}
+
+/// The §5.3 bisection on `(0, cap)`, after an opening probe at `first` if
+/// there is one; each probe is also a `SearchProbe` trace event. Stops
+/// once the bracket is within `tol`, or holds no `f64` to probe.
+pub(crate) fn bisect<S>(
+    first: Option<f64>,
+    cap: f64,
+    tol: f64,
+    mut probe: impl FnMut(f64) -> Option<S>,
+) -> Bisection<S> {
+    assert!(tol > 0.0, "tolerance must be positive");
+    let mut probes = Vec::new();
+    let mut selection = None;
+    let (mut lo, mut hi) = (0.0, cap);
+    let mut narrow = |x: f64, lo: &mut f64, hi: &mut f64| {
+        let found = probe(x);
         uba_obs::trace::global().emit(
             uba_obs::EventKind::SearchProbe,
             0,
             probes.len() as u64,
             u32::MAX,
-            alpha,
-            if result.is_some() { 1.0 } else { 0.0 },
+            x,
+            if found.is_some() { 1.0 } else { 0.0 },
         );
-        probes.push((alpha, result.is_some()));
-        result
+        probes.push((x, found.is_some()));
+        match found {
+            Some(s) => {
+                *lo = x;
+                selection = Some(s);
+            }
+            None => *hi = x,
+        }
     };
-
-    let hi_cap = ub.min(1.0 - 1e-9);
-    let mut best: Option<(f64, Selection)> = None;
-    let (mut lo, mut hi);
-    match probe(lb.min(hi_cap)) {
-        Some(sel) => {
-            lo = lb.min(hi_cap);
-            hi = hi_cap;
-            best = Some((lo, sel));
-        }
-        None => {
-            lo = 0.0;
-            hi = lb.min(hi_cap);
-        }
+    if let Some(x) = first {
+        narrow(x, &mut lo, &mut hi);
     }
     while hi - lo > tol {
         let mid = 0.5 * (lo + hi);
@@ -160,28 +190,13 @@ pub fn max_utilization(
         if !(lo < mid && mid < hi) {
             break;
         }
-        match probe(mid) {
-            Some(sel) => {
-                lo = mid;
-                best = Some((mid, sel));
-            }
-            None => hi = mid,
-        }
+        narrow(mid, &mut lo, &mut hi);
     }
-
-    match best {
-        Some((alpha, selection)) => MaxUtilResult {
-            alpha,
-            selection: Some(selection),
-            bounds: (lb, ub),
-            probes,
-        },
-        None => MaxUtilResult {
-            alpha: 0.0,
-            selection: None,
-            bounds: (lb, ub),
-            probes,
-        },
+    // `lo` starts at 0 and only ever moves onto a feasible probe.
+    Bisection {
+        best: lo,
+        selection,
+        probes,
     }
 }
 

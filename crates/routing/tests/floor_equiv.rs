@@ -7,40 +7,44 @@
 //! so any pair chosen differently, any `NoSafeRoute` moved, any delay off
 //! by one ulp shows here: same paths, `delays` and `route_delays`, bit
 //! for bit, on random pair subsets and utilizations either side of the
-//! feasible edge.
+//! feasible edge — for one class under Theorem 3, and for two and three
+//! under Theorem 5, whose floor holds only to the formula's last place.
 
 use uba_delay::committed::CommittedState;
 use uba_delay::routeset::Route;
+use uba_delay::rule::{DelayRule, Theorem5};
 use uba_delay::servers::Servers;
 use uba_graph::{k_shortest_paths, Digraph, DynDigraph, Path};
 use uba_obs::{ensure, SplitMix64};
 use uba_routing::{
-    all_ordered_pairs, order_pairs_by_distance, select_routes, HeuristicConfig, Pair,
-    SelectionError,
+    all_ordered_pairs, order_pairs_by_distance, select_routes, select_routes_multiclass, Demand,
+    HeuristicConfig, Pair, SelectionError,
 };
-use uba_topology::{mci, ring, torus};
-use uba_traffic::{ClassId, TrafficClass};
+use uba_topology::{mci, nsfnet, ring, torus};
+use uba_traffic::{ClassId, ClassSet, LeakyBucket, TrafficClass};
 
 type Chosen = (Vec<Path>, Vec<f64>, Vec<f64>);
 
-/// The default heuristic, every pooled candidate solved; `Err` carries
-/// the pair no candidate was safe for.
-fn unpruned_greedy(
+/// The default heuristic onto an empty `state`, every pooled candidate
+/// solved; `Err` carries the pair no candidate was safe for. `pairs` are
+/// routed in distance order, each in every class of the state's rule.
+fn unpruned_greedy<R: DelayRule>(
     g: &Digraph,
-    servers: &Servers,
-    class: &TrafficClass,
-    alpha: f64,
+    mut state: CommittedState<'_, R>,
     pairs: &[Pair],
 ) -> Result<Chosen, Pair> {
     let cfg = HeuristicConfig::default();
-    let mut state = CommittedState::new(servers, class, alpha, &cfg.solver);
     let mut overlay = DynDigraph::new(g.edge_count());
     let mut paths = Vec::new();
-    for pair in order_pairs_by_distance(g, pairs) {
+    let classes = state.classes();
+    let demands = order_pairs_by_distance(g, pairs)
+        .into_iter()
+        .flat_map(|pair| (0..classes).map(move |c| (ClassId(c), pair)));
+    for (class, pair) in demands {
         let candidates = k_shortest_paths(g, pair.src, pair.dst, cfg.k_candidates);
         let routes: Vec<Route> = candidates
             .iter()
-            .map(|p| Route::from_path(ClassId(0), p))
+            .map(|p| Route::from_path(class, p))
             .collect();
         let mut pool: Vec<usize> = (0..routes.len())
             .filter(|&i| !overlay.chain_would_create_cycle(&routes[i].servers))
@@ -79,6 +83,7 @@ fn the_floor_changes_no_selection() {
         ("ring8", ring(8), 2),
     ];
     let voip = TrafficClass::voip();
+    let cfg = HeuristicConfig::default();
     let pruned = &uba_routing::metrics::select().pruned;
     let pruned_before = pruned.get();
     let (mut feasible, mut infeasible) = (0, 0);
@@ -92,15 +97,9 @@ fn the_floor_changes_no_selection() {
             .collect();
         let alpha = rng.range_f64(0.15, 0.65);
         let ctx = format!("{name}, {} pairs @ {alpha}", pairs.len());
-        let want = unpruned_greedy(g, &servers, &voip, alpha, &pairs);
-        let got = select_routes(
-            g,
-            &servers,
-            &voip,
-            alpha,
-            &pairs,
-            &HeuristicConfig::default(),
-        );
+        let state = CommittedState::new(&servers, &voip, alpha, &cfg.solver);
+        let want = unpruned_greedy(g, state, &pairs);
+        let got = select_routes(g, &servers, &voip, alpha, &pairs, &cfg);
         match (want, got) {
             (Ok((paths, delays, route_delays)), Ok(sel)) => {
                 feasible += 1;
@@ -132,4 +131,80 @@ fn the_floor_changes_no_selection() {
     assert!(feasible >= 8, "{feasible} feasible cases");
     assert!(infeasible >= 8, "{infeasible} infeasible cases");
     assert!(pruned.get() > pruned_before, "nothing was pruned");
+}
+
+#[test]
+fn the_floor_changes_no_multiclass_selection() {
+    let topologies = [
+        ("mci", mci(), 6),
+        ("nsfnet", nsfnet(), 4),
+        ("ring8", ring(8), 2),
+    ];
+    let all = [
+        TrafficClass::voip(),
+        TrafficClass::new("video", LeakyBucket::new(64_000.0, 2_000_000.0), 0.3),
+        TrafficClass::new("bulk-rt", LeakyBucket::new(256_000.0, 5_000_000.0), 1.0),
+    ];
+    let cfg = HeuristicConfig::default();
+    let (mut feasible, mut infeasible) = (0, 0);
+    uba_obs::check("floor_equiv_multiclass", 24, |rng: &mut SplitMix64| {
+        let (name, g, fan_in) = &topologies[rng.index(topologies.len())];
+        let servers = Servers::uniform(g, 100e6, *fan_in);
+        let nc = 2 + rng.index(2);
+        let mut classes = ClassSet::new();
+        for class in &all[..nc] {
+            classes.push(class.clone());
+        }
+        let pairs: Vec<Pair> = all_ordered_pairs(g)
+            .into_iter()
+            .skip(rng.index(4))
+            .step_by(4 + rng.index(4))
+            .collect();
+        // Shares on a random ray, scaled to Σα between 0.2 and 0.95.
+        let weights: Vec<f64> = (0..nc).map(|_| rng.range_f64(0.2, 1.0)).collect();
+        let scale = rng.range_f64(0.2, 0.95) / weights.iter().sum::<f64>();
+        let alphas: Vec<f64> = weights.iter().map(|w| w * scale).collect();
+        let ctx = format!("{name}, {} pairs x {nc} classes @ {alphas:?}", pairs.len());
+        let state = CommittedState::empty(&servers, Theorem5::new(&classes, &alphas), &cfg.solver);
+        let want = unpruned_greedy(g, state, &pairs);
+        let demands: Vec<Demand> = (0..nc)
+            .flat_map(|c| {
+                let class = ClassId(c);
+                pairs.iter().map(move |&pair| Demand { class, pair })
+            })
+            .collect();
+        let got = select_routes_multiclass(g, &servers, &classes, &alphas, &demands, &cfg);
+        match (want, got) {
+            (Ok((paths, cells, route_delays)), Ok(sel)) => {
+                feasible += 1;
+                ensure!(sel.paths == paths, "{ctx}: paths differ");
+                let delays = uba_delay::rule::by_class(&cells, nc);
+                ensure!(sel.delays.len() == nc, "{ctx}: classes");
+                for (got, want) in sel.delays.iter().zip(&delays) {
+                    ensure!(bits(got) == bits(want), "{ctx}: delays");
+                }
+                ensure!(
+                    bits(&sel.route_delays) == bits(&route_delays),
+                    "{ctx}: route delays"
+                );
+            }
+            (Err(pair), Err(err)) => {
+                infeasible += 1;
+                ensure!(
+                    err == SelectionError::NoSafeRoute(pair),
+                    "{ctx}: gave up at {err:?}, reference at {pair:?}"
+                );
+            }
+            (want, got) => {
+                return Err(format!(
+                    "{ctx}: reference {:?}, select_routes_multiclass {:?}",
+                    want.map(|_| ()),
+                    got.map(|_| ())
+                ))
+            }
+        }
+        Ok(())
+    });
+    assert!(feasible >= 6, "{feasible} feasible cases");
+    assert!(infeasible >= 6, "{infeasible} infeasible cases");
 }

@@ -26,8 +26,9 @@ echo "==> serve_loop_mci smoke (the frozen serve-loop workload's own check on th
 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload serve_loop_mci --seed 1 --seconds 2 --trace 0 > /dev/null
 
-echo "==> results drift (the six byte-stable result binaries must reprint results/<name>.txt; table1 / schedulers / s_ac carry timings and stay out)"
-for name in cross_topology ablation_routing nonuniform validate_sim census sweep_bounds; do
+echo "==> results drift (the nine byte-stable result binaries must reprint results/<name>.txt; table1 / schedulers / s_ac carry timings and stay out)"
+for name in cross_topology ablation_routing nonuniform validate_sim census sweep_bounds \
+  multiclass_demo policing statistical; do
   diff <(cargo run --offline --release --quiet -p uba-bench --bin "$name") "results/$name.txt" > /dev/null || {
     echo "verify.sh: $name no longer prints results/$name.txt" >&2
     exit 1
