@@ -12,8 +12,9 @@
 //! * [`bfs`] — unweighted hop distances, eccentricities and the network
 //!   diameter `L` used by Theorem 4.
 //! * [`yen`] — Yen's k-shortest loopless paths, the candidate-route
-//!   generator of the Section 5.2 heuristic; every spur search of a call
-//!   runs on one reusable scratch and stops when the target settles.
+//!   generator of the Section 5.2 heuristic, on a workspace that serves
+//!   many pairs and lets a per-destination distance tree skip and prune
+//!   spur searches.
 //! * [`cycle`] — a dynamic overlay digraph with reference-counted edges and
 //!   cycle queries, used to prefer candidate routes that keep the
 //!   route-dependency graph acyclic (heuristic (2) of Section 5.2): flat

@@ -3,10 +3,38 @@
 //! The Section 5.2 route-selection heuristic needs, for every
 //! source/destination pair, "a group of candidate routes" to choose among.
 //! We generate those candidates as the k shortest simple paths by weight.
+//!
+//! A [`YenWorkspace`] is bound to one graph and one edge filter and serves
+//! any number of pairs: search scratch and, per destination, a reverse
+//! shortest-path tree (distance to the target `h`, next hop) grown on
+//! first use. With `h` the loop makes three cuts, each exact — the lists
+//! are, edge for edge and tie for tie, those of the loop that runs a full
+//! search at every spur index (`reference_yen` in `tests/yen_diff.rs`;
+//! DESIGN.md §5 argues each):
+//!
+//! 1. **Bound-skip**: a spur path weighs at least `root + min (w(e) +
+//!    h(dst e))` over the spur node's allowed out-edges; with as many
+//!    strictly lighter candidates pooled as paths are left to accept, it
+//!    could never be extracted, and is not searched for.
+//! 2. **Prefix-skip**: below the index where a path left the accepted
+//!    path it was found from, roots and bans are as last searched and the
+//!    result a duplicate; spur indices start there.
+//! 3. **Potential-pruned search**: the tree's own spur path, when clear
+//!    of the root, caps the spur distance at `ub`; a relaxation to `v` at
+//!    `nd` with `nd + h(v) > ub` is not pushed. The heap stays ordered by
+//!    `(dist, node)`, *not* `dist + h`: what is left pops as it did.
+//!
+//! Cuts 1 and 3 set a forward sum against a backward one, so they compare
+//! with a relative `MARGIN` (1e-9), which only makes them more timid.
 
 use crate::digraph::{Digraph, EdgeId, NodeId, Path};
 use crate::dijkstra::HeapEntry;
 use std::collections::BinaryHeap;
+use std::ops::Range;
+
+/// Relative slack where a forward sum is set against a backward one: many
+/// orders of magnitude above what reordering a sum can move it.
+const MARGIN: f64 = 1e-9;
 
 /// Computes up to `k` shortest loopless paths from `src` to `dst`, in
 /// non-decreasing order of total weight.
@@ -32,45 +60,117 @@ pub fn k_shortest_paths(g: &Digraph, src: NodeId, dst: NodeId, k: usize) -> Vec<
     k_shortest_paths_filtered(g, src, dst, k, |_| true)
 }
 
-/// One call's worth of spur-search state: Dijkstra's arrays, its heap and
-/// the two ban masks, allocated once and reused by every spur search.
-///
-/// A search is [`dijkstra_filtered`](crate::dijkstra::dijkstra_filtered)
-/// step for step — same heap entries, same strict relaxation — except that it stops when the target settles: by then the
-/// target's predecessor chain runs through settled nodes only and can no
-/// longer change, so the path is the one the full search would return.
-struct SpurSearch {
+/// [`k_shortest_paths`] restricted to edges accepted by `edge_ok` —
+/// used to route around failed links without renumbering edge ids. One
+/// [`YenWorkspace`] per call; a caller with many pairs keeps its own.
+pub fn k_shortest_paths_filtered(
+    g: &Digraph,
+    src: NodeId,
+    dst: NodeId,
+    k: usize,
+    edge_ok: impl Fn(EdgeId) -> bool,
+) -> Vec<Path> {
+    YenWorkspace::new(g, edge_ok).k_shortest_paths(src, dst, k)
+}
+
+/// One destination's reverse shortest-path tree over the admitted edges.
+struct Tree {
+    dst: NodeId,
+    /// Each node's shortest-path weight to `dst` (`INFINITY`: no path).
+    h: Vec<f64>,
+    /// That path's first edge.
+    next: Vec<Option<EdgeId>>,
+}
+
+/// A spur path found and not yet accepted: `pool_edges[span]`.
+struct Pooled {
+    weight: f64,
+    /// The spur index it was found at.
+    dev: usize,
+    span: Range<usize>,
+}
+
+/// Yen's algorithm over one graph and one edge filter, for any number of
+/// pairs (the [module docs](self) say what is shared and cut). The filter
+/// is read once, into the mask the searches and the distance-to-target
+/// trees both go by, and a workspace cannot be pointed at another:
+/// distances never come from a different graph than the one searched.
+pub struct YenWorkspace<'g> {
+    g: &'g Digraph,
+    /// Edges no search may take: those the filter refused, for good, and
+    /// the current spur index's bans.
+    edge_blocked: Vec<bool>,
+    /// The current root's nodes.
+    node_banned: Vec<bool>,
     dist: Vec<f64>,
     prev_edge: Vec<Option<EdgeId>>,
     settled: Vec<bool>,
     heap: BinaryHeap<HeapEntry>,
-    node_banned: Vec<bool>,
-    edge_banned: Vec<bool>,
+    /// Indexed by destination; grown on first use.
+    trees: Vec<Option<Tree>>,
+    pool: Vec<Pooled>,
+    pool_edges: Vec<EdgeId>,
+    tallies: (u64, u64),
 }
 
-impl SpurSearch {
-    fn new(g: &Digraph) -> Self {
+impl<'g> YenWorkspace<'g> {
+    /// A workspace for `g` restricted to the edges `edge_ok` accepts.
+    pub fn new(g: &'g Digraph, edge_ok: impl Fn(EdgeId) -> bool) -> Self {
+        let n = g.node_count();
         Self {
-            dist: vec![f64::INFINITY; g.node_count()],
-            prev_edge: vec![None; g.node_count()],
-            settled: vec![false; g.node_count()],
+            g,
+            edge_blocked: g.edges().map(|e| !edge_ok(e)).collect(),
+            node_banned: vec![false; n],
+            dist: vec![f64::INFINITY; n],
+            prev_edge: vec![None; n],
+            settled: vec![false; n],
             heap: BinaryHeap::new(),
-            node_banned: vec![false; g.node_count()],
-            edge_banned: vec![false; g.edge_count()],
+            trees: (0..n).map(|_| None).collect(),
+            pool: Vec::new(),
+            pool_edges: Vec::new(),
+            tallies: (0, 0),
         }
     }
 
-    /// Appends the edges of the shortest `from → to` path over the
-    /// unbanned subgraph to `out`; `false` (and `out` untouched) if there
-    /// is none. `from` is expanded even when banned.
-    fn extend_with_path(
+    /// Over every call so far: spur searches run, and spur indices whose
+    /// search was proved unnecessary — between them, every spur index.
+    pub fn tallies(&self) -> (u64, u64) {
+        self.tallies
+    }
+
+    /// Up to `k` shortest loopless `src → dst` paths over the admitted
+    /// edges, exactly as [`k_shortest_paths_filtered`] returns them.
+    pub fn k_shortest_paths(&mut self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
+        if k == 0 || src == dst {
+            return Vec::new();
+        }
+        let tree = self.trees[dst.index()].take().unwrap_or_else(|| {
+            self.search::<true>(dst, None, |_, _| true);
+            Tree {
+                dst,
+                h: self.dist.clone(),
+                next: self.prev_edge.clone(),
+            }
+        });
+        let paths = self.yen(&tree, src, k);
+        self.trees[dst.index()] = Some(tree);
+        paths
+    }
+
+    /// Dijkstra from `from` into `dist` / `prev_edge`, over the unblocked
+    /// out-edges (`REVERSED`: in-edges) and off the banned nodes; `from`
+    /// is expanded even when banned. This is
+    /// [`dijkstra_filtered`](crate::dijkstra::dijkstra_filtered) step for
+    /// step — same heap entries, same strict relaxation — except that it
+    /// stops when `stop` settles, its predecessor chain by then final, and
+    /// never labels a node at a distance `keep` refuses.
+    fn search<const REVERSED: bool>(
         &mut self,
-        g: &Digraph,
         from: NodeId,
-        to: NodeId,
-        edge_ok: &impl Fn(EdgeId) -> bool,
-        out: &mut Vec<EdgeId>,
-    ) -> bool {
+        stop: Option<NodeId>,
+        keep: impl Fn(NodeId, f64) -> bool,
+    ) {
+        let g = self.g;
         self.dist.fill(f64::INFINITY);
         self.prev_edge.fill(None);
         self.settled.fill(false);
@@ -84,119 +184,152 @@ impl SpurSearch {
             if self.settled[u.index()] {
                 continue;
             }
-            if u == to {
+            if Some(u) == stop {
                 break;
             }
             self.settled[u.index()] = true;
-            for &e in g.out_edges(u) {
-                if self.edge_banned[e.index()] || !edge_ok(e) {
+            for &e in if REVERSED {
+                g.in_edges(u)
+            } else {
+                g.out_edges(u)
+            } {
+                if self.edge_blocked[e.index()] {
                     continue;
                 }
-                let v = g.dst(e);
+                let v = if REVERSED { g.src(e) } else { g.dst(e) };
                 if self.node_banned[v.index()] || self.settled[v.index()] {
                     continue;
                 }
                 let nd = d + g.weight(e);
-                if nd < self.dist[v.index()] {
+                if nd < self.dist[v.index()] && keep(v, nd) {
                     self.dist[v.index()] = nd;
                     self.prev_edge[v.index()] = Some(e);
                     self.heap.push(HeapEntry { dist: nd, node: v });
                 }
             }
         }
-        if !self.dist[to.index()].is_finite() {
+    }
+
+    /// For a spur search from `spur` under the bans in force: a lower
+    /// bound on any spur path's weight (`INFINITY`: there is none) and the
+    /// weight of one the tree spells out (`INFINITY`: none clear of the root).
+    fn spur_bounds(&self, tree: &Tree, spur: NodeId) -> (f64, f64) {
+        let g = self.g;
+        let on_root = |n: NodeId| n == spur || self.node_banned[n.index()];
+        let (mut at_least, mut at_most) = (f64::INFINITY, f64::INFINITY);
+        for &e in g.out_edges(spur) {
+            let mut v = g.dst(e);
+            if self.edge_blocked[e.index()] || on_root(v) {
+                continue;
+            }
+            // Infinite where `v` cannot reach the target: no bound moves.
+            let via = g.weight(e) + tree.h[v.index()];
+            at_least = at_least.min(via);
+            if via < at_most {
+                // Tree edges are admitted and every ban leaves `spur`: a
+                // tree path off the root's nodes is off its bans too.
+                while let Some(hop) = tree.next[v.index()].filter(|_| !on_root(v)) {
+                    v = g.dst(hop);
+                }
+                if !on_root(v) {
+                    at_most = via;
+                }
+            }
+        }
+        (at_least, at_most)
+    }
+
+    /// Pools the shortest path that follows `root` to `spur` and goes on
+    /// to the target over the unbanned subgraph — unless there is none, the
+    /// pool has it, or (cut 1) `wanted` pooled candidates are lighter than
+    /// it can be. Says whether it searched.
+    fn pool_spur(&mut self, tree: &Tree, root: &[EdgeId], spur: NodeId, wanted: usize) -> bool {
+        let g = self.g;
+        let (at_least, at_most) = self.spur_bounds(tree, spur);
+        let floor = root.iter().map(|&e| g.weight(e)).sum::<f64>() + at_least;
+        let lighter = |c: &&Pooled| c.weight * (1.0 + MARGIN) < floor;
+        if at_least == f64::INFINITY || self.pool.iter().filter(lighter).count() >= wanted {
             return false;
         }
-        let start = out.len();
-        let mut cur = to;
+        // Cut 3; an infinite `at_most` refuses nothing.
+        let cut = at_most * (1.0 + MARGIN);
+        self.search::<false>(spur, Some(tree.dst), |v, nd| nd + tree.h[v.index()] <= cut);
+        let (start, mut cur) = (self.pool_edges.len(), tree.dst);
         while let Some(e) = self.prev_edge[cur.index()] {
-            out.push(e);
+            self.pool_edges.push(e);
             cur = g.src(e);
         }
-        debug_assert_eq!(cur, from);
-        out[start..].reverse();
+        self.pool_edges.extend(root.iter().rev());
+        let (pooled, edges) = self.pool_edges.split_at_mut(start);
+        edges.reverse();
+        // Every accepted path on this root has its next edge banned, so
+        // only the pool can hold this path already.
+        let seen = |c: &Pooled| pooled[c.span.clone()] == *edges;
+        if cur == spur && !self.pool.iter().any(seen) {
+            let weight = edges.iter().map(|&e| g.weight(e)).sum();
+            let (dev, span) = (root.len(), start..start + edges.len());
+            self.pool.push(Pooled { weight, dev, span });
+        } else {
+            self.pool_edges.truncate(start);
+        }
         true
     }
-}
 
-/// [`k_shortest_paths`] restricted to edges accepted by `edge_ok` —
-/// used to route around failed links without renumbering edge ids.
-pub fn k_shortest_paths_filtered(
-    g: &Digraph,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    edge_ok: impl Fn(EdgeId) -> bool,
-) -> Vec<Path> {
-    if k == 0 || src == dst {
-        return Vec::new();
-    }
-    let mut search = SpurSearch::new(g);
-    let mut edges = Vec::new();
-    if !search.extend_with_path(g, src, dst, &edge_ok, &mut edges) {
-        return Vec::new();
-    }
-    let mut accepted: Vec<Path> = vec![Path::from_edges(g, edges)];
-    // Candidate pool: every spur path found and not yet accepted. Small k
-    // keeps it small, so membership and the minimum are linear scans.
-    let mut candidates: Vec<(f64, Path)> = Vec::new();
-    let mut edges = Vec::new();
-
-    while accepted.len() < k {
-        let prev = accepted.len() - 1;
-        for i in 0..accepted[prev].len() {
-            let spur_node = accepted[prev].nodes[i];
-            // Ban the next edge of every accepted path that shares this
-            // exact root (edge-wise — node-wise comparison would over-ban
-            // on multigraphs), so the spur path must deviate here; ban the
-            // root's nodes (except the spur node) to keep paths simple.
-            for p in &accepted {
-                if p.len() > i && p.edges[..i] == accepted[prev].edges[..i] {
-                    search.edge_banned[p.edges[i].index()] = true;
-                }
-            }
-            for n in &accepted[prev].nodes[..i] {
-                search.node_banned[n.index()] = true;
-            }
-
-            edges.clear();
-            edges.extend_from_slice(&accepted[prev].edges[..i]);
-            let found = search.extend_with_path(g, spur_node, dst, &edge_ok, &mut edges);
-
-            for p in &accepted {
-                if p.len() > i {
-                    search.edge_banned[p.edges[i].index()] = false;
-                }
-            }
-            for n in &accepted[prev].nodes[..i] {
-                search.node_banned[n.index()] = false;
-            }
-
-            let seen = |p: &Path| p.edges == edges;
-            if found && !accepted.iter().any(seen) && !candidates.iter().any(|(_, p)| seen(p)) {
-                let total = Path::from_edges(g, edges.clone());
-                debug_assert!(total.is_simple());
-                let w = total.weight(g);
-                candidates.push((w, total));
+    /// Bans (or clears) the `i`-th edge of every accepted path that
+    /// shares the last one's first `i` edges — edge-wise: node-wise
+    /// comparison would over-ban on multigraphs — so that a spur path
+    /// must deviate at `i`.
+    fn ban_continuations(&mut self, accepted: &[Path], i: usize, banned: bool) {
+        let root = &accepted[accepted.len() - 1].edges[..i];
+        for p in accepted {
+            if p.len() > i && p.edges[..i] == *root {
+                self.edge_blocked[p.edges[i].index()] = banned;
             }
         }
-        if candidates.is_empty() {
-            break;
-        }
+    }
+
+    fn yen(&mut self, tree: &Tree, src: NodeId, k: usize) -> Vec<Path> {
+        let g = self.g;
+        self.pool.clear();
+        self.pool_edges.clear();
+        // The shortest path is the spur path of the empty root.
+        self.pool_spur(tree, &[], src, k);
+        let mut accepted: Vec<Path> = Vec::new();
         // Extract the cheapest candidate (stable tie-break on edge ids for
-        // determinism).
-        let best = candidates
-            .iter()
-            .enumerate()
-            .min_by(|(_, (wa, pa)), (_, (wb, pb))| {
-                wa.total_cmp(wb).then_with(|| pa.edges.cmp(&pb.edges))
-            })
-            .map(|(i, _)| i)
-            .unwrap();
-        let (_, path) = candidates.swap_remove(best);
-        accepted.push(path);
+        // determinism) and deviate from it.
+        while let Some(best) = (0..self.pool.len()).min_by(|&a, &b| {
+            let edges = |c: &Pooled| &self.pool_edges[c.span.clone()];
+            let (a, b) = (&self.pool[a], &self.pool[b]);
+            (a.weight.total_cmp(&b.weight)).then_with(|| edges(a).cmp(edges(b)))
+        }) {
+            let Pooled { dev, span, .. } = self.pool.swap_remove(best);
+            accepted.push(Path::from_edges(g, self.pool_edges[span].to_vec()));
+            if accepted.len() == k {
+                break;
+            }
+            let prev = &accepted[accepted.len() - 1];
+            debug_assert!(prev.is_simple());
+            // Cut 2: spur indices start at `dev`, on `prev`'s root there.
+            self.tallies.1 += dev as u64;
+            for n in &prev.nodes[..dev] {
+                self.node_banned[n.index()] = true;
+            }
+            for i in dev..prev.len() {
+                let (spur, root) = (prev.nodes[i], &prev.edges[..i]);
+                self.ban_continuations(&accepted, i, true);
+                let searched = self.pool_spur(tree, root, spur, k - accepted.len());
+                self.tallies.0 += u64::from(searched);
+                self.tallies.1 += u64::from(!searched);
+                self.ban_continuations(&accepted, i, false);
+                // Keep later spur paths simple: off the root's nodes.
+                self.node_banned[spur.index()] = true;
+            }
+            for n in &prev.nodes[..prev.len()] {
+                self.node_banned[n.index()] = false;
+            }
+        }
+        accepted
     }
-    accepted
 }
 
 #[cfg(test)]

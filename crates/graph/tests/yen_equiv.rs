@@ -1,13 +1,15 @@
 //! Pinned-output equivalence for Yen's k-shortest paths.
 //!
-//! `k_shortest_paths_filtered` runs its spur searches on reusable scratch
-//! and stops each one when the destination settles. The digests below
-//! were captured on the commit before that, when every spur search was a
-//! full `dijkstra_filtered` with fresh `HashSet` bans — so they pin the
+//! `k_shortest_paths_filtered` skips the spur searches a
+//! distance-to-target tree proves unnecessary and prunes the rest. The
+//! digests below were captured when every spur search was a full
+//! `dijkstra_filtered` with fresh `HashSet` bans — so they pin the
 //! exact candidate lists, order and tie-breaks included, that the §5.2
 //! heuristic has always been fed. A candidate that moves, is dropped or
-//! changes one edge changes a digest.
+//! changes one edge changes a digest. Each case runs through both entry
+//! points: a workspace per call, and one workspace for all its pairs.
 
+use uba_graph::yen::YenWorkspace;
 use uba_graph::{k_shortest_paths, k_shortest_paths_filtered, Digraph, EdgeId, NodeId, Path};
 use uba_topology::{mci, nsfnet, torus, waxman};
 
@@ -35,7 +37,7 @@ fn fnv(h: u64, word: u64) -> u64 {
 
 /// Folds every pair's candidate list — count, then each path's length
 /// and edge ids in order — into one digest.
-fn digest(g: &Digraph, step: usize, yen: impl Fn(NodeId, NodeId) -> Vec<Path>) -> u64 {
+fn digest(g: &Digraph, step: usize, mut yen: impl FnMut(NodeId, NodeId) -> Vec<Path>) -> u64 {
     let pairs = g
         .nodes()
         .flat_map(|s| g.nodes().map(move |d| (s, d)))
@@ -83,10 +85,26 @@ fn candidate_lists_match_the_pinned_digests() {
             paths
         }),
     ];
+    let shared = |g: &Digraph, step: usize, edge_ok: &dyn Fn(EdgeId) -> bool| {
+        let mut yen = YenWorkspace::new(g, edge_ok);
+        digest(g, step, |s, d| yen.k_shortest_paths(s, d, 8))
+    };
+    let reused = [
+        shared(&m, 1, &|_| true),
+        shared(&n, 1, &|_| true),
+        shared(&w, 1, &|_| true),
+        shared(&t, 7, &|_| true),
+        shared(&m, 1, &|e| !banned.contains(&e)),
+    ];
     for i in 0..CASES.len() {
         assert_eq!(
             computed[i], DIGESTS[i],
             "{} diverged; computed: {computed:#018x?}",
+            CASES[i]
+        );
+        assert_eq!(
+            reused[i], DIGESTS[i],
+            "{} diverged on a shared workspace; computed: {reused:#018x?}",
             CASES[i]
         );
     }

@@ -31,24 +31,60 @@ use uba_delay::fixed_point::SolveConfig;
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::rule::{by_class, DelayRule};
 use uba_delay::servers::Servers;
-use uba_graph::{k_shortest_paths_filtered, Digraph, DynDigraph, EdgeId, Path};
+use uba_graph::yen::YenWorkspace;
+use uba_graph::{Digraph, DynDigraph, EdgeId, Path};
 use uba_traffic::{ClassId, TrafficClass};
 
-/// One pooled candidate: a topology path and the same hops as the delay
-/// layer's [`Route`] in the demand's class, whose server ids are also the
-/// chain the overlay is asked about — prepared once, so that checking,
-/// trying and committing a candidate convert nothing.
-#[derive(Debug)]
-pub(crate) struct Candidate {
-    pub(crate) path: Path,
-    pub(crate) route: Route,
+/// The candidate routes of one search: one Yen call per pair on one
+/// [`YenWorkspace`], whatever the number of classes, probes or pairs, and
+/// per demand the same hops as the delay layer's [`Route`]s, whose server
+/// ids are also the chains the overlay is asked about — prepared once, so
+/// that checking, trying and committing a candidate convert nothing.
+/// Candidates depend only on the topology, the admitted edges and the
+/// pair — not on `α`, the class or the committed routes — so a caller
+/// re-running selection (the §5.3 binary search) shares them across
+/// probes. Dropping it adds what generation did to
+/// `routing.candidates.*`.
+pub(crate) struct CandidateCache<'g> {
+    yen: YenWorkspace<'g>,
+    paths: HashMap<Pair, Vec<Path>>,
+    routes: HashMap<Demand, Vec<Route>>,
 }
 
-/// Per-demand Yen candidate cache. Candidates depend only on the topology
-/// and the demand — not on `α` or the committed routes — so a caller
-/// re-running selection (the §5.3 binary search) prepares them once and
-/// shares them across probes. Only valid with an unrestricted `edge_ok`.
-pub(crate) type CandidateCache = HashMap<Demand, Vec<Candidate>>;
+impl<'g> CandidateCache<'g> {
+    /// An empty cache over the edges of `g` that `edge_ok` admits (all
+    /// but the failed links).
+    pub(crate) fn new(g: &'g Digraph, edge_ok: impl Fn(EdgeId) -> bool) -> Self {
+        Self {
+            yen: YenWorkspace::new(g, edge_ok),
+            paths: HashMap::new(),
+            routes: HashMap::new(),
+        }
+    }
+
+    /// `demand`'s candidates: its pair's `k` shortest paths — the `k` of
+    /// the pair's first call — and each as a route in the demand's class.
+    fn candidates(&mut self, demand: Demand, k: usize) -> (&[Path], &[Route]) {
+        let (Self { yen, paths, routes }, Pair { src, dst }) = (self, demand.pair);
+        let paths = paths
+            .entry(demand.pair)
+            .or_insert_with(|| yen.k_shortest_paths(src, dst, k));
+        let in_class = |p| Route::from_path(demand.class, p);
+        let routes = routes
+            .entry(demand)
+            .or_insert_with(|| paths.iter().map(in_class).collect());
+        (paths, routes)
+    }
+}
+
+impl Drop for CandidateCache<'_> {
+    fn drop(&mut self) {
+        let (searched, skipped) = self.yen.tallies();
+        let metrics = crate::metrics::select();
+        metrics.spur_searches.add(searched);
+        metrics.spur_skipped.add(skipped);
+    }
+}
 
 /// Tunables for the safe-route-selection heuristic.
 #[derive(Clone, Debug)]
@@ -146,51 +182,33 @@ pub(crate) fn class0_demands(pairs: &[Pair]) -> Vec<Demand> {
     pairs.iter().map(|&pair| Demand { class, pair }).collect()
 }
 
-/// `demand`'s Yen candidates over the edges `edge_ok` admits (used to
-/// avoid failed links), shortest first.
-pub(crate) fn candidates_for(
-    g: &Digraph,
-    demand: Demand,
-    cfg: &HeuristicConfig,
-    edge_ok: impl Fn(EdgeId) -> bool,
-) -> Vec<Candidate> {
-    let Pair { src, dst } = demand.pair;
-    k_shortest_paths_filtered(g, src, dst, cfg.k_candidates, edge_ok)
-        .into_iter()
-        .map(|path| Candidate {
-            route: Route::from_path(demand.class, &path),
-            path,
-        })
-        .collect()
-}
-
-/// Chooses one pair's route among `candidates` per the three
-/// sub-heuristics and commits it to `state` (the new fixed point) and
-/// `overlay`; returns the chosen path. Both are untouched on `Err`.
+/// Chooses `demand`'s route among its candidates in `cache` per the
+/// three sub-heuristics and commits it to `state` (the new fixed point)
+/// and `overlay`; returns the chosen path. Both are untouched on `Err`.
 /// Shared by bulk selection and incremental reconfiguration.
 pub(crate) fn choose_route<R: DelayRule>(
     state: &mut CommittedState<'_, R>,
     overlay: &mut DynDigraph,
-    pair: Pair,
+    demand: Demand,
     cfg: &HeuristicConfig,
-    candidates: &[Candidate],
+    cache: &mut CandidateCache<'_>,
 ) -> Result<Path, SelectionError> {
-    if candidates.is_empty() {
-        return Err(SelectionError::NoRoute(pair));
+    let (paths, routes) = cache.candidates(demand, cfg.k_candidates);
+    if routes.is_empty() {
+        return Err(SelectionError::NoRoute(demand.pair));
     }
     // Heuristic (2): keep only feedback-free candidates when possible.
     let mut pool: Vec<usize> = Vec::new();
     if cfg.prefer_acyclic {
         pool.extend(
-            (0..candidates.len())
-                .filter(|&i| !overlay.chain_would_create_cycle(&candidates[i].route.servers)),
+            (0..routes.len()).filter(|&i| !overlay.chain_would_create_cycle(&routes[i].servers)),
         );
         crate::metrics::select()
             .cycle_checks
-            .add(candidates.len() as u64);
+            .add(routes.len() as u64);
     }
     if pool.is_empty() {
-        pool.extend(0..candidates.len());
+        pool.extend(0..routes.len());
     }
 
     // Heuristic (3): the safe candidate with the least own delay, the
@@ -198,7 +216,7 @@ pub(crate) fn choose_route<R: DelayRule>(
     let mut best: Option<(usize, f64)> = None;
     let (mut evaluated, mut pruned) = (0u64, 0u64);
     for &ci in &pool {
-        let route = &candidates[ci].route;
+        let route = &routes[ci];
         evaluated += 1;
         // Adding a route only raises delays, so a candidate whose delay at
         // the committed point is already no better than the incumbent's
@@ -227,13 +245,12 @@ pub(crate) fn choose_route<R: DelayRule>(
     metrics.candidates.add(evaluated);
     metrics.pruned.add(pruned);
     let Some((ci, _)) = best else {
-        return Err(SelectionError::NoSafeRoute(pair));
+        return Err(SelectionError::NoSafeRoute(demand.pair));
     };
-    let Candidate { path, route } = &candidates[ci];
-    let committed = state.commit(route.clone());
+    let committed = state.commit(routes[ci].clone());
     assert!(committed, "a route that just verified safe still does");
-    overlay.add_chain(&route.servers);
-    Ok(path.clone())
+    overlay.add_chain(&routes[ci].servers);
+    Ok(paths[ci].clone())
 }
 
 /// The order selection visits `demands` in under `cfg`: decreasing pair
@@ -261,42 +278,26 @@ pub fn select_routes(
 ) -> Result<Selection, SelectionError> {
     let ordered = visit_order(g, &class0_demands(pairs), cfg);
     let state = CommittedState::new(servers, class, alpha, &cfg.solver);
-    select_in_order(g, state, &ordered, cfg, None).map(Selection::one_class)
+    let mut cache = CandidateCache::new(g, |_| true);
+    select_in_order(g, state, &ordered, cfg, &mut cache).map(Selection::one_class)
 }
 
 /// The §5.2 greedy over demands already in [`visit_order`], committing
-/// onto `state` (empty, at the utilizations to verify), with an optional
-/// cross-call Yen candidate cache — the §5.3 binary search re-runs
-/// selection per probe, and neither the order nor the candidates depend
-/// on `α`.
+/// onto `state` (empty, at the utilizations to verify), with the
+/// caller's candidate cache — the §5.3 binary search re-runs selection
+/// per probe, and neither the order nor the candidates depend on `α`.
 pub(crate) fn select_in_order<R: DelayRule>(
     g: &Digraph,
     mut state: CommittedState<'_, R>,
     ordered: &[Demand],
     cfg: &HeuristicConfig,
-    mut cache: Option<&mut CandidateCache>,
+    cache: &mut CandidateCache<'_>,
 ) -> Result<MultiSelection, SelectionError> {
     let mut overlay = DynDigraph::new(g.edge_count());
     let mut out_paths = Vec::with_capacity(ordered.len());
 
     for &demand in ordered {
-        let computed;
-        let candidates: &[Candidate] = match cache.as_deref_mut() {
-            Some(c) => c
-                .entry(demand)
-                .or_insert_with(|| candidates_for(g, demand, cfg, |_| true)),
-            None => {
-                computed = candidates_for(g, demand, cfg, |_| true);
-                &computed
-            }
-        };
-        out_paths.push(choose_route(
-            &mut state,
-            &mut overlay,
-            demand.pair,
-            cfg,
-            candidates,
-        )?);
+        out_paths.push(choose_route(&mut state, &mut overlay, demand, cfg, cache)?);
     }
 
     let classes = state.classes();
@@ -432,15 +433,15 @@ mod tests {
         let pairs: Vec<Pair> = all_ordered_pairs(&g).into_iter().step_by(10).collect();
         let cfg = HeuristicConfig::default();
         let plain = select_routes(&g, &servers, &voip(), 0.3, &pairs, &cfg).unwrap();
-        let mut cache = CandidateCache::new();
+        let mut cache = CandidateCache::new(&g, |_| true);
         // Two runs through the same cache: second run hits every entry.
         let ordered = visit_order(&g, &class0_demands(&pairs), &cfg);
         let mut cached = || {
             let state = CommittedState::new(&servers, &voip(), 0.3, &cfg.solver);
-            select_in_order(&g, state, &ordered, &cfg, Some(&mut cache)).unwrap()
+            select_in_order(&g, state, &ordered, &cfg, &mut cache).unwrap()
         };
         let (first, second) = (cached(), cached());
-        assert_eq!(cache.len(), pairs.len());
+        assert_eq!(cache.paths.len(), pairs.len());
         assert_eq!(plain.paths, first.paths);
         assert_eq!(plain.paths, second.paths);
         assert_eq!(plain.route_delays, first.route_delays);

@@ -1,13 +1,16 @@
 //! Route-selection instrumentation.
 //!
-//! Three counters in the process-global [`uba_obs`] registry, added to once
-//! per routed pair (nothing per candidate):
+//! Counters in the process-global [`uba_obs`] registry: `select.*` added
+//! to once per routed pair (nothing per candidate), `candidates.*` once
+//! per search, from the Yen workspace's own tallies:
 //!
 //! | name | meaning |
 //! |---|---|
 //! | `routing.select.candidates` | pooled candidate routes looked at, solved or pruned |
 //! | `routing.select.pruned` | of those, cut before any solve: their delay at the committed fixed point already matched or exceeded the incumbent's |
 //! | `routing.select.cycle_checks` | would-this-chain-close-a-cycle queries put to the route-dependency overlay |
+//! | `routing.candidates.spur_searches` | spur searches Yen ran to generate candidates |
+//! | `routing.candidates.spur_skipped` | spur indices it proved needed none (a duplicate, or too heavy ever to be extracted) |
 
 use std::sync::{Arc, OnceLock};
 use uba_obs::Counter;
@@ -21,6 +24,10 @@ pub struct SelectMetrics {
     pub pruned: Arc<Counter>,
     /// Overlay cycle queries made.
     pub cycle_checks: Arc<Counter>,
+    /// Spur searches candidate generation ran.
+    pub spur_searches: Arc<Counter>,
+    /// Spur indices it skipped unsearched.
+    pub spur_skipped: Arc<Counter>,
 }
 
 /// The process-global route-selection counters (registered on first use).
@@ -32,6 +39,8 @@ pub fn select() -> &'static SelectMetrics {
             candidates: r.counter("routing.select.candidates"),
             pruned: r.counter("routing.select.pruned"),
             cycle_checks: r.counter("routing.select.cycle_checks"),
+            spur_searches: r.counter("routing.candidates.spur_searches"),
+            spur_skipped: r.counter("routing.candidates.spur_skipped"),
         }
     })
 }

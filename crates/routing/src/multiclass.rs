@@ -40,7 +40,8 @@ pub fn select_routes_multiclass(
 ) -> Result<MultiSelection, SelectionError> {
     let ordered = visit_order(g, demands, cfg);
     let state = CommittedState::empty(servers, Theorem5::new(classes, alphas), &cfg.solver);
-    select_in_order(g, state, &ordered, cfg, None)
+    let mut cache = CandidateCache::new(g, |_| true);
+    select_in_order(g, state, &ordered, cfg, &mut cache)
 }
 
 /// Result of a ray search in utilization space.
@@ -79,11 +80,11 @@ pub fn max_utilization_ray(
 
     // Neither the visiting order nor the Yen candidates depend on `t`.
     let ordered = visit_order(g, demands, cfg);
-    let mut cache = CandidateCache::new();
+    let mut cache = CandidateCache::new(g, |_| true);
     let probe = |t: f64| -> Option<MultiSelection> {
         let alphas: Vec<f64> = weights.iter().map(|&w| (w * t).max(1e-9)).collect();
         let state = CommittedState::empty(servers, Theorem5::new(classes, &alphas), &cfg.solver);
-        select_in_order(g, state, &ordered, cfg, Some(&mut cache)).ok()
+        select_in_order(g, state, &ordered, cfg, &mut cache).ok()
     };
     let found = bisect(None, t_cap, tol, probe);
     RaySearchResult {

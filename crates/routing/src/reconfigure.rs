@@ -18,7 +18,7 @@
 //! expressed as an avoid-set, keeping `Servers`, route sets, and the
 //! admission controller's counters stable.
 
-use crate::heuristic::{candidates_for, choose_route, HeuristicConfig, Selection, SelectionError};
+use crate::heuristic::{choose_route, CandidateCache, HeuristicConfig, Selection, SelectionError};
 use crate::pairs::{Demand, Pair};
 use std::collections::HashSet;
 use uba_admission::{BackendKind, ConfigGeneration, RoutingTable};
@@ -125,14 +125,13 @@ impl Configuration {
             std::mem::take(&mut self.routes),
             std::mem::take(&mut self.delays),
         );
-        let failed = &self.failed;
+        let mut cache = CandidateCache::new(&self.g, |e| !self.failed.contains(&e));
         let outcome = pairs.iter().try_for_each(|&pair| {
             let demand = Demand {
                 class: ClassId(0),
                 pair,
             };
-            let candidates = candidates_for(&self.g, demand, &self.cfg, |e| !failed.contains(&e));
-            let path = choose_route(&mut state, &mut self.overlay, pair, &self.cfg, &candidates)?;
+            let path = choose_route(&mut state, &mut self.overlay, demand, &self.cfg, &mut cache)?;
             self.pairs.push(pair);
             self.paths.push(path);
             Ok(())

@@ -89,7 +89,7 @@ pub fn max_utilization(
         Selector::Heuristic(cfg) => visit_order(g, &class0_demands(pairs), cfg),
         Selector::ShortestPath => Vec::new(),
     };
-    let mut candidate_cache = CandidateCache::new();
+    let mut candidate_cache = CandidateCache::new(g, |_| true);
     let mut sp_warm: Option<Vec<f64>> = None;
     let probe = |alpha: f64| -> Option<Selection> {
         match selector {
@@ -119,7 +119,7 @@ pub fn max_utilization(
             }
             Selector::Heuristic(cfg) => {
                 let state = CommittedState::new(servers, class, alpha, &cfg.solver);
-                select_in_order(g, state, &ordered, cfg, Some(&mut candidate_cache))
+                select_in_order(g, state, &ordered, cfg, &mut candidate_cache)
                     .ok()
                     .map(Selection::one_class)
             }

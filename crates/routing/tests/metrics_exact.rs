@@ -1,14 +1,49 @@
 //! Exact-count assertions on process-global instrumentation: the flight
-//! recorder is one per process, so this binary holds the one test.
+//! recorder and the registry are one per process, so the tests of this
+//! binary take turns.
 
+use std::sync::Mutex;
 use uba_delay::servers::Servers;
 use uba_obs::EventKind;
-use uba_routing::{all_ordered_pairs, max_utilization_ray, Demand, HeuristicConfig};
-use uba_topology::ring;
+use uba_routing::{
+    all_ordered_pairs, max_utilization, max_utilization_ray, Demand, HeuristicConfig, Selector,
+};
+use uba_topology::{mci, ring};
 use uba_traffic::{ClassId, ClassSet, LeakyBucket, TrafficClass};
+
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// `crates/cli/scenarios/paper.toml` through `maximize`: what candidate
+/// generation did, to the search. Every spur index of the first seven
+/// paths of each of the 342 pairs is either searched or skipped — 8 720
+/// of them — and the cache spans the probes, so seven probes cost one
+/// generation.
+#[test]
+fn candidate_generation_on_the_paper_scenario_searches_4184_of_8720_spur_indices() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let g = mci();
+    let servers = Servers::uniform(&g, 1e8, 6);
+    let metrics = uba_routing::metrics::select();
+    let before = (metrics.spur_searches.get(), metrics.spur_skipped.get());
+    let found = max_utilization(
+        &g,
+        &servers,
+        &TrafficClass::voip(),
+        &all_ordered_pairs(&g),
+        &Selector::Heuristic(HeuristicConfig::default()),
+        0.005,
+    );
+    assert_eq!(found.alpha.to_bits(), 0.5415987127047674f64.to_bits());
+    assert_eq!(found.probes.len(), 7);
+    let searched = metrics.spur_searches.get() - before.0;
+    let skipped = metrics.spur_skipped.get() - before.1;
+    assert_eq!((searched, skipped), (4_184, 4_536));
+    assert_eq!(searched + skipped, 8_720);
+}
 
 #[test]
 fn a_ray_search_emits_one_search_probe_per_probe() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let g = ring(6);
     let servers = Servers::uniform(&g, 100e6, 4);
     let mut classes = ClassSet::single(TrafficClass::voip());

@@ -26,7 +26,7 @@ echo "==> serve_loop_mci smoke (the frozen serve-loop workload's own check on th
 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload serve_loop_mci --seed 1 --seconds 2 --trace 0 > /dev/null
 
-echo "==> results drift (the nine byte-stable result binaries must reprint results/<name>.txt; table1 / schedulers / s_ac carry timings and stay out)"
+echo "==> results drift (the nine byte-stable result binaries must reprint results/<name>.txt, and uba-cli maximize / verify on paper.toml results/cli_paper.txt; table1 / schedulers / s_ac carry timings and stay out)"
 for name in cross_topology ablation_routing nonuniform validate_sim census sweep_bounds \
   multiclass_demo policing statistical; do
   diff <(cargo run --offline --release --quiet -p uba-bench --bin "$name") "results/$name.txt" > /dev/null || {
@@ -34,6 +34,17 @@ for name in cross_topology ablation_routing nonuniform validate_sim census sweep
     exit 1
   }
 done
+# The CLI on the paper scenario, both selectors and verify: what PRs 16,
+# 20 and 21 each diffed against their parent by hand.
+paper=crates/cli/scenarios/paper.toml
+diff <(for cmd in "maximize $paper heuristic" "maximize $paper sp" "verify $paper"; do
+  echo "\$ uba-cli $cmd"
+  # shellcheck disable=SC2086
+  cargo run --offline --release --quiet -p uba-cli -- $cmd
+done) results/cli_paper.txt > /dev/null || {
+  echo "verify.sh: uba-cli on $paper no longer prints results/cli_paper.txt" >&2
+  exit 1
+}
 
 echo "==> cargo fmt --check (formatting gate)"
 cargo fmt --check
