@@ -13,19 +13,32 @@
 //! therefore sorts before any dynamic event of the same instant, and the
 //! schedulers' FIFO / finish-tag tie-breaks read that same `seq`.
 //!
-//! The loop draws from two sources that together realize that order: the
-//! emissions, materialized once into a block of their exact size and
-//! sorted in place by `(time, seq)`, consumed through a cursor; and a
-//! small binary heap holding only the dynamic events in flight, payload
-//! inline. Each step takes whichever head is earlier, the emission on a
-//! tie.
+//! The loop draws from three sources that together realize that order:
+//! the emissions, laid down once in `(time, seq)` order in a block of
+//! their exact size and read through a cursor; a small binary heap of the
+//! completions in flight (at most one per station, plus the
+//! reconfiguration marker); and a FIFO of the next-hop arrivals of the
+//! current instant. A forwarded packet never waits, so it needs no
+//! priority queue: (1) a completion at `now` stamps the arrival it
+//! forwards `now` and gives it the largest `seq` so far; (2) every heap
+//! entry stamped `now` was pushed before `now` — a completion when its
+//! service of ≥ 1 ns began, the marker before the loop — so its `seq` is
+//! smaller; (3) whatever is pushed during `now` is stamped later; (4)
+//! hence the order within `now` is emissions, heap entries, forwarded
+//! arrivals as created, and the FIFO is empty when time advances.
+//!
+//! The arrival still may not be handled inside the completion creating
+//! it: a completion of the *next* station due the same nanosecond picks
+//! its successor first (static priority would otherwise start the
+//! newcomer over a waiting low-class packet; `engine_equiv`'s
+//! `forwarded_arrival_follows_same_instant_completions`).
 
 use crate::metrics::{sim, SimMetrics};
 use crate::report::{SimReport, StatsAccumulator};
 use crate::sched::{Discipline, SchedJob, Scheduler};
 use crate::source::SourceModel;
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// One flow to simulate.
 #[derive(Clone, Debug)]
@@ -133,33 +146,8 @@ enum Event {
     Reconfigure,
 }
 
-/// A dynamic event in flight. Ordered by `(t, seq)` alone — `seq` is
-/// unique, so the payload never takes part in a comparison.
-struct Pending {
-    t: u64,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Pending {}
-
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.t, self.seq).cmp(&(other.t, other.seq))
-    }
-}
+/// The station a heap entry names when it is the reconfiguration marker.
+const RECONFIGURE: u32 = u32::MAX;
 
 struct Station {
     capacity: f64,
@@ -256,6 +244,30 @@ fn validate_reconfig(capacities: &[f64], flows: &[FlowSpec], reconfig: &Reconfig
     }
 }
 
+/// Calls `visit` with each emission time of `f` that its class's ingress
+/// policer lets through (a token bucket silently dropping non-conforming
+/// packets: edge-router policing, Section 3); returns how many it dropped.
+fn conforming_emissions(f: &FlowSpec, cfg: &SimConfig, mut visit: impl FnMut(f64)) -> u64 {
+    let bits = f.source.packet_bits() as f64;
+    let policer = cfg.policers.as_ref().map(|p| p[f.class]);
+    let mut tokens = policer.map_or(0.0, |(burst, _)| burst);
+    let mut last_t = 0.0f64;
+    let mut dropped = 0;
+    f.source.for_each_emission(cfg.horizon, |t| {
+        if let Some((burst, rate)) = policer {
+            tokens = (tokens + rate * (t - last_t)).min(burst);
+            last_t = t;
+            if tokens + 1e-9 < bits {
+                dropped += 1;
+                return;
+            }
+            tokens -= bits;
+        }
+        visit(t);
+    });
+    dropped
+}
+
 /// Publishes the locally counted `sim.queue_depth` samples
 /// (`counts[d]` enqueues that left a backlog of `d`) and zeroes them.
 fn flush_queue_depths(histogram: &uba_obs::Histogram, counts: &mut [u64]) {
@@ -286,6 +298,13 @@ fn run(
         for &k in &f.route {
             assert!((k as usize) < capacities.len(), "route server out of range");
         }
+    }
+    if let Some(policers) = &cfg.policers {
+        let valid = |x: f64| x.is_finite() && x >= 0.0;
+        assert!(
+            policers.len() == classes && policers.iter().all(|&(b, r)| valid(b) && valid(r)),
+            "need one finite, non-negative policer per class"
+        );
     }
     if let Some(rc) = reconfig {
         validate_reconfig(capacities, flows, rc);
@@ -330,73 +349,67 @@ fn run(
     }
     let routes = [before, after];
 
-    // Source emissions `(t_ns, seq, flow)`, through the per-flow ingress
-    // policer when configured: a token bucket that silently drops
-    // non-conforming packets (edge-router policing, Section 3).
-    //
-    // This is the run's one large block, so it is allocated once at its
-    // final size (a counting pass over the sources, ~1 % of a run) and
-    // sorted in place: grown by doubling, whether a step extended the
-    // block or copied it to fresh pages hung on a few bytes of heap
-    // layout, and the peak footprint moved by the block's size with it.
-    let emitted: usize = flows
-        .iter()
-        .map(|f| f.source.emissions(cfg.horizon).len())
-        .sum();
-    let mut arrivals: Vec<(u64, u64, u32)> = Vec::with_capacity(emitted);
-    let mut seq: u64 = 0;
+    // Source emissions `(t_ns, seq, flow)` that the ingress policer lets
+    // through: the run's one large block, allocated once at its final size
+    // (grown by doubling, its peak footprint hung on whether a step grew it
+    // or copied it) and ordered as it is laid down: a counting walk tallies
+    // each time bucket (2048 to 4095 of a power-of-two width), offsets
+    // follow, the fill walk places each record, only buckets are sorted.
+    let ns = |t: f64| (t * NS).round() as u64;
+    let shift = (ns(cfg.horizon) >> 12).checked_ilog2().map_or(0, |b| b + 1);
+    let mut ends = vec![0usize; (ns(cfg.horizon) >> shift) as usize + 2];
+    for f in flows {
+        conforming_emissions(f, cfg, |t| ends[(ns(t) >> shift) as usize + 1] += 1);
+    }
+    for b in 1..ends.len() {
+        ends[b] += ends[b - 1];
+    }
+    let emitted = ends[ends.len() - 1];
+    assert!(emitted <= u32::MAX as usize, "too many packets to number");
+    let mut arrivals = vec![(0u64, 0u32, 0u32); emitted];
     let mut policed_drops = vec![0u64; classes];
+    let mut numbered = 0u32;
     for (fi, f) in flows.iter().enumerate() {
-        let bits = f.source.packet_bits() as f64;
-        let mut last_t = 0.0f64;
-        let policer = cfg.policers.as_ref().map(|p| p[f.class]);
-        let mut tokens = policer.map(|(burst, _)| burst).unwrap_or(0.0);
-        for t in f.source.emissions(cfg.horizon) {
-            if let Some((burst, rate)) = policer {
-                tokens = (tokens + rate * (t - last_t)).min(burst);
-                last_t = t;
-                if tokens + 1e-9 < bits {
-                    policed_drops[f.class] += 1;
-                    continue;
-                }
-                tokens -= bits;
-            }
-            seq += 1;
-            arrivals.push(((t * NS).round() as u64, seq, fi as u32));
-        }
+        policed_drops[f.class] += conforming_emissions(f, cfg, |t| {
+            numbered += 1;
+            let t = ns(t);
+            let slot = &mut ends[(t >> shift) as usize];
+            arrivals[*slot] = (t, numbered, fi as u32);
+            *slot += 1;
+        });
     }
     // `seq` is unique, so the tuple order is `(t, seq)`: same-instant
     // emissions keep their flow-major order, and no scratch buffer.
-    arrivals.sort_unstable();
+    let mut start = 0;
+    for &end in &ends {
+        arrivals[start..end].sort_unstable();
+        start = end;
+    }
+    // What the loop reads of a flow, without the `FlowSpec` around it.
+    let packets: Vec<(usize, u64)> = flows
+        .iter()
+        .map(|f| (f.class, f.source.packet_bits()))
+        .collect();
 
-    // Dynamic events in flight, ordered by (time, seq). Their numbers
-    // continue after the emissions', per the module's ordering contract.
-    let mut heap: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
-    let push = |heap: &mut BinaryHeap<Reverse<Pending>>, seq: &mut u64, t: u64, event: Event| {
-        *seq += 1;
-        heap.push(Reverse(Pending {
-            t,
-            seq: *seq,
-            event,
-        }));
-    };
+    // Dynamic events number on from the emissions: completions `(t, seq,
+    // station)` in the heap, this instant's forwarded `(seq, job)` in the FIFO.
+    let mut seq = arrivals.len() as u64;
+    let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
+    let mut forwarded: VecDeque<(u64, Job)> = VecDeque::new();
 
     // Arrivals at exactly `at` sort before the swap event and still use
     // the old routes.
     if let Some(rc) = reconfig {
-        let tns = (rc.at * NS).round() as u64;
-        push(&mut heap, &mut seq, tns, Event::Reconfigure);
+        seq += 1;
+        heap.push(Reverse((ns(rc.at), seq, RECONFIGURE)));
     }
 
-    // Puts the station's next queued packet, if any, into service.
-    let start_next = |st: &mut Station, st_id: usize, t: u64, heap: &mut _, seq: &mut u64| {
-        if let Some(next) = st.sched.dequeue().map(|j| j.payload) {
-            st.current = Some(next);
-            let done = Event::Complete {
-                station: st_id as u32,
-            };
-            push(heap, seq, t + hops[next.at as usize].service_ns, done);
-        }
+    // Puts `job` into service at the station it has reached.
+    let serve = |st: &mut Station, st_id: usize, job: Job, t: u64, heap: &mut _, seq: &mut u64| {
+        st.current = Some(job);
+        *seq += 1;
+        let done = t + hops[job.at as usize].service_ns;
+        BinaryHeap::push(heap, Reverse((done, *seq, st_id as u32)));
     };
 
     let mut acc: Vec<StatsAccumulator> = vec![StatsAccumulator::default(); classes];
@@ -413,16 +426,22 @@ fn run(
     let mut next_obs = observe.as_ref().map(|&(every, _)| every);
     let mut published_packets = 0u64;
     let mut published_misses = 0u64;
-    let mut last_t = 0u64;
+    let mut now = 0u64;
     // `sim.queue_depth` samples, counted per backlog value and published
     // in bulk (end of run, and before each observer call).
     let mut depth_counts: Vec<u64> = Vec::new();
     let mut next_arrival = 0usize;
 
     loop {
-        let (t, s, ev) = match (arrivals.get(next_arrival), heap.peek()) {
+        let due = heap.peek().map(|&Reverse((t, ..))| t);
+        let (t, s, ev) = match (forwarded.front(), arrivals.get(next_arrival)) {
+            // Forwarded: after its instant's heap entries, before all else.
+            (Some(&(s, job)), _) if due.is_none_or(|due| due > now) => {
+                forwarded.pop_front();
+                (now, s, Event::Arrive(job))
+            }
             // On a tie the emission goes first: its seq is the lower.
-            (Some(&(t, s, flow)), dynamic) if dynamic.is_none_or(|Reverse(d)| t <= d.t) => {
+            (None, Some(&(t, s, flow))) if due.is_none_or(|due| t <= due) => {
                 next_arrival += 1;
                 // Entering the network: the packet commits to the
                 // routes in force right now.
@@ -433,36 +452,28 @@ fn run(
                     remaining,
                     t0: t,
                 };
-                (t, s, Event::Arrive(job))
+                (t, s as u64, Event::Arrive(job))
             }
-            (_, Some(_)) => {
-                let Reverse(pending) = heap.pop().expect("peeked above");
-                (pending.t, pending.seq, pending.event)
-            }
-            (_, None) => break,
+            _ => match heap.pop() {
+                Some(Reverse((t, s, RECONFIGURE))) => (t, s, Event::Reconfigure),
+                Some(Reverse((t, s, station))) => (t, s, Event::Complete { station }),
+                None => break,
+            },
         };
+        debug_assert!(t == now || forwarded.is_empty() && t > now);
         events += 1;
-        last_t = t;
+        now = t;
         match ev {
             Event::Arrive(job) => {
-                let f = &flows[job.flow as usize];
+                let (class, bits) = packets[job.flow as usize];
                 let st_id = hops[job.at as usize].station as usize;
                 let st = &mut stations[st_id];
-                st.sched.enqueue(
-                    f.class,
-                    SchedJob {
-                        payload: job,
-                        bits: f.source.packet_bits(),
-                        seq: s,
-                    },
-                    t as f64 / NS,
-                );
                 st.backlog += 1;
                 if st.backlog > peak_backlog {
                     peak_backlog = st.backlog;
                     tracer.emit(
                         uba_obs::EventKind::QueueHighWater,
-                        f.class,
+                        class,
                         job.flow as u64,
                         st_id as u32,
                         peak_backlog as f64,
@@ -474,17 +485,23 @@ fn run(
                 }
                 depth_counts[st.backlog] += 1;
                 if st.current.is_none() {
-                    start_next(st, st_id, t, &mut heap, &mut seq);
+                    // Idle, hence nothing queued: no trip through the queue.
+                    st.sched.pass_through(class, bits, t as f64 / NS);
+                    serve(st, st_id, job, t, &mut heap, &mut seq);
+                } else {
+                    let queued = SchedJob {
+                        payload: job,
+                        bits,
+                        seq: s,
+                    };
+                    st.sched.enqueue(class, queued, t as f64 / NS);
                 }
             }
             Event::Complete { station } => {
                 let st_id = station as usize;
-                let mut job = {
-                    let st = &mut stations[st_id];
-                    st.backlog -= 1;
-                    st.current.take().expect("completion without job")
-                };
-                let f = &flows[job.flow as usize];
+                let st = &mut stations[st_id];
+                st.backlog -= 1;
+                let mut job = st.current.take().expect("completion without job");
                 if st_id >= capacities.len() {
                     // Leaving the access shaper (the stations past the
                     // real servers): the guarantee clock starts now.
@@ -493,23 +510,25 @@ fn run(
                 if job.remaining > 0 {
                     job.at += 1;
                     job.remaining -= 1;
-                    push(&mut heap, &mut seq, t, Event::Arrive(job));
+                    seq += 1;
+                    forwarded.push_back((seq, job));
                 } else {
+                    let class = packets[job.flow as usize].0;
                     let delay = (t - job.t0) as f64 / NS;
-                    let deadline = cfg.deadlines[f.class];
+                    let deadline = cfg.deadlines[class];
                     if delay > deadline {
                         total_misses += 1;
                         tracer.emit(
                             uba_obs::EventKind::DeadlineMiss,
-                            f.class,
+                            class,
                             job.flow as u64,
                             st_id as u32,
                             delay,
                             deadline,
                         );
                     }
-                    acc[f.class].record(delay, deadline);
-                    histograms[f.class].record(delay);
+                    acc[class].record(delay, deadline);
+                    histograms[class].record_ns(t - job.t0);
                     total_packets += 1;
                     if let (Some((every, obs)), Some(mark)) = (observe.as_mut(), next_obs.as_mut())
                     {
@@ -537,7 +556,9 @@ fn run(
                 }
                 // After the forwarded packet's arrival, so that event
                 // keeps the lower seq.
-                start_next(&mut stations[st_id], st_id, t, &mut heap, &mut seq);
+                if let Some(next) = st.sched.dequeue() {
+                    serve(st, st_id, next.payload, t, &mut heap, &mut seq);
+                }
             }
             Event::Reconfigure => {
                 reconfigured = true;
@@ -581,7 +602,7 @@ fn run(
     metrics.peak_backlog.set(peak_backlog as f64);
     if let Some((_, obs)) = observe.as_mut() {
         obs(SimProgress {
-            t: last_t as f64 / NS,
+            t: now as f64 / NS,
             packets: total_packets,
             misses: total_misses,
             done: true,
@@ -1375,6 +1396,61 @@ mod tests {
             reroutes: vec![(0, vec![9])],
         };
         swapped(&[C], &flows, &cfg(1), &rc);
+    }
+
+    #[test]
+    fn the_sizing_walk_counts_what_the_policer_passes() {
+        // A rogue at 6x its contract: the block is sized by the sixth the
+        // policer lets through, not by what the source emits.
+        let rogue = FlowSpec {
+            class: 0,
+            ingress: 0,
+            route: vec![0],
+            source: SourceModel::Rogue {
+                period: 0.02,
+                packet_bits: 640,
+                factor: 6.0,
+            },
+        };
+        let mut c = cfg(1);
+        c.policers = Some(vec![(640.0, 32_000.0)]);
+        let mut passed = 0;
+        let dropped = conforming_emissions(&rogue, &c, |_| passed += 1);
+        let r = simulate(&[C], std::slice::from_ref(&rogue), &c);
+        assert_eq!((passed, dropped), (11, 50));
+        assert_eq!(r.total_packets, passed);
+        assert_eq!(r.classes[0].policed_drops, dropped);
+    }
+
+    fn policed(policers: Vec<(f64, f64)>) {
+        let flows = vec![FlowSpec {
+            class: 1,
+            ingress: 0,
+            route: vec![0],
+            source: SourceModel::voip_cbr(0.0),
+        }];
+        let mut c = cfg(2);
+        c.policers = Some(policers);
+        simulate(&[C], &flows, &c);
+    }
+
+    #[test]
+    #[should_panic(expected = "one finite, non-negative policer per class")]
+    fn a_class_without_a_policer_is_rejected() {
+        policed(vec![(640.0, 32_000.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one finite, non-negative policer per class")]
+    fn a_nan_policer_is_rejected() {
+        // NaN tokens compare false with everything: every packet would pass.
+        policed(vec![(640.0, 32_000.0), (f64::NAN, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one finite, non-negative policer per class")]
+    fn a_negative_policer_is_rejected() {
+        policed(vec![(640.0, 32_000.0), (640.0, -1.0)]);
     }
 
     #[test]

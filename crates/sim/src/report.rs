@@ -21,14 +21,41 @@ impl Default for DelayHistogram {
 impl DelayHistogram {
     const BASE: f64 = 1e-6; // first bucket boundary: 1 µs
 
-    /// Records one delay (seconds).
-    pub fn record(&mut self, delay: f64) {
-        let idx = if delay < Self::BASE {
+    /// Bucket of a delay in seconds.
+    fn bucket(delay: f64) -> usize {
+        if delay < Self::BASE {
             0
         } else {
             ((delay / Self::BASE).log2().floor() as usize + 1).min(47)
-        };
-        self.counts[idx] += 1;
+        }
+    }
+
+    /// [`bucket`](Self::bucket) of `ns as f64 / 1e9` without the `log2`
+    /// call. Both are non-decreasing in `ns`, so agreeing on either side
+    /// of every boundary is agreeing everywhere. At `1000·2^k` ns the float
+    /// quotient is exactly `2^k` (`1000 / 1e9` rounds to the double `1e-6`,
+    /// scaling by `2^k` is exact); 1 ns below it is short by a relative
+    /// `2^-k / 1000`, which `log2` resolves up to `k = 38`, a delay of
+    /// 3.2 days. From `2^48` ns on the float path is taken as it is.
+    fn bucket_ns(ns: u64) -> usize {
+        if ns < 1000 {
+            0
+        } else if ns < 1 << 48 {
+            (ns / 1000).ilog2() as usize + 1
+        } else {
+            Self::bucket(ns as f64 / 1e9)
+        }
+    }
+
+    /// Records one delay (seconds).
+    pub fn record(&mut self, delay: f64) {
+        self.counts[Self::bucket(delay)] += 1;
+        self.total += 1;
+    }
+
+    /// Records one delay in whole nanoseconds: `record(ns as f64 / 1e9)`.
+    pub(crate) fn record_ns(&mut self, ns: u64) {
+        self.counts[Self::bucket_ns(ns)] += 1;
         self.total += 1;
     }
 
@@ -67,12 +94,7 @@ impl DelayHistogram {
         if self.total == 0 {
             return 0.0;
         }
-        let idx = if threshold < Self::BASE {
-            0
-        } else {
-            ((threshold / Self::BASE).log2().floor() as usize + 1).min(47)
-        };
-        let above: u64 = self.counts[idx..].iter().sum();
+        let above: u64 = self.counts[Self::bucket(threshold)..].iter().sum();
         above as f64 / self.total as f64
     }
 }
@@ -202,6 +224,33 @@ mod tests {
         assert!(p99 >= 0.05, "p99 {p99}");
         assert!((h.fraction_above(0.05) - 0.10).abs() < 1e-12);
         assert_eq!(h.fraction_above(10.0), 0.0);
+    }
+
+    #[test]
+    fn integer_bucket_is_the_float_bucket() {
+        let same = |ns: u64| {
+            let (int, float) = (
+                DelayHistogram::bucket_ns(ns),
+                DelayHistogram::bucket(ns as f64 / 1e9),
+            );
+            assert_eq!(int, float, "{ns} ns");
+        };
+        [0, 999, 1000].into_iter().for_each(same);
+        for k in 0..=46 {
+            let boundary = 1000u64 << k;
+            [boundary - 1, boundary, boundary + 1]
+                .into_iter()
+                .for_each(same);
+        }
+        // Below 2^48 ns, where the integer path runs, a delay just under
+        // a boundary stays in the lower bucket.
+        assert_eq!(DelayHistogram::bucket_ns((1000 << 38) - 1), 38);
+        uba_obs::check("integer_bucket_is_the_float_bucket", 100_000, |rng| {
+            // Every magnitude: a random width, then random bits of it.
+            let ns = rng.next_u64() >> rng.index(64);
+            same(ns);
+            Ok(())
+        });
     }
 
     #[test]

@@ -102,23 +102,35 @@ impl<T: Copy> Scheduler<T> {
         self.len == 0
     }
 
+    /// Finish tag of a `bits`-long packet of `class` arriving at real time
+    /// `now` (seconds), recorded as the class's latest.
+    fn stamp(&mut self, class: usize, bits: u64, now: f64) -> f64 {
+        let (last, bits) = (self.last_tag[class], bits as f64);
+        let tag = match &self.discipline {
+            Discipline::StaticPriority | Discipline::Fifo => return 0.0,
+            Discipline::Wfq { weights } => last.max(self.vtime) + bits / weights[class],
+            Discipline::VirtualClock { rates } => last.max(now) + bits / rates[class],
+        };
+        self.last_tag[class] = tag;
+        tag
+    }
+
     /// Enqueues a packet of `class` arriving at real time `now` (seconds).
     pub fn enqueue(&mut self, class: usize, job: SchedJob<T>, now: f64) {
-        let tag = match &self.discipline {
-            Discipline::StaticPriority | Discipline::Fifo => 0.0,
-            Discipline::Wfq { weights } => {
-                let f = self.last_tag[class].max(self.vtime) + job.bits as f64 / weights[class];
-                self.last_tag[class] = f;
-                f
-            }
-            Discipline::VirtualClock { rates } => {
-                let f = self.last_tag[class].max(now) + job.bits as f64 / rates[class];
-                self.last_tag[class] = f;
-                f
-            }
-        };
+        let tag = self.stamp(class, job.bits, now);
         self.queues[class].push_back((job, tag));
         self.len += 1;
+    }
+
+    /// A packet arriving at an idle station with nothing queued goes
+    /// straight into service: [`enqueue`](Self::enqueue) then
+    /// [`dequeue`](Self::dequeue), without the trip through the queue.
+    pub fn pass_through(&mut self, class: usize, bits: u64, now: f64) {
+        debug_assert!(self.is_empty(), "pass-through behind queued packets");
+        let tag = self.stamp(class, bits, now);
+        if matches!(self.discipline, Discipline::Wfq { .. }) {
+            self.vtime = tag;
+        }
     }
 
     /// Picks the next packet to transmit, per the discipline.
@@ -242,6 +254,46 @@ mod tests {
         assert_eq!(s.dequeue().unwrap().payload, 0); // 1.0
         assert_eq!(s.dequeue().unwrap().payload, 2); // 1.5
         assert_eq!(s.dequeue().unwrap().payload, 1); // 2.0
+    }
+
+    #[test]
+    fn pass_through_leaves_the_state_of_enqueue_then_dequeue() {
+        let disciplines = [
+            Discipline::StaticPriority,
+            Discipline::Fifo,
+            Discipline::Wfq {
+                weights: vec![1.0, 2.5],
+            },
+            Discipline::VirtualClock {
+                rates: vec![2000.0, 1000.0],
+            },
+        ];
+        for d in disciplines {
+            uba_obs::check("pass_through_leaves_the_state", 64, |rng| {
+                let mut queued = Scheduler::new(d.clone(), 2);
+                let mut direct = Scheduler::new(d.clone(), 2);
+                let mut now = 0.0;
+                for seq in 0..40 {
+                    now += rng.range_f64(0.0, 0.5);
+                    let (class, j) = (rng.index(2), job(seq, 100 + rng.index(900) as u64));
+                    // Whenever both are empty one takes the short cut;
+                    // otherwise they queue and drain alike.
+                    if direct.is_empty() && rng.index(3) > 0 {
+                        queued.enqueue(class, j, now);
+                        uba_obs::ensure!(queued.dequeue().map(|q| q.seq) == Some(seq));
+                        direct.pass_through(class, j.bits, now);
+                    } else if rng.index(2) == 0 {
+                        queued.enqueue(class, j, now);
+                        direct.enqueue(class, j, now);
+                    } else {
+                        let (a, b) = (queued.dequeue(), direct.dequeue());
+                        uba_obs::ensure!(a.map(|q| q.seq) == b.map(|q| q.seq));
+                    }
+                    uba_obs::ensure!(format!("{queued:?}") == format!("{direct:?}"));
+                }
+                Ok(())
+            });
+        }
     }
 
     #[test]

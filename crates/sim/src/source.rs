@@ -98,16 +98,22 @@ impl SourceModel {
         }
     }
 
-    /// Emission times (seconds) of every packet up to `horizon`, in
-    /// non-decreasing order.
+    /// What [`for_each_emission`](Self::for_each_emission) visits, collected.
+    pub fn emissions(&self, horizon: f64) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.for_each_emission(horizon, |t| out.push(t));
+        out
+    }
+
+    /// Calls `visit` with the emission time (seconds) of every packet up
+    /// to `horizon`, in non-decreasing order.
     ///
-    /// The engine materializes every flow's emissions up front (calling
-    /// this once to size the block and once to fill it) and sorts them
+    /// The engine materializes every flow's emissions up front (walking
+    /// them once to size the block and once to fill it) and sorts them
     /// into one arrival stream, so memory is linear in the packet count
     /// and `horizon` must be finite (the engine asserts it; an infinite
     /// one would never return from here).
-    pub fn emissions(&self, horizon: f64) -> Vec<f64> {
-        let mut out = Vec::new();
+    pub fn for_each_emission(&self, horizon: f64, mut visit: impl FnMut(f64)) {
         match *self {
             SourceModel::GreedyOnOff {
                 burst_bits,
@@ -124,13 +130,13 @@ impl SourceModel {
                 let burst_pkts = (burst_bits / packet_bits as f64).floor().max(1.0) as usize;
                 for _ in 0..burst_pkts {
                     if start <= horizon {
-                        out.push(start);
+                        visit(start);
                     }
                 }
                 let gap = packet_bits as f64 / rate_bps;
                 let mut t = start + gap;
                 while t <= horizon {
-                    out.push(t);
+                    visit(t);
                     t += gap;
                 }
             }
@@ -142,7 +148,7 @@ impl SourceModel {
                 assert!(packet_bits > 0 && period > 0.0, "bad CBR parameters");
                 let mut t = offset;
                 while t <= horizon {
-                    out.push(t);
+                    visit(t);
                     t += period;
                 }
             }
@@ -176,7 +182,7 @@ impl SourceModel {
                         if off >= on_s * (1.0 - 1e-12) || t > end {
                             break;
                         }
-                        out.push(t);
+                        visit(t);
                         k += 1;
                     }
                     phase += on_s + off_s;
@@ -191,12 +197,11 @@ impl SourceModel {
                 assert!(factor > 1.0, "a rogue source must exceed its contract");
                 let mut t = 0.0;
                 while t <= horizon {
-                    out.push(t);
+                    visit(t);
                     t += period / factor;
                 }
             }
         }
-        out
     }
 }
 

@@ -320,3 +320,139 @@ fn the_cases_exercise_ties_drops_and_queueing() {
     assert!(dropped > 0, "policed cases must drop something");
     assert!(queued >= RANDOM_CASES / 2, "only {queued} cases queue");
 }
+
+/// The benchmark's `simulate_mci` run: MCI at C = 2 Mb/s, α = 0.30, SP
+/// routes, greedy fill to the admission limit, worst-case VoIP sources
+/// with a seeded half phase-shifted inside 20 ms, 3 s horizon — an order
+/// of magnitude more flows and simulated time than any row of `DIGESTS`.
+fn benchmark_shaped_run() -> (usize, SimReport) {
+    const C: f64 = 2e6;
+    let g = uba_topology::mci();
+    let pairs = uba_routing::pairs::all_ordered_pairs(&g);
+    let paths = uba_routing::sp::sp_selection(&g, &pairs).expect("MCI is connected");
+    let mut reserved = vec![0.0f64; g.edge_count()];
+    let mut admitted: Vec<usize> = Vec::new();
+    let mut progress = true;
+    while progress {
+        progress = false;
+        for (i, path) in paths.iter().enumerate() {
+            let fits = |e: &uba_graph::EdgeId| reserved[e.index()] + 32_000.0 <= 0.30 * C + 1e-9;
+            if path.edges.iter().all(fits) {
+                for e in &path.edges {
+                    reserved[e.index()] += 32_000.0;
+                }
+                admitted.push(i);
+                progress = true;
+            }
+        }
+    }
+    let mut rng = SplitMix64::new(1);
+    let flows: Vec<FlowSpec> = admitted
+        .iter()
+        .map(|&i| {
+            let shifted = rng.next_u64() & 1 == 1;
+            let start = if shifted {
+                rng.range_f64(0.0, 0.02)
+            } else {
+                0.0
+            };
+            FlowSpec {
+                class: 0,
+                ingress: pairs[i].src.0,
+                route: paths[i].edges.iter().map(|e| e.0).collect(),
+                source: SourceModel::voip_greedy(start),
+            }
+        })
+        .collect();
+    let caps = vec![C; g.edge_count()];
+    let cfg = SimConfig::new(3.0, vec![0.1]);
+    (flows.len(), uba_sim::simulate(&caps, &flows, &cfg))
+}
+
+#[test]
+fn benchmark_shaped_run_matches_its_pinned_digest() {
+    let (flows, report) = benchmark_shaped_run();
+    assert_eq!(flows, 546);
+    assert_eq!(
+        (report.events, report.total_packets, report.peak_backlog),
+        (477_000, 81_900, 13)
+    );
+    assert_eq!(digest(&report), 0x76c7b2337a35b363);
+}
+
+/// One packet per flow, at the given instant.
+fn one_shot(class: usize, ingress: u32, route: &[u32], packet_bits: u64, at: f64) -> FlowSpec {
+    FlowSpec {
+        class,
+        ingress,
+        route: route.to_vec(),
+        source: SourceModel::Cbr {
+            period: 1.0,
+            packet_bits,
+            offset: at,
+        },
+    }
+}
+
+/// Why a forwarded arrival may not be processed inside the completion
+/// that creates it. Server 1 finishes packet X at t = 4 ms with the
+/// low-class L queued behind it; on the same nanosecond server 0 finishes
+/// the high-class H and forwards it to server 1. Server 0 started H at
+/// 2 ms and server 1 started X at 3 ms, so server 0's completion has the
+/// lower `seq` and is processed first — but H's arrival at server 1 is
+/// numbered after both completions, so server 1 picks its next packet
+/// with only L queued. L starts; H waits for it.
+#[test]
+fn forwarded_arrival_follows_same_instant_completions() {
+    let flows = [
+        one_shot(0, 0, &[0, 1], 2000, 0.0), // H: shaper 0–2, server 0 2–4
+        one_shot(1, 1, &[1], 1000, 0.002),  // X: shaper 2–3, server 1 3–4
+        one_shot(1, 2, &[1], 500, 0.003),   // L: shaper 3–3.5, queued at 3.5
+    ];
+    let cfg = SimConfig::new(0.01, vec![0.1, 0.1]);
+    let r = uba_sim::simulate(&[1e6, 1e6], &flows, &cfg);
+    assert_eq!(r.total_packets, 3);
+    // L: queued 3.5, served 4–4.5. Inlining the arrival would start H at
+    // 4 instead and deliver L at 6.5 (delay 3 ms).
+    assert!((r.classes[1].max_delay - 0.001).abs() < 1e-12, "{r:?}");
+    // H: measured from 2 ms, served at server 1 4.5–6.5.
+    assert!((r.classes[0].max_delay - 0.0045).abs() < 1e-12, "{r:?}");
+}
+
+/// Routes that visit a station twice in a row: a completion forwards the
+/// packet to the station that is completing, which picks its next packet
+/// before that arrival is processed.
+fn repeat_case() -> Case {
+    let routes: [&[u32]; 4] = [&[0, 0], &[0], &[1, 0, 0], &[0, 0, 1]];
+    let flows: Vec<FlowSpec> = (0..24u32)
+        .map(|i| FlowSpec {
+            class: (i % 2) as usize,
+            ingress: i % 3,
+            route: routes[i as usize % 4].to_vec(),
+            source: SourceModel::voip_greedy(0.0),
+        })
+        .collect();
+    let horizon = 0.1;
+    Case {
+        capacities: vec![1e6; 2],
+        reconfig: Reconfiguration {
+            at: horizon / 2.0,
+            reroutes: (0..24).step_by(5).map(|fi| (fi, vec![1, 1])).collect(),
+        },
+        flows,
+        cfg: SimConfig::new(horizon, vec![0.05, 0.1]),
+    }
+}
+
+#[test]
+fn back_to_back_repeats_match_their_pinned_digests() {
+    // One per entry of `MODES`; like the benchmark-shaped digest, captured
+    // on PR 13's two-source loop before ISSUE 23 rewrote it.
+    #[rustfmt::skip]
+    let pinned = [
+        0x2598eb792e7eb579, 0x94bf0857b16e9188, 0xb18aaeea8e9be2c1, 0x7f73f39c3866118d,
+        0xcac2e99e81b90228, 0x2cbbe442a0012fcf, 0x7d00dd8b54d42bb1, 0xaa66eaec53c37d3f,
+    ];
+    let got = digests_of(&repeat_case());
+    assert_eq!(got, pinned, "{got:#018x?}");
+}

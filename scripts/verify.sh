@@ -26,6 +26,10 @@ echo "==> serve_loop_mci smoke (the frozen serve-loop workload's own check on th
 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload serve_loop_mci --seed 1 --seconds 2 --trace 0 > /dev/null
 
+echo "==> simulate_mci smoke (the frozen simulator workload's own check: zero deadline misses, max delay within the analytic bound, packet count repeating every simulation)"
+cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload simulate_mci --seed 1 --seconds 2 --trace 0 > /dev/null
+
 echo "==> results drift (the nine byte-stable result binaries must reprint results/<name>.txt, and uba-cli maximize / verify on paper.toml results/cli_paper.txt; table1 / schedulers / s_ac carry timings and stay out)"
 for name in cross_topology ablation_routing nonuniform validate_sim census sweep_bounds \
   multiclass_demo policing statistical; do
