@@ -16,10 +16,13 @@
 //! [`ConfigGeneration`] behind an epoch pointer, and
 //! [`reconfigure`](AdmissionController::reconfigure) installs a new one
 //! without pausing admission. The admit path resolves the pointer with a
-//! thread-local generation cache validated by one atomic epoch load, so
-//! the steady-state cost over a fixed-configuration controller is a load
-//! and a compare (the `reconfig_overhead` bench in `uba-bench` holds
-//! this under a few percent).
+//! thread-local generation cache validated by one atomic epoch load and
+//! runs inside the cache's borrow, so the steady-state cost over a
+//! fixed-configuration controller is a load and a compare — no refcount
+//! (the `reconfig_overhead` bench in `uba-bench` holds this under a few
+//! percent). What a flow then costs is its hops: one CAS per link, the
+//! generation's pin and the one `Arc` its handle keeps, and the same
+//! three on release (cost table in DESIGN.md §8).
 //!
 //! **Transition semantics.** New admits see the new generation's fresh
 //! budgets immediately; flows admitted earlier keep an `Arc` to their
@@ -205,7 +208,10 @@ struct Inner {
     /// Displaced generations that still had pinned flows at swap time.
     retired: Mutex<Vec<Arc<ConfigGeneration>>>,
     /// Instrumentation; `None` for unmetered controllers (the overhead
-    /// benchmark's baseline).
+    /// benchmark's baseline). Every generation this controller adopts
+    /// gets a copy, and decisions and releases record through the
+    /// generation's; this one serves the controller's own operations
+    /// (reconfigure, drain, gauges).
     metrics: Option<AdmissionMetrics>,
     /// Audit-trail flow ids, assigned only while the flight recorder is
     /// enabled so disabled tracing stays off the hot path entirely.
@@ -223,13 +229,13 @@ thread_local! {
 /// An admitted flow. Dropping the handle releases its bandwidth on every
 /// link of its route (RAII teardown = the paper's flow tear-down
 /// message) — against the generation it was admitted under, even if the
-/// controller has been reconfigured since.
+/// controller has been reconfigured, or dropped, since: the generation
+/// is all a handle keeps alive, and its metrics are where the release is
+/// recorded.
 #[derive(Debug)]
 pub struct FlowHandle {
-    inner: Arc<Inner>,
     generation: Arc<ConfigGeneration>,
     class: usize,
-    rate: f64,
     /// The route, by its place in `generation`'s immutable routing
     /// table: the handle keeps the table alive, so it need not copy it.
     route: RouteRef,
@@ -290,10 +296,11 @@ impl AdmissionController {
     }
 
     fn from_generation_with_metrics(
-        generation: ConfigGeneration,
+        mut generation: ConfigGeneration,
         metrics: Option<AdmissionMetrics>,
     ) -> Self {
         let epoch = generation.id();
+        generation.set_metrics(metrics.clone());
         let ctrl = Self {
             inner: Arc::new(Inner {
                 current: Mutex::new(Arc::new(generation)),
@@ -312,25 +319,55 @@ impl AdmissionController {
     /// The generation new admissions currently run against. The `Arc`
     /// stays valid (and releasable-against) even after later
     /// reconfigurations.
-    #[inline]
     pub fn current_generation(&self) -> Arc<ConfigGeneration> {
+        self.with_current(Arc::clone)
+    }
+
+    /// Runs `f` on the generation new admissions currently run against,
+    /// borrowed from this thread's cache: a hit costs the epoch load and
+    /// a compare, and takes no reference — the cache's own keeps the
+    /// generation alive while `f` runs.
+    #[inline]
+    fn with_current<R>(&self, f: impl FnOnce(&Arc<ConfigGeneration>) -> R) -> R {
         // ordering: Acquire pairs with the Release epoch store in
         // `reconfigure` — a thread that reads the new epoch is
         // guaranteed to find the new generation pointer under the lock.
         let epoch = self.inner.epoch.load(Ordering::Acquire);
         GEN_CACHE.with(|slot| {
             {
+                // Shared borrows nest (a policy stage may call back into
+                // a controller from inside `f`); the one exclusive borrow,
+                // in `refill`, ends before any caller's code runs.
                 let cached = slot.borrow();
-                if let Some(g) = cached.as_ref() {
-                    if g.id() == epoch {
-                        return Arc::clone(g);
-                    }
+                if let Some(g) = cached.as_ref().filter(|g| g.id() == epoch) {
+                    return f(g);
                 }
             }
-            let g = Arc::clone(&self.inner.current.lock().unwrap());
-            *slot.borrow_mut() = Some(Arc::clone(&g));
-            g
+            self.refill(slot, f)
         })
+    }
+
+    /// The cache miss of [`with_current`](Self::with_current): the epoch
+    /// moved, or this thread last used another controller.
+    #[cold]
+    fn refill<R>(
+        &self,
+        slot: &RefCell<Option<Arc<ConfigGeneration>>>,
+        f: impl FnOnce(&Arc<ConfigGeneration>) -> R,
+    ) -> R {
+        let fresh = Arc::clone(&self.inner.current.lock().unwrap());
+        // A caller further up this thread's stack may be running inside
+        // the cache's borrow (a policy stage that reconfigures and then
+        // admits): the cache then stays as it is and this call runs on
+        // the generation the lock handed out.
+        let stale = match slot.try_borrow_mut() {
+            Ok(mut cached) => cached.replace(Arc::clone(&fresh)),
+            Err(_) => None,
+        };
+        // Outside the borrow: the last reference to a generation drops
+        // its policy stages, which are the caller's code.
+        drop(stale);
+        f(&fresh)
     }
 
     /// Attempts to admit one flow of `class` from `src` to `dst` against
@@ -345,8 +382,7 @@ impl AdmissionController {
         src: NodeId,
         dst: NodeId,
     ) -> Result<FlowHandle, Reject> {
-        let generation = self.current_generation();
-        self.admit_inner(&generation, class, src, dst, None)
+        self.with_current(|generation| self.admit_inner(generation, class, src, dst, None))
     }
 
     /// Like [`try_admit`](Self::try_admit) but on an explicit decision
@@ -363,8 +399,7 @@ impl AdmissionController {
         dst: NodeId,
         t: f64,
     ) -> Result<FlowHandle, Reject> {
-        let generation = self.current_generation();
-        self.admit_inner(&generation, class, src, dst, Some(t))
+        self.with_current(|generation| self.admit_inner(generation, class, src, dst, Some(t)))
     }
 
     /// Like [`try_admit`](Self::try_admit) but against an explicitly
@@ -395,26 +430,22 @@ impl AdmissionController {
         dst: NodeId,
         now: Option<f64>,
     ) -> Result<FlowHandle, Reject> {
-        let inner = &self.inner;
         let backend = generation.backend();
-        let rate = generation.rates()[class.index()];
+        let metrics = generation.metrics();
         // Sampled decision latency: 1 in LATENCY_SAMPLE_EVERY decisions
         // reads the clock; the rest pay one thread-local decrement.
-        let timer = inner
-            .metrics
-            .as_ref()
-            .and_then(AdmissionMetrics::admit_timer);
+        let timer = metrics.and_then(AdmissionMetrics::admit_timer);
         // Audit trail: one flight-recorder event per decision. Flow ids
         // are only minted while tracing is on, so a disabled recorder
         // costs the admit path a single relaxed load.
         let tr = trace::global();
         let flow = if tr.enabled() {
-            inner.flow_seq.fetch_add(1, Ordering::Relaxed) + 1
+            self.inner.flow_seq.fetch_add(1, Ordering::Relaxed) + 1
         } else {
             0
         };
         let Some(route_ref) = generation.table().lookup(src, dst, class) else {
-            if let Some(m) = &inner.metrics {
+            if let Some(m) = metrics {
                 m.rejects_no_route.inc();
                 m.record_admit_ns(timer);
             }
@@ -439,7 +470,7 @@ impl AdmissionController {
             let t = now.unwrap_or_else(uba_obs::process_secs);
             if let Err(at) = chain.admit_n(class.index(), 1, t) {
                 let stage = chain.stages()[at].name();
-                if let Some(m) = &inner.metrics {
+                if let Some(m) = metrics {
                     m.record_policy_reject(stage, 1);
                     // Offered load includes policy rejects: the burst
                     // estimators must see the demand the chain clipped.
@@ -457,9 +488,10 @@ impl AdmissionController {
                 return Err(Reject::Policy { stage, class });
             }
         }
-        match backend.try_reserve_path(route, class.index(), rate) {
+        let want = generation.rate_millibits()[class.index()];
+        match backend.try_reserve_path_millibits(route, class.index(), want) {
             Ok(cas_retries) => {
-                if let Some(m) = &inner.metrics {
+                if let Some(m) = metrics {
                     m.record_admit(route.len());
                     m.record_arrival(class.index());
                     if cas_retries > 0 {
@@ -473,15 +505,13 @@ impl AdmissionController {
                     class.index(),
                     flow,
                     route.first().copied().unwrap_or(u32::MAX),
-                    rate,
+                    generation.rates()[class.index()],
                     route.len() as f64,
                 );
                 generation.pin();
                 Ok(FlowHandle {
-                    inner: Arc::clone(inner),
                     generation: Arc::clone(generation),
                     class: class.index(),
-                    rate,
                     route: route_ref,
                     flow,
                 })
@@ -493,7 +523,7 @@ impl AdmissionController {
                 if !chain.is_static() {
                     chain.refund_n(class.index(), 1);
                 }
-                if let Some(m) = &inner.metrics {
+                if let Some(m) = metrics {
                     m.rejects_link_full.inc();
                     m.rejects_link_full_class[class.index()].inc();
                     // Offered load includes link-full rejects: the burst
@@ -552,16 +582,14 @@ impl AdmissionController {
     /// flows of a run share one decision time, as they share one
     /// arrival.
     pub fn try_admit_batch(&self, specs: &[FlowSpec]) -> BatchOutcome {
-        let generation = self.current_generation();
-        self.batch_inner(&generation, specs, None)
+        self.with_current(|generation| self.batch_inner(generation, specs, None))
     }
 
     /// Like [`try_admit_batch`](Self::try_admit_batch) on an explicit
     /// decision clock (the batched counterpart of
     /// [`try_admit_at`](Self::try_admit_at)).
     pub fn try_admit_batch_at(&self, specs: &[FlowSpec], t: f64) -> BatchOutcome {
-        let generation = self.current_generation();
-        self.batch_inner(&generation, specs, Some(t))
+        self.with_current(|generation| self.batch_inner(generation, specs, Some(t)))
     }
 
     fn batch_inner(
@@ -578,7 +606,7 @@ impl AdmissionController {
             fast_path &= self.admit_run(generation, spec, len as u64, now, &mut flows);
             rest = &rest[len..];
         }
-        if let Some(m) = &self.inner.metrics {
+        if let Some(m) = generation.metrics() {
             m.batches.inc();
             if !fast_path {
                 m.batch_fallbacks.inc();
@@ -604,22 +632,19 @@ impl AdmissionController {
         now: Option<f64>,
         flows: &mut Vec<Result<FlowHandle, Reject>>,
     ) -> bool {
-        let inner = &self.inner;
         let class = spec.class;
-        let timer = inner
-            .metrics
-            .as_ref()
-            .and_then(AdmissionMetrics::admit_timer);
+        let metrics = generation.metrics();
+        let timer = metrics.and_then(AdmissionMetrics::admit_timer);
         let tr = trace::global();
         let traced = tr.enabled();
         // Flow `i` of the run keeps the id the one-by-one walk gave it.
         let first_id = if traced {
-            inner.flow_seq.fetch_add(n, Ordering::Relaxed) + 1
+            self.inner.flow_seq.fetch_add(n, Ordering::Relaxed) + 1
         } else {
             0
         };
         let Some(route) = generation.table().lookup(spec.src, spec.dst, class) else {
-            if let Some(m) = &inner.metrics {
+            if let Some(m) = metrics {
                 m.rejects_no_route.add(n);
                 m.record_admit_ns(timer);
             }
@@ -640,7 +665,7 @@ impl AdmissionController {
         };
         let servers = generation.table().servers(route);
         let backend = generation.backend();
-        let rate = generation.rates()[class.index()];
+        let want = generation.rate_millibits()[class.index()];
         let chain = generation.policy();
         // As everywhere, a `Static` chain never reads the clock.
         let t = match now {
@@ -651,7 +676,7 @@ impl AdmissionController {
         // Stays empty when the chain grants nothing to place.
         let mut links = PathGrant::default();
         let (admitted, stage) = chain.admit_up_to(class.index(), n, t, |granted| {
-            links = backend.try_reserve_path_up_to(servers, class.index(), rate, granted);
+            links = backend.try_reserve_path_up_to_millibits(servers, class.index(), want, granted);
             links.flows
         });
         let id = |i: u64| if traced { first_id + i } else { 0 };
@@ -667,10 +692,8 @@ impl AdmissionController {
             );
             flows.extend((0..admitted).map(|i| {
                 Ok(FlowHandle {
-                    inner: Arc::clone(inner),
                     generation: Arc::clone(generation),
                     class: class.index(),
-                    rate,
                     route,
                     flow: id(i),
                 })
@@ -682,7 +705,7 @@ impl AdmissionController {
         if turned_away > 0 {
             let reject = if let Some(at) = stage {
                 let stage = chain.stages()[at].name();
-                if let Some(m) = &inner.metrics {
+                if let Some(m) = metrics {
                     m.record_policy_reject(stage, turned_away);
                 }
                 // The kind has a count slot: one event for the whole tail.
@@ -702,7 +725,7 @@ impl AdmissionController {
                 let reserved_bps = backend.reserved(server as usize, class.index());
                 let budget_bps = backend.budget(server as usize, class.index());
                 link_rejects = turned_away;
-                if let Some(m) = &inner.metrics {
+                if let Some(m) = metrics {
                     m.rejects_link_full.add(turned_away);
                     m.rejects_link_full_class[class.index()].add(turned_away);
                 }
@@ -728,7 +751,7 @@ impl AdmissionController {
             };
             flows.extend((0..turned_away).map(|_| Err(reject)));
         }
-        if let Some(m) = &inner.metrics {
+        if let Some(m) = metrics {
             if links.retries > 0 {
                 m.cas_retries.add(u64::from(links.retries));
             }
@@ -753,7 +776,8 @@ impl AdmissionController {
     /// The displaced generation is retired; flows admitted under it keep
     /// draining against its budgets (see [`drain`](Self::drain) and the
     /// transition-semantics note in the module docs).
-    pub fn reconfigure(&self, next: ConfigGeneration) -> ReconfigReport {
+    pub fn reconfigure(&self, mut next: ConfigGeneration) -> ReconfigReport {
+        next.set_metrics(self.inner.metrics.clone());
         let sw = uba_obs::Stopwatch::start();
         let next = Arc::new(next);
         let next_id = next.id();
@@ -831,34 +855,32 @@ impl AdmissionController {
     /// Reserved rate of `class` on a server in the current generation,
     /// bits/s.
     pub fn reserved(&self, server: usize, class: ClassId) -> f64 {
-        self.current_generation()
-            .backend()
-            .reserved(server, class.index())
+        self.with_current(|g| g.backend().reserved(server, class.index()))
     }
 
     /// Fraction of the class budget in use on a server (current
     /// generation).
     pub fn occupancy(&self, server: usize, class: ClassId) -> f64 {
-        self.current_generation()
-            .backend()
-            .occupancy(server, class.index())
+        self.with_current(|g| g.backend().occupancy(server, class.index()))
     }
 
     /// Upper bound on concurrently admissible flows of `class` on one
     /// link: `⌊α_i·C / ρ_i⌋`.
     pub fn per_link_flow_capacity(&self, server: usize, class: ClassId) -> usize {
-        let g = self.current_generation();
-        (g.backend().budget(server, class.index()) / g.rates()[class.index()]) as usize
+        self.with_current(|g| {
+            (g.backend().budget(server, class.index()) / g.rates()[class.index()]) as usize
+        })
     }
 
     /// Snapshot of every server's class occupancy (fraction of its
     /// budget in use) — the operator's utilization dashboard.
     pub fn occupancy_snapshot(&self, class: ClassId) -> Vec<f64> {
-        let g = self.current_generation();
-        let backend = g.backend();
-        (0..backend.servers())
-            .map(|k| backend.occupancy(k, class.index()))
-            .collect()
+        self.with_current(|g| {
+            let backend = g.backend();
+            (0..backend.servers())
+                .map(|k| backend.occupancy(k, class.index()))
+                .collect()
+        })
     }
 
     /// Recomputes the per-class utilization gauges
@@ -871,18 +893,19 @@ impl AdmissionController {
             return;
         };
         m.flush();
-        let g = self.current_generation();
-        let backend = g.backend();
-        for class in 0..backend.classes() {
-            let mut max_share = 0.0f64;
-            let mut total_bps = 0.0f64;
-            for server in 0..backend.servers() {
-                max_share = max_share.max(backend.occupancy(server, class));
-                total_bps += backend.reserved(server, class);
+        self.with_current(|g| {
+            let backend = g.backend();
+            for class in 0..backend.classes() {
+                let mut max_share = 0.0f64;
+                let mut total_bps = 0.0f64;
+                for server in 0..backend.servers() {
+                    max_share = max_share.max(backend.occupancy(server, class));
+                    total_bps += backend.reserved(server, class);
+                }
+                m.class_max_share[class].set(max_share);
+                m.class_reserved_bps[class].set(total_bps);
             }
-            m.class_max_share[class].set(max_share);
-            m.class_reserved_bps[class].set(total_bps);
-        }
+        });
         self.drain();
     }
 
@@ -916,7 +939,7 @@ impl FlowHandle {
 
     /// The flow's reserved rate in bits/s.
     pub fn rate(&self) -> f64 {
-        self.rate
+        self.generation.rates()[self.class]
     }
 
     /// Id of the generation the flow was admitted under (and will
@@ -928,12 +951,15 @@ impl FlowHandle {
 
 impl Drop for FlowHandle {
     fn drop(&mut self) {
-        let servers = self.generation.table().servers(self.route);
-        self.generation
-            .backend()
-            .release_path(servers, self.class, self.rate);
-        self.generation.unpin();
-        if let Some(m) = &self.inner.metrics {
+        let generation = &*self.generation;
+        let servers = generation.table().servers(self.route);
+        generation.backend().release_path_millibits(
+            servers,
+            self.class,
+            generation.rate_millibits()[self.class],
+        );
+        generation.unpin();
+        if let Some(m) = generation.metrics() {
             m.record_release();
         }
         trace::global().emit(
@@ -941,7 +967,7 @@ impl Drop for FlowHandle {
             self.class,
             self.flow,
             servers.first().copied().unwrap_or(u32::MAX),
-            self.rate,
+            generation.rates()[self.class],
             servers.len() as f64,
         );
     }
@@ -1401,6 +1427,85 @@ mod tests {
         let out = ctrl.try_admit_batch_at(&specs[..2], 0.0);
         assert!(out.fast_path);
         assert_eq!(out.admitted(), 2);
+    }
+
+    #[test]
+    fn a_handle_is_one_arc_and_three_words() {
+        assert!(std::mem::size_of::<FlowHandle>() <= 40);
+    }
+
+    /// A stage that calls back into the controller it shapes: it always
+    /// asks for the current generation, and once armed it first installs
+    /// a new one and then admits a flow of its own.
+    #[derive(Debug, Default)]
+    struct Reentrant {
+        ctrl: std::sync::Mutex<Option<AdmissionController>>,
+        armed: std::sync::atomic::AtomicBool,
+        seen: std::sync::Mutex<Vec<(u64, Option<FlowHandle>)>>,
+    }
+
+    impl crate::PolicyStage for std::sync::Arc<Reentrant> {
+        fn name(&self) -> &'static str {
+            "token_bucket"
+        }
+
+        fn admit_n(&self, _class: usize, _n: u64, _t: f64) -> bool {
+            let ctrl = self.ctrl.lock().unwrap().clone().unwrap();
+            let armed = self.armed.swap(false, std::sync::atomic::Ordering::Relaxed);
+            let own = armed.then(|| {
+                ctrl.reconfigure(fresh_generation(0.32));
+                ctrl.try_admit(ClassId(0), NodeId(0), NodeId(2)).unwrap()
+            });
+            let seen = (ctrl.current_generation().id(), own);
+            self.seen.lock().unwrap().push(seen);
+            true
+        }
+
+        fn refund_n(&self, _class: usize, _n: u64) {}
+
+        fn would_admit(&self, _class: usize, _n: u64, _t: f64) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn a_stage_may_call_back_into_its_controller_across_a_reconfigure() {
+        let (table, _, edges) = topology();
+        let stage = std::sync::Arc::new(Reentrant::default());
+        let mut chain = PolicyChain::static_only();
+        chain.push(Box::new(std::sync::Arc::clone(&stage)));
+        let ctrl = AdmissionController::from_generation(ConfigGeneration::with_policy(
+            table,
+            &ClassSet::single(TrafficClass::voip()),
+            &vec![1e6; edges],
+            &[0.32],
+            BackendKind::Atomic,
+            chain,
+        ));
+        *stage.ctrl.lock().unwrap() = Some(ctrl.clone());
+        let g0 = ctrl.current_generation().id();
+        // Warm: the decision runs inside the cache's borrow from now on,
+        // and the stage's own look at the generation nests in it.
+        let warm = ctrl.try_admit(ClassId(0), NodeId(0), NodeId(2)).unwrap();
+        assert_eq!(stage.seen.lock().unwrap()[0].0, g0);
+        // Armed: the epoch moves under the borrowed cache. The stage's
+        // calls must find the new generation, not panic on the cache.
+        stage
+            .armed
+            .store(true, std::sync::atomic::Ordering::Relaxed);
+        let outer = ctrl.try_admit(ClassId(0), NodeId(0), NodeId(2)).unwrap();
+        let (g1, own) = stage.seen.lock().unwrap().pop().unwrap();
+        let own = own.unwrap();
+        assert_ne!(g1, g0);
+        assert_eq!(own.generation(), g1, "the stage's flow is on the new one");
+        assert_eq!(outer.generation(), g0, "the decision it interrupted is not");
+        assert_eq!(ctrl.current_generation().id(), g1);
+        // The same through the batched entry point, already on `g1`
+        // (whose chain is static, so nothing re-enters): just the cache.
+        assert_eq!(ctrl.try_admit_batch(&[]).flows.len(), 0);
+        drop((warm, outer, own));
+        assert!(ctrl.drain().is_drained());
+        stage.ctrl.lock().unwrap().take();
     }
 
     #[test]

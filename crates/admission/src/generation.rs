@@ -13,8 +13,9 @@
 //!
 //! [`AdmissionController::reconfigure`]: crate::AdmissionController::reconfigure
 
+use crate::metrics::AdmissionMetrics;
 use crate::policy::PolicyChain;
-use crate::state::UtilizationState;
+use crate::state::{to_millibits, UtilizationState};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::table::RoutingTable;
 use uba_traffic::ClassSet;
@@ -45,6 +46,9 @@ pub struct ConfigGeneration {
     table: RoutingTable,
     /// Per-class flow rate `ρ_i`, bits/s.
     rates: Vec<f64>,
+    /// `rates` in the reservation state's integer millibits/s, converted
+    /// (and range-checked) once here so no admission or release converts.
+    rate_millibits: Vec<u64>,
     /// Per-class utilization share `α_i` this generation was verified at.
     alphas: Vec<f64>,
     backend: UtilizationState,
@@ -55,6 +59,12 @@ pub struct ConfigGeneration {
     /// Live flows admitted under this generation (incremented on admit,
     /// decremented when their handle drops) — what `drain` reports.
     pinned: AtomicU64,
+    /// Where decisions against this generation and the releases of its
+    /// flows are recorded: the metrics of the controller that adopted it
+    /// (`None` until then, and under an unmetered controller). Metering
+    /// follows the generation, so a flow's admit and release land on the
+    /// same instance whoever asked and whatever was reconfigured since.
+    metrics: Option<AdmissionMetrics>,
 }
 
 impl ConfigGeneration {
@@ -83,6 +93,12 @@ impl ConfigGeneration {
     /// chain evaluated before the utilization check. The chain is part
     /// of the frozen snapshot: its token/AIMD state is fresh at install
     /// time and retires with the generation.
+    ///
+    /// # Panics
+    /// If a class rate is negative, not finite, or beyond the exact
+    /// range of integer millibit accounting (2^53 mb/s): a generation
+    /// that cannot account its flows exactly is refused here, not at its
+    /// first admission.
     pub fn with_policy(
         table: RoutingTable,
         classes: &ClassSet,
@@ -92,14 +108,17 @@ impl ConfigGeneration {
         policy: PolicyChain,
     ) -> Self {
         assert_eq!(alphas.len(), classes.len(), "one alpha per class");
+        let rates: Vec<f64> = classes.iter().map(|(_, c)| c.bucket.rate).collect();
         Self {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             table,
-            rates: classes.iter().map(|(_, c)| c.bucket.rate).collect(),
+            rate_millibits: rates.iter().map(|&r| to_millibits(r)).collect(),
+            rates,
             alphas: alphas.to_vec(),
             backend: UtilizationState::new(capacities, alphas),
             policy,
             pinned: AtomicU64::new(0),
+            metrics: None,
         }
     }
 
@@ -116,6 +135,23 @@ impl ConfigGeneration {
     /// Per-class flow rates `ρ_i`, bits/s.
     pub fn rates(&self) -> &[f64] {
         &self.rates
+    }
+
+    /// Per-class flow rates in millibits/s, as the reservation state
+    /// accounts them.
+    pub(crate) fn rate_millibits(&self) -> &[u64] {
+        &self.rate_millibits
+    }
+
+    /// The metrics this generation's decisions and releases record into.
+    pub(crate) fn metrics(&self) -> Option<&AdmissionMetrics> {
+        self.metrics.as_ref()
+    }
+
+    /// Taken by a controller adopting the generation by value, before
+    /// anything can admit against it.
+    pub(crate) fn set_metrics(&mut self, metrics: Option<AdmissionMetrics>) {
+        self.metrics = metrics;
     }
 
     /// The utilization assignment this generation was verified at.
@@ -198,7 +234,75 @@ mod tests {
         assert_eq!(g.backend().budget(0, 0), 500_000.0);
         assert_eq!(g.backend().reserved(0, 0), 0.0);
         assert_eq!(g.rates(), &[32_000.0]);
+        assert_eq!(g.rate_millibits(), &[32_000_000]);
         assert_eq!(g.alphas(), &[0.5]);
+    }
+
+    fn generation_at_rate(rate: f64) -> ConfigGeneration {
+        let mut class = TrafficClass::voip();
+        class.bucket.rate = rate;
+        ConfigGeneration::new(
+            RoutingTable::new(),
+            &ClassSet::single(class),
+            &[1e6],
+            &[0.5],
+            BackendKind::Atomic,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds exact millibit accounting range")]
+    fn rate_beyond_exact_millibits_is_refused_at_build() {
+        // 1e16 bits/s -> 1e19 millibits, past f64's exact-integer range.
+        generation_at_rate(1e16);
+    }
+
+    #[test]
+    #[should_panic(expected = "rate must be >= 0")]
+    fn infinite_rate_is_refused_at_build() {
+        generation_at_rate(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "rate must be >= 0")]
+    fn nan_rate_is_refused_at_build() {
+        generation_at_rate(f64::NAN);
+    }
+
+    /// Admission, batched admission and release read the millibits
+    /// frozen at build and convert nothing: with the `f64` rates
+    /// poisoned *after* the build (only this module can), every
+    /// admit-time path still runs, and accounts the frozen rate.
+    #[test]
+    fn no_admit_time_path_converts_a_rate() {
+        use crate::{AdmissionController, FlowSpec};
+        use uba_graph::{Digraph, NodeId, Path};
+        use uba_traffic::ClassId;
+        let mut g = Digraph::with_nodes(2);
+        let (e01, _) = g.add_link(NodeId(0), NodeId(1), 1.0);
+        let mut table = RoutingTable::new();
+        table.insert(ClassId(0), &Path::from_edges(&g, vec![e01]));
+        let mut generation = ConfigGeneration::new(
+            table,
+            &ClassSet::single(TrafficClass::voip()),
+            &[1e6, 1e6],
+            &[0.064],
+            BackendKind::Atomic,
+        );
+        generation.rates[0] = f64::NAN;
+        let ctrl = AdmissionController::from_generation_unmetered(generation);
+        let spec = FlowSpec {
+            class: ClassId(0),
+            src: NodeId(0),
+            dst: NodeId(1),
+        };
+        let one = ctrl.try_admit(spec.class, spec.src, spec.dst).unwrap();
+        let batch = ctrl.try_admit_batch(&[spec; 3]);
+        // 64 kb/s carries two 32 kb/s flows: the batch got the second.
+        assert_eq!(batch.admitted(), 1);
+        assert_eq!(ctrl.reserved(e01.index(), ClassId(0)), 64_000.0);
+        drop((one, batch));
+        assert_eq!(ctrl.reserved(e01.index(), ClassId(0)), 0.0);
     }
 
     #[test]

@@ -171,7 +171,18 @@ impl UtilizationState {
         class: usize,
         rate: f64,
     ) -> Result<u32, PathReject> {
-        let want = to_millibits(rate);
+        self.try_reserve_path_millibits(route, class, to_millibits(rate))
+    }
+
+    /// [`try_reserve_path`](Self::try_reserve_path) on a rate already in
+    /// millibits/s — a generation converts its class rates once, when it
+    /// is built, so an admission converts nothing.
+    pub(crate) fn try_reserve_path_millibits(
+        &self,
+        route: &[u32],
+        class: usize,
+        want: u64,
+    ) -> Result<u32, PathReject> {
         let mut cas_retries = 0u32;
         for (i, &server) in route.iter().enumerate() {
             let (ok, retries) = self.reserve_cell(server as usize, class, want);
@@ -207,7 +218,18 @@ impl UtilizationState {
         rate: f64,
         flows: u64,
     ) -> PathGrant {
-        let want = to_millibits(rate);
+        self.try_reserve_path_up_to_millibits(route, class, to_millibits(rate), flows)
+    }
+
+    /// [`try_reserve_path_up_to`](Self::try_reserve_path_up_to) on a rate
+    /// already in millibits/s.
+    pub(crate) fn try_reserve_path_up_to_millibits(
+        &self,
+        route: &[u32],
+        class: usize,
+        want: u64,
+        flows: u64,
+    ) -> PathGrant {
         let mut grant = PathGrant {
             flows,
             ..PathGrant::default()
@@ -270,7 +292,12 @@ impl UtilizationState {
 
     /// Releases a previously successful path reservation.
     pub fn release_path(&self, route: &[u32], class: usize, rate: f64) {
-        let amount = to_millibits(rate);
+        self.release_path_millibits(route, class, to_millibits(rate));
+    }
+
+    /// [`release_path`](Self::release_path) on a rate already in
+    /// millibits/s.
+    pub(crate) fn release_path_millibits(&self, route: &[u32], class: usize, amount: u64) {
         for &server in route {
             self.release_cell(server as usize, class, amount);
         }

@@ -9,8 +9,45 @@
 //! it: neither the lookup nor an admission allocates.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use uba_graph::{NodeId, Path};
 use uba_traffic::ClassId;
+
+/// Hashes a route key — two node ids and a class id, written as
+/// integers — by rotate, xor, multiply per word. The keys are
+/// configuration output, not attacker-chosen input, so the lookup need
+/// not pay for SipHash's flood resistance (it was a third of an admit).
+/// A product's low bits depend only on its factors' low bits, and the
+/// map takes a bucket from a hash's low bits and a tag from its top
+/// seven: `finish` folds the well-mixed high half onto the low one so
+/// both are mixed.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        // 2^64 / φ, odd: the Fibonacci-hashing multiplier.
+        self.0 = (self.0.rotate_left(26) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
 
 /// A route's place in the table that handed it out; resolved by
 /// `RoutingTable::servers` on that same table.
@@ -23,7 +60,7 @@ pub(crate) struct RouteRef {
 /// Immutable route lookup built at configuration time.
 #[derive(Clone, Debug, Default)]
 pub struct RoutingTable {
-    routes: HashMap<(NodeId, NodeId, ClassId), RouteRef>,
+    routes: HashMap<(NodeId, NodeId, ClassId), RouteRef, BuildHasherDefault<KeyHasher>>,
     /// Every installed route's server indices, end to end. A replaced
     /// route's stay behind unreferenced: tables are built once.
     servers: Vec<u32>,
@@ -123,6 +160,47 @@ mod tests {
         let old = t.insert(ClassId(0), &path(&g, &p.edges));
         assert!(old.is_some());
         assert_eq!(t.len(), 1);
+    }
+
+    /// Distinct values of the hashes' low 12 bits (bucket choice in a
+    /// 4 096-bucket map) and top 7 bits (the map's tag).
+    fn spread(keys: impl IntoIterator<Item = (NodeId, NodeId, ClassId)>) -> (usize, usize) {
+        use std::collections::BTreeSet;
+        use std::hash::BuildHasher;
+        let hasher = BuildHasherDefault::<KeyHasher>::default();
+        let (mut low, mut top) = (BTreeSet::new(), BTreeSet::new());
+        for key in keys {
+            let h = hasher.hash_one(key);
+            low.insert(h & 0xfff);
+            top.insert(h >> 57);
+        }
+        (low.len(), top.len())
+    }
+
+    #[test]
+    fn key_hasher_mixes_both_ends() {
+        // The 8×8 torus' 4 032 ordered pairs: small dense ids, the keys
+        // whose differences a bare multiply leaves in the high bits only.
+        let torus = (0..64u32)
+            .flat_map(|a| (0..64u32).map(move |b| (NodeId(a), NodeId(b), ClassId(0))))
+            .filter(|(a, b, _)| a != b);
+        let (low, top) = spread(torus);
+        assert!(low >= 2048 && top >= 64, "torus: {low} / 4096, {top} / 128");
+        uba_obs::check("key_hasher_mixes_both_ends", 1, |rng| {
+            let keys: Vec<_> = (0..10_000)
+                .map(|_| {
+                    let (pair, class) = (rng.next_u64(), rng.next_u64());
+                    (
+                        NodeId(pair as u32),
+                        NodeId((pair >> 32) as u32),
+                        ClassId(class as usize),
+                    )
+                })
+                .collect();
+            let (low, top) = spread(keys);
+            uba_obs::ensure!(low >= 2048 && top >= 64, "{low} / 4096, {top} / 128");
+            Ok(())
+        });
     }
 
     #[test]
