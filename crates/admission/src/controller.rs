@@ -12,6 +12,13 @@
 //! reservation walk; the default `Static` chain has no stages and the
 //! decision path reduces to exactly the utilization predicate.
 //!
+//! There is one decision, for `n` identical flows arriving together:
+//! one route lookup, the chain grants up to `n`, the links place up to
+//! what it granted, the admitted prefix is pinned and traced at once and
+//! the rest meet one `Reject`. A single admission is that decision for
+//! `n = 1`, traced as `admit`; a batch makes it once per run of
+//! identical specs, traced as `admit_batch`.
+//!
 //! Configuration is *versioned*: the controller holds the current
 //! [`ConfigGeneration`] behind an epoch pointer, and
 //! [`reconfigure`](AdmissionController::reconfigure) installs a new one
@@ -243,6 +250,39 @@ pub struct FlowHandle {
     flow: u64,
 }
 
+/// What [`AdmissionController::decide`] made of a run of identical
+/// flows: the first `admitted` were admitted, each of the rest met
+/// `reject`.
+struct Run {
+    class: usize,
+    /// The run's route (`None` when none is configured).
+    route: Option<RouteRef>,
+    /// Flows admitted, from the front of the run.
+    admitted: u64,
+    /// Audit-trail id of the run's first flow; flow `i` has
+    /// `first_id + i` (all 0 while the flight recorder is off).
+    first_id: u64,
+    /// What each flow after the admitted prefix met; `None` when the
+    /// whole run was admitted.
+    reject: Option<Reject>,
+}
+
+impl Run {
+    /// The handle of the run's admitted flow `i`.
+    fn handle(&self, generation: &Arc<ConfigGeneration>, i: u64) -> FlowHandle {
+        FlowHandle {
+            generation: Arc::clone(generation),
+            class: self.class,
+            route: self.route.expect("an admitted flow has a route"),
+            flow: if self.first_id == 0 {
+                0
+            } else {
+                self.first_id + i
+            },
+        }
+    }
+}
+
 impl AdmissionController {
     /// Builds a controller from the configured routing table, the class
     /// set, per-server capacities, and the verified utilization
@@ -382,7 +422,7 @@ impl AdmissionController {
         src: NodeId,
         dst: NodeId,
     ) -> Result<FlowHandle, Reject> {
-        self.with_current(|generation| self.admit_inner(generation, class, src, dst, None))
+        self.with_current(|generation| self.admit_one(generation, class, src, dst, None))
     }
 
     /// Like [`try_admit`](Self::try_admit) but on an explicit decision
@@ -399,7 +439,7 @@ impl AdmissionController {
         dst: NodeId,
         t: f64,
     ) -> Result<FlowHandle, Reject> {
-        self.with_current(|generation| self.admit_inner(generation, class, src, dst, Some(t)))
+        self.with_current(|generation| self.admit_one(generation, class, src, dst, Some(t)))
     }
 
     /// Like [`try_admit`](Self::try_admit) but against an explicitly
@@ -414,15 +454,13 @@ impl AdmissionController {
         src: NodeId,
         dst: NodeId,
     ) -> Result<FlowHandle, Reject> {
-        self.admit_inner(generation, class, src, dst, None)
+        self.admit_one(generation, class, src, dst, None)
     }
 
-    /// The one admission decision path. `now` is the decision clock for
-    /// the policy chain: `Some(t)` from the `_at` entry points, `None`
-    /// to read the process clock lazily — a `Static` chain never reads
-    /// any clock, keeping the default path bit-identical to the
-    /// pre-pipeline controller.
-    fn admit_inner(
+    /// One flow is a run of one: decided by [`decide`](Self::decide) and
+    /// traced, when admitted, as `admit`.
+    #[inline]
+    fn admit_one(
         &self,
         generation: &Arc<ConfigGeneration>,
         class: ClassId,
@@ -430,129 +468,11 @@ impl AdmissionController {
         dst: NodeId,
         now: Option<f64>,
     ) -> Result<FlowHandle, Reject> {
-        let backend = generation.backend();
-        let metrics = generation.metrics();
-        // Sampled decision latency: 1 in LATENCY_SAMPLE_EVERY decisions
-        // reads the clock; the rest pay one thread-local decrement.
-        let timer = metrics.and_then(AdmissionMetrics::admit_timer);
-        // Audit trail: one flight-recorder event per decision. Flow ids
-        // are only minted while tracing is on, so a disabled recorder
-        // costs the admit path a single relaxed load.
-        let tr = trace::global();
-        let flow = if tr.enabled() {
-            self.inner.flow_seq.fetch_add(1, Ordering::Relaxed) + 1
-        } else {
-            0
-        };
-        let Some(route_ref) = generation.table().lookup(src, dst, class) else {
-            if let Some(m) = metrics {
-                m.rejects_no_route.inc();
-                m.record_admit_ns(timer);
-            }
-            tr.emit(
-                EventKind::RejectNoRoute,
-                class.index(),
-                flow,
-                u32::MAX,
-                src.0 as f64,
-                dst.0 as f64,
-            );
-            return Err(Reject::NoRoute);
-        };
-        let route = generation.table().servers(route_ref);
-        // Policy chain: shaping stages run after the route lookup (a
-        // routeless flow is a config error, not demand) and before the
-        // reservation walk. The `Static` chain skips everything —
-        // including the clock read — so the default decision path stays
-        // bit-identical to the pre-pipeline controller.
-        let chain = generation.policy();
-        if !chain.is_static() {
-            let t = now.unwrap_or_else(uba_obs::process_secs);
-            if let Err(at) = chain.admit_n(class.index(), 1, t) {
-                let stage = chain.stages()[at].name();
-                if let Some(m) = metrics {
-                    m.record_policy_reject(stage, 1);
-                    // Offered load includes policy rejects: the burst
-                    // estimators must see the demand the chain clipped.
-                    m.record_arrival(class.index());
-                    m.record_admit_ns(timer);
-                }
-                tr.emit(
-                    EventKind::RejectPolicy,
-                    class.index(),
-                    flow,
-                    u32::MAX,
-                    at as f64,
-                    1.0,
-                );
-                return Err(Reject::Policy { stage, class });
-            }
-        }
-        let want = generation.rate_millibits()[class.index()];
-        match backend.try_reserve_path_millibits(route, class.index(), want) {
-            Ok(cas_retries) => {
-                if let Some(m) = metrics {
-                    m.record_admit(route.len());
-                    m.record_arrival(class.index());
-                    if cas_retries > 0 {
-                        m.cas_retries.add(cas_retries as u64);
-                    }
-                    m.record_retries(cas_retries);
-                    m.record_admit_ns(timer);
-                }
-                tr.emit(
-                    EventKind::Admit,
-                    class.index(),
-                    flow,
-                    route.first().copied().unwrap_or(u32::MAX),
-                    generation.rates()[class.index()],
-                    route.len() as f64,
-                );
-                generation.pin();
-                Ok(FlowHandle {
-                    generation: Arc::clone(generation),
-                    class: class.index(),
-                    route: route_ref,
-                    flow,
-                })
-            }
-            Err(reject) => {
-                // The chain consumed for this flow; the utilization
-                // check turned it away, so every stage refunds — a
-                // rejected flow leaves no residue in the shaping budgets.
-                if !chain.is_static() {
-                    chain.refund_n(class.index(), 1);
-                }
-                if let Some(m) = metrics {
-                    m.rejects_link_full.inc();
-                    m.rejects_link_full_class[class.index()].inc();
-                    // Offered load includes link-full rejects: the burst
-                    // estimators must see demand the budget turned away.
-                    m.record_arrival(class.index());
-                    if reject.retries > 0 {
-                        m.cas_retries.add(reject.retries as u64);
-                    }
-                    m.record_retries(reject.retries);
-                    m.record_admit_ns(timer);
-                }
-                let server = reject.server;
-                let reserved_bps = backend.reserved(server as usize, class.index());
-                let budget_bps = backend.budget(server as usize, class.index());
-                tr.emit(
-                    EventKind::RejectLinkFull,
-                    class.index(),
-                    flow,
-                    server,
-                    reserved_bps,
-                    budget_bps,
-                );
-                Err(Reject::LinkFull {
-                    server,
-                    class,
-                    reserved_bps,
-                    budget_bps,
-                })
-            }
+        let spec = FlowSpec { class, src, dst };
+        let run = self.decide(generation, spec, 1, now, EventKind::Admit);
+        match run.reject {
+            None => Ok(run.handle(generation, 0)),
+            Some(reject) => Err(reject),
         }
     }
 
@@ -561,18 +481,18 @@ impl AdmissionController {
     ///
     /// The slice is read as **runs** of consecutive identical specs — a
     /// burst of calls to one destination is one run, `[A, A, B, A]` is
-    /// three — and each run is decided in one step: one route lookup,
-    /// the chain grants as many of the run's flows as it can afford, the
+    /// three — and each run is decided in one step, exactly as a single
+    /// [`try_admit`](Self::try_admit) is decided: one route lookup, the
+    /// chain grants as many of the run's flows as it can afford, the
     /// links as many of those as every cell of the route has room for
     /// ([`try_reserve_path_up_to`](crate::UtilizationState::try_reserve_path_up_to)),
     /// that prefix is admitted and the rest of the run receives the one
     /// `Reject` each of its flows would have met. The fixed per-decision
-    /// overheads of [`try_admit`](Self::try_admit) (the generation epoch
-    /// load, the route lookup, the policy consult, the pin RMW, the
-    /// tracepoint publish, one CAS round-trip per link) are thus paid
-    /// per run or per batch, never per flow. The decisions, the reject
-    /// diagnostics and the state left in the links and the chain are
-    /// exactly those of putting the flows to
+    /// overheads (the generation epoch load, the route lookup, the policy
+    /// consult, the pin RMW, the tracepoint publish, one CAS round-trip
+    /// per link) are thus paid per run or per batch, never per flow. The
+    /// decisions, the reject diagnostics and the state left in the links
+    /// and the chain are exactly those of putting the flows to
     /// [`try_admit`](Self::try_admit) one by one, under every chain
     /// (`tests/burst_equiv.rs` pins them).
     ///
@@ -602,9 +522,14 @@ impl AdmissionController {
         let mut fast_path = true;
         let mut rest = specs;
         while let Some(&spec) = rest.first() {
-            let len = rest.iter().take_while(|next| **next == spec).count();
-            fast_path &= self.admit_run(generation, spec, len as u64, now, &mut flows);
-            rest = &rest[len..];
+            let n = rest.iter().take_while(|next| **next == spec).count();
+            let run = self.decide(generation, spec, n as u64, now, EventKind::AdmitBatch);
+            flows.extend((0..run.admitted).map(|i| Ok(run.handle(generation, i))));
+            if let Some(reject) = run.reject {
+                fast_path &= reject == Reject::NoRoute;
+                flows.extend((run.admitted..n as u64).map(|_| Err(reject)));
+            }
+            rest = &rest[n..];
         }
         if let Some(m) = generation.metrics() {
             m.batches.inc();
@@ -615,33 +540,53 @@ impl AdmissionController {
         BatchOutcome { flows, fast_path }
     }
 
-    /// Decides one run of a batch — `n` flows of `spec` — in one step,
-    /// exactly as `n` calls of [`try_admit`](Self::try_admit) would: one
-    /// route lookup, the chain grants what it can afford, the links what
-    /// they have room for, the admitted prefix is minted under one pin,
-    /// one flow-id block and one `admit_batch` tracepoint, and the rest
-    /// of the run gets the one `Reject` each of its flows would have met
-    /// (see [`PolicyChain::admit_up_to`] for why it is the same for all
-    /// of them). Returns whether every flow that had a route was
-    /// admitted.
-    fn admit_run(
+    /// The admission decision — the only place the policy chain is
+    /// consulted and the reservation state walked for one. Decides a run
+    /// of `n` flows of `spec` in one step, exactly as `n` single
+    /// decisions would: one route lookup, the chain grants what it can
+    /// afford, the links what they have room for, and the admitted
+    /// prefix is pinned under one RMW with one flow-id block (flow `i`
+    /// keeps the id the one-by-one walk gave it). The rest of the run
+    /// meets the one `Reject` each of its flows would have met (see
+    /// [`PolicyChain::admit_up_to`] for why it is the same for all of
+    /// them).
+    ///
+    /// The admitted prefix is traced as `admitted_as`: `Admit` (rate,
+    /// hops) for a single flow, `AdmitBatch` (count) for every run of a
+    /// batch. Rejects are traced as a single flow's would be — one
+    /// `reject_link_full` or `reject_no_route` per flow, one
+    /// `reject_policy` with a count for the tail. `now` is the chain's
+    /// clock: `Some(t)` from the `_at` entry points, `None` to read the
+    /// process clock — which a `Static` chain never does.
+    fn decide(
         &self,
         generation: &Arc<ConfigGeneration>,
         spec: FlowSpec,
         n: u64,
         now: Option<f64>,
-        flows: &mut Vec<Result<FlowHandle, Reject>>,
-    ) -> bool {
+        admitted_as: EventKind,
+    ) -> Run {
         let class = spec.class;
+        let c = class.index();
         let metrics = generation.metrics();
+        // Sampled decision latency: 1 in LATENCY_SAMPLE_EVERY decisions
+        // reads the clock; the rest pay one thread-local decrement.
         let timer = metrics.and_then(AdmissionMetrics::admit_timer);
+        // Flow ids are only minted while tracing is on, so a disabled
+        // recorder costs a decision a single relaxed load.
         let tr = trace::global();
         let traced = tr.enabled();
-        // Flow `i` of the run keeps the id the one-by-one walk gave it.
         let first_id = if traced {
             self.inner.flow_seq.fetch_add(n, Ordering::Relaxed) + 1
         } else {
             0
+        };
+        let mut run = Run {
+            class: c,
+            route: None,
+            admitted: 0,
+            first_id,
+            reject: Some(Reject::NoRoute),
         };
         let Some(route) = generation.table().lookup(spec.src, spec.dst, class) else {
             if let Some(m) = metrics {
@@ -652,7 +597,7 @@ impl AdmissionController {
                 for id in first_id..first_id + n {
                     tr.emit(
                         EventKind::RejectNoRoute,
-                        class.index(),
+                        c,
                         id,
                         u32::MAX,
                         spec.src.0 as f64,
@@ -660,14 +605,15 @@ impl AdmissionController {
                     );
                 }
             }
-            flows.extend((0..n).map(|_| Err(Reject::NoRoute)));
-            return true;
+            return run;
         };
+        run.route = Some(route);
         let servers = generation.table().servers(route);
         let backend = generation.backend();
-        let want = generation.rate_millibits()[class.index()];
+        let want = generation.rate_millibits()[c];
+        // Shaping stages run after the route lookup (a routeless flow is
+        // a config error, not demand) and before the reservation walk.
         let chain = generation.policy();
-        // As everywhere, a `Static` chain never reads the clock.
         let t = match now {
             Some(t) => t,
             None if chain.is_static() => 0.0,
@@ -675,97 +621,85 @@ impl AdmissionController {
         };
         // Stays empty when the chain grants nothing to place.
         let mut links = PathGrant::default();
-        let (admitted, stage) = chain.admit_up_to(class.index(), n, t, |granted| {
-            links = backend.try_reserve_path_up_to_millibits(servers, class.index(), want, granted);
+        let (admitted, stage) = chain.admit_up_to(c, n, t, |granted| {
+            links = backend.try_reserve_path_up_to_millibits(servers, c, want, granted);
             links.flows
         });
+        run.admitted = admitted;
         let id = |i: u64| if traced { first_id + i } else { 0 };
         if admitted > 0 {
             generation.pin_n(admitted);
-            tr.emit(
-                EventKind::AdmitBatch,
-                class.index(),
-                id(0),
-                servers.first().copied().unwrap_or(u32::MAX),
-                admitted as f64,
-                0.0,
-            );
-            flows.extend((0..admitted).map(|i| {
-                Ok(FlowHandle {
-                    generation: Arc::clone(generation),
-                    class: class.index(),
-                    route,
-                    flow: id(i),
-                })
-            }));
+            let (a, b) = if admitted_as == EventKind::Admit {
+                (generation.rates()[c], servers.len() as f64)
+            } else {
+                (admitted as f64, 0.0)
+            };
+            let first_server = servers.first().copied().unwrap_or(u32::MAX);
+            tr.emit(admitted_as, c, first_id, first_server, a, b);
         }
-        // The rest of the run: one `Reject`, the same for every flow.
         let turned_away = n - admitted;
         let mut link_rejects = 0;
-        if turned_away > 0 {
-            let reject = if let Some(at) = stage {
-                let stage = chain.stages()[at].name();
-                if let Some(m) = metrics {
-                    m.record_policy_reject(stage, turned_away);
+        let reject = if turned_away == 0 {
+            None
+        } else if let Some(at) = stage {
+            let stage = chain.stages()[at].name();
+            if let Some(m) = metrics {
+                m.record_policy_reject(stage, turned_away);
+            }
+            // The kind has a count slot: one event for the whole tail.
+            tr.emit(
+                EventKind::RejectPolicy,
+                c,
+                id(admitted),
+                u32::MAX,
+                at as f64,
+                turned_away as f64,
+            );
+            Some(Reject::Policy { stage, class })
+        } else {
+            let server = links
+                .full
+                .expect("links that place fewer flows than asked name the full server");
+            let reserved_bps = backend.reserved(server as usize, c);
+            let budget_bps = backend.budget(server as usize, c);
+            link_rejects = turned_away;
+            if let Some(m) = metrics {
+                m.rejects_link_full.add(turned_away);
+                m.rejects_link_full_class[c].add(turned_away);
+            }
+            // This kind has none: one event per flow, under its own id.
+            if traced {
+                for i in admitted..n {
+                    tr.emit(
+                        EventKind::RejectLinkFull,
+                        c,
+                        id(i),
+                        server,
+                        reserved_bps,
+                        budget_bps,
+                    );
                 }
-                // The kind has a count slot: one event for the whole tail.
-                tr.emit(
-                    EventKind::RejectPolicy,
-                    class.index(),
-                    id(admitted),
-                    u32::MAX,
-                    at as f64,
-                    turned_away as f64,
-                );
-                Reject::Policy { stage, class }
-            } else {
-                let server = links
-                    .full
-                    .expect("links that place fewer flows than asked name the full server");
-                let reserved_bps = backend.reserved(server as usize, class.index());
-                let budget_bps = backend.budget(server as usize, class.index());
-                link_rejects = turned_away;
-                if let Some(m) = metrics {
-                    m.rejects_link_full.add(turned_away);
-                    m.rejects_link_full_class[class.index()].add(turned_away);
-                }
-                // This kind has none: one event per flow, under its own id.
-                if traced {
-                    for i in admitted..n {
-                        tr.emit(
-                            EventKind::RejectLinkFull,
-                            class.index(),
-                            id(i),
-                            server,
-                            reserved_bps,
-                            budget_bps,
-                        );
-                    }
-                }
-                Reject::LinkFull {
-                    server,
-                    class,
-                    reserved_bps,
-                    budget_bps,
-                }
-            };
-            flows.extend((0..turned_away).map(|_| Err(reject)));
-        }
+            }
+            Some(Reject::LinkFull {
+                server,
+                class,
+                reserved_bps,
+                budget_bps,
+            })
+        };
         if let Some(m) = metrics {
             if links.retries > 0 {
                 m.cas_retries.add(u64::from(links.retries));
             }
-            m.record_run(
-                class.index(),
-                servers.len(),
-                admitted,
-                n,
-                admitted + link_rejects,
-                links.retries,
-            );
+            // Offered load is every flow that had a route, policy and
+            // link-full rejects included: the burst estimators must see
+            // the demand the chain and the budgets turned away.
+            let decisions = admitted + link_rejects;
+            m.record_run(c, servers.len(), admitted, n, decisions, links.retries);
             m.record_admit_ns(timer);
         }
-        turned_away == 0
+        run.reject = reject;
+        run
     }
 
     /// Installs `next` as the current generation without pausing
@@ -976,7 +910,7 @@ impl Drop for FlowHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{ChainKind, PolicyChain, PolicyConfig};
+    use crate::policy::{AimdParams, ChainKind, PolicyChain, PolicyConfig};
     use uba_graph::{Digraph, Path};
     use uba_traffic::TrafficClass;
 
@@ -1427,6 +1361,62 @@ mod tests {
         let out = ctrl.try_admit_batch_at(&specs[..2], 0.0);
         assert!(out.fast_path);
         assert_eq!(out.admitted(), 2);
+    }
+
+    /// An adaptive chain whose AIMD ceiling is pinned at two flows a
+    /// second, 1 000 flows put to it one at a time through `try_admit_at`
+    /// and through `try_admit_batch_at`: two flows of depth and one for
+    /// the half second of credit the clock passes through, whether it
+    /// gets there monotonically, alternating between 0 and 0.5 s, or with
+    /// a NaN reading between every two.
+    #[test]
+    fn a_clock_that_steps_back_is_not_credited_twice() {
+        let cfg = PolicyConfig {
+            chain: ChainKind::Adaptive,
+            bucket_rate_bps: 1e9,
+            bucket_burst_bits: 1e9,
+            aimd: AimdParams {
+                min_rate_bps: 64_000.0,
+                max_rate_bps: 64_000.0,
+                decrease: 0.5,
+                increase_bps: 32_000.0,
+            },
+        };
+        let spec = FlowSpec {
+            class: ClassId(0),
+            src: NodeId(0),
+            dst: NodeId(2),
+        };
+        type Clock = fn(u32) -> f64;
+        let clocks: [(&str, Clock); 3] = [
+            ("monotone", |i| f64::from(i) * 1e-3),
+            ("alternating", |i| if i % 2 == 0 { 0.0 } else { 0.5 }),
+            ("NaN between", |i| {
+                if i % 2 == 0 {
+                    f64::from(i) * 1e-3
+                } else {
+                    f64::NAN
+                }
+            }),
+        ];
+        for (what, clock) in clocks {
+            for batched in [false, true] {
+                let ctrl = policy_ctrl(0.32, cfg);
+                // Each admitted flow is released at once: the links never
+                // bind, the chain decides.
+                let admitted = (0..1_000)
+                    .filter(|&i| {
+                        if batched {
+                            ctrl.try_admit_batch_at(&[spec], clock(i)).admitted() == 1
+                        } else {
+                            ctrl.try_admit_at(spec.class, spec.src, spec.dst, clock(i))
+                                .is_ok()
+                        }
+                    })
+                    .count();
+                assert_eq!(admitted, 3, "{what} clock, batched: {batched}");
+            }
+        }
     }
 
     #[test]

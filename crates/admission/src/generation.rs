@@ -179,21 +179,13 @@ impl ConfigGeneration {
         self.pinned.load(Ordering::Acquire)
     }
 
-    pub(crate) fn pin(&self) {
-        // ordering: AcqRel keeps pin in the same cell-wide RMW order as
-        // unpin, so the count can never transiently underflow to an
+    /// Pins `n` newly admitted flows with one RMW — a single admission
+    /// pins one, a batch run its whole admitted prefix.
+    pub(crate) fn pin_n(&self, n: u64) {
+        // ordering: AcqRel keeps the pin in the same cell-wide RMW order
+        // as unpin, so the count can never transiently underflow to an
         // observer (Relaxed would suffice for the count alone, but the
         // symmetric edge documents the pin/unpin protocol).
-        self.pinned.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Pins `n` flows with one RMW — the batched admission path admits a
-    /// whole slice under a single pin update instead of one per flow.
-    pub(crate) fn pin_n(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        // ordering: AcqRel — same edge as `pin`, amortized over a batch.
         self.pinned.fetch_add(n, Ordering::AcqRel);
     }
 
@@ -309,10 +301,12 @@ mod tests {
     fn pin_counting() {
         let g = generation();
         assert_eq!(g.pinned(), 0);
-        g.pin();
-        g.pin();
+        g.pin_n(1);
+        g.pin_n(1);
         assert_eq!(g.pinned(), 2);
         g.unpin();
         assert_eq!(g.pinned(), 1);
+        g.pin_n(3);
+        assert_eq!(g.pinned(), 4);
     }
 }

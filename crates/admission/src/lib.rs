@@ -7,10 +7,10 @@
 //! configurations change under load — *versioned*:
 //!
 //! * [`state`] — per-(server, class) reserved-rate counters as lock-free
-//!   atomics with CAS reservation ([`UtilizationState`]): all-or-nothing
-//!   path reservations and up-to-`n` reservations of a run of
-//!   identical flows, one CAS per cell, and the class budget is never
-//!   exceeded even under concurrent admissions. This is the one
+//!   atomics with CAS reservation ([`UtilizationState`]): one walk
+//!   reserves up to `n` identical flows along a route (a single flow is
+//!   `n = 1`, all or nothing), one CAS per cell, and the class budget is
+//!   never exceeded even under concurrent admissions. This is the one
 //!   reservation state of a generation (DESIGN.md §8 records the
 //!   striped second implementation that was tried and deleted).
 //! * [`generation`] — immutable [`ConfigGeneration`] snapshots (routing

@@ -390,22 +390,6 @@ impl AdmissionMetrics {
         Self::register(uba_obs::global(), classes)
     }
 
-    /// Records one admission (and its route length in hops) into this
-    /// thread's buffer. Published by [`flush`](Self::flush), thread exit,
-    /// or automatically every [`FLUSH_EVERY`] hot-path events.
-    #[inline]
-    pub fn record_admit(&self, hops: usize) {
-        PENDING.with(|p| {
-            if p.owner.get() != Arc::as_ptr(&self.admits) {
-                p.adopt(self);
-            }
-            p.admits.set(p.admits.get() + 1);
-            let slot = hops.min(HOP_SLOTS - 1);
-            p.hops[slot].set(p.hops[slot].get() + 1);
-            p.bump();
-        });
-    }
-
     /// Records one flow teardown into this thread's buffer.
     #[inline]
     pub fn record_release(&self) {
@@ -418,32 +402,19 @@ impl AdmissionMetrics {
         });
     }
 
-    /// Records one offered arrival for `class` (an admission attempt
-    /// that reached the reservation walk: admitted or link-full
-    /// rejected) into this thread's buffer. Classes beyond the buffer's
-    /// slot count fold into the last slot. The aggregated counts feed
-    /// the arrival estimators and overuse detector once per flush.
-    #[inline]
-    pub fn record_arrival(&self, class: usize) {
-        PENDING.with(|p| {
-            if p.owner.get() != Arc::as_ptr(&self.admits) {
-                p.adopt(self);
-            }
-            let slot = class.min(ARRIVAL_SLOTS - 1);
-            p.arrivals[slot].set(p.arrivals[slot].get() + 1);
-            p.bump();
-        });
-    }
-
-    /// Records a run of identical flows decided in one step, in one
-    /// buffer update: what [`record_admit`](Self::record_admit),
-    /// [`record_arrival`](Self::record_arrival) and
-    /// [`record_retries`](Self::record_retries) would have recorded
-    /// flow by flow. `admits` of the run's `arrivals` offered flows of
-    /// `class` were admitted on a `hops`-hop route; `decisions` of them
+    /// Records one admission decision into this thread's buffer, in one
+    /// update: a run of `arrivals` identical flows of `class` — one for
+    /// a single admission. `admits` of them were admitted on a
+    /// `hops`-hop route (each counted in `admission.admits` and
+    /// `admission.path_hops`); all of them are offered load for the
+    /// arrival estimators, policy rejects included; `decisions` of them
     /// reached the reservation state (the admits plus the link-full
-    /// rejects), which spent `retries` CAS retries between them — booked
-    /// on one decision, the others count as retry-free.
+    /// rejects) and each is one `admission.retries_per_op` sample — the
+    /// run's `retries` CAS retries booked on one, the others retry-free.
+    /// Published by [`flush`](Self::flush), thread exit, or automatically
+    /// every [`FLUSH_EVERY`] buffered events (an admit, an arrival and a
+    /// retry sample are one event each).
+    #[inline]
     pub fn record_run(
         &self,
         class: usize,
@@ -512,22 +483,6 @@ impl AdmissionMetrics {
         });
     }
 
-    /// Records the CAS retry count of one decision (admit or link-full
-    /// reject) into this thread's buffer. Zero-retry decisions count
-    /// too: the histogram mean is then retries-per-operation, the
-    /// scaling benchmark's contention figure.
-    #[inline]
-    pub fn record_retries(&self, retries: u32) {
-        PENDING.with(|p| {
-            if p.owner.get() != Arc::as_ptr(&self.admits) {
-                p.adopt(self);
-            }
-            let slot = &p.retries[(retries as usize).min(RETRY_SLOTS - 1)];
-            slot.set(slot.get() + 1);
-            p.bump();
-        });
-    }
-
     /// Counts `n` flows turned away by the policy stage named `stage`
     /// (one of [`STAGE_NAMES`]). Unknown names are ignored — a custom
     /// [`PolicyStage`](crate::PolicyStage) outside the shipped registry
@@ -580,7 +535,7 @@ mod tests {
         let m = AdmissionMetrics::register(&r, 1);
         m.flush(); // reset this thread's ops count
         for _ in 0..5 {
-            m.record_admit(3);
+            m.record_run(0, 3, 1, 1, 1, 0);
         }
         m.record_release();
         assert_eq!(m.admits.get(), 0, "deltas must stay buffered");
@@ -596,8 +551,8 @@ mod tests {
         let a = AdmissionMetrics::register(&Registry::new(), 1);
         let b = AdmissionMetrics::register(&Registry::new(), 1);
         a.flush();
-        a.record_admit(2);
-        b.record_admit(4); // adopting the buffer publishes a's delta
+        a.record_run(0, 2, 1, 1, 1, 0);
+        b.record_run(0, 4, 1, 1, 1, 0); // adopting the buffer publishes a's delta
         assert_eq!(a.admits.get(), 1);
         assert_eq!(a.path_hops.count(), 1);
         assert_eq!(b.admits.get(), 0);
@@ -610,10 +565,15 @@ mod tests {
         let r = Registry::new();
         let m = AdmissionMetrics::register(&r, 1);
         m.flush();
-        for _ in 0..FLUSH_EVERY {
-            m.record_admit(1);
+        // A one-flow admission is three buffered events: the admit, its
+        // arrival and its retry sample.
+        let admits = u64::from(FLUSH_EVERY.div_ceil(3));
+        for _ in 1..admits {
+            m.record_run(0, 1, 1, 1, 1, 0);
         }
-        assert_eq!(m.admits.get(), u64::from(FLUSH_EVERY));
+        assert_eq!(m.admits.get(), 0, "one admission short of the threshold");
+        m.record_run(0, 1, 1, 1, 1, 0);
+        assert_eq!(m.admits.get(), admits);
     }
 
     #[test]
@@ -645,15 +605,17 @@ mod tests {
     }
 
     #[test]
-    fn record_retries_counts_every_decision_and_clamps() {
+    fn retries_count_every_decision_and_clamp() {
         let r = Registry::new();
         let m = AdmissionMetrics::register(&r, 1);
         m.flush();
+        // Five one-flow decisions that reached the links (admitted or
+        // link-full alike).
         for _ in 0..3 {
-            m.record_retries(0);
+            m.record_run(0, 1, 1, 1, 1, 0);
         }
-        m.record_retries(100); // clamps to the last slot
-        m.record_retries(2);
+        m.record_run(0, 1, 0, 1, 1, 100); // clamps to the last slot
+        m.record_run(0, 1, 0, 1, 1, 2);
         m.flush();
         assert_eq!(m.retries_per_op.count(), 5);
         assert_eq!(m.retries_per_op.max(), (RETRY_SLOTS - 1) as f64);
@@ -664,19 +626,19 @@ mod tests {
     }
 
     #[test]
-    fn record_run_books_what_the_per_flow_recorders_would() {
+    fn a_run_books_what_its_flows_would_one_at_a_time() {
         let flow_by_flow = AdmissionMetrics::register(&Registry::new(), 1);
         let at_once = AdmissionMetrics::register(&Registry::new(), 1);
         // A 12-flow run on a 3-hop route: 7 admitted, 3 link-full, 2
         // turned away by the chain; the reservation retried twice.
-        for _ in 0..7 {
-            flow_by_flow.record_admit(3);
-        }
         for i in 0..12 {
-            flow_by_flow.record_arrival(0);
-            if i < 10 {
-                flow_by_flow.record_retries(if i == 0 { 2 } else { 0 });
-            }
+            let (admits, decisions) = match i {
+                0..7 => (1, 1),
+                7..10 => (0, 1),
+                _ => (0, 0),
+            };
+            let retries = if i == 0 { 2 } else { 0 };
+            flow_by_flow.record_run(0, 3, admits, 1, decisions, retries);
         }
         flow_by_flow.flush();
         at_once.record_run(0, 3, 7, 12, 10, 2);
@@ -696,7 +658,7 @@ mod tests {
     }
 
     #[test]
-    fn record_arrival_feeds_estimators_and_gauges_at_flush() {
+    fn arrivals_feed_estimators_and_gauges_at_flush() {
         let r = Registry::new();
         let m = AdmissionMetrics::register(&r, 2);
         m.flush();
@@ -704,10 +666,9 @@ mod tests {
         // Spread arrivals across several flushes with real wall-clock
         // gaps so the time-weighted estimator sees distinct instants.
         for _ in 0..4 {
-            for _ in 0..50 {
-                m.record_arrival(0);
-            }
-            m.record_arrival(5); // folds into the last slot → class 1
+            // Offered flows the chain turned away: arrivals, nothing else.
+            m.record_run(0, 1, 0, 50, 0, 0);
+            m.record_run(5, 1, 0, 1, 0, 0); // folds into the last slot → class 1
             std::thread::sleep(std::time::Duration::from_millis(2));
             m.flush();
         }
@@ -746,7 +707,7 @@ mod tests {
         let m = AdmissionMetrics::register(&r, 1);
         let m2 = m.clone();
         std::thread::spawn(move || {
-            m2.record_admit(2);
+            m2.record_run(0, 2, 1, 1, 1, 0);
             m2.record_release();
         })
         .join()

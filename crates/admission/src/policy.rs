@@ -99,9 +99,9 @@ pub trait PolicyStage: fmt::Debug + Send + Sync {
 }
 
 /// An ordered chain of policy stages. The empty chain is the `Static`
-/// (utilization-only) policy: [`PolicyChain::admit_n`] is a no-op and
-/// the controller's decision path reduces to exactly the pre-pipeline
-/// code.
+/// (utilization-only) policy: it grants every flow it is asked about,
+/// and the controller's decision reduces to exactly the utilization
+/// predicate.
 #[derive(Debug, Default)]
 pub struct PolicyChain {
     stages: Vec<Box<dyn PolicyStage>>,
@@ -128,31 +128,6 @@ impl PolicyChain {
         &self.stages
     }
 
-    /// Runs `n` flows of `class` through every stage in order,
-    /// consuming each stage's budget. On the first stage that rejects,
-    /// every earlier stage is refunded and the rejecting stage's index
-    /// in [`stages`](Self::stages) is returned — the chain is
-    /// all-or-nothing.
-    pub fn admit_n(&self, class: usize, n: u64, t: f64) -> Result<(), usize> {
-        for (i, stage) in self.stages.iter().enumerate() {
-            if !stage.admit_n(class, n, t) {
-                for held in &self.stages[..i] {
-                    held.refund_n(class, n);
-                }
-                return Err(i);
-            }
-        }
-        Ok(())
-    }
-
-    /// Refunds an `n`-flow grab from every stage (the backend
-    /// reservation failed after the whole chain had consumed).
-    pub fn refund_n(&self, class: usize, n: u64) {
-        for stage in &self.stages {
-            stage.refund_n(class, n);
-        }
-    }
-
     /// Decides a run of `n` identical flows of `class` arriving together
     /// at `t`: each stage grants what it can of what the stages before
     /// it passed on ([`PolicyStage::admit_up_to`]), `reserve` is then
@@ -163,9 +138,10 @@ impl PolicyChain {
     /// did.
     ///
     /// The result and every stage's state are those of the one-by-one
-    /// walk ([`admit_n`](Self::admit_n) of one flow, then the
-    /// reservation, then [`refund_n`](Self::refund_n) if it failed, `n`
-    /// times over), which fixes two things about the flows turned away:
+    /// walk, `n` times over: each stage's [`PolicyStage::admit_n`] of one
+    /// flow in chain order, the stages before the first that refuses
+    /// refunded; then the reservation, and every stage refunded if it
+    /// failed. That walk fixes two things about the flows turned away:
     ///
     /// * **Who rejects them.** All of them meet the same fate: the first
     ///   stage, in chain order, left with no budget for one more flow;
@@ -684,10 +660,15 @@ impl AimdStage {
             }
             st.tokens_mb = st.tokens_mb.min(st.cap_mb);
         }
-        let gap = (t - st.last_refill).max(0.0);
-        st.last_refill = t;
-        let credit = (gap * st.cap_mb as f64).min(st.cap_mb as f64) as u64;
-        st.tokens_mb = st.tokens_mb.saturating_add(credit).min(st.cap_mb);
+        // Only time past the last refill is credited, as in the token
+        // bucket: a clock that steps back, or reads NaN, credits nothing
+        // and leaves the mark where it was, so no interval is credited
+        // twice and none is lost across a bad reading.
+        if t.is_finite() && t > st.last_refill {
+            let credit = ((t - st.last_refill) * st.cap_mb as f64).min(st.cap_mb as f64) as u64;
+            st.last_refill = t;
+            st.tokens_mb = st.tokens_mb.saturating_add(credit).min(st.cap_mb);
+        }
     }
 }
 
@@ -779,6 +760,34 @@ mod tests {
 
     fn bucket(rate_bps: f64, burst_bits: f64) -> TokenBucketStage {
         TokenBucketStage::new(rate_bps, burst_bits, &[VOIP])
+    }
+
+    /// The one-by-one walk [`PolicyChain::admit_up_to`] is defined by,
+    /// kept here as the reference its tests compare against.
+    impl PolicyChain {
+        /// Runs `n` flows of `class` through every stage in order,
+        /// consuming each stage's budget. On the first stage that
+        /// rejects, every earlier stage is refunded and the rejecting
+        /// stage's index is returned — the chain is all-or-nothing.
+        fn admit_n(&self, class: usize, n: u64, t: f64) -> Result<(), usize> {
+            for (i, stage) in self.stages.iter().enumerate() {
+                if !stage.admit_n(class, n, t) {
+                    for held in &self.stages[..i] {
+                        held.refund_n(class, n);
+                    }
+                    return Err(i);
+                }
+            }
+            Ok(())
+        }
+
+        /// Refunds an `n`-flow grab from every stage (the reservation
+        /// failed after the whole chain had consumed).
+        fn refund_n(&self, class: usize, n: u64) {
+            for stage in &self.stages {
+                stage.refund_n(class, n);
+            }
+        }
     }
 
     #[test]
@@ -898,6 +907,38 @@ mod tests {
         assert!(aimd.would_admit(0, 2, 1.0));
         assert!(aimd.admit_n(0, 2, 1.0));
         assert!(!aimd.admit_n(0, 1, 1.0));
+    }
+
+    /// 1 000 single-flow calls at a ceiling pinned at two flows a second:
+    /// two flows of depth, and one more for the half second of credit
+    /// the clock passes through — however it gets there. A clock that
+    /// alternates between 0 and 0.5 s crosses that half second once, and
+    /// a NaN reading between two others loses nothing of the interval
+    /// across it.
+    #[test]
+    fn aimd_credits_each_interval_once_whatever_the_clock_does() {
+        let params = AimdParams {
+            min_rate_bps: 2.0 * VOIP,
+            max_rate_bps: 2.0 * VOIP,
+            decrease: 0.5,
+            increase_bps: VOIP,
+        };
+        let admitted = |clock: fn(u32) -> f64| {
+            let aimd = AimdStage::new(params, &[VOIP]);
+            (0..1_000).filter(|&i| aimd.admit_n(0, 1, clock(i))).count()
+        };
+        let monotone = admitted(|i| f64::from(i) * 1e-3);
+        let alternating = admitted(|i| if i % 2 == 0 { 0.0 } else { 0.5 });
+        let nan_between = admitted(|i| {
+            if i % 2 == 0 {
+                f64::from(i) * 1e-3
+            } else {
+                f64::NAN
+            }
+        });
+        assert_eq!(monotone, 3);
+        assert_eq!(alternating, 3, "a clock stepping back was credited again");
+        assert_eq!(nan_between, 3, "a NaN reading lost the interval across it");
     }
 
     #[test]

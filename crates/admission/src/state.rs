@@ -7,11 +7,12 @@
 //! without locks, and the budget check is exact (rates are accounted in
 //! integer millibits/second, so no floating-point drift can accumulate).
 //!
-//! The controller reserves whole routes ([`try_reserve_path`]) against
-//! this table, all-or-nothing over per-cell CASes, rolling the reserved
-//! prefix back when a later cell is full. A run of identical flows is
-//! reserved in one walk that grants as many of them as every cell of the
-//! route has room for ([`try_reserve_path_up_to`]).
+//! There is one reservation walk ([`try_reserve_path_up_to`]): `n`
+//! identical flows along a route, one CAS per cell, each cell granting
+//! as many of the flows still wanted as its headroom holds and the
+//! earlier cells giving back what a later one could not take. A single
+//! flow is the walk with `n = 1` ([`try_reserve_path`]): all or nothing,
+//! the reserved prefix rolled back when a later cell is full.
 //!
 //! [`try_reserve_path`]: UtilizationState::try_reserve_path
 //! [`try_reserve_path_up_to`]: UtilizationState::try_reserve_path_up_to
@@ -37,6 +38,22 @@ pub(crate) fn to_millibits(rate: f64) -> u64 {
          ({MAX_EXACT_MILLIBITS} mb/s)"
     );
     mb as u64
+}
+
+/// How many of `flows` flows of `want` millibits/s fit in a cell whose
+/// `budget` has `cur` reserved. Compares first: when the whole run fits
+/// (`flows · want`, saturating, within the headroom — a zero rate always
+/// does) that is the answer, and only a run the headroom clips divides.
+/// A budget is at most 2^53 millibits/s, so a product that saturates
+/// never fits.
+#[inline]
+fn flows_that_fit(budget: u64, cur: u64, want: u64, flows: u64) -> u64 {
+    let room = budget.saturating_sub(cur);
+    if want.saturating_mul(flows) <= room {
+        flows
+    } else {
+        room / want
+    }
 }
 
 /// Why a path reservation failed.
@@ -124,93 +141,37 @@ impl UtilizationState {
         server * self.classes + class
     }
 
-    /// Attempts to reserve `rate` bits/s of class `class` on `server`.
-    /// Returns `true` on success; never overshoots the budget.
-    pub fn try_reserve(&self, server: usize, class: usize, rate: f64) -> bool {
-        self.reserve_cell(server, class, to_millibits(rate)).0
-    }
-
-    /// The per-cell CAS loop: reserves `want` millibits/s of `class` on
-    /// `server` unless that would overshoot the budget. Also reports how
-    /// many CAS retries the loop took (0 on an uncontended cell) so
-    /// contention is observable.
-    fn reserve_cell(&self, server: usize, class: usize, want: u64) -> (bool, u32) {
-        let i = self.idx(server, class);
-        let budget = self.budgets[i];
-        let cell = &self.reserved[i];
-        let mut cur = cell.load(Ordering::Relaxed);
-        let mut retries = 0u32;
-        loop {
-            let Some(next) = cur.checked_add(want) else {
-                return (false, retries);
-            };
-            if next > budget {
-                return (false, retries);
-            }
-            // ordering: AcqRel — the success edge orders this reserve
-            // against the release fetch_sub on the same cell, so a
-            // reserve that consumes freed headroom happens-after the
-            // flow teardown that freed it; failure reloads need no edge.
-            match cell.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed) {
-                Ok(_) => return (true, retries),
-                Err(actual) => {
-                    cur = actual;
-                    retries += 1;
-                }
-            }
-        }
-    }
-
-    /// Reserves `rate` bits/s of `class` on every server of `route`, one
-    /// CAS per cell; rolls the reserved prefix back and reports the
-    /// failing server if any cell is full, so a failed path reservation
-    /// leaves no residue. Returns total CAS retries on success.
+    /// Reserves `rate` bits/s of `class` on every server of `route` for
+    /// one flow, all or nothing: the walk of
+    /// [`try_reserve_path_up_to`](Self::try_reserve_path_up_to) with one
+    /// flow asked. Reports the first full server, after rolling the
+    /// reserved prefix back, so a failed path reservation leaves no
+    /// residue. Returns total CAS retries on success.
     pub fn try_reserve_path(
         &self,
         route: &[u32],
         class: usize,
         rate: f64,
     ) -> Result<u32, PathReject> {
-        self.try_reserve_path_millibits(route, class, to_millibits(rate))
-    }
-
-    /// [`try_reserve_path`](Self::try_reserve_path) on a rate already in
-    /// millibits/s — a generation converts its class rates once, when it
-    /// is built, so an admission converts nothing.
-    pub(crate) fn try_reserve_path_millibits(
-        &self,
-        route: &[u32],
-        class: usize,
-        want: u64,
-    ) -> Result<u32, PathReject> {
-        let mut cas_retries = 0u32;
-        for (i, &server) in route.iter().enumerate() {
-            let (ok, retries) = self.reserve_cell(server as usize, class, want);
-            cas_retries += retries;
-            if !ok {
-                for &held in route.iter().take(i) {
-                    self.release_cell(held as usize, class, want);
-                }
-                return Err(PathReject {
-                    server,
-                    retries: cas_retries,
-                });
-            }
+        let grant = self.try_reserve_path_up_to(route, class, rate, 1);
+        match grant.full {
+            None => Ok(grant.retries),
+            Some(server) => Err(PathReject {
+                server,
+                retries: grant.retries,
+            }),
         }
-        Ok(cas_retries)
     }
 
     /// Reserves `rate` bits/s of `class` on every server of `route` for
-    /// as many of `flows` identical flows as fit: the grant
-    /// [`try_reserve_path`](Self::try_reserve_path) would have reached
-    /// called `flows` times in a row, in one CAS per cell. Each cell
-    /// takes `min(still wanted, headroom / rate)` flows; a cell with
-    /// less room than the cells before it lowers the grant and the
-    /// difference is released on those earlier cells at once, so the
-    /// call leaves exactly [`PathGrant::flows`] flows on every cell.
-    /// Until that release a concurrent caller can be turned away by
-    /// headroom this call will not keep — as it can by a
-    /// [`try_reserve_path`](Self::try_reserve_path) about to roll back.
+    /// as many of `flows` identical flows as fit: the grant `flows`
+    /// one-flow reservations in a row would have reached, in one CAS per
+    /// cell. Each cell takes `min(still wanted, headroom / rate)` flows;
+    /// a cell with less room than the cells before it lowers the grant
+    /// and the difference is released on those earlier cells at once,
+    /// so the call leaves exactly [`PathGrant::flows`] flows on every
+    /// cell. Until that release a concurrent caller can be turned away
+    /// by headroom this call will not keep.
     pub fn try_reserve_path_up_to(
         &self,
         route: &[u32],
@@ -222,7 +183,8 @@ impl UtilizationState {
     }
 
     /// [`try_reserve_path_up_to`](Self::try_reserve_path_up_to) on a rate
-    /// already in millibits/s.
+    /// already in millibits/s — a generation converts its class rates
+    /// once, when it is built, so an admission converts nothing.
     pub(crate) fn try_reserve_path_up_to_millibits(
         &self,
         route: &[u32],
@@ -251,10 +213,9 @@ impl UtilizationState {
         grant
     }
 
-    /// The per-cell CAS loop of
-    /// [`try_reserve_path_up_to`](Self::try_reserve_path_up_to): takes
-    /// as many multiples of `want` millibits/s, up to `flows`, as the
-    /// budget has room for. Returns the multiple taken and the CAS
+    /// The per-cell CAS loop of the walk: takes as many multiples of
+    /// `want` millibits/s, up to `flows`, as the budget has room for
+    /// (`flows_that_fit`). Returns the multiple taken and the CAS
     /// retries spent; a full cell is read, not written.
     fn reserve_cell_up_to(&self, server: usize, class: usize, want: u64, flows: u64) -> (u64, u32) {
         let i = self.idx(server, class);
@@ -263,17 +224,14 @@ impl UtilizationState {
         let mut cur = cell.load(Ordering::Relaxed);
         let mut retries = 0u32;
         loop {
-            let got = match budget.saturating_sub(cur).checked_div(want) {
-                Some(room) => room.min(flows),
-                // A zero-rate flow fits any number of times.
-                None => flows,
-            };
+            let got = flows_that_fit(budget, cur, want, flows);
             if got == 0 {
                 return (0, retries);
             }
-            // ordering: AcqRel — the same edge as `reserve_cell`: the
-            // success CAS orders this reserve after the release
-            // fetch_sub that freed the headroom it consumes; failure
+            // ordering: AcqRel — the success CAS orders this reserve
+            // after the release fetch_sub that freed the headroom it
+            // consumes, so a reserve that takes freed headroom
+            // happens-after the flow teardown that freed it; failure
             // reloads need no edge.
             match cell.compare_exchange_weak(
                 cur,
@@ -291,6 +249,10 @@ impl UtilizationState {
     }
 
     /// Releases a previously successful path reservation.
+    ///
+    /// # Panics
+    /// Panics if the release exceeds what is currently reserved on a
+    /// server — that is always an accounting bug in the caller.
     pub fn release_path(&self, route: &[u32], class: usize, rate: f64) {
         self.release_path_millibits(route, class, to_millibits(rate));
     }
@@ -304,38 +266,25 @@ impl UtilizationState {
     }
 
     /// Whether reserving `rate` bits/s of `class` on `server` would
-    /// succeed *right now*, without reserving anything. Uses the same
-    /// exact integer-millibit predicate as
-    /// [`try_reserve`](Self::try_reserve), so a dry-run diagnosis (the
-    /// admission `explain` path) can never disagree with the real
-    /// admission decision taken against the same state.
+    /// succeed *right now*, without reserving anything. Uses the cell
+    /// step of the reservation walk itself (`flows_that_fit` of one
+    /// flow), so a dry-run diagnosis (the admission `explain` path) can
+    /// never disagree with the real admission decision taken against the
+    /// same state.
     pub fn would_fit(&self, server: usize, class: usize, rate: f64) -> bool {
-        let want = to_millibits(rate);
         let i = self.idx(server, class);
         // ordering: Acquire pairs with the AcqRel reserve/release RMWs
         // so a dry run that observes freed headroom also observes the
         // teardown writes that freed it.
         let cur = self.reserved[i].load(Ordering::Acquire);
-        match cur.checked_add(want) {
-            Some(next) => next <= self.budgets[i],
-            None => false,
-        }
-    }
-
-    /// Releases a previously successful reservation.
-    ///
-    /// # Panics
-    /// Panics if the release exceeds what is currently reserved — that is
-    /// always an accounting bug in the caller.
-    pub fn release(&self, server: usize, class: usize, rate: f64) {
-        self.release_cell(server, class, to_millibits(rate));
+        flows_that_fit(self.budgets[i], cur, to_millibits(rate), 1) == 1
     }
 
     fn release_cell(&self, server: usize, class: usize, amount: u64) {
         let i = self.idx(server, class);
         // ordering: AcqRel — the release publishes the flow's teardown
         // to the next reserve CAS that consumes the freed headroom (the
-        // counterpart of the reserve edge above).
+        // counterpart of the reserve CAS in `reserve_cell_up_to`).
         let prev = self.reserved[i].fetch_sub(amount, Ordering::AcqRel);
         assert!(
             prev >= amount,
@@ -377,33 +326,43 @@ mod tests {
         UtilizationState::new(&[1e6, 1e6], &[0.5])
     }
 
+    /// One flow of `rate` on the single cell `server`.
+    fn reserve(s: &UtilizationState, server: u32, class: usize, rate: f64) -> bool {
+        s.try_reserve_path(&[server], class, rate).is_ok()
+    }
+
+    /// Releases one flow of `rate` from the single cell `server`.
+    fn release(s: &UtilizationState, server: u32, class: usize, rate: f64) {
+        s.release_path(&[server], class, rate);
+    }
+
     #[test]
     fn reserve_until_budget() {
         let s = state();
         // Budget 500 kb/s; 15 x 32 kb/s = 480 fits, 16th does not.
         for i in 0..15 {
-            assert!(s.try_reserve(0, 0, 32_000.0), "reservation {i}");
+            assert!(reserve(&s, 0, 0, 32_000.0), "reservation {i}");
         }
-        assert!(!s.try_reserve(0, 0, 32_000.0));
+        assert!(!reserve(&s, 0, 0, 32_000.0));
         // Other server untouched.
-        assert!(s.try_reserve(1, 0, 32_000.0));
+        assert!(reserve(&s, 1, 0, 32_000.0));
     }
 
     #[test]
     fn release_restores_headroom() {
         let s = state();
-        assert!(s.try_reserve(0, 0, 400_000.0));
-        assert!(!s.try_reserve(0, 0, 200_000.0));
-        s.release(0, 0, 400_000.0);
-        assert!(s.try_reserve(0, 0, 500_000.0));
+        assert!(reserve(&s, 0, 0, 400_000.0));
+        assert!(!reserve(&s, 0, 0, 200_000.0));
+        release(&s, 0, 0, 400_000.0);
+        assert!(reserve(&s, 0, 0, 500_000.0));
         assert_eq!(s.reserved(0, 0), 500_000.0);
     }
 
     #[test]
     fn exact_boundary_admission() {
         let s = state();
-        assert!(s.try_reserve(0, 0, 500_000.0));
-        assert!(!s.try_reserve(0, 0, 0.001));
+        assert!(reserve(&s, 0, 0, 500_000.0));
+        assert!(!reserve(&s, 0, 0, 0.001));
         assert_eq!(s.occupancy(0, 0), 1.0);
     }
 
@@ -411,8 +370,8 @@ mod tests {
     #[should_panic(expected = "exceeds reservation")]
     fn over_release_panics() {
         let s = state();
-        s.try_reserve(0, 0, 1000.0);
-        s.release(0, 0, 2000.0);
+        reserve(&s, 0, 0, 1000.0);
+        release(&s, 0, 0, 2000.0);
     }
 
     #[test]
@@ -420,10 +379,10 @@ mod tests {
         let s = UtilizationState::new(&[1e6], &[0.3, 0.2]);
         assert_eq!(s.budget(0, 0), 300_000.0);
         assert_eq!(s.budget(0, 1), 200_000.0);
-        assert!(s.try_reserve(0, 0, 300_000.0));
+        assert!(reserve(&s, 0, 0, 300_000.0));
         // Class 0 full; class 1 unaffected.
-        assert!(!s.try_reserve(0, 0, 1.0));
-        assert!(s.try_reserve(0, 1, 200_000.0));
+        assert!(!reserve(&s, 0, 0, 1.0));
+        assert!(reserve(&s, 0, 1, 200_000.0));
     }
 
     #[test]
@@ -438,7 +397,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut ok = 0usize;
                 for _ in 0..100 {
-                    if s.try_reserve(0, 0, rate) {
+                    if reserve(&s, 0, 0, rate) {
                         ok += 1;
                     }
                 }
@@ -459,8 +418,8 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let rate = 1000.0 + t as f64;
                 for _ in 0..1000 {
-                    if s.try_reserve(0, 0, rate) {
-                        s.release(0, 0, rate);
+                    if reserve(&s, 0, 0, rate) {
+                        release(&s, 0, 0, rate);
                     }
                 }
             }));
@@ -499,7 +458,7 @@ mod tests {
         let rate = 32_000.0;
         let seeded = || {
             let s = UtilizationState::new(&[1e6, 1e6, 1e6], &[0.5]);
-            assert!(s.try_reserve(1, 0, 5.0 * rate) && s.try_reserve(2, 0, 12.0 * rate));
+            assert!(reserve(&s, 1, 0, 5.0 * rate) && reserve(&s, 2, 0, 12.0 * rate));
             s
         };
         for (route, asked) in [
@@ -532,6 +491,58 @@ mod tests {
         // A zero-rate flow fits any number of times, as it does one by one.
         let grant = seeded().try_reserve_path_up_to(&[2], 0, 0.0, 7);
         assert_eq!((grant.flows, grant.full), (7, None));
+    }
+
+    /// The cell step against its definition — one-flow reservations in a
+    /// row until one fails or `n` succeed — at the edges of its compare:
+    /// headroom exactly `n·ρ`, one millibit short of it, `n·ρ` past
+    /// `u64`, and `ρ = 0` on a full cell. `would_fit` agrees with the
+    /// next one-flow reservation before the run and after it.
+    #[test]
+    fn cell_step_matches_one_flow_reservations_at_its_boundaries() {
+        const RATE: f64 = 32_000.0;
+        let want = to_millibits(RATE);
+        // (what, reserved before, rate, n, flows granted)
+        for (what, before, rate, n, granted) in [
+            ("headroom exactly n·ρ", 3.0 * RATE, RATE, 5, 5),
+            ("headroom exactly ρ", 7.0 * RATE, RATE, 1, 1),
+            ("one millibit short", 3.0 * RATE + 0.001, RATE, 5, 4),
+            ("one millibit short of ρ", 7.0 * RATE + 0.001, RATE, 1, 0),
+            ("n·ρ past u64", 3.0 * RATE, RATE, u64::MAX / want + 1, 5),
+            ("zero rate on a full cell", 8.0 * RATE, 0.0, 1_000, 1_000),
+        ] {
+            let seeded = || {
+                let s = UtilizationState::new(&[8.0 * RATE], &[1.0]);
+                assert!(reserve(&s, 0, 0, before), "{what}");
+                s
+            };
+            let (closed, walked) = (seeded(), seeded());
+            let fits_first = closed.would_fit(0, 0, rate);
+            let grant = closed.try_reserve_path_up_to(&[0], 0, rate, n);
+            let mut flows = 0;
+            while flows < n && reserve(&walked, 0, 0, rate) {
+                flows += 1;
+            }
+            assert_eq!(grant.flows, granted, "{what}");
+            assert_eq!(
+                (grant.flows, grant.full),
+                (flows, (flows < n).then_some(0)),
+                "{what}"
+            );
+            assert_eq!(fits_first, flows > 0, "{what}: would_fit before");
+            assert_eq!(closed.reserved(0, 0), walked.reserved(0, 0), "{what}");
+            assert_eq!(
+                closed.would_fit(0, 0, rate),
+                reserve(&walked, 0, 0, rate),
+                "{what}: would_fit after"
+            );
+        }
+        // The step itself where the product saturates: a rate past any
+        // budget fits no flow of a run, and a long run is clipped to
+        // what the headroom divides into.
+        assert_eq!(flows_that_fit(10, 0, u64::MAX, 2), 0);
+        assert_eq!(flows_that_fit(10, 3, 2, u64::MAX), 3);
+        assert_eq!(flows_that_fit(10, 3, 0, u64::MAX), u64::MAX);
     }
 
     #[test]

@@ -22,11 +22,11 @@ echo "==> config_mci smoke (the frozen configuration workload's own check: every
 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload config_mci --seed 1 --seconds 2 --trace 0 > /dev/null
 
-echo "==> churn_torus smoke (the frozen online workload's own check on the per-flow path: accept/reject digest repeating every round, reject ratio in its window, occupancy zero after the final releases)"
+echo "==> churn_torus smoke (the frozen online workload's own check on the single-flow entry point into the one decision core: accept/reject digest repeating every round, reject ratio in its window, occupancy zero after the final releases)"
 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload churn_torus --seed 1 --seconds 2 --trace 0 > /dev/null
 
-echo "==> serve_loop_mci smoke (the frozen serve-loop workload's own check on the batch path: decision digest repeating across rounds and reloads, every scrape rendered, retired generations drained, occupancy zero after teardown)"
+echo "==> serve_loop_mci smoke (the frozen serve-loop workload's own check on the batch entry point into the same decision core: decision digest repeating across rounds and reloads, every scrape rendered, retired generations drained, occupancy zero after teardown)"
 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload serve_loop_mci --seed 1 --seconds 2 --trace 0 > /dev/null
 
