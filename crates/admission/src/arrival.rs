@@ -152,19 +152,6 @@ impl OveruseState {
     }
 }
 
-/// What a rate controller composing over the detector would do — the
-/// GCC state map (overuse → back off, normal → probe up, underuse →
-/// hold while queues drain). Advisory only; nothing acts on it yet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RateAction {
-    /// Multiplicative decrease.
-    Decrease,
-    /// Additive increase.
-    Increase,
-    /// Hold the current rate.
-    Hold,
-}
-
 /// GCC-style overuse detector over an observed-rate series.
 ///
 /// Compares each observation's relative gradient against a slow EWMA
@@ -273,15 +260,6 @@ impl OveruseDetector {
     /// The slow-EWMA rate baseline the gradient is measured against.
     pub fn baseline(&self) -> f64 {
         self.baseline
-    }
-
-    /// The GCC controller action the current state maps to.
-    pub fn suggested_action(&self) -> RateAction {
-        match self.state {
-            OveruseState::Overuse => RateAction::Decrease,
-            OveruseState::Normal => RateAction::Increase,
-            OveruseState::Underuse => RateAction::Hold,
-        }
     }
 }
 
@@ -463,14 +441,12 @@ mod tests {
             t += 0.01;
         }
         assert_eq!(det.state(), OveruseState::Normal);
-        assert_eq!(det.suggested_action(), RateAction::Increase);
         // Rate triples and stays: overuse after the sustain window.
         for _ in 0..20 {
             det.update(t, 300.0);
             t += 0.01;
         }
         assert_eq!(det.state(), OveruseState::Overuse);
-        assert_eq!(det.suggested_action(), RateAction::Decrease);
         // The baseline adapts to the new level; state returns to normal.
         for _ in 0..1000 {
             det.update(t, 300.0);
@@ -484,7 +460,6 @@ mod tests {
             t += 0.01;
         }
         assert_eq!(det.state(), OveruseState::Underuse);
-        assert_eq!(det.suggested_action(), RateAction::Hold);
     }
 
     #[test]

@@ -68,6 +68,7 @@ impl PerFlowAdmission {
         let route = self.table.route(src, dst, class)?;
         let spec = self.classes.get(class);
         let candidate = Flow {
+            class: class.index(),
             bucket: spec.bucket,
             deadline: spec.deadline,
             servers: route.to_vec(),
@@ -80,7 +81,13 @@ impl PerFlowAdmission {
             .filter_map(|f| f.as_ref().cloned())
             .collect();
         all.push(candidate.clone());
-        let result = analyze_flows(&self.servers, &all, self.tol, self.max_iters);
+        let result = analyze_flows(
+            &self.servers,
+            &all,
+            self.classes.len(),
+            self.tol,
+            self.max_iters,
+        );
         if result.outcome != GeneralOutcome::Feasible {
             return None;
         }

@@ -215,18 +215,6 @@ impl AdmissionController {
     /// tightest-headroom link, which is the one that will fail first as
     /// load grows.
     pub fn explain(&self, class: ClassId, src: NodeId, dst: NodeId) -> Explain {
-        self.explain_impl(class, src, dst, None)
-    }
-
-    /// Like [`explain`](Self::explain) on an explicit decision clock:
-    /// `t` is what the policy stages' dry runs see (token-bucket refill
-    /// credit, AIMD ceiling refill) — the diagnostic counterpart of
-    /// [`try_admit_at`](Self::try_admit_at).
-    pub fn explain_at(&self, class: ClassId, src: NodeId, dst: NodeId, t: f64) -> Explain {
-        self.explain_impl(class, src, dst, Some(t))
-    }
-
-    fn explain_impl(&self, class: ClassId, src: NodeId, dst: NodeId, now: Option<f64>) -> Explain {
         let generation = self.current_generation();
         let rate = generation.rates()[class.index()];
         let mut ex = Explain {
@@ -276,7 +264,7 @@ impl AdmissionController {
         // first. A `Static` chain skips the clock read entirely.
         let chain = generation.policy();
         if !chain.is_static() {
-            let t = now.unwrap_or_else(uba_obs::process_secs);
+            let t = uba_obs::process_secs();
             for (name, ok) in chain.dry_run(c, 1, t) {
                 let v = if ok {
                     StageVerdict::Pass
@@ -515,7 +503,7 @@ mod tests {
             BackendKind::Atomic,
             chain,
         ));
-        let before = ctrl.explain_at(ClassId(0), NodeId(0), NodeId(2), 0.0);
+        let before = ctrl.explain(ClassId(0), NodeId(0), NodeId(2));
         assert_eq!(before.verdict, ExplainVerdict::Admissible);
         assert_eq!(
             before.stages,
@@ -528,7 +516,7 @@ mod tests {
         let _h = ctrl
             .try_admit_at(ClassId(0), NodeId(0), NodeId(2), 0.0)
             .unwrap();
-        let after = ctrl.explain_at(ClassId(0), NodeId(0), NodeId(2), 0.0);
+        let after = ctrl.explain(ClassId(0), NodeId(0), NodeId(2));
         assert_eq!(after.verdict, ExplainVerdict::PolicyReject);
         assert_eq!(after.rejected_stage, Some("token_bucket"));
         assert_eq!(after.stages[0], ("token_bucket", StageVerdict::Reject));

@@ -69,7 +69,7 @@ pub mod state;
 pub(crate) mod sync;
 pub mod table;
 
-pub use arrival::{ArrivalEstimator, ArrivalMonitor, OveruseDetector, OveruseState, RateAction};
+pub use arrival::{ArrivalEstimator, ArrivalMonitor, OveruseDetector, OveruseState};
 pub use baseline::PerFlowAdmission;
 pub use churn::{run_churn, run_churn_bursty, ChurnConfig, ChurnStats, Policy};
 pub use controller::{

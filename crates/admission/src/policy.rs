@@ -54,10 +54,9 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{CachePadded, Mutex};
 use std::fmt;
 
-/// Every shipped policy stage name, in chain order. xtask rule 10
-/// parses this list and requires a per-stage reject-cause counter
-/// (`admission.rejects.policy.<name>`) plus the `trace.reject_policy`
-/// tracepoint in `docs/metrics-manifest.txt`.
+/// Every shipped policy stage name, in chain order. Each gets a
+/// reject-cause counter `admission.rejects.policy.<name>`, registered
+/// eagerly, so the live manifest test sees every one.
 pub const STAGE_NAMES: [&str; 2] = ["token_bucket", "aimd"];
 
 /// One stage of the admission policy chain, evaluated before the

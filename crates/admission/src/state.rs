@@ -23,21 +23,22 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 /// enough resolution for any practical rate.
 pub(crate) const SCALE: f64 = 1000.0;
 
-/// Largest millibit value that is exactly representable as an `f64`
-/// (2^53). Above this, `rate * SCALE` silently loses integer precision
-/// and the "exact accounting" invariant would be fiction; 2^53 mb/s is
-/// ~9 Pb/s, far beyond any link this model describes.
-pub(crate) const MAX_EXACT_MILLIBITS: f64 = 9_007_199_254_740_992.0;
+/// Largest rate, in bits/s, that the millibit accounting holds exactly:
+/// 2^53 millibits/s, the largest count below which every integer is an
+/// `f64`. Above it `rate * SCALE` silently loses integer precision and
+/// the "exact accounting" invariant would be fiction; ~9 Tb/s is far
+/// beyond any link this model describes. Scenario files check every
+/// rate and capacity they set against it.
+pub const MAX_EXACT_RATE_BPS: f64 = 9_007_199_254_740_992.0 / SCALE;
 
 pub(crate) fn to_millibits(rate: f64) -> u64 {
     assert!(rate >= 0.0 && rate.is_finite(), "rate must be >= 0");
-    let mb = (rate * SCALE).round();
     assert!(
-        mb <= MAX_EXACT_MILLIBITS,
+        rate <= MAX_EXACT_RATE_BPS,
         "rate {rate} bits/s exceeds exact millibit accounting range \
-         ({MAX_EXACT_MILLIBITS} mb/s)"
+         ({MAX_EXACT_RATE_BPS} bits/s)"
     );
-    mb as u64
+    (rate * SCALE).round() as u64
 }
 
 /// How many of `flows` flows of `want` millibits/s fit in a cell whose
@@ -593,10 +594,7 @@ mod tests {
     #[test]
     fn millibits_exact_at_the_precision_boundary() {
         // The largest exactly-representable millibit count converts.
-        assert_eq!(
-            to_millibits(MAX_EXACT_MILLIBITS / SCALE),
-            MAX_EXACT_MILLIBITS as u64
-        );
+        assert_eq!(to_millibits(MAX_EXACT_RATE_BPS), 1 << 53);
     }
 
     #[test]

@@ -818,13 +818,13 @@ mod tests {
             burst = 640
             rate = 32000
             deadline = 0.1
-            alpha = 1.0
+            alpha = 0.5
             [[class]]
             name = "video"
             burst = 64000
             rate = 2e6
             deadline = 0.3
-            alpha = 2.0
+            alpha = 1.0
             [pairs]
             mode = "all"
             step = 2

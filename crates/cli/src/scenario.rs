@@ -2,6 +2,7 @@
 //! classes, and the pair demand, loadable by every CLI command.
 
 use crate::toml_lite::{parse, Document, Table, Value};
+use uba::admission::state::MAX_EXACT_RATE_BPS;
 use uba::admission::{AimdParams, ChainKind, PolicyConfig};
 use uba::graph::{Digraph, NodeId};
 use uba::obs::SloConfig;
@@ -78,6 +79,18 @@ fn positive(key: &str, v: f64) -> Result<f64, ScenarioError> {
     } else {
         Err(bad(format!("{key} must be positive and finite, got {v}")))
     }
+}
+
+/// A rate, capacity or burst in bits (per second): positive, and inside
+/// the range the admission layer accounts exactly in integer millibits.
+fn bits(key: &str, v: f64) -> Result<f64, ScenarioError> {
+    let v = positive(key, v)?;
+    if v > MAX_EXACT_RATE_BPS {
+        return Err(bad(format!(
+            "{key} must be at most {MAX_EXACT_RATE_BPS} (exact millibit accounting), got {v:e}"
+        )));
+    }
+    Ok(v)
 }
 
 /// Largest topology a scenario may ask for. Configuration is at least
@@ -196,25 +209,25 @@ fn parse_policy(t: Option<&Table>) -> Result<PolicyConfig, ScenarioError> {
     }
     Ok(PolicyConfig {
         chain,
-        bucket_rate_bps: positive(
+        bucket_rate_bps: bits(
             "policy.bucket_rate_bps",
             num_or(t, "bucket_rate_bps", d.bucket_rate_bps)?,
         )?,
-        bucket_burst_bits: positive(
+        bucket_burst_bits: bits(
             "policy.bucket_burst_bits",
             num_or(t, "bucket_burst_bits", d.bucket_burst_bits)?,
         )?,
         aimd: AimdParams {
-            min_rate_bps: positive(
+            min_rate_bps: bits(
                 "policy.aimd_min_rate_bps",
                 num_or(t, "aimd_min_rate_bps", d.aimd.min_rate_bps)?,
             )?,
-            max_rate_bps: positive(
+            max_rate_bps: bits(
                 "policy.aimd_max_rate_bps",
                 num_or(t, "aimd_max_rate_bps", d.aimd.max_rate_bps)?,
             )?,
             decrease,
-            increase_bps: positive(
+            increase_bps: bits(
                 "policy.aimd_increase_bps",
                 num_or(t, "aimd_increase_bps", d.aimd.increase_bps)?,
             )?,
@@ -232,7 +245,7 @@ impl Scenario {
         let graph = build_topology(&topo_table)?;
 
         let net = doc.table("network").cloned().unwrap_or_default();
-        let capacity = positive("network.capacity", num_or(&net, "capacity", 100e6)?)?;
+        let capacity = bits("network.capacity", num_or(&net, "capacity", 100e6)?)?;
         let fan_in = num_or(&net, "fan_in", 0.0)? as usize;
         let servers = if fan_in == 0 {
             Servers::uniform(&graph, capacity, graph.max_in_degree().max(1))
@@ -250,14 +263,18 @@ impl Scenario {
             for ct in class_tables {
                 let name = string_or(ct, "name", "class")?.to_string();
                 let burst = positive("class.burst", num(ct, "burst")?)?;
-                let rate = positive("class.rate", num(ct, "rate")?)?;
+                let rate = bits("class.rate", num(ct, "rate")?)?;
                 let deadline = positive("class.deadline", num(ct, "deadline")?)?;
                 classes.push(TrafficClass::new(
                     name,
                     LeakyBucket::new(burst, rate),
                     deadline,
                 ));
-                alphas.push(num_or(ct, "alpha", 0.1)?);
+                let alpha = num_or(ct, "alpha", 0.1)?;
+                if !(0.0..=1.0).contains(&alpha) {
+                    return Err(bad(format!("class.alpha must be in [0, 1], got {alpha}")));
+                }
+                alphas.push(alpha);
             }
         }
 
@@ -515,6 +532,27 @@ mod tests {
             (
                 "[[class]]\nburst = 640\nrate = 32000\ndeadline = nan",
                 "class.deadline",
+            ),
+            ("[network]\ncapacity = 1e300", "network.capacity"),
+            (
+                "[[class]]\nburst = 640\nrate = 1e20\ndeadline = 0.1",
+                "class.rate",
+            ),
+            (
+                "[[class]]\nburst = 640\nrate = 32000\ndeadline = 0.1\nalpha = 1.5",
+                "class.alpha",
+            ),
+            (
+                "[[class]]\nburst = 640\nrate = 32000\ndeadline = 0.1\nalpha = -0.2",
+                "class.alpha",
+            ),
+            (
+                "[[class]]\nburst = 640\nrate = 32000\ndeadline = 0.1\nalpha = nan",
+                "class.alpha",
+            ),
+            (
+                "[policy]\nchain = \"token_bucket\"\nbucket_rate_bps = 1e20",
+                "policy.bucket_rate_bps",
             ),
         ] {
             let e = Scenario::from_str(toml).unwrap_err();

@@ -50,14 +50,6 @@ impl Value {
         }
     }
 
-    /// The boolean, if this is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The array elements, if this is an array.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
@@ -314,7 +306,7 @@ mod tests {
         let net = doc.table("net").unwrap();
         assert_eq!(net["capacity"], Value::Number(1e8));
         assert_eq!(net["name"].as_str(), Some("backbone"));
-        assert_eq!(net["enabled"].as_bool(), Some(true));
+        assert_eq!(net["enabled"], Value::Bool(true));
     }
 
     #[test]

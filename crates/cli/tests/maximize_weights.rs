@@ -1,9 +1,11 @@
 //! Multi-class `maximize` at the process boundary: the scenario's class
-//! alphas are the trade-off ray's weights, and a vector that names no
-//! direction — a negative, NaN or infinite weight, all zeros, a sum that
-//! overflows — is a scenario error (exit 1, the weights named on stderr),
-//! never a panic and never a search that quietly reports `t = 0`. So is a
-//! selector the multi-class search does not have.
+//! alphas are the trade-off ray's weights. Each is a utilization share,
+//! so a negative, NaN, infinite or above-one weight does not load (exit
+//! 2, the key named on stderr); a vector that loads but names no
+//! direction — all zeros — is a scenario error (exit 1, the weights
+//! named on stderr). Neither panics or runs a search that quietly
+//! reports `t = 0`. So is a selector the multi-class search does not
+//! have.
 
 use std::process::{Command, Output};
 
@@ -30,20 +32,20 @@ fn maximize(name: &str, alphas: [&str; 2], selector: Option<&str>) -> Output {
 
 #[test]
 fn a_weight_vector_with_no_direction_is_a_scenario_error() {
-    for (i, alphas) in [
-        ["-1.0", "2.0"],
-        ["nan", "2.0"],
-        ["0.0", "0.0"],
-        ["inf", "2.0"],
-        ["1e308", "1e308"],
+    for (i, (alphas, code, names)) in [
+        (["-1.0", "1.0"], 2, "class.alpha"),
+        (["nan", "1.0"], 2, "class.alpha"),
+        (["inf", "1.0"], 2, "class.alpha"),
+        (["1e308", "1e308"], 2, "class.alpha"),
+        (["0.0", "0.0"], 1, "weights"),
     ]
     .into_iter()
     .enumerate()
     {
         let out = maximize(&format!("weights_{i}.toml"), alphas, None);
         let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{alphas:?}: {err}");
-        assert!(err.contains("weights"), "{alphas:?}: {err}");
+        assert_eq!(out.status.code(), Some(code), "{alphas:?}: {err}");
+        assert!(err.contains(names), "{alphas:?}: {err}");
         assert!(!err.contains("panicked"), "{alphas:?}: {err}");
         assert!(out.stdout.is_empty(), "{alphas:?}: reported a search");
     }
@@ -51,14 +53,14 @@ fn a_weight_vector_with_no_direction_is_a_scenario_error() {
 
 #[test]
 fn a_usable_vector_still_searches_and_the_selector_is_checked_first() {
-    let ok = maximize("weights_ok.toml", ["1.0", "2.0"], None);
+    let ok = maximize("weights_ok.toml", ["0.5", "1.0"], None);
     let stdout = String::from_utf8_lossy(&ok.stdout);
     assert_eq!(ok.status.code(), Some(0));
     assert!(stdout.contains("maximum safe scale"), "{stdout}");
     assert!(!stdout.contains("probes: 0"), "{stdout}");
 
     for (selector, names) in [("magic", "unknown selector"), ("sp", "heuristic")] {
-        let out = maximize("weights_ok.toml", ["1.0", "2.0"], Some(selector));
+        let out = maximize("weights_ok.toml", ["0.5", "1.0"], Some(selector));
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{selector}: {err}");
         assert!(err.contains(names), "{selector}: {err}");

@@ -4,7 +4,9 @@
 //! — single-class, so it exercises the delay solver, admission churn +
 //! saturation, and the packet simulator) through `cmd_metrics`, then
 //! diffs the metric names the process-global registry actually holds
-//! against the manifest the xtask linter enforces:
+//! against the manifest. This is the check for names built at run time
+//! (SLO gauges, policy-stage reject counters, trace kinds), which the
+//! xtask linter's literal scan cannot see:
 //!
 //! * every live registry name must appear in the manifest (a metric was
 //!   added without regenerating the file), and

@@ -16,15 +16,7 @@
 //! The simplified and the paper-literal forms are both implemented and
 //! tested to agree.
 
-use uba_traffic::{Envelope, LeakyBucket};
-
-/// Theorem 1's common envelope `H_k(I) = min(C·I, T + ρ·Y_k + ρ·I)` for a
-/// class with bucket `(T, ρ)`, accumulated upstream delay `y`, on links of
-/// capacity `c`.
-pub fn theorem1_envelope(bucket: LeakyBucket, y: f64, c: f64) -> Envelope {
-    let jittered = bucket.jittered(y);
-    Envelope::leaky_bucket(jittered.burst, jittered.rate, c)
-}
+use uba_traffic::LeakyBucket;
 
 /// Lemma 1/2's per-input-link saturation instant `τ_{k,j}` for `n` flows
 /// of profile `(T, ρ)` with upstream delay `y` on a link of capacity `c`:
@@ -177,15 +169,6 @@ mod tests {
     fn tau_none_when_link_saturated() {
         let b = voip();
         assert!(tau(4000.0, b, 0.0, 4000.0 * b.rate).is_none());
-    }
-
-    #[test]
-    fn theorem1_envelope_shape() {
-        let e = theorem1_envelope(voip(), 0.01, 100e6);
-        // At large I: T + ρ·Y + ρ·I = 640 + 320 + 32000·I.
-        assert!((e.eval(1.0) - (960.0 + 32_000.0)).abs() < 1e-9);
-        assert_eq!(e.eval(0.0), 0.0); // capped by C·I at the origin
-        assert!(e.is_concave());
     }
 
     #[test]

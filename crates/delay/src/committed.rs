@@ -77,7 +77,6 @@ pub struct CommittedState<'a, R = Theorem3> {
     y: Vec<f64>,
     used: Vec<bool>,
     route_delays: Vec<f64>,
-    prop: Vec<f64>,
     /// Servers whose `Y` moved after `d` was last evaluated there.
     stale: Vec<u32>,
     /// `(k, f(Y_k))` for the stale servers where that differs from
@@ -198,7 +197,6 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
             y: vec![0.0; s],
             used: vec![false; s],
             route_delays: Vec::with_capacity(n + 1),
-            prop: Vec::with_capacity(n + 1),
             stale: Vec::new(),
             pending: Vec::new(),
             pending_ready: false,
@@ -226,9 +224,7 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
                 }
                 prefix += st.d[k];
             }
-            let p = servers.route_const_delay(&r.servers);
-            st.prop.push(p);
-            st.route_delays.push(prefix + p);
+            st.route_delays.push(prefix);
         }
         st.blocked = (st.routes.routes().iter())
             .zip(&st.route_delays)
@@ -284,8 +280,7 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
             .servers
             .iter()
             .fold(0.0, |prefix, &sv| prefix + self.d[sv as usize * nc + class]);
-        let at_committed = queueing + self.servers.route_const_delay(&route.servers);
-        Some(at_committed * (1.0 - R::ROUNDING_MARGIN))
+        Some(queueing * (1.0 - R::ROUNDING_MARGIN))
     }
 
     /// Evaluates `route` as if appended to the committed set: `Some(own
@@ -379,8 +374,6 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
             );
         }
         // Stage the candidate as one more route.
-        self.prop
-            .push(self.servers.route_const_delay(&cand.servers));
         self.route_delays.push(0.0);
         self.dirty_mark.resize(n + 1, false);
         for &sv in &cand.servers {
@@ -419,7 +412,7 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
             &mut self.log_y,
             &mut self.touched_mark,
             &mut self.touched,
-        ) + self.prop[n];
+        );
         self.route_delays[n] = own;
         if own > self.rule.deadline(cand.class) + DEADLINE_SLACK {
             return false;
@@ -537,7 +530,7 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
             &mut self.log_y,
             &mut self.touched_mark,
             &mut self.touched,
-        ) + self.prop[ri];
+        );
         if rd != self.route_delays[ri] {
             self.log_rd.push((ri as u32, self.route_delays[ri]));
             self.route_delays[ri] = rd;
@@ -583,7 +576,6 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
         for &sv in &cand.servers {
             self.through[sv as usize * nc + class].pop();
         }
-        self.prop.pop();
         self.route_delays.pop();
         self.clear_journal();
     }

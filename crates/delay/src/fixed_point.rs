@@ -162,17 +162,10 @@ fn sweep_route(r: &Route, nc: usize, d: &[f64], y: &mut [f64]) -> f64 {
 /// prefixes under `d`, and each route's end-to-end delay. Inlined with
 /// [`sweep_route`] so that `nc` is the rule's constant in the hop loop.
 #[inline(always)]
-fn sweep_all(
-    routes: &[Route],
-    nc: usize,
-    prop: &[f64],
-    d: &[f64],
-    y: &mut [f64],
-    route_delays: &mut [f64],
-) {
+fn sweep_all(routes: &[Route], nc: usize, d: &[f64], y: &mut [f64], route_delays: &mut [f64]) {
     y.fill(0.0);
     for (ri, r) in routes.iter().enumerate() {
-        route_delays[ri] = sweep_route(r, nc, d, y) + prop[ri];
+        route_delays[ri] = sweep_route(r, nc, d, y);
     }
 }
 
@@ -213,19 +206,12 @@ fn solve_core<R: DelayRule>(
     let mut route_delays = vec![0.0; committed.len()];
     let mut record = SolveRecord::default();
 
-    // Used-cell mask, constant (propagation) delay per route. The
-    // propagation term consumes deadline budget but adds no jitter, so it
-    // enters the checks, never `Y`.
     let mut used = vec![false; cells];
     for r in committed {
         for &sv in &r.servers {
             used[sv as usize * nc + r.class.index()] = true;
         }
     }
-    let prop: Vec<f64> = committed
-        .iter()
-        .map(|r| servers.route_const_delay(&r.servers))
-        .collect();
     let n_used = used.iter().filter(|&&u| u).count() as u64;
 
     let mut iterate = || -> Outcome {
@@ -239,7 +225,7 @@ fn solve_core<R: DelayRule>(
 
         loop {
             record.iterations += 1;
-            sweep_all(committed, nc, &prop, &d, &mut y, &mut route_delays);
+            sweep_all(committed, nc, &d, &mut y, &mut route_delays);
             if let Some(ri) = first_violation(rule, committed, &route_delays) {
                 return Outcome::DeadlineExceeded { route: ri };
             }
@@ -276,7 +262,7 @@ fn solve_core<R: DelayRule>(
             if max_diff <= cfg.tol {
                 // Converged: one final pass for route delays at the fixed
                 // point.
-                sweep_all(committed, nc, &prop, &d, &mut y, &mut route_delays);
+                sweep_all(committed, nc, &d, &mut y, &mut route_delays);
                 return match first_violation(rule, committed, &route_delays) {
                     Some(ri) => Outcome::DeadlineExceeded { route: ri },
                     None => Outcome::Safe,
@@ -345,7 +331,7 @@ mod tests {
         let d = [vec![0.010, 0.020, 0.005, 0.001], vec![0.25, 0.5, 0.0, 0.0]];
         let d = crate::rule::to_cells(&d, 4);
         let (mut y, mut rd) = (vec![f64::NAN; 8], [0.0; 3]);
-        sweep_all(routes.routes(), 2, &[0.0, 0.0, 0.5], &d, &mut y, &mut rd);
+        sweep_all(routes.routes(), 2, &d, &mut y, &mut rd);
         let y = crate::rule::by_class(&y, 2);
         // Server 2 sees max(0 from the first route's first hop, 0.030).
         let close = |a: f64, b: f64| (a - b).abs() < 1e-15;
@@ -353,7 +339,7 @@ mod tests {
         assert!(close(y[0][2], 0.030) && close(y[0][3], 0.005));
         // The second visit's prefix; class 0's delays play no part.
         assert_eq!(y[1], [0.75, 0.25, 0.0, 0.0]);
-        assert!(close(rd[0], 0.006) && close(rd[1], 0.035) && rd[2] == 1.5);
+        assert!(close(rd[0], 0.006) && close(rd[1], 0.035) && rd[2] == 1.0);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The flow-aware *general delay formula* (Eq. 2–3).
+//! The flow-aware *general delay formula* (Eq. 2–3, and Eq. 24 for
+//! several classes).
 //!
 //! Given the exact set of established flows, the worst-case delay of a
 //! static-priority server is
@@ -16,8 +17,8 @@
 //!
 //! * as the **intserv-style baseline** admission test (re-verify all flows
 //!   on every arrival), the scalability comparator of experiment S-AC;
-//! * as the **reference** the Theorem 3 bound is property-tested against:
-//!   for any admissible flow placement, Theorem 3 must dominate Eq. (3).
+//! * as the **reference** the Theorem 3 and Theorem 5 bounds are tested
+//!   against: for any admissible flow placement, they must dominate it.
 
 use crate::servers::Servers;
 use uba_traffic::{Envelope, LeakyBucket};
@@ -45,6 +46,8 @@ pub fn server_delay_general(c: f64, inputs: &[Vec<LeakyBucket>]) -> Option<f64> 
 /// One established flow for the network-wide general analysis.
 #[derive(Clone, Debug)]
 pub struct Flow {
+    /// Static-priority class, 0 = highest.
+    pub class: usize,
     /// Source policer.
     pub bucket: LeakyBucket,
     /// End-to-end deadline in seconds.
@@ -77,189 +80,6 @@ pub enum GeneralOutcome {
 pub struct GeneralResult {
     /// Verdict.
     pub outcome: GeneralOutcome,
-    /// Per-server worst-case delays at the last iterate.
-    pub delays: Vec<f64>,
-    /// Per-flow end-to-end delays at the last iterate.
-    pub flow_delays: Vec<f64>,
-    /// Iterations performed.
-    pub iterations: usize,
-}
-
-/// Network-wide fixed point of the general formula for an explicit flow
-/// set (single class: all flows share the top priority).
-///
-/// Each server's inputs are derived from the flows' routes: a flow arrives
-/// at hop `p` on the input link identified by its hop `p−1` (or on its
-/// ingress router's access link for `p = 0`; all locally originated flows
-/// of a router share one access link). The per-hop jitter inflation is
-/// `T + ρ·(accumulated upstream delay)`, per Cruz's Theorem 2.1.
-///
-/// Iterates monotonically from zero, so the same early-exit arguments as
-/// the configuration-time solver apply.
-pub fn analyze_flows(
-    servers: &Servers,
-    flows: &[Flow],
-    tol: f64,
-    max_iters: usize,
-) -> GeneralResult {
-    let s = servers.len();
-    // Stability pre-check: aggregate rate per server.
-    let mut rate = vec![0.0f64; s];
-    for f in flows {
-        for &k in &f.servers {
-            rate[k as usize] += f.bucket.rate;
-        }
-    }
-    if let Some(k) = (0..s).find(|&k| rate[k] > servers.capacity_at(k)) {
-        return GeneralResult {
-            outcome: GeneralOutcome::Unstable { server: k },
-            delays: vec![0.0; s],
-            flow_delays: vec![0.0; flows.len()],
-            iterations: 0,
-        };
-    }
-
-    // Per server: which (flow, hop) arrive there, keyed by predecessor
-    // link (u32::MAX = ingress). Precomputed once.
-    struct Arrival {
-        flow: u32,
-        hop: u32,
-        pred: u32,
-    }
-    let mut arrivals: Vec<Vec<Arrival>> = (0..s).map(|_| Vec::new()).collect();
-    for (fi, f) in flows.iter().enumerate() {
-        for (p, &k) in f.servers.iter().enumerate() {
-            let pred = if p == 0 { u32::MAX } else { f.servers[p - 1] };
-            arrivals[k as usize].push(Arrival {
-                flow: fi as u32,
-                hop: p as u32,
-                pred,
-            });
-        }
-    }
-
-    let mut d = vec![0.0f64; s];
-    let mut iterations = 0;
-    loop {
-        iterations += 1;
-        // Prefix delays per flow per hop.
-        let mut prefix: Vec<Vec<f64>> = Vec::with_capacity(flows.len());
-        let mut flow_delays = Vec::with_capacity(flows.len());
-        for f in flows {
-            let mut acc = 0.0;
-            let mut pre = Vec::with_capacity(f.servers.len());
-            for &k in &f.servers {
-                pre.push(acc);
-                acc += d[k as usize];
-            }
-            prefix.push(pre);
-            flow_delays.push(acc);
-        }
-        if let Some(fi) = flows
-            .iter()
-            .enumerate()
-            .position(|(fi, f)| flow_delays[fi] > f.deadline + 1e-12)
-        {
-            return GeneralResult {
-                outcome: GeneralOutcome::DeadlineExceeded { flow: fi },
-                delays: d,
-                flow_delays,
-                iterations,
-            };
-        }
-
-        let mut max_diff: f64 = 0.0;
-        let mut d_new = vec![0.0f64; s];
-        let mut groups: std::collections::HashMap<u32, (f64, f64)> =
-            std::collections::HashMap::new();
-        for k in 0..s {
-            if arrivals[k].is_empty() {
-                continue;
-            }
-            groups.clear();
-            for a in &arrivals[k] {
-                let f = &flows[a.flow as usize];
-                let jit = prefix[a.flow as usize][a.hop as usize];
-                let e = groups.entry(a.pred).or_insert((0.0, 0.0));
-                e.0 += f.bucket.burst + f.bucket.rate * jit;
-                e.1 += f.bucket.rate;
-            }
-            let c = servers.capacity_at(k);
-            let mut agg = Envelope::zero();
-            // Deterministic order for bit-for-bit reproducibility.
-            let mut keys: Vec<u32> = groups.keys().copied().collect();
-            keys.sort_unstable();
-            for key in keys {
-                let (sigma, rho) = groups[&key];
-                agg = agg.sum(&Envelope::token_bucket(sigma, rho).min_with_line(c));
-            }
-            match agg.delay(c) {
-                Some(v) => {
-                    max_diff = max_diff.max((v - d[k]).abs());
-                    d_new[k] = v;
-                }
-                None => {
-                    return GeneralResult {
-                        outcome: GeneralOutcome::Unstable { server: k },
-                        delays: d,
-                        flow_delays,
-                        iterations,
-                    }
-                }
-            }
-        }
-        d = d_new;
-
-        if max_diff <= tol {
-            // Final flow delays at the fixed point.
-            let mut flow_delays = Vec::with_capacity(flows.len());
-            for f in flows {
-                flow_delays.push(f.servers.iter().map(|&k| d[k as usize]).sum::<f64>());
-            }
-            let outcome = match flows
-                .iter()
-                .enumerate()
-                .find(|(fi, f)| flow_delays[*fi] > f.deadline + 1e-12)
-            {
-                Some((fi, _)) => GeneralOutcome::DeadlineExceeded { flow: fi },
-                None => GeneralOutcome::Feasible,
-            };
-            return GeneralResult {
-                outcome,
-                delays: d,
-                flow_delays,
-                iterations,
-            };
-        }
-        if iterations >= max_iters {
-            return GeneralResult {
-                outcome: GeneralOutcome::IterationLimit,
-                delays: d,
-                flow_delays,
-                iterations,
-            };
-        }
-    }
-}
-
-/// A flow with an explicit class for the multi-class general analysis.
-#[derive(Clone, Debug)]
-pub struct ClassedFlow {
-    /// Static-priority class, 0 = highest.
-    pub class: usize,
-    /// Source policer.
-    pub bucket: LeakyBucket,
-    /// End-to-end deadline in seconds.
-    pub deadline: f64,
-    /// Link servers traversed, in order (raw edge indices).
-    pub servers: Vec<u32>,
-}
-
-/// Result of [`analyze_flows_multiclass`].
-#[derive(Clone, Debug)]
-pub struct MulticlassGeneralResult {
-    /// Verdict.
-    pub outcome: GeneralOutcome,
     /// `delays[class][server]` at the last iterate.
     pub delays: Vec<Vec<f64>>,
     /// Per-flow end-to-end delays at the last iterate.
@@ -268,8 +88,15 @@ pub struct MulticlassGeneralResult {
     pub iterations: usize,
 }
 
-/// Eq. (24): the flow-aware general delay formula under class-based
-/// static priority with an arbitrary number of classes.
+/// Network-wide fixed point of the general formula for an explicit flow
+/// set under class-based static priority with `classes` classes: Eq. (3)
+/// for one class, Eq. (24) for several.
+///
+/// Each server's inputs are derived from the flows' routes: a flow arrives
+/// at hop `p` on the input link identified by its hop `p−1` (or on its
+/// ingress router's access link for `p = 0`; all locally originated flows
+/// of a router share one access link). The per-hop jitter inflation is
+/// `T + ρ·(accumulated upstream delay)`, per Cruz's Theorem 2.1.
 ///
 /// A class-`i` packet at server `k` waits for the backlog of classes
 /// `0..=i` *plus* the higher-priority traffic that keeps arriving while
@@ -281,14 +108,19 @@ pub struct MulticlassGeneralResult {
 ///
 /// where `A_l` is class `l`'s per-input-link-capped aggregate envelope at
 /// server `k`. The scalar recursion in `d_{i,k}` is itself solved by
-/// monotone iteration inside the network-level fixed point.
-pub fn analyze_flows_multiclass(
+/// monotone iteration inside the network-level fixed point; where no
+/// higher class reaches server `k` it does not depend on `d_{i,k}` and
+/// one evaluation is the answer.
+///
+/// Iterates monotonically from zero, so the same early-exit arguments as
+/// the configuration-time solver apply.
+pub fn analyze_flows(
     servers: &Servers,
-    flows: &[ClassedFlow],
+    flows: &[Flow],
     classes: usize,
     tol: f64,
     max_iters: usize,
-) -> MulticlassGeneralResult {
+) -> GeneralResult {
     let s = servers.len();
     assert!(classes > 0, "need at least one class");
     for f in flows {
@@ -302,7 +134,7 @@ pub fn analyze_flows_multiclass(
         }
     }
     if let Some(k) = (0..s).find(|&k| rate[k] > servers.capacity_at(k)) {
-        return MulticlassGeneralResult {
+        return GeneralResult {
             outcome: GeneralOutcome::Unstable { server: k },
             delays: vec![vec![0.0; s]; classes],
             flow_delays: vec![0.0; flows.len()],
@@ -310,20 +142,33 @@ pub fn analyze_flows_multiclass(
         };
     }
 
+    // Per server: which (flow, hop) arrive there, in flow order, and the
+    // (class, predecessor link) group each joins (u32::MAX = ingress),
+    // groups in key order. Precomputed once.
     struct Arrival {
         flow: u32,
         hop: u32,
-        pred: u32,
+        group: u32,
     }
     let mut arrivals: Vec<Vec<Arrival>> = (0..s).map(|_| Vec::new()).collect();
+    let mut groups: Vec<Vec<(usize, u32)>> = vec![Vec::new(); s];
     for (fi, f) in flows.iter().enumerate() {
         for (p, &k) in f.servers.iter().enumerate() {
             let pred = if p == 0 { u32::MAX } else { f.servers[p - 1] };
+            groups[k as usize].push((f.class, pred));
             arrivals[k as usize].push(Arrival {
                 flow: fi as u32,
                 hop: p as u32,
-                pred,
+                group: 0,
             });
+        }
+    }
+    for (keys, arrivals) in groups.iter_mut().zip(&mut arrivals) {
+        let all = keys.clone();
+        keys.sort_unstable();
+        keys.dedup();
+        for (a, key) in arrivals.iter_mut().zip(&all) {
+            a.group = keys.binary_search(key).expect("every key is kept") as u32;
         }
     }
 
@@ -347,7 +192,7 @@ pub fn analyze_flows_multiclass(
         }
         if let Some(fi) = (0..flows.len()).find(|&fi| flow_delays[fi] > flows[fi].deadline + 1e-12)
         {
-            return MulticlassGeneralResult {
+            return GeneralResult {
                 outcome: GeneralOutcome::DeadlineExceeded { flow: fi },
                 delays: d,
                 flow_delays,
@@ -357,30 +202,30 @@ pub fn analyze_flows_multiclass(
 
         let mut max_diff: f64 = 0.0;
         let mut d_new = vec![vec![0.0f64; s]; classes];
-        // Per (class, pred) sigma/rho accumulation.
-        let mut groups: std::collections::HashMap<(usize, u32), (f64, f64)> =
-            std::collections::HashMap::new();
+        // Per group sigma/rho, summed in arrival order (the bits depend on
+        // it), and per class the aggregate.
+        let mut sums: Vec<(f64, f64)> = Vec::new();
+        let mut aggs: Vec<Option<Envelope>> = Vec::with_capacity(classes);
         for k in 0..s {
             if arrivals[k].is_empty() {
                 continue;
             }
             let c = servers.capacity_at(k);
-            groups.clear();
+            sums.clear();
+            sums.resize(groups[k].len(), (0.0, 0.0));
             for a in &arrivals[k] {
                 let f = &flows[a.flow as usize];
                 let jit = prefix[a.flow as usize][a.hop as usize];
-                let e = groups.entry((f.class, a.pred)).or_insert((0.0, 0.0));
+                let e = &mut sums[a.group as usize];
                 e.0 += f.bucket.burst + f.bucket.rate * jit;
                 e.1 += f.bucket.rate;
             }
-            // Per-class aggregate envelopes A_l (deterministic order).
-            let mut keys: Vec<(usize, u32)> = groups.keys().copied().collect();
-            keys.sort_unstable();
-            let mut aggs: Vec<Option<Envelope>> = vec![None; classes];
-            for key in keys {
-                let (sigma, rho) = groups[&key];
+            // Per-class aggregate envelopes A_l, groups in key order.
+            aggs.clear();
+            aggs.resize(classes, None);
+            for (&(class, _), &(sigma, rho)) in groups[k].iter().zip(&sums) {
                 let env = Envelope::token_bucket(sigma, rho).min_with_line(c);
-                let slot = &mut aggs[key.0];
+                let slot = &mut aggs[class];
                 *slot = Some(match slot.take() {
                     Some(prev) => prev.sum(&env),
                     None => env,
@@ -391,28 +236,32 @@ pub fn analyze_flows_multiclass(
                 let Some(own) = aggs[i].as_ref() else {
                     continue;
                 };
-                // Scalar recursion d <- (1/C) max_I (Σ_{l<i} A_l(I+d) +
-                // A_i(I) − C·I); monotone from the previous network
-                // iterate's value.
-                let mut di = d[i][k];
-                let mut inner = 0;
-                let value = loop {
-                    inner += 1;
-                    let mut total = own.clone();
-                    for agg in aggs.iter().take(i).flatten() {
-                        total = total.sum(&agg.shift(di));
-                    }
-                    match total.delay(c) {
-                        Some(next) => {
-                            if (next - di).abs() <= tol {
-                                break Some(next);
-                            }
-                            di = next;
+                let value = if aggs[..i].iter().all(Option::is_none) {
+                    own.delay(c)
+                } else {
+                    // Scalar recursion d <- (1/C) max_I (Σ_{l<i} A_l(I+d)
+                    // + A_i(I) − C·I); monotone from the previous network
+                    // iterate's value.
+                    let mut di = d[i][k];
+                    let mut inner = 0;
+                    loop {
+                        inner += 1;
+                        let mut total = own.clone();
+                        for agg in aggs.iter().take(i).flatten() {
+                            total = total.sum(&agg.shift(di));
                         }
-                        None => break None,
-                    }
-                    if inner >= max_iters {
-                        break Some(di);
+                        match total.delay(c) {
+                            Some(next) => {
+                                if (next - di).abs() <= tol {
+                                    break Some(next);
+                                }
+                                di = next;
+                            }
+                            None => break None,
+                        }
+                        if inner >= max_iters {
+                            break Some(di);
+                        }
                     }
                 };
                 match value {
@@ -421,7 +270,7 @@ pub fn analyze_flows_multiclass(
                         d_new[i][k] = v;
                     }
                     None => {
-                        return MulticlassGeneralResult {
+                        return GeneralResult {
                             outcome: GeneralOutcome::Unstable { server: k },
                             delays: d,
                             flow_delays,
@@ -434,6 +283,7 @@ pub fn analyze_flows_multiclass(
         d = d_new;
 
         if max_diff <= tol {
+            // Final flow delays at the fixed point.
             let mut flow_delays = Vec::with_capacity(flows.len());
             for f in flows {
                 let dc = &d[f.class];
@@ -444,7 +294,7 @@ pub fn analyze_flows_multiclass(
                     Some(fi) => GeneralOutcome::DeadlineExceeded { flow: fi },
                     None => GeneralOutcome::Feasible,
                 };
-            return MulticlassGeneralResult {
+            return GeneralResult {
                 outcome,
                 delays: d,
                 flow_delays,
@@ -452,7 +302,7 @@ pub fn analyze_flows_multiclass(
             };
         }
         if iterations >= max_iters {
-            return MulticlassGeneralResult {
+            return GeneralResult {
                 outcome: GeneralOutcome::IterationLimit,
                 delays: d,
                 flow_delays,
@@ -561,11 +411,13 @@ mod tests {
         let servers = Servers::uniform(&g, 1e6, 4);
         let flows = vec![
             Flow {
+                class: 0,
                 bucket: voip(),
                 deadline: 0.1,
                 servers: vec![e01, e12],
             },
             Flow {
+                class: 0,
                 bucket: voip(),
                 deadline: 0.1,
                 servers: vec![e31, e12],
@@ -577,13 +429,13 @@ mod tests {
     #[test]
     fn network_analysis_feasible_case() {
         let (servers, flows) = two_hop_flows();
-        let r = analyze_flows(&servers, &flows, 1e-12, 1000);
+        let r = analyze_flows(&servers, &flows, 1, 1e-12, 1000);
         assert_eq!(r.outcome, GeneralOutcome::Feasible);
         // The merge point (server e12) sees two input links and queues.
-        assert!(r.delays[1] > 0.0);
+        assert!(r.delays[0][1] > 0.0);
         // First hops have a single (ingress) input link: no queueing.
-        assert!(r.delays[0].abs() < 1e-12);
-        assert!(r.delays[2].abs() < 1e-12);
+        assert!(r.delays[0][0].abs() < 1e-12);
+        assert!(r.delays[0][2].abs() < 1e-12);
         assert!(r.flow_delays.iter().all(|&fd| fd > 0.0 && fd < 0.1));
     }
 
@@ -591,45 +443,33 @@ mod tests {
     fn network_analysis_deadline_violation() {
         let (servers, mut flows) = two_hop_flows();
         flows[0].deadline = 1e-12;
-        let r = analyze_flows(&servers, &flows, 1e-12, 1000);
+        let r = analyze_flows(&servers, &flows, 1, 1e-12, 1000);
         assert_eq!(r.outcome, GeneralOutcome::DeadlineExceeded { flow: 0 });
     }
 
     #[test]
     fn network_analysis_unstable() {
         let (servers, flows) = two_hop_flows();
-        // 40 copies of each flow: 80 * 32 kb/s = 2.56 Mb/s > 1 Mb/s.
-        let many: Vec<Flow> = (0..80).map(|i| flows[i % 2].clone()).collect();
-        let r = analyze_flows(&servers, &many, 1e-12, 1000);
-        assert!(matches!(r.outcome, GeneralOutcome::Unstable { .. }));
+        // 40 copies of each flow: 80 * 32 kb/s = 2.56 Mb/s > 1 Mb/s,
+        // whether they share one class or alternate between two.
+        for classes in [1, 2] {
+            let many: Vec<Flow> = (0..80)
+                .map(|i| Flow {
+                    class: i % classes,
+                    ..flows[i % 2].clone()
+                })
+                .collect();
+            let r = analyze_flows(&servers, &many, classes, 1e-12, 1000);
+            assert!(matches!(r.outcome, GeneralOutcome::Unstable { .. }));
+        }
     }
 
     #[test]
     fn network_analysis_empty_flows() {
         let (servers, _) = two_hop_flows();
-        let r = analyze_flows(&servers, &[], 1e-12, 1000);
+        let r = analyze_flows(&servers, &[], 1, 1e-12, 1000);
         assert_eq!(r.outcome, GeneralOutcome::Feasible);
         assert_eq!(r.iterations, 1);
-    }
-
-    #[test]
-    fn multiclass_all_class0_matches_single_class() {
-        let (servers, flows) = two_hop_flows();
-        let classed: Vec<ClassedFlow> = flows
-            .iter()
-            .map(|f| ClassedFlow {
-                class: 0,
-                bucket: f.bucket,
-                deadline: f.deadline,
-                servers: f.servers.clone(),
-            })
-            .collect();
-        let single = analyze_flows(&servers, &flows, 1e-12, 1000);
-        let multi = analyze_flows_multiclass(&servers, &classed, 1, 1e-12, 1000);
-        assert_eq!(single.outcome, multi.outcome);
-        for (a, b) in single.delays.iter().zip(&multi.delays[0]) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
     }
 
     #[test]
@@ -640,15 +480,14 @@ mod tests {
         let mut classed = Vec::new();
         for class in 0..2usize {
             for f in &flows {
-                classed.push(ClassedFlow {
+                classed.push(Flow {
                     class,
-                    bucket: f.bucket,
                     deadline: 1.0,
-                    servers: f.servers.clone(),
+                    ..f.clone()
                 });
             }
         }
-        let r = analyze_flows_multiclass(&servers, &classed, 2, 1e-12, 1000);
+        let r = analyze_flows(&servers, &classed, 2, 1e-12, 1000);
         assert_eq!(r.outcome, GeneralOutcome::Feasible);
         // On the merge server (index 1) both classes queue; priority
         // ordering must show.
@@ -659,24 +498,6 @@ mod tests {
             r.delays[1][1],
             r.delays[0][1]
         );
-    }
-
-    #[test]
-    fn multiclass_unstable_detected() {
-        let (servers, flows) = two_hop_flows();
-        let classed: Vec<ClassedFlow> = (0..80)
-            .map(|i| {
-                let f = &flows[i % 2];
-                ClassedFlow {
-                    class: i % 2,
-                    bucket: f.bucket,
-                    deadline: 1.0,
-                    servers: f.servers.clone(),
-                }
-            })
-            .collect();
-        let r = analyze_flows_multiclass(&servers, &classed, 2, 1e-12, 1000);
-        assert!(matches!(r.outcome, GeneralOutcome::Unstable { .. }));
     }
 
     #[test]
@@ -701,7 +522,7 @@ mod tests {
             let per_link = (alpha * c / b.rate / n as f64).floor() as usize;
             for &e in &in_edges {
                 for _ in 0..per_link {
-                    classed.push(ClassedFlow {
+                    classed.push(Flow {
                         class: ci,
                         bucket: b,
                         deadline: 1.0,
@@ -710,7 +531,7 @@ mod tests {
                 }
             }
         }
-        let exact = analyze_flows_multiclass(&servers, &classed, 2, 1e-10, 2000);
+        let exact = analyze_flows(&servers, &classed, 2, 1e-10, 2000);
         assert_eq!(exact.outcome, GeneralOutcome::Feasible);
         let specs: Vec<ClassSpec> = alphas
             .iter()
@@ -744,13 +565,14 @@ mod tests {
         let servers = Servers::uniform(&g, 1e6, 4);
         let flows: Vec<Flow> = (0..10)
             .map(|_| Flow {
+                class: 0,
                 bucket: voip(),
                 deadline: 0.1,
                 servers: vec![e01],
             })
             .collect();
-        let r = analyze_flows(&servers, &flows, 1e-12, 1000);
+        let r = analyze_flows(&servers, &flows, 1, 1e-12, 1000);
         assert_eq!(r.outcome, GeneralOutcome::Feasible);
-        assert!(r.delays[0].abs() < 1e-12);
+        assert!(r.delays[0][0].abs() < 1e-12);
     }
 }

@@ -10,13 +10,11 @@
 
 use uba_graph::{Digraph, EdgeId};
 
-/// Capacity, fan-in, and constant (propagation/processing) delay for
-/// every link server of a topology.
+/// Capacity and fan-in for every link server of a topology.
 #[derive(Clone, Debug)]
 pub struct Servers {
     capacity: Vec<f64>,
     fan_in: Vec<usize>,
-    const_delay: Vec<f64>,
 }
 
 impl Servers {
@@ -28,7 +26,6 @@ impl Servers {
         Self {
             capacity: vec![c; g.edge_count()],
             fan_in: vec![n; g.edge_count()],
-            const_delay: vec![0.0; g.edge_count()],
         }
     }
 
@@ -42,7 +39,6 @@ impl Servers {
         Self {
             capacity: vec![c; g.edge_count()],
             fan_in,
-            const_delay: vec![0.0; g.edge_count()],
         }
     }
 
@@ -78,32 +74,6 @@ impl Servers {
     #[inline]
     pub fn fan_in_at(&self, k: usize) -> usize {
         self.fan_in[k]
-    }
-
-    /// Overrides one server's capacity (heterogeneous-link scenarios).
-    pub fn set_capacity(&mut self, e: EdgeId, c: f64) {
-        assert!(c > 0.0 && c.is_finite(), "capacity must be positive");
-        self.capacity[e.index()] = c;
-    }
-
-    /// Overrides one server's fan-in.
-    pub fn set_fan_in(&mut self, e: EdgeId, n: usize) {
-        assert!(n >= 1, "fan-in must be at least 1");
-        self.fan_in[e.index()] = n;
-    }
-
-    /// Sets a server's constant delay (propagation + processing), which
-    /// the paper's model subtracts from the deadline budget: constant
-    /// delays shift arrivals uniformly and therefore add no jitter, so
-    /// they never enter `Y_k` — only the end-to-end deadline check.
-    pub fn set_const_delay(&mut self, e: EdgeId, d: f64) {
-        assert!(d >= 0.0 && d.is_finite(), "constant delay must be >= 0");
-        self.const_delay[e.index()] = d;
-    }
-
-    /// Sum of constant delays along a route (raw server indices).
-    pub fn route_const_delay(&self, servers: &[u32]) -> f64 {
-        servers.iter().map(|&s| self.const_delay[s as usize]).sum()
     }
 }
 
@@ -143,20 +113,6 @@ mod tests {
         }
         let hub_out = g.find_edge(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(s.fan_in(hub_out), 4);
-    }
-
-    #[test]
-    fn overrides_apply() {
-        let g = star();
-        let mut s = Servers::uniform(&g, 1e6, 2);
-        let e = g.find_edge(NodeId(0), NodeId(1)).unwrap();
-        s.set_capacity(e, 5e6);
-        s.set_fan_in(e, 9);
-        assert_eq!(s.capacity(e), 5e6);
-        assert_eq!(s.fan_in(e), 9);
-        // Others untouched.
-        let other = g.find_edge(NodeId(0), NodeId(2)).unwrap();
-        assert_eq!(s.capacity(other), 1e6);
     }
 
     #[test]

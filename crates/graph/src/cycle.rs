@@ -76,19 +76,6 @@ impl DynDigraph {
             .map_or(0, |&(_, m)| m as usize)
     }
 
-    /// Adds one instance of edge `(u, v)`.
-    pub fn add_edge(&mut self, u: u32, v: u32) {
-        self.add_chain(&[u, v]);
-    }
-
-    /// Removes one instance of edge `(u, v)`.
-    ///
-    /// # Panics
-    /// Panics if the edge is not present.
-    pub fn remove_edge(&mut self, u: u32, v: u32) {
-        self.remove_chain(&[u, v]);
-    }
-
     /// Adds the consecutive-pair edges of a vertex sequence (a route).
     pub fn add_chain(&mut self, chain: &[u32]) {
         self.assert_in_range(chain);
@@ -252,12 +239,12 @@ mod tests {
     #[test]
     fn multiplicity_tracked_and_removal_exact() {
         let mut g = DynDigraph::new(2);
-        g.add_edge(0, 1);
-        g.add_edge(0, 1);
+        g.add_chain(&[0, 1]);
+        g.add_chain(&[0, 1]);
         assert_eq!(g.multiplicity(0, 1), 2);
-        g.remove_edge(0, 1);
+        g.remove_chain(&[0, 1]);
         assert_eq!(g.multiplicity(0, 1), 1);
-        g.remove_edge(0, 1);
+        g.remove_chain(&[0, 1]);
         assert_eq!(g.multiplicity(0, 1), 0);
     }
 
@@ -265,23 +252,22 @@ mod tests {
     #[should_panic(expected = "not present")]
     fn removing_absent_edge_panics() {
         let mut g = DynDigraph::new(2);
-        g.remove_edge(0, 1);
+        g.remove_chain(&[0, 1]);
     }
 
     #[test]
     fn self_loop_is_cycle() {
         let mut g = DynDigraph::new(2);
-        g.add_edge(1, 1);
+        g.add_chain(&[1, 1]);
         assert!(g.has_cycle());
     }
 
     #[test]
     fn two_node_cycle() {
         let mut g = DynDigraph::new(2);
-        g.add_edge(0, 1);
-        g.add_edge(1, 0);
+        g.add_chain(&[0, 1, 0]);
         assert!(g.has_cycle());
-        g.remove_edge(1, 0);
+        g.remove_chain(&[1, 0]);
         assert!(!g.has_cycle());
     }
 

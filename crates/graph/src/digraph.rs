@@ -170,12 +170,6 @@ impl Digraph {
         &self.inc[n.index()]
     }
 
-    /// Out-degree of a node.
-    #[inline]
-    pub fn out_degree(&self, n: NodeId) -> usize {
-        self.out[n.index()].len()
-    }
-
     /// In-degree of a node — the paper's per-router fan-in `N` when the
     /// topology was built with [`Digraph::add_link`].
     #[inline]
@@ -202,32 +196,6 @@ impl Digraph {
             .iter()
             .copied()
             .find(|&e| self.dst(e) == b)
-    }
-
-    /// Renders the graph in Graphviz DOT format (directed; labels from
-    /// node labels, edge weight as label when not 1.0).
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph g {\n");
-        for n in self.nodes() {
-            writeln!(out, "  n{} [label=\"{}\"];", n.0, self.label(n)).unwrap();
-        }
-        for e in self.edges() {
-            let w = self.weight(e);
-            if w == 1.0 {
-                writeln!(out, "  n{} -> n{};", self.src(e).0, self.dst(e).0).unwrap();
-            } else {
-                writeln!(
-                    out,
-                    "  n{} -> n{} [label=\"{w}\"];",
-                    self.src(e).0,
-                    self.dst(e).0
-                )
-                .unwrap();
-            }
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -333,7 +301,7 @@ mod tests {
     fn degrees_match_links() {
         let (g, [a, _, _]) = triangle();
         assert_eq!(g.in_degree(a), 2);
-        assert_eq!(g.out_degree(a), 2);
+        assert_eq!(g.out_edges(a).len(), 2);
         assert_eq!(g.max_in_degree(), 2);
     }
 
@@ -386,29 +354,12 @@ mod tests {
     }
 
     #[test]
-    fn dot_export_mentions_every_node_and_edge() {
-        let (g, _) = triangle();
-        let dot = g.to_dot();
-        assert!(dot.starts_with("digraph g {"));
-        assert_eq!(dot.matches("label=").count(), 3); // unit weights unlabeled
-        assert_eq!(dot.matches("->").count(), 6);
-        assert!(dot.contains("n0 [label=\"a\"]"));
-    }
-
-    #[test]
-    fn dot_export_labels_non_unit_weights() {
-        let mut g = Digraph::with_nodes(2);
-        g.add_edge(NodeId(0), NodeId(1), 2.5);
-        assert!(g.to_dot().contains("label=\"2.5\""));
-    }
-
-    #[test]
     fn multigraph_parallel_edges_allowed() {
         let mut g = Digraph::with_nodes(2);
         let e1 = g.add_edge(NodeId(0), NodeId(1), 1.0);
         let e2 = g.add_edge(NodeId(0), NodeId(1), 2.0);
         assert_ne!(e1, e2);
-        assert_eq!(g.out_degree(NodeId(0)), 2);
+        assert_eq!(g.out_edges(NodeId(0)).len(), 2);
         assert_eq!(g.in_degree(NodeId(1)), 2);
     }
 }

@@ -125,16 +125,6 @@ impl Histogram {
         self.max_bits.fetch_max(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Raises the max watermark without adding a sample. Buffered
-    /// recorders (the admission hot path) count samples per slot locally
-    /// and flush via [`record_n`](Self::record_n) at the slot's lower
-    /// bound, which would silently shrink `max`; they call this with the
-    /// true largest sample instead.
-    pub fn observe_max(&self, v: f64) {
-        let v = if v.is_finite() && v > 0.0 { v } else { 0.0 };
-        self.max_bits.fetch_max(v.to_bits(), Ordering::Relaxed);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
@@ -367,19 +357,6 @@ mod tests {
         h.record(-3.0);
         assert_eq!(h.count(), 3);
         assert!(h.max().is_finite());
-    }
-
-    #[test]
-    fn observe_max_raises_watermark_without_counting() {
-        let h = Histogram::with_base(1.0);
-        h.observe_max(9.5);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.max(), 9.5);
-        // A smaller later watermark cannot lower it; hostile input is
-        // clamped like record.
-        h.observe_max(1.0);
-        h.observe_max(f64::NAN);
-        assert_eq!(h.max(), 9.5);
     }
 
     #[test]

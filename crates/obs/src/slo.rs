@@ -142,9 +142,7 @@ pub enum Cmp {
 #[derive(Clone, Debug)]
 pub struct SloRule {
     /// Rule name (lower-snake identifier; becomes the `slo.<name>.*`
-    /// gauge names and the alert-log key). xtask rule 9 cross-checks
-    /// every name built through [`SloRule::named`] against the metrics
-    /// manifest.
+    /// gauge names and the alert-log key).
     pub name: String,
     /// What the rule measures each window.
     pub signal: SloSignal,
@@ -159,10 +157,7 @@ pub struct SloRule {
 }
 
 impl SloRule {
-    /// The one constructor for production rules. Keeping the rule name a
-    /// string literal at the `SloRule::named("…", …)` call site is what
-    /// lets the repo linter (xtask rule 9) verify that `slo.<name>.state`
-    /// and `slo.<name>.value` are in `docs/metrics-manifest.txt`.
+    /// The one constructor for production rules.
     ///
     /// # Panics
     /// Panics on an empty name or one with characters outside

@@ -467,6 +467,42 @@ mod tests {
         t.emit(kind, 0, flow, 1, 1.5, 2.5);
     }
 
+    /// `ALL` holds every kind once, at the index listed here. The match
+    /// has no wildcard arm, so a new variant does not compile until it
+    /// is listed with an index, and then fails until `ALL` — which the
+    /// manifest's trace test enumerates — holds it there.
+    #[test]
+    fn all_lists_every_kind_at_its_index() {
+        macro_rules! kinds {
+            ($($kind:ident => $i:expr,)*) => {{
+                let index = |k: EventKind| match k {
+                    $(EventKind::$kind => $i,)*
+                };
+                $(assert_eq!(EventKind::ALL[index(EventKind::$kind)], EventKind::$kind);)*
+                assert_eq!(EventKind::ALL.len(), [$($i),*].len());
+            }};
+        }
+        kinds! {
+            Admit => 0,
+            RejectLinkFull => 1,
+            RejectNoRoute => 2,
+            Release => 3,
+            SolveBegin => 4,
+            SolveEnd => 5,
+            WarmStartAccept => 6,
+            WarmStartFallback => 7,
+            SearchProbe => 8,
+            DeadlineMiss => 9,
+            QueueHighWater => 10,
+            ReconfigApplied => 11,
+            GenerationRetired => 12,
+            AdmitBatch => 13,
+            AlertFire => 14,
+            AlertResolve => 15,
+            RejectPolicy => 16,
+        }
+    }
+
     #[test]
     fn disabled_tracer_records_nothing() {
         let t = Tracer::with_capacity(8);

@@ -2,15 +2,12 @@
 //!
 //! The paper invokes configuration "at system startup or after
 //! renegotiation of service level agreements" (Section 4). In operation
-//! that renegotiation is rarely a from-scratch rerun: pairs are added or
-//! retired one at a time, and links fail. This module maintains a live
+//! that renegotiation is rarely a from-scratch rerun: pairs are added
+//! one at a time, and links fail. This module maintains a live
 //! [`Configuration`] that supports:
 //!
 //! * [`Configuration::add_pair`] — route one more pair, warm-started from
 //!   the committed fixed point (sound: adding a route only grows `Z`);
-//! * [`Configuration::remove_pair`] — retire a pair (delays re-solved
-//!   from scratch: shrinking the route set shrinks the least fixed point,
-//!   so the old delays are *not* a valid warm start);
 //! * [`Configuration::fail_link`] — withdraw a physical link and re-route
 //!   every affected pair around it, re-verifying safety.
 //!
@@ -138,20 +135,6 @@ impl Configuration {
         });
         (self.routes, self.delays, self.route_delays) = state.into_parts();
         outcome
-    }
-
-    /// Retires every committed route of `pair` (there is normally one).
-    /// Returns how many routes were removed. Delays are re-solved from
-    /// scratch (the fixed point shrinks, so the old vector would be an
-    /// over-estimate, not a warm start).
-    pub fn remove_pair(&mut self, pair: Pair) -> usize {
-        let gone: Vec<bool> = self.pairs.iter().map(|&p| p == pair).collect();
-        if !gone.contains(&true) {
-            return 0;
-        }
-        let removed = self.detach(&gone).len();
-        self.solve();
-        removed
     }
 
     /// Takes the committed routes marked in `gone` (one flag per route)
@@ -315,31 +298,6 @@ mod tests {
         assert_eq!(c.pairs().len(), before + 1);
         assert!(c.verify());
         assert_eq!(*c.pairs().last().unwrap(), extra);
-    }
-
-    #[test]
-    fn remove_pair_shrinks_delays() {
-        let mut c = base_config(0.35, 12);
-        let victim = c.pairs()[0];
-        let worst_before = c.route_delays().iter().cloned().fold(0.0, f64::max);
-        assert_eq!(c.remove_pair(victim), 1);
-        assert!(!c.pairs().contains(&victim));
-        let worst_after = c.route_delays().iter().cloned().fold(0.0, f64::max);
-        assert!(worst_after <= worst_before + 1e-12);
-        assert!(c.verify());
-    }
-
-    #[test]
-    fn remove_missing_pair_noop() {
-        let mut c = base_config(0.3, 30);
-        let ghost = Pair {
-            src: NodeId(0),
-            dst: NodeId(1),
-        };
-        let present = c.pairs().contains(&ghost);
-        if !present {
-            assert_eq!(c.remove_pair(ghost), 0);
-        }
     }
 
     #[test]

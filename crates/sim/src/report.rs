@@ -87,16 +87,6 @@ impl DelayHistogram {
         }
         Some(Self::BASE * 2f64.powi(47))
     }
-
-    /// Fraction of samples above `threshold` seconds (bucket-resolution,
-    /// rounded conservatively upward).
-    pub fn fraction_above(&self, threshold: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let above: u64 = self.counts[Self::bucket(threshold)..].iter().sum();
-        above as f64 / self.total as f64
-    }
 }
 
 /// Per-class delivery statistics.
@@ -222,8 +212,6 @@ mod tests {
         assert!(p50 <= 3e-3, "p50 {p50}");
         let p99 = h.quantile(0.99).unwrap();
         assert!(p99 >= 0.05, "p99 {p99}");
-        assert!((h.fraction_above(0.05) - 0.10).abs() < 1e-12);
-        assert_eq!(h.fraction_above(10.0), 0.0);
     }
 
     #[test]
@@ -257,7 +245,6 @@ mod tests {
     fn histogram_empty() {
         let h = DelayHistogram::default();
         assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.fraction_above(1.0), 0.0);
     }
 
     #[test]

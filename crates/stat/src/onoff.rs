@@ -30,11 +30,6 @@ impl OnOffClass {
     pub fn voip() -> Self {
         Self::new(32_000.0, 0.4)
     }
-
-    /// Long-run mean rate `p·h`.
-    pub fn mean_rate(&self) -> f64 {
-        self.activity * self.peak_rate
-    }
 }
 
 /// Monte Carlo estimate of the instantaneous overflow probability
@@ -69,12 +64,6 @@ pub fn monte_carlo_violation(
 mod tests {
     use super::*;
     use crate::binomial::binomial_tail;
-
-    #[test]
-    fn voip_mean_rate() {
-        let v = OnOffClass::voip();
-        assert!((v.mean_rate() - 12_800.0).abs() < 1e-9);
-    }
 
     #[test]
     fn monte_carlo_tracks_exact_tail() {

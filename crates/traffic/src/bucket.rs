@@ -40,24 +40,6 @@ impl LeakyBucket {
         self.burst + self.rate * interval
     }
 
-    /// Upper bound on traffic during `I` on a link of capacity `c`:
-    /// `min(c·I, T + ρ·I)`.
-    pub fn bound_capped(&self, interval: f64, c: f64) -> f64 {
-        (c * interval).min(self.bound(interval))
-    }
-
-    /// The burst-drain time `T / (C − ρ)`: how long the bucket can emit at
-    /// link rate before falling back to `ρ`.
-    ///
-    /// Returns `INFINITY` when `ρ ≥ c`.
-    pub fn drain_time(&self, c: f64) -> f64 {
-        if self.rate >= c {
-            f64::INFINITY
-        } else {
-            self.burst / (c - self.rate)
-        }
-    }
-
     /// A bucket with the burst inflated by accumulated upstream jitter
     /// delay `y` (Theorem 1's `H_k`): `(T + ρ·y, ρ)`.
     pub fn jittered(&self, y: f64) -> Self {
@@ -82,31 +64,6 @@ mod tests {
         let b = voip();
         assert_eq!(b.bound(0.0), 640.0);
         assert_eq!(b.bound(1.0), 32_640.0);
-    }
-
-    #[test]
-    fn capped_bound_small_interval_limited_by_link() {
-        let b = voip();
-        let c = 100e6;
-        // At tiny I the link cap C·I dominates.
-        assert_eq!(b.bound_capped(1e-9, c), 1e-9 * c);
-        // At large I the bucket dominates.
-        assert_eq!(b.bound_capped(1.0, c), 32_640.0);
-    }
-
-    #[test]
-    fn drain_time_voip() {
-        let b = voip();
-        let c = 100e6;
-        let dt = b.drain_time(c);
-        assert!((dt - 640.0 / (c - 32_000.0)).abs() < 1e-18);
-    }
-
-    #[test]
-    fn drain_time_infinite_when_rate_exceeds_capacity() {
-        let b = LeakyBucket::new(100.0, 10.0);
-        assert_eq!(b.drain_time(10.0), f64::INFINITY);
-        assert_eq!(b.drain_time(5.0), f64::INFINITY);
     }
 
     #[test]

@@ -85,16 +85,6 @@ impl BurstModel {
         let var = (self.p * s * s - (self.p * s) * (self.p * s)).max(0.0);
         var.sqrt() / self.mean()
     }
-
-    /// Probability of a spike tick.
-    pub fn spike_probability(&self) -> f64 {
-        self.p
-    }
-
-    /// Batch size on a spike tick.
-    pub fn spike_size(&self) -> u64 {
-        self.quiet + self.spike
-    }
 }
 
 #[cfg(test)]
@@ -149,12 +139,10 @@ mod tests {
     #[test]
     fn high_cv_means_rare_large_spikes() {
         let model = BurstModel::with_mean_cv(8.0, 3.0);
-        assert!(
-            model.spike_probability() < 0.1,
-            "{}",
-            model.spike_probability()
-        );
-        assert!(model.spike_size() > 50, "{}", model.spike_size());
+        // A spike is more than 50 arrivals, and fewer than one tick in
+        // ten carries one.
+        assert!(model.sample(0.0) > 50, "{}", model.sample(0.0));
+        assert_eq!(model.sample(0.1), 1);
         // Quiet ticks are the common case.
         assert_eq!(model.sample(0.99), 1);
     }

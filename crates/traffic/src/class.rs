@@ -109,11 +109,6 @@ impl ClassSet {
             .enumerate()
             .map(|(i, c)| (ClassId(i), c))
     }
-
-    /// Ids of all classes with *strictly higher* priority than `id`.
-    pub fn higher_priority(&self, id: ClassId) -> impl Iterator<Item = ClassId> {
-        (0..id.index()).map(ClassId)
-    }
 }
 
 #[cfg(test)]
@@ -142,17 +137,6 @@ mod tests {
         assert_eq!(lo, ClassId(1));
         assert_eq!(s.len(), 2);
         assert_eq!(s.get(hi).name, "voip");
-    }
-
-    #[test]
-    fn higher_priority_lists_strictly_higher() {
-        let mut s = ClassSet::new();
-        for _ in 0..3 {
-            s.push(TrafficClass::voip());
-        }
-        let above: Vec<ClassId> = s.higher_priority(ClassId(2)).collect();
-        assert_eq!(above, vec![ClassId(0), ClassId(1)]);
-        assert_eq!(s.higher_priority(ClassId(0)).count(), 0);
     }
 
     #[test]

@@ -75,33 +75,6 @@ impl Envelope {
         Self::token_bucket(sigma, rho).min_with_line(c)
     }
 
-    /// Builds an envelope from raw breakpoints; validates the invariants.
-    ///
-    /// # Panics
-    /// Panics if breakpoints are not strictly increasing from `I = 0`,
-    /// values are negative/non-finite, or the function would decrease.
-    pub fn from_points(points: Vec<(f64, f64)>, final_slope: f64) -> Self {
-        assert!(!points.is_empty(), "need at least one breakpoint");
-        assert!(points[0].0 == 0.0, "first breakpoint must be at I = 0");
-        assert!(
-            final_slope >= 0.0 && final_slope.is_finite(),
-            "final slope must be >= 0"
-        );
-        for w in points.windows(2) {
-            assert!(w[0].0 < w[1].0, "breakpoints must strictly increase");
-            assert!(w[0].1 <= w[1].1 + EPS, "envelope must be non-decreasing");
-        }
-        for &(x, v) in &points {
-            assert!(x.is_finite() && v.is_finite() && v >= 0.0, "bad breakpoint");
-        }
-        let e = Self {
-            points,
-            final_slope,
-        };
-        debug_assert!(e.is_concave(), "envelope must be concave");
-        e
-    }
-
     /// The breakpoints, for inspection.
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
@@ -465,31 +438,5 @@ mod tests {
         let agg = Envelope::token_bucket(1000.0, C);
         let d = agg.delay(C).unwrap();
         assert!((d - 1000.0 / C).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalization_drops_collinear_points() {
-        let e = Envelope::from_points(vec![(0.0, 0.0), (1.0, 10.0)], 10.0);
-        let s = e.sum(&Envelope::zero());
-        // The breakpoint at 1.0 is collinear with the final slope.
-        assert_eq!(s.points().len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increase")]
-    fn unsorted_points_rejected() {
-        Envelope::from_points(vec![(0.0, 0.0), (2.0, 2.0), (1.0, 3.0)], 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "first breakpoint")]
-    fn missing_origin_rejected() {
-        Envelope::from_points(vec![(1.0, 0.0)], 0.0);
-    }
-
-    #[test]
-    fn eval_outside_breakpoints_uses_final_slope() {
-        let e = Envelope::from_points(vec![(0.0, 0.0), (1.0, 5.0)], 1.0);
-        assert!((e.eval(3.0) - 7.0).abs() < 1e-12);
     }
 }

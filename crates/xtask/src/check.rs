@@ -18,9 +18,8 @@
 //!    workspace is 100% safe Rust and every crate root carries
 //!    `#![forbid(unsafe_code)]`).
 //! 4. **metric-manifest** — every metric name registered via
-//!    `.counter("…")` / `.gauge("…")` / `.histogram("…", _)` and every
-//!    trace `EventKind` name must appear in `docs/metrics-manifest.txt`
-//!    (trace kinds as `trace.<name>`), so dashboards cannot silently
+//!    `.counter("…")` / `.gauge("…")` / `.histogram("…", _)` must appear
+//!    in `docs/metrics-manifest.txt`, so dashboards cannot silently
 //!    drift from the code. `format!`-built names are matched as globs
 //!    (`{…}` → `*`) against the manifest's concrete entries.
 //! 5. **clock-discipline** — `Instant::now` / `SystemTime` only inside
@@ -43,24 +42,11 @@
 //!    carry a `// padding:` waiver comment nearby explaining why
 //!    sharing is acceptable (e.g. sparse writes, or cells that are
 //!    all-thread-shared by design).
-//! 9. **slo-rule-manifest** — every SLO rule constructed with
-//!    `SloRule::named("…", …)` publishes a `slo.<name>.state` and a
-//!    `slo.<name>.value` gauge (registered by `SloEngine::new`), so
-//!    both names must appear in `docs/metrics-manifest.txt`. Rule 4
-//!    cannot see them: the gauges are registered from the rule's
-//!    runtime name, not a literal at the `.gauge(…)` call site. The
-//!    name literal is matched on the `SloRule::named(` line or within
-//!    the next few lines (the rustfmt multi-line call form).
-//! 10. **policy-stage-manifest** — every policy stage listed in
-//!     `STAGE_NAMES` (crates/admission/src/policy.rs) gets a reject-cause
-//!     counter `admission.rejects.policy.<name>` registered from its
-//!     runtime name plus the shared `trace.reject_policy` tracepoint, so
-//!     all of those names must appear in `docs/metrics-manifest.txt`.
-//!     Like rule 9, rule 4 cannot see them: the counters come from a
-//!     `format!` over the list, and the glob `admission.rejects.policy.*`
-//!     would be satisfied by a single stale entry. The stage-name
-//!     literals are read off the `STAGE_NAMES` declaration line or the
-//!     next few lines below it (the rustfmt wrapped-array form).
+//!
+//! Numbers 9 and 10 are unused: names built at run time — SLO gauges,
+//! policy-stage reject counters, trace kinds — are checked against the
+//! manifest by the live registry in `crates/cli/tests/metrics_manifest.rs`.
+//!
 //! 11. **loom-model-coverage** — every module carrying a `// ordering:`
 //!     justification (rule 1) must be mapped in `docs/loom-models.txt`
 //!     to a `#![cfg(loom)]` model file that checks it under the
@@ -615,22 +601,6 @@ fn word_at(hay: &str, pat: &str) -> Vec<usize> {
 /// distant ordering.
 const JUSTIFICATION_WINDOW: usize = 8;
 
-/// Rule 9 call-site marker and how many lines below it the rule-name
-/// literal may sit (rustfmt puts the first argument of a wrapped call
-/// on the line after the open paren).
-const SLO_RULE_MARKER: &str = "SloRule::named(";
-const SLO_NAME_LOOKAHEAD: usize = 4;
-
-/// Rule 10 declaration marker (the `pub const STAGE_NAMES: [&str; N]`
-/// list in crates/admission/src/policy.rs) and how many lines at and
-/// below it the stage-name literals may span (rustfmt wraps a long
-/// array one element per line).
-const STAGE_LIST_MARKER: &str = "const STAGE_NAMES";
-const STAGE_LIST_LOOKAHEAD: usize = 6;
-
-/// The tracepoint every policy-stage reject emits (rule 10).
-const POLICY_REJECT_TRACE: &str = "trace.reject_policy";
-
 /// Lints one file; used directly by the fixture tests below.
 #[cfg(test)]
 pub fn lint_source(rel: &str, source: &str, manifest: &Manifest) -> Vec<String> {
@@ -789,7 +759,7 @@ fn lint_file(
             }
         }
 
-        // Rule 4a: registered metric names must be manifested.
+        // Rule 4: registered metric names must be manifested.
         for reg in [".counter(", ".gauge(", ".histogram("] {
             let mut from = 0;
             while let Some(pos) = line.code[from..].find(reg) {
@@ -805,113 +775,6 @@ fn lint_file(
                             idx,
                             "metric-manifest",
                             format!("metric `{name}` not in docs/metrics-manifest.txt"),
-                        );
-                    }
-                }
-            }
-        }
-
-        // Rule 9: SLO rules publish `slo.<name>.state` / `.value`
-        // gauges from their runtime name; both must be manifested. The
-        // name is the first string literal after the marker — on the
-        // same raw line, or (the rustfmt multi-line call form) on one
-        // of the next few lines.
-        if line.code.contains(SLO_RULE_MARKER) {
-            let name = (idx..raw.len().min(idx + SLO_NAME_LOOKAHEAD)).find_map(|j| {
-                let rl = raw.get(j).copied().unwrap_or("");
-                let tail = if j == idx {
-                    rl.find(SLO_RULE_MARKER)
-                        .map_or(rl, |p| &rl[p + SLO_RULE_MARKER.len()..])
-                } else {
-                    rl
-                };
-                between(tail, "\"", "\"")
-            });
-            if let Some(name) = name {
-                for part in ["state", "value"] {
-                    stats.metric_names += 1;
-                    let gauge = format!("slo.{name}.{part}");
-                    if !manifest.covers(&gauge) {
-                        vio(
-                            violations,
-                            idx,
-                            "slo-rule-manifest",
-                            format!(
-                                "SLO rule `{name}` publishes `{gauge}` but it is not in \
-                                 docs/metrics-manifest.txt"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-
-        // Rule 10: every policy stage in the `STAGE_NAMES` list gets a
-        // reject-cause counter `admission.rejects.policy.<name>`
-        // (registered via `format!` over the list, invisible to rule 4
-        // beyond a single glob) plus the shared reject tracepoint; all
-        // must be manifested individually. The name literals sit on the
-        // declaration line after the `=`, or on the next few lines (the
-        // rustfmt wrapped-array form).
-        if rel == "crates/admission/src/policy.rs" && line.code.contains(STAGE_LIST_MARKER) {
-            let mut names: Vec<&str> = Vec::new();
-            for j in idx..raw.len().min(idx + STAGE_LIST_LOOKAHEAD) {
-                let rl = raw.get(j).copied().unwrap_or("");
-                let tail = if j == idx {
-                    rl.find('=').map_or("", |p| &rl[p + 1..])
-                } else {
-                    rl
-                };
-                names.extend(quoted_literals(tail));
-                if tail.contains(']') {
-                    break;
-                }
-            }
-            for name in &names {
-                stats.metric_names += 1;
-                let counter = format!("admission.rejects.policy.{name}");
-                if !manifest.covers(&counter) {
-                    vio(
-                        violations,
-                        idx,
-                        "policy-stage-manifest",
-                        format!(
-                            "policy stage `{name}` publishes `{counter}` but it is not in \
-                             docs/metrics-manifest.txt"
-                        ),
-                    );
-                }
-            }
-            if !names.is_empty() {
-                stats.metric_names += 1;
-                if !manifest.covers(POLICY_REJECT_TRACE) {
-                    vio(
-                        violations,
-                        idx,
-                        "policy-stage-manifest",
-                        format!(
-                            "policy stages emit `{POLICY_REJECT_TRACE}` but it is not in \
-                             docs/metrics-manifest.txt"
-                        ),
-                    );
-                }
-            }
-        }
-
-        // Rule 4b: trace kinds (as_str arms) must be manifested as
-        // `trace.<name>`.
-        if rel == "crates/obs/src/trace.rs" {
-            let raw_line = raw.get(idx).copied().unwrap_or("");
-            if line.code.contains("EventKind::") && raw_line.contains("=> \"") {
-                if let Some(name) = between(raw_line, "=> \"", "\"") {
-                    stats.metric_names += 1;
-                    let manifested = format!("trace.{name}");
-                    if !manifest.covers(&manifested) {
-                        vio(
-                            violations,
-                            idx,
-                            "metric-manifest",
-                            format!("trace kind `{manifested}` not in docs/metrics-manifest.txt"),
                         );
                     }
                 }
@@ -963,20 +826,6 @@ fn extract_metric_name(raw_line: &str, reg: &str) -> Option<String> {
         }
     }
     (!name.is_empty()).then_some(name)
-}
-
-/// Every complete `"…"` literal in `hay`, in order (rule 10's
-/// stage-name lists; no escape handling needed for lower-snake names).
-fn quoted_literals(hay: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut rest = hay;
-    while let Some(start) = rest.find('"') {
-        let after = &rest[start + 1..];
-        let Some(end) = after.find('"') else { break };
-        out.push(&after[..end]);
-        rest = &after[end + 1..];
-    }
-    out
 }
 
 fn between<'a>(hay: &'a str, open: &str, close: &str) -> Option<&'a str> {
@@ -1084,18 +933,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_kind_names_checked_as_trace_prefix() {
-        let good = "impl EventKind { fn as_str(self) -> &'static str { match self {\n\
-                    EventKind::Admit => \"admit\",\n} } }";
-        assert!(lint_source("crates/obs/src/trace.rs", good, &manifest()).is_empty());
-        let bad = "impl EventKind { fn as_str(self) -> &'static str { match self {\n\
-                   EventKind::Admit => \"vanish\",\n} } }";
-        let v = lint_source("crates/obs/src/trace.rs", bad, &manifest());
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("trace.vanish"), "{v:?}");
-    }
-
-    #[test]
     fn clock_outside_obs_and_bench_fails() {
         let bad = "let t0 = std::time::Instant::now();";
         let v = lint_source("crates/sim/src/engine.rs", bad, &manifest());
@@ -1191,69 +1028,6 @@ mod tests {
     }
 
     #[test]
-    fn slo_rule_names_must_be_manifested() {
-        let m = Manifest::from_text(
-            "slo.miss_ratio.state\nslo.miss_ratio.value\nslo.reject_rate.state\n",
-        );
-        // Same-line form, fully manifested: clean.
-        let good = r#"let r = SloRule::named("miss_ratio", sig, Cmp::Above, 0.1, 2, 2);"#;
-        assert!(lint_source("crates/obs/src/slo.rs", good, &m).is_empty());
-        // Multi-line (rustfmt) form: the name sits below the marker.
-        let wrapped = "let r = SloRule::named(\n    \"miss_ratio\",\n    sig,\n);";
-        assert!(lint_source("crates/obs/src/slo.rs", wrapped, &m).is_empty());
-        // Unmanifested name: one violation per missing gauge.
-        let bad = r#"let r = SloRule::named("phantom", sig, Cmp::Above, 0.1, 2, 2);"#;
-        let v = lint_source("crates/obs/src/slo.rs", bad, &m);
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v[0].contains("slo-rule-manifest"), "{v:?}");
-        assert!(v[0].contains("slo.phantom.state"), "{v:?}");
-        assert!(v[1].contains("slo.phantom.value"), "{v:?}");
-        // Manifested .state but missing .value: exactly the gap flags.
-        let half = r#"let r = SloRule::named("reject_rate", sig, Cmp::Above, 1.0, 2, 2);"#;
-        let v = lint_source("crates/obs/src/slo.rs", half, &m);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("slo.reject_rate.value"), "{v:?}");
-        // Unit tests may construct throwaway rules freely.
-        let in_tests =
-            "#[cfg(test)]\nmod tests { fn t() { SloRule::named(\"scratch\", s, c, 0.0, 1, 1); } }";
-        assert!(lint_source("crates/obs/src/slo.rs", in_tests, &m).is_empty());
-        // The marker inside a doc comment or string is not a call site.
-        let quoted = "// see SloRule::named(\"x\", …)\nlet s = \"SloRule::named(\\\"y\\\"\";";
-        assert!(lint_source("crates/obs/src/slo.rs", quoted, &m).is_empty());
-    }
-
-    #[test]
-    fn policy_stage_names_must_be_manifested() {
-        let m = Manifest::from_text(
-            "admission.rejects.policy.aimd\nadmission.rejects.policy.token_bucket\n\
-             trace.reject_policy\n",
-        );
-        let rel = "crates/admission/src/policy.rs";
-        // Same-line form, fully manifested: clean.
-        let good = r#"pub const STAGE_NAMES: [&str; 2] = ["token_bucket", "aimd"];"#;
-        assert!(lint_source(rel, good, &m).is_empty());
-        // Wrapped (rustfmt) form: literals sit below the declaration.
-        let wrapped =
-            "pub const STAGE_NAMES: [&str; 2] = [\n    \"token_bucket\",\n    \"aimd\",\n];";
-        assert!(lint_source(rel, wrapped, &m).is_empty());
-        // A stage without its reject counter: exactly the gap flags.
-        let bad = r#"pub const STAGE_NAMES: [&str; 3] = ["token_bucket", "aimd", "phantom"];"#;
-        let v = lint_source(rel, bad, &m);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("policy-stage-manifest"), "{v:?}");
-        assert!(v[0].contains("admission.rejects.policy.phantom"), "{v:?}");
-        // Missing tracepoint line: flagged once for the whole list.
-        let no_trace = Manifest::from_text(
-            "admission.rejects.policy.aimd\nadmission.rejects.policy.token_bucket\n",
-        );
-        let v = lint_source(rel, good, &no_trace);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("trace.reject_policy"), "{v:?}");
-        // Other files never match (a doc mention is not the list).
-        assert!(lint_source("crates/admission/src/metrics.rs", bad, &m).is_empty());
-    }
-
-    #[test]
     fn loom_coverage_requires_mapped_cfg_loom_models() {
         let map = LoomMap::from_text(
             "# comment\ncrates/admission/src/state.rs -> crates/admission/tests/loom_models.rs\n",
@@ -1324,14 +1098,6 @@ mod tests {
             "crates/admission/src/state.rs",
             in_string
         ));
-    }
-
-    #[test]
-    fn quoted_literal_scanning() {
-        assert_eq!(quoted_literals(r#"["a", "b"];"#), vec!["a", "b"]);
-        assert_eq!(quoted_literals("no strings here"), Vec::<&str>::new());
-        // An unterminated literal is ignored rather than mis-paired.
-        assert_eq!(quoted_literals(r#""done", "dangl"#), vec!["done"]);
     }
 
     #[test]

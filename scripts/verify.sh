@@ -18,6 +18,9 @@ cargo build --offline --release --workspace
 echo "==> benchmark build (the frozen public surface benchmark/ compiles against; build only, no run)"
 cargo build --offline --release --manifest-path benchmark/Cargo.toml
 
+echo "==> benchmark self-tests (the harness's own tests: they compile against the public surface too)"
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "==> config_mci smoke (the frozen configuration workload's own check: every pass verified, alpha* inside Theorem 4's window and repeating bit for bit)"
 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload config_mci --seed 1 --seconds 2 --trace 0 > /dev/null
@@ -57,7 +60,7 @@ done) results/cli_paper.txt > /dev/null || {
 echo "==> cargo fmt --check (formatting gate)"
 cargo fmt --check
 
-echo "==> xtask check (repo invariant linter: orderings, shims, unsafe, manifest, clocks, padding, slo rules, policy stages, loom coverage)"
+echo "==> xtask check (repo invariant linter: orderings, shims, unsafe, metric manifest, clocks, parser unwraps, bench wiring, padding, loom coverage)"
 cargo run --offline -q -p xtask -- check
 
 echo "==> cargo clippy --workspace -- -D warnings (lint gate)"

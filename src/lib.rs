@@ -44,7 +44,6 @@ pub use uba_delay as delay;
 pub use uba_graph as graph;
 pub use uba_obs as obs;
 pub use uba_routing as routing;
-pub use uba_sched as sched;
 pub use uba_sim as sim;
 pub use uba_stat as stat;
 pub use uba_topology as topology;

@@ -50,12 +50,13 @@ fn configured_controller_admits_only_analyzable_load() {
     let flows: Vec<Flow> = handles
         .iter()
         .map(|(_, h)| Flow {
+            class: 0,
             bucket: voip.bucket,
             deadline: voip.deadline,
             servers: h.route().to_vec(),
         })
         .collect();
-    let exact = analyze_flows(&servers, &flows, 1e-9, 5000);
+    let exact = analyze_flows(&servers, &flows, 1, 1e-9, 5000);
     assert_eq!(exact.outcome, GeneralOutcome::Feasible);
     // And the exact delays are below the configuration-time bound.
     let cfg_bound = sel.route_delays.iter().cloned().fold(0.0, f64::max);
@@ -113,12 +114,13 @@ fn saturated_link_still_meets_deadline() {
     let flows: Vec<Flow> = handles
         .iter()
         .map(|h| Flow {
+            class: 0,
             bucket: voip.bucket,
             deadline: voip.deadline,
             servers: h.route().to_vec(),
         })
         .collect();
-    let exact = analyze_flows(&servers, &flows, 1e-9, 5000);
+    let exact = analyze_flows(&servers, &flows, 1, 1e-9, 5000);
     assert_eq!(exact.outcome, GeneralOutcome::Feasible);
 }
 

@@ -98,6 +98,7 @@ fn general_analysis_dominated_by_config_bound() {
                         reserved[e.index()] += voip.bucket.rate;
                     }
                     flows.push(Flow {
+                        class: 0,
                         bucket: voip.bucket,
                         deadline: voip.deadline,
                         servers: p.edges.iter().map(|e| e.0).collect(),
@@ -110,7 +111,7 @@ fn general_analysis_dominated_by_config_bound() {
             return Ok(());
         }
         reached += 1;
-        let exact = analyze_flows(&servers, &flows, 1e-9, 5000);
+        let exact = analyze_flows(&servers, &flows, 1, 1e-9, 5000);
         ensure!(
             exact.outcome == GeneralOutcome::Feasible,
             "{:?}",
@@ -119,9 +120,9 @@ fn general_analysis_dominated_by_config_bound() {
         // Per-server: exact delay <= configured bound.
         for k in 0..servers.len() {
             ensure!(
-                exact.delays[k] <= cfg.delays[k] + 1e-9,
+                exact.delays[0][k] <= cfg.delays[k] + 1e-9,
                 "server {k}: exact {} > bound {}",
-                exact.delays[k],
+                exact.delays[0][k],
                 cfg.delays[k]
             );
         }
