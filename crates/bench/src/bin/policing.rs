@@ -86,9 +86,8 @@ fn main() {
     let caps = vec![capacity; servers.len()];
     for policed in [false, true] {
         let cfg = SimConfig {
-            horizon: 0.6,
-            deadlines: vec![voip.deadline],
             policers: policed.then(|| vec![(voip.bucket.burst, voip.bucket.rate)]),
+            ..SimConfig::new(0.6, vec![voip.deadline])
         };
         let r = simulate(&caps, &flows, &cfg);
         println!(

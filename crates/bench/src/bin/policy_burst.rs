@@ -216,11 +216,7 @@ fn run_arm(
     let report = simulate(
         &caps,
         &flows,
-        &SimConfig {
-            horizon: window + LIFE_S + 1.0,
-            deadlines: vec![DEADLINE_S],
-            policers: None,
-        },
+        &SimConfig::new(window + LIFE_S + 1.0, vec![DEADLINE_S]),
     );
     let (packets, misses) = (report.total_packets, report.total_misses());
     ArmCell {

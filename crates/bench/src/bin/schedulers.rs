@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 use uba::prelude::*;
-use uba::sim::{simulate_with, Discipline, FlowSpec, SimConfig, SourceModel};
+use uba::sim::{simulate, Discipline, FlowSpec, SimConfig, SourceModel};
 
 fn main() {
     let g = uba::topology::mci();
@@ -65,11 +65,6 @@ fn main() {
         flows.iter().filter(|f| f.class == 1).count()
     );
 
-    let cfg = SimConfig {
-        horizon: 0.2,
-        deadlines: vec![0.1, f64::INFINITY],
-        policers: None,
-    };
     let disciplines: Vec<(&str, Discipline)> = vec![
         ("static-priority", Discipline::StaticPriority),
         ("fifo", Discipline::Fifo),
@@ -89,16 +84,13 @@ fn main() {
     println!(
         "# discipline voice_p50_ms voice_p99_ms voice_max_ms bulk_max_ms packets wall_ms Mevents/s"
     );
-    for (name, d) in disciplines {
+    for (name, discipline) in disciplines {
+        let cfg = SimConfig {
+            discipline,
+            ..SimConfig::new(0.2, vec![0.1, f64::INFINITY])
+        };
         let t0 = Instant::now();
-        let r = simulate_with(
-            &vec![capacity; g.edge_count()],
-            &flows,
-            &cfg,
-            &d,
-            None,
-            None,
-        );
+        let r = simulate(&vec![capacity; g.edge_count()], &flows, &cfg);
         let wall = t0.elapsed();
         let q = |p: f64| r.histograms[0].quantile(p).unwrap_or(0.0) * 1e3;
         println!(

@@ -69,11 +69,7 @@ fn main() {
         let report = simulate(
             &vec![capacity; servers.len()],
             &flows,
-            &SimConfig {
-                horizon: 0.3,
-                deadlines: vec![voip.deadline],
-                policers: None,
-            },
+            &SimConfig::new(0.3, vec![voip.deadline]),
         );
         println!(
             "{alpha:.2} SAFE {} {} {:.2} {:.2} {:.3} {}",

@@ -260,11 +260,7 @@ pub fn cmd_simulate(sc: &Scenario, horizon: f64) -> Result<String, ScenarioError
     let report = simulate(
         &caps,
         &flows,
-        &SimConfig {
-            horizon,
-            deadlines: vec![class.deadline],
-            policers: None,
-        },
+        &SimConfig::new(horizon, vec![class.deadline]),
     );
     let mut out = String::new();
     writeln!(out, "flows admitted by greedy fill: {}", flows.len()).unwrap();
@@ -457,15 +453,7 @@ pub fn cmd_metrics(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
                 },
             })
             .collect();
-        let sim_report = simulate(
-            &caps,
-            &flows,
-            &SimConfig {
-                horizon: 0.05,
-                deadlines: vec![class.deadline],
-                policers: None,
-            },
-        );
+        let sim_report = simulate(&caps, &flows, &SimConfig::new(0.05, vec![class.deadline]));
         writeln!(
             out,
             "simulation: {} packets, {} deadline misses",

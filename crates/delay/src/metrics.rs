@@ -78,8 +78,9 @@ pub(crate) struct SolveRecord {
     pub sweeps_skipped: u64,
     /// Delay-rule evaluations performed.
     pub servers_touched: u64,
-    /// Some iterate decreased a delay — on a warm-started solve, the
-    /// monotonicity break that forces a from-scratch `Y` rebuild.
+    /// Some iterate decreased a delay: the warm start sat above the least
+    /// fixed point (the committed-state evaluator then rebuilds `Y` over
+    /// every route; the general solver sweeps them all anyway).
     pub decreased: bool,
 }
 

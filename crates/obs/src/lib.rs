@@ -46,6 +46,6 @@ pub use histogram::Histogram;
 pub use metrics::{Counter, Gauge};
 pub use registry::{global, process_secs, Registry, Snapshot, SnapshotValue};
 pub use rng::{check, SplitMix64};
-pub use slo::{standard_rules, Alert, Cmp, RuleState, SloConfig, SloEngine, SloRule, SloSignal};
+pub use slo::{standard_rules, Alert, RuleState, SloConfig, SloEngine, SloRule, SloSignal};
 pub use span::{Span, Stopwatch};
 pub use trace::{Event, EventKind, Tracer};

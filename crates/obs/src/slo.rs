@@ -129,15 +129,6 @@ impl SloSignal {
     }
 }
 
-/// Which side of the threshold breaches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Cmp {
-    /// Breach when the observed value exceeds the threshold.
-    Above,
-    /// Breach when the observed value falls below the threshold.
-    Below,
-}
-
 /// One declarative service-level objective.
 #[derive(Clone, Debug)]
 pub struct SloRule {
@@ -146,9 +137,7 @@ pub struct SloRule {
     pub name: String,
     /// What the rule measures each window.
     pub signal: SloSignal,
-    /// Breach direction.
-    pub cmp: Cmp,
-    /// Breach threshold.
+    /// Breach threshold: a window whose value exceeds it breaches.
     pub threshold: f64,
     /// Consecutive breaching windows required to fire (≥ 1).
     pub for_windows: u32,
@@ -165,7 +154,6 @@ impl SloRule {
     pub fn named(
         name: &str,
         signal: SloSignal,
-        cmp: Cmp,
         threshold: f64,
         for_windows: u32,
         clear_windows: u32,
@@ -180,7 +168,6 @@ impl SloRule {
         Self {
             name: name.to_string(),
             signal,
-            cmp,
             threshold,
             for_windows: for_windows.max(1),
             clear_windows: clear_windows.max(1),
@@ -236,7 +223,6 @@ pub fn standard_rules(cfg: &SloConfig) -> Vec<SloRule> {
                 numerator: "sim.deadline_misses".into(),
                 denominator: "sim.packets".into(),
             },
-            Cmp::Above,
             cfg.miss_ratio,
             cfg.for_windows,
             cfg.clear_windows,
@@ -246,7 +232,6 @@ pub fn standard_rules(cfg: &SloConfig) -> Vec<SloRule> {
             SloSignal::Rate {
                 counter: "admission.rejects.link_full".into(),
             },
-            Cmp::Above,
             cfg.reject_per_sec,
             cfg.for_windows,
             cfg.clear_windows,
@@ -256,7 +241,6 @@ pub fn standard_rules(cfg: &SloConfig) -> Vec<SloRule> {
             SloSignal::GaugeValue {
                 gauge: "admission.class0.max_share".into(),
             },
-            Cmp::Above,
             cfg.max_share,
             cfg.for_windows,
             cfg.clear_windows,
@@ -267,7 +251,6 @@ pub fn standard_rules(cfg: &SloConfig) -> Vec<SloRule> {
                 histogram: "admission.admit_ns".into(),
                 q: 0.99,
             },
-            Cmp::Above,
             cfg.admit_p99_ns,
             cfg.for_windows,
             cfg.clear_windows,
@@ -439,11 +422,7 @@ impl SloEngine {
             };
             r.last_value = Some(value);
             r.value_gauge.set(value);
-            let breached = match r.rule.cmp {
-                Cmp::Above => value > r.rule.threshold,
-                Cmp::Below => value < r.rule.threshold,
-            };
-            if breached {
+            if value > r.rule.threshold {
                 r.breach_streak += 1;
                 r.clear_streak = 0;
                 if r.state != RuleState::Firing {
@@ -617,7 +596,6 @@ mod tests {
                     numerator: "misses".into(),
                     denominator: "packets".into(),
                 },
-                Cmp::Above,
                 0.1,
                 for_windows,
                 clear_windows,
@@ -740,18 +718,16 @@ mod tests {
                 SloSignal::Rate {
                     counter: "ops".into(),
                 },
-                Cmp::Above,
                 10.0,
                 1,
                 1,
             ),
             SloRule::named(
-                "low_share",
+                "high_share",
                 SloSignal::GaugeValue {
                     gauge: "share".into(),
                 },
-                Cmp::Below,
-                0.25,
+                0.75,
                 1,
                 1,
             ),
@@ -761,7 +737,6 @@ mod tests {
                     histogram: "lat".into(),
                     q: 0.99,
                 },
-                Cmp::Above,
                 100.0,
                 1,
                 1,
@@ -772,7 +747,7 @@ mod tests {
         snap.at = 0.0;
         engine.evaluate(snap);
         // Window 1: 40 ops over 2s (rate 20 > 10 breaches), share 0.5
-        // (not below 0.25), p99 from in-window samples only.
+        // (not above 0.75), p99 from in-window samples only.
         c.add(40);
         g.set(0.5);
         for _ in 0..100 {
@@ -782,20 +757,20 @@ mod tests {
         snap.at = 2.0;
         assert_eq!(engine.evaluate(snap), 2, "ops_rate and lat_p99 fire");
         assert_eq!(engine.state_of("ops_rate"), Some(RuleState::Firing));
-        assert_eq!(engine.state_of("low_share"), Some(RuleState::Ok));
+        assert_eq!(engine.state_of("high_share"), Some(RuleState::Ok));
         assert_eq!(engine.state_of("lat_p99"), Some(RuleState::Firing));
-        // Window 2: quiet counters, share collapses, latencies fast —
-        // the quantile must see only this window's mass (2.0-ish), not
-        // the lifetime 300s.
-        g.set(0.1);
+        // Window 2: quiet counters, share climbs, latencies fast — the
+        // quantile must see only this window's mass (2.0-ish), not the
+        // lifetime 300s.
+        g.set(0.9);
         for _ in 0..100 {
             hist.record(2.0);
         }
         let mut snap = registry.snapshot();
         snap.at = 4.0;
-        assert_eq!(engine.evaluate(snap), 1, "only low_share remains");
+        assert_eq!(engine.evaluate(snap), 1, "only high_share remains");
         assert_eq!(engine.state_of("ops_rate"), Some(RuleState::Ok));
-        assert_eq!(engine.state_of("low_share"), Some(RuleState::Firing));
+        assert_eq!(engine.state_of("high_share"), Some(RuleState::Firing));
         assert_eq!(engine.state_of("lat_p99"), Some(RuleState::Ok));
     }
 
@@ -870,7 +845,6 @@ mod tests {
             SloSignal::Rate {
                 counter: "x".into(),
             },
-            Cmp::Above,
             1.0,
             1,
             1,

@@ -59,8 +59,8 @@ pub enum EventKind {
     /// Delay solver: a warm start stayed monotone to convergence
     /// (`a` = iterations).
     WarmStartAccept,
-    /// Delay solver: a warm start decreased some delay, forcing the
-    /// dense `Y` rebuild fallback (`a` = iterations).
+    /// Delay solver: a warm-started solve lowered some delay, so its
+    /// start sat above the least fixed point (`a` = iterations).
     WarmStartFallback,
     /// Routing: one α-probe of the §5.3 bisection (`flow` = probe index,
     /// `a` = alpha, `b` = 1.0 when feasible).

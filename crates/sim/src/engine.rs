@@ -2,30 +2,29 @@
 //!
 //! Stations = real link servers plus one virtual access shaper per
 //! (ingress router, first server) pair. Each station is a non-preemptive
-//! class-based static-priority queue (FIFO within a class) — the paper's
-//! packet forwarding module.
+//! class-based queue under the run's [`Discipline`] — by default static
+//! priority, FIFO within a class: the paper's packet forwarding module.
 //!
 //! **Ordering contract.** Events are processed in `(time, seq)` order,
 //! so runs are bit-for-bit deterministic. The `E` policed source
 //! emissions are numbered first (`seq = 1..=E`, flow-major); every event
-//! created while the run is in progress — completions, next-hop
-//! arrivals, the reconfiguration marker — gets `seq > E`. An emission
-//! therefore sorts before any dynamic event of the same instant, and the
-//! schedulers' FIFO / finish-tag tie-breaks read that same `seq`.
+//! created while the run is in progress — completions and next-hop
+//! arrivals — gets `seq > E`. An emission therefore sorts before any
+//! dynamic event of the same instant, and the schedulers' FIFO /
+//! finish-tag tie-breaks read that same `seq`.
 //!
 //! The loop draws from three sources that together realize that order:
 //! the emissions, laid down once in `(time, seq)` order in a block of
 //! their exact size and read through a cursor; a small binary heap of the
-//! completions in flight (at most one per station, plus the
-//! reconfiguration marker); and a FIFO of the next-hop arrivals of the
-//! current instant. A forwarded packet never waits, so it needs no
-//! priority queue: (1) a completion at `now` stamps the arrival it
-//! forwards `now` and gives it the largest `seq` so far; (2) every heap
-//! entry stamped `now` was pushed before `now` — a completion when its
-//! service of ≥ 1 ns began, the marker before the loop — so its `seq` is
-//! smaller; (3) whatever is pushed during `now` is stamped later; (4)
-//! hence the order within `now` is emissions, heap entries, forwarded
-//! arrivals as created, and the FIFO is empty when time advances.
+//! completions in flight (at most one per station); and a FIFO of the
+//! next-hop arrivals of the current instant. A forwarded packet never
+//! waits, so it needs no priority queue: (1) a completion at `now` stamps
+//! the arrival it forwards `now` and gives it the largest `seq` so far;
+//! (2) every completion stamped `now` was pushed before `now`, when its
+//! service of ≥ 1 ns began, so its `seq` is smaller; (3) whatever is
+//! pushed during `now` is stamped later; (4) hence the order within `now`
+//! is emissions, completions, forwarded arrivals as created, and the FIFO
+//! is empty when time advances.
 //!
 //! The arrival still may not be handled inside the completion creating
 //! it: a completion of the *next* station due the same nanosecond picks
@@ -67,62 +66,30 @@ pub struct SimConfig {
     /// paper's edge routers do. `None` disables policing (sources are
     /// then trusted to conform).
     pub policers: Option<Vec<(f64, f64)>>,
+    /// Scheduling discipline of every station, access shapers included.
+    pub discipline: Discipline,
 }
 
 impl SimConfig {
-    /// Config with the given horizon and deadlines, no policing.
+    /// Config with the given horizon and deadlines, no policing, and the
+    /// paper's class-based static-priority forwarding.
     pub fn new(horizon: f64, deadlines: Vec<f64>) -> Self {
         Self {
             horizon,
             deadlines,
             policers: None,
+            discipline: Discipline::StaticPriority,
         }
     }
 }
 
-/// A mid-run routing reconfiguration for
-/// [`simulate_with`]: at sim time `at` the listed flows switch
-/// to their new routes. Packets already inside the network finish on the
-/// route they entered with (exactly the live-swap semantics of
-/// `AdmissionController::reconfigure`: in-flight work drains against the
-/// old configuration while new arrivals see the new one).
-#[derive(Clone, Debug)]
-pub struct Reconfiguration {
-    /// Sim time (seconds) at which the swap takes effect.
-    pub at: f64,
-    /// `(flow index, new route)` — flows not listed keep their route.
-    pub reroutes: Vec<(usize, Vec<u32>)>,
-}
-
 const NS: f64 = 1e9;
-
-/// Cumulative progress of a running simulation, handed to the observer
-/// of [`simulate_with`] at each observation interval and once more at
-/// the end of the run.
-///
-/// By the time the observer runs, the engine has already published the
-/// covered packet/miss deltas into the global `sim.packets` /
-/// `sim.deadline_misses` counters, so an observer that snapshots the
-/// registry (e.g. to feed [`uba_obs::SloEngine`]) sees the window it is
-/// being told about.
-#[derive(Clone, Copy, Debug)]
-pub struct SimProgress {
-    /// Sim time of the observation, seconds.
-    pub t: f64,
-    /// Packets delivered end to end so far.
-    pub packets: u64,
-    /// Deadline misses so far.
-    pub misses: u64,
-    /// True exactly once, on the final end-of-run observation.
-    pub done: bool,
-}
 
 #[derive(Clone, Copy, Debug)]
 struct Job {
     flow: u32,
-    /// Where the packet is: an index into the run's `hops`. It entered
-    /// at the start of whichever of its flow's routes was in force and
-    /// walks that route for life.
+    /// Where the packet is: an index into the run's `hops`, on its
+    /// flow's sim-route.
     at: u32,
     /// Hops still ahead of `at`.
     remaining: u16,
@@ -139,15 +106,8 @@ struct Hop {
 
 enum Event {
     Arrive(Job),
-    Complete {
-        station: u32,
-    },
-    /// The mid-run route swap (pushed once, at the configured time).
-    Reconfigure,
+    Complete { station: u32 },
 }
-
-/// The station a heap entry names when it is the reconfiguration marker.
-const RECONFIGURE: u32 = u32::MAX;
 
 struct Station {
     capacity: f64,
@@ -167,81 +127,14 @@ impl Station {
     }
 }
 
-/// Runs the simulation under the paper's class-based static-priority
-/// forwarding. See [`simulate_with`] to choose another discipline, swap
-/// routes mid-run or observe progress.
+/// Runs the simulation to the end: sources emit up to `cfg.horizon`,
+/// then the network drains, every station forwarding under
+/// `cfg.discipline`.
 ///
 /// `capacities[k]` is the capacity of real link server `k`; flows' routes
 /// index into it. Every flow must have a non-empty route.
 pub fn simulate(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig) -> SimReport {
-    simulate_with(
-        capacities,
-        flows,
-        cfg,
-        &Discipline::StaticPriority,
-        None,
-        None,
-    )
-}
-
-/// Runs the simulation under an arbitrary scheduling discipline, with an
-/// optional mid-run routing reconfiguration and an optional observer.
-///
-/// **`reconfig`.** Until `reconfig.at` the run is identical to one
-/// without it; from then on, packets entering the network from a
-/// rerouted flow follow the flow's new route, while packets already in
-/// flight drain along the old one. Emissions at exactly `reconfig.at`
-/// still use the old routes (the swap is processed after same-instant
-/// arrivals), keeping runs bit-for-bit deterministic. A
-/// `ReconfigApplied` trace event marks the swap (`a` = swap time in
-/// seconds, `b` = number of rerouted flows).
-///
-/// **`observe = (every, observer)`.** `observer` is invoked every
-/// `every` sim seconds (measured on packet deliveries) and once at the
-/// end of the run, with cumulative delivery/miss tallies. Observed runs
-/// also publish `sim.packets` / `sim.deadline_misses` *incrementally* —
-/// the delta covered by each observation is added just before the
-/// observer runs, with the remainder published at the end — so windowed
-/// consumers ([`uba_obs::Snapshot::delta_since`], the SLO engine) see
-/// deadline misses as they happen instead of one end-of-run burst (and,
-/// with `reconfig`, watch them change across a route swap: see the
-/// `slo_sees_misses_across_a_route_swap` test). Lifetime totals are
-/// unchanged, the [`SimReport`] is the unobserved run's, and observation
-/// points are derived from deterministic sim time, so runs stay
-/// bit-for-bit reproducible.
-pub fn simulate_with(
-    capacities: &[f64],
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    discipline: &Discipline,
-    reconfig: Option<&Reconfiguration>,
-    observe: Option<(f64, &mut dyn FnMut(SimProgress))>,
-) -> SimReport {
-    run(capacities, flows, cfg, discipline, reconfig, observe, sim())
-}
-
-fn validate_every(every: f64) {
-    assert!(
-        every > 0.0 && every.is_finite(),
-        "observation interval must be positive"
-    );
-}
-
-fn validate_reconfig(capacities: &[f64], flows: &[FlowSpec], reconfig: &Reconfiguration) {
-    assert!(
-        reconfig.at.is_finite() && reconfig.at >= 0.0,
-        "reconfiguration time must be finite and non-negative"
-    );
-    for (fi, route) in &reconfig.reroutes {
-        assert!(*fi < flows.len(), "reroute flow index out of range");
-        assert!(!route.is_empty(), "reroute must be non-empty");
-        for &k in route {
-            assert!(
-                (k as usize) < capacities.len(),
-                "reroute server out of range"
-            );
-        }
-    }
+    run(capacities, flows, cfg, sim())
 }
 
 /// Calls `visit` with each emission time of `f` that its class's ingress
@@ -268,23 +161,7 @@ fn conforming_emissions(f: &FlowSpec, cfg: &SimConfig, mut visit: impl FnMut(f64
     dropped
 }
 
-/// Publishes the locally counted `sim.queue_depth` samples
-/// (`counts[d]` enqueues that left a backlog of `d`) and zeroes them.
-fn flush_queue_depths(histogram: &uba_obs::Histogram, counts: &mut [u64]) {
-    for (depth, n) in counts.iter_mut().enumerate() {
-        histogram.record_n(depth as f64, std::mem::take(n));
-    }
-}
-
-fn run(
-    capacities: &[f64],
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    discipline: &Discipline,
-    reconfig: Option<&Reconfiguration>,
-    observe: Option<(f64, &mut dyn FnMut(SimProgress))>,
-    metrics: &SimMetrics,
-) -> SimReport {
+fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMetrics) -> SimReport {
     let t_run = uba_obs::Stopwatch::start();
     let classes = cfg.deadlines.len();
     assert!(classes > 0, "need at least one class deadline");
@@ -306,48 +183,34 @@ fn run(
             "need one finite, non-negative policer per class"
         );
     }
-    if let Some(rc) = reconfig {
-        validate_reconfig(capacities, flows, rc);
-    }
-    if let Some((every, _)) = &observe {
-        validate_every(*every);
-    }
 
     // Stations: real servers first, then one access shaper per (ingress,
     // first server) pair, created when a route first needs it.
     let mut stations: Vec<Station> = capacities
         .iter()
-        .map(|&c| Station::new(c, classes, discipline))
+        .map(|&c| Station::new(c, classes, &cfg.discipline))
         .collect();
     let mut shaper_of: HashMap<(u32, u32), u32> = HashMap::new();
-    // Every sim-route — the shaper, then the real route — laid end to
-    // end; a route is named by `(index of its shaper hop, hops after it)`.
+    // Every flow's sim-route — the shaper, then the real route — laid end
+    // to end; a route is named by `(index of its shaper hop, hops after it)`.
     let mut hops: Vec<Hop> = Vec::new();
-    let mut lay_route = |f: &FlowSpec, route: &[u32]| -> (u32, u16) {
-        let shaper = *shaper_of.entry((f.ingress, route[0])).or_insert_with(|| {
-            let cap = capacities[route[0] as usize];
-            stations.push(Station::new(cap, classes, discipline));
+    let mut routes: Vec<(u32, u16)> = Vec::with_capacity(flows.len());
+    for f in flows {
+        let shaper = *shaper_of.entry((f.ingress, f.route[0])).or_insert_with(|| {
+            let cap = capacities[f.route[0] as usize];
+            stations.push(Station::new(cap, classes, &cfg.discipline));
             stations.len() as u32 - 1
         });
-        let start = hops.len() as u32;
+        routes.push((hops.len() as u32, f.route.len() as u16));
         let bits = f.source.packet_bits() as f64;
-        for station in std::iter::once(shaper).chain(route.iter().copied()) {
+        for station in std::iter::once(shaper).chain(f.route.iter().copied()) {
             let dur = (bits / stations[station as usize].capacity * NS).round() as u64;
             hops.push(Hop {
                 station,
                 service_ns: dur.max(1),
             });
         }
-        (start, route.len() as u16)
-    };
-    // `routes[0]` until the swap, `routes[1]` after it: identical except
-    // for the rerouted flows.
-    let before: Vec<(u32, u16)> = flows.iter().map(|f| lay_route(f, &f.route)).collect();
-    let mut after = before.clone();
-    for (fi, new_route) in reconfig.iter().flat_map(|rc| &rc.reroutes) {
-        after[*fi] = lay_route(&flows[*fi], new_route);
     }
-    let routes = [before, after];
 
     // Source emissions `(t_ns, seq, flow)` that the ingress policer lets
     // through: the run's one large block, allocated once at its final size
@@ -397,13 +260,6 @@ fn run(
     let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
     let mut forwarded: VecDeque<(u64, Job)> = VecDeque::new();
 
-    // Arrivals at exactly `at` sort before the swap event and still use
-    // the old routes.
-    if let Some(rc) = reconfig {
-        seq += 1;
-        heap.push(Reverse((ns(rc.at), seq, RECONFIGURE)));
-    }
-
     // Puts `job` into service at the station it has reached.
     let serve = |st: &mut Station, st_id: usize, job: Job, t: u64, heap: &mut _, seq: &mut u64| {
         st.current = Some(job);
@@ -419,23 +275,16 @@ fn run(
     let mut events = 0u64;
     let mut peak_backlog = 0usize;
     let tracer = uba_obs::trace::global();
-    let mut reconfigured = false;
-    // Observation state: next sim-time mark, and how much of the
-    // packet/miss tallies has already been published incrementally.
-    let mut observe = observe;
-    let mut next_obs = observe.as_ref().map(|&(every, _)| every);
-    let mut published_packets = 0u64;
-    let mut published_misses = 0u64;
     let mut now = 0u64;
     // `sim.queue_depth` samples, counted per backlog value and published
-    // in bulk (end of run, and before each observer call).
+    // in bulk at the end of the run.
     let mut depth_counts: Vec<u64> = Vec::new();
     let mut next_arrival = 0usize;
 
     loop {
         let due = heap.peek().map(|&Reverse((t, ..))| t);
         let (t, s, ev) = match (forwarded.front(), arrivals.get(next_arrival)) {
-            // Forwarded: after its instant's heap entries, before all else.
+            // Forwarded: after its instant's completions, before all else.
             (Some(&(s, job)), _) if due.is_none_or(|due| due > now) => {
                 forwarded.pop_front();
                 (now, s, Event::Arrive(job))
@@ -443,9 +292,7 @@ fn run(
             // On a tie the emission goes first: its seq is the lower.
             (None, Some(&(t, s, flow))) if due.is_none_or(|due| t <= due) => {
                 next_arrival += 1;
-                // Entering the network: the packet commits to the
-                // routes in force right now.
-                let (at, remaining) = routes[reconfigured as usize][flow as usize];
+                let (at, remaining) = routes[flow as usize];
                 let job = Job {
                     flow,
                     at,
@@ -455,7 +302,6 @@ fn run(
                 (t, s as u64, Event::Arrive(job))
             }
             _ => match heap.pop() {
-                Some(Reverse((t, s, RECONFIGURE))) => (t, s, Event::Reconfigure),
                 Some(Reverse((t, s, station))) => (t, s, Event::Complete { station }),
                 None => break,
             },
@@ -530,47 +376,12 @@ fn run(
                     acc[class].record(delay, deadline);
                     histograms[class].record_ns(t - job.t0);
                     total_packets += 1;
-                    if let (Some((every, obs)), Some(mark)) = (observe.as_mut(), next_obs.as_mut())
-                    {
-                        let t_secs = t as f64 / NS;
-                        if t_secs >= *mark {
-                            while *mark <= t_secs {
-                                *mark += *every;
-                            }
-                            // Publish the covered delta before the
-                            // observer runs, so a registry snapshot
-                            // taken inside it reflects this window.
-                            metrics.packets.add(total_packets - published_packets);
-                            metrics.deadline_misses.add(total_misses - published_misses);
-                            published_packets = total_packets;
-                            published_misses = total_misses;
-                            flush_queue_depths(&metrics.queue_depth, &mut depth_counts);
-                            obs(SimProgress {
-                                t: t_secs,
-                                packets: total_packets,
-                                misses: total_misses,
-                                done: false,
-                            });
-                        }
-                    }
                 }
                 // After the forwarded packet's arrival, so that event
                 // keeps the lower seq.
                 if let Some(next) = st.sched.dequeue() {
                     serve(st, st_id, next.payload, t, &mut heap, &mut seq);
                 }
-            }
-            Event::Reconfigure => {
-                reconfigured = true;
-                let rc = reconfig.expect("reconfigure event without config");
-                tracer.emit(
-                    uba_obs::EventKind::ReconfigApplied,
-                    0,
-                    0,
-                    u32::MAX,
-                    rc.at,
-                    rc.reroutes.len() as f64,
-                );
             }
         }
     }
@@ -589,25 +400,17 @@ fn run(
     let elapsed = t_run.elapsed_secs();
     metrics.runs.inc();
     metrics.events.add(events);
-    // Observed runs published most of these deltas mid-run; only the
-    // remainder lands here, so lifetime totals match unobserved runs.
-    metrics.packets.add(total_packets - published_packets);
-    metrics.deadline_misses.add(total_misses - published_misses);
+    metrics.packets.add(total_packets);
+    metrics.deadline_misses.add(total_misses);
     metrics.policed_drops.add(policed_drops.iter().sum());
-    flush_queue_depths(&metrics.queue_depth, &mut depth_counts);
+    for (depth, &n) in depth_counts.iter().enumerate() {
+        metrics.queue_depth.record_n(depth as f64, n);
+    }
     metrics.run_seconds.record(elapsed);
     if elapsed > 0.0 {
         metrics.events_per_sec.set(events as f64 / elapsed);
     }
     metrics.peak_backlog.set(peak_backlog as f64);
-    if let Some((_, obs)) = observe.as_mut() {
-        obs(SimProgress {
-            t: now as f64 / NS,
-            packets: total_packets,
-            misses: total_misses,
-            done: true,
-        });
-    }
     report
 }
 
@@ -618,10 +421,14 @@ mod tests {
     const C: f64 = 1e6; // 1 Mb/s links for visible delays
 
     fn cfg(classes: usize) -> SimConfig {
+        SimConfig::new(0.2, vec![0.1; classes])
+    }
+
+    /// [`cfg`] under another discipline.
+    fn under(discipline: Discipline, classes: usize) -> SimConfig {
         SimConfig {
-            horizon: 0.2,
-            deadlines: vec![0.1; classes],
-            policers: None,
+            discipline,
+            ..cfg(classes)
         }
     }
 
@@ -802,12 +609,7 @@ mod tests {
             route: vec![0],
             source: SourceModel::voip_cbr(0.0),
         }];
-        let cfg = SimConfig {
-            horizon: 0.1,
-            deadlines: vec![1e-12],
-            policers: None,
-        };
-        let r = simulate(&[C], &flows, &cfg);
+        let r = simulate(&[C], &flows, &SimConfig::new(0.1, vec![1e-12]));
         assert_eq!(r.total_misses(), r.total_packets);
         assert!(r.total_packets > 0);
     }
@@ -837,7 +639,7 @@ mod tests {
             });
         }
         let pri = simulate(&[C], &flows, &cfg(2));
-        let fifo = simulate_with(&[C], &flows, &cfg(2), &Discipline::Fifo, None, None);
+        let fifo = simulate(&[C], &flows, &under(Discipline::Fifo, 2));
         assert!(
             fifo.classes[0].max_delay > 3.0 * pri.classes[0].max_delay,
             "FIFO {} vs priority {}",
@@ -867,17 +669,11 @@ mod tests {
                 },
             },
         ];
-        let fifo = simulate_with(&[C], &flows, &cfg(2), &Discipline::Fifo, None, None);
-        let wfq = simulate_with(
-            &[C],
-            &flows,
-            &cfg(2),
-            &Discipline::Wfq {
-                weights: vec![1.0, 1.0],
-            },
-            None,
-            None,
-        );
+        let fifo = simulate(&[C], &flows, &under(Discipline::Fifo, 2));
+        let wfq = Discipline::Wfq {
+            weights: vec![1.0, 1.0],
+        };
+        let wfq = simulate(&[C], &flows, &under(wfq, 2));
         assert!(wfq.classes[0].max_delay < fifo.classes[0].max_delay);
     }
 
@@ -902,16 +698,10 @@ mod tests {
                 },
             },
         ];
-        let vc = simulate_with(
-            &[C],
-            &flows,
-            &cfg(2),
-            &Discipline::VirtualClock {
-                rates: vec![0.1 * C, 0.9 * C],
-            },
-            None,
-            None,
-        );
+        let vc = Discipline::VirtualClock {
+            rates: vec![0.1 * C, 0.9 * C],
+        };
+        let vc = simulate(&[C], &flows, &under(vc, 2));
         // Voice is light against its clock; it never waits for more than
         // a couple of bulk packets.
         assert!(vc.classes[0].max_delay <= 3.0 * 8000.0 / C);
@@ -946,7 +736,7 @@ mod tests {
         ];
         let reference = simulate(&[C, C], &flows, &cfg(2)).total_packets;
         for d in disciplines {
-            let r = simulate_with(&[C, C], &flows, &cfg(2), &d, None, None);
+            let r = simulate(&[C, C], &flows, &under(d.clone(), 2));
             assert_eq!(r.total_packets, reference, "discipline {d:?}");
         }
     }
@@ -1028,45 +818,19 @@ mod tests {
         assert!(policed.classes[0].policed_drops > 0);
     }
 
-    /// `run` against metrics in a private registry: exact counts, immune
-    /// to the sibling tests that bump the process-global ones.
-    /// The route-swap tests' run: static priority, no observer.
-    fn swapped(
-        capacities: &[f64],
-        flows: &[FlowSpec],
-        cfg: &SimConfig,
-        rc: &Reconfiguration,
-    ) -> SimReport {
-        let d = Discipline::StaticPriority;
-        simulate_with(capacities, flows, cfg, &d, Some(rc), None)
-    }
-
-    fn run_metered(
-        capacities: &[f64],
-        flows: &[FlowSpec],
-        cfg: &SimConfig,
-        observe: Option<(f64, &mut dyn FnMut(SimProgress))>,
-    ) -> (SimReport, SimMetrics) {
-        let m = SimMetrics::register(&uba_obs::Registry::new());
-        let d = Discipline::StaticPriority;
-        let r = run(capacities, flows, cfg, &d, None, observe, &m);
-        (r, m)
-    }
-
     #[test]
     fn runs_record_metrics() {
+        // `run` against metrics in a private registry: exact counts,
+        // immune to the sibling tests that bump the process-global ones.
         let flows = vec![FlowSpec {
             class: 0,
             ingress: 0,
             route: vec![0],
             source: SourceModel::voip_cbr(0.0),
         }];
-        let tight = SimConfig {
-            horizon: 0.1,
-            deadlines: vec![1e-12],
-            policers: None,
-        };
-        let (r, m) = run_metered(&[C], &flows, &tight, None);
+        let tight = SimConfig::new(0.1, vec![1e-12]);
+        let m = SimMetrics::register(&uba_obs::Registry::new());
+        let r = run(&[C], &flows, &tight, &m);
         assert_eq!(m.runs.get(), 1);
         assert_eq!(m.events.get(), r.events);
         assert_eq!(m.packets.get(), r.total_packets);
@@ -1075,327 +839,6 @@ mod tests {
         assert_eq!(m.queue_depth.count(), 2 * r.total_packets);
         assert_eq!(m.queue_depth.max(), r.peak_backlog as f64);
         assert!(m.peak_backlog.get() >= 1.0);
-    }
-
-    #[test]
-    fn reconfigure_conserves_packets() {
-        // Moving a flow to a fresh link mid-run loses nothing: every
-        // emitted packet is still delivered, on one route or the other.
-        let flows = vec![
-            FlowSpec {
-                class: 0,
-                ingress: 0,
-                route: vec![0, 1],
-                source: SourceModel::voip_greedy(0.0),
-            },
-            FlowSpec {
-                class: 0,
-                ingress: 1,
-                route: vec![0],
-                source: SourceModel::voip_cbr(0.003),
-            },
-        ];
-        let plain = simulate(&[C, C, C], &flows, &cfg(1));
-        let rc = Reconfiguration {
-            at: 0.1,
-            reroutes: vec![(0, vec![2])],
-        };
-        let rec = swapped(&[C, C, C], &flows, &cfg(1), &rc);
-        assert_eq!(rec.total_packets, plain.total_packets);
-    }
-
-    #[test]
-    fn reconfigure_identity_matches_plain_run() {
-        // Swapping a flow onto its own route is a semantic no-op: the
-        // report matches the plain run exactly (one extra heap event).
-        let flows = vec![
-            FlowSpec {
-                class: 0,
-                ingress: 0,
-                route: vec![0, 1],
-                source: SourceModel::voip_greedy(0.0),
-            },
-            FlowSpec {
-                class: 0,
-                ingress: 1,
-                route: vec![1, 0],
-                source: SourceModel::voip_greedy(0.0),
-            },
-        ];
-        let plain = simulate(&[C, C], &flows, &cfg(1));
-        let rc = Reconfiguration {
-            at: 0.1,
-            reroutes: vec![(0, vec![0, 1])],
-        };
-        let rec = swapped(&[C, C], &flows, &cfg(1), &rc);
-        assert_eq!(rec.total_packets, plain.total_packets);
-        assert_eq!(rec.classes[0].max_delay, plain.classes[0].max_delay);
-        assert_eq!(rec.total_misses(), plain.total_misses());
-        assert_eq!(rec.events, plain.events + 1);
-    }
-
-    #[test]
-    fn reconfigure_runs_are_deterministic() {
-        let flows = vec![
-            FlowSpec {
-                class: 0,
-                ingress: 0,
-                route: vec![0, 1],
-                source: SourceModel::voip_greedy(0.0),
-            },
-            FlowSpec {
-                class: 0,
-                ingress: 1,
-                route: vec![0, 1],
-                source: SourceModel::voip_greedy(0.0),
-            },
-        ];
-        let rc = Reconfiguration {
-            at: 0.07,
-            reroutes: vec![(1, vec![1])],
-        };
-        let a = swapped(&[C, C], &flows, &cfg(1), &rc);
-        let b = swapped(&[C, C], &flows, &cfg(1), &rc);
-        assert_eq!(a.total_packets, b.total_packets);
-        assert_eq!(a.classes[0].max_delay, b.classes[0].max_delay);
-        assert_eq!(a.events, b.events);
-    }
-
-    #[test]
-    fn reconfigure_moves_load_off_the_congested_link() {
-        // Two bulk ingresses merge on server 0 at a joint rate above C,
-        // so a real (post-shaper) queue builds and late packets miss
-        // their deadline. Rerouting one flow to an idle link mid-run
-        // caps the damage — packets entering after the swap see an
-        // empty server, and the old queue drains.
-        let bulk = |ingress| FlowSpec {
-            class: 0,
-            ingress,
-            route: vec![0],
-            source: SourceModel::GreedyOnOff {
-                burst_bits: 64_000.0,
-                rate_bps: 0.9 * C,
-                packet_bits: 8000,
-                start: 0.0,
-            },
-        };
-        let flows = vec![bulk(0), bulk(1)];
-        let c = SimConfig {
-            horizon: 0.2,
-            deadlines: vec![0.02],
-            policers: None,
-        };
-        let plain = simulate(&[C, C], &flows, &c);
-        let rc = Reconfiguration {
-            at: 0.05,
-            reroutes: vec![(1, vec![1])],
-        };
-        let rec = swapped(&[C, C], &flows, &c, &rc);
-        assert_eq!(rec.total_packets, plain.total_packets);
-        assert!(plain.total_misses() > 0);
-        assert!(
-            rec.total_misses() < plain.total_misses(),
-            "reroute {} vs plain {} misses",
-            rec.total_misses(),
-            plain.total_misses()
-        );
-    }
-
-    #[test]
-    fn observed_run_reports_monotone_progress_and_exact_totals() {
-        let flows = vec![FlowSpec {
-            class: 0,
-            ingress: 0,
-            route: vec![0],
-            source: SourceModel::voip_cbr(0.0),
-        }];
-        let tight = SimConfig {
-            horizon: 0.1,
-            deadlines: vec![1e-12], // every packet misses
-            policers: None,
-        };
-        let mut seen: Vec<SimProgress> = Vec::new();
-        let (r, m) = run_metered(&[C], &flows, &tight, Some((0.02, &mut |p| seen.push(p))));
-        assert!(seen.len() >= 3, "only {} observations", seen.len());
-        for w in seen.windows(2) {
-            assert!(w[1].t >= w[0].t);
-            assert!(w[1].packets >= w[0].packets);
-            assert!(w[1].misses >= w[0].misses);
-        }
-        let last = seen.last().unwrap();
-        assert!(last.done);
-        assert!(!seen[0].done);
-        assert_eq!(last.packets, r.total_packets);
-        assert_eq!(last.misses, r.total_misses());
-        // Mid-run observations saw genuinely partial tallies.
-        assert!(seen[0].packets < r.total_packets);
-        // Incremental publishing left the lifetime counters exactly
-        // where an unobserved run would have.
-        assert_eq!(m.packets.get(), r.total_packets);
-        assert_eq!(m.deadline_misses.get(), r.total_misses());
-    }
-
-    #[test]
-    fn observed_run_matches_unobserved_report() {
-        let flows = vec![
-            FlowSpec {
-                class: 0,
-                ingress: 0,
-                route: vec![0, 1],
-                source: SourceModel::voip_greedy(0.0),
-            },
-            FlowSpec {
-                class: 0,
-                ingress: 1,
-                route: vec![0, 1],
-                source: SourceModel::voip_greedy(0.0),
-            },
-        ];
-        let (plain, plain_m) = run_metered(&[C, C], &flows, &cfg(1), None);
-        // The observer reads the histogram through a second handle to
-        // the same registry entry.
-        let registry = uba_obs::Registry::new();
-        let m = SimMetrics::register(&registry);
-        let depth = registry.histogram("sim.queue_depth", 1.0);
-        let mut mid_run = 0;
-        let observed = run(
-            &[C, C],
-            &flows,
-            &cfg(1),
-            &Discipline::StaticPriority,
-            None,
-            Some((0.01, &mut |p: SimProgress| {
-                // Buffered samples are flushed before the observer runs:
-                // every delivered packet was enqueued at three stations.
-                assert!(depth.count() >= 3 * p.packets);
-                mid_run += usize::from(!p.done && p.packets > 0);
-            })),
-            &m,
-        );
-        assert!(mid_run > 0);
-        assert_eq!(observed.total_packets, plain.total_packets);
-        assert_eq!(observed.events, plain.events);
-        assert_eq!(observed.classes[0].max_delay, plain.classes[0].max_delay);
-        // One sample per enqueue (shaper + two real hops) on both paths.
-        assert_eq!(plain_m.queue_depth.count(), 3 * plain.total_packets);
-        assert_eq!(m.queue_depth.count(), 3 * observed.total_packets);
-        assert_eq!(m.queue_depth.max(), plain_m.queue_depth.max());
-        assert_eq!(m.queue_depth.mean(), plain_m.queue_depth.mean());
-    }
-
-    #[test]
-    fn slo_sees_misses_across_a_route_swap() {
-        // The end-to-end story of ISSUE 8's tentpole, in miniature: a
-        // congested link drives the deadline-miss SLO pending→firing;
-        // the mid-run reroute drains the queue, misses stop, and the
-        // rule resolves. The observer bridges sim progress into a
-        // private registry so the test is immune to other tests'
-        // traffic on the global counters, and miss-ratio rules are
-        // window-width independent, so this is fully deterministic.
-        use uba_obs::{Cmp, Registry, RuleState, SloEngine, SloRule, SloSignal};
-        let bulk = |ingress| FlowSpec {
-            class: 0,
-            ingress,
-            route: vec![0],
-            source: SourceModel::GreedyOnOff {
-                burst_bits: 64_000.0,
-                rate_bps: 0.9 * C,
-                packet_bits: 8000,
-                start: 0.0,
-            },
-        };
-        let flows = vec![bulk(0), bulk(1)];
-        let c = SimConfig {
-            horizon: 0.4,
-            deadlines: vec![0.02],
-            policers: None,
-        };
-        // Both flows move to their own fresh link: server 0 drains its
-        // backlog at full rate, and each flow alone at 0.9C is
-        // miss-free — so post-drain windows are clean and the rule can
-        // actually resolve within the horizon.
-        let rc = Reconfiguration {
-            at: 0.05,
-            reroutes: vec![(0, vec![1]), (1, vec![2])],
-        };
-        let registry = Registry::new();
-        let packets = registry.counter("sim.packets");
-        let misses = registry.counter("sim.deadline_misses");
-        let rule = SloRule::named(
-            "deadline_miss_ratio",
-            SloSignal::Ratio {
-                numerator: "sim.deadline_misses".into(),
-                denominator: "sim.packets".into(),
-            },
-            Cmp::Above,
-            0.01,
-            2,
-            2,
-        );
-        let mut engine = SloEngine::new(&registry, vec![rule]);
-        engine.evaluate(registry.snapshot()); // anchor
-        let mut states: Vec<RuleState> = Vec::new();
-        let mut prev = (0u64, 0u64);
-        let r = simulate_with(
-            &[C, C, C],
-            &flows,
-            &c,
-            &Discipline::StaticPriority,
-            Some(&rc),
-            Some((0.01, &mut |p| {
-                packets.add(p.packets - prev.0);
-                misses.add(p.misses - prev.1);
-                prev = (p.packets, p.misses);
-                engine.evaluate(registry.snapshot());
-                states.push(engine.state_of("deadline_miss_ratio").unwrap());
-            })),
-        );
-        assert!(r.total_misses() > 0, "the congested phase must miss");
-        assert!(
-            states.contains(&RuleState::Firing),
-            "congestion must fire the rule: {states:?}"
-        );
-        assert_eq!(
-            *states.last().unwrap(),
-            RuleState::Ok,
-            "post-swap windows must resolve the alert: {states:?}"
-        );
-        assert_eq!(engine.active_alerts().len(), 0);
-        let recent: Vec<_> = engine.recent_alerts().collect();
-        assert_eq!(recent.len(), 1, "exactly one fire→resolve cycle");
-        assert!(recent[0].resolved_at.is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "flow index out of range")]
-    fn reconfigure_rejects_bad_flow_index() {
-        let flows = vec![FlowSpec {
-            class: 0,
-            ingress: 0,
-            route: vec![0],
-            source: SourceModel::voip_cbr(0.0),
-        }];
-        let rc = Reconfiguration {
-            at: 0.1,
-            reroutes: vec![(3, vec![0])],
-        };
-        swapped(&[C], &flows, &cfg(1), &rc);
-    }
-
-    #[test]
-    #[should_panic(expected = "server out of range")]
-    fn reconfigure_rejects_bad_server() {
-        let flows = vec![FlowSpec {
-            class: 0,
-            ingress: 0,
-            route: vec![0],
-            source: SourceModel::voip_cbr(0.0),
-        }];
-        let rc = Reconfiguration {
-            at: 0.1,
-            reroutes: vec![(0, vec![9])],
-        };
-        swapped(&[C], &flows, &cfg(1), &rc);
     }
 
     #[test]

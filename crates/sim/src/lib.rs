@@ -23,10 +23,10 @@
 //!   is orders of magnitude below the bounds for the paper's parameters.
 //!   The validation tests allow exactly that slack.
 //!
-//! Two entry points: [`simulate`] (static priority, the paper's
-//! forwarding) and [`simulate_with`], which also takes the discipline, an
-//! optional mid-run [`Reconfiguration`] and an optional progress
-//! observer.
+//! One entry point, [`simulate`], runs a fixed route set to the end; its
+//! [`SimConfig`] carries the horizon, the deadlines, the optional
+//! policers and the [`Discipline`] (static priority, the paper's
+//! forwarding, unless set otherwise).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +37,7 @@ pub mod report;
 pub mod sched;
 pub mod source;
 
-pub use engine::{simulate, simulate_with, FlowSpec, Reconfiguration, SimConfig, SimProgress};
+pub use engine::{simulate, FlowSpec, SimConfig};
 pub use report::{ClassStats, DelayHistogram, SimReport};
 pub use sched::Discipline;
 pub use source::SourceModel;

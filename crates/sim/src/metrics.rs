@@ -5,13 +5,6 @@
 //! `sim.queue_depth` samples are counted per backlog value in a local
 //! array and published with `Histogram::record_n` at the end of the run
 //! (same count, sum and max as one `record` per enqueue).
-//! Exception: *observed* runs ([`crate::simulate_with`] given an
-//! observer) publish `sim.packets`,
-//! `sim.deadline_misses` and the buffered `sim.queue_depth` samples
-//! incrementally, just before each observer call (the end-of-run publish
-//! then adds only the remainder), so windowed consumers such as the SLO
-//! engine see misses as they happen. Lifetime totals are identical
-//! either way.
 //!
 //! Metric names:
 //!

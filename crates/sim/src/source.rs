@@ -113,6 +113,12 @@ impl SourceModel {
     /// into one arrival stream, so memory is linear in the packet count
     /// and `horizon` must be finite (the engine asserts it; an infinite
     /// one would never return from here).
+    ///
+    /// # Panics
+    /// Panics on parameters whose emission walk would not end or would
+    /// silently emit nothing: a zero packet size, a non-positive period
+    /// or rate, a `start` / `offset` that is not finite, a rogue factor
+    /// of at most 1, or on/off phases that are not positive.
     pub fn for_each_emission(&self, horizon: f64, mut visit: impl FnMut(f64)) {
         match *self {
             SourceModel::GreedyOnOff {
@@ -122,6 +128,11 @@ impl SourceModel {
                 start,
             } => {
                 assert!(packet_bits > 0, "packet size must be positive");
+                assert!(
+                    rate_bps > 0.0 && rate_bps.is_finite(),
+                    "rate must be positive and finite"
+                );
+                assert!(start.is_finite(), "start must be finite");
                 // The burst is emitted instantaneously at `start` (the
                 // access shaper serializes it at link rate), then steady
                 // state at rho. Token-bucket conformance: after the burst
@@ -146,6 +157,7 @@ impl SourceModel {
                 offset,
             } => {
                 assert!(packet_bits > 0 && period > 0.0, "bad CBR parameters");
+                assert!(offset.is_finite(), "offset must be finite");
                 let mut t = offset;
                 while t <= horizon {
                     visit(t);
@@ -165,6 +177,7 @@ impl SourceModel {
                     peak_bps > 0.0 && on_s > 0.0 && off_s >= 0.0,
                     "bad on/off parameters"
                 );
+                assert!(start.is_finite(), "start must be finite");
                 assert!(stop >= start, "stop must not precede start");
                 let gap = packet_bits as f64 / peak_bps;
                 let end = stop.min(horizon);
@@ -319,5 +332,70 @@ mod tests {
         let s = SourceModel::voip_cbr(0.0);
         assert!(s.emissions(0.0).len() == 1);
         assert!(s.emissions(-1.0).is_empty());
+    }
+
+    // Each of these walks would step backwards or stay at −∞ forever, or
+    // (NaN) emit nothing and pass for a silent source.
+
+    fn greedy(rate_bps: f64, start: f64) -> SourceModel {
+        SourceModel::GreedyOnOff {
+            burst_bits: 640.0,
+            rate_bps,
+            packet_bits: 640,
+            start,
+        }
+    }
+
+    fn onoff(start: f64) -> SourceModel {
+        SourceModel::OnOff {
+            peak_bps: 64_000.0,
+            packet_bits: 640,
+            on_s: 0.1,
+            off_s: 0.1,
+            start,
+            stop: 1.0,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rate must be positive and finite")]
+    fn a_negative_greedy_rate_is_rejected() {
+        greedy(-32_000.0, 0.0).emissions(1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "start must be finite")]
+    fn a_greedy_start_at_minus_infinity_is_rejected() {
+        greedy(32_000.0, f64::NEG_INFINITY).emissions(1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "start must be finite")]
+    fn a_nan_greedy_start_is_rejected() {
+        greedy(32_000.0, f64::NAN).emissions(1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "offset must be finite")]
+    fn a_cbr_offset_at_minus_infinity_is_rejected() {
+        SourceModel::voip_cbr(f64::NEG_INFINITY).emissions(1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "offset must be finite")]
+    fn a_nan_cbr_offset_is_rejected() {
+        SourceModel::voip_cbr(f64::NAN).emissions(1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "start must be finite")]
+    fn an_onoff_start_at_minus_infinity_is_rejected() {
+        onoff(f64::NEG_INFINITY).emissions(1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "start must be finite")]
+    fn a_nan_onoff_start_is_rejected() {
+        onoff(f64::NAN).emissions(1.0);
     }
 }

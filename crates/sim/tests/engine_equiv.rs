@@ -12,74 +12,62 @@
 //! failure message prints the freshly computed table.
 
 use uba_obs::SplitMix64;
-use uba_sim::{
-    simulate_with, Discipline, FlowSpec, Reconfiguration, SimConfig, SimReport, SourceModel,
-};
+use uba_sim::{simulate, Discipline, FlowSpec, SimConfig, SimReport, SourceModel};
 
 const RANDOM_CASES: usize = 40;
-const MODES: [&str; 8] = [
-    "StaticPriority",
-    "Fifo",
-    "Wfq",
-    "VirtualClock",
-    "StaticPriority+reconfigured",
-    "Fifo+reconfigured",
-    "Wfq+reconfigured",
-    "VirtualClock+reconfigured",
-];
+const MODES: [&str; 4] = ["StaticPriority", "Fifo", "Wfq", "VirtualClock"];
 
 /// FNV-1a digests of `format!("{:?}", report)`, one row per case (the
 /// last row is [`tie_case`]), one column per entry of [`MODES`].
 #[rustfmt::skip]
-const DIGESTS: [[u64; 8]; RANDOM_CASES + 1] = [
-    [0xc7f96b098bf2e3d3, 0x001dfe5721f6d202, 0xfa32e2e3e1d38428, 0xc7f96b098bf2e3d3, 0x6196098d961200b9, 0x3c3c744dd718569d, 0x579a20e6a4e57bf8, 0x42365c6b130562b2],
-    [0x28b8688b5f2e93bb, 0x8ef7139111f505ee, 0xf1e58561ee2314d4, 0x91196e137b516b92, 0xd17ef01496b18611, 0xaf7a3a522b986107, 0x8f7fdd9555cc7af8, 0xec2217d737cede92],
-    [0x60074e5da9a18f6f, 0x11e265a582ecdc80, 0xeab393de5e3a430d, 0x60074e5da9a18f6f, 0xbf9c6c246f513b87, 0x19ebc1414ab6070f, 0xa7880fccc522b681, 0xbf9c6c246f513b87],
-    [0xcf374033249dff41, 0x1a34a6220efdce78, 0x208b835349362f9d, 0x5243b8c56a06dfb5, 0xad4befb5cc5218dc, 0x2d734933bb6d947f, 0x6057c2f74302caa2, 0x4381ed949e73a58f],
-    [0x0c3eb41b70a27e37, 0xe2e66531714efa88, 0x553c1006eb9421c5, 0x50c92a5dd6259689, 0x4a2830dfe46e0c3e, 0x7b057d0784ad77fc, 0xbf81a4fae26e12b7, 0x4a2830dfe46e0c3e],
-    [0x58909e79f482ec0f, 0x5abbf04d5f1d4f60, 0xbf78f1e92abce01e, 0x58909e79f482ec0f, 0x007d10b9cef95a1a, 0x4f07587c6fba5970, 0x27a5db4d28bcee36, 0xdb2e3b1e8dc3650a],
-    [0xd94cd8bef2aa829f, 0xe35b441d5553303b, 0x76689f32a3d61707, 0xb3ac1ab91dfdf754, 0xca020306806e7220, 0x4e3a982d17453f09, 0x607f7cfe68c75e7d, 0xf46d8cea3c682d41],
-    [0xe77c2bc74f118473, 0x5f855c2d19a29def, 0x8db1956245710cee, 0xa57a23c3a40f2c2e, 0xa0c53ac56c6b9df7, 0xc08894ba8808fa6b, 0x49d05d3692a4651a, 0xe76182c75bb9bc7e],
-    [0xe4f8df69d6baefc3, 0x75ec13d467dd03db, 0xaf451147436e5831, 0x457511442e43a9af, 0x9dbe7f7745df4d4f, 0x0b2e5189e788994f, 0xf2b9de880cce2994, 0x1e8660f6dd926036],
-    [0xc54189938d25cd36, 0x4f0f505c52f143ba, 0xe47f40727796ca50, 0xf4081273ba68bbe4, 0x3e564973df421772, 0xa416b4dda29f5aa6, 0x2d497b13616fa7ce, 0xe66f8549b1e08d69],
-    [0x2226e1185bf24b54, 0x07750956173f9c15, 0xc82dc0065b34df59, 0xdff4954ffb4dd5e6, 0x5dc0d67c31830df0, 0x3d8b5e76ce657df5, 0xa1f854567e534c6c, 0xc48c3288edd984be],
-    [0x9220cce28fb29f56, 0x19ac17d23b10ee09, 0x68e958ccd352cdc9, 0x5325a2697f92e3f1, 0x7c86d5bd31d268e3, 0x085681e0e6fc87cc, 0x39fe67ad3181c3d0, 0x113f032529efd2b7],
-    [0xdeb071903ed4b3c6, 0x7d8768e927800ea5, 0x7d918ffb2ed4e64e, 0x7eea2d1325886b13, 0x46176e4e36eb7e24, 0x1b620b8869a47657, 0xe21d6c684db1fd1f, 0xe32c5e2626853f6d],
-    [0xb44c0c7d726553cd, 0x7490d81578f95706, 0x0709e63fdcc787bb, 0x3b86ca505eba2b5e, 0xc586a5fca80a7074, 0x0d7ca2025df18e38, 0x66da47233513c134, 0x0fe97d3ca4997e5a],
-    [0x735c8aad4f2acbd2, 0xab7a1d36a6675d08, 0xf2cb3cb2c30d021b, 0xd5295c082eccf375, 0x3f91934e36dfbef5, 0x9b41a2dd67ae4491, 0x64e54d055d7f7ed8, 0xbeaf45b6596bcd34],
-    [0x2af5027b4e7923a8, 0x778cdc33dd193cc0, 0xefafdc7ce0465776, 0x005419457643221d, 0x5cdd752e477296c1, 0x02cc1035d119d19c, 0x0ac54f7bd3f9e573, 0xea2c42642d0c27ac],
-    [0xcaa4ed96f68a0d87, 0xdcb1155ddb30d469, 0x82170a33a6e43b44, 0xd301c5f06d41dbb3, 0x9647afb23e858df8, 0x2170917d0a649678, 0xf9cfb48a14eba0b0, 0xadc3bbeeb817c180],
-    [0x5ad8fe47c0e93ab5, 0x525b7e97d59a256d, 0x70edd126785c6781, 0xb4790dbfd6685d82, 0x4256c933f99824a0, 0x590968317a66f4b6, 0x3cca7bf383bdb2f6, 0x157464f4c295cada],
-    [0x28f2d0087b6f11b9, 0xe98ae5beba9292e8, 0x427f7054c934aa92, 0xb849a0f13ba27bc1, 0x6bd2adbf03eb84a8, 0x7e736d85148d8ea0, 0x73bddcc7eccb56bd, 0x4813986918b02b46],
-    [0xd8344d5ffd087811, 0x53d3d4ac0f42521f, 0x58418bea5416f058, 0x095282f22372ca93, 0x77823d1364597708, 0x226d9d79ed947df5, 0xe067d54a83379cc1, 0x90d952a3d4ef6caa],
-    [0x841cab0762bcab0f, 0xe64714ccb1bfd7e7, 0x6f50658b9bc118f1, 0x64c0126aec047738, 0xccfcc3f0f2bd102e, 0x7546df0c37ca1df3, 0x39e907b188fc9320, 0x6a356883e0ddf42d],
-    [0xc67cef4ca782e5be, 0x6c003e72bc7e0626, 0x36fb01ea30dc5e08, 0xa1197ae2cc93e1da, 0x0efbfd37e2b7205d, 0x48d6c2cf615a7cbf, 0xd4069819f9c1bf80, 0xd97a54df7a58f5c6],
-    [0x4887364640cb5af2, 0x66723f07827ac94a, 0x4cbb055f12a93c64, 0x9094257e1a109c04, 0x43d4fb280ed312bb, 0x0dc768e6c8d967f6, 0xe6d773a5e20bec0c, 0x0403b16c7a17bbf1],
-    [0x328b7996fcdb35b4, 0x3c457d448f24f0fc, 0x633918dce7c44033, 0xb82410a39c39a39e, 0x4342fee01e861d09, 0xbb9c1ac1f0b51411, 0x81c9987661da7962, 0x7e101ce9a9e35e52],
-    [0x59b409a319210b20, 0x9d5bf0723357ffff, 0x64202bb7498a3e91, 0x4f7a8036c71e0dee, 0x6d26dab09c0a096f, 0x46f23724798e754f, 0x64bf4c2d13f3c908, 0xe7a1de43fb92c853],
-    [0x59a0625fa9dd76d8, 0xd6e62c4cb5638b15, 0x0db7d87f56af58e2, 0x7a089e915c750f2e, 0x4a63aace62ef90ae, 0x09e2951a69b5c85a, 0xec4e488a9cbb2bba, 0x98c541734bedac5e],
-    [0xb2d5317b3009ea53, 0xed661420637f6133, 0x301243eb633e9272, 0x0722f861a87c9539, 0x2b554c7cd7c9dc92, 0x9a9da024bb967595, 0x43534958c69fd002, 0x2f80b2ec5d68a75a],
-    [0x32ba81a1a821972e, 0xaed2305ca161f3e9, 0x68e7c0b46efb0959, 0xc77c19d1c65bead8, 0x525a21ddf81c740f, 0x9fa07b7334774fd3, 0x556036bd466e4211, 0xdf79ba0915cc39d9],
-    [0x0b17953d243e1893, 0x00415580607dc29a, 0x2c52f8143f1fa91c, 0xc7495cda8f5ba4de, 0x706156647597b79c, 0xfe19ab01534e5ed8, 0x9d92ef42489da497, 0xe1f37077a2f03fe9],
-    [0xe78731e1cd970981, 0x730cd4763629ec87, 0xd2bce1d018f57365, 0xd2bce1d018f57365, 0x4efebf64733b3aa5, 0xf602cbe7d587448d, 0x7a3d4f8449b9f85f, 0x7a3d4f8449b9f85f],
-    [0x2d087235d5736580, 0xd6f0c0f70b47b47b, 0x0c36fdfbf11e39c8, 0xa92a031a6b5a0489, 0xea6bc7f0a9e4b705, 0xa0ec768ffda50f2d, 0x0b0ecfeaf1617b78, 0x20de0eee7710eaf9],
-    [0x998856070f3435be, 0x998856070f3435be, 0x787bb2b268494363, 0x787bb2b268494363, 0x0acce1ab5993bcb4, 0x0acce1ab5993bcb4, 0x59a64bdd118ceada, 0x59a64bdd118ceada],
-    [0x11a705a857032741, 0x081679c9f5fee8ea, 0xcd28d425f27cf2fc, 0xf095071179b48755, 0x7c5f1718e77e7853, 0xd4bdde79c70342f4, 0xefcc5db4b9f488e6, 0x31b4e3274bf603a0],
-    [0x60f5607d7595113f, 0x60f5607d7595113f, 0x60f5607d7595113f, 0x60f5607d7595113f, 0x2bff665941de759a, 0x2bff665941de759a, 0x2bff665941de759a, 0x2bff665941de759a],
-    [0xd8af9aeaa6e5fa9c, 0x879c2511bef49e24, 0xb861a6e1663edd9b, 0x5ba7e427bfdd6c3a, 0xab9fb281f72c6f62, 0xae2cac6a9d909f1e, 0x97b25cdb26ba73f8, 0x92148ad87b3f7d59],
-    [0xda3c7f6c66fc8016, 0xd272a38aa097b9db, 0xf33963d1e8cbdd82, 0xda3c7f6c66fc8016, 0xa32398a5442a890b, 0x06e1884971116022, 0x087cad45991571a0, 0xa32398a5442a890b],
-    [0xb2c9f1f55d6e41c2, 0xb9dd5dac8d68ee15, 0x25c9e25d783b8aa5, 0xb2c9f1f55d6e41c2, 0x82d798aafb0d901e, 0xbcb817d9689ce818, 0x204f39c6b747f2f3, 0x82d798aafb0d901e],
-    [0xc72899f9f9d34542, 0x0bfe1ae579bb0d87, 0x8c21fade70e0ccb5, 0x1875a84715cb911b, 0xb3b71679dacca08e, 0xa27922d3c27b7b89, 0x589676ecd76fff12, 0x84d30b0c3dfe21fb],
-    [0x64a059d60b342117, 0xaae3bc4e7b783933, 0xa6169ca25114442f, 0xfaa477d92ff0d4a8, 0x76d5c5b1e629f037, 0x1c07a9c1516761a9, 0x28aa758ed95c0ed2, 0x02230c81744d4340],
-    [0x683adab7684690f6, 0x44b53aa7681c46f1, 0xfbf00ba5b1a33f42, 0xc12f55771b6dbb82, 0x6f0e5ccfed096b85, 0x32d9ae2094a07e75, 0x6a4d225703926dad, 0x8782f658cc1e3e3c],
-    [0x2643ef12acc62c7d, 0x8e1df23747c84e1c, 0x1c36d8157001eae9, 0x3ebb0e3bfafeddb1, 0x0ec499d9e4be5e85, 0x9e7b189837a6db79, 0x711fa52a0e543ad0, 0xad9c8eb615ad6d92],
+const DIGESTS: [[u64; 4]; RANDOM_CASES + 1] = [
+    [0xc7f96b098bf2e3d3, 0x001dfe5721f6d202, 0xfa32e2e3e1d38428, 0xc7f96b098bf2e3d3],
+    [0x28b8688b5f2e93bb, 0x8ef7139111f505ee, 0xf1e58561ee2314d4, 0x91196e137b516b92],
+    [0x60074e5da9a18f6f, 0x11e265a582ecdc80, 0xeab393de5e3a430d, 0x60074e5da9a18f6f],
+    [0xcf374033249dff41, 0x1a34a6220efdce78, 0x208b835349362f9d, 0x5243b8c56a06dfb5],
+    [0x0c3eb41b70a27e37, 0xe2e66531714efa88, 0x553c1006eb9421c5, 0x50c92a5dd6259689],
+    [0x58909e79f482ec0f, 0x5abbf04d5f1d4f60, 0xbf78f1e92abce01e, 0x58909e79f482ec0f],
+    [0xd94cd8bef2aa829f, 0xe35b441d5553303b, 0x76689f32a3d61707, 0xb3ac1ab91dfdf754],
+    [0xe77c2bc74f118473, 0x5f855c2d19a29def, 0x8db1956245710cee, 0xa57a23c3a40f2c2e],
+    [0xe4f8df69d6baefc3, 0x75ec13d467dd03db, 0xaf451147436e5831, 0x457511442e43a9af],
+    [0xc54189938d25cd36, 0x4f0f505c52f143ba, 0xe47f40727796ca50, 0xf4081273ba68bbe4],
+    [0x2226e1185bf24b54, 0x07750956173f9c15, 0xc82dc0065b34df59, 0xdff4954ffb4dd5e6],
+    [0x9220cce28fb29f56, 0x19ac17d23b10ee09, 0x68e958ccd352cdc9, 0x5325a2697f92e3f1],
+    [0xdeb071903ed4b3c6, 0x7d8768e927800ea5, 0x7d918ffb2ed4e64e, 0x7eea2d1325886b13],
+    [0xb44c0c7d726553cd, 0x7490d81578f95706, 0x0709e63fdcc787bb, 0x3b86ca505eba2b5e],
+    [0x735c8aad4f2acbd2, 0xab7a1d36a6675d08, 0xf2cb3cb2c30d021b, 0xd5295c082eccf375],
+    [0x2af5027b4e7923a8, 0x778cdc33dd193cc0, 0xefafdc7ce0465776, 0x005419457643221d],
+    [0xcaa4ed96f68a0d87, 0xdcb1155ddb30d469, 0x82170a33a6e43b44, 0xd301c5f06d41dbb3],
+    [0x5ad8fe47c0e93ab5, 0x525b7e97d59a256d, 0x70edd126785c6781, 0xb4790dbfd6685d82],
+    [0x28f2d0087b6f11b9, 0xe98ae5beba9292e8, 0x427f7054c934aa92, 0xb849a0f13ba27bc1],
+    [0xd8344d5ffd087811, 0x53d3d4ac0f42521f, 0x58418bea5416f058, 0x095282f22372ca93],
+    [0x841cab0762bcab0f, 0xe64714ccb1bfd7e7, 0x6f50658b9bc118f1, 0x64c0126aec047738],
+    [0xc67cef4ca782e5be, 0x6c003e72bc7e0626, 0x36fb01ea30dc5e08, 0xa1197ae2cc93e1da],
+    [0x4887364640cb5af2, 0x66723f07827ac94a, 0x4cbb055f12a93c64, 0x9094257e1a109c04],
+    [0x328b7996fcdb35b4, 0x3c457d448f24f0fc, 0x633918dce7c44033, 0xb82410a39c39a39e],
+    [0x59b409a319210b20, 0x9d5bf0723357ffff, 0x64202bb7498a3e91, 0x4f7a8036c71e0dee],
+    [0x59a0625fa9dd76d8, 0xd6e62c4cb5638b15, 0x0db7d87f56af58e2, 0x7a089e915c750f2e],
+    [0xb2d5317b3009ea53, 0xed661420637f6133, 0x301243eb633e9272, 0x0722f861a87c9539],
+    [0x32ba81a1a821972e, 0xaed2305ca161f3e9, 0x68e7c0b46efb0959, 0xc77c19d1c65bead8],
+    [0x0b17953d243e1893, 0x00415580607dc29a, 0x2c52f8143f1fa91c, 0xc7495cda8f5ba4de],
+    [0xe78731e1cd970981, 0x730cd4763629ec87, 0xd2bce1d018f57365, 0xd2bce1d018f57365],
+    [0x2d087235d5736580, 0xd6f0c0f70b47b47b, 0x0c36fdfbf11e39c8, 0xa92a031a6b5a0489],
+    [0x998856070f3435be, 0x998856070f3435be, 0x787bb2b268494363, 0x787bb2b268494363],
+    [0x11a705a857032741, 0x081679c9f5fee8ea, 0xcd28d425f27cf2fc, 0xf095071179b48755],
+    [0x60f5607d7595113f, 0x60f5607d7595113f, 0x60f5607d7595113f, 0x60f5607d7595113f],
+    [0xd8af9aeaa6e5fa9c, 0x879c2511bef49e24, 0xb861a6e1663edd9b, 0x5ba7e427bfdd6c3a],
+    [0xda3c7f6c66fc8016, 0xd272a38aa097b9db, 0xf33963d1e8cbdd82, 0xda3c7f6c66fc8016],
+    [0xb2c9f1f55d6e41c2, 0xb9dd5dac8d68ee15, 0x25c9e25d783b8aa5, 0xb2c9f1f55d6e41c2],
+    [0xc72899f9f9d34542, 0x0bfe1ae579bb0d87, 0x8c21fade70e0ccb5, 0x1875a84715cb911b],
+    [0x64a059d60b342117, 0xaae3bc4e7b783933, 0xa6169ca25114442f, 0xfaa477d92ff0d4a8],
+    [0x683adab7684690f6, 0x44b53aa7681c46f1, 0xfbf00ba5b1a33f42, 0xc12f55771b6dbb82],
+    [0x2643ef12acc62c7d, 0x8e1df23747c84e1c, 0x1c36d8157001eae9, 0x3ebb0e3bfafeddb1],
 ];
 
 struct Case {
     capacities: Vec<f64>,
     flows: Vec<FlowSpec>,
     cfg: SimConfig,
-    reconfig: Reconfiguration,
 }
 
 fn disciplines() -> [Discipline; 4] {
@@ -162,12 +150,6 @@ fn random_case(i: usize) -> Case {
             source: random_source(&mut rng, horizon),
         })
         .collect();
-    let mut reroutes = Vec::new();
-    for fi in 0..flows.len() {
-        if rng.index(4) == 0 {
-            reroutes.push((fi, random_route(&mut rng, servers)));
-        }
-    }
     let mut cfg = SimConfig::new(horizon, vec![0.05, 0.1]);
     if i.is_multiple_of(3) {
         cfg.policers = Some(vec![(1280.0, 32_000.0), (8000.0, 64_000.0)]);
@@ -176,10 +158,6 @@ fn random_case(i: usize) -> Case {
         capacities,
         flows,
         cfg,
-        reconfig: Reconfiguration {
-            at: horizon / 2.0,
-            reroutes,
-        },
     }
 }
 
@@ -196,15 +174,10 @@ fn tie_case() -> Case {
             source: SourceModel::voip_greedy(0.0),
         })
         .collect();
-    let horizon = 0.2;
     Case {
         capacities: vec![1e6; 4],
-        reconfig: Reconfiguration {
-            at: horizon / 2.0,
-            reroutes: (0..40).step_by(3).map(|fi| (fi, vec![0, 3])).collect(),
-        },
         flows,
-        cfg: SimConfig::new(horizon, vec![0.05, 0.1]),
+        cfg: SimConfig::new(0.2, vec![0.05, 0.1]),
     }
 }
 
@@ -216,46 +189,22 @@ fn digest(report: &SimReport) -> u64 {
         })
 }
 
-fn digests_of(case: &Case) -> [u64; 8] {
-    let Case {
-        capacities,
-        flows,
-        cfg,
-        reconfig,
-    } = case;
-    let mut row = [0u64; 8];
-    for (d, discipline) in disciplines().iter().enumerate() {
-        let plain = simulate_with(capacities, flows, cfg, discipline, None, None);
-        let swapped = simulate_with(capacities, flows, cfg, discipline, Some(reconfig), None);
-        row[d] = digest(&plain);
-        row[4 + d] = digest(&swapped);
-        // Observation must not perturb the report.
-        let every = cfg.horizon / 7.0;
-        let observed = simulate_with(
-            capacities,
-            flows,
-            cfg,
-            discipline,
-            None,
-            Some((every, &mut |_| {})),
-        );
-        assert_eq!(digest(&observed), row[d], "observed run diverged");
-        let observed = simulate_with(
-            capacities,
-            flows,
-            cfg,
-            discipline,
-            Some(reconfig),
-            Some((every, &mut |_| {})),
-        );
-        assert_eq!(digest(&observed), row[4 + d], "observed swap diverged");
-    }
-    row
+/// `case` under `discipline`.
+fn run_under(case: &Case, discipline: Discipline) -> SimReport {
+    let cfg = SimConfig {
+        discipline,
+        ..case.cfg.clone()
+    };
+    simulate(&case.capacities, &case.flows, &cfg)
+}
+
+fn digests_of(case: &Case) -> [u64; 4] {
+    disciplines().map(|d| digest(&run_under(case, d)))
 }
 
 #[test]
 fn reports_match_the_pinned_digests() {
-    let computed: Vec<[u64; 8]> = (0..RANDOM_CASES)
+    let computed: Vec<[u64; 4]> = (0..RANDOM_CASES)
         .map(random_case)
         .chain([tie_case()])
         .map(|case| digests_of(&case))
@@ -291,28 +240,13 @@ fn reports_match_the_pinned_digests() {
 fn the_cases_exercise_ties_drops_and_queueing() {
     // Guards the generator, not the engine: a digest table over cases
     // that never queue or never tie would pin nothing.
-    let tie = tie_case();
-    let r = simulate_with(
-        &tie.capacities,
-        &tie.flows,
-        &tie.cfg,
-        &Discipline::Fifo,
-        None,
-        None,
-    );
+    let r = run_under(&tie_case(), Discipline::Fifo);
     assert!(r.peak_backlog >= 20, "tie case must pile up on server 0");
     let mut dropped = 0;
     let mut queued = 0;
     for i in 0..RANDOM_CASES {
         let c = random_case(i);
-        let r = simulate_with(
-            &c.capacities,
-            &c.flows,
-            &c.cfg,
-            &Discipline::StaticPriority,
-            None,
-            None,
-        );
+        let r = simulate(&c.capacities, &c.flows, &c.cfg);
         dropped += r.classes.iter().map(|s| s.policed_drops).sum::<u64>();
         queued += usize::from(r.peak_backlog > 2);
         assert_eq!(c.cfg.policers.is_some(), i.is_multiple_of(3));
@@ -366,7 +300,7 @@ fn benchmark_shaped_run() -> (usize, SimReport) {
         .collect();
     let caps = vec![C; g.edge_count()];
     let cfg = SimConfig::new(3.0, vec![0.1]);
-    (flows.len(), uba_sim::simulate(&caps, &flows, &cfg))
+    (flows.len(), simulate(&caps, &flows, &cfg))
 }
 
 #[test]
@@ -410,7 +344,7 @@ fn forwarded_arrival_follows_same_instant_completions() {
         one_shot(1, 2, &[1], 500, 0.003),   // L: shaper 3–3.5, queued at 3.5
     ];
     let cfg = SimConfig::new(0.01, vec![0.1, 0.1]);
-    let r = uba_sim::simulate(&[1e6, 1e6], &flows, &cfg);
+    let r = simulate(&[1e6, 1e6], &flows, &cfg);
     assert_eq!(r.total_packets, 3);
     // L: queued 3.5, served 4–4.5. Inlining the arrival would start H at
     // 4 instead and deliver L at 6.5 (delay 3 ms).
@@ -432,15 +366,10 @@ fn repeat_case() -> Case {
             source: SourceModel::voip_greedy(0.0),
         })
         .collect();
-    let horizon = 0.1;
     Case {
         capacities: vec![1e6; 2],
-        reconfig: Reconfiguration {
-            at: horizon / 2.0,
-            reroutes: (0..24).step_by(5).map(|fi| (fi, vec![1, 1])).collect(),
-        },
         flows,
-        cfg: SimConfig::new(horizon, vec![0.05, 0.1]),
+        cfg: SimConfig::new(0.1, vec![0.05, 0.1]),
     }
 }
 
@@ -451,7 +380,6 @@ fn back_to_back_repeats_match_their_pinned_digests() {
     #[rustfmt::skip]
     let pinned = [
         0x2598eb792e7eb579, 0x94bf0857b16e9188, 0xb18aaeea8e9be2c1, 0x7f73f39c3866118d,
-        0xcac2e99e81b90228, 0x2cbbe442a0012fcf, 0x7d00dd8b54d42bb1, 0xaa66eaec53c37d3f,
     ];
     let got = digests_of(&repeat_case());
     assert_eq!(got, pinned, "{got:#018x?}");

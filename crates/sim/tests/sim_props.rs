@@ -3,7 +3,7 @@
 //! run).
 
 use uba_obs::{check, ensure, SplitMix64};
-use uba_sim::{simulate, simulate_with, Discipline, FlowSpec, SimConfig, SourceModel};
+use uba_sim::{simulate, Discipline, FlowSpec, SimConfig, SourceModel};
 
 const CASES: u64 = 48;
 
@@ -37,11 +37,7 @@ fn arb_flows(rng: &mut SplitMix64) -> Vec<FlowSpec> {
 const C: f64 = 1e6;
 
 fn cfg() -> SimConfig {
-    SimConfig {
-        horizon: 0.1,
-        deadlines: vec![1.0, 1.0],
-        policers: None,
-    }
+    SimConfig::new(0.1, vec![1.0, 1.0])
 }
 
 /// Conservation: every emitted packet is delivered exactly once, under
@@ -64,7 +60,11 @@ fn packets_conserved() {
                 rates: vec![0.5 * C, 0.5 * C],
             },
         ] {
-            let r = simulate_with(&[C, C, C], &flows, &cfg(), &d, None, None);
+            let cfg = SimConfig {
+                discipline: d.clone(),
+                ..cfg()
+            };
+            let r = simulate(&[C, C, C], &flows, &cfg);
             ensure!(
                 r.total_packets == emitted,
                 "discipline {d:?}: {} delivered of {emitted}",
@@ -107,7 +107,11 @@ fn priority_at_least_as_good_as_fifo_for_class0() {
             }
             reached += 1;
             let pri = simulate(&[C, C, C], &flows, &cfg());
-            let fifo = simulate_with(&[C, C, C], &flows, &cfg(), &Discipline::Fifo, None, None);
+            let fifo_cfg = SimConfig {
+                discipline: Discipline::Fifo,
+                ..cfg()
+            };
+            let fifo = simulate(&[C, C, C], &flows, &fifo_cfg);
             ensure!(pri.classes[0].max_delay <= fifo.classes[0].max_delay + 1e-9);
             Ok(())
         },

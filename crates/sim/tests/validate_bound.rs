@@ -88,11 +88,7 @@ fn validate(g: &uba_graph::Digraph, alpha: f64, capacity: f64, horizon: f64) -> 
             .map(|k| servers.capacity_at(k))
             .collect::<Vec<_>>(),
         &flows,
-        &SimConfig {
-            horizon,
-            deadlines: vec![voip.deadline],
-            policers: None,
-        },
+        &SimConfig::new(horizon, vec![voip.deadline]),
     );
     assert!(report.total_packets > 0);
     assert_eq!(
@@ -239,11 +235,7 @@ fn multiclass_simulation_below_theorem5_bounds() {
             .map(|k| servers.capacity_at(k))
             .collect::<Vec<_>>(),
         &flows,
-        &SimConfig {
-            horizon: 0.3,
-            deadlines: vec![0.1, 0.3],
-            policers: None,
-        },
+        &SimConfig::new(0.3, vec![0.1, 0.3]),
     );
     assert_eq!(report.total_misses(), 0);
     for (class, &bound) in bounds.iter().enumerate() {

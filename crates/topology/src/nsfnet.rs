@@ -11,8 +11,6 @@ use uba_graph::{bfs, Digraph, NodeId};
 
 /// Number of routers.
 pub const NSFNET_NODES: usize = 14;
-/// Diameter of the encoding.
-pub const NSFNET_DIAMETER: usize = 4;
 
 const LABELS: [&str; NSFNET_NODES] = [
     "Seattle",     // 0
@@ -84,9 +82,7 @@ mod tests {
 
     #[test]
     fn diameter_small() {
-        let d = bfs::diameter(&nsfnet()).unwrap();
-        assert!(d <= 4, "diameter {d}");
-        assert_eq!(d, NSFNET_DIAMETER);
+        assert_eq!(bfs::diameter(&nsfnet()), Some(4));
     }
 
     #[test]

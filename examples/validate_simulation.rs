@@ -69,11 +69,7 @@ fn main() {
     let report = simulate(
         &vec![capacity; servers.len()],
         &flows,
-        &SimConfig {
-            horizon: 0.5,
-            deadlines: vec![voip.deadline],
-            policers: None,
-        },
+        &SimConfig::new(0.5, vec![voip.deadline]),
     );
     println!(
         "simulated {} packets ({} events): max delay {:.2} ms, mean {:.3} ms, misses {}",

@@ -72,9 +72,8 @@ fn admitted_flows_meet_deadlines_in_simulation() {
         &caps,
         &flows,
         &SimConfig {
-            horizon: 0.25,
-            deadlines: vec![voip.deadline],
             policers: Some(vec![(voip.bucket.burst, voip.bucket.rate)]),
+            ..SimConfig::new(0.25, vec![voip.deadline])
         },
     );
     assert!(report.total_packets > 0);
