@@ -12,7 +12,7 @@
 //!
 //! Contract: median overhead below 45%. Unlike `obs_overhead` (whose
 //! buffered counters cost ~1–2ns against the same loop and hold a 5%
-//! bound), an enabled flight recorder writes a full 48-byte event per
+//! bound), an enabled flight recorder writes a full 40-byte event per
 //! admit *and* per release — measured ≈17ns each after batching the
 //! clock reads and the publish lock — against an admit+release loop
 //! that itself runs in ~120ns. A 5% relative bound would require

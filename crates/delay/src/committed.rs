@@ -56,7 +56,7 @@
 //! to within rounding is evaluated, never cut.
 
 use crate::fixed_point::{SolveConfig, DEADLINE_SLACK};
-use crate::metrics::{record_solve, SolveRecord};
+use crate::metrics::{record_solve, SolveRecord, TIME_EVERY};
 use crate::routeset::{Route, RouteSet};
 use crate::rule::{DelayRule, Theorem3};
 use crate::servers::Servers;
@@ -86,6 +86,8 @@ pub struct CommittedState<'a, R = Theorem3> {
     /// Some pending value is below its `d_k`: the committed delays sit
     /// above what their own `Y` supports, so iterates may fall.
     pending_lowers: bool,
+    /// Candidates evaluated so far (one in [`TIME_EVERY`] is timed).
+    evaluations: u64,
     /// No candidate can verify: a committed route already misses its
     /// deadline, or a stale server is outside the rule's domain.
     blocked: bool,
@@ -201,6 +203,7 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
             pending: Vec::new(),
             pending_ready: false,
             pending_lowers: false,
+            evaluations: 0,
             blocked: false,
             log_d: Vec::new(),
             log_y: Vec::new(),
@@ -350,10 +353,13 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
     }
 
     /// Instrumented [`Self::iterate`]: one record per evaluated candidate
-    /// in the `delay.solve.*` series, like any other warm solve.
+    /// in the `delay.solve.*` series, like any other warm solve, but only
+    /// the first evaluation and every [`TIME_EVERY`]th read the clock.
     fn evaluate(&mut self, cand: &Route) -> bool {
         let (servers, routes) = (self.servers.len(), self.routes.len() + 1);
-        record_solve(servers, routes, true, || {
+        let timed = self.evaluations.is_multiple_of(TIME_EVERY);
+        self.evaluations += 1;
+        record_solve(servers, routes, true, timed, || {
             let mut rec = SolveRecord::default();
             let safe = self.iterate(cand, &mut rec);
             (safe, rec)

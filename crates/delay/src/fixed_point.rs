@@ -137,7 +137,7 @@ pub fn solve_rule<R: DelayRule>(
     cfg: &SolveConfig,
     warm: Option<&[f64]>,
 ) -> SolveResult {
-    crate::metrics::record_solve(servers.len(), routes.len(), warm.is_some(), || {
+    crate::metrics::record_solve(servers.len(), routes.len(), warm.is_some(), true, || {
         solve_core(servers, rule, routes, cfg, warm)
     })
 }

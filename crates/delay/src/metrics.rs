@@ -3,6 +3,10 @@
 //! Recorded into the process-global [`uba_obs`] registry at the *end* of
 //! each solve/verify call — one histogram record per call, nothing in
 //! the iteration loop, so the solver's per-iteration cost is untouched.
+//! One exception: a [`CommittedState`](crate::committed::CommittedState)
+//! evaluates thousands of §5.2 candidates per configuration pass, so it
+//! reads the clock for only the first of its evaluations and every
+//! [`TIME_EVERY`]th after (the 1-in-64 sampling of `admission.admit_ns`).
 //!
 //! Metric names:
 //!
@@ -10,7 +14,7 @@
 //! |---|---|---|
 //! | `delay.solve.iterations` | histogram | fixed-point iterations to convergence |
 //! | `delay.solve.residual` | histogram | final sup-norm residual (s) |
-//! | `delay.solve.seconds` | histogram | wall time per solve |
+//! | `delay.solve.seconds` | histogram | wall time per solve: every general solve, one in [`TIME_EVERY`] candidate evaluations per committed state |
 //! | `delay.solve.divergence` | counter | solves that hit the iteration cap |
 //! | `delay.solve.sweeps_skipped` | counter | route `Y`-sweeps candidate evaluation avoided vs. a full rebuild |
 //! | `delay.solve.servers_touched` | counter | delay-rule evaluations performed, one per `(class, server)` cell |
@@ -21,6 +25,10 @@
 use std::sync::{Arc, OnceLock};
 use uba_obs::{Counter, Histogram};
 
+/// A committed state times its first candidate evaluation and every
+/// `TIME_EVERY`th after it.
+pub const TIME_EVERY: u64 = 64;
+
 /// Handles to the delay-analysis metrics.
 #[derive(Debug)]
 pub struct SolverMetrics {
@@ -28,7 +36,8 @@ pub struct SolverMetrics {
     pub iterations: Arc<Histogram>,
     /// Final sup-norm residual per solve, seconds.
     pub residual: Arc<Histogram>,
-    /// Wall time per solve, seconds.
+    /// Wall time per solve, seconds (candidate evaluations sampled, see
+    /// [`TIME_EVERY`]).
     pub seconds: Arc<Histogram>,
     /// Solves that hit the iteration cap (treated as unsafe).
     pub divergence: Arc<Counter>,
@@ -86,11 +95,13 @@ pub(crate) struct SolveRecord {
 
 /// Runs one solve between its `SolveBegin` / `SolveEnd` tracepoints and
 /// records it in the `delay.solve.*` series: every solve — general or
-/// candidate evaluation — is one record.
+/// candidate evaluation — is one record, and its wall time one
+/// `delay.solve.seconds` sample when `timed`.
 pub(crate) fn record_solve<T>(
     servers: usize,
     routes: usize,
     warm: bool,
+    timed: bool,
     solve: impl FnOnce() -> (T, SolveRecord),
 ) -> T {
     use uba_obs::EventKind;
@@ -105,10 +116,12 @@ pub(crate) fn record_solve<T>(
         routes as f64,
         warm_flag,
     );
-    let t0 = uba_obs::Stopwatch::start();
+    let t0 = timed.then(uba_obs::Stopwatch::start);
     let (out, rec) = solve();
     let m = solver();
-    m.seconds.record(t0.elapsed_secs());
+    if let Some(t0) = t0 {
+        m.seconds.record(t0.elapsed_secs());
+    }
     m.iterations.record(rec.iterations as f64);
     m.residual.record(rec.residual);
     if rec.iteration_limit {

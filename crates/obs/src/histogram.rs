@@ -24,8 +24,8 @@ const MAJORS: usize = 64;
 pub const SUB: usize = 8;
 
 /// Total slot count. Public APIs ([`Histogram::bucket_counts`],
-/// [`Histogram::bucket_lower_bound`], the sparse JSON layout) are all
-/// indexed by slot `0..BUCKETS`.
+/// [`slot_lower_bound`], the sparse JSON layout) are all indexed by slot
+/// `0..BUCKETS`.
 pub const BUCKETS: usize = MAJORS * SUB;
 
 /// Micro-unit scale used for the running sum (so means stay exact to a
@@ -95,10 +95,10 @@ impl Histogram {
             }
         };
         let mut s = guess.min(BUCKETS - 1);
-        while s + 1 < BUCKETS && v >= self.bucket_lower_bound(s + 1) {
+        while s + 1 < BUCKETS && v >= slot_lower_bound(self.base, s + 1) {
             s += 1;
         }
-        while s > 0 && v < self.bucket_lower_bound(s) {
+        while s > 0 && v < slot_lower_bound(self.base, s) {
             s -= 1;
         }
         s
@@ -130,6 +130,11 @@ impl Histogram {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
+    /// Sum of the recorded samples (exact to the micro-unit).
+    pub fn sum(&self) -> f64 {
+        self.sum_micro.load(Ordering::Relaxed) as f64 / SUM_SCALE
+    }
+
     /// Largest recorded sample (`0.0` when empty).
     pub fn max(&self) -> f64 {
         f64::from_bits(self.max_bits.load(Ordering::Relaxed))
@@ -139,10 +144,7 @@ impl Histogram {
     /// micro-unit (not bucket resolution).
     pub fn mean(&self) -> Option<f64> {
         let n = self.count();
-        if n == 0 {
-            return None;
-        }
-        Some(self.sum_micro.load(Ordering::Relaxed) as f64 / SUM_SCALE / n as f64)
+        (n > 0).then(|| self.sum() / n as f64)
     }
 
     /// Upper bound of the slot containing the `q`-quantile
@@ -155,30 +157,17 @@ impl Histogram {
         quantile_from_counts(self.base, &counts, q)
     }
 
-    /// Upper bound of slot `i` (the lower bound of slot `i + 1`; the top
-    /// slot's bound is `base·2^63`).
+    /// Upper bound of slot `i`: [`slot_upper_bound`] at this base.
     pub fn bucket_upper_bound(&self, i: usize) -> f64 {
-        assert!(i < BUCKETS, "bucket index out of range");
-        if i + 1 == BUCKETS {
-            self.base * 2f64.powi(MAJORS as i32 - 1)
-        } else {
-            self.bucket_lower_bound(i + 1)
-        }
+        slot_upper_bound(self.base, i)
     }
 
-    /// Lower bound of slot `i` (`0.0` for slot 0). Every bound is an
-    /// exact dyadic multiple of `base`, so a sample equal to this bound
-    /// lands back in slot `i` — which is what lets a sparse JSON dump be
-    /// replayed through [`record_n`](Self::record_n) without shifting
-    /// mass between slots.
+    /// Lower bound of slot `i`: [`slot_lower_bound`] at this base. A
+    /// sample equal to it lands back in slot `i`, which is what lets a
+    /// sparse JSON dump be replayed through [`record_n`](Self::record_n)
+    /// without shifting mass between slots.
     pub fn bucket_lower_bound(&self, i: usize) -> f64 {
-        assert!(i < BUCKETS, "bucket index out of range");
-        let (m, k) = (i / SUB, i % SUB);
-        if m == 0 {
-            self.base * k as f64 / SUB as f64
-        } else {
-            self.base * 2f64.powi(m as i32 - 1) * (SUB + k) as f64 / SUB as f64
-        }
+        slot_lower_bound(self.base, i)
     }
 
     /// A point-in-time copy of every slot count, index-aligned with
@@ -222,28 +211,76 @@ impl Histogram {
     }
 }
 
+/// Lower bound of slot `i` of a histogram with first boundary `base`
+/// (`0.0` for slot 0). Every bound is an exact dyadic multiple of `base`.
+///
+/// # Panics
+/// Panics when `i >= BUCKETS`.
+pub fn slot_lower_bound(base: f64, i: usize) -> f64 {
+    assert!(i < BUCKETS, "bucket index out of range");
+    let (m, k) = (i / SUB, i % SUB);
+    if m == 0 {
+        base * k as f64 / SUB as f64
+    } else {
+        base * 2f64.powi(m as i32 - 1) * (SUB + k) as f64 / SUB as f64
+    }
+}
+
+/// Upper bound of slot `i` of a histogram with first boundary `base`:
+/// the lower bound of slot `i + 1`, and `base·2^63` for the top slot.
+///
+/// # Panics
+/// Panics when `i >= BUCKETS`.
+pub fn slot_upper_bound(base: f64, i: usize) -> f64 {
+    assert!(i < BUCKETS, "bucket index out of range");
+    if i + 1 == BUCKETS {
+        base * 2f64.powi(MAJORS as i32 - 1)
+    } else {
+        slot_lower_bound(base, i + 1)
+    }
+}
+
 /// Quantile over an externally supplied slot-count array laid out like
 /// [`Histogram::bucket_counts`] for a histogram with the given `base`.
 /// `None` when the counts are all zero. Interval snapshots diff two
 /// slot arrays and read window quantiles through this same path, so the
 /// readout semantics cannot drift between live and delta views.
 pub fn quantile_from_counts(base: f64, counts: &[u64; BUCKETS], q: f64) -> Option<f64> {
-    assert!(q > 0.0 && q <= 1.0, "quantile in (0, 1]");
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    // Probe histogram only for its bound arithmetic; nothing is recorded.
-    let bounds = Histogram::with_base(base);
-    let target = (q * total as f64).ceil() as u64;
-    let mut seen = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        seen += c;
-        if seen >= target {
-            return Some(bounds.bucket_upper_bound(i));
+    let [v] = quantiles_from_counts(base, counts, counts.iter().sum(), [q]);
+    v
+}
+
+/// The `qs`-quantiles (ascending) of a slot-count array whose sum is
+/// `total`, in one cumulative walk: each is what [`quantile_from_counts`]
+/// returns for it.
+///
+/// # Panics
+/// Panics unless every `q` is in `(0, 1]` and the `qs` ascend.
+pub(crate) fn quantiles_from_counts<const N: usize>(
+    base: f64,
+    counts: &[u64; BUCKETS],
+    total: u64,
+    qs: [f64; N],
+) -> [Option<f64>; N] {
+    let mut out = [None; N];
+    let (mut slot, mut seen, mut last_q) = (0, counts[0], 0.0);
+    for (o, q) in out.iter_mut().zip(qs) {
+        assert!(q > 0.0 && q <= 1.0, "quantile in (0, 1]");
+        assert!(q >= last_q, "quantiles must ascend");
+        last_q = q;
+        if total == 0 {
+            continue;
         }
+        // The first slot whose cumulative count reaches the target; the
+        // top slot if none does.
+        let target = (q * total as f64).ceil() as u64;
+        while seen < target && slot + 1 < BUCKETS {
+            slot += 1;
+            seen += counts[slot];
+        }
+        *o = Some(slot_upper_bound(base, slot));
     }
-    Some(bounds.bucket_upper_bound(BUCKETS - 1))
+    out
 }
 
 #[cfg(test)]

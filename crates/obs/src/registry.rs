@@ -9,7 +9,7 @@
 //! [`Snapshot::delta_since`] into a windowed view: counter deltas plus
 //! `ops/sec` rates, and per-interval histogram digests.
 
-use crate::histogram::{quantile_from_counts, Histogram, BUCKETS};
+use crate::histogram::{quantiles_from_counts, slot_upper_bound, Histogram, BUCKETS};
 use crate::metrics::{Counter, Gauge};
 use crate::span::Stopwatch;
 use std::collections::BTreeMap;
@@ -93,7 +93,10 @@ impl Registry {
     }
 
     /// A point-in-time reading of every registered metric, sorted by
-    /// name and stamped with the process-monotonic clock.
+    /// name and stamped with the process-monotonic clock. Each histogram
+    /// is read once: its count, quantiles and sparse slots all come from
+    /// one copy of the slot counts, so a digest is self-consistent even
+    /// while another thread records.
     pub fn snapshot(&self) -> Snapshot {
         let m = self.metrics.lock().unwrap();
         let entries = m
@@ -104,16 +107,9 @@ impl Registry {
                     Metric::Gauge(g) => SnapshotValue::Gauge(g.get()),
                     Metric::Histogram(h) => {
                         let counts = h.bucket_counts();
-                        SnapshotValue::Histogram {
-                            count: h.count(),
-                            p50: h.quantile(0.5),
-                            p90: h.quantile(0.9),
-                            p99: h.quantile(0.99),
-                            max: h.max(),
-                            mean: h.mean(),
-                            base: h.base(),
-                            buckets: sparse(&counts),
-                        }
+                        let count: u64 = counts.iter().sum();
+                        let mean = (count > 0).then(|| h.sum() / count as f64);
+                        digest(h.base(), &counts, count, h.max(), mean)
                     }
                 };
                 (name.clone(), value)
@@ -123,6 +119,32 @@ impl Registry {
             entries,
             at: process_secs(),
         }
+    }
+}
+
+/// The quantiles a histogram digest reports.
+const DIGEST_QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
+
+/// A histogram digest of `count` samples over the slot counts `counts`:
+/// p50/p90/p99 from one cumulative walk, and the sparse slot layout.
+fn digest(
+    base: f64,
+    counts: &[u64; BUCKETS],
+    count: u64,
+    max: f64,
+    mean: Option<f64>,
+) -> SnapshotValue {
+    let total = counts.iter().sum();
+    let [p50, p90, p99] = quantiles_from_counts(base, counts, total, DIGEST_QUANTILES);
+    SnapshotValue::Histogram {
+        count,
+        p50,
+        p90,
+        p99,
+        max,
+        mean,
+        base,
+        buckets: sparse(counts),
     }
 }
 
@@ -139,7 +161,7 @@ fn sparse(counts: &[u64; BUCKETS]) -> Vec<(u32, u64)> {
 /// Dense slot array from sparse `(slot, count)` pairs; out-of-range
 /// slots are ignored (a snapshot never produces them, but deltas must
 /// not panic on hand-built inputs).
-fn dense(buckets: &[(u32, u64)]) -> [u64; BUCKETS] {
+pub(crate) fn dense(buckets: &[(u32, u64)]) -> [u64; BUCKETS] {
     let mut out = [0u64; BUCKETS];
     for &(i, c) in buckets {
         if let Some(slot) = out.get_mut(i as usize) {
@@ -180,8 +202,8 @@ pub enum SnapshotValue {
         /// First major-bucket boundary of the source histogram.
         base: f64,
         /// Sparse `(slot, count)` pairs, ascending by slot. Slot `i`'s
-        /// bounds come from [`Histogram::bucket_lower_bound`] on a
-        /// histogram with the same `base`.
+        /// bounds are [`crate::histogram::slot_lower_bound`] and
+        /// [`slot_upper_bound`] at `base`.
         buckets: Vec<(u32, u64)>,
     },
 }
@@ -269,6 +291,10 @@ impl Snapshot {
         self.entries.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
+    fn is_sorted(&self) -> bool {
+        self.entries.is_sorted_by(|(a, _), (b, _)| a <= b)
+    }
+
     /// The window between `earlier` and this snapshot, as a derived
     /// snapshot:
     ///
@@ -295,10 +321,24 @@ impl Snapshot {
         let window = (self.at - earlier.at).max(0.0);
         let rate = |d: f64| if window > 0.0 { d / window } else { 0.0 };
         let mut entries: Vec<(String, SnapshotValue)> = Vec::with_capacity(self.entries.len() + 1);
+        // Registry snapshots are name-sorted, so one cursor walks
+        // `earlier` alongside; a hand-built unsorted one is searched.
+        let merge = self.is_sorted() && earlier.is_sorted();
+        let mut cursor = 0;
         for (name, value) in &self.entries {
+            let before = if merge {
+                let rest = &earlier.entries[cursor..];
+                cursor += rest.partition_point(|(n, _)| n < name);
+                match earlier.entries.get(cursor) {
+                    Some((n, v)) if n == name => Some(v),
+                    _ => None,
+                }
+            } else {
+                earlier.get(name)
+            };
             match value {
                 SnapshotValue::Counter(v) => {
-                    let v0 = match earlier.get(name) {
+                    let v0 = match before {
                         Some(SnapshotValue::Counter(v0)) => *v0,
                         _ => 0,
                     };
@@ -320,20 +360,23 @@ impl Snapshot {
                     buckets,
                     ..
                 } => {
-                    let (count0, mean0, buckets0) = match earlier.get(name) {
+                    let mut diff = dense(buckets);
+                    let (count0, mean0) = match before {
                         Some(SnapshotValue::Histogram {
                             count,
                             mean,
                             buckets,
                             ..
-                        }) => (*count, *mean, dense(buckets)),
-                        _ => (0, None, [0u64; BUCKETS]),
+                        }) => {
+                            for &(i, c) in buckets {
+                                if let Some(slot) = diff.get_mut(i as usize) {
+                                    *slot = slot.saturating_sub(c);
+                                }
+                            }
+                            (*count, *mean)
+                        }
+                        _ => (0, None),
                     };
-                    let now = dense(buckets);
-                    let mut diff = [0u64; BUCKETS];
-                    for i in 0..BUCKETS {
-                        diff[i] = now[i].saturating_sub(buckets0[i]);
-                    }
                     let dcount = count.saturating_sub(count0);
                     let dsum =
                         mean.unwrap_or(0.0) * *count as f64 - mean0.unwrap_or(0.0) * count0 as f64;
@@ -342,19 +385,7 @@ impl Snapshot {
                     } else {
                         None
                     };
-                    entries.push((
-                        name.clone(),
-                        SnapshotValue::Histogram {
-                            count: dcount,
-                            p50: quantile_from_counts(*base, &diff, 0.5),
-                            p90: quantile_from_counts(*base, &diff, 0.9),
-                            p99: quantile_from_counts(*base, &diff, 0.99),
-                            max: *max,
-                            mean: dmean,
-                            base: *base,
-                            buckets: sparse(&diff),
-                        },
-                    ));
+                    entries.push((name.clone(), digest(*base, &diff, dcount, *max, dmean)));
                     entries.push((
                         format!("{name}.per_sec"),
                         SnapshotValue::Gauge(rate(dcount as f64)),
@@ -518,13 +549,12 @@ impl Snapshot {
                     ..
                 } => {
                     writeln!(out, "# TYPE {name} histogram").unwrap();
-                    // Bounds-only histogram; sparse slots are already
-                    // ascending, so cumulation preserves `le` order.
-                    let bounds = Histogram::with_base(*base);
+                    // Sparse slots are already ascending, so cumulation
+                    // preserves `le` order.
                     let mut cum = 0u64;
                     for &(slot, c) in buckets {
                         cum += c;
-                        let le = prom_num(bounds.bucket_upper_bound(slot as usize));
+                        let le = prom_num(slot_upper_bound(*base, slot as usize));
                         writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}").unwrap();
                     }
                     writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}").unwrap();

@@ -35,9 +35,9 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use crate::histogram::{quantile_from_counts, BUCKETS};
+use crate::histogram::quantile_from_counts;
 use crate::metrics::{Counter, Gauge};
-use crate::registry::{Registry, Snapshot, SnapshotValue};
+use crate::registry::{dense, Registry, Snapshot, SnapshotValue};
 use crate::trace::{self, EventKind};
 
 /// Resolved alerts retained for the "recent" section of the alert log.
@@ -114,15 +114,7 @@ impl SloSignal {
                     base,
                     buckets,
                     ..
-                }) if *count > 0 => {
-                    let mut counts = [0u64; BUCKETS];
-                    for &(slot, c) in buckets {
-                        if let Some(s) = counts.get_mut(slot as usize) {
-                            *s = c;
-                        }
-                    }
-                    quantile_from_counts(*base, &counts, *q)
-                }
+                }) if *count > 0 => quantile_from_counts(*base, &dense(buckets), *q),
                 _ => None,
             },
         }

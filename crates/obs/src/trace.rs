@@ -22,7 +22,6 @@
 
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{CachePadded, Mutex, OnceLock};
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -203,22 +202,58 @@ impl Event {
 }
 
 /// The shared ring. Holds the newest `capacity` events; older ones are
-/// overwritten (counted in `dropped`).
+/// overwritten (counted in `dropped`). `buf` fills in arrival order until
+/// it holds `capacity` events; from then on the oldest sits at `head` and
+/// each publish overwrites from there, wrapping.
 struct Ring {
-    buf: VecDeque<Event>,
+    buf: Vec<Event>,
+    head: usize,
     capacity: usize,
     dropped: u64,
+    /// Largest timestamp published since the last drain.
+    newest: u64,
+    /// Some publish since the last drain carried a timestamp below one
+    /// published before it, so the drain must sort.
+    interleaved: bool,
 }
 
 impl Ring {
+    /// Appends a batch in at most two slice copies, overwriting the
+    /// oldest events when full — the ring and `dropped` end as if the
+    /// events had been pushed one by one.
     fn push_all(&mut self, events: &[Event]) {
-        for &ev in events {
-            if self.buf.len() == self.capacity {
-                self.buf.pop_front();
-                self.dropped += 1;
-            }
-            self.buf.push_back(ev);
+        for ev in events {
+            self.interleaved |= ev.t_ns < self.newest;
+            self.newest = self.newest.max(ev.t_ns);
         }
+        // Only the newest `capacity` events of a batch can survive it.
+        let skip = events.len().saturating_sub(self.capacity);
+        let (fill, wrap) =
+            events[skip..].split_at((self.capacity - self.buf.len()).min(events.len() - skip));
+        self.buf.extend_from_slice(fill);
+        self.dropped += (skip + wrap.len()) as u64;
+        let first = wrap.len().min(self.capacity - self.head);
+        self.buf[self.head..self.head + first].copy_from_slice(&wrap[..first]);
+        self.buf[..wrap.len() - first].copy_from_slice(&wrap[first..]);
+        self.head = (self.head + wrap.len()) % self.capacity;
+    }
+
+    /// Every event, oldest first, in at most two slice copies, with the
+    /// drop count and whether the events need sorting; leaves the ring
+    /// empty.
+    fn take(&mut self) -> (Drained, bool) {
+        let (newer, older) = self.buf.split_at(self.head);
+        let mut events = Vec::with_capacity(self.buf.len());
+        events.extend_from_slice(older);
+        events.extend_from_slice(newer);
+        self.buf.clear();
+        self.head = 0;
+        self.newest = 0;
+        let dropped = std::mem::take(&mut self.dropped);
+        (
+            Drained { events, dropped },
+            std::mem::take(&mut self.interleaved),
+        )
     }
 }
 
@@ -283,9 +318,12 @@ impl Tracer {
             enabled: AtomicBool::new(false),
             epoch: Instant::now(),
             ring: Mutex::new(Ring {
-                buf: VecDeque::with_capacity(capacity.min(4096)),
+                buf: Vec::with_capacity(capacity.min(4096)),
+                head: 0,
                 capacity,
                 dropped: 0,
+                newest: 0,
+                interleaved: false,
             }),
             buffered: false,
         }
@@ -401,16 +439,15 @@ impl Tracer {
     /// the ring, leaving it empty. Flushes the calling thread first.
     pub fn drain(&self) -> Drained {
         self.flush();
-        let (mut events, dropped) = {
-            let mut ring = self.ring.lock().unwrap();
-            let events: Vec<Event> = ring.buf.drain(..).collect();
-            let dropped = std::mem::take(&mut ring.dropped);
-            (events, dropped)
-        };
+        let (mut drained, interleaved) = self.ring.lock().unwrap().take();
         // Batches from different threads land in publish order; a stable
-        // sort by timestamp restores one coherent timeline.
-        events.sort_by_key(|e| e.t_ns);
-        Drained { events, dropped }
+        // sort by timestamp restores one coherent timeline. A stream no
+        // publish took back in time (one emitting thread) is already that
+        // timeline, and the sort would be the identity.
+        if interleaved {
+            drained.events.sort_by_key(|e| e.t_ns);
+        }
+        drained
     }
 }
 
@@ -462,6 +499,7 @@ pub fn global() -> &'static Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     fn ev(t: &Tracer, kind: EventKind, flow: u64) {
         t.emit(kind, 0, flow, 1, 1.5, 2.5);
@@ -501,6 +539,11 @@ mod tests {
             AlertResolve => 15,
             RejectPolicy => 16,
         }
+    }
+
+    #[test]
+    fn an_event_is_forty_bytes() {
+        assert_eq!(std::mem::size_of::<Event>(), 40);
     }
 
     #[test]
@@ -544,6 +587,71 @@ mod tests {
         // Drop count resets after a drain.
         ev(&t, EventKind::Admit, 10);
         assert_eq!(t.drain().dropped, 0);
+    }
+
+    fn at(t_ns: u64, flow: u64) -> Event {
+        Event {
+            t_ns,
+            kind: EventKind::Admit,
+            class: 0,
+            flow,
+            server: 0,
+            a: 0.0,
+            b: 0.0,
+        }
+    }
+
+    /// A batch enters the ring in slices and leaves it the way the ring
+    /// of one-by-one pushes it replaced did: same events, same order,
+    /// same drop count — for batches below, at and above the capacity,
+    /// across wraps and drains.
+    #[test]
+    fn block_publish_matches_pushing_one_by_one() {
+        let mut rng = crate::SplitMix64::new(7);
+        for capacity in [1, 2, 4, 7, 64] {
+            let t = Tracer::with_capacity(capacity);
+            let (mut reference, mut reference_dropped) = (VecDeque::new(), 0);
+            let mut flow = 0;
+            for round in 0..300 {
+                let batch: Vec<Event> = (0..rng.index(3 * capacity + 2))
+                    .map(|_| {
+                        flow += 1;
+                        at(flow, flow)
+                    })
+                    .collect();
+                t.publish(&batch);
+                for &ev in &batch {
+                    if reference.len() == capacity {
+                        reference.pop_front();
+                        reference_dropped += 1;
+                    }
+                    reference.push_back(ev);
+                }
+                if round % 7 == 6 {
+                    let d = t.drain();
+                    assert_eq!(d.events, Vec::from(std::mem::take(&mut reference)));
+                    assert_eq!(d.dropped, std::mem::take(&mut reference_dropped));
+                }
+            }
+        }
+    }
+
+    /// The drain sorts only when a publish went back in time, and the
+    /// sort is stable.
+    #[test]
+    fn drain_sorts_only_interleaved_streams() {
+        let t = Tracer::with_capacity(16);
+        t.publish(&[at(10, 1), at(10, 2)]);
+        t.publish(&[at(4, 3), at(4, 4)]);
+        t.publish(&[at(12, 5)]);
+        let flows: Vec<u64> = t.drain().events.iter().map(|e| e.flow).collect();
+        assert_eq!(flows, [3, 4, 1, 2, 5]);
+        // A drain forgets what came before it.
+        t.publish(&[at(1, 6), at(1, 7)]);
+        t.publish(&[at(2, 8)]);
+        assert!(!t.ring.lock().unwrap().interleaved);
+        let flows: Vec<u64> = t.drain().events.iter().map(|e| e.flow).collect();
+        assert_eq!(flows, [6, 7, 8]);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Integration tests for the observability core: concurrent exactness,
 //! histogram quantile edges, and JSON snapshot round-trips.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use uba_obs::histogram::{quantile_from_counts, BUCKETS};
 use uba_obs::json::{self, JsonValue};
 use uba_obs::{EventKind, Histogram, Registry, SnapshotValue, Tracer};
 
@@ -219,6 +221,61 @@ fn prometheus_histogram_buckets_are_cumulative_and_ordered() {
     assert_eq!(cums[3], 4);
     assert_eq!(cums, vec![1, 3, 4, 4]);
     assert!(text.contains("lat_admit_count 4"), "{text}");
+}
+
+/// A snapshot reads a histogram once, so one taken while another thread
+/// records describes a single reading: the count is the sum of the
+/// slots, each quantile is the one those slots give, and the Prometheus
+/// series cumulates to its `_count`.
+#[test]
+fn snapshots_of_a_histogram_being_recorded_are_self_consistent() {
+    let r = Registry::new();
+    let h = r.histogram("torn.lat", 1e-9);
+    let stop = Arc::new(AtomicBool::new(false));
+    let recorder = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut i = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                h.record((i % 997) as f64 * 1.3e-7);
+                i += 1;
+            }
+        })
+    };
+    for _ in 0..2_000 {
+        let snap = r.snapshot();
+        let Some(SnapshotValue::Histogram {
+            count,
+            p50,
+            p90,
+            p99,
+            base,
+            buckets,
+            ..
+        }) = snap.get("torn.lat")
+        else {
+            panic!("torn.lat is a histogram");
+        };
+        let mut counts = [0u64; BUCKETS];
+        for &(slot, c) in buckets {
+            counts[slot as usize] = c;
+        }
+        assert_eq!(*count, counts.iter().sum::<u64>(), "count ≠ Σ buckets");
+        for (q, read) in [(0.5, p50), (0.9, p90), (0.99, p99)] {
+            assert_eq!(*read, quantile_from_counts(*base, &counts, q), "p{q}");
+        }
+        let text = snap.render_prometheus();
+        let series: Vec<u64> = text
+            .lines()
+            .filter(|l| l.starts_with("torn_lat_bucket{"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert!(series.windows(2).all(|w| w[0] <= w[1]), "{text}");
+        let total = format!("torn_lat_count {}", series.last().unwrap());
+        assert!(text.lines().any(|l| l == total), "+Inf ≠ _count: {text}");
+    }
+    stop.store(true, Ordering::Relaxed);
+    recorder.join().unwrap();
 }
 
 #[test]

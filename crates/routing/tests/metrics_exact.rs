@@ -25,6 +25,8 @@ fn candidate_generation_on_the_paper_scenario_searches_4184_of_8720_spur_indices
     let servers = Servers::uniform(&g, 1e8, 6);
     let metrics = uba_routing::metrics::select();
     let before = (metrics.spur_searches.get(), metrics.spur_skipped.get());
+    let solver = uba_delay::metrics::solver();
+    let (solves0, timed0) = (solver.iterations.count(), solver.seconds.count());
     let found = max_utilization(
         &g,
         &servers,
@@ -39,6 +41,11 @@ fn candidate_generation_on_the_paper_scenario_searches_4184_of_8720_spur_indices
     let skipped = metrics.spur_skipped.get() - before.1;
     assert_eq!((searched, skipped), (4_184, 4_536));
     assert_eq!(searched + skipped, 8_720);
+    // Every solve is one `delay.solve.iterations` record; a committed
+    // state times its first candidate evaluation and every 64th after it.
+    let solves = solver.iterations.count() - solves0;
+    let timed = solver.seconds.count() - timed0;
+    assert_eq!((solves, timed), (5_356, 88));
 }
 
 #[test]

@@ -7,40 +7,17 @@
 //! greedy) sources → observed max delay ≤ analytic bound, zero deadline
 //! misses.
 
+mod common;
+
+use common::{greedy_fill, slack};
 use uba_delay::fixed_point::{solve_two_class, SolveConfig};
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
-use uba_graph::Path;
 use uba_routing::pairs::all_ordered_pairs;
 use uba_routing::sp::sp_selection;
 use uba_sim::{simulate, FlowSpec, SimConfig, SourceModel};
 use uba_topology::{grid, ring};
 use uba_traffic::{ClassId, TrafficClass};
-
-/// Greedy fill: admit flows round-robin over routes while every link on
-/// the route has `alpha*C` headroom for the class. Returns per-route flow
-/// counts.
-fn greedy_fill(paths: &[Path], servers: &Servers, alpha: f64, rate: f64) -> Vec<usize> {
-    let mut reserved = vec![0.0f64; servers.len()];
-    let mut counts = vec![0usize; paths.len()];
-    let mut progress = true;
-    while progress {
-        progress = false;
-        for (ri, p) in paths.iter().enumerate() {
-            let fits = p.edges.iter().all(|e| {
-                reserved[e.index()] + rate <= alpha * servers.capacity_at(e.index()) + 1e-9
-            });
-            if fits {
-                for e in &p.edges {
-                    reserved[e.index()] += rate;
-                }
-                counts[ri] += 1;
-                progress = true;
-            }
-        }
-    }
-    counts
-}
 
 /// Runs the full validation on one topology; returns (sim max, bound).
 fn validate(g: &uba_graph::Digraph, alpha: f64, capacity: f64, horizon: f64) -> (f64, f64) {
@@ -98,12 +75,6 @@ fn validate(g: &uba_graph::Digraph, alpha: f64, capacity: f64, horizon: f64) -> 
         report.max_delay()
     );
     (report.max_delay(), bound)
-}
-
-/// Packetization slack: per hop one non-preemption block plus one
-/// quantization packet.
-fn slack(hops: usize, packet_bits: f64, capacity: f64) -> f64 {
-    hops as f64 * 2.0 * packet_bits / capacity
 }
 
 #[test]
