@@ -18,6 +18,7 @@
 //! [`try_reserve_path_up_to`]: UtilizationState::try_reserve_path_up_to
 
 use crate::sync::atomic::{AtomicU64, Ordering};
+use uba_graph::Path;
 
 /// Rates are stored in millibits/second: exact integer accounting with
 /// enough resolution for any practical rate.
@@ -212,6 +213,41 @@ impl UtilizationState {
             }
         }
         grant
+    }
+
+    /// Fills `paths` (each edge a link server, as in a
+    /// [`RoutingTable`](crate::RoutingTable)) with flows of `rate` bits/s
+    /// of `class`, round-robin: every pass offers each path one flow, in
+    /// the order given, through [`try_reserve_path`](Self::try_reserve_path)
+    /// — the admission test itself — and the fill stops after a pass that
+    /// admits nothing. The admitted flows stay reserved. Returns the index
+    /// into `paths` of every admitted flow, in admission order; a count
+    /// per path is a tally of it.
+    ///
+    /// # Panics
+    /// Panics if `rate` rounds to zero millibits/s or a path has no edge:
+    /// such a flow always fits, so the fill would never end.
+    pub fn fill_round_robin(&self, paths: &[Path], class: usize, rate: f64) -> Vec<usize> {
+        let routes: Vec<Vec<u32>> = paths
+            .iter()
+            .map(|p| p.edges.iter().map(|e| e.0).collect())
+            .collect();
+        assert!(
+            to_millibits(rate) > 0 && routes.iter().all(|r| !r.is_empty()),
+            "a round-robin fill needs a positive rate and non-empty paths"
+        );
+        let mut admitted = Vec::new();
+        loop {
+            let before = admitted.len();
+            for (i, route) in routes.iter().enumerate() {
+                if self.try_reserve_path(route, class, rate).is_ok() {
+                    admitted.push(i);
+                }
+            }
+            if admitted.len() == before {
+                return admitted;
+            }
+        }
     }
 
     /// The per-cell CAS loop of the walk: takes as many multiples of
@@ -544,6 +580,48 @@ mod tests {
         assert_eq!(flows_that_fit(10, 0, u64::MAX, 2), 0);
         assert_eq!(flows_that_fit(10, 3, 2, u64::MAX), 3);
         assert_eq!(flows_that_fit(10, 3, 0, u64::MAX), u64::MAX);
+    }
+
+    /// Where a float copy of the utilization test parts from the walk: a
+    /// budget `α·C` a tenth of a millibit short of `k` flows. The walk
+    /// holds the budget in whole millibits, so the fill and the
+    /// controller both admit `k` flows per link, where
+    /// `reserved + ρ ≤ α·C + 1e-9` in `f64` admitted `k − 1`. At
+    /// `α·C = kρ` exactly, all three admit `k`.
+    #[test]
+    fn fill_and_controller_admit_what_the_millibit_budget_holds() {
+        use crate::{AdmissionController, RoutingTable};
+        use uba_graph::{Digraph, NodeId};
+        use uba_traffic::{ClassId, ClassSet, TrafficClass};
+        const RATE: f64 = 32_000.0;
+        const K: usize = 5;
+        let mut g = Digraph::with_nodes(3);
+        let (e01, _) = g.add_link(NodeId(0), NodeId(1), 1.0);
+        let (e12, _) = g.add_link(NodeId(1), NodeId(2), 1.0);
+        let paths = [e01, e12].map(|e| Path::from_edges(&g, vec![e]));
+        for (budget, float_flows) in [(K as f64 * RATE - 1e-4, K - 1), (K as f64 * RATE, K)] {
+            // The float test, one link.
+            let (mut reserved, mut flows) = (0.0, 0);
+            while reserved + RATE <= budget + 1e-9 {
+                reserved += RATE;
+                flows += 1;
+            }
+            assert_eq!(flows, float_flows, "budget {budget}");
+            // α = 0.5 halves the capacity exactly: α·C is the budget.
+            let caps = vec![2.0 * budget; g.edge_count()];
+            let state = UtilizationState::new(&caps, &[0.5]);
+            assert_eq!(state.fill_round_robin(&paths, 0, RATE), [0, 1].repeat(K));
+            let mut table = RoutingTable::new();
+            table.insert_all(ClassId(0), &paths);
+            let classes = ClassSet::single(TrafficClass::voip());
+            let ctrl = AdmissionController::new_unmetered(table, &classes, &caps, &[0.5]);
+            for p in &paths {
+                let (src, dst) = (p.nodes[0], p.nodes[1]);
+                let held: Vec<_> =
+                    std::iter::from_fn(|| ctrl.try_admit(ClassId(0), src, dst).ok()).collect();
+                assert_eq!(held.len(), K, "budget {budget}");
+            }
+        }
     }
 
     #[test]

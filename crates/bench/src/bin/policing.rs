@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run -p uba-bench --release --bin policing`
 
+use uba::admission::UtilizationState;
 use uba::delay::fixed_point::{solve_two_class, SolveConfig};
 use uba::delay::routeset::{Route, RouteSet};
 use uba::prelude::*;
@@ -37,31 +38,18 @@ fn main() {
     assert!(analysis.outcome.is_safe());
     let bound = analysis.route_delays.iter().cloned().fold(0.0, f64::max);
 
-    // Conforming fill.
-    let mut reserved = vec![0.0f64; servers.len()];
-    let mut flows = Vec::new();
-    let mut progress = true;
-    while progress {
-        progress = false;
-        for (pair, path) in pairs.iter().zip(&paths) {
-            let fits = path
-                .edges
-                .iter()
-                .all(|e| reserved[e.index()] + voip.bucket.rate <= alpha * capacity + 1e-9);
-            if fits {
-                for e in &path.edges {
-                    reserved[e.index()] += voip.bucket.rate;
-                }
-                flows.push(FlowSpec {
-                    class: 0,
-                    ingress: pair.src.0,
-                    route: path.edges.iter().map(|e| e.0).collect(),
-                    source: SourceModel::voip_greedy(0.0),
-                });
-                progress = true;
-            }
-        }
-    }
+    // Conforming fill, through the admission test.
+    let caps = vec![capacity; servers.len()];
+    let mut flows: Vec<FlowSpec> = UtilizationState::new(&caps, &[alpha])
+        .fill_round_robin(&paths, 0, voip.bucket.rate)
+        .into_iter()
+        .map(|i| FlowSpec {
+            class: 0,
+            ingress: pairs[i].src.0,
+            route: paths[i].edges.iter().map(|e| e.0).collect(),
+            source: SourceModel::voip_greedy(0.0),
+        })
+        .collect();
     let conforming = flows.len();
     // One host goes rogue on its own access line: floods at 100x its
     // contract (the access link clips it at line rate, which already
@@ -83,7 +71,6 @@ fn main() {
         "# analytic bound for conforming traffic: {:.2} ms",
         bound * 1e3
     );
-    let caps = vec![capacity; servers.len()];
     for policed in [false, true] {
         let cfg = SimConfig {
             policers: policed.then(|| vec![(voip.bucket.burst, voip.bucket.rate)]),

@@ -8,6 +8,7 @@
 //! Run with: `cargo run -p uba-bench --release --bin schedulers`
 
 use std::time::Instant;
+use uba::admission::UtilizationState;
 use uba::prelude::*;
 use uba::sim::{simulate, Discipline, FlowSpec, SimConfig, SourceModel};
 
@@ -19,32 +20,19 @@ fn main() {
     let pairs = all_ordered_pairs(&g);
     let paths = sp_selection(&g, &pairs).expect("connected");
 
-    // Greedy fill with high-priority voice; add one low-priority bulk
-    // flow per core link's worth of traffic.
-    let mut reserved = vec![0.0f64; g.edge_count()];
-    let mut flows = Vec::new();
-    let mut progress = true;
-    while progress {
-        progress = false;
-        for (pair, path) in pairs.iter().zip(&paths) {
-            let fits = path
-                .edges
-                .iter()
-                .all(|e| reserved[e.index()] + rate <= alpha * capacity + 1e-9);
-            if fits {
-                for e in &path.edges {
-                    reserved[e.index()] += rate;
-                }
-                flows.push(FlowSpec {
-                    class: 0,
-                    ingress: pair.src.0,
-                    route: path.edges.iter().map(|e| e.0).collect(),
-                    source: SourceModel::voip_greedy(0.0),
-                });
-                progress = true;
-            }
-        }
-    }
+    // Greedy fill with high-priority voice, through the admission test;
+    // add one low-priority bulk flow per core link's worth of traffic.
+    let caps = vec![capacity; g.edge_count()];
+    let mut flows: Vec<FlowSpec> = UtilizationState::new(&caps, &[alpha])
+        .fill_round_robin(&paths, 0, rate)
+        .into_iter()
+        .map(|i| FlowSpec {
+            class: 0,
+            ingress: pairs[i].src.0,
+            route: paths[i].edges.iter().map(|e| e.0).collect(),
+            source: SourceModel::voip_greedy(0.0),
+        })
+        .collect();
     // Best-effort background: greedy bulk on every 10th pair.
     for (pair, path) in pairs.iter().zip(&paths).step_by(10) {
         flows.push(FlowSpec {
@@ -90,7 +78,7 @@ fn main() {
             ..SimConfig::new(0.2, vec![0.1, f64::INFINITY])
         };
         let t0 = Instant::now();
-        let r = simulate(&vec![capacity; g.edge_count()], &flows, &cfg);
+        let r = simulate(&caps, &flows, &cfg);
         let wall = t0.elapsed();
         let q = |p: f64| r.histograms[0].quantile(p).unwrap_or(0.0) * 1e3;
         println!(

@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run -p uba-bench --release --bin validate_sim`
 
+use uba::admission::UtilizationState;
 use uba::delay::fixed_point::{solve_two_class, SolveConfig};
 use uba::delay::routeset::{Route, RouteSet};
 use uba::prelude::*;
@@ -23,6 +24,7 @@ fn main() {
     for p in &paths {
         routes.push(Route::from_path(ClassId(0), p));
     }
+    let caps = vec![capacity; servers.len()];
 
     println!("# V-SIM: MCI (C=2 Mb/s, per-topology fan-in), SP routes, greedy fill");
     println!("# alpha verdict flows packets bound_ms sim_max_ms sim_mean_ms misses");
@@ -41,36 +43,18 @@ fn main() {
         }
         let bound = analysis.route_delays.iter().cloned().fold(0.0, f64::max);
 
-        // Greedy fill to the admission limit.
-        let mut reserved = vec![0.0f64; servers.len()];
-        let mut flows = Vec::new();
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for (pair, path) in pairs.iter().zip(&paths) {
-                let fits = path
-                    .edges
-                    .iter()
-                    .all(|e| reserved[e.index()] + voip.bucket.rate <= alpha * capacity + 1e-9);
-                if fits {
-                    for e in &path.edges {
-                        reserved[e.index()] += voip.bucket.rate;
-                    }
-                    flows.push(FlowSpec {
-                        class: 0,
-                        ingress: pair.src.0,
-                        route: path.edges.iter().map(|e| e.0).collect(),
-                        source: SourceModel::voip_greedy(0.0),
-                    });
-                    progress = true;
-                }
-            }
-        }
-        let report = simulate(
-            &vec![capacity; servers.len()],
-            &flows,
-            &SimConfig::new(0.3, vec![voip.deadline]),
-        );
+        // Greedy fill to the admission limit, through the admission test.
+        let flows: Vec<FlowSpec> = UtilizationState::new(&caps, &[alpha])
+            .fill_round_robin(&paths, 0, voip.bucket.rate)
+            .into_iter()
+            .map(|i| FlowSpec {
+                class: 0,
+                ingress: pairs[i].src.0,
+                route: paths[i].edges.iter().map(|e| e.0).collect(),
+                source: SourceModel::voip_greedy(0.0),
+            })
+            .collect();
+        let report = simulate(&caps, &flows, &SimConfig::new(0.3, vec![voip.deadline]));
         println!(
             "{alpha:.2} SAFE {} {} {:.2} {:.2} {:.3} {}",
             flows.len(),

@@ -5,7 +5,7 @@ use crate::scenario::{Scenario, ScenarioError};
 use std::fmt::Write as _;
 use uba::admission::{
     run_churn, AdmissionController, BackendKind, ChurnConfig, ConfigGeneration, Explain,
-    ExplainVerdict, PolicyChain, Reject, RoutingTable,
+    ExplainVerdict, PolicyChain, Reject, RoutingTable, UtilizationState,
 };
 use uba::delay::fixed_point::SolveConfig;
 use uba::delay::routeset::{Route, RouteSet};
@@ -186,8 +186,9 @@ fn cmd_maximize_multiclass(sc: &Scenario, cfg: &HeuristicConfig) -> Result<Strin
     Ok(out)
 }
 
-/// `simulate`: SP routes, greedy fill to the class-0 budget, adversarial
-/// sources, packet simulation against the analytic bound.
+/// `simulate`: SP routes, a round-robin fill of the class-0 budget through
+/// the reservation walk, adversarial sources, packet simulation against
+/// the analytic bound.
 pub fn cmd_simulate(sc: &Scenario, horizon: f64) -> Result<String, ScenarioError> {
     // `"inf"` and `"nan"` parse as f64: an infinite horizon would emit
     // packets until memory runs out, NaN would emit none and "pass".
@@ -225,37 +226,23 @@ pub fn cmd_simulate(sc: &Scenario, horizon: f64) -> Result<String, ScenarioError
     }
     let bound = analysis.route_delays.iter().cloned().fold(0.0, f64::max);
 
-    let mut reserved = vec![0.0f64; sc.servers.len()];
-    let mut flows = Vec::new();
-    let mut progress = true;
-    while progress {
-        progress = false;
-        for (pair, path) in sc.pairs.iter().zip(&paths) {
-            let fits = path.edges.iter().all(|e| {
-                reserved[e.index()] + class.bucket.rate
-                    <= alpha * sc.servers.capacity_at(e.index()) + 1e-9
-            });
-            if fits {
-                for e in &path.edges {
-                    reserved[e.index()] += class.bucket.rate;
-                }
-                flows.push(FlowSpec {
-                    class: 0,
-                    ingress: pair.src.0,
-                    route: path.edges.iter().map(|e| e.0).collect(),
-                    source: SourceModel::GreedyOnOff {
-                        burst_bits: class.bucket.burst,
-                        rate_bps: class.bucket.rate,
-                        packet_bits: (class.bucket.burst as u64).max(64),
-                        start: 0.0,
-                    },
-                });
-                progress = true;
-            }
-        }
-    }
     let caps: Vec<f64> = (0..sc.servers.len())
         .map(|k| sc.servers.capacity_at(k))
+        .collect();
+    let flows: Vec<FlowSpec> = UtilizationState::new(&caps, &[alpha])
+        .fill_round_robin(&paths, 0, class.bucket.rate)
+        .into_iter()
+        .map(|i| FlowSpec {
+            class: 0,
+            ingress: sc.pairs[i].src.0,
+            route: paths[i].edges.iter().map(|e| e.0).collect(),
+            source: SourceModel::GreedyOnOff {
+                burst_bits: class.bucket.burst,
+                rate_bps: class.bucket.rate,
+                packet_bits: (class.bucket.burst as u64).max(64),
+                start: 0.0,
+            },
+        })
         .collect();
     let report = simulate(
         &caps,

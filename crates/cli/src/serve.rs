@@ -844,6 +844,15 @@ mod tests {
     }
 
     #[test]
+    fn watch_frame_survives_a_deeply_nested_body() {
+        // Whatever answers at `--port` chooses the bodies: a line of
+        // 100 000 `[` is skipped like any other unparsable line.
+        let hostile = "[".repeat(100_000);
+        let frame = watch_frame(&hostile, &hostile);
+        assert_eq!(frame, "window -s  admits/s -  link_full/s -\n");
+    }
+
+    #[test]
     fn watch_polls_a_live_server() {
         let sc = ring_scenario();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();

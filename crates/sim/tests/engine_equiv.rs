@@ -256,30 +256,18 @@ fn the_cases_exercise_ties_drops_and_queueing() {
 }
 
 /// The benchmark's `simulate_mci` run: MCI at C = 2 Mb/s, α = 0.30, SP
-/// routes, greedy fill to the admission limit, worst-case VoIP sources
-/// with a seeded half phase-shifted inside 20 ms, 3 s horizon — an order
-/// of magnitude more flows and simulated time than any row of `DIGESTS`.
+/// routes, round-robin fill to the admission limit through the
+/// reservation walk, worst-case VoIP sources with a seeded half
+/// phase-shifted inside 20 ms, 3 s horizon — an order of magnitude more
+/// flows and simulated time than any row of `DIGESTS`.
 fn benchmark_shaped_run() -> (usize, SimReport) {
     const C: f64 = 2e6;
     let g = uba_topology::mci();
     let pairs = uba_routing::pairs::all_ordered_pairs(&g);
     let paths = uba_routing::sp::sp_selection(&g, &pairs).expect("MCI is connected");
-    let mut reserved = vec![0.0f64; g.edge_count()];
-    let mut admitted: Vec<usize> = Vec::new();
-    let mut progress = true;
-    while progress {
-        progress = false;
-        for (i, path) in paths.iter().enumerate() {
-            let fits = |e: &uba_graph::EdgeId| reserved[e.index()] + 32_000.0 <= 0.30 * C + 1e-9;
-            if path.edges.iter().all(fits) {
-                for e in &path.edges {
-                    reserved[e.index()] += 32_000.0;
-                }
-                admitted.push(i);
-                progress = true;
-            }
-        }
-    }
+    let caps = vec![C; g.edge_count()];
+    let admitted =
+        uba_admission::UtilizationState::new(&caps, &[0.30]).fill_round_robin(&paths, 0, 32_000.0);
     let mut rng = SplitMix64::new(1);
     let flows: Vec<FlowSpec> = admitted
         .iter()
@@ -298,7 +286,6 @@ fn benchmark_shaped_run() -> (usize, SimReport) {
             }
         })
         .collect();
-    let caps = vec![C; g.edge_count()];
     let cfg = SimConfig::new(3.0, vec![0.1]);
     (flows.len(), simulate(&caps, &flows, &cfg))
 }

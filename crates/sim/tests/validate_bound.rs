@@ -9,7 +9,8 @@
 
 mod common;
 
-use common::{greedy_fill, slack};
+use common::slack;
+use uba_admission::UtilizationState;
 use uba_delay::fixed_point::{solve_two_class, SolveConfig};
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
@@ -46,24 +47,24 @@ fn validate(g: &uba_graph::Digraph, alpha: f64, capacity: f64, horizon: f64) -> 
     );
     let bound = analysis.route_delays.iter().cloned().fold(0.0, f64::max);
 
-    // Fill to the admission limit and simulate adversarial sources.
-    let counts = greedy_fill(&paths, &servers, alpha, voip.bucket.rate);
-    let mut flows = Vec::new();
-    for ((pair, path), &n) in pairs.iter().zip(&paths).zip(&counts) {
-        for _ in 0..n {
-            flows.push(FlowSpec {
-                class: 0,
-                ingress: pair.src.0,
-                route: path.edges.iter().map(|e| e.0).collect(),
-                source: SourceModel::voip_greedy(0.0),
-            });
-        }
-    }
+    // Fill to the admission limit through the admission test and
+    // simulate adversarial sources, each route's flows together.
+    let capacities: Vec<f64> = (0..servers.len()).map(|k| servers.capacity_at(k)).collect();
+    let mut admitted =
+        UtilizationState::new(&capacities, &[alpha]).fill_round_robin(&paths, 0, voip.bucket.rate);
+    admitted.sort_unstable();
+    let flows: Vec<FlowSpec> = admitted
+        .into_iter()
+        .map(|i| FlowSpec {
+            class: 0,
+            ingress: pairs[i].src.0,
+            route: paths[i].edges.iter().map(|e| e.0).collect(),
+            source: SourceModel::voip_greedy(0.0),
+        })
+        .collect();
     assert!(!flows.is_empty(), "fill admitted nothing");
     let report = simulate(
-        &(0..servers.len())
-            .map(|k| servers.capacity_at(k))
-            .collect::<Vec<_>>(),
+        &capacities,
         &flows,
         &SimConfig::new(horizon, vec![voip.deadline]),
     );
@@ -158,11 +159,12 @@ fn multiclass_simulation_below_theorem5_bounds() {
         bounds[c] = bounds[c].max(rd);
     }
 
-    // Greedy per-class fill.
+    // Greedy fill of one two-class state, class by class.
+    let capacities: Vec<f64> = (0..servers.len()).map(|k| servers.capacity_at(k)).collect();
+    let state = UtilizationState::new(&capacities, &alphas);
     let class_specs = [
-        (0usize, 32_000.0f64, SourceModel::voip_greedy(0.0)),
+        (32_000.0f64, SourceModel::voip_greedy(0.0)),
         (
-            1usize,
             400_000.0,
             SourceModel::GreedyOnOff {
                 burst_bits: 16_000.0,
@@ -173,41 +175,20 @@ fn multiclass_simulation_below_theorem5_bounds() {
         ),
     ];
     let mut flows = Vec::new();
-    for (class, rate, src) in class_specs {
-        let mut reserved = vec![0.0f64; servers.len()];
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for (pair, path) in pairs.iter().zip(&paths) {
-                let fits = path
-                    .edges
-                    .iter()
-                    .all(|e| reserved[e.index()] + rate <= alphas[class] * capacity + 1e-9);
-                if fits {
-                    for e in &path.edges {
-                        reserved[e.index()] += rate;
-                    }
-                    flows.push(FlowSpec {
-                        class,
-                        ingress: pair.src.0,
-                        route: path.edges.iter().map(|e| e.0).collect(),
-                        source: src,
-                    });
-                    progress = true;
-                }
-            }
+    for (class, (rate, source)) in class_specs.into_iter().enumerate() {
+        for i in state.fill_round_robin(&paths, class, rate) {
+            flows.push(FlowSpec {
+                class,
+                ingress: pairs[i].src.0,
+                route: paths[i].edges.iter().map(|e| e.0).collect(),
+                source,
+            });
         }
     }
     assert!(flows.iter().any(|f| f.class == 0));
     assert!(flows.iter().any(|f| f.class == 1));
 
-    let report = simulate(
-        &(0..servers.len())
-            .map(|k| servers.capacity_at(k))
-            .collect::<Vec<_>>(),
-        &flows,
-        &SimConfig::new(0.3, vec![0.1, 0.3]),
-    );
+    let report = simulate(&capacities, &flows, &SimConfig::new(0.3, vec![0.1, 0.3]));
     assert_eq!(report.total_misses(), 0);
     for (class, &bound) in bounds.iter().enumerate() {
         let sim_max = report.classes[class].max_delay;

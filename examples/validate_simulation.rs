@@ -6,6 +6,7 @@
 //!
 //! Run with: `cargo run --release --example validate_simulation`
 
+use uba::admission::UtilizationState;
 use uba::delay::fixed_point::{solve_two_class, SolveConfig};
 use uba::delay::routeset::{Route, RouteSet};
 use uba::prelude::*;
@@ -35,42 +36,26 @@ fn main() {
     assert!(analysis.outcome.is_safe(), "pick a verifiable alpha");
     let bound = analysis.route_delays.iter().cloned().fold(0.0, f64::max);
 
-    // Greedy fill to the per-link class budget.
-    let mut reserved = vec![0.0f64; servers.len()];
-    let mut flows = Vec::new();
-    let mut progress = true;
-    while progress {
-        progress = false;
-        for (pair, path) in pairs.iter().zip(&paths) {
-            let fits = path
-                .edges
-                .iter()
-                .all(|e| reserved[e.index()] + voip.bucket.rate <= alpha * capacity + 1e-9);
-            if fits {
-                for e in &path.edges {
-                    reserved[e.index()] += voip.bucket.rate;
-                }
-                flows.push(FlowSpec {
-                    class: 0,
-                    ingress: pair.src.0,
-                    route: path.edges.iter().map(|e| e.0).collect(),
-                    source: SourceModel::voip_greedy(0.0),
-                });
-                progress = true;
-            }
-        }
-    }
+    // Greedy fill to the per-link class budget: every route offered one
+    // flow per pass through the admission test itself.
+    let caps = vec![capacity; servers.len()];
+    let flows: Vec<FlowSpec> = UtilizationState::new(&caps, &[alpha])
+        .fill_round_robin(&paths, 0, voip.bucket.rate)
+        .into_iter()
+        .map(|i| FlowSpec {
+            class: 0,
+            ingress: pairs[i].src.0,
+            route: paths[i].edges.iter().map(|e| e.0).collect(),
+            source: SourceModel::voip_greedy(0.0),
+        })
+        .collect();
 
     println!(
         "ring(8) at alpha={alpha}: {} flows admitted, analytic worst route delay {:.2} ms",
         flows.len(),
         bound * 1e3
     );
-    let report = simulate(
-        &vec![capacity; servers.len()],
-        &flows,
-        &SimConfig::new(0.5, vec![voip.deadline]),
-    );
+    let report = simulate(&caps, &flows, &SimConfig::new(0.5, vec![voip.deadline]));
     println!(
         "simulated {} packets ({} events): max delay {:.2} ms, mean {:.3} ms, misses {}",
         report.total_packets,

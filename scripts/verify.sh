@@ -59,6 +59,15 @@ done) results/cli_paper.txt > /dev/null || {
   exit 1
 }
 
+echo "==> examples (every examples/*.rs runs in release to exit 0; validate_simulation asserts the analytic bound and zero misses)"
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  cargo run --offline --release --quiet --example "$name" > /dev/null || {
+    echo "verify.sh: example $name failed" >&2
+    exit 1
+  }
+done
+
 echo "==> cargo fmt --check (formatting gate)"
 cargo fmt --check
 

@@ -2,6 +2,7 @@
 //! over fixed seeds, and two `uba_obs::check` properties over 24 seeded
 //! random topologies each (the same every run).
 
+use uba::admission::UtilizationState;
 use uba::delay::fixed_point::{solve_two_class, SolveConfig};
 use uba::delay::general::{analyze_flows, Flow, GeneralOutcome};
 use uba::delay::routeset::{Route, RouteSet};
@@ -82,31 +83,18 @@ fn general_analysis_dominated_by_config_bound() {
             return Ok(());
         }
 
-        // Greedy admissible fill (respects per-link alpha budget).
-        let mut reserved = vec![0.0f64; servers.len()];
-        let mut flows = Vec::new();
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for p in &paths {
-                let fits = p
-                    .edges
-                    .iter()
-                    .all(|e| reserved[e.index()] + voip.bucket.rate <= alpha * capacity + 1e-9);
-                if fits {
-                    for e in &p.edges {
-                        reserved[e.index()] += voip.bucket.rate;
-                    }
-                    flows.push(Flow {
-                        class: 0,
-                        bucket: voip.bucket,
-                        deadline: voip.deadline,
-                        servers: p.edges.iter().map(|e| e.0).collect(),
-                    });
-                    progress = true;
-                }
-            }
-        }
+        // Greedy admissible fill through the admission test (respects the
+        // per-link alpha budget).
+        let flows: Vec<Flow> = UtilizationState::new(&vec![capacity; servers.len()], &[alpha])
+            .fill_round_robin(&paths, 0, voip.bucket.rate)
+            .into_iter()
+            .map(|i| Flow {
+                class: 0,
+                bucket: voip.bucket,
+                deadline: voip.deadline,
+                servers: paths[i].edges.iter().map(|e| e.0).collect(),
+            })
+            .collect();
         if flows.is_empty() {
             return Ok(());
         }
