@@ -37,7 +37,7 @@ echo "==> simulate_mci smoke (the frozen simulator workload's own check: zero de
 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload simulate_mci --seed 1 --seconds 2 --trace 0 > /dev/null
 
-echo "==> results drift (the nine byte-stable result binaries must reprint results/<name>.txt, and uba-cli maximize / verify / simulate on paper.toml results/cli_paper.txt; table1 / schedulers / s_ac carry timings and stay out)"
+echo "==> results drift (the nine byte-stable result binaries must reprint results/<name>.txt, and uba-cli maximize / verify / simulate / explain / reconfigure results/cli_paper.txt; table1 / schedulers / s_ac carry timings and stay out)"
 for name in cross_topology ablation_routing nonuniform validate_sim census sweep_bounds \
   multiclass_demo policing statistical; do
   diff <(cargo run --offline --release --quiet -p uba-bench --bin "$name") "results/$name.txt" > /dev/null || {
@@ -47,10 +47,15 @@ for name in cross_topology ablation_routing nonuniform validate_sim census sweep
 done
 # The CLI on the paper scenario, both selectors, verify and the packet
 # simulation at the scenario's alpha: the configuration path and the
-# simulator path, each byte for byte.
-paper=crates/cli/scenarios/paper.toml
+# simulator path, each byte for byte. Then the run-time path: explain's
+# saturation replay (text and JSON) and reconfigure's migration
+# rehearsal in both directions.
+scenarios=crates/cli/scenarios
+paper=$scenarios/paper.toml
+ring=$scenarios/ring_small.toml
 diff <(for cmd in "maximize $paper heuristic" "maximize $paper sp" "verify $paper" \
-  "simulate $paper"; do
+  "simulate $paper" "explain $ring" "explain $scenarios/multiclass.toml --json" \
+  "reconfigure $ring $paper" "reconfigure $paper $ring --json"; do
   echo "\$ uba-cli $cmd"
   # shellcheck disable=SC2086
   cargo run --offline --release --quiet -p uba-cli -- $cmd
