@@ -209,9 +209,14 @@ impl OveruseDetector {
             0.0
         };
         // Baseline update after the comparison, so the gradient is
-        // measured against history, not against itself.
+        // measured against history, not against itself. The clock mark
+        // only moves forward: after a step back, the next forward step
+        // is weighted by the time since the latest mark, never by time
+        // already credited.
         let gap = self.last_t.map_or(0.0, |last| (t - last).max(0.0));
-        self.last_t = Some(t);
+        if self.last_t.is_none_or(|last| t > last) {
+            self.last_t = Some(t);
+        }
         let w = 1.0 - (-gap / self.tau).exp();
         self.baseline += w * (rate - self.baseline);
 
@@ -477,6 +482,20 @@ mod tests {
         det.update(t, 500.0);
         t += 0.001;
         assert_eq!(det.update(t, 100.0), OveruseState::Normal);
+    }
+
+    #[test]
+    fn a_clock_that_steps_back_is_not_credited_twice() {
+        let feed = |ts: &[f64]| {
+            let mut det = OveruseDetector::new(0.25, 0.05, 1.0);
+            for &t in ts {
+                det.update(t, 100.0);
+            }
+            det.baseline()
+        };
+        // The back-step to 0.5 credits nothing, and 1.0 → 1.5 is half a
+        // second, not the full second since 0.5.
+        assert_eq!(feed(&[0.0, 1.0, 0.5, 1.5]), feed(&[0.0, 1.0, 1.5]));
     }
 
     #[test]

@@ -1,85 +1,17 @@
 //! Deterministic flow-churn workload driver.
 //!
 //! Generates a reproducible arrival/departure process (Poisson arrivals,
-//! exponential holding times, uniform pair choice) and drives any
-//! admission policy through it, recording acceptance statistics and
-//! decision latency: `uba-cli metrics` and the `voip_network` example
+//! exponential holding times, uniform pair choice) and drives an
+//! [`AdmissionController`] through it, recording acceptance statistics
+//! and decision latency: `uba-cli metrics` and the `voip_network` example
 //! offer single arrivals ([`run_churn`]), `uba-cli serve`'s background
 //! load offers bursts ([`run_churn_bursty`]). Both are one loop
 //! (`churn`); `tests/churn_equiv.rs` pins what each draws and counts.
 
+use crate::{AdmissionController, FlowHandle, FlowSpec};
 use uba_graph::NodeId;
 use uba_obs::{SplitMix64, Stopwatch};
 use uba_traffic::{BurstModel, ClassId};
-
-/// An admission policy under test.
-pub trait Policy {
-    /// Whatever the policy hands back for an admitted flow; dropping or
-    /// releasing it must free the resources.
-    type Handle;
-    /// Attempts to admit one flow.
-    fn admit(&mut self, class: ClassId, src: NodeId, dst: NodeId) -> Option<Self::Handle>;
-    /// Attempts to admit a burst of simultaneous requests; the default
-    /// admits them one by one. Policies that decide a run of identical
-    /// requests in one step (the utilization controller) override this.
-    fn admit_burst(
-        &mut self,
-        class: ClassId,
-        reqs: &[(NodeId, NodeId)],
-    ) -> Vec<Option<Self::Handle>> {
-        reqs.iter()
-            .map(|&(src, dst)| self.admit(class, src, dst))
-            .collect()
-    }
-    /// Releases an admitted flow.
-    fn release(&mut self, handle: Self::Handle);
-}
-
-impl Policy for crate::AdmissionController {
-    type Handle = crate::FlowHandle;
-    fn admit(&mut self, class: ClassId, src: NodeId, dst: NodeId) -> Option<Self::Handle> {
-        self.try_admit(class, src, dst).ok()
-    }
-    fn admit_burst(
-        &mut self,
-        class: ClassId,
-        reqs: &[(NodeId, NodeId)],
-    ) -> Vec<Option<Self::Handle>> {
-        let specs: Vec<crate::FlowSpec> = reqs
-            .iter()
-            .map(|&(src, dst)| crate::FlowSpec { class, src, dst })
-            .collect();
-        self.try_admit_batch(&specs)
-            .flows
-            .into_iter()
-            .map(Result::ok)
-            .collect()
-    }
-    fn release(&mut self, handle: Self::Handle) {
-        drop(handle);
-    }
-}
-
-impl Policy for &crate::PerFlowAdmission {
-    type Handle = crate::baseline::BaselineFlowId;
-    fn admit(&mut self, class: ClassId, src: NodeId, dst: NodeId) -> Option<Self::Handle> {
-        self.try_admit(class, src, dst)
-    }
-    fn release(&mut self, handle: Self::Handle) {
-        PerFlowAdmissionExt::release(*self, handle);
-    }
-}
-
-// Disambiguation shim: `PerFlowAdmission::release` by value vs the trait
-// method taking `&mut &PerFlowAdmission`.
-trait PerFlowAdmissionExt {
-    fn release(&self, id: crate::baseline::BaselineFlowId);
-}
-impl PerFlowAdmissionExt for crate::PerFlowAdmission {
-    fn release(&self, id: crate::baseline::BaselineFlowId) {
-        crate::PerFlowAdmission::release(self, id)
-    }
-}
 
 /// Churn parameters.
 #[derive(Clone, Copy, Debug)]
@@ -144,29 +76,29 @@ impl ChurnStats {
     }
 }
 
-/// Runs the churn process against `policy` over the given candidate
-/// pairs.
+/// Runs the churn process against `ctrl` over the given candidate pairs.
 ///
 /// Time is measured in "arrival ticks": each arrival picks a uniform
-/// pair, attempts admission through [`Policy::admit`], and an admitted
-/// flow departs after an exponential number of ticks with mean
-/// `mean_active` (so the steady state offers roughly `mean_active`
-/// concurrent flows).
-pub fn run_churn<P: Policy>(
-    policy: &mut P,
+/// pair, attempts admission through
+/// [`try_admit`](AdmissionController::try_admit), and an admitted flow
+/// departs after an exponential number of ticks with mean `mean_active`
+/// (so the steady state offers roughly `mean_active` concurrent flows).
+/// A departure drops the flow's handle.
+pub fn run_churn(
+    ctrl: &AdmissionController,
     pairs: &[(NodeId, NodeId)],
     class: ClassId,
     cfg: &ChurnConfig,
 ) -> ChurnStats {
-    churn(policy, pairs, class, cfg, None)
+    churn(ctrl, pairs, class, cfg, None)
 }
 
 /// Like [`run_churn`], but arrivals come in bursts: each tick offers a
-/// slug of simultaneous requests for one uniformly chosen pair (a
-/// "conference call" arrival) admitted through [`Policy::admit_burst`]
-/// — for the utilization controller, `try_admit_batch`, one decision
-/// per slug — and tallied per burst. The slug's size is drawn from a
-/// [`BurstModel`]:
+/// slug of `n` identical requests for one uniformly chosen pair (a
+/// "conference call" arrival), admitted as one
+/// [`try_admit_batch`](AdmissionController::try_admit_batch) — one
+/// decision per slug — and tallied per burst. The slug's size is drawn
+/// from a [`BurstModel`]:
 /// mostly single requests with occasional large slugs, or, at `cv = 0`,
 /// a constant (`BurstModel::with_mean_cv(n, 0.0)` offers `n` every
 /// tick). At the same mean offered rate a high-CV model produces the
@@ -174,23 +106,23 @@ pub fn run_churn<P: Policy>(
 /// is designed to flag; the serve loop's background churn uses it so
 /// burst gauges and overuse transitions are visible out of the box.
 /// Deterministic for a fixed seed, as always.
-pub fn run_churn_bursty<P: Policy>(
-    policy: &mut P,
+pub fn run_churn_bursty(
+    ctrl: &AdmissionController,
     pairs: &[(NodeId, NodeId)],
     class: ClassId,
     cfg: &ChurnConfig,
     model: &BurstModel,
 ) -> ChurnStats {
-    churn(policy, pairs, class, cfg, Some(model))
+    churn(ctrl, pairs, class, cfg, Some(model))
 }
 
 /// The one loop behind both drivers. Per tick: due departures, burst
 /// size, pair, admission, tally, holding times — the RNG is drawn in
 /// that order and only where a driver needs the value (`bursts = None`
-/// draws no size, offers one request through [`Policy::admit`] and
-/// leaves the burst tallies at zero).
-fn churn<P: Policy>(
-    policy: &mut P,
+/// draws no size, offers one request through `try_admit` and leaves the
+/// burst tallies at zero).
+fn churn(
+    ctrl: &AdmissionController,
     pairs: &[(NodeId, NodeId)],
     class: ClassId,
     cfg: &ChurnConfig,
@@ -202,10 +134,11 @@ fn churn<P: Policy>(
     // Departure queue keyed by tick.
     let mut departures: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>> =
         std::collections::BinaryHeap::new();
-    let mut held: Vec<Option<P::Handle>> = Vec::new();
+    let mut held: Vec<Option<FlowHandle>> = Vec::new();
     let mut stats = ChurnStats::default();
     let mut active = 0usize;
-    let mut reqs: Vec<(NodeId, NodeId)> = Vec::new();
+    let mut specs: Vec<FlowSpec> = Vec::new();
+    let mut admitted: Vec<FlowHandle> = Vec::new();
 
     let mut tick = 0u64;
     while stats.offered < cfg.arrivals {
@@ -214,8 +147,7 @@ fn churn<P: Policy>(
                 break;
             }
             departures.pop();
-            if let Some(h) = held[slot].take() {
-                policy.release(h);
+            if held[slot].take().is_some() {
                 active -= 1;
             }
         }
@@ -228,21 +160,20 @@ fn churn<P: Policy>(
         };
         let (src, dst) = pairs[rng.index(pairs.len())];
         stats.offered += n;
-        let admitted = if bursts.is_some() {
-            reqs.clear();
-            reqs.resize(n, (src, dst));
-            let t0 = Stopwatch::start();
-            let admitted = policy.admit_burst(class, &reqs);
+        let t0 = Stopwatch::start();
+        if bursts.is_some() {
+            specs.clear();
+            specs.resize(n, FlowSpec { class, src, dst });
+            let outcome = ctrl.try_admit_batch(&specs);
             stats.admit_ns += t0.elapsed_ns() as u128;
-            stats.tally_burst(n, admitted.iter().filter(|h| h.is_some()).count());
-            admitted
+            admitted.extend(outcome.into_handles());
+            stats.tally_burst(n, admitted.len());
         } else {
-            let t0 = Stopwatch::start();
-            let admitted = policy.admit(class, src, dst);
+            let outcome = ctrl.try_admit(class, src, dst);
             stats.admit_ns += t0.elapsed_ns() as u128;
-            vec![admitted]
-        };
-        for h in admitted.into_iter().flatten() {
+            admitted.extend(outcome.ok());
+        }
+        for h in admitted.drain(..) {
             stats.accepted += 1;
             active += 1;
             stats.peak_active = stats.peak_active.max(active);
@@ -256,9 +187,7 @@ fn churn<P: Policy>(
         tick += 1;
     }
     // Tear everything down.
-    for h in held.into_iter().flatten() {
-        policy.release(h);
-    }
+    drop(held);
     stats.mean_admit_ns = if stats.offered > 0 {
         stats.admit_ns as f64 / stats.offered as f64
     } else {
@@ -293,13 +222,13 @@ mod tests {
 
     #[test]
     fn light_load_all_accepted() {
-        let (mut ctrl, pairs) = controller(0.5);
+        let (ctrl, pairs) = controller(0.5);
         let cfg = ChurnConfig {
             arrivals: 200,
             mean_active: 3.0,
             seed: 1,
         };
-        let stats = run_churn(&mut ctrl, &pairs, ClassId(0), &cfg);
+        let stats = run_churn(&ctrl, &pairs, ClassId(0), &cfg);
         assert_eq!(stats.offered, 200);
         assert_eq!(stats.blocking(), 0.0);
         // Everything released at the end.
@@ -308,13 +237,13 @@ mod tests {
 
     #[test]
     fn heavy_load_blocks_some() {
-        let (mut ctrl, pairs) = controller(0.1); // 3 flows per link
+        let (ctrl, pairs) = controller(0.1); // 3 flows per link
         let cfg = ChurnConfig {
             arrivals: 500,
             mean_active: 50.0,
             seed: 2,
         };
-        let stats = run_churn(&mut ctrl, &pairs, ClassId(0), &cfg);
+        let stats = run_churn(&ctrl, &pairs, ClassId(0), &cfg);
         assert!(stats.blocking() > 0.0);
         assert!(stats.peak_active <= 6, "peak {}", stats.peak_active);
         assert_eq!(ctrl.reserved(2, ClassId(0)), 0.0);
@@ -327,10 +256,10 @@ mod tests {
             mean_active: 10.0,
             seed: 42,
         };
-        let (mut c1, pairs) = controller(0.2);
-        let (mut c2, _) = controller(0.2);
-        let s1 = run_churn(&mut c1, &pairs, ClassId(0), &cfg);
-        let s2 = run_churn(&mut c2, &pairs, ClassId(0), &cfg);
+        let (c1, pairs) = controller(0.2);
+        let (c2, _) = controller(0.2);
+        let s1 = run_churn(&c1, &pairs, ClassId(0), &cfg);
+        let s2 = run_churn(&c2, &pairs, ClassId(0), &cfg);
         assert_eq!(s1.accepted, s2.accepted);
         assert_eq!(s1.peak_active, s2.peak_active);
     }
@@ -342,8 +271,8 @@ mod tests {
             mean_active: 20.0,
             seed: 11,
         };
-        let (mut ctrl, pairs) = controller(0.2);
-        let stats = run_churn(&mut ctrl, &pairs, ClassId(0), &cfg);
+        let (ctrl, pairs) = controller(0.2);
+        let stats = run_churn(&ctrl, &pairs, ClassId(0), &cfg);
         assert_eq!(stats.offered, 400);
         assert!(stats.accepted > 0 && stats.accepted < stats.offered);
         assert_eq!(
@@ -359,14 +288,14 @@ mod tests {
 
     #[test]
     fn bursty_churn_saturates_and_balances() {
-        let (mut ctrl, pairs) = controller(0.1); // 3 flows per link
+        let (ctrl, pairs) = controller(0.1); // 3 flows per link
         let cfg = ChurnConfig {
             arrivals: 480,
             mean_active: 50.0,
             seed: 5,
         };
         let eights = BurstModel::with_mean_cv(8.0, 0.0);
-        let stats = run_churn_bursty(&mut ctrl, &pairs, ClassId(0), &cfg, &eights);
+        let stats = run_churn_bursty(&ctrl, &pairs, ClassId(0), &cfg, &eights);
         assert_eq!(stats.offered, 480);
         assert!(stats.accepted > 0);
         assert!(stats.blocking() > 0.0);
@@ -392,36 +321,15 @@ mod tests {
             seed: 9,
         };
         let model = BurstModel::with_mean_cv(8.0, 2.5);
-        let (mut c1, pairs) = controller(0.1);
-        let (mut c2, _) = controller(0.1);
-        let s1 = run_churn_bursty(&mut c1, &pairs, ClassId(0), &cfg, &model);
-        let s2 = run_churn_bursty(&mut c2, &pairs, ClassId(0), &cfg, &model);
+        let (c1, pairs) = controller(0.1);
+        let (c2, _) = controller(0.1);
+        let s1 = run_churn_bursty(&c1, &pairs, ClassId(0), &cfg, &model);
+        let s2 = run_churn_bursty(&c2, &pairs, ClassId(0), &cfg, &model);
         assert_eq!(s1.offered, 600);
         assert_eq!(s1.accepted, s2.accepted);
         assert_eq!(s1.peak_active, s2.peak_active);
         assert!(s1.accepted > 0);
         assert!(s1.peak_active <= 6, "peak {}", s1.peak_active);
         assert_eq!(c1.reserved(2, ClassId(0)), 0.0);
-    }
-
-    #[test]
-    fn baseline_policy_runs_through_driver() {
-        let mut g = Digraph::with_nodes(3);
-        let (e01, _) = g.add_link(NodeId(0), NodeId(1), 1.0);
-        let (e12, _) = g.add_link(NodeId(1), NodeId(2), 1.0);
-        let mut table = RoutingTable::new();
-        table.insert(ClassId(0), &Path::from_edges(&g, vec![e01, e12]));
-        let classes = ClassSet::single(TrafficClass::voip());
-        let servers = uba_delay::servers::Servers::uniform(&g, 1e6, 4);
-        let baseline = crate::PerFlowAdmission::new(table, classes, servers);
-        let cfg = ChurnConfig {
-            arrivals: 50,
-            mean_active: 5.0,
-            seed: 3,
-        };
-        let mut policy = &baseline;
-        let stats = run_churn(&mut policy, &[(NodeId(0), NodeId(2))], ClassId(0), &cfg);
-        assert!(stats.accepted > 0);
-        assert_eq!(baseline.active_flows(), 0);
     }
 }

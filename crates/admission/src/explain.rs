@@ -143,20 +143,21 @@ impl Explain {
         let rejected_stage = self
             .rejected_stage
             .map_or_else(|| "null".into(), |s| format!("\"{s}\""));
+        let num = uba_obs::json::number;
         format!(
             "{{\"class\":{},\"src\":{},\"dst\":{},\"verdict\":\"{}\",\"path\":[{path}],\
-             \"flow_rate_bps\":{:?},\"link\":{link},\"reserved_bps\":{:?},\
-             \"budget_bps\":{:?},\"utilization\":{:?},\"headroom_bps\":{:?},\
+             \"flow_rate_bps\":{},\"link\":{link},\"reserved_bps\":{},\
+             \"budget_bps\":{},\"utilization\":{},\"headroom_bps\":{},\
              \"stages\":[{stages}],\"rejected_stage\":{rejected_stage}}}",
             self.class.index(),
             self.src.0,
             self.dst.0,
             self.verdict.as_str(),
-            self.flow_rate_bps,
-            self.reserved_bps,
-            self.budget_bps,
-            self.observed_utilization(),
-            self.headroom_bps(),
+            num(self.flow_rate_bps),
+            num(self.reserved_bps),
+            num(self.budget_bps),
+            num(self.observed_utilization()),
+            num(self.headroom_bps()),
         )
     }
 }

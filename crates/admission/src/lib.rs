@@ -31,7 +31,7 @@
 //!   every admission: the O(flows) cost the paper's design eliminates
 //!   (experiment S-AC).
 //! * [`churn`] — a deterministic flow-churn workload driver for
-//!   exercising a policy under a reproducible request sequence: one
+//!   exercising the controller under a reproducible request sequence: one
 //!   loop behind [`run_churn`] (single arrivals) and
 //!   [`run_churn_bursty`] (slugs sized by a
 //!   [`uba_traffic::BurstModel`], through the batched path).
@@ -71,7 +71,7 @@ pub mod table;
 
 pub use arrival::{ArrivalEstimator, ArrivalMonitor, OveruseDetector, OveruseState};
 pub use baseline::PerFlowAdmission;
-pub use churn::{run_churn, run_churn_bursty, ChurnConfig, ChurnStats, Policy};
+pub use churn::{run_churn, run_churn_bursty, ChurnConfig, ChurnStats};
 pub use controller::{
     AdmissionController, BatchOutcome, DrainStatus, FlowHandle, FlowSpec, ReconfigReport, Reject,
 };

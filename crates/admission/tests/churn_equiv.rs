@@ -119,10 +119,10 @@ fn check(name: &str, setup: Setup, arrivals: usize, mean_active: f64, pinned: &[
             seed: 1 + seed as u64,
         };
         for (d, model) in models.iter().enumerate() {
-            let (mut ctrl, pairs, servers) = setup();
+            let (ctrl, pairs, servers) = setup();
             let stats = match model {
-                None => run_churn(&mut ctrl, &pairs, ClassId(0), &cfg),
-                Some(m) => run_churn_bursty(&mut ctrl, &pairs, ClassId(0), &cfg, m),
+                None => run_churn(&ctrl, &pairs, ClassId(0), &cfg),
+                Some(m) => run_churn_bursty(&ctrl, &pairs, ClassId(0), &cfg, m),
             };
             let cell = format!("{name} seed {seed} {}", DRIVERS[d]);
             assert_eq!(stats.offered, arrivals, "{cell}");

@@ -3,9 +3,10 @@
 
 use crate::scenario::{Scenario, ScenarioError};
 use std::fmt::Write as _;
+use std::ops::ControlFlow;
 use uba::admission::{
     run_churn, AdmissionController, BackendKind, ChurnConfig, ConfigGeneration, Explain,
-    ExplainVerdict, PolicyChain, Reject, RoutingTable, UtilizationState,
+    ExplainVerdict, FlowHandle, PolicyChain, Reject, RoutingTable, UtilizationState,
 };
 use uba::delay::fixed_point::SolveConfig;
 use uba::delay::routeset::{Route, RouteSet};
@@ -53,14 +54,10 @@ pub fn cmd_bounds(sc: &Scenario) -> Result<String, ScenarioError> {
 /// `verify`: SP routes for every pair and class, Figure 2 verification at
 /// the scenario's alphas.
 pub fn cmd_verify(sc: &Scenario) -> Result<String, ScenarioError> {
-    let paths = sp_selection(&sc.graph, &sc.pairs)
-        .map_err(|p| ScenarioError(format!("no route for pair {p:?}")))?;
     let mut routes = RouteSet::new(sc.graph.edge_count());
-    for (ci, _) in sc.classes.iter() {
-        for p in &paths {
-            routes.push(Route::from_path(ci, p));
-        }
-    }
+    sp_paths(sc, |ci, p| {
+        routes.push(Route::from_path(ci, p));
+    })?;
     let report = verify(
         &sc.servers,
         &sc.classes,
@@ -204,12 +201,10 @@ pub fn cmd_simulate(sc: &Scenario, horizon: f64) -> Result<String, ScenarioError
     }
     let (_, class) = sc.classes.iter().next().unwrap();
     let alpha = sc.alphas[0];
-    let paths = sp_selection(&sc.graph, &sc.pairs)
-        .map_err(|p| ScenarioError(format!("no route for pair {p:?}")))?;
     let mut routes = RouteSet::new(sc.graph.edge_count());
-    for p in &paths {
-        routes.push(Route::from_path(ClassId(0), p));
-    }
+    let paths = sp_paths(sc, |ci, p| {
+        routes.push(Route::from_path(ci, p));
+    })?;
     let analysis = uba::delay::fixed_point::solve_two_class(
         &sc.servers,
         class,
@@ -226,23 +221,11 @@ pub fn cmd_simulate(sc: &Scenario, horizon: f64) -> Result<String, ScenarioError
     }
     let bound = analysis.route_delays.iter().cloned().fold(0.0, f64::max);
 
-    let caps: Vec<f64> = (0..sc.servers.len())
-        .map(|k| sc.servers.capacity_at(k))
-        .collect();
+    let caps = capacities(sc);
     let flows: Vec<FlowSpec> = UtilizationState::new(&caps, &[alpha])
         .fill_round_robin(&paths, 0, class.bucket.rate)
         .into_iter()
-        .map(|i| FlowSpec {
-            class: 0,
-            ingress: sc.pairs[i].src.0,
-            route: paths[i].edges.iter().map(|e| e.0).collect(),
-            source: SourceModel::GreedyOnOff {
-                burst_bits: class.bucket.burst,
-                rate_bps: class.bucket.rate,
-                packet_bits: (class.bucket.burst as u64).max(64),
-                start: 0.0,
-            },
-        })
+        .map(|i| greedy_flow(class, sc.pairs[i].src, &paths[i]))
         .collect();
     let report = simulate(
         &caps,
@@ -275,14 +258,10 @@ pub fn cmd_metrics(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
     let mut out = String::new();
 
     // 1. Delay analysis: SP routes, Figure 2 verification.
-    let paths = sp_selection(&sc.graph, &sc.pairs)
-        .map_err(|p| ScenarioError(format!("no route for pair {p:?}")))?;
     let mut routes = RouteSet::new(sc.graph.edge_count());
-    for (ci, _) in sc.classes.iter() {
-        for p in &paths {
-            routes.push(Route::from_path(ci, p));
-        }
-    }
+    let paths = sp_paths(sc, |ci, p| {
+        routes.push(Route::from_path(ci, p));
+    })?;
     let solver_metrics = uba::delay::metrics::solver();
     let (skipped0, touched0) = (
         solver_metrics.sweeps_skipped.get(),
@@ -342,14 +321,10 @@ pub fn cmd_metrics(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
 
     // 2. Admission: churn workload, then saturate until a link fills —
     // through the scenario's policy chain, like `explain` and `serve`.
-    let caps: Vec<f64> = (0..sc.servers.len())
-        .map(|k| sc.servers.capacity_at(k))
-        .collect();
     let ctrl = scenario_controller(sc, true)?;
     let pairs: Vec<(NodeId, NodeId)> = sc.pairs.iter().map(|p| (p.src, p.dst)).collect();
-    let mut policy = ctrl.clone();
     let churn = run_churn(
-        &mut policy,
+        &ctrl,
         &pairs,
         ClassId(0),
         &ChurnConfig {
@@ -367,27 +342,14 @@ pub fn cmd_metrics(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
         churn.mean_admit_ns
     )
     .unwrap();
-    let mut held = Vec::new();
     let mut sample = None;
-    'saturate: loop {
-        let mut progress = false;
-        for &(src, dst) in &pairs {
-            match ctrl.try_admit(ClassId(0), src, dst) {
-                Ok(h) => {
-                    held.push(h);
-                    progress = true;
-                }
-                Err(r @ Reject::LinkFull { .. }) => {
-                    sample = Some(r);
-                    break 'saturate;
-                }
-                Err(Reject::NoRoute | Reject::Policy { .. }) => {}
-            }
+    let held = saturate(&ctrl, sc, [ClassId(0)], |_, _, r| match r {
+        Reject::LinkFull { .. } => {
+            sample = Some(r);
+            ControlFlow::Break(())
         }
-        if !progress {
-            break;
-        }
-    }
+        Reject::NoRoute | Reject::Policy { .. } => ControlFlow::Continue(()),
+    });
     ctrl.refresh_gauges();
     match sample {
         Some(Reject::LinkFull {
@@ -428,19 +390,13 @@ pub fn cmd_metrics(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
             .iter()
             .zip(&paths)
             .take(16)
-            .map(|(pair, path)| FlowSpec {
-                class: 0,
-                ingress: pair.src.0,
-                route: path.edges.iter().map(|e| e.0).collect(),
-                source: SourceModel::GreedyOnOff {
-                    burst_bits: class.bucket.burst,
-                    rate_bps: class.bucket.rate,
-                    packet_bits: (class.bucket.burst as u64).max(64),
-                    start: 0.0,
-                },
-            })
+            .map(|(pair, path)| greedy_flow(class, pair.src, path))
             .collect();
-        let sim_report = simulate(&caps, &flows, &SimConfig::new(0.05, vec![class.deadline]));
+        let sim_report = simulate(
+            &capacities(sc),
+            &flows,
+            &SimConfig::new(0.05, vec![class.deadline]),
+        );
         writeln!(
             out,
             "simulation: {} packets, {} deadline misses",
@@ -469,21 +425,80 @@ pub fn cmd_metrics(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
     Ok(out)
 }
 
-/// SP routing table + per-server capacities for a scenario — the
-/// config-time output every run-time construction starts from.
-fn scenario_table(sc: &Scenario) -> Result<(RoutingTable, Vec<f64>), ScenarioError> {
+/// SP paths for the scenario's pairs, in pair order (`paths[i]` serves
+/// `sc.pairs[i]`). `each` sees every path once per class, class by class:
+/// the order a route set or routing table is filled in.
+fn sp_paths(
+    sc: &Scenario,
+    mut each: impl FnMut(ClassId, &Path),
+) -> Result<Vec<Path>, ScenarioError> {
     let paths = sp_selection(&sc.graph, &sc.pairs)
         .map_err(|p| ScenarioError(format!("no route for pair {p:?}")))?;
-    let mut table = RoutingTable::new();
     for (ci, _) in sc.classes.iter() {
         for p in &paths {
-            table.insert(ci, p);
+            each(ci, p);
         }
     }
-    let caps: Vec<f64> = (0..sc.servers.len())
+    Ok(paths)
+}
+
+/// Per-server capacities of a scenario, bits/s.
+fn capacities(sc: &Scenario) -> Vec<f64> {
+    (0..sc.servers.len())
         .map(|k| sc.servers.capacity_at(k))
-        .collect();
-    Ok((table, caps))
+        .collect()
+}
+
+/// The greedy on-off source of `class` entering at `src` along `path`
+/// (simulator class 0): its whole bucket at t = 0, then its rate.
+fn greedy_flow(class: &TrafficClass, src: NodeId, path: &Path) -> FlowSpec {
+    FlowSpec {
+        class: 0,
+        ingress: src.0,
+        route: path.edges.iter().map(|e| e.0).collect(),
+        source: SourceModel::GreedyOnOff {
+            burst_bits: class.bucket.burst,
+            rate_bps: class.bucket.rate,
+            packet_bits: (class.bucket.burst as u64).max(64),
+            start: 0.0,
+        },
+    }
+}
+
+/// Saturates `ctrl` round-robin: for each of `classes` in turn, one
+/// `try_admit` per scenario pair in file order, pass after pass, until a
+/// pass admits nothing. Each reject goes to `on_reject(class, pair index,
+/// reject)`, whose `Break` ends the whole saturation there. Returns every
+/// admitted handle with its class and pair index, in admission order.
+fn saturate(
+    ctrl: &AdmissionController,
+    sc: &Scenario,
+    classes: impl IntoIterator<Item = ClassId>,
+    mut on_reject: impl FnMut(ClassId, usize, Reject) -> ControlFlow<()>,
+) -> Vec<(FlowHandle, ClassId, usize)> {
+    let mut held = Vec::new();
+    for ci in classes {
+        loop {
+            let mut progress = false;
+            for (pi, pair) in sc.pairs.iter().enumerate() {
+                match ctrl.try_admit(ci, pair.src, pair.dst) {
+                    Ok(h) => {
+                        held.push((h, ci, pi));
+                        progress = true;
+                    }
+                    Err(r) => {
+                        if on_reject(ci, pi, r).is_break() {
+                            return held;
+                        }
+                    }
+                }
+            }
+            if !progress {
+                break;
+            }
+        }
+    }
+    held
 }
 
 /// The scenario's `[policy]` section instantiated against its class
@@ -513,11 +528,14 @@ pub(crate) fn scenario_controller(
 /// baked into the generation, so a hot-reload installs fresh policy
 /// state alongside fresh budgets.
 pub(crate) fn scenario_generation(sc: &Scenario) -> Result<ConfigGeneration, ScenarioError> {
-    let (table, caps) = scenario_table(sc)?;
+    let mut table = RoutingTable::new();
+    sp_paths(sc, |ci, p| {
+        table.insert(ci, p);
+    })?;
     Ok(ConfigGeneration::with_policy(
         table,
         &sc.classes,
-        &caps,
+        &capacities(sc),
         &sc.alphas,
         BackendKind::Atomic,
         scenario_chain(sc),
@@ -549,23 +567,13 @@ pub fn cmd_reconfigure(
     json: bool,
 ) -> Result<String, ScenarioError> {
     let ctrl = scenario_controller(old, false)?;
-    // Deterministic saturation: round-robin over the pair list in file
-    // order, every class, holding every admitted flow.
-    let mut held: Vec<(uba::admission::FlowHandle, ClassId, usize)> = Vec::new();
-    for (ci, _) in old.classes.iter() {
-        loop {
-            let mut progress = false;
-            for (pi, pair) in old.pairs.iter().enumerate() {
-                if let Ok(h) = ctrl.try_admit(ci, pair.src, pair.dst) {
-                    held.push((h, ci, pi));
-                    progress = true;
-                }
-            }
-            if !progress {
-                break;
-            }
-        }
-    }
+    // Deterministic saturation, every class, holding every admitted flow.
+    let held = saturate(
+        &ctrl,
+        old,
+        old.classes.iter().map(|(ci, _)| ci),
+        |_, _, _| ControlFlow::Continue(()),
+    );
     let admitted = held.len();
 
     let next = scenario_generation(new)?;
@@ -634,32 +642,24 @@ pub fn cmd_reconfigure(
 /// is byte-identical across runs.
 pub fn cmd_explain(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
     let ctrl = scenario_controller(sc, false)?;
-    let mut held = Vec::new();
     let mut diagnoses: Vec<Explain> = Vec::new();
-    for (ci, _) in sc.classes.iter() {
-        // (pair index) -> already diagnosed, so each pair reports its
-        // *first* rejection.
-        let mut diagnosed = vec![false; sc.pairs.len()];
-        loop {
-            let mut progress = false;
-            for (pi, pair) in sc.pairs.iter().enumerate() {
-                match ctrl.try_admit(ci, pair.src, pair.dst) {
-                    Ok(h) => {
-                        held.push(h);
-                        progress = true;
-                    }
-                    Err(_) if !diagnosed[pi] => {
-                        diagnosed[pi] = true;
-                        diagnoses.push(ctrl.explain(ci, pair.src, pair.dst));
-                    }
-                    Err(_) => {}
-                }
+    // (class, pair index) already diagnosed, so each reports its *first*
+    // rejection.
+    let mut diagnosed = vec![false; sc.classes.len() * sc.pairs.len()];
+    let held = saturate(
+        &ctrl,
+        sc,
+        sc.classes.iter().map(|(ci, _)| ci),
+        |ci, pi, _| {
+            let seen = &mut diagnosed[ci.index() * sc.pairs.len() + pi];
+            if !*seen {
+                *seen = true;
+                let pair = &sc.pairs[pi];
+                diagnoses.push(ctrl.explain(ci, pair.src, pair.dst));
             }
-            if !progress {
-                break;
-            }
-        }
-    }
+            ControlFlow::Continue(())
+        },
+    );
     let admitted = held.len();
     drop(held);
 

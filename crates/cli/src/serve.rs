@@ -47,7 +47,7 @@
 use crate::commands::{scenario_controller, scenario_generation};
 use crate::scenario::{Scenario, ScenarioError};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -84,6 +84,10 @@ const MAX_LINE: usize = 8 * 1024;
 /// Most header lines drained before the request is refused.
 const MAX_HEADERS: usize = 64;
 
+/// Longest response `watch` reads, bytes: ample for a registry snapshot,
+/// and a bound on what a peer at `--port` can make it buffer.
+const MAX_RESPONSE: u64 = 16 << 20;
+
 /// Runs the exposition server on an already-bound listener.
 ///
 /// `max_requests` bounds how many connections are served before
@@ -118,12 +122,11 @@ pub fn serve(
         let stop = Arc::clone(&stop);
         let slo = Arc::clone(&slo);
         std::thread::spawn(move || {
-            let mut policy = ctrl.clone();
             let mut seed = 42u64;
             let model = BurstModel::with_mean_cv(BURST_MEAN, BURST_CV);
             while !stop.load(Ordering::Relaxed) {
                 run_churn_bursty(
-                    &mut policy,
+                    &ctrl,
                     &pairs,
                     ClassId(0),
                     &ChurnConfig {
@@ -178,13 +181,13 @@ fn query_param<T: std::str::FromStr>(query: &str, key: &str) -> Option<T> {
         .and_then(|(_, v)| v.parse().ok())
 }
 
-/// A socket read against one deadline for the whole request head: each
-/// read may block only for what is left of it, so bytes trickled in one
-/// at a time cannot stretch the wait the way a per-read timeout lets
-/// them.
+/// A socket read against one deadline for a whole request head (the
+/// server) or a whole response (`watch`): each read may block only for
+/// what is left of it, so bytes trickled in one at a time cannot stretch
+/// the wait the way a per-read timeout lets them.
 struct UntilDeadline<'a> {
     stream: &'a TcpStream,
-    /// Running since the head's first read; [`IO_TIMEOUT`] in all.
+    /// Running since the first read; [`IO_TIMEOUT`] in all.
     waited: Stopwatch,
 }
 
@@ -353,40 +356,54 @@ fn handle(
 }
 
 /// Minimal HTTP GET against a running serve endpoint; returns the body.
-/// Used by `uba-cli watch` — same zero-dependency discipline as the
-/// server side. A transient connection error (the server mid-close on
-/// another request) is retried twice before surfacing.
+/// Used by `uba-cli watch`, on the server's clock: connecting, the
+/// request write and the whole response read each get [`IO_TIMEOUT`],
+/// and a response over [`MAX_RESPONSE`] bytes is refused. A timeout is
+/// reported, not retried; any other connection error (the server
+/// mid-close on another request) is retried twice before surfacing.
 fn http_get(addr: &str, path: &str) -> Result<String, ScenarioError> {
-    use std::io::Read as _;
-    let attempt = || -> std::io::Result<String> {
-        let mut stream = TcpStream::connect(addr)?;
+    let attempt = || -> std::io::Result<Vec<u8>> {
+        let to = addr
+            .to_socket_addrs()?
+            .next()
+            .ok_or(ErrorKind::AddrNotAvailable)?;
+        let mut stream = TcpStream::connect_timeout(&to, IO_TIMEOUT)?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
         write!(
             stream,
             "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
         )?;
-        let mut response = String::new();
-        stream.read_to_string(&mut response)?;
+        let mut response = Vec::new();
+        UntilDeadline {
+            stream: &stream,
+            waited: Stopwatch::start(),
+        }
+        .take(MAX_RESPONSE + 1)
+        .read_to_end(&mut response)?;
         Ok(response)
     };
-    let mut last_err = None;
-    for _ in 0..3 {
+    let failed = |e: &dyn std::fmt::Display| ScenarioError(format!("GET {addr}{path} failed: {e}"));
+    let mut retries = 2;
+    let response = loop {
         match attempt() {
-            Ok(response) => {
-                return response
-                    .split_once("\r\n\r\n")
-                    .map(|(_, body)| body.to_string())
-                    .ok_or_else(|| ScenarioError(format!("GET {addr}{path}: malformed response")));
+            Ok(response) => break response,
+            Err(e)
+                if retries > 0
+                    && !matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) =>
+            {
+                retries -= 1;
+                std::thread::sleep(Duration::from_millis(10));
             }
-            Err(e) => {
-                last_err = Some(e);
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
+            Err(e) => return Err(failed(&e)),
         }
+    };
+    if response.len() as u64 > MAX_RESPONSE {
+        return Err(failed(&format!("response over {MAX_RESPONSE} bytes")));
     }
-    Err(ScenarioError(format!(
-        "GET {addr}{path} failed: {}",
-        last_err.expect("three attempts")
-    )))
+    String::from_utf8(response)
+        .ok()
+        .and_then(|r| r.split_once("\r\n\r\n").map(|(_, body)| body.to_string()))
+        .ok_or_else(|| failed(&"malformed response"))
 }
 
 /// Renders one `watch` frame from a `/snapshot` body and a `/slo` body:
@@ -817,6 +834,120 @@ mod tests {
         server.join().unwrap().unwrap();
     }
 
+    /// A request head from `rng`: known and random method and target
+    /// bytes, header counts and line lengths on both sides of
+    /// [`MAX_HEADERS`] and [`MAX_LINE`], now and then a byte that is not
+    /// UTF-8, now and then cut off short.
+    fn random_head(rng: &mut uba::obs::SplitMix64) -> Vec<u8> {
+        const REQUESTS: [&str; 12] = [
+            "GET /healthz",
+            "GET /metrics",
+            "GET /snapshot",
+            "GET /slo",
+            "GET /alerts",
+            "GET /trace?n=2",
+            "GET /",
+            "GET /nope",
+            "POST /reconfigure",
+            "POST /metrics",
+            "PUT /",
+            "get /healthz",
+        ];
+        let (method, target) = REQUESTS[rng.index(REQUESTS.len())].split_once(' ').unwrap();
+        let mut head = format!("{method} ").into_bytes();
+        if rng.index(4) == 0 {
+            head.extend((0..rng.index(16)).map(|_| rng.index(256) as u8));
+        } else {
+            head.extend(target.as_bytes());
+        }
+        // A line of MAX_LINE - 2 to MAX_LINE + 2 bytes with its CRLF.
+        let near_limit = |rng: &mut uba::obs::SplitMix64| MAX_LINE - 4 + rng.index(5);
+        if rng.index(8) == 0 {
+            let len = near_limit(rng);
+            head.resize(len, b'a');
+        } else {
+            head.extend(b" HTTP/1.1");
+        }
+        head.extend(b"\r\n");
+        let headers = [0, 1, 3, MAX_HEADERS - 1, MAX_HEADERS, MAX_HEADERS + 1];
+        let long = (rng.index(8) == 0).then(|| near_limit(rng));
+        for i in 0..headers[rng.index(headers.len())] {
+            let start = head.len();
+            head.extend(b"X-Pad: y");
+            if i == 0 {
+                if let Some(len) = long {
+                    head.resize(start + len, b'y');
+                }
+            }
+            head.extend(b"\r\n");
+        }
+        head.extend(b"\r\n");
+        if rng.index(8) == 0 {
+            let at = rng.index(head.len());
+            head[at] = 0x80 | rng.index(0x80) as u8;
+        }
+        if rng.index(8) == 0 {
+            head.truncate(rng.index(head.len() + 1));
+        }
+        head
+    }
+
+    #[test]
+    fn random_heads_get_a_status_and_the_server_keeps_serving() {
+        const CASES: u64 = 128;
+        let sc = ring_scenario();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let requests = 1 + 2 * CASES as usize;
+        let server = std::thread::spawn(move || serve(&sc, listener, Some(requests), None));
+        let number = |body: &str, key: &str| {
+            uba::obs::json::parse(body.trim())
+                .ok()?
+                .get(key)?
+                .as_number()
+        };
+        let mut generation = number(&get(addr, "/healthz").1, "generation").unwrap();
+        let mut reloads = 0;
+        uba::obs::check("serve_random_heads", CASES, |rng| {
+            let head = random_head(rng);
+            let sent = String::from_utf8_lossy(&head).into_owned();
+            // Every head ends in the client closing its write side, so
+            // the server never waits out its clock on one.
+            let mut stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
+            stream
+                .set_read_timeout(Some(PATIENCE))
+                .map_err(|e| e.to_string())?;
+            let _ = stream.write_all(&head);
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            let response = read_all(&mut stream);
+            let status = response.get(9..12).unwrap_or("");
+            uba::obs::ensure!(
+                ["200", "400", "404", "405", "431"].contains(&status),
+                "answered {response:?} to {sent:?}"
+            );
+            let (health, body) = get(addr, "/healthz");
+            uba::obs::ensure!(
+                health.starts_with("HTTP/1.1 200"),
+                "{health:?} after {sent:?}"
+            );
+            let now = number(&body, "generation").ok_or(body)?;
+            if now != generation {
+                let answer = response.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+                uba::obs::ensure!(
+                    status == "200"
+                        && number(answer, "previous") == Some(generation)
+                        && number(answer, "generation") == Some(now),
+                    "generation {generation} -> {now} after {response:?} to {sent:?}"
+                );
+                generation = now;
+                reloads += 1;
+            }
+            Ok(())
+        });
+        assert!(reloads > 0, "no case reloaded");
+        server.join().unwrap().unwrap();
+    }
+
     #[test]
     fn watch_frame_renders_one_line_per_rule() {
         let snapshot = "{\"name\":\"snapshot.window_secs\",\"value\":1.5}\n\
@@ -863,6 +994,22 @@ mod tests {
         // watch_frame_renders_one_line_per_rule).
         watch(&addr.to_string(), 1, Some(2)).unwrap();
         server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn watch_gives_up_on_a_peer_that_never_answers() {
+        // Bound but never accepting: the handshake completes from the
+        // listen backlog, and no byte ever comes back.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let client = std::thread::spawn(move || tx.send(http_get(&addr, "/snapshot")));
+        // A watchdog, so a client with no deadline fails here instead of
+        // hanging the test run.
+        let got = rx.recv_timeout(IO_TIMEOUT + Duration::from_secs(1));
+        assert!(matches!(got, Ok(Err(_))), "{got:?}");
+        client.join().unwrap().unwrap();
+        drop(listener);
     }
 
     #[test]

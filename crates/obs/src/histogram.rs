@@ -69,9 +69,10 @@ impl Histogram {
     /// Slot index of a (sanitized, non-negative finite) sample. The
     /// arithmetic guess can land one slot off at a boundary because
     /// `v / base` rounds; the fix-up loops re-anchor against the
-    /// authoritative [`bucket_lower_bound`](Self::bucket_lower_bound)
-    /// values, which makes `slot_of(bucket_lower_bound(s)) == s` hold by
-    /// construction — the invariant the sparse-JSON replay relies on.
+    /// authoritative [`slot_lower_bound`] values, which makes
+    /// `slot_of(slot_lower_bound(base, s)) == s` hold by construction —
+    /// the invariant the sparse-JSON replay relies on: a sample equal to
+    /// a slot's lower bound lands back in that slot.
     #[inline]
     pub fn slot_of(&self, v: f64) -> usize {
         let v = if v.is_finite() && v > 0.0 { v } else { 0.0 };
@@ -157,56 +158,13 @@ impl Histogram {
         quantile_from_counts(self.base, &counts, q)
     }
 
-    /// Upper bound of slot `i`: [`slot_upper_bound`] at this base.
-    pub fn bucket_upper_bound(&self, i: usize) -> f64 {
-        slot_upper_bound(self.base, i)
-    }
-
-    /// Lower bound of slot `i`: [`slot_lower_bound`] at this base. A
-    /// sample equal to it lands back in slot `i`, which is what lets a
-    /// sparse JSON dump be replayed through [`record_n`](Self::record_n)
-    /// without shifting mass between slots.
-    pub fn bucket_lower_bound(&self, i: usize) -> f64 {
-        slot_lower_bound(self.base, i)
-    }
-
     /// A point-in-time copy of every slot count, index-aligned with
-    /// [`bucket_lower_bound`](Self::bucket_lower_bound).
+    /// [`slot_lower_bound`].
     pub fn bucket_counts(&self) -> [u64; BUCKETS] {
         let mut out = [0u64; BUCKETS];
         for (o, b) in out.iter_mut().zip(self.buckets.iter()) {
             *o = b.load(Ordering::Relaxed);
         }
-        out
-    }
-
-    /// One-line JSON rendering with the full (sparse) slot layout:
-    /// `{"base":1.0,"count":N,"buckets":[[i,count],...]}` — empty slots
-    /// omitted. The inverse is re-recording each pair at the slot's
-    /// lower bound; see the round-trip test in `tests/obs.rs`.
-    pub fn to_json_line(&self) -> String {
-        use std::fmt::Write as _;
-        let counts = self.bucket_counts();
-        let mut out = String::with_capacity(64);
-        write!(
-            out,
-            "{{\"base\":{:?},\"count\":{},\"buckets\":[",
-            self.base,
-            counts.iter().sum::<u64>()
-        )
-        .unwrap();
-        let mut first = true;
-        for (i, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            write!(out, "[{i},{c}]").unwrap();
-        }
-        out.push_str("]}");
         out
     }
 }
@@ -316,9 +274,9 @@ mod tests {
         for base in [1.0, 1e-9, 3.7, 0.3, 1e6] {
             let h = Histogram::with_base(base);
             for i in 0..BUCKETS {
-                let lb = h.bucket_lower_bound(i);
+                let lb = slot_lower_bound(base, i);
                 assert_eq!(h.slot_of(lb), i, "base {base}, slot {i}, lb {lb}");
-                assert!(lb < h.bucket_upper_bound(i), "base {base}, slot {i}");
+                assert!(lb < slot_upper_bound(base, i), "base {base}, slot {i}");
             }
         }
     }
@@ -449,11 +407,10 @@ mod tests {
     fn quantile_from_counts_single_slot_mass() {
         // All mass in one slot: every quantile reports that slot's upper
         // bound, regardless of q or how much mass there is.
-        let bounds = Histogram::with_base(1.0);
         for slot in [0, 1, 7, 8, 100, BUCKETS - 2] {
             let mut counts = [0u64; BUCKETS];
             counts[slot] = 12_345;
-            let expect = bounds.bucket_upper_bound(slot);
+            let expect = slot_upper_bound(1.0, slot);
             for q in [0.001, 0.5, 0.99, 1.0] {
                 assert_eq!(
                     quantile_from_counts(1.0, &counts, q),
@@ -474,10 +431,9 @@ mod tests {
         assert_eq!(quantile_from_counts(1.0, &counts, 0.5), Some(2f64.powi(63)));
         counts[0] = 97;
         // 97% of the mass is in slot 0; the p99 crosses into overflow.
-        let h = Histogram::with_base(1.0);
         assert_eq!(
             quantile_from_counts(1.0, &counts, 0.5),
-            Some(h.bucket_upper_bound(0))
+            Some(slot_upper_bound(1.0, 0))
         );
         assert_eq!(
             quantile_from_counts(1.0, &counts, 0.99),

@@ -1,4 +1,5 @@
-//! A minimal JSON parser (hand-rolled, no dependencies).
+//! A minimal JSON parser (hand-rolled, no dependencies), and the one
+//! number formatter every JSON writer in the workspace shares.
 //!
 //! Exists so metric snapshots emitted by
 //! [`Snapshot::render_json_lines`](crate::Snapshot::render_json_lines)
@@ -74,6 +75,18 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// Formats an `f64` as a JSON number token that [`parse`] (or any
+/// standard parser) reads back bit for bit: `{:?}` always keeps a
+/// decimal point or an exponent, so the token stays a float. A
+/// non-finite value, which JSON cannot spell, becomes `null`.
+pub fn number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:?}")
+    } else {
+        "null".into()
+    }
+}
 
 /// Deepest array/object nesting [`parse`] accepts. The parser recurses
 /// once per level, so an unbounded depth would let a body of `[`s

@@ -11,7 +11,7 @@
 //! * [`Counter`] / [`Gauge`] — lock-free scalar metrics.
 //! * [`Histogram`] — log2-bucketed value/latency distribution with
 //!   p50/p90/p99/max readouts.
-//! * [`Span`] — RAII wall-clock timer recording into a histogram.
+//! * [`Stopwatch`] — the one sanctioned wall-clock timer.
 //! * [`Registry`] — named metrics, rendered as human tables or
 //!   line-oriented JSON (hand-rolled, matching the workspace's
 //!   `toml_lite` no-external-deps style). [`global()`] is the process
@@ -38,7 +38,7 @@ pub mod metrics;
 pub mod registry;
 pub mod rng;
 pub mod slo;
-pub mod span;
+pub mod stopwatch;
 pub(crate) mod sync;
 pub mod trace;
 
@@ -47,5 +47,5 @@ pub use metrics::{Counter, Gauge};
 pub use registry::{global, process_secs, Registry, Snapshot, SnapshotValue};
 pub use rng::{check, SplitMix64};
 pub use slo::{standard_rules, Alert, RuleState, SloConfig, SloEngine, SloRule, SloSignal};
-pub use span::{Span, Stopwatch};
+pub use stopwatch::Stopwatch;
 pub use trace::{Event, EventKind, Tracer};

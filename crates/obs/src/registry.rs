@@ -10,8 +10,9 @@
 //! `ops/sec` rates, and per-interval histogram digests.
 
 use crate::histogram::{quantiles_from_counts, slot_upper_bound, Histogram, BUCKETS};
+use crate::json;
 use crate::metrics::{Counter, Gauge};
-use crate::span::Stopwatch;
+use crate::stopwatch::Stopwatch;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -218,19 +219,8 @@ pub struct Snapshot {
     pub at: f64,
 }
 
-/// Formats an `f64` so it is valid JSON (non-finite becomes `null`) and
-/// round-trips through a standard parser.
-fn json_num(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".into();
-    }
-    // `{:?}` always keeps a decimal point or exponent, so the token
-    // parses back as a float.
-    format!("{v:?}")
-}
-
 fn json_opt(v: Option<f64>) -> String {
-    v.map(json_num).unwrap_or_else(|| "null".into())
+    v.map(json::number).unwrap_or_else(|| "null".into())
 }
 
 fn json_escape(s: &str) -> String {
@@ -485,7 +475,7 @@ impl Snapshot {
                     writeln!(
                         out,
                         "{{\"name\":\"{name}\",\"type\":\"gauge\",\"value\":{}}}",
-                        json_num(*v)
+                        json::number(*v)
                     )
                     .unwrap();
                 }
@@ -507,9 +497,9 @@ impl Snapshot {
                         json_opt(*p50),
                         json_opt(*p90),
                         json_opt(*p99),
-                        json_num(*max),
+                        json::number(*max),
                         json_opt(*mean),
-                        json_num(*base),
+                        json::number(*base),
                     )
                     .unwrap();
                     for (i, (slot, c)) in buckets.iter().enumerate() {

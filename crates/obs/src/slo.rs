@@ -36,6 +36,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use crate::histogram::quantile_from_counts;
+use crate::json;
 use crate::metrics::{Counter, Gauge};
 use crate::registry::{dense, Registry, Snapshot, SnapshotValue};
 use crate::trace::{self, EventKind};
@@ -312,17 +313,9 @@ impl Alert {
             self.resolved_at
                 .map(|t| format!("{t:?}"))
                 .unwrap_or_else(|| "null".into()),
-            json_num(self.value),
-            json_num(self.threshold),
+            json::number(self.value),
+            json::number(self.threshold),
         )
-    }
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".into()
     }
 }
 
@@ -525,8 +518,10 @@ impl SloEngine {
                  \"clear_windows\":{},\"pending_windows\":{},\"fired\":{},\"resolved\":{}}}",
                 r.rule.name,
                 r.state.as_str(),
-                r.last_value.map(json_num).unwrap_or_else(|| "null".into()),
-                json_num(r.rule.threshold),
+                r.last_value
+                    .map(json::number)
+                    .unwrap_or_else(|| "null".into()),
+                json::number(r.rule.threshold),
                 r.breach_streak,
                 r.clear_streak,
                 r.rule.for_windows,

@@ -20,6 +20,7 @@
 //! compiled into the admit path unconditionally (`uba-bench`'s
 //! `trace_overhead` binary checks the enabled cost too).
 
+use crate::json;
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{CachePadded, Mutex, OnceLock};
 use std::fmt::Write as _;
@@ -171,15 +172,6 @@ pub struct Event {
     pub b: f64,
 }
 
-/// Formats an `f64` as a JSON number token (`null` when non-finite).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".into()
-    }
-}
-
 impl Event {
     /// One-line JSON rendering, e.g.
     /// `{"t_ns":1203,"kind":"admit","class":0,"flow":7,"server":3,"a":32000.0,"b":4.0}`.
@@ -193,8 +185,8 @@ impl Event {
             self.class,
             self.flow,
             self.server,
-            json_num(self.a),
-            json_num(self.b),
+            json::number(self.a),
+            json::number(self.b),
         )
         .unwrap();
         out

@@ -3,7 +3,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use uba_obs::histogram::{quantile_from_counts, BUCKETS};
+use uba_obs::histogram::{quantile_from_counts, slot_lower_bound, BUCKETS};
 use uba_obs::json::{self, JsonValue};
 use uba_obs::{EventKind, Histogram, Registry, SnapshotValue, Tracer};
 
@@ -125,49 +125,54 @@ fn json_snapshot_round_trips() {
     assert_eq!(v.get("count").and_then(JsonValue::as_number), Some(0.0));
 }
 
+/// The JSON line of a registry that holds one histogram, parsed.
+fn histogram_line(r: &Registry) -> JsonValue {
+    json::parse(r.snapshot().render_json_lines().trim()).unwrap()
+}
+
+fn buckets(v: &JsonValue) -> &[JsonValue] {
+    match v.get("buckets") {
+        Some(JsonValue::Array(a)) => a,
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
 #[test]
 fn histogram_bucket_json_round_trips() {
     // Empty histogram: well-formed JSON, zero count, empty bucket list.
-    let empty = Histogram::with_base(1e-9);
-    let v = json::parse(&empty.to_json_line()).unwrap();
+    let r = Registry::new();
+    r.histogram("h", 1e-9);
+    let v = histogram_line(&r);
     assert_eq!(v.get("count").and_then(JsonValue::as_number), Some(0.0));
-    assert_eq!(v.get("buckets"), Some(&JsonValue::Array(vec![])));
-    assert_eq!(empty.quantile(0.5), None);
+    assert!(buckets(&v).is_empty());
 
     // Single sample: exactly one sparse bucket entry.
-    let one = Histogram::with_base(1e-9);
-    one.record(2.5e-6);
-    let v = json::parse(&one.to_json_line()).unwrap();
+    let r = Registry::new();
+    r.histogram("h", 1e-9).record(2.5e-6);
+    let v = histogram_line(&r);
     assert_eq!(v.get("count").and_then(JsonValue::as_number), Some(1.0));
-    let buckets = match v.get("buckets") {
-        Some(JsonValue::Array(a)) => a,
-        other => panic!("unexpected {other:?}"),
-    };
-    assert_eq!(buckets.len(), 1);
+    assert_eq!(buckets(&v).len(), 1);
 
     // Full round trip: emit JSON, parse it back, replay each (bucket,
     // count) pair at the bucket's lower bound into a fresh histogram,
     // and require identical bucket counts (hence identical quantiles).
-    let src = Histogram::with_base(1e-9);
+    let r = Registry::new();
+    let src = r.histogram("h", 1e-9);
     for i in 1..=500 {
         src.record(i as f64 * 7.3e-7);
     }
     src.record(0.0); // bucket 0, whose lower bound is 0.0
-    let parsed = json::parse(&src.to_json_line()).unwrap();
+    let parsed = histogram_line(&r);
     let base = parsed.get("base").and_then(JsonValue::as_number).unwrap();
     let rebuilt = Histogram::with_base(base);
-    let buckets = match parsed.get("buckets") {
-        Some(JsonValue::Array(a)) => a,
-        other => panic!("unexpected {other:?}"),
-    };
-    for pair in buckets {
+    for pair in buckets(&parsed) {
         let pair = match pair {
             JsonValue::Array(p) => p,
             other => panic!("unexpected {other:?}"),
         };
         let i = pair[0].as_number().unwrap() as usize;
         let n = pair[1].as_number().unwrap() as u64;
-        rebuilt.record_n(rebuilt.bucket_lower_bound(i), n);
+        rebuilt.record_n(slot_lower_bound(base, i), n);
     }
     assert_eq!(rebuilt.bucket_counts(), src.bucket_counts());
     assert_eq!(rebuilt.count(), src.count());

@@ -28,6 +28,7 @@
 //! the flight recorder sees.
 
 use std::sync::mpsc;
+use uba_obs::histogram::{slot_lower_bound, slot_upper_bound};
 use uba_obs::trace::{self, Drained, Event, DEFAULT_CAPACITY, PUBLISH_EVERY};
 use uba_obs::{EventKind, Histogram, Registry, Snapshot, SnapshotValue, Tracer};
 
@@ -120,8 +121,8 @@ fn renderings(out: &mut Vec<(String, u64)>, case: &str, snap: &Snapshot) {
 /// just inside each slot's upper bound.
 fn on_boundaries(h: &Histogram, slots: &[usize], n: u64) {
     for &i in slots {
-        h.record_n(h.bucket_lower_bound(i), n);
-        h.record(h.bucket_upper_bound(i) * (1.0 - 1e-12));
+        h.record_n(slot_lower_bound(h.base(), i), n);
+        h.record(slot_upper_bound(h.base(), i) * (1.0 - 1e-12));
     }
 }
 

@@ -23,7 +23,7 @@
 //!    drift from the code. `format!`-built names are matched as globs
 //!    (`{…}` → `*`) against the manifest's concrete entries.
 //! 5. **clock-discipline** — `Instant::now` / `SystemTime` only inside
-//!    `uba-obs` (which owns the `Stopwatch`/`Span` timing surface) and
+//!    `uba-obs` (which owns the `Stopwatch` timer) and
 //!    `uba-bench`; everything else must take time through obs so tests
 //!    and models stay deterministic.
 //! 6. **parser-unwrap** — the hand-rolled parsers (`toml_lite`, obs
@@ -938,7 +938,7 @@ mod tests {
         let v = lint_source("crates/sim/src/engine.rs", bad, &manifest());
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("clock-discipline"), "{v:?}");
-        assert!(lint_source("crates/obs/src/span.rs", bad, &manifest()).is_empty());
+        assert!(lint_source("crates/obs/src/stopwatch.rs", bad, &manifest()).is_empty());
         assert!(lint_source("crates/bench/src/bin/t.rs", bad, &manifest()).is_empty());
     }
 

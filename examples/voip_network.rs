@@ -47,9 +47,8 @@ fn main() {
     // --- Run time -------------------------------------------------------
     let call_pairs: Vec<(NodeId, NodeId)> = pairs.iter().map(|p| (p.src, p.dst)).collect();
     for load in [500.0, 5_000.0, 20_000.0] {
-        let mut policy = ctrl.clone();
         let stats = run_churn(
-            &mut policy,
+            &ctrl,
             &call_pairs,
             ClassId(0),
             &ChurnConfig {
