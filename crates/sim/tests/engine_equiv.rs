@@ -244,15 +244,43 @@ fn the_cases_exercise_ties_drops_and_queueing() {
     assert!(r.peak_backlog >= 20, "tie case must pile up on server 0");
     let mut dropped = 0;
     let mut queued = 0;
+    let mut durations = Vec::new();
     for i in 0..RANDOM_CASES {
         let c = random_case(i);
         let r = simulate(&c.capacities, &c.flows, &c.cfg);
         dropped += r.classes.iter().map(|s| s.policed_drops).sum::<u64>();
         queued += usize::from(r.peak_backlog > 2);
+        durations.push(service_durations(&c));
         assert_eq!(c.cfg.policers.is_some(), i.is_multiple_of(3));
     }
     assert!(dropped > 0, "policed cases must drop something");
     assert!(queued >= RANDOM_CASES / 2, "only {queued} cases queue");
+    // Completions of different durations merge: an even case draws three
+    // capacities, so its runs end on shared nanoseconds, and some case
+    // carries nearly as many runs as the generator can give (two packet
+    // sizes on at most eight servers).
+    let tied = (0..RANDOM_CASES).step_by(2).map(|i| durations[i]).max();
+    let most = durations.iter().max();
+    assert!(tied >= Some(3), "no even case merges 3 runs: {durations:?}");
+    assert!(most >= Some(&12), "no case merges 12 runs: {durations:?}");
+}
+
+/// How many distinct service durations `case`'s hops have: one per
+/// `(packet_bits, capacity)` pair a flow meets on its route (its access
+/// shaper runs at its first server's capacity). Completions of equal
+/// duration are created in `(t, seq)` order, so this counts the sorted
+/// runs the completions in flight fall into.
+fn service_durations(case: &Case) -> usize {
+    let mut seen = std::collections::HashSet::new();
+    for f in &case.flows {
+        for &k in &f.route {
+            seen.insert((
+                f.source.packet_bits(),
+                case.capacities[k as usize].to_bits(),
+            ));
+        }
+    }
+    seen.len()
 }
 
 /// The benchmark's `simulate_mci` run: MCI at C = 2 Mb/s, α = 0.30, SP
