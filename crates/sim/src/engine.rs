@@ -15,16 +15,24 @@
 //!
 //! The loop draws from three sources that together realize that order:
 //! the emissions, laid down once in `(time, seq)` order in a block of
-//! their exact size and read through a cursor; a small binary heap of the
-//! completions in flight (at most one per station); and a FIFO of the
-//! next-hop arrivals of the current instant. A forwarded packet never
-//! waits, so it needs no priority queue: (1) a completion at `now` stamps
-//! the arrival it forwards `now` and gives it the largest `seq` so far;
-//! (2) every completion stamped `now` was pushed before `now`, when its
-//! service of ≥ 1 ns began, so its `seq` is smaller; (3) whatever is
-//! pushed during `now` is stamped later; (4) hence the order within `now`
-//! is emissions, completions, forwarded arrivals as created, and the FIFO
-//! is empty when time advances.
+//! their exact size and read through a cursor; the completions in flight
+//! (at most one per station), in one sorted run per service duration; and
+//! a FIFO of the next-hop arrivals of the current instant.
+//!
+//! Service only starts at `now`, which never decreases, under a fresh and
+//! larger `seq`, so completions sharing a duration are created in
+//! `(time, seq)` order: each duration's FIFO is a sorted run. A binary heap
+//! over the non-empty runs' heads merges them in exactly the order one heap
+//! over every completion would pop, because `seq` is unique. With one
+//! duration, as on a uniform network, that heap is one entry deep.
+//!
+//! A forwarded packet never waits, so it needs no priority queue: (1) a
+//! completion at `now` stamps the arrival it forwards `now` and gives it
+//! the largest `seq` so far; (2) every completion stamped `now` was pushed
+//! before `now`, when its service of ≥ 1 ns began, so its `seq` is smaller;
+//! (3) whatever is pushed during `now` is stamped later; (4) hence the
+//! order within `now` is emissions, completions, forwarded arrivals as
+//! created, and the FIFO is empty when time advances.
 //!
 //! The arrival still may not be handled inside the completion creating
 //! it: a completion of the *next* station due the same nanosecond picks
@@ -37,6 +45,7 @@ use crate::report::{SimReport, StatsAccumulator};
 use crate::sched::{Discipline, SchedJob, Scheduler};
 use crate::source::SourceModel;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// One flow to simulate.
@@ -92,16 +101,68 @@ struct Job {
     /// flow's sim-route.
     at: u32,
     /// Hops still ahead of `at`.
-    remaining: u16,
+    remaining: u32,
     /// Measurement start (ns): arrival at the first real server.
     t0: u64,
 }
 
-/// One hop of a sim-route: the station, and how long it serves one of
-/// the owning flow's packets.
+/// One hop of a sim-route: the station, how long it serves one of the
+/// owning flow's packets, and which of the simulation's distinct service
+/// durations that is (the sorted run its completions join).
 struct Hop {
     station: u32,
+    run: u32,
     service_ns: u64,
+}
+
+/// The completions in flight, `(done, seq, station)`, popped in
+/// `(done, seq)` order: one FIFO per service duration, each sorted because
+/// a duration's completions are created in that order (module docs), and
+/// a heap over the non-empty FIFOs' heads.
+struct Completions {
+    runs: Vec<VecDeque<(u64, u64, u32)>>,
+    /// `(done, seq, run)` of each non-empty run's front.
+    heads: BinaryHeap<Reverse<(u64, u64, u32)>>,
+}
+
+impl Completions {
+    fn new(runs: usize) -> Self {
+        Self {
+            runs: vec![VecDeque::new(); runs],
+            heads: BinaryHeap::with_capacity(runs),
+        }
+    }
+
+    /// Adds a completion to `run`, after everything already in it.
+    fn push(&mut self, run: u32, done: u64, seq: u64, station: u32) {
+        let fifo = &mut self.runs[run as usize];
+        debug_assert!(fifo.back().is_none_or(|&(t, s, _)| (t, s) < (done, seq)));
+        if fifo.is_empty() {
+            self.heads.push(Reverse((done, seq, run)));
+        }
+        fifo.push_back((done, seq, station));
+    }
+
+    /// When the earliest completion is due.
+    fn due(&self) -> Option<u64> {
+        self.heads.peek().map(|&Reverse((t, ..))| t)
+    }
+
+    /// Removes the earliest completion. Its run's next one takes its place
+    /// in the heap of heads, which leaves that heap only when the run empties.
+    fn pop(&mut self) -> Option<(u64, u64, u32)> {
+        let mut head = self.heads.peek_mut()?;
+        let Reverse((_, _, run)) = *head;
+        let fifo = &mut self.runs[run as usize];
+        let first = fifo.pop_front().expect("a head names a non-empty run");
+        match fifo.front() {
+            Some(&(t, s, _)) => *head = Reverse((t, s, run)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+        Some(first)
+    }
 }
 
 enum Event {
@@ -176,6 +237,14 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
             assert!((k as usize) < capacities.len(), "route server out of range");
         }
     }
+    // A job indexes and counts its hops in `u32`: with every route and
+    // its shaper in range, no count below truncates.
+    let total_hops: usize = flows.iter().map(|f| f.route.len() + 1).sum();
+    assert!(
+        u32::try_from(total_hops).is_ok(),
+        "the sim-routes may total at most u32::MAX = {} hops",
+        u32::MAX
+    );
     if let Some(policers) = &cfg.policers {
         let valid = |x: f64| x.is_finite() && x >= 0.0;
         assert!(
@@ -194,20 +263,25 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
     // Every flow's sim-route — the shaper, then the real route — laid end
     // to end; a route is named by `(index of its shaper hop, hops after it)`.
     let mut hops: Vec<Hop> = Vec::new();
-    let mut routes: Vec<(u32, u16)> = Vec::with_capacity(flows.len());
+    let mut routes: Vec<(u32, u32)> = Vec::with_capacity(flows.len());
+    // Each distinct service duration's run, numbered in first-seen order.
+    let mut run_of: HashMap<u64, u32> = HashMap::new();
     for f in flows {
         let shaper = *shaper_of.entry((f.ingress, f.route[0])).or_insert_with(|| {
             let cap = capacities[f.route[0] as usize];
             stations.push(Station::new(cap, classes, &cfg.discipline));
             stations.len() as u32 - 1
         });
-        routes.push((hops.len() as u32, f.route.len() as u16));
+        routes.push((hops.len() as u32, f.route.len() as u32));
         let bits = f.source.packet_bits() as f64;
         for station in std::iter::once(shaper).chain(f.route.iter().copied()) {
             let dur = (bits / stations[station as usize].capacity * NS).round() as u64;
+            let service_ns = dur.max(1);
+            let runs = run_of.len() as u32;
             hops.push(Hop {
                 station,
-                service_ns: dur.max(1),
+                run: *run_of.entry(service_ns).or_insert(runs),
+                service_ns,
             });
         }
     }
@@ -255,17 +329,22 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
         .collect();
 
     // Dynamic events number on from the emissions: completions `(t, seq,
-    // station)` in the heap, this instant's forwarded `(seq, job)` in the FIFO.
+    // station)` in their runs, this instant's forwarded `(seq, job)` in the FIFO.
     let mut seq = arrivals.len() as u64;
-    let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
+    let mut completions = Completions::new(run_of.len());
     let mut forwarded: VecDeque<(u64, Job)> = VecDeque::new();
 
     // Puts `job` into service at the station it has reached.
-    let serve = |st: &mut Station, st_id: usize, job: Job, t: u64, heap: &mut _, seq: &mut u64| {
+    let serve = |st: &mut Station,
+                 st_id: usize,
+                 job: Job,
+                 t: u64,
+                 completions: &mut Completions,
+                 seq: &mut u64| {
         st.current = Some(job);
         *seq += 1;
-        let done = t + hops[job.at as usize].service_ns;
-        BinaryHeap::push(heap, Reverse((done, *seq, st_id as u32)));
+        let hop = &hops[job.at as usize];
+        completions.push(hop.run, t + hop.service_ns, *seq, st_id as u32);
     };
 
     let mut acc: Vec<StatsAccumulator> = vec![StatsAccumulator::default(); classes];
@@ -282,7 +361,7 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
     let mut next_arrival = 0usize;
 
     loop {
-        let due = heap.peek().map(|&Reverse((t, ..))| t);
+        let due = completions.due();
         let (t, s, ev) = match (forwarded.front(), arrivals.get(next_arrival)) {
             // Forwarded: after its instant's completions, before all else.
             (Some(&(s, job)), _) if due.is_none_or(|due| due > now) => {
@@ -301,8 +380,8 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
                 };
                 (t, s as u64, Event::Arrive(job))
             }
-            _ => match heap.pop() {
-                Some(Reverse((t, s, station))) => (t, s, Event::Complete { station }),
+            _ => match completions.pop() {
+                Some((t, s, station)) => (t, s, Event::Complete { station }),
                 None => break,
             },
         };
@@ -333,7 +412,7 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
                 if st.current.is_none() {
                     // Idle, hence nothing queued: no trip through the queue.
                     st.sched.pass_through(class, bits, t as f64 / NS);
-                    serve(st, st_id, job, t, &mut heap, &mut seq);
+                    serve(st, st_id, job, t, &mut completions, &mut seq);
                 } else {
                     let queued = SchedJob {
                         payload: job,
@@ -380,7 +459,7 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
                 // After the forwarded packet's arrival, so that event
                 // keeps the lower seq.
                 if let Some(next) = st.sched.dequeue() {
-                    serve(st, st_id, next.payload, t, &mut heap, &mut seq);
+                    serve(st, st_id, next.payload, t, &mut completions, &mut seq);
                 }
             }
         }
@@ -918,5 +997,76 @@ mod tests {
             source: SourceModel::voip_cbr(0.0),
         }];
         simulate(&[C], &flows, &cfg(1));
+    }
+
+    #[test]
+    fn a_route_of_65_536_hops_is_delivered_at_its_end() {
+        // One packet, 640 µs per hop. Counted in 16 bits, the hops ahead
+        // wrapped to 0 and the packet was delivered by its shaper.
+        assert_eq!(std::mem::size_of::<Job>(), 24);
+        let hops = 65_536;
+        let flows = vec![FlowSpec {
+            class: 0,
+            ingress: 0,
+            route: vec![0; hops],
+            source: SourceModel::Cbr {
+                period: 1.0,
+                packet_bits: 640,
+                offset: 0.0,
+            },
+        }];
+        let r = simulate(&[C], &flows, &SimConfig::new(0.1, vec![100.0]));
+        assert_eq!((r.total_packets, r.events), (1, 2 + 2 * hops as u64));
+        let delay = hops as f64 * 640.0 / C;
+        assert!((r.max_delay() - delay).abs() < 1e-9, "{}", r.max_delay());
+    }
+
+    /// The sorted runs against one heap over every completion, under the
+    /// loop's own rules: service starts at `now`, `now` never decreases
+    /// and `seq` only grows. Three durations make completions of different
+    /// runs fall on one nanosecond; continuous ones make many runs.
+    #[test]
+    fn completions_pop_in_the_order_of_one_heap() {
+        use uba_obs::{check, ensure};
+        check("completions_pop_in_the_order_of_one_heap", 64, |rng| {
+            let durations: Vec<u64> = if rng.index(2) == 0 {
+                vec![2, 3, 4]
+            } else {
+                (0..1 + rng.index(60))
+                    .map(|_| 1 + rng.index(10_000) as u64)
+                    .collect()
+            };
+            let mut runs = Completions::new(durations.len());
+            let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
+            let (mut now, mut seq) = (0u64, 0u64);
+            for _ in 0..2_000 {
+                ensure!(runs.due() == heap.peek().map(|&Reverse((t, ..))| t));
+                match rng.index(8) {
+                    0..4 => {
+                        let run = rng.index(durations.len());
+                        let station = rng.index(116) as u32;
+                        seq += 1;
+                        let done = now + durations[run];
+                        runs.push(run as u32, done, seq, station);
+                        heap.push(Reverse((done, seq, station)));
+                    }
+                    // An emission: time moves on, at most to the next
+                    // completion.
+                    4 => now = (now + rng.index(5) as u64).min(runs.due().unwrap_or(u64::MAX)),
+                    _ => {
+                        let popped = runs.pop();
+                        ensure!(popped == heap.pop().map(|Reverse(c)| c), "at seq {seq}");
+                        if let Some((t, ..)) = popped {
+                            now = t;
+                        }
+                    }
+                }
+            }
+            while let Some(c) = runs.pop() {
+                ensure!(heap.pop() == Some(Reverse(c)), "draining at {c:?}");
+            }
+            ensure!(heap.is_empty());
+            Ok(())
+        });
     }
 }

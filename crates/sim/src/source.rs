@@ -118,7 +118,10 @@ impl SourceModel {
     /// Panics on parameters whose emission walk would not end or would
     /// silently emit nothing: a zero packet size, a non-positive period
     /// or rate, a `start` / `offset` that is not finite, a rogue factor
-    /// of at most 1, or on/off phases that are not positive.
+    /// of at most 1, or on/off phases that are not positive. Also on a
+    /// negative `start` / `offset`: the engine's clock starts at 0, so
+    /// every earlier emission would enter at once, a burst the source's
+    /// `(T, ρ)` contract forbids.
     pub fn for_each_emission(&self, horizon: f64, mut visit: impl FnMut(f64)) {
         match *self {
             SourceModel::GreedyOnOff {
@@ -133,6 +136,7 @@ impl SourceModel {
                     "rate must be positive and finite"
                 );
                 assert!(start.is_finite(), "start must be finite");
+                assert!(start >= 0.0, "start must be non-negative");
                 // The burst is emitted instantaneously at `start` (the
                 // access shaper serializes it at link rate), then steady
                 // state at rho. Token-bucket conformance: after the burst
@@ -158,6 +162,7 @@ impl SourceModel {
             } => {
                 assert!(packet_bits > 0 && period > 0.0, "bad CBR parameters");
                 assert!(offset.is_finite(), "offset must be finite");
+                assert!(offset >= 0.0, "offset must be non-negative");
                 let mut t = offset;
                 while t <= horizon {
                     visit(t);
@@ -178,6 +183,7 @@ impl SourceModel {
                     "bad on/off parameters"
                 );
                 assert!(start.is_finite(), "start must be finite");
+                assert!(start >= 0.0, "start must be non-negative");
                 assert!(stop >= start, "stop must not precede start");
                 let gap = packet_bits as f64 / peak_bps;
                 let end = stop.min(horizon);
@@ -397,5 +403,26 @@ mod tests {
     #[should_panic(expected = "start must be finite")]
     fn a_nan_onoff_start_is_rejected() {
         onoff(f64::NAN).emissions(1.0);
+    }
+
+    // Before time 0, where the engine's clock starts: its emissions would
+    // all enter at 0, as one burst.
+
+    #[test]
+    #[should_panic(expected = "start must be non-negative")]
+    fn a_negative_greedy_start_is_rejected() {
+        greedy(32_000.0, -1.0).emissions(0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "offset must be non-negative")]
+    fn a_negative_cbr_offset_is_rejected() {
+        SourceModel::voip_cbr(-0.5).emissions(0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "start must be non-negative")]
+    fn a_negative_onoff_start_is_rejected() {
+        onoff(-0.5).emissions(1.0);
     }
 }

@@ -88,6 +88,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 echo "==> cargo test --offline -q (workspace test suite)"
 cargo test --offline --workspace -q
 
+echo "==> uba-sim tests in release (engine_equiv, random_differential, the adversary and the completion differential in the build the benchmark measures: overflow wraps, debug_assert! is off)"
+cargo test --offline --release -q -p uba-sim
+
 echo "==> obs_overhead smoke (instrumented admit path vs uninstrumented)"
 cargo run --offline --release -p uba-bench --bin obs_overhead -- smoke
 
