@@ -102,10 +102,10 @@ pub fn run_churn(
 /// mostly single requests with occasional large slugs, or, at `cv = 0`,
 /// a constant (`BurstModel::with_mean_cv(n, 0.0)` offers `n` every
 /// tick). At the same mean offered rate a high-CV model produces the
-/// workload the admission path's arrival telemetry ([`crate::arrival`])
-/// is designed to flag; the serve loop's background churn uses it so
-/// burst gauges and overuse transitions are visible out of the box.
-/// Deterministic for a fixed seed, as always.
+/// workload the AIMD stage's overuse detector ([`crate::arrival`]) is
+/// designed to flag; the serve loop's background churn uses it so the
+/// batch path sees bursts out of the box. Deterministic for a fixed
+/// seed, as always.
 pub fn run_churn_bursty(
     ctrl: &AdmissionController,
     pairs: &[(NodeId, NodeId)],

@@ -691,11 +691,8 @@ impl AdmissionController {
             if links.retries > 0 {
                 m.cas_retries.add(u64::from(links.retries));
             }
-            // Offered load is every flow that had a route, policy and
-            // link-full rejects included: the burst estimators must see
-            // the demand the chain and the budgets turned away.
             let decisions = admitted + link_rejects;
-            m.record_run(c, servers.len(), admitted, n, decisions, links.retries);
+            m.record_run(servers.len(), admitted, decisions, links.retries);
             m.record_admit_ns(timer);
         }
         run.reject = reject;

@@ -35,16 +35,14 @@
 //!   loop behind [`run_churn`] (single arrivals) and
 //!   [`run_churn_bursty`] (slugs sized by a
 //!   [`uba_traffic::BurstModel`], through the batched path).
-//! * [`arrival`] — observe-only burst/overuse telemetry: per-class EWMA
-//!   arrival-rate and inter-arrival-CV estimators plus a GCC-style
-//!   overuse detector, fed from the buffered metrics path and published
-//!   as `admission.arrival.*` / `admission.overuse_state` gauges.
+//! * [`arrival`] — the per-class EWMA arrival-rate estimator and
+//!   GCC-style overuse detector the AIMD policy stage gates on.
 //! * [`policy`] — the composable admission-policy pipeline
 //!   ([`PolicyChain`]): zero or more shaping stages (per-class integer
-//!   token bucket, AIMD rate controller gated by the [`arrival`]
-//!   overuse detector) evaluated before the backend reservation, with
-//!   consume-before-reserve semantics and exact refund on any
-//!   downstream reject. The empty (`Static`) chain is the pre-pipeline
+//!   token bucket, AIMD rate controller with its own [`arrival`]
+//!   estimator and detector per class) evaluated before the backend
+//!   reservation, with consume-before-reserve semantics and exact
+//!   refund on any downstream reject. The empty (`Static`) chain is the pre-pipeline
 //!   controller, bit for bit (`tests/policy_equiv.rs`).
 //! * [`metrics`] — admission-path instrumentation (counters for
 //!   admits/rejects/CAS retries, a path-length histogram, per-class
@@ -69,7 +67,7 @@ pub mod state;
 pub(crate) mod sync;
 pub mod table;
 
-pub use arrival::{ArrivalEstimator, ArrivalMonitor, OveruseDetector, OveruseState};
+pub use arrival::{ArrivalEstimator, OveruseDetector, OveruseState};
 pub use baseline::PerFlowAdmission;
 pub use churn::{run_churn, run_churn_bursty, ChurnConfig, ChurnStats};
 pub use controller::{

@@ -17,11 +17,10 @@
 //! [`crate::AdmissionController::refresh_gauges`] so the hot path never
 //! pays for them.
 
-use crate::arrival::ArrivalMonitor;
 use crate::policy::STAGE_NAMES;
 use crate::sync::CachePadded;
 use std::cell::{Cell, RefCell};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use uba_obs::{Counter, Gauge, Histogram, Registry, Stopwatch};
 
 /// Hot-path events buffered per thread before one atomic publish.
@@ -51,77 +50,6 @@ const RETRY_SLOTS: usize = 16;
 /// histogram record.
 const LAT_SLOTS: usize = 32;
 
-/// Per-class arrival-count slots in the thread-local buffer; classes
-/// beyond the last slot fold into it (mirrored by
-/// [`ArrivalMonitor::observe`]).
-const ARRIVAL_SLOTS: usize = 8;
-
-/// Shared endpoint of the buffered arrival counts: the per-class
-/// estimators/detectors ([`crate::arrival`]) plus the gauges they
-/// publish. Fed once per thread-buffer flush — one clock read and one
-/// uncontended mutex acquisition per [`FLUSH_EVERY`] hot-path events,
-/// which is what keeps the observe-only telemetry inside the `<5%`
-/// overhead budget (`slo_overhead` in `uba-bench` checks this).
-#[derive(Debug)]
-pub struct ArrivalSink {
-    monitor: Mutex<ArrivalMonitor>,
-    class_rate: Vec<Arc<Gauge>>,
-    class_cv: Vec<Arc<Gauge>>,
-    overuse_state: Arc<Gauge>,
-}
-
-impl ArrivalSink {
-    fn new(registry: &Registry, classes: usize) -> Self {
-        let classes = classes.max(1);
-        Self {
-            monitor: Mutex::new(ArrivalMonitor::new(classes)),
-            class_rate: (0..classes)
-                .map(|i| registry.gauge(&format!("admission.arrival.class{i}.rate")))
-                .collect(),
-            class_cv: (0..classes)
-                .map(|i| registry.gauge(&format!("admission.arrival.class{i}.cv")))
-                .collect(),
-            overuse_state: registry.gauge("admission.overuse_state"),
-        }
-    }
-
-    /// Feeds one batch of per-class arrival counts observed "now" (on
-    /// the snapshot clock) and republishes the gauges. All-zero counts
-    /// are meaningful: they are the idle heartbeat that decays the rate
-    /// estimates.
-    fn observe(&self, counts: &[u64]) {
-        let t = uba_obs::process_secs();
-        let mut mon = self.monitor.lock().unwrap_or_else(|p| p.into_inner());
-        mon.observe(t, counts);
-        for (i, g) in self.class_rate.iter().enumerate() {
-            g.set(mon.rate(i));
-        }
-        for (i, g) in self.class_cv.iter().enumerate() {
-            g.set(mon.cv(i));
-        }
-        self.overuse_state.set(mon.worst_state().as_gauge());
-    }
-
-    /// Smoothed arrival rate of `class` (offered admissions/sec).
-    pub fn rate(&self, class: usize) -> f64 {
-        let mon = self.monitor.lock().unwrap_or_else(|p| p.into_inner());
-        mon.rate(class)
-    }
-
-    /// Inter-arrival CV estimate of `class`.
-    pub fn cv(&self, class: usize) -> f64 {
-        let mon = self.monitor.lock().unwrap_or_else(|p| p.into_inner());
-        mon.cv(class)
-    }
-
-    /// Worst detector state across classes (the value behind the
-    /// `admission.overuse_state` gauge).
-    pub fn worst_state(&self) -> crate::arrival::OveruseState {
-        let mon = self.monitor.lock().unwrap_or_else(|p| p.into_inner());
-        mon.worst_state()
-    }
-}
-
 /// Flush targets of the thread-local buffer (kept alive by the `Arc`s,
 /// so the owner pointer below can never dangle).
 struct HotHandles {
@@ -130,7 +58,6 @@ struct HotHandles {
     path_hops: Arc<Histogram>,
     admit_ns: Arc<Histogram>,
     retries_per_op: Arc<Histogram>,
-    arrival: Arc<ArrivalSink>,
 }
 
 /// Per-thread buffered deltas for the admission hot path.
@@ -141,9 +68,6 @@ struct Pending {
     admits: Cell<u64>,
     releases: Cell<u64>,
     hops: [Cell<u32>; HOP_SLOTS],
-    /// Per-class offered-arrival counts (admits + link-full rejects)
-    /// awaiting one [`ArrivalSink::observe`] call at flush.
-    arrivals: [Cell<u32>; ARRIVAL_SLOTS],
     /// Per-decision CAS retry counts, one slot per retry count.
     retries: [Cell<u32>; RETRY_SLOTS],
     /// Sampled decision latencies (ns) awaiting flush.
@@ -163,7 +87,6 @@ impl Pending {
             admits: Cell::new(0),
             releases: Cell::new(0),
             hops: [const { Cell::new(0) }; HOP_SLOTS],
-            arrivals: [const { Cell::new(0) }; ARRIVAL_SLOTS],
             retries: [const { Cell::new(0) }; RETRY_SLOTS],
             lat: [const { Cell::new(0.0) }; LAT_SLOTS],
             lat_len: Cell::new(0),
@@ -203,13 +126,6 @@ impl Pending {
         for cell in &self.lat[..lat_len] {
             h.admit_ns.record(cell.get());
         }
-        let mut counts = [0u64; ARRIVAL_SLOTS];
-        for (slot, c) in counts.iter_mut().zip(&self.arrivals) {
-            *slot = u64::from(c.replace(0));
-        }
-        // Unconditional: an all-zero batch is the idle heartbeat that
-        // lets the rate estimators decay between bursts.
-        h.arrival.observe(&counts);
     }
 
     /// Re-points the buffer at `m`, flushing the previous owner's deltas.
@@ -223,7 +139,6 @@ impl Pending {
             path_hops: Arc::clone(&m.path_hops),
             admit_ns: Arc::clone(&m.admit_ns),
             retries_per_op: Arc::clone(&m.retries_per_op),
-            arrival: Arc::clone(&m.arrival),
         });
     }
 
@@ -294,9 +209,6 @@ thread_local! {
 /// | `admission.retries_per_op` | histogram | CAS retries per decision (mean = retry rate) |
 /// | `admission.batches` | counter | batched admission decisions ([`try_admit_batch`](crate::AdmissionController::try_admit_batch)) |
 /// | `admission.batch_fallbacks` | counter | batches that turned a routed flow away (some run clipped by a link or the chain) |
-/// | `admission.arrival.class<i>.rate` | gauge | EWMA offered-arrival rate of class i (admits + link-full rejects)/s |
-/// | `admission.arrival.class<i>.cv` | gauge | inter-arrival CV estimate of class i (burstiness) |
-/// | `admission.overuse_state` | gauge | GCC-style overuse detector, worst class: 1 overuse / 0 normal / −1 underuse |
 #[derive(Clone, Debug)]
 pub struct AdmissionMetrics {
     /// Flows admitted.
@@ -343,10 +255,6 @@ pub struct AdmissionMetrics {
     /// Batches that turned a routed flow away: some run was clipped by
     /// a link or by the policy chain (`fast_path` false).
     pub batch_fallbacks: Arc<Counter>,
-    /// Burst/overuse telemetry endpoint: per-class arrival estimators
-    /// and the overuse detector, fed from the thread buffers at flush
-    /// and published as `admission.arrival.*` / `admission.overuse_state`.
-    pub arrival: Arc<ArrivalSink>,
 }
 
 impl AdmissionMetrics {
@@ -381,7 +289,6 @@ impl AdmissionMetrics {
             retries_per_op: registry.histogram("admission.retries_per_op", 1.0),
             batches: registry.counter("admission.batches"),
             batch_fallbacks: registry.counter("admission.batch_fallbacks"),
-            arrival: Arc::new(ArrivalSink::new(registry, classes)),
         }
     }
 
@@ -403,39 +310,29 @@ impl AdmissionMetrics {
     }
 
     /// Records one admission decision into this thread's buffer, in one
-    /// update: a run of `arrivals` identical flows of `class` — one for
-    /// a single admission. `admits` of them were admitted on a
-    /// `hops`-hop route (each counted in `admission.admits` and
-    /// `admission.path_hops`); all of them are offered load for the
-    /// arrival estimators, policy rejects included; `decisions` of them
-    /// reached the reservation state (the admits plus the link-full
-    /// rejects) and each is one `admission.retries_per_op` sample — the
-    /// run's `retries` CAS retries booked on one, the others retry-free.
-    /// Published by [`flush`](Self::flush), thread exit, or automatically
-    /// every [`FLUSH_EVERY`] buffered events (an admit, an arrival and a
-    /// retry sample are one event each).
+    /// update: a run of identical flows — one for a single admission.
+    /// `admits` of them were admitted on a `hops`-hop route (each
+    /// counted in `admission.admits` and `admission.path_hops`);
+    /// `decisions` of them reached the reservation state (the admits
+    /// plus the link-full rejects) and each is one
+    /// `admission.retries_per_op` sample — the run's `retries` CAS
+    /// retries booked on one, the others retry-free. Published by
+    /// [`flush`](Self::flush), thread exit, or automatically every
+    /// [`FLUSH_EVERY`] buffered events (an admit and a retry sample are
+    /// one event each).
     #[inline]
-    pub fn record_run(
-        &self,
-        class: usize,
-        hops: usize,
-        admits: u64,
-        arrivals: u64,
-        decisions: u64,
-        retries: u32,
-    ) {
+    pub fn record_run(&self, hops: usize, admits: u64, decisions: u64, retries: u32) {
         PENDING.with(|p| {
             if p.owner.get() != Arc::as_ptr(&self.admits) {
                 p.adopt(self);
             }
             p.admits.set(p.admits.get() + admits);
             add(&p.hops[hops.min(HOP_SLOTS - 1)], admits);
-            add(&p.arrivals[class.min(ARRIVAL_SLOTS - 1)], arrivals);
             if decisions > 0 {
                 add(&p.retries[(retries as usize).min(RETRY_SLOTS - 1)], 1);
                 add(&p.retries[0], decisions - 1);
             }
-            p.bump_n(u32::try_from(admits + arrivals + decisions).unwrap_or(u32::MAX));
+            p.bump_n(u32::try_from(admits + decisions).unwrap_or(u32::MAX));
         });
     }
 
@@ -535,7 +432,7 @@ mod tests {
         let m = AdmissionMetrics::register(&r, 1);
         m.flush(); // reset this thread's ops count
         for _ in 0..5 {
-            m.record_run(0, 3, 1, 1, 1, 0);
+            m.record_run(3, 1, 1, 0);
         }
         m.record_release();
         assert_eq!(m.admits.get(), 0, "deltas must stay buffered");
@@ -551,8 +448,8 @@ mod tests {
         let a = AdmissionMetrics::register(&Registry::new(), 1);
         let b = AdmissionMetrics::register(&Registry::new(), 1);
         a.flush();
-        a.record_run(0, 2, 1, 1, 1, 0);
-        b.record_run(0, 4, 1, 1, 1, 0); // adopting the buffer publishes a's delta
+        a.record_run(2, 1, 1, 0);
+        b.record_run(4, 1, 1, 0); // adopting the buffer publishes a's delta
         assert_eq!(a.admits.get(), 1);
         assert_eq!(a.path_hops.count(), 1);
         assert_eq!(b.admits.get(), 0);
@@ -565,14 +462,14 @@ mod tests {
         let r = Registry::new();
         let m = AdmissionMetrics::register(&r, 1);
         m.flush();
-        // A one-flow admission is three buffered events: the admit, its
-        // arrival and its retry sample.
-        let admits = u64::from(FLUSH_EVERY.div_ceil(3));
+        // A one-flow admission is two buffered events: the admit and its
+        // retry sample.
+        let admits = u64::from(FLUSH_EVERY.div_ceil(2));
         for _ in 1..admits {
-            m.record_run(0, 1, 1, 1, 1, 0);
+            m.record_run(1, 1, 1, 0);
         }
         assert_eq!(m.admits.get(), 0, "one admission short of the threshold");
-        m.record_run(0, 1, 1, 1, 1, 0);
+        m.record_run(1, 1, 1, 0);
         assert_eq!(m.admits.get(), admits);
     }
 
@@ -612,10 +509,10 @@ mod tests {
         // Five one-flow decisions that reached the links (admitted or
         // link-full alike).
         for _ in 0..3 {
-            m.record_run(0, 1, 1, 1, 1, 0);
+            m.record_run(1, 1, 1, 0);
         }
-        m.record_run(0, 1, 0, 1, 1, 100); // clamps to the last slot
-        m.record_run(0, 1, 0, 1, 1, 2);
+        m.record_run(1, 0, 1, 100); // clamps to the last slot
+        m.record_run(1, 0, 1, 2);
         m.flush();
         assert_eq!(m.retries_per_op.count(), 5);
         assert_eq!(m.retries_per_op.max(), (RETRY_SLOTS - 1) as f64);
@@ -638,10 +535,10 @@ mod tests {
                 _ => (0, 0),
             };
             let retries = if i == 0 { 2 } else { 0 };
-            flow_by_flow.record_run(0, 3, admits, 1, decisions, retries);
+            flow_by_flow.record_run(3, admits, decisions, retries);
         }
         flow_by_flow.flush();
-        at_once.record_run(0, 3, 7, 12, 10, 2);
+        at_once.record_run(3, 7, 10, 2);
         at_once.flush();
         for (a, b) in [
             (&flow_by_flow.path_hops, &at_once.path_hops),
@@ -655,30 +552,6 @@ mod tests {
         assert_eq!(flow_by_flow.admits.get(), at_once.admits.get());
         assert_eq!(at_once.admits.get(), 7);
         assert_eq!(at_once.retries_per_op.count(), 10);
-    }
-
-    #[test]
-    fn arrivals_feed_estimators_and_gauges_at_flush() {
-        let r = Registry::new();
-        let m = AdmissionMetrics::register(&r, 2);
-        m.flush();
-        assert_eq!(m.arrival.rate(0), 0.0);
-        // Spread arrivals across several flushes with real wall-clock
-        // gaps so the time-weighted estimator sees distinct instants.
-        for _ in 0..4 {
-            // Offered flows the chain turned away: arrivals, nothing else.
-            m.record_run(0, 1, 0, 50, 0, 0);
-            m.record_run(5, 1, 0, 1, 0, 0); // folds into the last slot → class 1
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            m.flush();
-        }
-        assert!(m.arrival.rate(0) > 0.0, "rate {}", m.arrival.rate(0));
-        let snap = r.snapshot();
-        assert!(snap.get("admission.arrival.class0.rate").is_some());
-        assert!(snap.get("admission.arrival.class1.cv").is_some());
-        assert!(snap.get("admission.overuse_state").is_some());
-        // Out-of-range classes fold rather than vanish.
-        assert!(m.arrival.rate(1) > 0.0, "folded rate {}", m.arrival.rate(1));
     }
 
     #[test]
@@ -707,7 +580,7 @@ mod tests {
         let m = AdmissionMetrics::register(&r, 1);
         let m2 = m.clone();
         std::thread::spawn(move || {
-            m2.record_run(0, 2, 1, 1, 1, 0);
+            m2.record_run(2, 1, 1, 0);
             m2.record_release();
         })
         .join()

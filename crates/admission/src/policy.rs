@@ -15,9 +15,9 @@
 //!   atomics (same discipline as the reservation backends), so a
 //!   refill racing an admit can never over-grant — proven by the loom
 //!   model in `tests/loom_models.rs`.
-//! * [`AimdStage`] — an AIMD rate controller gated by the PR 8 overuse
+//! * [`AimdStage`] — an AIMD rate controller gated by an overuse
 //!   detector ([`crate::arrival`]): the stage feeds every admission
-//!   attempt into a per-class [`ArrivalEstimator`] +
+//!   attempt into its own per-class [`ArrivalEstimator`] +
 //!   [`OveruseDetector`] and maintains a ceiling on admitted demand —
 //!   multiplicative clamp while the detector reads `Overuse`, additive
 //!   recovery under `Normal`, hold under `Underuse`.
@@ -45,10 +45,7 @@
 //! Time is always an explicit `t` parameter (seconds on the caller's
 //! clock); this module never reads a wall clock (xtask rule 5).
 
-use crate::arrival::{
-    ArrivalEstimator, OveruseDetector, OveruseState, BASELINE_TAU, OVERUSE_SUSTAIN,
-    OVERUSE_THRESHOLD, RATE_TAU,
-};
+use crate::arrival::{ArrivalEstimator, OveruseDetector, OveruseState};
 use crate::state::{to_millibits, SCALE};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{CachePadded, Mutex};
@@ -610,8 +607,8 @@ impl AimdStage {
                 .iter()
                 .map(|_| {
                     CachePadded::new(Mutex::new(AimdClass {
-                        est: ArrivalEstimator::new(RATE_TAU),
-                        det: OveruseDetector::new(OVERUSE_THRESHOLD, OVERUSE_SUSTAIN, BASELINE_TAU),
+                        est: ArrivalEstimator::default(),
+                        det: OveruseDetector::default(),
                         cap_mb: max_mb,
                         tokens_mb: max_mb,
                         last_refill: 0.0,

@@ -1,9 +1,8 @@
 //! Experiment SLO — admit-path overhead of live SLO evaluation.
 //!
 //! `uba-cli serve` runs an [`SloEngine`] against full registry
-//! snapshots on a polling thread while the admission fast path (which
-//! now also feeds the per-class arrival estimators and the overuse
-//! detector at every flush) keeps admitting. The engine is only
+//! snapshots on a polling thread while the admission fast path keeps
+//! admitting. The engine is only
 //! acceptable if a polling evaluator — snapshotting and evaluating
 //! every 2 ms, several times faster than serve's per-churn-batch
 //! cadence — leaves the admit path unmoved, *including on a single

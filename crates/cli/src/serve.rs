@@ -29,11 +29,11 @@
 //!   how many flows were still pinned to the old one.
 //!
 //! The background churn draws per-tick batch sizes from a high-CV
-//! [`BurstModel`], so the arrival estimators and overuse detector
-//! (`admission.arrival.*`) have a workload worth flagging, and the
-//! scenario's `[slo]` rules are evaluated against a fresh registry
-//! snapshot after every churn batch — `/slo` and `/alerts` serve live
-//! hysteresis state without doing any evaluation on the request path.
+//! [`BurstModel`], so the batch path (`admission.batches`) sees bursts,
+//! and the scenario's `[slo]` rules are evaluated against a fresh
+//! registry snapshot after every churn batch — `/slo` and `/alerts`
+//! serve live hysteresis state without doing any evaluation on the
+//! request path.
 //!
 //! The HTTP surface is deliberately minimal — request-line parsing only,
 //! `Connection: close` on every response — because the workspace builds
@@ -67,9 +67,8 @@ const BATCH_ARRIVALS: usize = 500;
 /// `admission.batches` data alongside the per-flow counters.
 const BURST_MEAN: f64 = 8.0;
 
-/// Coefficient of variation of the churn batch sizes: high enough that
-/// the arrival estimators read a clearly bursty workload
-/// (`admission.arrival.class0.cv` well above 1).
+/// Coefficient of variation of the churn batch sizes: well above 1, a
+/// clearly bursty workload.
 const BURST_CV: f64 = 2.5;
 
 /// How long a client has to deliver its whole request head, and how
@@ -1058,8 +1057,8 @@ mod tests {
     /// `deadline_miss_ratio` rule pending → firing (seen on `/slo` and
     /// as an active alert on `/alerts`); clean traffic then resolves it
     /// (state back to ok, the alert retired to the recent log). The
-    /// churn loop's burst model independently lights the arrival
-    /// telemetry, asserted via `/metrics`.
+    /// churn loop's bursts independently light the batch counters,
+    /// asserted via `/metrics`.
     #[test]
     fn slo_alert_cycle_fires_and_resolves_over_http() {
         let sc = Scenario::from_str(
@@ -1167,14 +1166,10 @@ mod tests {
         });
         assert!(retired, "no resolved deadline_miss_ratio alert: {body}");
 
-        // The bursty churn loop's arrival telemetry is live alongside.
+        // The bursty churn loop's batch counters are live alongside.
         let (_, metrics) = get(addr, "/metrics");
         used += 1;
-        assert!(
-            metrics.contains("admission_arrival_class0_rate"),
-            "{metrics}"
-        );
-        assert!(metrics.contains("admission_overuse_state"), "{metrics}");
+        assert!(metrics.contains("admission_batches"), "{metrics}");
         assert!(
             metrics.contains("slo_deadline_miss_ratio_state"),
             "{metrics}"

@@ -9,7 +9,7 @@
 //! a slug of `1 + spike` arrives, sized and weighted so the mean and
 //! the coefficient of variation come out exactly as requested. This is
 //! the discrete analogue of an on/off MMPP source and is what drives
-//! the high-CV workloads the overuse detector
+//! the high-CV workloads the AIMD stage's overuse detector
 //! (`uba-admission`'s `arrival` module) is meant to flag.
 //!
 //! This crate has no dependencies, so the model is RNG-agnostic: each
