@@ -1,126 +1,22 @@
-//! Continuous-time arrival generators with configurable burstiness.
+//! A continuous-time arrival generator with configurable burstiness.
 //!
 //! [`BurstModel`](crate::BurstModel) shapes *batch sizes* on a discrete
-//! tick clock; the policy-pipeline benchmarks also need arrival
-//! processes on a continuous clock, where burstiness lives in the
-//! *timing*:
+//! tick clock; the policy-pipeline benchmark also needs arrivals on a
+//! continuous clock, where burstiness lives in the *timing*. [`Mmpp`] is
+//! a two-state Markov-modulated Poisson process: the canonical
+//! quiet/burst source, with exponentially distributed dwell times per
+//! state and a Poisson arrival stream whose rate switches with the
+//! state.
 //!
-//! * [`Gamma`] — gamma-distributed interarrival times with exact mean
-//!   and coefficient of variation. `cv = 1` is Poisson, `cv > 1` is
-//!   burstier than Poisson (the regime the AIMD overuse gate targets),
-//!   `cv < 1` is smoother, `cv = 0` is a metronome.
-//! * [`Mmpp`] — a two-state Markov-modulated Poisson process: the
-//!   canonical quiet/burst source, with exponentially distributed
-//!   dwell times per state and a Poisson arrival stream whose rate
-//!   switches with the state.
-//!
-//! Like the rest of this crate, both are RNG-agnostic: every draw
-//! consumes caller-supplied uniform variates in `[0, 1)` (workspace
-//! callers pass `uba_obs::SplitMix64` output), so workloads stay
-//! deterministic and replayable for a fixed seed.
-
-use std::f64::consts::PI;
+//! Like the rest of this crate, it is RNG-agnostic: every draw consumes
+//! caller-supplied uniform variates in `[0, 1)` (workspace callers pass
+//! `uba_obs::SplitMix64` output), so workloads stay deterministic and
+//! replayable for a fixed seed.
 
 /// Keeps a uniform variate strictly inside `(0, 1)` so logs stay
 /// finite.
 fn interior(u: f64) -> f64 {
     u.clamp(1e-12, 1.0 - 1e-12)
-}
-
-/// A standard normal variate via Box–Muller from two uniforms.
-fn normal(uniform: &mut impl FnMut() -> f64) -> f64 {
-    let u1 = interior(uniform());
-    let u2 = interior(uniform());
-    (-2.0 * u1.ln()).sqrt() * (2.0 * PI * u2).cos()
-}
-
-/// Marsaglia–Tsang gamma sampler for shape `k ≥ 1`, scale 1.
-fn std_gamma_ge_1(shape: f64, uniform: &mut impl FnMut() -> f64) -> f64 {
-    let d = shape - 1.0 / 3.0;
-    let c = 1.0 / (9.0 * d).sqrt();
-    loop {
-        let x = normal(uniform);
-        let v = 1.0 + c * x;
-        if v <= 0.0 {
-            continue;
-        }
-        let v3 = v * v * v;
-        let u = interior(uniform());
-        if u < 1.0 - 0.0331 * x * x * x * x {
-            return d * v3;
-        }
-        if u.ln() < 0.5 * x * x + d * (1.0 - v3 + v3.ln()) {
-            return d * v3;
-        }
-    }
-}
-
-/// Gamma-distributed interarrival times with exact mean and CV.
-///
-/// A gamma with shape `k` and scale `θ` has mean `kθ` and coefficient
-/// of variation `1/√k`, so a target `(mean, cv)` maps to
-/// `k = 1/cv²`, `θ = mean·cv²`. Sampling uses Marsaglia–Tsang for
-/// `k ≥ 1` and the `Gamma(k+1)·U^{1/k}` boost for `k < 1`.
-#[derive(Clone, Copy, Debug)]
-pub struct Gamma {
-    shape: f64,
-    scale: f64,
-    mean: f64,
-}
-
-impl Gamma {
-    /// Builds a sampler with the given interarrival mean (`> 0`) and
-    /// coefficient of variation (`≥ 0`). `cv = 0` degenerates to a
-    /// constant interval.
-    pub fn with_mean_cv(mean: f64, cv: f64) -> Self {
-        assert!(mean > 0.0 && mean.is_finite(), "mean must be positive");
-        assert!(cv >= 0.0 && cv.is_finite(), "cv must be non-negative");
-        if cv == 0.0 {
-            return Self {
-                shape: f64::INFINITY,
-                scale: 0.0,
-                mean,
-            };
-        }
-        let shape = 1.0 / (cv * cv);
-        Self {
-            shape,
-            scale: mean / shape,
-            mean,
-        }
-    }
-
-    /// The requested mean interarrival time.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// The requested coefficient of variation.
-    pub fn cv(&self) -> f64 {
-        if self.shape.is_finite() {
-            1.0 / self.shape.sqrt()
-        } else {
-            0.0
-        }
-    }
-
-    /// Draws one interarrival time. `uniform` supplies i.i.d. variates
-    /// in `[0, 1)`; the number consumed per draw varies (rejection
-    /// sampling), so replays must reuse the whole stream, not count
-    /// draws.
-    pub fn sample(&self, uniform: &mut impl FnMut() -> f64) -> f64 {
-        if !self.shape.is_finite() {
-            return self.mean;
-        }
-        let g = if self.shape >= 1.0 {
-            std_gamma_ge_1(self.shape, uniform)
-        } else {
-            // Boost: Gamma(k) ~ Gamma(k+1) · U^{1/k} for k < 1.
-            let u = interior(uniform());
-            std_gamma_ge_1(self.shape + 1.0, uniform) * u.powf(1.0 / self.shape)
-        };
-        g * self.scale
-    }
 }
 
 /// Poisson count for mean `lam` via Knuth's product method, chunked so
@@ -181,42 +77,6 @@ impl Mmpp {
         }
     }
 
-    /// Builds a process whose modulating rate has the given long-run
-    /// mean (`> 0`) and coefficient of variation, with the given mean
-    /// dwell times. The two state rates are the unique two-point
-    /// distribution on the dwell-weighted state probabilities matching
-    /// both moments; the CV is capped by `√(π₀/π₁)` (beyond that the
-    /// quiet rate would go negative).
-    pub fn with_mean_cv(mean: f64, cv: f64, dwell: [f64; 2]) -> Self {
-        assert!(mean > 0.0 && mean.is_finite(), "mean rate must be positive");
-        assert!(cv >= 0.0 && cv.is_finite(), "cv must be non-negative");
-        let p0 = dwell[0] / (dwell[0] + dwell[1]);
-        let p1 = 1.0 - p0;
-        let quiet = mean - cv * mean * (p1 / p0).sqrt();
-        let burst = mean + cv * mean * (p0 / p1).sqrt();
-        assert!(
-            quiet >= 0.0,
-            "cv {cv} too large for dwell split {p0:.3}/{p1:.3} (quiet rate negative)"
-        );
-        Self::new([quiet, burst], dwell)
-    }
-
-    /// The arrival rate of the current state, per second.
-    pub fn rate(&self) -> f64 {
-        self.rates[self.state]
-    }
-
-    /// The current state index (0 quiet, 1 burst).
-    pub fn state(&self) -> usize {
-        self.state
-    }
-
-    /// The long-run (dwell-weighted) mean arrival rate.
-    pub fn mean_rate(&self) -> f64 {
-        (self.rates[0] * self.dwell[0] + self.rates[1] * self.dwell[1])
-            / (self.dwell[0] + self.dwell[1])
-    }
-
     /// Advances the process by `dt` seconds and returns the number of
     /// arrivals in the interval. State flips mid-interval are handled
     /// exactly: the interval is split at each dwell expiry and each
@@ -246,8 +106,7 @@ mod tests {
 
     /// Inline SplitMix64 uniform stream (this crate has no deps; the
     /// real callers pass `uba_obs::SplitMix64`). A Weyl sequence is not
-    /// enough here: rejection sampling and Knuth products need
-    /// pair-wise-independent draws.
+    /// enough here: Knuth products need pair-wise-independent draws.
     fn uniform_stream() -> impl FnMut() -> f64 {
         let mut s = 0x9e37_79b9_7f4a_7c15u64;
         move || {
@@ -261,41 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn gamma_moments_track_the_request() {
-        for &(m, c) in &[(0.5, 0.3), (1.0, 1.0), (0.25, 2.0), (2.0, 4.0)] {
-            let g = Gamma::with_mean_cv(m, c);
-            let mut u = uniform_stream();
-            let n = 60_000;
-            let xs: Vec<f64> = (0..n).map(|_| g.sample(&mut u)).collect();
-            let mean = xs.iter().sum::<f64>() / n as f64;
-            let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-            let cv = var.sqrt() / mean;
-            assert!((mean - m).abs() / m < 0.05, "mean {mean} for ({m},{c})");
-            assert!((cv - c).abs() / c < 0.1, "cv {cv} for ({m},{c})");
-            assert!(xs.iter().all(|x| *x > 0.0));
-        }
-    }
-
-    #[test]
-    fn gamma_zero_cv_is_a_metronome() {
-        let g = Gamma::with_mean_cv(0.125, 0.0);
-        let mut u = uniform_stream();
-        assert!((0..100).all(|_| g.sample(&mut u) == 0.125));
-        assert_eq!(g.cv(), 0.0);
-        assert_eq!(g.mean(), 0.125);
-    }
-
-    #[test]
-    fn gamma_is_deterministic_for_the_same_stream() {
-        let g = Gamma::with_mean_cv(1.0, 2.5);
-        let mut u1 = uniform_stream();
-        let mut u2 = uniform_stream();
-        for _ in 0..1000 {
-            assert_eq!(g.sample(&mut u1), g.sample(&mut u2));
-        }
-    }
-
-    #[test]
     fn mmpp_long_run_rate_matches_the_dwell_weighted_mean() {
         let mut p = Mmpp::new([2.0, 40.0], [3.0, 1.0]);
         let mut u = uniform_stream();
@@ -305,30 +129,12 @@ mod tests {
             total += p.step(1.0, &mut u);
         }
         let empirical = total as f64 / horizon as f64;
-        let analytic = p.mean_rate();
-        assert!((analytic - 11.5).abs() < 1e-9);
+        // (2·3 + 40·1) / (3 + 1).
+        let analytic = 11.5;
         assert!(
             (empirical - analytic).abs() / analytic < 0.1,
             "empirical {empirical} vs {analytic}"
         );
-    }
-
-    #[test]
-    fn mmpp_with_mean_cv_solves_the_two_point_moments() {
-        let p = Mmpp::with_mean_cv(10.0, 1.0, [3.0, 1.0]);
-        // π0 = 0.75, π1 = 0.25: quiet = 10 − 10·√(1/3), burst = 10 + 10·√3.
-        let quiet = p.rates[0];
-        let burst = p.rates[1];
-        assert!((0.75 * quiet + 0.25 * burst - 10.0).abs() < 1e-9);
-        let var = 0.75 * (quiet - 10.0).powi(2) + 0.25 * (burst - 10.0).powi(2);
-        assert!((var.sqrt() / 10.0 - 1.0).abs() < 1e-9);
-        assert!(quiet >= 0.0 && burst > quiet);
-    }
-
-    #[test]
-    #[should_panic(expected = "too large")]
-    fn mmpp_rejects_a_cv_that_needs_a_negative_rate() {
-        let _ = Mmpp::with_mean_cv(10.0, 3.0, [1.0, 1.0]);
     }
 
     #[test]
@@ -337,12 +143,10 @@ mod tests {
         let mut u = uniform_stream();
         // Still inside the deterministic first dwell: quiet rate.
         let quiet = p.step(2.0, &mut u);
-        assert_eq!(p.state(), 0);
-        assert!(p.rate() == 1.0);
+        assert_eq!(p.state, 0);
         // Force the flip and sample the burst state.
         let _ = p.step(3.0, &mut u);
-        assert_eq!(p.state(), 1);
-        assert!(p.rate() == 50.0);
+        assert_eq!(p.state, 1);
         let burst = p.step(1.0_f64.min(p.remaining), &mut u);
         assert!(
             burst > quiet,
@@ -359,7 +163,7 @@ mod tests {
         for _ in 0..500 {
             assert_eq!(a.step(0.1, &mut u1), b.step(0.1, &mut u2));
         }
-        assert_eq!(a.state(), b.state());
+        assert_eq!(a.state, b.state);
     }
 
     #[test]

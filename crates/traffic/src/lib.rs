@@ -13,11 +13,10 @@
 //!   and the busy-period maximization `max_{I>0}(F(I) − C·I)` of Eq. (3).
 //! * [`BurstModel`] — an RNG-agnostic on/off batch-size distribution with
 //!   exact mean and coefficient of variation, for driving bursty churn
-//!   workloads against the admission path's arrival telemetry.
-//! * [`Gamma`] / [`Mmpp`] — continuous-time arrival generators
-//!   (gamma interarrivals with configurable CV; a two-state
-//!   Markov-modulated Poisson source), the flow-arrival drivers behind
-//!   the policy-pipeline burst benchmarks.
+//!   workloads against the admission path.
+//! * [`Mmpp`] — a continuous-time two-state Markov-modulated Poisson
+//!   source, the flow-arrival driver behind the policy-pipeline burst
+//!   benchmark.
 //!
 //! All quantities are in bits, seconds, and bits/second.
 
@@ -30,7 +29,7 @@ pub mod burst;
 pub mod class;
 pub mod envelope;
 
-pub use arrivals::{Gamma, Mmpp};
+pub use arrivals::Mmpp;
 pub use bucket::LeakyBucket;
 pub use burst::BurstModel;
 pub use class::{ClassId, ClassSet, TrafficClass};
