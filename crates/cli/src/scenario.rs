@@ -98,18 +98,32 @@ fn bits(key: &str, v: f64) -> Result<f64, ScenarioError> {
 /// a size beyond this is a typo, not a workload.
 const MAX_ROUTERS: usize = 1024;
 
+/// A count from the scenario file: an integer in `[min, max]`, or an
+/// error naming `section.key`. A cast alone would truncate `2.7` to 2
+/// and saturate `-3` to 0.
+fn integer(
+    t: &Table,
+    section: &str,
+    key: &str,
+    default: usize,
+    min: usize,
+    max: usize,
+) -> Result<usize, ScenarioError> {
+    let v = num_or(t, key, default as f64)?;
+    if v.fract() != 0.0 || v < min as f64 || v > max as f64 {
+        // (NaN and the infinities fail the `fract` test.)
+        return Err(bad(format!(
+            "{section}.{key} must be an integer in [{min}, {max}], got {v}"
+        )));
+    }
+    Ok(v as usize)
+}
+
 /// A topology size from the scenario file: an integer in
 /// `[min, MAX_ROUTERS]`. The generators assert their preconditions, so
 /// everything that reaches them is checked here first.
 fn size(t: &Table, key: &str, default: usize, min: usize) -> Result<usize, ScenarioError> {
-    let v = num_or(t, key, default as f64)?;
-    if v.fract() != 0.0 || v < min as f64 || v > MAX_ROUTERS as f64 {
-        // (NaN and the infinities fail the `fract` test.)
-        return Err(bad(format!(
-            "topology.{key} must be an integer in [{min}, {MAX_ROUTERS}], got {v}"
-        )));
-    }
-    Ok(v as usize)
+    integer(t, "topology", key, default, min, MAX_ROUTERS)
 }
 
 fn build_topology(t: &Table) -> Result<Digraph, ScenarioError> {
@@ -246,12 +260,12 @@ impl Scenario {
 
         let net = doc.table("network").cloned().unwrap_or_default();
         let capacity = bits("network.capacity", num_or(&net, "capacity", 100e6)?)?;
-        let fan_in = num_or(&net, "fan_in", 0.0)? as usize;
-        let servers = if fan_in == 0 {
-            Servers::uniform(&graph, capacity, graph.max_in_degree().max(1))
-        } else {
-            Servers::uniform(&graph, capacity, fan_in)
+        // Absent: the topology's own largest in-degree.
+        let fan_in = match net.get("fan_in") {
+            None => graph.max_in_degree().max(1),
+            Some(_) => integer(&net, "network", "fan_in", 1, 1, MAX_ROUTERS)?,
         };
+        let servers = Servers::uniform(&graph, capacity, fan_in);
 
         let mut classes = ClassSet::new();
         let mut alphas = Vec::new();
@@ -282,10 +296,12 @@ impl Scenario {
         let mode = string_or(&pt, "mode", "all")?;
         let pairs = match mode {
             "all" => {
-                let step = num_or(&pt, "step", 1.0)? as usize;
+                // A step past the largest topology's pair count picks one pair.
+                let most = MAX_ROUTERS * MAX_ROUTERS;
+                let step = integer(&pt, "pairs", "step", 1, 1, most)?;
                 all_ordered_pairs(&graph)
                     .into_iter()
-                    .step_by(step.max(1))
+                    .step_by(step)
                     .collect()
             }
             "list" => {

@@ -63,10 +63,13 @@ pub fn max_utilization(
     tol: f64,
 ) -> MaxUtilResult {
     let diameter = bfs::diameter(g).expect("topology must be strongly connected");
+    // Theorem 4 needs N >= 2; a fan-in of 1 gets the N = 2 window, as
+    // `uba-cli bounds` prints it.
     let fan_in = (0..servers.len())
         .map(|k| servers.fan_in_at(k))
         .max()
-        .expect("need at least one server");
+        .expect("need at least one server")
+        .max(2);
     let (lb, ub) = utilization_bounds(fan_in, diameter.max(1), class);
 
     // Pre-compute SP routes once; they do not depend on alpha.
