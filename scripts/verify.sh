@@ -91,6 +91,9 @@ cargo test --offline --workspace -q
 echo "==> uba-sim tests in release (engine_equiv, random_differential, the adversary and the completion differential in the build the benchmark measures: overflow wraps, debug_assert! is off)"
 cargo test --offline --release -q -p uba-sim
 
+echo "==> uba-admission tests in release (the admit, batch, burst, policy and churn equivalence tables in the build the benchmark measures: overflow wraps, debug_assert! is off)"
+cargo test --offline --release -q -p uba-admission
+
 echo "==> obs_overhead smoke (instrumented admit path vs uninstrumented)"
 cargo run --offline --release -p uba-bench --bin obs_overhead -- smoke
 
