@@ -51,7 +51,6 @@ fn token_bucket_interval_race() {
 
 fn explore(f: fn(), dpor: bool) -> Exploration {
     let mut b = Builder::new();
-    b.preemption_bound = None;
     b.dpor = dpor;
     b.max_iterations = if dpor { 2_000_000 } else { NO_DPOR_CAP };
     b.check(f)

@@ -1,4 +1,4 @@
-//! Bounded model checks of the admission core's concurrency protocols.
+//! Model checks of the admission core's concurrency protocols.
 //!
 //! Compiled (and meaningful) only under `RUSTFLAGS="--cfg loom"`, where
 //! `crate::sync` resolves the admission atomics/locks to `uba-loom`'s
@@ -10,14 +10,13 @@
 //!     cargo test -p uba-admission --test loom_models
 //! ```
 //!
-//! The default run is the CI smoke pass: CHESS-style preemption bound of
-//! 2 (most interleaving bugs need at most two forced context switches),
-//! which keeps the whole file comfortably inside the verify.sh time
-//! budget. `UBA_LOOM_EXHAUSTIVE=1` in the environment lifts the bound
-//! and explores the full interleaving space of each model.
+//! Every model runs full DFS with dynamic partial-order reduction
+//! (`uba_loom::model`) and must complete: each explores every
+//! interleaving and every weak-memory read choice. `results/loom_models.txt`
+//! holds each model's schedule count with and without the reduction.
 //!
-//! What is being proven (within bounds — see the `uba-loom` crate docs
-//! for what the checker does and does not model):
+//! What is being proven (see the `uba-loom` crate docs for what the
+//! checker does and does not model):
 //!
 //! 1. The class budget is never exceeded by concurrent reservations,
 //!    concurrent release republishes headroom exactly, and a multi-hop
@@ -53,45 +52,21 @@ use uba_admission::{
     TokenBucketStage, UtilizationState,
 };
 use uba_graph::{Digraph, NodeId, Path};
-use uba_loom::{Builder, Exploration};
+use uba_loom::{model, Exploration};
 use uba_obs::{EventKind, Tracer};
 use uba_traffic::{ClassId, ClassSet, TrafficClass};
 
-/// The exploration bounds for this run: exhaustive under
-/// `UBA_LOOM_EXHAUSTIVE=1`, preemption-bounded smoke otherwise.
-fn bounds() -> Builder {
-    let mut b = Builder::new();
-    if std::env::var_os("UBA_LOOM_EXHAUSTIVE").is_some_and(|v| v == "1") {
-        b.preemption_bound = None;
-        b.max_iterations = 500_000;
-    } else {
-        b.preemption_bound = Some(2);
-    }
-    b
-}
-
-/// Every model in this file must fully explore its (possibly bounded)
-/// schedule space — a truncated search would be a silent coverage hole.
-/// The telemetry line (visible under `--nocapture`) is how the
-/// DESIGN.md §14 reduction table is collected: run once normally and
-/// once with `UBA_LOOM_NO_DPOR=1`.
+/// Every model in this file must fully explore its schedule space — a
+/// truncated search would be a silent coverage hole. The telemetry line
+/// (visible under `--nocapture`) is what `results/loom_models.txt`
+/// records.
 fn assert_complete(e: Exploration) {
     eprintln!("uba-loom exploration: {e:?}");
     assert!(
         e.complete,
         "exploration truncated by the iteration cap: {e:?}"
     );
-    assert!(e.executions() > 1, "model has no concurrency at all");
-}
-
-/// Full-DFS bounds (no preemption bound) for the flagship models:
-/// DPOR + sleep sets make complete exploration affordable even in the
-/// smoke lane, weak-memory read choices included.
-fn flagship() -> Builder {
-    let mut b = Builder::new();
-    b.preemption_bound = None;
-    b.max_iterations = 2_000_000;
-    b
+    assert!(e.executions > 1, "model has no concurrency at all");
 }
 
 // --- Model 1: budget safety of the reservation state ------------------
@@ -102,7 +77,7 @@ fn flagship() -> Builder {
 #[test]
 fn budget_admits_exactly_one_of_two() {
     // Budget 1000 bits/s; each flow wants 600 — one fits, two never do.
-    assert_complete(bounds().check(|| {
+    assert_complete(model(|| {
         let b = Arc::new(UtilizationState::new(&[1000.0], &[1.0]));
         let b2 = Arc::clone(&b);
         let rival = uba_loom::thread::spawn(move || b2.try_reserve_path(&[0], 0, 600.0).is_ok());
@@ -124,7 +99,7 @@ fn budget_admits_exactly_one_of_two() {
 fn crossing_paths_admit_at_most_one_and_roll_back_cleanly() {
     let both_lost = Arc::new(AtomicUsize::new(0));
     let tally = Arc::clone(&both_lost);
-    assert_complete(bounds().check(move || {
+    assert_complete(model(move || {
         let b = Arc::new(UtilizationState::new(&[1000.0, 1000.0], &[1.0]));
         let b2 = Arc::clone(&b);
         let rival = uba_loom::thread::spawn(move || b2.try_reserve_path(&[1, 0], 0, 600.0).is_ok());
@@ -160,7 +135,7 @@ fn crossing_paths_admit_at_most_one_and_roll_back_cleanly() {
 /// state's own over-release assert fires inside the model otherwise).
 #[test]
 fn reserve_release_balances_to_zero() {
-    assert_complete(bounds().check(|| {
+    assert_complete(model(|| {
         let b = Arc::new(UtilizationState::new(&[1000.0], &[1.0]));
         let b2 = Arc::clone(&b);
         let peer = uba_loom::thread::spawn(move || {
@@ -188,7 +163,7 @@ fn reserve_release_balances_to_zero() {
 #[test]
 fn crossing_up_to_reservations_share_the_budget_and_leave_exact_grants() {
     const RATE: f64 = 300.0;
-    assert_complete(flagship().check(|| {
+    assert_complete(model(|| {
         let b = Arc::new(UtilizationState::new(&[1000.0, 1000.0], &[1.0]));
         let b2 = Arc::clone(&b);
         let rival = uba_loom::thread::spawn(move || b2.try_reserve_path_up_to(&[1, 0], 0, RATE, 2));
@@ -245,7 +220,7 @@ fn fresh_generation() -> ConfigGeneration {
 /// while the handle lives, and disappears entirely when it drops.
 #[test]
 fn admit_racing_reconfigure_is_never_lost_or_double_counted() {
-    assert_complete(bounds().check(|| {
+    assert_complete(model(|| {
         let classes = ClassSet::single(TrafficClass::voip());
         let ctrl = AdmissionController::new_unmetered(one_link_table(), &classes, &[1e6], &[0.5]);
         let gen1 = ctrl.current_generation();
@@ -291,7 +266,7 @@ fn admit_racing_reconfigure_is_never_lost_or_double_counted() {
 /// the swap — the new generation's budgets are never touched.
 #[test]
 fn pinned_handle_releases_against_its_admitting_generation() {
-    assert_complete(bounds().check(|| {
+    assert_complete(model(|| {
         let classes = ClassSet::single(TrafficClass::voip());
         let ctrl = AdmissionController::new_unmetered(one_link_table(), &classes, &[1e6], &[0.5]);
         let gen1 = ctrl.current_generation();
@@ -322,7 +297,7 @@ fn pinned_handle_releases_against_its_admitting_generation() {
 /// generations balance to zero and the controller drains.
 #[test]
 fn batch_admit_racing_reconfigure_strands_nothing() {
-    assert_complete(bounds().check(|| {
+    assert_complete(model(|| {
         let classes = ClassSet::single(TrafficClass::voip());
         let ctrl = AdmissionController::new_unmetered(one_link_table(), &classes, &[1e6], &[0.5]);
         let gen1 = ctrl.current_generation();
@@ -434,7 +409,7 @@ fn token_bucket_interval_race() {
 
 #[test]
 fn token_bucket_refill_racing_admits_never_credits_an_interval_twice() {
-    assert_complete(flagship().check(token_bucket_interval_race));
+    assert_complete(model(token_bucket_interval_race));
 }
 
 /// The same race under weak memory must actually *exercise* stale
@@ -445,7 +420,7 @@ fn token_bucket_refill_racing_admits_never_credits_an_interval_twice() {
 /// never depended on silent `SeqCst` upgrades.
 #[test]
 fn token_bucket_refill_survives_stale_visibility() {
-    let explored = flagship().check(token_bucket_interval_race);
+    let explored = model(token_bucket_interval_race);
     assert!(explored.complete, "truncated: {explored:?}");
     assert!(
         explored.stale_reads > 0,
@@ -463,7 +438,7 @@ fn token_bucket_refill_survives_stale_visibility() {
 /// 100-bit remainder, and refunding both restores the credit exactly.
 #[test]
 fn token_bucket_up_to_grants_share_one_interval_exactly() {
-    assert_complete(flagship().check(|| {
+    assert_complete(model(|| {
         let tb = Arc::new(TokenBucketStage::new(600.0, 1000.0, &[250.0]));
         assert_eq!(tb.admit_up_to(0, 9, 0.0), 4, "depth 1000 holds 4×250");
         assert_eq!(tb.tokens_bits(0), 0.0, "pre-drain must empty the bucket");
@@ -498,7 +473,7 @@ fn token_bucket_up_to_grants_share_one_interval_exactly() {
 /// regardless of where the drain lands between the publishes.
 #[test]
 fn trace_ring_never_tears_an_event_under_publish_drain() {
-    assert_complete(bounds().check(|| {
+    assert_complete(model(|| {
         let t = Arc::new(Tracer::with_capacity(4));
         t.set_enabled(true);
         let t1 = Arc::clone(&t);

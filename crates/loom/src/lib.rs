@@ -1,4 +1,4 @@
-//! Bounded model checking for the workspace's lock-free code.
+//! Model checking for the workspace's lock-free code.
 //!
 //! The admission hot path is a web of atomics — CAS reservation loops,
 //! budget shards with neighbor borrowing, an epoch-pointer generation
@@ -8,11 +8,11 @@
 //! configured [`Builder`]) runs the closure under a cooperative
 //! scheduler that owns every scheduling decision *and every weak-memory
 //! read decision*, then backtracks depth-first through the tree of
-//! decisions until either every schedule within the configured bounds
-//! has been executed or one of them fails an assertion — in which case
-//! the failing schedule is re-raised as an ordinary test panic,
-//! annotated with the spawn-site names of the threads involved, any
-//! stale loads it performed, and a replay choice string
+//! decisions until either every schedule has been executed or one of
+//! them fails an assertion — in which case the failing schedule is
+//! re-raised as an ordinary test panic, annotated with the spawn-site
+//! names of the threads involved, any stale loads it performed, and a
+//! replay choice string
 //! (`UBA_LOOM_REPLAY=t1.t0.r2 …`, see [`Builder::replay`]) that
 //! reproduces exactly that schedule.
 //!
@@ -25,12 +25,10 @@
 //!
 //! ## What is (and is not) modeled
 //!
-//! * **Interleavings, exhaustively (within bounds).** Every atomic
-//!   operation, mutex acquisition, spawn, and join is a schedule point;
-//!   the scheduler explores every choice of runnable thread at every
-//!   point, depth-first, with optional context-switch bounding
-//!   ([`Builder::preemption_bound`]) in the spirit of CHESS — most
-//!   concurrency bugs need only a couple of preemptions.
+//! * **Interleavings, exhaustively.** Every atomic operation, mutex
+//!   acquisition, spawn, and join is a schedule point; the scheduler
+//!   explores every choice of runnable thread at every point,
+//!   depth-first.
 //! * **Weak memory, via vector clocks.** Each atomic location keeps its
 //!   full modification order; a load may observe *any* store that
 //!   coherence and happens-before leave visible, not just the newest
@@ -50,7 +48,7 @@
 //!   accesses with a write, same-mutex operations, spawn/join); only
 //!   threads that could reorder such a pair are added to a decision's
 //!   backtrack set, and sleep sets prune schedules that merely commute
-//!   with an explored sibling. Exhaustive lanes finish several times
+//!   with an explored sibling. Exploration finishes several times
 //!   faster with identical coverage of distinguishable behaviors; see
 //!   [`Exploration`] for the executed/pruned telemetry and
 //!   `BENCH_loom.json` for the measured reduction.

@@ -10,7 +10,7 @@
 //! (which happens-before-consistent store a weak load observes). After
 //! the execution finishes, the deepest decision with an untried
 //! alternative is advanced and the model re-runs; when every decision is
-//! exhausted, the state space (within bounds) is covered.
+//! exhausted, the state space is covered.
 //!
 //! Exploration is pruned by dynamic partial-order reduction: after each
 //! execution the trace is scanned for pairs of dependent transitions by
@@ -144,7 +144,6 @@ enum Abort {
 
 #[derive(Clone)]
 struct Config {
-    preemption_bound: Option<usize>,
     max_branches: usize,
     dpor: bool,
     /// Pinned decisions for single-schedule replay: `(kind tag, chosen
@@ -160,9 +159,6 @@ struct ExecState {
     /// Index of the next decision in `path`.
     step: usize,
     path: Vec<Choice>,
-    /// Context switches taken so far while the switched-from thread was
-    /// still runnable (the CHESS preemption counter).
-    preemptions: usize,
     /// Model mutexes currently held: mutex id → holder thread.
     held: HashMap<u64, usize>,
     abort: Option<Abort>,
@@ -249,7 +245,6 @@ impl Execution {
                 live: 0,
                 step: 0,
                 path,
-                preemptions: 0,
                 held: HashMap::new(),
                 abort: None,
                 config,
@@ -310,15 +305,9 @@ impl Execution {
     /// The exploration-ordered runnable set at a schedule point reached
     /// by `me` (`None` when the point is a thread finishing): `me` first
     /// so depth-first search tries "keep running" before any preemption,
-    /// then the rest by index. With the preemption budget exhausted and
-    /// `me` still runnable, the only option is to continue `me`.
+    /// then the rest by index.
     fn options_for(st: &ExecState, me: Option<usize>) -> Vec<usize> {
         let runnable = |t: usize| st.status[t] == Status::Runnable;
-        if let (Some(bound), Some(m)) = (st.config.preemption_bound, me) {
-            if st.preemptions >= bound && runnable(m) {
-                return vec![m];
-            }
-        }
         let mut opts = Vec::new();
         if let Some(m) = me {
             if runnable(m) {
@@ -461,11 +450,6 @@ impl Execution {
             op,
         });
         st.last_node[next] = node;
-        if let Some(m) = me {
-            if next != m && st.status[m] == Status::Runnable {
-                st.preemptions += 1;
-            }
-        }
         st.step += 1;
         st.active = next;
         self.cond.notify_all();
@@ -945,8 +929,8 @@ pub(crate) fn spawn_controlled(name: Option<String>, f: impl FnOnce() + Send + '
 /// [`Exploration::to_json`] for the `BENCH_loom.json` lane.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Exploration {
-    /// Whether every schedule within the configured bounds was covered
-    /// (false when the iteration cap stopped the search first).
+    /// Whether every schedule was covered (false when the iteration cap
+    /// stopped the search first).
     pub complete: bool,
     /// Distinct schedules executed to completion (or failure).
     pub executions: usize,
@@ -961,11 +945,6 @@ pub struct Exploration {
 }
 
 impl Exploration {
-    /// Number of distinct executions performed.
-    pub fn executions(&self) -> usize {
-        self.executions
-    }
-
     /// One-line JSON object with every telemetry field the model alone
     /// determines. `wall_ms` is left out so the `BENCH_loom.json` lane
     /// rewrites a byte-identical file when no model changed.
@@ -1097,10 +1076,6 @@ fn advance(path: &mut Vec<Choice>, dpor: bool) -> bool {
 /// all-defaults shorthand.
 #[derive(Clone, Debug)]
 pub struct Builder {
-    /// Maximum context switches away from a still-runnable thread per
-    /// execution (`None` = unbounded, i.e. full DFS). Most concurrency
-    /// bugs surface within 2; the bound keeps big models polynomial.
-    pub preemption_bound: Option<usize>,
     /// Cap on schedules (executed + pruned); exploration stops (with a
     /// note on stderr) when it is reached.
     pub max_iterations: usize,
@@ -1108,11 +1083,8 @@ pub struct Builder {
     /// the model (it almost always means an unbounded retry loop).
     pub max_branches: usize,
     /// Dynamic partial-order reduction (backtrack + sleep sets). On by
-    /// default; turn off to measure the unreduced schedule count or to
-    /// debug the checker itself. Setting the `UBA_LOOM_NO_DPOR`
-    /// environment variable turns it off for every default-constructed
-    /// builder in the process (how the DESIGN.md reduction table and
-    /// `BENCH_loom.json` baselines are reproduced).
+    /// default; turn off to measure the unreduced schedule count (the
+    /// `BENCH_loom.json` baseline) or to debug the checker itself.
     pub dpor: bool,
     /// Replay exactly one schedule from a counterexample's choice
     /// string instead of exploring (see [`Builder::replay`]). The
@@ -1124,10 +1096,9 @@ pub struct Builder {
 impl Default for Builder {
     fn default() -> Self {
         Self {
-            preemption_bound: None,
             max_iterations: 100_000,
             max_branches: 10_000,
-            dpor: std::env::var_os("UBA_LOOM_NO_DPOR").is_none(),
+            dpor: true,
             replay: None,
         }
     }
@@ -1146,7 +1117,7 @@ impl Builder {
         self
     }
 
-    /// Runs `f` under every schedule within the bounds. Panics (with the
+    /// Runs `f` under every schedule. Panics (with the
     /// model's own panic payload) on the first failing schedule, after
     /// printing the thread names, any stale-read notes, and the replay
     /// choice string of the failing schedule.
@@ -1164,11 +1135,6 @@ impl Builder {
         });
         let replay_mode = replay.is_some();
         let config = Config {
-            preemption_bound: if replay_mode {
-                None
-            } else {
-                self.preemption_bound
-            },
             max_branches: self.max_branches,
             dpor: self.dpor && !replay_mode,
             replay: replay.map(Arc::new),
@@ -1278,8 +1244,7 @@ impl Builder {
 }
 
 /// Checks `f` under every interleaving (and every weak-memory read
-/// choice) with the default bounds: full DFS with DPOR, 100k-schedule
-/// cap. See [`Builder`] to bound preemptions for larger models.
+/// choice) with the defaults: full DFS with DPOR, 100k-schedule cap.
 pub fn model<F>(f: F) -> Exploration
 where
     F: Fn() + Send + Sync + 'static,

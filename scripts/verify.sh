@@ -112,25 +112,16 @@ cargo run --offline --release -p uba-bench --bin admission_scaling -- smoke
 echo "==> policy_burst smoke (policy-chain A/B: adaptive must beat utilization-only under burst)"
 cargo run --offline --release -p uba-bench --bin policy_burst -- smoke
 
-# Bounded model checking of the lock-free admission paths (uba-loom, the
-# in-tree weak-memory checker). The preemption-bounded smoke pass finishes
-# in seconds; the exhaustive pass (full DFS, no preemption bound) runs only
-# when UBA_LOOM_EXHAUSTIVE=1 is set — it is minutes, not seconds. The
-# models read the variable themselves, so the smoke lane pins it to 0.
-echo "==> loom bounded models (weak-memory concurrency smoke: admission + obs under --cfg loom)"
-UBA_LOOM_EXHAUSTIVE=0 RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
+# Model checking of the lock-free admission paths (uba-loom, the in-tree
+# weak-memory checker): every model runs full DFS with partial-order
+# reduction and must complete.
+echo "==> loom models (full DFS of every admission + obs model under --cfg loom)"
+RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
   cargo test --offline -q -p uba-admission -p uba-obs --test loom_models
 
 echo "==> loom DPOR reduction gate (exhaustive DFS of the flagship model -> BENCH_loom.json, schedule counts only)"
 RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
   cargo test --offline -q -p uba-admission --test loom_bench
-
-if [[ "${UBA_LOOM_EXHAUSTIVE:-0}" == "1" ]]; then
-  echo "==> loom exhaustive models (full DFS: the models see UBA_LOOM_EXHAUSTIVE=1)"
-  export UBA_LOOM_EXHAUSTIVE
-  RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
-    cargo test --offline -q -p uba-admission -p uba-obs --test loom_models
-fi
 
 echo "==> ledger check (no smoke lane may rewrite a committed BENCH_*.json)"
 changed="$({ diff <(echo "$ledger_before") <(cksum BENCH_*.json) || true; } | awk '/^[<>]/ {print $4}' | sort -u)"
