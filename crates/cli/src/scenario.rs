@@ -278,6 +278,13 @@ impl Scenario {
                 let name = string_or(ct, "name", "class")?.to_string();
                 let burst = positive("class.burst", num(ct, "burst")?)?;
                 let rate = bits("class.rate", num(ct, "rate")?)?;
+                // A flow that rounds to zero millibits/s always fits, so a
+                // saturation loop over it would never end.
+                if rate < 1e-3 {
+                    return Err(bad(format!(
+                        "class.rate must be at least 0.001 (one millibit/s), got {rate}"
+                    )));
+                }
                 let deadline = positive("class.deadline", num(ct, "deadline")?)?;
                 classes.push(TrafficClass::new(
                     name,
@@ -326,15 +333,21 @@ impl Scenario {
                             Err(bad(format!("router {id} outside topology")))
                         }
                     };
-                    out.push(Pair {
-                        src: parse_node(a)?,
-                        dst: parse_node(b)?,
-                    });
+                    let (src, dst) = (parse_node(a)?, parse_node(b)?);
+                    if src == dst {
+                        return Err(bad(format!(
+                            "pairs.list entry '{s}' joins a router to itself"
+                        )));
+                    }
+                    out.push(Pair { src, dst });
                 }
                 out
             }
             other => return Err(bad(format!("unknown pairs mode '{other}'"))),
         };
+        if pairs.is_empty() {
+            return Err(bad("pairs selects no pair"));
+        }
 
         let slo = parse_slo(doc.table("slo"))?;
         let policy = parse_policy(doc.table("policy"))?;
@@ -410,8 +423,15 @@ mod tests {
 
     #[test]
     fn bad_pair_rejected() {
-        let e = Scenario::from_str("[pairs]\nmode = \"list\"\nlist = [\"0-99\"]").unwrap_err();
-        assert!(e.0.contains("outside topology"));
+        for (list, needle) in [
+            ("[\"0-99\"]", "outside topology"),
+            ("[\"0-0\", \"0-2\"]", "pairs.list"),
+            ("[]", "pairs"),
+        ] {
+            let e = Scenario::from_str(&format!("[pairs]\nmode = \"list\"\nlist = {list}"))
+                .unwrap_err();
+            assert!(e.0.contains(needle), "{list}: {e}");
+        }
     }
 
     #[test]
@@ -552,6 +572,10 @@ mod tests {
             ("[network]\ncapacity = 1e300", "network.capacity"),
             (
                 "[[class]]\nburst = 640\nrate = 1e20\ndeadline = 0.1",
+                "class.rate",
+            ),
+            (
+                "[[class]]\nburst = 640\nrate = 0.0004\ndeadline = 0.1",
                 "class.rate",
             ),
             (

@@ -4,24 +4,50 @@
 //! (exit 2, a message naming the key), never a panic or a run that does
 //! not return.
 
+use std::fs::File;
 use std::process::Command;
+use std::time::{Duration, Instant};
+
+/// How long one run may take before it counts as not returning.
+const DEADLINE: Duration = Duration::from_secs(10);
 
 /// Runs `uba-cli <args[0]> <scenario> <args[1..]>` on `body`; returns
-/// the exit code, stdout and stderr.
+/// the exit code, stdout and stderr. A run still going at [`DEADLINE`]
+/// is killed and fails the test.
 fn run(args: &[&str], name: &str, body: &str) -> (Option<i32>, String, String) {
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.toml"));
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join(format!("{name}.toml"));
     std::fs::write(&path, body).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_uba-cli"))
+    // Files, not pipes: a child blocked on a full pipe would read as a hang.
+    let (out_path, err_path) = (
+        dir.join(format!("{name}.out")),
+        dir.join(format!("{name}.err")),
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_uba-cli"))
         .arg(args[0])
         .arg(&path)
         .args(&args[1..])
-        .output()
+        .stdout(File::create(&out_path).unwrap())
+        .stderr(File::create(&err_path).unwrap())
+        .spawn()
         .expect("uba-cli runs");
-    (
-        out.status.code(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("uba-cli waits") {
+            break status;
+        }
+        if start.elapsed() > DEADLINE {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!(
+                "uba-cli {} {body}: still running after {DEADLINE:?}",
+                args[0]
+            );
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let read = |p| String::from_utf8_lossy(&std::fs::read(p).unwrap()).into_owned();
+    (status.code(), read(&out_path), read(&err_path))
 }
 
 /// Runs `uba-cli <cmd>` on `body` and asserts exit 2 naming `key`.
@@ -59,7 +85,8 @@ fn degenerate_sizes_exit_2_without_panicking() {
 }
 
 /// `metrics` and `explain` used to panic on these (exit 101) while
-/// `verify` passed them.
+/// `verify` passed them; on a class rate that rounds to zero millibits/s
+/// they never returned.
 #[test]
 fn out_of_range_rates_and_shares_exit_2_naming_the_key() {
     let class = "[[class]]\nburst = 640\ndeadline = 0.1\n";
@@ -68,6 +95,12 @@ fn out_of_range_rates_and_shares_exit_2_naming_the_key() {
         (format!("{class}rate = 32000\nalpha = -0.2"), "class.alpha"),
         (format!("{class}rate = 32000\nalpha = nan"), "class.alpha"),
         (format!("{class}rate = 1e20"), "class.rate"),
+        (format!("{class}rate = 0.0004"), "class.rate"),
+        (
+            "[pairs]\nmode = \"list\"\nlist = [\"0-0\", \"0-2\"]".into(),
+            "pairs.list",
+        ),
+        ("[pairs]\nmode = \"list\"\nlist = []".into(), "pairs"),
         ("[network]\ncapacity = 1e300".into(), "network.capacity"),
         (
             "[policy]\nchain = \"token_bucket\"\nbucket_rate_bps = 1e20".into(),
