@@ -40,7 +40,7 @@
 //! `admission.generations.retired_pinned` gauge) should treat the new
 //! budgets as fully in force only once retired generations empty.
 
-use crate::generation::{BackendKind, ConfigGeneration};
+use crate::generation::ConfigGeneration;
 use crate::metrics::AdmissionMetrics;
 use crate::state::PathGrant;
 use crate::sync::atomic::{AtomicU64, Ordering};
@@ -296,13 +296,7 @@ impl AdmissionController {
         capacities: &[f64],
         alphas: &[f64],
     ) -> Self {
-        Self::from_generation(ConfigGeneration::new(
-            table,
-            classes,
-            capacities,
-            alphas,
-            BackendKind::Atomic,
-        ))
+        Self::from_generation(ConfigGeneration::new(table, classes, capacities, alphas))
     }
 
     /// Like [`new`](Self::new) but with no instrumentation at all — the
@@ -314,7 +308,7 @@ impl AdmissionController {
         alphas: &[f64],
     ) -> Self {
         Self::from_generation_with_metrics(
-            ConfigGeneration::new(table, classes, capacities, alphas, BackendKind::Atomic),
+            ConfigGeneration::new(table, classes, capacities, alphas),
             None,
         )
     }
@@ -907,6 +901,7 @@ impl Drop for FlowHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generation::BackendKind;
     use crate::policy::{AimdParams, ChainKind, PolicyChain, PolicyConfig};
     use uba_graph::{Digraph, Path};
     use uba_traffic::TrafficClass;
@@ -937,7 +932,6 @@ mod tests {
             &ClassSet::single(TrafficClass::voip()),
             &vec![1e6; edges],
             &[alpha],
-            BackendKind::Atomic,
         )
     }
 

@@ -22,10 +22,10 @@ use uba_traffic::ClassSet;
 
 /// Vestigial: there is one reservation state ([`UtilizationState`]) and
 /// nothing left to select. The enum and the ignored `kind` parameter of
-/// [`ConfigGeneration::new`] / [`ConfigGeneration::with_policy`] /
-/// `Configuration::apply` survive only because the frozen `benchmark/`
-/// sources name `BackendKind::Atomic`; the next PR that may edit the
-/// benchmark drops both (DESIGN.md §8).
+/// [`ConfigGeneration::with_policy`] / `Configuration::apply` survive
+/// only because the frozen `benchmark/` sources name
+/// `BackendKind::Atomic`; the next PR that may edit the benchmark drops
+/// both (DESIGN.md §8).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// One CAS counter per (server, class) — the only reservation state.
@@ -71,20 +71,18 @@ impl ConfigGeneration {
     /// Freezes a configuration: the committed routing table, the class
     /// set (for per-flow rates), per-server capacities, and the verified
     /// utilization assignment, with fresh (all-zero) reservation state.
-    /// `kind` is ignored (see [`BackendKind`]).
     pub fn new(
         table: RoutingTable,
         classes: &ClassSet,
         capacities: &[f64],
         alphas: &[f64],
-        kind: BackendKind,
     ) -> Self {
         Self::with_policy(
             table,
             classes,
             capacities,
             alphas,
-            kind,
+            BackendKind::Atomic,
             PolicyChain::static_only(),
         )
     }
@@ -209,7 +207,6 @@ mod tests {
             &ClassSet::single(TrafficClass::voip()),
             &[1e6, 1e6],
             &[0.5],
-            BackendKind::Atomic,
         )
     }
 
@@ -238,7 +235,6 @@ mod tests {
             &ClassSet::single(class),
             &[1e6],
             &[0.5],
-            BackendKind::Atomic,
         )
     }
 
@@ -279,7 +275,6 @@ mod tests {
             &ClassSet::single(TrafficClass::voip()),
             &[1e6, 1e6],
             &[0.064],
-            BackendKind::Atomic,
         );
         generation.rates[0] = f64::NAN;
         let ctrl = AdmissionController::from_generation_unmetered(generation);

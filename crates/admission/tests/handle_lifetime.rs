@@ -5,9 +5,7 @@
 //! `admission.releases`, so — like `metrics_exact.rs` — this binary
 //! holds one `#[test]` that runs its cases one after another.
 
-use uba_admission::{
-    AdmissionController, AdmissionMetrics, BackendKind, ConfigGeneration, RoutingTable,
-};
+use uba_admission::{AdmissionController, AdmissionMetrics, ConfigGeneration, RoutingTable};
 use uba_graph::{Digraph, NodeId, Path};
 use uba_traffic::{ClassId, ClassSet, TrafficClass};
 
@@ -30,7 +28,6 @@ fn fresh_generation() -> ConfigGeneration {
         &ClassSet::single(TrafficClass::voip()),
         &caps,
         &[0.32],
-        BackendKind::Atomic,
     )
 }
 

@@ -48,8 +48,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use uba_admission::{
-    AdmissionController, BackendKind, ConfigGeneration, FlowSpec, PolicyStage, RoutingTable,
-    TokenBucketStage, UtilizationState,
+    AdmissionController, ConfigGeneration, FlowSpec, PolicyStage, RoutingTable, TokenBucketStage,
+    UtilizationState,
 };
 use uba_graph::{Digraph, NodeId, Path};
 use uba_loom::{model, Exploration};
@@ -211,7 +211,6 @@ fn fresh_generation() -> ConfigGeneration {
         &ClassSet::single(TrafficClass::voip()),
         &[1e6],
         &[0.5],
-        BackendKind::Atomic,
     )
 }
 

@@ -11,7 +11,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use uba_admission::{AdmissionController, BackendKind, ConfigGeneration, RoutingTable};
+use uba_admission::{AdmissionController, ConfigGeneration, RoutingTable};
 use uba_graph::{Digraph, NodeId, Path};
 use uba_obs::SplitMix64;
 use uba_traffic::{ClassId, ClassSet, TrafficClass};
@@ -34,7 +34,6 @@ fn build_generation(alpha: f64) -> ConfigGeneration {
         &ClassSet::single(TrafficClass::voip()),
         &vec![1e6; g.edge_count()],
         &[alpha],
-        BackendKind::Atomic,
     )
 }
 

@@ -237,7 +237,7 @@ impl Configuration {
     /// `AdmissionController::reconfigure` to swap it live, or to
     /// `AdmissionController::from_generation` to start a controller.
     /// `kind` is ignored (see [`BackendKind`]).
-    pub fn apply(&self, kind: BackendKind) -> ConfigGeneration {
+    pub fn apply(&self, _kind: BackendKind) -> ConfigGeneration {
         let mut table = RoutingTable::new();
         for p in &self.paths {
             table.insert(ClassId(0), p);
@@ -250,7 +250,6 @@ impl Configuration {
             &ClassSet::single(self.class.clone()),
             &capacities,
             &[self.alpha],
-            kind,
         )
     }
 
