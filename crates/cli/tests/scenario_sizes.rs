@@ -84,9 +84,9 @@ fn degenerate_sizes_exit_2_without_panicking() {
     }
 }
 
-/// `metrics` and `explain` used to panic on these (exit 101) while
-/// `verify` passed them; on a class rate that rounds to zero millibits/s
-/// they never returned.
+/// `metrics`, and on all but the empty pair list `explain` too, used to
+/// panic on these (exit 101) while `verify` passed them; on a class rate
+/// that rounds to zero millibits/s the two never returned.
 #[test]
 fn out_of_range_rates_and_shares_exit_2_naming_the_key() {
     let class = "[[class]]\nburst = 640\ndeadline = 0.1\n";
