@@ -25,7 +25,11 @@
 //!   identical flows) and
 //!   live reconfiguration: generations swap behind an epoch pointer
 //!   without pausing admission, and in-flight flows drain against the
-//!   generation they were admitted under.
+//!   generation they were admitted under. A rejection's [`Reject`] is
+//!   the decision's own record of why — the first link without
+//!   headroom, with the class's reserved rate and budget there, or the
+//!   policy stage that refused — and the one diagnosis `uba-cli explain`
+//!   renders.
 //! * [`baseline`] — an intserv-style comparator that re-runs the
 //!   flow-aware general delay analysis over *all* established flows on
 //!   every admission: the O(flows) cost the paper's design eliminates
@@ -47,10 +51,6 @@
 //! * [`metrics`] — admission-path instrumentation (counters for
 //!   admits/rejects/CAS retries, a path-length histogram, per-class
 //!   utilization gauges) recorded into the [`uba_obs`] registry.
-//! * [`explain`] — non-mutating per-flow admission diagnosis (path
-//!   tried, first failing link, observed vs. budget utilization,
-//!   headroom), the audit-trail companion to the flight-recorder events
-//!   the admit path emits into [`uba_obs::trace`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,7 +59,6 @@ pub mod arrival;
 pub mod baseline;
 pub mod churn;
 pub mod controller;
-pub mod explain;
 pub mod generation;
 pub mod metrics;
 pub mod policy;
@@ -73,7 +72,6 @@ pub use churn::{run_churn, run_churn_bursty, ChurnConfig, ChurnStats};
 pub use controller::{
     AdmissionController, BatchOutcome, DrainStatus, FlowHandle, FlowSpec, ReconfigReport, Reject,
 };
-pub use explain::{Explain, ExplainVerdict, StageVerdict};
 pub use generation::{BackendKind, ConfigGeneration};
 pub use metrics::AdmissionMetrics;
 pub use policy::{

@@ -89,8 +89,9 @@ pub trait PolicyStage: fmt::Debug + Send + Sync {
     fn refund_n(&self, class: usize, n: u64);
 
     /// Whether `admit_n` would currently succeed, without consuming
-    /// anything. Advisory (used by `explain` dry runs); may race
-    /// concurrent admissions like every other dry read.
+    /// anything. Advisory; may race concurrent admissions like every
+    /// other dry read. The equivalence ladders in `tests/admit_equiv.rs`
+    /// and `tests/burst_equiv.rs` probe each stage's budget with it.
     fn would_admit(&self, class: usize, n: u64, t: f64) -> bool;
 }
 
@@ -198,16 +199,6 @@ impl PolicyChain {
             limiter = None;
         }
         (placed, limiter)
-    }
-
-    /// Dry-runs every stage independently (no consumption, no
-    /// short-circuit): `(stage name, would admit)` per stage, in chain
-    /// order. The `explain` diagnosis renders these verdicts.
-    pub fn dry_run(&self, class: usize, n: u64, t: f64) -> Vec<(&'static str, bool)> {
-        self.stages
-            .iter()
-            .map(|s| (s.name(), s.would_admit(class, n, t)))
-            .collect()
     }
 
     /// Builds the chain a [`PolicyConfig`] describes, for traffic
@@ -829,7 +820,7 @@ mod tests {
     }
 
     #[test]
-    fn would_admit_is_a_pure_dry_run() {
+    fn would_admit_consumes_nothing() {
         let tb = bucket(VOIP, VOIP);
         for _ in 0..10 {
             assert!(tb.would_admit(0, 1, 0.0));
@@ -960,9 +951,8 @@ mod tests {
         assert_eq!(chain.admit_n(0, 1, 0.0), Err(1));
         assert_eq!(chain.stages()[1].name(), "aimd");
         // The token bucket was refunded: its full depth is intact.
-        let verdicts = chain.dry_run(0, 2, 0.0);
-        assert_eq!(verdicts[0], ("token_bucket", true));
-        assert_eq!(verdicts[1], ("aimd", false));
+        assert!(chain.stages()[0].would_admit(0, 2, 0.0));
+        assert!(!chain.stages()[1].would_admit(0, 2, 0.0));
     }
 
     #[test]
@@ -1063,7 +1053,7 @@ mod tests {
         let chain = PolicyChain::static_only();
         assert!(chain.is_static());
         assert!(chain.admit_n(0, u64::MAX, 0.0).is_ok());
-        assert!(chain.dry_run(0, 1, 0.0).is_empty());
+        assert!(chain.stages().is_empty());
     }
 
     #[test]

@@ -302,21 +302,6 @@ impl UtilizationState {
         }
     }
 
-    /// Whether reserving `rate` bits/s of `class` on `server` would
-    /// succeed *right now*, without reserving anything. Uses the cell
-    /// step of the reservation walk itself (`flows_that_fit` of one
-    /// flow), so a dry-run diagnosis (the admission `explain` path) can
-    /// never disagree with the real admission decision taken against the
-    /// same state.
-    pub fn would_fit(&self, server: usize, class: usize, rate: f64) -> bool {
-        let i = self.idx(server, class);
-        // ordering: Acquire pairs with the AcqRel reserve/release RMWs
-        // so a dry run that observes freed headroom also observes the
-        // teardown writes that freed it.
-        let cur = self.reserved[i].load(Ordering::Acquire);
-        flows_that_fit(self.budgets[i], cur, to_millibits(rate), 1) == 1
-    }
-
     fn release_cell(&self, server: usize, class: usize, amount: u64) {
         let i = self.idx(server, class);
         // ordering: AcqRel — the release publishes the flow's teardown
@@ -533,8 +518,7 @@ mod tests {
     /// The cell step against its definition — one-flow reservations in a
     /// row until one fails or `n` succeed — at the edges of its compare:
     /// headroom exactly `n·ρ`, one millibit short of it, `n·ρ` past
-    /// `u64`, and `ρ = 0` on a full cell. `would_fit` agrees with the
-    /// next one-flow reservation before the run and after it.
+    /// `u64`, and `ρ = 0` on a full cell.
     #[test]
     fn cell_step_matches_one_flow_reservations_at_its_boundaries() {
         const RATE: f64 = 32_000.0;
@@ -554,7 +538,6 @@ mod tests {
                 s
             };
             let (closed, walked) = (seeded(), seeded());
-            let fits_first = closed.would_fit(0, 0, rate);
             let grant = closed.try_reserve_path_up_to(&[0], 0, rate, n);
             let mut flows = 0;
             while flows < n && reserve(&walked, 0, 0, rate) {
@@ -566,13 +549,7 @@ mod tests {
                 (flows, (flows < n).then_some(0)),
                 "{what}"
             );
-            assert_eq!(fits_first, flows > 0, "{what}: would_fit before");
             assert_eq!(closed.reserved(0, 0), walked.reserved(0, 0), "{what}");
-            assert_eq!(
-                closed.would_fit(0, 0, rate),
-                reserve(&walked, 0, 0, rate),
-                "{what}: would_fit after"
-            );
         }
         // The step itself where the product saturates: a rate past any
         // budget fits no flow of a run, and a long run is clipped to

@@ -2,11 +2,12 @@
 //! so the binary stays a thin printer and the logic stays testable.
 
 use crate::scenario::{Scenario, ScenarioError};
+use std::cmp::Ordering;
 use std::fmt::Write as _;
 use std::ops::ControlFlow;
 use uba::admission::{
-    run_churn, AdmissionController, BackendKind, ChurnConfig, ConfigGeneration, Explain,
-    ExplainVerdict, FlowHandle, PolicyChain, Reject, RoutingTable, UtilizationState,
+    run_churn, AdmissionController, BackendKind, ChurnConfig, ConfigGeneration, FlowHandle,
+    PolicyChain, Reject, RoutingTable, UtilizationState,
 };
 use uba::delay::fixed_point::{Outcome, SolveConfig};
 use uba::delay::routeset::{Route, RouteSet};
@@ -74,6 +75,14 @@ pub fn cmd_verify(sc: &Scenario) -> Result<String, ScenarioError> {
     .unwrap();
     writeln!(out, "outcome: {:?}", report.outcome).unwrap();
     writeln!(out, "iterations: {}", report.iterations).unwrap();
+    // Only these two outcomes come with delays the solve computed; on
+    // the others the slack and per-server delays are placeholders.
+    if !matches!(
+        report.outcome,
+        Outcome::Safe | Outcome::DeadlineExceeded { .. }
+    ) {
+        return Ok(out);
+    }
     if report.worst_slack.is_finite() {
         writeln!(out, "worst slack: {:.3} ms", report.worst_slack * 1e3).unwrap();
     }
@@ -328,7 +337,7 @@ pub fn cmd_metrics(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
 
     // 2. Admission: churn workload, then saturate until a link fills —
     // through the scenario's policy chain, like `explain` and `serve`.
-    let ctrl = scenario_controller(sc, true)?;
+    let ctrl = scenario_controller(sc)?;
     let pairs: Vec<(NodeId, NodeId)> = sc.pairs.iter().map(|p| (p.src, p.dst)).collect();
     let churn = run_churn(
         &ctrl,
@@ -515,18 +524,10 @@ fn scenario_chain(sc: &Scenario) -> PolicyChain {
     PolicyChain::from_config(&sc.policy, &rates)
 }
 
-/// Builds the SP routing table and an admission controller for a
-/// scenario — shared by `explain` and `serve`.
-pub(crate) fn scenario_controller(
-    sc: &Scenario,
-    metered: bool,
-) -> Result<AdmissionController, ScenarioError> {
-    let generation = scenario_generation(sc)?;
-    Ok(if metered {
-        AdmissionController::from_generation(generation)
-    } else {
-        AdmissionController::from_generation_unmetered(generation)
-    })
+/// Builds the SP routing table and a metered admission controller for a
+/// scenario — shared by `metrics`, `explain`, `reconfigure` and `serve`.
+pub(crate) fn scenario_controller(sc: &Scenario) -> Result<AdmissionController, ScenarioError> {
+    scenario_generation(sc).map(AdmissionController::from_generation)
 }
 
 /// Builds an installable [`ConfigGeneration`] from a scenario — the unit
@@ -573,7 +574,7 @@ pub fn cmd_reconfigure(
     new: &Scenario,
     json: bool,
 ) -> Result<String, ScenarioError> {
-    let ctrl = scenario_controller(old, false)?;
+    let ctrl = scenario_controller(old)?;
     // Deterministic saturation, every class, holding every admitted flow.
     let held = saturate(
         &ctrl,
@@ -603,6 +604,7 @@ pub fn cmd_reconfigure(
 
     drop(held);
     let drained = ctrl.drain().is_drained();
+    ctrl.flush_metrics();
 
     let mut out = String::new();
     if json {
@@ -643,13 +645,22 @@ pub fn cmd_reconfigure(
 
 /// `explain`: replays the scenario's admission workload to saturation —
 /// round-robin over the pair list in file order, every class — and
-/// diagnoses each first rejection with the non-mutating dry run: the
-/// path tried, the first failing link, and the class's observed vs.
-/// budget utilization there. The replay has no randomness, so the report
-/// is byte-identical across runs.
+/// reports each (class, pair)'s first rejection as the decision returned
+/// it: the route it was decided on, what that decision's [`Reject`]
+/// names (the first link without headroom, with the class's reserved
+/// rate and budget there, or the policy stage that refused) and what
+/// each stage of the chain did. The replay has no randomness, so the
+/// report is byte-identical across runs.
 pub fn cmd_explain(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
-    let ctrl = scenario_controller(sc, false)?;
-    let mut diagnoses: Vec<Explain> = Vec::new();
+    let ctrl = scenario_controller(sc)?;
+    let generation = ctrl.current_generation();
+    let chain: Vec<&'static str> = generation
+        .policy()
+        .stages()
+        .iter()
+        .map(|s| s.name())
+        .collect();
+    let mut diagnoses: Vec<Diagnosis> = Vec::new();
     // (class, pair index) already diagnosed, so each reports its *first*
     // rejection.
     let mut diagnosed = vec![false; sc.classes.len() * sc.pairs.len()];
@@ -657,23 +668,32 @@ pub fn cmd_explain(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
         &ctrl,
         sc,
         sc.classes.iter().map(|(ci, _)| ci),
-        |ci, pi, _| {
+        |ci, pi, reject| {
             let seen = &mut diagnosed[ci.index() * sc.pairs.len() + pi];
             if !*seen {
                 *seen = true;
                 let pair = &sc.pairs[pi];
-                diagnoses.push(ctrl.explain(ci, pair.src, pair.dst));
+                let route = generation.table().route(pair.src, pair.dst, ci);
+                diagnoses.push(Diagnosis {
+                    class: ci,
+                    src: pair.src,
+                    dst: pair.dst,
+                    path: route.unwrap_or_default().to_vec(),
+                    rate: generation.rates()[ci.index()],
+                    reject,
+                });
             }
             ControlFlow::Continue(())
         },
     );
     let admitted = held.len();
     drop(held);
+    ctrl.flush_metrics();
 
     let mut out = String::new();
     if json {
         for d in &diagnoses {
-            writeln!(out, "{}", d.to_json_line()).unwrap();
+            writeln!(out, "{}", d.to_json_line(&chain)).unwrap();
         }
         return Ok(out);
     }
@@ -693,21 +713,21 @@ pub fn cmd_explain(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
     )
     .unwrap();
     for d in &diagnoses {
-        let link = d.link.map_or_else(|| "-".into(), |l| l.to_string());
-        let (reserved, budget, util, headroom) = if d.verdict == ExplainVerdict::NoRoute {
-            ("-".into(), "-".into(), "-".into(), "-".into())
-        } else {
-            (
-                format!("{:.1} kb/s", d.reserved_bps / 1e3),
-                format!("{:.1} kb/s", d.budget_bps / 1e3),
-                format!("{:.1}%", d.observed_utilization() * 100.0),
-                format!("{:.1} kb/s", d.headroom_bps() / 1e3),
-            )
+        let kbps = |bps: f64| format!("{:.1} kb/s", bps / 1e3);
+        let [link, reserved, budget, util, headroom] = match d.link() {
+            Some((server, [reserved, budget, util, headroom])) => [
+                server.to_string(),
+                kbps(reserved),
+                kbps(budget),
+                format!("{:.1}%", util * 100.0),
+                kbps(headroom),
+            ],
+            None => ["-"; 5].map(String::from),
         };
         let stages = d
-            .stages
+            .stages(&chain)
             .iter()
-            .map(|(name, v)| format!("{name}={}", v.as_str()))
+            .map(|(name, verdict)| format!("{name}={verdict}"))
             .collect::<Vec<_>>()
             .join(",");
         writeln!(
@@ -716,7 +736,7 @@ pub fn cmd_explain(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
             sc.classes.get(d.class).name,
             d.src.0,
             d.dst.0,
-            d.verdict.as_str(),
+            d.verdict(),
             link,
             reserved,
             budget,
@@ -727,6 +747,117 @@ pub fn cmd_explain(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
         .unwrap();
     }
     Ok(out)
+}
+
+/// One `explain` row: a (class, pair)'s first rejection as the decision
+/// returned it, with the route it was decided on (empty on `NoRoute`)
+/// and the class's per-flow rate, bits/s.
+struct Diagnosis {
+    class: ClassId,
+    src: NodeId,
+    dst: NodeId,
+    path: Vec<u32>,
+    rate: f64,
+    reject: Reject,
+}
+
+impl Diagnosis {
+    fn verdict(&self) -> &'static str {
+        match self.reject {
+            Reject::NoRoute => "no_route",
+            Reject::LinkFull { .. } => "link_full",
+            Reject::Policy { .. } => "policy_reject",
+        }
+    }
+
+    /// The full link, with the class's reserved rate, budget,
+    /// utilization (reserved ÷ budget, `0.0` on a zero budget) and
+    /// headroom there, bits/s: only a `LinkFull` decision walked the
+    /// links.
+    fn link(&self) -> Option<(u32, [f64; 4])> {
+        let Reject::LinkFull {
+            server,
+            reserved_bps: reserved,
+            budget_bps: budget,
+            ..
+        } = self.reject
+        else {
+            return None;
+        };
+        let util = if budget > 0.0 { reserved / budget } else { 0.0 };
+        Some((
+            server,
+            [reserved, budget, util, (budget - reserved).max(0.0)],
+        ))
+    }
+
+    /// What the decision did at each stage of `chain` and then at the
+    /// terminal `utilization` stage: the stages before the one that
+    /// rejected passed, and the ones after it were never asked. A flow
+    /// with no route was asked nothing.
+    fn stages(&self, chain: &[&'static str]) -> Vec<(&'static str, &'static str)> {
+        let rejecting = match self.reject {
+            Reject::NoRoute => None,
+            Reject::Policy { stage, .. } => chain.iter().position(|&s| s == stage),
+            Reject::LinkFull { .. } => Some(chain.len()),
+        };
+        chain
+            .iter()
+            .copied()
+            .chain(["utilization"])
+            .enumerate()
+            .map(|(i, name)| {
+                let verdict = match rejecting.map(|r| i.cmp(&r)) {
+                    Some(Ordering::Less) => "pass",
+                    Some(Ordering::Equal) => "reject",
+                    Some(Ordering::Greater) | None => "skipped",
+                };
+                (name, verdict)
+            })
+            .collect()
+    }
+
+    /// One-line JSON rendering (workspace JSON-lines idiom). Without a
+    /// full link, `link` is `null` and the four link figures are `0.0`.
+    fn to_json_line(&self, chain: &[&'static str]) -> String {
+        let path = self
+            .path
+            .iter()
+            .map(u32::to_string)
+            .collect::<Vec<_>>()
+            .join(",");
+        let (link, [reserved, budget, util, headroom]) = self
+            .link()
+            .map_or(("null".into(), [0.0; 4]), |(server, figures)| {
+                (server.to_string(), figures)
+            });
+        let stages = self
+            .stages(chain)
+            .iter()
+            .map(|(name, verdict)| format!("{{\"stage\":\"{name}\",\"verdict\":\"{verdict}\"}}"))
+            .collect::<Vec<_>>()
+            .join(",");
+        let rejected_stage = match self.reject {
+            Reject::Policy { stage, .. } => format!("\"{stage}\""),
+            Reject::NoRoute | Reject::LinkFull { .. } => "null".into(),
+        };
+        let num = uba::obs::json::number;
+        format!(
+            "{{\"class\":{},\"src\":{},\"dst\":{},\"verdict\":\"{}\",\"path\":[{path}],\
+             \"flow_rate_bps\":{},\"link\":{link},\"reserved_bps\":{},\
+             \"budget_bps\":{},\"utilization\":{},\"headroom_bps\":{},\
+             \"stages\":[{stages}],\"rejected_stage\":{rejected_stage}}}",
+            self.class.index(),
+            self.src.0,
+            self.dst.0,
+            self.verdict(),
+            num(self.rate),
+            num(reserved),
+            num(budget),
+            num(util),
+            num(headroom),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -773,6 +904,25 @@ mod tests {
         sc.alphas = vec![0.99];
         let out = cmd_verify(&sc).unwrap();
         assert!(out.contains("FAILURE"), "{out}");
+        // Two classes at α = 0.8 on one link sum past 1: the solve
+        // refuses the parameters and computes no delay, so none is shown.
+        let class = |name: &str| {
+            format!(
+                "[[class]]\nname = \"{name}\"\nburst = 640\nrate = 32000\n\
+                 deadline = 0.1\nalpha = 0.8\n"
+            )
+        };
+        let sc = Scenario::from_str(&format!(
+            "[topology]\nkind = \"ring\"\nn = 4\n[network]\ncapacity = 1e6\n{}{}",
+            class("voip"),
+            class("voip2")
+        ))
+        .unwrap();
+        let out = cmd_verify(&sc).unwrap();
+        assert!(out.contains("FAILURE"), "{out}");
+        assert!(out.contains("outcome: InvalidParams"), "{out}");
+        assert!(!out.contains("worst slack"), "{out}");
+        assert!(!out.contains("worst per-server delay"), "{out}");
     }
 
     #[test]
@@ -934,7 +1084,7 @@ mod tests {
 
     #[test]
     fn explain_renders_policy_stage_verdicts() {
-        let sc = Scenario::from_str(
+        let adaptive = Scenario::from_str(
             r#"
             [topology]
             kind = "ring"
@@ -956,15 +1106,111 @@ mod tests {
         )
         .unwrap();
         // Depth 64 kbit at 32 kb/s per flow = two token-bucket admits;
-        // the ~non-refilling rate pins the bucket empty afterwards.
-        let out = cmd_explain(&sc, false).unwrap();
+        // the ~non-refilling rate pins the bucket empty afterwards. The
+        // decision stopped at the bucket: AIMD and the links were never
+        // asked, and no link was walked.
+        let out = cmd_explain(&adaptive, false).unwrap();
+        assert!(out.starts_with("2 flows admitted"), "{out}");
         assert!(out.contains("policy_reject"), "{out}");
-        assert!(out.contains("token_bucket=reject"), "{out}");
-        assert!(out.contains("utilization="), "{out}");
-        // JSON mode carries the stage list and the rejecting stage.
-        let js = cmd_explain(&sc, true).unwrap();
-        assert!(js.contains("\"stages\""), "{js}");
-        assert!(js.contains("\"rejected_stage\":\"token_bucket\""), "{js}");
+        assert!(
+            out.contains("token_bucket=reject,aimd=skipped,utilization=skipped"),
+            "{out}"
+        );
+        assert!(!out.contains("kb/s"), "{out}");
+
+        // The JSON key contract, on both verdicts the replays reach.
+        use uba::obs::json::JsonValue;
+        const KEYS: [&str; 13] = [
+            "class",
+            "src",
+            "dst",
+            "verdict",
+            "path",
+            "flow_rate_bps",
+            "link",
+            "reserved_bps",
+            "budget_bps",
+            "utilization",
+            "headroom_bps",
+            "stages",
+            "rejected_stage",
+        ];
+        let parse = |toml: &str| Scenario::from_str(toml).unwrap();
+        let (mut link_full, mut policy_reject) = (0, 0);
+        for sc in [
+            parse(include_str!("../scenarios/ring_small.toml")),
+            parse(include_str!("../scenarios/ring_policy.toml")),
+            adaptive,
+        ] {
+            let js = cmd_explain(&sc, true).unwrap();
+            assert!(!js.is_empty());
+            for line in js.lines() {
+                let v = uba::obs::json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+                let keys: Vec<&str> = v.as_object().unwrap().keys().map(String::as_str).collect();
+                let mut sorted = KEYS;
+                sorted.sort_unstable();
+                assert_eq!(keys, sorted, "{line}");
+                let at: Vec<usize> = KEYS
+                    .iter()
+                    .map(|k| line.find(&format!("\"{k}\":")).unwrap())
+                    .collect();
+                assert!(at.windows(2).all(|w| w[0] < w[1]), "key order: {line}");
+                let num = |k: &str| v.get(k).and_then(JsonValue::as_number).unwrap();
+                let Some(JsonValue::Array(path)) = v.get("path") else {
+                    panic!("path: {line}")
+                };
+                let Some(JsonValue::Array(stages)) = v.get("stages") else {
+                    panic!("stages: {line}")
+                };
+                fn stage<'a>(s: &'a JsonValue, k: &str) -> &'a str {
+                    s.get(k).and_then(JsonValue::as_str).unwrap()
+                }
+                match v.get("verdict").and_then(JsonValue::as_str) {
+                    Some("link_full") => {
+                        link_full += 1;
+                        let link = v.get("link").unwrap();
+                        assert!(path.contains(link), "{line}");
+                        assert!(
+                            num("budget_bps") - num("reserved_bps") < num("flow_rate_bps"),
+                            "headroom must not fit the flow: {line}"
+                        );
+                        assert_eq!(v.get("rejected_stage"), Some(&JsonValue::Null), "{line}");
+                        let (last, before) = stages.split_last().unwrap();
+                        assert_eq!(stage(last, "stage"), "utilization", "{line}");
+                        assert_eq!(stage(last, "verdict"), "reject", "{line}");
+                        assert!(
+                            before.iter().all(|s| stage(s, "verdict") == "pass"),
+                            "{line}"
+                        );
+                    }
+                    Some("policy_reject") => {
+                        policy_reject += 1;
+                        assert_eq!(v.get("link"), Some(&JsonValue::Null), "{line}");
+                        let rejected = v.get("rejected_stage").and_then(JsonValue::as_str).unwrap();
+                        let i = stages
+                            .iter()
+                            .position(|s| stage(s, "stage") == rejected)
+                            .unwrap_or_else(|| panic!("{rejected} not in stages: {line}"));
+                        assert_eq!(stage(&stages[i], "verdict"), "reject", "{line}");
+                        assert!(
+                            stages[..i].iter().all(|s| stage(s, "verdict") == "pass"),
+                            "{line}"
+                        );
+                        assert!(
+                            stages[i + 1..]
+                                .iter()
+                                .all(|s| stage(s, "verdict") == "skipped"),
+                            "{line}"
+                        );
+                    }
+                    _ => panic!("unexpected verdict: {line}"),
+                }
+            }
+        }
+        assert!(
+            link_full > 0 && policy_reject > 0,
+            "{link_full} / {policy_reject}"
+        );
     }
 
     #[test]

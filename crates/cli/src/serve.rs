@@ -104,7 +104,7 @@ pub fn serve(
     // Live data for both endpoints: enable the flight recorder, then
     // churn admissions in the background.
     uba::obs::trace::global().set_enabled(true);
-    let ctrl = scenario_controller(sc, true)?;
+    let ctrl = scenario_controller(sc)?;
     let slo = Arc::new(Mutex::new(SloEngine::new(
         uba::obs::global(),
         standard_rules(&sc.slo),

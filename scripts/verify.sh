@@ -49,13 +49,15 @@ done
 # simulation at the scenario's alpha: the configuration path and the
 # simulator path, each byte for byte. Then the run-time path: explain's
 # saturation replay (text and JSON) and reconfigure's migration
-# rehearsal in both directions.
+# rehearsal in both directions, then explain behind a token bucket: the
+# rows of policy rejections.
 scenarios=crates/cli/scenarios
 paper=$scenarios/paper.toml
 ring=$scenarios/ring_small.toml
 diff <(for cmd in "maximize $paper heuristic" "maximize $paper sp" "verify $paper" \
   "simulate $paper" "explain $ring" "explain $scenarios/multiclass.toml --json" \
-  "reconfigure $ring $paper" "reconfigure $paper $ring --json"; do
+  "reconfigure $ring $paper" "reconfigure $paper $ring --json" \
+  "explain $scenarios/ring_policy.toml"; do
   echo "\$ uba-cli $cmd"
   # shellcheck disable=SC2086
   cargo run --offline --release --quiet -p uba-cli -- $cmd
