@@ -200,7 +200,7 @@ fn churn(
 mod tests {
     use super::*;
     use crate::table::RoutingTable;
-    use crate::AdmissionController;
+    use crate::{AdmissionController, ConfigGeneration};
     use uba_graph::{Digraph, Path};
     use uba_traffic::{ClassSet, TrafficClass};
 
@@ -215,7 +215,12 @@ mod tests {
         let caps = vec![1e6; g.edge_count()];
         let pairs = vec![(NodeId(0), NodeId(2)), (NodeId(1), NodeId(2))];
         (
-            AdmissionController::new(table, &classes, &caps, &[alpha]),
+            AdmissionController::from_generation(ConfigGeneration::new(
+                table,
+                &classes,
+                &caps,
+                &[alpha],
+            )),
             pairs,
         )
     }

@@ -43,13 +43,13 @@
 use crate::generation::ConfigGeneration;
 use crate::metrics::AdmissionMetrics;
 use crate::state::PathGrant;
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Arc, Mutex};
-use crate::table::{RouteRef, RoutingTable};
+use crate::table::RouteRef;
 use std::cell::RefCell;
 use uba_graph::NodeId;
+use uba_obs::sync::atomic::{AtomicU64, Ordering};
+use uba_obs::sync::{Arc, Mutex};
 use uba_obs::trace::{self, EventKind};
-use uba_traffic::{ClassId, ClassSet};
+use uba_traffic::ClassId;
 
 /// Why a flow was rejected.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -212,14 +212,9 @@ struct Inner {
     current: Mutex<Arc<ConfigGeneration>>,
     /// Id of the current generation — the cache-validation epoch.
     epoch: AtomicU64,
-    /// Displaced generations that still had pinned flows at swap time.
+    /// Displaced generations that still hold pinned flows, oldest first
+    /// (see [`keep_retired`](AdmissionController::keep_retired)).
     retired: Mutex<Vec<Arc<ConfigGeneration>>>,
-    /// Instrumentation; `None` for unmetered controllers (the overhead
-    /// benchmark's baseline). Every generation this controller adopts
-    /// gets a copy, and decisions and releases record through the
-    /// generation's; this one serves the controller's own operations
-    /// (reconfigure, drain, gauges).
-    metrics: Option<AdmissionMetrics>,
     /// Audit-trail flow ids, assigned only while the flight recorder is
     /// enabled so disabled tracing stays off the hot path entirely.
     flow_seq: AtomicU64,
@@ -284,70 +279,32 @@ impl Run {
 }
 
 impl AdmissionController {
-    /// Builds a controller from the configured routing table, the class
-    /// set, per-server capacities, and the verified utilization
-    /// assignment.
-    ///
-    /// The controller records admission metrics into the process-global
-    /// [`uba_obs`] registry (see [`AdmissionMetrics`] for the names).
-    pub fn new(
-        table: RoutingTable,
-        classes: &ClassSet,
-        capacities: &[f64],
-        alphas: &[f64],
-    ) -> Self {
-        Self::from_generation(ConfigGeneration::new(table, classes, capacities, alphas))
-    }
-
-    /// Like [`new`](Self::new) but with no instrumentation at all — the
-    /// baseline the `obs_overhead` benchmark compares against.
-    pub fn new_unmetered(
-        table: RoutingTable,
-        classes: &ClassSet,
-        capacities: &[f64],
-        alphas: &[f64],
-    ) -> Self {
-        Self::from_generation_with_metrics(
-            ConfigGeneration::new(table, classes, capacities, alphas),
-            None,
-        )
-    }
-
-    /// Adopts an already-built generation (e.g. from
+    /// Adopts a generation (e.g. from `ConfigGeneration::new` or
     /// `uba_routing::Configuration::apply`) as the initial configuration,
-    /// with metrics.
-    pub fn from_generation(generation: ConfigGeneration) -> Self {
-        let metrics = AdmissionMetrics::global(generation.rates().len());
-        Self::from_generation_with_metrics(generation, Some(metrics))
+    /// metered: it and every generation [`reconfigure`](Self::reconfigure)
+    /// installs record into the process-global [`uba_obs`] registry, each
+    /// for its own classes (see [`AdmissionMetrics`] for the names).
+    pub fn from_generation(mut generation: ConfigGeneration) -> Self {
+        generation.meter();
+        Self::from_generation_unmetered(generation)
     }
 
     /// [`from_generation`](Self::from_generation) without
-    /// instrumentation — the generation-adopting counterpart of
-    /// [`new_unmetered`](Self::new_unmetered), for callers that need a
-    /// non-default policy chain but not the metrics.
+    /// instrumentation: nothing this controller adopts is metered — the
+    /// baseline the `obs_overhead` benchmark compares against.
     pub fn from_generation_unmetered(generation: ConfigGeneration) -> Self {
-        Self::from_generation_with_metrics(generation, None)
-    }
-
-    fn from_generation_with_metrics(
-        mut generation: ConfigGeneration,
-        metrics: Option<AdmissionMetrics>,
-    ) -> Self {
-        let epoch = generation.id();
-        generation.set_metrics(metrics.clone());
-        let ctrl = Self {
+        // Only `from_generation` hands over a metered generation.
+        if let Some(m) = generation.metrics() {
+            m.generation.set(generation.id() as f64);
+        }
+        Self {
             inner: Arc::new(Inner {
+                epoch: AtomicU64::new(generation.id()),
                 current: Mutex::new(Arc::new(generation)),
-                epoch: AtomicU64::new(epoch),
                 retired: Mutex::new(Vec::new()),
-                metrics,
                 flow_seq: AtomicU64::new(0),
             }),
-        };
-        if let Some(m) = &ctrl.inner.metrics {
-            m.generation.set(epoch as f64);
         }
-        ctrl
     }
 
     /// The generation new admissions currently run against. The `Arc`
@@ -623,6 +580,12 @@ impl AdmissionController {
         let id = |i: u64| if traced { first_id + i } else { 0 };
         if admitted > 0 {
             generation.pin_n(admitted);
+            // ordering: SeqCst — the pin/epoch handshake (DESIGN.md §9.3):
+            // with the SeqCst pin, epoch store and `pinned()` load, either
+            // the swap counted this pin or this load sees its new epoch.
+            if self.inner.epoch.load(Ordering::SeqCst) != generation.id() {
+                self.keep_retired(generation);
+            }
             let (a, b) = if admitted_as == EventKind::Admit {
                 (generation.rates()[c], servers.len() as f64)
             } else {
@@ -702,19 +665,23 @@ impl AdmissionController {
     /// draining against its budgets (see [`drain`](Self::drain) and the
     /// transition-semantics note in the module docs).
     pub fn reconfigure(&self, mut next: ConfigGeneration) -> ReconfigReport {
-        next.set_metrics(self.inner.metrics.clone());
+        // A metered controller meters every generation it adopts, for
+        // that generation's own classes.
+        if self.with_current(|g| g.metrics().is_some()) {
+            next.meter();
+        }
         let sw = uba_obs::Stopwatch::start();
         let next = Arc::new(next);
         let next_id = next.id();
         let old = {
             let mut cur = self.inner.current.lock().unwrap();
-            let old = std::mem::replace(&mut *cur, next);
+            let old = std::mem::replace(&mut *cur, Arc::clone(&next));
             // Publish the epoch only after the pointer, still under the
             // lock.
-            // ordering: Release pairs with the Acquire epoch load in
-            // `current_generation` — a reader seeing the new epoch will
-            // find the new generation pointer when it takes the lock.
-            self.inner.epoch.store(next_id, Ordering::Release);
+            // ordering: SeqCst — Release for the Acquire load in
+            // `with_current` (a reader of the new epoch finds the new
+            // pointer under the lock), SeqCst for the pin/epoch handshake.
+            self.inner.epoch.store(next_id, Ordering::SeqCst);
             old
         };
         let swap_ns = sw.elapsed_ns();
@@ -722,7 +689,7 @@ impl AdmissionController {
         let pinned_previous = old.pinned();
         let tr = trace::global();
         if pinned_previous > 0 {
-            self.inner.retired.lock().unwrap().push(old);
+            self.keep_retired(&old);
         } else {
             tr.emit(
                 EventKind::GenerationRetired,
@@ -741,7 +708,7 @@ impl AdmissionController {
             previous as f64,
             pinned_previous as f64,
         );
-        if let Some(m) = &self.inner.metrics {
+        if let Some(m) = next.metrics() {
             m.reconfigures.inc();
             m.reconfigure_ns.record(swap_ns);
             m.generation.set(next_id as f64);
@@ -771,10 +738,26 @@ impl AdmissionController {
             retired: retired.iter().map(|g| (g.id(), g.pinned())).collect(),
         };
         drop(retired);
-        if let Some(m) = &self.inner.metrics {
-            m.retired_pinned.set(status.pinned_flows() as f64);
-        }
+        self.with_current(|g| {
+            if let Some(m) = g.metrics() {
+                m.retired_pinned.set(status.pinned_flows() as f64);
+            }
+        });
         status
+    }
+
+    /// Keeps a displaced `generation` on the retired list (once, in id
+    /// order) until its flows drain. Called by the swap that saw it
+    /// pinned, and by a decision that pinned it after the swap: the swap,
+    /// or a `drain` since, may have read its pin count before that pin
+    /// and let it go.
+    #[cold]
+    fn keep_retired(&self, generation: &Arc<ConfigGeneration>) {
+        let mut retired = self.inner.retired.lock().unwrap();
+        let at = retired.partition_point(|g| g.id() < generation.id());
+        if retired.get(at).map(|g| g.id()) != Some(generation.id()) {
+            retired.insert(at, Arc::clone(generation));
+        }
     }
 
     /// Reserved rate of `class` on a server in the current generation,
@@ -814,11 +797,11 @@ impl AdmissionController {
     /// O(servers × classes) — called on demand (snapshot/report time),
     /// never from the admit path. A no-op on an unmetered controller.
     pub fn refresh_gauges(&self) {
-        let Some(m) = &self.inner.metrics else {
-            return;
-        };
-        m.flush();
-        self.with_current(|g| {
+        let metered = self.with_current(|g| {
+            let Some(m) = g.metrics() else {
+                return false;
+            };
+            m.flush();
             let backend = g.backend();
             for class in 0..backend.classes() {
                 let mut max_share = 0.0f64;
@@ -830,16 +813,21 @@ impl AdmissionController {
                 m.class_max_share[class].set(max_share);
                 m.class_reserved_bps[class].set(total_bps);
             }
+            true
         });
-        self.drain();
+        if metered {
+            self.drain();
+        }
     }
 
     /// Publishes this thread's buffered hot-path metric deltas (see
     /// [`AdmissionMetrics::flush`]). A no-op on an unmetered controller.
     pub fn flush_metrics(&self) {
-        if let Some(m) = &self.inner.metrics {
-            m.flush();
-        }
+        self.with_current(|g| {
+            if let Some(m) = g.metrics() {
+                m.flush();
+            }
+        });
     }
 
     /// The `top` most-loaded servers for a class, as
@@ -903,8 +891,9 @@ mod tests {
     use super::*;
     use crate::generation::BackendKind;
     use crate::policy::{AimdParams, ChainKind, PolicyChain, PolicyConfig};
+    use crate::table::RoutingTable;
     use uba_graph::{Digraph, Path};
-    use uba_traffic::TrafficClass;
+    use uba_traffic::{ClassSet, TrafficClass};
 
     /// 0 -> 1 -> 2 with routes (0,2) and (1,2); link 1->2 is shared.
     fn topology() -> (RoutingTable, usize, usize) {
@@ -921,7 +910,12 @@ mod tests {
         let (table, shared, edges) = topology();
         let classes = ClassSet::single(TrafficClass::voip());
         let caps = vec![1e6; edges];
-        let ctrl = AdmissionController::new(table, &classes, &caps, &[alpha]);
+        let ctrl = AdmissionController::from_generation(ConfigGeneration::new(
+            table,
+            &classes,
+            &caps,
+            &[alpha],
+        ));
         (ctrl, shared)
     }
 

@@ -16,8 +16,8 @@
 use crate::metrics::AdmissionMetrics;
 use crate::policy::PolicyChain;
 use crate::state::{to_millibits, UtilizationState};
-use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::table::RoutingTable;
+use uba_obs::sync::atomic::{AtomicU64, Ordering};
 use uba_traffic::ClassSet;
 
 /// Vestigial: there is one reservation state ([`UtilizationState`]) and
@@ -59,11 +59,13 @@ pub struct ConfigGeneration {
     /// Live flows admitted under this generation (incremented on admit,
     /// decremented when their handle drops) — what `drain` reports.
     pinned: AtomicU64,
-    /// Where decisions against this generation and the releases of its
-    /// flows are recorded: the metrics of the controller that adopted it
-    /// (`None` until then, and under an unmetered controller). Metering
-    /// follows the generation, so a flow's admit and release land on the
-    /// same instance whoever asked and whatever was reconfigured since.
+    /// Where decisions against this generation, the releases of its
+    /// flows and the adopting controller's own records are kept:
+    /// registered for this generation's classes by a metered controller
+    /// when it adopts it (`None` until then, and under an unmetered
+    /// controller). Metering follows the generation, so a flow's admit
+    /// and release land on the same instance whoever asked and whatever
+    /// was reconfigured since.
     metrics: Option<AdmissionMetrics>,
 }
 
@@ -146,10 +148,11 @@ impl ConfigGeneration {
         self.metrics.as_ref()
     }
 
-    /// Taken by a controller adopting the generation by value, before
+    /// Registers this generation's metrics for its own class count;
+    /// called by a metered controller adopting it by value, before
     /// anything can admit against it.
-    pub(crate) fn set_metrics(&mut self, metrics: Option<AdmissionMetrics>) {
-        self.metrics = metrics;
+    pub(crate) fn meter(&mut self) {
+        self.metrics = Some(AdmissionMetrics::global(self.rates.len()));
     }
 
     /// The utilization assignment this generation was verified at.
@@ -171,20 +174,18 @@ impl ConfigGeneration {
 
     /// Live flows still holding reservations in this generation.
     pub fn pinned(&self) -> u64 {
-        // ordering: Acquire pairs with the AcqRel unpin — an observer
-        // that sees `pinned() == 0` (the retire/drain decision) also
-        // sees every drained flow's backend release.
-        self.pinned.load(Ordering::Acquire)
+        // ordering: SeqCst — Acquire pairs with the AcqRel unpin (seeing
+        // `pinned() == 0` means seeing every drained flow's backend
+        // release); SeqCst for the pin/epoch handshake (DESIGN.md §9.3).
+        self.pinned.load(Ordering::SeqCst)
     }
 
     /// Pins `n` newly admitted flows with one RMW — a single admission
     /// pins one, a batch run its whole admitted prefix.
     pub(crate) fn pin_n(&self, n: u64) {
-        // ordering: AcqRel keeps the pin in the same cell-wide RMW order
-        // as unpin, so the count can never transiently underflow to an
-        // observer (Relaxed would suffice for the count alone, but the
-        // symmetric edge documents the pin/unpin protocol).
-        self.pinned.fetch_add(n, Ordering::AcqRel);
+        // ordering: SeqCst — the admitter's half of the pin/epoch
+        // handshake (DESIGN.md §9.3); the count alone would do Relaxed.
+        self.pinned.fetch_add(n, Ordering::SeqCst);
     }
 
     pub(crate) fn unpin(&self) {

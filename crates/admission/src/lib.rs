@@ -63,7 +63,6 @@ pub mod generation;
 pub mod metrics;
 pub mod policy;
 pub mod state;
-pub(crate) mod sync;
 pub mod table;
 
 pub use arrival::{ArrivalEstimator, OveruseDetector, OveruseState};

@@ -18,9 +18,9 @@
 //! pays for them.
 
 use crate::policy::STAGE_NAMES;
-use crate::sync::CachePadded;
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
+use uba_obs::sync::CachePadded;
 use uba_obs::{Counter, Gauge, Histogram, Registry, Stopwatch};
 
 /// Hot-path events buffered per thread before one atomic publish.

@@ -47,9 +47,9 @@
 
 use crate::arrival::{ArrivalEstimator, OveruseDetector, OveruseState};
 use crate::state::{to_millibits, SCALE};
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{CachePadded, Mutex};
 use std::fmt;
+use uba_obs::sync::atomic::{AtomicU64, Ordering};
+use uba_obs::sync::{CachePadded, Mutex};
 
 /// Every shipped policy stage name, in chain order. Each gets a
 /// reject-cause counter `admission.rejects.policy.<name>`, registered

@@ -17,8 +17,8 @@
 //! [`try_reserve_path`]: UtilizationState::try_reserve_path
 //! [`try_reserve_path_up_to`]: UtilizationState::try_reserve_path_up_to
 
-use crate::sync::atomic::{AtomicU64, Ordering};
 use uba_graph::Path;
+use uba_obs::sync::atomic::{AtomicU64, Ordering};
 
 /// Rates are stored in millibits/second: exact integer accounting with
 /// enough resolution for any practical rate.
@@ -567,7 +567,7 @@ mod tests {
     /// `α·C = kρ` exactly, all three admit `k`.
     #[test]
     fn fill_and_controller_admit_what_the_millibit_budget_holds() {
-        use crate::{AdmissionController, RoutingTable};
+        use crate::{AdmissionController, ConfigGeneration, RoutingTable};
         use uba_graph::{Digraph, NodeId};
         use uba_traffic::{ClassId, ClassSet, TrafficClass};
         const RATE: f64 = 32_000.0;
@@ -591,7 +591,12 @@ mod tests {
             let mut table = RoutingTable::new();
             table.insert_all(ClassId(0), &paths);
             let classes = ClassSet::single(TrafficClass::voip());
-            let ctrl = AdmissionController::new_unmetered(table, &classes, &caps, &[0.5]);
+            let ctrl = AdmissionController::from_generation_unmetered(ConfigGeneration::new(
+                table,
+                &classes,
+                &caps,
+                &[0.5],
+            ));
             for p in &paths {
                 let (src, dst) = (p.nodes[0], p.nodes[1]);
                 let held: Vec<_> =

@@ -5,7 +5,9 @@
 //! controllers over real topologies (the paper's MCI backbone and rings)
 //! and require decision-for-decision agreement.
 
-use uba_admission::{AdmissionController, FlowHandle, FlowSpec, Reject, RoutingTable};
+use uba_admission::{
+    AdmissionController, ConfigGeneration, FlowHandle, FlowSpec, Reject, RoutingTable,
+};
 use uba_graph::Digraph;
 use uba_obs::SplitMix64;
 use uba_routing::{all_ordered_pairs, sp_selection, Pair};
@@ -19,7 +21,7 @@ fn controller_on(g: &Digraph, pairs: &[Pair], alpha: f64) -> AdmissionController
     }
     let classes = ClassSet::single(TrafficClass::voip());
     let caps = vec![1e6; g.edge_count()];
-    AdmissionController::new(table, &classes, &caps, &[alpha])
+    AdmissionController::from_generation(ConfigGeneration::new(table, &classes, &caps, &[alpha]))
 }
 
 /// A seeded churn workload: arrivals come in batches of 1–8 random

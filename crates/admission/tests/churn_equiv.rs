@@ -11,7 +11,8 @@
 //! failure message prints the freshly computed table.
 
 use uba_admission::{
-    run_churn, run_churn_bursty, AdmissionController, ChurnConfig, ChurnStats, RoutingTable,
+    run_churn, run_churn_bursty, AdmissionController, ChurnConfig, ChurnStats, ConfigGeneration,
+    RoutingTable,
 };
 use uba_graph::{Digraph, NodeId, Path};
 use uba_routing::{all_ordered_pairs, sp_selection};
@@ -64,7 +65,7 @@ fn line() -> (AdmissionController, Vec<(NodeId, NodeId)>, usize) {
     let caps = vec![1e6; g.edge_count()];
     let pairs = vec![(NodeId(0), NodeId(2)), (NodeId(1), NodeId(2))];
     (
-        AdmissionController::new(table, &classes, &caps, &[0.1]),
+        AdmissionController::from_generation(ConfigGeneration::new(table, &classes, &caps, &[0.1])),
         pairs,
         g.edge_count(),
     )
@@ -82,7 +83,7 @@ fn mci() -> (AdmissionController, Vec<(NodeId, NodeId)>, usize) {
     let classes = ClassSet::single(TrafficClass::voip());
     let caps = vec![1e6; g.edge_count()];
     (
-        AdmissionController::new(table, &classes, &caps, &[0.2]),
+        AdmissionController::from_generation(ConfigGeneration::new(table, &classes, &caps, &[0.2])),
         pairs.iter().map(|p| (p.src, p.dst)).collect(),
         g.edge_count(),
     )

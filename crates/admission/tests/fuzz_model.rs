@@ -3,7 +3,7 @@
 //! straightforward single-threaded reference model (`uba_obs::check`:
 //! 64 seeded sequences, the same every run).
 
-use uba_admission::{AdmissionController, RoutingTable};
+use uba_admission::{AdmissionController, ConfigGeneration, RoutingTable};
 use uba_graph::{Digraph, NodeId, Path};
 use uba_obs::{check, ensure};
 use uba_traffic::{ClassId, ClassSet, TrafficClass};
@@ -56,7 +56,12 @@ fn setup(alpha: f64) -> (AdmissionController, Reference, Vec<(NodeId, NodeId)>) 
     }
     let classes = ClassSet::single(TrafficClass::voip());
     let caps = vec![1e6; g.edge_count()];
-    let ctrl = AdmissionController::new(table, &classes, &caps, &[alpha]);
+    let ctrl = AdmissionController::from_generation(ConfigGeneration::new(
+        table,
+        &classes,
+        &caps,
+        &[alpha],
+    ));
     let reference = Reference {
         budget: alpha * 1e6,
         rate: 32_000.0,

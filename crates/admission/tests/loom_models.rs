@@ -1,7 +1,7 @@
 //! Model checks of the admission core's concurrency protocols.
 //!
 //! Compiled (and meaningful) only under `RUSTFLAGS="--cfg loom"`, where
-//! `crate::sync` resolves the admission atomics/locks to `uba-loom`'s
+//! `uba_obs::sync` resolves the admission atomics/locks to `uba-loom`'s
 //! modeled primitives and every atomic op becomes an explored schedule
 //! point. Run via:
 //!
@@ -41,6 +41,10 @@
 //!    with the other's, and the cells balance to zero on release.
 //! 8. The token bucket's grant-up-to-`n` racing the refill claim and a
 //!    second grant hands out exactly what one interval's credit covers.
+//! 9. `drain` never reports a generation drained while a flow admitted
+//!    on it still holds its link — also when the flow pinned the
+//!    generation only after a reconfigure displaced it, or after a
+//!    `drain` pruned it.
 
 #![cfg(loom)]
 
@@ -221,7 +225,12 @@ fn fresh_generation() -> ConfigGeneration {
 fn admit_racing_reconfigure_is_never_lost_or_double_counted() {
     assert_complete(model(|| {
         let classes = ClassSet::single(TrafficClass::voip());
-        let ctrl = AdmissionController::new_unmetered(one_link_table(), &classes, &[1e6], &[0.5]);
+        let ctrl = AdmissionController::from_generation_unmetered(ConfigGeneration::new(
+            one_link_table(),
+            &classes,
+            &[1e6],
+            &[0.5],
+        ));
         let gen1 = ctrl.current_generation();
 
         let c = ctrl.clone();
@@ -267,7 +276,12 @@ fn admit_racing_reconfigure_is_never_lost_or_double_counted() {
 fn pinned_handle_releases_against_its_admitting_generation() {
     assert_complete(model(|| {
         let classes = ClassSet::single(TrafficClass::voip());
-        let ctrl = AdmissionController::new_unmetered(one_link_table(), &classes, &[1e6], &[0.5]);
+        let ctrl = AdmissionController::from_generation_unmetered(ConfigGeneration::new(
+            one_link_table(),
+            &classes,
+            &[1e6],
+            &[0.5],
+        ));
         let gen1 = ctrl.current_generation();
         let handle = ctrl
             .try_admit(ClassId(0), NodeId(0), NodeId(1))
@@ -298,7 +312,12 @@ fn pinned_handle_releases_against_its_admitting_generation() {
 fn batch_admit_racing_reconfigure_strands_nothing() {
     assert_complete(model(|| {
         let classes = ClassSet::single(TrafficClass::voip());
-        let ctrl = AdmissionController::new_unmetered(one_link_table(), &classes, &[1e6], &[0.5]);
+        let ctrl = AdmissionController::from_generation_unmetered(ConfigGeneration::new(
+            one_link_table(),
+            &classes,
+            &[1e6],
+            &[0.5],
+        ));
         let gen1 = ctrl.current_generation();
 
         let c = ctrl.clone();
@@ -356,6 +375,58 @@ fn batch_admit_racing_reconfigure_strands_nothing() {
         assert_eq!(gen1.pinned() + gen2.pinned(), 0);
         assert!(ctrl.drain().is_drained());
     }));
+}
+
+// --- Model 9: drain counts a flow pinned across the swap -------------
+
+/// An admit racing a reconfigure (and, with `drain_in_swapper`, the
+/// swapper's own `drain` right after it): whichever generation the flow
+/// lands on, `drain` reports it for as long as its handle lives. A flow
+/// that reserved on the displaced generation but pinned it only after
+/// the swap read its pin count (or after a drain pruned it) must still
+/// keep that generation on the retired list.
+fn drain_sees_a_flow_pinned_across_the_swap(drain_in_swapper: bool) {
+    let ctrl = AdmissionController::from_generation_unmetered(fresh_generation());
+    let gen1 = ctrl.current_generation().id();
+
+    let c = ctrl.clone();
+    let admitter =
+        uba_loom::thread::spawn(move || c.try_admit(ClassId(0), NodeId(0), NodeId(1)).ok());
+    let c = ctrl.clone();
+    let swapper = uba_loom::thread::spawn(move || {
+        c.reconfigure(fresh_generation());
+        if drain_in_swapper {
+            c.drain();
+        }
+    });
+
+    let handle = admitter
+        .join()
+        .unwrap()
+        .expect("both generations have ample budget");
+    swapper.join().unwrap();
+    let status = ctrl.drain();
+    if handle.generation() == gen1 {
+        assert_eq!(
+            status.retired,
+            vec![(gen1, 1)],
+            "drain lost a flow that still holds gen1's link"
+        );
+    } else {
+        assert!(status.is_drained(), "gen1 holds nothing: {status:?}");
+    }
+    drop(handle);
+    assert!(ctrl.drain().is_drained());
+}
+
+#[test]
+fn drain_counts_a_flow_pinned_across_the_swap() {
+    assert_complete(model(|| drain_sees_a_flow_pinned_across_the_swap(false)));
+}
+
+#[test]
+fn drain_racing_an_admit_keeps_its_generation() {
+    assert_complete(model(|| drain_sees_a_flow_pinned_across_the_swap(true)));
 }
 
 // --- Model 6: policy token bucket never over-grants -------------------

@@ -31,7 +31,7 @@ fn topology() -> (RoutingTable, Vec<f64>) {
 fn metered() -> AdmissionController {
     let (table, caps) = topology();
     let classes = ClassSet::single(TrafficClass::voip());
-    AdmissionController::new(table, &classes, &caps, &[0.32])
+    AdmissionController::from_generation(ConfigGeneration::new(table, &classes, &caps, &[0.32]))
 }
 
 fn metrics_track_admits_rejects_and_releases() {
@@ -94,7 +94,12 @@ fn decision_telemetry_feeds_latency_and_retry_histograms() {
 fn unmetered_controller_admits_identically() {
     let (table, caps) = topology();
     let classes = ClassSet::single(TrafficClass::voip());
-    let ctrl = AdmissionController::new_unmetered(table, &classes, &caps, &[0.32]);
+    let ctrl = AdmissionController::from_generation_unmetered(ConfigGeneration::new(
+        table,
+        &classes,
+        &caps,
+        &[0.32],
+    ));
     let m = AdmissionMetrics::global(1);
     let admits0 = m.admits.get();
     let h: Vec<_> = (0..10)
@@ -257,6 +262,35 @@ fn fitting_multi_run_slice_books_per_run() {
     );
 }
 
+/// A reload may bring classes the first generation lacked: a metered
+/// controller built on one class and reconfigured to three meters the
+/// new generation for three. Saturating class 2 books its link-full
+/// rejects under class 2, and its utilization gauge reads full.
+fn a_reload_that_adds_classes_meters_them() {
+    let ctrl = metered();
+    let mut g = Digraph::with_nodes(2);
+    let (e01, _) = g.add_link(NodeId(0), NodeId(1), 1.0);
+    let mut table = RoutingTable::new();
+    let mut classes = ClassSet::new();
+    for _ in 0..3 {
+        let class = classes.push(TrafficClass::voip());
+        table.insert(class, &Path::from_edges(&g, vec![e01]));
+    }
+    // Half of 192 kb/s: three voip flows per class.
+    ctrl.reconfigure(ConfigGeneration::new(table, &classes, &[192e3], &[0.5; 3]));
+    let m = AdmissionMetrics::global(3);
+    ctrl.refresh_gauges();
+    let rejects0 = m.rejects_link_full_class[2].get();
+    let admit = || ctrl.try_admit(ClassId(2), NodeId(0), NodeId(1));
+    let held: Vec<_> = (0..3).map(|_| admit().unwrap()).collect();
+    let rejects = (0..4).filter(|_| admit().is_err()).count() as u64;
+    assert_eq!(rejects, 4);
+    ctrl.refresh_gauges();
+    assert_eq!(m.rejects_link_full_class[2].get() - rejects0, rejects);
+    assert_eq!(m.class_max_share[2].get(), 1.0);
+    drop(held);
+}
+
 #[test]
 fn global_metric_deltas_are_exact() {
     metrics_track_admits_rejects_and_releases();
@@ -264,4 +298,5 @@ fn global_metric_deltas_are_exact() {
     unmetered_controller_admits_identically();
     clipped_bursts_book_exact_counts();
     fitting_multi_run_slice_books_per_run();
+    a_reload_that_adds_classes_meters_them();
 }

@@ -47,7 +47,7 @@ fn prerefactor(g: &Digraph, pairs: &[Pair]) -> AdmissionController {
     }
     let classes = ClassSet::single(TrafficClass::voip());
     let caps = vec![1e6; g.edge_count()];
-    AdmissionController::new(table, &classes, &caps, &[ALPHA])
+    AdmissionController::from_generation(ConfigGeneration::new(table, &classes, &caps, &[ALPHA]))
 }
 
 fn static_chain(g: &Digraph, pairs: &[Pair]) -> AdmissionController {

@@ -55,7 +55,7 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::time::Instant;
-use uba::admission::{AdmissionController, FlowHandle, FlowSpec, RoutingTable};
+use uba::admission::{AdmissionController, ConfigGeneration, FlowHandle, FlowSpec, RoutingTable};
 use uba::obs::SnapshotValue;
 use uba::prelude::*;
 use uba_bench::PaperSetting;
@@ -94,7 +94,7 @@ fn controller(
     table.insert_all(ClassId(0), paths.iter());
     let classes = ClassSet::single(voip.clone());
     let caps: Vec<f64> = (0..servers.len()).map(|k| servers.capacity_at(k)).collect();
-    AdmissionController::new(table, &classes, &caps, &[alpha])
+    AdmissionController::from_generation(ConfigGeneration::new(table, &classes, &caps, &[alpha]))
 }
 
 /// Runs one cell: `threads` workers, each admitting over a disjoint

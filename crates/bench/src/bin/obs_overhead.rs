@@ -3,9 +3,10 @@
 //! The `uba-obs` counters and the path-length histogram live directly on
 //! the admission fast path, so the registry is only acceptable if it
 //! costs (nearly) nothing there. This harness measures the same
-//! admit+release loop on two controllers built from the same routing
-//! table — one metered (the default), one built with
-//! `AdmissionController::new_unmetered` — in interleaved batches so
+//! admit+release loop on two controllers over equal generations of the
+//! same routing table — one from `AdmissionController::from_generation`
+//! (metered, the default), one from `from_generation_unmetered`, the
+//! only caller-visible metering choice — in interleaved batches so
 //! frequency drift and cache warm-up hit both subjects equally, and
 //! reports the median per-batch overhead.
 //!

@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 
 use std::time::Instant;
-use uba::admission::{AdmissionController, FlowHandle, Reject, RoutingTable};
+use uba::admission::{AdmissionController, ConfigGeneration, FlowHandle, Reject, RoutingTable};
 use uba::prelude::*;
 
 /// The paper's Section 6 setting: MCI topology, uniform 100 Mbit/s links,
@@ -40,29 +40,27 @@ impl PaperSetting {
 
     /// Stands up a ready-to-use admission controller from a selection.
     pub fn controller(&self, sel: &Selection, alpha: f64) -> AdmissionController {
-        let mut table = RoutingTable::new();
-        table.insert_all(ClassId(0), sel.paths.iter());
-        let classes = ClassSet::single(self.voip.clone());
-        let caps: Vec<f64> = (0..self.servers.len())
-            .map(|k| self.servers.capacity_at(k))
-            .collect();
-        AdmissionController::new(table, &classes, &caps, &[alpha])
+        AdmissionController::from_generation(self.generation(&sel.paths, alpha))
     }
 
     /// Metered + unmetered controllers over the same SP routing table —
     /// the two subjects of the `obs_overhead` benchmark.
     pub fn controller_pair(&self, alpha: f64) -> (AdmissionController, AdmissionController) {
         let paths = sp_selection(&self.g, &self.pairs).expect("the MCI backbone is connected");
+        (
+            AdmissionController::from_generation(self.generation(&paths, alpha)),
+            AdmissionController::from_generation_unmetered(self.generation(&paths, alpha)),
+        )
+    }
+
+    /// A generation routing the VoIP class over `paths` at `alpha`.
+    fn generation(&self, paths: &[Path], alpha: f64) -> ConfigGeneration {
         let mut table = RoutingTable::new();
         table.insert_all(ClassId(0), paths.iter());
-        let classes = ClassSet::single(self.voip.clone());
         let caps: Vec<f64> = (0..self.servers.len())
             .map(|k| self.servers.capacity_at(k))
             .collect();
-        (
-            AdmissionController::new(table.clone(), &classes, &caps, &[alpha]),
-            AdmissionController::new_unmetered(table, &classes, &caps, &[alpha]),
-        )
+        ConfigGeneration::new(table, &ClassSet::single(self.voip.clone()), &caps, &[alpha])
     }
 }
 

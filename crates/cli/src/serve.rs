@@ -698,7 +698,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let reload = path.clone();
-        let server = std::thread::spawn(move || serve(&sc, listener, Some(4), Some(&reload)));
+        let server = std::thread::spawn(move || serve(&sc, listener, Some(8), Some(&reload)));
 
         use uba::obs::json::JsonValue;
         let generation = || {
@@ -723,6 +723,24 @@ mod tests {
         std::fs::write(&path, GOOD).unwrap();
         let (head, _) = request(addr, "POST", "/reconfigure");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+
+        // A renegotiation may add a class: the new generation is metered
+        // for both, and the gauges refreshed after the swap cover it.
+        const CLASS: &str = "[[class]]\nburst = 640\nrate = 32000\ndeadline = 0.1\nalpha = 0.3\n";
+        let fixed = generation();
+        std::fs::write(&path, format!("{GOOD}{CLASS}{CLASS}")).unwrap();
+        let (head, body) = request(addr, "POST", "/reconfigure");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}{body}");
+        assert_ne!(generation(), fixed, "the two-class reload must swap");
+        let (head, body) = get(addr, "/snapshot");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(
+            body.lines().any(|line| {
+                let v = uba::obs::json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+                v.get("name").and_then(JsonValue::as_str) == Some("admission.class1.max_share")
+            }),
+            "{body}"
+        );
 
         server.join().unwrap().unwrap();
         std::fs::remove_file(&path).unwrap();

@@ -39,7 +39,8 @@ pub mod registry;
 pub mod rng;
 pub mod slo;
 pub mod stopwatch;
-pub(crate) mod sync;
+#[doc(hidden)]
+pub mod sync;
 pub mod trace;
 
 pub use histogram::Histogram;

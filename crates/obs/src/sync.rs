@@ -1,52 +1,58 @@
-//! Sync primitives for the lock-free observability modules.
+//! The workspace's one loom `sync` shim.
 //!
-//! The shimmed modules (`trace`, `metrics`, `histogram`) import their
-//! atomics, `Mutex`, and `OnceLock` from here instead of `std::sync`
+//! The shimmed modules — `trace`, `metrics` and `histogram` here, and
+//! `state`, `generation`, `controller` and `policy` in `uba-admission`
+//! (through `uba_obs::sync`) — import their atomics, `Arc`, `Mutex`,
+//! `OnceLock` and `CachePadded` from here instead of `std::sync`
 //! directly (the `xtask check` shim-purity rule enforces it). A normal
-//! build re-exports `std` wholesale — the shim compiles away entirely.
-//! Under `RUSTFLAGS="--cfg loom"` the same names resolve to `uba-loom`'s
-//! modeled primitives, so the bounded model checker can exhaustively
-//! interleave the trace ring's publish/drain protocol and the metric
-//! CAS loops (see `crates/admission/tests/loom_models.rs`).
+//! build re-exports `std` wholesale — the shim compiles away entirely
+//! and the admit path is what it would be on `std` (the
+//! `obs_overhead`/`reconfig_overhead` benches gate this). Under
+//! `RUSTFLAGS="--cfg loom"` the same names resolve to `uba-loom`'s
+//! modeled primitives, so every atomic op and lock acquisition of the
+//! trace ring, the metric CAS loops and the reservation/reconfigure
+//! protocol becomes an explored schedule point (see
+//! `crates/admission/tests/loom_models.rs`).
 
 #[cfg(not(loom))]
-pub(crate) use std::sync::{Mutex, OnceLock};
+pub use std::sync::{Arc, Mutex, OnceLock};
 
 /// Atomics for the shimmed modules; `std::sync::atomic` unless `--cfg
 /// loom` swaps in the model checker's versions.
 #[cfg(not(loom))]
-pub(crate) mod atomic {
+pub mod atomic {
     pub use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 }
 
 #[cfg(loom)]
-pub(crate) use uba_loom::sync::{Mutex, OnceLock};
+pub use uba_loom::sync::{Arc, Mutex, OnceLock};
 
 /// Atomics for the shimmed modules; `std::sync::atomic` unless `--cfg
 /// loom` swaps in the model checker's versions.
 #[cfg(loom)]
-pub(crate) mod atomic {
+pub mod atomic {
     pub use uba_loom::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 }
 
-/// Pads (and aligns) `T` to two cache lines (128 bytes: Intel's spatial
-/// prefetcher pulls line pairs, aarch64 big cores have 128-byte lines).
-/// Applied to the per-thread trace/metric staging buffers so a buffer
-/// that happens to be allocated next to another thread's TLS block
-/// never false-shares its hot tail counters (DESIGN.md §11 audit).
+/// Pads (and aligns) `T` to two cache lines so adjacent slots never
+/// share a line. 128 bytes, not 64: Intel's spatial prefetcher pulls
+/// line pairs, and aarch64 big cores have 128-byte lines. Used for the
+/// per-thread trace and metric staging buffers and the policy stages'
+/// per-class slots (DESIGN.md §11 padding audit).
 #[cfg(not(loom))]
 #[repr(align(128))]
 #[derive(Debug, Default)]
-pub(crate) struct CachePadded<T>(pub T);
+pub struct CachePadded<T>(pub T);
 
 /// Transparent under the model checker — there is no cache to pad for,
 /// and alignment would only bloat the model state.
 #[cfg(loom)]
 #[derive(Debug, Default)]
-pub(crate) struct CachePadded<T>(pub T);
+pub struct CachePadded<T>(pub T);
 
 impl<T> CachePadded<T> {
-    pub(crate) const fn new(value: T) -> Self {
+    /// Wraps `value`.
+    pub const fn new(value: T) -> Self {
         CachePadded(value)
     }
 }

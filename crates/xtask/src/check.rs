@@ -9,10 +9,11 @@
 //!    carry a `// ordering:` comment on the same line or within the few
 //!    lines above it (`JUSTIFICATION_WINDOW`), explaining the
 //!    happens-before edge it buys.
-//! 2. **shim-purity** — the modules ported onto the loom `sync` shim
-//!    must not import `std::sync::atomic` / `std::sync::Mutex` /
-//!    `std::thread` directly; everything goes through `crate::sync` so
-//!    `--cfg loom` swaps the whole module onto the model checker.
+//! 2. **shim-purity** — the modules ported onto the one loom `sync`
+//!    shim (`uba_obs::sync`) must not import `std::sync::atomic` /
+//!    `std::sync::Mutex` / `std::thread` directly; everything goes
+//!    through the shim so `--cfg loom` swaps the whole module onto the
+//!    model checker.
 //! 3. **unsafe-allowlist** — `unsafe` appears only in files listed in
 //!    `crates/xtask/unsafe-allowlist.txt` (currently empty: the
 //!    workspace is 100% safe Rust and every crate root carries
@@ -107,7 +108,7 @@ impl fmt::Display for Violation {
 }
 
 /// Modules ported onto the `sync` shim (rule 2). Keep in lockstep with
-/// the `pub(crate) mod sync` re-export lists in uba-admission/uba-obs.
+/// the module list in the doc of the one shim, `uba_obs::sync`.
 const SHIMMED: &[&str] = &[
     "crates/admission/src/state.rs",
     "crates/admission/src/generation.rs",
@@ -682,7 +683,7 @@ fn lint_file(
             }
         }
 
-        // Rule 2: shimmed modules must import through `crate::sync`.
+        // Rule 2: shimmed modules must import through `uba_obs::sync`.
         if SHIMMED.contains(&rel) {
             for banned in ["std::sync::atomic", "core::sync::atomic", "std::thread"] {
                 if line.code.contains(banned) {
@@ -690,7 +691,7 @@ fn lint_file(
                         violations,
                         idx,
                         "shim-purity",
-                        format!("`{banned}` in a loom-shimmed module; use `crate::sync`"),
+                        format!("`{banned}` in a loom-shimmed module; use `uba_obs::sync`"),
                     );
                 }
             }
@@ -699,7 +700,7 @@ fn lint_file(
                     violations,
                     idx,
                     "shim-purity",
-                    "std::sync import in a loom-shimmed module; use `crate::sync`".into(),
+                    "std::sync import in a loom-shimmed module; use `uba_obs::sync`".into(),
                 );
             }
         }
@@ -907,7 +908,7 @@ mod tests {
         // The same import is fine outside the shimmed list.
         assert!(lint_source("crates/admission/src/churn.rs", bad, &manifest()).is_empty());
         // Going through the shim is fine inside it.
-        let good = "use crate::sync::atomic::{AtomicU64, Ordering};";
+        let good = "use uba_obs::sync::atomic::{AtomicU64, Ordering};";
         assert!(lint_source("crates/admission/src/state.rs", good, &manifest()).is_empty());
     }
 

@@ -7,7 +7,9 @@
 //!
 //! Run with: `cargo run --release --example voip_network`
 
-use uba::admission::{run_churn, AdmissionController, ChurnConfig, FlowSpec, RoutingTable};
+use uba::admission::{
+    run_churn, AdmissionController, ChurnConfig, ConfigGeneration, FlowSpec, RoutingTable,
+};
 use uba::prelude::*;
 
 fn main() {
@@ -38,7 +40,12 @@ fn main() {
     table.insert_all(ClassId(0), sel.paths.iter());
     let classes = ClassSet::single(voip.clone());
     let caps: Vec<f64> = (0..servers.len()).map(|k| servers.capacity_at(k)).collect();
-    let ctrl = AdmissionController::new(table, &classes, &caps, &[alpha]);
+    let ctrl = AdmissionController::from_generation(ConfigGeneration::new(
+        table,
+        &classes,
+        &caps,
+        &[alpha],
+    ));
     println!(
         "per-link call capacity: {} concurrent calls",
         ctrl.per_link_flow_capacity(0, ClassId(0))

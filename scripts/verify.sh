@@ -87,7 +87,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo doc -D warnings (rustdoc gate: no dangling or ambiguous intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
-echo "==> cargo clippy --cfg loom -- -D warnings (lint gate for the loom-gated tests and the cfg(loom) halves of both sync shims)"
+echo "==> cargo clippy --cfg loom -- -D warnings (lint gate for the loom-gated tests and the cfg(loom) half of the one sync shim)"
 RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
   cargo clippy --offline -p uba-admission -p uba-obs -p uba-loom --tests -- -D warnings
 

@@ -5,7 +5,7 @@
 //! This is the full paper pipeline with no shortcuts: configuration →
 //! controller → admission decisions → forwarding → measured guarantees.
 
-use uba::admission::{AdmissionController, RoutingTable};
+use uba::admission::{AdmissionController, ConfigGeneration, RoutingTable};
 use uba::delay::fixed_point::{solve_two_class, SolveConfig};
 use uba::delay::routeset::{Route, RouteSet};
 use uba::prelude::*;
@@ -42,7 +42,12 @@ fn admitted_flows_meet_deadlines_in_simulation() {
     let mut table = RoutingTable::new();
     table.insert_all(ClassId(0), paths.iter());
     let caps: Vec<f64> = (0..servers.len()).map(|k| servers.capacity_at(k)).collect();
-    let ctrl = AdmissionController::new(table, &ClassSet::single(voip.clone()), &caps, &[alpha]);
+    let ctrl = AdmissionController::from_generation(ConfigGeneration::new(
+        table,
+        &ClassSet::single(voip.clone()),
+        &caps,
+        &[alpha],
+    ));
     let mut handles = Vec::new();
     let mut full_rounds = 0;
     while full_rounds < 1 {

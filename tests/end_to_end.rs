@@ -1,6 +1,6 @@
 //! Cross-crate integration: configuration → admission → analysis → sim.
 
-use uba::admission::{AdmissionController, Reject, RoutingTable};
+use uba::admission::{AdmissionController, ConfigGeneration, Reject, RoutingTable};
 use uba::delay::fixed_point::{solve_two_class, SolveConfig};
 use uba::delay::general::{analyze_flows, Flow, GeneralOutcome};
 use uba::delay::routeset::{Route, RouteSet};
@@ -31,7 +31,12 @@ fn configured_controller_admits_only_analyzable_load() {
     let mut table = RoutingTable::new();
     table.insert_all(ClassId(0), sel.paths.iter());
     let caps: Vec<f64> = (0..servers.len()).map(|k| servers.capacity_at(k)).collect();
-    let ctrl = AdmissionController::new(table, &classes_of(&voip), &caps, &[alpha]);
+    let ctrl = AdmissionController::from_generation(ConfigGeneration::new(
+        table,
+        &classes_of(&voip),
+        &caps,
+        &[alpha],
+    ));
 
     // Admit a batch of flows over the configured pairs.
     let mut handles = Vec::new();
@@ -101,7 +106,12 @@ fn saturated_link_still_meets_deadline() {
     let mut table = RoutingTable::new();
     table.insert_all(ClassId(0), paths.iter());
     let caps: Vec<f64> = (0..servers.len()).map(|k| servers.capacity_at(k)).collect();
-    let ctrl = AdmissionController::new(table, &classes_of(&voip), &caps, &[alpha]);
+    let ctrl = AdmissionController::from_generation(ConfigGeneration::new(
+        table,
+        &classes_of(&voip),
+        &caps,
+        &[alpha],
+    ));
 
     // Saturate the 0->2 route.
     let mut handles = Vec::new();

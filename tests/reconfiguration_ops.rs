@@ -1,7 +1,7 @@
 //! Operations-loop integration: configuration changes propagate into a
 //! fresh admission plane without disturbing the guarantee machinery.
 
-use uba::admission::{AdmissionController, BackendKind, RoutingTable};
+use uba::admission::{AdmissionController, BackendKind, ConfigGeneration, RoutingTable};
 use uba::prelude::*;
 use uba::routing::Configuration;
 
@@ -16,7 +16,12 @@ fn stand_up_controller(
         table.insert(ClassId(0), p);
     }
     let caps: Vec<f64> = (0..servers.len()).map(|k| servers.capacity_at(k)).collect();
-    AdmissionController::new(table, &ClassSet::single(voip.clone()), &caps, &[alpha])
+    AdmissionController::from_generation(ConfigGeneration::new(
+        table,
+        &ClassSet::single(voip.clone()),
+        &caps,
+        &[alpha],
+    ))
 }
 
 #[test]
@@ -155,7 +160,12 @@ fn occupancy_dashboard_reflects_load() {
     let mut table = RoutingTable::new();
     table.insert_all(ClassId(0), paths.iter());
     let caps: Vec<f64> = (0..servers.len()).map(|k| servers.capacity_at(k)).collect();
-    let ctrl = AdmissionController::new(table, &ClassSet::single(voip), &caps, &[alpha]);
+    let ctrl = AdmissionController::from_generation(ConfigGeneration::new(
+        table,
+        &ClassSet::single(voip),
+        &caps,
+        &[alpha],
+    ));
 
     // Saturate a single pair's route.
     let p = pairs[0];
