@@ -56,7 +56,7 @@
 //! to within rounding is evaluated, never cut.
 
 use crate::fixed_point::{SolveConfig, DEADLINE_SLACK};
-use crate::metrics::{record_solve, SolveRecord, TIME_EVERY};
+use crate::metrics::{trace_solve, SolveRecord, SolveTally, TIME_EVERY};
 use crate::routeset::{Route, RouteSet};
 use crate::rule::{DelayRule, Theorem3};
 use crate::servers::Servers;
@@ -88,6 +88,8 @@ pub struct CommittedState<'a, R = Theorem3> {
     pending_lowers: bool,
     /// Candidates evaluated so far (one in [`TIME_EVERY`] is timed).
     evaluations: u64,
+    /// Their `delay.solve.*` records, published on drop.
+    tally: SolveTally,
     /// No candidate can verify: a committed route already misses its
     /// deadline, or a stale server is outside the rule's domain.
     blocked: bool,
@@ -204,6 +206,7 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
             pending_ready: false,
             pending_lowers: false,
             evaluations: 0,
+            tally: SolveTally::default(),
             blocked: false,
             log_d: Vec::new(),
             log_y: Vec::new(),
@@ -259,8 +262,13 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
     }
 
     /// Hands back `(routes, delays, route_delays)`.
-    pub fn into_parts(self) -> (RouteSet, Vec<f64>, Vec<f64>) {
-        (self.routes, self.d, self.route_delays)
+    pub fn into_parts(mut self) -> (RouteSet, Vec<f64>, Vec<f64>) {
+        use std::mem::take;
+        (
+            take(&mut self.routes),
+            take(&mut self.d),
+            take(&mut self.route_delays),
+        )
     }
 
     /// `route`'s own end-to-end delay at the committed delays — the value
@@ -346,24 +354,24 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
                 None => self.blocked = true,
             }
         }
-        crate::metrics::solver()
-            .servers_touched
-            .add(self.stale.len() as u64);
+        self.tally.servers_touched += self.stale.len() as u64;
         self.pending_ready = true;
     }
 
-    /// Instrumented [`Self::iterate`]: one record per evaluated candidate
-    /// in the `delay.solve.*` series, like any other warm solve, but only
+    /// Instrumented [`Self::iterate`]: traced like any other warm solve,
+    /// one record per evaluated candidate in the state's tally, and only
     /// the first evaluation and every [`TIME_EVERY`]th read the clock.
     fn evaluate(&mut self, cand: &Route) -> bool {
         let (servers, routes) = (self.servers.len(), self.routes.len() + 1);
         let timed = self.evaluations.is_multiple_of(TIME_EVERY);
         self.evaluations += 1;
-        record_solve(servers, routes, true, timed, || {
+        let (safe, rec) = trace_solve(servers, routes, true, timed, || {
             let mut rec = SolveRecord::default();
             let safe = self.iterate(cand, &mut rec);
             (safe, rec)
-        })
+        });
+        self.tally.add(&rec);
+        safe
     }
 
     /// Stages `cand` as route `n` and iterates to the new fixed point,
@@ -592,5 +600,12 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
         self.log_rd.clear();
         self.log_used.clear();
         self.violated = false;
+    }
+}
+
+/// Publishes the evaluations' `delay.solve.*` records.
+impl<R> Drop for CommittedState<'_, R> {
+    fn drop(&mut self) {
+        self.tally.publish();
     }
 }

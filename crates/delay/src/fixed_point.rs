@@ -137,9 +137,12 @@ pub fn solve_rule<R: DelayRule>(
     cfg: &SolveConfig,
     warm: Option<&[f64]>,
 ) -> SolveResult {
-    crate::metrics::record_solve(servers.len(), routes.len(), warm.is_some(), true, || {
-        solve_core(servers, rule, routes, cfg, warm)
-    })
+    let (result, rec) =
+        crate::metrics::trace_solve(servers.len(), routes.len(), warm.is_some(), true, || {
+            solve_core(servers, rule, routes, cfg, warm)
+        });
+    crate::metrics::solver().record(&rec);
+    result
 }
 
 /// Walks one route, max-merging its prefix sums into `y`; returns the
@@ -182,8 +185,8 @@ fn first_violation<R: DelayRule>(
 }
 
 /// The uninstrumented solver body: the result, and what
-/// [`crate::metrics::record_solve`] publishes about it (the residual is
-/// 0 when the loop never completed a sweep).
+/// [`crate::metrics::SolverMetrics::record`] publishes about it (the
+/// residual is 0 when the loop never completed a sweep).
 fn solve_core<R: DelayRule>(
     servers: &Servers,
     rule: &R,

@@ -43,12 +43,24 @@ use uba_traffic::{ClassId, TrafficClass};
 /// Candidates depend only on the topology, the admitted edges and the
 /// pair — not on `α`, the class or the committed routes — so a caller
 /// re-running selection (the §5.3 binary search) shares them across
-/// probes. Dropping it adds what generation did to
-/// `routing.candidates.*`.
+/// probes. It also holds [`choose_route`]'s scratch and its tallies:
+/// dropping it adds what selection did to `routing.select.*` and what
+/// generation did to `routing.candidates.*`.
 pub(crate) struct CandidateCache<'g> {
     yen: YenWorkspace<'g>,
     paths: HashMap<Pair, Vec<Path>>,
     routes: HashMap<Demand, Vec<Route>>,
+    /// The candidates [`choose_route`] is weighing.
+    pool: Vec<usize>,
+    tally: SelectTally,
+}
+
+/// `routing.select.*` so far, in plain fields.
+#[derive(Default)]
+struct SelectTally {
+    candidates: u64,
+    pruned: u64,
+    cycle_checks: u64,
 }
 
 impl<'g> CandidateCache<'g> {
@@ -59,13 +71,27 @@ impl<'g> CandidateCache<'g> {
             yen: YenWorkspace::new(g, edge_ok),
             paths: HashMap::new(),
             routes: HashMap::new(),
+            pool: Vec::new(),
+            tally: SelectTally::default(),
         }
     }
 
-    /// `demand`'s candidates: its pair's `k` shortest paths — the `k` of
-    /// the pair's first call — and each as a route in the demand's class.
-    fn candidates(&mut self, demand: Demand, k: usize) -> (&[Path], &[Route]) {
-        let (Self { yen, paths, routes }, Pair { src, dst }) = (self, demand.pair);
+    /// `demand`'s candidates as routes in the demand's class — its pair's
+    /// `k` shortest paths, the `k` of the pair's first call — with the
+    /// scratch and the tallies to weigh them with.
+    fn candidates(
+        &mut self,
+        demand: Demand,
+        k: usize,
+    ) -> (&[Route], &mut Vec<usize>, &mut SelectTally) {
+        let Self {
+            yen,
+            paths,
+            routes,
+            pool,
+            tally,
+        } = self;
+        let Pair { src, dst } = demand.pair;
         let paths = paths
             .entry(demand.pair)
             .or_insert_with(|| yen.k_shortest_paths(src, dst, k));
@@ -73,7 +99,27 @@ impl<'g> CandidateCache<'g> {
         let routes = routes
             .entry(demand)
             .or_insert_with(|| paths.iter().map(in_class).collect());
-        (paths, routes)
+        (routes, pool, tally)
+    }
+
+    /// The path of `pair`'s candidate `index`.
+    pub(crate) fn path(&self, pair: Pair, index: usize) -> &Path {
+        &self.paths[&pair][index]
+    }
+
+    /// `chosen`, what [`select_in_order`] returned for `ordered` through
+    /// this cache, as a selection: its paths cloned out of the cache.
+    pub(crate) fn selection(&self, ordered: &[Demand], chosen: Chosen) -> MultiSelection {
+        let paths = (ordered.iter().zip(&chosen.indices))
+            .map(|(d, &i)| self.path(d.pair, i).clone())
+            .collect();
+        MultiSelection {
+            demands: ordered.to_vec(),
+            paths,
+            routes: chosen.routes,
+            delays: chosen.delays,
+            route_delays: chosen.route_delays,
+        }
     }
 }
 
@@ -81,6 +127,9 @@ impl Drop for CandidateCache<'_> {
     fn drop(&mut self) {
         let (searched, skipped) = self.yen.tallies();
         let metrics = crate::metrics::select();
+        metrics.candidates.add(self.tally.candidates);
+        metrics.pruned.add(self.tally.pruned);
+        metrics.cycle_checks.add(self.tally.cycle_checks);
         metrics.spur_searches.add(searched);
         metrics.spur_skipped.add(skipped);
     }
@@ -184,7 +233,8 @@ pub(crate) fn class0_demands(pairs: &[Pair]) -> Vec<Demand> {
 
 /// Chooses `demand`'s route among its candidates in `cache` per the
 /// three sub-heuristics and commits it to `state` (the new fixed point)
-/// and `overlay`; returns the chosen path. Both are untouched on `Err`.
+/// and `overlay`; returns the chosen candidate's index
+/// ([`CandidateCache::path`] has its path). Both are untouched on `Err`.
 /// Shared by bulk selection and incremental reconfiguration.
 pub(crate) fn choose_route<R: DelayRule>(
     state: &mut CommittedState<'_, R>,
@@ -192,20 +242,18 @@ pub(crate) fn choose_route<R: DelayRule>(
     demand: Demand,
     cfg: &HeuristicConfig,
     cache: &mut CandidateCache<'_>,
-) -> Result<Path, SelectionError> {
-    let (paths, routes) = cache.candidates(demand, cfg.k_candidates);
+) -> Result<usize, SelectionError> {
+    let (routes, pool, tally) = cache.candidates(demand, cfg.k_candidates);
     if routes.is_empty() {
         return Err(SelectionError::NoRoute(demand.pair));
     }
     // Heuristic (2): keep only feedback-free candidates when possible.
-    let mut pool: Vec<usize> = Vec::new();
+    pool.clear();
     if cfg.prefer_acyclic {
         pool.extend(
             (0..routes.len()).filter(|&i| !overlay.chain_would_create_cycle(&routes[i].servers)),
         );
-        crate::metrics::select()
-            .cycle_checks
-            .add(routes.len() as u64);
+        tally.cycle_checks += routes.len() as u64;
     }
     if pool.is_empty() {
         pool.extend(0..routes.len());
@@ -214,16 +262,15 @@ pub(crate) fn choose_route<R: DelayRule>(
     // Heuristic (3): the safe candidate with the least own delay, the
     // earlier (shorter) one on a tie — or simply the first safe one.
     let mut best: Option<(usize, f64)> = None;
-    let (mut evaluated, mut pruned) = (0u64, 0u64);
-    for &ci in &pool {
+    for &ci in pool.iter() {
         let route = &routes[ci];
-        evaluated += 1;
+        tally.candidates += 1;
         // Adding a route only raises delays, so a candidate whose delay at
         // the committed point is already no better than the incumbent's
         // would lose the comparison below, ties included: skip the solve.
         if let Some((_, least)) = best {
             if state.delay_floor(route).is_some_and(|floor| floor >= least) {
-                pruned += 1;
+                tally.pruned += 1;
                 continue;
             }
         }
@@ -241,16 +288,13 @@ pub(crate) fn choose_route<R: DelayRule>(
             break;
         }
     }
-    let metrics = crate::metrics::select();
-    metrics.candidates.add(evaluated);
-    metrics.pruned.add(pruned);
     let Some((ci, _)) = best else {
         return Err(SelectionError::NoSafeRoute(demand.pair));
     };
     let committed = state.commit(routes[ci].clone());
     assert!(committed, "a route that just verified safe still does");
     overlay.add_chain(&routes[ci].servers);
-    Ok(paths[ci].clone())
+    Ok(ci)
 }
 
 /// The order selection visits `demands` in under `cfg`: decreasing pair
@@ -279,7 +323,19 @@ pub fn select_routes(
     let ordered = visit_order(g, &class0_demands(pairs), cfg);
     let state = CommittedState::new(servers, class, alpha, &cfg.solver);
     let mut cache = CandidateCache::new(g, |_| true);
-    select_in_order(g, state, &ordered, cfg, &mut cache).map(Selection::one_class)
+    let chosen = select_in_order(g, state, &ordered, cfg, &mut cache)?;
+    Ok(Selection::one_class(cache.selection(&ordered, chosen)))
+}
+
+/// What the greedy committed, before any path is cloned: per demand, in
+/// visiting order, the index of its route among the demand's candidates.
+/// [`select_in_order`]'s callers turn only the selection they return into
+/// paths ([`CandidateCache::selection`]).
+pub(crate) struct Chosen {
+    indices: Vec<usize>,
+    routes: RouteSet,
+    delays: Vec<Vec<f64>>,
+    route_delays: Vec<f64>,
 }
 
 /// The §5.2 greedy over demands already in [`visit_order`], committing
@@ -292,19 +348,18 @@ pub(crate) fn select_in_order<R: DelayRule>(
     ordered: &[Demand],
     cfg: &HeuristicConfig,
     cache: &mut CandidateCache<'_>,
-) -> Result<MultiSelection, SelectionError> {
+) -> Result<Chosen, SelectionError> {
     let mut overlay = DynDigraph::new(g.edge_count());
-    let mut out_paths = Vec::with_capacity(ordered.len());
+    let mut indices = Vec::with_capacity(ordered.len());
 
     for &demand in ordered {
-        out_paths.push(choose_route(&mut state, &mut overlay, demand, cfg, cache)?);
+        indices.push(choose_route(&mut state, &mut overlay, demand, cfg, cache)?);
     }
 
     let classes = state.classes();
     let (routes, delays, route_delays) = state.into_parts();
-    Ok(MultiSelection {
-        demands: ordered.to_vec(),
-        paths: out_paths,
+    Ok(Chosen {
+        indices,
         routes,
         delays: by_class(&delays, classes),
         route_delays,
@@ -441,6 +496,8 @@ mod tests {
             select_in_order(&g, state, &ordered, &cfg, &mut cache).unwrap()
         };
         let (first, second) = (cached(), cached());
+        let first = cache.selection(&ordered, first);
+        let second = cache.selection(&ordered, second);
         assert_eq!(cache.paths.len(), pairs.len());
         assert_eq!(plain.paths, first.paths);
         assert_eq!(plain.paths, second.paths);

@@ -1,8 +1,11 @@
 //! Route-selection instrumentation.
 //!
-//! Counters in the process-global [`uba_obs`] registry: `select.*` added
-//! to once per routed pair (nothing per candidate), `candidates.*` once
-//! per search, from the Yen workspace's own tallies:
+//! Counters in the process-global [`uba_obs`] registry, all added to once
+//! per candidate cache — one per `select_routes` call, per α\* search
+//! (spanning its probes) and per `Configuration` re-routing — when the
+//! cache drops: `select.*` from the tallies the greedy keeps in the cache
+//! (nothing per pair or per candidate), `candidates.*` from the Yen
+//! workspace's own:
 //!
 //! | name | meaning |
 //! |---|---|

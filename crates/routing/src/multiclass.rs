@@ -41,7 +41,8 @@ pub fn select_routes_multiclass(
     let ordered = visit_order(g, demands, cfg);
     let state = CommittedState::empty(servers, Theorem5::new(classes, alphas), &cfg.solver);
     let mut cache = CandidateCache::new(g, |_| true);
-    select_in_order(g, state, &ordered, cfg, &mut cache)
+    let chosen = select_in_order(g, state, &ordered, cfg, &mut cache)?;
+    Ok(cache.selection(&ordered, chosen))
 }
 
 /// Result of a ray search in utilization space.
@@ -81,7 +82,7 @@ pub fn max_utilization_ray(
     // Neither the visiting order nor the Yen candidates depend on `t`.
     let ordered = visit_order(g, demands, cfg);
     let mut cache = CandidateCache::new(g, |_| true);
-    let probe = |t: f64| -> Option<MultiSelection> {
+    let probe = |t: f64| {
         let alphas: Vec<f64> = weights.iter().map(|&w| (w * t).max(1e-9)).collect();
         let state = CommittedState::empty(servers, Theorem5::new(classes, &alphas), &cfg.solver);
         select_in_order(g, state, &ordered, cfg, &mut cache).ok()
@@ -90,7 +91,7 @@ pub fn max_utilization_ray(
     RaySearchResult {
         alphas: weights.iter().map(|&w| w * found.best).collect(),
         t: found.best,
-        selection: found.selection,
+        selection: found.selection.map(|c| cache.selection(&ordered, c)),
         probes: found.probes,
     }
 }

@@ -128,9 +128,9 @@ impl Configuration {
                 class: ClassId(0),
                 pair,
             };
-            let path = choose_route(&mut state, &mut self.overlay, demand, &self.cfg, &mut cache)?;
+            let ci = choose_route(&mut state, &mut self.overlay, demand, &self.cfg, &mut cache)?;
             self.pairs.push(pair);
-            self.paths.push(path);
+            self.paths.push(cache.path(pair, ci).clone());
             Ok(())
         });
         (self.routes, self.delays, self.route_delays) = state.into_parts();

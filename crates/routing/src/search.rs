@@ -72,67 +72,49 @@ pub fn max_utilization(
         .max(2);
     let (lb, ub) = utilization_bounds(fan_in, diameter.max(1), class);
 
-    // Pre-compute SP routes once; they do not depend on alpha.
-    let sp_fixed: Option<(Vec<uba_graph::Path>, RouteSet)> = match selector {
-        Selector::ShortestPath => {
-            let paths = sp_selection(g, pairs).expect("pairs must be connected");
-            let mut rs = RouteSet::new(g.edge_count());
-            for p in &paths {
-                rs.push(Route::from_path(ClassId(0), p));
-            }
-            Some((paths, rs))
-        }
-        Selector::Heuristic(_) => None,
-    };
-
-    // Shared across probes: the visiting order and Yen candidates
-    // (α-independent) and, for the fixed SP routes, the last *feasible*
-    // probe's fixed point as a warm start for the next, higher probe.
-    let ordered = match selector {
-        Selector::Heuristic(cfg) => visit_order(g, &class0_demands(pairs), cfg),
-        Selector::ShortestPath => Vec::new(),
-    };
-    let mut candidate_cache = CandidateCache::new(g, |_| true);
-    let mut sp_warm: Option<Vec<f64>> = None;
-    let probe = |alpha: f64| -> Option<Selection> {
-        match selector {
-            Selector::ShortestPath => {
-                let r = {
-                    let (_, rs) = sp_fixed.as_ref().unwrap();
-                    solve_two_class(
-                        servers,
-                        class,
-                        alpha,
-                        rs,
-                        &SolveConfig::default(),
-                        sp_warm.as_deref(),
-                    )
-                };
-                if r.outcome.is_safe() {
-                    sp_warm = Some(r.delays.clone());
-                }
-                let (paths, rs) = sp_fixed.as_ref().unwrap();
-                r.outcome.is_safe().then(|| Selection {
-                    pairs: pairs.to_vec(),
-                    paths: paths.clone(),
-                    routes: rs.clone(),
-                    delays: r.delays,
-                    route_delays: r.route_delays,
-                })
-            }
-            Selector::Heuristic(cfg) => {
-                let state = CommittedState::new(servers, class, alpha, &cfg.solver);
-                select_in_order(g, state, &ordered, cfg, &mut candidate_cache)
-                    .ok()
-                    .map(Selection::one_class)
-            }
-        }
-    };
-
     // Theorem 4's lower bound first: a safe one brackets the answer from
     // below, an unsafe one from above.
     let hi_cap = ub.min(1.0 - 1e-9);
-    let found = bisect(Some(lb.min(hi_cap)), hi_cap, tol, probe);
+    let first = Some(lb.min(hi_cap));
+    // One Yen candidate cache spans the probes (an SP search leaves it
+    // empty; dropping it publishes the selection tallies either way).
+    let mut cache = CandidateCache::new(g, |_| true);
+    let found = match selector {
+        Selector::ShortestPath => {
+            // The routes do not depend on α; the last *feasible* probe's
+            // fixed point warm-starts the next, higher one.
+            let paths = sp_selection(g, pairs).expect("pairs must be connected");
+            let mut routes = RouteSet::new(g.edge_count());
+            for p in &paths {
+                routes.push(Route::from_path(ClassId(0), p));
+            }
+            let mut warm: Option<Vec<f64>> = None;
+            let cfg = SolveConfig::default();
+            let found = bisect(first, hi_cap, tol, |alpha| {
+                let r = solve_two_class(servers, class, alpha, &routes, &cfg, warm.as_deref());
+                r.outcome.is_safe().then(|| {
+                    warm = Some(r.delays.clone());
+                    (r.delays, r.route_delays)
+                })
+            });
+            found.map(|(delays, route_delays)| Selection {
+                pairs: pairs.to_vec(),
+                paths,
+                routes,
+                delays,
+                route_delays,
+            })
+        }
+        Selector::Heuristic(cfg) => {
+            // Neither the visiting order nor the candidates depend on α.
+            let ordered = visit_order(g, &class0_demands(pairs), cfg);
+            let found = bisect(first, hi_cap, tol, |alpha| {
+                let state = CommittedState::new(servers, class, alpha, &cfg.solver);
+                select_in_order(g, state, &ordered, cfg, &mut cache).ok()
+            });
+            found.map(|chosen| Selection::one_class(cache.selection(&ordered, chosen)))
+        }
+    };
     MaxUtilResult {
         alpha: found.best,
         selection: found.selection,
@@ -149,6 +131,17 @@ pub(crate) struct Bisection<S> {
     pub(crate) selection: Option<S>,
     /// Every probe as `(x, feasible)`, in order.
     pub(crate) probes: Vec<(f64, bool)>,
+}
+
+impl<S> Bisection<S> {
+    /// The same bisection with `f` applied to its selection.
+    pub(crate) fn map<T>(self, f: impl FnOnce(S) -> T) -> Bisection<T> {
+        Bisection {
+            best: self.best,
+            selection: self.selection.map(f),
+            probes: self.probes,
+        }
+    }
 }
 
 /// The §5.3 bisection on `(0, cap)`, after an opening probe at `first` if
