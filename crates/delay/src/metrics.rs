@@ -6,11 +6,14 @@
 //! one histogram record per call. A
 //! [`CommittedState`](crate::committed::CommittedState) evaluates
 //! thousands of §5.2 candidates per configuration pass, so it keeps its
-//! candidates' records in plain fields (a `SolveTally`) and publishes
-//! them when it drops, in one flush that adds exactly what one record
-//! per evaluation would have; and it reads the clock for only the first
-//! of its evaluations and every [`TIME_EVERY`]th after (the 1-in-64
-//! sampling of `admission.admit_ns`), straight into `delay.solve.seconds`.
+//! candidates' records in plain fields (a `SolveTally`: iteration counts
+//! per value, since they are whole numbers, and residuals in a
+//! [`uba_obs::Tally`], the registry histogram's layout without atomics)
+//! and publishes them when it drops, in one flush that adds exactly what
+//! one record per evaluation would have; and it reads the clock for only
+//! the first of its evaluations and every [`TIME_EVERY`]th after (the
+//! 1-in-64 sampling of `admission.admit_ns`), straight into
+//! `delay.solve.seconds`.
 //!
 //! Metric names:
 //!
@@ -27,11 +30,14 @@
 //! | `delay.verify.unsafe` | counter | verifications that returned FAILURE |
 
 use std::sync::{Arc, OnceLock};
-use uba_obs::{Counter, Histogram};
+use uba_obs::{Counter, Histogram, Tally};
 
 /// A committed state times its first candidate evaluation and every
 /// `TIME_EVERY`th after it.
 pub const TIME_EVERY: u64 = 64;
+
+/// First slot boundary of `delay.solve.residual`, seconds.
+const RESIDUAL_BASE: f64 = 1e-15;
 
 /// Handles to the delay-analysis metrics.
 #[derive(Debug)]
@@ -66,7 +72,7 @@ pub fn solver() -> &'static SolverMetrics {
         let r = uba_obs::global();
         SolverMetrics {
             iterations: r.histogram("delay.solve.iterations", 1.0),
-            residual: r.histogram("delay.solve.residual", 1e-15),
+            residual: r.histogram("delay.solve.residual", RESIDUAL_BASE),
             seconds: r.histogram("delay.solve.seconds", 1e-6),
             divergence: r.counter("delay.solve.divergence"),
             sweeps_skipped: r.counter("delay.solve.sweeps_skipped"),
@@ -152,86 +158,32 @@ pub(crate) fn trace_solve<T>(
     (out, rec)
 }
 
-/// The unit of a [`Histogram`]'s running sum: it adds each sample as
-/// `(v · 1e6).round()` micro-units.
-const MICRO: f64 = 1e6;
-
-fn micro(v: f64) -> u64 {
-    (v * MICRO).round() as u64
-}
-
-/// One histogram slot's samples: how many, their micro-unit sum, the
-/// least and the greatest.
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    count: u64,
-    micro: u64,
-    lo: f64,
-    hi: f64,
-}
-
-/// One histogram's samples in plain fields, by slot. [`Self::publish`]
-/// adds exactly what one [`Histogram::record`] per sample would have: the
-/// same count in every slot, the same micro-unit sum, the same max.
-#[derive(Debug, Default)]
-struct SlotTally {
-    slots: Vec<Slot>,
-}
-
-impl SlotTally {
-    fn record(&mut self, h: &Histogram, v: f64) {
-        let v = if v.is_finite() && v > 0.0 { v } else { 0.0 };
-        let i = h.slot_of(v);
-        if i >= self.slots.len() {
-            let empty = Slot {
-                count: 0,
-                micro: 0,
-                lo: f64::INFINITY,
-                hi: 0.0,
-            };
-            self.slots.resize(i + 1, empty);
-        }
-        let slot = &mut self.slots[i];
-        slot.count += 1;
-        slot.micro += micro(v);
-        slot.lo = slot.lo.min(v);
-        slot.hi = slot.hi.max(v);
-    }
-
-    /// Per slot: the greatest sample as itself, which keeps the max; the
-    /// rest at the two values in `[lo, hi]` whose micro-units are the floor
-    /// and the ceiling of their mean, as many of each as puts the sum
-    /// back. Both values exist because the slot's samples, which lie in
-    /// `[lo, hi]`, round to micro-units on either side of that mean, and
-    /// every value between two samples lands in their slot.
-    fn publish(&self, h: &Histogram) {
-        for slot in self.slots.iter().filter(|s| s.count > 0) {
-            h.record(slot.hi);
-            let (n, sum) = (slot.count - 1, slot.micro - micro(slot.hi));
-            if n == 0 {
-                continue;
-            }
-            let at = |m: u64| (m as f64 / MICRO).clamp(slot.lo, slot.hi);
-            let (mean, above) = (sum / n, sum % n);
-            h.record_n(at(mean), n - above);
-            h.record_n(at(mean + 1), above);
-        }
-    }
-}
-
 /// A committed state's `delay.solve.*` records in plain fields, published
 /// when the state drops: what [`SolverMetrics::record`] once per
 /// evaluation would have added, in one flush. Iteration counts are whole
-/// numbers, counted per value and published with `record_n`.
-#[derive(Debug, Default)]
+/// numbers, counted per value and published with `record_n`; residuals
+/// go into a [`Tally`] that [`Histogram::merge`] publishes.
+#[derive(Debug)]
 pub(crate) struct SolveTally {
     /// Evaluations by iteration count.
     iterations: Vec<u64>,
-    residual: SlotTally,
+    residual: Tally,
     divergence: u64,
     sweeps_skipped: u64,
     /// Evaluations' cells plus the shared first-iteration step's.
     pub(crate) servers_touched: u64,
+}
+
+impl Default for SolveTally {
+    fn default() -> Self {
+        Self {
+            iterations: Vec::new(),
+            residual: Tally::with_base(RESIDUAL_BASE),
+            divergence: 0,
+            sweeps_skipped: 0,
+            servers_touched: 0,
+        }
+    }
 }
 
 impl SolveTally {
@@ -241,7 +193,7 @@ impl SolveTally {
             self.iterations.resize(rec.iterations + 1, 0);
         }
         self.iterations[rec.iterations] += 1;
-        self.residual.record(&solver().residual, rec.residual);
+        self.residual.record(rec.residual);
         self.divergence += u64::from(rec.iteration_limit);
         self.sweeps_skipped += rec.sweeps_skipped;
         self.servers_touched += rec.servers_touched;
@@ -257,7 +209,7 @@ impl SolveTally {
         for (i, &n) in self.iterations.iter().enumerate() {
             m.iterations.record_n(i as f64, n);
         }
-        self.residual.publish(&m.residual);
+        m.residual.merge(&self.residual);
         m.divergence.add(self.divergence);
         m.sweeps_skipped.add(self.sweeps_skipped);
         m.servers_touched.add(self.servers_touched);
@@ -277,38 +229,5 @@ mod tests {
         assert!(snap.get("delay.verify.safe").is_some());
         assert!(snap.get("delay.solve.sweeps_skipped").is_some());
         assert!(snap.get("delay.solve.servers_touched").is_some());
-    }
-
-    /// Samples into a private histogram one `record` at a time, and the
-    /// same samples through a [`SlotTally`] into another: every slot
-    /// count, the sum and the max agree bit for bit.
-    fn tally_matches_direct(base: f64, samples: &[f64]) {
-        let (direct, flushed) = (Histogram::with_base(base), Histogram::with_base(base));
-        let mut tally = SlotTally::default();
-        for &v in samples {
-            direct.record(v);
-            tally.record(&flushed, v);
-        }
-        tally.publish(&flushed);
-        assert_eq!(direct.bucket_counts(), flushed.bucket_counts());
-        assert_eq!(direct.sum().to_bits(), flushed.sum().to_bits());
-        assert_eq!(direct.max().to_bits(), flushed.max().to_bits());
-    }
-
-    #[test]
-    fn a_slot_tally_publishes_what_one_record_per_sample_adds() {
-        let mut rng = uba_obs::SplitMix64::new(0x5107);
-        // Iteration counts: from 17 on, one slot holds several integers.
-        let counts: Vec<f64> = (0..5_000).map(|_| (rng.next_u64() % 300) as f64).collect();
-        tally_matches_direct(1.0, &counts);
-        // Residuals over fourteen decades, and values a tenth of a
-        // micro-unit apart, several to a slot that round apart.
-        let residuals: Vec<f64> = (0..5_000)
-            .map(|_| 10f64.powf(-15.0 + 14.0 * rng.next_f64()))
-            .chain((0..2_000).map(|i| 2e-6 + (i % 20) as f64 * 0.1e-6))
-            .chain([0.0, -1.0, f64::NAN, f64::INFINITY])
-            .collect();
-        tally_matches_direct(1e-15, &residuals);
-        tally_matches_direct(1e-6, &residuals);
     }
 }

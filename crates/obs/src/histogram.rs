@@ -1,15 +1,16 @@
-//! Log2-bucketed value histogram with linear sub-buckets and atomic
-//! recording.
+//! The workspace's one histogram layout: log2 majors split into [`SUB`]
+//! linear sub-buckets (the HDR-histogram layout) over a configurable base
+//! unit, with a micro-unit sum and a max. A quantile reads to `1/SUB` of
+//! the value — 12.5% — instead of a pure log2 layout's 2× band.
 //!
-//! The same shape as the simulator's `DelayHistogram`, generalized:
-//! configurable base unit (so one type covers latencies, iteration
-//! counts, and queue depths), atomic buckets (so hot paths can record
-//! without locks), and p50/p90/p99/max readout. Each power-of-two major
-//! bucket is split into [`SUB`] linear sub-buckets (the HDR-histogram
-//! layout), so a quantile readout is tight to `1/SUB` of the bucket
-//! width — 12.5% at `SUB = 8` — instead of the 2× band a pure log2
-//! layout gives. Recording still costs three relaxed atomic ops —
-//! cheap enough to stay on in the admit path.
+//! [`Histogram`] has atomic slots, so hot paths record without locks at
+//! three relaxed atomic ops a sample. [`Tally`] is its single-owner mirror
+//! in plain fields (a simulation's per-class delays, a committed state's
+//! solver residuals), which [`Histogram::merge`] publishes exactly. Only
+//! this module maps a value to a slot or a slot back to a value.
+//! Whole-number samples (queue depths, hop, retry and iteration counts)
+//! are counted per value by their owners and published with
+//! [`Histogram::record_n`].
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,6 +30,13 @@ const _: () = assert!(SUB.is_power_of_two());
 /// [`slot_lower_bound`], the sparse JSON layout) are all indexed by slot
 /// `0..BUCKETS`.
 pub const BUCKETS: usize = MAJORS * SUB;
+
+/// Mantissa bits below a sample's sub-bucket bits.
+const REST_BITS: u32 = 52 - SUB.trailing_zeros();
+
+/// The bases the layout takes. Every slot bound of such a base is a
+/// normal number, rounded once, which `slot_of` relies on.
+const BASE_RANGE: std::ops::RangeInclusive<f64> = 1e-280..=1e280;
 
 /// Micro-unit scale used for the running sum (so means stay exact to a
 /// millionth of the base-unit over u64 ranges).
@@ -53,8 +61,11 @@ pub struct Histogram {
 impl Histogram {
     /// A histogram whose first major-bucket boundary is `base` (e.g.
     /// `1e-9` for seconds-denominated latencies, `1.0` for counts).
+    ///
+    /// # Panics
+    /// Panics unless `base` lies in `[1e-280, 1e280]`.
     pub fn with_base(base: f64) -> Self {
-        assert!(base > 0.0 && base.is_finite(), "base must be positive");
+        assert!(BASE_RANGE.contains(&base), "base out of range");
         Self {
             base,
             buckets: [const { AtomicU64::new(0) }; BUCKETS],
@@ -66,48 +77,6 @@ impl Histogram {
     /// The first major-bucket boundary.
     pub fn base(&self) -> f64 {
         self.base
-    }
-
-    /// Slot index of a (sanitized, non-negative finite) sample. The
-    /// arithmetic guess can land one slot off at a boundary because
-    /// `v / base` rounds (once: a slot spans at least 1/16 of its values,
-    /// so never two off); the fix-up step re-anchors against the
-    /// authoritative [`slot_lower_bound`] values, which makes
-    /// `slot_of(slot_lower_bound(base, s)) == s` hold by construction —
-    /// the invariant the sparse-JSON replay relies on: a sample equal to
-    /// a slot's lower bound lands back in that slot.
-    #[inline]
-    pub fn slot_of(&self, v: f64) -> usize {
-        let v = if v.is_finite() && v > 0.0 { v } else { 0.0 };
-        let guess = if v < self.base {
-            // Major 0 is linear over [0, base).
-            ((v / self.base * SUB as f64) as usize).min(SUB - 1)
-        } else {
-            // For a ratio in [2^p, 2^(p+1)), p is its binary exponent and
-            // the linear position inside the major, ratio/2^p in [1, 2),
-            // is in its leading mantissa bits: read both off the bits, no
-            // `powi` or integer conversion. The ratio is at least 1; an
-            // exponent beyond the last major (or an infinite ratio) clamps
-            // to the top slot.
-            let bits = (v / self.base).to_bits();
-            let p = (bits >> 52) as usize - 1023;
-            if p >= MAJORS - 1 {
-                BUCKETS - 1
-            } else {
-                let sub = (bits >> (52 - SUB.trailing_zeros())) as usize & (SUB - 1);
-                (p + 1) * SUB + sub
-            }
-        };
-        // One step, not a loop: a loop here is vectorized into a batch of
-        // bound computations that costs more than the guess it checks.
-        let s = guess.min(BUCKETS - 1);
-        if s + 1 < BUCKETS && v >= slot_lower_bound(self.base, s + 1) {
-            s + 1
-        } else if s > 0 && v < slot_lower_bound(self.base, s) {
-            s - 1
-        } else {
-            s
-        }
     }
 
     /// Records one sample. Negative or non-finite samples are clamped
@@ -122,13 +91,30 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        let v = if v.is_finite() && v > 0.0 { v } else { 0.0 };
-        self.buckets[self.slot_of(v)].fetch_add(n, Ordering::Relaxed);
-        self.sum_micro.fetch_add(
-            ((v * SUM_SCALE).round() as u64).saturating_mul(n),
-            Ordering::Relaxed,
-        );
+        let (slot, units, v) = place(self.base, v);
+        self.buckets[slot].fetch_add(n, Ordering::Relaxed);
+        self.sum_micro
+            .fetch_add(units.saturating_mul(n), Ordering::Relaxed);
         self.max_bits.fetch_max(v.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Adds a tally's samples: every slot count, the micro-unit sum and
+    /// the max, exactly as one [`record`](Self::record) per sample would
+    /// have.
+    ///
+    /// # Panics
+    /// Panics when the tally's base is not this histogram's.
+    pub fn merge(&self, t: &Tally) {
+        assert_eq!(
+            self.base.to_bits(),
+            t.base.to_bits(),
+            "merging a tally of another base"
+        );
+        for (b, &n) in self.buckets.iter().zip(&t.counts).filter(|(_, &n)| n > 0) {
+            b.fetch_add(n, Ordering::Relaxed);
+        }
+        self.sum_micro.fetch_add(t.sum_micro, Ordering::Relaxed);
+        self.max_bits.fetch_max(t.max.to_bits(), Ordering::Relaxed);
     }
 
     /// Number of recorded samples.
@@ -158,9 +144,7 @@ impl Histogram {
     /// within `1/SUB` (12.5%) of the true value — which is tight enough
     /// for tail-latency gating.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!(q > 0.0 && q <= 1.0, "quantile in (0, 1]");
-        let counts = self.bucket_counts();
-        quantile_from_counts(self.base, &counts, q)
+        quantile_from_counts(self.base, &self.bucket_counts(), q)
     }
 
     /// A point-in-time copy of every slot count, index-aligned with
@@ -171,6 +155,131 @@ impl Histogram {
             *o = b.load(Ordering::Relaxed);
         }
         out
+    }
+}
+
+/// A [`Histogram`] with one owner: the same slots, micro-unit sum and
+/// max in plain fields. Read it in place, or publish it into a registry
+/// histogram of the same base with [`Histogram::merge`].
+#[derive(Clone, Debug)]
+pub struct Tally {
+    base: f64,
+    counts: [u64; BUCKETS],
+    /// Running sum in micro-units, wrapping like the histogram's.
+    sum_micro: u64,
+    max: f64,
+}
+
+impl Tally {
+    /// An empty tally whose first major-bucket boundary is `base`.
+    ///
+    /// # Panics
+    /// Panics unless `base` lies in `[1e-280, 1e280]`.
+    pub fn with_base(base: f64) -> Self {
+        assert!(BASE_RANGE.contains(&base), "base out of range");
+        Self {
+            base,
+            counts: [0; BUCKETS],
+            sum_micro: 0,
+            max: 0.0,
+        }
+    }
+
+    /// Records one sample, sanitized as [`Histogram::record`] does.
+    #[inline]
+    pub fn record(&mut self, v: f64) {
+        let (slot, units, v) = place(self.base, v);
+        self.counts[slot] += 1;
+        self.sum_micro = self.sum_micro.wrapping_add(units);
+        self.max = self.max.max(v);
+    }
+
+    /// Number of recorded samples.
+    pub fn count(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// Largest recorded sample (`0.0` when empty).
+    pub fn max(&self) -> f64 {
+        self.max
+    }
+
+    /// What [`Histogram::quantile`] reads for the same samples.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        let [v] = quantiles_from_counts(self.base, &self.counts, self.count(), [q]);
+        v
+    }
+}
+
+/// Where a sample lands: its slot, its micro-units and its value, with a
+/// negative or non-finite sample clamped to zero (metrics must never
+/// panic in a hot path).
+#[inline]
+fn place(base: f64, v: f64) -> (usize, u64, f64) {
+    let v = if v.is_finite() && v > 0.0 { v } else { 0.0 };
+    (slot_of(base, v), micro(v), v)
+}
+
+/// A sanitized sample in micro-units, `(v · 1e6).round() as u64`, below
+/// 2^63 without `round`'s library call: there `x - i` is exact.
+#[inline]
+fn micro(v: f64) -> u64 {
+    const TWO_POW_63: f64 = (1u64 << 63) as f64;
+    let x = v * SUM_SCALE;
+    if x < TWO_POW_63 {
+        let i = x as i64;
+        (i + i64::from(x - i as f64 >= 0.5)) as u64
+    } else {
+        x.round() as u64
+    }
+}
+
+/// Slot index of a sanitized sample for first boundary `base`. The guess
+/// reads the ratio `v · (1 / base)` (the caller's work on `v` overlaps
+/// the reciprocal, where `v / base` would wait on it). The ratio rounds,
+/// so near an edge the guess can be one slot off (never two: a slot spans
+/// at least 1/16 of its values); there the fix-up step re-anchors against
+/// [`slot_lower_bound`], so a sample equal to a slot's lower bound lands
+/// back in that slot, as the sparse-JSON replay needs.
+#[inline]
+fn slot_of(base: f64, v: f64) -> usize {
+    let ratio = v * base.recip();
+    let guess = if ratio < 1.0 {
+        // Major 0 is linear over [0, base).
+        ((ratio * SUB as f64) as usize).min(SUB - 1)
+    } else {
+        // For a ratio in [2^p, 2^(p+1)), p is its binary exponent and
+        // the linear position inside the major, ratio/2^p in [1, 2),
+        // is in its leading mantissa bits: read both off the bits, no
+        // `powi` or integer conversion. An exponent beyond the last
+        // major (or an infinite ratio) clamps to the top slot.
+        let bits = ratio.to_bits();
+        let p = (bits >> 52) as usize - 1023;
+        if p >= MAJORS - 1 {
+            BUCKETS - 1
+        } else {
+            let sub = (bits >> REST_BITS) as usize & (SUB - 1);
+            let s = (p + 1) * SUB + sub;
+            // The bits below count the ratio's ulps above the slot's
+            // dyadic lower edge. The ratio is under two ulps off `v / base`
+            // and each bound `base · edge` under one (the base range keeps
+            // them normal), so 8 ulps inside both edges is inside the slot.
+            let rest = bits & ((1 << REST_BITS) - 1);
+            if (8..(1 << REST_BITS) - 8).contains(&rest) {
+                return s;
+            }
+            s
+        }
+    };
+    // One step, not a loop: a loop here is vectorized into a batch of
+    // bound computations that costs more than the guess it checks.
+    let s = guess.min(BUCKETS - 1);
+    if s + 1 < BUCKETS && v >= slot_lower_bound(base, s + 1) {
+        s + 1
+    } else if s > 0 && v < slot_lower_bound(base, s) {
+        s - 1
+    } else {
+        s
     }
 }
 
@@ -253,24 +362,24 @@ mod tests {
 
     #[test]
     fn slot_boundaries() {
-        let h = Histogram::with_base(1.0);
+        let h = |v| slot_of(1.0, v);
         // Major 0 is linear over [0, 1) in eighths.
-        assert_eq!(h.slot_of(0.0), 0);
-        assert_eq!(h.slot_of(0.124), 0);
-        assert_eq!(h.slot_of(0.125), 1);
-        assert_eq!(h.slot_of(0.99), 7);
+        assert_eq!(h(0.0), 0);
+        assert_eq!(h(0.124), 0);
+        assert_eq!(h(0.125), 1);
+        assert_eq!(h(0.99), 7);
         // Major 1 spans [1, 2) in eighths.
-        assert_eq!(h.slot_of(1.0), 8);
-        assert_eq!(h.slot_of(1.124), 8);
-        assert_eq!(h.slot_of(1.125), 9);
-        assert_eq!(h.slot_of(1.99), 15);
+        assert_eq!(h(1.0), 8);
+        assert_eq!(h(1.124), 8);
+        assert_eq!(h(1.125), 9);
+        assert_eq!(h(1.99), 15);
         // Major 2 spans [2, 4) in quarters.
-        assert_eq!(h.slot_of(2.0), 16);
-        assert_eq!(h.slot_of(2.24), 16);
-        assert_eq!(h.slot_of(2.25), 17);
-        assert_eq!(h.slot_of(3.99), 23);
-        assert_eq!(h.slot_of(4.0), 24);
-        assert_eq!(h.slot_of(1e30), BUCKETS - 1);
+        assert_eq!(h(2.0), 16);
+        assert_eq!(h(2.24), 16);
+        assert_eq!(h(2.25), 17);
+        assert_eq!(h(3.99), 23);
+        assert_eq!(h(4.0), 24);
+        assert_eq!(h(1e30), BUCKETS - 1);
     }
 
     #[test]
@@ -278,10 +387,9 @@ mod tests {
         // The replay invariant, exhaustively over every slot and several
         // bases (including awkward non-dyadic ones).
         for base in [1.0, 1e-9, 3.7, 0.3, 1e6] {
-            let h = Histogram::with_base(base);
             for i in 0..BUCKETS {
                 let lb = slot_lower_bound(base, i);
-                assert_eq!(h.slot_of(lb), i, "base {base}, slot {i}, lb {lb}");
+                assert_eq!(slot_of(base, lb), i, "base {base}, slot {i}, lb {lb}");
                 assert!(lb < slot_upper_bound(base, i), "base {base}, slot {i}");
             }
         }
@@ -292,7 +400,6 @@ mod tests {
         // What `slot_of` must return: the last slot whose lower bound the
         // sample reaches, found by walking up from slot 0.
         fn walked(base: f64, v: f64) -> usize {
-            let v = if v.is_finite() && v > 0.0 { v } else { 0.0 };
             let mut s = 0;
             while s + 1 < BUCKETS && v >= slot_lower_bound(base, s + 1) {
                 s += 1;
@@ -301,17 +408,21 @@ mod tests {
         }
         let mut rng = crate::SplitMix64::new(0x510f);
         for base in [1.0, 1e-15, 1e-9, 1e-6, 3.7, 0.3, 1e6] {
-            let h = Histogram::with_base(base);
             for i in 1..BUCKETS {
-                // Both sides of every boundary, to the ulp.
+                // Both sides of every boundary, ulp by ulp, past the
+                // eight ulps inside which the guess is checked.
                 let lb = slot_lower_bound(base, i);
-                for v in [lb.next_down(), lb, lb.next_up()] {
-                    assert_eq!(h.slot_of(v), walked(base, v), "base {base}, v {v}");
+                let (mut below, mut above) = (lb, lb);
+                for _ in 0..=16 {
+                    for v in [below, above] {
+                        assert_eq!(slot_of(base, v), walked(base, v), "base {base}, v {v}");
+                    }
+                    (below, above) = (below.next_down(), above.next_up());
                 }
             }
             for _ in 0..20_000 {
                 let v = base * 2f64.powf(70.0 * rng.next_f64() - 4.0);
-                assert_eq!(h.slot_of(v), walked(base, v), "base {base}, v {v}");
+                assert_eq!(slot_of(base, v), walked(base, v), "base {base}, v {v}");
             }
         }
     }
@@ -425,6 +536,87 @@ mod tests {
         assert_eq!(a.count(), b.count());
         assert_eq!(a.quantile(0.5), b.quantile(0.5));
         assert_eq!(a.mean(), b.mean());
+    }
+
+    /// Samples into one histogram a `record` at a time, and the same
+    /// samples through a tally merged into another: every slot count, the
+    /// sum and the max agree bit for bit, and so does every quantile.
+    fn merged_tally_matches_direct(base: f64, samples: &[f64]) {
+        let (direct, merged) = (Histogram::with_base(base), Histogram::with_base(base));
+        let mut tally = Tally::with_base(base);
+        for &v in samples {
+            direct.record(v);
+            tally.record(v);
+        }
+        merged.merge(&tally);
+        assert_eq!(
+            direct.bucket_counts(),
+            merged.bucket_counts(),
+            "base {base}"
+        );
+        assert_eq!(
+            direct.sum().to_bits(),
+            merged.sum().to_bits(),
+            "base {base}"
+        );
+        assert_eq!(
+            direct.max().to_bits(),
+            merged.max().to_bits(),
+            "base {base}"
+        );
+        assert_eq!(direct.max().to_bits(), tally.max().to_bits(), "base {base}");
+        assert_eq!(direct.count(), tally.count(), "base {base}");
+        for q in [0.001, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(direct.quantile(q), tally.quantile(q), "base {base}, q {q}");
+        }
+    }
+
+    #[test]
+    fn a_merged_tally_adds_what_one_record_per_sample_adds() {
+        let mut rng = crate::SplitMix64::new(0x5107);
+        // Whole numbers: from 17 on, one slot holds several integers.
+        let integers: Vec<f64> = (0..5_000).map(|_| (rng.next_u64() % 300) as f64).collect();
+        // Fourteen decades, then values a tenth of a micro-unit apart,
+        // several to a slot and rounding to different micro-units, then
+        // the samples the layout clamps to zero.
+        let spread: Vec<f64> = (0..5_000)
+            .map(|_| 10f64.powf(-15.0 + 14.0 * rng.next_f64()))
+            .chain((0..2_000).map(|i| 2e-6 + (i % 20) as f64 * 0.1e-6))
+            .chain([0.0, -1.0, f64::NAN, f64::INFINITY])
+            .collect();
+        for base in [1.0, 1e-15, 1e-6] {
+            merged_tally_matches_direct(base, &integers);
+            merged_tally_matches_direct(base, &spread);
+        }
+        let empty = Tally::with_base(1.0);
+        assert_eq!(
+            (empty.count(), empty.max(), empty.quantile(0.5)),
+            (0, 0.0, None)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "merging a tally of another base")]
+    fn a_tally_does_not_merge_across_bases() {
+        Histogram::with_base(1e-6).merge(&Tally::with_base(1e-9));
+    }
+
+    #[test]
+    fn micro_units_round_as_round_does() {
+        let mut rng = crate::SplitMix64::new(0x301c);
+        let edges = (0..64).flat_map(|e| {
+            let x = 2f64.powi(e) / SUM_SCALE;
+            [x.next_down(), x, x.next_up(), x * 1.5]
+        });
+        let halves = (0..1_000).map(|i| (i as f64 + 0.5) / SUM_SCALE);
+        let random = (0..20_000).map(|_| 10f64.powf(-9.0 + 30.0 * rng.next_f64()));
+        for v in edges
+            .chain(halves)
+            .chain(random)
+            .chain([0.0, 0.4999999e-6, 0.5e-6, f64::MAX])
+        {
+            assert_eq!(micro(v), (v * SUM_SCALE).round() as u64, "{v}");
+        }
     }
 
     #[test]

@@ -9,8 +9,12 @@
 //! `uba-bench`).
 //!
 //! * [`Counter`] / [`Gauge`] — lock-free scalar metrics.
-//! * [`Histogram`] — log2-bucketed value/latency distribution with
-//!   p50/p90/p99/max readouts.
+//! * [`Histogram`] — the workspace's one distribution layout (log2
+//!   majors × 8 linear sub-buckets) with p50/p90/p99/max readouts;
+//!   [`Tally`] is its single-owner mirror, for a distribution one owner
+//!   fills (simulated delays, solver residuals), merged into a
+//!   histogram exactly. Whole-number samples are counted per value by
+//!   their owners and published with [`Histogram::record_n`].
 //! * [`Stopwatch`] — the one sanctioned wall-clock timer.
 //! * [`Registry`] — named metrics, rendered as human tables or
 //!   line-oriented JSON (hand-rolled, matching the workspace's
@@ -43,7 +47,7 @@ pub mod stopwatch;
 pub mod sync;
 pub mod trace;
 
-pub use histogram::Histogram;
+pub use histogram::{Histogram, Tally};
 pub use metrics::{Counter, Gauge};
 pub use registry::{global, process_secs, Registry, Snapshot, SnapshotValue};
 pub use rng::{check, SplitMix64};

@@ -348,7 +348,6 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
     };
 
     let mut acc: Vec<StatsAccumulator> = vec![StatsAccumulator::default(); classes];
-    let mut histograms = vec![crate::report::DelayHistogram::default(); classes];
     let mut total_packets = 0u64;
     let mut total_misses = 0u64;
     let mut events = 0u64;
@@ -453,7 +452,6 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
                         );
                     }
                     acc[class].record(delay, deadline);
-                    histograms[class].record_ns(t - job.t0);
                     total_packets += 1;
                 }
                 // After the forwarded packet's arrival, so that event
@@ -471,7 +469,7 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
             .zip(&policed_drops)
             .map(|(a, &d)| a.finish_with_drops(d))
             .collect(),
-        histograms,
+        histograms: acc.into_iter().map(|a| a.delays).collect(),
         total_packets,
         events,
         peak_backlog,

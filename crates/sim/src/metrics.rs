@@ -2,9 +2,11 @@
 //!
 //! Nothing in the event loop touches an atomic. Counters are bumped once
 //! per completed run, from the final tallies the engine already keeps;
-//! `sim.queue_depth` samples are counted per backlog value in a local
-//! array and published with `Histogram::record_n` at the end of the run
-//! (same count, sum and max as one `record` per enqueue).
+//! `sim.queue_depth` samples are whole numbers, so they are counted per
+//! backlog value in a local array and published with
+//! `Histogram::record_n` at the end of the run (same count, sum and max
+//! as one `record` per enqueue). Per-packet delays go into the report's
+//! per-class [`uba_obs::Tally`], not into the registry.
 //!
 //! Metric names:
 //!

@@ -10,9 +10,14 @@
 //!
 //! Re-pinning is only legitimate for an intended behaviour change: the
 //! failure message prints the freshly computed table.
+//!
+//! Every report is also checked against itself: each class's delay
+//! distribution holds exactly its delivered packets, and its max is the
+//! class's `max_delay` bit for bit.
 
-use uba_obs::SplitMix64;
-use uba_sim::{simulate, Discipline, FlowSpec, SimConfig, SimReport, SourceModel};
+use uba_obs::histogram::SUB;
+use uba_obs::{Histogram, SplitMix64};
+use uba_sim::{Discipline, FlowSpec, SimConfig, SimReport, SourceModel};
 
 const RANDOM_CASES: usize = 40;
 const MODES: [&str; 4] = ["StaticPriority", "Fifo", "Wfq", "VirtualClock"];
@@ -181,12 +186,58 @@ fn tie_case() -> Case {
     }
 }
 
+/// FNV-1a of the report's `Debug` text in its pinned form.
 fn digest(report: &SimReport) -> u64 {
-    format!("{report:?}")
+    pinned_debug(report)
         .bytes()
         .fold(0xcbf2_9ce4_8422_2325, |h, b| {
             (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
         })
+}
+
+/// The report's `Debug` text as it printed when the digests were captured,
+/// when each class's delays were counted in 48 octaves from 1 µs:
+/// `[0, 1 µs)`, then `[2^(i-1), 2^i)` µs, the last open above. Octave `i`
+/// is major bucket `i` of the 1 µs tally the report now carries (its
+/// [`SUB`] slots), with the majors above the last folded into it, so the
+/// pinned octave counts are still checked.
+fn pinned_debug(r: &SimReport) -> String {
+    let histograms: Vec<String> = r
+        .histograms
+        .iter()
+        .map(|tally| {
+            let h = Histogram::with_base(1e-6);
+            h.merge(tally);
+            let mut counts = [0u64; 48];
+            for (slot, n) in h.bucket_counts().into_iter().enumerate() {
+                counts[(slot / SUB).min(47)] += n;
+            }
+            format!(
+                "DelayHistogram {{ counts: {counts:?}, total: {} }}",
+                tally.count()
+            )
+        })
+        .collect();
+    format!(
+        "SimReport {{ classes: {:?}, histograms: [{}], total_packets: {}, events: {}, peak_backlog: {} }}",
+        r.classes,
+        histograms.join(", "),
+        r.total_packets,
+        r.events,
+        r.peak_backlog
+    )
+}
+
+/// `uba_sim::simulate`, with the report's delay distributions checked
+/// against its per-class statistics.
+fn simulate(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig) -> SimReport {
+    let r = uba_sim::simulate(capacities, flows, cfg);
+    assert_eq!(r.histograms.len(), r.classes.len());
+    for (c, (h, stats)) in r.histograms.iter().zip(&r.classes).enumerate() {
+        assert_eq!(h.count(), stats.packets, "class {c}");
+        assert_eq!(h.max().to_bits(), stats.max_delay.to_bits(), "class {c}");
+    }
+    r
 }
 
 /// `case` under `discipline`.

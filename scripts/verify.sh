@@ -100,8 +100,8 @@ cargo test --offline --release -q -p uba-sim
 echo "==> uba-admission tests in release (the admit, batch, burst, policy and churn equivalence tables in the build the benchmark measures: overflow wraps, debug_assert! is off)"
 cargo test --offline --release -q -p uba-admission
 
-echo "==> configuration-side tests in release (yen_equiv, yen_diff, cycle_equiv, committed_equiv, solve_equiv, selection_equiv, floor_equiv and both configuration-side metrics_exact binaries in the build the benchmark measures: overflow wraps, debug_assert! is off)"
-cargo test --offline --release -q -p uba-graph -p uba-delay -p uba-routing
+echo "==> configuration-side and obs tests in release (yen_equiv, yen_diff, cycle_equiv, committed_equiv, solve_equiv, selection_equiv, floor_equiv, both configuration-side metrics_exact binaries, readout_equiv and the histogram slot and tally-merge tests in the build the benchmark measures: overflow wraps, debug_assert! is off)"
+cargo test --offline --release -q -p uba-obs -p uba-graph -p uba-delay -p uba-routing
 
 echo "==> obs_overhead smoke (instrumented admit path vs uninstrumented)"
 cargo run --offline --release -p uba-bench --bin obs_overhead -- smoke
