@@ -26,6 +26,20 @@
 //!
 //! Cuts 1 and 3 set a forward sum against a backward one, so they compare
 //! with a relative `MARGIN` (1e-9), which only makes them more timid.
+//!
+//! The bookkeeping around the searches is exact too. The pool of found
+//! paths is kept sorted heaviest first by `(weight, edges)`, so the next
+//! path out is a `pop`, cut 1's count of lighter candidates a
+//! `partition_point` and the duplicate check a binary search. Each
+//! accepted path's common prefix with the last one is counted once per
+//! extraction; at spur index `i` the continuations to ban are those of
+//! the paths that share `i` edges. The root's weight is carried along
+//! the spur loop, the same left fold a fresh sum would make.
+//!
+//! A workspace runs one pair at a time. The α\* search generates many
+//! pairs at once on one workspace per core, each taking whole
+//! destinations, so that a reverse tree is built once (`uba-routing`'s
+//! candidate cache).
 
 use crate::digraph::{Digraph, EdgeId, NodeId, Path};
 use crate::dijkstra::HeapEntry;
@@ -239,16 +253,26 @@ impl<'g> YenWorkspace<'g> {
         (at_least, at_most)
     }
 
-    /// Pools the shortest path that follows `root` to `spur` and goes on
-    /// to the target over the unbanned subgraph — unless there is none, the
-    /// pool has it, or (cut 1) `wanted` pooled candidates are lighter than
-    /// it can be. Says whether it searched.
-    fn pool_spur(&mut self, tree: &Tree, root: &[EdgeId], spur: NodeId, wanted: usize) -> bool {
+    /// Pools the shortest path that follows `root` (weighing
+    /// `root_weight`) to `spur` and goes on to the target over the
+    /// unbanned subgraph — unless there is none, the pool has it, or
+    /// (cut 1) `wanted` pooled candidates are lighter than it can be.
+    /// Says whether it searched.
+    fn pool_spur(
+        &mut self,
+        tree: &Tree,
+        root: &[EdgeId],
+        root_weight: f64,
+        spur: NodeId,
+        wanted: usize,
+    ) -> bool {
         let g = self.g;
         let (at_least, at_most) = self.spur_bounds(tree, spur);
-        let floor = root.iter().map(|&e| g.weight(e)).sum::<f64>() + at_least;
-        let lighter = |c: &&Pooled| c.weight * (1.0 + MARGIN) < floor;
-        if at_least == f64::INFINITY || self.pool.iter().filter(lighter).count() >= wanted {
+        let floor = root_weight + at_least;
+        // The pool runs heaviest first, so the lighter ones are a suffix.
+        let lighter = |c: &Pooled| c.weight * (1.0 + MARGIN) < floor;
+        let heavier = self.pool.partition_point(|c| !lighter(c));
+        if at_least == f64::INFINITY || self.pool.len() - heavier >= wanted {
             return false;
         }
         // Cut 3; an infinite `at_most` refuses nothing.
@@ -262,27 +286,33 @@ impl<'g> YenWorkspace<'g> {
         self.pool_edges.extend(root.iter().rev());
         let (pooled, edges) = self.pool_edges.split_at_mut(start);
         edges.reverse();
-        // Every accepted path on this root has its next edge banned, so
-        // only the pool can hold this path already.
-        let seen = |c: &Pooled| pooled[c.span.clone()] == *edges;
-        if cur == spur && !self.pool.iter().any(seen) {
+        if cur == spur {
             let weight = edges.iter().map(|&e| g.weight(e)).sum();
-            let (dev, span) = (root.len(), start..start + edges.len());
-            self.pool.push(Pooled { weight, dev, span });
-        } else {
-            self.pool_edges.truncate(start);
+            // Every accepted path on this root has its next edge banned,
+            // so only the pool can hold this path already — at the place
+            // it would be inserted.
+            let key = |c: &Pooled| (c.weight, &pooled[c.span.clone()]);
+            let found = self
+                .pool
+                .binary_search_by(|c| extraction_order((weight, edges), key(c)));
+            if let Err(at) = found {
+                let (dev, span) = (root.len(), start..start + edges.len());
+                self.pool.insert(at, Pooled { weight, dev, span });
+                return true;
+            }
         }
+        self.pool_edges.truncate(start);
         true
     }
 
     /// Bans (or clears) the `i`-th edge of every accepted path that
-    /// shares the last one's first `i` edges — edge-wise: node-wise
-    /// comparison would over-ban on multigraphs — so that a spur path
-    /// must deviate at `i`.
-    fn ban_continuations(&mut self, accepted: &[Path], i: usize, banned: bool) {
-        let root = &accepted[accepted.len() - 1].edges[..i];
-        for p in accepted {
-            if p.len() > i && p.edges[..i] == *root {
+    /// shares the last one's first `i` edges — `shared` holds each one's
+    /// common edge prefix with the last, edge-wise: node-wise comparison
+    /// would over-ban on multigraphs — so that a spur path must deviate
+    /// at `i`.
+    fn ban_continuations(&mut self, accepted: &[Path], shared: &[usize], i: usize, banned: bool) {
+        for (p, &common) in accepted.iter().zip(shared) {
+            if common >= i && p.len() > i {
                 self.edge_blocked[p.edges[i].index()] = banned;
             }
         }
@@ -293,36 +323,41 @@ impl<'g> YenWorkspace<'g> {
         self.pool.clear();
         self.pool_edges.clear();
         // The shortest path is the spur path of the empty root.
-        self.pool_spur(tree, &[], src, k);
+        self.pool_spur(tree, &[], 0.0, src, k);
         let mut accepted: Vec<Path> = Vec::new();
-        // Extract the cheapest candidate (stable tie-break on edge ids for
-        // determinism) and deviate from it.
-        while let Some(best) = (0..self.pool.len()).min_by(|&a, &b| {
-            let edges = |c: &Pooled| &self.pool_edges[c.span.clone()];
-            let (a, b) = (&self.pool[a], &self.pool[b]);
-            (a.weight.total_cmp(&b.weight)).then_with(|| edges(a).cmp(edges(b)))
-        }) {
-            let Pooled { dev, span, .. } = self.pool.swap_remove(best);
+        let mut shared = Vec::new();
+        // Extract the cheapest candidate — the pool's last, ties broken
+        // on edge ids for determinism — and deviate from it.
+        while let Some(Pooled { dev, span, .. }) = self.pool.pop() {
             accepted.push(Path::from_edges(g, self.pool_edges[span].to_vec()));
             if accepted.len() == k {
                 break;
             }
             let prev = &accepted[accepted.len() - 1];
             debug_assert!(prev.is_simple());
+            shared.clear();
+            shared.extend(
+                accepted
+                    .iter()
+                    .map(|p| common_prefix(&p.edges, &prev.edges)),
+            );
             // Cut 2: spur indices start at `dev`, on `prev`'s root there.
             self.tallies.1 += dev as u64;
             for n in &prev.nodes[..dev] {
                 self.node_banned[n.index()] = true;
             }
+            // The root's weight, summed in the order a fresh sum would.
+            let mut root_weight: f64 = prev.edges[..dev].iter().map(|&e| g.weight(e)).sum();
             for i in dev..prev.len() {
                 let (spur, root) = (prev.nodes[i], &prev.edges[..i]);
-                self.ban_continuations(&accepted, i, true);
-                let searched = self.pool_spur(tree, root, spur, k - accepted.len());
+                self.ban_continuations(&accepted, &shared, i, true);
+                let searched = self.pool_spur(tree, root, root_weight, spur, k - accepted.len());
                 self.tallies.0 += u64::from(searched);
                 self.tallies.1 += u64::from(!searched);
-                self.ban_continuations(&accepted, i, false);
+                self.ban_continuations(&accepted, &shared, i, false);
                 // Keep later spur paths simple: off the root's nodes.
                 self.node_banned[spur.index()] = true;
+                root_weight += g.weight(prev.edges[i]);
             }
             for n in &prev.nodes[..prev.len()] {
                 self.node_banned[n.index()] = false;
@@ -330,6 +365,18 @@ impl<'g> YenWorkspace<'g> {
         }
         accepted
     }
+}
+
+/// The order candidates leave the pool in: lighter first, then by edge
+/// ids. The pool is kept sorted the other way round, so the next one out
+/// is its last.
+fn extraction_order(a: (f64, &[EdgeId]), b: (f64, &[EdgeId])) -> std::cmp::Ordering {
+    (a.0.total_cmp(&b.0)).then_with(|| a.1.cmp(b.1))
+}
+
+/// How many leading edges `a` and `b` share.
+fn common_prefix(a: &[EdgeId], b: &[EdgeId]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
 #[cfg(test)]

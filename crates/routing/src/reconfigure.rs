@@ -130,7 +130,7 @@ impl Configuration {
             };
             let ci = choose_route(&mut state, &mut self.overlay, demand, &self.cfg, &mut cache)?;
             self.pairs.push(pair);
-            self.paths.push(cache.path(pair, ci).clone());
+            self.paths.push(cache.path(demand, ci));
             Ok(())
         });
         (self.routes, self.delays, self.route_delays) = state.into_parts();

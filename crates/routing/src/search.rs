@@ -9,7 +9,9 @@
 //!
 //! * **Yen candidates and the visiting order** (heuristic selector) are
 //!   α-independent, so one candidate cache and one ordering of the pairs
-//!   span all probes of a search.
+//!   span all probes of a search. The first probe has the cache generate
+//!   every pair's candidates before it routes one, split by destination
+//!   over every core; no later probe runs Yen.
 //! * **SP warm starts** — the shortest-path selector's routes are fixed,
 //!   and bisection only probes `mid > lo` where `lo` is the last feasible
 //!   α. Raising α only grows `Z`, so the feasible fixed point at `lo` is

@@ -66,6 +66,22 @@ done) results/cli_paper.txt > /dev/null || {
   exit 1
 }
 
+echo "==> one-worker lanes (under taskset -c 0 candidate generation runs on the caller alone: maximize and verify on paper.toml must print what the unpinned runs print, and the config_mci smoke must pass its own check)"
+if command -v taskset > /dev/null; then
+  for cmd in "maximize $paper heuristic" "verify $paper"; do
+    # shellcheck disable=SC2086
+    diff <(taskset -c 0 cargo run --offline --release --quiet -p uba-cli -- $cmd) \
+      <(cargo run --offline --release --quiet -p uba-cli -- $cmd) > /dev/null || {
+      echo "verify.sh: uba-cli $cmd prints differently on one core" >&2
+      exit 1
+    }
+  done
+  taskset -c 0 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload config_mci --seed 1 --seconds 2 --trace 0 > /dev/null
+else
+  echo "verify.sh: taskset not found; skipping the one-worker lanes"
+fi
+
 echo "==> examples (every examples/*.rs runs in release to exit 0; validate_simulation asserts the analytic bound and zero misses)"
 for example in examples/*.rs; do
   name="$(basename "$example" .rs)"
