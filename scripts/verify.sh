@@ -37,7 +37,7 @@ echo "==> simulate_mci smoke (the frozen simulator workload's own check: zero de
 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload simulate_mci --seed 1 --seconds 2 --trace 0 > /dev/null
 
-echo "==> results drift (the nine byte-stable result binaries must reprint results/<name>.txt, and uba-cli maximize / verify / simulate / explain / reconfigure results/cli_paper.txt; table1 / schedulers / s_ac carry timings and stay out)"
+echo "==> results drift (the nine byte-stable result binaries must reprint results/<name>.txt, and uba-cli maximize / verify / simulate / explain / reconfigure results/cli_paper.txt, multi-class maximize and verify included; table1 / schedulers / s_ac carry timings and stay out)"
 for name in cross_topology ablation_routing nonuniform validate_sim census sweep_bounds \
   multiclass_demo policing statistical; do
   diff <(cargo run --offline --release --quiet -p uba-bench --bin "$name") "results/$name.txt" > /dev/null || {
@@ -47,15 +47,18 @@ for name in cross_topology ablation_routing nonuniform validate_sim census sweep
 done
 # The CLI on the paper scenario, both selectors, verify and the packet
 # simulation at the scenario's alpha: the configuration path and the
-# simulator path, each byte for byte. Then the run-time path: explain's
-# saturation replay (text and JSON) and reconfigure's migration
-# rehearsal in both directions, then explain behind a token bucket: the
-# rows of policy rejections.
+# simulator path, each byte for byte. Then the multi-class configuration
+# path: the §5.4 ray search and verify on three classes. Then the
+# run-time path: explain's saturation replay (text and JSON) and
+# reconfigure's migration rehearsal in both directions, then explain
+# behind a token bucket: the rows of policy rejections.
 scenarios=crates/cli/scenarios
 paper=$scenarios/paper.toml
 ring=$scenarios/ring_small.toml
+multiclass=$scenarios/multiclass.toml
 diff <(for cmd in "maximize $paper heuristic" "maximize $paper sp" "verify $paper" \
-  "simulate $paper" "explain $ring" "explain $scenarios/multiclass.toml --json" \
+  "simulate $paper" "maximize $multiclass" "verify $multiclass" \
+  "explain $ring" "explain $multiclass --json" \
   "reconfigure $ring $paper" "reconfigure $paper $ring --json" \
   "explain $scenarios/ring_policy.toml"; do
   echo "\$ uba-cli $cmd"
