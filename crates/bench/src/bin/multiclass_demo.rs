@@ -8,7 +8,6 @@
 //! Run with: `cargo run -p uba-bench --release --bin multiclass_demo`
 
 use uba::delay::fixed_point::SolveConfig;
-use uba::delay::multiclass::solve_multiclass;
 use uba::delay::routeset::{Route, RouteSet};
 use uba::prelude::*;
 
@@ -51,13 +50,12 @@ fn main() {
         [0.15, 0.25, 0.25],
     ];
     for alphas in splits {
-        let r = solve_multiclass(
+        let r = verify(
             &servers,
             &classes,
             &alphas,
             &routes,
             &SolveConfig::default(),
-            None,
         );
         // Worst end-to-end delay per class over its routes.
         let mut worst = [0.0f64; 3];
@@ -70,11 +68,7 @@ fn main() {
             alphas[0],
             alphas[1],
             alphas[2],
-            if r.outcome.is_safe() {
-                "SAFE"
-            } else {
-                "UNSAFE"
-            },
+            if r.safe { "SAFE" } else { "UNSAFE" },
             worst[0] * 1e3,
             worst[1] * 1e3,
             worst[2] * 1e3,

@@ -17,15 +17,17 @@
 //!   what it can move, journalled and undone on reject — the general
 //!   solver's iterates, bit for bit.
 //! * [`rule`] — the per-server delay rule both of those are generic over,
-//!   with its two instances: Theorem 3 and Theorem 5 as written.
-//! * [`multiclass`] — the Theorem 5 formula (Section 5.4) and the
-//!   multi-class entry point onto the solver.
+//!   with its two instances: Theorem 3 and Theorem 5 as written, and the
+//!   one delay layout, cells (`server · classes + class`).
+//! * [`multiclass`] — the Theorem 5 formula (Section 5.4); a multi-class
+//!   solve is [`fixed_point::solve_rule`] under [`rule::Theorem5`].
 //! * [`general`] — the *flow-aware* general delay formula (Eq. 2–3 and
 //!   Eq. 24): exact given the current flow set, usable only at run time;
 //!   serves as the intserv-style baseline and as the reference the
 //!   configuration-time bounds are property-tested against.
 //! * [`mod@verify`] — the Figure 2 procedure: verification of a safe
-//!   utilization assignment, producing a detailed report.
+//!   utilization assignment, producing a detailed report — the one place
+//!   cells become `delays[class][server]` rows.
 //! * [`metrics`] — solver instrumentation (iteration/residual/wall-time
 //!   histograms, divergence and verification counters) recorded into the
 //!   [`uba_obs`] registry at the end of each solve.

@@ -15,13 +15,12 @@
 //! ```
 //!
 //! With a single class this degenerates *exactly* to Theorem 3, which the
-//! tests enforce.
+//! tests enforce. This module holds the formula, as [`crate::bound`] holds
+//! Theorem 3's; a Theorem 5 solve is the one solver loop under
+//! [`crate::rule::Theorem5`]: `solve_rule(servers, &Theorem5::new(classes,
+//! alphas), routes, cfg, warm)`, delays in the rule's cell layout.
 
-use crate::fixed_point::{solve_rule, Outcome, SolveConfig};
-use crate::routeset::RouteSet;
-use crate::rule::{by_class, to_cells, Theorem5};
-use crate::servers::Servers;
-use uba_traffic::{ClassSet, LeakyBucket};
+use uba_traffic::LeakyBucket;
 
 /// Per-class configuration handed to the Theorem 5 formula: utilization
 /// share and bucket, in priority order.
@@ -66,54 +65,16 @@ pub fn theorem5_delay(specs: &[ClassSpec], i: usize, fan_in: usize, y: &[f64]) -
     Some(d.max(0.0))
 }
 
-/// Result of a multi-class fixed-point solve.
-#[derive(Clone, Debug)]
-pub struct MulticlassResult {
-    /// Verdict (deadline-exceeded routes are indices into the route set).
-    pub outcome: Outcome,
-    /// `delays[class][server]` at the last iterate.
-    pub delays: Vec<Vec<f64>>,
-    /// Per-route end-to-end delays at the last iterate.
-    pub route_delays: Vec<f64>,
-    /// Iterations performed.
-    pub iterations: usize,
-}
-
-/// Solves the multi-class system `d_{i,k} = Z_{i,k}(d)` by monotone
-/// iteration from zero (or a warm start with the same shrink-to-grow
-/// discipline as [`crate::fixed_point::solve_two_class`]): the one solver
-/// loop, [`solve_rule`], under [`Theorem5`].
-pub fn solve_multiclass(
-    servers: &Servers,
-    classes: &ClassSet,
-    alphas: &[f64],
-    routes: &RouteSet,
-    cfg: &SolveConfig,
-    warm: Option<&[Vec<f64>]>,
-) -> MulticlassResult {
-    let nc = classes.len();
-    let warm = warm.map(|w| {
-        assert_eq!(w.len(), nc, "warm start class count mismatch");
-        to_cells(w, servers.len())
-    });
-    let rule = Theorem5::new(classes, alphas);
-    let r = solve_rule(servers, &rule, routes, cfg, warm.as_deref());
-    MulticlassResult {
-        outcome: r.outcome,
-        delays: by_class(&r.delays, nc),
-        route_delays: r.route_delays,
-        iterations: r.iterations,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bound::theorem3_delay;
-    use crate::fixed_point::solve_two_class;
-    use crate::routeset::Route;
+    use crate::fixed_point::{solve_rule, solve_two_class, Outcome, SolveConfig, SolveResult};
+    use crate::routeset::{Route, RouteSet};
+    use crate::rule::Theorem5;
+    use crate::servers::Servers;
     use uba_graph::{Digraph, NodeId};
-    use uba_traffic::{ClassId, TrafficClass};
+    use uba_traffic::{ClassId, ClassSet, TrafficClass};
 
     fn voip_spec(alpha: f64) -> ClassSpec {
         ClassSpec {
@@ -189,15 +150,28 @@ mod tests {
         (servers, routes)
     }
 
+    /// A cold Theorem 5 solve; `delays` in the cell layout.
+    fn solve(
+        servers: &Servers,
+        classes: &ClassSet,
+        alphas: &[f64],
+        routes: &RouteSet,
+    ) -> SolveResult {
+        let rule = Theorem5::new(classes, alphas);
+        solve_rule(servers, &rule, routes, &SolveConfig::default(), None)
+    }
+
     #[test]
-    fn multiclass_solver_matches_two_class_for_one_class() {
+    fn theorem5_solve_matches_two_class_for_a_single_class() {
         let (servers, routes) = line_routes(1);
         let classes = ClassSet::single(TrafficClass::voip());
+        let multi = solve(&servers, &classes, &[0.3], &routes);
         let cfg = SolveConfig::default();
-        let multi = solve_multiclass(&servers, &classes, &[0.3], &routes, &cfg, None);
         let two = solve_two_class(&servers, &TrafficClass::voip(), 0.3, &routes, &cfg, None);
         assert_eq!(multi.outcome, two.outcome);
-        for (a, b) in multi.delays[0].iter().zip(&two.delays) {
+        // One class: a cell is a server.
+        assert_eq!(multi.delays.len(), two.delays.len());
+        for (a, b) in multi.delays.iter().zip(&two.delays) {
             assert!((a - b).abs() < 1e-9);
         }
     }
@@ -217,14 +191,13 @@ mod tests {
             LeakyBucket::new(64_000.0, 2_000_000.0),
             1.5,
         ));
-        let alphas = [0.1, 0.2, 0.2];
-        let cfg = SolveConfig::default();
-        let r = solve_multiclass(&servers, &classes, &alphas, &routes, &cfg, None);
+        let r = solve(&servers, &classes, &[0.1, 0.2, 0.2], &routes);
         assert_eq!(r.outcome, Outcome::Safe, "delays: {:?}", r.route_delays);
-        // Priority ordering visible per server on used servers.
-        for k in 0..servers.len() {
-            if r.delays[0][k] > 0.0 && r.delays[2][k] > 0.0 {
-                assert!(r.delays[0][k] < r.delays[2][k]);
+        // Priority ordering visible per server on used servers: a
+        // server's cells are its classes, highest priority first.
+        for cell in r.delays.chunks(3) {
+            if cell[0] > 0.0 && cell[2] > 0.0 {
+                assert!(cell[0] < cell[2]);
             }
         }
     }
@@ -235,8 +208,7 @@ mod tests {
         let mut classes = ClassSet::new();
         classes.push(TrafficClass::voip());
         classes.push(TrafficClass::voip());
-        let cfg = SolveConfig::default();
-        let r = solve_multiclass(&servers, &classes, &[0.7, 0.7], &routes, &cfg, None);
+        let r = solve(&servers, &classes, &[0.7, 0.7], &routes);
         assert_eq!(r.outcome, Outcome::InvalidParams);
     }
 
@@ -251,8 +223,7 @@ mod tests {
             LeakyBucket::new(640.0, 32_000.0),
             1e-9,
         ));
-        let cfg = SolveConfig::default();
-        let r = solve_multiclass(&servers, &classes, &[0.2, 0.2], &routes, &cfg, None);
+        let r = solve(&servers, &classes, &[0.2, 0.2], &routes);
         assert!(matches!(r.outcome, Outcome::DeadlineExceeded { .. }));
     }
 }

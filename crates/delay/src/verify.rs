@@ -6,9 +6,9 @@
 //! configuration-time delay bounds — i.e. whether the assignment is *safe*
 //! to enforce with run-time utilization tests alone.
 
-use crate::fixed_point::{solve_two_class, Outcome, SolveConfig};
-use crate::multiclass::solve_multiclass;
+use crate::fixed_point::{solve_rule, solve_two_class, Outcome, SolveConfig};
 use crate::routeset::RouteSet;
+use crate::rule::{by_class, Theorem5};
 use crate::servers::Servers;
 use uba_traffic::ClassSet;
 
@@ -20,7 +20,9 @@ pub struct VerifyReport {
     pub safe: bool,
     /// Detailed verdict from the solver.
     pub outcome: Outcome,
-    /// `server_delays[class][server]` — the per-server bounds `d_{i,k}`.
+    /// `server_delays[class][server]` — the per-server bounds `d_{i,k}`,
+    /// one row per class: the solver's cells ([`crate::rule`]) are turned
+    /// into rows here and nowhere else.
     pub server_delays: Vec<Vec<f64>>,
     /// Per-route end-to-end delays.
     pub route_delays: Vec<f64>,
@@ -58,8 +60,9 @@ impl VerifyReport {
 
 /// Runs the Figure 2 verification procedure.
 ///
-/// Dispatches to the specialized two-class solver when there is a single
-/// real-time class, and to the Theorem 5 multi-class solver otherwise.
+/// One solve under the rule the class count picks — Theorem 3 for a
+/// single real-time class, Theorem 5 for several — whose cells become
+/// [`VerifyReport::server_delays`]' rows.
 pub fn verify(
     servers: &Servers,
     classes: &ClassSet,
@@ -71,19 +74,18 @@ pub fn verify(
     assert_eq!(alphas.len(), classes.len(), "one alpha per class");
     let t0 = uba_obs::Stopwatch::start();
 
-    let (outcome, server_delays, route_delays, iterations) = if classes.len() == 1 {
-        let (_, class) = classes.iter().next().unwrap();
-        let r = solve_two_class(servers, class, alphas[0], routes, cfg, None);
-        (r.outcome, vec![r.delays], r.route_delays, r.iterations)
-    } else {
-        let r = solve_multiclass(servers, classes, alphas, routes, cfg, None);
-        (r.outcome, r.delays, r.route_delays, r.iterations)
+    let r = match classes.iter().next() {
+        Some((_, class)) if classes.len() == 1 => {
+            solve_two_class(servers, class, alphas[0], routes, cfg, None)
+        }
+        _ => solve_rule(servers, &Theorem5::new(classes, alphas), routes, cfg, None),
     };
+    let outcome = r.outcome;
 
     let worst_slack = routes
         .routes()
         .iter()
-        .zip(&route_delays)
+        .zip(&r.route_delays)
         .map(|(r, &rd)| classes.get(r.class).deadline - rd)
         .fold(f64::INFINITY, f64::min);
 
@@ -98,10 +100,10 @@ pub fn verify(
     VerifyReport {
         safe: outcome.is_safe(),
         outcome,
-        server_delays,
-        route_delays,
+        server_delays: by_class(&r.delays, classes.len()),
+        route_delays: r.route_delays,
         worst_slack,
-        iterations,
+        iterations: r.iterations,
     }
 }
 
@@ -143,7 +145,7 @@ mod tests {
     }
 
     #[test]
-    fn worst_slack_matches_route_delays() {
+    fn reported_worst_slack_matches_route_delays() {
         let (servers, routes) = ring_setup(4);
         let classes = ClassSet::single(TrafficClass::voip());
         let rep = verify(&servers, &classes, &[0.2], &routes, &SolveConfig::default());
@@ -196,6 +198,78 @@ mod tests {
         );
         assert!(rep.safe, "route delays: {:?}", rep.route_delays);
         assert_eq!(rep.server_delays.len(), 2);
+    }
+
+    /// The one dispatch left: over MCI shortest-path routes in one, two
+    /// and three classes, the rows are `by_class` of what `solve_rule`
+    /// returns under the rule the class count picks, bit for bit, with
+    /// the same outcome, route delays and iterations.
+    #[test]
+    fn server_delays_are_the_picked_rules_cells_by_class() {
+        use crate::rule::Theorem3;
+        let g = uba_topology::mci();
+        let servers = Servers::uniform(&g, 100e6, 6);
+        let all = [
+            TrafficClass::voip(),
+            TrafficClass::new("video", LeakyBucket::new(64_000.0, 2_000_000.0), 0.3),
+            TrafficClass::new("bulk-rt", LeakyBucket::new(256_000.0, 5_000_000.0), 1.0),
+        ];
+        let paths: Vec<_> = (g.nodes())
+            .flat_map(|src| {
+                let tree = uba_graph::dijkstra(&g, src);
+                let g = &g;
+                g.nodes()
+                    .filter(move |&dst| dst != src)
+                    .map(move |dst| tree.path_to(g, dst).expect("MCI is connected"))
+            })
+            .collect();
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|d| d.to_bits()).collect() };
+        let row_bits =
+            |rows: &[Vec<f64>]| -> Vec<Vec<u64>> { rows.iter().map(|r| bits(r)).collect() };
+        let cfg = SolveConfig::default();
+        for nc in 1..=3 {
+            let mut classes = ClassSet::new();
+            let mut routes = RouteSet::new(g.edge_count());
+            for class in &all[..nc] {
+                let id = classes.push(class.clone());
+                for p in &paths {
+                    routes.push(Route::from_path(id, p));
+                }
+            }
+            let alphas = &[0.05, 0.15, 0.15][..nc];
+            let rep = verify(&servers, &classes, alphas, &routes, &cfg);
+            let want = if nc == 1 {
+                let rule = Theorem3::new(&all[0], vec![alphas[0]; servers.len()]);
+                solve_rule(&servers, &rule, &routes, &cfg, None)
+            } else {
+                solve_rule(
+                    &servers,
+                    &Theorem5::new(&classes, alphas),
+                    &routes,
+                    &cfg,
+                    None,
+                )
+            };
+            assert!(rep.safe, "{nc} classes: {:?}", rep.outcome);
+            assert_eq!(rep.outcome, want.outcome);
+            assert_eq!(rep.iterations, want.iterations);
+            assert_eq!(bits(&rep.route_delays), bits(&want.route_delays));
+            let rows = by_class(&want.delays, nc);
+            assert_eq!(
+                row_bits(&rep.server_delays),
+                row_bits(&rows),
+                "{nc} classes"
+            );
+            // The check sees the layout: the cells cut into rows without
+            // transposing them are other rows.
+            let untransposed: Vec<Vec<f64>> = (want.delays.chunks(servers.len()))
+                .map(<[f64]>::to_vec)
+                .collect();
+            assert_eq!(rows.len(), untransposed.len());
+            if nc > 1 {
+                assert_ne!(row_bits(&rows), row_bits(&untransposed), "{nc} classes");
+            }
+        }
     }
 
     #[test]

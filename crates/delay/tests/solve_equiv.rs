@@ -13,18 +13,19 @@
 //! moved by one ulp, an iteration more or a different first offending
 //! route changes at least one digest.
 //!
-//! The `MULTICLASS` rows are `solve_multiclass`'s answers from the commit
-//! before ISSUE 21, when it still ran an iteration of its own: the one
-//! loop that replaced it must return them bit for bit.
+//! The `MULTICLASS` rows are the Theorem 5 solver's answers from the
+//! commit before ISSUE 21, when it still ran an iteration of its own: the
+//! one loop that replaced it, `solve_rule` under `Theorem5`, must return
+//! them bit for bit.
 //!
 //! Re-pinning is only legitimate for an intended behaviour change: the
 //! failure message prints the freshly computed tables.
 
 use uba_delay::fixed_point::{
-    solve_two_class, solve_two_class_with, Outcome, SolveConfig, SolveResult,
+    solve_rule, solve_two_class, solve_two_class_with, Outcome, SolveConfig, SolveResult,
 };
-use uba_delay::multiclass::{solve_multiclass, MulticlassResult};
 use uba_delay::routeset::{Route, RouteSet};
+use uba_delay::rule::Theorem5;
 use uba_delay::servers::Servers;
 use uba_graph::{k_shortest_paths, Digraph, NodeId};
 use uba_obs::SplitMix64;
@@ -280,7 +281,7 @@ fn general_solver_matches_the_pinned_digests() {
     );
 }
 
-/// Theorem 5 through `solve_multiclass`: 45 random routes on MCI dealt to
+/// Theorem 5 through `solve_rule`: 45 random routes on MCI dealt to
 /// three classes, 16 on ring9 dealt to two. A cell folds four solves:
 /// cold, warm from half the cold iterate, warm from 1.5 times it, and warm
 /// from the cold iterate of the same routes at half the utilizations.
@@ -309,17 +310,20 @@ const MULTICLASS: [u64; 8] = [
 /// `mci high` again under `max_iters = 3`: `IterationLimit`.
 const MULTICLASS_CAPPED: u64 = 0x9f08_8f8d_6bd2_29e9;
 
-fn fold_multi(mut h: u64, r: &MulticlassResult) -> u64 {
+/// Outcome, iterations, the `nc` classes' delays class by class (each
+/// class's cells in server order), then the route delays.
+fn fold_multi(mut h: u64, r: &SolveResult, nc: usize) -> u64 {
     let (tag, route) = match r.outcome {
         Outcome::Safe => (0, 0),
         Outcome::DeadlineExceeded { route } => (1, route as u64),
         Outcome::IterationLimit => (2, 0),
         Outcome::InvalidParams => (3, 0),
     };
-    for word in [tag, route, r.iterations as u64, r.delays.len() as u64] {
+    for word in [tag, route, r.iterations as u64, nc as u64] {
         h = fnv(h, word);
     }
-    for x in r.delays.iter().flatten().chain(&r.route_delays) {
+    let by_class = (0..nc).flat_map(|c| r.delays.iter().skip(c).step_by(nc));
+    for x in by_class.chain(&r.route_delays) {
         h = fnv(h, x.to_bits());
     }
     h
@@ -374,38 +378,35 @@ fn multiclass() -> (Vec<u64>, u64, Vec<Outcome>) {
                 3 => (&mci_servers, &three, &mci_routes),
                 _ => (&ring_servers, &two, &ring_routes),
             };
-            let solve = |alphas: &[f64], warm: Option<&[Vec<f64>]>| {
-                solve_multiclass(servers, classes, alphas, routes, &cfg, warm)
+            let nc = classes.len();
+            let solve = |alphas: &[f64], warm: Option<&[f64]>| {
+                solve_rule(servers, &Theorem5::new(classes, alphas), routes, &cfg, warm)
             };
-            let scaled = |d: &[Vec<f64>], f: f64| -> Vec<Vec<f64>> {
-                d.iter()
-                    .map(|row| row.iter().map(|x| x * f).collect())
-                    .collect()
-            };
+            // Scaling each cell is scaling each class's row: the same
+            // warm start, already in the layout the solver takes.
+            let scaled = |d: &[f64], f: f64| -> Vec<f64> { d.iter().map(|x| x * f).collect() };
             let cold = solve(alphas, None);
             outcomes.push(cold.outcome);
             let halved: Vec<f64> = alphas.iter().map(|a| a * 0.5).collect();
             let smaller = solve(&halved, None);
-            let mut h = fold_multi(FNV_OFFSET, &cold);
-            h = fold_multi(h, &solve(alphas, Some(&scaled(&cold.delays, 0.5))));
-            h = fold_multi(h, &solve(alphas, Some(&scaled(&cold.delays, 1.5))));
-            fold_multi(h, &solve(alphas, Some(&smaller.delays)))
+            let mut h = fold_multi(FNV_OFFSET, &cold, nc);
+            h = fold_multi(h, &solve(alphas, Some(&scaled(&cold.delays, 0.5))), nc);
+            h = fold_multi(h, &solve(alphas, Some(&scaled(&cold.delays, 1.5))), nc);
+            fold_multi(h, &solve(alphas, Some(&smaller.delays)), nc)
         })
         .collect();
     let capped = SolveConfig {
         max_iters: 3,
         ..cfg
     };
-    let limit = solve_multiclass(
-        &mci_servers,
-        &three,
-        MULTICLASS_CASES[1].1,
-        &mci_routes,
-        &capped,
-        None,
-    );
+    let rule = Theorem5::new(&three, MULTICLASS_CASES[1].1);
+    let limit = solve_rule(&mci_servers, &rule, &mci_routes, &capped, None);
     outcomes.push(limit.outcome);
-    (digests, fold_multi(FNV_OFFSET, &limit), outcomes)
+    (
+        digests,
+        fold_multi(FNV_OFFSET, &limit, three.len()),
+        outcomes,
+    )
 }
 
 #[test]

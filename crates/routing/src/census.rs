@@ -13,12 +13,8 @@ use uba_delay::routeset::RouteSet;
 /// Per-server route-structure statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServerCensus {
-    /// Number of route traversals of this server.
-    pub routes_crossing: usize,
     /// Deepest upstream prefix (hops already traveled) among arrivals.
     pub max_prefix_hops: usize,
-    /// Mean upstream prefix depth over arrivals.
-    pub mean_prefix_hops: f64,
 }
 
 /// Whole-route-set census.
@@ -56,9 +52,7 @@ impl RouteCensus {
 /// structure is what the fixed point sees).
 pub fn census(routes: &RouteSet) -> RouteCensus {
     let s = routes.server_count();
-    let mut crossing = vec![0usize; s];
     let mut max_prefix = vec![0usize; s];
-    let mut sum_prefix = vec![0usize; s];
     let mut route_lengths = Vec::new();
     for r in routes.routes() {
         let len = r.servers.len();
@@ -68,20 +62,12 @@ pub fn census(routes: &RouteSet) -> RouteCensus {
         route_lengths[len] += 1;
         for (p, &k) in r.servers.iter().enumerate() {
             let k = k as usize;
-            crossing[k] += 1;
-            sum_prefix[k] += p;
             max_prefix[k] = max_prefix[k].max(p);
         }
     }
     let per_server: Vec<ServerCensus> = (0..s)
         .map(|k| ServerCensus {
-            routes_crossing: crossing[k],
             max_prefix_hops: max_prefix[k],
-            mean_prefix_hops: if crossing[k] > 0 {
-                sum_prefix[k] as f64 / crossing[k] as f64
-            } else {
-                0.0
-            },
         })
         .collect();
     let route_mixing_depth = routes
@@ -127,7 +113,6 @@ mod tests {
     fn single_route_census() {
         let set = rs(4, &[&[0, 1, 2, 3]]);
         let c = census(&set);
-        assert_eq!(c.per_server[0].routes_crossing, 1);
         assert_eq!(c.per_server[0].max_prefix_hops, 0);
         assert_eq!(c.per_server[3].max_prefix_hops, 3);
         assert_eq!(c.route_lengths[4], 1);
@@ -142,9 +127,7 @@ mod tests {
         // first hop there now sits behind depth-2 mixing.
         let set = rs(4, &[&[2, 3], &[0, 1, 2]]);
         let c = census(&set);
-        assert_eq!(c.per_server[2].routes_crossing, 2);
         assert_eq!(c.per_server[2].max_prefix_hops, 2);
-        assert!((c.per_server[2].mean_prefix_hops - 1.0).abs() < 1e-12);
         // Route A's mixing depth: (2 + 1)/2 = 1.5 (server 3 sees prefix 1
         // from route A itself).
         assert!((c.route_mixing_depth[0] - 1.5).abs() < 1e-12);
@@ -155,6 +138,6 @@ mod tests {
         let c = census(&RouteSet::new(3));
         assert_eq!(c.worst_mixing_depth(), 0.0);
         assert_eq!(c.max_route_length(), 0);
-        assert!(c.per_server.iter().all(|s| s.routes_crossing == 0));
+        assert!(c.per_server.iter().all(|s| s.max_prefix_hops == 0));
     }
 }

@@ -23,8 +23,10 @@
 //! candidates and pairs, and a candidate costs what it can move — its own
 //! hops, the servers whose `Y_k` it raises, the routes through them —
 //! not a solve over the whole route set.
-//! The greedy routes *demands* (a pair in a class) under either delay rule:
-//! [`select_routes`], [`crate::multiclass::select_routes_multiclass`].
+//! The greedy routes *demands* (a pair in a class) under either delay rule
+//! — [`select_routes`], [`crate::multiclass::select_routes_multiclass`] —
+//! and returns one [`Selection`] whatever the class count, its delays in
+//! the rule's cells ([`uba_delay::rule`]).
 
 use crate::pairs::{order_by_distance, Demand, Pair};
 use std::collections::HashMap;
@@ -33,7 +35,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use uba_delay::committed::CommittedState;
 use uba_delay::fixed_point::SolveConfig;
 use uba_delay::routeset::{Route, RouteSet};
-use uba_delay::rule::{by_class, DelayRule};
+use uba_delay::rule::DelayRule;
 use uba_delay::servers::Servers;
 use uba_graph::yen::YenWorkspace;
 use uba_graph::{Digraph, DynDigraph, EdgeId, Path};
@@ -207,11 +209,11 @@ impl<'g> CandidateCache<'g> {
 
     /// `chosen`, what [`select_in_order`] returned for `ordered` through
     /// this cache, as a selection: its paths rebuilt from the cache.
-    pub(crate) fn selection(&self, ordered: &[Demand], chosen: Chosen) -> MultiSelection {
+    pub(crate) fn selection(&self, ordered: &[Demand], chosen: Chosen) -> Selection {
         let paths = (ordered.iter().zip(&chosen.indices))
             .map(|(&d, &i)| self.path(d, i))
             .collect();
-        MultiSelection {
+        Selection {
             demands: ordered.to_vec(),
             paths,
             routes: chosen.routes,
@@ -271,54 +273,19 @@ pub enum SelectionError {
     NoSafeRoute(Pair),
 }
 
-/// A successful route selection.
+/// A successful route selection, over any number of classes.
 #[derive(Clone, Debug)]
 pub struct Selection {
-    /// Pairs in the order they were routed.
-    pub pairs: Vec<Pair>,
-    /// Chosen route per pair (same order).
-    pub paths: Vec<Path>,
-    /// The committed route set (class 0, same order).
-    pub routes: RouteSet,
-    /// Per-server delay bounds at the final fixed point.
-    pub delays: Vec<f64>,
-    /// Per-route end-to-end delays at the final fixed point.
-    pub route_delays: Vec<f64>,
-}
-
-impl Selection {
-    /// Worst route slack `min(D − delay)`; `+∞` with no routes.
-    pub fn worst_slack(&self, deadline: f64) -> f64 {
-        self.route_delays
-            .iter()
-            .map(|&rd| deadline - rd)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// The one-class view of what the greedy returns.
-    pub(crate) fn one_class(mut sel: MultiSelection) -> Self {
-        assert_eq!(sel.delays.len(), 1, "a selection of one class");
-        Self {
-            pairs: sel.demands.iter().map(|d| d.pair).collect(),
-            paths: sel.paths,
-            routes: sel.routes,
-            delays: sel.delays.remove(0),
-            route_delays: sel.route_delays,
-        }
-    }
-}
-
-/// What the greedy returns: a selection over any number of classes.
-#[derive(Clone, Debug)]
-pub struct MultiSelection {
     /// Demands in the order they were routed.
     pub demands: Vec<Demand>,
-    /// Chosen route per demand.
+    /// Chosen route per demand (same order).
     pub paths: Vec<Path>,
-    /// The committed route set.
+    /// The committed route set (same order).
     pub routes: RouteSet,
-    /// `delays[class][server]` at the final fixed point.
-    pub delays: Vec<Vec<f64>>,
+    /// Delay bounds at the final fixed point, in the delay rule's cells
+    /// ([`uba_delay::rule`]): `delays[server · classes + class]`, one per
+    /// server with one class.
+    pub delays: Vec<f64>,
     /// Per-route end-to-end delays at the final fixed point.
     pub route_delays: Vec<f64>,
 }
@@ -422,7 +389,7 @@ pub fn select_routes(
     let state = CommittedState::new(servers, class, alpha, &cfg.solver);
     let mut cache = CandidateCache::new(g, |_| true);
     let chosen = select_in_order(g, state, &ordered, cfg, &mut cache)?;
-    Ok(Selection::one_class(cache.selection(&ordered, chosen)))
+    Ok(cache.selection(&ordered, chosen))
 }
 
 /// What the greedy committed, before any path is rebuilt: per demand, in
@@ -432,7 +399,8 @@ pub fn select_routes(
 pub(crate) struct Chosen {
     indices: Vec<usize>,
     routes: RouteSet,
-    delays: Vec<Vec<f64>>,
+    /// Cells, as [`Selection::delays`].
+    delays: Vec<f64>,
     route_delays: Vec<f64>,
 }
 
@@ -457,12 +425,11 @@ pub(crate) fn select_in_order<R: DelayRule>(
         indices.push(choose_route(&mut state, &mut overlay, demand, cfg, cache)?);
     }
 
-    let classes = state.classes();
     let (routes, delays, route_delays) = state.into_parts();
     Ok(Chosen {
         indices,
         routes,
-        delays: by_class(&delays, classes),
+        delays,
         route_delays,
     })
 }
@@ -498,10 +465,11 @@ mod tests {
         )
         .expect("low alpha must be routable");
         assert_eq!(sel.paths.len(), pairs.len());
-        assert!(sel.worst_slack(0.1) > 0.0);
-        for (p, path) in sel.pairs.iter().zip(&sel.paths) {
-            assert_eq!(path.source(), Some(p.src));
-            assert_eq!(path.target(), Some(p.dst));
+        // Every route under the 100 ms deadline: a positive worst slack.
+        assert!(sel.route_delays.iter().all(|&rd| rd < 0.1));
+        for (d, path) in sel.demands.iter().zip(&sel.paths) {
+            assert_eq!(path.source(), Some(d.pair.src));
+            assert_eq!(path.target(), Some(d.pair.dst));
         }
     }
 

@@ -13,6 +13,8 @@
 //!   individually switchable for the ablation experiment A-RS. Candidates
 //!   are verified against one persistent committed fixed point
 //!   ([`uba_delay::committed::CommittedState`]), not by a solve each.
+//!   Every selection step, one class or several, returns one
+//!   [`Selection`], its delays in the delay rule's cells.
 //! * [`metrics`] — `routing.select.{candidates, pruned, cycle_checks}`.
 //! * [`search`] — the Section 5.3 binary search for the maximum safe
 //!   utilization, seeded with the Theorem 4 bounds.
@@ -34,9 +36,7 @@ pub mod sp;
 
 pub use bounds::{alpha_lower_bound, alpha_upper_bound, utilization_bounds};
 pub use heuristic::{select_routes, HeuristicConfig, Selection, SelectionError};
-pub use multiclass::{
-    max_utilization_ray, select_routes_multiclass, Demand, MultiSelection, RaySearchResult,
-};
+pub use multiclass::{max_utilization_ray, select_routes_multiclass, Demand, RaySearchResult};
 pub use pairs::{all_ordered_pairs, order_pairs_by_distance, Pair};
 pub use reconfigure::{Configuration, FailureReport};
 pub use search::{max_utilization, MaxUtilResult, Selector};

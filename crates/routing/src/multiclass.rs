@@ -12,10 +12,13 @@
 //!   space: `α = t·w` for a weight vector `w`; maximizing `t` traces one
 //!   point of the Pareto trade-off between classes per ray. Sweeping rays
 //!   yields the trade-off curve the paper alludes to.
+//!
+//! Both return the one-class steps' [`Selection`], its delays in
+//! Theorem 5's cells (`server · classes + class`); Figure 2's
+//! [`uba_delay::verify()`] is where they become per-class rows.
 
-pub use crate::heuristic::MultiSelection;
 use crate::heuristic::{
-    select_in_order, visit_order, CandidateCache, HeuristicConfig, SelectionError,
+    select_in_order, visit_order, CandidateCache, HeuristicConfig, Selection, SelectionError,
 };
 pub use crate::pairs::Demand;
 use crate::search::bisect;
@@ -37,7 +40,7 @@ pub fn select_routes_multiclass(
     alphas: &[f64],
     demands: &[Demand],
     cfg: &HeuristicConfig,
-) -> Result<MultiSelection, SelectionError> {
+) -> Result<Selection, SelectionError> {
     let ordered = visit_order(g, demands, cfg);
     let state = CommittedState::empty(servers, Theorem5::new(classes, alphas), &cfg.solver);
     let mut cache = CandidateCache::new(g, |_| true);
@@ -53,7 +56,7 @@ pub struct RaySearchResult {
     /// The per-class utilizations at `t`.
     pub alphas: Vec<f64>,
     /// The selection achieving them (`None` iff `t == 0`).
-    pub selection: Option<MultiSelection>,
+    pub selection: Option<Selection>,
     /// Probes as `(t, feasible)`.
     pub probes: Vec<(f64, bool)>,
 }

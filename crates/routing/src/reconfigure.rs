@@ -53,7 +53,8 @@ pub struct FailureReport {
 }
 
 impl Configuration {
-    /// Adopts a bulk [`Selection`] as the starting configuration.
+    /// Adopts a bulk one-class [`Selection`] as the starting
+    /// configuration: its demands' pairs, paths and fixed point.
     pub fn from_selection(
         g: Digraph,
         servers: Servers,
@@ -72,7 +73,7 @@ impl Configuration {
             class,
             alpha,
             cfg,
-            pairs: sel.pairs,
+            pairs: sel.demands.iter().map(|d| d.pair).collect(),
             paths: sel.paths,
             routes: sel.routes,
             overlay,

@@ -100,7 +100,7 @@ pub fn max_utilization(
                 })
             });
             found.map(|(delays, route_delays)| Selection {
-                pairs: pairs.to_vec(),
+                demands: class0_demands(pairs),
                 paths,
                 routes,
                 delays,
@@ -114,7 +114,7 @@ pub fn max_utilization(
                 let state = CommittedState::new(servers, class, alpha, &cfg.solver);
                 select_in_order(g, state, &ordered, cfg, &mut cache).ok()
             });
-            found.map(|chosen| Selection::one_class(cache.selection(&ordered, chosen)))
+            found.map(|chosen| cache.selection(&ordered, chosen))
         }
     };
     MaxUtilResult {

@@ -19,7 +19,7 @@ use uba_delay::servers::Servers;
 use uba_graph::{Digraph, NodeId};
 use uba_routing::{
     all_ordered_pairs, max_utilization_ray, select_routes_multiclass, Demand, HeuristicConfig,
-    MultiSelection, Pair, SelectionError,
+    Pair, Selection, SelectionError,
 };
 use uba_topology::{mci, nsfnet};
 use uba_traffic::{ClassId, ClassSet, LeakyBucket, TrafficClass};
@@ -30,9 +30,9 @@ fn fnv(h: u64, word: u64) -> u64 {
     })
 }
 
-/// Demand order, path edge lists, `delays[class][server]` and
-/// `route_delays` bit patterns.
-fn digest(sel: &MultiSelection) -> u64 {
+/// Demand order, path edge lists, the `nc` classes' delays class by class
+/// (each class's cells in server order) and `route_delays` bit patterns.
+fn digest(sel: &Selection, nc: usize) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325;
     assert_eq!(sel.demands.len(), sel.paths.len());
     assert_eq!(sel.demands.len(), sel.routes.len());
@@ -46,8 +46,9 @@ fn digest(sel: &MultiSelection) -> u64 {
             h = fnv(h, e.index() as u64);
         }
     }
-    h = fnv(h, sel.delays.len() as u64);
-    for d in sel.delays.iter().flatten().chain(&sel.route_delays) {
+    h = fnv(h, nc as u64);
+    let by_class = (0..nc).flat_map(|c| sel.delays.iter().skip(c).step_by(nc));
+    for d in by_class.chain(&sel.route_delays) {
         h = fnv(h, d.to_bits());
     }
     h
@@ -148,7 +149,7 @@ const DIGESTS: [(u64, u64, (u32, u32)); 3] = [
     (0xd0ab_bbac_2f4f_ee78, 0x9ed1_238e_ce8d_742f, (11, 7)),
 ];
 
-fn select(case: &Case, t: f64, cfg: &HeuristicConfig) -> Result<MultiSelection, SelectionError> {
+fn select(case: &Case, t: f64, cfg: &HeuristicConfig) -> Result<Selection, SelectionError> {
     let servers = Servers::uniform(&case.g, 100e6, case.fan_in);
     let alphas: Vec<f64> = case.weights.iter().map(|w| w * t).collect();
     select_routes_multiclass(
@@ -161,7 +162,7 @@ fn select(case: &Case, t: f64, cfg: &HeuristicConfig) -> Result<MultiSelection, 
     )
 }
 
-fn gives_up_at(r: Result<MultiSelection, SelectionError>) -> (u32, u32) {
+fn gives_up_at(r: Result<Selection, SelectionError>) -> (u32, u32) {
     match r {
         Err(SelectionError::NoSafeRoute(Pair { src, dst })) => (src.0, dst.0),
         other => panic!(
@@ -181,7 +182,7 @@ fn selections_match_the_pinned_digests() {
             let routed = |t| {
                 let sel = select(case, t, &cfg).unwrap_or_else(|e| panic!("{}: {e:?}", case.name));
                 assert_eq!(sel.paths.len(), case.demands.len());
-                digest(&sel)
+                digest(&sel, case.classes.len())
             };
             (
                 routed(low),
@@ -239,13 +240,16 @@ fn ablated_selections_match_the_pinned_digests() {
     let t = SCALES[2][1] * 0.9;
     let computed: Vec<u64> = configs
         .iter()
-        .map(|cfg| digest(&select(case, t, cfg).expect("routable")))
+        .map(|cfg| digest(&select(case, t, cfg).expect("routable"), case.classes.len()))
         .collect();
     assert_eq!(
         computed, ABLATIONS,
         "an ablated selection diverged; computed: {computed:#x?}"
     );
-    let full = digest(&select(case, t, &base()).expect("routable"));
+    let full = digest(
+        &select(case, t, &base()).expect("routable"),
+        case.classes.len(),
+    );
     assert!(
         !computed.contains(&full),
         "an ablation that ablates nothing"
@@ -270,7 +274,7 @@ fn an_oversubscribed_vector_fails_at_the_first_demand() {
     assert_eq!(gives_up_at(r), (14, 12));
     let none = select_routes_multiclass(&case.g, &servers, &case.classes, &[0.6, 0.6], &[], &cfg)
         .expect("nothing to route");
-    assert_eq!(none.delays, vec![vec![0.0; servers.len()]; 2]);
+    assert_eq!(none.delays, vec![0.0; 2 * servers.len()]);
     assert!(none.route_delays.is_empty());
 }
 
@@ -326,7 +330,7 @@ fn search(case: &Case) -> (Vec<(u64, bool)>, u64, u64) {
     for (alpha, w) in found.alphas.iter().zip(case.weights) {
         assert_eq!(alpha.to_bits(), (w * found.t).to_bits());
     }
-    (probes, found.t.to_bits(), digest(sel))
+    (probes, found.t.to_bits(), digest(sel, case.classes.len()))
 }
 
 #[test]

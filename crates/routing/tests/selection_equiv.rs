@@ -48,9 +48,9 @@ fn fnv(h: u64, word: u64) -> u64 {
 
 fn digest(sel: &Selection) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325;
-    for (pair, path) in sel.pairs.iter().zip(&sel.paths) {
-        h = fnv(h, pair.src.0 as u64);
-        h = fnv(h, pair.dst.0 as u64);
+    for (demand, path) in sel.demands.iter().zip(&sel.paths) {
+        h = fnv(h, demand.pair.src.0 as u64);
+        h = fnv(h, demand.pair.dst.0 as u64);
         h = fnv(h, path.edges.len() as u64);
         for e in &path.edges {
             h = fnv(h, e.index() as u64);

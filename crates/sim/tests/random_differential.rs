@@ -14,7 +14,7 @@
 //!
 //! One arm carries VoIP alone at C = 1 Mb/s under Figure 2 verification
 //! (Theorem 3). The other puts VoIP above a 400 kb/s video class at
-//! C = 4 Mb/s under `solve_multiclass` (Theorem 5), halving both α
+//! C = 4 Mb/s under Figure 2 verification (Theorem 5), halving both α
 //! together, filling one two-class state class by class, and holds each
 //! class to its own worst route bound.
 
@@ -23,9 +23,9 @@ mod common;
 use common::slack;
 use uba_admission::UtilizationState;
 use uba_delay::fixed_point::{solve_two_class, SolveConfig};
-use uba_delay::multiclass::solve_multiclass;
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
+use uba_delay::verify::verify;
 use uba_graph::{bfs, Digraph};
 use uba_obs::{check, ensure, SplitMix64};
 use uba_routing::bounds::utilization_bounds;
@@ -213,8 +213,8 @@ fn verified_two_class_instances_meet_their_theorem5_bounds_in_simulation() {
             let diameter = bfs::diameter(&g).expect("non-empty");
             let mut alphas = [&voip, &video].map(|c| theorem4_alpha(rng, &servers, diameter, c));
             let analysis = loop {
-                let analysis = solve_multiclass(&servers, &classes, &alphas, &routes, &cfg, None);
-                if analysis.outcome.is_safe() {
+                let analysis = verify(&servers, &classes, &alphas, &routes, &cfg);
+                if analysis.safe {
                     break analysis;
                 }
                 alphas = alphas.map(|a| a / 2.0);

@@ -120,7 +120,7 @@ fn mci_subset_simulation_below_bound() {
 /// configuration-time bounds.
 #[test]
 fn multiclass_simulation_below_theorem5_bounds() {
-    use uba_delay::multiclass::solve_multiclass;
+    use uba_delay::verify::verify;
     use uba_traffic::{ClassSet, LeakyBucket};
 
     let g = ring(6);
@@ -143,15 +143,14 @@ fn multiclass_simulation_below_theorem5_bounds() {
             routes.push(Route::from_path(ClassId(class), p));
         }
     }
-    let analysis = solve_multiclass(
+    let analysis = verify(
         &servers,
         &classes,
         &alphas,
         &routes,
         &SolveConfig::default(),
-        None,
     );
-    assert!(analysis.outcome.is_safe(), "{:?}", analysis.outcome);
+    assert!(analysis.safe, "{:?}", analysis.outcome);
     // Per-class worst route bound.
     let mut bounds = [0.0f64; 2];
     for (rt, &rd) in routes.routes().iter().zip(&analysis.route_delays) {

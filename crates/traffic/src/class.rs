@@ -140,7 +140,7 @@ mod tests {
     }
 
     #[test]
-    fn single_creates_one_class() {
+    fn single_creates_a_set_of_one() {
         let s = ClassSet::single(TrafficClass::voip());
         assert_eq!(s.len(), 1);
         assert!(!s.is_empty());

@@ -8,7 +8,6 @@
 //! Run with: `cargo run --release --example multi_class`
 
 use uba::delay::fixed_point::SolveConfig;
-use uba::delay::multiclass::solve_multiclass;
 use uba::delay::routeset::{Route, RouteSet};
 use uba::prelude::*;
 
@@ -43,40 +42,30 @@ fn main() {
     println!("|--------|--------|--------|---------|------------------|");
     for video_share in [0.05, 0.10, 0.20, 0.30] {
         let alphas = [0.05, video_share, 0.15];
-        let r = solve_multiclass(
+        let r = verify(
             &servers,
             &classes,
             &alphas,
             &routes,
             &SolveConfig::default(),
-            None,
         );
-        let slack = routes
-            .routes()
-            .iter()
-            .zip(&r.route_delays)
-            .map(|(rt, &rd)| classes.get(rt.class).deadline - rd)
-            .fold(f64::INFINITY, f64::min);
+        let slack = r.worst_slack;
         println!(
             "| {:.2}   | {:.2}   | {:.2}   | {:<7} | {:>16.2} |",
             alphas[0],
             alphas[1],
             alphas[2],
-            if r.outcome.is_safe() {
-                "SAFE"
-            } else {
-                "UNSAFE"
-            },
+            if r.safe { "SAFE" } else { "UNSAFE" },
             if slack.is_finite() {
                 slack * 1e3
             } else {
                 f64::NAN
             },
         );
-        if r.outcome.is_safe() {
+        if r.safe {
             // Per-class worst link delay, to show the priority ladder.
             let worst: Vec<f64> = r
-                .delays
+                .server_delays
                 .iter()
                 .map(|d| d.iter().cloned().fold(0.0, f64::max) * 1e3)
                 .collect();
