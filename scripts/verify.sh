@@ -85,7 +85,7 @@ else
   echo "verify.sh: taskset not found; skipping the one-worker lanes"
 fi
 
-echo "==> examples (every examples/*.rs runs in release to exit 0; validate_simulation asserts the analytic bound and zero misses)"
+echo "==> examples (every examples/*.rs runs in release to exit 0; validate_simulation asserts the analytic bound and zero misses; every example but voip_network, which prints measured decision times, must reprint its section of results/examples.txt)"
 for example in examples/*.rs; do
   name="$(basename "$example" .rs)"
   cargo run --offline --release --quiet --example "$name" > /dev/null || {
@@ -93,6 +93,14 @@ for example in examples/*.rs; do
     exit 1
   }
 done
+diff <(for name in failure_recovery multi_class quickstart statistical_capacity \
+  validate_simulation; do
+  echo "\$ cargo run --release --example $name"
+  cargo run --offline --release --quiet --example "$name"
+done) results/examples.txt > /dev/null || {
+  echo "verify.sh: the examples no longer print results/examples.txt" >&2
+  exit 1
+}
 
 echo "==> cargo fmt --check (formatting gate)"
 cargo fmt --check
