@@ -40,7 +40,6 @@ fn main() {
                     order_by_distance: order,
                     prefer_acyclic: acyclic,
                     min_delay_choice: mindelay,
-                    ..Default::default()
                 };
                 let alpha = run(&g, &servers, &voip, &pairs, cfg);
                 println!(

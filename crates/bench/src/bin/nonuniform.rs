@@ -9,8 +9,9 @@
 //!
 //! Run with: `cargo run -p uba-bench --release --bin nonuniform`
 
-use uba::delay::fixed_point::{solve_two_class_with, SolveConfig};
+use uba::delay::fixed_point::{solve_rule, SolveConfig};
 use uba::delay::routeset::{Route, RouteSet};
+use uba::delay::rule::Theorem3;
 use uba::prelude::*;
 
 fn main() {
@@ -36,7 +37,8 @@ fn main() {
     let cfg = SolveConfig::default();
     let mut alphas = vec![base_alpha; servers.len()];
     let check = |alphas: &[f64]| {
-        solve_two_class_with(&servers, &voip, alphas, &routes, &cfg, None)
+        let rule = Theorem3::new(&voip, alphas.to_vec());
+        solve_rule(&servers, &rule, &routes, &cfg, None)
             .outcome
             .is_safe()
     };

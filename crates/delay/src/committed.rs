@@ -13,7 +13,12 @@
 //! one whose `Y` moved), re-sweeps only the routes through cells whose `d`
 //! moved, journals every write and undoes them on reject. State is one
 //! entry per cell of [`crate::rule`]'s layout; with one class a cell is a
-//! server, which is how the text below speaks.
+//! server, which is how the text below speaks. A state is built under any
+//! [`DelayRule`], two ways: [`CommittedState::empty`], and
+//! [`CommittedState::from_fixed_point`] adopting routes somebody else
+//! solved. Evaluations converge to, and stop at, the iteration cap of
+//! [`SolveConfig::default`] — the settings of every general solve a
+//! configuration step makes.
 //!
 //! # Invariant
 //!
@@ -58,18 +63,16 @@
 use crate::fixed_point::{SolveConfig, DEADLINE_SLACK};
 use crate::metrics::{trace_solve, SolveRecord, SolveTally, TIME_EVERY};
 use crate::routeset::{Route, RouteSet};
-use crate::rule::{DelayRule, Theorem3};
+use crate::rule::DelayRule;
 use crate::servers::Servers;
-use uba_traffic::TrafficClass;
 
 /// The committed routes of a configuration at one utilization assignment
 /// (`rule`), with their fixed point, ready to evaluate tentative routes
 /// against.
 #[derive(Debug)]
-pub struct CommittedState<'a, R = Theorem3> {
+pub struct CommittedState<'a, R> {
     servers: &'a Servers,
     rule: R,
-    cfg: SolveConfig,
     routes: RouteSet,
     /// Append-only: the routes crossing each cell, once per visit.
     through: Vec<Vec<u32>>,
@@ -142,43 +145,22 @@ fn sweep_tracked(
     prefix
 }
 
-impl<'a> CommittedState<'a> {
-    /// No routes committed yet; one real-time class at `alpha` everywhere.
-    pub fn new(servers: &'a Servers, class: &TrafficClass, alpha: f64, cfg: &SolveConfig) -> Self {
-        let s = servers.len();
-        Self::from_fixed_point(servers, class, alpha, cfg, RouteSet::new(s), vec![0.0; s])
-    }
-
-    /// Adopts `routes` with `delays`, a warm start for them in the sense
-    /// of [`solve_two_class`](crate::fixed_point::solve_two_class) —
-    /// normally their own fixed point. `Y` and the route delays are
-    /// rebuilt from it (one pass over every hop); every server counts as
-    /// stale until the first evaluation has looked at it.
-    pub fn from_fixed_point(
-        servers: &'a Servers,
-        class: &TrafficClass,
-        alpha: f64,
-        cfg: &SolveConfig,
-        routes: RouteSet,
-        delays: Vec<f64>,
-    ) -> Self {
-        let rule = Theorem3::new(class, vec![alpha; servers.len()]);
-        Self::with_rule(servers, rule, cfg, routes, delays)
-    }
-}
-
 impl<'a, R: DelayRule> CommittedState<'a, R> {
     /// No routes committed yet, under `rule`.
-    pub fn empty(servers: &'a Servers, rule: R, cfg: &SolveConfig) -> Self {
+    pub fn empty(servers: &'a Servers, rule: R) -> Self {
         let (routes, cells) = (RouteSet::new(servers.len()), servers.len() * rule.classes());
-        Self::with_rule(servers, rule, cfg, routes, vec![0.0; cells])
+        Self::from_fixed_point(servers, rule, routes, vec![0.0; cells])
     }
 
-    /// [`CommittedState::from_fixed_point`] under any rule, `delays` by cell.
-    fn with_rule(
+    /// Adopts `routes` under `rule` with `delays`, one per cell: a warm
+    /// start for them in the sense of
+    /// [`solve_rule`](crate::fixed_point::solve_rule) — normally their own
+    /// fixed point. `Y` and the route delays are rebuilt from it (one pass
+    /// over every hop); every cell counts as stale until the first
+    /// evaluation has looked at it.
+    pub fn from_fixed_point(
         servers: &'a Servers,
         rule: R,
-        cfg: &SolveConfig,
         routes: RouteSet,
         delays: Vec<f64>,
     ) -> Self {
@@ -194,7 +176,6 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
         let mut st = Self {
             servers,
             rule,
-            cfg: *cfg,
             routes,
             through: vec![Vec::new(); s],
             d: delays,
@@ -239,11 +220,6 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
             .filter(|&k| st.used[k as usize] || st.d[k as usize] != 0.0)
             .collect();
         st
-    }
-
-    /// Classes of the delay rule: cells per server.
-    pub fn classes(&self) -> usize {
-        self.rule.classes()
     }
 
     /// The committed routes.
@@ -376,8 +352,10 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
 
     /// Stages `cand` as route `n` and iterates to the new fixed point,
     /// leaving every write journalled for [`Self::rollback`]; `true` iff
-    /// every route then verifies safe.
+    /// every route then verifies safe. Converges to, and caps iterations
+    /// at, [`SolveConfig::default`]'s `tol` and `max_iters`.
     fn iterate(&mut self, cand: &Route, rec: &mut SolveRecord) -> bool {
+        let SolveConfig { tol, max_iters } = SolveConfig::default();
         let n = self.routes.len();
         let (nc, class) = (self.rule.classes(), cand.class.index());
         assert!(class < nc, "tentative route of unknown class {class}");
@@ -442,9 +420,9 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
                 R::ROUNDING_MARGIN > 0.0 || !decreased || self.pending_lowers,
                 "an iterate fell below a delay `delay_floor` vouched for"
             );
-            let converged = max_diff <= self.cfg.tol;
+            let converged = max_diff <= tol;
             if !converged {
-                if rec.iterations >= self.cfg.max_iters {
+                if rec.iterations >= max_iters {
                     rec.iteration_limit = true;
                     return false;
                 }

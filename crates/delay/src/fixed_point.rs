@@ -18,10 +18,13 @@
 //!
 //! The loop is the math as written: every iteration rebuilds every `Y_k`
 //! from the route prefixes (Eq. 6) and re-evaluates the delay rule
-//! ([`crate::rule`]: Theorem 3 for the `solve_two_class` entry points,
-//! Theorem 5 for `solve_rule(servers, &Theorem5::new(classes, alphas),
-//! ..)`) at every used server. Whatever the rule, a solve is one
-//! [`SolveResult`] with its delays in the rule's cells; Figure 2's
+//! ([`crate::rule`]) at every used server. There is one entry point,
+//! `solve_rule(servers, &rule, routes, cfg, warm)`, under
+//! `Theorem3::new(class, alphas)` (an `α` per server) or
+//! `Theorem5::new(classes, alphas)` (a share per class);
+//! [`solve_two_class`] is the first at one `α` everywhere. Whatever the
+//! rule, a solve is one [`SolveResult`] with its delays in the rule's
+//! cells; Figure 2's
 //! [`crate::verify()`] is the one place they become per-class rows.
 //! The §5.2 candidate-evaluation loop does not come through
 //! here: it asks one question thousands of times against a slowly
@@ -95,7 +98,10 @@ pub struct SolveResult {
 pub(crate) const DEADLINE_SLACK: f64 = 1e-12;
 
 /// Solves the two-class system (one real-time class + implicit best
-/// effort): all routes in `routes` must carry `ClassId(0)`.
+/// effort) at one utilization `alpha` on every server: [`solve_rule`]
+/// under [`Theorem3`]. All routes in `routes` must carry `ClassId(0)`; a
+/// per-server assignment is `solve_rule(servers, &Theorem3::new(class,
+/// alphas), ..)`.
 ///
 /// `warm` may carry the least fixed point of a *smaller* problem (fewer
 /// routes, or lower `alpha`, with everything else equal): `Z` only grows
@@ -110,28 +116,11 @@ pub fn solve_two_class(
     cfg: &SolveConfig,
     warm: Option<&[f64]>,
 ) -> SolveResult {
-    let alphas = vec![alpha; servers.len()];
-    solve_two_class_with(servers, class, &alphas, routes, cfg, warm)
-}
-
-/// [`solve_two_class`] in full generality: a *per-server* utilization
-/// assignment (the run-time admission test is per-link anyway, so
-/// nothing forces every link to the same `α`; only the `α_k` of servers
-/// that actually carry routes are validated).
-pub fn solve_two_class_with(
-    servers: &Servers,
-    class: &TrafficClass,
-    alphas: &[f64],
-    routes: &RouteSet,
-    cfg: &SolveConfig,
-    warm: Option<&[f64]>,
-) -> SolveResult {
-    assert_eq!(alphas.len(), servers.len(), "one alpha per server");
-    let rule = Theorem3::new(class, alphas.to_vec());
+    let rule = Theorem3::new(class, vec![alpha; servers.len()]);
     solve_rule(servers, &rule, routes, cfg, warm)
 }
 
-/// The solver behind every entry point: iterates `d ← Z(d)` under `rule`
+/// The solver, whatever the rule: iterates `d ← Z(d)` under `rule`
 /// to `cfg.tol`, one record in the `delay.solve.*` series. `warm` and the
 /// result's `delays` are in the cell layout of [`crate::rule`].
 pub fn solve_rule<R: DelayRule>(

@@ -9,16 +9,19 @@
 //!   jittered envelope `H_k`, Lemma 1/2's `τ`, and Theorem 3's closed form
 //!   (Eq. 10).
 //! * [`fixed_point`] — the iterative solution of the vector equation
-//!   `d = Z(d)` (Eq. 11–14) — the general solver, the math as written,
-//!   one loop for any number of classes — with warm starting and sound
-//!   early divergence detection.
+//!   `d = Z(d)` (Eq. 11–14) — the general solver `solve_rule`, the math as
+//!   written, one loop for any rule — with warm starting and sound early
+//!   divergence detection; `solve_two_class` is its Theorem 3 shorthand
+//!   for one `α` on every server.
 //! * [`committed`] — the §5.2 candidate loop's evaluator: one persistent
 //!   committed fixed point, a tentative route evaluated by touching only
 //!   what it can move, journalled and undone on reject — the general
-//!   solver's iterates, bit for bit.
+//!   solver's iterates, bit for bit. Built under any rule, empty or from
+//!   a fixed point.
 //! * [`rule`] — the per-server delay rule both of those are generic over,
-//!   with its two instances: Theorem 3 and Theorem 5 as written, and the
-//!   one delay layout, cells (`server · classes + class`).
+//!   the one thing a solve or a configuration step varies on: Theorem 3
+//!   (an `α` per server) and Theorem 5 (a share per class) as written, and
+//!   the one delay layout, cells (`server · classes + class`).
 //! * [`multiclass`] — the Theorem 5 formula (Section 5.4); a multi-class
 //!   solve is [`fixed_point::solve_rule`] under [`rule::Theorem5`].
 //! * [`general`] — the *flow-aware* general delay formula (Eq. 2–3 and
@@ -55,7 +58,7 @@ pub mod verify;
 
 pub use bound::theorem3_delay;
 pub use committed::CommittedState;
-pub use fixed_point::{solve_two_class, solve_two_class_with, Outcome, SolveConfig, SolveResult};
+pub use fixed_point::{solve_two_class, Outcome, SolveConfig, SolveResult};
 pub use routeset::{Route, RouteSet};
 pub use servers::Servers;
 pub use verify::{verify, VerifyReport};

@@ -5,10 +5,13 @@
 //! `d_{i,k} = f(Y_{·,k})` at every used server. The closed form is the
 //! [`DelayRule`]: [`Theorem3`] for one real-time class (with a per-server
 //! `α`), [`Theorem5`] for several under static priority; the solvers are
-//! monomorphised per rule. Two formulas rather than one because "Theorem 5
+//! monomorphised per rule. A rule is the only thing a configuration step
+//! varies on: `solve_rule`, `CommittedState::{empty, from_fixed_point}`
+//! and the routing crate's greedy and bisection take any rule, so a third
+//! one needs no wrapper. Two formulas rather than one because "Theorem 5
 //! with one class *is* Theorem 3" is algebra, not bits: the simplified
-//! product and the literal quotient differ in the last place, each entry
-//! point keeps the form it always used, and both are pinned
+//! product and the literal quotient differ in the last place, each caller
+//! keeps the form it always used, and both are pinned
 //! (`tests/solve_equiv.rs`).
 //!
 //! Delays and upstream maxima live in one vector of *cells*,
@@ -58,8 +61,9 @@ pub struct Theorem3 {
 }
 
 impl Theorem3 {
-    /// `alphas[k]` for server `k`.
-    pub(crate) fn new(class: &TrafficClass, alphas: Vec<f64>) -> Self {
+    /// `alphas[k]` for server `k`: one per server, which the solvers
+    /// assert where the rule meets the servers.
+    pub fn new(class: &TrafficClass, alphas: Vec<f64>) -> Self {
         Self {
             bucket: class.bucket,
             deadline: class.deadline,
@@ -84,6 +88,7 @@ impl DelayRule for Theorem3 {
 
     #[inline]
     fn in_domain(&self, used: &[bool]) -> bool {
+        assert_eq!(used.len(), self.alphas.len(), "one alpha per server");
         self.all_valid
             || used
                 .iter()

@@ -8,7 +8,7 @@
 //! that, while [`Servers::from_topology`] derives per-server fan-ins from
 //! actual router in-degrees (an ablation the benches exercise).
 
-use uba_graph::{Digraph, EdgeId};
+use uba_graph::Digraph;
 
 /// Capacity and fan-in for every link server of a topology.
 #[derive(Clone, Debug)]
@@ -52,25 +52,13 @@ impl Servers {
         self.capacity.is_empty()
     }
 
-    /// Capacity of server `e` in bits/s.
-    #[inline]
-    pub fn capacity(&self, e: EdgeId) -> f64 {
-        self.capacity[e.index()]
-    }
-
-    /// Fan-in `N` of server `e`.
-    #[inline]
-    pub fn fan_in(&self, e: EdgeId) -> usize {
-        self.fan_in[e.index()]
-    }
-
-    /// Capacity by raw server index.
+    /// Capacity of server `k` (edge `EdgeId(k)`) in bits/s.
     #[inline]
     pub fn capacity_at(&self, k: usize) -> f64 {
         self.capacity[k]
     }
 
-    /// Fan-in by raw server index.
+    /// Fan-in `N` of server `k` (edge `EdgeId(k)`).
     #[inline]
     pub fn fan_in_at(&self, k: usize) -> usize {
         self.fan_in[k]
@@ -97,8 +85,8 @@ mod tests {
         let s = Servers::uniform(&g, 100e6, 6);
         assert_eq!(s.len(), 6);
         for e in g.edges() {
-            assert_eq!(s.capacity(e), 100e6);
-            assert_eq!(s.fan_in(e), 6);
+            assert_eq!(s.capacity_at(e.index()), 100e6);
+            assert_eq!(s.fan_in_at(e.index()), 6);
         }
     }
 
@@ -109,10 +97,10 @@ mod tests {
         // Hub has in-degree 3, spokes have in-degree 1.
         for e in g.edges() {
             let expect = g.in_degree(g.src(e)) + 1;
-            assert_eq!(s.fan_in(e), expect);
+            assert_eq!(s.fan_in_at(e.index()), expect);
         }
         let hub_out = g.find_edge(NodeId(0), NodeId(1)).unwrap();
-        assert_eq!(s.fan_in(hub_out), 4);
+        assert_eq!(s.fan_in_at(hub_out.index()), 4);
     }
 
     #[test]

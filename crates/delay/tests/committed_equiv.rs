@@ -1,13 +1,14 @@
 //! `CommittedState` vs the literal reading of §5.2's candidate check.
 //!
 //! Oracle: clone the committed `RouteSet`, push the candidate,
-//! `solve_two_class` warm from the committed delays. The evaluator must
+//! `solve_rule` under the same `Theorem3` warm from the committed delays. The evaluator must
 //! give the same verdict and the same own delay for every candidate,
 //! leave its state untouched by a rejected or merely tried one, and after
 //! a commit hold the oracle's `delays` and `route_delays` bit for bit —
 //! on random route sets over MCI, a torus and a ring, most of which have
 //! dependency cycles (so the committed point is only `tol`-converged and
-//! the shared first-iteration step does real work). Before every try the
+//! the shared first-iteration step does real work), at one `α` on every
+//! server or at an `α` graded by server. Before every try the
 //! evaluator is also asked for the candidate's delay floor: asking leaves
 //! no trace, and the floor never exceeds the delay the try then returns.
 //! The same walks run under Theorem 5 with two and three classes (oracle:
@@ -16,7 +17,7 @@
 use uba_delay::committed::CommittedState;
 use uba_delay::fixed_point::{solve_rule, solve_two_class, SolveConfig};
 use uba_delay::routeset::{Route, RouteSet};
-use uba_delay::rule::Theorem5;
+use uba_delay::rule::{Theorem3, Theorem5};
 use uba_delay::servers::Servers;
 use uba_graph::{k_shortest_paths, Digraph, DynDigraph, NodeId};
 use uba_obs::SplitMix64;
@@ -49,43 +50,41 @@ fn random_route(g: &Digraph, rng: &mut SplitMix64) -> Route {
     }
 }
 
+/// VoIP at `alpha` on every one of `servers`.
+fn uniform(servers: &Servers, alpha: f64) -> Theorem3 {
+    Theorem3::new(&TrafficClass::voip(), vec![alpha; servers.len()])
+}
+
 /// Pushes `cand` onto a clone of `routes` and solves warm from `delays`.
 fn oracle(
     servers: &Servers,
-    class: &TrafficClass,
-    alpha: f64,
+    rule: &Theorem3,
     routes: &RouteSet,
     delays: &[f64],
     cand: &Route,
 ) -> (RouteSet, uba_delay::SolveResult) {
     let mut trial = routes.clone();
     trial.push(cand.clone());
-    let r = solve_two_class(
-        servers,
-        class,
-        alpha,
-        &trial,
-        &SolveConfig::default(),
-        Some(delays),
-    );
+    let r = solve_rule(servers, rule, &trial, &SolveConfig::default(), Some(delays));
     (trial, r)
 }
 
-/// One random walk of tries, rejects and commits; returns how many
-/// candidates were unsafe, committed, and whether the set went cyclic.
+/// One random walk of tries, rejects and commits at `α_k = alpha −
+/// grade·(k mod 4)` on server `k`; returns how many candidates were
+/// unsafe, committed, and whether the set went cyclic.
 fn walk(
     g: &Digraph,
     fan_in: usize,
-    alpha: f64,
+    (alpha, grade): (f64, f64),
     steps: usize,
     seed: u64,
     ctx: &str,
 ) -> (usize, usize, bool) {
-    let voip = TrafficClass::voip();
     let servers = Servers::uniform(g, 100e6, fan_in);
-    let cfg = SolveConfig::default();
+    let alphas = (0..servers.len()).map(|k| alpha - grade * (k % 4) as f64);
+    let rule = Theorem3::new(&TrafficClass::voip(), alphas.collect());
     let mut rng = SplitMix64::new(seed);
-    let mut state = CommittedState::new(&servers, &voip, alpha, &cfg);
+    let mut state = CommittedState::empty(&servers, rule.clone());
     let mut routes = RouteSet::new(g.edge_count());
     let mut delays = vec![0.0; g.edge_count()];
     let mut overlay = DynDigraph::new(g.edge_count());
@@ -93,7 +92,7 @@ fn walk(
     for step in 0..steps {
         let ctx = format!("{ctx} seed {seed} step {step}");
         let cand = random_route(g, &mut rng);
-        let (trial, want) = oracle(&servers, &voip, alpha, &routes, &delays, &cand);
+        let (trial, want) = oracle(&servers, &rule, &routes, &delays, &cand);
         let before = digest(&state);
         // Grown from nothing, delays have only ever risen.
         let floor = state
@@ -142,11 +141,14 @@ fn walk(
 
 #[test]
 fn evaluator_matches_push_and_solve_on_random_route_sets() {
-    let cases: [(&str, Digraph, usize, f64); 4] = [
-        ("mci", mci(), 6, 0.45),
-        ("torus5x5", torus(5, 5), 4, 0.3),
-        ("ring8", ring(8), 2, 0.25),
-        ("ring8 past the edge", ring(8), 2, 0.6),
+    // (name, topology, fan-in, (α, grade)): a zero grade is one α on
+    // every server.
+    let cases: [(&str, Digraph, usize, (f64, f64)); 5] = [
+        ("mci", mci(), 6, (0.45, 0.0)),
+        ("torus5x5", torus(5, 5), 4, (0.3, 0.0)),
+        ("ring8", ring(8), 2, (0.25, 0.0)),
+        ("ring8 past the edge", ring(8), 2, (0.6, 0.0)),
+        ("mci per-server", mci(), 6, (0.45, 0.05)),
     ];
     for (name, g, fan_in, alpha) in &cases {
         let (mut unsafe_seen, mut committed, mut cyclic) = (0, 0, 0);
@@ -159,7 +161,7 @@ fn evaluator_matches_push_and_solve_on_random_route_sets() {
         assert!(committed > 60, "{name}: only {committed} commits");
         // Most walks must go cyclic, and the one past the feasible edge
         // must reach the unsafe verdict, or those paths are untested.
-        if *alpha > 0.5 {
+        if alpha.0 > 0.5 {
             assert!(unsafe_seen > 100, "{name}: only {unsafe_seen} unsafe");
         } else {
             assert!(cyclic >= 4, "{name}: only {cyclic}/6 walks went cyclic");
@@ -185,9 +187,7 @@ fn evaluator_matches_from_an_adopted_fixed_point() {
     assert!(base.outcome.is_safe());
     let mut state = CommittedState::from_fixed_point(
         &servers,
-        &voip,
-        0.25,
-        &cfg,
+        uniform(&servers, 0.25),
         routes.clone(),
         base.delays.clone(),
     );
@@ -195,7 +195,7 @@ fn evaluator_matches_from_an_adopted_fixed_point() {
     let mut delays = base.delays;
     for step in 0..25 {
         let cand = random_route(&g, &mut rng);
-        let (trial, want) = oracle(&servers, &voip, 0.25, &routes, &delays, &cand);
+        let (trial, want) = oracle(&servers, &uniform(&servers, 0.25), &routes, &delays, &cand);
         // A cold solve stops below its fixed point: a floor exists.
         let floor = state.delay_floor(&cand).expect("floor");
         let got = state.try_route(&cand);
@@ -247,14 +247,18 @@ fn tentative_matches_committed_across_seeds() {
 
         let mut state = CommittedState::from_fixed_point(
             &servers,
-            &voip,
-            0.35,
-            &cfg,
+            uniform(&servers, 0.35),
             routes.clone(),
             warm.clone(),
         );
         let tentative = state.try_route(&candidate);
-        let (_, committed) = oracle(&servers, &voip, 0.35, &routes, &warm, &candidate);
+        let (_, committed) = oracle(
+            &servers,
+            &uniform(&servers, 0.35),
+            &routes,
+            &warm,
+            &candidate,
+        );
         assert_eq!(
             tentative.is_some(),
             committed.outcome.is_safe(),
@@ -294,14 +298,12 @@ fn evaluator_matches_on_warm_starts_above_the_fixed_point() {
         }
         let mut state = CommittedState::from_fixed_point(
             &servers,
-            &voip,
-            0.3,
-            &cfg,
+            uniform(&servers, 0.3),
             routes.clone(),
             warm.clone(),
         );
         let cand = random_route(&g, &mut rng);
-        let (_, want) = oracle(&servers, &voip, 0.3, &routes, &warm, &cand);
+        let (_, want) = oracle(&servers, &uniform(&servers, 0.3), &routes, &warm, &cand);
         // x1.2 recovers; x2 already misses a deadline at the first sweep.
         assert_eq!(want.outcome.is_safe(), scale < 2.0, "x{scale}");
         let before = digest(&state);
@@ -353,7 +355,7 @@ fn no_floor_when_only_an_unused_server_is_seeded() {
     assert!(base.outcome.is_safe());
     let cand = random_route(&g, &mut rng);
     let adopt = |delays: Vec<f64>| {
-        CommittedState::from_fixed_point(&servers, &voip, 0.3, &cfg, routes.clone(), delays)
+        CommittedState::from_fixed_point(&servers, uniform(&servers, 0.3), routes.clone(), delays)
     };
     assert!(adopt(base.delays.clone()).delay_floor(&cand).is_some());
     let unused = routes.used_servers(ClassId(0));
@@ -403,7 +405,7 @@ fn walk_classes(
     let cells = g.edge_count() * alphas.len();
     let mut routes = RouteSet::new(g.edge_count());
     let mut delays = vec![0.0; cells];
-    let mut state = CommittedState::empty(&servers, rule(), &cfg);
+    let mut state = CommittedState::empty(&servers, rule());
     let mut overlay = DynDigraph::new(g.edge_count());
     let (mut unsafe_seen, mut committed, mut floors) = (0, 0, 0);
     for step in 0..steps {

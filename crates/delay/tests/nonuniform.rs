@@ -1,9 +1,8 @@
 //! Per-server (non-uniform) utilization assignments.
 
-use uba_delay::fixed_point::{
-    solve_two_class, solve_two_class_with, Outcome, SolveConfig, SolveResult,
-};
+use uba_delay::fixed_point::{solve_rule, solve_two_class, Outcome, SolveConfig, SolveResult};
 use uba_delay::routeset::{Route, RouteSet};
+use uba_delay::rule::Theorem3;
 use uba_delay::servers::Servers;
 use uba_graph::{Digraph, NodeId};
 use uba_traffic::{ClassId, TrafficClass};
@@ -16,7 +15,13 @@ fn solve_nonuniform(
     routes: &RouteSet,
     cfg: &SolveConfig,
 ) -> SolveResult {
-    solve_two_class_with(servers, class, alphas, routes, cfg, None)
+    solve_rule(
+        servers,
+        &Theorem3::new(class, alphas.to_vec()),
+        routes,
+        cfg,
+        None,
+    )
 }
 
 fn cross_setup() -> (Servers, RouteSet) {

@@ -21,11 +21,9 @@
 //! Re-pinning is only legitimate for an intended behaviour change: the
 //! failure message prints the freshly computed tables.
 
-use uba_delay::fixed_point::{
-    solve_rule, solve_two_class, solve_two_class_with, Outcome, SolveConfig, SolveResult,
-};
+use uba_delay::fixed_point::{solve_rule, solve_two_class, Outcome, SolveConfig, SolveResult};
 use uba_delay::routeset::{Route, RouteSet};
-use uba_delay::rule::Theorem5;
+use uba_delay::rule::{Theorem3, Theorem5};
 use uba_delay::servers::Servers;
 use uba_graph::{k_shortest_paths, Digraph, NodeId};
 use uba_obs::SplitMix64;
@@ -103,7 +101,7 @@ const PUSH_POP: [u64; 3] = [
     0x0fa5_16ee_42d2_43a6,
 ];
 
-/// Per-server assignments through `solve_two_class_with` on MCI: graded
+/// Per-server assignments through `solve_rule` under `Theorem3` on MCI: graded
 /// `α_k` cold; the same with NaN on the unused servers, warm from the
 /// fixed point under half the assignment.
 const PER_SERVER: [u64; 2] = [0xecda_7b6e_49c0_7f71, 0x7284_5e17_f1a3_6f4d];
@@ -144,15 +142,8 @@ fn solve_alphas(
     routes: &RouteSet,
     warm: Option<&[f64]>,
 ) -> SolveResult {
-    let voip = TrafficClass::voip();
-    solve_two_class_with(
-        servers,
-        &voip,
-        alphas,
-        routes,
-        &SolveConfig::default(),
-        warm,
-    )
+    let rule = Theorem3::new(&TrafficClass::voip(), alphas.to_vec());
+    solve_rule(servers, &rule, routes, &SolveConfig::default(), warm)
 }
 
 /// Builds `n_routes` routes between seeded random distinct pairs, each a

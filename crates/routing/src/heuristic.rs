@@ -10,7 +10,7 @@
 //!    inflates delays — Section 5.2's "noncyclic graph with existing
 //!    routes");
 //! 3. among candidates that verify *safe* (every committed route still
-//!    meets its deadline under the Theorem 3 fixed point), the one with
+//!    meets its deadline under the delay rule's fixed point), the one with
 //!    the minimum own end-to-end delay is committed.
 //!
 //! If no candidate is safe, the algorithm declares failure (the paper's
@@ -23,19 +23,19 @@
 //! candidates and pairs, and a candidate costs what it can move — its own
 //! hops, the servers whose `Y_k` it raises, the routes through them —
 //! not a solve over the whole route set.
-//! The greedy routes *demands* (a pair in a class) under either delay rule
-//! — [`select_routes`], [`crate::multiclass::select_routes_multiclass`] —
-//! and returns one [`Selection`] whatever the class count, its delays in
-//! the rule's cells ([`uba_delay::rule`]).
+//! The greedy routes *demands* (a pair in a class) under any delay rule,
+//! through one body: [`select_routes`] hands it a Theorem 3 rule,
+//! [`crate::multiclass::select_routes_multiclass`] a Theorem 5 one. It
+//! returns one [`Selection`] whatever the class count, its delays in the
+//! rule's cells ([`uba_delay::rule`]).
 
 use crate::pairs::{order_by_distance, Demand, Pair};
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use uba_delay::committed::CommittedState;
-use uba_delay::fixed_point::SolveConfig;
 use uba_delay::routeset::{Route, RouteSet};
-use uba_delay::rule::DelayRule;
+use uba_delay::rule::{DelayRule, Theorem3};
 use uba_delay::servers::Servers;
 use uba_graph::yen::YenWorkspace;
 use uba_graph::{Digraph, DynDigraph, EdgeId, Path};
@@ -248,8 +248,6 @@ pub struct HeuristicConfig {
     /// Heuristic (3): among safe candidates pick the minimum-delay one
     /// (`false` = first safe candidate, i.e. shortest).
     pub min_delay_choice: bool,
-    /// Fixed-point solver settings.
-    pub solver: SolveConfig,
 }
 
 impl Default for HeuristicConfig {
@@ -259,7 +257,6 @@ impl Default for HeuristicConfig {
             order_by_distance: true,
             prefer_acyclic: true,
             min_delay_choice: true,
-            solver: SolveConfig::default(),
         }
     }
 }
@@ -376,7 +373,7 @@ pub(crate) fn visit_order(g: &Digraph, demands: &[Demand], cfg: &HeuristicConfig
 }
 
 /// Runs safe route selection for the two-class system at utilization
-/// `alpha`.
+/// `alpha`: the greedy under [`Theorem3`].
 pub fn select_routes(
     g: &Digraph,
     servers: &Servers,
@@ -385,9 +382,24 @@ pub fn select_routes(
     pairs: &[Pair],
     cfg: &HeuristicConfig,
 ) -> Result<Selection, SelectionError> {
-    let ordered = visit_order(g, &class0_demands(pairs), cfg);
-    let state = CommittedState::new(servers, class, alpha, &cfg.solver);
+    let rule = Theorem3::new(class, vec![alpha; servers.len()]);
+    select_under_rule(g, servers, rule, &class0_demands(pairs), cfg)
+}
+
+/// The §5.2 greedy over `demands` under any delay rule: their
+/// [`visit_order`], a fresh candidate cache, an empty committed state
+/// under `rule`, [`select_in_order`], and the selection rebuilt from the
+/// cache.
+pub(crate) fn select_under_rule<R: DelayRule>(
+    g: &Digraph,
+    servers: &Servers,
+    rule: R,
+    demands: &[Demand],
+    cfg: &HeuristicConfig,
+) -> Result<Selection, SelectionError> {
+    let ordered = visit_order(g, demands, cfg);
     let mut cache = CandidateCache::new(g, |_| true);
+    let state = CommittedState::empty(servers, rule);
     let chosen = select_in_order(g, state, &ordered, cfg, &mut cache)?;
     Ok(cache.selection(&ordered, chosen))
 }
@@ -542,7 +554,6 @@ mod tests {
             prefer_acyclic: false,
             min_delay_choice: false,
             k_candidates: 1,
-            ..Default::default()
         };
         let sel = select_routes(&g, &servers, &voip(), 0.1, &pairs, &cfg).unwrap();
         assert_eq!(sel.paths.len(), pairs.len());
@@ -562,7 +573,8 @@ mod tests {
         // Two runs through the same cache: second run hits every entry.
         let ordered = visit_order(&g, &class0_demands(&pairs), &cfg);
         let mut cached = || {
-            let state = CommittedState::new(&servers, &voip(), 0.3, &cfg.solver);
+            let rule = Theorem3::new(&voip(), vec![0.3; servers.len()]);
+            let state = CommittedState::empty(&servers, rule);
             select_in_order(&g, state, &ordered, &cfg, &mut cache).unwrap()
         };
         let (first, second) = (cached(), cached());

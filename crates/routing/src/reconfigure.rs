@@ -9,7 +9,9 @@
 //! * [`Configuration::add_pair`] — route one more pair, warm-started from
 //!   the committed fixed point (sound: adding a route only grows `Z`);
 //! * [`Configuration::fail_link`] — withdraw a physical link and re-route
-//!   every affected pair around it, re-verifying safety.
+//!   every affected pair around it, re-verifying safety; if some pair
+//!   cannot be re-routed, the configuration from before the call holds
+//!   (the old generation stays installed).
 //!
 //! Edge (server) ids never change across reconfigurations — failures are
 //! expressed as an avoid-set, keeping `Servers`, route sets, and the
@@ -20,8 +22,9 @@ use crate::pairs::{Demand, Pair};
 use std::collections::HashSet;
 use uba_admission::{BackendKind, ConfigGeneration, RoutingTable};
 use uba_delay::committed::CommittedState;
-use uba_delay::fixed_point::{solve_two_class, SolveConfig};
+use uba_delay::fixed_point::{solve_two_class, SolveConfig, SolveResult};
 use uba_delay::routeset::RouteSet;
+use uba_delay::rule::Theorem3;
 use uba_delay::servers::Servers;
 use uba_graph::{Digraph, DynDigraph, EdgeId, NodeId, Path};
 use uba_traffic::{ClassId, ClassSet, TrafficClass};
@@ -117,9 +120,7 @@ impl Configuration {
     fn route_pairs(&mut self, pairs: &[Pair]) -> Result<(), SelectionError> {
         let mut state = CommittedState::from_fixed_point(
             &self.servers,
-            &self.class,
-            self.alpha,
-            &self.cfg.solver,
+            Theorem3::new(&self.class, vec![self.alpha; self.servers.len()]),
             std::mem::take(&mut self.routes),
             std::mem::take(&mut self.delays),
         );
@@ -161,31 +162,29 @@ impl Configuration {
         detached
     }
 
-    fn solve(&mut self) {
-        let r = solve_two_class(
+    /// A cold general solve of the committed routes.
+    fn solve(&self) -> SolveResult {
+        let cfg = SolveConfig::default();
+        solve_two_class(
             &self.servers,
             &self.class,
             self.alpha,
             &self.routes,
-            &SolveConfig::default(),
+            &cfg,
             None,
-        );
-        debug_assert!(
-            r.outcome.is_safe(),
-            "shrinking a safe configuration cannot make it unsafe"
-        );
-        self.delays = r.delays;
-        self.route_delays = r.route_delays;
+        )
     }
 
     /// Fails the physical link between routers `a` and `b` (both directed
     /// edges) and re-routes every pair whose committed route crossed it.
     ///
     /// Re-routing goes in decreasing-distance order through the same
-    /// safety oracle as initial selection. On `Err`, the configuration is
-    /// left with the failure applied and the *unaffected* routes intact;
-    /// the offending pair is reported so the operator can shed it.
+    /// safety oracle as initial selection. On `Err`, naming the first pair
+    /// that could not be re-routed, the configuration is exactly what it
+    /// was before the call — pairs, paths, delays and failed links — so
+    /// the generation built from it before stays the one to run.
     pub fn fail_link(&mut self, a: NodeId, b: NodeId) -> Result<FailureReport, SelectionError> {
+        let before = self.clone();
         let mut newly_failed = Vec::new();
         for e in self.g.edges() {
             let (s, t) = (self.g.src(e), self.g.dst(e));
@@ -204,11 +203,16 @@ impl Configuration {
             .map(|p| p.edges.iter().any(|e| self.failed.contains(e)))
             .collect();
         let affected = self.detach(&gone);
-        self.solve();
+        let r = self.solve();
+        debug_assert!(
+            r.outcome.is_safe(),
+            "shrinking a safe configuration cannot make it unsafe"
+        );
+        (self.delays, self.route_delays) = (r.delays, r.route_delays);
 
         // Re-route, longest pairs first (same ordering heuristic).
         let ordered = crate::pairs::order_pairs_by_distance(&self.g, &affected);
-        self.route_pairs(&ordered)?;
+        self.route_pairs(&ordered).inspect_err(|_| *self = before)?;
         Ok(FailureReport {
             rerouted: ordered,
             worst_route_delay: self.route_delays.iter().cloned().fold(0.0, f64::max),
@@ -256,16 +260,7 @@ impl Configuration {
 
     /// Re-verifies the whole committed configuration from scratch.
     pub fn verify(&self) -> bool {
-        solve_two_class(
-            &self.servers,
-            &self.class,
-            self.alpha,
-            &self.routes,
-            &SolveConfig::default(),
-            None,
-        )
-        .outcome
-        .is_safe()
+        self.solve().outcome.is_safe()
     }
 }
 
@@ -333,6 +328,31 @@ mod tests {
         } else {
             assert!(r.is_ok());
         }
+    }
+
+    #[test]
+    fn a_failure_that_cannot_be_rerouted_leaves_the_configuration_as_it_was() {
+        // Every second pair at α = 0.45: after SanFrancisco—LosAngeles
+        // fails, SanDiego→Sacramento has no safe route. The detached pairs
+        // after it, and the failed link itself, must not stay half-applied.
+        let mut c = base_config(0.45, 2);
+        let (pairs, paths) = (c.pairs().to_vec(), c.paths().to_vec());
+        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        let route_delays = bits(c.route_delays());
+        let r = c.fail_link(NodeId(0), NodeId(1));
+        let stuck = Pair {
+            src: NodeId(13),
+            dst: NodeId(12),
+        };
+        assert!(
+            matches!(r, Err(SelectionError::NoSafeRoute(p)) if p == stuck),
+            "{r:?}"
+        );
+        assert_eq!(c.pairs(), pairs);
+        assert_eq!(c.paths(), paths);
+        assert_eq!(bits(c.route_delays()), route_delays);
+        assert!(c.failed_links().is_empty());
+        assert!(c.verify());
     }
 
     #[test]

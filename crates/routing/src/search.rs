@@ -21,11 +21,12 @@ use crate::bounds::utilization_bounds;
 use crate::heuristic::{
     class0_demands, select_in_order, visit_order, CandidateCache, HeuristicConfig, Selection,
 };
-use crate::pairs::Pair;
+use crate::pairs::{Demand, Pair};
 use crate::sp::sp_selection;
 use uba_delay::committed::CommittedState;
 use uba_delay::fixed_point::{solve_two_class, SolveConfig};
 use uba_delay::routeset::{Route, RouteSet};
+use uba_delay::rule::{DelayRule, Theorem3};
 use uba_delay::servers::Servers;
 use uba_graph::{bfs, Digraph};
 use uba_traffic::{ClassId, TrafficClass};
@@ -78,9 +79,6 @@ pub fn max_utilization(
     // below, an unsafe one from above.
     let hi_cap = ub.min(1.0 - 1e-9);
     let first = Some(lb.min(hi_cap));
-    // One Yen candidate cache spans the probes (an SP search leaves it
-    // empty; dropping it publishes the selection tallies either way).
-    let mut cache = CandidateCache::new(g, |_| true);
     let found = match selector {
         Selector::ShortestPath => {
             // The routes do not depend on α; the last *feasible* probe's
@@ -99,6 +97,9 @@ pub fn max_utilization(
                     (r.delays, r.route_delays)
                 })
             });
+            // No candidates, but the selection counters exist after any
+            // search, as a heuristic one's cache registers them.
+            crate::metrics::select();
             found.map(|(delays, route_delays)| Selection {
                 demands: class0_demands(pairs),
                 paths,
@@ -108,13 +109,9 @@ pub fn max_utilization(
             })
         }
         Selector::Heuristic(cfg) => {
-            // Neither the visiting order nor the candidates depend on α.
-            let ordered = visit_order(g, &class0_demands(pairs), cfg);
-            let found = bisect(first, hi_cap, tol, |alpha| {
-                let state = CommittedState::new(servers, class, alpha, &cfg.solver);
-                select_in_order(g, state, &ordered, cfg, &mut cache).ok()
-            });
-            found.map(|chosen| cache.selection(&ordered, chosen))
+            let demands = class0_demands(pairs);
+            let rule_at = |alpha| Theorem3::new(class, vec![alpha; servers.len()]);
+            bisect_greedy(g, servers, &demands, cfg, (first, hi_cap, tol), rule_at)
         }
     };
     MaxUtilResult {
@@ -123,6 +120,28 @@ pub fn max_utilization(
         bounds: (lb, ub),
         probes: found.probes,
     }
+}
+
+/// The §5.3 search with the §5.2 greedy as its probe, under any delay
+/// rule: [`bisect`] over `(first, cap, tol)`, the probe at `x` routing
+/// `demands` under `rule_at(x)`. Neither the visiting order nor the Yen
+/// candidates depend on `x`: one of each spans the probes, and dropping
+/// the cache publishes the selection tallies.
+pub(crate) fn bisect_greedy<R: DelayRule>(
+    g: &Digraph,
+    servers: &Servers,
+    demands: &[Demand],
+    cfg: &HeuristicConfig,
+    (first, cap, tol): (Option<f64>, f64, f64),
+    rule_at: impl Fn(f64) -> R,
+) -> Bisection<Selection> {
+    let ordered = visit_order(g, demands, cfg);
+    let mut cache = CandidateCache::new(g, |_| true);
+    let found = bisect(first, cap, tol, |x| {
+        let state = CommittedState::empty(servers, rule_at(x));
+        select_in_order(g, state, &ordered, cfg, &mut cache).ok()
+    });
+    found.map(|chosen| cache.selection(&ordered, chosen))
 }
 
 /// What [`bisect`] found.

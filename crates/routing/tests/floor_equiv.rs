@@ -12,7 +12,7 @@
 
 use uba_delay::committed::CommittedState;
 use uba_delay::routeset::Route;
-use uba_delay::rule::{DelayRule, Theorem5};
+use uba_delay::rule::{DelayRule, Theorem3, Theorem5};
 use uba_delay::servers::Servers;
 use uba_graph::{k_shortest_paths, Digraph, DynDigraph, Path};
 use uba_obs::{ensure, SplitMix64};
@@ -25,18 +25,21 @@ use uba_traffic::{ClassId, ClassSet, LeakyBucket, TrafficClass};
 
 type Chosen = (Vec<Path>, Vec<f64>, Vec<f64>);
 
-/// The default heuristic onto an empty `state`, every pooled candidate
-/// solved; `Err` carries the pair no candidate was safe for. `pairs` are
-/// routed in distance order, each in every class of the state's rule.
+/// The default heuristic onto an empty committed state under `rule`,
+/// every pooled candidate solved; `Err` carries the pair no candidate was
+/// safe for. `pairs` are routed in distance order, each in every class of
+/// the rule.
 fn unpruned_greedy<R: DelayRule>(
     g: &Digraph,
-    mut state: CommittedState<'_, R>,
+    servers: &Servers,
+    rule: R,
     pairs: &[Pair],
 ) -> Result<Chosen, Pair> {
     let cfg = HeuristicConfig::default();
     let mut overlay = DynDigraph::new(g.edge_count());
     let mut paths = Vec::new();
-    let classes = state.classes();
+    let classes = rule.classes();
+    let mut state = CommittedState::empty(servers, rule);
     let demands = order_pairs_by_distance(g, pairs)
         .into_iter()
         .flat_map(|pair| (0..classes).map(move |c| (ClassId(c), pair)));
@@ -97,8 +100,8 @@ fn the_floor_changes_no_selection() {
             .collect();
         let alpha = rng.range_f64(0.15, 0.65);
         let ctx = format!("{name}, {} pairs @ {alpha}", pairs.len());
-        let state = CommittedState::new(&servers, &voip, alpha, &cfg.solver);
-        let want = unpruned_greedy(g, state, &pairs);
+        let rule = Theorem3::new(&voip, vec![alpha; servers.len()]);
+        let want = unpruned_greedy(g, &servers, rule, &pairs);
         let got = select_routes(g, &servers, &voip, alpha, &pairs, &cfg);
         match (want, got) {
             (Ok((paths, delays, route_delays)), Ok(sel)) => {
@@ -165,8 +168,8 @@ fn the_floor_changes_no_multiclass_selection() {
         let scale = rng.range_f64(0.2, 0.95) / weights.iter().sum::<f64>();
         let alphas: Vec<f64> = weights.iter().map(|w| w * scale).collect();
         let ctx = format!("{name}, {} pairs x {nc} classes @ {alphas:?}", pairs.len());
-        let state = CommittedState::empty(&servers, Theorem5::new(&classes, &alphas), &cfg.solver);
-        let want = unpruned_greedy(g, state, &pairs);
+        let rule = Theorem5::new(&classes, &alphas);
+        let want = unpruned_greedy(g, &servers, rule, &pairs);
         let demands: Vec<Demand> = (0..nc)
             .flat_map(|c| {
                 let class = ClassId(c);

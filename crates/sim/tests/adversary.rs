@@ -36,7 +36,7 @@ fn even_split_into_the_busiest_server_meets_its_bound() {
     let servers = Servers::from_topology(&g, CAPACITY);
     let tail = g
         .edges()
-        .max_by_key(|&e| servers.fan_in(e))
+        .max_by_key(|&e| servers.fan_in_at(e.index()))
         .expect("MCI has links");
     let (u, v) = (g.src(tail), g.dst(tail));
     let mut paths = vec![Path::from_edges(&g, vec![tail])];
@@ -45,7 +45,11 @@ fn even_split_into_the_busiest_server_meets_its_bound() {
             paths.push(Path::from_edges(&g, vec![input, tail]));
         }
     }
-    assert_eq!(paths.len(), servers.fan_in(tail) - 1, "one route per input");
+    assert_eq!(
+        paths.len(),
+        servers.fan_in_at(tail.index()) - 1,
+        "one route per input"
+    );
 
     let mut routes = RouteSet::new(g.edge_count());
     for p in &paths {
@@ -87,7 +91,7 @@ fn even_split_into_the_busiest_server_meets_its_bound() {
         "even split into server {} (fan-in {}), {} flows over {} routes: observed {:.3} ms, \
          bound {:.3} ms, ratio {:.3} (random_differential's best: {RANDOM_BEST})",
         tail.0,
-        servers.fan_in(tail),
+        servers.fan_in_at(tail.index()),
         flows.len(),
         paths.len(),
         observed * 1e3,

@@ -59,7 +59,7 @@ fn main() {
                 report.worst_route_delay * 1e3
             );
         }
-        Err(e) => println!("recovery failed: {e:?} (operator must shed that pair)"),
+        Err(e) => println!("recovery failed: {e:?}; the pre-failure configuration still holds"),
     }
     println!("post-failure verification: {}", live.verify());
     assert!(live.verify());
