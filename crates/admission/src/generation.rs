@@ -15,7 +15,7 @@
 
 use crate::metrics::AdmissionMetrics;
 use crate::policy::PolicyChain;
-use crate::state::{to_millibits, UtilizationState};
+use crate::state::{rate_millibits_up, UtilizationState};
 use crate::table::RoutingTable;
 use uba_obs::sync::atomic::{AtomicU64, Ordering};
 use uba_traffic::ClassSet;
@@ -112,7 +112,7 @@ impl ConfigGeneration {
         Self {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             table,
-            rate_millibits: rates.iter().map(|&r| to_millibits(r)).collect(),
+            rate_millibits: rates.iter().map(|&r| rate_millibits_up(r)).collect(),
             rates,
             alphas: alphas.to_vec(),
             backend: UtilizationState::new(capacities, alphas),

@@ -32,14 +32,36 @@ pub(crate) const SCALE: f64 = 1000.0;
 /// rate and capacity they set against it.
 pub const MAX_EXACT_RATE_BPS: f64 = 9_007_199_254_740_992.0 / SCALE;
 
-pub(crate) fn to_millibits(rate: f64) -> u64 {
+/// `rate` in millibits/s, range-checked, before any rounding.
+fn scaled(rate: f64) -> f64 {
     assert!(rate >= 0.0 && rate.is_finite(), "rate must be >= 0");
     assert!(
         rate <= MAX_EXACT_RATE_BPS,
         "rate {rate} bits/s exceeds exact millibit accounting range \
          ({MAX_EXACT_RATE_BPS} bits/s)"
     );
-    (rate * SCALE).round() as u64
+    rate * SCALE
+}
+
+/// `rate` in millibits/s, rounded to nearest: the policy stages' token
+/// amounts, which promise no bound.
+pub(crate) fn to_millibits(rate: f64) -> u64 {
+    scaled(rate).round() as u64
+}
+
+/// A link budget `α·C` in millibits/s, rounded down, and a flow's rate
+/// rounded up ([`rate_millibits_up`]): the integers under-promise, so a
+/// cell that admits `Σρ` holds `Σρ ≤ α·C` in the reals, the premise of
+/// Fig. 2's verification. Rounding either to nearest let a link admit
+/// up to half a millibit/s per flow, and half for the budget, above `α·C`.
+pub(crate) fn budget_millibits_down(budget: f64) -> u64 {
+    scaled(budget).floor() as u64
+}
+
+/// A flow's rate in millibits/s, rounded up: what a reservation takes
+/// and its release gives back (see [`budget_millibits_down`]).
+pub(crate) fn rate_millibits_up(rate: f64) -> u64 {
+    scaled(rate).ceil() as u64
 }
 
 /// How many of `flows` flows of `want` millibits/s fit in a cell whose
@@ -115,7 +137,7 @@ impl UtilizationState {
         for &c in capacities {
             assert!(c > 0.0 && c.is_finite(), "capacity must be positive");
             for &a in alphas {
-                budgets.push(to_millibits(a * c));
+                budgets.push(budget_millibits_down(a * c));
             }
         }
         let reserved = (0..servers * classes).map(|_| AtomicU64::new(0)).collect();
@@ -181,7 +203,7 @@ impl UtilizationState {
         rate: f64,
         flows: u64,
     ) -> PathGrant {
-        self.try_reserve_path_up_to_millibits(route, class, to_millibits(rate), flows)
+        self.try_reserve_path_up_to_millibits(route, class, rate_millibits_up(rate), flows)
     }
 
     /// [`try_reserve_path_up_to`](Self::try_reserve_path_up_to) on a rate
@@ -225,15 +247,15 @@ impl UtilizationState {
     /// per path is a tally of it.
     ///
     /// # Panics
-    /// Panics if `rate` rounds to zero millibits/s or a path has no edge:
-    /// such a flow always fits, so the fill would never end.
+    /// Panics if `rate` is zero or a path has no edge: such a flow always
+    /// fits, so the fill would never end.
     pub fn fill_round_robin(&self, paths: &[Path], class: usize, rate: f64) -> Vec<usize> {
         let routes: Vec<Vec<u32>> = paths
             .iter()
             .map(|p| p.edges.iter().map(|e| e.0).collect())
             .collect();
         assert!(
-            to_millibits(rate) > 0 && routes.iter().all(|r| !r.is_empty()),
+            rate_millibits_up(rate) > 0 && routes.iter().all(|r| !r.is_empty()),
             "a round-robin fill needs a positive rate and non-empty paths"
         );
         let mut admitted = Vec::new();
@@ -291,7 +313,7 @@ impl UtilizationState {
     /// Panics if the release exceeds what is currently reserved on a
     /// server — that is always an accounting bug in the caller.
     pub fn release_path(&self, route: &[u32], class: usize, rate: f64) {
-        self.release_path_millibits(route, class, to_millibits(rate));
+        self.release_path_millibits(route, class, rate_millibits_up(rate));
     }
 
     /// [`release_path`](Self::release_path) on a rate already in
@@ -522,7 +544,7 @@ mod tests {
     #[test]
     fn cell_step_matches_one_flow_reservations_at_its_boundaries() {
         const RATE: f64 = 32_000.0;
-        let want = to_millibits(RATE);
+        let want = rate_millibits_up(RATE);
         // (what, reserved before, rate, n, flows granted)
         for (what, before, rate, n, granted) in [
             ("headroom exactly n·ρ", 3.0 * RATE, RATE, 5, 5),
@@ -559,12 +581,12 @@ mod tests {
         assert_eq!(flows_that_fit(10, 3, 0, u64::MAX), u64::MAX);
     }
 
-    /// Where a float copy of the utilization test parts from the walk: a
-    /// budget `α·C` a tenth of a millibit short of `k` flows. The walk
-    /// holds the budget in whole millibits, so the fill and the
-    /// controller both admit `k` flows per link, where
-    /// `reserved + ρ ≤ α·C + 1e-9` in `f64` admitted `k − 1`. At
-    /// `α·C = kρ` exactly, all three admit `k`.
+    /// A budget `α·C` a tenth of a millibit short of `k` flows: the walk
+    /// rounds the budget down to whole millibits and the rate up, so the
+    /// fill and the controller admit `k − 1` flows per link, as
+    /// `reserved + ρ ≤ α·C + 1e-9` in `f64` does (a budget rounded to
+    /// nearest took the `k`th, `kρ > α·C`). At `α·C = kρ` exactly, all
+    /// three admit `k`.
     #[test]
     fn fill_and_controller_admit_what_the_millibit_budget_holds() {
         use crate::{AdmissionController, ConfigGeneration, RoutingTable};
@@ -576,18 +598,21 @@ mod tests {
         let (e01, _) = g.add_link(NodeId(0), NodeId(1), 1.0);
         let (e12, _) = g.add_link(NodeId(1), NodeId(2), 1.0);
         let paths = [e01, e12].map(|e| Path::from_edges(&g, vec![e]));
-        for (budget, float_flows) in [(K as f64 * RATE - 1e-4, K - 1), (K as f64 * RATE, K)] {
+        for (budget, per_link) in [(K as f64 * RATE - 1e-4, K - 1), (K as f64 * RATE, K)] {
             // The float test, one link.
             let (mut reserved, mut flows) = (0.0, 0);
             while reserved + RATE <= budget + 1e-9 {
                 reserved += RATE;
                 flows += 1;
             }
-            assert_eq!(flows, float_flows, "budget {budget}");
+            assert_eq!(flows, per_link, "budget {budget}");
             // α = 0.5 halves the capacity exactly: α·C is the budget.
             let caps = vec![2.0 * budget; g.edge_count()];
             let state = UtilizationState::new(&caps, &[0.5]);
-            assert_eq!(state.fill_round_robin(&paths, 0, RATE), [0, 1].repeat(K));
+            assert_eq!(
+                state.fill_round_robin(&paths, 0, RATE),
+                [0, 1].repeat(per_link)
+            );
             let mut table = RoutingTable::new();
             table.insert_all(ClassId(0), &paths);
             let classes = ClassSet::single(TrafficClass::voip());
@@ -601,7 +626,7 @@ mod tests {
                 let (src, dst) = (p.nodes[0], p.nodes[1]);
                 let held: Vec<_> =
                     std::iter::from_fn(|| ctrl.try_admit(ClassId(0), src, dst).ok()).collect();
-                assert_eq!(held.len(), K, "budget {budget}");
+                assert_eq!(held.len(), per_link, "budget {budget}");
             }
         }
     }

@@ -278,8 +278,8 @@ impl Scenario {
                 let name = string_or(ct, "name", "class")?.to_string();
                 let burst = positive("class.burst", num(ct, "burst")?)?;
                 let rate = bits("class.rate", num(ct, "rate")?)?;
-                // A flow that rounds to zero millibits/s always fits, so a
-                // saturation loop over it would never end.
+                // Admission accounts rates in whole millibits/s; a rate
+                // below one is under the accounting's resolution.
                 if rate < 1e-3 {
                     return Err(bad(format!(
                         "class.rate must be at least 0.001 (one millibit/s), got {rate}"

@@ -324,3 +324,41 @@ fn fill_round_robin_matches_the_pinned_table() {
         .collect();
     assert_pinned("UtilizationState::fill_round_robin", &insts, &computed);
 }
+
+/// Fig. 2 verifies a configuration on the premise `Σρ ≤ α·C` on every
+/// link, so the fill the controller admits must keep it in the reals,
+/// not only in its integer millibits. On every fixed site, each class's
+/// `α·C` is set a hair (0.1 millibit/s) below the whole number of flows
+/// its first fill put on the busiest link: a budget rounded to nearest
+/// takes that last flow, one rounded down does not.
+#[test]
+fn a_fill_never_admits_past_alpha_c_in_the_reals() {
+    const HAIR: f64 = 1e-4;
+    for inst in fixed_sites() {
+        let capacity = inst.capacities[0];
+        assert!(
+            inst.capacities.iter().all(|&c| c == capacity),
+            "{}",
+            inst.name
+        );
+        let tight: Vec<f64> = (inst.classes.iter())
+            .map(|&(alpha, rate)| ((alpha * capacity / rate).floor() * rate - HAIR) / capacity)
+            .collect();
+        let state = UtilizationState::new(&inst.capacities, &tight);
+        for (class, &(_, rate)) in inst.classes.iter().enumerate() {
+            let mut flows = vec![0u32; inst.capacities.len()];
+            for route in state.fill_round_robin(&inst.paths, class, rate) {
+                for e in &inst.paths[route].edges {
+                    flows[e.index()] += 1;
+                }
+            }
+            let budget = tight[class] * capacity;
+            let busiest = flows.iter().copied().max().unwrap_or(0);
+            assert!(
+                f64::from(busiest) * rate <= budget,
+                "{} class {class}: {busiest} flows of {rate} b/s on a link with α·C = {budget} b/s",
+                inst.name
+            );
+        }
+    }
+}
