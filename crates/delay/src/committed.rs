@@ -91,7 +91,7 @@ pub struct CommittedState<'a, R> {
     pending_lowers: bool,
     /// Candidates evaluated so far (one in [`TIME_EVERY`] is timed).
     evaluations: u64,
-    /// Their `delay.solve.*` records, published on drop.
+    /// Their `delay.solve.*` records, published on drop unless taken.
     tally: SolveTally,
     /// No candidate can verify: a committed route already misses its
     /// deadline, or a stale server is outside the rule's domain.
@@ -235,6 +235,13 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
     /// Per-route end-to-end delays at the committed fixed point.
     pub fn route_delays(&self) -> &[f64] {
         &self.route_delays
+    }
+
+    /// Hands back the evaluations' `delay.solve.*` records so far, for
+    /// the caller to publish ([`SolveTally::publish`]) or drop; the state
+    /// then publishes only what it records after this.
+    pub fn take_tally(&mut self) -> SolveTally {
+        std::mem::take(&mut self.tally)
     }
 
     /// Hands back `(routes, delays, route_delays)`.
@@ -581,7 +588,7 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
     }
 }
 
-/// Publishes the evaluations' `delay.solve.*` records.
+/// Publishes the evaluations' `delay.solve.*` records not taken.
 impl<R> Drop for CommittedState<'_, R> {
     fn drop(&mut self) {
         self.tally.publish();

@@ -6,14 +6,15 @@
 //! one histogram record per call. A
 //! [`CommittedState`](crate::committed::CommittedState) evaluates
 //! thousands of §5.2 candidates per configuration pass, so it keeps its
-//! candidates' records in plain fields (a `SolveTally`: iteration counts
-//! per value, since they are whole numbers, and residuals in a
-//! [`uba_obs::Tally`], the registry histogram's layout without atomics)
-//! and publishes them when it drops, in one flush that adds exactly what
-//! one record per evaluation would have; and it reads the clock for only
-//! the first of its evaluations and every [`TIME_EVERY`]th after (the
-//! 1-in-64 sampling of `admission.admit_ns`), straight into
-//! `delay.solve.seconds`.
+//! candidates' records in plain fields (a [`SolveTally`]: iteration counts
+//! per value, since they are whole numbers, residuals in a
+//! [`uba_obs::Tally`], the registry histogram's layout without atomics,
+//! and the few timed samples as read) and publishes them when it drops — or hands them back
+//! ([`CommittedState::take_tally`](crate::committed::CommittedState::take_tally))
+//! for its owner to publish later or drop — in one flush that adds
+//! exactly what one record per evaluation would have. It reads the clock
+//! for only the first of its evaluations and every [`TIME_EVERY`]th after
+//! (the 1-in-64 sampling of `admission.admit_ns`).
 //!
 //! Metric names:
 //!
@@ -89,6 +90,9 @@ impl SolverMetrics {
     pub(crate) fn record(&self, rec: &SolveRecord) {
         self.iterations.record(rec.iterations as f64);
         self.residual.record(rec.residual);
+        if let Some(secs) = rec.seconds {
+            self.seconds.record(secs);
+        }
         if rec.iteration_limit {
             self.divergence.inc();
         }
@@ -110,6 +114,8 @@ pub(crate) struct SolveRecord {
     pub sweeps_skipped: u64,
     /// Delay-rule evaluations performed.
     pub servers_touched: u64,
+    /// Wall time, when the solve was timed.
+    pub seconds: Option<f64>,
     /// Some iterate decreased a delay: the warm start sat above the least
     /// fixed point (the committed-state evaluator then rebuilds `Y` over
     /// every route; the general solver sweeps them all anyway).
@@ -117,8 +123,8 @@ pub(crate) struct SolveRecord {
 }
 
 /// Runs one solve between its `SolveBegin` / `SolveEnd` tracepoints,
-/// its wall time one `delay.solve.seconds` sample when `timed`, and hands
-/// back what it did for the caller to meter: at once for a general solve
+/// its wall time read when `timed`, and hands back what it did for the
+/// caller to meter: at once for a general solve
 /// ([`SolverMetrics::record`]), in a committed state's [`SolveTally`] for
 /// a candidate evaluation.
 pub(crate) fn trace_solve<T>(
@@ -141,10 +147,8 @@ pub(crate) fn trace_solve<T>(
         warm_flag,
     );
     let t0 = timed.then(uba_obs::Stopwatch::start);
-    let (out, rec) = solve();
-    if let Some(t0) = t0 {
-        solver().seconds.record(t0.elapsed_secs());
-    }
+    let (out, mut rec) = solve();
+    rec.seconds = t0.map(|t0| t0.elapsed_secs());
     let iterations = rec.iterations as f64;
     tr.emit(EventKind::SolveEnd, 0, 0, servers, rec.residual, iterations);
     if warm {
@@ -159,15 +163,22 @@ pub(crate) fn trace_solve<T>(
 }
 
 /// A committed state's `delay.solve.*` records in plain fields, published
-/// when the state drops: what [`SolverMetrics::record`] once per
-/// evaluation would have added, in one flush. Iteration counts are whole
-/// numbers, counted per value and published with `record_n`; residuals
-/// go into a [`Tally`] that [`Histogram::merge`] publishes.
+/// when the state drops or by whoever took them from it: what
+/// `SolverMetrics::record` once per evaluation would have added, in one
+/// flush. Iteration counts are whole numbers, counted per value and
+/// published with `record_n`; residuals go into a [`Tally`] that
+/// [`Histogram::merge`] publishes; the timed samples, one in
+/// [`TIME_EVERY`], are kept as read and recorded one by one.
+///
+/// Two tallies are equal when they hold the same records and the same
+/// number of timed samples: what the clock read is not compared.
 #[derive(Debug)]
-pub(crate) struct SolveTally {
+pub struct SolveTally {
     /// Evaluations by iteration count.
     iterations: Vec<u64>,
     residual: Tally,
+    /// The timed evaluations' wall times, seconds.
+    seconds: Vec<f64>,
     divergence: u64,
     sweeps_skipped: u64,
     /// Evaluations' cells plus the shared first-iteration step's.
@@ -179,10 +190,22 @@ impl Default for SolveTally {
         Self {
             iterations: Vec::new(),
             residual: Tally::with_base(RESIDUAL_BASE),
+            seconds: Vec::new(),
             divergence: 0,
             sweeps_skipped: 0,
             servers_touched: 0,
         }
+    }
+}
+
+impl PartialEq for SolveTally {
+    fn eq(&self, other: &Self) -> bool {
+        self.iterations == other.iterations
+            && self.residual == other.residual
+            && self.seconds.len() == other.seconds.len()
+            && self.divergence == other.divergence
+            && self.sweeps_skipped == other.sweeps_skipped
+            && self.servers_touched == other.servers_touched
     }
 }
 
@@ -194,6 +217,7 @@ impl SolveTally {
         }
         self.iterations[rec.iterations] += 1;
         self.residual.record(rec.residual);
+        self.seconds.extend(rec.seconds);
         self.divergence += u64::from(rec.iteration_limit);
         self.sweeps_skipped += rec.sweeps_skipped;
         self.servers_touched += rec.servers_touched;
@@ -201,7 +225,7 @@ impl SolveTally {
 
     /// Adds everything to the registry (nothing, registering nothing,
     /// when nothing was recorded).
-    pub(crate) fn publish(&self) {
+    pub fn publish(&self) {
         if self.iterations.is_empty() && self.servers_touched == 0 {
             return;
         }
@@ -210,6 +234,9 @@ impl SolveTally {
             m.iterations.record_n(i as f64, n);
         }
         m.residual.merge(&self.residual);
+        for &secs in &self.seconds {
+            m.seconds.record(secs);
+        }
         m.divergence.add(self.divergence);
         m.sweeps_skipped.add(self.sweeps_skipped);
         m.servers_touched.add(self.servers_touched);

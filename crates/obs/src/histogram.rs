@@ -161,7 +161,7 @@ impl Histogram {
 /// A [`Histogram`] with one owner: the same slots, micro-unit sum and
 /// max in plain fields. Read it in place, or publish it into a registry
 /// histogram of the same base with [`Histogram::merge`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Tally {
     base: f64,
     counts: [u64; BUCKETS],

@@ -5,10 +5,11 @@
 //! 1. pairs are visited in decreasing order of shortest-path distance;
 //! 2. for each pair, up to `k` candidate routes come from Yen's
 //!    k-shortest-paths — generated for every pair before the first is
-//!    routed, on every core (`CandidateCache`); candidates that keep the
-//!    route-dependency graph acyclic are preferred (queueing feedback
-//!    inflates delays — Section 5.2's "noncyclic graph with existing
-//!    routes");
+//!    routed, on every core (`CandidateCache`), and read-only from then
+//!    on, so the probes of a search share them across threads;
+//!    candidates that keep the route-dependency graph acyclic are
+//!    preferred (queueing feedback inflates delays — Section 5.2's
+//!    "noncyclic graph with existing routes");
 //! 3. among candidates that verify *safe* (every committed route still
 //!    meets its deadline under the delay rule's fixed point), the one with
 //!    the minimum own end-to-end delay is committed.
@@ -28,18 +29,27 @@
 //! [`crate::multiclass::select_routes_multiclass`] a Theorem 5 one. It
 //! returns one [`Selection`] whatever the class count, its delays in the
 //! rule's cells ([`uba_delay::rule`]).
+//!
+//! A greedy run keeps what it writes — its `routing.select.*` and
+//! `delay.solve.*` tallies — in one `Writes` value and hands it back
+//! with its answer, so a run can be thrown away without a trace: the
+//! §5.3 search runs a probe it may not need on a second core and
+//! publishes only the probes it adopts ([`crate::search`]). A run checks
+//! a cancel flag once per demand and stops early when it is set.
 
 use crate::pairs::{order_by_distance, Demand, Pair};
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, OnceLock};
 use uba_delay::committed::CommittedState;
+use uba_delay::metrics::SolveTally;
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::rule::{DelayRule, Theorem3};
 use uba_delay::servers::Servers;
 use uba_graph::yen::YenWorkspace;
 use uba_graph::{Digraph, DynDigraph, EdgeId, Path};
-use uba_obs::Stopwatch;
+use uba_obs::{Event, Stopwatch};
 use uba_traffic::{ClassId, TrafficClass};
 
 /// The candidate routes of one search, and how they are generated: Yen's
@@ -53,14 +63,12 @@ use uba_traffic::{ClassId, TrafficClass};
 /// Candidates depend only on the topology, the admitted edges and the
 /// pair — not on `α`, the class or the committed routes — so a caller
 /// re-running selection (the §5.3 binary search) shares them across
-/// probes. [`select_in_order`] hands the cache every demand before its
-/// first greedy run, and the cache generates the ones it lacks at once,
-/// on every core ([`Self::generate`]); a demand asked for alone (a pair
-/// `reconfigure` re-routes) is generated then, by the caller.
+/// probes. A greedy run's caller has the cache generate every demand it
+/// lacks at once, on every core ([`Self::generate`]), before the first
+/// run; the runs then read [`Routes`] only. A demand asked for alone (a
+/// pair `reconfigure` re-routes) is generated then, by the caller.
 ///
-/// It also holds [`choose_route`]'s scratch and its tallies: dropping it
-/// adds what selection did to `routing.select.*` and what generation did
-/// to `routing.candidates.*`.
+/// Dropping it adds what generation did to `routing.candidates.*`.
 pub(crate) struct CandidateCache<'g> {
     g: &'g Digraph,
     /// Per edge, whether candidates may take it (all but the failed links).
@@ -71,18 +79,67 @@ pub(crate) struct CandidateCache<'g> {
     /// The spur tallies of the helpers' workspaces, which are dropped
     /// with their generation.
     helped: (u64, u64),
-    routes: HashMap<Demand, Vec<Route>>,
-    /// The candidates [`choose_route`] is weighing.
-    pool: Vec<usize>,
-    tally: SelectTally,
+    routes: Routes,
 }
 
+/// Every generated demand's candidates.
+pub(crate) type Routes = HashMap<Demand, Vec<Route>>;
+
+/// What [`CandidateCache::generate_on`]'s first helper runs once its share
+/// is in, given the cell the candidates are published to: the search's
+/// probe server. Boxed, as is the caller's continuation, so that
+/// generation and its spawns are compiled once.
+pub(crate) type Serve<'a> = Box<dyn FnOnce(&OnceLock<Routes>) + Send + 'a>;
+
+/// One worker's part of a generation: its demands' candidates, and its
+/// workspace's spur tallies (a helper's; the caller's workspace keeps
+/// its own).
+type Share = (Vec<(Demand, Vec<Route>)>, (u64, u64));
+
 /// `routing.select.*` so far, in plain fields.
-#[derive(Default)]
-struct SelectTally {
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct SelectTally {
     candidates: u64,
     pruned: u64,
     cycle_checks: u64,
+}
+
+impl SelectTally {
+    /// Adds the tallies to the registry.
+    pub(crate) fn publish(&self) {
+        let metrics = crate::metrics::select();
+        metrics.candidates.add(self.candidates);
+        metrics.pruned.add(self.pruned);
+        metrics.cycle_checks.add(self.cycle_checks);
+    }
+}
+
+/// [`choose_route`]'s scratch — the candidates it is weighing — and its
+/// tallies.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    pool: Vec<usize>,
+    pub(crate) tally: SelectTally,
+}
+
+/// What a greedy run wrote, held back for whoever adopts the run: its
+/// `routing.select.*` and `delay.solve.*` tallies and, for a run under
+/// [`uba_obs::trace::hold`], its flight-recorder events. Publishing adds
+/// them; dropping them discards them.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Writes {
+    pub(crate) select: SelectTally,
+    pub(crate) solve: SolveTally,
+    pub(crate) events: Vec<Event>,
+}
+
+impl Writes {
+    /// Adds the tallies to the registry and releases the events.
+    pub(crate) fn publish(self) {
+        self.select.publish();
+        self.solve.publish();
+        uba_obs::trace::release(self.events);
+    }
 }
 
 impl<'g> CandidateCache<'g> {
@@ -96,88 +153,122 @@ impl<'g> CandidateCache<'g> {
             admitted,
             helped: (0, 0),
             routes: HashMap::new(),
-            pool: Vec::new(),
-            tally: SelectTally::default(),
         }
+    }
+
+    /// The candidates generated so far.
+    pub(crate) fn routes(&self) -> &Routes {
+        &self.routes
     }
 
     /// Generates, `k` per pair, the candidates of every demand in
     /// `demands` the cache lacks, on as many workers as the process may
     /// run threads at once — asked only when there is work: the answer
-    /// costs tens of microseconds, and later probes find none.
-    fn generate(&mut self, demands: &[Demand], k: usize) {
+    /// costs tens of microseconds, and later runs find none.
+    pub(crate) fn generate(&mut self, demands: &[Demand], k: usize) {
         if demands.iter().all(|d| self.routes.contains_key(d)) {
             return;
         }
         let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        self.generate_on(workers, demands, k);
+        self.generate_on(workers, demands, k, None, Box::new(|_| ()));
     }
 
-    /// [`Self::generate`] on at most `workers` workers: the caller and,
-    /// under one [`std::thread::scope`], a helper per further worker,
-    /// each with its own [`YenWorkspace`] over the admitted edges. They
-    /// take whole destination groups off one counter, so each reverse
-    /// tree is built once and a helper that starts late takes fewer
-    /// groups; every pair's list, and the tallies summed, are what one
-    /// workspace running the pairs in any order gives. One worker spawns
-    /// nothing.
-    fn generate_on(&mut self, workers: usize, demands: &[Demand], k: usize) {
+    /// [`Self::generate`] on at most `workers` workers, then `then` on
+    /// the caller with every candidate, read-only: the caller and, under
+    /// one [`std::thread::scope`], a helper per further worker, each with
+    /// its own [`YenWorkspace`] over the admitted edges. They take whole
+    /// destination groups off one counter, so each reverse tree is built
+    /// once and a helper that starts late takes fewer groups; every
+    /// pair's list, and the tallies summed, are what one workspace
+    /// running the pairs in any order gives. One worker spawns nothing.
+    ///
+    /// With `serve`, at least one helper is spawned whatever the groups,
+    /// and the first runs `serve` once its share is in, with the cell
+    /// the candidates are published to before `then` runs: the search's
+    /// probe server, alive until `then` hangs up on it.
+    pub(crate) fn generate_on(
+        &mut self,
+        workers: usize,
+        demands: &[Demand],
+        k: usize,
+        serve: Option<Serve<'_>>,
+        then: Box<dyn FnOnce(&Routes) + '_>,
+    ) {
         let mut todo: Vec<Demand> = (demands.iter())
             .filter(|d| !self.routes.contains_key(d))
             .copied()
             .collect();
-        if todo.is_empty() {
-            return;
-        }
-        let watch = Stopwatch::start();
+        let watch = (!todo.is_empty()).then(Stopwatch::start);
         todo.sort_unstable_by_key(|d| (d.pair.dst, d.pair.src, d.class));
         todo.dedup();
         let groups: Vec<&[Demand]> = todo.chunk_by(|a, b| a.pair.dst == b.pair.dst).collect();
         let next = AtomicUsize::new(0);
-        // The counter only hands out indices; the scope's join orders
-        // every helper's writes before the caller reads them.
-        let work = |yen: &mut YenWorkspace<'_>| {
-            let mut out = Vec::new();
-            while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
-                for same in group.chunk_by(|a, b| a.pair == b.pair) {
-                    let Pair { src, dst } = same[0].pair;
-                    let paths = yen.k_shortest_paths(src, dst, k);
-                    for &d in same {
-                        out.push((
-                            d,
-                            paths.iter().map(|p| Route::from_path(d.class, p)).collect(),
-                        ));
-                    }
-                }
-            }
-            out
+        // The probe server is a helper, whatever the groups.
+        let wanted = if serve.is_some() {
+            groups.len().max(2)
+        } else {
+            groups.len()
         };
-        let helpers = workers.min(groups.len()).saturating_sub(1);
+        let helpers = workers.min(wanted).saturating_sub(1);
+        let shared = OnceLock::new();
         let (g, admitted, yen) = (self.g, &self.admitted, &mut self.yen);
-        let (mine, theirs) = std::thread::scope(|s| {
+        let mut routes = std::mem::take(&mut self.routes);
+        let helped = std::thread::scope(|s| {
+            let (share_tx, shares) = mpsc::channel::<Share>();
+            let mut serve = serve;
             let spawned: Vec<_> = (0..helpers)
                 .map(|_| {
-                    s.spawn(|| {
+                    let (share_tx, serve) = (share_tx.clone(), serve.take());
+                    let (groups, next, shared) = (&groups, &next, &shared);
+                    s.spawn(move || {
                         let mut yen = YenWorkspace::new(g, |e| admitted[e.index()]);
-                        (work(&mut yen), yen.tallies())
+                        let out = generate_groups(&mut yen, groups, next, k);
+                        share_tx
+                            .send((out, yen.tallies()))
+                            .expect("the caller waits for every share");
+                        drop((share_tx, yen));
+                        if let Some(serve) = serve {
+                            serve(shared);
+                        }
                     })
                 })
                 .collect();
-            let mine = work(yen);
-            let theirs: Vec<_> = (spawned.into_iter())
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect();
-            (mine, theirs)
+            // Joined by hand, not left to the scope: a join waits for the
+            // thread to exit, and so to hand its malloc arena back for the
+            // next search's helper to reuse.
+            let join = |spawned: Vec<std::thread::ScopedJoinHandle<'_, ()>>| {
+                for h in spawned {
+                    h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                }
+            };
+            drop(share_tx);
+            routes.extend(generate_groups(yen, &groups, &next, k));
+            // The channel orders every helper's share before the caller
+            // reads it, and the cell the candidates before any request.
+            let (mut helped, mut shared_in) = ((0, 0), 0);
+            for (out, (searched, skipped)) in shares {
+                routes.extend(out);
+                helped.0 += searched;
+                helped.1 += skipped;
+                shared_in += 1;
+            }
+            if shared_in < helpers {
+                // A helper panicked before its share was in.
+                join(spawned);
+                unreachable!("a helper hung up without its share");
+            }
+            if let Some(watch) = watch {
+                crate::metrics::select()
+                    .seconds
+                    .record(watch.elapsed_secs());
+            }
+            then(shared.get_or_init(|| routes));
+            join(spawned);
+            helped
         });
-        self.routes.extend(mine);
-        for (out, (searched, skipped)) in theirs {
-            self.routes.extend(out);
-            self.helped.0 += searched;
-            self.helped.1 += skipped;
-        }
-        crate::metrics::select()
-            .seconds
-            .record(watch.elapsed_secs());
+        self.routes = shared.into_inner().expect("published before `then`");
+        self.helped.0 += helped.0;
+        self.helped.1 += helped.1;
     }
 
     /// Spur searches run and spur indices skipped by every workspace so
@@ -188,17 +279,12 @@ impl<'g> CandidateCache<'g> {
     }
 
     /// `demand`'s candidates as routes in the demand's class — its pair's
-    /// `k` shortest paths, the `k` of the demand's first generation — with
-    /// the scratch and the tallies to weigh them with.
-    fn candidates(
-        &mut self,
-        demand: Demand,
-        k: usize,
-    ) -> (&[Route], &mut Vec<usize>, &mut SelectTally) {
+    /// `k` shortest paths, the `k` of the demand's first generation.
+    pub(crate) fn candidates(&mut self, demand: Demand, k: usize) -> &[Route] {
         if !self.routes.contains_key(&demand) {
-            self.generate_on(1, &[demand], k);
+            self.generate_on(1, &[demand], k, None, Box::new(|_| ()));
         }
-        (&self.routes[&demand], &mut self.pool, &mut self.tally)
+        &self.routes[&demand]
     }
 
     /// The path of `demand`'s candidate `index`, rebuilt from its edges.
@@ -227,9 +313,6 @@ impl Drop for CandidateCache<'_> {
     fn drop(&mut self) {
         let (searched, skipped) = self.spur_tallies();
         let metrics = crate::metrics::select();
-        metrics.candidates.add(self.tally.candidates);
-        metrics.pruned.add(self.tally.pruned);
-        metrics.cycle_checks.add(self.tally.cycle_checks);
         metrics.spur_searches.add(searched);
         metrics.spur_skipped.add(skipped);
     }
@@ -293,9 +376,9 @@ pub(crate) fn class0_demands(pairs: &[Pair]) -> Vec<Demand> {
     pairs.iter().map(|&pair| Demand { class, pair }).collect()
 }
 
-/// Chooses `demand`'s route among its candidates in `cache` per the
-/// three sub-heuristics and commits it to `state` (the new fixed point)
-/// and `overlay`; returns the chosen candidate's index
+/// Chooses `demand`'s route among its candidates `routes` per the three
+/// sub-heuristics and commits it to `state` (the new fixed point) and
+/// `overlay`; returns the chosen candidate's index
 /// ([`CandidateCache::path`] rebuilds its path). Both are untouched on `Err`.
 /// Shared by bulk selection and incremental reconfiguration.
 pub(crate) fn choose_route<R: DelayRule>(
@@ -303,9 +386,10 @@ pub(crate) fn choose_route<R: DelayRule>(
     overlay: &mut DynDigraph,
     demand: Demand,
     cfg: &HeuristicConfig,
-    cache: &mut CandidateCache<'_>,
+    routes: &[Route],
+    scratch: &mut Scratch,
 ) -> Result<usize, SelectionError> {
-    let (routes, pool, tally) = cache.candidates(demand, cfg.k_candidates);
+    let Scratch { pool, tally } = scratch;
     if routes.is_empty() {
         return Err(SelectionError::NoRoute(demand.pair));
     }
@@ -387,9 +471,9 @@ pub fn select_routes(
 }
 
 /// The §5.2 greedy over `demands` under any delay rule: their
-/// [`visit_order`], a fresh candidate cache, an empty committed state
-/// under `rule`, [`select_in_order`], and the selection rebuilt from the
-/// cache.
+/// [`visit_order`], a fresh candidate cache generating them all, an
+/// empty committed state under `rule`, [`select_in_order`] with its
+/// writes published, and the selection rebuilt from the cache.
 pub(crate) fn select_under_rule<R: DelayRule>(
     g: &Digraph,
     servers: &Servers,
@@ -399,9 +483,12 @@ pub(crate) fn select_under_rule<R: DelayRule>(
 ) -> Result<Selection, SelectionError> {
     let ordered = visit_order(g, demands, cfg);
     let mut cache = CandidateCache::new(g, |_| true);
+    cache.generate(&ordered, cfg.k_candidates);
     let state = CommittedState::empty(servers, rule);
-    let chosen = select_in_order(g, state, &ordered, cfg, &mut cache)?;
-    Ok(cache.selection(&ordered, chosen))
+    let never = AtomicBool::new(false);
+    let (chosen, writes) = select_in_order(g, state, &ordered, cfg, cache.routes(), &never);
+    writes.publish();
+    Ok(cache.selection(&ordered, chosen?))
 }
 
 /// What the greedy committed, before any path is rebuilt: per demand, in
@@ -417,33 +504,90 @@ pub(crate) struct Chosen {
 }
 
 /// The §5.2 greedy over demands already in [`visit_order`], committing
-/// onto `state` (empty, at the utilizations to verify), with the
-/// caller's candidate cache — the §5.3 binary search re-runs selection
-/// per probe, and neither the order nor the candidates depend on `α`.
-/// The first run through a cache generates every demand's candidates
-/// before it routes the first: a feasible probe visits them all.
+/// onto `state` (empty, at the utilizations to verify), with candidates
+/// `routes` generated for every one of them — the §5.3 binary search
+/// re-runs selection per probe, and neither the order nor the candidates
+/// depend on `α`. Hands back what the run wrote, unpublished, beside its
+/// answer. Once `cancel` is set (a hint, read once per demand) the run
+/// stops at the next demand and reports it unroutable: a cancelled run
+/// is thrown away, answer and writes.
 pub(crate) fn select_in_order<R: DelayRule>(
     g: &Digraph,
     mut state: CommittedState<'_, R>,
     ordered: &[Demand],
     cfg: &HeuristicConfig,
-    cache: &mut CandidateCache<'_>,
-) -> Result<Chosen, SelectionError> {
-    cache.generate(ordered, cfg.k_candidates);
+    routes: &Routes,
+    cancel: &AtomicBool,
+) -> (Result<Chosen, SelectionError>, Writes) {
     let mut overlay = DynDigraph::new(g.edge_count());
+    let mut scratch = Scratch::default();
     let mut indices = Vec::with_capacity(ordered.len());
-
+    let mut failed = None;
     for &demand in ordered {
-        indices.push(choose_route(&mut state, &mut overlay, demand, cfg, cache)?);
+        if cancel.load(Ordering::Relaxed) {
+            failed = Some(SelectionError::NoSafeRoute(demand.pair));
+            break;
+        }
+        let candidates = &routes[&demand];
+        match choose_route(
+            &mut state,
+            &mut overlay,
+            demand,
+            cfg,
+            candidates,
+            &mut scratch,
+        ) {
+            Ok(i) => indices.push(i),
+            Err(e) => {
+                failed = Some(e);
+                break;
+            }
+        }
     }
+    let writes = Writes {
+        select: scratch.tally,
+        solve: state.take_tally(),
+        events: Vec::new(),
+    };
+    let chosen = match failed {
+        Some(e) => Err(e),
+        None => {
+            let (routes, delays, route_delays) = state.into_parts();
+            Ok(Chosen {
+                indices,
+                routes,
+                delays,
+                route_delays,
+            })
+        }
+    };
+    (chosen, writes)
+}
 
-    let (routes, delays, route_delays) = state.into_parts();
-    Ok(Chosen {
-        indices,
-        routes,
-        delays,
-        route_delays,
-    })
+/// Takes whole destination groups off `next` until none is left,
+/// generating each pair's `k` candidates once for all its demands.
+fn generate_groups(
+    yen: &mut YenWorkspace<'_>,
+    groups: &[&[Demand]],
+    next: &AtomicUsize,
+    k: usize,
+) -> Vec<(Demand, Vec<Route>)> {
+    let mut out = Vec::new();
+    // The counter only hands out indices; the share channel orders every
+    // helper's writes before the caller reads them.
+    while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+        for same in group.chunk_by(|a, b| a.pair == b.pair) {
+            let Pair { src, dst } = same[0].pair;
+            let paths = yen.k_shortest_paths(src, dst, k);
+            for &d in same {
+                out.push((
+                    d,
+                    paths.iter().map(|p| Route::from_path(d.class, p)).collect(),
+                ));
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -570,12 +714,15 @@ mod tests {
         let cfg = HeuristicConfig::default();
         let plain = select_routes(&g, &servers, &voip(), 0.3, &pairs, &cfg).unwrap();
         let mut cache = CandidateCache::new(&g, |_| true);
-        // Two runs through the same cache: second run hits every entry.
+        // Two runs through the same cache: the second generates nothing.
         let ordered = visit_order(&g, &class0_demands(&pairs), &cfg);
+        let never = AtomicBool::new(false);
         let mut cached = || {
+            cache.generate(&ordered, cfg.k_candidates);
             let rule = Theorem3::new(&voip(), vec![0.3; servers.len()]);
             let state = CommittedState::empty(&servers, rule);
-            select_in_order(&g, state, &ordered, &cfg, &mut cache).unwrap()
+            let (chosen, _) = select_in_order(&g, state, &ordered, &cfg, cache.routes(), &never);
+            chosen.unwrap()
         };
         let (first, second) = (cached(), cached());
         let first = cache.selection(&ordered, first);
@@ -622,7 +769,7 @@ mod tests {
             }
             for workers in 1..=3 {
                 let mut cache = CandidateCache::new(g, edge_ok);
-                cache.generate_on(workers, &demands, 8);
+                cache.generate_on(workers, &demands, 8, None, Box::new(|_| ()));
                 for &d in &demands {
                     let Pair { src, dst } = d.pair;
                     let want = k_shortest_paths_filtered(g, src, dst, 8, edge_ok);

@@ -1,12 +1,15 @@
 //! Route-selection instrumentation.
 //!
-//! Series in the process-global [`uba_obs`] registry. The counters are
-//! added to once per candidate cache — one per `select_routes` call, per
-//! α\* search (spanning its probes) and per `Configuration` re-routing —
-//! when the cache drops: `select.*` from the tallies the greedy keeps in
-//! the cache (nothing per pair or per candidate), `candidates.spur_*`
-//! from the Yen workspaces' own. The one histogram is recorded once per
-//! generation: a search's, all its pairs at once, or one re-routed pair's.
+//! Series in the process-global [`uba_obs`] registry, written in plain
+//! fields first and added in one step (nothing per pair or per
+//! candidate): `select.*` once per greedy run — per `select_routes` call,
+//! per *adopted* α\* search probe, per `Configuration` re-routing — from
+//! the tallies the run keeps; `candidates.spur_*` from the Yen
+//! workspaces' own when the candidate cache drops. `candidates.seconds`
+//! is recorded once per generation: a search's, all its pairs at once, or
+//! one re-routed pair's; `search.probe_seconds` once per adopted probe, a
+//! feasible and an infeasible one alike (seven on `config_mci`), and
+//! `search.cancelled` counts the speculative probes a search threw away.
 //!
 //! | name | meaning |
 //! |---|---|
@@ -16,6 +19,8 @@
 //! | `routing.candidates.spur_searches` | spur searches Yen ran to generate candidates |
 //! | `routing.candidates.spur_skipped` | spur indices it proved needed none (a duplicate, or too heavy ever to be extracted) |
 //! | `routing.candidates.seconds` | histogram: wall time per candidate generation |
+//! | `routing.search.probe_seconds` | histogram: wall time per adopted α\* search probe, on whichever core ran it |
+//! | `routing.search.cancelled` | speculative α\* search probes cancelled and thrown away: the point probed next had the probe before them been feasible |
 
 use std::sync::{Arc, OnceLock};
 use uba_obs::{Counter, Histogram};
@@ -35,6 +40,10 @@ pub struct SelectMetrics {
     pub spur_skipped: Arc<Counter>,
     /// Wall time per candidate generation, seconds.
     pub seconds: Arc<Histogram>,
+    /// Wall time per adopted α\* search probe, seconds.
+    pub probe_seconds: Arc<Histogram>,
+    /// Speculative α\* search probes thrown away.
+    pub cancelled: Arc<Counter>,
 }
 
 /// The process-global route-selection counters (registered on first use).
@@ -49,6 +58,8 @@ pub fn select() -> &'static SelectMetrics {
             spur_searches: r.counter("routing.candidates.spur_searches"),
             spur_skipped: r.counter("routing.candidates.spur_skipped"),
             seconds: r.histogram("routing.candidates.seconds", 1e-6),
+            probe_seconds: r.histogram("routing.search.probe_seconds", 1e-6),
+            cancelled: r.counter("routing.search.cancelled"),
         }
     })
 }

@@ -17,7 +17,9 @@
 //! expressed as an avoid-set, keeping `Servers`, route sets, and the
 //! admission controller's counters stable.
 
-use crate::heuristic::{choose_route, CandidateCache, HeuristicConfig, Selection, SelectionError};
+use crate::heuristic::{
+    choose_route, CandidateCache, HeuristicConfig, Scratch, Selection, SelectionError,
+};
 use crate::pairs::{Demand, Pair};
 use std::collections::HashSet;
 use uba_admission::{BackendKind, ConfigGeneration, RoutingTable};
@@ -125,16 +127,26 @@ impl Configuration {
             std::mem::take(&mut self.delays),
         );
         let mut cache = CandidateCache::new(&self.g, |e| !self.failed.contains(&e));
+        let mut scratch = Scratch::default();
         let outcome = pairs.iter().try_for_each(|&pair| {
             let demand = Demand {
                 class: ClassId(0),
                 pair,
             };
-            let ci = choose_route(&mut state, &mut self.overlay, demand, &self.cfg, &mut cache)?;
+            let routes = cache.candidates(demand, self.cfg.k_candidates);
+            let ci = choose_route(
+                &mut state,
+                &mut self.overlay,
+                demand,
+                &self.cfg,
+                routes,
+                &mut scratch,
+            )?;
             self.pairs.push(pair);
             self.paths.push(cache.path(demand, ci));
             Ok(())
         });
+        scratch.tally.publish();
         (self.routes, self.delays, self.route_delays) = state.into_parts();
         outcome
     }

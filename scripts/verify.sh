@@ -33,6 +33,10 @@ echo "==> serve_loop_mci smoke (the frozen serve-loop workload's own check on th
 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload serve_loop_mci --seed 1 --seconds 2 --trace 0 > /dev/null
 
+echo "==> config_mci traced smoke (the same check with the flight recorder on: the search's held events go through the release build, released by the probes the search adopts)"
+cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload config_mci --seed 1 --seconds 2 --trace 1 > /dev/null
+
 echo "==> simulate_mci smoke (the frozen simulator workload's own check: zero deadline misses, max delay within the analytic bound, packet count repeating every simulation)"
 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload simulate_mci --seed 1 --seconds 2 --trace 0 > /dev/null
@@ -69,9 +73,9 @@ done) results/cli_paper.txt > /dev/null || {
   exit 1
 }
 
-echo "==> one-worker lanes (under taskset -c 0 candidate generation runs on the caller alone: maximize and verify on paper.toml must print what the unpinned runs print, and the config_mci smoke must pass its own check)"
+echo "==> one-worker lanes (under taskset -c 0 candidate generation and every search probe run on the caller alone: maximize and verify on paper.toml, and the multi-class ray search, must print what the unpinned runs print, and the config_mci smoke, untraced and traced, must pass its own check)"
 if command -v taskset > /dev/null; then
-  for cmd in "maximize $paper heuristic" "verify $paper"; do
+  for cmd in "maximize $paper heuristic" "verify $paper" "maximize $multiclass"; do
     # shellcheck disable=SC2086
     diff <(taskset -c 0 cargo run --offline --release --quiet -p uba-cli -- $cmd) \
       <(cargo run --offline --release --quiet -p uba-cli -- $cmd) > /dev/null || {
@@ -79,8 +83,10 @@ if command -v taskset > /dev/null; then
       exit 1
     }
   done
-  taskset -c 0 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload config_mci --seed 1 --seconds 2 --trace 0 > /dev/null
+  for trace in 0 1; do
+    taskset -c 0 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
+      --workload config_mci --seed 1 --seconds 2 --trace "$trace" > /dev/null
+  done
 else
   echo "verify.sh: taskset not found; skipping the one-worker lanes"
 fi
