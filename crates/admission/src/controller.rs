@@ -26,8 +26,8 @@
 //! thread-local generation cache validated by one atomic epoch load and
 //! runs inside the cache's borrow, so the steady-state cost over a
 //! fixed-configuration controller is a load and a compare — no refcount
-//! (the `reconfig_overhead` bench in `uba-bench` holds this under a few
-//! percent). What a flow then costs is its hops: one CAS per link, the
+//! (the generation-pointer gate of `uba-bench`'s `obs_overhead` holds
+//! this under a few percent). What a flow then costs is its hops: one CAS per link, the
 //! generation's pin and the one `Arc` its handle keeps, and the same
 //! three on release (cost table in DESIGN.md §8).
 //!
@@ -395,8 +395,8 @@ impl AdmissionController {
 
     /// Like [`try_admit`](Self::try_admit) but against an explicitly
     /// pinned generation — batch admission under one configuration
-    /// snapshot, and the fixed-configuration baseline of the
-    /// `reconfig_overhead` benchmark. The handle releases against
+    /// snapshot, and the fixed-configuration baseline of `obs_overhead`'s
+    /// generation-pointer gate. The handle releases against
     /// `generation` regardless of later reconfigurations.
     pub fn try_admit_on(
         &self,

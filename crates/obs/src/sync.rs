@@ -6,8 +6,8 @@
 //! `OnceLock` and `CachePadded` from here instead of `std::sync`
 //! directly (the `xtask check` shim-purity rule enforces it). A normal
 //! build re-exports `std` wholesale — the shim compiles away entirely
-//! and the admit path is what it would be on `std` (the
-//! `obs_overhead`/`reconfig_overhead` benches gate this). Under
+//! and the admit path is what it would be on `std` (`obs_overhead`'s
+//! metering and generation-pointer gates check this). Under
 //! `RUSTFLAGS="--cfg loom"` the same names resolve to `uba-loom`'s
 //! modeled primitives, so every atomic op and lock acquisition of the
 //! trace ring, the metric CAS loops and the reservation/reconfigure

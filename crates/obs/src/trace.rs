@@ -17,8 +17,8 @@
 //! the same discipline as the admission layer's buffered counters. The
 //! whole tracer is disabled by default; a disabled [`Tracer::emit`] is a
 //! single relaxed load and a branch, cheap enough to leave call sites
-//! compiled into the admit path unconditionally (`uba-bench`'s
-//! `trace_overhead` binary checks the enabled cost too).
+//! compiled into the admit path unconditionally (the tracing gate of
+//! `uba-bench`'s `obs_overhead` binary checks the enabled cost too).
 //!
 //! A thread can also [`hold`] its emissions into the global tracer: work
 //! whose outcome is not yet wanted (a speculative search probe) gets its
@@ -377,7 +377,7 @@ impl Tracer {
             // Batch-granular timestamps: the monotonic clock is read once
             // per thread batch (at its first event), not per event — a
             // `clock_gettime` per record would dwarf the ~100ns admit
-            // path itself (see the `trace_overhead` bench). Events within
+            // path itself (see `obs_overhead`'s tracing gate). Events within
             // a batch share that timestamp and stay in emission order
             // through the stable drain sort.
             LOCAL.with(|cell| {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo verification gate: hermetic release build, full test suite, and the
-# instrumentation-overhead smoke check. Everything runs offline — the
+# admit-path gates' smoke run. Everything runs offline — the
 # workspace has no external dependencies (see DESIGN.md §3).
 #
 # Usage: scripts/verify.sh
@@ -136,20 +136,8 @@ cargo test --offline --release -q -p uba-admission
 echo "==> configuration-side and obs tests in release (yen_equiv, yen_diff, cycle_equiv, committed_equiv, solve_equiv, selection_equiv, floor_equiv, both configuration-side metrics_exact binaries, readout_equiv and the histogram slot and tally-merge tests in the build the benchmark measures: overflow wraps, debug_assert! is off)"
 cargo test --offline --release -q -p uba-obs -p uba-graph -p uba-delay -p uba-routing
 
-echo "==> obs_overhead smoke (instrumented admit path vs uninstrumented)"
+echo "==> obs_overhead smoke (every admit-path gate: metering, flight recorder, SLO evaluation and generation pointer A/B, the thread sweep's scaling and telemetry, batching)"
 cargo run --offline --release -p uba-bench --bin obs_overhead -- smoke
-
-echo "==> trace_overhead smoke (flight recorder on vs off on the admit path)"
-cargo run --offline --release -p uba-bench --bin trace_overhead -- smoke
-
-echo "==> slo_overhead smoke (admit path under hostile SLO evaluation vs quiet)"
-cargo run --offline --release -p uba-bench --bin slo_overhead -- smoke
-
-echo "==> reconfig_overhead smoke (versioned admit path vs pinned-generation baseline)"
-cargo run --offline --release -p uba-bench --bin reconfig_overhead -- smoke
-
-echo "==> admission_scaling smoke (multi-thread throughput, latency + contention telemetry)"
-cargo run --offline --release -p uba-bench --bin admission_scaling -- smoke
 
 echo "==> policy_burst smoke (policy-chain A/B: adaptive must beat utilization-only under burst)"
 cargo run --offline --release -p uba-bench --bin policy_burst -- smoke
