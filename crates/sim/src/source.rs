@@ -98,31 +98,35 @@ impl SourceModel {
         }
     }
 
-    /// What [`for_each_emission`](Self::for_each_emission) visits, collected.
+    /// What [`emission_iter`](Self::emission_iter) yields, collected.
     pub fn emissions(&self, horizon: f64) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.for_each_emission(horizon, |t| out.push(t));
-        out
+        self.emission_iter(horizon).collect()
     }
 
-    /// Calls `visit` with the emission time (seconds) of every packet up
-    /// to `horizon`, in non-decreasing order.
+    /// The emission time (seconds) of every packet up to `horizon`, in
+    /// non-decreasing order: the one walk over a source.
     ///
-    /// The engine materializes every flow's emissions up front (walking
-    /// them once to size the block and once to fill it) and sorts them
-    /// into one arrival stream, so memory is linear in the packet count
-    /// and `horizon` must be finite (the engine asserts it; an infinite
-    /// one would never return from here).
+    /// The engine keeps one of these per flow as a resumable cursor and
+    /// takes each flow's emissions a time window at a time, so a run holds
+    /// only the emissions of the window it is reading, whatever the
+    /// horizon. `horizon` must be finite for the walk to end (the engine
+    /// asserts it).
     ///
     /// # Panics
-    /// Panics on parameters whose emission walk would not end or would
-    /// silently emit nothing: a zero packet size, a non-positive period
-    /// or rate, a `start` / `offset` that is not finite, a rogue factor
-    /// of at most 1, or on/off phases that are not positive. Also on a
-    /// negative `start` / `offset`: the engine's clock starts at 0, so
-    /// every earlier emission would enter at once, a burst the source's
-    /// `(T, ρ)` contract forbids.
-    pub fn for_each_emission(&self, horizon: f64, mut visit: impl FnMut(f64)) {
+    /// Panics, before the first emission, on parameters whose walk would
+    /// not end or would silently emit nothing: a zero packet size, a
+    /// non-positive period or rate, a `start` / `offset` that is not
+    /// finite, a rogue factor of at most 1, or on/off phases that are not
+    /// positive. Also on a negative `start` / `offset`: the engine's clock
+    /// starts at 0, so every earlier emission would enter at once, a burst
+    /// the source's `(T, ρ)` contract forbids.
+    pub fn emission_iter(&self, horizon: f64) -> Emissions {
+        let steady = |t, copies, gap| Emissions {
+            t,
+            gap,
+            end: horizon,
+            walk: Walk::Steady { copies },
+        };
         match *self {
             SourceModel::GreedyOnOff {
                 burst_bits,
@@ -142,18 +146,8 @@ impl SourceModel {
                 // state at rho. Token-bucket conformance: after the burst
                 // the bucket is empty and refills at rho, so the next
                 // packet may leave when `packet_bits` tokens are back.
-                let burst_pkts = (burst_bits / packet_bits as f64).floor().max(1.0) as usize;
-                for _ in 0..burst_pkts {
-                    if start <= horizon {
-                        visit(start);
-                    }
-                }
-                let gap = packet_bits as f64 / rate_bps;
-                let mut t = start + gap;
-                while t <= horizon {
-                    visit(t);
-                    t += gap;
-                }
+                let burst_pkts = (burst_bits / packet_bits as f64).floor().max(1.0) as u64;
+                steady(start, burst_pkts, packet_bits as f64 / rate_bps)
             }
             SourceModel::Cbr {
                 period,
@@ -163,11 +157,7 @@ impl SourceModel {
                 assert!(packet_bits > 0 && period > 0.0, "bad CBR parameters");
                 assert!(offset.is_finite(), "offset must be finite");
                 assert!(offset >= 0.0, "offset must be non-negative");
-                let mut t = offset;
-                while t <= horizon {
-                    visit(t);
-                    t += period;
-                }
+                steady(offset, 1, period)
             }
             SourceModel::OnOff {
                 peak_bps,
@@ -185,26 +175,15 @@ impl SourceModel {
                 assert!(start.is_finite(), "start must be finite");
                 assert!(start >= 0.0, "start must be non-negative");
                 assert!(stop >= start, "stop must not precede start");
-                let gap = packet_bits as f64 / peak_bps;
-                let end = stop.min(horizon);
-                let mut phase = start;
-                while phase <= end {
-                    // Half-open on-phase: a packet landing exactly at
-                    // `phase + on_s` belongs to the silence that follows.
-                    // Emission times come from the packet index, not an
-                    // accumulator, so a 50-packet phase stays 50 packets
-                    // instead of drifting an extra one past the boundary.
-                    let mut k = 0u64;
-                    loop {
-                        let off = k as f64 * gap;
-                        let t = phase + off;
-                        if off >= on_s * (1.0 - 1e-12) || t > end {
-                            break;
-                        }
-                        visit(t);
-                        k += 1;
-                    }
-                    phase += on_s + off_s;
+                Emissions {
+                    t: start,
+                    gap: packet_bits as f64 / peak_bps,
+                    end: stop.min(horizon),
+                    walk: Walk::Phased {
+                        k: 0,
+                        on: on_s * (1.0 - 1e-12),
+                        cycle: on_s + off_s,
+                    },
                 }
             }
             SourceModel::Rogue {
@@ -214,13 +193,85 @@ impl SourceModel {
             } => {
                 assert!(packet_bits > 0 && period > 0.0, "bad rogue parameters");
                 assert!(factor > 1.0, "a rogue source must exceed its contract");
-                let mut t = 0.0;
-                while t <= horizon {
-                    visit(t);
-                    t += period / factor;
+                steady(0.0, 1, period / factor)
+            }
+        }
+    }
+}
+
+/// A source's emission times up to a horizon, from
+/// [`SourceModel::emission_iter`].
+#[derive(Clone, Debug)]
+pub struct Emissions {
+    /// The next emission time; on/off, the current on-phase's start.
+    t: f64,
+    /// Time between consecutive packets.
+    gap: f64,
+    /// No emission after this.
+    end: f64,
+    walk: Walk,
+}
+
+/// The two shapes every model's emissions take.
+#[derive(Clone, Copy, Debug)]
+enum Walk {
+    /// `copies` emissions at `t`, then one at each `t += gap` (greedy
+    /// burst and steady state, CBR, rogue). The time accumulates, as the
+    /// models' definitions step it.
+    Steady { copies: u64 },
+    /// On-phases starting at `t` and every `cycle` after, each emitting
+    /// at `t + k·gap` while `k·gap` is below `on`. Times come from the
+    /// packet index, not an accumulator, so a 50-packet phase stays 50
+    /// packets instead of drifting an extra one past its end; a packet
+    /// landing exactly on the phase end belongs to the silence after it.
+    Phased { k: u64, on: f64, cycle: f64 },
+}
+
+impl Emissions {
+    /// Hands `visit` one emission after another until it returns `false`
+    /// (that emission is taken too) or the walk ends. The walk's shape is
+    /// matched once per call, not once per emission.
+    pub(crate) fn visit_while(&mut self, mut visit: impl FnMut(f64) -> bool) {
+        match &mut self.walk {
+            Walk::Steady { copies } => loop {
+                if *copies == 0 {
+                    self.t += self.gap;
+                } else {
+                    *copies -= 1;
+                }
+                if !(self.t <= self.end && visit(self.t)) {
+                    return;
+                }
+            },
+            Walk::Phased { k, on, cycle } => {
+                while self.t <= self.end {
+                    let off = *k as f64 * self.gap;
+                    let t = self.t + off;
+                    if off < *on && t <= self.end {
+                        *k += 1;
+                        if !visit(t) {
+                            return;
+                        }
+                    } else {
+                        self.t += *cycle;
+                        *k = 0;
+                    }
                 }
             }
         }
+    }
+}
+
+impl Iterator for Emissions {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        let mut next = None;
+        self.visit_while(|t| {
+            next = Some(t);
+            false
+        });
+        next
     }
 }
 
