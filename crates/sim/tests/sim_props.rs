@@ -144,3 +144,62 @@ fn delays_physical() {
         Ok(())
     });
 }
+
+/// A station serves by arrival, whichever flow a packet belongs to:
+/// reversing the flow list (so the flows' numbers) changes no report
+/// under any discipline. Two ingresses, each flow entering at server 0
+/// or 1 and merging on server 2, classes alternating, so an access
+/// shaper often queues both classes; bursts of up to four packets keep
+/// it queueing. Offsets are continuous, so no two flows emit on one
+/// nanosecond.
+#[test]
+fn reports_do_not_depend_on_flow_numbering() {
+    check("reports_do_not_depend_on_flow_numbering", CASES, |rng| {
+        let flows: Vec<FlowSpec> = (0..4)
+            .map(|i| {
+                let offset = rng.range_f64(0.0, 0.002);
+                let ingress = rng.index(2) as u32;
+                let source = if rng.index(2) == 0 {
+                    SourceModel::voip_cbr(offset)
+                } else {
+                    SourceModel::GreedyOnOff {
+                        burst_bits: 640.0 * (1 + rng.index(4)) as f64,
+                        rate_bps: 32_000.0,
+                        packet_bits: 640,
+                        start: offset,
+                    }
+                };
+                FlowSpec {
+                    class: i % 2,
+                    ingress,
+                    route: vec![ingress, 2],
+                    source,
+                }
+            })
+            .collect();
+        let reversed: Vec<FlowSpec> = flows.iter().rev().cloned().collect();
+        for discipline in [
+            Discipline::StaticPriority,
+            Discipline::Fifo,
+            Discipline::Wfq {
+                weights: vec![1.0, 1.0],
+            },
+            Discipline::VirtualClock {
+                rates: vec![0.5 * C, 0.5 * C],
+            },
+        ] {
+            let cfg = SimConfig {
+                discipline,
+                ..SimConfig::new(0.05, vec![1.0, 1.0])
+            };
+            let a = simulate(&[C, C, C], &flows, &cfg);
+            let b = simulate(&[C, C, C], &reversed, &cfg);
+            ensure!(
+                format!("{a:?}") == format!("{b:?}"),
+                "{:?}: the reversed flow list reports otherwise",
+                cfg.discipline
+            );
+        }
+        Ok(())
+    });
+}
