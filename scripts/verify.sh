@@ -41,6 +41,13 @@ echo "==> simulate_mci smoke (the frozen simulator workload's own check: zero de
 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload simulate_mci --seed 1 --seconds 2 --trace 0 > /dev/null
 
+echo "==> bounded-memory lane (uba-cli simulate on paper.toml for 3 s under a 64 MB address-space cap: the simulator streams its emissions, so its memory is bounded by the flows, not the packets; it must finish with zero deadline misses)"
+capped="$(ulimit -v 65536 && target/release/uba-cli simulate crates/cli/scenarios/paper.toml 3)" &&
+  grep -qx "deadline misses: 0" <<< "$capped" || {
+  echo "verify.sh: uba-cli simulate paper.toml 3 failed under a 64 MB address-space cap" >&2
+  exit 1
+}
+
 echo "==> results drift (the nine byte-stable result binaries must reprint results/<name>.txt, and uba-cli maximize / verify / simulate / explain / reconfigure results/cli_paper.txt, multi-class maximize and verify included; table1 / schedulers / s_ac carry timings and stay out)"
 for name in cross_topology ablation_routing nonuniform validate_sim census sweep_bounds \
   multiclass_demo policing statistical; do
