@@ -62,7 +62,7 @@
 
 use crate::fixed_point::{SolveConfig, DEADLINE_SLACK};
 use crate::metrics::{trace_solve, SolveRecord, SolveTally, TIME_EVERY};
-use crate::routeset::{Route, RouteSet};
+use crate::routeset::{Route, RouteRef, RouteSet};
 use crate::rule::DelayRule;
 use crate::servers::Servers;
 
@@ -116,7 +116,7 @@ pub struct CommittedState<'a, R> {
 /// inlined: `nc` is the caller's rule's constant, one class reads one cell.
 #[inline(always)]
 fn sweep_tracked(
-    route: &Route,
+    route: RouteRef<'_>,
     nc: usize,
     d: &[f64],
     y: &mut [f64],
@@ -127,7 +127,7 @@ fn sweep_tracked(
     let class = route.class.index();
     assert!(class < nc, "a route outside the state's classes");
     let mut prefix = 0.0;
-    for &sv in &route.servers {
+    for &sv in route.servers {
         let cell = sv as usize * nc + class;
         if prefix > y[cell] {
             log_y.push((cell as u32, y[cell]));
@@ -263,7 +263,8 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
     /// the shared first-iteration step would lower some delay, which only
     /// a warm start above the least fixed point (or one seeding an unused
     /// server) brings about.
-    pub fn delay_floor(&mut self, route: &Route) -> Option<f64> {
+    pub fn delay_floor<'r>(&mut self, route: impl Into<RouteRef<'r>>) -> Option<f64> {
+        let route = route.into();
         self.ensure_pending();
         if self.pending_lowers {
             return None;
@@ -279,8 +280,10 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
 
     /// Evaluates `route` as if appended to the committed set: `Some(own
     /// end-to-end delay)` if every route then verifies safe, else `None`.
-    /// The committed state is unchanged either way.
-    pub fn try_route(&mut self, route: &Route) -> Option<f64> {
+    /// The committed state is unchanged either way. `route` is only read:
+    /// a [`Route`], or a [`RouteRef`] into the caller's storage.
+    pub fn try_route<'r>(&mut self, route: impl Into<RouteRef<'r>>) -> Option<f64> {
+        let route = route.into();
         let safe = self.evaluate(route);
         let own = safe.then(|| self.route_delays[self.routes.len()]);
         self.rollback(route);
@@ -290,8 +293,8 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
     /// Appends `route` if it verifies safe (leaving the new fixed point
     /// committed) and says whether it did; the state is unchanged if not.
     pub fn commit(&mut self, route: Route) -> bool {
-        if !self.evaluate(&route) {
-            self.rollback(&route);
+        if !self.evaluate((&route).into()) {
+            self.rollback((&route).into());
             return false;
         }
         // The closing refresh's moved-`Y` list is the next stale list.
@@ -344,7 +347,7 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
     /// Instrumented [`Self::iterate`]: traced like any other warm solve,
     /// one record per evaluated candidate in the state's tally, and only
     /// the first evaluation and every [`TIME_EVERY`]th read the clock.
-    fn evaluate(&mut self, cand: &Route) -> bool {
+    fn evaluate(&mut self, cand: RouteRef<'_>) -> bool {
         let (servers, routes) = (self.servers.len(), self.routes.len() + 1);
         let timed = self.evaluations.is_multiple_of(TIME_EVERY);
         self.evaluations += 1;
@@ -361,12 +364,12 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
     /// leaving every write journalled for [`Self::rollback`]; `true` iff
     /// every route then verifies safe. Converges to, and caps iterations
     /// at, [`SolveConfig::default`]'s `tol` and `max_iters`.
-    fn iterate(&mut self, cand: &Route, rec: &mut SolveRecord) -> bool {
+    fn iterate(&mut self, cand: RouteRef<'_>, rec: &mut SolveRecord) -> bool {
         let SolveConfig { tol, max_iters } = SolveConfig::default();
         let n = self.routes.len();
         let (nc, class) = (self.rule.classes(), cand.class.index());
         assert!(class < nc, "tentative route of unknown class {class}");
-        for &sv in &cand.servers {
+        for &sv in cand.servers {
             assert!(
                 (sv as usize) < self.servers.len(),
                 "tentative route references unknown server {sv}"
@@ -375,7 +378,7 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
         // Stage the candidate as one more route.
         self.route_delays.push(0.0);
         self.dirty_mark.resize(n + 1, false);
-        for &sv in &cand.servers {
+        for &sv in cand.servers {
             self.through[sv as usize * nc + class].push(n as u32);
         }
 
@@ -383,7 +386,7 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
         // the candidate marks its own.
         self.ensure_pending();
         self.clear_touched();
-        for &sv in &cand.servers {
+        for &sv in cand.servers {
             let k = sv as usize * nc + class;
             if !self.used[k] {
                 self.used[k] = true;
@@ -519,8 +522,8 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
     }
 
     /// Re-sweeps route `ri` at the current `d`.
-    fn resweep(&mut self, ri: usize, cand: &Route) {
-        let route = self.routes.routes().get(ri).unwrap_or(cand);
+    fn resweep(&mut self, ri: usize, cand: RouteRef<'_>) {
+        let route = self.routes.routes().get(ri).map_or(cand, RouteRef::from);
         let rd = sweep_tracked(
             route,
             self.rule.classes(),
@@ -539,7 +542,7 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
 
     /// A delay decreased, so max-merging is no longer exact: rebuild `Y`
     /// from zero over every route and re-evaluate every server.
-    fn resweep_all(&mut self, cand: &Route) {
+    fn resweep_all(&mut self, cand: RouteRef<'_>) {
         for k in 0..self.y.len() {
             if self.y[k] != 0.0 {
                 self.log_y.push((k as u32, self.y[k]));
@@ -558,7 +561,7 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
     }
 
     /// Undoes the staged candidate.
-    fn rollback(&mut self, cand: &Route) {
+    fn rollback(&mut self, cand: RouteRef<'_>) {
         for &(k, old) in self.log_d.iter().rev() {
             self.d[k as usize] = old;
         }
@@ -572,7 +575,7 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
             self.used[k as usize] = false;
         }
         let (nc, class) = (self.rule.classes(), cand.class.index());
-        for &sv in &cand.servers {
+        for &sv in cand.servers {
             self.through[sv as usize * nc + class].pop();
         }
         self.route_delays.pop();

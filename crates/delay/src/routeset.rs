@@ -41,6 +41,27 @@ impl Route {
     }
 }
 
+/// A route borrowed from wherever its servers are stored — a committed
+/// [`Route`], or a candidate in a caller's flat buffer — for the
+/// questions that only read it
+/// ([`CommittedState::try_route`](crate::committed::CommittedState::try_route)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RouteRef<'a> {
+    /// Traffic class carried by this route.
+    pub class: ClassId,
+    /// Link servers, in traversal order (raw edge indices).
+    pub servers: &'a [u32],
+}
+
+impl<'a> From<&'a Route> for RouteRef<'a> {
+    fn from(route: &'a Route) -> Self {
+        Self {
+            class: route.class,
+            servers: &route.servers,
+        }
+    }
+}
+
 /// The set of routes committed so far during configuration.
 ///
 /// Supports cheap tentative extension (push/pop).

@@ -36,9 +36,16 @@
 //! the paths that share `i` edges. The root's weight is carried along
 //! the spur loop, the same left fold a fresh sum would make.
 //!
-//! A workspace runs one pair at a time. The α\* search generates many
-//! pairs at once on one workspace per core, each taking whole
-//! destinations, so that a reverse tree is built once (`uba-routing`'s
+//! A workspace runs one pair at a time and allocates nothing per path:
+//! the pair's accepted paths are spans of one workspace buffer (nodes are
+//! read off their edges), a search's distance, predecessor edge and
+//! settled flag are one packed label per node, and
+//! [`YenWorkspace::k_shortest_into`] appends each accepted path's edge
+//! ids once to a buffer the caller owns. [`k_shortest_paths`] and
+//! [`YenWorkspace::k_shortest_paths`] build their [`Path`]s from that
+//! same output: one body. The α\* search generates many pairs at once on
+//! one workspace per core, each taking whole destinations, so that a
+//! reverse tree is built once, into one flat store (`uba-routing`'s
 //! candidate cache).
 
 use crate::digraph::{Digraph, EdgeId, NodeId, Path};
@@ -87,13 +94,40 @@ pub fn k_shortest_paths_filtered(
     YenWorkspace::new(g, edge_ok).k_shortest_paths(src, dst, k)
 }
 
-/// One destination's reverse shortest-path tree over the admitted edges.
+/// One destination's reverse shortest-path tree over the admitted edges:
+/// each node's label from the search that grew it, `dist` its
+/// shortest-path weight to `dst` (`INFINITY`: no path) and `prev` that
+/// path's first edge.
 struct Tree {
     dst: NodeId,
-    /// Each node's shortest-path weight to `dst` (`INFINITY`: no path).
-    h: Vec<f64>,
-    /// That path's first edge.
-    next: Vec<Option<EdgeId>>,
+    labels: Vec<Label>,
+}
+
+/// A node's label in one search, packed so that a relaxation touches one
+/// entry: tentative distance, the edge it was reached by, and whether it
+/// is settled.
+#[derive(Clone, Copy)]
+struct Label {
+    dist: f64,
+    /// The predecessor edge's id; [`NO_EDGE`]: none.
+    prev: u32,
+    settled: bool,
+}
+
+/// [`Label::prev`] of a node no edge has reached.
+const NO_EDGE: u32 = u32::MAX;
+
+/// A node before the search reaches it.
+const UNREACHED: Label = Label {
+    dist: f64::INFINITY,
+    prev: NO_EDGE,
+    settled: false,
+};
+
+impl Label {
+    fn prev(self) -> Option<EdgeId> {
+        (self.prev != NO_EDGE).then_some(EdgeId(self.prev))
+    }
 }
 
 /// A spur path found and not yet accepted: `pool_edges[span]`.
@@ -116,14 +150,18 @@ pub struct YenWorkspace<'g> {
     edge_blocked: Vec<bool>,
     /// The current root's nodes.
     node_banned: Vec<bool>,
-    dist: Vec<f64>,
-    prev_edge: Vec<Option<EdgeId>>,
-    settled: Vec<bool>,
+    labels: Vec<Label>,
     heap: BinaryHeap<HeapEntry>,
     /// Indexed by destination; grown on first use.
     trees: Vec<Option<Tree>>,
     pool: Vec<Pooled>,
     pool_edges: Vec<EdgeId>,
+    /// The current pair's accepted paths, end to end: path `i` ends at
+    /// `ends[i]`.
+    accepted: Vec<EdgeId>,
+    ends: Vec<usize>,
+    /// Per accepted path, its common edge prefix with the last one.
+    shared: Vec<usize>,
     tallies: (u64, u64),
 }
 
@@ -135,13 +173,14 @@ impl<'g> YenWorkspace<'g> {
             g,
             edge_blocked: g.edges().map(|e| !edge_ok(e)).collect(),
             node_banned: vec![false; n],
-            dist: vec![f64::INFINITY; n],
-            prev_edge: vec![None; n],
-            settled: vec![false; n],
+            labels: vec![UNREACHED; n],
             heap: BinaryHeap::new(),
             trees: (0..n).map(|_| None).collect(),
             pool: Vec::new(),
             pool_edges: Vec::new(),
+            accepted: Vec::new(),
+            ends: Vec::new(),
+            shared: Vec::new(),
             tallies: (0, 0),
         }
     }
@@ -153,25 +192,54 @@ impl<'g> YenWorkspace<'g> {
     }
 
     /// Up to `k` shortest loopless `src → dst` paths over the admitted
-    /// edges, exactly as [`k_shortest_paths_filtered`] returns them.
+    /// edges, exactly as [`k_shortest_paths_filtered`] returns them: those
+    /// [`Self::k_shortest_into`] writes, as [`Path`]s.
     pub fn k_shortest_paths(&mut self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
+        let (mut edges, mut ends) = (Vec::new(), Vec::new());
+        self.k_shortest_into(src, dst, k, &mut edges, &mut ends);
+        let mut start = 0;
+        (ends.iter())
+            .map(|&end| {
+                let path = edges[start..end as usize].iter().map(|&e| EdgeId(e));
+                start = end as usize;
+                Path::from_edges(self.g, path.collect())
+            })
+            .collect()
+    }
+
+    /// Appends up to `k` shortest loopless `src → dst` paths over the
+    /// admitted edges, in non-decreasing order of weight, to `edges` — each
+    /// path's edge ids after the last's — and each path's end in `edges`
+    /// to `ends`; returns how many. No path is empty: `src == dst` (or
+    /// `k == 0`, or no path) appends nothing.
+    pub fn k_shortest_into(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        k: usize,
+        edges: &mut Vec<u32>,
+        ends: &mut Vec<u32>,
+    ) -> usize {
         if k == 0 || src == dst {
-            return Vec::new();
+            return 0;
         }
         let tree = self.trees[dst.index()].take().unwrap_or_else(|| {
             self.search::<true>(dst, None, |_, _| true);
             Tree {
                 dst,
-                h: self.dist.clone(),
-                next: self.prev_edge.clone(),
+                labels: self.labels.clone(),
             }
         });
-        let paths = self.yen(&tree, src, k);
+        self.yen(&tree, src, k);
         self.trees[dst.index()] = Some(tree);
-        paths
+        let base = edges.len();
+        edges.extend(self.accepted.iter().map(|e| e.0));
+        let end = |at: usize| u32::try_from(base + at).expect("fewer than 2^32 edge ids");
+        ends.extend(self.ends.iter().map(|&at| end(at)));
+        self.ends.len()
     }
 
-    /// Dijkstra from `from` into `dist` / `prev_edge`, over the unblocked
+    /// Dijkstra from `from` into `labels`, over the unblocked
     /// out-edges (`REVERSED`: in-edges) and off the banned nodes; `from`
     /// is expanded even when banned. This is
     /// [`dijkstra_filtered`](crate::dijkstra::dijkstra_filtered) step for
@@ -185,23 +253,21 @@ impl<'g> YenWorkspace<'g> {
         keep: impl Fn(NodeId, f64) -> bool,
     ) {
         let g = self.g;
-        self.dist.fill(f64::INFINITY);
-        self.prev_edge.fill(None);
-        self.settled.fill(false);
+        self.labels.fill(UNREACHED);
         self.heap.clear();
-        self.dist[from.index()] = 0.0;
+        self.labels[from.index()].dist = 0.0;
         self.heap.push(HeapEntry {
             dist: 0.0,
             node: from,
         });
         while let Some(HeapEntry { dist: d, node: u }) = self.heap.pop() {
-            if self.settled[u.index()] {
+            if self.labels[u.index()].settled {
                 continue;
             }
             if Some(u) == stop {
                 break;
             }
-            self.settled[u.index()] = true;
+            self.labels[u.index()].settled = true;
             for &e in if REVERSED {
                 g.in_edges(u)
             } else {
@@ -211,13 +277,14 @@ impl<'g> YenWorkspace<'g> {
                     continue;
                 }
                 let v = if REVERSED { g.src(e) } else { g.dst(e) };
-                if self.node_banned[v.index()] || self.settled[v.index()] {
+                let label = &mut self.labels[v.index()];
+                if self.node_banned[v.index()] || label.settled {
                     continue;
                 }
                 let nd = d + g.weight(e);
-                if nd < self.dist[v.index()] && keep(v, nd) {
-                    self.dist[v.index()] = nd;
-                    self.prev_edge[v.index()] = Some(e);
+                if nd < label.dist && keep(v, nd) {
+                    label.dist = nd;
+                    label.prev = e.0;
                     self.heap.push(HeapEntry { dist: nd, node: v });
                 }
             }
@@ -237,12 +304,12 @@ impl<'g> YenWorkspace<'g> {
                 continue;
             }
             // Infinite where `v` cannot reach the target: no bound moves.
-            let via = g.weight(e) + tree.h[v.index()];
+            let via = g.weight(e) + tree.labels[v.index()].dist;
             at_least = at_least.min(via);
             if via < at_most {
                 // Tree edges are admitted and every ban leaves `spur`: a
                 // tree path off the root's nodes is off its bans too.
-                while let Some(hop) = tree.next[v.index()].filter(|_| !on_root(v)) {
+                while let Some(hop) = tree.labels[v.index()].prev().filter(|_| !on_root(v)) {
                     v = g.dst(hop);
                 }
                 if !on_root(v) {
@@ -277,9 +344,10 @@ impl<'g> YenWorkspace<'g> {
         }
         // Cut 3; an infinite `at_most` refuses nothing.
         let cut = at_most * (1.0 + MARGIN);
-        self.search::<false>(spur, Some(tree.dst), |v, nd| nd + tree.h[v.index()] <= cut);
+        let h = |v: NodeId| tree.labels[v.index()].dist;
+        self.search::<false>(spur, Some(tree.dst), |v, nd| nd + h(v) <= cut);
         let (start, mut cur) = (self.pool_edges.len(), tree.dst);
-        while let Some(e) = self.prev_edge[cur.index()] {
+        while let Some(e) = self.labels[cur.index()].prev() {
             self.pool_edges.push(e);
             cur = g.src(e);
         }
@@ -309,61 +377,78 @@ impl<'g> YenWorkspace<'g> {
     /// shares the last one's first `i` edges — `shared` holds each one's
     /// common edge prefix with the last, edge-wise: node-wise comparison
     /// would over-ban on multigraphs — so that a spur path must deviate
-    /// at `i`.
-    fn ban_continuations(&mut self, accepted: &[Path], shared: &[usize], i: usize, banned: bool) {
-        for (p, &common) in accepted.iter().zip(shared) {
-            if common >= i && p.len() > i {
-                self.edge_blocked[p.edges[i].index()] = banned;
+    /// at `i`. The accepted paths are `accepted`, path `j` ending at
+    /// `ends[j]`.
+    fn ban_continuations(
+        &mut self,
+        (accepted, ends, shared): (&[EdgeId], &[usize], &[usize]),
+        i: usize,
+        banned: bool,
+    ) {
+        let mut start = 0;
+        for (&end, &common) in ends.iter().zip(shared) {
+            if common >= i && end - start > i {
+                self.edge_blocked[accepted[start + i].index()] = banned;
             }
+            start = end;
         }
     }
 
-    fn yen(&mut self, tree: &Tree, src: NodeId, k: usize) -> Vec<Path> {
+    /// Yen's loop for one pair, leaving its accepted paths in `accepted`
+    /// and `ends`.
+    fn yen(&mut self, tree: &Tree, src: NodeId, k: usize) {
         let g = self.g;
         self.pool.clear();
         self.pool_edges.clear();
+        // Out of `self` while the spur searches run, which borrow it whole.
+        let mut accepted = std::mem::take(&mut self.accepted);
+        let mut ends = std::mem::take(&mut self.ends);
+        let mut shared = std::mem::take(&mut self.shared);
+        accepted.clear();
+        ends.clear();
         // The shortest path is the spur path of the empty root.
         self.pool_spur(tree, &[], 0.0, src, k);
-        let mut accepted: Vec<Path> = Vec::new();
-        let mut shared = Vec::new();
         // Extract the cheapest candidate — the pool's last, ties broken
         // on edge ids for determinism — and deviate from it.
         while let Some(Pooled { dev, span, .. }) = self.pool.pop() {
-            accepted.push(Path::from_edges(g, self.pool_edges[span].to_vec()));
-            if accepted.len() == k {
+            let start = accepted.len();
+            accepted.extend_from_slice(&self.pool_edges[span]);
+            ends.push(accepted.len());
+            if ends.len() == k {
                 break;
             }
-            let prev = &accepted[accepted.len() - 1];
-            debug_assert!(prev.is_simple());
+            let prev = &accepted[start..];
+            debug_assert!(Path::from_edges(g, prev.to_vec()).is_simple());
             shared.clear();
-            shared.extend(
-                accepted
-                    .iter()
-                    .map(|p| common_prefix(&p.edges, &prev.edges)),
-            );
+            let mut from = 0;
+            for &end in &ends {
+                shared.push(common_prefix(&accepted[from..end], prev));
+                from = end;
+            }
             // Cut 2: spur indices start at `dev`, on `prev`'s root there.
             self.tallies.1 += dev as u64;
-            for n in &prev.nodes[..dev] {
-                self.node_banned[n.index()] = true;
+            for &e in &prev[..dev] {
+                self.node_banned[g.src(e).index()] = true;
             }
             // The root's weight, summed in the order a fresh sum would.
-            let mut root_weight: f64 = prev.edges[..dev].iter().map(|&e| g.weight(e)).sum();
+            let mut root_weight: f64 = prev[..dev].iter().map(|&e| g.weight(e)).sum();
             for i in dev..prev.len() {
-                let (spur, root) = (prev.nodes[i], &prev.edges[..i]);
-                self.ban_continuations(&accepted, &shared, i, true);
-                let searched = self.pool_spur(tree, root, root_weight, spur, k - accepted.len());
+                let (spur, root) = (g.src(prev[i]), &prev[..i]);
+                let paths = (&accepted[..], &ends[..], &shared[..]);
+                self.ban_continuations(paths, i, true);
+                let searched = self.pool_spur(tree, root, root_weight, spur, k - ends.len());
                 self.tallies.0 += u64::from(searched);
                 self.tallies.1 += u64::from(!searched);
-                self.ban_continuations(&accepted, &shared, i, false);
+                self.ban_continuations(paths, i, false);
                 // Keep later spur paths simple: off the root's nodes.
                 self.node_banned[spur.index()] = true;
-                root_weight += g.weight(prev.edges[i]);
+                root_weight += g.weight(prev[i]);
             }
-            for n in &prev.nodes[..prev.len()] {
-                self.node_banned[n.index()] = false;
+            for &e in prev {
+                self.node_banned[g.src(e).index()] = false;
             }
         }
-        accepted
+        (self.accepted, self.ends, self.shared) = (accepted, ends, shared);
     }
 }
 

@@ -5,8 +5,9 @@
 //! 1. pairs are visited in decreasing order of shortest-path distance;
 //! 2. for each pair, up to `k` candidate routes come from Yen's
 //!    k-shortest-paths — generated for every pair before the first is
-//!    routed, on every core (`CandidateCache`), and read-only from then
-//!    on, so the probes of a search share them across threads;
+//!    routed, on every core, into one flat store (`CandidateCache`) that
+//!    runs read by visit position as borrowed slices, so the probes of a
+//!    search share them across threads;
 //!    candidates that keep the route-dependency graph acyclic are
 //!    preferred (queueing feedback inflates delays — Section 5.2's
 //!    "noncyclic graph with existing routes");
@@ -38,13 +39,13 @@
 //! a cancel flag once per demand and stops early when it is set.
 
 use crate::pairs::{order_by_distance, Demand, Pair};
-use std::collections::HashMap;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, OnceLock};
 use uba_delay::committed::CommittedState;
 use uba_delay::metrics::SolveTally;
-use uba_delay::routeset::{Route, RouteSet};
+use uba_delay::routeset::{Route, RouteRef, RouteSet};
 use uba_delay::rule::{DelayRule, Theorem3};
 use uba_delay::servers::Servers;
 use uba_graph::yen::YenWorkspace;
@@ -54,19 +55,20 @@ use uba_traffic::{ClassId, TrafficClass};
 
 /// The candidate routes of one search, and how they are generated: Yen's
 /// `k` shortest paths per pair, whatever the number of classes, probes
-/// or pairs, stored once per demand as the delay layer's [`Route`]s —
-/// edge ids, which are also the server chains the overlay is asked
-/// about — so that checking, trying and committing a candidate convert
-/// nothing. A [`Path`] is rebuilt only for a candidate a caller keeps
-/// ([`Self::path`]).
+/// or pairs, written once into one [`Store`] — edge ids, which are also
+/// the server chains the overlay is asked about — and read by visit
+/// position, so that checking and trying a candidate convert nothing.
+/// Only a committed candidate becomes an owned [`Route`], and a
+/// [`Path`] is rebuilt only for one a caller keeps ([`Self::path`]).
 ///
 /// Candidates depend only on the topology, the admitted edges and the
 /// pair — not on `α`, the class or the committed routes — so a caller
 /// re-running selection (the §5.3 binary search) shares them across
-/// probes. A greedy run's caller has the cache generate every demand it
-/// lacks at once, on every core ([`Self::generate`]), before the first
-/// run; the runs then read [`Routes`] only. A demand asked for alone (a
-/// pair `reconfigure` re-routes) is generated then, by the caller.
+/// probes. A greedy run's caller has the cache generate every demand at
+/// once, on every core ([`Self::generate`]), before the first run; the
+/// runs then read the [`Store`] only. A demand asked for alone (a pair
+/// `reconfigure` re-routes) is appended then, by the caller
+/// ([`Self::push`]).
 ///
 /// Dropping it adds what generation did to `routing.candidates.*`.
 pub(crate) struct CandidateCache<'g> {
@@ -79,22 +81,104 @@ pub(crate) struct CandidateCache<'g> {
     /// The spur tallies of the helpers' workspaces, which are dropped
     /// with their generation.
     helped: (u64, u64),
-    routes: Routes,
+    store: Store,
 }
 
-/// Every generated demand's candidates.
-pub(crate) type Routes = HashMap<Demand, Vec<Route>>;
+/// Every candidate of one search, end to end, and which are whose: one
+/// buffer of server ids, where each candidate ends in it, and per demand
+/// — indexed by its position in the order the demands were generated,
+/// the visit order — the run of candidates that is its list. The demands
+/// of one pair share one run.
+pub(crate) struct Store {
+    /// Every candidate's servers (edge ids), one candidate after another.
+    servers: Vec<u32>,
+    /// Candidate `c`'s servers are `servers[bounds[c]..bounds[c + 1]]`.
+    bounds: Vec<u32>,
+    /// Per demand, its candidates' indices.
+    demands: Vec<Range<u32>>,
+}
+
+/// One demand's candidates, borrowed from a [`Store`].
+#[derive(Clone, Copy)]
+pub(crate) struct Candidates<'a> {
+    servers: &'a [u32],
+    /// One more than there are candidates: candidate `i` is
+    /// `servers[bounds[i]..bounds[i + 1]]`.
+    bounds: &'a [u32],
+}
+
+impl<'a> Candidates<'a> {
+    pub(crate) fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Candidate `i`'s servers.
+    pub(crate) fn get(&self, i: usize) -> &'a [u32] {
+        &self.servers[self.bounds[i] as usize..self.bounds[i + 1] as usize]
+    }
+}
+
+impl Store {
+    fn new() -> Self {
+        Self {
+            servers: Vec::new(),
+            bounds: vec![0],
+            demands: Vec::new(),
+        }
+    }
+
+    /// How many demands have their candidates here.
+    pub(crate) fn len(&self) -> usize {
+        self.demands.len()
+    }
+
+    /// The candidates of the demand at position `at`.
+    pub(crate) fn at(&self, at: usize) -> Candidates<'_> {
+        let Range { start, end } = self.demands[at];
+        Candidates {
+            servers: &self.servers,
+            bounds: &self.bounds[start as usize..=end as usize],
+        }
+    }
+
+    /// Appends a worker's share, its positions filled in.
+    fn absorb(&mut self, share: &Share) {
+        let (servers, candidates) = (self.servers.len() as u32, self.bounds.len() as u32 - 1);
+        self.servers.extend_from_slice(&share.servers);
+        self.bounds
+            .extend(share.ends.iter().map(|&end| end + servers));
+        for (at, run) in &share.placed {
+            self.demands[*at as usize] = run.start + candidates..run.end + candidates;
+        }
+    }
+}
 
 /// What [`CandidateCache::generate_on`]'s first helper runs once its share
 /// is in, given the cell the candidates are published to: the search's
 /// probe server. Boxed, as is the caller's continuation, so that
 /// generation and its spawns are compiled once.
-pub(crate) type Serve<'a> = Box<dyn FnOnce(&OnceLock<Routes>) + Send + 'a>;
+pub(crate) type Serve<'a> = Box<dyn FnOnce(&OnceLock<Store>) + Send + 'a>;
 
-/// One worker's part of a generation: its demands' candidates, and its
-/// workspace's spur tallies (a helper's; the caller's workspace keeps
-/// its own).
-type Share = (Vec<(Demand, Vec<Route>)>, (u64, u64));
+/// One worker's part of a generation, laid out as a [`Store`]'s own
+/// fields with its candidates numbered from 0: each candidate's end in
+/// `servers`, and per demand position it generated, its run.
+#[derive(Default)]
+struct Share {
+    servers: Vec<u32>,
+    ends: Vec<u32>,
+    placed: Vec<(u32, Range<u32>)>,
+}
+
+/// How many threads the process may run at once, asked once per process:
+/// the answer reads cgroup files and costs tens of microseconds.
+pub(crate) fn workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
 
 /// `routing.select.*` so far, in plain fields.
 #[derive(Debug, Default, PartialEq)]
@@ -152,25 +236,27 @@ impl<'g> CandidateCache<'g> {
             yen: YenWorkspace::new(g, |e| admitted[e.index()]),
             admitted,
             helped: (0, 0),
-            routes: HashMap::new(),
+            store: Store::new(),
         }
     }
 
     /// The candidates generated so far.
-    pub(crate) fn routes(&self) -> &Routes {
-        &self.routes
+    pub(crate) fn store(&self) -> &Store {
+        &self.store
     }
 
-    /// Generates, `k` per pair, the candidates of every demand in
-    /// `demands` the cache lacks, on as many workers as the process may
-    /// run threads at once — asked only when there is work: the answer
-    /// costs tens of microseconds, and later runs find none.
+    /// Appends `demands`, in order, to the store, their candidates
+    /// generated `k` per pair on as many workers as the process may run
+    /// threads at once ([`workers`]).
     pub(crate) fn generate(&mut self, demands: &[Demand], k: usize) {
-        if demands.iter().all(|d| self.routes.contains_key(d)) {
-            return;
-        }
-        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        self.generate_on(workers, demands, k, None, Box::new(|_| ()));
+        self.generate_on(workers(), demands, k, None, Box::new(|_| ()));
+    }
+
+    /// Appends `demand` alone, its candidates generated on the caller,
+    /// and returns its position.
+    pub(crate) fn push(&mut self, demand: Demand, k: usize) -> usize {
+        self.generate_on(1, &[demand], k, None, Box::new(|_| ()));
+        self.store.len() - 1
     }
 
     /// [`Self::generate`] on at most `workers` workers, then `then` on
@@ -192,16 +278,16 @@ impl<'g> CandidateCache<'g> {
         demands: &[Demand],
         k: usize,
         serve: Option<Serve<'_>>,
-        then: Box<dyn FnOnce(&Routes) + '_>,
+        then: Box<dyn FnOnce(&Store) + '_>,
     ) {
-        let mut todo: Vec<Demand> = (demands.iter())
-            .filter(|d| !self.routes.contains_key(d))
-            .copied()
+        let base = self.store.len();
+        self.store.demands.resize(base + demands.len(), 0..0);
+        let mut todo: Vec<(Pair, u32)> = (demands.iter().zip(base as u32..))
+            .map(|(d, at)| (d.pair, at))
             .collect();
         let watch = (!todo.is_empty()).then(Stopwatch::start);
-        todo.sort_unstable_by_key(|d| (d.pair.dst, d.pair.src, d.class));
-        todo.dedup();
-        let groups: Vec<&[Demand]> = todo.chunk_by(|a, b| a.pair.dst == b.pair.dst).collect();
+        todo.sort_unstable_by_key(|&(pair, at)| (pair.dst, pair.src, at));
+        let groups: Vec<&[(Pair, u32)]> = todo.chunk_by(|a, b| a.0.dst == b.0.dst).collect();
         let next = AtomicUsize::new(0);
         // The probe server is a helper, whatever the groups.
         let wanted = if serve.is_some() {
@@ -212,9 +298,9 @@ impl<'g> CandidateCache<'g> {
         let helpers = workers.min(wanted).saturating_sub(1);
         let shared = OnceLock::new();
         let (g, admitted, yen) = (self.g, &self.admitted, &mut self.yen);
-        let mut routes = std::mem::take(&mut self.routes);
+        let mut store = std::mem::replace(&mut self.store, Store::new());
         let helped = std::thread::scope(|s| {
-            let (share_tx, shares) = mpsc::channel::<Share>();
+            let (share_tx, shares) = mpsc::channel::<(Share, (u64, u64))>();
             let mut serve = serve;
             let spawned: Vec<_> = (0..helpers)
                 .map(|_| {
@@ -222,9 +308,10 @@ impl<'g> CandidateCache<'g> {
                     let (groups, next, shared) = (&groups, &next, &shared);
                     s.spawn(move || {
                         let mut yen = YenWorkspace::new(g, |e| admitted[e.index()]);
-                        let out = generate_groups(&mut yen, groups, next, k);
+                        let mut share = Share::default();
+                        generate_groups(&mut yen, groups, next, k, &mut share);
                         share_tx
-                            .send((out, yen.tallies()))
+                            .send((share, yen.tallies()))
                             .expect("the caller waits for every share");
                         drop((share_tx, yen));
                         if let Some(serve) = serve {
@@ -242,12 +329,14 @@ impl<'g> CandidateCache<'g> {
                 }
             };
             drop(share_tx);
-            routes.extend(generate_groups(yen, &groups, &next, k));
+            let mut own = Share::default();
+            generate_groups(yen, &groups, &next, k, &mut own);
+            store.absorb(&own);
             // The channel orders every helper's share before the caller
             // reads it, and the cell the candidates before any request.
             let (mut helped, mut shared_in) = ((0, 0), 0);
-            for (out, (searched, skipped)) in shares {
-                routes.extend(out);
+            for (share, (searched, skipped)) in shares {
+                store.absorb(&share);
                 helped.0 += searched;
                 helped.1 += skipped;
                 shared_in += 1;
@@ -262,11 +351,11 @@ impl<'g> CandidateCache<'g> {
                     .seconds
                     .record(watch.elapsed_secs());
             }
-            then(shared.get_or_init(|| routes));
+            then(shared.get_or_init(|| store));
             join(spawned);
             helped
         });
-        self.routes = shared.into_inner().expect("published before `then`");
+        self.store = shared.into_inner().expect("published before `then`");
         self.helped.0 += helped.0;
         self.helped.1 += helped.1;
     }
@@ -278,26 +367,19 @@ impl<'g> CandidateCache<'g> {
         (searched + self.helped.0, skipped + self.helped.1)
     }
 
-    /// `demand`'s candidates as routes in the demand's class — its pair's
-    /// `k` shortest paths, the `k` of the demand's first generation.
-    pub(crate) fn candidates(&mut self, demand: Demand, k: usize) -> &[Route] {
-        if !self.routes.contains_key(&demand) {
-            self.generate_on(1, &[demand], k, None, Box::new(|_| ()));
-        }
-        &self.routes[&demand]
-    }
-
-    /// The path of `demand`'s candidate `index`, rebuilt from its edges.
-    pub(crate) fn path(&self, demand: Demand, index: usize) -> Path {
-        let route = &self.routes[&demand][index];
-        Path::from_edges(self.g, route.servers.iter().map(|&e| EdgeId(e)).collect())
+    /// The path of candidate `index` of the demand at position `at`,
+    /// rebuilt from its edges.
+    pub(crate) fn path(&self, at: usize, index: usize) -> Path {
+        let servers = self.store.at(at).get(index);
+        Path::from_edges(self.g, servers.iter().map(|&e| EdgeId(e)).collect())
     }
 
     /// `chosen`, what [`select_in_order`] returned for `ordered` through
-    /// this cache, as a selection: its paths rebuilt from the cache.
+    /// this cache's store, as a selection: its paths rebuilt from the
+    /// cache.
     pub(crate) fn selection(&self, ordered: &[Demand], chosen: Chosen) -> Selection {
-        let paths = (ordered.iter().zip(&chosen.indices))
-            .map(|(&d, &i)| self.path(d, i))
+        let paths = (chosen.indices.iter().enumerate())
+            .map(|(at, &i)| self.path(at, i))
             .collect();
         Selection {
             demands: ordered.to_vec(),
@@ -376,7 +458,7 @@ pub(crate) fn class0_demands(pairs: &[Pair]) -> Vec<Demand> {
     pairs.iter().map(|&pair| Demand { class, pair }).collect()
 }
 
-/// Chooses `demand`'s route among its candidates `routes` per the three
+/// Chooses `demand`'s route among its `candidates` per the three
 /// sub-heuristics and commits it to `state` (the new fixed point) and
 /// `overlay`; returns the chosen candidate's index
 /// ([`CandidateCache::path`] rebuilds its path). Both are untouched on `Err`.
@@ -386,30 +468,33 @@ pub(crate) fn choose_route<R: DelayRule>(
     overlay: &mut DynDigraph,
     demand: Demand,
     cfg: &HeuristicConfig,
-    routes: &[Route],
+    candidates: Candidates<'_>,
     scratch: &mut Scratch,
 ) -> Result<usize, SelectionError> {
     let Scratch { pool, tally } = scratch;
-    if routes.is_empty() {
+    if candidates.is_empty() {
         return Err(SelectionError::NoRoute(demand.pair));
     }
     // Heuristic (2): keep only feedback-free candidates when possible.
     pool.clear();
     if cfg.prefer_acyclic {
         pool.extend(
-            (0..routes.len()).filter(|&i| !overlay.chain_would_create_cycle(&routes[i].servers)),
+            (0..candidates.len()).filter(|&i| !overlay.chain_would_create_cycle(candidates.get(i))),
         );
-        tally.cycle_checks += routes.len() as u64;
+        tally.cycle_checks += candidates.len() as u64;
     }
     if pool.is_empty() {
-        pool.extend(0..routes.len());
+        pool.extend(0..candidates.len());
     }
 
     // Heuristic (3): the safe candidate with the least own delay, the
     // earlier (shorter) one on a tie — or simply the first safe one.
     let mut best: Option<(usize, f64)> = None;
     for &ci in pool.iter() {
-        let route = &routes[ci];
+        let route = RouteRef {
+            class: demand.class,
+            servers: candidates.get(ci),
+        };
         tally.candidates += 1;
         // Adding a route only raises delays, so a candidate whose delay at
         // the committed point is already no better than the incumbent's
@@ -437,9 +522,13 @@ pub(crate) fn choose_route<R: DelayRule>(
     let Some((ci, _)) = best else {
         return Err(SelectionError::NoSafeRoute(demand.pair));
     };
-    let committed = state.commit(routes[ci].clone());
+    let servers = candidates.get(ci);
+    let committed = state.commit(Route {
+        class: demand.class,
+        servers: servers.to_vec(),
+    });
     assert!(committed, "a route that just verified safe still does");
-    overlay.add_chain(&routes[ci].servers);
+    overlay.add_chain(servers);
     Ok(ci)
 }
 
@@ -486,7 +575,7 @@ pub(crate) fn select_under_rule<R: DelayRule>(
     cache.generate(&ordered, cfg.k_candidates);
     let state = CommittedState::empty(servers, rule);
     let never = AtomicBool::new(false);
-    let (chosen, writes) = select_in_order(g, state, &ordered, cfg, cache.routes(), &never);
+    let (chosen, writes) = select_in_order(g, state, &ordered, cfg, cache.store(), &never);
     writes.publish();
     Ok(cache.selection(&ordered, chosen?))
 }
@@ -504,8 +593,8 @@ pub(crate) struct Chosen {
 }
 
 /// The §5.2 greedy over demands already in [`visit_order`], committing
-/// onto `state` (empty, at the utilizations to verify), with candidates
-/// `routes` generated for every one of them — the §5.3 binary search
+/// onto `state` (empty, at the utilizations to verify), with the
+/// candidates of every one of them in `store`, at its position — the §5.3 binary search
 /// re-runs selection per probe, and neither the order nor the candidates
 /// depend on `α`. Hands back what the run wrote, unpublished, beside its
 /// answer. Once `cancel` is set (a hint, read once per demand) the run
@@ -516,25 +605,25 @@ pub(crate) fn select_in_order<R: DelayRule>(
     mut state: CommittedState<'_, R>,
     ordered: &[Demand],
     cfg: &HeuristicConfig,
-    routes: &Routes,
+    store: &Store,
     cancel: &AtomicBool,
 ) -> (Result<Chosen, SelectionError>, Writes) {
+    assert_eq!(store.len(), ordered.len(), "one candidate list per demand");
     let mut overlay = DynDigraph::new(g.edge_count());
     let mut scratch = Scratch::default();
     let mut indices = Vec::with_capacity(ordered.len());
     let mut failed = None;
-    for &demand in ordered {
+    for (at, &demand) in ordered.iter().enumerate() {
         if cancel.load(Ordering::Relaxed) {
             failed = Some(SelectionError::NoSafeRoute(demand.pair));
             break;
         }
-        let candidates = &routes[&demand];
         match choose_route(
             &mut state,
             &mut overlay,
             demand,
             cfg,
-            candidates,
+            store.at(at),
             &mut scratch,
         ) {
             Ok(i) => indices.push(i),
@@ -564,30 +653,27 @@ pub(crate) fn select_in_order<R: DelayRule>(
     (chosen, writes)
 }
 
-/// Takes whole destination groups off `next` until none is left,
-/// generating each pair's `k` candidates once for all its demands.
+/// Takes whole destination groups — each a destination's demand
+/// positions, sorted by pair — off `next` until none is left, generating
+/// each pair's `k` candidates once for all its demands into `share`.
 fn generate_groups(
     yen: &mut YenWorkspace<'_>,
-    groups: &[&[Demand]],
+    groups: &[&[(Pair, u32)]],
     next: &AtomicUsize,
     k: usize,
-) -> Vec<(Demand, Vec<Route>)> {
-    let mut out = Vec::new();
+    share: &mut Share,
+) {
     // The counter only hands out indices; the share channel orders every
     // helper's writes before the caller reads them.
     while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
-        for same in group.chunk_by(|a, b| a.pair == b.pair) {
-            let Pair { src, dst } = same[0].pair;
-            let paths = yen.k_shortest_paths(src, dst, k);
-            for &d in same {
-                out.push((
-                    d,
-                    paths.iter().map(|p| Route::from_path(d.class, p)).collect(),
-                ));
-            }
+        for same in group.chunk_by(|a, b| a.0 == b.0) {
+            let Pair { src, dst } = same[0].0;
+            let first = share.ends.len() as u32;
+            yen.k_shortest_into(src, dst, k, &mut share.servers, &mut share.ends);
+            let run = first..share.ends.len() as u32;
+            (share.placed).extend(same.iter().map(|&(_, at)| (at, run.clone())));
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -714,22 +800,22 @@ mod tests {
         let cfg = HeuristicConfig::default();
         let plain = select_routes(&g, &servers, &voip(), 0.3, &pairs, &cfg).unwrap();
         let mut cache = CandidateCache::new(&g, |_| true);
-        // Two runs through the same cache: the second generates nothing.
+        // Two runs on one generation.
         let ordered = visit_order(&g, &class0_demands(&pairs), &cfg);
+        cache.generate(&ordered, cfg.k_candidates);
         let never = AtomicBool::new(false);
-        let mut cached = || {
-            cache.generate(&ordered, cfg.k_candidates);
+        let cached = || {
             let rule = Theorem3::new(&voip(), vec![0.3; servers.len()]);
             let state = CommittedState::empty(&servers, rule);
-            let (chosen, _) = select_in_order(&g, state, &ordered, &cfg, cache.routes(), &never);
+            let (chosen, _) = select_in_order(&g, state, &ordered, &cfg, cache.store(), &never);
             chosen.unwrap()
         };
         let (first, second) = (cached(), cached());
         let first = cache.selection(&ordered, first);
         let second = cache.selection(&ordered, second);
-        // One generation per pair: as many lists, and the spur work of
-        // one pass over the pairs.
-        assert_eq!(cache.routes.len(), pairs.len());
+        // One list per demand, and the spur work of one pass over the
+        // pairs.
+        assert_eq!(cache.store.len(), pairs.len());
         let mut once = YenWorkspace::new(&g, |_| true);
         for p in &pairs {
             once.k_shortest_paths(p.src, p.dst, cfg.k_candidates);
@@ -739,6 +825,13 @@ mod tests {
         assert_eq!(plain.paths, second.paths);
         assert_eq!(plain.route_delays, first.route_delays);
         assert_eq!(plain.route_delays, second.route_delays);
+    }
+
+    /// Position `at`'s candidates in `cache`, as paths.
+    fn paths_at(cache: &CandidateCache<'_>, at: usize) -> Vec<Path> {
+        (0..cache.store.at(at).len())
+            .map(|i| cache.path(at, i))
+            .collect()
     }
 
     #[test]
@@ -754,7 +847,7 @@ mod tests {
         for (g, cut) in &cases {
             let edge_ok = |e: EdgeId| !cut.contains(&Some(e));
             let pairs = all_ordered_pairs(g);
-            // Two classes per pair: still one list per pair.
+            // Two classes per pair: still one generation per pair.
             let demands: Vec<Demand> = (0..2)
                 .flat_map(|c| {
                     pairs.iter().map(move |&pair| Demand {
@@ -770,17 +863,82 @@ mod tests {
             for workers in 1..=3 {
                 let mut cache = CandidateCache::new(g, edge_ok);
                 cache.generate_on(workers, &demands, 8, None, Box::new(|_| ()));
-                for &d in &demands {
+                assert_eq!(cache.store.len(), demands.len());
+                for (at, d) in demands.iter().enumerate() {
                     let Pair { src, dst } = d.pair;
                     let want = k_shortest_paths_filtered(g, src, dst, 8, edge_ok);
-                    let got: Vec<Path> = (0..want.len()).map(|i| cache.path(d, i)).collect();
-                    assert_eq!(cache.routes[&d].len(), want.len());
-                    assert_eq!(got, want, "{workers} workers, {d:?}");
-                    assert!(cache.routes[&d].iter().all(|r| r.class == d.class));
+                    assert_eq!(paths_at(&cache, at), want, "{workers} workers, {d:?}");
                 }
                 assert_eq!(cache.spur_tallies(), serial.tallies(), "{workers} workers");
             }
         }
+    }
+
+    /// A digraph on `n` nodes with random edges — parallel edges, zero
+    /// weights and weights drawn from a few values, so that paths tie —
+    /// over a ring, so that most pairs have a route.
+    fn random_digraph(rng: &mut uba_obs::SplitMix64, n: usize) -> Digraph {
+        let mut g = Digraph::with_nodes(n);
+        let weight = |rng: &mut uba_obs::SplitMix64| [0.0, 1.0, 1.0, 2.0, 3.0][rng.index(5)];
+        for a in 0..n {
+            let w = weight(rng);
+            g.add_edge(NodeId(a as u32), NodeId(((a + 1) % n) as u32), w);
+        }
+        for _ in 0..rng.index(3 * n) {
+            let (a, b) = (rng.index(n), rng.index(n));
+            if a != b {
+                let w = weight(rng);
+                g.add_edge(NodeId(a as u32), NodeId(b as u32), w);
+            }
+        }
+        g
+    }
+
+    /// The store is Yen, position for position: on random digraphs with
+    /// failed links, every demand's slices — in visit order, at one, two
+    /// and three workers — are `k_shortest_paths_filtered` for its pair,
+    /// and so is a lone demand appended after them.
+    #[test]
+    fn the_store_is_yen_position_for_position() {
+        uba_obs::check("candidate_store", 48, |rng| {
+            let n = 3 + rng.index(6);
+            let g = random_digraph(rng, n);
+            let failed: Vec<bool> = g.edges().map(|_| rng.index(6) == 0).collect();
+            let edge_ok = |e: EdgeId| !failed[e.index()];
+            let k = 1 + rng.index(8);
+            let node = |rng: &mut uba_obs::SplitMix64| NodeId(rng.index(n) as u32);
+            // Repeats, two classes, and pairs with no route or src == dst.
+            let demands: Vec<Demand> = (0..1 + rng.index(3 * n))
+                .map(|_| Demand {
+                    class: ClassId(rng.index(2)),
+                    pair: Pair {
+                        src: node(rng),
+                        dst: node(rng),
+                    },
+                })
+                .collect();
+            let cfg = HeuristicConfig::default();
+            let ordered = visit_order(&g, &demands, &cfg);
+            let workers = 1 + rng.index(3);
+            let mut cache = CandidateCache::new(&g, edge_ok);
+            cache.generate_on(workers, &ordered, k, None, Box::new(|_| ()));
+            let lone = Demand {
+                class: ClassId(0),
+                pair: Pair {
+                    src: node(rng),
+                    dst: node(rng),
+                },
+            };
+            let at = cache.push(lone, k);
+            uba_obs::ensure!(at == ordered.len() && cache.store.len() == at + 1);
+            for (at, d) in ordered.iter().chain([&lone]).enumerate() {
+                let Pair { src, dst } = d.pair;
+                let want = k_shortest_paths_filtered(&g, src, dst, k, edge_ok);
+                let got = paths_at(&cache, at);
+                uba_obs::ensure!(got == want, "{workers} workers, k = {k}, {at}: {d:?}");
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -133,17 +133,17 @@ impl Configuration {
                 class: ClassId(0),
                 pair,
             };
-            let routes = cache.candidates(demand, self.cfg.k_candidates);
+            let at = cache.push(demand, self.cfg.k_candidates);
             let ci = choose_route(
                 &mut state,
                 &mut self.overlay,
                 demand,
                 &self.cfg,
-                routes,
+                cache.store().at(at),
                 &mut scratch,
             )?;
             self.pairs.push(pair);
-            self.paths.push(cache.path(demand, ci));
+            self.paths.push(cache.path(at, ci));
             Ok(())
         });
         scratch.tally.publish();

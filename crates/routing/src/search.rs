@@ -11,7 +11,10 @@
 //!   α-independent, so one candidate cache and one ordering of the pairs
 //!   span all probes of a search. The cache generates every pair's
 //!   candidates before the first probe, split by destination over every
-//!   core; no probe runs Yen.
+//!   core, into one flat store: every candidate's server ids end to end,
+//!   and at each demand's visit position the run of them that is its
+//!   list. No probe runs Yen, and a probe reads candidates as borrowed
+//!   slices; only the route it commits is copied out.
 //! * **The next probe, on the idle core** (heuristic selector). While the
 //!   caller probes `x`, a helper probes the point the bisection would probe
 //!   next if `x` turns out feasible, its `then`; an infeasible `x` cancels
@@ -32,12 +35,11 @@
 
 use crate::bounds::utilization_bounds;
 use crate::heuristic::{
-    class0_demands, select_in_order, visit_order, CandidateCache, Chosen, HeuristicConfig, Routes,
-    Selection, Serve, Writes,
+    class0_demands, select_in_order, visit_order, workers, CandidateCache, Chosen, HeuristicConfig,
+    Selection, Serve, Store, Writes,
 };
 use crate::pairs::{Demand, Pair};
 use crate::sp::sp_selection;
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use uba_delay::committed::CommittedState;
@@ -145,7 +147,8 @@ pub fn max_utilization(
 /// The §5.3 search with the §5.2 greedy as its probe, under any delay
 /// rule: [`bisect`] over `(first, cap, tol)`, the probe at `x` routing
 /// `demands` under `rule_at(x)`, on as many workers as the process may
-/// run threads at once, asked once ([`bisect_greedy_on`]).
+/// run threads at once ([`workers`], asked once per process;
+/// [`bisect_greedy_on`]).
 pub(crate) fn bisect_greedy<R: DelayRule>(
     g: &Digraph,
     servers: &Servers,
@@ -162,8 +165,7 @@ pub(crate) fn bisect_greedy<R: DelayRule>(
         cfg,
         rule_at,
     };
-    let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    bisect_greedy_on(workers, &greedy, bracket, Probed::publish).0
+    bisect_greedy_on(workers(), &greedy, bracket, Probed::publish).0
 }
 
 /// What every probe of a greedy search shares, on every thread.
@@ -192,14 +194,14 @@ impl Probed {
 }
 
 impl<R: DelayRule, F: Fn(f64) -> R> Greedy<'_, F> {
-    /// The greedy at `x` on candidates `routes`, everything it writes
+    /// The greedy at `x` on the candidates in `store`, everything it writes
     /// held back beside its answer; `cancel` stops it early (see
     /// [`select_in_order`]).
-    fn probe(&self, x: f64, routes: &Routes, cancel: &AtomicBool) -> (Option<Chosen>, Probed) {
+    fn probe(&self, x: f64, store: &Store, cancel: &AtomicBool) -> (Option<Chosen>, Probed) {
         let watch = Stopwatch::start();
         let ((found, mut writes), events) = uba_obs::trace::hold(|| {
             let state = CommittedState::empty(self.servers, (self.rule_at)(x));
-            select_in_order(self.g, state, self.ordered, self.cfg, routes, cancel)
+            select_in_order(self.g, state, self.ordered, self.cfg, store, cancel)
         });
         writes.events = events;
         let seconds = watch.elapsed_secs();
@@ -236,18 +238,18 @@ fn bisect_greedy_on<R: DelayRule, F: Fn(f64) -> R + Sync>(
     let serve = (workers > 1).then(|| -> Serve<'_> {
         Box::new(move |candidates| {
             while let Ok(x) = recv_spinning(&requests) {
-                let routes = candidates
+                let store = candidates
                     .get()
                     .expect("published before the first request");
                 // The caller takes every answer before it hangs up.
-                let _ = to_caller.send(Box::new(greedy.probe(x, routes, cancel)));
+                let _ = to_caller.send(Box::new(greedy.probe(x, store, cancel)));
             }
         })
     });
     let mut outcome = None;
     let out = &mut outcome;
     // Owns the request sender: the helper stops when this returns.
-    let search = move |routes: &Routes| {
+    let search = move |store: &Store| {
         let never = AtomicBool::new(false);
         let mut speculation = Speculation::default();
         let mut pending: Option<f64> = None;
@@ -274,7 +276,7 @@ fn bisect_greedy_on<R: DelayRule, F: Fn(f64) -> R + Sync>(
                     .expect("the helper serves until hung up on");
                 pending = Some(then);
             }
-            greedy.probe(x, routes, &never)
+            greedy.probe(x, store, &never)
         };
         let found = bisect(first, cap, tol, probe, &mut adopt);
         if pending.is_some() {
