@@ -119,13 +119,19 @@ impl SourceModel {
     /// finite, a rogue factor of at most 1, or on/off phases that are not
     /// positive. Also on a negative `start` / `offset`: the engine's clock
     /// starts at 0, so every earlier emission would enter at once, a burst
-    /// the source's `(T, ρ)` contract forbids.
+    /// the source's `(T, ρ)` contract forbids. And on a packet gap (or an
+    /// on/off cycle) that cannot move the clock where the walk ends — zero,
+    /// as an infinite rate or rogue factor gives, or below the spacing of
+    /// floats there — which would hold the walk at one instant for ever.
     pub fn emission_iter(&self, horizon: f64) -> Emissions {
-        let steady = |t, copies, gap| Emissions {
-            t,
-            gap,
-            end: horizon,
-            walk: Walk::Steady { copies },
+        let steady = |t, copies, gap| {
+            assert_advances(gap, horizon, "the packet gap");
+            Emissions {
+                t,
+                gap,
+                end: horizon,
+                walk: Walk::Steady { copies },
+            }
         };
         match *self {
             SourceModel::GreedyOnOff {
@@ -175,14 +181,21 @@ impl SourceModel {
                 assert!(start.is_finite(), "start must be finite");
                 assert!(start >= 0.0, "start must be non-negative");
                 assert!(stop >= start, "stop must not precede start");
+                let (gap, end, cycle) = (
+                    packet_bits as f64 / peak_bps,
+                    stop.min(horizon),
+                    on_s + off_s,
+                );
+                assert_advances(gap, end, "the packet gap");
+                assert_advances(cycle, end, "the on/off cycle");
                 Emissions {
                     t: start,
-                    gap: packet_bits as f64 / peak_bps,
-                    end: stop.min(horizon),
+                    gap,
+                    end,
                     walk: Walk::Phased {
                         k: 0,
                         on: on_s * (1.0 - 1e-12),
-                        cycle: on_s + off_s,
+                        cycle,
                     },
                 }
             }
@@ -197,6 +210,18 @@ impl SourceModel {
             }
         }
     }
+}
+
+/// Panics unless stepping by `step` moves every time a walk can reach
+/// before `end`: `t + step > t` for each `t` in `[0, end]`, which holds
+/// once `step` is at least the spacing of floats at `end` (`end + step >
+/// end` alone can still round a tie down below `end`).
+fn assert_advances(step: f64, end: f64, what: &str) {
+    let reach = end.max(0.0);
+    assert!(
+        step >= reach.next_up() - reach,
+        "{what} must move the clock at the horizon"
+    );
 }
 
 /// A source's emission times up to a horizon, from
@@ -475,5 +500,76 @@ mod tests {
     #[should_panic(expected = "start must be non-negative")]
     fn a_negative_onoff_start_is_rejected() {
         onoff(-0.5).emissions(1.0);
+    }
+
+    // A walk that cannot advance would never end: each of these once
+    // emitted without end at one instant (or, at 1e300 b/s, crept along
+    // near 3e-290 s).
+
+    #[test]
+    #[should_panic(expected = "the packet gap must move the clock")]
+    fn an_infinite_rogue_factor_is_rejected() {
+        let rogue = SourceModel::Rogue {
+            period: 0.02,
+            packet_bits: 640,
+            factor: f64::INFINITY,
+        };
+        rogue.emission_iter(0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "the packet gap must move the clock")]
+    fn an_infinite_onoff_peak_is_rejected() {
+        let s = SourceModel::OnOff {
+            peak_bps: f64::INFINITY,
+            packet_bits: 8000,
+            on_s: 1.0,
+            off_s: 3.0,
+            start: 0.0,
+            stop: 12.0,
+        };
+        s.emission_iter(0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "the packet gap must move the clock")]
+    fn a_greedy_rate_whose_gap_vanishes_is_rejected() {
+        greedy(1e300, 0.0).emission_iter(0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "the packet gap must move the clock")]
+    fn a_cbr_period_below_the_float_spacing_is_rejected() {
+        let cbr = SourceModel::Cbr {
+            period: 1e-300,
+            packet_bits: 640,
+            offset: 0.0,
+        };
+        cbr.emission_iter(0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "the on/off cycle must move the clock")]
+    fn an_onoff_cycle_below_the_float_spacing_is_rejected() {
+        let s = SourceModel::OnOff {
+            peak_bps: 1e12,
+            packet_bits: 1,
+            on_s: 1e-300,
+            off_s: 0.0,
+            start: 0.0,
+            stop: 12.0,
+        };
+        s.emission_iter(0.1);
+    }
+
+    #[test]
+    fn a_gap_of_one_float_spacing_at_the_horizon_still_walks() {
+        let end = 0.1f64;
+        let cbr = SourceModel::Cbr {
+            period: end.next_up() - end,
+            packet_bits: 640,
+            offset: end - 4.0 * (end.next_up() - end),
+        };
+        assert_eq!(cbr.emissions(end).len(), 5);
     }
 }
