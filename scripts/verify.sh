@@ -80,7 +80,7 @@ done) results/cli_paper.txt > /dev/null || {
   exit 1
 }
 
-echo "==> one-worker lanes (under taskset -c 0 candidate generation and every search probe run on the caller alone: maximize and verify on paper.toml, and the multi-class ray search, must print what the unpinned runs print, and the config_mci smoke, untraced and traced, must pass its own check)"
+echo "==> one-worker lanes (under taskset -c 0 candidate generation and every search probe run on the caller alone: maximize and verify on paper.toml, and the multi-class ray search, must print what the unpinned runs print, cross_topology must reprint results/cross_topology.txt (six topologies through the candidate store at one worker), and the config_mci smoke, untraced and traced, must pass its own check)"
 if command -v taskset > /dev/null; then
   for cmd in "maximize $paper heuristic" "verify $paper" "maximize $multiclass"; do
     # shellcheck disable=SC2086
@@ -90,6 +90,11 @@ if command -v taskset > /dev/null; then
       exit 1
     }
   done
+  diff <(taskset -c 0 cargo run --offline --release --quiet -p uba-bench --bin cross_topology) \
+    results/cross_topology.txt > /dev/null || {
+    echo "verify.sh: cross_topology no longer prints results/cross_topology.txt on one core" >&2
+    exit 1
+  }
   for trace in 0 1; do
     taskset -c 0 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
       --workload config_mci --seed 1 --seconds 2 --trace "$trace" > /dev/null
