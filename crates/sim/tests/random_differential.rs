@@ -22,6 +22,7 @@ mod common;
 
 use common::slack;
 use uba_admission::UtilizationState;
+use uba_delay::certificate;
 use uba_delay::fixed_point::{solve_two_class, SolveConfig};
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
@@ -107,6 +108,24 @@ fn theorem4_alpha(
     }
 }
 
+/// The relative lift from a solver's cells to a certificate witness.
+const LIFT: f64 = 1e-9;
+
+/// A safe verdict's lifted cells (`server · classes + class`) pass the
+/// independent checker, at `alphas` per class on every server.
+fn certified(
+    servers: &Servers,
+    classes: &ClassSet,
+    alphas: &[f64],
+    routes: &RouteSet,
+    cells: impl Iterator<Item = f64>,
+) -> Result<(), String> {
+    let d_hat: Vec<f64> = cells.map(|d| d * (1.0 + LIFT)).collect();
+    let alpha_cells = alphas.repeat(servers.len());
+    certificate::check(servers, classes, &alpha_cells, routes, &d_hat)
+        .map_err(|e| format!("a safe verdict the checker refuses: {e:?}"))
+}
+
 fn capacities(servers: &Servers) -> Vec<f64> {
     (0..servers.len()).map(|k| servers.capacity_at(k)).collect()
 }
@@ -141,6 +160,15 @@ fn verified_random_instances_meet_their_bounds_in_simulation() {
                 alpha /= 2.0;
                 ensure!(alpha > 1e-6, "{family}: nothing verifies safe");
             };
+            let voip_only = ClassSet::single(voip.clone());
+            certified(
+                &servers,
+                &voip_only,
+                &[alpha],
+                &routes,
+                analysis.delays.iter().copied(),
+            )
+            .map_err(|e| format!("{family} at alpha {alpha}: {e}"))?;
             let bound = analysis.route_delays.iter().copied().fold(0.0, f64::max);
 
             let capacities = capacities(&servers);
@@ -220,6 +248,9 @@ fn verified_two_class_instances_meet_their_theorem5_bounds_in_simulation() {
                 alphas = alphas.map(|a| a / 2.0);
                 ensure!(alphas[0] > 1e-6, "{family}: nothing verifies safe");
             };
+            let cells = (0..2 * servers.len()).map(|c| analysis.server_delays[c % 2][c / 2]);
+            certified(&servers, &classes, &alphas, &routes, cells)
+                .map_err(|e| format!("{family} at alphas {alphas:?}: {e}"))?;
             // Each class's worst route bound.
             let mut bounds = [0.0f64; 2];
             for (route, &delay) in routes.routes().iter().zip(&analysis.route_delays) {

@@ -145,7 +145,7 @@ cargo test --offline --release -q -p uba-sim
 echo "==> uba-admission tests in release (the admit, batch, burst, policy and churn equivalence tables in the build the benchmark measures: overflow wraps, debug_assert! is off)"
 cargo test --offline --release -q -p uba-admission
 
-echo "==> configuration-side and obs tests in release (yen_equiv, yen_diff, cycle_equiv, committed_equiv, solve_equiv, selection_equiv, floor_equiv, both configuration-side metrics_exact binaries, readout_equiv and the histogram slot and tally-merge tests in the build the benchmark measures: overflow wraps, debug_assert! is off)"
+echo "==> configuration-side and obs tests in release (yen_equiv, yen_diff, cycle_equiv, committed_equiv, solve_equiv, selection_equiv, the certificate checker over every safe MCI shortest-path verdict (certificate::tests::every_safe_mci_verdict_certifies), floor_equiv, both configuration-side metrics_exact binaries, readout_equiv and the histogram slot and tally-merge tests in the build the benchmark measures: overflow wraps, debug_assert! is off)"
 cargo test --offline --release -q -p uba-obs -p uba-graph -p uba-delay -p uba-routing
 
 echo "==> obs_overhead smoke (every admit-path gate: metering, flight recorder, SLO evaluation and generation pointer A/B, the thread sweep's scaling and telemetry, batching)"
