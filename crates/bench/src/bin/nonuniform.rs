@@ -11,7 +11,7 @@
 
 use uba::delay::fixed_point::{solve_rule, SolveConfig};
 use uba::delay::routeset::{Route, RouteSet};
-use uba::delay::rule::Theorem3;
+use uba::delay::rule::Theorem5;
 use uba::prelude::*;
 
 fn main() {
@@ -37,7 +37,7 @@ fn main() {
     let cfg = SolveConfig::default();
     let mut alphas = vec![base_alpha; servers.len()];
     let check = |alphas: &[f64]| {
-        let rule = Theorem3::new(&voip, alphas.to_vec());
+        let rule = Theorem5::new([&voip], alphas.to_vec());
         solve_rule(&servers, &rule, &routes, &cfg, None)
             .outcome
             .is_safe()

@@ -504,7 +504,7 @@ mod tests {
     fn multiclass_dominated_by_theorem5_bound() {
         // The configuration-time Theorem 5 bound dominates the exact
         // multi-class analysis for an admissible placement.
-        use crate::multiclass::{theorem5_delay, ClassSpec};
+        use crate::multiclass::theorem5_delay;
         let c = 10e6;
         let n = 4usize;
         let alphas = [0.2, 0.2];
@@ -533,10 +533,6 @@ mod tests {
         }
         let exact = analyze_flows(&servers, &classed, 2, 1e-10, 2000);
         assert_eq!(exact.outcome, GeneralOutcome::Feasible);
-        let specs: Vec<ClassSpec> = alphas
-            .iter()
-            .map(|&alpha| ClassSpec { alpha, bucket: b })
-            .collect();
         // Upstream delay for the bound: the worst first-hop delay.
         for i in 0..2 {
             let y: Vec<f64> = (0..2)
@@ -547,7 +543,7 @@ mod tests {
                         .fold(0.0, f64::max)
                 })
                 .collect();
-            let bound = theorem5_delay(&specs, i, n + 1, &y).unwrap();
+            let bound = theorem5_delay(&alphas, &[b; 2], i, n + 1, &y).unwrap();
             assert!(
                 exact.delays[i][out as usize] <= bound + 1e-9,
                 "class {i}: exact {} vs bound {bound}",

@@ -3,16 +3,16 @@
 //! `d = Z(d)` has one shape whatever the number of classes: sweep every
 //! route's prefix sums into `Y` (Eq. 6), then re-evaluate a closed form
 //! `d_{i,k} = f(Y_{·,k})` at every used server. The closed form is the
-//! [`DelayRule`]: [`Theorem3`] for one real-time class (with a per-server
-//! `α`), [`Theorem5`] for several under static priority; the solvers are
-//! monomorphised per rule. A rule is the only thing a configuration step
-//! varies on: `solve_rule`, `CommittedState::{empty, from_fixed_point}`
-//! and the routing crate's greedy and bisection take any rule, so a third
-//! one needs no wrapper. Two formulas rather than one because "Theorem 5
-//! with one class *is* Theorem 3" is algebra, not bits: the simplified
-//! product and the literal quotient differ in the last place, each caller
-//! keeps the form it always used, and both are pinned
-//! (`tests/solve_equiv.rs`).
+//! [`DelayRule`]; the one production rule is [`Theorem5`], static
+//! priority over any number of classes with a utilization share per
+//! server and class — Theorem 3 is its one-class case bit for bit, and a
+//! per-server `α` (the NU experiment, per-link shares) is data, not
+//! another rule. The solvers are generic over the trait:
+//! `solve_rule`, `CommittedState::{empty, from_fixed_point}` and the
+//! routing crate's greedy and bisection take any rule, so a second one
+//! (a test oracle, say) needs no wrapper. Every rule must be
+//! non-decreasing in every `y[l]` bit for bit: the committed evaluator's
+//! floor relies on it.
 //!
 //! Delays and upstream maxima live in one vector of *cells*,
 //! `cell = server · classes + class`: a server's per-class `Y` row — what
@@ -21,19 +21,12 @@
 //! selection; [`by_class`] turns them into `delays[class][server]` rows
 //! for Figure 2's report.
 
-use crate::bound::theorem3_delay;
-use crate::multiclass::{theorem5_delay, ClassSpec};
-use uba_traffic::{ClassId, ClassSet, LeakyBucket, TrafficClass};
+use crate::multiclass::theorem5_delay;
+use uba_traffic::{ClassId, LeakyBucket, TrafficClass};
 
-/// A closed-form per-server delay bound over `classes()` priority classes.
+/// A closed-form per-server delay bound over `classes()` priority classes,
+/// non-decreasing in every `y[l]` bit for bit.
 pub trait DelayRule {
-    /// Relative margin to concede before relying on [`Self::delay`] being
-    /// non-decreasing in every `y[l]`: `0` when it is bit for bit, as
-    /// Theorem 3's product of monotone operations is. The literal
-    /// Theorem 5 subtracts a term that grows with the class's own `Y`, and
-    /// now and then rounds one ulp (2⁻⁵²) lower; `1e-9` leaves that six
-    /// orders of magnitude of room — a margin, not a proof.
-    const ROUNDING_MARGIN: f64;
     /// Number of real-time classes, highest priority first.
     fn classes(&self) -> usize;
     /// End-to-end deadline of `class`.
@@ -45,99 +38,45 @@ pub trait DelayRule {
     fn delay(&self, class: usize, server: usize, fan_in: usize, y: &[f64]) -> Option<f64>;
 }
 
-fn valid_share(alpha: f64) -> bool {
-    alpha > 0.0 && alpha < 1.0 && alpha.is_finite()
+/// Every share of a server's row in `(0, 1)` and their sum at most 1.
+fn valid_row(alphas: &[f64]) -> bool {
+    alphas.iter().all(|&a| a > 0.0 && a < 1.0 && a.is_finite())
+        && alphas.iter().sum::<f64>() <= 1.0 + 1e-12
 }
 
-/// Theorem 3 as [`theorem3_delay`] writes it: one real-time class, a
-/// utilization per server (only those of servers that carry a route are
-/// validated).
+/// Theorem 5 as [`theorem5_delay`] writes it: a utilization share per
+/// cell, i.e. per server and class (only the rows of servers that carry
+/// a route are validated).
 #[derive(Clone, Debug)]
-pub struct Theorem3 {
-    bucket: LeakyBucket,
-    deadline: f64,
+pub struct Theorem5 {
+    buckets: Vec<LeakyBucket>,
+    deadlines: Vec<f64>,
     alphas: Vec<f64>,
     all_valid: bool,
 }
 
-impl Theorem3 {
-    /// `alphas[k]` for server `k`: one per server, which the solvers
-    /// assert where the rule meets the servers.
-    pub fn new(class: &TrafficClass, alphas: Vec<f64>) -> Self {
+impl Theorem5 {
+    /// `classes` in priority order; `alphas[server · classes + class]`,
+    /// one per cell, which the solvers assert where the rule meets the
+    /// servers. One share per class on every server is the class row
+    /// repeated: `row.repeat(servers.len())`.
+    pub fn new<'c>(classes: impl IntoIterator<Item = &'c TrafficClass>, alphas: Vec<f64>) -> Self {
+        let (buckets, deadlines): (Vec<_>, _) =
+            classes.into_iter().map(|c| (c.bucket, c.deadline)).unzip();
+        assert!(!buckets.is_empty(), "need at least one class");
         Self {
-            bucket: class.bucket,
-            deadline: class.deadline,
-            all_valid: alphas.iter().all(|&a| valid_share(a)),
+            all_valid: alphas.chunks(buckets.len()).all(valid_row),
+            buckets,
+            deadlines,
             alphas,
         }
     }
 }
 
-impl DelayRule for Theorem3 {
-    const ROUNDING_MARGIN: f64 = 0.0;
-
-    #[inline]
-    fn classes(&self) -> usize {
-        1
-    }
-
-    #[inline]
-    fn deadline(&self, _class: ClassId) -> f64 {
-        self.deadline
-    }
-
-    #[inline]
-    fn in_domain(&self, used: &[bool]) -> bool {
-        assert_eq!(used.len(), self.alphas.len(), "one alpha per server");
-        self.all_valid
-            || used
-                .iter()
-                .zip(&self.alphas)
-                .all(|(&u, &a)| !u || valid_share(a))
-    }
-
-    #[inline]
-    fn delay(&self, _class: usize, server: usize, fan_in: usize, y: &[f64]) -> Option<f64> {
-        theorem3_delay(self.alphas[server], self.bucket, fan_in, y[0])
-    }
-}
-
-/// Theorem 5 as [`theorem5_delay`] writes it: a utilization share per
-/// class, the same at every server.
-#[derive(Clone, Debug)]
-pub struct Theorem5 {
-    specs: Vec<ClassSpec>,
-    deadlines: Vec<f64>,
-    valid: bool,
-}
-
-impl Theorem5 {
-    /// `alphas[i]` for the `i`-th class of `classes`.
-    pub fn new(classes: &ClassSet, alphas: &[f64]) -> Self {
-        assert_eq!(alphas.len(), classes.len(), "one alpha per class");
-        let total: f64 = alphas.iter().sum();
-        Self {
-            specs: classes
-                .iter()
-                .zip(alphas)
-                .map(|((_, c), &alpha)| ClassSpec {
-                    alpha,
-                    bucket: c.bucket,
-                })
-                .collect(),
-            deadlines: classes.iter().map(|(_, c)| c.deadline).collect(),
-            // Every share in (0, 1) and Σα ≤ 1, whatever the routes.
-            valid: total <= 1.0 + 1e-12 && alphas.iter().all(|&a| valid_share(a)),
-        }
-    }
-}
-
 impl DelayRule for Theorem5 {
-    const ROUNDING_MARGIN: f64 = 1e-9;
-
     #[inline]
     fn classes(&self) -> usize {
-        self.specs.len()
+        self.buckets.len()
     }
 
     #[inline]
@@ -146,13 +85,20 @@ impl DelayRule for Theorem5 {
     }
 
     #[inline]
-    fn in_domain(&self, _used: &[bool]) -> bool {
-        self.valid
+    fn in_domain(&self, used: &[bool]) -> bool {
+        assert_eq!(used.len(), self.alphas.len(), "one alpha per cell");
+        let nc = self.buckets.len();
+        self.all_valid
+            || (used.chunks(nc))
+                .zip(self.alphas.chunks(nc))
+                .all(|(used, row)| !used.contains(&true) || valid_row(row))
     }
 
     #[inline]
-    fn delay(&self, class: usize, _server: usize, fan_in: usize, y: &[f64]) -> Option<f64> {
-        theorem5_delay(&self.specs, class, fan_in, y)
+    fn delay(&self, class: usize, server: usize, fan_in: usize, y: &[f64]) -> Option<f64> {
+        let nc = self.buckets.len();
+        let row = &self.alphas[server * nc..][..nc];
+        theorem5_delay(row, &self.buckets, class, fan_in, y)
     }
 }
 

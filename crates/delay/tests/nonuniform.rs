@@ -2,7 +2,7 @@
 
 use uba_delay::fixed_point::{solve_rule, solve_two_class, Outcome, SolveConfig, SolveResult};
 use uba_delay::routeset::{Route, RouteSet};
-use uba_delay::rule::Theorem3;
+use uba_delay::rule::Theorem5;
 use uba_delay::servers::Servers;
 use uba_graph::{Digraph, NodeId};
 use uba_traffic::{ClassId, TrafficClass};
@@ -17,7 +17,7 @@ fn solve_nonuniform(
 ) -> SolveResult {
     solve_rule(
         servers,
-        &Theorem3::new(class, alphas.to_vec()),
+        &Theorem5::new([class], alphas.to_vec()),
         routes,
         cfg,
         None,

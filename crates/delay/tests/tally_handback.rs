@@ -6,7 +6,7 @@
 use uba_delay::committed::CommittedState;
 use uba_delay::metrics::{solver, TIME_EVERY};
 use uba_delay::routeset::Route;
-use uba_delay::rule::Theorem3;
+use uba_delay::rule::Theorem5;
 use uba_delay::servers::Servers;
 use uba_obs::histogram::BUCKETS;
 use uba_topology::line;
@@ -60,7 +60,7 @@ fn a_handed_back_tally_publishes_what_dropping_the_state_did() {
     let candidates = [vec![0], vec![0, 2], vec![2, 4, 6], vec![6, 4]];
     let evaluations = 2 * TIME_EVERY + 2;
     let evaluated = || {
-        let rule = Theorem3::new(&voip, vec![0.3; servers.len()]);
+        let rule = Theorem5::new([&voip], vec![0.3; servers.len()]);
         let mut state = CommittedState::empty(&servers, rule);
         assert!(state.commit(route(vec![0, 2, 4])));
         for i in 0..evaluations as usize {

@@ -26,8 +26,9 @@
 //! hops, the servers whose `Y_k` it raises, the routes through them —
 //! not a solve over the whole route set.
 //! The greedy routes *demands* (a pair in a class) under any delay rule,
-//! through one body: [`select_routes`] hands it a Theorem 3 rule,
-//! [`crate::multiclass::select_routes_multiclass`] a Theorem 5 one. It
+//! through one body: [`select_routes`] hands it Theorem 5 over one class
+//! at one `α`, [`crate::multiclass::select_routes_multiclass`] over
+//! several at a share each. It
 //! returns one [`Selection`] whatever the class count, its delays in the
 //! rule's cells ([`uba_delay::rule`]).
 //!
@@ -46,7 +47,7 @@ use std::sync::{mpsc, OnceLock};
 use uba_delay::committed::CommittedState;
 use uba_delay::metrics::SolveTally;
 use uba_delay::routeset::{Route, RouteRef, RouteSet};
-use uba_delay::rule::{DelayRule, Theorem3};
+use uba_delay::rule::{DelayRule, Theorem5};
 use uba_delay::servers::Servers;
 use uba_graph::yen::YenWorkspace;
 use uba_graph::{Digraph, DynDigraph, EdgeId, Path};
@@ -546,7 +547,7 @@ pub(crate) fn visit_order(g: &Digraph, demands: &[Demand], cfg: &HeuristicConfig
 }
 
 /// Runs safe route selection for the two-class system at utilization
-/// `alpha`: the greedy under [`Theorem3`].
+/// `alpha`: the greedy under a one-class [`Theorem5`] (Theorem 3).
 pub fn select_routes(
     g: &Digraph,
     servers: &Servers,
@@ -555,7 +556,7 @@ pub fn select_routes(
     pairs: &[Pair],
     cfg: &HeuristicConfig,
 ) -> Result<Selection, SelectionError> {
-    let rule = Theorem3::new(class, vec![alpha; servers.len()]);
+    let rule = Theorem5::new([class], vec![alpha; servers.len()]);
     select_under_rule(g, servers, rule, &class0_demands(pairs), cfg)
 }
 
@@ -805,7 +806,7 @@ mod tests {
         cache.generate(&ordered, cfg.k_candidates);
         let never = AtomicBool::new(false);
         let cached = || {
-            let rule = Theorem3::new(&voip(), vec![0.3; servers.len()]);
+            let rule = Theorem5::new([&voip()], vec![0.3; servers.len()]);
             let state = CommittedState::empty(&servers, rule);
             let (chosen, _) = select_in_order(&g, state, &ordered, &cfg, cache.store(), &never);
             chosen.unwrap()

@@ -5,8 +5,8 @@
 //! of classes against each other").
 //!
 //! * [`select_routes_multiclass`] — the Section 5.2 greedy, the body
-//!   [`crate::heuristic::select_routes`] runs, under Theorem 5's
-//!   multi-class fixed point instead of Theorem 3's.
+//!   [`crate::heuristic::select_routes`] runs, under Theorem 5 at a share
+//!   per class instead of one class's `α`.
 //! * [`max_utilization_ray`] — the Section 5.3 binary search, the body
 //!   [`crate::search::max_utilization`]'s heuristic arm runs, along a
 //!   *ray* in utilization space: `α = t·w` for a weight vector `w`;
@@ -39,7 +39,8 @@ pub fn select_routes_multiclass(
     demands: &[Demand],
     cfg: &HeuristicConfig,
 ) -> Result<Selection, SelectionError> {
-    select_under_rule(g, servers, Theorem5::new(classes, alphas), demands, cfg)
+    let rule = Theorem5::new(classes.iter().map(|(_, c)| c), alphas.repeat(servers.len()));
+    select_under_rule(g, servers, rule, demands, cfg)
 }
 
 /// Result of a ray search in utilization space.
@@ -79,7 +80,10 @@ pub fn max_utilization_ray(
     let t_cap = (1.0 - 1e-9) / wmax.max(wsum);
 
     let alphas_at = |t: f64| -> Vec<f64> { weights.iter().map(|&w| (w * t).max(1e-9)).collect() };
-    let rule_at = |t| Theorem5::new(classes, &alphas_at(t));
+    let rule_at = |t| {
+        let cells = alphas_at(t).repeat(servers.len());
+        Theorem5::new(classes.iter().map(|(_, c)| c), cells)
+    };
     let found = bisect_greedy(g, servers, demands, cfg, (None, t_cap, tol), rule_at);
     RaySearchResult {
         alphas: alphas_at(found.best),

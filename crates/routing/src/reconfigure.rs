@@ -26,7 +26,7 @@ use uba_admission::{BackendKind, ConfigGeneration, RoutingTable};
 use uba_delay::committed::CommittedState;
 use uba_delay::fixed_point::{solve_two_class, SolveConfig, SolveResult};
 use uba_delay::routeset::RouteSet;
-use uba_delay::rule::Theorem3;
+use uba_delay::rule::Theorem5;
 use uba_delay::servers::Servers;
 use uba_graph::{Digraph, DynDigraph, EdgeId, NodeId, Path};
 use uba_traffic::{ClassId, ClassSet, TrafficClass};
@@ -122,7 +122,7 @@ impl Configuration {
     fn route_pairs(&mut self, pairs: &[Pair]) -> Result<(), SelectionError> {
         let mut state = CommittedState::from_fixed_point(
             &self.servers,
-            Theorem3::new(&self.class, vec![self.alpha; self.servers.len()]),
+            Theorem5::new([&self.class], vec![self.alpha; self.servers.len()]),
             std::mem::take(&mut self.routes),
             std::mem::take(&mut self.delays),
         );

@@ -45,7 +45,7 @@ use std::sync::mpsc;
 use uba_delay::committed::CommittedState;
 use uba_delay::fixed_point::{solve_two_class, SolveConfig};
 use uba_delay::routeset::{Route, RouteSet};
-use uba_delay::rule::{DelayRule, Theorem3};
+use uba_delay::rule::{DelayRule, Theorem5};
 use uba_delay::servers::Servers;
 use uba_graph::{bfs, Digraph};
 use uba_obs::Stopwatch;
@@ -132,7 +132,7 @@ pub fn max_utilization(
         }
         Selector::Heuristic(cfg) => {
             let demands = class0_demands(pairs);
-            let rule_at = |alpha| Theorem3::new(class, vec![alpha; servers.len()]);
+            let rule_at = |alpha| Theorem5::new([class], vec![alpha; servers.len()]);
             bisect_greedy(g, servers, &demands, cfg, (first, hi_cap, tol), rule_at)
         }
     };
@@ -533,7 +533,7 @@ mod tests {
             servers: &servers,
             ordered: &ordered,
             cfg: &cfg,
-            rule_at: |alpha| Theorem3::new(&voip, vec![alpha; servers.len()]),
+            rule_at: |alpha| Theorem5::new([&voip], vec![alpha; servers.len()]),
         };
         let (lb, ub) = max_utilization(
             &g,

@@ -12,7 +12,7 @@
 
 use uba_delay::committed::CommittedState;
 use uba_delay::routeset::Route;
-use uba_delay::rule::{DelayRule, Theorem3, Theorem5};
+use uba_delay::rule::{DelayRule, Theorem5};
 use uba_delay::servers::Servers;
 use uba_graph::{k_shortest_paths, Digraph, DynDigraph, Path};
 use uba_obs::{ensure, SplitMix64};
@@ -100,7 +100,7 @@ fn the_floor_changes_no_selection() {
             .collect();
         let alpha = rng.range_f64(0.15, 0.65);
         let ctx = format!("{name}, {} pairs @ {alpha}", pairs.len());
-        let rule = Theorem3::new(&voip, vec![alpha; servers.len()]);
+        let rule = Theorem5::new([&voip], vec![alpha; servers.len()]);
         let want = unpruned_greedy(g, &servers, rule, &pairs);
         let got = select_routes(g, &servers, &voip, alpha, &pairs, &cfg);
         match (want, got) {
@@ -168,7 +168,8 @@ fn the_floor_changes_no_multiclass_selection() {
         let scale = rng.range_f64(0.2, 0.95) / weights.iter().sum::<f64>();
         let alphas: Vec<f64> = weights.iter().map(|w| w * scale).collect();
         let ctx = format!("{name}, {} pairs x {nc} classes @ {alphas:?}", pairs.len());
-        let rule = Theorem5::new(&classes, &alphas);
+        let cells = alphas.repeat(servers.len());
+        let rule = Theorem5::new(classes.iter().map(|(_, c)| c), cells);
         let want = unpruned_greedy(g, &servers, rule, &pairs);
         let demands: Vec<Demand> = (0..nc)
             .flat_map(|c| {
