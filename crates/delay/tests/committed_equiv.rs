@@ -39,8 +39,29 @@ fn certify<R: uba_delay::rule::DelayRule>(
     ctx: &str,
 ) {
     let d_hat: Vec<f64> = st.delays().iter().map(|d| d * (1.0 + LIFT)).collect();
-    let got = certificate::check(servers, classes, alpha_cells, st.routes(), &d_hat);
+    let got = certificate::check(
+        servers,
+        classes,
+        alpha_cells,
+        &owned(st, servers.len()),
+        &d_hat,
+    );
     assert_eq!(got, Ok(()), "{ctx}: a safe verdict the checker refuses");
+}
+
+/// A committed state's routes as an owned set over `server_count` servers.
+fn owned<R: uba_delay::rule::DelayRule>(
+    st: &CommittedState<'_, R>,
+    server_count: usize,
+) -> RouteSet {
+    let mut routes = RouteSet::new(server_count);
+    for r in st.routes() {
+        routes.push(Route {
+            class: r.class,
+            servers: r.servers.to_vec(),
+        });
+    }
+    routes
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -126,7 +147,7 @@ fn walk(
         assert_eq!(digest(&state), before, "{ctx}: a tried route left a trace");
         let Some(own) = got else {
             unsafe_seen += 1;
-            assert!(!state.commit(cand), "{ctx}: unsafe route committed");
+            assert!(!state.commit(&cand), "{ctx}: unsafe route committed");
             assert_eq!(
                 digest(&state),
                 before,
@@ -146,7 +167,7 @@ fn walk(
             continue;
         }
         overlay.add_chain(&cand.servers);
-        assert!(state.commit(cand), "{ctx}: safe route refused");
+        assert!(state.commit(&cand), "{ctx}: safe route refused");
         assert_eq!(bits(state.delays()), bits(&want.delays), "{ctx}: delays");
         assert_eq!(
             bits(state.route_delays()),
@@ -158,7 +179,11 @@ fn walk(
         delays = want.delays;
         committed += 1;
     }
-    assert_eq!(state.routes().routes(), routes.routes(), "{ctx}: route set");
+    assert_eq!(
+        owned(&state, routes.server_count()).routes(),
+        routes.routes(),
+        "{ctx}: route set"
+    );
     (unsafe_seen, committed, overlay.has_cycle())
 }
 
@@ -212,7 +237,7 @@ fn evaluator_matches_from_an_adopted_fixed_point() {
     let mut state = CommittedState::from_fixed_point(
         &servers,
         uniform(&servers, 0.25),
-        routes.clone(),
+        &routes,
         base.delays.clone(),
     );
     assert_eq!(bits(state.route_delays()), bits(&base.route_delays));
@@ -234,7 +259,7 @@ fn evaluator_matches_from_an_adopted_fixed_point() {
             assert!(floor <= own, "step {step}");
         }
         if want.outcome.is_safe() {
-            assert!(state.commit(cand));
+            assert!(state.commit(&cand));
             let ctx = format!("adopted step {step}");
             certify(
                 &state,
@@ -280,7 +305,7 @@ fn tentative_matches_committed_across_seeds() {
         let mut state = CommittedState::from_fixed_point(
             &servers,
             uniform(&servers, 0.35),
-            routes.clone(),
+            &routes,
             warm.clone(),
         );
         let tentative = state.try_route(&candidate);
@@ -298,7 +323,7 @@ fn tentative_matches_committed_across_seeds() {
         );
         if let Some(own) = tentative {
             assert_eq!(own, *committed.route_delays.last().unwrap(), "seed {seed}");
-            assert!(state.commit(candidate));
+            assert!(state.commit(&candidate));
             assert_eq!(state.delays(), committed.delays, "seed {seed}");
             assert_eq!(state.route_delays(), committed.route_delays, "seed {seed}");
         }
@@ -331,7 +356,7 @@ fn evaluator_matches_on_warm_starts_above_the_fixed_point() {
         let mut state = CommittedState::from_fixed_point(
             &servers,
             uniform(&servers, 0.3),
-            routes.clone(),
+            &routes,
             warm.clone(),
         );
         let cand = random_route(&g, &mut rng);
@@ -356,10 +381,10 @@ fn evaluator_matches_on_warm_starts_above_the_fixed_point() {
             "x{scale}: rollback of a full rebuild"
         );
         if !want.outcome.is_safe() {
-            assert!(!state.commit(cand));
+            assert!(!state.commit(&cand));
             continue;
         }
-        assert!(state.commit(cand));
+        assert!(state.commit(&cand));
         assert_eq!(bits(state.delays()), bits(&want.delays), "x{scale}");
         assert_eq!(
             bits(state.route_delays()),
@@ -387,7 +412,7 @@ fn no_floor_when_only_an_unused_server_is_seeded() {
     assert!(base.outcome.is_safe());
     let cand = random_route(&g, &mut rng);
     let adopt = |delays: Vec<f64>| {
-        CommittedState::from_fixed_point(&servers, uniform(&servers, 0.3), routes.clone(), delays)
+        CommittedState::from_fixed_point(&servers, uniform(&servers, 0.3), &routes, delays)
     };
     assert!(adopt(base.delays.clone()).delay_floor(&cand).is_some());
     let unused = routes.used_servers(ClassId(0));
@@ -457,7 +482,7 @@ fn walk_classes(
         assert_eq!(digest(&state), before, "{ctx}: a tried route left a trace");
         let Some(own) = got else {
             unsafe_seen += 1;
-            assert!(!state.commit(cand), "{ctx}: unsafe route committed");
+            assert!(!state.commit(&cand), "{ctx}: unsafe route committed");
             assert_eq!(
                 digest(&state),
                 before,
@@ -478,7 +503,7 @@ fn walk_classes(
             continue;
         }
         overlay.add_chain(&cand.servers);
-        assert!(state.commit(cand), "{ctx}: safe route refused");
+        assert!(state.commit(&cand), "{ctx}: safe route refused");
         assert_eq!(bits(state.delays()), bits(&want.delays), "{ctx}: delays");
         assert_eq!(
             bits(state.route_delays()),
@@ -490,7 +515,11 @@ fn walk_classes(
         delays = want.delays;
         committed += 1;
     }
-    assert_eq!(state.routes().routes(), routes.routes(), "{ctx}: route set");
+    assert_eq!(
+        owned(&state, routes.server_count()).routes(),
+        routes.routes(),
+        "{ctx}: route set"
+    );
     (unsafe_seen, committed, floors, overlay.has_cycle())
 }
 

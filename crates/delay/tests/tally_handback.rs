@@ -62,7 +62,7 @@ fn a_handed_back_tally_publishes_what_dropping_the_state_did() {
     let evaluated = || {
         let rule = Theorem5::new([&voip], vec![0.3; servers.len()]);
         let mut state = CommittedState::empty(&servers, rule);
-        assert!(state.commit(route(vec![0, 2, 4])));
+        assert!(state.commit(&route(vec![0, 2, 4])));
         for i in 0..evaluations as usize {
             state.try_route(&route(candidates[i % candidates.len()].clone()));
         }

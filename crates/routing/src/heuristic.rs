@@ -35,7 +35,7 @@
 //! A greedy run keeps what it writes — its `routing.select.*` and
 //! `delay.solve.*` tallies — in one `Writes` value and hands it back
 //! with its answer, so a run can be thrown away without a trace: the
-//! §5.3 search runs a probe it may not need on a second core and
+//! §5.3 search runs probes it may not need on the other cores and
 //! publishes only the probes it adopts ([`crate::search`]). A run checks
 //! a cancel flag once per demand and stops early when it is set.
 
@@ -59,8 +59,9 @@ use uba_traffic::{ClassId, TrafficClass};
 /// or pairs, written once into one [`Store`] — edge ids, which are also
 /// the server chains the overlay is asked about — and read by visit
 /// position, so that checking and trying a candidate convert nothing.
-/// Only a committed candidate becomes an owned [`Route`], and a
-/// [`Path`] is rebuilt only for one a caller keeps ([`Self::path`]).
+/// A committed candidate is copied into the committed state's own flat
+/// buffer; an owned [`Route`] and a [`Path`] are rebuilt only for one a
+/// caller keeps ([`Self::path`], [`Self::selection`]).
 ///
 /// Candidates depend only on the topology, the admitted edges and the
 /// pair — not on `α`, the class or the committed routes — so a caller
@@ -158,11 +159,11 @@ impl Store {
     }
 }
 
-/// What [`CandidateCache::generate_on`]'s first helper runs once its share
-/// is in, given the cell the candidates are published to: the search's
-/// probe server. Boxed, as is the caller's continuation, so that
-/// generation and its spawns are compiled once.
-pub(crate) type Serve<'a> = Box<dyn FnOnce(&OnceLock<Store>) + Send + 'a>;
+/// What each of [`CandidateCache::generate_on`]'s helpers runs once its
+/// share is in, given the cell the candidates are published to: the
+/// search's probe worker. A trait object, as is the caller's
+/// continuation, so that generation and its spawns are compiled once.
+pub(crate) type Serve<'a> = &'a (dyn Fn(&OnceLock<Store>) + Sync);
 
 /// One worker's part of a generation, laid out as a [`Store`]'s own
 /// fields with its candidates numbered from 0: each candidate's end in
@@ -269,10 +270,10 @@ impl<'g> CandidateCache<'g> {
     /// pair's list, and the tallies summed, are what one workspace
     /// running the pairs in any order gives. One worker spawns nothing.
     ///
-    /// With `serve`, at least one helper is spawned whatever the groups,
-    /// and the first runs `serve` once its share is in, with the cell
+    /// With `serve`, a helper is spawned per further worker whatever the
+    /// groups, and each runs `serve` once its share is in, with the cell
     /// the candidates are published to before `then` runs: the search's
-    /// probe server, alive until `then` hangs up on it.
+    /// probe workers, alive until `then` ends the search.
     pub(crate) fn generate_on(
         &mut self,
         workers: usize,
@@ -290,9 +291,9 @@ impl<'g> CandidateCache<'g> {
         todo.sort_unstable_by_key(|&(pair, at)| (pair.dst, pair.src, at));
         let groups: Vec<&[(Pair, u32)]> = todo.chunk_by(|a, b| a.0.dst == b.0.dst).collect();
         let next = AtomicUsize::new(0);
-        // The probe server is a helper, whatever the groups.
+        // Every worker probes, whatever the groups.
         let wanted = if serve.is_some() {
-            groups.len().max(2)
+            workers
         } else {
             groups.len()
         };
@@ -302,10 +303,9 @@ impl<'g> CandidateCache<'g> {
         let mut store = std::mem::replace(&mut self.store, Store::new());
         let helped = std::thread::scope(|s| {
             let (share_tx, shares) = mpsc::channel::<(Share, (u64, u64))>();
-            let mut serve = serve;
             let spawned: Vec<_> = (0..helpers)
                 .map(|_| {
-                    let (share_tx, serve) = (share_tx.clone(), serve.take());
+                    let share_tx = share_tx.clone();
                     let (groups, next, shared) = (&groups, &next, &shared);
                     s.spawn(move || {
                         let mut yen = YenWorkspace::new(g, |e| admitted[e.index()]);
@@ -376,16 +376,23 @@ impl<'g> CandidateCache<'g> {
     }
 
     /// `chosen`, what [`select_in_order`] returned for `ordered` through
-    /// this cache's store, as a selection: its paths rebuilt from the
-    /// cache.
+    /// this cache's store, as a selection: its paths and routes rebuilt
+    /// from the cache.
     pub(crate) fn selection(&self, ordered: &[Demand], chosen: Chosen) -> Selection {
         let paths = (chosen.indices.iter().enumerate())
             .map(|(at, &i)| self.path(at, i))
             .collect();
+        let mut routes = RouteSet::new(self.g.edge_count());
+        for ((at, &i), demand) in chosen.indices.iter().enumerate().zip(ordered) {
+            routes.push(Route {
+                class: demand.class,
+                servers: self.store.at(at).get(i).to_vec(),
+            });
+        }
         Selection {
             demands: ordered.to_vec(),
             paths,
-            routes: chosen.routes,
+            routes,
             delays: chosen.delays,
             route_delays: chosen.route_delays,
         }
@@ -524,9 +531,9 @@ pub(crate) fn choose_route<R: DelayRule>(
         return Err(SelectionError::NoSafeRoute(demand.pair));
     };
     let servers = candidates.get(ci);
-    let committed = state.commit(Route {
+    let committed = state.commit(RouteRef {
         class: demand.class,
-        servers: servers.to_vec(),
+        servers,
     });
     assert!(committed, "a route that just verified safe still does");
     overlay.add_chain(servers);
@@ -581,13 +588,12 @@ pub(crate) fn select_under_rule<R: DelayRule>(
     Ok(cache.selection(&ordered, chosen?))
 }
 
-/// What the greedy committed, before any path is rebuilt: per demand, in
-/// visiting order, the index of its route among the demand's candidates.
-/// [`select_in_order`]'s callers turn only the selection they return into
-/// paths ([`CandidateCache::selection`]).
+/// What the greedy committed, before any path or route is rebuilt: per
+/// demand, in visiting order, the index of its route among the demand's
+/// candidates. [`select_in_order`]'s callers turn only the selection they
+/// return into paths and routes ([`CandidateCache::selection`]).
 pub(crate) struct Chosen {
     indices: Vec<usize>,
-    routes: RouteSet,
     /// Cells, as [`Selection::delays`].
     delays: Vec<f64>,
     route_delays: Vec<f64>,
@@ -642,10 +648,9 @@ pub(crate) fn select_in_order<R: DelayRule>(
     let chosen = match failed {
         Some(e) => Err(e),
         None => {
-            let (routes, delays, route_delays) = state.into_parts();
+            let (delays, route_delays) = state.into_parts();
             Ok(Chosen {
                 indices,
-                routes,
                 delays,
                 route_delays,
             })

@@ -9,7 +9,9 @@
 //! is recorded once per generation: a search's, all its pairs at once, or
 //! one re-routed pair's; `search.probe_seconds` once per adopted probe, a
 //! feasible and an infeasible one alike (seven on `config_mci`), and
-//! `search.cancelled` counts the speculative probes a search threw away.
+//! `search.cancelled` counts the speculative probes a search threw away:
+//! the one series here that depends on timing (which probes the workers
+//! had started when an infeasible answer came back), 0 at one worker.
 //!
 //! | name | meaning |
 //! |---|---|
@@ -20,7 +22,7 @@
 //! | `routing.candidates.spur_skipped` | spur indices it proved needed none (a duplicate, or too heavy ever to be extracted) |
 //! | `routing.candidates.seconds` | histogram: wall time per candidate generation |
 //! | `routing.search.probe_seconds` | histogram: wall time per adopted α\* search probe, on whichever core ran it |
-//! | `routing.search.cancelled` | speculative α\* search probes cancelled and thrown away: the point probed next had the probe before them been feasible |
+//! | `routing.search.cancelled` | speculative α\* search probes cancelled and thrown away, started on the premise that a probe still running would be feasible; depends on timing |
 
 use std::sync::{Arc, OnceLock};
 use uba_obs::{Counter, Histogram};

@@ -20,7 +20,7 @@
 
 use crate::heuristic::{select_under_rule, HeuristicConfig, Selection, SelectionError};
 pub use crate::pairs::Demand;
-use crate::search::bisect_greedy;
+use crate::search::{bisect_greedy, Bracket};
 use uba_delay::rule::Theorem5;
 use uba_delay::servers::Servers;
 use uba_graph::Digraph;
@@ -84,7 +84,14 @@ pub fn max_utilization_ray(
         let cells = alphas_at(t).repeat(servers.len());
         Theorem5::new(classes.iter().map(|(_, c)| c), cells)
     };
-    let found = bisect_greedy(g, servers, demands, cfg, (None, t_cap, tol), rule_at);
+    let found = bisect_greedy(
+        g,
+        servers,
+        demands,
+        cfg,
+        Bracket::new(None, t_cap, tol),
+        rule_at,
+    );
     RaySearchResult {
         alphas: alphas_at(found.best),
         t: found.best,

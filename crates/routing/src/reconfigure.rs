@@ -25,7 +25,7 @@ use std::collections::HashSet;
 use uba_admission::{BackendKind, ConfigGeneration, RoutingTable};
 use uba_delay::committed::CommittedState;
 use uba_delay::fixed_point::{solve_two_class, SolveConfig, SolveResult};
-use uba_delay::routeset::RouteSet;
+use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::rule::Theorem5;
 use uba_delay::servers::Servers;
 use uba_graph::{Digraph, DynDigraph, EdgeId, NodeId, Path};
@@ -123,7 +123,7 @@ impl Configuration {
         let mut state = CommittedState::from_fixed_point(
             &self.servers,
             Theorem5::new([&self.class], vec![self.alpha; self.servers.len()]),
-            std::mem::take(&mut self.routes),
+            &self.routes,
             std::mem::take(&mut self.delays),
         );
         let mut cache = CandidateCache::new(&self.g, |e| !self.failed.contains(&e));
@@ -142,12 +142,14 @@ impl Configuration {
                 cache.store().at(at),
                 &mut scratch,
             )?;
+            let path = cache.path(at, ci);
+            self.routes.push(Route::from_path(demand.class, &path));
             self.pairs.push(pair);
-            self.paths.push(cache.path(at, ci));
+            self.paths.push(path);
             Ok(())
         });
         scratch.tally.publish();
-        (self.routes, self.delays, self.route_delays) = state.into_parts();
+        (self.delays, self.route_delays) = state.into_parts();
         outcome
     }
 

@@ -66,11 +66,11 @@ fn unpruned_greedy<R: DelayRule>(
             }
         }
         let (ci, _) = best.ok_or(pair)?;
-        assert!(state.commit(routes[ci].clone()));
+        assert!(state.commit(&routes[ci]));
         overlay.add_chain(&routes[ci].servers);
         paths.push(candidates[ci].clone());
     }
-    let (_, delays, route_delays) = state.into_parts();
+    let (delays, route_delays) = state.into_parts();
     Ok((paths, delays, route_delays))
 }
 

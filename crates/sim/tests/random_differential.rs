@@ -19,64 +19,28 @@
 //! class to its own worst route bound.
 
 mod common;
+mod instances;
 
 use common::slack;
+use instances::{
+    theorem4_alpha, topology, video, CAPACITY, CASES, ONE_CLASS, TWO_CLASS, TWO_CLASS_CAPACITY,
+};
 use uba_admission::UtilizationState;
 use uba_delay::certificate;
 use uba_delay::fixed_point::{solve_two_class, SolveConfig};
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
 use uba_delay::verify::verify;
-use uba_graph::{bfs, Digraph};
+use uba_graph::bfs;
 use uba_obs::{check, ensure, SplitMix64};
-use uba_routing::bounds::utilization_bounds;
 use uba_routing::pairs::all_ordered_pairs;
 use uba_routing::sp::sp_selection;
 use uba_sim::{simulate, FlowSpec, SimConfig, SourceModel};
-use uba_topology::{grid, line, ring, star, torus, waxman};
-use uba_traffic::{ClassId, ClassSet, LeakyBucket, TrafficClass};
+use uba_traffic::{ClassId, ClassSet, TrafficClass};
 
-const CASES: u64 = 24;
-const CAPACITY: f64 = 1e6;
-const TWO_CLASS_CAPACITY: f64 = 4e6;
 const VIDEO_PACKET_BITS: u64 = 4_000;
 const HORIZON: f64 = 0.2;
 const MAX_PHASE: f64 = 0.02;
-
-/// A random strongly connected topology of at most 12 routers, named by
-/// its family and size.
-fn topology(rng: &mut SplitMix64) -> (String, Digraph) {
-    match rng.index(6) {
-        0 => {
-            let n = 3 + rng.index(10);
-            (format!("ring({n})"), ring(n))
-        }
-        1 => {
-            let n = 2 + rng.index(11);
-            (format!("line({n})"), line(n))
-        }
-        2 => {
-            let spokes = 2 + rng.index(10);
-            (format!("star({spokes})"), star(spokes))
-        }
-        3 => {
-            let w = 2 + rng.index(2);
-            let h = 2 + rng.index(12 / w - 1);
-            (format!("grid({w}, {h})"), grid(w, h))
-        }
-        4 => {
-            let (w, h) = [(3, 3), (3, 4), (4, 3)][rng.index(3)];
-            (format!("torus({w}, {h})"), torus(w, h))
-        }
-        _ => {
-            let (n, seed) = (4 + rng.index(9), rng.next_u64());
-            (
-                format!("waxman({n}, 0.4, 0.5, {seed:#x})"),
-                waxman(n, 0.4, 0.5, seed),
-            )
-        }
-    }
-}
 
 /// A seeded half of the sources start inside `[0, MAX_PHASE)`, the rest
 /// at 0.
@@ -85,26 +49,6 @@ fn phase(rng: &mut SplitMix64) -> f64 {
         rng.range_f64(0.0, MAX_PHASE)
     } else {
         0.0
-    }
-}
-
-/// An α drawn inside `class`'s Theorem 4 window for `g`'s diameter and
-/// `servers`' largest fan-in.
-fn theorem4_alpha(
-    rng: &mut SplitMix64,
-    servers: &Servers,
-    diameter: usize,
-    class: &TrafficClass,
-) -> f64 {
-    let fan_in = (0..servers.len())
-        .map(|k| servers.fan_in_at(k))
-        .max()
-        .unwrap_or(2);
-    let (lb, ub) = utilization_bounds(fan_in.max(2), diameter.max(1), class);
-    if ub > lb {
-        rng.range_f64(lb, ub)
-    } else {
-        lb
     }
 }
 
@@ -134,178 +78,170 @@ fn capacities(servers: &Servers) -> Vec<f64> {
 fn verified_random_instances_meet_their_bounds_in_simulation() {
     let voip = TrafficClass::voip();
     let cfg = SolveConfig::default();
-    check(
-        "verified_random_instances_meet_their_bounds",
-        CASES,
-        |rng| {
-            let (family, g) = topology(rng);
-            ensure!(
-                bfs::is_strongly_connected(&g),
-                "{family} is not strongly connected"
-            );
-            let servers = Servers::from_topology(&g, CAPACITY);
-            let pairs = all_ordered_pairs(&g);
-            let paths = sp_selection(&g, &pairs).expect("strongly connected");
-            let mut routes = RouteSet::new(g.edge_count());
-            for p in &paths {
-                routes.push(Route::from_path(ClassId(0), p));
+    check(ONE_CLASS, CASES, |rng| {
+        let (family, g) = topology(rng);
+        ensure!(
+            bfs::is_strongly_connected(&g),
+            "{family} is not strongly connected"
+        );
+        let servers = Servers::from_topology(&g, CAPACITY);
+        let pairs = all_ordered_pairs(&g);
+        let paths = sp_selection(&g, &pairs).expect("strongly connected");
+        let mut routes = RouteSet::new(g.edge_count());
+        for p in &paths {
+            routes.push(Route::from_path(ClassId(0), p));
+        }
+        let diameter = bfs::diameter(&g).expect("non-empty");
+        let mut alpha = theorem4_alpha(rng, &servers, diameter, &voip);
+        let analysis = loop {
+            let analysis = solve_two_class(&servers, &voip, alpha, &routes, &cfg, None);
+            if analysis.outcome.is_safe() {
+                break analysis;
             }
-            let diameter = bfs::diameter(&g).expect("non-empty");
-            let mut alpha = theorem4_alpha(rng, &servers, diameter, &voip);
-            let analysis = loop {
-                let analysis = solve_two_class(&servers, &voip, alpha, &routes, &cfg, None);
-                if analysis.outcome.is_safe() {
-                    break analysis;
-                }
-                alpha /= 2.0;
-                ensure!(alpha > 1e-6, "{family}: nothing verifies safe");
-            };
-            let voip_only = ClassSet::single(voip.clone());
-            certified(
-                &servers,
-                &voip_only,
-                &[alpha],
-                &routes,
-                analysis.delays.iter().copied(),
-            )
-            .map_err(|e| format!("{family} at alpha {alpha}: {e}"))?;
-            let bound = analysis.route_delays.iter().copied().fold(0.0, f64::max);
+            alpha /= 2.0;
+            ensure!(alpha > 1e-6, "{family}: nothing verifies safe");
+        };
+        let voip_only = ClassSet::single(voip.clone());
+        certified(
+            &servers,
+            &voip_only,
+            &[alpha],
+            &routes,
+            analysis.delays.iter().copied(),
+        )
+        .map_err(|e| format!("{family} at alpha {alpha}: {e}"))?;
+        let bound = analysis.route_delays.iter().copied().fold(0.0, f64::max);
 
-            let capacities = capacities(&servers);
-            // Each route's flows together, in route order.
-            let mut admitted = UtilizationState::new(&capacities, &[alpha]).fill_round_robin(
-                &paths,
-                0,
-                voip.bucket.rate,
-            );
-            admitted.sort_unstable();
-            let flows: Vec<FlowSpec> = admitted
-                .into_iter()
-                .map(|i| FlowSpec {
-                    class: 0,
-                    ingress: pairs[i].src.0,
-                    route: paths[i].edges.iter().map(|e| e.0).collect(),
-                    source: SourceModel::voip_greedy(phase(rng)),
-                })
-                .collect();
-            ensure!(
-                !flows.is_empty(),
-                "{family} at alpha {alpha}: the fill admitted nothing"
-            );
-            let report = simulate(
-                &capacities,
-                &flows,
-                &SimConfig::new(HORIZON, vec![voip.deadline]),
-            );
-            let allowed = bound + slack(diameter, 640.0, CAPACITY);
-            ensure!(
-                report.total_misses() == 0 && report.max_delay() <= allowed,
-                "{family} at alpha {alpha}, {} flows: {} misses, max delay {} s against \
+        let capacities = capacities(&servers);
+        // Each route's flows together, in route order.
+        let mut admitted = UtilizationState::new(&capacities, &[alpha]).fill_round_robin(
+            &paths,
+            0,
+            voip.bucket.rate,
+        );
+        admitted.sort_unstable();
+        let flows: Vec<FlowSpec> = admitted
+            .into_iter()
+            .map(|i| FlowSpec {
+                class: 0,
+                ingress: pairs[i].src.0,
+                route: paths[i].edges.iter().map(|e| e.0).collect(),
+                source: SourceModel::voip_greedy(phase(rng)),
+            })
+            .collect();
+        ensure!(
+            !flows.is_empty(),
+            "{family} at alpha {alpha}: the fill admitted nothing"
+        );
+        let report = simulate(
+            &capacities,
+            &flows,
+            &SimConfig::new(HORIZON, vec![voip.deadline]),
+        );
+        let allowed = bound + slack(diameter, 640.0, CAPACITY);
+        ensure!(
+            report.total_misses() == 0 && report.max_delay() <= allowed,
+            "{family} at alpha {alpha}, {} flows: {} misses, max delay {} s against \
              bound {bound} s + slack = {allowed} s",
-                flows.len(),
-                report.total_misses(),
-                report.max_delay(),
-            );
-            Ok(())
-        },
-    );
+            flows.len(),
+            report.total_misses(),
+            report.max_delay(),
+        );
+        Ok(())
+    });
 }
 
 #[test]
 fn verified_two_class_instances_meet_their_theorem5_bounds_in_simulation() {
     let voip = TrafficClass::voip();
-    let video = TrafficClass::new("video", LeakyBucket::new(16_000.0, 400_000.0), 0.3);
+    let video = video();
     let mut classes = ClassSet::new();
     classes.push(voip.clone());
     classes.push(video.clone());
     let cfg = SolveConfig::default();
     let mut video_cases = 0;
-    check(
-        "verified_two_class_instances_meet_their_bounds",
-        CASES,
-        |rng| {
-            let (family, g) = topology(rng);
-            ensure!(
-                bfs::is_strongly_connected(&g),
-                "{family} is not strongly connected"
-            );
-            let servers = Servers::from_topology(&g, TWO_CLASS_CAPACITY);
-            let pairs = all_ordered_pairs(&g);
-            let paths = sp_selection(&g, &pairs).expect("strongly connected");
-            let mut routes = RouteSet::new(g.edge_count());
-            for class in 0..2 {
-                for p in &paths {
-                    routes.push(Route::from_path(ClassId(class), p));
-                }
+    check(TWO_CLASS, CASES, |rng| {
+        let (family, g) = topology(rng);
+        ensure!(
+            bfs::is_strongly_connected(&g),
+            "{family} is not strongly connected"
+        );
+        let servers = Servers::from_topology(&g, TWO_CLASS_CAPACITY);
+        let pairs = all_ordered_pairs(&g);
+        let paths = sp_selection(&g, &pairs).expect("strongly connected");
+        let mut routes = RouteSet::new(g.edge_count());
+        for class in 0..2 {
+            for p in &paths {
+                routes.push(Route::from_path(ClassId(class), p));
             }
-            let diameter = bfs::diameter(&g).expect("non-empty");
-            let mut alphas = [&voip, &video].map(|c| theorem4_alpha(rng, &servers, diameter, c));
-            let analysis = loop {
-                let analysis = verify(&servers, &classes, &alphas, &routes, &cfg);
-                if analysis.safe {
-                    break analysis;
-                }
-                alphas = alphas.map(|a| a / 2.0);
-                ensure!(alphas[0] > 1e-6, "{family}: nothing verifies safe");
-            };
-            let cells = (0..2 * servers.len()).map(|c| analysis.server_delays[c % 2][c / 2]);
-            certified(&servers, &classes, &alphas, &routes, cells)
-                .map_err(|e| format!("{family} at alphas {alphas:?}: {e}"))?;
-            // Each class's worst route bound.
-            let mut bounds = [0.0f64; 2];
-            for (route, &delay) in routes.routes().iter().zip(&analysis.route_delays) {
-                let c = route.class.index();
-                bounds[c] = bounds[c].max(delay);
+        }
+        let diameter = bfs::diameter(&g).expect("non-empty");
+        let mut alphas = [&voip, &video].map(|c| theorem4_alpha(rng, &servers, diameter, c));
+        let analysis = loop {
+            let analysis = verify(&servers, &classes, &alphas, &routes, &cfg);
+            if analysis.safe {
+                break analysis;
             }
+            alphas = alphas.map(|a| a / 2.0);
+            ensure!(alphas[0] > 1e-6, "{family}: nothing verifies safe");
+        };
+        let cells = (0..2 * servers.len()).map(|c| analysis.server_delays[c % 2][c / 2]);
+        certified(&servers, &classes, &alphas, &routes, cells)
+            .map_err(|e| format!("{family} at alphas {alphas:?}: {e}"))?;
+        // Each class's worst route bound.
+        let mut bounds = [0.0f64; 2];
+        for (route, &delay) in routes.routes().iter().zip(&analysis.route_delays) {
+            let c = route.class.index();
+            bounds[c] = bounds[c].max(delay);
+        }
 
-            let capacities = capacities(&servers);
-            let state = UtilizationState::new(&capacities, &alphas);
-            let mut flows = Vec::new();
-            for (class, spec) in [&voip, &video].into_iter().enumerate() {
-                for i in state.fill_round_robin(&paths, class, spec.bucket.rate) {
-                    let start = phase(rng);
-                    flows.push(FlowSpec {
-                        class,
-                        ingress: pairs[i].src.0,
-                        route: paths[i].edges.iter().map(|e| e.0).collect(),
-                        source: if class == 0 {
-                            SourceModel::voip_greedy(start)
-                        } else {
-                            SourceModel::GreedyOnOff {
-                                burst_bits: spec.bucket.burst,
-                                rate_bps: spec.bucket.rate,
-                                packet_bits: VIDEO_PACKET_BITS,
-                                start,
-                            }
-                        },
-                    });
-                }
+        let capacities = capacities(&servers);
+        let state = UtilizationState::new(&capacities, &alphas);
+        let mut flows = Vec::new();
+        for (class, spec) in [&voip, &video].into_iter().enumerate() {
+            for i in state.fill_round_robin(&paths, class, spec.bucket.rate) {
+                let start = phase(rng);
+                flows.push(FlowSpec {
+                    class,
+                    ingress: pairs[i].src.0,
+                    route: paths[i].edges.iter().map(|e| e.0).collect(),
+                    source: if class == 0 {
+                        SourceModel::voip_greedy(start)
+                    } else {
+                        SourceModel::GreedyOnOff {
+                            burst_bits: spec.bucket.burst,
+                            rate_bps: spec.bucket.rate,
+                            packet_bits: VIDEO_PACKET_BITS,
+                            start,
+                        }
+                    },
+                });
             }
-            ensure!(
-                flows.iter().any(|f| f.class == 0),
-                "{family} at alphas {alphas:?}: the fill admitted no voice"
-            );
-            video_cases += usize::from(flows.iter().any(|f| f.class == 1));
-            let report = simulate(
-                &capacities,
-                &flows,
-                &SimConfig::new(HORIZON, vec![voip.deadline, video.deadline]),
-            );
-            // Per hop, one lower-priority video packet blocks and one
-            // packet quantizes.
-            let allowed =
-                bounds.map(|b| b + slack(diameter, VIDEO_PACKET_BITS as f64, TWO_CLASS_CAPACITY));
-            let max_delays = [0, 1].map(|c| report.classes[c].max_delay);
-            ensure!(
-                report.total_misses() == 0 && (0..2).all(|c| max_delays[c] <= allowed[c]),
-                "{family} at alphas {alphas:?}, {} flows: {} misses, max delays {max_delays:?} s \
+        }
+        ensure!(
+            flows.iter().any(|f| f.class == 0),
+            "{family} at alphas {alphas:?}: the fill admitted no voice"
+        );
+        video_cases += usize::from(flows.iter().any(|f| f.class == 1));
+        let report = simulate(
+            &capacities,
+            &flows,
+            &SimConfig::new(HORIZON, vec![voip.deadline, video.deadline]),
+        );
+        // Per hop, one lower-priority video packet blocks and one
+        // packet quantizes.
+        let allowed =
+            bounds.map(|b| b + slack(diameter, VIDEO_PACKET_BITS as f64, TWO_CLASS_CAPACITY));
+        let max_delays = [0, 1].map(|c| report.classes[c].max_delay);
+        ensure!(
+            report.total_misses() == 0 && (0..2).all(|c| max_delays[c] <= allowed[c]),
+            "{family} at alphas {alphas:?}, {} flows: {} misses, max delays {max_delays:?} s \
                  against bounds + slack {allowed:?} s",
-                flows.len(),
-                report.total_misses(),
-            );
-            Ok(())
-        },
-    );
+            flows.len(),
+            report.total_misses(),
+        );
+        Ok(())
+    });
     // A case whose video budget holds no flow tests only the voice class.
     assert!(
         video_cases >= CASES as usize / 2,

@@ -80,7 +80,7 @@ done) results/cli_paper.txt > /dev/null || {
   exit 1
 }
 
-echo "==> one-worker lanes (under taskset -c 0 candidate generation and every search probe run on the caller alone: maximize and verify on paper.toml, and the multi-class ray search, must print what the unpinned runs print, cross_topology must reprint results/cross_topology.txt (six topologies through the candidate store at one worker), and the config_mci smoke, untraced and traced, must pass its own check)"
+echo "==> one-worker lanes (under taskset -c 0 candidate generation and every search probe run on the caller alone: maximize and verify on paper.toml, and the multi-class ray search, must print what the unpinned runs print, cross_topology must reprint results/cross_topology.txt (six topologies through the candidate store at one worker), the config_mci smoke, untraced and traced, must pass its own check, and the search scheduler's timing property runs its 1-4 workers on one core, where preemption interleaves them)"
 if command -v taskset > /dev/null; then
   for cmd in "maximize $paper heuristic" "verify $paper" "maximize $multiclass"; do
     # shellcheck disable=SC2086
@@ -99,6 +99,8 @@ if command -v taskset > /dev/null; then
     taskset -c 0 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
       --workload config_mci --seed 1 --seconds 2 --trace "$trace" > /dev/null
   done
+  taskset -c 0 cargo test --offline --release -q -p uba-routing --lib \
+    search::tests::timing_cannot_change_the_answer
 else
   echo "verify.sh: taskset not found; skipping the one-worker lanes"
 fi
