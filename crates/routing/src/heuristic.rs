@@ -43,7 +43,7 @@ use crate::pairs::{order_by_distance, Demand, Pair};
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, OnceLock};
+use std::sync::OnceLock;
 use uba_delay::committed::CommittedState;
 use uba_delay::metrics::SolveTally;
 use uba_delay::routeset::{Route, RouteRef, RouteSet};
@@ -68,8 +68,9 @@ use uba_traffic::{ClassId, TrafficClass};
 /// re-running selection (the §5.3 binary search) shares them across
 /// probes. A greedy run's caller has the cache generate every demand at
 /// once, on every core ([`Self::generate`]), before the first run; the
-/// runs then read the [`Store`] only. A demand asked for alone (a pair
-/// `reconfigure` re-routes) is appended then, by the caller
+/// generation's threads end with it, and the runs then read the [`Store`]
+/// only, on whatever threads their caller runs them. A demand asked for
+/// alone (a pair `reconfigure` re-routes) is appended then, by the caller
 /// ([`Self::push`]).
 ///
 /// Dropping it adds what generation did to `routing.candidates.*`.
@@ -159,12 +160,6 @@ impl Store {
     }
 }
 
-/// What each of [`CandidateCache::generate_on`]'s helpers runs once its
-/// share is in, given the cell the candidates are published to: the
-/// search's probe worker. A trait object, as is the caller's
-/// continuation, so that generation and its spawns are compiled once.
-pub(crate) type Serve<'a> = &'a (dyn Fn(&OnceLock<Store>) + Sync);
-
 /// One worker's part of a generation, laid out as a [`Store`]'s own
 /// fields with its candidates numbered from 0: each candidate's end in
 /// `servers`, and per demand position it generated, its run.
@@ -180,6 +175,12 @@ struct Share {
 pub(crate) fn workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Waits for a scoped thread to exit and returns its value, or resumes
+/// its panic on the caller.
+pub(crate) fn join<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
 }
 
 /// `routing.select.*` so far, in plain fields.
@@ -251,37 +252,27 @@ impl<'g> CandidateCache<'g> {
     /// generated `k` per pair on as many workers as the process may run
     /// threads at once ([`workers`]).
     pub(crate) fn generate(&mut self, demands: &[Demand], k: usize) {
-        self.generate_on(workers(), demands, k, None, Box::new(|_| ()));
+        self.generate_on(workers(), demands, k);
     }
 
     /// Appends `demand` alone, its candidates generated on the caller,
     /// and returns its position.
     pub(crate) fn push(&mut self, demand: Demand, k: usize) -> usize {
-        self.generate_on(1, &[demand], k, None, Box::new(|_| ()));
+        self.generate_on(1, &[demand], k);
         self.store.len() - 1
     }
 
-    /// [`Self::generate`] on at most `workers` workers, then `then` on
-    /// the caller with every candidate, read-only: the caller and, under
-    /// one [`std::thread::scope`], a helper per further worker, each with
-    /// its own [`YenWorkspace`] over the admitted edges. They take whole
-    /// destination groups off one counter, so each reverse tree is built
-    /// once and a helper that starts late takes fewer groups; every
-    /// pair's list, and the tallies summed, are what one workspace
-    /// running the pairs in any order gives. One worker spawns nothing.
-    ///
-    /// With `serve`, a helper is spawned per further worker whatever the
-    /// groups, and each runs `serve` once its share is in, with the cell
-    /// the candidates are published to before `then` runs: the search's
-    /// probe workers, alive until `then` ends the search.
-    pub(crate) fn generate_on(
-        &mut self,
-        workers: usize,
-        demands: &[Demand],
-        k: usize,
-        serve: Option<Serve<'_>>,
-        then: Box<dyn FnOnce(&Store) + '_>,
-    ) {
+    /// [`Self::generate`] on at most `workers` workers: the caller and,
+    /// under one [`std::thread::scope`], a helper per further worker that
+    /// has a group to take, each with its own [`YenWorkspace`] over the
+    /// admitted edges. They take whole destination groups off one
+    /// counter, so each reverse tree is built once and a helper that
+    /// starts late takes fewer groups; every pair's list, and the tallies
+    /// summed, are what one workspace running the pairs in any order
+    /// gives. A helper's share and tallies are its thread's value, which
+    /// the caller absorbs as it joins the helpers in order. One worker
+    /// spawns nothing.
+    pub(crate) fn generate_on(&mut self, workers: usize, demands: &[Demand], k: usize) {
         let base = self.store.len();
         self.store.demands.resize(base + demands.len(), 0..0);
         let mut todo: Vec<(Pair, u32)> = (demands.iter().zip(base as u32..))
@@ -291,74 +282,37 @@ impl<'g> CandidateCache<'g> {
         todo.sort_unstable_by_key(|&(pair, at)| (pair.dst, pair.src, at));
         let groups: Vec<&[(Pair, u32)]> = todo.chunk_by(|a, b| a.0.dst == b.0.dst).collect();
         let next = AtomicUsize::new(0);
-        // Every worker probes, whatever the groups.
-        let wanted = if serve.is_some() {
-            workers
-        } else {
-            groups.len()
-        };
-        let helpers = workers.min(wanted).saturating_sub(1);
-        let shared = OnceLock::new();
-        let (g, admitted, yen) = (self.g, &self.admitted, &mut self.yen);
-        let mut store = std::mem::replace(&mut self.store, Store::new());
-        let helped = std::thread::scope(|s| {
-            let (share_tx, shares) = mpsc::channel::<(Share, (u64, u64))>();
+        let helpers = workers.min(groups.len()).saturating_sub(1);
+        let (g, admitted, groups, next) = (self.g, &self.admitted, &groups, &next);
+        std::thread::scope(|s| {
             let spawned: Vec<_> = (0..helpers)
                 .map(|_| {
-                    let share_tx = share_tx.clone();
-                    let (groups, next, shared) = (&groups, &next, &shared);
                     s.spawn(move || {
                         let mut yen = YenWorkspace::new(g, |e| admitted[e.index()]);
                         let mut share = Share::default();
                         generate_groups(&mut yen, groups, next, k, &mut share);
-                        share_tx
-                            .send((share, yen.tallies()))
-                            .expect("the caller waits for every share");
-                        drop((share_tx, yen));
-                        if let Some(serve) = serve {
-                            serve(shared);
-                        }
+                        (share, yen.tallies())
                     })
                 })
                 .collect();
+            let mut own = Share::default();
+            generate_groups(&mut self.yen, groups, next, k, &mut own);
+            self.store.absorb(&own);
             // Joined by hand, not left to the scope: a join waits for the
             // thread to exit, and so to hand its malloc arena back for the
-            // next search's helper to reuse.
-            let join = |spawned: Vec<std::thread::ScopedJoinHandle<'_, ()>>| {
-                for h in spawned {
-                    h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                }
-            };
-            drop(share_tx);
-            let mut own = Share::default();
-            generate_groups(yen, &groups, &next, k, &mut own);
-            store.absorb(&own);
-            // The channel orders every helper's share before the caller
-            // reads it, and the cell the candidates before any request.
-            let (mut helped, mut shared_in) = ((0, 0), 0);
-            for (share, (searched, skipped)) in shares {
-                store.absorb(&share);
-                helped.0 += searched;
-                helped.1 += skipped;
-                shared_in += 1;
+            // next search's threads to reuse.
+            for h in spawned {
+                let (share, (searched, skipped)) = join(h);
+                self.store.absorb(&share);
+                self.helped.0 += searched;
+                self.helped.1 += skipped;
             }
-            if shared_in < helpers {
-                // A helper panicked before its share was in.
-                join(spawned);
-                unreachable!("a helper hung up without its share");
-            }
-            if let Some(watch) = watch {
-                crate::metrics::select()
-                    .seconds
-                    .record(watch.elapsed_secs());
-            }
-            then(shared.get_or_init(|| store));
-            join(spawned);
-            helped
         });
-        self.store = shared.into_inner().expect("published before `then`");
-        self.helped.0 += helped.0;
-        self.helped.1 += helped.1;
+        if let Some(watch) = watch {
+            crate::metrics::select()
+                .seconds
+                .record(watch.elapsed_secs());
+        }
     }
 
     /// Spur searches run and spur indices skipped by every workspace so
@@ -669,8 +623,8 @@ fn generate_groups(
     k: usize,
     share: &mut Share,
 ) {
-    // The counter only hands out indices; the share channel orders every
-    // helper's writes before the caller reads them.
+    // The counter only hands out indices; the join orders every helper's
+    // writes before the caller reads them.
     while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
         for same in group.chunk_by(|a, b| a.0 == b.0) {
             let Pair { src, dst } = same[0].0;
@@ -868,7 +822,7 @@ mod tests {
             }
             for workers in 1..=3 {
                 let mut cache = CandidateCache::new(g, edge_ok);
-                cache.generate_on(workers, &demands, 8, None, Box::new(|_| ()));
+                cache.generate_on(workers, &demands, 8);
                 assert_eq!(cache.store.len(), demands.len());
                 for (at, d) in demands.iter().enumerate() {
                     let Pair { src, dst } = d.pair;
@@ -927,7 +881,7 @@ mod tests {
             let ordered = visit_order(&g, &demands, &cfg);
             let workers = 1 + rng.index(3);
             let mut cache = CandidateCache::new(&g, edge_ok);
-            cache.generate_on(workers, &ordered, k, None, Box::new(|_| ()));
+            cache.generate_on(workers, &ordered, k);
             let lone = Demand {
                 class: ClassId(0),
                 pair: Pair {

@@ -17,13 +17,13 @@
 //!   slices; no probe copies a route out: only the returned selection
 //!   rebuilds its routes and paths from the store.
 //! * **Every core probes** (heuristic selector). Generation's helpers
-//!   stay, under the search's one [`std::thread::scope`], as probe
-//!   workers beside the caller (`Scheduler`). A free worker starts the
-//!   point the bisection would probe next were every probe still running
-//!   feasible (a feasible probe routes every demand and is the long
-//!   one); a probe that comes back infeasible cancels the probes started
-//!   on the premise that it would not, each through its worker's own
-//!   flag. A probe is a pure function of `x` given the candidates, so the
+//!   end with it; the search then spawns its own probe workers beside the
+//!   caller, under a second [`std::thread::scope`] (`bisect_on`, the one
+//!   way the `Scheduler` runs). A free worker starts the point the
+//!   bisection would probe next were every probe still running feasible
+//!   (a feasible probe routes every demand and is the long one); a probe
+//!   that comes back infeasible cancels the probes started on the
+//!   premise that it would not, each through its worker's own flag. A probe is a pure function of `x` given the candidates, so the
 //!   answer, the probe list and the selection are those of one core. The
 //!   caller adopts the probes in bisection order: each probe's writes —
 //!   its `routing.select.*` and `delay.solve.*` tallies and its
@@ -40,14 +40,14 @@
 
 use crate::bounds::utilization_bounds;
 use crate::heuristic::{
-    class0_demands, select_in_order, visit_order, workers, CandidateCache, Chosen, HeuristicConfig,
-    Selection, Serve, Store, Writes,
+    class0_demands, join, select_in_order, visit_order, workers, CandidateCache, Chosen,
+    HeuristicConfig, Selection, Store, Writes,
 };
 use crate::pairs::{Demand, Pair};
 use crate::sp::sp_selection;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use uba_delay::committed::CommittedState;
 use uba_delay::fixed_point::{solve_two_class, SolveConfig};
 use uba_delay::routeset::{Route, RouteSet};
@@ -215,38 +215,24 @@ impl<R: DelayRule, F: Fn(f64) -> R> Greedy<'_, F> {
 }
 
 /// [`bisect_greedy`] on `workers` workers, `adopt` taking each adopted
-/// probe's writes in probe order. The candidates are generated up front
-/// ([`CandidateCache::generate_on`]); with two workers or more,
-/// generation's helpers then stay as the [`Scheduler`]'s workers beside
-/// the caller, each probing on the store once it is published.
+/// probe's writes in probe order: the candidates generated up front on
+/// `workers` workers ([`CandidateCache::generate_on`]), then the probes on
+/// the store through [`bisect_on`]. Returns how many probes were
+/// cancelled beside what it found.
 fn bisect_greedy_on<R: DelayRule, F: Fn(f64) -> R + Sync>(
     workers: usize,
     greedy: &Greedy<'_, F>,
     bracket: Bracket,
     adopt: impl FnMut(Probed),
-) -> (Bisection<Selection>, Speculation) {
+) -> (Bisection<Selection>, usize) {
     let mut cache = CandidateCache::new(greedy.g, |_| true);
-    let scheduler = Scheduler::new(workers);
-    let serve = |cell: &OnceLock<Store>| {
-        scheduler.serve(|x, cancel| {
-            let store = cell.get().expect("published before the search opens");
-            greedy.probe(x, store, cancel)
-        })
-    };
-    let mut outcome = None;
-    let search = |store: &Store| {
-        let probe = |x, cancel: &AtomicBool| greedy.probe(x, store, cancel);
-        outcome = Some(scheduler.run(bracket, probe, adopt));
-    };
-    let k = greedy.cfg.k_candidates;
-    let serve = (workers > 1).then_some(&serve as Serve<'_>);
-    cache.generate_on(workers, greedy.ordered, k, serve, Box::new(search));
-    let (found, speculation) = outcome.expect("the search ran");
-    crate::metrics::select()
-        .cancelled
-        .add(speculation.cancelled as u64);
+    cache.generate_on(workers, greedy.ordered, greedy.cfg.k_candidates);
+    let store = cache.store();
+    let probe = |x, cancel: &AtomicBool| greedy.probe(x, store, cancel);
+    let (found, cancelled) = bisect_on(workers, bracket, &probe, adopt);
+    crate::metrics::select().cancelled.add(cancelled as u64);
     let found = found.map(|chosen| cache.selection(greedy.ordered, chosen));
-    (found, speculation)
+    (found, cancelled)
 }
 
 /// Where the §5.3 bisection stands: the last feasible point `lo` (0 at
@@ -365,24 +351,41 @@ pub(crate) fn bisect<S, W>(
     out
 }
 
-/// How a search's probes went beyond the caller's own: adopted probes a
-/// helper ran, and probes cancelled (run or running, and thrown away).
-/// Both depend on timing; at one worker both are 0.
-#[derive(Debug, Default, PartialEq)]
-struct Speculation {
-    helped: usize,
-    cancelled: usize,
+/// [`bisect`] on `workers` workers at once, with the same probes, answer
+/// and adopted writes: the caller runs the [`Scheduler`]'s caller part
+/// and, under one [`std::thread::scope`], a helper per further worker its
+/// helper part, each passed its worker number. `probe(x, cancel)` must be
+/// a pure function of `x` unless `cancel` is set. Returns beside what it
+/// found how many probes were cancelled (run or running, and thrown
+/// away), which depends on timing; at one worker it is 0. A probe that
+/// panics on a helper ends the search, and reaches the caller as that
+/// panic when the helper is joined.
+fn bisect_on<S: Send, W: Send>(
+    workers: usize,
+    bracket: Bracket,
+    probe: &(impl Fn(f64, &AtomicBool) -> (Option<S>, W) + Sync),
+    adopt: impl FnMut(W),
+) -> (Bisection<S>, usize) {
+    let scheduler = &Scheduler::new(workers);
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..workers)
+            .map(|me| s.spawn(move || scheduler.serve(me, probe)))
+            .collect();
+        let found = scheduler.run(bracket, probe, adopt);
+        // Joined by hand, as generation's helpers are, so that each hands
+        // its malloc arena back before the next search.
+        spawned.into_iter().for_each(join);
+        found
+    })
 }
 
-/// [`bisect`] on several workers at once, the caller one of them, with
-/// the same probes, answer and adopted writes. A free worker starts the
-/// point the bisection would probe next were every probe still running
-/// feasible; a probe that comes back infeasible cancels every probe
-/// started after it (their premise), through each one's worker's flag.
-/// The caller adopts the probes strictly in bisection order. Generic over
-/// the probe, which each worker passes in: `probe(x, cancel)` must be a
-/// pure function of `x` unless `cancel` is set, and a cancelled probe's
-/// answer and writes are dropped.
+/// The work-conserving schedule of [`bisect_on`]'s workers, the caller
+/// one of them. A free worker starts the point the bisection would probe
+/// next were every probe still running feasible; a probe that comes back
+/// infeasible cancels every probe started after it (their premise),
+/// through each one's worker's flag. The caller adopts the probes
+/// strictly in bisection order. Generic over the probe, which each worker
+/// passes in; a cancelled probe's answer and writes are dropped.
 struct Scheduler<S, W> {
     chain: Mutex<Chain<S, W>>,
     /// Bumped on every change a waiting worker may need, under the lock;
@@ -391,8 +394,6 @@ struct Scheduler<S, W> {
     changed: Condvar,
     /// One cancel flag per worker, the caller's first.
     cancel: Vec<AtomicBool>,
-    /// Hands the helpers their worker numbers.
-    joined: AtomicUsize,
     /// Every worker has a core of its own: a waiting one polls before it
     /// sleeps, and takes none from a worker that is probing.
     spin: bool,
@@ -422,7 +423,8 @@ struct Chain<S, W> {
     /// A helper panicked.
     failed: bool,
     sleepers: usize,
-    speculation: Speculation,
+    /// Probes thrown away, run or running.
+    cancelled: usize,
 }
 
 impl<S, W> Chain<S, W> {
@@ -461,7 +463,7 @@ impl<S, W> Chain<S, W> {
                 if run.done.is_none() {
                     cancel[run.worker].store(true, Ordering::Relaxed);
                 }
-                self.speculation.cancelled += 1;
+                self.cancelled += 1;
             }
         }
     }
@@ -485,14 +487,13 @@ impl<S, W> Scheduler<S, W> {
                 over: false,
                 failed: false,
                 sleepers: 0,
-                speculation: Speculation::default(),
+                cancelled: 0,
             }),
             epoch: AtomicU64::new(0),
             changed: Condvar::new(),
             cancel: (0..workers.max(1))
                 .map(|_| AtomicBool::new(false))
                 .collect(),
-            joined: AtomicUsize::new(0),
             spin: workers <= crate::heuristic::workers(),
         }
     }
@@ -543,9 +544,9 @@ impl<S, W> Scheduler<S, W> {
         chain
     }
 
-    /// A helper's part: runs points with `probe` until the caller leaves.
-    fn serve(&self, probe: impl Fn(f64, &AtomicBool) -> (Option<S>, W)) {
-        let me = self.joined.fetch_add(1, Ordering::Relaxed) + 1;
+    /// Helper `me`'s part: runs points with `probe` until the caller
+    /// leaves.
+    fn serve(&self, me: usize, probe: impl Fn(f64, &AtomicBool) -> (Option<S>, W)) {
         let _leave = Leave {
             scheduler: self,
             caller: false,
@@ -574,13 +575,14 @@ impl<S, W> Scheduler<S, W> {
     /// The caller's part: opens the bisection at `bracket`, runs points
     /// with `probe` as any worker does, and adopts every probe in
     /// bisection order, `adopt` taking its writes before its `SearchProbe`
-    /// event. Returns once the bisection is over.
+    /// event. Returns once the bisection is over, or at once if a helper
+    /// panicked: joining it then resumes the panic.
     fn run(
         &self,
         bracket: Bracket,
         probe: impl Fn(f64, &AtomicBool) -> (Option<S>, W),
         mut adopt: impl FnMut(W),
-    ) -> (Bisection<S>, Speculation) {
+    ) -> (Bisection<S>, usize) {
         let _leave = Leave {
             scheduler: self,
             caller: true,
@@ -591,8 +593,10 @@ impl<S, W> Scheduler<S, W> {
         let mut chain = self.lock();
         chain.adopted = Some(bracket);
         self.bump(&chain);
-        loop {
-            assert!(!chain.failed, "a probe worker panicked");
+        let chain = loop {
+            if chain.failed {
+                break chain;
+            }
             if let Some((id, done)) = ran.take() {
                 chain.finish(id, done, &self.cancel);
                 self.bump(&chain);
@@ -600,7 +604,6 @@ impl<S, W> Scheduler<S, W> {
             while chain.runs.front().is_some_and(|run| run.done.is_some()) {
                 let Some(Run {
                     x,
-                    worker,
                     done: Some((found, writes)),
                     ..
                 }) = chain.runs.pop_front()
@@ -608,7 +611,6 @@ impl<S, W> Scheduler<S, W> {
                     unreachable!("the front run has returned");
                 };
                 chain.adopted = chain.adopted.map(|b| b.after(x, found.is_some()));
-                chain.speculation.helped += usize::from(worker != 0);
                 ready.push((x, found, writes));
             }
             let over = chain.adopted.and_then(|b| b.next()).is_none();
@@ -627,16 +629,18 @@ impl<S, W> Scheduler<S, W> {
                 out.adopt(x, found);
             }
             if over {
-                break;
+                break self.lock();
             }
             if let Some((id, x)) = started {
                 ran = Some((id, probe(x, &self.cancel[0])));
             }
             chain = self.lock();
-        }
-        let mut chain = self.lock();
-        debug_assert!(chain.runs.is_empty(), "a run outlived the bisection");
-        (out, std::mem::take(&mut chain.speculation))
+        };
+        debug_assert!(
+            chain.failed || chain.runs.is_empty(),
+            "a run outlived the bisection"
+        );
+        (out, chain.cancelled)
     }
 }
 
@@ -662,7 +666,10 @@ impl<S, W> Drop for Leave<'_, S, W> {
 mod tests {
     use super::*;
     use crate::pairs::all_ordered_pairs;
+    use std::sync::atomic::AtomicUsize;
+    use uba_delay::certificate;
     use uba_topology::{mci, ring};
+    use uba_traffic::ClassSet;
 
     fn voip() -> TrafficClass {
         TrafficClass::voip()
@@ -783,10 +790,11 @@ mod tests {
 
     /// `paper.toml`'s search — MCI, all 342 pairs, C = 100 Mb/s — at one,
     /// two and three workers: the same α\*, probes and selection, and
-    /// the same writes adopted, probe by probe, events included. Which
-    /// worker ran which probe, and how many were cancelled, depend on
-    /// timing: one worker runs every probe and cancels none, and no more
-    /// probes are adopted from helpers than there are probes.
+    /// the same writes adopted, probe by probe, events included; and at
+    /// every worker count the independent checker certifies the selection
+    /// at α\*, its cells × (1 + 1e-9) the witness. Which worker ran which
+    /// probe, and how many were cancelled, depend on timing: one worker
+    /// runs every probe and cancels none.
     #[test]
     fn the_search_answers_and_writes_the_same_at_any_worker_count() {
         let g = mci();
@@ -818,19 +826,20 @@ mod tests {
         let runs: Vec<_> = (1..=3)
             .map(|workers| {
                 let mut adopted = Vec::new();
-                let (found, speculation) =
+                let (found, cancelled) =
                     bisect_greedy_on(workers, &greedy, bracket, |p| adopted.push(p.writes));
-                (found, speculation, adopted)
+                (found, cancelled, adopted)
             })
             .collect();
         uba_obs::trace::global().set_enabled(false);
         let (one, alone, writes) = &runs[0];
         assert_eq!(one.best.to_bits(), 0.5415987127047674f64.to_bits());
         assert_eq!(one.probes.len(), 7);
-        assert_eq!(*alone, Speculation::default());
+        assert_eq!(*alone, 0);
         assert!(writes.iter().all(|w| !w.events.is_empty()));
-        for (found, speculation, adopted) in &runs {
-            assert!(speculation.helped <= found.probes.len(), "{speculation:?}");
+        let classes = ClassSet::single(voip.clone());
+        let alpha_cells = vec![one.best; servers.len()];
+        for (found, cancelled, adopted) in &runs {
             assert_eq!(found.best.to_bits(), one.best.to_bits());
             assert_eq!(found.probes, one.probes);
             let (a, b) = (
@@ -842,24 +851,11 @@ mod tests {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&a.delays), bits(&b.delays));
             assert_eq!(bits(&a.route_delays), bits(&b.route_delays));
-            assert_eq!(adopted, writes, "{speculation:?}");
+            assert_eq!(adopted, writes, "{cancelled} cancelled");
+            let d_hat: Vec<f64> = a.delays.iter().map(|d| d * (1.0 + 1e-9)).collect();
+            let certified = certificate::check(&servers, &classes, &alpha_cells, &a.routes, &d_hat);
+            assert_eq!(certified, Ok(()), "a selection at α* the checker refuses");
         }
-    }
-
-    /// [`Scheduler`] on `workers` workers, its helpers spawned here.
-    fn bisect_on<S: Send, W: Send>(
-        workers: usize,
-        bracket: Bracket,
-        probe: &(impl Fn(f64, &AtomicBool) -> (Option<S>, W) + Sync),
-        adopt: impl FnMut(W),
-    ) -> (Bisection<S>, Speculation) {
-        let scheduler = Scheduler::new(workers);
-        std::thread::scope(|s| {
-            for _ in 1..workers {
-                s.spawn(|| scheduler.serve(probe));
-            }
-            scheduler.run(bracket, probe, adopt)
-        })
     }
 
     /// Timing cannot change the answer. Synthetic probes — feasible up
@@ -897,21 +893,58 @@ mod tests {
             for workers in 1..=4 {
                 started.store(0, Ordering::Relaxed);
                 let mut adopted = Vec::new();
-                let (found, speculation) = bisect_on(workers, bracket, &probe, |w| adopted.push(w));
-                let at = format!("{workers} workers, {speculation:?}");
+                let (found, cancelled) = bisect_on(workers, bracket, &probe, |w| adopted.push(w));
+                let at = format!("{workers} workers, {cancelled} cancelled");
                 uba_obs::ensure!(found.probes == alone.probes, "{at}: {:?}", found.probes);
                 uba_obs::ensure!(found.best.to_bits() == alone.best.to_bits(), "{at}");
                 uba_obs::ensure!(found.selection == alone.selection, "{at}");
                 uba_obs::ensure!(adopted == want, "{at}: adopted {adopted:x?}");
                 let ran = started.load(Ordering::Relaxed);
-                uba_obs::ensure!(ran == found.probes.len() + speculation.cancelled, "{at}");
-                uba_obs::ensure!(speculation.helped <= found.probes.len(), "{at}");
+                uba_obs::ensure!(ran == found.probes.len() + cancelled, "{at}");
                 if workers == 1 {
-                    uba_obs::ensure!(speculation == Speculation::default(), "{at}");
+                    uba_obs::ensure!(cancelled == 0, "{at}");
                 }
             }
             Ok(())
         });
+    }
+
+    /// A probe that panics on a helper ends the search at 2–4 workers and
+    /// reaches the caller as that panic, never a hang. The caller's own
+    /// probe waits until a helper has started one, so a helper always
+    /// runs a probe; every probe a helper starts panics.
+    #[test]
+    fn a_helper_probe_panic_reaches_the_caller() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let caller = std::thread::current().id();
+            for workers in 2..=4 {
+                let helped = AtomicBool::new(false);
+                let probe = |x: f64, _: &AtomicBool| {
+                    if std::thread::current().id() != caller {
+                        helped.store(true, Ordering::Relaxed);
+                        panic!("helper probe at {x}");
+                    }
+                    while !helped.load(Ordering::Relaxed) {
+                        std::thread::yield_now();
+                    }
+                    (Some(()), ())
+                };
+                let bracket = Bracket::new(None, 1.0, 1e-3);
+                let run =
+                    std::panic::AssertUnwindSafe(|| bisect_on(workers, bracket, &probe, drop));
+                let payload = std::panic::catch_unwind(run).err();
+                let message = payload.and_then(|p| p.downcast::<String>().ok());
+                tx.send(message).unwrap();
+            }
+        });
+        for workers in 2..=4 {
+            let got = (rx.recv_timeout(std::time::Duration::from_secs(60))).expect("a hung search");
+            let helper = got
+                .as_deref()
+                .is_some_and(|m| m.starts_with("helper probe at "));
+            assert!(helper, "{workers} workers: {got:?}");
+        }
     }
 
     #[test]

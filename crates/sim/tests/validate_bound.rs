@@ -5,12 +5,14 @@
 //! verification at utilization α → greedy admission fill to the per-link
 //! budgets → packet-level simulation with adversarial (synchronized
 //! greedy) sources → observed max delay ≤ analytic bound, zero deadline
-//! misses.
+//! misses. Every safe verdict also passes the independent checker
+//! (`uba_delay::certificate`), its cells × (1 + 1e-9) the witness.
 
 mod common;
 
 use common::slack;
 use uba_admission::UtilizationState;
+use uba_delay::certificate;
 use uba_delay::fixed_point::{solve_two_class, SolveConfig};
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::servers::Servers;
@@ -18,7 +20,26 @@ use uba_routing::pairs::all_ordered_pairs;
 use uba_routing::sp::sp_selection;
 use uba_sim::{simulate, FlowSpec, SimConfig, SourceModel};
 use uba_topology::{grid, ring};
-use uba_traffic::{ClassId, TrafficClass};
+use uba_traffic::{ClassId, ClassSet, TrafficClass};
+
+/// The relative lift from a safe verdict's cells to a certificate witness.
+const LIFT: f64 = 1e-9;
+
+/// A safe verdict's cells (`server · classes + class`), lifted by
+/// [`LIFT`], pass the independent checker at `alphas` per class on every
+/// server.
+fn certify(
+    servers: &Servers,
+    classes: &ClassSet,
+    alphas: &[f64],
+    routes: &RouteSet,
+    cells: impl Iterator<Item = f64>,
+) {
+    let d_hat: Vec<f64> = cells.map(|d| d * (1.0 + LIFT)).collect();
+    let alpha_cells = alphas.repeat(servers.len());
+    let got = certificate::check(servers, classes, &alpha_cells, routes, &d_hat);
+    assert_eq!(got, Ok(()), "a safe verdict the checker refuses");
+}
 
 /// Runs the full validation on one topology; returns (sim max, bound).
 fn validate(g: &uba_graph::Digraph, alpha: f64, capacity: f64, horizon: f64) -> (f64, f64) {
@@ -45,6 +66,9 @@ fn validate(g: &uba_graph::Digraph, alpha: f64, capacity: f64, horizon: f64) -> 
         "choose alpha so the configuration verifies; outcome {:?}",
         analysis.outcome
     );
+    let classes = ClassSet::single(voip.clone());
+    let cells = analysis.delays.iter().copied();
+    certify(&servers, &classes, &[alpha], &routes, cells);
     let bound = analysis.route_delays.iter().cloned().fold(0.0, f64::max);
 
     // Fill to the admission limit through the admission test and
@@ -121,7 +145,7 @@ fn mci_subset_simulation_below_bound() {
 #[test]
 fn multiclass_simulation_below_theorem5_bounds() {
     use uba_delay::verify::verify;
-    use uba_traffic::{ClassSet, LeakyBucket};
+    use uba_traffic::LeakyBucket;
 
     let g = ring(6);
     let capacity = 4e6;
@@ -151,6 +175,9 @@ fn multiclass_simulation_below_theorem5_bounds() {
         &SolveConfig::default(),
     );
     assert!(analysis.safe, "{:?}", analysis.outcome);
+    let rows = &analysis.server_delays;
+    let cells = (0..servers.len() * 2).map(|c| rows[c % 2][c / 2]);
+    certify(&servers, &classes, &alphas, &routes, cells);
     // Per-class worst route bound.
     let mut bounds = [0.0f64; 2];
     for (rt, &rd) in routes.routes().iter().zip(&analysis.route_delays) {

@@ -80,7 +80,7 @@ done) results/cli_paper.txt > /dev/null || {
   exit 1
 }
 
-echo "==> one-worker lanes (under taskset -c 0 candidate generation and every search probe run on the caller alone: maximize and verify on paper.toml, and the multi-class ray search, must print what the unpinned runs print, cross_topology must reprint results/cross_topology.txt (six topologies through the candidate store at one worker), the config_mci smoke, untraced and traced, must pass its own check, and the search scheduler's timing property runs its 1-4 workers on one core, where preemption interleaves them)"
+echo "==> one-worker lanes (under taskset -c 0 candidate generation and every search probe run on the caller alone: maximize and verify on paper.toml, and the multi-class ray search, must print what the unpinned runs print, cross_topology must reprint results/cross_topology.txt (six topologies through the candidate store at one worker), the config_mci smoke, untraced and traced, must pass its own check, and the search scheduler's timing property (1-4 workers), paper.toml's search (1-3 workers: generation's helpers in one thread scope, then the probe workers in a second) and the helper-panic test run on one core, where preemption interleaves each scope's threads)"
 if command -v taskset > /dev/null; then
   for cmd in "maximize $paper heuristic" "verify $paper" "maximize $multiclass"; do
     # shellcheck disable=SC2086
@@ -99,8 +99,10 @@ if command -v taskset > /dev/null; then
     taskset -c 0 cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
       --workload config_mci --seed 1 --seconds 2 --trace "$trace" > /dev/null
   done
-  taskset -c 0 cargo test --offline --release -q -p uba-routing --lib \
-    search::tests::timing_cannot_change_the_answer
+  taskset -c 0 cargo test --offline --release -q -p uba-routing --lib -- \
+    search::tests::timing_cannot_change_the_answer \
+    search::tests::the_search_answers_and_writes_the_same_at_any_worker_count \
+    search::tests::a_helper_probe_panic_reaches_the_caller
 else
   echo "verify.sh: taskset not found; skipping the one-worker lanes"
 fi

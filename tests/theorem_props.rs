@@ -1,8 +1,11 @@
 //! Property tests of the paper's theorems at network scale: one sweep
 //! over fixed seeds, and two `uba_obs::check` properties over 24 seeded
-//! random topologies each (the same every run).
+//! random topologies each (the same every run). Every safe verdict also
+//! passes the independent checker (`uba_delay::certificate`), its cells
+//! × (1 + 1e-9) the witness.
 
 use uba::admission::UtilizationState;
+use uba::delay::certificate::{self, CertError};
 use uba::delay::fixed_point::{solve_two_class, SolveConfig};
 use uba::delay::general::{analyze_flows, Flow, GeneralOutcome};
 use uba::delay::routeset::{Route, RouteSet};
@@ -10,6 +13,23 @@ use uba::obs::{check, ensure};
 use uba::prelude::*;
 
 const CASES: u64 = 24;
+
+/// The relative lift from a safe verdict's cells to a certificate witness.
+const LIFT: f64 = 1e-9;
+
+/// Whether one-class `cells` at `alpha`, lifted by [`LIFT`], certify
+/// `routes` safe.
+fn certified(
+    servers: &Servers,
+    class: &TrafficClass,
+    alpha: f64,
+    routes: &RouteSet,
+    cells: &[f64],
+) -> Result<(), CertError> {
+    let d_hat: Vec<f64> = cells.iter().map(|d| d * (1.0 + LIFT)).collect();
+    let (classes, alpha_cells) = (ClassSet::single(class.clone()), vec![alpha; servers.len()]);
+    certificate::check(servers, &classes, &alpha_cells, routes, &d_hat)
+}
 
 /// SP routes for every ordered pair of `g`.
 fn sp_routes(g: &Digraph) -> (Vec<Path>, RouteSet) {
@@ -54,6 +74,8 @@ fn theorem4_lower_bound_safe_on_random_topologies() {
             "seed {seed}: SP at 0.98*LB={alpha} must verify (L={diameter}, N={n}), got {:?}",
             r.outcome
         );
+        let got = certified(&servers, &voip, alpha, &routes, &r.delays);
+        assert_eq!(got, Ok(()), "seed {seed}: a safe verdict refused");
     }
 }
 
@@ -82,6 +104,8 @@ fn general_analysis_dominated_by_config_bound() {
         if !cfg.outcome.is_safe() {
             return Ok(());
         }
+        let got = certified(&servers, &voip, alpha, &routes, &cfg.delays);
+        ensure!(got.is_ok(), "a safe verdict the checker refuses: {got:?}");
 
         // Greedy admissible fill through the admission test (respects the
         // per-link alpha budget).
@@ -139,6 +163,10 @@ fn fixed_point_monotone_in_alpha() {
         let hi = solve_two_class(&servers, &voip, 0.15, &routes, &scfg, None);
         if !(lo.outcome.is_safe() && hi.outcome.is_safe()) {
             return Ok(());
+        }
+        for (alpha, r) in [(0.10, &lo), (0.15, &hi)] {
+            let got = certified(&servers, &voip, alpha, &routes, &r.delays);
+            ensure!(got.is_ok(), "α {alpha}: a safe verdict refused: {got:?}");
         }
         reached += 1;
         for (a, b) in lo.delays.iter().zip(&hi.delays) {
