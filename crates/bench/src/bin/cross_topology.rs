@@ -3,7 +3,8 @@
 //! Shows that the configuration methodology is not specific to the MCI
 //! figure: for each topology, the Theorem 4 bounds (from its own `L` and
 //! `N`), the SP baseline, and the Section 5.2 heuristic's maximum safe
-//! utilization.
+//! utilization. Both selections at their α\* must pass the independent
+//! certificate checker ([`uba_bench::certify`]); a refusal panics.
 //!
 //! Run with: `cargo run -p uba-bench --release --bin cross_topology`
 
@@ -26,6 +27,8 @@ fn run(name: &str, g: &Digraph) {
         &Selector::Heuristic(HeuristicConfig::default()),
         0.005,
     );
+    uba_bench::certify(name, "SP", &servers, &voip, &sp);
+    uba_bench::certify(name, "heuristic", &servers, &voip, &heur);
     println!(
         "{name:<14} {:>3} {:>2} {:>2} | {lb:>5.2} {:>5.2} {:>5.2} {ub:>5.2} | {:>5.2}",
         g.node_count(),

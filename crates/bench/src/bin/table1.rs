@@ -8,6 +8,9 @@
 //!
 //! Paper's row:  lower 0.30 | SP 0.33 | heuristic 0.45 | upper 0.61.
 //!
+//! Both selections at their α\* must pass the independent certificate
+//! checker ([`uba_bench::certify`]); a refusal panics.
+//!
 //! Run with: `cargo run -p uba-bench --release --bin table1`
 
 use std::time::Instant;
@@ -42,6 +45,8 @@ fn main() {
         0.005,
     );
     let heur_time = t.elapsed();
+    uba_bench::certify("mci", "SP", &servers, &voip, &sp);
+    uba_bench::certify("mci", "heuristic", &servers, &voip, &heur);
 
     println!();
     println!("Table 1: Maximum Utilization");

@@ -81,6 +81,32 @@ fn generation(
     ConfigGeneration::new(table, &ClassSet::single(class.clone()), &caps, &[alpha])
 }
 
+/// Panics unless the independent checker certifies the selection `found`
+/// reached at its α\*, the selection's cells × (1 + 1e-9) the witness:
+/// the message names `topology`, the selector and the refused cell or
+/// route. A search that found nothing has nothing to certify.
+pub fn certify(
+    topology: &str,
+    selector: &str,
+    servers: &Servers,
+    class: &TrafficClass,
+    found: &MaxUtilResult,
+) {
+    let Some(sel) = &found.selection else {
+        return;
+    };
+    let d_hat: Vec<f64> = sel.delays.iter().map(|d| d * (1.0 + 1e-9)).collect();
+    let alphas = vec![found.alpha; servers.len()];
+    let classes = ClassSet::single(class.clone());
+    if let Err(e) = uba::delay::certificate::check(servers, &classes, &alphas, &sel.routes, &d_hat)
+    {
+        panic!(
+            "{topology}: the {selector} selection at alpha* {} is refused: {e:?}",
+            found.alpha
+        );
+    }
+}
+
 /// Median of `xs` (the upper one for an even count); sorts in place.
 pub fn median(xs: &mut [f64]) -> f64 {
     xs.sort_by(|a, b| a.total_cmp(b));

@@ -8,12 +8,11 @@
 //! Probes share work where soundness allows:
 //!
 //! * **Yen candidates and the visiting order** (heuristic selector) are
-//!   α-independent, so one candidate cache and one ordering of the pairs
-//!   span all probes of a search. The cache generates every pair's
-//!   candidates before the first probe, split by destination over every
-//!   core, into one flat store: every candidate's server ids end to end,
-//!   and at each demand's visit position the run of them that is its
-//!   list. No probe runs Yen, and a probe reads candidates as borrowed
+//!   α-independent, so one candidate store and one ordering of the pairs
+//!   span all probes of a search. Every pair's candidates are generated
+//!   before the first probe, split by destination over every core, into
+//!   one flat store: every candidate's server ids end to end, and at each
+//!   demand's visit position the run of them that is its list. No probe runs Yen, and a probe reads candidates as borrowed
 //!   slices; no probe copies a route out: only the returned selection
 //!   rebuilds its routes and paths from the store.
 //! * **Every core probes** (heuristic selector). Generation's helpers
@@ -40,8 +39,8 @@
 
 use crate::bounds::utilization_bounds;
 use crate::heuristic::{
-    class0_demands, join, select_in_order, visit_order, workers, CandidateCache, Chosen,
-    HeuristicConfig, Selection, Store, Writes,
+    class0_demands, join, select_in_order, visit_order, workers, Chosen, HeuristicConfig,
+    Selection, Store, Writes,
 };
 use crate::pairs::{Demand, Pair};
 use crate::sp::sp_selection;
@@ -53,7 +52,7 @@ use uba_delay::fixed_point::{solve_two_class, SolveConfig};
 use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::rule::{DelayRule, Theorem5};
 use uba_delay::servers::Servers;
-use uba_graph::{bfs, Digraph};
+use uba_graph::{bfs, Digraph, DynDigraph};
 use uba_obs::Stopwatch;
 use uba_traffic::{ClassId, TrafficClass};
 
@@ -126,7 +125,7 @@ pub fn max_utilization(
             };
             let found = bisect(bracket, probe, drop);
             // No candidates, but the selection counters exist after any
-            // search, as a heuristic one's cache registers them.
+            // search, as a heuristic one's generation registers them.
             crate::metrics::select();
             found.map(|(delays, route_delays)| Selection {
                 demands: class0_demands(pairs),
@@ -206,7 +205,8 @@ impl<R: DelayRule, F: Fn(f64) -> R> Greedy<'_, F> {
         let watch = Stopwatch::start();
         let ((found, mut writes), events) = uba_obs::trace::hold(|| {
             let state = CommittedState::empty(self.servers, (self.rule_at)(x));
-            select_in_order(self.g, state, self.ordered, self.cfg, store, cancel)
+            let overlay = &mut DynDigraph::new(self.g.edge_count());
+            select_in_order(state, overlay, self.ordered, self.cfg, store, cancel)
         });
         writes.events = events;
         let seconds = watch.elapsed_secs();
@@ -216,22 +216,21 @@ impl<R: DelayRule, F: Fn(f64) -> R> Greedy<'_, F> {
 
 /// [`bisect_greedy`] on `workers` workers, `adopt` taking each adopted
 /// probe's writes in probe order: the candidates generated up front on
-/// `workers` workers ([`CandidateCache::generate_on`]), then the probes on
-/// the store through [`bisect_on`]. Returns how many probes were
-/// cancelled beside what it found.
+/// `workers` workers ([`Store::generate`]), then the probes on the store
+/// through [`bisect_on`]. Returns how many probes were cancelled beside
+/// what it found.
 fn bisect_greedy_on<R: DelayRule, F: Fn(f64) -> R + Sync>(
     workers: usize,
     greedy: &Greedy<'_, F>,
     bracket: Bracket,
     adopt: impl FnMut(Probed),
 ) -> (Bisection<Selection>, usize) {
-    let mut cache = CandidateCache::new(greedy.g, |_| true);
-    cache.generate_on(workers, greedy.ordered, greedy.cfg.k_candidates);
-    let store = cache.store();
-    let probe = |x, cancel: &AtomicBool| greedy.probe(x, store, cancel);
+    let (g, ordered) = (greedy.g, greedy.ordered);
+    let store = Store::generate(g, |_| true, workers, ordered, greedy.cfg.k_candidates);
+    let probe = |x, cancel: &AtomicBool| greedy.probe(x, &store, cancel);
     let (found, cancelled) = bisect_on(workers, bracket, &probe, adopt);
     crate::metrics::select().cancelled.add(cancelled as u64);
-    let found = found.map(|chosen| cache.selection(greedy.ordered, chosen));
+    let found = found.map(|chosen| store.selection(g, ordered, chosen));
     (found, cancelled)
 }
 

@@ -80,7 +80,7 @@ done) results/cli_paper.txt > /dev/null || {
   exit 1
 }
 
-echo "==> one-worker lanes (under taskset -c 0 candidate generation and every search probe run on the caller alone: maximize and verify on paper.toml, and the multi-class ray search, must print what the unpinned runs print, cross_topology must reprint results/cross_topology.txt (six topologies through the candidate store at one worker), the config_mci smoke, untraced and traced, must pass its own check, and the search scheduler's timing property (1-4 workers), paper.toml's search (1-3 workers: generation's helpers in one thread scope, then the probe workers in a second) and the helper-panic test run on one core, where preemption interleaves each scope's threads)"
+echo "==> one-worker lanes (under taskset -c 0 candidate generation and every search probe run on the caller alone: maximize and verify on paper.toml, and the multi-class ray search, must print what the unpinned runs print, cross_topology must reprint results/cross_topology.txt (six topologies through the candidate store at one worker), the config_mci smoke, untraced and traced, must pass its own check, and the search scheduler's timing property (1-4 workers), paper.toml's search (1-3 workers: generation's helpers in one thread scope, then the probe workers in a second), the helper-panic test, the re-route property and the root reconfiguration tests (a re-route's generation spawns helpers too) run on one core, where preemption interleaves each scope's threads)"
 if command -v taskset > /dev/null; then
   for cmd in "maximize $paper heuristic" "verify $paper" "maximize $multiclass"; do
     # shellcheck disable=SC2086
@@ -103,6 +103,8 @@ if command -v taskset > /dev/null; then
     search::tests::timing_cannot_change_the_answer \
     search::tests::the_search_answers_and_writes_the_same_at_any_worker_count \
     search::tests::a_helper_probe_panic_reaches_the_caller
+  taskset -c 0 cargo test --offline --release -q -p uba-sim --test reroute_props
+  taskset -c 0 cargo test --offline --release -q -p uba --test reconfiguration_ops
 else
   echo "verify.sh: taskset not found; skipping the one-worker lanes"
 fi
@@ -143,7 +145,7 @@ RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
 echo "==> cargo test --offline -q (workspace test suite)"
 cargo test --offline --workspace -q
 
-echo "==> uba-sim tests in release (engine_equiv, random_differential, the adversary and the completion differential in the build the benchmark measures: overflow wraps, debug_assert! is off)"
+echo "==> uba-sim tests in release (engine_equiv, random_differential, reroute_props, the adversary and the completion differential in the build the benchmark measures: overflow wraps, debug_assert! is off)"
 cargo test --offline --release -q -p uba-sim
 
 echo "==> uba-admission tests in release (the admit, batch, burst, policy and churn equivalence tables in the build the benchmark measures: overflow wraps, debug_assert! is off)"
@@ -151,6 +153,9 @@ cargo test --offline --release -q -p uba-admission
 
 echo "==> configuration-side and obs tests in release (yen_equiv, yen_diff, cycle_equiv, committed_equiv, solve_equiv, selection_equiv, the certificate checker over every safe MCI shortest-path verdict (certificate::tests::every_safe_mci_verdict_certifies), floor_equiv, both configuration-side metrics_exact binaries, readout_equiv and the histogram slot and tally-merge tests in the build the benchmark measures: overflow wraps, debug_assert! is off)"
 cargo test --offline --release -q -p uba-obs -p uba-graph -p uba-delay -p uba-routing
+
+echo "==> root reconfiguration tests in release (tests/reconfiguration_ops.rs: link failure, re-route and live reconfigure through the controller, in the build the benchmark measures)"
+cargo test --offline --release -q -p uba --test reconfiguration_ops
 
 echo "==> obs_overhead smoke (every admit-path gate: metering, flight recorder, SLO evaluation and generation pointer A/B, the thread sweep's scaling and telemetry, batching)"
 cargo run --offline --release -p uba-bench --bin obs_overhead -- smoke
