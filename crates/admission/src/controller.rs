@@ -1424,7 +1424,7 @@ mod tests {
             "token_bucket"
         }
 
-        fn admit_n(&self, _class: usize, _n: u64, _t: f64) -> bool {
+        fn admit_up_to(&self, _class: usize, n: u64, _t: f64) -> u64 {
             let ctrl = self.ctrl.lock().unwrap().clone().unwrap();
             let armed = self.armed.swap(false, std::sync::atomic::Ordering::Relaxed);
             let own = armed.then(|| {
@@ -1433,7 +1433,7 @@ mod tests {
             });
             let seen = (ctrl.current_generation().id(), own);
             self.seen.lock().unwrap().push(seen);
-            true
+            n
         }
 
         fn refund_n(&self, _class: usize, _n: u64) {}

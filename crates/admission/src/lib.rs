@@ -77,5 +77,5 @@ pub use policy::{
     AimdParams, AimdStage, ChainKind, PolicyChain, PolicyConfig, PolicyStage, TokenBucketStage,
     STAGE_NAMES,
 };
-pub use state::{PathGrant, PathReject, UtilizationState};
+pub use state::{PathGrant, UtilizationState};
 pub use table::RoutingTable;

@@ -58,40 +58,34 @@ pub const STAGE_NAMES: [&str; 2] = ["token_bucket", "aimd"];
 
 /// One stage of the admission policy chain, evaluated before the
 /// backend reservation. Implementations must be exact under
-/// concurrency: `admit_n` consumes atomically (all-or-nothing for the
-/// whole `n`-flow grab) and must never grant what the stage's own
-/// budget cannot cover.
+/// concurrency: [`admit_up_to`](Self::admit_up_to) consumes atomically
+/// and must never grant what the stage's own budget cannot cover.
 pub trait PolicyStage: fmt::Debug + Send + Sync {
     /// Stable lower-snake stage name; must be one of [`STAGE_NAMES`]
     /// (reject counters and tracepoints key on it).
     fn name(&self) -> &'static str;
 
-    /// Consumes this stage's budget for `n` flows of `class` at time
-    /// `t` (seconds). Returns `false` — consuming nothing — when the
-    /// budget cannot cover the whole grab.
-    fn admit_n(&self, class: usize, n: u64, t: f64) -> bool;
-
     /// Consults the stage for each of `n` flows of `class` arriving
-    /// together at time `t` and returns how many it admits, their
-    /// budget consumed. The provided body is the definition — one
-    /// [`admit_n`](Self::admit_n) of a single flow per arrival, turned
-    /// away ones included, so a stage that watches offered load sees all
-    /// `n` — and an override must leave the stage in exactly the state
-    /// that loop would: this is what lets the controller decide a run of
-    /// identical flows in one step ([`PolicyChain`] holds the rule for
-    /// the flows a later stage or the links then turn away).
-    fn admit_up_to(&self, class: usize, n: u64, t: f64) -> u64 {
-        (0..n).filter(|_| self.admit_n(class, 1, t)).count() as u64
-    }
+    /// together at time `t` (seconds) and returns how many it admits,
+    /// their budget consumed. The definition is `n` single-flow calls
+    /// (`admit_up_to(class, 1, t)`) in a row, turned-away flows included,
+    /// so a stage that watches offered load sees all `n`; an
+    /// implementation answers for the whole run at once but must leave
+    /// the stage in exactly the state that walk would: this is what lets
+    /// the controller decide a run of identical flows in one step
+    /// ([`PolicyChain`] holds the rule for the flows a later stage or the
+    /// links then turn away).
+    fn admit_up_to(&self, class: usize, n: u64, t: f64) -> u64;
 
-    /// Returns a previously consumed `n`-flow grab (a later stage or
-    /// the backend rejected the admission).
+    /// Returns the budget of `n` previously granted flows (a later stage
+    /// or the backend turned them away).
     fn refund_n(&self, class: usize, n: u64);
 
-    /// Whether `admit_n` would currently succeed, without consuming
-    /// anything. Advisory; may race concurrent admissions like every
-    /// other dry read. The equivalence ladders in `tests/admit_equiv.rs`
-    /// and `tests/burst_equiv.rs` probe each stage's budget with it.
+    /// Whether [`admit_up_to`](Self::admit_up_to) would currently grant
+    /// all `n` flows, without consuming anything. Advisory; may race
+    /// concurrent admissions like every other dry read. The equivalence
+    /// ladders in `tests/admit_equiv.rs` and `tests/burst_equiv.rs` probe
+    /// each stage's budget with it.
     fn would_admit(&self, class: usize, n: u64, t: f64) -> bool;
 }
 
@@ -135,8 +129,8 @@ impl PolicyChain {
     /// did.
     ///
     /// The result and every stage's state are those of the one-by-one
-    /// walk, `n` times over: each stage's [`PolicyStage::admit_n`] of one
-    /// flow in chain order, the stages before the first that refuses
+    /// walk, `n` times over: each stage's [`PolicyStage::admit_up_to`] of
+    /// one flow in chain order, the stages before the first that refuses
     /// refunded; then the reservation, and every stage refunded if it
     /// failed. That walk fixes two things about the flows turned away:
     ///
@@ -419,7 +413,7 @@ impl TokenBucketStage {
             loop {
                 let new = cur.saturating_add(credit).min(self.burst_mb);
                 // ordering: AcqRel — publishing refilled tokens pairs
-                // with the consuming CAS in `admit_n`, like a backend
+                // with the consuming CAS in `admit_up_to`, like a backend
                 // release pairs with the next reserve.
                 match bucket.tokens.compare_exchange_weak(
                     cur,
@@ -440,34 +434,6 @@ impl PolicyStage for TokenBucketStage {
         "token_bucket"
     }
 
-    fn admit_n(&self, class: usize, n: u64, t: f64) -> bool {
-        let want = self.want(class, n);
-        if want == 0 {
-            return true;
-        }
-        let Some(bucket) = self.buckets.get(class) else {
-            return true;
-        };
-        self.refill(bucket, t);
-        let mut cur = bucket.tokens.load(Ordering::Relaxed);
-        while cur >= want {
-            // ordering: AcqRel — the consuming CAS pairs with refill's
-            // publish; the decrement only happens when the observed
-            // tokens cover the whole grab, so concurrent admits can
-            // never jointly overdraw the bucket.
-            match bucket.tokens.compare_exchange_weak(
-                cur,
-                cur - want,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
-        false
-    }
-
     fn admit_up_to(&self, class: usize, n: u64, t: f64) -> u64 {
         let cost = self.want(class, 1);
         if cost == 0 || n == 0 {
@@ -483,9 +449,10 @@ impl PolicyStage for TokenBucketStage {
             if got == 0 {
                 return 0;
             }
-            // ordering: AcqRel — the same consuming CAS as `admit_n`,
-            // for as many whole flows as the observed tokens cover, so
-            // concurrent grabs can never jointly overdraw the bucket.
+            // ordering: AcqRel — the consuming CAS pairs with refill's
+            // publish; it takes only as many whole flows as the observed
+            // tokens cover, so concurrent grabs can never jointly
+            // overdraw the bucket.
             match bucket.tokens.compare_exchange_weak(
                 cur,
                 cur - got * cost,
@@ -531,7 +498,7 @@ impl PolicyStage for TokenBucketStage {
             return true;
         };
         // ordering: Acquire ×2 — advisory dry read of (tokens, last);
-        // mirrors what admit_n would see without claiming the interval.
+        // mirrors what admit_up_to would see without claiming the interval.
         let tokens = bucket.tokens.load(Ordering::Acquire);
         let last = f64::from_bits(bucket.last_bits.load(Ordering::Acquire));
         let credit = if t > last {
@@ -634,7 +601,10 @@ impl AimdStage {
         st.est.observe_n(t, offered);
         let rate = st.est.rate();
         st.det.update(t, rate);
-        if t - st.last_adjust >= AIMD_ADJUST_EVERY {
+        // Paced on finite readings only, as the estimator, the detector
+        // and the refill are: a mark at +inf would hold off every later
+        // adjustment for good.
+        if t.is_finite() && t - st.last_adjust >= AIMD_ADJUST_EVERY {
             st.last_adjust = t;
             match st.det.state() {
                 OveruseState::Overuse => {
@@ -662,26 +632,6 @@ impl AimdStage {
 impl PolicyStage for AimdStage {
     fn name(&self) -> &'static str {
         "aimd"
-    }
-
-    fn admit_n(&self, class: usize, n: u64, t: f64) -> bool {
-        let want = self.want(class, n);
-        let Some(slot) = self.classes.get(class) else {
-            return true;
-        };
-        let mut st = slot.lock().unwrap();
-        // The estimator sees *offered* attempts (n flows asked), so the
-        // detector measures demand pressure, not the post-clamp trickle.
-        self.advance(&mut st, t, n);
-        if want == 0 {
-            return true;
-        }
-        if st.tokens_mb >= want {
-            st.tokens_mb -= want;
-            true
-        } else {
-            false
-        }
     }
 
     fn admit_up_to(&self, class: usize, n: u64, t: f64) -> u64 {
@@ -752,15 +702,15 @@ mod tests {
     /// The one-by-one walk [`PolicyChain::admit_up_to`] is defined by,
     /// kept here as the reference its tests compare against.
     impl PolicyChain {
-        /// Runs `n` flows of `class` through every stage in order,
-        /// consuming each stage's budget. On the first stage that
-        /// rejects, every earlier stage is refunded and the rejecting
-        /// stage's index is returned — the chain is all-or-nothing.
-        fn admit_n(&self, class: usize, n: u64, t: f64) -> Result<(), usize> {
+        /// Runs one flow of `class` through every stage in order, each
+        /// granting it through `admit_up_to(class, 1, t)`. On the first
+        /// stage that turns it away, every earlier stage is refunded and
+        /// that stage's index is returned.
+        fn admit_one(&self, class: usize, t: f64) -> Result<(), usize> {
             for (i, stage) in self.stages.iter().enumerate() {
-                if !stage.admit_n(class, n, t) {
+                if stage.admit_up_to(class, 1, t) == 0 {
                     for held in &self.stages[..i] {
-                        held.refund_n(class, n);
+                        held.refund_n(class, 1);
                     }
                     return Err(i);
                 }
@@ -768,8 +718,8 @@ mod tests {
             Ok(())
         }
 
-        /// Refunds an `n`-flow grab from every stage (the reservation
-        /// failed after the whole chain had consumed).
+        /// Refunds an `n`-flow grant from every stage (the reservation
+        /// failed after the whole chain had granted).
         fn refund_n(&self, class: usize, n: u64) {
             for stage in &self.stages {
                 stage.refund_n(class, n);
@@ -788,8 +738,8 @@ mod tests {
     fn token_bucket_depth_bounds_a_cold_burst() {
         // Depth 3 flows, so a burst of 3 fits and the 4th is rejected.
         let tb = bucket(VOIP, 3.0 * VOIP);
-        assert!(tb.admit_n(0, 3, 0.0));
-        assert!(!tb.admit_n(0, 1, 0.0));
+        assert_eq!(tb.admit_up_to(0, 3, 0.0), 3);
+        assert_eq!(tb.admit_up_to(0, 1, 0.0), 0);
         assert_eq!(tb.tokens_bits(0), 0.0);
     }
 
@@ -797,26 +747,24 @@ mod tests {
     fn token_bucket_refills_at_the_configured_rate() {
         // Refill one flow-cost per second.
         let tb = bucket(VOIP, 2.0 * VOIP);
-        assert!(tb.admit_n(0, 2, 0.0));
-        assert!(!tb.admit_n(0, 1, 0.5), "half a flow refilled");
+        assert_eq!(tb.admit_up_to(0, 2, 0.0), 2);
+        assert_eq!(tb.admit_up_to(0, 1, 0.5), 0, "half a flow refilled");
         assert!(tb.would_admit(0, 1, 1.5));
-        assert!(tb.admit_n(0, 1, 1.5));
+        assert_eq!(tb.admit_up_to(0, 1, 1.5), 1);
         // Idle refill clamps at the depth: 100 s only restores 2 flows.
-        assert!(tb.admit_n(0, 2, 101.5));
-        assert!(!tb.admit_n(0, 1, 101.5));
+        assert_eq!(tb.admit_up_to(0, 3, 101.5), 2);
     }
 
     #[test]
     fn token_bucket_refund_restores_exactly_what_was_taken() {
         let tb = bucket(VOIP, 2.0 * VOIP);
-        assert!(tb.admit_n(0, 2, 0.0));
+        assert_eq!(tb.admit_up_to(0, 2, 0.0), 2);
         tb.refund_n(0, 2);
-        assert!(tb.admit_n(0, 2, 0.0));
+        assert_eq!(tb.admit_up_to(0, 2, 0.0), 2);
         // Refund over a full bucket clamps at the depth.
         tb.refund_n(0, 2);
         tb.refund_n(0, 2);
-        assert!(tb.admit_n(0, 2, 0.0));
-        assert!(!tb.admit_n(0, 1, 0.0));
+        assert_eq!(tb.admit_up_to(0, 3, 0.0), 2);
     }
 
     #[test]
@@ -825,16 +773,16 @@ mod tests {
         for _ in 0..10 {
             assert!(tb.would_admit(0, 1, 0.0));
         }
-        assert!(tb.admit_n(0, 1, 0.0));
+        assert_eq!(tb.admit_up_to(0, 1, 0.0), 1);
         assert!(!tb.would_admit(0, 1, 0.0));
     }
 
     #[test]
     fn unknown_classes_are_free() {
         let tb = bucket(VOIP, VOIP);
-        assert!(tb.admit_n(7, 1000, 0.0));
+        assert_eq!(tb.admit_up_to(7, 1000, 0.0), 1000);
         let aimd = AimdStage::new(AimdParams::default(), &[VOIP]);
-        assert!(aimd.admit_n(7, 1000, 0.0));
+        assert_eq!(aimd.admit_up_to(7, 1000, 0.0), 1000);
     }
 
     #[test]
@@ -851,7 +799,7 @@ mod tests {
         // gradient reads overuse and the paced decrease bites.
         let mut t = 0.0;
         for _ in 0..100 {
-            aimd.admit_n(0, 50, t);
+            aimd.admit_up_to(0, 50, t);
             t += 0.01;
         }
         let clamped = aimd.cap_bps(0);
@@ -863,7 +811,7 @@ mod tests {
         // Long steady trickle: the detector settles and additive
         // recovery raises the ceiling back toward the max.
         for _ in 0..3000 {
-            aimd.admit_n(0, 1, t);
+            aimd.admit_up_to(0, 1, t);
             t += 0.1;
         }
         assert!(
@@ -886,14 +834,13 @@ mod tests {
         let aimd = AimdStage::new(params, &[VOIP]);
         // The first second's depth admits 2; the 3rd in the same tick
         // must fail, and refund restores it.
-        assert!(aimd.admit_n(0, 2, 0.0));
-        assert!(!aimd.admit_n(0, 1, 0.0));
+        assert_eq!(aimd.admit_up_to(0, 2, 0.0), 2);
+        assert_eq!(aimd.admit_up_to(0, 1, 0.0), 0);
         aimd.refund_n(0, 1);
-        assert!(aimd.admit_n(0, 1, 0.0));
+        assert_eq!(aimd.admit_up_to(0, 1, 0.0), 1);
         // After a second of refill the ceiling grants 2 more.
         assert!(aimd.would_admit(0, 2, 1.0));
-        assert!(aimd.admit_n(0, 2, 1.0));
-        assert!(!aimd.admit_n(0, 1, 1.0));
+        assert_eq!(aimd.admit_up_to(0, 3, 1.0), 2);
     }
 
     /// 1 000 single-flow calls at a ceiling pinned at two flows a second:
@@ -912,7 +859,9 @@ mod tests {
         };
         let admitted = |clock: fn(u32) -> f64| {
             let aimd = AimdStage::new(params, &[VOIP]);
-            (0..1_000).filter(|&i| aimd.admit_n(0, 1, clock(i))).count()
+            (0..1_000)
+                .filter(|&i| aimd.admit_up_to(0, 1, clock(i)) == 1)
+                .count()
         };
         let monotone = admitted(|i| f64::from(i) * 1e-3);
         let alternating = admitted(|i| if i % 2 == 0 { 0.0 } else { 0.5 });
@@ -928,6 +877,124 @@ mod tests {
         assert_eq!(nan_between, 3, "a NaN reading lost the interval across it");
     }
 
+    /// The ramp of `aimd_clamps_under_sustained_overuse_and_recovers`
+    /// clamps the ceiling to its floor, then 3 000 trickle admits 0.1 s
+    /// apart raise it back to the max — also with one admit at `t = +∞`
+    /// in between. Pacing once marked that reading as the last
+    /// adjustment, and no finite reading came 0.1 s after it.
+    #[test]
+    fn an_infinite_clock_reading_does_not_freeze_the_aimd_ceiling() {
+        let params = AimdParams {
+            min_rate_bps: VOIP,
+            max_rate_bps: 100.0 * VOIP,
+            decrease: 0.5,
+            increase_bps: 10.0 * VOIP,
+        };
+        for infinite in [false, true] {
+            let aimd = AimdStage::new(params, &[VOIP]);
+            let mut t = 0.0;
+            for _ in 0..100 {
+                aimd.admit_up_to(0, 50, t);
+                t += 0.01;
+            }
+            assert_eq!(aimd.cap_bps(0), VOIP, "the ramp clamps to the floor");
+            if infinite {
+                aimd.admit_up_to(0, 1, f64::INFINITY);
+            }
+            for _ in 0..3000 {
+                aimd.admit_up_to(0, 1, t);
+                t += 0.1;
+            }
+            assert_eq!(
+                aimd.cap_bps(0),
+                100.0 * VOIP,
+                "recovery with a reading at +inf: {infinite}"
+            );
+        }
+    }
+
+    /// Applies random steps to a stage and its twin: the stage decides
+    /// each run of `n` flows at once, the twin one flow at a time, and
+    /// both refund the same share of the grant. The clock mostly steps
+    /// forward by up to 20 ms; otherwise it repeats, steps back, reads NaN
+    /// or +-inf, or jumps by 1e6 s. The class is sometimes one the stage
+    /// does not know. After every step the grants and the two stages'
+    /// `Debug` (all of their state) agree. Returns how many steps changed
+    /// `watch` of the stage.
+    fn at_once_matches_one_by_one_on_any_clock<S: PolicyStage>(
+        name: &str,
+        make: impl Fn() -> S,
+        watch: impl Fn(&S) -> f64,
+    ) -> usize {
+        let mut moved = 0;
+        uba_obs::check(name, 32, |rng| {
+            let (at_once, walked) = (make(), make());
+            let mut now = 0.0;
+            for step in 0..400 {
+                let t = match rng.index(16) {
+                    0 => now,
+                    1 => {
+                        now -= rng.range_f64(0.0, 1.0);
+                        now
+                    }
+                    2 => f64::NAN,
+                    3 => f64::INFINITY,
+                    4 => f64::NEG_INFINITY,
+                    5 => {
+                        now += 1e6;
+                        now
+                    }
+                    _ => {
+                        now += rng.range_f64(0.0, 0.02);
+                        now
+                    }
+                };
+                let class = if rng.index(8) == 0 { 2 } else { rng.index(2) };
+                let n = 1 + rng.index(200) as u64;
+                let before = watch(&at_once);
+                let got = at_once.admit_up_to(class, n, t);
+                let walked_got: u64 = (0..n).map(|_| walked.admit_up_to(class, 1, t)).sum();
+                uba_obs::ensure!(
+                    got == walked_got,
+                    "step {step}: {n} flows of class {class} at {t}: {got} vs {walked_got}"
+                );
+                if rng.index(3) == 0 {
+                    let back = rng.index(got as usize + 1) as u64;
+                    at_once.refund_n(class, back);
+                    walked.refund_n(class, back);
+                }
+                let (a, b) = (format!("{at_once:?}"), format!("{walked:?}"));
+                uba_obs::ensure!(a == b, "step {step} at {t}:\n{a}\n{b}");
+                moved += usize::from(watch(&at_once) != before);
+            }
+            Ok(())
+        });
+        moved
+    }
+
+    #[test]
+    fn a_run_decided_at_once_matches_the_walk_on_a_hostile_clock() {
+        let rates = [VOIP, 3.0 * VOIP];
+        let refilled = at_once_matches_one_by_one_on_any_clock(
+            "token_bucket_on_a_hostile_clock",
+            || TokenBucketStage::new(3_000.0 * VOIP, 60.0 * VOIP, &rates),
+            |tb| tb.tokens_bits(0),
+        );
+        assert!(refilled > 100, "the bucket moved {refilled} times");
+        let params = AimdParams {
+            min_rate_bps: 1_000.0 * VOIP,
+            max_rate_bps: 8_000.0 * VOIP,
+            decrease: 0.7,
+            increase_bps: 500.0 * VOIP,
+        };
+        let adjusted = at_once_matches_one_by_one_on_any_clock(
+            "aimd_on_a_hostile_clock",
+            || AimdStage::new(params, &rates),
+            |aimd| aimd.cap_bps(0),
+        );
+        assert!(adjusted > 100, "the AIMD ceiling moved {adjusted} times");
+    }
+
     #[test]
     fn chain_is_all_or_nothing_and_names_the_rejecting_stage() {
         /// A test-only stage that always rejects.
@@ -937,8 +1004,8 @@ mod tests {
             fn name(&self) -> &'static str {
                 "aimd" // stand-in; names must come from STAGE_NAMES
             }
-            fn admit_n(&self, _: usize, _: u64, _: f64) -> bool {
-                false
+            fn admit_up_to(&self, _: usize, _: u64, _: f64) -> u64 {
+                0
             }
             fn refund_n(&self, _: usize, _: u64) {}
             fn would_admit(&self, _: usize, _: u64, _: f64) -> bool {
@@ -948,7 +1015,7 @@ mod tests {
         let mut chain = PolicyChain::static_only();
         chain.push(Box::new(bucket(VOIP, 2.0 * VOIP)));
         chain.push(Box::new(Wall));
-        assert_eq!(chain.admit_n(0, 1, 0.0), Err(1));
+        assert_eq!(chain.admit_one(0, 0.0), Err(1));
         assert_eq!(chain.stages()[1].name(), "aimd");
         // The token bucket was refunded: its full depth is intact.
         assert!(chain.stages()[0].would_admit(0, 2, 0.0));
@@ -959,7 +1026,7 @@ mod tests {
     fn chain_refund_returns_every_stage() {
         let mut chain = PolicyChain::static_only();
         chain.push(Box::new(bucket(VOIP, VOIP)));
-        assert!(chain.admit_n(0, 1, 0.0).is_ok());
+        assert!(chain.admit_one(0, 0.0).is_ok());
         assert!(!chain.stages()[0].would_admit(0, 1, 0.0));
         chain.refund_n(0, 1);
         assert!(chain.stages()[0].would_admit(0, 1, 0.0));
@@ -985,7 +1052,7 @@ mod tests {
 
     /// The closed forms against their definition: seeded runs of 1–120
     /// flows, the links taking a random share, decided in one step on one
-    /// chain and flow by flow (`admit_n` of one, reserve, `refund_n` on
+    /// chain and flow by flow (`admit_one`, reserve, `refund_n` on
     /// failure) on its twin. Same admitted count, same rejecting stage,
     /// and after every run the same state in every stage down to the
     /// estimator's carry — compared through `Debug`, which prints all of
@@ -1017,7 +1084,7 @@ mod tests {
             // Who turned each of the other flows away (`None`: the links).
             let mut turned_away_by = Vec::new();
             for _ in 0..n {
-                match walked.admit_n(0, 1, t) {
+                match walked.admit_one(0, t) {
                     Err(at) => turned_away_by.push(Some(at)),
                     Ok(()) if placed < room => placed += 1,
                     Ok(()) => {
@@ -1052,7 +1119,7 @@ mod tests {
     fn static_chain_is_empty_and_always_passes() {
         let chain = PolicyChain::static_only();
         assert!(chain.is_static());
-        assert!(chain.admit_n(0, u64::MAX, 0.0).is_ok());
+        assert_eq!(chain.admit_up_to(0, u64::MAX, 0.0, |n| n), (u64::MAX, None));
         assert!(chain.stages().is_empty());
     }
 
@@ -1090,17 +1157,19 @@ mod tests {
     #[test]
     fn concurrent_admits_never_overdraw_the_bucket() {
         use std::sync::Arc;
-        // Depth 5 flows, no refill (t fixed at 0): exactly 5 of the 40
-        // concurrent grabs may win.
+        // Depth 5 flows, no refill (t fixed at 0): 8 threads each ask
+        // five times for 1-3 flows, and the grants sum to exactly 5.
         let tb = Arc::new(bucket(VOIP, 5.0 * VOIP));
         let mut handles = Vec::new();
-        for _ in 0..8 {
+        for thread in 0..8 {
             let tb = Arc::clone(&tb);
             handles.push(std::thread::spawn(move || {
-                (0..5).filter(|_| tb.admit_n(0, 1, 0.0)).count()
+                (0..5)
+                    .map(|i| tb.admit_up_to(0, 1 + (thread + i) % 3, 0.0))
+                    .sum::<u64>()
             }));
         }
-        let won: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(won, 5, "depth 5 must admit exactly 5 concurrent flows");
+        let won: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(won, 5, "depth 5 must grant exactly 5 concurrent flows");
     }
 }

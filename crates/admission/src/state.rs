@@ -11,10 +11,9 @@
 //! identical flows along a route, one CAS per cell, each cell granting
 //! as many of the flows still wanted as its headroom holds and the
 //! earlier cells giving back what a later one could not take. A single
-//! flow is the walk with `n = 1` ([`try_reserve_path`]): all or nothing,
-//! the reserved prefix rolled back when a later cell is full.
+//! flow is the walk with `n = 1`: all or nothing, the reserved prefix
+//! rolled back when a later cell is full.
 //!
-//! [`try_reserve_path`]: UtilizationState::try_reserve_path
 //! [`try_reserve_path_up_to`]: UtilizationState::try_reserve_path_up_to
 
 use uba_graph::Path;
@@ -80,16 +79,6 @@ fn flows_that_fit(budget: u64, cur: u64, want: u64, flows: u64) -> u64 {
     }
 }
 
-/// Why a path reservation failed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PathReject {
-    /// The first server along the route whose class budget could not fit
-    /// the flow.
-    pub server: u32,
-    /// CAS retries spent before giving up (contention signal).
-    pub retries: u32,
-}
-
 /// What [`UtilizationState::try_reserve_path_up_to`] granted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PathGrant {
@@ -97,8 +86,7 @@ pub struct PathGrant {
     pub flows: u64,
     /// When fewer flows than asked were granted: the first server along
     /// the route with no room for one more — the server a further
-    /// [`try_reserve_path`](UtilizationState::try_reserve_path) would be
-    /// turned away at.
+    /// one-flow reservation would be turned away at.
     pub full: Option<u32>,
     /// CAS retries spent (contention signal).
     pub retries: u32,
@@ -166,28 +154,6 @@ impl UtilizationState {
     }
 
     /// Reserves `rate` bits/s of `class` on every server of `route` for
-    /// one flow, all or nothing: the walk of
-    /// [`try_reserve_path_up_to`](Self::try_reserve_path_up_to) with one
-    /// flow asked. Reports the first full server, after rolling the
-    /// reserved prefix back, so a failed path reservation leaves no
-    /// residue. Returns total CAS retries on success.
-    pub fn try_reserve_path(
-        &self,
-        route: &[u32],
-        class: usize,
-        rate: f64,
-    ) -> Result<u32, PathReject> {
-        let grant = self.try_reserve_path_up_to(route, class, rate, 1);
-        match grant.full {
-            None => Ok(grant.retries),
-            Some(server) => Err(PathReject {
-                server,
-                retries: grant.retries,
-            }),
-        }
-    }
-
-    /// Reserves `rate` bits/s of `class` on every server of `route` for
     /// as many of `flows` identical flows as fit: the grant `flows`
     /// one-flow reservations in a row would have reached, in one CAS per
     /// cell. Each cell takes `min(still wanted, headroom / rate)` flows;
@@ -240,8 +206,9 @@ impl UtilizationState {
     /// Fills `paths` (each edge a link server, as in a
     /// [`RoutingTable`](crate::RoutingTable)) with flows of `rate` bits/s
     /// of `class`, round-robin: every pass offers each path one flow, in
-    /// the order given, through [`try_reserve_path`](Self::try_reserve_path)
-    /// — the admission test itself — and the fill stops after a pass that
+    /// the order given, through a one-flow
+    /// [`try_reserve_path_up_to`](Self::try_reserve_path_up_to) — the
+    /// admission test itself — and the fill stops after a pass that
     /// admits nothing. The admitted flows stay reserved. Returns the index
     /// into `paths` of every admitted flow, in admission order; a count
     /// per path is a tally of it.
@@ -262,7 +229,7 @@ impl UtilizationState {
         loop {
             let before = admitted.len();
             for (i, route) in routes.iter().enumerate() {
-                if self.try_reserve_path(route, class, rate).is_ok() {
+                if self.try_reserve_path_up_to(route, class, rate, 1).flows == 1 {
                     admitted.push(i);
                 }
             }
@@ -372,7 +339,7 @@ mod tests {
 
     /// One flow of `rate` on the single cell `server`.
     fn reserve(s: &UtilizationState, server: u32, class: usize, rate: f64) -> bool {
-        s.try_reserve_path(&[server], class, rate).is_ok()
+        s.try_reserve_path_up_to(&[server], class, rate, 1).flows == 1
     }
 
     /// Releases one flow of `rate` from the single cell `server`.
@@ -477,20 +444,21 @@ mod tests {
     #[test]
     fn failed_path_reservation_leaves_no_residue() {
         let s = state();
-        assert!(s.try_reserve_path(&[1], 0, 500_000.0).is_ok());
+        assert!(reserve(&s, 1, 0, 500_000.0));
         // Path 0 -> 1 fails on server 1; server 0 must be rolled back.
-        let r = s.try_reserve_path(&[0, 1], 0, 32_000.0);
+        let r = s.try_reserve_path_up_to(&[0, 1], 0, 32_000.0, 1);
         assert_eq!(
             r,
-            Err(PathReject {
-                server: 1,
+            PathGrant {
+                flows: 0,
+                full: Some(1),
                 retries: 0
-            })
+            }
         );
         assert_eq!(s.reserved(0, 0), 0.0);
         assert_eq!(s.reserved(1, 0), 500_000.0);
         s.release_path(&[1], 0, 500_000.0);
-        assert!(s.try_reserve_path(&[0, 1], 0, 32_000.0).is_ok());
+        assert_eq!(s.try_reserve_path_up_to(&[0, 1], 0, 32_000.0, 1).flows, 1);
         assert_eq!(s.reserved(0, 0), 32_000.0);
         assert_eq!(s.reserved(1, 0), 32_000.0);
     }
@@ -518,10 +486,9 @@ mod tests {
             let mut flows = 0;
             let mut full = None;
             for _ in 0..asked {
-                match walked.try_reserve_path(route, 0, rate) {
-                    Ok(_) => flows += 1,
-                    Err(reject) => full = Some(reject.server),
-                }
+                let one = walked.try_reserve_path_up_to(route, 0, rate, 1);
+                flows += one.flows;
+                full = one.full.or(full);
             }
             assert_eq!(
                 (grant.flows, grant.full),
@@ -652,7 +619,7 @@ mod tests {
                         start.wait();
                         let mut admitted = 0u32;
                         for _ in 0..20_000 {
-                            if s.try_reserve_path(&route, 0, RATE).is_ok() {
+                            if s.try_reserve_path_up_to(&route, 0, RATE, 1).flows == 1 {
                                 assert_eq!(holders.fetch_add(1, Ordering::SeqCst), 0);
                                 admitted += 1;
                                 holders.fetch_sub(1, Ordering::SeqCst);

@@ -15,12 +15,11 @@
 //! The diagnostics need the concrete stages, which a built chain no
 //! longer exposes, so every case runs twice: once on the chain
 //! `PolicyChain::from_config` builds, and once on a chain of [`Shared`]
-//! wrappers that forward the four required `PolicyStage` methods to
-//! stages the test keeps an `Arc` to. The two runs must agree outcome
-//! for outcome and on a dry-run ladder of both chains; a wrapper that
-//! forwards only the required methods also keeps deciding through any
-//! provided method's default body, so the second run doubles as the
-//! reference for stage-specific overrides.
+//! wrappers that forward the four `PolicyStage` methods to stages the
+//! test keeps an `Arc` to, `admit_up_to` as `n` single-flow calls: the
+//! definition of a stage's grant. The two runs must agree outcome for
+//! outcome and on a dry-run ladder of both chains, so the second run
+//! doubles as the reference for each stage's closed form.
 //!
 //! Beside the digests, an always-on differential: under all three
 //! chains the same sequences through `try_admit_at` one flow at a time
@@ -108,8 +107,10 @@ fn policy(chain: ChainKind) -> PolicyConfig {
     }
 }
 
-/// Forwards the four required `PolicyStage` methods to a stage the test
-/// also holds, so its diagnostics stay readable after the run.
+/// Forwards the four `PolicyStage` methods to a stage the test also
+/// holds, so its diagnostics stay readable after the run. A grant of `n`
+/// flows is `n` grants of one, the walk a stage's `admit_up_to` must
+/// leave it as.
 #[derive(Debug)]
 struct Shared<S>(Arc<S>);
 
@@ -117,8 +118,8 @@ impl<S: PolicyStage> PolicyStage for Shared<S> {
     fn name(&self) -> &'static str {
         self.0.name()
     }
-    fn admit_n(&self, class: usize, n: u64, t: f64) -> bool {
-        self.0.admit_n(class, n, t)
+    fn admit_up_to(&self, class: usize, n: u64, t: f64) -> u64 {
+        (0..n).map(|_| self.0.admit_up_to(class, 1, t)).sum()
     }
     fn refund_n(&self, class: usize, n: u64) {
         self.0.refund_n(class, n)

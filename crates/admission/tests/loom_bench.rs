@@ -21,32 +21,18 @@
 
 #![cfg(loom)]
 
-use std::sync::Arc;
-
-use uba_admission::{PolicyStage, TokenBucketStage};
 use uba_loom::{Builder, Exploration};
+
+mod loom_flagship;
 
 /// Cap for the unreduced runs, so a regression in the checker (or an
 /// unexpectedly large model) degrades into a truncated measurement
 /// instead of a hung verify lane.
 const NO_DPOR_CAP: usize = 200_000;
 
-/// PR 9 flagship: the token-bucket interval-claim race. A drained
-/// bucket refilled for one elapsed interval admits exactly one of two
-/// racing 500-bit grabs — a double credit would admit both.
+/// The flagship model: the token-bucket interval-claim race.
 fn token_bucket_interval_race() {
-    let tb = Arc::new(TokenBucketStage::new(600.0, 1000.0, &[500.0]));
-    assert!(tb.admit_n(0, 2, 0.0), "full depth-1000 bucket holds 2×500");
-    assert_eq!(tb.tokens_bits(0), 0.0, "pre-drain must empty the bucket");
-    let tb2 = Arc::clone(&tb);
-    let rival = uba_loom::thread::spawn(move || tb2.admit_n(0, 1, 1.0));
-    let mine = tb.admit_n(0, 1, 1.0);
-    let theirs = rival.join().unwrap();
-    assert!(!(mine && theirs), "refill interval credited twice");
-    assert!(
-        mine || theirs,
-        "600 banked bits must admit one 500-bit flow"
-    );
+    loom_flagship::token_bucket_interval_race();
 }
 
 fn explore(f: fn(), dpor: bool) -> Exploration {

@@ -60,6 +60,8 @@ use uba_loom::{model, Exploration};
 use uba_obs::{EventKind, Tracer};
 use uba_traffic::{ClassId, ClassSet, TrafficClass};
 
+mod loom_flagship;
+
 /// Every model in this file must fully explore its schedule space — a
 /// truncated search would be a silent coverage hole. The telemetry line
 /// (visible under `--nocapture`) is what `results/loom_models.txt`
@@ -84,8 +86,10 @@ fn budget_admits_exactly_one_of_two() {
     assert_complete(model(|| {
         let b = Arc::new(UtilizationState::new(&[1000.0], &[1.0]));
         let b2 = Arc::clone(&b);
-        let rival = uba_loom::thread::spawn(move || b2.try_reserve_path(&[0], 0, 600.0).is_ok());
-        let mine = b.try_reserve_path(&[0], 0, 600.0).is_ok();
+        let rival = uba_loom::thread::spawn(move || {
+            b2.try_reserve_path_up_to(&[0], 0, 600.0, 1).flows == 1
+        });
+        let mine = b.try_reserve_path_up_to(&[0], 0, 600.0, 1).flows == 1;
         let theirs = rival.join().unwrap();
         assert!(!(mine && theirs), "budget 1000 admitted two flows of 600");
         assert!(mine || theirs, "budget 1000 admitted 0 flows of 600");
@@ -106,8 +110,10 @@ fn crossing_paths_admit_at_most_one_and_roll_back_cleanly() {
     assert_complete(model(move || {
         let b = Arc::new(UtilizationState::new(&[1000.0, 1000.0], &[1.0]));
         let b2 = Arc::clone(&b);
-        let rival = uba_loom::thread::spawn(move || b2.try_reserve_path(&[1, 0], 0, 600.0).is_ok());
-        let mine = b.try_reserve_path(&[0, 1], 0, 600.0).is_ok();
+        let rival = uba_loom::thread::spawn(move || {
+            b2.try_reserve_path_up_to(&[1, 0], 0, 600.0, 1).flows == 1
+        });
+        let mine = b.try_reserve_path_up_to(&[0, 1], 0, 600.0, 1).flows == 1;
         let theirs = rival.join().unwrap();
         assert!(!(mine && theirs), "two 600 flows share a 1000 cell");
         let expected = if mine || theirs {
@@ -143,11 +149,11 @@ fn reserve_release_balances_to_zero() {
         let b = Arc::new(UtilizationState::new(&[1000.0], &[1.0]));
         let b2 = Arc::clone(&b);
         let peer = uba_loom::thread::spawn(move || {
-            if b2.try_reserve_path(&[0], 0, 600.0).is_ok() {
+            if b2.try_reserve_path_up_to(&[0], 0, 600.0, 1).flows == 1 {
                 b2.release_path(&[0], 0, 600.0);
             }
         });
-        if b.try_reserve_path(&[0], 0, 600.0).is_ok() {
+        if b.try_reserve_path_up_to(&[0], 0, 600.0, 1).flows == 1 {
             b.release_path(&[0], 0, 600.0);
         }
         peer.join().unwrap();
@@ -431,44 +437,17 @@ fn drain_racing_an_admit_keeps_its_generation() {
 
 // --- Model 6: policy token bucket never over-grants -------------------
 
-/// Two concurrent grabs racing each other's refill of the *same*
-/// elapsed interval: the CAS-claimed `[last, t]` window must be
-/// credited exactly once, however the schedules interleave. The bucket
-/// is pre-drained to empty, then both threads admit at a `t` whose
-/// single refill credit covers one flow but not two — if any schedule
-/// let both refills bank the interval (or one refill bank it twice),
-/// both grabs would fit and the model fails. The winner's refund must
-/// then restore the balance exactly.
+/// The shared interval-claim race ([`loom_flagship`]), then the
+/// balance it leaves: one credit minus one grab, and the winner's refund
+/// restores the grab exactly (a rejected later stage or backend must
+/// leave no residue in the bucket).
 fn token_bucket_interval_race() {
-    // Rate 600 b/s, depth 1000 bits, flow cost 500 bits. Drain the
-    // initial depth at t=0 (no elapsed time, so no refill), leaving
-    // an empty bucket whose only future credit is elapsed time.
-    let tb = Arc::new(TokenBucketStage::new(600.0, 1000.0, &[500.0]));
-    assert!(tb.admit_n(0, 2, 0.0), "full depth-1000 bucket holds 2×500");
-    assert_eq!(tb.tokens_bits(0), 0.0, "pre-drain must empty the bucket");
-
-    // At t=1.0 the interval [0, 1] is worth one credit of 600 bits:
-    // exactly one 500-bit grab fits. Two winners would mean the
-    // interval was credited twice (1200 banked).
-    let tb2 = Arc::clone(&tb);
-    let rival = uba_loom::thread::spawn(move || tb2.admit_n(0, 1, 1.0));
-    let mine = tb.admit_n(0, 1, 1.0);
-    let theirs = rival.join().unwrap();
-    assert!(
-        !(mine && theirs),
-        "a 600-bit refill interval was credited twice (two 500-bit grabs won)"
-    );
-    assert!(
-        mine || theirs,
-        "600 banked bits must admit one 500-bit flow"
-    );
+    let tb = loom_flagship::token_bucket_interval_race();
     let left = tb.tokens_bits(0);
     assert!(
         (left - 100.0).abs() < 1e-9,
         "one credit minus one grab must leave 100 bits, got {left}"
     );
-    // The winner's refund restores the balance exactly (a rejected
-    // later stage or backend must leave no residue in the bucket).
     tb.refund_n(0, 1);
     let back = tb.tokens_bits(0);
     assert!(

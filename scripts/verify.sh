@@ -7,10 +7,27 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The committed BENCH_*.json files are the perf ledger: only a full bench
-# run may rewrite one. Every lane below is a smoke lane, so the ledger
-# must come out of this script byte-identical (checked at the end).
-ledger_before="$(cksum BENCH_*.json)"
+# Every lane below is a smoke lane, so the tree must come out of this
+# script as it went in (checked at the end): the committed BENCH_*.json
+# files are the perf ledger, which only a full bench run may rewrite, and
+# no other tracked file is a lane's to change either. tree_state prints
+# git's status lines and a hash of each changed file's diff, each line
+# ending in the file's path.
+tree_state() {
+  git status --porcelain | sed 's/^/status /'
+  git diff HEAD --name-only | while IFS= read -r file; do
+    echo "diff $(git diff HEAD -- "$file" | cksum) $file"
+  done
+}
+tree_before="$(tree_state)"
+
+# A benchmark build rewrites benchmark/Cargo.lock (it still lists a crate
+# the workspace has deleted, and benchmark/ is frozen), so the lock as
+# found is saved here and put back before the tree check and on any exit.
+lock_saved="$(mktemp)"
+cp benchmark/Cargo.lock "$lock_saved"
+restore_lock() { cp "$lock_saved" benchmark/Cargo.lock; }
+trap 'restore_lock; rm -f "$lock_saved"' EXIT
 
 echo "==> cargo build --offline --release (hermetic build)"
 cargo build --offline --release --workspace
@@ -174,10 +191,12 @@ echo "==> loom DPOR reduction gate (exhaustive DFS of the flagship model -> BENC
 RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
   cargo test --offline -q -p uba-admission --test loom_bench
 
-echo "==> ledger check (no smoke lane may rewrite a committed BENCH_*.json)"
-changed="$({ diff <(echo "$ledger_before") <(cksum BENCH_*.json) || true; } | awk '/^[<>]/ {print $4}' | sort -u)"
+echo "==> tree check (benchmark/Cargo.lock put back; no lane may change a tracked file, a committed BENCH_*.json included, or leave an untracked one: git status and every file's diff as before the run)"
+restore_lock
+tree_after="$(tree_state)"
+changed="$({ diff <(echo "$tree_before") <(echo "$tree_after") || true; } | awk '/^[<>] ./ {print $NF}' | sort -u)"
 if [[ -n "$changed" ]]; then
-  echo "verify.sh: smoke lanes changed the perf ledger:" $changed >&2
+  echo "verify.sh: lanes changed the tree:" $changed >&2
   exit 1
 fi
 
