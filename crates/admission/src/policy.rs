@@ -499,9 +499,10 @@ impl PolicyStage for TokenBucketStage {
         };
         // ordering: Acquire ×2 — advisory dry read of (tokens, last);
         // mirrors what admit_up_to would see without claiming the interval.
+        // A non-finite clock credits nothing there, so nothing here either.
         let tokens = bucket.tokens.load(Ordering::Acquire);
         let last = f64::from_bits(bucket.last_bits.load(Ordering::Acquire));
-        let credit = if t > last {
+        let credit = if t.is_finite() && t > last {
             ((t - last) * self.rate_mb as f64).min(self.burst_mb as f64) as u64
         } else {
             0
@@ -683,7 +684,12 @@ impl PolicyStage for AimdStage {
             return true;
         };
         let st = slot.lock().unwrap();
-        let gap = (t - st.last_refill).max(0.0);
+        // As `advance` refills: past the last refill, on a finite clock.
+        let gap = if t.is_finite() {
+            (t - st.last_refill).max(0.0)
+        } else {
+            0.0
+        };
         let credit = (gap * st.cap_mb as f64).min(st.cap_mb as f64) as u64;
         st.tokens_mb.saturating_add(credit).min(st.cap_mb) >= want
     }
@@ -910,6 +916,24 @@ mod tests {
                 100.0 * VOIP,
                 "recovery with a reading at +inf: {infinite}"
             );
+        }
+    }
+
+    #[test]
+    fn a_dry_probe_on_a_non_finite_clock_credits_nothing() {
+        // A drained bucket, and an AIMD stage whose tokens are spent: a
+        // clock reading of +-inf or NaN refills neither, so the dry probe
+        // must not count on a refill either.
+        let tb = bucket(VOIP, VOIP);
+        assert_eq!(tb.admit_up_to(0, 1, 0.0), 1);
+        let aimd = AimdStage::new(AimdParams::default(), &[VOIP]);
+        while aimd.admit_up_to(0, 1, 0.0) > 0 {}
+        for t in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            for (name, stage) in [("token bucket", &tb as &dyn PolicyStage), ("aimd", &aimd)] {
+                let dry = stage.would_admit(0, 1, t);
+                assert_eq!(dry, stage.admit_up_to(0, 1, t) == 1, "{name} at {t}");
+                assert!(!dry, "{name} at {t}");
+            }
         }
     }
 

@@ -14,7 +14,7 @@ use uba_cli::Scenario;
 const PINNED: &str = "\
 verification: SUCCESS (29 iterations)
 solver sweep economy: 0 route sweeps skipped, 1682 server evaluations
-route selection: SUCCESS (1692 candidates, 1110 pruned unsolved, 2652 cycle checks)
+route selection: SUCCESS (2630 candidates, 2048 pruned unsolved, 604 cycle checks)
 churn: 2000 offered, 2000 accepted, blocking 0.0%
 saturation: 19167 flows held; first rejection at server 0, class 0 (voip), reserved 44992.0/45000.0 kb/s (100.0% of budget)
 simulation: 48 packets, 0 deadline misses

@@ -58,6 +58,14 @@
 //! iterate can fall, which the shared first-iteration step reveals. The
 //! rule is non-decreasing in every `Y` bit for bit ([`DelayRule`]), so
 //! the floor needs no margin for rounding.
+//!
+//! The same premise makes a cutoff exact. A caller that only wants a
+//! candidate beating some delay passes it to [`CommittedState::try_route`]
+//! as a bound: where the floor would answer, no iterate falls, so the
+//! candidate's own delay only rises from its floor, and once it reaches
+//! the bound the converged delay could not be below it — the evaluation
+//! stops there and rolls back. Where the floor declines the evaluation
+//! runs to the end, and the bound only filters its answer.
 
 use crate::fixed_point::{SolveConfig, DEADLINE_SLACK};
 use crate::metrics::{trace_solve, SolveRecord, SolveTally, TIME_EVERY};
@@ -377,14 +385,19 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
     }
 
     /// Evaluates `route` as if appended to the committed set: `Some(own
-    /// end-to-end delay)` if every route then verifies safe, else `None`.
-    /// The committed state is unchanged either way. `route` is only read:
-    /// a [`Route`](crate::routeset::Route), or a [`RouteRef`] into the
-    /// caller's storage.
-    pub fn try_route<'r>(&mut self, route: impl Into<RouteRef<'r>>) -> Option<f64> {
+    /// end-to-end delay)` if every route then verifies safe and `own <
+    /// bound`, else `None` — `f64::INFINITY` for a caller with nothing to
+    /// beat. Where iterates can only rise (wherever [`Self::delay_floor`]
+    /// answers) the evaluation stops as soon as the candidate's own delay
+    /// reaches `bound`. The committed state is unchanged either way.
+    /// `route` is only read: a [`Route`](crate::routeset::Route), or a
+    /// [`RouteRef`] into the caller's storage.
+    pub fn try_route<'r>(&mut self, route: impl Into<RouteRef<'r>>, bound: f64) -> Option<f64> {
         let route = route.into();
-        let safe = self.evaluate(route);
-        let own = safe.then(|| self.route_delays[self.routes.len()]);
+        let safe = self.evaluate(route, bound);
+        let own = safe
+            .then(|| self.route_delays[self.routes.len()])
+            .filter(|&own| own < bound);
         self.rollback(route);
         own
     }
@@ -395,7 +408,7 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
     /// into the state's buffer of committed routes.
     pub fn commit<'r>(&mut self, route: impl Into<RouteRef<'r>>) -> bool {
         let route = route.into();
-        if !self.evaluate(route) {
+        if !self.evaluate(route, f64::INFINITY) {
             self.rollback(route);
             return false;
         }
@@ -454,13 +467,13 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
     /// Instrumented [`Self::iterate`]: traced like any other warm solve,
     /// one record per evaluated candidate in the state's tally, and only
     /// the first evaluation and every [`TIME_EVERY`]th read the clock.
-    fn evaluate(&mut self, cand: RouteRef<'_>) -> bool {
+    fn evaluate(&mut self, cand: RouteRef<'_>, bound: f64) -> bool {
         let (servers, routes) = (self.servers.len(), self.routes.len() + 1);
         let timed = self.evaluations.is_multiple_of(TIME_EVERY);
         self.evaluations += 1;
         let (safe, rec) = trace_solve(servers, routes, true, timed, || {
             let mut rec = SolveRecord::default();
-            let safe = self.iterate(cand, &mut rec);
+            let safe = self.iterate(cand, bound, &mut rec);
             (safe, rec)
         });
         self.tally.add(&rec);
@@ -470,8 +483,10 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
     /// Stages `cand` as route `n` and iterates to the new fixed point,
     /// leaving every write journalled for [`Self::rollback`]; `true` iff
     /// every route then verifies safe. Converges to, and caps iterations
-    /// at, [`SolveConfig::default`]'s `tol` and `max_iters`.
-    fn iterate(&mut self, cand: RouteRef<'_>, rec: &mut SolveRecord) -> bool {
+    /// at, [`SolveConfig::default`]'s `tol` and `max_iters`. Where no
+    /// iterate can fall, stops with `false` once the candidate's own delay
+    /// reaches `bound`: it could only end there or above.
+    fn iterate(&mut self, cand: RouteRef<'_>, bound: f64, rec: &mut SolveRecord) -> bool {
         let SolveConfig { tol, max_iters } = SolveConfig::default();
         let n = self.routes.len();
         let (nc, class) = (self.rule.classes(), cand.class.index());
@@ -492,6 +507,11 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
         // The shared step reads the committed routes' cells only: before
         // the candidate marks its own.
         self.ensure_pending();
+        let cutoff = if self.pending_lowers {
+            f64::INFINITY
+        } else {
+            bound
+        };
         self.clear_touched();
         for &sv in cand.servers {
             let k = sv as usize * nc + class;
@@ -523,7 +543,7 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
             &mut self.touched,
         );
         self.route_delays[n] = own;
-        if own > self.rule.deadline(cand.class) + DEADLINE_SLACK {
+        if own > self.rule.deadline(cand.class) + DEADLINE_SLACK || own >= cutoff {
             return false;
         }
         let Some((mut max_diff, mut decreased)) = self.reevaluate(true, rec) else {
@@ -557,7 +577,7 @@ impl<'a, R: DelayRule> CommittedState<'a, R> {
                     self.resweep(self.dirty[i] as usize, cand);
                 }
             }
-            if self.violated {
+            if self.violated || self.route_delays[n] >= cutoff {
                 return false;
             }
             if converged {

@@ -13,6 +13,9 @@
 //! no trace, and the floor never exceeds the delay the try then returns.
 //! The same walks run under Theorem 5 with two and three classes (oracle:
 //! `solve_rule`, the one dense loop, warm from the committed cells).
+//! And a bound passed to `try_route` only filters its answer: the bounded
+//! try is the unbounded one kept where the own delay is below the bound,
+//! bit for bit, on grown, adopted and inflated states alike.
 
 use uba_delay::certificate;
 use uba_delay::committed::CommittedState;
@@ -21,7 +24,7 @@ use uba_delay::routeset::{Route, RouteSet};
 use uba_delay::rule::Theorem5;
 use uba_delay::servers::Servers;
 use uba_graph::{k_shortest_paths, Digraph, DynDigraph, NodeId};
-use uba_obs::SplitMix64;
+use uba_obs::{ensure, SplitMix64};
 use uba_topology::{mci, ring, torus};
 use uba_traffic::{ClassId, ClassSet, LeakyBucket, TrafficClass};
 
@@ -142,7 +145,7 @@ fn walk(
             .delay_floor(&cand)
             .unwrap_or_else(|| panic!("{ctx}: no floor"));
         assert_eq!(digest(&state), before, "{ctx}: asking left a trace");
-        let got = state.try_route(&cand);
+        let got = state.try_route(&cand, f64::INFINITY);
         assert_eq!(got.is_some(), want.outcome.is_safe(), "{ctx}: verdict");
         assert_eq!(digest(&state), before, "{ctx}: a tried route left a trace");
         let Some(own) = got else {
@@ -247,7 +250,7 @@ fn evaluator_matches_from_an_adopted_fixed_point() {
         let (trial, want) = oracle(&servers, &uniform(&servers, 0.25), &routes, &delays, &cand);
         // A cold solve stops below its fixed point: a floor exists.
         let floor = state.delay_floor(&cand).expect("floor");
-        let got = state.try_route(&cand);
+        let got = state.try_route(&cand, f64::INFINITY);
         assert_eq!(
             got.map(f64::to_bits),
             want.outcome
@@ -308,7 +311,7 @@ fn tentative_matches_committed_across_seeds() {
             &routes,
             warm.clone(),
         );
-        let tentative = state.try_route(&candidate);
+        let tentative = state.try_route(&candidate, f64::INFINITY);
         let (_, committed) = oracle(
             &servers,
             &uniform(&servers, 0.35),
@@ -369,7 +372,7 @@ fn evaluator_matches_on_warm_starts_above_the_fixed_point() {
         assert_eq!(state.delay_floor(&cand), None, "x{scale}");
         assert_eq!(digest(&state), before, "x{scale}: asking left a trace");
         assert_eq!(
-            state.try_route(&cand).map(f64::to_bits),
+            state.try_route(&cand, f64::INFINITY).map(f64::to_bits),
             want.outcome
                 .is_safe()
                 .then(|| want.route_delays.last().unwrap().to_bits()),
@@ -477,7 +480,7 @@ fn walk_classes(
         let floor = state.delay_floor(&cand);
         floors += floor.is_some() as usize;
         assert_eq!(digest(&state), before, "{ctx}: asking left a trace");
-        let got = state.try_route(&cand);
+        let got = state.try_route(&cand, f64::INFINITY);
         assert_eq!(got.is_some(), want.outcome.is_safe(), "{ctx}: verdict");
         assert_eq!(digest(&state), before, "{ctx}: a tried route left a trace");
         let Some(own) = got else {
@@ -550,4 +553,83 @@ fn evaluator_matches_push_and_solve_with_two_and_three_classes() {
             assert!(cyclic >= 4, "{name}: only {cyclic}/6 walks went cyclic");
         }
     }
+}
+
+#[test]
+fn a_bound_only_filters_what_try_route_answers() {
+    let topologies = [
+        ("mci", mci(), 6),
+        ("torus5x5", torus(5, 5), 4),
+        ("ring8", ring(8), 2),
+    ];
+    let voip = TrafficClass::voip();
+    let cfg = SolveConfig::default();
+    // Bounds between a candidate's converged delay and its larger first
+    // sweep on an inflated state: its own delay passes them on the way down.
+    let (mut answered, mut refused, mut crossed) = (0, 0, 0);
+    uba_obs::check("committed_bound", 48, |rng: &mut SplitMix64| {
+        let (name, g, fan_in) = &topologies[rng.index(topologies.len())];
+        let servers = Servers::uniform(g, 100e6, *fan_in);
+        let alpha = rng.range_f64(0.15, 0.5);
+        let mut routes = RouteSet::new(g.edge_count());
+        for _ in 0..10 + rng.index(30) {
+            routes.push(random_route(g, rng));
+        }
+        // Grown by commits from nothing, adopted from a cold solve, or
+        // (half the cases) adopted from that solve inflated above the
+        // fixed point.
+        let how = rng.index(4);
+        let cold = solve_two_class(&servers, &voip, alpha, &routes, &cfg, None);
+        let mut state = if how == 0 || !cold.outcome.is_safe() {
+            let mut state = CommittedState::empty(&servers, uniform(&servers, alpha));
+            for r in routes.routes() {
+                state.commit(r);
+            }
+            state
+        } else {
+            let scale = if how == 1 {
+                1.0
+            } else {
+                rng.range_f64(1.1, 1.6)
+            };
+            let warm = cold.delays.iter().map(|d| d * scale).collect();
+            CommittedState::from_fixed_point(&servers, uniform(&servers, alpha), &routes, warm)
+        };
+        let ctx = format!("{name} @ {alpha}, state {how}");
+        for step in 0..8 {
+            let ctx = format!("{ctx}, candidate {step}");
+            let cand = random_route(g, rng);
+            let before = digest(&state);
+            let free = state.try_route(&cand, f64::INFINITY);
+            let first: f64 = cand
+                .servers
+                .iter()
+                .map(|&k| state.delays()[k as usize])
+                .sum();
+            let mut bounds = vec![f64::INFINITY, 0.0, first, rng.range_f64(0.0, 0.2)];
+            if let Some(own) = free {
+                bounds.extend([own, own.next_up(), own.next_down()]);
+                bounds.extend([own * rng.range_f64(0.9, 1.0), own * rng.range_f64(1.0, 1.1)]);
+                if first > own {
+                    bounds.push(rng.range_f64(own, first));
+                    crossed += 1;
+                }
+            }
+            for b in bounds {
+                let got = state.try_route(&cand, b);
+                let want = free.filter(|&own| own < b);
+                ensure!(
+                    got.map(f64::to_bits) == want.map(f64::to_bits),
+                    "{ctx}: bound {b}: {got:?}, unbounded {free:?}"
+                );
+                ensure!(digest(&state) == before, "{ctx}: bound {b} left a trace");
+                answered += got.is_some() as usize;
+                refused += (free.is_some() && got.is_none()) as usize;
+            }
+        }
+        Ok(())
+    });
+    assert!(answered >= 200, "only {answered} bounded answers");
+    assert!(refused >= 200, "only {refused} answers bounded away");
+    assert!(crossed >= 15, "only {crossed} crossing bounds");
 }

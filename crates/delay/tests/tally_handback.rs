@@ -64,7 +64,10 @@ fn a_handed_back_tally_publishes_what_dropping_the_state_did() {
         let mut state = CommittedState::empty(&servers, rule);
         assert!(state.commit(&route(vec![0, 2, 4])));
         for i in 0..evaluations as usize {
-            state.try_route(&route(candidates[i % candidates.len()].clone()));
+            state.try_route(
+                &route(candidates[i % candidates.len()].clone()),
+                f64::INFINITY,
+            );
         }
         state
     };

@@ -270,14 +270,6 @@ impl SelectTally {
     }
 }
 
-/// [`choose_route`]'s scratch — the candidates it is weighing — and its
-/// tallies.
-#[derive(Default)]
-struct Scratch {
-    pool: Vec<usize>,
-    tally: SelectTally,
-}
-
 /// What a greedy run wrote, held back for whoever adopts the run: its
 /// `routing.select.*` and `delay.solve.*` tallies and, for a run under
 /// [`uba_obs::trace::hold`], its flight-recorder events. Publishing adds
@@ -366,55 +358,17 @@ fn choose_route<R: DelayRule>(
     demand: Demand,
     cfg: &HeuristicConfig,
     candidates: Candidates<'_>,
-    scratch: &mut Scratch,
+    tally: &mut SelectTally,
 ) -> Result<usize, SelectionError> {
-    let Scratch { pool, tally } = scratch;
     if candidates.is_empty() {
         return Err(SelectionError::NoRoute(demand.pair));
     }
-    // Heuristic (2): keep only feedback-free candidates when possible.
-    pool.clear();
-    if cfg.prefer_acyclic {
-        pool.extend(
-            (0..candidates.len()).filter(|&i| !overlay.chain_would_create_cycle(candidates.get(i))),
-        );
-        tally.cycle_checks += candidates.len() as u64;
-    }
-    if pool.is_empty() {
-        pool.extend(0..candidates.len());
-    }
-
-    // Heuristic (3): the safe candidate with the least own delay, the
-    // earlier (shorter) one on a tie — or simply the first safe one.
-    let mut best: Option<(usize, f64)> = None;
-    for &ci in pool.iter() {
-        let route = RouteRef {
-            class: demand.class,
-            servers: candidates.get(ci),
-        };
-        tally.candidates += 1;
-        // Adding a route only raises delays, so a candidate whose delay at
-        // the committed point is already no better than the incumbent's
-        // would lose the comparison below, ties included: skip the solve.
-        if let Some((_, least)) = best {
-            if state.delay_floor(route).is_some_and(|floor| floor >= least) {
-                tally.pruned += 1;
-                continue;
-            }
-        }
-        let Some(own) = state.try_route(route) else {
-            continue;
-        };
-        let better = match best {
-            Some((_, least)) => own.total_cmp(&least).is_lt(),
-            None => true,
-        };
-        if better {
-            best = Some((ci, own));
-        }
-        if !cfg.min_delay_choice {
-            break;
-        }
+    // Heuristic (2): weigh only feedback-free candidates when there are
+    // any, every candidate when there are none.
+    let acyclic_only = cfg.prefer_acyclic.then_some(&mut *overlay);
+    let (mut best, weighed) = weigh(state, acyclic_only, demand, cfg, candidates, tally);
+    if !weighed {
+        (best, _) = weigh(state, None, demand, cfg, candidates, tally);
     }
     let Some((ci, _)) = best else {
         return Err(SelectionError::NoSafeRoute(demand.pair));
@@ -427,6 +381,57 @@ fn choose_route<R: DelayRule>(
     assert!(committed, "a route that just verified safe still does");
     overlay.add_chain(servers);
     Ok(ci)
+}
+
+/// Heuristic (3) over `candidates` in index order — with `acyclic_only`,
+/// over those that keep that overlay acyclic: the safe candidate with the
+/// least own delay and that delay, the earlier (shorter) one on a tie, or
+/// simply the first safe one (`None` if none is safe); and whether any
+/// candidate was weighed at all, which `acyclic_only` may rule out.
+fn weigh<R: DelayRule>(
+    state: &mut CommittedState<'_, R>,
+    mut acyclic_only: Option<&mut DynDigraph>,
+    demand: Demand,
+    cfg: &HeuristicConfig,
+    candidates: Candidates<'_>,
+    tally: &mut SelectTally,
+) -> (Option<(usize, f64)>, bool) {
+    let mut best: Option<(usize, f64)> = None;
+    let mut weighed = false;
+    for ci in 0..candidates.len() {
+        let route = RouteRef {
+            class: demand.class,
+            servers: candidates.get(ci),
+        };
+        // Adding a route only raises delays, so a candidate whose delay at
+        // the committed point is already no better than the incumbent's
+        // has lost, ties included, acyclic or not: drop it before asking
+        // the overlay, let alone solving. There is an incumbent only once
+        // some candidate passed the overlay, so no fallback is skipped.
+        let least = best.map_or(f64::INFINITY, |(_, least)| least);
+        if best.is_some() && state.delay_floor(route).is_some_and(|floor| floor >= least) {
+            tally.candidates += 1;
+            tally.pruned += 1;
+            continue;
+        }
+        if let Some(overlay) = acyclic_only.as_deref_mut() {
+            tally.cycle_checks += 1;
+            if overlay.chain_would_create_cycle(route.servers) {
+                continue;
+            }
+        }
+        weighed = true;
+        tally.candidates += 1;
+        // Only a delay below the incumbent's wins (the earlier candidate
+        // keeps a tie), and the solve stops as soon as it cannot.
+        if let Some(own) = state.try_route(route, least) {
+            best = Some((ci, own));
+            if !cfg.min_delay_choice {
+                break;
+            }
+        }
+    }
+    (best, weighed)
 }
 
 /// The order selection visits `demands` in under `cfg`: decreasing pair
@@ -522,7 +527,7 @@ pub(crate) fn select_in_order<R: DelayRule>(
     cancel: &AtomicBool,
 ) -> (Result<Chosen, SelectionError>, Writes) {
     assert_eq!(store.len(), ordered.len(), "one candidate list per demand");
-    let mut scratch = Scratch::default();
+    let mut tally = SelectTally::default();
     let mut indices = Vec::with_capacity(ordered.len());
     let mut failed = None;
     for (at, &demand) in ordered.iter().enumerate() {
@@ -530,7 +535,7 @@ pub(crate) fn select_in_order<R: DelayRule>(
             failed = Some(SelectionError::NoSafeRoute(demand.pair));
             break;
         }
-        match choose_route(&mut state, overlay, demand, cfg, store.at(at), &mut scratch) {
+        match choose_route(&mut state, overlay, demand, cfg, store.at(at), &mut tally) {
             Ok(i) => indices.push(i),
             Err(e) => {
                 failed = Some(e);
@@ -539,7 +544,7 @@ pub(crate) fn select_in_order<R: DelayRule>(
         }
     }
     let writes = Writes {
-        select: scratch.tally,
+        select: tally,
         solve: state.take_tally(),
         events: Vec::new(),
     };

@@ -15,9 +15,9 @@
 //!
 //! | name | meaning |
 //! |---|---|
-//! | `routing.select.candidates` | pooled candidate routes looked at, solved or pruned |
-//! | `routing.select.pruned` | of those, cut before any solve: their delay at the committed fixed point already matched or exceeded the incumbent's |
-//! | `routing.select.cycle_checks` | would-this-chain-close-a-cycle queries put to the route-dependency overlay |
+//! | `routing.select.candidates` | candidate routes weighed against the incumbent: pruned, or solved (cut off or to the end) |
+//! | `routing.select.pruned` | of those, cut before any solve — and, once an acyclic candidate is the incumbent, before any cycle check: their delay at the committed fixed point already matched or exceeded the incumbent's |
+//! | `routing.select.cycle_checks` | would-this-chain-close-a-cycle queries put to the route-dependency overlay: one per candidate not pruned first, while Heuristic (2) is on |
 //! | `routing.candidates.spur_searches` | spur searches Yen ran to generate candidates |
 //! | `routing.candidates.spur_skipped` | spur indices it proved needed none (a duplicate, or too heavy ever to be extracted) |
 //! | `routing.candidates.seconds` | histogram: wall time per candidate generation |
@@ -30,7 +30,7 @@ use uba_obs::{Counter, Histogram};
 /// Handles to the route-selection counters.
 #[derive(Debug)]
 pub struct SelectMetrics {
-    /// Pooled candidates looked at.
+    /// Candidates weighed: pruned or solved.
     pub candidates: Arc<Counter>,
     /// Candidates cut by the delay floor, never solved.
     pub pruned: Arc<Counter>,

@@ -131,9 +131,9 @@ fn candidate_generation_on_the_paper_scenario_searches_4184_of_8720_spur_indices
     assert_eq!(
         Reading::now().writes_since(&reading),
         Writes {
-            select: [10_226, 6_636, 13_816],
-            solve: [13_136, 1_357_423, 0],
-            histograms: [4_142_037_935_373_665_119, 8_599_659_069_262_265_354],
+            select: [13_706, 10_116, 3_700],
+            solve: [8_432, 1_289_531, 0],
+            histograms: [11_417_398_285_564_998_212, 4_266_083_430_728_000_340],
         }
     );
     // The flight recorder holds every event the search emitted, by kind.
@@ -171,9 +171,9 @@ fn a_link_failure_on_the_paper_scenario_writes_pinned_series() {
     assert_eq!(
         Reading::now().writes_since(&reading),
         Writes {
-            select: [169, 99, 248],
-            solve: [621, 87_143, 0],
-            histograms: [6_461_845_650_390_037_573, 293_678_750_328_875_619],
+            select: [248, 178, 70],
+            solve: [613, 82_235, 0],
+            histograms: [4_197_682_211_651_827_678, 4_346_019_484_916_981_072],
         }
     );
 }

@@ -27,7 +27,12 @@ tree_before="$(tree_state)"
 lock_saved="$(mktemp)"
 cp benchmark/Cargo.lock "$lock_saved"
 restore_lock() { cp "$lock_saved" benchmark/Cargo.lock; }
-trap 'restore_lock; rm -f "$lock_saved"' EXIT
+# The mutant lane rewrites results/mutants.txt, whose seconds differ from
+# run to run: the committed table is saved here and put back the same way.
+mutants_saved="$(mktemp)"
+cp results/mutants.txt "$mutants_saved"
+restore_mutants() { cp "$mutants_saved" results/mutants.txt; }
+trap 'restore_lock; restore_mutants; rm -f "$lock_saved" "$mutants_saved"' EXIT
 
 echo "==> cargo build --offline --release (hermetic build)"
 cargo build --offline --release --workspace
@@ -148,6 +153,10 @@ cargo fmt --check
 
 echo "==> xtask check (repo invariant linter: orderings, shims, unsafe, metric manifest, clocks, parser unwraps, bench wiring, padding, loom coverage)"
 cargo run --offline -q -p xtask -- check
+
+echo "==> mutant table (each row of crates/xtask/mutants.txt applied alone to a copy of the tree under the cargo target directory, then its named test target run: a killed row's target failed; a survivor is printed, not gated; the lane fails only on a row that no longer applies or builds, or a target that fails unmutated)"
+cargo run --offline -q -p xtask -- mutants
+restore_mutants
 
 echo "==> cargo clippy --workspace -- -D warnings (lint gate)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
