@@ -29,8 +29,10 @@ fn usage() -> ! {
          \n\
          bounds      — Theorem 4 utilization window for each class\n\
          verify      — Figure 2 verification of the scenario's alphas on SP routes\n\
+         \x20             (or on its [[route]] sections)\n\
          maximize    — Section 5.3 binary search; optional selector sp|heuristic (default heuristic)\n\
-         simulate    — packet-level validation; optional horizon in seconds (default 0.3)\n\
+         simulate    — packet-level validation; optional horizon in seconds (default 0.3);\n\
+         \x20             the scenario's [[flow]] sections, if any, replace the fill\n\
          metrics     — exercise every instrumented layer, then dump the metrics registry\n\
          explain     — replay admissions to saturation and diagnose every rejection\n\
          \x20             (first failing link, observed vs. budget utilization, headroom)\n\

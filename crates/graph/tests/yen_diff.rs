@@ -5,8 +5,9 @@
 //! spur index of every accepted path searched, each search a full
 //! [`dijkstra_filtered`] over fresh ban sets. The shipped loop skips
 //! searches whose result is provably a duplicate or provably never
-//! extracted, and prunes the ones it runs by distance-to-target; none of
-//! that may change *which* path comes back at any position, ties included
+//! extracted, reads the result off the destination tree where the tree
+//! decides it, and prunes the searches it runs by distance-to-target; none
+//! of that may change *which* path comes back at any position, ties included
 //! (`graph_props::yen_matches_brute_force` compares weights only). The
 //! families below aim at where such a proof breaks first: unit-weight ties,
 //! zero-weight edges (pop order inside a plateau), sums that agree to an
@@ -111,12 +112,13 @@ fn describe(g: &Digraph) -> String {
 
 /// Every ordered pair of `g` under `edge_ok`: the per-call wrapper, one
 /// workspace reused over all pairs and destinations, and the reference
-/// must return the same edge lists.
+/// must return the same edge lists. Returns the reused workspace's spur
+/// searches and tree answers.
 fn agree_on_every_pair(
     g: &Digraph,
     k: usize,
     edge_ok: impl Fn(EdgeId) -> bool + Copy,
-) -> Result<(), String> {
+) -> Result<(u64, u64), String> {
     let mut shared = YenWorkspace::new(g, edge_ok);
     for s in g.nodes() {
         for d in g.nodes() {
@@ -135,14 +137,14 @@ fn agree_on_every_pair(
             );
         }
     }
-    Ok(())
+    Ok((shared.tallies().0, shared.tree_answered()))
 }
 
 #[test]
 fn unit_weights() {
     check("yen_diff_unit_weights", CASES, |rng| {
         let g = arb_graph(rng, |_| 1.0);
-        agree_on_every_pair(&g, 1 + rng.index(12), |_| true)
+        agree_on_every_pair(&g, 1 + rng.index(12), |_| true).map(drop)
     });
 }
 
@@ -158,7 +160,7 @@ fn small_integer_weights_with_zeros() {
                 r.index(10) as f64
             }
         });
-        agree_on_every_pair(&g, 1 + rng.index(12), |_| true)
+        agree_on_every_pair(&g, 1 + rng.index(12), |_| true).map(drop)
     });
 }
 
@@ -169,7 +171,7 @@ fn near_ties_in_floating_point() {
         // paths of equal real weight differ by an ulp depending on the
         // order their edges are summed in.
         let g = arb_graph(rng, |r| [0.1, 0.2, 0.3, 0.4, 0.6, 0.7][r.index(6)]);
-        agree_on_every_pair(&g, 1 + rng.index(12), |_| true)
+        agree_on_every_pair(&g, 1 + rng.index(12), |_| true).map(drop)
     });
 }
 
@@ -184,7 +186,7 @@ fn parallel_edges() {
                 g.add_edge(g.src(e), g.dst(e), w);
             }
         }
-        agree_on_every_pair(&g, 1 + rng.index(12), |_| true)
+        agree_on_every_pair(&g, 1 + rng.index(12), |_| true).map(drop)
     });
 }
 
@@ -193,7 +195,66 @@ fn random_edge_filters() {
     check("yen_diff_random_edge_filters", CASES, |rng| {
         let g = arb_graph(rng, |r| r.index(4) as f64);
         let dead: Vec<bool> = g.edges().map(|_| rng.index(4) == 0).collect();
-        agree_on_every_pair(&g, 1 + rng.index(12), |e| !dead[e.index()])
+        agree_on_every_pair(&g, 1 + rng.index(12), |e| !dead[e.index()]).map(drop)
+    });
+}
+
+#[test]
+fn distinct_real_weights() {
+    let (mut searched, mut answered) = (0, 0);
+    check("yen_diff_distinct_real_weights", CASES, |rng| {
+        // Ties have probability zero, so most spur paths are unique by far
+        // more than the margin and the destination tree spells them out:
+        // the suite takes both the tree's answer and the search.
+        let g = arb_graph(rng, |r| r.range_f64(0.5, 4.0));
+        let (ran, told) = agree_on_every_pair(&g, 1 + rng.index(12), |_| true)?;
+        (searched, answered) = (searched + ran, answered + told);
+        Ok(())
+    });
+    assert!(
+        answered > searched && searched > 0,
+        "{answered} answered, {searched} searched"
+    );
+}
+
+#[test]
+fn more_nodes_than_a_bitset_word() {
+    check("yen_diff_more_nodes_than_a_bitset_word", 8, |rng| {
+        // 65..=160 nodes: the root and tree-path bitsets span several
+        // words. A ring of links with chords, unit or distinct weights.
+        let n = 65 + rng.index(96);
+        let distinct = rng.index(2) == 0;
+        let weight = |r: &mut SplitMix64| if distinct { r.range_f64(0.5, 4.0) } else { 1.0 };
+        let mut g = Digraph::with_nodes(n);
+        for i in 0..n {
+            g.add_link(NodeId(i as u32), NodeId(((i + 1) % n) as u32), weight(rng));
+        }
+        for _ in 0..n {
+            let (a, b) = (rng.index(n) as u32, rng.index(n) as u32);
+            if a != b {
+                g.add_link(NodeId(a), NodeId(b), weight(rng));
+            }
+        }
+        let mut shared = YenWorkspace::new(&g, |_| true);
+        for _ in 0..12 {
+            let (s, d) = (NodeId(rng.index(n) as u32), NodeId(rng.index(n) as u32));
+            let want = reference_yen(&g, s, d, 8, |_| true);
+            ensure!(
+                shared.k_shortest_paths(s, d, 8) == want,
+                "{s:?}->{d:?} on {n} nodes"
+            );
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn weights_orders_of_magnitude_apart() {
+    check("yen_diff_weights_orders_of_magnitude_apart", CASES, |rng| {
+        // 2^55 + 1 + 1 == 2^55 forward, while the tree behind it keeps the
+        // 1s apart: a path unique by 1 near the target ties at the spur.
+        let g = arb_graph(rng, |r| [1.0, 2.0, (1u64 << 55) as f64][r.index(3)]);
+        agree_on_every_pair(&g, 1 + rng.index(12), |_| true).map(drop)
     });
 }
 

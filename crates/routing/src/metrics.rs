@@ -19,7 +19,7 @@
 //! | `routing.select.pruned` | of those, cut before any solve — and, once an acyclic candidate is the incumbent, before any cycle check: their delay at the committed fixed point already matched or exceeded the incumbent's |
 //! | `routing.select.cycle_checks` | would-this-chain-close-a-cycle queries put to the route-dependency overlay: one per candidate not pruned first, while Heuristic (2) is on |
 //! | `routing.candidates.spur_searches` | spur searches Yen ran to generate candidates |
-//! | `routing.candidates.spur_skipped` | spur indices it proved needed none (a duplicate, or too heavy ever to be extracted) |
+//! | `routing.candidates.spur_skipped` | spur indices it proved needed none: a duplicate, too heavy ever to be extracted, or a path the destination tree spells out — unique by more than the margin and clear of the root, or, on whole-number weights, read off its tight edges in the order a search settles nodes — pooled unsearched |
 //! | `routing.candidates.seconds` | histogram: wall time per candidate generation |
 //! | `routing.search.probe_seconds` | histogram: wall time per adopted α\* search probe, on whichever core ran it |
 //! | `routing.search.cancelled` | speculative α\* search probes cancelled and thrown away, started on the premise that a probe still running would be feasible; depends on timing |
@@ -38,7 +38,8 @@ pub struct SelectMetrics {
     pub cycle_checks: Arc<Counter>,
     /// Spur searches candidate generation ran.
     pub spur_searches: Arc<Counter>,
-    /// Spur indices it skipped unsearched.
+    /// Spur indices it skipped unsearched: proved duplicate or too
+    /// heavy, or answered by the destination tree (unique, or walked).
     pub spur_skipped: Arc<Counter>,
     /// Wall time per candidate generation, seconds.
     pub seconds: Arc<Histogram>,
