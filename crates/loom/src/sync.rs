@@ -270,6 +270,25 @@ pub mod atomic {
                     }
                 }
 
+                /// Modeled `fetch_or`.
+                #[track_caller]
+                pub fn fetch_or(&self, v: $ty, order: super::Ordering) -> $ty {
+                    if let Some((exec, me)) = crate::scheduler::current() {
+                        let site = std::panic::Location::caller();
+                        self.model_rmw(
+                            &exec,
+                            me,
+                            &mut |cur| Some(cur | v),
+                            order,
+                            order,
+                            site,
+                        )
+                        .0
+                    } else {
+                        self.0.fetch_or(v, super::Ordering::SeqCst)
+                    }
+                }
+
                 /// Modeled `fetch_max`.
                 #[track_caller]
                 pub fn fetch_max(&self, v: $ty, order: super::Ordering) -> $ty {

@@ -8,6 +8,9 @@
 //! in plain fields (a simulation's per-class delays, a committed state's
 //! solver residuals), which [`Histogram::merge`] publishes exactly. Only
 //! this module maps a value to a slot or a slot back to a value.
+//! A histogram also keeps an occupancy bitmap, one bit a slot, so its
+//! readouts walk the slots a sample ever reached (a few dozen in
+//! practice) rather than all [`BUCKETS`].
 //! Whole-number samples (queue depths, hop, retry and iteration counts)
 //! are counted per value by their owners and published with
 //! [`Histogram::record_n`].
@@ -31,6 +34,9 @@ const _: () = assert!(SUB.is_power_of_two());
 /// `0..BUCKETS`.
 pub const BUCKETS: usize = MAJORS * SUB;
 
+/// Words of the occupancy bitmap: one bit per slot.
+const WORDS: usize = BUCKETS / 64;
+
 /// Mantissa bits below a sample's sub-bucket bits.
 const REST_BITS: u32 = 52 - SUB.trailing_zeros();
 
@@ -51,6 +57,11 @@ pub struct Histogram {
     // every FLUSH_EVERY ops), so contention on any one line is rare;
     // padding each slot would blow a histogram up to ~64 KiB.
     buckets: [AtomicU64; BUCKETS],
+    /// Bit `i % 64` of word `i / 64` is set once slot `i` has held a
+    /// count: by the write whose `fetch_add` found the slot at zero, so
+    /// a slot is non-zero only after (or while) its bit is set, and a
+    /// bit is never cleared.
+    occupied: [AtomicU64; WORDS],
     /// Running sum in micro-units (`value · 1e6`, rounded).
     sum_micro: AtomicU64,
     /// Largest recorded sample, as `f64` bits (valid because samples are
@@ -69,6 +80,7 @@ impl Histogram {
         Self {
             base,
             buckets: [const { AtomicU64::new(0) }; BUCKETS],
+            occupied: [const { AtomicU64::new(0) }; WORDS],
             sum_micro: AtomicU64::new(0),
             max_bits: AtomicU64::new(0),
         }
@@ -92,7 +104,7 @@ impl Histogram {
             return;
         }
         let (slot, units, v) = place(self.base, v);
-        self.buckets[slot].fetch_add(n, Ordering::Relaxed);
+        self.add(slot, n);
         self.sum_micro
             .fetch_add(units.saturating_mul(n), Ordering::Relaxed);
         self.max_bits.fetch_max(v.to_bits(), Ordering::Relaxed);
@@ -110,16 +122,25 @@ impl Histogram {
             t.base.to_bits(),
             "merging a tally of another base"
         );
-        for (b, &n) in self.buckets.iter().zip(&t.counts).filter(|(_, &n)| n > 0) {
-            b.fetch_add(n, Ordering::Relaxed);
+        for (slot, &n) in t.counts.iter().enumerate().filter(|(_, &n)| n > 0) {
+            self.add(slot, n);
         }
         self.sum_micro.fetch_add(t.sum_micro, Ordering::Relaxed);
         self.max_bits.fetch_max(t.max.to_bits(), Ordering::Relaxed);
     }
 
+    /// Adds `n > 0` samples to `slot`, marking the slot occupied when
+    /// it was empty.
+    #[inline]
+    fn add(&self, slot: usize, n: u64) {
+        if self.buckets[slot].fetch_add(n, Ordering::Relaxed) == 0 {
+            self.occupied[slot / 64].fetch_or(1 << (slot % 64), Ordering::Relaxed);
+        }
+    }
+
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+        self.occupied_counts().map(|(_, c)| c).sum()
     }
 
     /// Sum of the recorded samples (exact to the micro-unit).
@@ -144,7 +165,36 @@ impl Histogram {
     /// within `1/SUB` (12.5%) of the true value — which is tight enough
     /// for tail-latency gating.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        quantile_from_counts(self.base, &self.bucket_counts(), q)
+        let slots = self.sparse_counts();
+        let total = slots.iter().map(|&(_, c)| c).sum();
+        let [v] = quantiles_of_slots(self.base, &slots, total, [q]);
+        v
+    }
+
+    /// A point-in-time copy of the non-zero slot counts, `(slot, count)`
+    /// ascending by slot: what [`bucket_counts`](Self::bucket_counts)
+    /// holds apart from its zeros, read from the occupied slots alone.
+    pub fn sparse_counts(&self) -> Vec<(u32, u64)> {
+        self.occupied_counts().map(|(i, c)| (i as u32, c)).collect()
+    }
+
+    /// The occupied slots' non-zero counts, ascending by slot. A slot
+    /// whose count wrapped back to zero is skipped, as a zero is.
+    fn occupied_counts(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.occupied.iter().enumerate().flat_map(move |(w, word)| {
+            let mut bits = word.load(Ordering::Relaxed);
+            std::iter::from_fn(move || {
+                while bits != 0 {
+                    let slot = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let c = self.buckets[slot].load(Ordering::Relaxed);
+                    if c != 0 {
+                        return Some((slot, c));
+                    }
+                }
+                None
+            })
+        })
     }
 
     /// A point-in-time copy of every slot count, index-aligned with
@@ -335,8 +385,33 @@ pub(crate) fn quantiles_from_counts<const N: usize>(
     total: u64,
     qs: [f64; N],
 ) -> [Option<f64>; N] {
+    let slots = counts.iter().enumerate().filter(|(_, &c)| c != 0);
+    quantiles_walk(base, slots.map(|(i, &c)| (i, c)), total, qs)
+}
+
+/// [`quantiles_from_counts`] over sparse `(slot, count)` pairs, strictly
+/// ascending by slot and inside `0..BUCKETS` (what a snapshot holds).
+pub(crate) fn quantiles_of_slots<const N: usize>(
+    base: f64,
+    slots: &[(u32, u64)],
+    total: u64,
+    qs: [f64; N],
+) -> [Option<f64>; N] {
+    quantiles_walk(base, slots.iter().map(|&(i, c)| (i as usize, c)), total, qs)
+}
+
+/// The one quantile walk: over the non-zero slots, ascending, the first
+/// slot whose cumulative count reaches `⌈q · total⌉`; the top slot if
+/// none does. Zero slots cannot end the walk, so skipping them reads
+/// what a walk over every slot reads.
+fn quantiles_walk<const N: usize>(
+    base: f64,
+    mut slots: impl Iterator<Item = (usize, u64)>,
+    total: u64,
+    qs: [f64; N],
+) -> [Option<f64>; N] {
     let mut out = [None; N];
-    let (mut slot, mut seen, mut last_q) = (0, counts[0], 0.0);
+    let (mut slot, mut seen, mut last_q) = (0, 0, 0.0);
     for (o, q) in out.iter_mut().zip(qs) {
         assert!(q > 0.0 && q <= 1.0, "quantile in (0, 1]");
         assert!(q >= last_q, "quantiles must ascend");
@@ -344,12 +419,15 @@ pub(crate) fn quantiles_from_counts<const N: usize>(
         if total == 0 {
             continue;
         }
-        // The first slot whose cumulative count reaches the target; the
-        // top slot if none does.
         let target = (q * total as f64).ceil() as u64;
-        while seen < target && slot + 1 < BUCKETS {
-            slot += 1;
-            seen += counts[slot];
+        while seen < target {
+            match slots.next() {
+                Some((i, c)) => (slot, seen) = (i, seen + c),
+                None => {
+                    slot = BUCKETS - 1;
+                    break;
+                }
+            }
         }
         *o = Some(slot_upper_bound(base, slot));
     }

@@ -49,7 +49,7 @@ pub mod trace;
 
 pub use histogram::{Histogram, Tally};
 pub use metrics::{Counter, Gauge};
-pub use registry::{global, process_secs, Registry, Snapshot, SnapshotValue};
+pub use registry::{global, process_secs, Registry, Snapshot, SnapshotValue, Window};
 pub use rng::{check, SplitMix64};
 pub use slo::{standard_rules, Alert, RuleState, SloConfig, SloEngine, SloRule, SloSignal};
 pub use stopwatch::Stopwatch;

@@ -7,9 +7,12 @@
 //! all hand-rolled in the workspace's no-external-deps style. Two
 //! snapshots taken at different times can be diffed with
 //! [`Snapshot::delta_since`] into a windowed view: counter deltas plus
-//! `ops/sec` rates, and per-interval histogram digests.
+//! `ops/sec` rates, and per-interval histogram digests. A reader that
+//! wants a few of those series reads them one at a time through
+//! [`Snapshot::window`], which computes each exactly as `delta_since`
+//! would without building the rest.
 
-use crate::histogram::{quantiles_from_counts, slot_upper_bound, Histogram, BUCKETS};
+use crate::histogram::{quantiles_of_slots, slot_upper_bound, Histogram, BUCKETS};
 use crate::json;
 use crate::metrics::{Counter, Gauge};
 use crate::stopwatch::Stopwatch;
@@ -95,9 +98,9 @@ impl Registry {
 
     /// A point-in-time reading of every registered metric, sorted by
     /// name and stamped with the process-monotonic clock. Each histogram
-    /// is read once: its count, quantiles and sparse slots all come from
-    /// one copy of the slot counts, so a digest is self-consistent even
-    /// while another thread records.
+    /// is read once, from its occupied slots: its count, quantiles and
+    /// sparse slots all come from that one copy of the slot counts, so a
+    /// digest is self-consistent even while another thread records.
     pub fn snapshot(&self) -> Snapshot {
         let m = self.metrics.lock().unwrap();
         let entries = m
@@ -107,10 +110,10 @@ impl Registry {
                     Metric::Counter(c) => SnapshotValue::Counter(c.get()),
                     Metric::Gauge(g) => SnapshotValue::Gauge(g.get()),
                     Metric::Histogram(h) => {
-                        let counts = h.bucket_counts();
-                        let count: u64 = counts.iter().sum();
+                        let slots = h.sparse_counts();
+                        let count: u64 = slots.iter().map(|&(_, c)| c).sum();
                         let mean = (count > 0).then(|| h.sum() / count as f64);
-                        digest(h.base(), &counts, count, h.max(), mean)
+                        digest(h.base(), slots, count, h.max(), mean)
                     }
                 };
                 (name.clone(), value)
@@ -126,17 +129,18 @@ impl Registry {
 /// The quantiles a histogram digest reports.
 const DIGEST_QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
 
-/// A histogram digest of `count` samples over the slot counts `counts`:
-/// p50/p90/p99 from one cumulative walk, and the sparse slot layout.
+/// A histogram digest of `count` samples over the non-zero slots
+/// `buckets` (strictly ascending, inside `0..BUCKETS`): p50/p90/p99 from
+/// one cumulative walk, and the slots themselves as the sparse layout.
 fn digest(
     base: f64,
-    counts: &[u64; BUCKETS],
+    buckets: Vec<(u32, u64)>,
     count: u64,
     max: f64,
     mean: Option<f64>,
 ) -> SnapshotValue {
-    let total = counts.iter().sum();
-    let [p50, p90, p99] = quantiles_from_counts(base, counts, total, DIGEST_QUANTILES);
+    let total = buckets.iter().map(|&(_, c)| c).sum();
+    let [p50, p90, p99] = quantiles_of_slots(base, &buckets, total, DIGEST_QUANTILES);
     SnapshotValue::Histogram {
         count,
         p50,
@@ -145,31 +149,54 @@ fn digest(
         max,
         mean,
         base,
-        buckets: sparse(counts),
+        buckets,
     }
 }
 
-/// Sparse `(slot, count)` pairs from a dense slot array.
-fn sparse(counts: &[u64; BUCKETS]) -> Vec<(u32, u64)> {
-    counts
+/// The window's slot counts: each of `later`'s slots less `earlier`'s
+/// count there, saturating at zero, zeros dropped. One merge walk over
+/// the two sparse lists. A hand-built list that is not strictly
+/// ascending is first read as a dense array would read it: `later`'s
+/// last count for a slot wins, `earlier`'s counts for a slot all
+/// subtract, and slots past the layout are ignored.
+fn slot_diff(later: &[(u32, u64)], earlier: &[(u32, u64)]) -> Vec<(u32, u64)> {
+    let later = canonical(later, |kept, c| *kept = c);
+    let earlier = canonical(earlier, |kept, c| *kept = kept.saturating_add(c));
+    let mut rest = earlier.iter().peekable();
+    let mut out = Vec::with_capacity(later.len());
+    for &(slot, c) in later
         .iter()
-        .enumerate()
-        .filter(|(_, &c)| c != 0)
-        .map(|(i, &c)| (i as u32, c))
-        .collect()
-}
-
-/// Dense slot array from sparse `(slot, count)` pairs; out-of-range
-/// slots are ignored (a snapshot never produces them, but deltas must
-/// not panic on hand-built inputs).
-pub(crate) fn dense(buckets: &[(u32, u64)]) -> [u64; BUCKETS] {
-    let mut out = [0u64; BUCKETS];
-    for &(i, c) in buckets {
-        if let Some(slot) = out.get_mut(i as usize) {
-            *slot = c;
+        .take_while(|&&(slot, _)| (slot as usize) < BUCKETS)
+    {
+        while rest.next_if(|&&(e, _)| e < slot).is_some() {}
+        let before = rest.next_if(|&&(e, _)| e == slot).map_or(0, |&(_, c0)| c0);
+        let d = c.saturating_sub(before);
+        if d != 0 {
+            out.push((slot, d));
         }
     }
     out
+}
+
+/// `buckets` itself when strictly ascending; otherwise one pair per
+/// slot, ascending, the counts of a repeated slot folded by `fold`.
+fn canonical(
+    buckets: &[(u32, u64)],
+    fold: impl Fn(&mut u64, u64),
+) -> std::borrow::Cow<'_, [(u32, u64)]> {
+    if buckets.windows(2).all(|w| w[0].0 < w[1].0) {
+        return buckets.into();
+    }
+    let mut sorted = buckets.to_vec();
+    sorted.sort_by_key(|&(slot, _)| slot);
+    let mut out: Vec<(u32, u64)> = Vec::with_capacity(sorted.len());
+    for (slot, c) in sorted {
+        match out.last_mut() {
+            Some((s, kept)) if *s == slot => fold(kept, c),
+            _ => out.push((slot, c)),
+        }
+    }
+    out.into()
 }
 
 /// The process-wide registry the instrumented crates (admission, delay,
@@ -219,6 +246,113 @@ pub struct Snapshot {
     pub at: f64,
 }
 
+/// The derived gauge carrying a window's length.
+const WINDOW_SECS: &str = "snapshot.window_secs";
+
+/// The suffix of a counter's or histogram's derived rate gauge.
+const PER_SEC: &str = ".per_sec";
+
+/// The window between two snapshots, read one series at a time (see
+/// [`Snapshot::window`]). [`Snapshot::delta_since`] is this read mapped
+/// over every entry, so the two cannot disagree.
+#[derive(Clone, Copy, Debug)]
+pub struct Window<'a> {
+    later: &'a Snapshot,
+    later_sorted: bool,
+    earlier: &'a Snapshot,
+    earlier_sorted: bool,
+    secs: f64,
+}
+
+impl Window<'_> {
+    /// What `later.delta_since(earlier)` holds under `name`, if anything:
+    /// a source series' window value, a derived `<name>.per_sec` rate, or
+    /// `snapshot.window_secs`. Should names collide, the first that
+    /// `delta_since` would list wins, as its `get` reads it.
+    pub fn get(&self, name: &str) -> Option<SnapshotValue> {
+        let later = self.later;
+        let direct = later.position(self.later_sorted, name);
+        // The series whose rate gauge is `name`: a counter or histogram.
+        let rated = name
+            .strip_suffix(PER_SEC)
+            .and_then(|source| later.position(self.later_sorted, source))
+            .filter(|&i| !matches!(later.entries[i].1, SnapshotValue::Gauge(_)));
+        // `delta_since` lists each series' rate right after the series,
+        // so of a direct and a derived entry the earlier source is first.
+        match (direct, rated) {
+            (Some(d), Some(r)) if r < d => self.rate_of(r),
+            (Some(d), _) => {
+                let (n, v) = &later.entries[d];
+                Some(self.series(n, v).0)
+            }
+            (None, Some(r)) => self.rate_of(r),
+            (None, None) => (name == WINDOW_SECS).then_some(SnapshotValue::Gauge(self.secs)),
+        }
+    }
+
+    fn rate_of(&self, i: usize) -> Option<SnapshotValue> {
+        let (n, v) = &self.later.entries[i];
+        self.series(n, v).1.map(SnapshotValue::Gauge)
+    }
+
+    /// The one per-series window body: the window value of the later
+    /// snapshot's series `name` = `value`, and its rate when it has one.
+    ///
+    /// * a counter becomes its delta over the window, with a rate;
+    /// * a histogram becomes its per-interval digest (quantiles and mean
+    ///   over only the window's samples, from the diffed slot counts),
+    ///   with a sample rate — `max` stays the lifetime watermark, since a
+    ///   high-water mark cannot be diffed;
+    /// * a gauge passes through at its current value.
+    ///
+    /// A series absent from `earlier` (registered mid-window) diffs
+    /// against zero.
+    fn series(&self, name: &str, value: &SnapshotValue) -> (SnapshotValue, Option<f64>) {
+        let before = self
+            .earlier
+            .position(self.earlier_sorted, name)
+            .map(|i| &self.earlier.entries[i].1);
+        let rate = |d: f64| if self.secs > 0.0 { d / self.secs } else { 0.0 };
+        match value {
+            SnapshotValue::Counter(v) => {
+                let v0 = match before {
+                    Some(SnapshotValue::Counter(v0)) => *v0,
+                    _ => 0,
+                };
+                let d = v.saturating_sub(v0);
+                (SnapshotValue::Counter(d), Some(rate(d as f64)))
+            }
+            SnapshotValue::Gauge(v) => (SnapshotValue::Gauge(*v), None),
+            SnapshotValue::Histogram {
+                count,
+                max,
+                mean,
+                base,
+                buckets,
+                ..
+            } => {
+                let (diff, count0, mean0) = match before {
+                    Some(SnapshotValue::Histogram {
+                        count,
+                        mean,
+                        buckets: buckets0,
+                        ..
+                    }) => (slot_diff(buckets, buckets0), *count, *mean),
+                    _ => (slot_diff(buckets, &[]), 0, None),
+                };
+                let dcount = count.saturating_sub(count0);
+                let dsum =
+                    mean.unwrap_or(0.0) * *count as f64 - mean0.unwrap_or(0.0) * count0 as f64;
+                let dmean = (dcount > 0).then(|| dsum / dcount as f64);
+                (
+                    digest(*base, diff, dcount, *max, dmean),
+                    Some(rate(dcount as f64)),
+                )
+            }
+        }
+    }
+}
+
 fn json_opt(v: Option<f64>) -> String {
     v.map(json::number).unwrap_or_else(|| "null".into())
 }
@@ -241,10 +375,10 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Sanitizes a metric name into the Prometheus charset
-/// `[a-zA-Z0-9_:]` (leading digits get a `_` prefix).
-fn prom_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 1);
+/// Writes a metric name sanitized into the Prometheus charset
+/// `[a-zA-Z0-9_:]` (leading digits get a `_` prefix) to `out`, which
+/// starts empty.
+fn prom_name(out: &mut String, name: &str) {
     for (i, c) in name.chars().enumerate() {
         if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
             if i == 0 && c.is_ascii_digit() {
@@ -258,31 +392,65 @@ fn prom_name(name: &str) -> String {
     if out.is_empty() {
         out.push('_');
     }
-    out
 }
 
-/// Formats an `f64` as a Prometheus sample value (`+Inf`/`-Inf`/`NaN`
-/// are part of the text format, unlike JSON).
-fn prom_num(v: f64) -> String {
+/// Writes an `f64` as a Prometheus sample value to `out` (`+Inf`/`-Inf`/
+/// `NaN` are part of the text format, unlike JSON).
+fn prom_num(out: &mut String, v: f64) {
     if v.is_nan() {
-        "NaN".into()
+        out.push_str("NaN");
     } else if v == f64::INFINITY {
-        "+Inf".into()
+        out.push_str("+Inf");
     } else if v == f64::NEG_INFINITY {
-        "-Inf".into()
+        out.push_str("-Inf");
     } else {
-        format!("{v:?}")
+        write!(out, "{v:?}").unwrap();
     }
 }
 
 impl Snapshot {
-    /// The reading for `name`, if present.
+    /// The reading for `name`, if present (the first, should a hand-built
+    /// snapshot hold the name twice). A name-sorted snapshot, as every
+    /// registry snapshot and window is, is binary-searched; any other
+    /// is scanned.
     pub fn get(&self, name: &str) -> Option<&SnapshotValue> {
-        self.entries.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+        self.position(self.is_sorted(), name)
+            .map(|i| &self.entries[i].1)
+    }
+
+    /// Where the first entry named `name` is: a binary search when the
+    /// caller knows the entries are name-sorted, else a scan.
+    fn position(&self, sorted: bool, name: &str) -> Option<usize> {
+        if sorted {
+            let i = self.entries.partition_point(|(n, _)| n.as_str() < name);
+            (self.entries.get(i).is_some_and(|(n, _)| n == name)).then_some(i)
+        } else {
+            self.entries.iter().position(|(n, _)| n == name)
+        }
     }
 
     fn is_sorted(&self) -> bool {
         self.entries.is_sorted_by(|(a, _), (b, _)| a <= b)
+    }
+
+    /// The window between `earlier` and this snapshot, read one series
+    /// at a time: [`Window::get`] returns what
+    /// [`delta_since`](Self::delta_since) would hold under a name,
+    /// computing only that series.
+    pub fn window<'a>(&'a self, earlier: &'a Snapshot) -> Window<'a> {
+        Window {
+            later: self,
+            later_sorted: self.is_sorted(),
+            earlier,
+            earlier_sorted: earlier.is_sorted(),
+            // Two snapshots inside one clock tick give a zero-width (or,
+            // with hand-pinned stamps, negative) window. A rate over it
+            // is meaningless — and clamping the divisor instead would
+            // report ~1e10/s garbage for a one-tick delta — so
+            // degenerate windows report honest 0.0 rates and a 0.0
+            // `snapshot.window_secs`.
+            secs: (self.at - earlier.at).max(0.0),
+        }
     }
 
     /// The window between `earlier` and this snapshot, as a derived
@@ -303,90 +471,17 @@ impl Snapshot {
     /// never registered, so the metric manifest tracks only source
     /// names.
     pub fn delta_since(&self, earlier: &Snapshot) -> Snapshot {
-        // Two snapshots inside one clock tick give a zero-width (or,
-        // with hand-pinned stamps, negative) window. A rate over it is
-        // meaningless — and clamping the divisor instead would report
-        // ~1e10/s garbage for a one-tick delta — so degenerate windows
-        // report honest 0.0 rates and a 0.0 `snapshot.window_secs`.
-        let window = (self.at - earlier.at).max(0.0);
-        let rate = |d: f64| if window > 0.0 { d / window } else { 0.0 };
-        let mut entries: Vec<(String, SnapshotValue)> = Vec::with_capacity(self.entries.len() + 1);
-        // Registry snapshots are name-sorted, so one cursor walks
-        // `earlier` alongside; a hand-built unsorted one is searched.
-        let merge = self.is_sorted() && earlier.is_sorted();
-        let mut cursor = 0;
+        let window = self.window(earlier);
+        let mut entries: Vec<(String, SnapshotValue)> =
+            Vec::with_capacity(2 * self.entries.len() + 1);
         for (name, value) in &self.entries {
-            let before = if merge {
-                let rest = &earlier.entries[cursor..];
-                cursor += rest.partition_point(|(n, _)| n < name);
-                match earlier.entries.get(cursor) {
-                    Some((n, v)) if n == name => Some(v),
-                    _ => None,
-                }
-            } else {
-                earlier.get(name)
-            };
-            match value {
-                SnapshotValue::Counter(v) => {
-                    let v0 = match before {
-                        Some(SnapshotValue::Counter(v0)) => *v0,
-                        _ => 0,
-                    };
-                    let d = v.saturating_sub(v0);
-                    entries.push((name.clone(), SnapshotValue::Counter(d)));
-                    entries.push((
-                        format!("{name}.per_sec"),
-                        SnapshotValue::Gauge(rate(d as f64)),
-                    ));
-                }
-                SnapshotValue::Gauge(v) => {
-                    entries.push((name.clone(), SnapshotValue::Gauge(*v)));
-                }
-                SnapshotValue::Histogram {
-                    count,
-                    max,
-                    mean,
-                    base,
-                    buckets,
-                    ..
-                } => {
-                    let mut diff = dense(buckets);
-                    let (count0, mean0) = match before {
-                        Some(SnapshotValue::Histogram {
-                            count,
-                            mean,
-                            buckets,
-                            ..
-                        }) => {
-                            for &(i, c) in buckets {
-                                if let Some(slot) = diff.get_mut(i as usize) {
-                                    *slot = slot.saturating_sub(c);
-                                }
-                            }
-                            (*count, *mean)
-                        }
-                        _ => (0, None),
-                    };
-                    let dcount = count.saturating_sub(count0);
-                    let dsum =
-                        mean.unwrap_or(0.0) * *count as f64 - mean0.unwrap_or(0.0) * count0 as f64;
-                    let dmean = if dcount > 0 {
-                        Some(dsum / dcount as f64)
-                    } else {
-                        None
-                    };
-                    entries.push((name.clone(), digest(*base, &diff, dcount, *max, dmean)));
-                    entries.push((
-                        format!("{name}.per_sec"),
-                        SnapshotValue::Gauge(rate(dcount as f64)),
-                    ));
-                }
+            let (value, rate) = window.series(name, value);
+            entries.push((name.clone(), value));
+            if let Some(rate) = rate {
+                entries.push((format!("{name}.per_sec"), SnapshotValue::Gauge(rate)));
             }
         }
-        entries.push((
-            "snapshot.window_secs".to_string(),
-            SnapshotValue::Gauge(window),
-        ));
+        entries.push((WINDOW_SECS.to_string(), SnapshotValue::Gauge(window.secs)));
         entries.sort_by(|(a, _), (b, _)| a.cmp(b));
         Snapshot {
             entries,
@@ -522,14 +617,21 @@ impl Snapshot {
     /// enough for server-side quantile math. Metric names are sanitized
     /// into `[a-zA-Z0-9_:]`.
     pub fn render_prometheus(&self) -> String {
-        self.render_with(|out, name, value| {
-            let name = prom_name(name);
+        // Each series' sanitized name, written once into one buffer the
+        // rows share; its lines then copy it.
+        let mut name = String::new();
+        self.render_with(|out, raw, value| {
+            name.clear();
+            prom_name(&mut name, raw);
+            let name = name.as_str();
             match value {
                 SnapshotValue::Counter(v) => {
                     writeln!(out, "# TYPE {name} counter\n{name} {v}").unwrap();
                 }
                 SnapshotValue::Gauge(v) => {
-                    writeln!(out, "# TYPE {name} gauge\n{name} {}", prom_num(*v)).unwrap();
+                    write!(out, "# TYPE {name} gauge\n{name} ").unwrap();
+                    prom_num(out, *v);
+                    out.push('\n');
                 }
                 SnapshotValue::Histogram {
                     count,
@@ -544,12 +646,14 @@ impl Snapshot {
                     let mut cum = 0u64;
                     for &(slot, c) in buckets {
                         cum += c;
-                        let le = prom_num(slot_upper_bound(*base, slot as usize));
-                        writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}").unwrap();
+                        write!(out, "{name}_bucket{{le=\"").unwrap();
+                        prom_num(out, slot_upper_bound(*base, slot as usize));
+                        writeln!(out, "\"}} {cum}").unwrap();
                     }
                     writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}").unwrap();
-                    let sum = mean.map_or(0.0, |m| m * *count as f64);
-                    writeln!(out, "{name}_sum {}\n{name}_count {count}", prom_num(sum)).unwrap();
+                    write!(out, "{name}_sum ").unwrap();
+                    prom_num(out, mean.map_or(0.0, |m| m * *count as f64));
+                    writeln!(out, "\n{name}_count {count}").unwrap();
                 }
             }
         })

@@ -5,11 +5,13 @@
 //! what the system did; nothing so far *watches* those signals and says
 //! "the deadline-miss ratio is violating its objective". This module is
 //! that watcher, kept deliberately passive: an [`SloEngine`] owns a set
-//! of [`SloRule`]s, and every call to [`SloEngine::evaluate`] diffs the
-//! new [`Snapshot`] against the previous one via
-//! [`Snapshot::delta_since`] and reads each rule's [`SloSignal`] out of
-//! the windowed view — a counter-delta ratio, a windowed rate, a live
-//! gauge, or a window quantile from the diffed histogram slots.
+//! of [`SloRule`]s, and every call to [`SloEngine::evaluate`] reads each
+//! rule's [`SloSignal`] out of the window between the new [`Snapshot`]
+//! and the previous one — a counter-delta ratio, a windowed rate, a live
+//! gauge, or a window quantile from the diffed histogram slots. Each
+//! signal reads only its own series, through [`Snapshot::window`], the
+//! same per-series body [`Snapshot::delta_since`] maps over every entry,
+//! so a rule reads what the full window would hold.
 //!
 //! Breaches do not alert immediately. Each rule carries **hysteresis**:
 //! `for_windows` consecutive breaching windows move the rule
@@ -35,16 +37,16 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use crate::histogram::quantile_from_counts;
+use crate::histogram::quantiles_of_slots;
 use crate::json;
 use crate::metrics::{Counter, Gauge};
-use crate::registry::{dense, Registry, Snapshot, SnapshotValue};
+use crate::registry::{Registry, Snapshot, SnapshotValue, Window};
 use crate::trace::{self, EventKind};
 
 /// Resolved alerts retained for the "recent" section of the alert log.
 pub const RECENT_ALERTS: usize = 64;
 
-/// What a rule measures, read out of one `delta_since` window.
+/// What a rule measures, read out of one snapshot window.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SloSignal {
     /// `numerator_delta / denominator_delta` over the window (e.g.
@@ -80,11 +82,12 @@ pub enum SloSignal {
 }
 
 impl SloSignal {
-    /// Reads the signal out of a windowed (`delta_since`) snapshot.
-    /// `None` means the window carries no evidence for this rule.
-    pub fn read(&self, window: &Snapshot) -> Option<f64> {
+    /// Reads the signal out of a snapshot window: the same value it would
+    /// read out of that window's `delta_since` snapshot. `None` means the
+    /// window carries no evidence for this rule.
+    pub fn read(&self, window: &Window<'_>) -> Option<f64> {
         let counter = |name: &str| match window.get(name) {
-            Some(SnapshotValue::Counter(v)) => Some(*v),
+            Some(SnapshotValue::Counter(v)) => Some(v),
             _ => None,
         };
         match self {
@@ -100,13 +103,13 @@ impl SloSignal {
             }
             SloSignal::Rate { counter: name } => {
                 let secs = match window.get("snapshot.window_secs") {
-                    Some(SnapshotValue::Gauge(w)) if *w > 0.0 => *w,
+                    Some(SnapshotValue::Gauge(w)) if w > 0.0 => w,
                     _ => return None,
                 };
                 Some(counter(name)? as f64 / secs)
             }
             SloSignal::GaugeValue { gauge } => match window.get(gauge) {
-                Some(SnapshotValue::Gauge(v)) => Some(*v),
+                Some(SnapshotValue::Gauge(v)) => Some(v),
                 _ => None,
             },
             SloSignal::Quantile { histogram, q } => match window.get(histogram) {
@@ -115,7 +118,11 @@ impl SloSignal {
                     base,
                     buckets,
                     ..
-                }) if *count > 0 => quantile_from_counts(*base, &dense(buckets), *q),
+                }) if count > 0 => {
+                    let total = buckets.iter().map(|&(_, c)| c).sum();
+                    let [v] = quantiles_of_slots(base, &buckets, total, [*q]);
+                    v
+                }
                 _ => None,
             },
         }
@@ -338,8 +345,8 @@ struct RuleRuntime {
 }
 
 /// The evaluator: owns the rules, the previous snapshot, and the alert
-/// log. Not a hot-path object — `evaluate` takes a registry snapshot
-/// diff; call it on a polling cadence (the serve background loop runs it
+/// log. Not a hot-path object — `evaluate` reads a window between two
+/// registry snapshots; call it on a polling cadence (the serve background loop runs it
 /// once per churn batch).
 #[derive(Debug)]
 pub struct SloEngine {
@@ -385,23 +392,30 @@ impl SloEngine {
         }
     }
 
-    /// Closes one evaluation window: diffs `snap` against the previous
-    /// snapshot, feeds every rule's state machine, publishes the state
-    /// gauges, and emits fire/resolve trace events. The first call only
-    /// anchors the window and evaluates nothing. Returns how many rules
-    /// are firing afterwards.
+    /// Closes one evaluation window: reads each rule's signal over the
+    /// window from the previous snapshot to `snap`, feeds every rule's
+    /// state machine, publishes the state gauges, and emits
+    /// fire/resolve trace events. The first call only anchors the window
+    /// and evaluates nothing. Returns how many rules are firing
+    /// afterwards.
     pub fn evaluate(&mut self, snap: Snapshot) -> usize {
         let Some(prev) = self.prev.take() else {
             self.prev = Some(snap);
             return 0;
         };
-        let window = snap.delta_since(&prev);
-        let now = snap.at;
+        self.read_window(&snap.window(&prev), snap.at);
         self.prev = Some(snap);
-        self.evaluations.inc();
+        self.rules
+            .iter()
+            .filter(|r| r.state == RuleState::Firing)
+            .count()
+    }
 
+    /// Feeds one window, closed at `now`, to every rule.
+    fn read_window(&mut self, window: &Window<'_>, now: f64) {
+        self.evaluations.inc();
         for (idx, r) in self.rules.iter_mut().enumerate() {
-            let Some(value) = r.rule.signal.read(&window) else {
+            let Some(value) = r.rule.signal.read(window) else {
                 // No data: hold streaks and state (see module docs).
                 continue;
             };
@@ -471,10 +485,6 @@ impl SloEngine {
             }
             r.state_gauge.set(r.state.as_gauge());
         }
-        self.rules
-            .iter()
-            .filter(|r| r.state == RuleState::Firing)
-            .count()
     }
 
     /// Current state of `rule`, if the engine has it.

@@ -104,10 +104,10 @@ struct Job {
     /// Where the packet is: an index into the run's `hops`, on its
     /// flow's sim-route.
     at: u32,
-    /// Hops still ahead of `at`.
-    remaining: u32,
     /// Measurement start (ns): arrival at the first real server.
     t0: u64,
+    /// Arrival (ns) at the station it is at.
+    arrived: u64,
 }
 
 /// One hop of a sim-route: the station, how long it serves one of the
@@ -437,8 +437,8 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
             assert!((k as usize) < capacities.len(), "route server out of range");
         }
     }
-    // A job indexes and counts its hops in `u32`: with every route and
-    // its shaper in range, no count below truncates, and a flow index
+    // A job indexes its hops in `u32`: with every route and its shaper
+    // in range, no index below truncates, and a flow index
     // stays below the calendar's two markers.
     let total_hops: usize = flows.iter().map(|f| f.route.len() + 1).sum();
     assert!(
@@ -462,7 +462,7 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
         .collect();
     let mut shaper_of: HashMap<(u32, u32), u32> = HashMap::new();
     // Every flow's sim-route — the shaper, then the real route — laid end
-    // to end; a route is named by `(index of its shaper hop, hops after it)`.
+    // to end; a route is named by `(index of its shaper hop, of its last)`.
     let mut hops: Vec<Hop> = Vec::new();
     let mut routes: Vec<(u32, u32)> = Vec::with_capacity(flows.len());
     // Each distinct service duration's run, numbered in first-seen order.
@@ -473,7 +473,7 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
             stations.push(Station::new(cap, classes, &cfg.discipline));
             stations.len() as u32 - 1
         });
-        routes.push((hops.len() as u32, f.route.len() as u32));
+        routes.push((hops.len() as u32, (hops.len() + f.route.len()) as u32));
         let bits = f.source.packet_bits() as f64;
         for station in std::iter::once(shaper).chain(f.route.iter().copied()) {
             let dur = (bits / stations[station as usize].capacity * NS).round() as u64;
@@ -514,6 +514,8 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
     };
 
     let mut acc: Vec<StatsAccumulator> = vec![StatsAccumulator::default(); classes];
+    // The largest sojourn (ns) per (real server, class), `k · classes + c`.
+    let mut sojourn_ns = vec![0u64; capacities.len() * classes];
     let mut total_packets = 0u64;
     let mut total_misses = 0u64;
     let mut events = 0u64;
@@ -546,12 +548,11 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
             (None, Some((t, flow))) if due.is_none_or(|due| t <= due) => {
                 read += 1;
                 seq += 1;
-                let (at, remaining) = routes[flow as usize];
                 let job = Job {
                     flow,
-                    at,
-                    remaining,
+                    at: routes[flow as usize].0,
                     t0: t,
+                    arrived: t,
                 };
                 (t, seq, Event::Arrive(job))
             }
@@ -564,7 +565,8 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
         events += 1;
         now = t;
         match ev {
-            Event::Arrive(job) => {
+            Event::Arrive(mut job) => {
+                job.arrived = t;
                 let (class, bits) = packets[job.flow as usize];
                 let st_id = hops[job.at as usize].station as usize;
                 let st = &mut stations[st_id];
@@ -602,18 +604,21 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
                 let st = &mut stations[st_id];
                 st.backlog -= 1;
                 let mut job = st.current.take().expect("completion without job");
-                if st_id >= capacities.len() {
+                let class = packets[job.flow as usize].0;
+                if let Some(worst) = sojourn_ns.get_mut(st_id * classes + class) {
+                    // A real server (their cells come first): arrival to
+                    // the end of transmission.
+                    *worst = (*worst).max(t - job.arrived);
+                } else {
                     // Leaving the access shaper (the stations past the
                     // real servers): the guarantee clock starts now.
                     job.t0 = t;
                 }
-                if job.remaining > 0 {
+                if job.at < routes[job.flow as usize].1 {
                     job.at += 1;
-                    job.remaining -= 1;
                     seq += 1;
                     forwarded.push_back((seq, job));
                 } else {
-                    let class = packets[job.flow as usize].0;
                     let delay = (t - job.t0) as f64 / NS;
                     let deadline = cfg.deadlines[class];
                     if delay > deadline {
@@ -650,6 +655,7 @@ fn run(capacities: &[f64], flows: &[FlowSpec], cfg: &SimConfig, metrics: &SimMet
             .map(|(a, &d)| a.finish_with_drops(d))
             .collect(),
         histograms: acc.into_iter().map(|a| a.delays).collect(),
+        max_sojourn: sojourn_ns.iter().map(|&ns| ns as f64 / NS).collect(),
         total_packets,
         events,
         peak_backlog,
@@ -732,6 +738,8 @@ mod tests {
         let tx = 640.0 / C;
         assert!(r.classes[0].max_delay >= 1.9 * tx);
         assert!(r.classes[0].max_delay <= 2.1 * tx);
+        // One server, so its largest sojourn is the largest delay.
+        assert_eq!(r.max_sojourn, vec![r.classes[0].max_delay]);
     }
 
     #[test]
@@ -832,6 +840,12 @@ mod tests {
         let r = simulate(&[C, C, C], &flows, &cfg(1));
         let tx = 640.0 / C;
         assert!((r.classes[0].max_delay - 3.0 * tx).abs() < 3e-9);
+        // Each server's sojourn is one transmission: nothing queues.
+        assert!(
+            r.max_sojourn.iter().all(|&s| (s - tx).abs() < 2e-9),
+            "{:?}",
+            r.max_sojourn
+        );
     }
 
     #[test]

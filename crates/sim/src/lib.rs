@@ -40,6 +40,6 @@ pub mod sched;
 pub mod source;
 
 pub use engine::{simulate, FlowSpec, SimConfig};
-pub use report::{ClassStats, SimReport};
+pub use report::{check_bounds, BoundCheck, ClassStats, Reading, SimReport};
 pub use sched::Discipline;
 pub use source::SourceModel;
